@@ -184,7 +184,8 @@ func TestClusterEquivalence(t *testing.T) {
 	if err := h.router.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{"silc_cluster_rpcs_total", "silc_cluster_cell_rpcs_total"} {
+	for _, family := range []string{"silc_cluster_rpcs_total", "silc_cluster_cell_rpcs_total",
+		"silc_cluster_memo_hits_total", "silc_cluster_memo_misses_total", "silc_cluster_memo_entries"} {
 		if !strings.Contains(buf.String(), family) {
 			t.Fatalf("router metrics missing family %s", family)
 		}

@@ -145,7 +145,7 @@ func main() {
 			CacheFraction: *cacheFrac,
 			MissLatency:   *missLatency,
 			Mmap:          *mmap,
-		}, *drainGrace)
+		}, *drainGrace, *pprofOn)
 		return
 	case "router", "":
 	default:
@@ -274,7 +274,7 @@ func serveAndDrain(srv *http.Server, grace time.Duration, onDrain func()) {
 // a drain-then-shutdown signal. Only the owned cells' pages ever
 // materialize, so a node's memory footprint is its share of the database,
 // not the whole file.
-func runClusterNode(addr, manifestPath, name, indexPath string, opts silc.ShardedBuildOptions, grace time.Duration) {
+func runClusterNode(addr, manifestPath, name, indexPath string, opts silc.ShardedBuildOptions, grace time.Duration, pprofOn bool) {
 	m, indexPath, err := loadManifest(manifestPath, indexPath)
 	if err != nil {
 		log.Fatalf("silcserve: %v", err)
@@ -294,20 +294,37 @@ func runClusterNode(addr, manifestPath, name, indexPath string, opts silc.Sharde
 	spec := m.Node(name)
 	log.Printf("cluster node %s serving cells %v of %s", name, spec.Cells, indexPath)
 
-	// The node handler's own /metrics only has the silcnode_* families;
-	// mount a richer one in front that prepends the engine's silc_* ones.
+	httpServer := &http.Server{
+		Addr:              addr,
+		Handler:           nodeRoutes(node, pprofOn),
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	serveAndDrain(httpServer, grace, node.StartDrain)
+}
+
+// nodeRoutes is the -cluster node mux: the node's RPC and health surface,
+// a /metrics that prepends the engine's silc_* families to the node
+// handler's own silcnode_* ones, and the runtime profiles under -pprof.
+func nodeRoutes(node *silc.ClusterNode, pprofOn bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", node.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		node.WriteMetrics(w)
 	})
-	httpServer := &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
+	if pprofOn {
+		mountPprof(mux)
 	}
-	serveAndDrain(httpServer, grace, node.StartDrain)
+	return mux
+}
+
+// mountPprof serves the Go runtime profiles under /debug/pprof/.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // openRouter is the -cluster router setup: read the index metadata (no cell
@@ -560,11 +577,7 @@ func (s *server) routes() http.Handler {
 		w.Write([]byte("ready\n"))
 	})
 	if s.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mountPprof(mux)
 	}
 	return mux
 }

@@ -677,3 +677,43 @@ func TestServerPprofGate(t *testing.T) {
 		t.Fatalf("pprof index with -pprof: status %d", resp2.StatusCode)
 	}
 }
+
+// TestNodePprofGate: -pprof reaches the -cluster node mux too (it used to
+// be mounted on the standalone/router mux only, so a node answered 404),
+// and stays off without the flag; the RPC surface sits behind the same mux
+// either way.
+func TestNodePprofGate(t *testing.T) {
+	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 10, Cols: 10, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &silc.ClusterManifest{Nodes: []silc.ClusterNodeSpec{
+		{Name: "n", Addr: "http://placeholder", Cells: []int{0, 1, 2, 3}},
+	}}
+	node, err := silc.NewClusterNode(ix, m, "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, on := range []bool{false, true} {
+		ts := httptest.NewServer(nodeRoutes(node, on))
+		want := map[string]int{"/debug/pprof/": 404, "/debug/pprof/cmdline": 404, "/readyz": 200, "/metrics": 200}
+		if on {
+			want["/debug/pprof/"], want["/debug/pprof/cmdline"] = 200, 200
+		}
+		for path, status := range want {
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != status {
+				t.Errorf("pprof=%v: GET %s = %d, want %d", on, path, resp.StatusCode, status)
+			}
+		}
+		ts.Close()
+	}
+}

@@ -53,6 +53,30 @@ type Client struct {
 	cellCalls []*obs.Counter
 	cellLoad  []atomic.Int64 // per-cell RPC counts for hot-cell detection
 	rr        []atomic.Uint32
+
+	// The gateway-interval memo's counters (memo.go); the tables themselves
+	// sit on the RemoteCells.
+	memoHits    *obs.Counter
+	memoMisses  *obs.Counter
+	memoEntries *obs.Gauge
+}
+
+// idleConnsPerNode is how many idle keep-alive connections the client keeps
+// to each node. One query runs its RPCs one after another, so the router
+// needs one connection per node per query in flight; net/http's default of
+// two makes every burst wider than that — a batch /knn's workers, a few
+// concurrent clients — dial afresh and drop the extra connections afterwards.
+// 64 covers the widest fan-out silcserve produces on its own (a batch runs
+// GOMAXPROCS workers) with room for many concurrent clients on top.
+const idleConnsPerNode = 64
+
+// newTransport is the client's own connection pool, sized for a router
+// rather than for a browser.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no global cap: the per-node cap is the bound
+	t.MaxIdleConnsPerHost = idleConnsPerNode
+	return t
 }
 
 type clientEndpointMetrics struct {
@@ -82,7 +106,7 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 	}
 	httpc := opt.HTTPClient
 	if httpc == nil {
-		httpc = &http.Client{}
+		httpc = &http.Client{Transport: newTransport()}
 	}
 	c := &Client{
 		m:      m,
@@ -119,6 +143,12 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 		"Hedged attempts launched because a replica was slow.")
 	c.failures = c.reg.Counter("silc_cluster_call_failures_total", "",
 		"Cluster RPC calls that exhausted every replica (client-visible failures).")
+	c.memoHits = c.reg.Counter("silc_cluster_memo_hits_total", "",
+		"Gateway-interval rows answered from the router's memo (no RPC).")
+	c.memoMisses = c.reg.Counter("silc_cluster_memo_misses_total", "",
+		"Gateway-interval rows fetched from a node because the memo did not hold them.")
+	c.memoEntries = c.reg.Gauge("silc_cluster_memo_entries", "",
+		"Gateway-interval rows the router's memo holds, all cells together.")
 	c.cellCalls = make([]*obs.Counter, p)
 	c.cellLoad = make([]atomic.Int64, p)
 	for cell := 0; cell < p; cell++ {
@@ -253,7 +283,45 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 		return fmt.Errorf("cluster: encoding %s request: %w", endpoint, err)
 	}
 	order := c.replicaOrder(cell)
+	if c.opt.HedgeDelay <= 0 || len(order) == 1 {
+		return c.callInline(ctx, em, cell, endpoint, body, order, resp)
+	}
+	return c.callHedged(ctx, em, cell, endpoint, body, order, resp)
+}
 
+// callInline is Call without hedging: the replicas are tried one after
+// another on the caller's goroutine. With nothing to race there is nothing
+// to wait on but the attempt itself, so the common case — first replica
+// answers — costs no goroutine, channel or extra context.
+func (c *Client) callInline(ctx context.Context, em *clientEndpointMetrics, cell int32, endpoint string, body []byte, order []int, resp any) error {
+	var lastErr error
+	for i, ni := range order {
+		if i > 0 {
+			c.retries.Inc()
+		}
+		data, err := c.attempt(ctx, ni, cell, endpoint, body)
+		if err == nil {
+			if err = json.Unmarshal(data, resp); err == nil {
+				return nil
+			}
+			err = fmt.Errorf("cluster: decoding %s response: %w", endpoint, err)
+		}
+		em.errors.Inc()
+		if ctx.Err() != nil {
+			// The caller gave up; that says nothing about the replica.
+			c.failures.Inc()
+			return ctx.Err()
+		}
+		lastErr = err
+		c.markDown(ni)
+	}
+	c.failures.Inc()
+	return fmt.Errorf("cluster: cell %d: every replica failed: %w", cell, lastErr)
+}
+
+// callHedged is Call with a hedge timer: attempts run on their own
+// goroutines so a slow first replica can be raced by a second one.
+func (c *Client) callHedged(ctx context.Context, em *clientEndpointMetrics, cell int32, endpoint string, body []byte, order []int, resp any) error {
 	type result struct {
 		data []byte
 		ni   int
@@ -270,12 +338,9 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 	launched := 1
 	go attempt(order[0])
 	pending := 1
-	var hedge <-chan time.Time
-	if c.opt.HedgeDelay > 0 && launched < len(order) {
-		t := time.NewTimer(c.opt.HedgeDelay)
-		defer t.Stop()
-		hedge = t.C
-	}
+	t := time.NewTimer(c.opt.HedgeDelay)
+	defer t.Stop()
+	hedge := t.C
 	var lastErr error
 	for pending > 0 {
 		select {

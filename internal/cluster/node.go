@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +33,12 @@ type Node struct {
 	name  string
 	s     *partition.Sharded
 	owned []bool
+	// gates holds each owned cell's boundary vertices (cell-local ids, in
+	// closure row order): the rows of every boundary and intervals reply.
+	gates [][]graph.VertexID
+	// qcs recycles query contexts — and the refiner slabs they carry —
+	// between RPCs.
+	qcs sync.Pool
 
 	reg      *obs.Registry
 	rpcs     map[string]*nodeEndpointMetrics
@@ -61,10 +68,12 @@ func NewNode(name string, m *Manifest, s *partition.Sharded) (*Node, error) {
 		name:  name,
 		s:     s,
 		owned: make([]bool, p),
+		gates: make([][]graph.VertexID, p),
 		reg:   obs.NewRegistry(),
 	}
 	for _, c := range spec.Cells {
 		n.owned[c] = true
+		n.gates[c] = s.BoundaryLocals(c)
 	}
 	n.rpcs = make(map[string]*nodeEndpointMetrics, 8)
 	for _, ep := range []string{
@@ -171,7 +180,14 @@ func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, re
 			writeRPCError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
 			return
 		}
-		qc := core.NewQueryContextFor(r.Context())
+		qc, ok := n.qcs.Get().(*core.QueryContext)
+		if ok {
+			qc.ResetForReuse(r.Context())
+		} else {
+			qc = core.NewQueryContextFor(r.Context())
+		}
+		// Handlers are done with qc once they return: replies carry copies.
+		defer n.qcs.Put(qc)
 		resp, err := h(qc, &req)
 		if err == nil && qc.Failed() {
 			err = qc.Err() // storage failure during the computation
@@ -208,12 +224,8 @@ func (n *Node) checkCell(cell int32, verts ...uint32) (partition.CellIndex, erro
 		return nil, rpcError{http.StatusMisdirectedRequest,
 			fmt.Sprintf("node %s does not own cell %d", n.name, cell)}
 	}
-	nv := n.s.CellVertexCount(int(cell))
-	for _, v := range verts {
-		if int(v) >= nv {
-			return nil, rpcError{http.StatusBadRequest,
-				fmt.Sprintf("vertex %d out of cell %d's %d vertices", v, cell, nv)}
-		}
+	if err := n.checkVerts(cell, verts); err != nil {
+		return nil, err
 	}
 	if c := n.cellRPCs[cell]; c != nil {
 		c.Inc()
@@ -221,12 +233,25 @@ func (n *Node) checkCell(cell int32, verts ...uint32) (partition.CellIndex, erro
 	return n.s.CellIndexAt(int(cell)), nil
 }
 
+// checkVerts validates a request's cell-local vertex ids against the cell's
+// vertex count.
+func (n *Node) checkVerts(cell int32, verts []uint32) error {
+	nv := n.s.CellVertexCount(int(cell))
+	for _, v := range verts {
+		if int(v) >= nv {
+			return rpcError{http.StatusBadRequest,
+				fmt.Sprintf("vertex %d out of cell %d's %d vertices", v, cell, nv)}
+		}
+	}
+	return nil
+}
+
 func (n *Node) boundary(qc *core.QueryContext, req *BoundaryReq) (BoundaryResp, error) {
 	cx, err := n.checkCell(req.Cell, req.Src)
 	if err != nil {
 		return BoundaryResp{}, err
 	}
-	bs := n.s.BoundaryLocals(int(req.Cell))
+	bs := n.gates[req.Cell]
 	dists := make([]uint64, len(bs))
 	for i, b := range bs {
 		dists[i] = Bits(partition.CellExact(cx, qc, graph.VertexID(req.Src), b))
@@ -239,7 +264,7 @@ func (n *Node) intervals(qc *core.QueryContext, req *IntervalsReq) (IntervalsRes
 	if err != nil {
 		return IntervalsResp{}, err
 	}
-	bs := n.s.BoundaryLocals(int(req.Cell))
+	bs := n.gates[req.Cell]
 	los := make([]uint64, len(bs))
 	his := make([]uint64, len(bs))
 	for i, b := range bs {
@@ -259,8 +284,55 @@ func (n *Node) interval(qc *core.QueryContext, req *IntervalReq) (IntervalResp, 
 	if err != nil {
 		return IntervalResp{}, err
 	}
+	if len(req.Vs)+len(req.Rects) > 0 {
+		return n.intervalBatch(cx, qc, req)
+	}
 	iv := cx.DistanceIntervalCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
 	return IntervalResp{Lo: Bits(iv.Lo), Hi: Bits(iv.Hi), IO: toIOStats(qc.IO)}, nil
+}
+
+// intervalBatch answers the batch form of the interval RPC: every lookup
+// reads U's quadtree, so after the first they cost no page traffic.
+func (n *Node) intervalBatch(cx partition.CellIndex, qc *core.QueryContext, req *IntervalReq) (IntervalResp, error) {
+	if err := n.checkVerts(req.Cell, req.Vs); err != nil {
+		return IntervalResp{}, err
+	}
+	if len(req.Rects)%4 != 0 {
+		return IntervalResp{}, rpcError{http.StatusBadRequest,
+			fmt.Sprintf("%d rectangle words, want a multiple of 4", len(req.Rects))}
+	}
+	u := graph.VertexID(req.U)
+	resp := IntervalResp{
+		Los: make([]uint64, len(req.Vs)),
+		His: make([]uint64, len(req.Vs)),
+		Lbs: make([]uint64, len(req.Rects)/4),
+	}
+	for i, v := range req.Vs {
+		iv := cx.DistanceIntervalCtx(qc, u, graph.VertexID(v))
+		resp.Los[i], resp.His[i] = Bits(iv.Lo), Bits(iv.Hi)
+	}
+	for i := range resp.Lbs {
+		rect, err := rectFromBits(req.Rects[4*i], req.Rects[4*i+1], req.Rects[4*i+2], req.Rects[4*i+3])
+		if err != nil {
+			return IntervalResp{}, err
+		}
+		resp.Lbs[i] = Bits(cx.RegionLowerBoundCtx(qc, u, rect))
+	}
+	resp.IO = toIOStats(qc.IO)
+	return resp, nil
+}
+
+// rectFromBits decodes a transported rectangle, rejecting NaN bounds (every
+// comparison against one is false, so a region walk over it means nothing).
+func rectFromBits(minX, minY, maxX, maxY uint64) (geom.Rect, error) {
+	rect := geom.Rect{
+		MinX: FromBits(minX), MinY: FromBits(minY),
+		MaxX: FromBits(maxX), MaxY: FromBits(maxY),
+	}
+	if math.IsNaN(rect.MinX) || math.IsNaN(rect.MinY) || math.IsNaN(rect.MaxX) || math.IsNaN(rect.MaxY) {
+		return geom.Rect{}, rpcError{http.StatusBadRequest, "NaN rectangle bound"}
+	}
+	return rect, nil
 }
 
 func (n *Node) exact(qc *core.QueryContext, req *ExactReq) (ExactResp, error) {
@@ -277,7 +349,10 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		return RaceResp{}, rpcError{http.StatusBadRequest,
 			fmt.Sprintf("%d offsets for %d candidates", len(req.Offs), len(req.Us))}
 	}
-	cx, err := n.checkCell(req.Cell, append([]uint32{req.Dst}, req.Us...)...)
+	cx, err := n.checkCell(req.Cell, req.Dst)
+	if err == nil {
+		err = n.checkVerts(req.Cell, req.Us)
+	}
 	if err != nil {
 		return RaceResp{}, err
 	}
@@ -296,12 +371,9 @@ func (n *Node) region(qc *core.QueryContext, req *RegionReq) (RegionResp, error)
 	if err != nil {
 		return RegionResp{}, err
 	}
-	rect := geom.Rect{
-		MinX: FromBits(req.MinX), MinY: FromBits(req.MinY),
-		MaxX: FromBits(req.MaxX), MaxY: FromBits(req.MaxY),
-	}
-	if math.IsNaN(rect.MinX) || math.IsNaN(rect.MinY) || math.IsNaN(rect.MaxX) || math.IsNaN(rect.MaxY) {
-		return RegionResp{}, rpcError{http.StatusBadRequest, "NaN rectangle bound"}
+	rect, err := rectFromBits(req.MinX, req.MinY, req.MaxX, req.MaxY)
+	if err != nil {
+		return RegionResp{}, err
 	}
 	d := cx.RegionLowerBoundCtx(qc, graph.VertexID(req.Q), rect)
 	return RegionResp{D: Bits(d), IO: toIOStats(qc.IO)}, nil

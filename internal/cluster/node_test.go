@@ -151,3 +151,62 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 		t.Fatal("request with expired deadline succeeded")
 	}
 }
+
+// TestNodeIntervalBatch: the batch form of the interval RPC answers each
+// lookup with exactly what the single-pair interval and region RPCs return,
+// and rejects malformed batches with 400.
+func TestNodeIntervalBatch(t *testing.T) {
+	s, _, srv := buildNode(t)
+	nv := uint32(s.CellVertexCount(0))
+	vs := []uint32{0, nv / 2, nv - 1, 0}
+	rects := [][4]float64{{0, 0, 1, 1}, {0, 0, 0.25, 0.25}, {0.5, 0.5, 0.75, 1}}
+	req := &cluster.IntervalReq{Cell: 0, U: 1, Vs: vs}
+	for _, r := range rects {
+		for _, x := range r {
+			req.Rects = append(req.Rects, cluster.Bits(x))
+		}
+	}
+	resp, data := post(t, srv.URL+cluster.PathInterval, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var br cluster.IntervalResp
+	if err := json.Unmarshal(data, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Los) != len(vs) || len(br.His) != len(vs) || len(br.Lbs) != len(rects) {
+		t.Fatalf("batch reply has %d/%d intervals and %d bounds for %d vertices and %d rectangles",
+			len(br.Los), len(br.His), len(br.Lbs), len(vs), len(rects))
+	}
+	for i, v := range vs {
+		_, data := post(t, srv.URL+cluster.PathInterval, &cluster.IntervalReq{Cell: 0, U: 1, V: v})
+		var one cluster.IntervalResp
+		if err := json.Unmarshal(data, &one); err != nil {
+			t.Fatal(err)
+		}
+		if br.Los[i] != one.Lo || br.His[i] != one.Hi {
+			t.Fatalf("vertex %d: batch [%x,%x], single [%x,%x]", v, br.Los[i], br.His[i], one.Lo, one.Hi)
+		}
+	}
+	for i, r := range rects {
+		_, data := post(t, srv.URL+cluster.PathRegion, &cluster.RegionReq{Cell: 0, Q: 1,
+			MinX: cluster.Bits(r[0]), MinY: cluster.Bits(r[1]), MaxX: cluster.Bits(r[2]), MaxY: cluster.Bits(r[3])})
+		var one cluster.RegionResp
+		if err := json.Unmarshal(data, &one); err != nil {
+			t.Fatal(err)
+		}
+		if br.Lbs[i] != one.D {
+			t.Fatalf("rectangle %d: batch %x, single %x", i, br.Lbs[i], one.D)
+		}
+	}
+
+	for name, bad := range map[string]*cluster.IntervalReq{
+		"vertex out of range": {Cell: 0, U: 0, Vs: []uint32{nv}},
+		"ragged rectangle":    {Cell: 0, U: 0, Rects: []uint64{0, 0, 0}},
+		"NaN rectangle":       {Cell: 0, U: 0, Rects: []uint64{0x7ff8000000000001, 0, 0, 0}},
+	} {
+		if resp, _ := post(t, srv.URL+cluster.PathInterval, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}

@@ -27,7 +27,7 @@ import (
 const (
 	PathBoundary  = "/rpc/v1/boundary"  // exact src→every-boundary distances
 	PathIntervals = "/rpc/v1/intervals" // zero-refinement intervals, v↔every boundary
-	PathInterval  = "/rpc/v1/interval"  // zero-refinement interval for one pair
+	PathInterval  = "/rpc/v1/interval"  // zero-refinement lookups from one source: one pair, or a batch
 	PathExact     = "/rpc/v1/exact"     // fully refined distance for one pair
 	PathRace      = "/rpc/v1/race"      // min over i of offs[i]+d(us[i],dst), exact
 	PathRegion    = "/rpc/v1/region"    // lower bound to a rectangle
@@ -108,17 +108,32 @@ type IntervalsResp struct {
 	IO  IOStats  `json:"io"`
 }
 
-// IntervalReq asks for the zero-refinement interval on d_cell(U, V).
+// IntervalReq asks for zero-refinement lookups in U's quadtree. The single
+// form (Vs and Rects empty) asks for the interval on d_cell(U, V). The batch
+// form ignores V and asks for the interval on d_cell(U, Vs[i]) for every i
+// and for the region lower bound from U to every rectangle of Rects, four
+// words each (MinX, MinY, MaxX, MaxY bits) — everything a search's expansion
+// of one object-hierarchy node needs from the source's cell, in one round
+// trip. A node that predates the batch form ignores the extra fields and
+// answers the single form; the router sees the missing arrays and falls back
+// to one call per lookup.
 type IntervalReq struct {
-	Cell int32  `json:"cell"`
-	U    uint32 `json:"u"`
-	V    uint32 `json:"v"`
+	Cell  int32    `json:"cell"`
+	U     uint32   `json:"u"`
+	V     uint32   `json:"v"`
+	Vs    []uint32 `json:"vs,omitempty"`
+	Rects []uint64 `json:"rects,omitempty"`
 }
 
+// IntervalResp carries Lo/Hi for the single form; Los/His (one per Vs entry)
+// and Lbs (one per rectangle) for the batch form.
 type IntervalResp struct {
-	Lo uint64  `json:"lo"`
-	Hi uint64  `json:"hi"`
-	IO IOStats `json:"io"`
+	Lo  uint64   `json:"lo"`
+	Hi  uint64   `json:"hi"`
+	IO  IOStats  `json:"io"`
+	Los []uint64 `json:"los,omitempty"`
+	His []uint64 `json:"his,omitempty"`
+	Lbs []uint64 `json:"lbs,omitempty"`
 }
 
 // ExactReq asks for the fully refined within-cell distance d_cell(U, V)

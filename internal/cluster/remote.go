@@ -27,6 +27,7 @@ type RemoteCell struct {
 	c    *Client
 	cell int32
 	nb   int // boundary rows of this cell (len of batch replies)
+	memo intervalMemo
 }
 
 var (
@@ -34,15 +35,18 @@ var (
 	_ partition.BoundaryDistancer  = (*RemoteCell)(nil)
 	_ partition.BoundaryIntervaler = (*RemoteCell)(nil)
 	_ partition.RouteRacer         = (*RemoteCell)(nil)
+	_ partition.SourceBatcher      = (*RemoteCell)(nil)
 )
 
 // RemoteCells builds the full per-cell backend slice for NewRemote from the
 // router metadata's row counts.
 func RemoteCells(c *Client, meta *partition.RouterMeta) []partition.CellIndex {
 	out := make([]partition.CellIndex, c.p)
+	rows := memoRowsPerCell(meta.NumBoundary())
 	for cell := 0; cell < c.p; cell++ {
 		lo, hi := meta.BoundaryRows(cell)
-		out[cell] = &RemoteCell{c: c, cell: int32(cell), nb: int(hi - lo)}
+		out[cell] = &RemoteCell{c: c, cell: int32(cell), nb: int(hi - lo),
+			memo: intervalMemo{max: rows}}
 	}
 	return out
 }
@@ -70,8 +74,16 @@ func (rc *RemoteCell) BoundaryDistances(qc *core.QueryContext, src graph.VertexI
 }
 
 // BoundaryIntervals implements partition.BoundaryIntervaler: one RPC for
-// the whole v↔boundary interval sweep.
+// the whole v↔boundary interval sweep, and none at all when the row is in
+// the cell's memo (see memo.go). A hit folds no IOStats — no page was read.
+// The returned row is shared between queries and read-only.
 func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval {
+	key := memoKey{v: v, toV: toV}
+	if row, ok := rc.memo.get(key); ok {
+		rc.c.memoHits.Inc()
+		return row
+	}
+	rc.c.memoMisses.Inc()
 	var resp IntervalsResp
 	err := rc.c.Call(qc.Context(), rc.cell, PathIntervals,
 		&IntervalsReq{Cell: rc.cell, V: uint32(v), ToV: toV}, &resp)
@@ -84,11 +96,39 @@ func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID,
 		qc.Fail(errRowCount(rc.cell, len(resp.Los), rc.nb))
 		return looseIntervals(rc.nb)
 	}
-	out := make([]core.Interval, rc.nb)
-	for i := range out {
-		out[i] = core.Interval{Lo: FromBits(resp.Los[i]), Hi: FromBits(resp.His[i])}
+	out := intervalsFromBits(resp.Los, resp.His)
+	if rc.memo.put(key, out) {
+		rc.c.memoEntries.Add(1)
 	}
 	return out
+}
+
+// SourceBatch implements partition.SourceBatcher: the batch form of the
+// interval RPC, one round trip for every lookup an expansion needs from
+// src's quadtree. A failed call is not an error of the query — the caller
+// falls back to the per-lookup calls, which report their own failures.
+func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) ([]core.Interval, []float64, bool) {
+	req := &IntervalReq{Cell: rc.cell, U: uint32(src),
+		Vs: make([]uint32, len(dsts)), Rects: make([]uint64, 0, 4*len(rects))}
+	for i, d := range dsts {
+		req.Vs[i] = uint32(d)
+	}
+	for _, r := range rects {
+		req.Rects = append(req.Rects, Bits(r.MinX), Bits(r.MinY), Bits(r.MaxX), Bits(r.MaxY))
+	}
+	var resp IntervalResp
+	if err := rc.c.Call(qc.Context(), rc.cell, PathInterval, req, &resp); err != nil {
+		return nil, nil, false
+	}
+	resp.IO.Fold(qc)
+	if len(resp.Los) != len(dsts) || len(resp.His) != len(dsts) || len(resp.Lbs) != len(rects) {
+		return nil, nil, false // a node that only speaks the single form
+	}
+	lbs := make([]float64, len(rects))
+	for i := range lbs {
+		lbs[i] = FromBits(resp.Lbs[i])
+	}
+	return intervalsFromBits(resp.Los, resp.His), lbs, true
 }
 
 // RaceRoutes implements partition.RouteRacer: the whole candidate race in
@@ -165,8 +205,14 @@ func (rc *RemoteCell) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []grap
 // no useful intermediate granularity, and the routing layer's RouteRacer
 // fast path means Step is only ever reached for intra-cell pairs.
 func (rc *RemoteCell) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
-	r := &remoteRefiner{rc: rc, qc: qc, u: src, v: dst}
-	r.iv = rc.DistanceIntervalCtx(qc, src, dst)
+	return rc.RefineKnown(qc, src, dst, rc.DistanceIntervalCtx(qc, src, dst))
+}
+
+// RefineKnown implements partition.SourceBatcher: Refine without the first
+// RPC, for a pair whose zero-refinement interval a SourceBatch call already
+// delivered.
+func (rc *RemoteCell) RefineKnown(qc *core.QueryContext, src, dst graph.VertexID, iv core.Interval) core.DistanceRefiner {
+	r := &remoteRefiner{rc: rc, qc: qc, u: src, v: dst, iv: iv}
 	if r.iv.Lo >= r.iv.Hi || math.IsInf(r.iv.Lo, 1) {
 		r.done = true
 		r.oor = math.IsInf(r.iv.Lo, 1)
@@ -207,6 +253,16 @@ func (r *remoteRefiner) Step() bool {
 	r.done = true
 	r.oor = math.IsInf(d, 1)
 	return false
+}
+
+// intervalsFromBits decodes a transported interval column pair; the caller
+// has checked that los and his are equally long.
+func intervalsFromBits(los, his []uint64) []core.Interval {
+	out := make([]core.Interval, len(los))
+	for i := range out {
+		out[i] = core.Interval{Lo: FromBits(los[i]), Hi: FromBits(his[i])}
+	}
+	return out
 }
 
 func infDists(n int) []float64 {

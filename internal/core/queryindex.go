@@ -48,6 +48,28 @@ type QueryIndex interface {
 	RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, rect geom.Rect) float64
 }
 
+// ExpandHinter is an optional QueryIndex extension for indexes on which
+// every Refine and RegionLowerBoundCtx is expensive to issue on its own — a
+// cluster router pays one RPC each. A best-first search expands one object-
+// hierarchy node at a time and knows, before it makes them, every call the
+// expansion is about to make; handing that set over in one piece lets the
+// index fetch it in one batch. Search algorithms detect the extension by type
+// assertion once per query. The monolithic *Index does not implement it.
+type ExpandHinter interface {
+	// WantsExpandHints reports whether HintExpand does anything on this
+	// index. Searches ask once per query and build no hints when it is false
+	// (a sharded index over in-process cells).
+	WantsExpandHints() bool
+	// HintExpand announces that, before the query ends or its source
+	// changes, the caller expects to call Refine(qc, src, d) for the d in
+	// dsts and RegionLowerBoundCtx(qc, src, r) for the r in rects. It is a
+	// hint and nothing more: those calls return exactly what they would have
+	// returned without it, any of them may never happen, and a destination
+	// may be announced more than once. The slices are only read during the
+	// call.
+	HintExpand(qc *QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect)
+}
+
 var _ QueryIndex = (*Index)(nil)
 var _ DistanceRefiner = (*Refiner)(nil)
 

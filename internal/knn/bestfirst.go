@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/pmr"
 	"silc/internal/pqueue"
@@ -147,6 +148,13 @@ type engine struct {
 	// err records mid-search cancellation; the loop stops and the partial
 	// results stand.
 	err error
+
+	// hint is the index's expansion-batch hook when it has one that wants
+	// hints (a cluster router), else nil; hintDsts/hintRects are the reusable
+	// buffers one node's hint is assembled in.
+	hint      core.ExpandHinter
+	hintDsts  []graph.VertexID
+	hintRects []geom.Rect
 }
 
 // scratch is the reusable query arena: one engine frame plus its buffers,
@@ -205,6 +213,10 @@ func (sc *scratch) engineFor(ix core.QueryIndex, qc *core.QueryContext, objs *Ob
 	e.measurePQ, e.pqClock = false, 0
 	e.eps, e.maxDist = 0, inf
 	e.err = nil
+	e.hint = nil
+	if h, ok := ix.(core.ExpandHinter); ok && h.WantsExpandHints() {
+		e.hint = h
+	}
 	if k > 0 && n > 0 {
 		e.queue.Push(0, qelem{node: objs.Tree().Root()})
 		e.noteQueue()
@@ -395,6 +407,9 @@ func (e *engine) expand(n *pmr.Node) {
 		start := time.Now()
 		defer func() { e.qc.Span.FilterNanos += time.Since(start).Nanoseconds() }()
 	}
+	if e.hint != nil {
+		e.hintNode(n)
+	}
 	if n.IsLeaf() {
 		for _, o := range n.Objects() {
 			e.discover(o)
@@ -411,6 +426,31 @@ func (e *engine) expand(n *pmr.Node) {
 			e.noteQueue()
 		}
 	}
+}
+
+// hintNode tells a hint-taking index what expanding n is about to ask of it:
+// a Refine per object of a leaf; for an interior node a region lower bound
+// per child, plus a Refine per object of every child that is a leaf — those
+// leaves are the expansions most likely to come next, and answering for
+// their (at most 4×bucket) objects now saves them a batch of their own. The
+// index answers the lot in one batch (one RPC on a cluster router) instead
+// of one call at a time.
+func (e *engine) hintNode(n *pmr.Node) {
+	dsts, rects := e.hintDsts[:0], e.hintRects[:0]
+	for _, o := range n.Objects() {
+		dsts = append(dsts, o.Vertex)
+	}
+	for _, c := range n.Children() {
+		if c == nil {
+			continue
+		}
+		rects = append(rects, c.Rect())
+		for _, o := range c.Objects() {
+			dsts = append(dsts, o.Vertex)
+		}
+	}
+	e.hintDsts, e.hintRects = dsts, rects
+	e.hint.HintExpand(e.qc, e.q, dsts, rects)
 }
 
 func (e *engine) discover(o pmr.Object) {

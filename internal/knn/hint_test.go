@@ -1,0 +1,104 @@
+package knn
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"silc/internal/core"
+	"silc/internal/geom"
+	"silc/internal/graph"
+)
+
+// hintChecker is a QueryIndex that takes expansion hints and checks the
+// hook's contract from the index's side: every Refine and every region
+// lower bound the search makes was announced by an earlier HintExpand of the
+// same query, for the same source.
+type hintChecker struct {
+	core.QueryIndex
+	t      *testing.T
+	src    graph.VertexID
+	dsts   map[graph.VertexID]bool
+	rects  map[geom.Rect]bool
+	hints  int
+	misses int
+}
+
+func (h *hintChecker) WantsExpandHints() bool { return true }
+
+func (h *hintChecker) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) {
+	h.hints++
+	if len(dsts)+len(rects) == 0 {
+		h.t.Errorf("empty hint for source %d", src)
+	}
+	h.src = src
+	for _, d := range dsts {
+		h.dsts[d] = true
+	}
+	for _, r := range rects {
+		h.rects[r] = true
+	}
+}
+
+func (h *hintChecker) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
+	if src != h.src || !h.dsts[dst] {
+		h.misses++
+	}
+	return h.QueryIndex.Refine(qc, src, dst)
+}
+
+func (h *hintChecker) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64 {
+	if q != h.src || !h.rects[rect] {
+		h.misses++
+	}
+	return h.QueryIndex.RegionLowerBoundCtx(qc, q, rect)
+}
+
+// sameSearch compares what a search computed, not how long it took.
+func sameSearch(a, b Result) bool {
+	a.Stats.CPU, b.Stats.CPU = 0, 0
+	a.Stats.PQTime, b.Stats.PQTime = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// TestExpandHintsCoverEveryLookup: on an index that wants hints, every
+// variant of the best-first family, the range search and the browser
+// announce each lookup before making it — and the hints change nothing: the
+// result and every counter equal the plain index's. An index without the
+// hook (the monolithic *core.Index) is never asked.
+func TestExpandHintsCoverEveryLookup(t *testing.T) {
+	h := roadHarness(t, 16, 16, 3)
+	if _, ok := core.QueryIndex(h.ix).(core.ExpandHinter); ok {
+		t.Fatal("the monolithic index grew an expansion hook; its hot path must stay hook-free")
+	}
+	rng := rand.New(rand.NewSource(9))
+	objs := h.randomObjects(60, rng)
+	for i := 0; i < 20; i++ {
+		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
+		chk := &hintChecker{QueryIndex: h.ix, t: t}
+		fresh := func() *hintChecker {
+			chk.dsts, chk.rects = map[graph.VertexID]bool{}, map[geom.Rect]bool{}
+			return chk
+		}
+		for _, v := range Variants {
+			want := Search(h.ix, objs, q, 7, v)
+			if got := Search(fresh(), objs, q, 7, v); !sameSearch(got, want) {
+				t.Fatalf("q=%d %v: hinted search differs\n got %+v\nwant %+v", q, v, got, want)
+			}
+		}
+		want := RangeSearch(h.ix, objs, q, 0.3)
+		if got := RangeSearch(fresh(), objs, q, 0.3); !sameSearch(got, want) {
+			t.Fatalf("q=%d range: hinted search differs", q)
+		}
+		b := NewBrowser(fresh(), objs, q)
+		for n := 0; n < 5; n++ {
+			b.Next()
+		}
+		if chk.hints == 0 {
+			t.Fatalf("q=%d: a hint-taking index received no hints", q)
+		}
+		if chk.misses != 0 {
+			t.Fatalf("q=%d: %d lookups were never announced", q, chk.misses)
+		}
+	}
+}

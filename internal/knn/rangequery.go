@@ -40,6 +40,9 @@ func RangeSearchCtx(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 				break // min-ordered: everything remaining is out of range
 			}
 			if el.node != nil {
+				if e.hint != nil {
+					e.hintNode(el.node)
+				}
 				if el.node.IsLeaf() {
 					for _, o := range el.node.Objects() {
 						st := &e.states[o.ID]

@@ -41,7 +41,9 @@ type BoundaryDistancer interface {
 
 // BoundaryIntervaler returns the zero-refinement interval between v and
 // every boundary vertex of the cell, in closure row order. toV selects the
-// direction: boundary→v when true, v→boundary when false.
+// direction: boundary→v when true, v→boundary when false. The result depends
+// on the cell image alone, never on the query, so an implementation may hand
+// the same slice to any number of queries: callers must not modify it.
 type BoundaryIntervaler interface {
 	BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval
 }
@@ -54,6 +56,19 @@ type BoundaryIntervaler interface {
 // same exact float64 the progressive race converges to.
 type RouteRacer interface {
 	RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int)
+}
+
+// SourceBatcher answers, in one call, a set of lookups that all start at one
+// source vertex — which on a SILC cell index means they all read the same
+// quadtree: DistanceIntervalCtx(qc, src, d) for every d in dsts and
+// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order.
+// ok is false when the batch could not be answered; the caller then makes the
+// calls one by one. RefineKnown is Refine for a pair whose zero-refinement
+// interval the caller already holds from such a batch. Sharded.HintExpand
+// drives it with what a search is about to ask of the source's own cell.
+type SourceBatcher interface {
+	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) (ivs []core.Interval, lbs []float64, ok bool)
+	RefineKnown(qc *core.QueryContext, src, dst graph.VertexID, iv core.Interval) core.DistanceRefiner
 }
 
 // qcell returns the query index serving cell c: the in-process cell index,

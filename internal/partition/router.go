@@ -41,6 +41,106 @@ type router struct {
 	rrSlab []*routeRefiner
 	rrUsed int
 	qcGen  uint64
+
+	// hints holds what HintExpand fetched from the source's own cell (remote
+	// cells only; always empty in process).
+	hints expandHints
+}
+
+// expandHints is what HintExpand has fetched from the source's own cell for
+// the current (query, source): the zero-refinement interval source→d for
+// every announced destination d of that cell, and the region lower bounds of
+// the last announced rectangles (a search consumes those at once; announced
+// destinations may wait for a later expansion). The per-call paths look here
+// first and fall back to the cell index on a miss. The values are what the
+// cell index would have returned, bit for bit, so a hit changes the number
+// of calls and nothing else. Hints die with their source (rebind) and their
+// query (context generation).
+type expandHints struct {
+	ivs   map[graph.VertexID]core.Interval // by cell-local destination
+	rects []geom.Rect
+	lbs   []float64
+	ask   []graph.VertexID // request scratch: destinations not yet in ivs
+}
+
+func (h *expandHints) reset() {
+	clear(h.ivs)
+	h.rects, h.lbs = h.rects[:0], nil
+}
+
+func (h *expandHints) region(rect geom.Rect) (float64, bool) {
+	for i, r := range h.rects[:len(h.lbs)] {
+		if r == rect {
+			return h.lbs[i], true
+		}
+	}
+	return 0, false
+}
+
+// WantsExpandHints implements core.ExpandHinter: only a router over remote
+// cells has anything to gain from a batch; in process every lookup is already
+// a direct call.
+func (s *Sharded) WantsExpandHints() bool { return s.remote != nil }
+
+// HintExpand implements core.ExpandHinter. Of everything the expansion is
+// about to ask, the part that costs a remote call each is what the source's
+// own cell answers from the source's quadtree: the within-cell interval to
+// every destination in that cell, and the region bound for every rectangle
+// reaching into it. Those go out as one SourceBatch call; the rest (other
+// cells' gateway intervals and closure bounds) is source-independent or
+// router-local and is not touched here.
+func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) {
+	if s.remote == nil || qc == nil {
+		return
+	}
+	p := s.asn.CellOf[src]
+	sb, ok := s.remote[p].(SourceBatcher)
+	if !ok {
+		return
+	}
+	h := &s.routerFor(qc, src).hints
+	h.ask, h.rects, h.lbs = h.ask[:0], h.rects[:0], nil
+	for _, d := range dsts {
+		if s.asn.CellOf[d] != p {
+			continue
+		}
+		dl := graph.VertexID(s.asn.LocalOf[d])
+		if _, known := h.ivs[dl]; !known {
+			h.ask = append(h.ask, dl)
+		}
+	}
+	for _, r := range rects {
+		if s.asn.Boxes[p].Intersects(r) {
+			h.rects = append(h.rects, r)
+		}
+	}
+	if len(h.ask)+len(h.rects) == 0 {
+		return
+	}
+	ivs, lbs, ok := sb.SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.rects)
+	if !ok {
+		return
+	}
+	if h.ivs == nil {
+		h.ivs = make(map[graph.VertexID]core.Interval)
+	}
+	for i, dl := range h.ask {
+		h.ivs[dl] = ivs[i]
+	}
+	h.lbs = lbs
+}
+
+// refineOwn starts the within-cell refinement (src, dst) on the source's own
+// cell p, from the hinted interval when the last HintExpand covered dst.
+func (s *Sharded) refineOwn(qc *core.QueryContext, src graph.VertexID, p int32, dstLocal graph.VertexID) core.DistanceRefiner {
+	srcLocal := graph.VertexID(s.asn.LocalOf[src])
+	if s.remote != nil {
+		// A hinted interval means HintExpand found cell p to be a SourceBatcher.
+		if iv, ok := s.routerFor(qc, src).hints.ivs[dstLocal]; ok {
+			return s.remote[p].(SourceBatcher).RefineKnown(qc, srcLocal, dstLocal, iv)
+		}
+	}
+	return s.qcell(p).Refine(qc, srcLocal, dstLocal)
 }
 
 // routerFor returns the context's cached router for src, building one on
@@ -54,6 +154,7 @@ func (s *Sharded) routerFor(qc *core.QueryContext, src graph.VertexID) *router {
 			if g := qc.Gen(); g != rt.qcGen {
 				rt.qcGen = g
 				rt.recycleRefiners()
+				rt.hints.reset()
 			}
 			if rt.src != src {
 				rt.rebind(src)
@@ -85,6 +186,7 @@ func (rt *router) rebind(src graph.VertexID) {
 	rt.src = src
 	rt.p = rt.s.asn.CellOf[src]
 	rt.duReady = false
+	rt.hints.reset()
 	rt.cur++
 	if rt.cur == 0 { // wrapped: nothing may read as valid
 		clear(rt.epoch)
@@ -215,8 +317,7 @@ func (rt *router) minInto(c int32) float64 {
 func (s *Sharded) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
 	p, q := s.asn.CellOf[src], s.asn.CellOf[dst]
 	if p == q && s.selfContained[p] {
-		return s.qcell(p).Refine(qc,
-			graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[dst]))
+		return s.refineOwn(qc, src, p, graph.VertexID(s.asn.LocalOf[dst]))
 	}
 	return s.newRouteRefiner(qc, src, dst)
 }
@@ -268,7 +369,7 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 	p := s.asn.CellOf[src]
 	if p == r.q {
 		r.srcLocal = graph.VertexID(s.asn.LocalOf[src])
-		r.direct = s.qcell(p).Refine(qc, r.srcLocal, r.dstLocal)
+		r.direct = s.refineOwn(qc, src, p, r.dstLocal)
 		r.directIv = r.direct.Interval()
 		r.directExact = r.direct.Done() || r.direct.OutOfRange()
 	}
@@ -461,7 +562,16 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, r
 		}
 		var m float64
 		if c == p {
-			m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), rect)
+			hinted := false
+			if s.remote != nil {
+				if rt == nil {
+					rt = s.routerFor(qc, q)
+				}
+				m, hinted = rt.hints.region(rect)
+			}
+			if !hinted {
+				m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), rect)
+			}
 			if !s.selfContained[p] {
 				if rt == nil {
 					rt = s.routerFor(qc, q)

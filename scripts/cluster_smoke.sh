@@ -4,8 +4,10 @@
 # that the router's kNN/range answers are identical to a standalone server
 # over the same file — stats stripped, distances compared verbatim, so any
 # routing or transport bug that changes a single bit fails the diff. Also
-# scrapes /metrics on all three processes and asserts the cluster metric
-# families are being exported.
+# scrapes /metrics on all three processes, asserts the cluster metric
+# families are being exported, and holds the router to its RPC budget: the
+# silc_cluster_rpcs_total delta over a run of warm k=10 kNN queries, divided
+# by the queries sent, must stay under KNN_RPC_BUDGET.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -16,6 +18,7 @@ ROUTER=18090
 NODE_A=18091
 NODE_B=18092
 MONO=18093
+KNN_RPC_BUDGET=25
 PIDS=()
 
 cleanup() {
@@ -91,6 +94,28 @@ for q in 0 97 555 1203 1476; do
 done
 echo "   answers identical"
 
+echo "== RPC budget: warm k=10 kNN through the router"
+rpc_total() { # sum of silc_cluster_rpcs_total over the endpoints
+  curl -sf "localhost:$ROUTER/metrics" | awk '/^silc_cluster_rpcs_total/ {s += $2} END {print s+0}'
+}
+BUDGET_QS="3 211 419 640 888 1010 1234 1400"
+for q in $BUDGET_QS; do # first touch fills the gateway-interval memo
+  curl -sf "localhost:$ROUTER/knn?q=$q&k=10&exact=1" >/dev/null
+done
+before=$(rpc_total)
+sent=0
+for q in $BUDGET_QS; do
+  curl -sf "localhost:$ROUTER/knn?q=$q&k=10&exact=1" >/dev/null
+  sent=$((sent + 1))
+done
+after=$(rpc_total)
+per_knn=$(awk -v a="$after" -v b="$before" -v n="$sent" 'BEGIN {printf "%.1f", (a - b) / n}')
+echo "   $per_knn RPCs per kNN (budget $KNN_RPC_BUDGET)"
+if ! awk -v x="$per_knn" -v max="$KNN_RPC_BUDGET" 'BEGIN {exit !(x > 0 && x <= max)}'; then
+  echo "router spent $per_knn RPCs per kNN, budget $KNN_RPC_BUDGET" >&2
+  exit 1
+fi
+
 echo "== scrape /metrics on all three processes"
 curl -sf "localhost:$NODE_A/metrics" > "$DIR/node-a.metrics"
 curl -sf "localhost:$NODE_B/metrics" > "$DIR/node-b.metrics"
@@ -100,7 +125,8 @@ for f in node-a node-b; do
     grep -q "^$fam" "$DIR/$f.metrics" || { echo "missing $fam on $f" >&2; exit 1; }
   done
 done
-for fam in silc_cluster_rpcs_total silc_cluster_cell_rpcs_total silcserve_requests_total; do
+for fam in silc_cluster_rpcs_total silc_cluster_cell_rpcs_total silcserve_requests_total \
+           silc_cluster_memo_hits_total silc_cluster_memo_misses_total silc_cluster_memo_entries; do
   grep -q "^$fam" "$DIR/router.metrics" || { echo "missing $fam on router" >&2; exit 1; }
 done
 echo "   metric families present"
