@@ -3,6 +3,7 @@ package silc
 import (
 	"context"
 	"errors"
+	"iter"
 	"math"
 	"math/rand"
 	"testing"
@@ -358,8 +359,9 @@ func TestNeighborsMidStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestBrowserCancellation exercises the cursor-style surface: Next returns
-// false after cancellation and Err reports why.
+// TestBrowserCancellation exercises the cursor form (iter.Pull2 over
+// Neighbors): after cancellation the next pull yields ctx's error as the
+// stream's final element.
 func TestBrowserCancellation(t *testing.T) {
 	net, engines := engineFixtures(t)
 	objs := mustObjects(t, net, []VertexID{2, 9, 17, 33, 50, 61})
@@ -367,20 +369,18 @@ func TestBrowserCancellation(t *testing.T) {
 	for i, eng := range engines {
 		tag := []string{"mono", "sharded"}[i]
 		ctx, cancel := context.WithCancel(context.Background())
-		br, err := eng.Browse(ctx, objs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := br.Next(); !ok {
-			t.Fatalf("%s: first Next failed", tag)
+		next, stop := iter.Pull2(eng.Neighbors(ctx, objs, 0))
+		if _, err, ok := next(); !ok || err != nil {
+			t.Fatalf("%s: first pull failed: %v", tag, err)
 		}
 		cancel()
-		if _, ok := br.Next(); ok {
-			t.Fatalf("%s: Next succeeded after cancel", tag)
+		if _, err, ok := next(); !ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pull after cancel = (%v, %v), want context.Canceled", tag, err, ok)
 		}
-		if !errors.Is(br.Err(), context.Canceled) {
-			t.Fatalf("%s: Browser.Err = %v, want context.Canceled", tag, br.Err())
+		if _, _, ok := next(); ok {
+			t.Fatalf("%s: stream continued past its error", tag)
 		}
+		stop()
 	}
 }
 

@@ -33,11 +33,10 @@ type BatchStats struct {
 	// multi-core machine it exceeds Wall when the pool actually runs in
 	// parallel.
 	TotalCPU time.Duration
-	// PageHits / PageMisses / IOTime sum the per-query buffer-pool traffic
-	// (DiskResident indexes; zeros otherwise).
+	// PageHits / PageMisses sum the per-query buffer-pool traffic
+	// (disk-backed indexes; zeros otherwise).
 	PageHits   int64
 	PageMisses int64
-	IOTime     time.Duration
 }
 
 // BatchResult is the outcome of QueryBatch: one Result per query vertex, in
@@ -51,7 +50,7 @@ type BatchResult struct {
 // object set, fanned out over a bounded worker pool (WithWorkers; default
 // GOMAXPROCS). The pool is bounded regardless of batch size: a batch of a
 // million queries still runs at most workers queries at a time. Every
-// index — including DiskResident ones — supports this: queries share the
+// index — including disk-backed ones — supports this: queries share the
 // sharded buffer pool and each carries its own statistics context, so
 // Results[i].Stats reports exactly query i's traffic. Results are in input
 // order. WithMethod, WithEpsilon, WithMaxDistance, and WithExactDistances
@@ -61,7 +60,7 @@ type BatchResult struct {
 // in-flight queries within one refinement step and abandons the unstarted
 // remainder; the partial BatchResult is returned alongside ctx's error
 // (unfinished slots hold zero Results). A per-query failure that is not a
-// cancellation — a storage fault on a DiskResident index, say — does not
+// cancellation — a storage fault on a disk-backed index, say — does not
 // abandon the batch: the failed query's slot stays zero, the rest still
 // run, and the first such error is returned alongside the results.
 func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []VertexID, k int, opts ...Option) (BatchResult, error) {
@@ -160,7 +159,6 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 		agg.TotalCPU += s.CPUTime
 		agg.PageHits += s.PageHits
 		agg.PageMisses += s.PageMisses
-		agg.IOTime += s.IOTime
 	}
 	if agg.Wall > 0 {
 		agg.QPS = float64(agg.Queries) / agg.Wall.Seconds()
@@ -170,38 +168,4 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 		err = firstErr // wg.Wait() ordered every worker's write before this read
 	}
 	return BatchResult{Results: results, Stats: agg}, err
-}
-
-// legacyBatch adapts the pre-Engine batch convention (k ≤ 0 or an empty
-// query list yields an empty batch; invalid vertices panic at this edge).
-// Only the documented validation edge panics: a runtime per-query failure —
-// a storage fault on a DiskResident index, say — degrades to the partial
-// batch Engine.QueryBatch assembled (failed slots zero), exactly like the
-// pre-Engine behavior these shims preserve.
-func legacyBatch(e *Engine, objs *ObjectSet, queries []VertexID, k int, method Method, workers int) BatchResult {
-	if k <= 0 || len(queries) == 0 {
-		return BatchResult{Results: make([]Result, len(queries))}
-	}
-	br, err := e.QueryBatch(context.Background(), objs, queries, k,
-		WithMethod(method), WithWorkers(workers))
-	if err != nil && isValidationError(err) {
-		panic(err)
-	}
-	return br
-}
-
-// QueryBatch answers one kNN query per vertex in queries over a bounded
-// worker pool of GOMAXPROCS goroutines.
-//
-// Deprecated: use Engine.QueryBatch for cancellation and error returns.
-func (ix *Index) QueryBatch(objs *ObjectSet, queries []VertexID, k int, method Method) BatchResult {
-	return legacyBatch(ix.eng, objs, queries, k, method, 0)
-}
-
-// QueryBatchWorkers is QueryBatch with an explicit worker-pool bound
-// (workers <= 0 selects GOMAXPROCS).
-//
-// Deprecated: use Engine.QueryBatch with WithWorkers.
-func (ix *Index) QueryBatchWorkers(objs *ObjectSet, queries []VertexID, k int, method Method, workers int) BatchResult {
-	return legacyBatch(ix.eng, objs, queries, k, method, workers)
 }

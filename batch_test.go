@@ -226,47 +226,3 @@ func TestBatchStatsAccounting(t *testing.T) {
 		t.Fatalf("cancelled batch reports QPS %v, want 0", st.QPS)
 	}
 }
-
-// TestDeprecatedBatchPartialOnStorageFault is the regression test for the
-// deprecated shims' panic bug: Index.QueryBatch/QueryBatchWorkers used to
-// panic on ANY error from Engine.QueryBatch — including a transient storage
-// fault, taking down servers still on the legacy surface. A runtime fault
-// must instead degrade to the partial batch (failed slots zero); only the
-// documented validation edge (an invalid query vertex) still panics.
-func TestDeprecatedBatchPartialOnStorageFault(t *testing.T) {
-	paged, flaky, objs, queries := pagedFlakyIndex(t)
-
-	flaky.failures.Store(1)
-	br := paged.QueryBatchWorkers(objs, queries, 3, MethodKNN, 1) // must not panic
-	if br.Stats.Queries != len(queries)-1 || br.Stats.Failed != 1 {
-		t.Fatalf("partial batch answered/failed = %d/%d, want %d/1",
-			br.Stats.Queries, br.Stats.Failed, len(queries)-1)
-	}
-	zero := 0
-	for i := range br.Results {
-		if len(br.Results[i].Neighbors) == 0 {
-			zero++
-		}
-	}
-	if zero != 1 {
-		t.Fatalf("%d zero slots in the partial batch, want exactly 1", zero)
-	}
-
-	// Healthy rerun through the other shim: every slot answered.
-	br = paged.QueryBatch(objs, queries, 3, MethodKNN)
-	for i := range br.Results {
-		if len(br.Results[i].Neighbors) == 0 {
-			t.Fatalf("query %d unanswered on a healthy index", i)
-		}
-	}
-
-	// The documented validation edge still panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-range query vertex did not panic on the deprecated surface")
-			}
-		}()
-		paged.QueryBatch(objs, []VertexID{-7}, 3, MethodKNN)
-	}()
-}

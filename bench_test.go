@@ -2,7 +2,8 @@
 // the paper's evaluation (DESIGN.md §4 maps each to its experiment id).
 // `go test -bench=. -benchmem` regenerates every measurement; the custom
 // metrics reported via b.ReportMetric carry the figure's quantity (block
-// counts, queue sizes, refinement counts, modeled I/O) alongside wall time.
+// counts, queue sizes, refinement counts, page misses and reads) alongside
+// wall time.
 //
 // cmd/experiments renders the same data as the paper's tables; these
 // benchmarks make the measurements reproducible under the standard Go
@@ -10,8 +11,10 @@
 package silc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +25,7 @@ import (
 	"silc/internal/knn"
 	"silc/internal/oracle"
 	"silc/internal/sssp"
+	"silc/internal/store"
 )
 
 // benchEnv is the shared evaluation environment (built once). Benchmarks use
@@ -41,6 +45,30 @@ func sharedEnv(b *testing.B) *bench.Env {
 		b.Fatal(envErr)
 	}
 	return env
+}
+
+// TestMain releases the shared environment's paged image.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if env != nil {
+		env.Close()
+	}
+	os.Exit(code)
+}
+
+// coldIndex starts the shared environment's store cold for one benchmark:
+// the SILC database, or the network-only one the baselines run against.
+func coldIndex(b *testing.B, e *bench.Env, baseline bool) core.QueryIndex {
+	b.Helper()
+	open := e.Cold
+	if baseline {
+		open = e.ColdNetwork
+	}
+	ix, err := open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
 }
 
 // BenchmarkT1StorageModels measures the space/query-time trade-off table
@@ -208,7 +236,7 @@ func sweepBench(b *testing.B, algo bench.Algorithm, fraction float64, k int) {
 	e := sharedEnv(b)
 	rng := rand.New(rand.NewSource(77))
 	queries := benchWorkloads(e, rng, fraction, 32)
-	e.Ix.Tracker().SetScope(algo.Baseline)
+	ix := coldIndex(b, e, algo.Baseline)
 	var agg struct {
 		refinements, maxQueue, ioMisses float64
 	}
@@ -216,7 +244,7 @@ func sweepBench(b *testing.B, algo bench.Algorithm, fraction float64, k int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := queries[i%len(queries)]
-		res := algo.Run(e.Ix, w.objs, w.q, k)
+		res := algo.Run(ix, w.objs, w.q, k)
 		agg.refinements += float64(res.Stats.Refinements)
 		agg.maxQueue += float64(res.Stats.MaxQueue)
 		agg.ioMisses += float64(res.Stats.IO.Misses)
@@ -279,7 +307,7 @@ func BenchmarkF5Refinements(b *testing.B) {
 func BenchmarkF6KMinDistPruning(b *testing.B) {
 	e := sharedEnv(b)
 	rng := rand.New(rand.NewSource(3))
-	e.Ix.Tracker().SetScope(false)
+	ix := coldIndex(b, e, false)
 	// Deterministic pre-seeded workloads: object-set generation happens
 	// outside the timed loop so the measurement covers the query alone.
 	workloads := benchWorkloads(e, rng, 0.07, 32)
@@ -289,7 +317,7 @@ func BenchmarkF6KMinDistPruning(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := workloads[i%len(workloads)]
-		res := knn.Search(e.Ix, w.objs, w.q, k, knn.VariantKNNM)
+		res := knn.Search(ix, w.objs, w.q, k, knn.VariantKNNM)
 		accepts += float64(res.Stats.KMinDistAccepts)
 		total += float64(len(res.Neighbors))
 	}
@@ -303,14 +331,14 @@ func BenchmarkF6KMinDistPruning(b *testing.B) {
 func BenchmarkF7EstimateQuality(b *testing.B) {
 	e := sharedEnv(b)
 	rng := rand.New(rand.NewSource(4))
-	e.Ix.Tracker().SetScope(false)
+	ix := coldIndex(b, e, false)
 	workloads := benchWorkloads(e, rng, 0.07, 32)
 	var d0kRatio, kminRatio, count float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := workloads[i%len(workloads)]
-		res := knn.Search(e.Ix, w.objs, w.q, 10, knn.VariantKNN)
+		res := knn.Search(ix, w.objs, w.q, 10, knn.VariantKNN)
 		s := res.Stats
 		if s.D0k > 0 && s.DkFinal > 0 {
 			d0kRatio += s.D0k / s.DkFinal
@@ -324,25 +352,27 @@ func BenchmarkF7EstimateQuality(b *testing.B) {
 	}
 }
 
-// BenchmarkF8IOTime measures the modeled I/O of the SILC family on the
-// paged store with the 5% LRU pool (fig. p.38).
+// BenchmarkF8IOTime measures the I/O of the SILC family on the paged store
+// with the 5% LRU pool (fig. p.38): real page reads per query and the
+// measured time inside them.
 func BenchmarkF8IOTime(b *testing.B) {
 	for _, algo := range bench.SILCVariants() {
 		algo := algo
 		b.Run(algo.Name, func(b *testing.B) {
 			e := sharedEnv(b)
 			rng := rand.New(rand.NewSource(5))
-			e.Ix.Tracker().SetScope(false)
+			ix := coldIndex(b, e, false)
 			workloads := benchWorkloads(e, rng, 0.07, 32)
-			var ioNanos float64
+			var reads float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := workloads[i%len(workloads)]
-				res := algo.Run(e.Ix, w.objs, w.q, 10)
-				ioNanos += float64(res.Stats.IOTime.Nanoseconds())
+				res := algo.Run(ix, w.objs, w.q, 10)
+				reads += float64(res.Stats.IO.Reads)
 			}
-			b.ReportMetric(ioNanos/float64(b.N)/1e6, "modeled-io-ms/query")
+			b.ReportMetric(reads/float64(b.N), "page-reads/query")
+			b.ReportMetric(float64(e.ReadStats().Time.Microseconds())/float64(b.N), "read-us/query")
 		})
 	}
 }
@@ -386,10 +416,19 @@ func BenchmarkAblationCacheSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix, err := core.Build(g, core.BuildOptions{DiskResident: true, CacheFraction: fraction})
+			built, err := core.Build(g, core.BuildOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			var img bytes.Buffer
+			if _, err := built.WritePaged(&img); err != nil {
+				b.Fatal(err)
+			}
+			st, err := store.Open(bytes.NewReader(img.Bytes()), int64(img.Len()), store.OpenOptions{CacheFraction: fraction})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix := core.NewPagedIndex(core.PagedConfig{Graph: g, Source: st, Tracker: st.Tracker()})
 			rng := rand.New(rand.NewSource(10))
 			n := g.NumVertices()
 			perm := rng.Perm(n)
@@ -424,11 +463,11 @@ func BenchmarkBrowser(b *testing.B) {
 	for i := range queries {
 		queries[i] = e.Query(rng)
 	}
-	e.Ix.Tracker().SetScope(false)
+	ix := coldIndex(b, e, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		browser := knn.NewBrowser(e.Ix, objs, queries[i%len(queries)])
+		browser := knn.NewBrowser(ix, objs, queries[i%len(queries)])
 		for j := 0; j < 10; j++ {
 			if _, ok := browser.Next(); !ok {
 				break
@@ -449,14 +488,14 @@ func BenchmarkTPParallelThroughput(b *testing.B) {
 	for i := range queries {
 		queries[i] = e.Query(rng)
 	}
-	e.Ix.Tracker().SetScope(false)
+	ix := coldIndex(b, e, false)
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := next.Add(1) - 1
-			knn.Search(e.Ix, objs, queries[i%int64(len(queries))], 10, knn.VariantKNN)
+			knn.Search(ix, objs, queries[i%int64(len(queries))], 10, knn.VariantKNN)
 		}
 	})
 }
@@ -465,10 +504,7 @@ func BenchmarkTPParallelThroughput(b *testing.B) {
 // answering 64 queries over the worker pool.
 func BenchmarkQueryBatch(b *testing.B) {
 	net := testNetwork(b)
-	ix, err := BuildIndex(net, BuildOptions{DiskResident: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := on(b, testDiskIndex(b, net).Engine())
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(net.NumVertices())
 	vertices := make([]VertexID, 50)
@@ -483,6 +519,6 @@ func BenchmarkQueryBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.QueryBatch(objs, queries, 10, MethodKNN)
+		eng.batch(objs, queries, 10)
 	}
 }

@@ -5,19 +5,20 @@
 //	T1  storage-model trade-offs           (paper p.11)
 //	F1  Morton-block storage growth        (paper p.16, slope ~1.5)
 //	F2  Dijkstra vs SILC vertices visited  (paper pp.3/7)
-//	F3  execution time comparison          (paper p.33)
+//	F3  execution cost comparison          (paper p.33: CPU time and the
+//	    paged store's I/O — misses, reads, read time — side by side)
 //	F4  max priority-queue size vs INN     (paper p.34)
 //	F5  refinement operations vs INN       (paper p.35)
 //	F6  KMINDIST pruning in kNN-M          (paper p.36)
 //	F7  quality of D0k and KMINDIST        (paper p.37)
-//	F8  total and I/O time decomposition   (paper p.38)
+//	F8  CPU, I/O and KNN-PQ decomposition  (paper p.38)
 //	TP  parallel query throughput          (beyond the paper: QPS vs
 //	    goroutine count on one shared index, memory- and disk-resident)
 //	SH  sharded vs monolithic index        (beyond the paper: build time,
 //	    storage, and QPS of the partitioned index against the monolith)
-//	PG  real paged store vs modeled disk   (beyond the paper: the same
-//	    workload on the on-disk SILCPG1 store — actual reads and measured
-//	    I/O time next to the modeled misses × latency figure)
+//	PG  real paged store                   (beyond the paper: an exact-
+//	    distance workload on the on-disk SILCPG1 store — pool traffic,
+//	    actual reads and measured I/O time)
 //
 // Usage:
 //
@@ -34,8 +35,9 @@
 //
 // -baseline and -check are the benchmark-trajectory gate (see regress.go):
 // -baseline runs a fixed smoke suite and writes the canonical committed
-// baselines; -check reruns it and exits nonzero if allocs/op grew at all or
-// calibrated ns/op drifted outside the tolerance band.
+// baselines; -check reruns it and exits nonzero if an exact count (F3 page
+// traffic and refinements, PG image sizes and cold pool counters, allocs/op)
+// moved at all or calibrated ns/op drifted outside the tolerance band.
 package main
 
 import (
@@ -153,6 +155,7 @@ func main() {
 	fmt.Fprintf(out, "building evaluation index (%dx%d lattice)...\n", *rows, *cols)
 	env, err := bench.NewEnv(*rows, *cols, *seed, true)
 	check(err)
+	defer env.Close()
 	s := env.Ix.Stats()
 	fmt.Fprintf(out, "index: %d vertices, %d edges, %d Morton blocks (%.1f/vertex), built in %v\n\n",
 		s.Vertices, s.Edges, s.TotalBlocks, s.BlocksPerVertex(), s.BuildTime.Round(time.Millisecond))
@@ -167,8 +170,10 @@ func main() {
 	if needSweep {
 		algos := bench.Algorithms()
 		fmt.Fprintf(out, "running sweeps (%d queries per point, %d algorithms)...\n\n", *queries, len(algos))
-		varyS := env.Sweep(bench.VarySSpec(), *queries, algos, *seed+2)
-		varyK := env.Sweep(bench.VaryKSpec(), *queries, algos, *seed+3)
+		varyS, err := env.Sweep(bench.VarySSpec(), *queries, algos, *seed+2)
+		check(err)
+		varyK, err := env.Sweep(bench.VaryKSpec(), *queries, algos, *seed+3)
+		check(err)
 		panels := []struct {
 			title  string
 			points []bench.SweepPoint
@@ -211,14 +216,16 @@ func main() {
 			gcs, nq = []int{1, 2, 4}, 400
 		}
 		w := env.NewThroughputWorkload(nq, 0.05, 10, *seed+4)
-		diskPts := bench.ThroughputSweep(env.Ix, w, gcs)
+		diskPts, err := bench.ThroughputSweep(env.Cold, w, gcs)
+		check(err)
 		fmt.Fprintln(out, bench.ThroughputTable(
 			fmt.Sprintf("TP: parallel kNN throughput, disk-resident (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
 			diskPts))
 		memEnv, err := bench.NewEnv(*rows, *cols, *seed, false)
 		check(err)
 		wm := memEnv.NewThroughputWorkload(nq, 0.05, 10, *seed+4)
-		memPts := bench.ThroughputSweep(memEnv.Ix, wm, gcs)
+		memPts, err := bench.ThroughputSweep(memEnv.Cold, wm, gcs)
+		check(err)
 		fmt.Fprintln(out, bench.ThroughputTable(
 			"TP: parallel kNN throughput, memory-resident",
 			memPts))

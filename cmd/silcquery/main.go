@@ -218,7 +218,6 @@ func printStats(eng *silc.Engine, st silc.QueryStats) {
 			"evictions":      st.Evictions,
 			"blocks_decoded": st.BlocksDecoded,
 			"gateway_routes": st.GatewayRoutes,
-			"io_time_us":     st.IOTime.Microseconds(),
 			"cpu_time_us":    st.CPUTime.Microseconds(),
 			"filter_time_us": st.FilterTime.Microseconds(),
 			"refine_time_us": st.RefineTime.Microseconds(),
@@ -227,7 +226,6 @@ func printStats(eng *silc.Engine, st silc.QueryStats) {
 			"page_hits":           io.PageHits,
 			"page_misses":         io.PageMisses,
 			"page_reads":          io.PageReads,
-			"modeled_io_time_us":  io.ModeledIOTime.Microseconds(),
 			"measured_io_time_us": io.MeasuredIOTime.Microseconds(),
 		},
 	}

@@ -66,11 +66,11 @@
 // search itself — refinement stops within one step — not just the response
 // writes.
 //
-// The index is either loaded (-index, produced by silcbuild; all four
-// formats are sniffed — legacy files additionally need -network, while the
-// paged formats embed it and serve straight from disk through the buffer
-// pool; -format=paged/legacy asserts the expectation) or built at startup
-// from a generated road network — sharded when -partitions N > 1. The
+// The index is either loaded (-index, produced by silcbuild; the format is
+// sniffed — legacy files additionally need -network, while the paged
+// formats embed it and serve straight from disk through a buffer pool of
+// -cache-fraction of their pages) or built in RAM at startup from a
+// generated road network — sharded when -partitions N > 1. The
 // query-object set defaults to a random sample of vertices
 // (-object-fraction) or is read from -objects, one vertex id per line. All
 // queries run concurrently over one shared index; batch requests
@@ -83,7 +83,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -107,14 +106,11 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		networkPath = flag.String("network", "", "network file (silcbuild text format); empty = generate")
 		indexPath   = flag.String("index", "", "prebuilt index file (paged formats embed the network; legacy formats require -network)")
-		format      = flag.String("format", "auto", "index file format expectation: auto (sniff), paged (demand-paged SILCPG1/SILCSPG1), legacy (fully loaded)")
 		rows        = flag.Int("rows", 64, "generated network rows (when no -network)")
 		cols        = flag.Int("cols", 64, "generated network cols")
 		seed        = flag.Int64("seed", 1, "generated network seed")
-		disk        = flag.Bool("disk", false, "attach the disk-resident storage model")
 		mmap        = flag.Bool("mmap", false, "open paged index files through a read-only memory mapping (falls back to positioned reads where unsupported)")
-		cacheFrac   = flag.Float64("cache-fraction", 0.05, "buffer-pool size as a fraction of total pages")
-		missLatency = flag.Duration("miss-latency", 0, "modeled page-miss latency (0 = default 200µs)")
+		cacheFrac   = flag.Float64("cache-fraction", 0.05, "buffer-pool size of a paged -index, as a fraction of its total pages")
 		objectsPath = flag.String("objects", "", "object vertices file, one id per line; empty = random sample")
 		objectFrac  = flag.Float64("object-fraction", 0.05, "fraction of vertices carrying an object (when no -objects)")
 		objectSeed  = flag.Int64("object-seed", 2008, "object sample seed")
@@ -141,9 +137,7 @@ func main() {
 	switch *clusterMode {
 	case "node":
 		runClusterNode(*addr, *manifestPath, *nodeName, *indexPath, silc.ShardedBuildOptions{
-			DiskResident:  *disk,
 			CacheFraction: *cacheFrac,
-			MissLatency:   *missLatency,
 			Mmap:          *mmap,
 		}, *drainGrace, *pprofOn)
 		return
@@ -152,12 +146,6 @@ func main() {
 		log.Fatalf("silcserve: unknown -cluster %q (node, router)", *clusterMode)
 	}
 
-	if *format != "auto" && *format != "paged" && *format != "legacy" {
-		log.Fatalf("silcserve: unknown -format %q (auto, paged, legacy)", *format)
-	}
-	if *format != "auto" && *indexPath == "" {
-		log.Fatal("silcserve: -format asserts the -index file's format; it requires -index")
-	}
 	var (
 		net    *silc.Network
 		eng    *silc.Engine
@@ -174,10 +162,8 @@ func main() {
 		eng = router.Engine()
 		net = eng.Network()
 	} else {
-		net, eng, err = loadOrBuild(*networkPath, *indexPath, *format, *rows, *cols, *seed, *partitions, silc.BuildOptions{
-			DiskResident:  *disk,
+		net, eng, err = loadOrBuild(*networkPath, *indexPath, *rows, *cols, *seed, *partitions, silc.BuildOptions{
 			CacheFraction: *cacheFrac,
-			MissLatency:   *missLatency,
 			Mmap:          *mmap,
 		})
 		if err != nil {
@@ -374,45 +360,7 @@ func loadManifest(manifestPath, indexPath string) (*silc.ClusterManifest, string
 	return m, indexPath, nil
 }
 
-// checkFormat enforces the -format expectation against the file's magic:
-// "paged" demands a demand-paged SILCPG1/SILCPG2/SILCSPG1/SILCSPG2 file,
-// "legacy" a fully loaded SILCIDX1/SILCSHD1 one, "auto" accepts anything
-// OpenEngine sniffs.
-func checkFormat(indexPath, format string) error {
-	if format == "auto" {
-		return nil
-	}
-	f, err := os.Open(indexPath)
-	if err != nil {
-		return err
-	}
-	var magic [8]byte
-	_, err = io.ReadFull(f, magic[:])
-	f.Close()
-	if err != nil {
-		return err
-	}
-	var paged bool
-	switch string(magic[:]) {
-	case "SILCPG1\x00", "SILCPG2\x00", "SILCSPG1", "SILCSPG2":
-		paged = true
-	}
-	switch format {
-	case "paged":
-		if !paged {
-			return fmt.Errorf("-format=paged but %s has magic %q (build it with silcbuild -format=paged)", indexPath, magic[:])
-		}
-	case "legacy":
-		if paged {
-			return fmt.Errorf("-format=legacy but %s is a paged index", indexPath)
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (auto, paged, legacy)", format)
-	}
-	return nil
-}
-
-func loadOrBuild(networkPath, indexPath, format string, rows, cols int, seed int64, partitions int, opts silc.BuildOptions) (*silc.Network, *silc.Engine, error) {
+func loadOrBuild(networkPath, indexPath string, rows, cols int, seed int64, partitions int, opts silc.BuildOptions) (*silc.Network, *silc.Engine, error) {
 	var net *silc.Network
 	var err error
 	if networkPath != "" {
@@ -432,9 +380,6 @@ func loadOrBuild(networkPath, indexPath, format string, rows, cols int, seed int
 		}
 	}
 	if indexPath != "" {
-		if err := checkFormat(indexPath, format); err != nil {
-			return nil, nil, err
-		}
 		// OpenEngine sniffs the format: the paged formats (SILCPG1/SILCSPG1)
 		// are self-contained and demand-paged, so net may be nil; the legacy
 		// formats load fully and need -network.
@@ -446,12 +391,7 @@ func loadOrBuild(networkPath, indexPath, format string, rows, cols int, seed int
 	}
 	if partitions > 1 {
 		log.Printf("building sharded index over %d vertices (%d partitions)...", net.NumVertices(), partitions)
-		sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{
-			Partitions:    partitions,
-			DiskResident:  opts.DiskResident,
-			CacheFraction: opts.CacheFraction,
-			MissLatency:   opts.MissLatency,
-		})
+		sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: partitions})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -790,7 +730,6 @@ type queryStatsJSON struct {
 	Evictions     int64  `json:"evictions,omitempty"`
 	BlocksDecoded int64  `json:"blocks_decoded,omitempty"`
 	GatewayRoutes int64  `json:"gateway_routes,omitempty"`
-	IOTimeUS      int64  `json:"io_time_us"`
 	CPUTimeUS     int64  `json:"cpu_time_us"`
 	FilterTimeUS  int64  `json:"filter_time_us,omitempty"`
 	RefineTimeUS  int64  `json:"refine_time_us,omitempty"`
@@ -818,7 +757,6 @@ func toStats(st silc.QueryStats) queryStatsJSON {
 		Evictions:     st.Evictions,
 		BlocksDecoded: st.BlocksDecoded,
 		GatewayRoutes: st.GatewayRoutes,
-		IOTimeUS:      st.IOTime.Microseconds(),
 		CPUTimeUS:     st.CPUTime.Microseconds(),
 		FilterTimeUS:  st.FilterTime.Microseconds(),
 		RefineTimeUS:  st.RefineTime.Microseconds(),
@@ -1000,7 +938,6 @@ func (s *server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 			"total_cpu_us": batch.Stats.TotalCPU.Microseconds(),
 			"page_hits":    batch.Stats.PageHits,
 			"page_misses":  batch.Stats.PageMisses,
-			"io_time_us":   batch.Stats.IOTime.Microseconds(),
 		},
 	})
 }
@@ -1186,9 +1123,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"objects": s.objs.Len(),
 		"live":    live,
 		"pool": map[string]any{
-			"page_hits":          io.PageHits,
-			"page_misses":        io.PageMisses,
-			"modeled_io_time_us": io.ModeledIOTime.Microseconds(),
+			"page_hits":           io.PageHits,
+			"page_misses":         io.PageMisses,
+			"page_reads":          io.PageReads,
+			"measured_io_time_us": io.MeasuredIOTime.Microseconds(),
 		},
 		"server": map[string]any{
 			"uptime_s":  int64(time.Since(s.started).Seconds()),

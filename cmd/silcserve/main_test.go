@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,16 +17,19 @@ import (
 	"silc"
 )
 
+// testServer serves a disk-resident index: built OnDisk under t.TempDir()
+// and reopened behind the default 5% pool, so page counters are real reads.
 func testServer(t *testing.T) *server {
 	t.Helper()
 	net, err := silc.GenerateGrid(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{DiskResident: true})
+	ix, err := silc.BuildIndex(net, silc.BuildOptions{OnDisk: filepath.Join(t.TempDir(), "grid.silcpg")})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ix.Close() })
 	vs := make([]silc.VertexID, net.NumVertices())
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
@@ -120,7 +124,9 @@ func TestServerEndpoints(t *testing.T) {
 		} `json:"index"`
 		Pool struct {
 			PageMisses int64 `json:"page_misses"`
-		} `json:"page_misses_unused"`
+			PageReads  int64 `json:"page_reads"`
+			MeasuredUS int64 `json:"measured_io_time_us"`
+		} `json:"pool"`
 		Server struct {
 			Requests int64 `json:"requests"`
 			Queries  int64 `json:"queries"`
@@ -132,6 +138,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if stats.Server.Queries < 4 {
 		t.Fatalf("stats queries = %d", stats.Server.Queries)
+	}
+	if stats.Pool.PageMisses == 0 || stats.Pool.PageReads == 0 || stats.Pool.MeasuredUS < 0 {
+		t.Fatalf("disk-resident server reported no real page traffic: %+v", stats.Pool)
 	}
 
 	if resp := getJSON(t, ts, "/healthz", nil); resp.StatusCode != 200 {
@@ -252,10 +261,19 @@ func testShardedServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, DiskResident: true})
+	built, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "road.silcspg")
+	if err := built.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
 	vs := make([]silc.VertexID, net.NumVertices())
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
@@ -511,7 +529,7 @@ func TestServerMetricsPaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{DiskResident: true})
+	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +544,7 @@ func TestServerMetricsPaged(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := silc.OpenEngine(path, nil, silc.BuildOptions{DiskResident: true})
+	eng, err := silc.OpenEngine(path, nil, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,6 +609,8 @@ func TestServerSlowLog(t *testing.T) {
 			Stats      *struct {
 				Method      string `json:"method"`
 				Refinements int    `json:"refinements"`
+				PageMisses  int64  `json:"page_misses"`
+				PageReads   int64  `json:"page_reads"`
 			} `json:"stats"`
 		}
 		if err := json.Unmarshal([]byte(line), &entry); err != nil {
@@ -606,6 +626,11 @@ func TestServerSlowLog(t *testing.T) {
 			}
 			if entry.Query != "q=3&k=4" {
 				t.Fatalf("knn slowlog entry query = %q", entry.Query)
+			}
+			// The first query on a cold disk-resident server must miss,
+			// and the entry carries the real reads behind the misses.
+			if entry.Stats.PageMisses == 0 || entry.Stats.PageReads == 0 {
+				t.Fatalf("knn slowlog entry carries no page traffic: %s", line)
 			}
 		}
 	}

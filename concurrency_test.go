@@ -1,20 +1,23 @@
 package silc
 
 import (
+	"context"
+	"iter"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// concurrencyFixture builds one shared index (memory- or disk-resident),
-// an object set, and a pool of query vertices.
+// concurrencyFixture builds one shared index — in RAM, or disk-resident
+// (OnDisk under t.TempDir(), behind the default 5% pool) — an object set,
+// and a pool of query vertices.
 func concurrencyFixture(t *testing.T, diskResident bool) (*Index, *ObjectSet, []VertexID) {
 	t.Helper()
 	net := testNetwork(t)
-	ix, err := BuildIndex(net, BuildOptions{DiskResident: diskResident})
-	if err != nil {
-		t.Fatal(err)
+	ix := testIndex(t, net)
+	if diskResident {
+		ix = testDiskIndex(t, net)
 	}
 	rng := rand.New(rand.NewSource(77))
 	perm := rng.Perm(net.NumVertices())
@@ -45,11 +48,12 @@ func neighborsEqual(t *testing.T, tag string, got, want []Neighbor) {
 
 func testParallelQueries(t *testing.T, diskResident bool) {
 	ix, objs, queries := concurrencyFixture(t, diskResident)
+	eng := ix.Engine()
 	const k = 5
 
 	want := make([]Result, len(queries))
 	for i, q := range queries {
-		want[i] = ix.NearestNeighbors(objs, q, k)
+		want[i] = on(t, eng).knnExact(objs, q, k)
 	}
 
 	var wg sync.WaitGroup
@@ -59,7 +63,11 @@ func testParallelQueries(t *testing.T, diskResident bool) {
 			defer wg.Done()
 			for i := range queries {
 				j := (i + w*7) % len(queries)
-				res := ix.NearestNeighbors(objs, queries[j], k)
+				res, err := eng.Query(context.Background(), objs, queries[j], k, WithExactDistances())
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				neighborsEqual(t, "parallel query", res.Neighbors, want[j].Neighbors)
 				if diskResident && res.Stats.PageHits+res.Stats.PageMisses == 0 {
 					t.Errorf("disk-resident query reported no page traffic")
@@ -71,13 +79,14 @@ func testParallelQueries(t *testing.T, diskResident bool) {
 }
 
 func TestParallelQueriesMemoryResident(t *testing.T) { testParallelQueries(t, false) }
-func TestParallelQueriesDiskResident(t *testing.T)   { testParallelQueries(t, true) }
+func TestParallelQueriesOnDisk(t *testing.T)         { testParallelQueries(t, true) }
 
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		ix, objs, queries := concurrencyFixture(t, disk)
 		const k = 4
-		batch := ix.QueryBatch(objs, queries, k, MethodKNN)
+		eng := on(t, ix.Engine())
+		batch := eng.batch(objs, queries, k)
 		if len(batch.Results) != len(queries) {
 			t.Fatalf("batch returned %d results for %d queries", len(batch.Results), len(queries))
 		}
@@ -89,7 +98,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		}
 		var hits, misses int64
 		for i, q := range queries {
-			want := ix.Query(objs, q, k, MethodKNN)
+			want := eng.knn(objs, q, k)
 			neighborsEqual(t, "batch result", batch.Results[i].Neighbors, want.Neighbors)
 			hits += batch.Results[i].Stats.PageHits
 			misses += batch.Results[i].Stats.PageMisses
@@ -110,15 +119,16 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 
 func TestQueryBatchWorkersBound(t *testing.T) {
 	ix, objs, queries := concurrencyFixture(t, false)
-	one := ix.QueryBatchWorkers(objs, queries, 3, MethodKNN, 1)
-	four := ix.QueryBatchWorkers(objs, queries, 3, MethodKNN, 4)
+	eng := on(t, ix.Engine())
+	one := eng.batch(objs, queries, 3, WithWorkers(1))
+	four := eng.batch(objs, queries, 3, WithWorkers(4))
 	if one.Stats.Workers != 1 || four.Stats.Workers != 4 {
 		t.Fatalf("workers = %d and %d", one.Stats.Workers, four.Stats.Workers)
 	}
 	for i := range queries {
 		neighborsEqual(t, "worker bound", four.Results[i].Neighbors, one.Results[i].Neighbors)
 	}
-	empty := ix.QueryBatch(objs, nil, 3, MethodKNN)
+	empty := eng.batch(objs, nil, 3)
 	if len(empty.Results) != 0 || empty.Stats.Queries != 0 {
 		t.Fatalf("empty batch: %+v", empty.Stats)
 	}
@@ -128,7 +138,7 @@ func TestQueryBatchAllMethods(t *testing.T) {
 	ix, objs, queries := concurrencyFixture(t, true)
 	queries = queries[:10]
 	for _, m := range []Method{MethodKNN, MethodINN, MethodKNNI, MethodKNNM, MethodINE, MethodIER} {
-		batch := ix.QueryBatch(objs, queries, 3, m)
+		batch := on(t, ix.Engine()).batch(objs, queries, 3, WithMethod(m))
 		for i, res := range batch.Results {
 			if len(res.Neighbors) != 3 {
 				t.Fatalf("%v query %d: %d neighbors", m, i, len(res.Neighbors))
@@ -142,14 +152,15 @@ func TestQueryBatchAllMethods(t *testing.T) {
 // a fresh solo cursor produces.
 func TestConcurrentBrowsers(t *testing.T) {
 	ix, objs, queries := concurrencyFixture(t, true)
+	eng := ix.Engine()
 	starts := queries[:6]
 	const steps = 15
 
 	want := make([][]Neighbor, len(starts))
 	for i, q := range starts {
-		b := ix.Browse(objs, q)
+		next := on(t, eng).browse(objs, q)
 		for j := 0; j < steps; j++ {
-			n, ok := b.Next()
+			n, ok := next()
 			if !ok {
 				break
 			}
@@ -163,21 +174,25 @@ func TestConcurrentBrowsers(t *testing.T) {
 			wg.Add(1)
 			go func(i int, q VertexID) {
 				defer wg.Done()
-				b := ix.Browse(objs, q)
+				var stats QueryStats
+				next, stop := iter.Pull2(eng.Neighbors(context.Background(), objs, q, WithStats(&stats)))
 				for j := 0; j < steps; j++ {
-					n, ok := b.Next()
-					if !ok {
-						if j != len(want[i]) {
-							t.Errorf("cursor %d exhausted at %d, want %d", i, j, len(want[i]))
+					n, err, ok := next()
+					if !ok || err != nil {
+						if j != len(want[i]) || err != nil {
+							t.Errorf("cursor %d ended at %d (err %v), want %d", i, j, err, len(want[i]))
 						}
+						stop()
 						return
 					}
 					if math.Abs(n.Dist-want[i][j].Dist) > 1e-9 {
 						t.Errorf("cursor %d step %d: dist %v, want %v", i, j, n.Dist, want[i][j].Dist)
+						stop()
 						return
 					}
 				}
-				if s := b.Stats(); s.PageHits+s.PageMisses == 0 {
+				stop() // ends the stream, which flushes its statistics
+				if stats.PageHits+stats.PageMisses == 0 {
 					t.Errorf("cursor %d reported no page traffic", i)
 				}
 			}(i, q)
@@ -202,15 +217,62 @@ func TestConcurrentMixedReaders(t *testing.T) {
 		}()
 	}
 	n := len(queries)
-	run(func(i int) { ix.NearestNeighbors(objs, queries[i%n], 3) })
-	run(func(i int) { ix.Distance(queries[i%n], queries[(i+1)%n]) })
-	run(func(i int) { ix.ShortestPath(queries[i%n], queries[(i+3)%n]) })
-	run(func(i int) { ix.DistanceInterval(queries[i%n], queries[(i+5)%n]) })
-	run(func(i int) { ix.IsCloser(queries[i%n], queries[(i+1)%n], queries[(i+2)%n]) })
-	run(func(i int) { ix.WithinDistance(objs, queries[i%n], 0.2) })
+	eng, ctx := ix.Engine(), context.Background()
+	check := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	run(func(i int) { _, err := eng.Query(ctx, objs, queries[i%n], 3, WithExactDistances()); check(err) })
+	run(func(i int) { _, err := eng.Distance(ctx, queries[i%n], queries[(i+1)%n]); check(err) })
+	run(func(i int) { _, err := eng.ShortestPath(ctx, queries[i%n], queries[(i+3)%n]); check(err) })
+	run(func(i int) { _, err := eng.DistanceInterval(ctx, queries[i%n], queries[(i+5)%n]); check(err) })
+	run(func(i int) { _, err := eng.IsCloser(ctx, queries[i%n], queries[(i+1)%n], queries[(i+2)%n]); check(err) })
+	run(func(i int) { _, err := eng.WithinDistance(ctx, objs, queries[i%n], 0.2); check(err) })
 	run(func(i int) { ix.IOStats() })
 	wg.Wait()
 	if s := ix.IOStats(); s.PageHits+s.PageMisses == 0 {
 		t.Fatal("pool-wide counters should have accumulated traffic")
+	}
+}
+
+// TestDiskPerQueryStatsSumToPool is the end-to-end form of the statsum
+// regression in internal/diskio: 64 goroutines query one shared disk-resident
+// index at once, and the per-query page counters — each charged to the
+// query's own context, never diffed from the shared pool — must sum to the
+// pool-wide totals exactly.
+func TestDiskPerQueryStatsSumToPool(t *testing.T) {
+	ix, objs, queries := concurrencyFixture(t, true)
+	eng := ix.Engine()
+	const goroutines = 64
+	sums := make([]QueryStats, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				res, err := eng.Query(context.Background(), objs, queries[(g+i*5)%len(queries)], 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sums[g].PageHits += res.Stats.PageHits
+				sums[g].PageMisses += res.Stats.PageMisses
+				sums[g].PageReads += res.Stats.PageReads
+			}
+		}(g)
+	}
+	wg.Wait()
+	var sum IOStats
+	for _, s := range sums {
+		sum.PageHits += s.PageHits
+		sum.PageMisses += s.PageMisses
+		sum.PageReads += s.PageReads
+	}
+	pool := ix.IOStats()
+	pool.MeasuredIOTime = 0 // the store's read clock has no per-query share
+	if sum != pool || pool.PageMisses == 0 {
+		t.Fatalf("per-query sum %+v != pool totals %+v", sum, pool)
 	}
 }

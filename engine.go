@@ -45,8 +45,8 @@ type Engine struct {
 	qx    queryBackend
 	mono  *Index
 	shard *ShardedIndex
-	// pager is set when the engine runs over a real on-disk store; it
-	// reports the actual read counters next to the modeled ones.
+	// pager is set when the engine runs over an on-disk store; it reports
+	// the actual read counters.
 	pager *store.Pager
 
 	// qcPool recycles query contexts — and, through QueryContext.Scratch,
@@ -120,16 +120,13 @@ func (e *Engine) Sharded() (*ShardedIndex, bool) { return e.shard, e.shard != ni
 // memory-resident indexes). Per-query traffic is on each Result's Stats;
 // summing the per-query counters over a workload reproduces these
 // pool-wide totals exactly, because the pool charges each touch to both
-// at once. For disk-backed engines (OpenIndex / OpenEngine) the actual
-// read count and measured read time appear next to the modeled figures;
-// on a sharded paged engine (OpenShardedIndex) all cell stores share one
-// pool and one pager, so every figure here aggregates across all cells —
-// there is no per-cell breakdown at this level (WriteMetrics exposes
-// per-store series).
+// at once. On a sharded paged engine (OpenShardedIndex) all cell stores
+// share one pool and one pager, so every figure here aggregates across all
+// cells — there is no per-cell breakdown at this level (WriteMetrics
+// exposes per-store series).
 func (e *Engine) IOStats() IOStats {
-	t := e.qx.Tracker()
-	s := t.Stats()
-	out := IOStats{PageHits: s.Hits, PageMisses: s.Misses, ModeledIOTime: t.ModeledIOTime()}
+	s := e.qx.Tracker().Stats()
+	out := IOStats{PageHits: s.Hits, PageMisses: s.Misses}
 	if e.pager != nil {
 		rs := e.pager.ReadStats()
 		out.PageReads = rs.Reads
@@ -152,10 +149,10 @@ func (e *Engine) Close() error {
 
 // ResetIOStats zeroes the buffer-pool counters — and, on a disk-backed
 // engine, the actual read counters of every registered store with them
-// (all cells of a sharded paged engine), so a measurement window's
-// modeled and measured figures describe the same workload. Cache contents
-// stay warm. The Prometheus counters (WriteMetrics) are monotone and are
-// deliberately NOT reset.
+// (all cells of a sharded paged engine), so a measurement window's pool
+// and read figures describe the same workload. Cache contents stay warm.
+// The Prometheus counters (WriteMetrics) are monotone and are deliberately
+// NOT reset.
 func (e *Engine) ResetIOStats() {
 	if t := e.qx.Tracker(); t != nil {
 		t.ResetStats()
@@ -395,7 +392,6 @@ func (e *Engine) foldIO(qc *core.QueryContext, s *QueryStats) {
 	s.PageReads = qc.IO.Reads
 	s.Evictions = qc.IO.Evictions
 	s.BlocksDecoded = qc.IO.BlocksDecoded
-	s.IOTime = qc.IO.ModeledIOTime(e.qx.Tracker().MissLatency())
 	s.HeapPushes = qc.Span.HeapPushes
 	s.GatewayRoutes = qc.Span.GatewayRoutes
 	if qc.Span.Timed {
@@ -462,7 +458,8 @@ func (e *Engine) WithinDistance(ctx context.Context, objs *ObjectSet, q VertexID
 // Options: WithEpsilon streams ε-approximate neighbors (distances then
 // carry their certifying interval, Exact false, and are NOT post-refined);
 // WithMaxDistance ends the stream at the distance bound. Without epsilon
-// every yielded distance is refined to exact, like the classic Browser.
+// every yielded distance is refined to exact. Cursor-style consumers that
+// interleave Next with other work wrap the sequence in iter.Pull2.
 //
 // A yielded non-nil error (argument validation, or ctx cancellation) is the
 // final element of the sequence.
@@ -521,26 +518,4 @@ func (e *Engine) Neighbors(ctx context.Context, objs *ObjectSet, q VertexID, opt
 			}
 		}
 	}
-}
-
-// Browse positions a classic incremental cursor at q over objs, bound to
-// ctx: Next returns false once ctx is cancelled (inspect Browser.Err).
-// Most callers want the Neighbors iterator instead; Browse remains for
-// cursor-style consumers that interleave Next with other work.
-func (e *Engine) Browse(ctx context.Context, objs *ObjectSet, q VertexID, opts ...Option) (*Browser, error) {
-	o, err := resolveOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkObjects(objs); err != nil {
-		return nil, err
-	}
-	if err := checkVertex(e.net, "q", q); err != nil {
-		return nil, err
-	}
-	// Deliberately unpooled: the Browser owns this context for its whole
-	// lifetime and the engine never learns when the caller is done with it.
-	qc := core.NewQueryContextFor(ctx)
-	b := knn.NewBrowserSpec(e.qx, qc, objs.objs, q, knn.Spec{Epsilon: o.epsilon, MaxDist: o.maxDist})
-	return &Browser{qx: e.qx, b: b, eps: o.epsilon, ver: objs.version}, nil
 }

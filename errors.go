@@ -33,22 +33,6 @@ var (
 	ErrUnknownObject = errors.New("silc: unknown object id")
 )
 
-// isValidationError reports whether err is one of the argument-validation
-// errors above — the class the deprecated panicking shims still panic on,
-// as their pre-Engine contract documented. Runtime failures (storage
-// faults, cancellation) are NOT validation errors.
-func isValidationError(err error) bool {
-	for _, v := range []error{
-		ErrVertexRange, ErrBadK, ErrNilObjects, ErrEmptyObjects,
-		ErrBadRadius, ErrBadEpsilon, ErrNilNetwork, ErrBadMethod,
-	} {
-		if errors.Is(err, v) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkVertex validates one caller-supplied vertex id against the network.
 func checkVertex(net *Network, name string, v VertexID) error {
 	if n := net.NumVertices(); v < 0 || int(v) >= n {

@@ -137,36 +137,3 @@ func TestQueryValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyShimsStillServe locks in that the deprecated pre-Engine surface
-// (PR-3 call sites) keeps compiling and answering through the generic path.
-func TestLegacyShimsStillServe(t *testing.T) {
-	net, _ := engineFixtures(t)
-	mono, err := BuildIndex(net, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := mustObjects(t, net, []VertexID{1, 3, 7, 11, 20})
-
-	res := mono.Query(objs, 0, 3, MethodKNN)
-	if len(res.Neighbors) != 3 {
-		t.Fatalf("legacy Query: %d neighbors", len(res.Neighbors))
-	}
-	if got := mono.NearestNeighbors(objs, 0, 2); len(got.Neighbors) != 2 || !got.Neighbors[0].Exact {
-		t.Fatalf("legacy NearestNeighbors: %+v", got.Neighbors)
-	}
-	if d := mono.Distance(0, 5); d <= 0 || math.IsInf(d, 1) {
-		t.Fatalf("legacy Distance: %v", d)
-	}
-	if k := mono.QueryBatch(objs, []VertexID{0, 4}, 2, MethodINN); len(k.Results) != 2 {
-		t.Fatalf("legacy QueryBatch: %d results", len(k.Results))
-	}
-	// k ≤ 0 keeps its historical no-panic empty-result behavior.
-	if got := mono.Query(objs, 0, 0, MethodKNN); len(got.Neighbors) != 0 {
-		t.Fatalf("legacy k=0: %+v", got)
-	}
-	br := mono.Browse(objs, 0)
-	if _, ok := br.Next(); !ok || br.Err() != nil {
-		t.Fatalf("legacy Browse failed: %v", br.Err())
-	}
-}

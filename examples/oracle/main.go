@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	n := net.NumVertices()
 	fmt.Printf("network: %d vertices (%d vertex pairs)\n\n", n, n*n)
 
@@ -43,7 +45,10 @@ func main() {
 			if u == v {
 				continue
 			}
-			exact := ix.Distance(u, v)
+			exact, err := ix.Engine().Distance(ctx, u, v)
+			if err != nil {
+				log.Fatal(err)
+			}
 			approx := o.Distance(u, v)
 			if rel := abs(approx-exact) / exact; rel > worst {
 				worst = rel

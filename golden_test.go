@@ -235,7 +235,7 @@ func TestGoldenShardedLegacy(t *testing.T) {
 	}
 	checkGolden(t, "grid8x4.silcshd1", buf.Bytes())
 
-	loaded, err := silc.LoadShardedIndex(bytes.NewReader(buf.Bytes()), net, silc.ShardedBuildOptions{})
+	loaded, err := silc.LoadShardedIndex(bytes.NewReader(buf.Bytes()), net)
 	if err != nil {
 		t.Fatalf("loading golden: %v", err)
 	}

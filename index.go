@@ -1,7 +1,6 @@
 package silc
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -14,18 +13,10 @@ type BuildOptions struct {
 	// Parallelism sets the number of build workers (0 = all CPUs). The
 	// build runs one Dijkstra per vertex, parallelized over sources.
 	Parallelism int
-	// DiskResident attaches the paged-storage model: queries then report
-	// buffer-pool traffic and modeled I/O time, reproducing the paper's
-	// disk-resident evaluation setting.
-	DiskResident bool
-	// CacheFraction sizes the LRU buffer pool as a fraction of total pages
-	// (default 0.05, the paper's setting). Used only when DiskResident.
+	// CacheFraction sizes the LRU buffer pool of a disk-backed index
+	// (OnDisk, OpenIndex, OpenEngine) as a fraction of its total pages
+	// (default 0.05, the paper's setting). In-RAM indexes have no pool.
 	CacheFraction float64
-	// MissLatency is the modeled cost of one page miss. The default is
-	// diskio.DefaultMissLatency, 200µs — a buffered 4KiB read, which
-	// reproduces the paper's magnitudes; raise it toward 5ms to model a
-	// cold spinning disk. Used only when DiskResident.
-	MissLatency time.Duration
 	// ProximityRadius, when positive, bounds each vertex's quadtree to the
 	// vertices within that network distance — the paper's location-based-
 	// services approximation. It cuts build time and storage sharply for
@@ -39,8 +30,7 @@ type BuildOptions struct {
 	// index reading through the buffer pool: the in-RAM quadtrees are
 	// released, pool misses become actual page reads, and resident memory
 	// tracks CacheFraction rather than the index size. Close the returned
-	// Index to release the file. (DiskResident, by contrast, only models
-	// paging over a fully in-RAM index.)
+	// Index to release the file.
 	OnDisk string
 	// Compression selects the paged image encoding WritePaged, WriteFile,
 	// and OnDisk emit — CompressionNone (fixed-width, the default) or
@@ -63,12 +53,11 @@ type Interval = core.Interval
 
 // Index is a SILC index over one network: per-vertex shortest-path quadtrees
 // supporting interval-based distance queries, progressive refinement, exact
-// distances, and path retrieval. Every Index — including DiskResident ones —
+// distances, and path retrieval. Every Index — including disk-backed ones —
 // is safe for unlimited concurrent readers: the buffer pool is sharded and
 // per-query statistics live in query-owned contexts, never on the Index.
 //
-// Queries run through the unified Engine handle (Index.Engine); the methods
-// on Index itself are thin deprecated shims kept for pre-Engine callers.
+// Queries run through the unified Engine handle (Index.Engine).
 type Index struct {
 	net    *Network
 	ix     *core.Index
@@ -119,15 +108,11 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 // therefore tracks the pool capacity, not the index size. Close the
 // returned Index to release the file.
 func OpenIndex(path string, opts BuildOptions) (*Index, error) {
-	sopts := store.OpenOptions{
-		CacheFraction: opts.CacheFraction,
-		MissLatency:   opts.MissLatency,
-	}
 	open := store.OpenFile
 	if opts.Mmap {
 		open = store.OpenMapped
 	}
-	st, err := open(path, sopts)
+	st, err := open(path, store.OpenOptions{CacheFraction: opts.CacheFraction})
 	if err != nil {
 		return nil, err
 	}
@@ -137,10 +122,7 @@ func OpenIndex(path string, opts BuildOptions) (*Index, error) {
 // OpenIndexAt is OpenIndex over an arbitrary ReaderAt (a section of a
 // larger file, an in-memory image). The caller owns ra's lifetime.
 func OpenIndexAt(ra io.ReaderAt, size int64, opts BuildOptions) (*Index, error) {
-	st, err := store.Open(ra, size, store.OpenOptions{
-		CacheFraction: opts.CacheFraction,
-		MissLatency:   opts.MissLatency,
-	})
+	st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction})
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +150,6 @@ func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
 	}
 	ix, err := core.Build(net.g, core.BuildOptions{
 		Parallelism:     opts.Parallelism,
-		DiskResident:    opts.DiskResident && opts.OnDisk == "",
-		CacheFraction:   opts.CacheFraction,
-		MissLatency:     opts.MissLatency,
 		ProximityRadius: opts.ProximityRadius,
 		Compression:     opts.Compression,
 	})
@@ -180,7 +159,7 @@ func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
 	if opts.OnDisk != "" {
 		// Persist to the paged format and reopen disk-resident: the in-RAM
 		// trees are dropped with the build-time index.
-		if err := ix.WriteFile(opts.OnDisk); err != nil {
+		if err := store.WriteFileAtomic(opts.OnDisk, ix.WritePaged); err != nil {
 			return nil, err
 		}
 		return OpenIndex(opts.OnDisk, opts)
@@ -204,8 +183,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
 // to use when the index should not have to fit in memory.
 func (ix *Index) WritePaged(w io.Writer) (int64, error) { return ix.ix.WritePaged(w) }
 
-// WriteFile writes the paged on-disk format to path (fsynced).
-func (ix *Index) WriteFile(path string) error { return ix.ix.WriteFile(path) }
+// WriteFile writes the paged on-disk format to path atomically: the image
+// is fsynced under a temp name and renamed into place, so a crash or a
+// failed write leaves whatever was at path before, never a torn file.
+func (ix *Index) WriteFile(path string) error {
+	return store.WriteFileAtomic(path, ix.WritePaged)
+}
 
 // PagedImageInfo reports the section layout and compression ratio of the
 // paged image WritePaged would produce, without writing it. Under
@@ -226,13 +209,7 @@ func LoadIndex(r io.Reader, net *Network, opts BuildOptions) (*Index, error) {
 	if net == nil {
 		return nil, ErrNilNetwork
 	}
-	ix, err := core.Load(r, net.g, core.BuildOptions{
-		Parallelism:   opts.Parallelism,
-		DiskResident:  opts.DiskResident,
-		CacheFraction: opts.CacheFraction,
-		MissLatency:   opts.MissLatency,
-		Compression:   opts.Compression,
-	})
+	ix, err := core.Load(r, net.g, core.BuildOptions{Compression: opts.Compression})
 	if err != nil {
 		return nil, err
 	}
@@ -245,71 +222,8 @@ func (ix *Index) Network() *Network { return ix.net }
 // Stats returns build statistics (vertices, Morton blocks, bytes, times).
 func (ix *Index) Stats() BuildStats { return ix.ix.Stats() }
 
-// Distance returns the exact network distance from u to v by full
-// progressive refinement (at most path-length block lookups).
-//
-// Deprecated: use Engine.Distance for cancellation and error returns.
-func (ix *Index) Distance(u, v VertexID) float64 { return legacyDistance(ix.eng, u, v) }
-
-// DistanceInterval returns the zero-refinement network-distance interval
-// between u and v: a single quadtree lookup, no graph access.
-//
-// Deprecated: use Engine.DistanceInterval.
-func (ix *Index) DistanceInterval(u, v VertexID) Interval { return legacyInterval(ix.eng, u, v) }
-
-// ShortestPath retrieves the exact shortest path from u to v, inclusive of
-// both endpoints, one quadtree lookup per hop.
-//
-// Deprecated: use Engine.ShortestPath for cancellation and error returns.
-func (ix *Index) ShortestPath(u, v VertexID) []VertexID { return legacyPath(ix.eng, u, v) }
-
 // NextHop returns the first vertex after u on the shortest path toward v.
 func (ix *Index) NextHop(u, v VertexID) VertexID { return ix.ix.NextHop(u, v) }
-
-// IsCloser reports whether u is strictly closer to a than to b by network
-// distance, refining both intervals only as far as the comparison requires —
-// the paper's "is Munich closer to Mainz than to Bremen?" primitive.
-// On a proximity-bounded index two out-of-range destinations compare as
-// not-closer (both are beyond the radius).
-//
-// Deprecated: use Engine.IsCloser for cancellation and error returns.
-func (ix *Index) IsCloser(u, a, b VertexID) bool { return legacyIsCloser(ix.eng, u, a, b) }
-
-// The legacy* adapters back the deprecated pre-Engine methods of Index and
-// ShardedIndex: same generic code path as the Engine API, with invalid
-// vertices panicking at this edge (the old surface had no error returns).
-
-func legacyDistance(e *Engine, u, v VertexID) float64 {
-	d, err := e.Distance(context.Background(), u, v)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-func legacyInterval(e *Engine, u, v VertexID) Interval {
-	iv, err := e.DistanceInterval(context.Background(), u, v)
-	if err != nil {
-		panic(err)
-	}
-	return iv
-}
-
-func legacyPath(e *Engine, u, v VertexID) []VertexID {
-	p, err := e.ShortestPath(context.Background(), u, v)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-func legacyIsCloser(e *Engine, u, a, b VertexID) bool {
-	c, err := e.IsCloser(context.Background(), u, a, b)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
 
 // Refiner exposes progressive refinement directly: each Step tightens the
 // distance interval by one hop of the underlying shortest path.
@@ -344,19 +258,16 @@ func (r *Refiner) Via() (VertexID, float64) { return r.r.Via() }
 // cannot improve.
 func (r *Refiner) OutOfRange() bool { return r.r.OutOfRange() }
 
-// IOStats reports buffer-pool traffic accumulated by a DiskResident index
-// (zeros otherwise).
+// IOStats reports the buffer-pool traffic of a disk-backed index (zeros for
+// in-RAM indexes, which have no pool).
 type IOStats struct {
 	PageHits   int64
 	PageMisses int64
-	// ModeledIOTime is PageMisses times the configured miss latency.
-	ModeledIOTime time.Duration
-	// PageReads counts the actual disk reads of a paged (OpenIndex /
-	// OnDisk) store — zero for modeled DiskResident indexes, where misses
-	// are counted but nothing is read.
+	// PageReads counts the actual page reads the paged store performed.
+	// Misses on the network's adjacency pages (INE/IER expansion) are
+	// counted but read nothing: the network is resident.
 	PageReads int64
-	// MeasuredIOTime is the wall-clock time spent in those reads, reported
-	// next to the modeled figure.
+	// MeasuredIOTime is the wall-clock time spent in those reads.
 	MeasuredIOTime time.Duration
 }
 
@@ -365,8 +276,6 @@ type IOStats struct {
 // Result's QueryStats.
 func (ix *Index) IOStats() IOStats { return ix.eng.IOStats() }
 
-// ResetIOStats zeroes the buffer-pool counters — and, on a disk-backed
-// index, the store's actual read counters with them, exactly like
-// Engine.ResetIOStats (the two were previously inconsistent: this shim
-// left the measured read figures running). Cache contents stay warm.
+// ResetIOStats zeroes the buffer-pool counters and the store's read
+// counters, exactly like Engine.ResetIOStats. Cache contents stay warm.
 func (ix *Index) ResetIOStats() { ix.eng.ResetIOStats() }

@@ -11,18 +11,29 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
 	"silc/internal/core"
+	"silc/internal/diskio"
 	"silc/internal/graph"
 	"silc/internal/knn"
+	"silc/internal/store"
 )
 
-// Env is one experiment environment: a network plus its SILC index.
+// Env is one experiment environment: a network plus its SILC index. A
+// disk-resident environment serves the index from a paged image in a temp
+// file behind the paper's 5% LRU pool; Close releases the file.
 type Env struct {
-	G  *graph.Network
+	G *graph.Network
+	// Ix is the index as last opened: memory-resident, or the paged image
+	// behind the pool Cold last started.
 	Ix *core.Index
+
+	image string       // paged image path; "" when memory-resident
+	st    *store.Store // open store behind Ix; nil when memory-resident
+	stats core.BuildStats
 }
 
 // DefaultRows/DefaultCols size the default experiment lattice (~15k vertices
@@ -35,8 +46,13 @@ const (
 	DefaultSeed = 2008 // the paper's year; any seed works
 )
 
+// cacheFraction is the paper's buffer-pool size: 5% of the database pages.
+const cacheFraction = 0.05
+
 // NewEnv builds an environment on a rows x cols lattice. diskResident
-// attaches the paged-storage model with the paper's 5% LRU buffer pool.
+// writes the built index to a temp paged image and reopens it behind the
+// paper's 5% LRU buffer pool, so every page miss the experiments report is
+// a real read.
 //
 // The evaluation network uses mild weight noise (travel cost close to road
 // length, as in the paper's TIGER-derived network): interval tightness — and
@@ -51,19 +67,104 @@ func NewEnv(rows, cols int, seed int64, diskResident bool) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.Build(g, core.BuildOptions{
-		DiskResident:  diskResident,
-		CacheFraction: 0.05,
-	})
+	ix, err := core.Build(g, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return &Env{G: g, Ix: ix}, nil
+	e := &Env{G: g, Ix: ix, stats: ix.Stats()}
+	if !diskResident {
+		return e, nil
+	}
+	f, err := os.CreateTemp("", "silc-bench-*.silcpg")
+	if err != nil {
+		return nil, err
+	}
+	e.image = f.Name()
+	_, err = ix.WritePaged(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		_, err = e.Cold()
+	}
+	if err != nil {
+		os.Remove(e.image)
+		return nil, err
+	}
+	return e, nil
 }
 
-// DefaultEnv builds the standard evaluation environment.
-func DefaultEnv() (*Env, error) {
-	return NewEnv(DefaultRows, DefaultCols, DefaultSeed, true)
+// Cold returns the index one SILC-driven algorithm's query batch runs
+// against, its buffer pool empty: the paged image freshly reopened (the
+// store opened before is closed), so no batch rides pages an earlier one
+// faulted in. A memory-resident environment has no pool; Cold returns its
+// index unchanged.
+func (e *Env) Cold() (core.QueryIndex, error) {
+	if e.image == "" {
+		return e.Ix, nil
+	}
+	if e.st != nil {
+		e.st.Close()
+	}
+	st, err := store.OpenFile(e.image, store.OpenOptions{CacheFraction: cacheFraction})
+	if err != nil {
+		return nil, err
+	}
+	e.st = st
+	e.Ix = core.NewPagedIndex(core.PagedConfig{
+		Graph: e.G, Source: st, Tracker: st.Tracker(),
+		Radius: st.Radius(), Lenient: st.Lenient(), Compression: st.Compression(),
+		Stats: e.stats,
+	})
+	return e.Ix, nil
+}
+
+// ColdNetwork is Cold for the graph-expansion baselines. INE and IER carry
+// no SILC store, so their pool is the cache fraction of the network's
+// adjacency pages alone — sizing it by someone else's index would hand them
+// an effectively unbounded cache.
+func (e *Env) ColdNetwork() (core.QueryIndex, error) {
+	if ix, err := e.Cold(); err != nil || e.image == "" {
+		return ix, err
+	}
+	degrees := make([]int, e.G.NumVertices())
+	for v := range degrees {
+		degrees[v] = e.G.Degree(graph.VertexID(v))
+	}
+	pages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
+	pool := diskio.NewPool(int(float64(pages)*cacheFraction), diskio.DefaultPoolShards)
+	return networkDB{Index: e.Ix, tracker: diskio.NewStoreTracker(0, degrees, pool)}, nil
+}
+
+// networkDB is the database INE and IER run against: the environment's
+// network behind a pool of its own. The baselines expand the graph and never
+// reach the embedded index's block store.
+type networkDB struct {
+	*core.Index
+	tracker *diskio.Tracker
+}
+
+func (d networkDB) Tracker() *diskio.Tracker { return d.tracker }
+
+// ReadStats returns the real read counters of the store Cold last opened
+// (zero for a memory-resident environment).
+func (e *Env) ReadStats() store.ReadStats {
+	if e.st == nil {
+		return store.ReadStats{}
+	}
+	return e.st.ReadStats()
+}
+
+// Close releases the paged image of a disk-resident environment.
+func (e *Env) Close() error {
+	if e.image == "" {
+		return nil
+	}
+	err := e.st.Close()
+	if rerr := os.Remove(e.image); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // ObjectSet draws round(fraction*N) distinct random vertices as S (the
@@ -154,10 +255,12 @@ type Agg struct {
 	Algorithm string
 	Queries   int
 
-	TotalTime time.Duration // CPU + modeled I/O
-	CPUTime   time.Duration
-	IOTime    time.Duration
-	PQTime    time.Duration
+	CPUTime time.Duration
+	PQTime  time.Duration
+	// ReadTime is the measured wall-clock time inside the store's page
+	// reads. The pool's counters are per query; the store's clock is not,
+	// so this is the batch total divided by the query count.
+	ReadTime time.Duration
 
 	MaxQueue    float64
 	Refinements float64
@@ -166,22 +269,21 @@ type Agg struct {
 	LOps        float64
 	Settled     float64
 	IOAccesses  float64
-	IOMisses    float64
+	IOMisses    float64 // pool misses, adjacency pages included
+	IOReads     float64 // real page reads
 
 	// Estimate-quality ratios, averaged over queries where defined.
 	D0kOverDk      float64
 	KMinDistOverDk float64
 	ratioCount     int
 
-	sumTotal, sumCPU, sumIO, sumPQ time.Duration
+	sumCPU, sumPQ time.Duration
 }
 
 func (a *Agg) add(s knn.Stats) {
 	a.Queries++
 	a.sumCPU += s.CPU
-	a.sumIO += s.IOTime
 	a.sumPQ += s.PQTime
-	a.sumTotal += s.CPU + s.IOTime
 	a.MaxQueue += float64(s.MaxQueue)
 	a.Refinements += float64(s.Refinements)
 	a.Lookups += float64(s.Lookups)
@@ -190,6 +292,7 @@ func (a *Agg) add(s knn.Stats) {
 	a.Settled += float64(s.Settled)
 	a.IOAccesses += float64(s.IO.Accesses())
 	a.IOMisses += float64(s.IO.Misses)
+	a.IOReads += float64(s.IO.Reads)
 	if s.D0k > 0 && s.DkFinal > 0 {
 		a.D0kOverDk += s.D0k / s.DkFinal
 		a.KMinDistOverDk += s.KMinDist0 / s.DkFinal
@@ -197,15 +300,16 @@ func (a *Agg) add(s knn.Stats) {
 	}
 }
 
-func (a *Agg) finish() {
+// finish turns the sums into per-query means; readTime is the store's
+// measured read time over the whole batch.
+func (a *Agg) finish(readTime time.Duration) {
 	q := float64(a.Queries)
 	if a.Queries == 0 {
 		return
 	}
-	a.TotalTime = a.sumTotal / time.Duration(a.Queries)
 	a.CPUTime = a.sumCPU / time.Duration(a.Queries)
-	a.IOTime = a.sumIO / time.Duration(a.Queries)
 	a.PQTime = a.sumPQ / time.Duration(a.Queries)
+	a.ReadTime = readTime / time.Duration(a.Queries)
 	a.MaxQueue /= q
 	a.Refinements /= q
 	a.Lookups /= q
@@ -214,6 +318,7 @@ func (a *Agg) finish() {
 	a.Settled /= q
 	a.IOAccesses /= q
 	a.IOMisses /= q
+	a.IOReads /= q
 	if a.ratioCount > 0 {
 		a.D0kOverDk /= float64(a.ratioCount)
 		a.KMinDistOverDk /= float64(a.ratioCount)
@@ -257,10 +362,10 @@ type SweepPoint struct {
 // ("each query run on at least 50 random input datasets of same size").
 //
 // Every algorithm replays the identical workload, and each algorithm's batch
-// starts from a cold buffer pool and warms its own cache across the batch —
-// running the algorithms interleaved on one pool would let later algorithms
-// ride the pages the first one faulted in.
-func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed int64) []SweepPoint {
+// starts from a cold store (Cold, ColdNetwork) and warms its own cache
+// across the batch — running the algorithms interleaved on one pool would
+// let later algorithms ride the pages the first one faulted in.
+func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed int64) ([]SweepPoint, error) {
 	rng := rand.New(rand.NewSource(seed))
 	points := make([]SweepPoint, 0, len(specs))
 	for _, spec := range specs {
@@ -276,16 +381,26 @@ func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed i
 		for _, a := range algos {
 			agg := &Agg{Algorithm: a.Name}
 			pt.Per[a.Name] = agg
-			e.Ix.Tracker().SetScope(a.Baseline)
+			open := e.Cold
+			if a.Baseline {
+				open = e.ColdNetwork
+			}
+			ix, err := open()
+			if err != nil {
+				return nil, err
+			}
 			for _, w := range queries {
-				res := a.Run(e.Ix, w.objs, w.q, spec.K)
+				res := a.Run(ix, w.objs, w.q, spec.K)
+				if res.Err != nil {
+					return nil, fmt.Errorf("bench: %s query at vertex %d: %w", a.Name, w.q, res.Err)
+				}
 				agg.add(res.Stats)
 			}
-			agg.finish()
+			agg.finish(e.ReadStats().Time)
 		}
 		points = append(points, pt)
 	}
-	return points
+	return points, nil
 }
 
 // FitLogLogSlope fits a least-squares line to (log x, log y) and returns its

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"silc/internal/core"
+	"silc/internal/graph"
 )
 
 func smallEnv(t *testing.T) *Env {
@@ -14,7 +17,21 @@ func smallEnv(t *testing.T) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := env.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return env
+}
+
+func sweep(t *testing.T, env *Env, specs []SweepSpec, queriesPer int, algos []Algorithm, seed int64) []SweepPoint {
+	t.Helper()
+	points, err := env.Sweep(specs, queriesPer, algos, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points
 }
 
 func TestObjectSetSizes(t *testing.T) {
@@ -39,7 +56,7 @@ func TestObjectSetSizes(t *testing.T) {
 func TestSweepProducesAllAlgorithms(t *testing.T) {
 	env := smallEnv(t)
 	specs := []SweepSpec{{Label: "test", Fraction: 0.1, K: 3}}
-	points := env.Sweep(specs, 3, Algorithms(), 42)
+	points := sweep(t, env, specs, 3, Algorithms(), 42)
 	if len(points) != 1 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -52,23 +69,88 @@ func TestSweepProducesAllAlgorithms(t *testing.T) {
 		if agg.Queries != 3 {
 			t.Fatalf("%s: queries = %d", name, agg.Queries)
 		}
-		if agg.TotalTime <= 0 {
+		if agg.CPUTime <= 0 {
 			t.Fatalf("%s: no time recorded", name)
 		}
+	}
+}
+
+// TestSweepPagesARealStore pins what the figures now stand on: the SILC
+// variants' misses are real reads of the paged image, the baselines page
+// only the network (counted, nothing to read), and the paper's ordering
+// holds in page misses per query — every SILC variant below INE, INE below
+// IER.
+func TestSweepPagesARealStore(t *testing.T) {
+	env, err := NewEnv(32, 32, DefaultSeed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	pt := sweep(t, env, []SweepSpec{{Label: "k=10", Fraction: 0.07, K: 10}}, 10, Algorithms(), DefaultSeed+3)[0]
+	ine, ier := pt.Per["INE"], pt.Per["IER"]
+	if ine.IOReads != 0 || ier.IOReads != 0 {
+		t.Fatalf("baselines read block pages: INE %v IER %v", ine.IOReads, ier.IOReads)
+	}
+	if !(ine.IOMisses > 0 && ine.IOMisses < ier.IOMisses) {
+		t.Fatalf("misses/query: INE %v should be positive and below IER %v", ine.IOMisses, ier.IOMisses)
+	}
+	for _, a := range SILCVariants() {
+		agg := pt.Per[a.Name]
+		if agg.IOReads <= 0 || agg.IOReads != agg.IOMisses || agg.ReadTime <= 0 {
+			t.Fatalf("%s: %v reads, %v misses, read time %v — want every miss a timed real read",
+				a.Name, agg.IOReads, agg.IOMisses, agg.ReadTime)
+		}
+		if agg.IOMisses >= ine.IOMisses {
+			t.Fatalf("%s: %v misses/query, not below INE's %v", a.Name, agg.IOMisses, ine.IOMisses)
+		}
+	}
+}
+
+// TestColdStartsAndNetworkPool: every Cold/ColdNetwork hands back an empty
+// pool, and the baselines' pool is sized by the network's adjacency pages
+// alone — not by the SILC store they never read.
+func TestColdStartsAndNetworkPool(t *testing.T) {
+	env := smallEnv(t)
+	silc, err := env.Cold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.ExactDistance(silc, core.NewQueryContext(), 0, graph.VertexID(env.G.NumVertices()-1))
+	if silc.Tracker().Stats().Misses == 0 {
+		t.Fatal("a query on a cold store must miss")
+	}
+	again, err := env.Cold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := again.Tracker().Stats(); s.Accesses() != 0 || again.Tracker().Pool().Len() != 0 {
+		t.Fatalf("Cold must start cold: %+v, %d pages resident", s, again.Tracker().Pool().Len())
+	}
+	net, err := env.ColdNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adjPages := net.Tracker().TotalPages() // no block pages below the adjacency space
+	if got, want := net.Tracker().Pool().Capacity(), max(int(float64(adjPages)*0.05), 1); got != want {
+		t.Fatalf("network-only pool holds %d pages, want 5%% of %d adjacency pages = %d", got, adjPages, want)
+	}
+	if adjPages >= again.Tracker().TotalPages() {
+		t.Fatalf("network database (%d pages) should be smaller than the SILC one (%d)", adjPages, again.Tracker().TotalPages())
 	}
 }
 
 func TestSweepDeterministicWorkload(t *testing.T) {
 	env := smallEnv(t)
 	specs := []SweepSpec{{Label: "d", Fraction: 0.1, K: 4}}
-	a := env.Sweep(specs, 4, SILCVariants(), 11)
-	b := env.Sweep(specs, 4, SILCVariants(), 11)
-	// Counting stats must be identical for identical seeds (times differ).
+	a := sweep(t, env, specs, 4, SILCVariants(), 11)
+	b := sweep(t, env, specs, 4, SILCVariants(), 11)
+	// Counting stats — the cold store's page traffic included — must be
+	// identical for identical seeds (times differ).
 	for name, agg := range a[0].Per {
 		other := b[0].Per[name]
-		if agg.Refinements != other.Refinements || agg.MaxQueue != other.MaxQueue {
-			t.Fatalf("%s: sweep not deterministic: %v/%v vs %v/%v",
-				name, agg.Refinements, agg.MaxQueue, other.Refinements, other.MaxQueue)
+		if agg.Refinements != other.Refinements || agg.MaxQueue != other.MaxQueue ||
+			agg.IOMisses != other.IOMisses || agg.IOReads != other.IOReads {
+			t.Fatalf("%s: sweep not deterministic: %+v vs %+v", name, agg, other)
 		}
 	}
 }
@@ -161,7 +243,7 @@ func TestStorageModelsTable(t *testing.T) {
 
 func TestRenderersProduceTables(t *testing.T) {
 	env := smallEnv(t)
-	points := env.Sweep([]SweepSpec{{Label: "|S|=0.1N", Fraction: 0.1, K: 3}}, 2, Algorithms(), 13)
+	points := sweep(t, env, []SweepSpec{{Label: "|S|=0.1N", Fraction: 0.1, K: 3}}, 2, Algorithms(), 13)
 	var buf bytes.Buffer
 	RenderF3(&buf, "vary |S|", points)
 	RenderF4(&buf, "vary |S|", points)
@@ -184,7 +266,7 @@ func TestRenderersProduceTables(t *testing.T) {
 	RenderModels(&buf, mrows)
 
 	out := buf.String()
-	for _, want := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8a", "T1", "KNN-M", "INE", "slope"} {
+	for _, want := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "T1", "page misses", "read time", "KNN-M", "INE", "slope"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
 		}

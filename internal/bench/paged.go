@@ -13,10 +13,9 @@ import (
 	"silc/internal/store"
 )
 
-// PagedIOResult compares the modeled disk-resident configuration (in-RAM
-// index, paging simulated over a block layout) with the real paged store
-// (quadtrees on disk, pool misses are actual reads) on the same network and
-// query mix — finally putting a measured I/O time next to the modeled one.
+// PagedIOResult is the I/O accounting of one exact-distance workload served
+// from a real paged store file (quadtrees on disk, pool misses are actual
+// reads).
 type PagedIOResult struct {
 	Lattice  int     `json:"lattice"`
 	Vertices int     `json:"vertices"`
@@ -27,22 +26,17 @@ type PagedIOResult struct {
 	BlockPages int64 `json:"block_pages"`
 	PoolPages  int   `json:"pool_pages"`
 
-	ModeledHits   int64         `json:"modeled_hits"`
-	ModeledMisses int64         `json:"modeled_misses"`
-	ModeledIOTime time.Duration `json:"modeled_io_time_ns"`
-
 	PagedHits     int64         `json:"paged_hits"`
 	PagedMisses   int64         `json:"paged_misses"`
-	PagedModelIO  time.Duration `json:"paged_modeled_io_time_ns"`
 	ActualReads   int64         `json:"actual_reads"`
 	ActualBytes   int64         `json:"actual_read_bytes"`
 	MeasuredIO    time.Duration `json:"measured_io_time_ns"`
 	ResidentPages int           `json:"resident_pages"`
 }
 
-// PagedIO builds one index, serves the same random exact-distance workload
-// from (a) the modeled disk-resident index and (b) a real paged store file,
-// and reports both I/O accountings.
+// PagedIO builds one index, writes it as a paged store file, serves a
+// random exact-distance workload from it, and reports the pool's counters
+// next to the store's real reads.
 func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*PagedIOResult, error) {
 	if cacheFraction <= 0 {
 		cacheFraction = 0.05
@@ -51,10 +45,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.Build(g, core.BuildOptions{
-		DiskResident:  true,
-		CacheFraction: cacheFraction,
-	})
+	ix, err := core.Build(g, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -65,16 +56,11 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 	}
 	path := f.Name()
 	defer os.Remove(path)
-	if _, err := ix.WritePaged(f); err != nil {
-		f.Close()
-		return nil, err
+	fileBytes, err := ix.WritePaged(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	fileBytes, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
 		return nil, err
 	}
 	st, err := store.OpenFile(path, store.OpenOptions{CacheFraction: cacheFraction})
@@ -89,27 +75,16 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(seed * 7919))
-	pairs := make([][2]graph.VertexID, queries)
-	for i := range pairs {
-		pairs[i] = [2]graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))}
-	}
-
-	run := func(target core.QueryIndex) diskio.Stats {
-		var total diskio.Stats
-		for _, p := range pairs {
-			qc := core.NewQueryContext()
-			core.ExactDistance(target, qc, p[0], p[1])
-			if err := qc.Err(); err != nil {
-				panic(fmt.Sprintf("bench: paged query failed: %v", err))
-			}
-			total.Add(qc.IO)
+	var paged diskio.Stats
+	for i := 0; i < queries; i++ {
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		qc := core.NewQueryContext()
+		core.ExactDistance(px, qc, u, v)
+		if err := qc.Err(); err != nil {
+			return nil, fmt.Errorf("bench: paged query failed: %w", err)
 		}
-		return total
+		paged.Add(qc.IO)
 	}
-
-	ix.Tracker().ClearCache()
-	modeled := run(ix)
-	paged := run(px)
 
 	return &PagedIOResult{
 		Lattice:       rows,
@@ -119,12 +94,8 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		FileBytes:     fileBytes,
 		BlockPages:    st.BlockPages(),
 		PoolPages:     st.Tracker().Pool().Capacity(),
-		ModeledHits:   modeled.Hits,
-		ModeledMisses: modeled.Misses,
-		ModeledIOTime: modeled.ModeledIOTime(ix.Tracker().MissLatency()),
 		PagedHits:     paged.Hits,
 		PagedMisses:   paged.Misses,
-		PagedModelIO:  paged.ModeledIOTime(st.Tracker().MissLatency()),
 		ActualReads:   st.ReadStats().Reads,
 		ActualBytes:   st.ReadStats().Bytes,
 		MeasuredIO:    st.ReadStats().Time,
@@ -132,16 +103,13 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 	}, nil
 }
 
-// RenderPagedIO prints the modeled-vs-measured comparison.
+// RenderPagedIO prints the paged store's I/O accounting.
 func RenderPagedIO(w io.Writer, r *PagedIOResult) {
-	fmt.Fprintf(w, "PG — real paged store vs modeled disk residency (%d queries, %dx%d, cache %.0f%%)\n",
+	fmt.Fprintf(w, "PG — real paged store (%d exact-distance queries, %dx%d, cache %.0f%%)\n",
 		r.Queries, r.Lattice, r.Lattice, r.CacheFr*100)
 	fmt.Fprintf(w, "  paged file:     %.2f MiB, %d block pages, pool %d pages\n",
 		float64(r.FileBytes)/(1<<20), r.BlockPages, r.PoolPages)
-	fmt.Fprintf(w, "  modeled index:  %d hits, %d misses, modeled I/O %v\n",
-		r.ModeledHits, r.ModeledMisses, r.ModeledIOTime.Round(time.Microsecond))
-	fmt.Fprintf(w, "  paged store:    %d hits, %d misses, modeled I/O %v\n",
-		r.PagedHits, r.PagedMisses, r.PagedModelIO.Round(time.Microsecond))
+	fmt.Fprintf(w, "  pool traffic:   %d hits, %d misses\n", r.PagedHits, r.PagedMisses)
 	fmt.Fprintf(w, "  actual reads:   %d (%.2f MiB), measured I/O %v, %d pages resident\n\n",
 		r.ActualReads, float64(r.ActualBytes)/(1<<20), r.MeasuredIO.Round(time.Microsecond), r.ResidentPages)
 }

@@ -87,11 +87,19 @@ func CompareSharded(rows, cols, partitions, queries int, seed int64) (*ShardedCo
 
 	env := &Env{G: g, Ix: mono}
 	w := env.NewThroughputWorkload(queries, 0.05, 10, seed+1)
-	if pts := ThroughputSweep(mono, w, []int{cmp.Workers}); len(pts) > 0 {
-		cmp.MonoQPS = pts[0].QPS
+	// Both indexes are memory-resident: there is no pool to start cold.
+	qps := func(ix core.QueryIndex) (float64, error) {
+		pts, err := ThroughputSweep(func() (core.QueryIndex, error) { return ix, nil }, w, []int{cmp.Workers})
+		if err != nil {
+			return 0, err
+		}
+		return pts[0].QPS, nil
 	}
-	if pts := ThroughputSweep(shard, w, []int{cmp.Workers}); len(pts) > 0 {
-		cmp.ShardQPS = pts[0].QPS
+	if cmp.MonoQPS, err = qps(mono); err != nil {
+		return nil, err
+	}
+	if cmp.ShardQPS, err = qps(shard); err != nil {
+		return nil, err
 	}
 	return cmp, nil
 }

@@ -55,17 +55,21 @@ func (e *Env) NewThroughputWorkload(n int, fraction float64, k int, seed int64) 
 
 // ThroughputSweep replays the workload once per goroutine count and reports
 // QPS at each — the query-throughput scaling curve. Every run answers the
-// identical queries with the paper's kNN algorithm over one shared index;
-// for disk-resident indexes each run starts from a cold buffer pool so
-// later runs don't ride pages faulted in by earlier ones.
-func ThroughputSweep(ix core.QueryIndex, w ThroughputWorkload, goroutines []int) []ThroughputPoint {
+// identical queries with the paper's kNN algorithm over the one shared index
+// cold returns. Pass Env.Cold: a disk-resident environment then reopens its
+// store before every run, so later runs don't ride pages faulted in by
+// earlier ones.
+func ThroughputSweep(cold func() (core.QueryIndex, error), w ThroughputWorkload, goroutines []int) ([]ThroughputPoint, error) {
 	points := make([]ThroughputPoint, 0, len(goroutines))
 	var baseQPS float64
 	for _, gc := range goroutines {
 		if gc < 1 {
 			gc = 1
 		}
-		ix.Tracker().ClearCache()
+		ix, err := cold()
+		if err != nil {
+			return nil, err
+		}
 		start := time.Now()
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -103,7 +107,7 @@ func ThroughputSweep(ix core.QueryIndex, w ThroughputWorkload, goroutines []int)
 		pt.PageHits, pt.PageMisses = io.Hits, io.Misses
 		points = append(points, pt)
 	}
-	return points
+	return points, nil
 }
 
 // ThroughputTable renders a sweep as a plain-text table.

@@ -9,7 +9,10 @@ import (
 func TestThroughputSweepReplaysWholeWorkload(t *testing.T) {
 	env := smallEnv(t)
 	w := env.NewThroughputWorkload(40, 0.2, 3, 5)
-	points := ThroughputSweep(env.Ix, w, []int{1, 2})
+	points, err := ThroughputSweep(env.Cold, w, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -48,11 +51,15 @@ func TestThroughputScalesWithGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer env.Close()
 	w := env.NewThroughputWorkload(600, 0.05, 10, 9)
 	// Best of two sweeps guards against scheduler noise on loaded CI boxes.
 	best := 0.0
 	for try := 0; try < 2; try++ {
-		points := ThroughputSweep(env.Ix, w, []int{1, 4})
+		points, err := ThroughputSweep(env.Cold, w, []int{1, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s := points[1].Speedup; s > best {
 			best = s
 		}

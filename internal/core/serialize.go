@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"silc/internal/geom"
 	"silc/internal/graph"
@@ -98,25 +97,6 @@ func (ix *Index) PlanPaged() (*store.ImagePlan, error) {
 		return nil, treeErr
 	}
 	return p, err
-}
-
-// WriteFile writes the paged on-disk format to path — the one-call "make
-// this index disk-resident" step. The file is fsynced before close so a
-// crash cannot leave a torn image behind a successful return.
-func (ix *Index) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := ix.WritePaged(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WriteTo serializes the index. It returns an error if any vertex has an
@@ -295,13 +275,6 @@ func Load(r io.Reader, g *graph.Network, opts BuildOptions) (*Index, error) {
 				return nil, fmt.Errorf("core: loaded index does not cover vertex %d from vertex 0", w)
 			}
 		}
-	}
-	if opts.DiskResident {
-		fraction := opts.CacheFraction
-		if fraction <= 0 {
-			fraction = 0.05
-		}
-		ix.attachTracker(fraction, opts.MissLatency)
 	}
 	return ix, nil
 }

@@ -42,26 +42,6 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadDiskResident(t *testing.T) {
-	g := roadNet(t, 7, 7, 42)
-	ix := buildIndex(t, g)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()), g, BuildOptions{DiskResident: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Tracker() == nil {
-		t.Fatal("tracker missing after disk-resident load")
-	}
-	back.Distance(0, graph.VertexID(g.NumVertices()-1))
-	if back.Tracker().Stats().Accesses() == 0 {
-		t.Fatal("no IO recorded")
-	}
-}
-
 func TestLoadRejectsCorruption(t *testing.T) {
 	g := roadNet(t, 7, 7, 44)
 	ix := buildIndex(t, g)

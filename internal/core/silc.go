@@ -60,15 +60,6 @@ type BuildOptions struct {
 	// Parallelism is the number of concurrent build workers; 0 means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// DiskResident attaches a paged-storage tracker so queries report
-	// buffer-pool traffic and modeled I/O time.
-	DiskResident bool
-	// CacheFraction sizes the LRU pool as a fraction of total pages.
-	// Default 0.05, the paper's setting. Only used when DiskResident.
-	CacheFraction float64
-	// MissLatency is the modeled cost per page miss; default
-	// diskio.DefaultMissLatency (200µs, a buffered 4KiB read).
-	MissLatency time.Duration
 	// ProximityRadius, when positive, bounds each shortest-path quadtree to
 	// the vertices within that network distance of its source — the paper's
 	// location-based-services approximation ("shortest-path quadtree on
@@ -116,7 +107,7 @@ func (s BuildStats) BlocksPerVertex() float64 {
 // the buffer-pool traffic counter, the cancellation signal, and whatever
 // else a query accumulates. Each context is owned by exactly one goroutine;
 // the index itself stays read-only on the query path, which is what makes
-// every Index — including DiskResident ones — safe for unlimited concurrent
+// every Index — including disk-backed ones — safe for unlimited concurrent
 // readers. A nil *QueryContext is valid everywhere and means "untracked,
 // uncancellable": the shared pool is still charged, but no per-query
 // attribution happens.
@@ -249,9 +240,9 @@ func (qc *QueryContext) Err() error {
 }
 
 // Fail records a storage-level failure (the first one wins). Queries that
-// run without a context — the deprecated pre-Engine surface — have no error
-// channel, so a nil receiver panics with the error instead of silently
-// returning wrong answers from a corrupt store.
+// run without a context have no error channel, so a nil receiver panics
+// with the error instead of silently returning wrong answers from a corrupt
+// store.
 func (qc *QueryContext) Fail(err error) {
 	if qc == nil {
 		panic(err)
@@ -295,14 +286,11 @@ type Index struct {
 	// per-lookup header load walks one contiguous array instead of chasing
 	// a pointer per tree
 	src     TreeSource
-	tracker *diskio.Tracker
-	// ownerBase offsets this index's vertex ids inside a shared tracker's
-	// block layout (see AttachSharedTracker); 0 for a private tracker.
-	ownerBase int
-	radius    float64 // 0 = unbounded
-	lenient   bool    // AllowUnreachable: misses mean unreachable, not corrupt
-	comp      store.Compression
-	stats     BuildStats
+	tracker *diskio.Tracker // the paged store's; nil when memory-resident
+	radius  float64         // 0 = unbounded
+	lenient bool            // AllowUnreachable: misses mean unreachable, not corrupt
+	comp    store.Compression
+	stats   BuildStats
 }
 
 // PagedConfig assembles a disk-backed Index from an opened paged store.
@@ -320,8 +308,8 @@ type PagedConfig struct {
 
 // NewPagedIndex returns an Index whose quadtrees live on disk behind cfg's
 // TreeSource. It answers exactly the same query surface as a built index;
-// storage failures surface through QueryContext.Err (or panic on the
-// context-free deprecated surface).
+// storage failures surface through QueryContext.Err (or panic on
+// context-free calls).
 func NewPagedIndex(cfg PagedConfig) *Index {
 	return &Index{
 		g:       cfg.Graph,
@@ -444,37 +432,7 @@ func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
 		}
 	}
 	ix.stats.TotalBytes = ix.stats.TotalBlocks * quadtree.EncodedSizeBytes
-
-	if opts.DiskResident {
-		fraction := opts.CacheFraction
-		if fraction <= 0 {
-			fraction = 0.05
-		}
-		ix.attachTracker(fraction, opts.MissLatency)
-	}
 	return ix, nil
-}
-
-func (ix *Index) attachTracker(fraction float64, latency time.Duration) {
-	n := ix.g.NumVertices()
-	blockCounts := make([]int, n)
-	degrees := make([]int, n)
-	for v := 0; v < n; v++ {
-		blockCounts[v] = ix.trees[v].NumBlocks()
-		degrees[v] = ix.g.Degree(graph.VertexID(v))
-	}
-	ix.tracker = diskio.NewTracker(blockCounts, degrees, fraction, latency)
-}
-
-// AttachSharedTracker binds the index to an externally built paged-storage
-// tracker whose block layout spans several indexes (the partition subsystem
-// keeps one global buffer pool across all cell indexes so the paper's 5%
-// cache fraction stays a property of the whole database). ownerBase is this
-// index's first owner slot in the shared block layout: local vertex v's
-// blocks live at owner ownerBase+v.
-func (ix *Index) AttachSharedTracker(t *diskio.Tracker, ownerBase int) {
-	ix.tracker = t
-	ix.ownerBase = ownerBase
 }
 
 // Network returns the indexed network.
@@ -501,10 +459,10 @@ func (ix *Index) BlockCount(v graph.VertexID) int {
 	return ix.trees[v].NumBlocks()
 }
 
-// lookup finds the block of tree[u] containing dst's cell and charges the
-// page access to qc's counter (untracked when qc is nil). A false return
-// with qc.Failed() set means the paged store failed, not that dst is
-// uncovered.
+// lookup finds the block of tree[u] containing dst's cell; a paged source
+// charges the page traffic to qc's counter (untracked when qc is nil). A
+// false return with qc.Failed() set means the paged store failed, not that
+// dst is uncovered.
 func (ix *Index) lookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.Block, bool) {
 	t, ok := ix.treeOf(qc, u)
 	if !ok {
@@ -513,11 +471,6 @@ func (ix *Index) lookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.Block
 	i, ok := t.FindIndex(ix.g.Code(dst))
 	if !ok {
 		return quadtree.Block{}, false
-	}
-	if ix.src == nil {
-		// The paged source already charged its real page traffic; only the
-		// modeled layout charges per-block here.
-		ix.tracker.TouchBlock(ix.ownerBase+int(u), i, qc.ioCounter())
 	}
 	return t.Blocks[i], true
 }

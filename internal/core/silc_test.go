@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/sssp"
+	"silc/internal/store"
 )
 
 func buildIndex(t testing.TB, g *graph.Network) *Index {
@@ -294,27 +296,43 @@ func TestRegionLowerBoundValidAgainstDijkstra(t *testing.T) {
 	}
 }
 
-func TestDiskResidentTracksIO(t *testing.T) {
-	g := roadNet(t, 8, 8, 14)
-	ix, err := Build(g, BuildOptions{DiskResident: true, CacheFraction: 0.05})
+// pagedIndex reopens ix demand-paged from its paged image, behind a pool of
+// the given fraction of its pages.
+func pagedIndex(t *testing.T, ix *Index, fraction float64) *Index {
+	t.Helper()
+	var img bytes.Buffer
+	if _, err := ix.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(bytes.NewReader(img.Bytes()), int64(img.Len()), store.OpenOptions{CacheFraction: fraction})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewPagedIndex(PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
+}
+
+func TestPagedIndexTracksIO(t *testing.T) {
+	g := roadNet(t, 8, 8, 14)
+	mem := buildIndex(t, g)
+	ix := pagedIndex(t, mem, 0.05)
 	tr := ix.Tracker()
 	if tr == nil {
 		t.Fatal("tracker missing")
 	}
+	// The pool is the cache fraction of the whole database: block pages
+	// plus the network's adjacency pages.
+	if got, want := tr.Pool().Capacity(), max(int(float64(tr.TotalPages())*0.05), 1); got != want {
+		t.Fatalf("pool capacity %d, want 5%% of %d pages = %d", got, tr.TotalPages(), want)
+	}
 	before := tr.Stats().Accesses()
-	ix.Distance(0, graph.VertexID(g.NumVertices()-1))
+	if got, want := ix.Distance(0, graph.VertexID(g.NumVertices()-1)), mem.Distance(0, graph.VertexID(g.NumVertices()-1)); got != want {
+		t.Fatalf("paged distance %v, in-RAM %v", got, want)
+	}
 	after := tr.Stats().Accesses()
 	if after <= before {
 		t.Fatal("Distance produced no page accesses")
 	}
-	if tr.ModeledIOTime() < 0 {
-		t.Fatal("negative modeled IO time")
-	}
 	// In-memory index must have no tracker.
-	mem := buildIndex(t, g)
 	if mem.Tracker() != nil {
 		t.Fatal("in-memory index should have nil tracker")
 	}

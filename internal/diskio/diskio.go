@@ -1,9 +1,9 @@
-// Package diskio models the disk-resident setting of the paper's evaluation:
-// the SILC quadtrees and the network adjacency lists live in fixed-size
-// pages behind an LRU buffer pool sized to a fraction of the total page
-// count (the paper uses 5%). Algorithms report page hits/misses and a
-// modeled I/O time (misses x per-miss latency), reproducing the paper's
-// "I/O time dominates" analysis without a physical disk.
+// Package diskio is the buffer pool of the disk-resident setting of the
+// paper's evaluation: the SILC quadtrees and the network adjacency lists
+// live in fixed-size pages behind an LRU pool sized to a fraction of the
+// total page count (the paper uses 5%). The paged store (internal/store)
+// turns every block-page miss into a real read; algorithms report the page
+// hits and misses they caused.
 //
 // The buffer pool is sharded: page ids hash onto N independently
 // mutex-guarded LRU shards, so unlimited concurrent queries can share one
@@ -15,24 +15,15 @@ package diskio
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // PageID identifies one page across all paged structures of an index.
 type PageID int64
 
-// DefaultPageSize is the modeled page size in bytes.
+// DefaultPageSize is the page size in bytes.
 const DefaultPageSize = 4096
 
-// DefaultMissLatency is the modeled cost of one page miss. The paper's
-// absolute timings imply buffered reads through the OS page cache rather
-// than raw seeks (its 1GB evaluation machine held the working set), so the
-// default models a buffered 4KiB read, which reproduces the paper's
-// magnitudes; raise it toward 5ms to model a cold spinning disk.
-const DefaultMissLatency = 200 * time.Microsecond
-
-// AdjacencyEntrySize is the modeled on-disk size of one directed edge in a
+// AdjacencyEntrySize is the on-disk size of one directed edge in a
 // network database: target, weight, and the road-segment record (name,
 // geometry) that real road databases carry alongside connectivity.
 const AdjacencyEntrySize = 48
@@ -51,7 +42,7 @@ type Stats struct {
 	// page, so per-query sums reproduce pool aggregates.
 	Evictions int64
 	// Reads counts real positioned page reads a paged store performed
-	// (zero on modeled pools, where a miss only costs modeled latency).
+	// (adjacency-page misses are counted but read nothing).
 	Reads int64
 	// BlocksDecoded counts quadtree blocks decoded on cold tree
 	// materializations (zero on in-RAM indexes).
@@ -70,11 +61,6 @@ func (s *Stats) Add(o Stats) {
 	s.BlocksDecoded += o.BlocksDecoded
 }
 
-// ModeledIOTime converts the miss count into modeled elapsed I/O time.
-func (s Stats) ModeledIOTime(missLatency time.Duration) time.Duration {
-	return time.Duration(s.Misses) * missLatency
-}
-
 // Cache is a single LRU page list — the building block of one Pool shard.
 // The zero value is unusable; create with NewCache. Not safe for concurrent
 // use on its own: Pool guards each Cache with its shard mutex.
@@ -82,7 +68,7 @@ func (s Stats) ModeledIOTime(missLatency time.Duration) time.Duration {
 // Two representations back the same LRU semantics, picked by capacity. At or
 // below smallCacheMax, pages live in one array kept in MRU order: lookup is
 // a linear scan and move-to-front a short copy, all within a cache line or
-// two — the common shape for modeled pools, whose 5% capacity shards into a
+// two — the common shape for small images, whose 5% capacity shards into a
 // handful of pages each. Above it, the page -> slot map is an open-addressed
 // table (Fibonacci hashing, linear probing, backward-shift deletion) over a
 // doubly-linked slot list — a couple of flat array probes with no Go-map
@@ -203,15 +189,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // ResetStats zeroes the counters without evicting pages.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Clear evicts everything and zeroes the counters.
-func (c *Cache) Clear() {
-	for i := range c.table {
-		c.table[i] = -1
-	}
-	c.head, c.tail, c.used = -1, -1, 0
-	c.stats = Stats{}
-}
 
 // touchSmall is TouchEvict for the MRU-array representation.
 func (c *Cache) touchSmall(p PageID) (hit bool, evicted PageID, hasEvict bool) {
@@ -476,29 +453,14 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// Clear evicts every page and zeroes the counters.
-func (p *Pool) Clear() {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		s.lru.Clear()
-		s.mu.Unlock()
-	}
-	p.ResetStats()
-}
-
 // Layout maps (owner, entry) coordinates onto a dense page range: owner v's
 // entries start at a prefix-sum base and pack entriesPerPage to a page.
-// It describes how per-vertex SILC block arrays (or adjacency lists) are
+// It describes how per-vertex SILC block runs (or adjacency lists) are
 // serialized onto disk.
 type Layout struct {
 	base           []int64  // per-owner first entry index; len = owners+1
 	firstPage      []PageID // per-owner page of entry 0, precomputed; len = owners
 	entriesPerPage int
-	// pageShift is log2(entriesPerPage) when it is a power of two, else -1.
-	// Entry -> page is then a shift instead of a 64-bit division — the
-	// mapping sits on the per-lookup hot path of every tracked algorithm.
-	pageShift int
 }
 
 // NewLayout builds a layout for owners with the given per-owner entry
@@ -512,27 +474,16 @@ func NewLayout(entryCounts []int, entrySize, pageSize int) *Layout {
 		base[i+1] = base[i] + int64(n)
 	}
 	epp := pageSize / entrySize
-	shift := -1
-	if epp&(epp-1) == 0 {
-		shift = 0
-		for 1<<shift < epp {
-			shift++
-		}
-	}
 	first := make([]PageID, len(entryCounts))
 	for i := range first {
 		first[i] = PageID(base[i] / int64(epp))
 	}
-	return &Layout{base: base, firstPage: first, entriesPerPage: epp, pageShift: shift}
+	return &Layout{base: base, firstPage: first, entriesPerPage: epp}
 }
 
 // Page returns the page holding entry entryIdx of owner v.
 func (l *Layout) Page(v int, entryIdx int) PageID {
-	e := l.base[v] + int64(entryIdx)
-	if l.pageShift >= 0 {
-		return PageID(e >> uint(l.pageShift))
-	}
-	return PageID(e / int64(l.entriesPerPage))
+	return PageID((l.base[v] + int64(entryIdx)) / int64(l.entriesPerPage))
 }
 
 // EntryRange returns the dense entry index range [lo, hi) of owner v.
@@ -587,71 +538,35 @@ func (l *Layout) TotalPages() int64 {
 	return (total-1)/int64(l.entriesPerPage) + 1
 }
 
-// Tracker combines the SILC block layout and the adjacency layout behind one
-// sharded buffer pool with disjoint page-id spaces. A nil *Tracker is valid
-// and counts nothing (the pure in-memory configuration). Touch methods are
-// safe for unlimited concurrent callers; each caller attributes its own
-// traffic through the *Stats counter it passes in. Reconfiguration
-// (SetScope, ClearCache) swaps or clears the pool atomically, so racing
-// queries cannot corrupt it — their traffic simply lands in whichever pool
-// they observe.
+// Tracker pairs the buffer pool of a paged store with the page-id space of
+// the network's adjacency lists, which sits just above the store's block
+// pages: the store charges its own block-page traffic to the pool, and the
+// graph-expansion algorithms charge one adjacency page per expanded vertex
+// through TouchAdjacency. Adjacency pages are counted, never read — the
+// network is resident. A nil *Tracker is valid and counts nothing (the pure
+// in-memory configuration). Touch methods are safe for unlimited concurrent
+// callers; each caller attributes its own traffic through the *Stats counter
+// it passes in.
 type Tracker struct {
-	pool        atomic.Pointer[Pool]
-	blocks      *Layout
-	adjacency   *Layout
-	adjBase     PageID
-	fraction    float64
-	missLatency time.Duration
-	// fixed pins the pool: SetScope becomes a no-op. Store-backed trackers
-	// (real on-disk pages) set it — their pool's residency is mirrored by
-	// actual page frames, so it must never be swapped out from under the
-	// store.
-	fixed bool
+	pool      *Pool
+	adjacency *Layout
+	adjBase   PageID
 	// onEvict, when set, observes every page the pool evicts through this
 	// tracker's Touch methods. The paged store uses it to release the real
 	// page frame and any decoded structures built over the evicted page.
 	onEvict func(PageID)
 }
 
-// NewTracker builds a tracker for a database whose per-vertex SILC block
-// counts and adjacency degrees are given. cacheFraction sizes the LRU pool
-// as a fraction of total pages (the paper: 0.05).
-func NewTracker(blockCounts, degrees []int, cacheFraction float64, missLatency time.Duration) *Tracker {
-	blocks := NewLayout(blockCounts, 16, DefaultPageSize)
-	adjacency := NewLayout(degrees, AdjacencyEntrySize, DefaultPageSize)
-	total := blocks.TotalPages() + adjacency.TotalPages()
-	if missLatency <= 0 {
-		missLatency = DefaultMissLatency
+// NewStoreTracker wires a Tracker around pool, the buffer pool of a paged
+// block store. blockPages is the page count of the store's block sections;
+// the adjacency layout of a network with the given out-degrees gets the id
+// space just above them.
+func NewStoreTracker(blockPages int64, degrees []int, pool *Pool) *Tracker {
+	return &Tracker{
+		pool:      pool,
+		adjacency: NewLayout(degrees, AdjacencyEntrySize, DefaultPageSize),
+		adjBase:   PageID(blockPages),
 	}
-	t := &Tracker{
-		blocks:      blocks,
-		adjacency:   adjacency,
-		adjBase:     PageID(blocks.TotalPages()),
-		fraction:    cacheFraction,
-		missLatency: missLatency,
-	}
-	t.pool.Store(NewPool(int(float64(total)*cacheFraction), DefaultPoolShards))
-	return t
-}
-
-// NewStoreTracker wires a Tracker around an externally owned pool backing a
-// real on-disk block store. blockPages is the page count of the (externally
-// paged) block sections; the adjacency layout gets the id space just above
-// them. TouchBlock is a no-op — a real store charges its own page traffic —
-// and SetScope is disabled: the pool's residency is mirrored by actual page
-// frames and must not be swapped.
-func NewStoreTracker(blockPages int64, degrees []int, pool *Pool, missLatency time.Duration) *Tracker {
-	if missLatency <= 0 {
-		missLatency = DefaultMissLatency
-	}
-	t := &Tracker{
-		adjacency:   NewLayout(degrees, AdjacencyEntrySize, DefaultPageSize),
-		adjBase:     PageID(blockPages),
-		missLatency: missLatency,
-		fixed:       true,
-	}
-	t.pool.Store(pool)
-	return t
 }
 
 // SetEvictionHandler registers fn to observe every page evicted by this
@@ -663,39 +578,12 @@ func (t *Tracker) SetEvictionHandler(fn func(PageID)) {
 	}
 }
 
-// Pool returns the current buffer pool (nil for a nil tracker).
+// Pool returns the buffer pool (nil for a nil tracker).
 func (t *Tracker) Pool() *Pool {
 	if t == nil {
 		return nil
 	}
-	return t.pool.Load()
-}
-
-// SetScope resizes the buffer pool for the database an algorithm actually
-// runs against, starting it cold. The SILC-driven algorithms page the block
-// store plus the network; the graph-expansion baselines (INE, IER) carry no
-// SILC store, so their pool is the cache fraction of the network pages
-// alone — sizing their pool by someone else's index would hand them an
-// effectively unbounded cache.
-func (t *Tracker) SetScope(networkOnly bool) {
-	if t == nil || t.fixed {
-		return
-	}
-	total := t.adjacency.TotalPages()
-	if !networkOnly {
-		total += t.blocks.TotalPages()
-	}
-	t.pool.Store(NewPool(int(float64(total)*t.fraction), DefaultPoolShards))
-}
-
-// TouchBlock records an access to block entryIdx of vertex v's quadtree,
-// attributing it to the per-query counter qs (nil for untracked access).
-// No-op on store-backed trackers: the real store charges its own pages.
-func (t *Tracker) TouchBlock(v, entryIdx int, qs *Stats) {
-	if t == nil || t.blocks == nil {
-		return
-	}
-	t.touch(t.blocks.Page(v, entryIdx), qs)
+	return t.pool
 }
 
 // TouchAdjacency records an access to vertex v's adjacency list (INE/IER
@@ -709,12 +597,7 @@ func (t *Tracker) TouchAdjacency(v int, qs *Stats) {
 	if !ok {
 		return
 	}
-	t.touch(t.adjBase+first, qs)
-}
-
-// touch charges one page and feeds any eviction to the registered handler.
-func (t *Tracker) touch(id PageID, qs *Stats) {
-	_, evicted, hasEvict := t.pool.Load().TouchEvict(id, qs)
+	_, evicted, hasEvict := t.pool.TouchEvict(t.adjBase+first, qs)
 	if hasEvict && t.onEvict != nil {
 		t.onEvict(evicted)
 	}
@@ -725,47 +608,18 @@ func (t *Tracker) Stats() Stats {
 	if t == nil {
 		return Stats{}
 	}
-	return t.pool.Load().Stats()
+	return t.pool.Stats()
 }
 
-// ResetStats zeroes the aggregate counters, keeping cache contents warm
-// (queries in a batch share the pool, as in the paper's repeated-query
-// setup).
+// ResetStats zeroes the aggregate counters, keeping cache contents warm.
 func (t *Tracker) ResetStats() {
 	if t != nil {
-		t.pool.Load().ResetStats()
+		t.pool.ResetStats()
 	}
-}
-
-// ClearCache evicts all pages and zeroes the counters — the cold-start state
-// at the beginning of one algorithm's query batch.
-func (t *Tracker) ClearCache() {
-	if t != nil {
-		t.pool.Load().Clear()
-	}
-}
-
-// MissLatency returns the modeled per-miss latency (the default for a nil
-// tracker).
-func (t *Tracker) MissLatency() time.Duration {
-	if t == nil {
-		return DefaultMissLatency
-	}
-	return t.missLatency
-}
-
-// ModeledIOTime converts current aggregate miss counts into modeled I/O
-// time.
-func (t *Tracker) ModeledIOTime() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.pool.Load().Stats().ModeledIOTime(t.missLatency)
 }
 
 // TotalPages returns the page count across the block and adjacency id
-// spaces (adjBase always equals the block page count, whether the block
-// layout is modeled or externally paged).
+// spaces.
 func (t *Tracker) TotalPages() int64 {
 	if t == nil {
 		return 0

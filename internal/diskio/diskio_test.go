@@ -3,7 +3,6 @@ package diskio
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -58,7 +57,7 @@ func TestCacheMinimumCapacity(t *testing.T) {
 	}
 }
 
-func TestCacheClearAndResetStats(t *testing.T) {
+func TestCacheResetStats(t *testing.T) {
 	c := NewCache(4)
 	c.Touch(1)
 	c.Touch(1)
@@ -69,20 +68,13 @@ func TestCacheClearAndResetStats(t *testing.T) {
 	if !c.Touch(1) {
 		t.Fatal("page should still be resident after ResetStats")
 	}
-	c.Clear()
-	if c.Touch(1) {
-		t.Fatal("page should be gone after Clear")
-	}
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
 }
 
-func TestStatsModeledIOTime(t *testing.T) {
+func TestStatsAccessesAndAdd(t *testing.T) {
 	s := Stats{Hits: 10, Misses: 3}
-	if got := s.ModeledIOTime(5 * time.Millisecond); got != 15*time.Millisecond {
-		t.Fatalf("ModeledIOTime = %v", got)
-	}
 	if s.Accesses() != 13 {
 		t.Fatalf("Accesses = %d", s.Accesses())
 	}
@@ -136,8 +128,11 @@ func TestLayoutPanicsOnBadSizes(t *testing.T) {
 }
 
 func TestTrackerDisjointSpacesAndNil(t *testing.T) {
-	tr := NewTracker([]int{300, 300}, []int{4, 4}, 1.0, time.Millisecond)
-	tr.TouchBlock(0, 0, nil)
+	// A store with 3 block pages: the store charges its block pages to the
+	// pool itself, the tracker maps adjacency lists just above them.
+	pool := NewPool(8, 1)
+	tr := NewStoreTracker(3, []int{4, 4}, pool)
+	pool.Touch(0, nil)
 	tr.TouchAdjacency(0, nil)
 	tr.TouchAdjacency(1, nil)
 	s := tr.Stats()
@@ -146,65 +141,37 @@ func TestTrackerDisjointSpacesAndNil(t *testing.T) {
 	if s.Misses != 2 || s.Hits != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if got := tr.ModeledIOTime(); got != 2*time.Millisecond {
-		t.Fatalf("ModeledIOTime = %v", got)
-	}
-	// 600 block entries at 256/page = 3 pages, plus one adjacency page
-	// (8 edges at 48B fit one page).
+	// 3 block pages plus one adjacency page (8 edges at 48B fit one page).
 	if tr.TotalPages() != 4 {
 		t.Fatalf("TotalPages = %d", tr.TotalPages())
 	}
+	if tr.Pool() != pool {
+		t.Fatal("tracker must expose the store's pool")
+	}
 
 	var nilTracker *Tracker
-	nilTracker.TouchBlock(0, 0, nil)
 	nilTracker.TouchAdjacency(0, nil)
 	nilTracker.ResetStats()
+	nilTracker.SetEvictionHandler(func(PageID) {})
 	if s := nilTracker.Stats(); s != (Stats{}) {
 		t.Fatalf("nil tracker stats = %+v", s)
 	}
-	if nilTracker.ModeledIOTime() != 0 || nilTracker.TotalPages() != 0 {
+	if nilTracker.TotalPages() != 0 || nilTracker.Pool() != nil {
 		t.Fatal("nil tracker should report zeros")
 	}
 }
 
-func TestTrackerCacheFraction(t *testing.T) {
-	// 1000 blocks of 16B = 4 pages; 1000 adjacency entries of 48B = 12
-	// pages (85/page). 50% fraction => capacity 8.
-	tr := NewTracker([]int{1000}, []int{1000}, 0.5, 0)
-	if tr.Pool().Capacity() != 8 {
-		t.Fatalf("capacity = %d", tr.Pool().Capacity())
-	}
-	if tr.missLatency != DefaultMissLatency {
-		t.Fatalf("missLatency = %v", tr.missLatency)
-	}
-}
-
-func TestTrackerSetScope(t *testing.T) {
-	// 100k block entries (16B) = 391 pages; 10k adjacency entries (48B,
-	// 85/page) = 118 pages. Full scope at 10% => 50 pages; network-only
-	// scope => 11 pages.
-	tr := NewTracker([]int{100000}, []int{10000}, 0.1, 0)
-	if got := tr.Pool().Capacity(); got != 50 {
-		t.Fatalf("full-scope capacity = %d", got)
-	}
-	tr.TouchBlock(0, 0, nil)
-	tr.SetScope(true)
-	if got := tr.Pool().Capacity(); got != 11 {
-		t.Fatalf("network-scope capacity = %d", got)
-	}
-	if s := tr.Stats(); s.Accesses() != 0 {
-		t.Fatalf("SetScope must start cold: %+v", s)
-	}
-	tr.SetScope(false)
-	if got := tr.Pool().Capacity(); got != 50 {
-		t.Fatalf("restored capacity = %d", got)
-	}
-	// Nil tracker: no-ops.
-	var nilTracker *Tracker
-	nilTracker.SetScope(true)
-	nilTracker.ClearCache()
-	if nilTracker.MissLatency() != DefaultMissLatency {
-		t.Fatal("nil tracker MissLatency")
+// TestTrackerEvictionFeedback: an adjacency touch that displaces a block
+// page must tell the store, which owns the frame behind it.
+func TestTrackerEvictionFeedback(t *testing.T) {
+	pool := NewPool(1, 1)
+	tr := NewStoreTracker(1, []int{4}, pool)
+	var evicted []PageID
+	tr.SetEvictionHandler(func(id PageID) { evicted = append(evicted, id) })
+	pool.Touch(0, nil)
+	tr.TouchAdjacency(0, nil)
+	if len(evicted) != 1 || evicted[0] != 0 {
+		t.Fatalf("evicted = %v, want block page 0", evicted)
 	}
 }
 
@@ -259,10 +226,6 @@ func TestPoolHitMissAndPerQueryAttribution(t *testing.T) {
 	if !p.Touch(1, nil) {
 		t.Fatal("page 1 should remain resident across ResetStats")
 	}
-	p.Clear()
-	if p.Len() != 0 || p.Touch(1, nil) {
-		t.Fatal("Clear should evict everything")
-	}
 }
 
 func TestPoolConcurrentTouches(t *testing.T) {
@@ -294,7 +257,9 @@ func TestPoolConcurrentTouches(t *testing.T) {
 }
 
 func TestTrackerConcurrentTouches(t *testing.T) {
-	tr := NewTracker([]int{100000, 100000}, []int{100, 100}, 0.1, 0)
+	const blockPages = 782 // two 100000-block runs of 16B entries
+	pool := NewPool(80, DefaultPoolShards)
+	tr := NewStoreTracker(blockPages, []int{100, 100}, pool)
 	var wg sync.WaitGroup
 	counters := make([]Stats, 8)
 	for w := 0; w < 8; w++ {
@@ -302,7 +267,7 @@ func TestTrackerConcurrentTouches(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				tr.TouchBlock(w%2, i%1000, &counters[w])
+				pool.Touch(PageID((w%2)*391+i%4), &counters[w]) // the store's block touch
 				tr.TouchAdjacency(w%2, &counters[w])
 			}
 		}(w)

@@ -54,17 +54,20 @@ func TestPerQueryStatsSumToAggregates(t *testing.T) {
 	}
 }
 
-// TestTrackerPerQuerySum runs the same invariant through the Tracker's
-// block/adjacency touch paths (the ones real queries use).
+// TestTrackerPerQuerySum runs the same invariant through the two touch
+// paths real queries use: the store charging its block pages straight to the
+// pool, and the Tracker charging adjacency pages above them. (The root
+// package's TestDiskPerQueryStatsSumToPool repeats it end to end on a real
+// paged image.)
 func TestTrackerPerQuerySum(t *testing.T) {
 	const goroutines = 64
-	blockCounts := make([]int, 300)
+	const blockPages = 68 // 300 runs of 40..76 16-byte blocks
 	degrees := make([]int, 300)
-	for i := range blockCounts {
-		blockCounts[i] = 40 + i%37
+	for i := range degrees {
 		degrees[i] = 3 + i%4
 	}
-	tr := NewTracker(blockCounts, degrees, 0.05, 0)
+	pool := NewPool(4, DefaultPoolShards)
+	tr := NewStoreTracker(blockPages, degrees, pool)
 	perQuery := make([]Stats, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -73,11 +76,10 @@ func TestTrackerPerQuerySum(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i) * 313))
 			for j := 0; j < 1500; j++ {
-				v := rng.Intn(len(blockCounts))
 				if j%3 == 0 {
-					tr.TouchAdjacency(v, &perQuery[i])
+					tr.TouchAdjacency(rng.Intn(len(degrees)), &perQuery[i])
 				} else {
-					tr.TouchBlock(v, rng.Intn(blockCounts[v]), &perQuery[i])
+					pool.TouchEvict(PageID(rng.Intn(blockPages)), &perQuery[i])
 				}
 			}
 		}(i)

@@ -629,7 +629,7 @@ type Browser struct {
 
 // NewBrowser positions a cursor before the nearest object to q. Each cursor
 // owns its query context, so independent cursors — even over one shared
-// DiskResident index — browse concurrently, each accounting its own I/O.
+// disk-backed index — browse concurrently, each accounting its own I/O.
 func NewBrowser(ix core.QueryIndex, objs *Objects, q graph.VertexID) *Browser {
 	return NewBrowserSpec(ix, core.NewQueryContext(), objs, q, UnboundedSpec(0, VariantINN))
 }
@@ -686,6 +686,5 @@ func (b *Browser) Stats() Stats {
 	s := b.e.stats
 	s.PQTime = b.e.pqClock
 	s.IO = b.e.qc.IO
-	s.IOTime = s.IO.ModeledIOTime(b.e.ix.Tracker().MissLatency())
 	return s
 }

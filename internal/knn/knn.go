@@ -169,9 +169,8 @@ type Stats struct {
 	Relaxed    int // INE/IER: edges relaxed
 	AStarCalls int // IER: per-candidate shortest-path computations
 
-	IO     diskio.Stats  // buffer-pool traffic during the query
-	IOTime time.Duration // modeled I/O time for the traffic above
-	CPU    time.Duration // measured wall time of the query computation
+	IO  diskio.Stats  // buffer-pool traffic during the query
+	CPU time.Duration // measured wall time of the query computation
 }
 
 // Result is the outcome of one kNN query.
@@ -253,7 +252,6 @@ func beginQueryWith(ix core.QueryIndex, qc *core.QueryContext) queryClock {
 func (b queryClock) finish(s *Stats) {
 	s.CPU = time.Since(b.start)
 	s.IO = b.qc.IO
-	s.IOTime = s.IO.ModeledIOTime(b.ix.Tracker().MissLatency())
 }
 
 var inf = math.Inf(1)

@@ -60,7 +60,7 @@ func FuzzSHD1(f *testing.F) {
 	}
 	g := fuzzNetwork(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sx, err := Load(bytes.NewReader(data), g, Options{})
+		sx, err := Load(bytes.NewReader(data), g)
 		if err == nil && sx == nil {
 			t.Fatal("nil index without error")
 		}

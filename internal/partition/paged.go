@@ -258,7 +258,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 
 	// One pool for the whole database: block pages of every cell plus the
-	// modeled adjacency pages of the global network.
+	// adjacency pages of the global network.
 	degrees := make([]int, n)
 	for v := 0; v < n; v++ {
 		degrees[v] = g.Degree(graph.VertexID(v))
@@ -321,7 +321,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		capacity = int(float64(totalBlockPages+adjPages) * fraction)
 	}
 	pager.SetPool(diskio.NewPool(capacity, diskio.DefaultPoolShards))
-	tracker := diskio.NewStoreTracker(totalBlockPages, degrees, pager.Pool(), opt.MissLatency)
+	tracker := diskio.NewStoreTracker(totalBlockPages, degrees, pager.Pool())
 	tracker.SetEvictionHandler(pager.Evict)
 	for c := 0; c < p; c++ {
 		st := stores[c]

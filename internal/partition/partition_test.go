@@ -11,15 +11,26 @@ import (
 	"silc/internal/knn"
 )
 
+// buildTestSharded builds a sharded index; disk reopens it demand-paged
+// from its paged image, behind the default 5% pool.
 func buildTestSharded(t *testing.T, rows, cols, p int, seed int64, disk bool) (*graph.Network, *Sharded) {
 	t.Helper()
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: rows, Cols: cols, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(g, Options{Partitions: p, DiskResident: disk})
+	s, err := Build(g, Options{Partitions: p})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if disk {
+		var img bytes.Buffer
+		if _, err := s.WritePaged(&img); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = OpenPaged(bytes.NewReader(img.Bytes()), int64(img.Len()), Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return g, s
 }
@@ -75,7 +86,7 @@ func TestShardedSerializeRoundTrip(t *testing.T) {
 	if written != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", written, buf.Len())
 	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), g, Options{})
+	loaded, err := Load(bytes.NewReader(buf.Bytes()), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,7 @@ func TestShardedSerializeRoundTrip(t *testing.T) {
 	for _, at := range []int{10, buf.Len() / 2, buf.Len() - 2} {
 		bad := append([]byte(nil), buf.Bytes()...)
 		bad[at] ^= 0x40
-		if _, err := Load(bytes.NewReader(bad), g, Options{}); err == nil {
+		if _, err := Load(bytes.NewReader(bad), g); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", at)
 		}
 	}
@@ -106,7 +117,7 @@ func TestShardedSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), other, Options{}); err == nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("loading against a different network went undetected")
 	}
 }

@@ -118,7 +118,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 // which must be the network it was built from. The assignment, subnetworks
 // and boundary rows are rebuilt from the stored cell labels; corruption is
 // detected by the trailing CRC (plus each embedded cell index's own CRC).
-func Load(r io.Reader, g *graph.Network, opt Options) (*Sharded, error) {
+func Load(r io.Reader, g *graph.Network) (*Sharded, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 
 	var magic [8]byte
@@ -246,13 +246,6 @@ func Load(r io.Reader, g *graph.Network, opt Options) (*Sharded, error) {
 	}
 
 	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained}
-	if opt.DiskResident {
-		fraction := opt.CacheFraction
-		if fraction <= 0 {
-			fraction = 0.05
-		}
-		s.attachTracker(fraction, opt.MissLatency)
-	}
 	s.stats = s.computeStats()
 	return s, nil
 }

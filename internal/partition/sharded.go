@@ -18,18 +18,14 @@ type Options struct {
 	// Parallelism bounds the build workers (0 = all CPUs); it applies to the
 	// per-cell Dijkstra sweeps and the closure computation alike.
 	Parallelism int
-	// DiskResident attaches ONE paged-storage tracker spanning every cell
-	// index plus the network, so the cache fraction stays a property of the
-	// whole database rather than of each shard.
-	DiskResident bool
-	// CacheFraction sizes the shared LRU pool (default 0.05).
+	// CacheFraction sizes the LRU pool OpenPaged shares across every cell
+	// store plus the network, so the cache fraction stays a property of the
+	// whole database rather than of each shard (default 0.05).
 	CacheFraction float64
 	// CachePages, when positive, overrides CacheFraction with an absolute
 	// page capacity for the paged (OpenPaged) configuration. Tests use it
 	// to force heavy eviction.
 	CachePages int
-	// MissLatency is the modeled cost per page miss (0 = default).
-	MissLatency time.Duration
 	// Compression selects the block-page encoding WritePaged emits for every
 	// cell image: CompressionNone for fixed-width SILCSPG1, CompressionDelta
 	// for the delta+varint SILCSPG2. Reading accepts both regardless.
@@ -107,7 +103,7 @@ type Sharded struct {
 func (s *Sharded) Compression() store.Compression { return s.comp }
 
 // StorePager returns the shared on-disk pager of a paged (OpenPaged) index,
-// nil for in-RAM and modeled configurations.
+// nil for in-RAM indexes.
 func (s *Sharded) StorePager() *store.Pager { return s.pager }
 
 // Build partitions g into opt.Partitions cells, builds one SILC index per
@@ -159,9 +155,6 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 	s.selfContained = s.computeSelfContained()
 	closureTime := time.Since(closureStart)
 
-	if opt.DiskResident {
-		s.attachTracker(opt.CacheFraction, opt.MissLatency)
-	}
 	s.stats = s.computeStats()
 	s.stats.PartitionTime = partitionTime
 	s.stats.CellBuildTime = cellBuildTime
@@ -195,35 +188,6 @@ func (s *Sharded) computeSelfContained() []bool {
 		}
 	}
 	return out
-}
-
-// attachTracker builds the one shared paged-storage tracker: block owners
-// are laid out cell-major (cell c's local vertex v at owner cellBase[c]+v),
-// adjacency owners are the global network's vertices, and every cell index
-// charges the same pool.
-func (s *Sharded) attachTracker(fraction float64, latency time.Duration) {
-	if fraction <= 0 {
-		fraction = 0.05
-	}
-	n := s.g.NumVertices()
-	blockCounts := make([]int, n)
-	base := 0
-	bases := make([]int, s.asn.P)
-	for c, cx := range s.cells {
-		bases[c] = base
-		for lv := 0; lv < cx.sub.NumVertices(); lv++ {
-			blockCounts[base+lv] = cx.ix.BlockCount(graph.VertexID(lv))
-		}
-		base += cx.sub.NumVertices()
-	}
-	degrees := make([]int, n)
-	for v := 0; v < n; v++ {
-		degrees[v] = s.g.Degree(graph.VertexID(v))
-	}
-	s.tracker = diskio.NewTracker(blockCounts, degrees, fraction, latency)
-	for c, cx := range s.cells {
-		cx.ix.AttachSharedTracker(s.tracker, bases[c])
-	}
 }
 
 func (s *Sharded) computeStats() Stats {

@@ -17,15 +17,12 @@ import (
 // OpenOptions configures Open.
 type OpenOptions struct {
 	// CacheFraction sizes the private buffer pool as a fraction of the
-	// image's total pages (block pages + modeled adjacency pages); default
-	// 0.05, the paper's setting.
+	// image's total pages (block pages + adjacency pages); default 0.05,
+	// the paper's setting.
 	CacheFraction float64
 	// CachePages, when positive, overrides CacheFraction with an absolute
 	// page capacity. Tests use it to force heavy eviction.
 	CachePages int
-	// MissLatency is the modeled per-miss latency reported alongside the
-	// measured read time (0 = diskio.DefaultMissLatency).
-	MissLatency time.Duration
 	// Pager shares an externally owned pool across several stores — the
 	// sharded open gives every cell store the same Pager so the cache
 	// fraction stays a property of the whole database. When set, PageBase
@@ -63,7 +60,7 @@ func (pg *Pager) Pool() *diskio.Pool { return pg.pool }
 func (pg *Pager) SetPool(pool *diskio.Pool) { pg.pool = pool }
 
 // Evict routes one evicted page id to the store owning it. Ids outside
-// every store's block range (modeled adjacency pages) need no release.
+// every store's block range (adjacency pages) need no release.
 func (pg *Pager) Evict(id diskio.PageID) {
 	for _, s := range pg.stores {
 		if id >= s.pageBase && id < s.pageBase+diskio.PageID(s.sb.blockPages) {
@@ -104,9 +101,8 @@ type ReadStats struct {
 	Reads int64
 	Bytes int64
 	// Time is the wall-clock time spent inside ReadAt — the measured I/O
-	// time reported next to the modeled (misses × latency) one. For
-	// mapped stores the subslice itself is free; the first-touch cost is
-	// the checksum, reported separately as CRCTime.
+	// time. For mapped stores the subslice itself is free; the first-touch
+	// cost is the checksum, reported separately as CRCTime.
 	Time time.Duration
 	// CRCTime is the wall-clock time spent checksum-verifying cold
 	// pages — the dominant first-touch cost of the mmap page source.
@@ -292,7 +288,7 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		}
 		pool := diskio.NewPool(capacity, diskio.DefaultPoolShards)
 		s.pager = NewPager(pool)
-		s.tracker = diskio.NewStoreTracker(sb.blockPages, degrees, pool, opts.MissLatency)
+		s.tracker = diskio.NewStoreTracker(sb.blockPages, degrees, pool)
 		s.tracker.SetEvictionHandler(s.pager.Evict)
 	}
 	s.pager.stores = append(s.pager.stores, s)

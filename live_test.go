@@ -159,14 +159,6 @@ func TestLiveObjectsLifecycle(t *testing.T) {
 	if st.SnapshotVersion != v3 {
 		t.Fatalf("neighbors stream stamped %d, want %d", st.SnapshotVersion, v3)
 	}
-	b, err := eng.Browse(ctx, view, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Next()
-	if got := b.Stats().SnapshotVersion; got != v3 {
-		t.Fatalf("browser stamped %d, want %d", got, v3)
-	}
 	// Static sets stamp zero — the sentinel for "not a live snapshot".
 	static := mustObjects(t, net, []VertexID{4, 8})
 	sres, err := eng.Query(ctx, static, 4, 1)

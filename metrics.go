@@ -207,7 +207,7 @@ func (m *engineObs) registerDynamic(e *Engine) {
 func (m *engineObs) fold(qc *core.QueryContext) {
 	sp := &qc.Span
 	if sp.Begin.IsZero() {
-		return // context never went through beginSpan (legacy/internal path)
+		return // context never went through beginSpan (internal path)
 	}
 	d := time.Since(sp.Begin)
 	op := sp.Op

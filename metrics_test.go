@@ -3,31 +3,26 @@ package silc
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// pagedTestEngine writes a grid index in the paged format and reopens it
-// through a deliberately tiny buffer pool, so a query sweep is cold:
-// misses, real page reads, block decodes, and evictions are all forced.
+// pagedTestEngine builds a grid index OnDisk under t.TempDir() — persisted
+// in the paged format and reopened through a deliberately tiny buffer
+// pool — so a query sweep is cold: misses, real page reads of the file,
+// block decodes, and evictions are all forced.
 func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 	t.Helper()
 	net, err := GenerateGrid(16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(net, BuildOptions{})
+	paged, err := BuildIndex(net, BuildOptions{OnDisk: filepath.Join(t.TempDir(), "grid.silcpg"), CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pg bytes.Buffer
-	if _, err := ix.WritePaged(&pg); err != nil {
-		t.Fatal(err)
-	}
-	paged, err := OpenIndexAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), BuildOptions{CacheFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { paged.Close() })
 	vs := make([]VertexID, net.NumVertices())
 	for i := range vs {
 		vs[i] = VertexID(i)

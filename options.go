@@ -5,10 +5,9 @@ import (
 	"math"
 )
 
-// Option configures one query on an Engine. Options replace the positional
-// method/worker arguments of the pre-Engine surface: every Engine query
-// entry point accepts any combination, and each documents which options it
-// honors (the rest are ignored).
+// Option configures one query on an Engine: every Engine query entry point
+// accepts any combination, and each documents which options it honors (the
+// rest are ignored).
 type Option func(*queryOptions)
 
 // queryOptions is the resolved option set of one query.
@@ -104,11 +103,11 @@ func WithStats(dst *QueryStats) Option {
 }
 
 // WithExactDistances refines every reported neighbor's distance to exact
-// before returning, like the classic NearestNeighbors call. Without it,
-// distances are refined only as far as ranking requires (the paper's
-// contract) — Exact is set per neighbor. Combined with WithEpsilon the
-// ranking stays ε-approximate but the distances reported for the chosen
-// neighbors are exact. Honored by Query and QueryBatch.
+// before returning. Without it, distances are refined only as far as
+// ranking requires (the paper's contract) — Exact is set per neighbor.
+// Combined with WithEpsilon the ranking stays ε-approximate but the
+// distances reported for the chosen neighbors are exact. Honored by Query
+// and QueryBatch.
 func WithExactDistances() Option {
 	return func(o *queryOptions) { o.exact = true }
 }

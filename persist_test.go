@@ -2,6 +2,8 @@ package silc
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -33,7 +35,7 @@ func TestIndexPersistenceRoundTrip(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		v := VertexID(rng.Intn(net.NumVertices()))
-		if a, b := ix.Distance(u, v), ix2.Distance(u, v); math.Abs(a-b) > 1e-12 {
+		if a, b := on(t, ix.Engine()).dist(u, v), on(t, ix2.Engine()).dist(u, v); math.Abs(a-b) > 1e-12 {
 			t.Fatalf("distance differs after reload: %v vs %v", a, b)
 		}
 	}
@@ -64,12 +66,13 @@ func TestWithinDistance(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[45])
 
+	eng := on(t, ix.Engine())
 	for _, radius := range []float64{0.1, 0.3, 0.7} {
-		res := ix.WithinDistance(objs, q, radius)
+		res := eng.within(objs, q, radius)
 		// Cross-validate against exact distances.
 		want := 0
 		for _, v := range vertices {
-			if ix.Distance(q, v) <= radius {
+			if eng.dist(q, v) <= radius {
 				want++
 			}
 		}
@@ -77,22 +80,22 @@ func TestWithinDistance(t *testing.T) {
 			t.Fatalf("radius %v: got %d want %d", radius, len(res.Neighbors), want)
 		}
 		for _, n := range res.Neighbors {
-			if d := ix.Distance(q, n.Vertex); d > radius+1e-9 {
+			if d := eng.dist(q, n.Vertex); d > radius+1e-9 {
 				t.Fatalf("object at %v beyond radius %v", d, radius)
 			}
 		}
 	}
-	if res := ix.WithinDistance(objs, q, -1); len(res.Neighbors) != 0 {
-		t.Fatal("negative radius returned objects")
+	if res, err := ix.Engine().WithinDistance(context.Background(), objs, q, -1); !errors.Is(err, ErrBadRadius) || len(res.Neighbors) != 0 {
+		t.Fatalf("negative radius: %d objects, err %v", len(res.Neighbors), err)
 	}
 }
 
 func TestConcurrentReaders(t *testing.T) {
 	// An in-memory index must serve concurrent queries safely (run under
-	// -race in CI). DiskResident indexes carry mutable buffer-pool state
-	// and are documented as single-reader.
+	// -race in CI); concurrency_test.go covers the disk-resident ones.
 	net := testNetwork(t)
-	ix := testIndex(t, net)
+	eng := testIndex(t, net).Engine()
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(12))
 	perm := rng.Perm(net.NumVertices())
 	vertices := make([]VertexID, 30)
@@ -110,17 +113,20 @@ func TestConcurrentReaders(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 25; i++ {
 				q := VertexID(r.Intn(net.NumVertices()))
-				res := ix.NearestNeighbors(objs, q, 3)
-				if len(res.Neighbors) != 3 {
+				res, err := eng.Query(ctx, objs, q, 3, WithExactDistances())
+				if err != nil || len(res.Neighbors) != 3 {
 					errs <- "short result"
 					return
 				}
-				d := ix.Distance(q, res.Neighbors[0].Vertex)
-				if math.Abs(d-res.Neighbors[0].Dist) > 1e-9 {
+				d, err := eng.Distance(ctx, q, res.Neighbors[0].Vertex)
+				if err != nil || math.Abs(d-res.Neighbors[0].Dist) > 1e-9 {
 					errs <- "distance mismatch"
 					return
 				}
-				_ = ix.ShortestPath(q, res.Neighbors[2].Vertex)
+				if _, err := eng.ShortestPath(ctx, q, res.Neighbors[2].Vertex); err != nil {
+					errs <- "path failed"
+					return
+				}
 			}
 		}(int64(w))
 	}
@@ -153,8 +159,8 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 		if u == v {
 			continue
 		}
-		want := full.Distance(u, v)
-		got := ix.Distance(u, v)
+		want := on(t, full.Engine()).dist(u, v)
+		got := on(t, ix.Engine()).dist(u, v)
 		if want <= 0.25 {
 			sawNear = true
 			if math.Abs(got-want) > 1e-9 {
@@ -165,7 +171,7 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 			if !math.IsInf(got, 1) {
 				t.Fatalf("out-of-range distance %v, want +Inf", got)
 			}
-			if ix.ShortestPath(u, v) != nil {
+			if on(t, ix.Engine()).path(u, v) != nil {
 				t.Fatal("out-of-range path not nil")
 			}
 			r := ix.NewRefiner(u, v)

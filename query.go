@@ -1,12 +1,10 @@
 package silc
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"silc/internal/core"
 	"silc/internal/knn"
 )
 
@@ -187,10 +185,10 @@ type QueryStats struct {
 	Lookups     int   // interval computations
 	Settled     int   // graph vertices settled (INE/IER)
 	HeapPushes  int64 // search-queue pushes (best-first family)
-	PageHits    int64 // buffer-pool hits (DiskResident indexes)
+	PageHits    int64 // buffer-pool hits (disk-backed indexes)
 	PageMisses  int64 // buffer-pool misses
-	// PageReads counts real positioned reads a paged store performed for
-	// this query (zero on modeled/in-RAM indexes).
+	// PageReads counts real positioned reads the paged store performed for
+	// this query (zero on in-RAM indexes).
 	PageReads int64
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
@@ -199,7 +197,6 @@ type QueryStats struct {
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).
 	GatewayRoutes int64
-	IOTime        time.Duration // modeled I/O time
 	CPUTime       time.Duration // measured computation time
 	// SnapshotVersion is the live object-store version the query's pinned
 	// snapshot reflects — the result is exact against exactly that version.
@@ -242,148 +239,9 @@ func convertResult(raw knn.Result) Result {
 		Settled:     s.Settled,
 		PageHits:    s.IO.Hits,
 		PageMisses:  s.IO.Misses,
-		IOTime:      s.IOTime,
 		CPUTime:     s.CPU,
 	}
 	return out
-}
-
-// legacyQuery adapts the pre-Engine call convention: k ≤ 0 yields an empty
-// result (the historical behavior) and invalid arguments panic with the
-// typed error at this API edge — callers wanting errors use Engine.Query.
-func legacyQuery(e *Engine, objs *ObjectSet, q VertexID, k int, opts ...Option) Result {
-	if k <= 0 {
-		return Result{Sorted: true}
-	}
-	res, err := e.Query(context.Background(), objs, q, k, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// NearestNeighbors returns the k nearest objects to q by network distance
-// using the paper's kNN algorithm, with distances fully refined to exact
-// values.
-//
-// Deprecated: use Engine.Query with WithExactDistances for cancellation and
-// error returns: ix.Engine().Query(ctx, objs, q, k, WithExactDistances()).
-func (ix *Index) NearestNeighbors(objs *ObjectSet, q VertexID, k int) Result {
-	return legacyQuery(ix.eng, objs, q, k, WithExactDistances())
-}
-
-// Query runs the selected kNN method. Distances of reported neighbors are
-// exact only where Exact is set: the algorithms refine intervals just far
-// enough to certify the ranking, which is the paper's contract.
-//
-// Deprecated: use Engine.Query: ix.Engine().Query(ctx, objs, q, k,
-// WithMethod(method)).
-func (ix *Index) Query(objs *ObjectSet, q VertexID, k int, method Method) Result {
-	return legacyQuery(ix.eng, objs, q, k, WithMethod(method))
-}
-
-// WithinDistance returns every object whose network distance from q is at
-// most radius. Results are unordered; intervals are refined exactly far
-// enough to decide membership, so Dist is exact only where Exact is set.
-//
-// Deprecated: use Engine.WithinDistance for cancellation and error returns.
-func (ix *Index) WithinDistance(objs *ObjectSet, q VertexID, radius float64) Result {
-	return legacyWithin(ix.eng, objs, q, radius)
-}
-
-// legacyWithin adapts the pre-Engine range-query convention: a negative
-// radius yields an empty result, invalid vertices panic at this edge.
-func legacyWithin(e *Engine, objs *ObjectSet, q VertexID, radius float64) Result {
-	if radius < 0 {
-		return Result{}
-	}
-	res, err := e.WithinDistance(context.Background(), objs, q, radius)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// Browser is an incremental network-distance cursor over an object set —
-// the "distance browsing" of the paper's title. Neighbors stream out in
-// increasing network distance; state persists between calls, so the (k+1)st
-// neighbor costs only incremental work. A single Browser is not safe for
-// concurrent use, but any number of independent Browsers may run
-// concurrently over one shared Engine and ObjectSet.
-//
-// New code usually wants the Engine.Neighbors iterator instead; Browser
-// remains for cursor-style consumers that interleave Next with other work.
-type Browser struct {
-	qx  core.QueryIndex
-	b   *knn.Browser
-	eps float64
-	ver uint64 // pinned snapshot version (zero for static sets)
-	err error  // cancellation observed during post-report exactification
-}
-
-// Browse positions a cursor at query vertex q over objs.
-//
-// Deprecated: use Engine.Neighbors (iterator) or Engine.Browse (cursor with
-// cancellation): for n, err := range ix.Engine().Neighbors(ctx, objs, q).
-func (ix *Index) Browse(objs *ObjectSet, q VertexID) *Browser {
-	return legacyBrowse(ix.eng, objs, q)
-}
-
-func legacyBrowse(e *Engine, objs *ObjectSet, q VertexID) *Browser {
-	b, err := e.Browse(context.Background(), objs, q)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Next returns the next-nearest object; ok is false when S is exhausted,
-// the cursor's distance bound is reached, or its context was cancelled
-// (distinguish with Err). Reported distances are refined to exact unless
-// the cursor was opened with WithEpsilon.
-func (b *Browser) Next() (Neighbor, bool) {
-	raw, ok := b.b.Next()
-	if !ok {
-		return Neighbor{}, false
-	}
-	n := Neighbor{
-		ID:       raw.Object.ID,
-		Vertex:   raw.Object.Vertex,
-		Dist:     raw.Dist,
-		Interval: raw.Interval,
-		Exact:    raw.Exact,
-	}
-	if !n.Exact && b.eps == 0 {
-		// Charge the exactness refinement to the cursor's own context, so
-		// concurrent browsers each account their own traffic.
-		d := core.ExactDistance(b.qx, b.b.Context(), b.b.Query(), n.Vertex)
-		if err := b.b.Context().Err(); err != nil {
-			b.err = err
-			return Neighbor{}, false // cancelled mid-refinement: see Err
-		}
-		n.Dist, n.Interval, n.Exact = d, Interval{Lo: d, Hi: d}, true
-	}
-	return n, true
-}
-
-// Err reports the context cancellation that ended the browse, nil for a
-// live or normally exhausted cursor — a context that expires only after
-// the cursor finished does not retroactively mark it cancelled.
-func (b *Browser) Err() error {
-	if err := b.b.Err(); err != nil {
-		return err
-	}
-	// Cancellation can also land during the post-report exactness
-	// refinement, before the search loop observes it; Next records it.
-	return b.err
-}
-
-// Stats returns the cursor's accumulated statistics (queue sizes,
-// refinements, and the buffer-pool traffic charged to this cursor).
-func (b *Browser) Stats() QueryStats {
-	s := convertBrowserStats(b.b.Stats())
-	s.SnapshotVersion = b.ver
-	return s
 }
 
 func convertBrowserStats(s knn.Stats) QueryStats {
@@ -394,6 +252,5 @@ func convertBrowserStats(s knn.Stats) QueryStats {
 		Lookups:     s.Lookups,
 		PageHits:    s.IO.Hits,
 		PageMisses:  s.IO.Misses,
-		IOTime:      s.IOTime,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"time"
 
 	"silc/internal/partition"
 	"silc/internal/store"
@@ -24,15 +23,11 @@ type ShardedBuildOptions struct {
 	Partitions int
 	// Parallelism bounds the build workers (0 = all CPUs).
 	Parallelism int
-	// DiskResident attaches one paged-storage tracker shared by every cell
-	// index and the network, so CacheFraction stays a property of the whole
-	// database (the paper's 5% setting), not of each shard.
-	DiskResident bool
-	// CacheFraction sizes the shared LRU buffer pool (default 0.05).
+	// CacheFraction sizes the one LRU buffer pool OpenShardedIndex shares
+	// across every cell store and the network, so it stays a property of
+	// the whole database (default 0.05, the paper's setting), not of each
+	// shard. In-RAM sharded indexes have no pool.
 	CacheFraction float64
-	// MissLatency is the modeled cost of one page miss (0 = the 200µs
-	// default).
-	MissLatency time.Duration
 	// Compression selects the paged image encoding WritePaged/WriteFile
 	// emit for every cell image — CompressionNone (fixed-width SILCSPG1) or
 	// CompressionDelta (delta+varint SILCSPG2). Opening sniffs the format.
@@ -54,8 +49,7 @@ type ShardedStats = partition.Stats
 // path: intra-cell queries in self-contained cells delegate straight to the
 // cell index, and cross-cell queries route through the closure. Like Index,
 // a ShardedIndex is read-only on the query path and safe for unlimited
-// concurrent readers. The query methods on ShardedIndex itself are thin
-// deprecated shims kept for pre-Engine callers.
+// concurrent readers.
 type ShardedIndex struct {
 	net    *Network
 	sx     *partition.Sharded
@@ -89,9 +83,7 @@ func shardedOptions(opts ShardedBuildOptions) partition.Options {
 	return partition.Options{
 		Partitions:    opts.Partitions,
 		Parallelism:   opts.Parallelism,
-		DiskResident:  opts.DiskResident,
 		CacheFraction: opts.CacheFraction,
-		MissLatency:   opts.MissLatency,
 		Compression:   opts.Compression,
 	}
 }
@@ -102,33 +94,16 @@ func shardedOptions(opts ShardedBuildOptions) partition.Options {
 // OpenShardedIndex reads back on demand through one shared buffer pool.
 func (sx *ShardedIndex) WritePaged(w io.Writer) (int64, error) { return sx.sx.WritePaged(w) }
 
-// WriteFile writes the paged on-disk format to path (fsynced).
+// WriteFile writes the paged on-disk format to path atomically, like
+// Index.WriteFile.
 func (sx *ShardedIndex) WriteFile(path string) error {
-	return writeFileSynced(path, sx.WritePaged)
+	return store.WriteFileAtomic(path, sx.WritePaged)
 }
 
 // PagedImageInfo reports the section layout and compression ratio of the
 // sharded paged image WritePaged would produce, without writing it.
 func (sx *ShardedIndex) PagedImageInfo() (ImageInfo, error) {
 	return sx.sx.PagedImageInfo()
-}
-
-// writeFileSynced writes one serialization to path, fsyncing before close
-// so a crash cannot leave a torn file behind a successful return.
-func writeFileSynced(path string, write func(io.Writer) (int64, error)) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // OpenShardedIndex opens a sharded paged file (ShardedIndex.WriteFile or
@@ -204,12 +179,12 @@ func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) { return sx.sx.Write
 
 // LoadShardedIndex deserializes a sharded index produced by
 // ShardedIndex.WriteTo and binds it to net, which must be the network it
-// was built from. Partitions in opts is ignored (the file records P).
-func LoadShardedIndex(r io.Reader, net *Network, opts ShardedBuildOptions) (*ShardedIndex, error) {
+// was built from.
+func LoadShardedIndex(r io.Reader, net *Network) (*ShardedIndex, error) {
 	if net == nil {
 		return nil, ErrNilNetwork
 	}
-	sx, err := partition.Load(r, net.g, shardedOptions(opts))
+	sx, err := partition.Load(r, net.g)
 	if err != nil {
 		return nil, err
 	}
@@ -228,77 +203,6 @@ func (sx *ShardedIndex) NumPartitions() int { return sx.sx.NumPartitions() }
 // PartitionOf returns the cell holding vertex v.
 func (sx *ShardedIndex) PartitionOf(v VertexID) int { return sx.sx.CellOf(v) }
 
-// Distance returns the exact global network distance from u to v.
-//
-// Deprecated: use Engine.Distance for cancellation and error returns.
-func (sx *ShardedIndex) Distance(u, v VertexID) float64 { return legacyDistance(sx.eng, u, v) }
-
-// DistanceInterval returns a refinement-free interval guaranteed to contain
-// the exact network distance: one quadtree lookup for intra-cell pairs in
-// self-contained cells, boundary-interval × closure bounds otherwise.
-//
-// Deprecated: use Engine.DistanceInterval.
-func (sx *ShardedIndex) DistanceInterval(u, v VertexID) Interval {
-	return legacyInterval(sx.eng, u, v)
-}
-
-// ShortestPath retrieves an exact shortest path from u to v, inclusive of
-// both endpoints, stitched across cells through the closure's hop chains.
-//
-// Deprecated: use Engine.ShortestPath for cancellation and error returns.
-func (sx *ShardedIndex) ShortestPath(u, v VertexID) []VertexID { return legacyPath(sx.eng, u, v) }
-
-// IsCloser reports whether u is strictly closer to a than to b by network
-// distance, refining only as far as the comparison requires.
-//
-// Deprecated: use Engine.IsCloser for cancellation and error returns.
-func (sx *ShardedIndex) IsCloser(u, a, b VertexID) bool { return legacyIsCloser(sx.eng, u, a, b) }
-
-// NearestNeighbors returns the k nearest objects to q by exact network
-// distance (the paper's kNN algorithm, fully refined).
-//
-// Deprecated: use Engine.Query with WithExactDistances.
-func (sx *ShardedIndex) NearestNeighbors(objs *ObjectSet, q VertexID, k int) Result {
-	return legacyQuery(sx.eng, objs, q, k, WithExactDistances())
-}
-
-// Query runs the selected kNN method over the sharded index; all methods —
-// including the INE/IER graph-expansion baselines — are supported.
-//
-// Deprecated: use Engine.Query with WithMethod.
-func (sx *ShardedIndex) Query(objs *ObjectSet, q VertexID, k int, method Method) Result {
-	return legacyQuery(sx.eng, objs, q, k, WithMethod(method))
-}
-
-// QueryBatch answers one kNN query per vertex over a bounded worker pool,
-// exactly like Index.QueryBatch.
-//
-// Deprecated: use Engine.QueryBatch.
-func (sx *ShardedIndex) QueryBatch(objs *ObjectSet, queries []VertexID, k int, method Method) BatchResult {
-	return legacyBatch(sx.eng, objs, queries, k, method, 0)
-}
-
-// QueryBatchWorkers is QueryBatch with an explicit worker-pool bound.
-//
-// Deprecated: use Engine.QueryBatch with WithWorkers.
-func (sx *ShardedIndex) QueryBatchWorkers(objs *ObjectSet, queries []VertexID, k int, method Method, workers int) BatchResult {
-	return legacyBatch(sx.eng, objs, queries, k, method, workers)
-}
-
-// WithinDistance returns every object within network distance radius of q.
-//
-// Deprecated: use Engine.WithinDistance for cancellation and error returns.
-func (sx *ShardedIndex) WithinDistance(objs *ObjectSet, q VertexID, radius float64) Result {
-	return legacyWithin(sx.eng, objs, q, radius)
-}
-
-// Browse positions an incremental distance-browsing cursor at q over objs.
-//
-// Deprecated: use Engine.Neighbors (iterator) or Engine.Browse.
-func (sx *ShardedIndex) Browse(objs *ObjectSet, q VertexID) *Browser {
-	return legacyBrowse(sx.eng, objs, q)
-}
-
 // IOStats returns cumulative traffic of the shared buffer pool (zeros when
 // memory-resident).
 func (sx *ShardedIndex) IOStats() IOStats { return sx.eng.IOStats() }
@@ -306,6 +210,54 @@ func (sx *ShardedIndex) IOStats() IOStats { return sx.eng.IOStats() }
 // ResetIOStats zeroes the shared pool's counters, keeping cache contents
 // warm.
 func (sx *ShardedIndex) ResetIOStats() { sx.eng.ResetIOStats() }
+
+// pagedMagic classifies an index file's 8-byte magic: whether it is one of
+// the self-contained demand-paged formats, and if so whether it is the
+// sharded layout.
+func pagedMagic(magic []byte) (paged, sharded bool) {
+	switch string(magic) {
+	case store.MagicString, store.Magic2String:
+		return true, false
+	case store.ShardedMagicString, store.ShardedMagic2String:
+		return true, true
+	}
+	return false, false
+}
+
+// openPaged opens a paged image of either layout — by path when one is
+// given (the index then owns the file and honours opts.Mmap), over ra
+// otherwise — and cross-checks a supplied network against the embedded one.
+func openPaged(sharded bool, path string, ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
+	sopts := ShardedBuildOptions{CacheFraction: opts.CacheFraction, Mmap: opts.Mmap}
+	var eng *Engine
+	var err error
+	switch {
+	case sharded && path != "":
+		eng, err = engineOf(OpenShardedIndex(path, sopts))
+	case sharded:
+		eng, err = engineOf(OpenShardedIndexAt(ra, size, sopts))
+	case path != "":
+		eng, err = engineOf(OpenIndex(path, opts))
+	default:
+		eng, err = engineOf(OpenIndexAt(ra, size, opts))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if net != nil && (net.NumVertices() != eng.Network().NumVertices() || net.NumEdges() != eng.Network().NumEdges()) {
+		eng.Close()
+		return nil, fmt.Errorf("silc: paged index embeds a %d-vertex network, supplied network has %d",
+			eng.Network().NumVertices(), net.NumVertices())
+	}
+	return eng, nil
+}
+
+func engineOf[T interface{ Engine() *Engine }](ix T, err error) (*Engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ix.Engine(), nil
+}
 
 // LoadEngine sniffs the index file format and loads any of the six index
 // formats — legacy monolithic (SILCIDX1), legacy sharded (SILCSHD1), paged
@@ -326,51 +278,17 @@ func LoadEngine(r io.Reader, net *Network, opts BuildOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch string(magic) {
-	case store.MagicString, store.Magic2String, store.ShardedMagicString, store.ShardedMagic2String:
+	if paged, sharded := pagedMagic(magic); paged {
 		ra, size, err := readerAtSize(r)
 		if err != nil {
 			return nil, err
 		}
-		var eng *Engine
-		if m := string(magic); m == store.MagicString || m == store.Magic2String {
-			ix, err := OpenIndexAt(ra, size, opts)
-			if err != nil {
-				return nil, err
-			}
-			eng = ix.Engine()
-		} else {
-			sx, err := OpenShardedIndexAt(ra, size, ShardedBuildOptions{
-				CacheFraction: opts.CacheFraction,
-				MissLatency:   opts.MissLatency,
-			})
-			if err != nil {
-				return nil, err
-			}
-			eng = sx.Engine()
-		}
-		if net != nil && (net.NumVertices() != eng.Network().NumVertices() || net.NumEdges() != eng.Network().NumEdges()) {
-			return nil, fmt.Errorf("silc: paged index embeds a %d-vertex network, supplied network has %d",
-				eng.Network().NumVertices(), net.NumVertices())
-		}
-		return eng, nil
-	case partition.MagicString:
-		sx, err := LoadShardedIndex(br, net, ShardedBuildOptions{
-			Parallelism:   opts.Parallelism,
-			DiskResident:  opts.DiskResident,
-			CacheFraction: opts.CacheFraction,
-			MissLatency:   opts.MissLatency,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sx.Engine(), nil
+		return openPaged(sharded, "", ra, size, net, opts)
 	}
-	ix, err := LoadIndex(br, net, opts)
-	if err != nil {
-		return nil, err
+	if string(magic) == partition.MagicString {
+		return engineOf(LoadShardedIndex(br, net))
 	}
-	return ix.Engine(), nil
+	return engineOf(LoadIndex(br, net, opts))
 }
 
 // readerAtSize extracts random access plus a total size from a sequential
@@ -403,69 +321,19 @@ func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // paged opens take their own handle; legacy loads fully
 	var magic [8]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
 		return nil, err
+	}
+	if paged, sharded := pagedMagic(magic[:]); paged {
+		return openPaged(sharded, path, nil, 0, net, opts)
+	}
+	if net == nil {
+		return nil, fmt.Errorf("silc: index %s is a legacy format, which does not embed the network — supply one", path)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
 		return nil, err
 	}
-	switch string(magic[:]) {
-	case store.MagicString, store.Magic2String, store.ShardedMagicString, store.ShardedMagic2String:
-		if opts.Mmap {
-			// Route by path so the paged stores read through a memory
-			// mapping; the mapped opens own their file handle.
-			f.Close()
-			var eng *Engine
-			if m := string(magic[:]); m == store.MagicString || m == store.Magic2String {
-				ix, err := OpenIndex(path, opts)
-				if err != nil {
-					return nil, err
-				}
-				eng = ix.Engine()
-			} else {
-				sx, err := OpenShardedIndex(path, ShardedBuildOptions{
-					CacheFraction: opts.CacheFraction,
-					MissLatency:   opts.MissLatency,
-					Mmap:          true,
-				})
-				if err != nil {
-					return nil, err
-				}
-				eng = sx.Engine()
-			}
-			if net != nil && (net.NumVertices() != eng.Network().NumVertices() || net.NumEdges() != eng.Network().NumEdges()) {
-				eng.Close()
-				return nil, fmt.Errorf("silc: paged index embeds a %d-vertex network, supplied network has %d",
-					eng.Network().NumVertices(), net.NumVertices())
-			}
-			return eng, nil
-		}
-		eng, err := LoadEngine(f, net, opts)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		// The engine reads pages from f for its whole lifetime.
-		switch {
-		case eng.mono != nil:
-			eng.mono.closer = f
-		case eng.shard != nil:
-			eng.shard.closer = f
-		}
-		return eng, nil
-	default:
-		if net == nil {
-			f.Close()
-			return nil, fmt.Errorf("silc: index %s is a legacy format, which does not embed the network — supply one", path)
-		}
-		eng, err := LoadEngine(f, net, opts)
-		f.Close() // legacy formats are fully loaded
-		if err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}
+	return LoadEngine(f, net, opts)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -42,23 +43,24 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 			st.CellBlocks, mono.Stats().TotalBlocks)
 	}
 
+	mq, sq := on(t, mono.Engine()), on(t, sharded.Engine())
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
 		u := VertexID(rng.Intn(n))
 		v := VertexID(rng.Intn(n))
-		md := mono.Distance(u, v)
-		sd := sharded.Distance(u, v)
+		md := mq.dist(u, v)
+		sd := sq.dist(u, v)
 		if math.Abs(md-sd) > 1e-9*(1+md) {
 			t.Fatalf("Distance(%d,%d): mono %v sharded %v", u, v, md, sd)
 		}
-		iv := sharded.DistanceInterval(u, v)
+		iv := sq.interval(u, v)
 		if iv.Lo > md+1e-9 || iv.Hi < md-1e-9 {
 			t.Fatalf("interval [%v,%v] of (%d,%d) excludes %v", iv.Lo, iv.Hi, u, v, md)
 		}
 		a, b := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
-		if mono.IsCloser(u, a, b) != sharded.IsCloser(u, a, b) {
+		if mq.closer(u, a, b) != sq.closer(u, a, b) {
 			// Legitimate only on a distance tie.
-			da, db := mono.Distance(u, a), mono.Distance(u, b)
+			da, db := mq.dist(u, a), mq.dist(u, b)
 			if math.Abs(da-db) > 1e-9*(1+da) {
 				t.Fatalf("IsCloser(%d,%d,%d) differs without a tie (%v vs %v)", u, a, b, da, db)
 			}
@@ -68,8 +70,8 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	objs := mustObjects(t, net, randomVertices(rng, n, n/10))
 	for i := 0; i < 10; i++ {
 		q := VertexID(rng.Intn(n))
-		mr := mono.NearestNeighbors(objs, q, 5)
-		sr := sharded.NearestNeighbors(objs, q, 5)
+		mr := mq.knnExact(objs, q, 5)
+		sr := sq.knnExact(objs, q, 5)
 		if len(mr.Neighbors) != len(sr.Neighbors) {
 			t.Fatalf("kNN sizes differ at q=%d", q)
 		}
@@ -79,13 +81,13 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 					mr.Neighbors[j].Dist, sr.Neighbors[j].Dist)
 			}
 			if !sr.Neighbors[j].Exact {
-				t.Fatalf("NearestNeighbors left an inexact distance at q=%d", q)
+				t.Fatalf("WithExactDistances left an inexact distance at q=%d", q)
 			}
 		}
 		// Browsing streams the same distances incrementally.
-		br := sharded.Browse(objs, q)
+		next := sq.browse(objs, q)
 		for j := 0; j < 5; j++ {
-			nb, ok := br.Next()
+			nb, ok := next()
 			if !ok {
 				t.Fatalf("browser exhausted at %d", j)
 			}
@@ -96,14 +98,14 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	}
 
 	queries := randomVertices(rng, n, 40)
-	batch := sharded.QueryBatch(objs, queries, 3, MethodKNN)
+	batch := sq.batch(objs, queries, 3)
 	if len(batch.Results) != len(queries) || batch.Stats.Queries != len(queries) {
 		t.Fatalf("batch shape wrong: %+v", batch.Stats)
 	}
 
-	radius := mono.Distance(VertexID(0), VertexID(n/2)) / 2
-	mres := mono.WithinDistance(objs, VertexID(0), radius)
-	sres := sharded.WithinDistance(objs, VertexID(0), radius)
+	radius := mq.dist(VertexID(0), VertexID(n/2)) / 2
+	mres := mq.within(objs, VertexID(0), radius)
+	sres := sq.within(objs, VertexID(0), radius)
 	if len(mres.Neighbors) != len(sres.Neighbors) {
 		t.Fatalf("range sizes differ: mono %d sharded %d", len(mres.Neighbors), len(sres.Neighbors))
 	}
@@ -116,30 +118,51 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestShardedIndexPersistence reloads the sharded index both ways — the
+// fully loaded legacy format and the demand-paged image under t.TempDir() —
+// and checks each answers bit-identically; the paged reopen additionally
+// reports its pool traffic.
 func TestShardedIndexPersistence(t *testing.T) {
 	net, _, sharded := buildShardedPair(t)
 	var buf bytes.Buffer
 	if _, err := sharded.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadShardedIndex(bytes.NewReader(buf.Bytes()), net, ShardedBuildOptions{DiskResident: true})
+	loaded, err := LoadShardedIndex(bytes.NewReader(buf.Bytes()), net)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "ix.silcspg")
+	if err := sharded.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenShardedIndex(path, ShardedBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	want, lq, pq := on(t, sharded.Engine()), on(t, loaded.Engine()), on(t, paged.Engine())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		v := VertexID(rng.Intn(net.NumVertices()))
-		if a, b := sharded.Distance(u, v), loaded.Distance(u, v); a != b {
+		a := want.dist(u, v)
+		if b := lq.dist(u, v); a != b {
 			t.Fatalf("Distance(%d,%d) differs after reload: %v vs %v", u, v, a, b)
 		}
+		if b := pq.dist(u, v); a != b {
+			t.Fatalf("Distance(%d,%d) differs on the paged image: %v vs %v", u, v, a, b)
+		}
 	}
-	if io := loaded.IOStats(); io.PageHits+io.PageMisses == 0 {
-		t.Fatal("disk-resident reload recorded no page traffic")
+	if io := loaded.IOStats(); io != (IOStats{}) {
+		t.Fatalf("in-RAM reload reported I/O: %+v", io)
 	}
-	loaded.ResetIOStats()
-	if io := loaded.IOStats(); io.PageHits+io.PageMisses != 0 {
-		t.Fatal("ResetIOStats left counters non-zero")
+	if io := paged.IOStats(); io.PageMisses == 0 || io.PageReads == 0 {
+		t.Fatalf("disk-resident reload recorded no page traffic: %+v", io)
+	}
+	paged.ResetIOStats()
+	if io := paged.IOStats(); io != (IOStats{}) {
+		t.Fatalf("ResetIOStats left counters non-zero: %+v", io)
 	}
 }
 

@@ -2,8 +2,11 @@ package silc
 
 import (
 	"bytes"
+	"context"
+	"iter"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -35,6 +38,100 @@ func mustObjects(t testing.TB, net *Network, vertices []VertexID) *ObjectSet {
 	return objs
 }
 
+// tq is the tests' error-free view of an Engine: each call fails the test
+// on an error, so assertions read like the queries they check. It calls
+// t.Fatal, so it is for the test's own goroutine only.
+type tq struct {
+	t testing.TB
+	e *Engine
+}
+
+func on(t testing.TB, e *Engine) tq { return tq{t: t, e: e} }
+
+func (q tq) dist(u, v VertexID) float64 {
+	q.t.Helper()
+	d, err := q.e.Distance(context.Background(), u, v)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return d
+}
+
+func (q tq) interval(u, v VertexID) Interval {
+	q.t.Helper()
+	iv, err := q.e.DistanceInterval(context.Background(), u, v)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return iv
+}
+
+func (q tq) path(u, v VertexID) []VertexID {
+	q.t.Helper()
+	p, err := q.e.ShortestPath(context.Background(), u, v)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return p
+}
+
+func (q tq) closer(u, a, b VertexID) bool {
+	q.t.Helper()
+	c, err := q.e.IsCloser(context.Background(), u, a, b)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return c
+}
+
+// knn is Engine.Query; knnExact adds WithExactDistances.
+func (q tq) knn(objs *ObjectSet, v VertexID, k int, opts ...Option) Result {
+	q.t.Helper()
+	res, err := q.e.Query(context.Background(), objs, v, k, opts...)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return res
+}
+
+func (q tq) knnExact(objs *ObjectSet, v VertexID, k int) Result {
+	q.t.Helper()
+	return q.knn(objs, v, k, WithExactDistances())
+}
+
+func (q tq) within(objs *ObjectSet, v VertexID, radius float64) Result {
+	q.t.Helper()
+	res, err := q.e.WithinDistance(context.Background(), objs, v, radius)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return res
+}
+
+func (q tq) batch(objs *ObjectSet, queries []VertexID, k int, opts ...Option) BatchResult {
+	q.t.Helper()
+	br, err := q.e.QueryBatch(context.Background(), objs, queries, k, opts...)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return br
+}
+
+// browse is the cursor form of Engine.Neighbors: iter.Pull2 over the
+// stream, released when the test ends.
+func (q tq) browse(objs *ObjectSet, v VertexID, opts ...Option) func() (Neighbor, bool) {
+	next, stop := iter.Pull2(q.e.Neighbors(context.Background(), objs, v, opts...))
+	q.t.Cleanup(stop)
+	return func() (Neighbor, bool) {
+		q.t.Helper()
+		n, err, ok := next()
+		if ok && err != nil {
+			q.t.Fatal(err)
+		}
+		return n, ok
+	}
+}
+
 func TestEndToEndNearestNeighbors(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
@@ -48,21 +145,22 @@ func TestEndToEndNearestNeighbors(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[30])
 
-	res := ix.NearestNeighbors(objs, q, 5)
+	eng := on(t, ix.Engine())
+	res := eng.knnExact(objs, q, 5)
 	if len(res.Neighbors) != 5 || !res.Sorted {
 		t.Fatalf("result shape: %d sorted=%v", len(res.Neighbors), res.Sorted)
 	}
 	prev := -1.0
 	for _, n := range res.Neighbors {
 		if !n.Exact {
-			t.Fatal("NearestNeighbors must return exact distances")
+			t.Fatal("WithExactDistances must return exact distances")
 		}
 		if n.Dist < prev {
 			t.Fatal("results not sorted")
 		}
 		prev = n.Dist
 		// Cross-check against the index's own exact distance.
-		if d := ix.Distance(q, n.Vertex); math.Abs(d-n.Dist) > 1e-9 {
+		if d := eng.dist(q, n.Vertex); math.Abs(d-n.Dist) > 1e-9 {
 			t.Fatalf("distance mismatch: %v vs %v", n.Dist, d)
 		}
 	}
@@ -84,20 +182,21 @@ func TestAllMethodsAgreeOnResultSet(t *testing.T) {
 	q := VertexID(perm[50])
 	k := 7
 
-	reference := ix.NearestNeighbors(objs, q, k)
+	eng := on(t, ix.Engine())
+	reference := eng.knnExact(objs, q, k)
 	refDists := make([]float64, k)
 	for i, n := range reference.Neighbors {
 		refDists[i] = n.Dist
 	}
 
 	for _, m := range []Method{MethodKNN, MethodINN, MethodKNNI, MethodKNNM, MethodINE, MethodIER} {
-		res := ix.Query(objs, q, k, m)
+		res := eng.knn(objs, q, k, WithMethod(m))
 		if len(res.Neighbors) != k {
 			t.Fatalf("%v: %d results", m, len(res.Neighbors))
 		}
 		dists := make([]float64, k)
 		for i, n := range res.Neighbors {
-			dists[i] = ix.Distance(q, n.Vertex)
+			dists[i] = eng.dist(q, n.Vertex)
 		}
 		if !res.Sorted {
 			sortFloats(dists)
@@ -133,10 +232,11 @@ func TestBrowserMatchesNearestNeighbors(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[25])
 
-	want := ix.NearestNeighbors(objs, q, objs.Len())
-	b := ix.Browse(objs, q)
+	eng := on(t, ix.Engine())
+	want := eng.knnExact(objs, q, objs.Len())
+	next := eng.browse(objs, q)
 	for i := 0; ; i++ {
-		n, ok := b.Next()
+		n, ok := next()
 		if !ok {
 			if i != objs.Len() {
 				t.Fatalf("browser exhausted after %d of %d", i, objs.Len())
@@ -157,12 +257,13 @@ func TestShortestPathAndIntervals(t *testing.T) {
 	ix := testIndex(t, net)
 	u, v := VertexID(0), VertexID(net.NumVertices()-1)
 
-	iv := ix.DistanceInterval(u, v)
-	d := ix.Distance(u, v)
+	eng := on(t, ix.Engine())
+	iv := eng.interval(u, v)
+	d := eng.dist(u, v)
 	if iv.Lo > d+1e-9 || iv.Hi < d-1e-9 {
 		t.Fatalf("interval [%v,%v] misses %v", iv.Lo, iv.Hi, d)
 	}
-	path := ix.ShortestPath(u, v)
+	path := eng.path(u, v)
 	if path[0] != u || path[len(path)-1] != v {
 		t.Fatal("bad path endpoints")
 	}
@@ -196,7 +297,7 @@ func TestRefinerConverges(t *testing.T) {
 	ix := testIndex(t, net)
 	u, v := VertexID(3), VertexID(net.NumVertices()-4)
 	r := ix.NewRefiner(u, v)
-	want := ix.Distance(u, v)
+	want := on(t, ix.Engine()).dist(u, v)
 	steps := 0
 	for !r.Done() {
 		r.Step()
@@ -218,15 +319,16 @@ func TestIsCloser(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
 	rng := rand.New(rand.NewSource(4))
+	eng := on(t, ix.Engine())
 	for trial := 0; trial < 100; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		a := VertexID(rng.Intn(net.NumVertices()))
 		b := VertexID(rng.Intn(net.NumVertices()))
-		da, db := ix.Distance(u, a), ix.Distance(u, b)
+		da, db := eng.dist(u, a), eng.dist(u, b)
 		if math.Abs(da-db) < 1e-12 {
 			continue // tie: either answer acceptable
 		}
-		if got := ix.IsCloser(u, a, b); got != (da < db) {
+		if got := eng.closer(u, a, b); got != (da < db) {
 			t.Fatalf("IsCloser(%d,%d,%d)=%v but %v vs %v", u, a, b, got, da, db)
 		}
 	}
@@ -283,33 +385,42 @@ func TestNetworkBuilderAndCustomQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := testIndex(t, net)
-	if got := ix.Distance(a, c); math.Abs(got-1.0) > 1e-12 {
+	eng := on(t, testIndex(t, net).Engine())
+	if got := eng.dist(a, c); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("Distance(a,c) = %v", got)
 	}
-	if got := ix.ShortestPath(a, c); len(got) != 3 || got[1] != b {
+	if got := eng.path(a, c); len(got) != 3 || got[1] != b {
 		t.Fatalf("path = %v", got)
 	}
 	// Degenerate collinear network must still work.
-	if got := ix.Distance(d, c); math.Abs(got-1.1) > 1e-12 {
+	if got := eng.dist(d, c); math.Abs(got-1.1) > 1e-12 {
 		t.Fatalf("Distance(d,c) = %v", got)
 	}
 }
 
-func TestDiskResidentIOStats(t *testing.T) {
-	net := testNetwork(t)
-	ix, err := BuildIndex(net, BuildOptions{DiskResident: true})
+// testDiskIndex builds the test index disk-resident: persisted under
+// t.TempDir() and reopened behind the default 5% pool.
+func testDiskIndex(t testing.TB, net *Network) *Index {
+	t.Helper()
+	ix, err := BuildIndex(net, BuildOptions{OnDisk: filepath.Join(t.TempDir(), "ix.silcpg")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Distance(0, VertexID(net.NumVertices()-1))
+	t.Cleanup(func() { ix.Close() })
+	return ix
+}
+
+func TestOnDiskIOStats(t *testing.T) {
+	net := testNetwork(t)
+	ix := testDiskIndex(t, net)
+	on(t, ix.Engine()).dist(0, VertexID(net.NumVertices()-1))
 	s := ix.IOStats()
-	if s.PageHits+s.PageMisses == 0 {
-		t.Fatal("no IO recorded")
+	if s.PageMisses == 0 || s.PageReads != s.PageMisses || s.MeasuredIOTime <= 0 {
+		t.Fatalf("a cold disk-resident query must miss, and every miss is a timed real read: %+v", s)
 	}
 	ix.ResetIOStats()
-	if s := ix.IOStats(); s.PageHits+s.PageMisses != 0 {
-		t.Fatal("reset failed")
+	if s := ix.IOStats(); s != (IOStats{}) {
+		t.Fatalf("reset failed: %+v", s)
 	}
 
 	mem := testIndex(t, net)
@@ -332,7 +443,7 @@ func TestDistanceOracleFacade(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		v := VertexID(rng.Intn(net.NumVertices()))
-		want := ix.Distance(u, v)
+		want := on(t, ix.Engine()).dist(u, v)
 		got := o.Distance(u, v)
 		if math.Abs(got-want) > 0.25*want+1e-9 {
 			t.Fatalf("oracle error too large: %v vs %v", got, want)
