@@ -185,7 +185,7 @@ func TestClusterEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{"silc_cluster_rpcs_total", "silc_cluster_cell_rpcs_total",
-		"silc_cluster_memo_hits_total", "silc_cluster_memo_misses_total", "silc_cluster_memo_entries"} {
+		"silc_partition_label_hits_total", "silc_partition_label_misses_total", "silc_partition_label_rows"} {
 		if !strings.Contains(buf.String(), family) {
 			t.Fatalf("router metrics missing family %s", family)
 		}

@@ -53,12 +53,6 @@ type Client struct {
 	cellCalls []*obs.Counter
 	cellLoad  []atomic.Int64 // per-cell RPC counts for hot-cell detection
 	rr        []atomic.Uint32
-
-	// The gateway-interval memo's counters (memo.go); the tables themselves
-	// sit on the RemoteCells.
-	memoHits    *obs.Counter
-	memoMisses  *obs.Counter
-	memoEntries *obs.Gauge
 }
 
 // idleConnsPerNode is how many idle keep-alive connections the client keeps
@@ -124,8 +118,7 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 	}
 	c.rpcs = make(map[string]*clientEndpointMetrics, 8)
 	for _, ep := range []string{
-		PathBoundary, PathIntervals, PathInterval, PathExact,
-		PathRace, PathRegion, PathPath,
+		PathIntervals, PathInterval, PathExact, PathRace, PathRegion, PathPath,
 	} {
 		label := `endpoint="` + ep + `"`
 		c.rpcs[ep] = &clientEndpointMetrics{
@@ -143,12 +136,6 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 		"Hedged attempts launched because a replica was slow.")
 	c.failures = c.reg.Counter("silc_cluster_call_failures_total", "",
 		"Cluster RPC calls that exhausted every replica (client-visible failures).")
-	c.memoHits = c.reg.Counter("silc_cluster_memo_hits_total", "",
-		"Gateway-interval rows answered from the router's memo (no RPC).")
-	c.memoMisses = c.reg.Counter("silc_cluster_memo_misses_total", "",
-		"Gateway-interval rows fetched from a node because the memo did not hold them.")
-	c.memoEntries = c.reg.Gauge("silc_cluster_memo_entries", "",
-		"Gateway-interval rows the router's memo holds, all cells together.")
 	c.cellCalls = make([]*obs.Counter, p)
 	c.cellLoad = make([]atomic.Int64, p)
 	for cell := 0; cell < p; cell++ {

@@ -34,7 +34,7 @@ type Node struct {
 	s     *partition.Sharded
 	owned []bool
 	// gates holds each owned cell's boundary vertices (cell-local ids, in
-	// closure row order): the rows of every boundary and intervals reply.
+	// closure row order): the rows of every intervals reply.
 	gates [][]graph.VertexID
 	// qcs recycles query contexts — and the refiner slabs they carry —
 	// between RPCs.
@@ -77,8 +77,7 @@ func NewNode(name string, m *Manifest, s *partition.Sharded) (*Node, error) {
 	}
 	n.rpcs = make(map[string]*nodeEndpointMetrics, 8)
 	for _, ep := range []string{
-		PathBoundary, PathIntervals, PathInterval, PathExact,
-		PathRace, PathRegion, PathPath,
+		PathIntervals, PathInterval, PathExact, PathRace, PathRegion, PathPath,
 	} {
 		label := `endpoint="` + ep + `"`
 		n.rpcs[ep] = &nodeEndpointMetrics{
@@ -127,7 +126,6 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // /healthz, /readyz and /metrics.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathBoundary, rpc(n, PathBoundary, n.boundary))
 	mux.HandleFunc(PathIntervals, rpc(n, PathIntervals, n.intervals))
 	mux.HandleFunc(PathInterval, rpc(n, PathInterval, n.interval))
 	mux.HandleFunc(PathExact, rpc(n, PathExact, n.exact))
@@ -244,19 +242,6 @@ func (n *Node) checkVerts(cell int32, verts []uint32) error {
 		}
 	}
 	return nil
-}
-
-func (n *Node) boundary(qc *core.QueryContext, req *BoundaryReq) (BoundaryResp, error) {
-	cx, err := n.checkCell(req.Cell, req.Src)
-	if err != nil {
-		return BoundaryResp{}, err
-	}
-	bs := n.gates[req.Cell]
-	dists := make([]uint64, len(bs))
-	for i, b := range bs {
-		dists[i] = Bits(partition.CellExact(cx, qc, graph.VertexID(req.Src), b))
-	}
-	return BoundaryResp{Dists: dists, IO: toIOStats(qc.IO)}, nil
 }
 
 func (n *Node) intervals(qc *core.QueryContext, req *IntervalsReq) (IntervalsResp, error) {

@@ -59,28 +59,37 @@ func post(t *testing.T, url string, req any) (*http.Response, []byte) {
 func TestNodeOwnershipAndValidation(t *testing.T) {
 	s, _, srv := buildNode(t)
 
-	// Owned cell: the boundary sweep must equal CellExact run in process.
+	// Owned cell: the exact RPC must equal CellExact run in process, and the
+	// intervals RPC must carry one row per boundary vertex.
 	bs := s.BoundaryLocals(0)
 	if len(bs) == 0 {
 		t.Fatal("cell 0 has no boundary vertices")
 	}
-	resp, data := post(t, srv.URL+cluster.PathBoundary, &cluster.BoundaryReq{Cell: 0, Src: 0})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("boundary status %d: %s", resp.StatusCode, data)
+	cx := s.CellIndexAt(0)
+	for _, b := range bs {
+		resp, data := post(t, srv.URL+cluster.PathExact, &cluster.ExactReq{Cell: 0, U: 0, V: uint32(b)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("exact status %d: %s", resp.StatusCode, data)
+		}
+		var er cluster.ExactResp
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatal(err)
+		}
+		want := partition.CellExact(cx, core.NewQueryContext(), 0, b)
+		if got := cluster.FromBits(er.D); got != want {
+			t.Fatalf("gateway %d: node says %v, in-process says %v", b, got, want)
+		}
 	}
-	var br cluster.BoundaryResp
-	if err := json.Unmarshal(data, &br); err != nil {
+	resp, data := post(t, srv.URL+cluster.PathIntervals, &cluster.IntervalsReq{Cell: 0, V: 0, ToV: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("intervals status %d: %s", resp.StatusCode, data)
+	}
+	var ir cluster.IntervalsResp
+	if err := json.Unmarshal(data, &ir); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Dists) != len(bs) {
-		t.Fatalf("%d boundary distances for %d rows", len(br.Dists), len(bs))
-	}
-	cx := s.CellIndexAt(0)
-	for i, b := range bs {
-		want := partition.CellExact(cx, core.NewQueryContext(), 0, b)
-		if got := cluster.FromBits(br.Dists[i]); got != want {
-			t.Fatalf("row %d: node says %v, in-process says %v", i, got, want)
-		}
+	if len(ir.Los) != len(bs) || len(ir.His) != len(bs) {
+		t.Fatalf("%d/%d interval bounds for %d rows", len(ir.Los), len(ir.His), len(bs))
 	}
 
 	// Unowned cell: 421 so the client can tell routing bugs from failures.
@@ -140,9 +149,9 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 	_, _, srv := buildNode(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	body, _ := json.Marshal(&cluster.BoundaryReq{Cell: 0, Src: 0})
+	body, _ := json.Marshal(&cluster.ExactReq{Cell: 0, U: 0, V: 1})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		srv.URL+cluster.PathBoundary, bytes.NewReader(body))
+		srv.URL+cluster.PathExact, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

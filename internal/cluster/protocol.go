@@ -7,8 +7,8 @@
 // The RPC surface is deliberately tiny and data-parallel: every call is one
 // of the per-cell primitives the routing layer already consumes through the
 // partition.CellIndex seam (progressive refinement collapsed to its exact
-// endpoint, zero-refinement intervals, boundary sweeps, route races, region
-// lower bounds, path retrieval). Because a node runs the identical cell
+// endpoint, zero-refinement intervals, gateway-interval rows, route races,
+// region lower bounds, path retrieval). Because a node runs the identical cell
 // index code the in-process engine runs, and distances travel as raw IEEE
 // 754 bits, the router's merged answers are bit-identical to the monolithic
 // engine's.
@@ -25,7 +25,6 @@ import (
 // versions the wire contract: a node and router disagreeing on the protocol
 // fail loudly on 404 rather than subtly on skewed semantics.
 const (
-	PathBoundary  = "/rpc/v1/boundary"  // exact src→every-boundary distances
 	PathIntervals = "/rpc/v1/intervals" // zero-refinement intervals, v↔every boundary
 	PathInterval  = "/rpc/v1/interval"  // zero-refinement lookups from one source: one pair, or a batch
 	PathExact     = "/rpc/v1/exact"     // fully refined distance for one pair
@@ -79,18 +78,6 @@ func (s IOStats) Fold(qc *core.QueryContext) {
 		Reads:         s.Reads,
 		BlocksDecoded: s.BlocksDecoded,
 	})
-}
-
-// BoundaryReq asks for the exact within-cell distance from Src to every
-// boundary vertex of Cell, in closure row order. Vertex ids are cell-local.
-type BoundaryReq struct {
-	Cell int32  `json:"cell"`
-	Src  uint32 `json:"src"`
-}
-
-type BoundaryResp struct {
-	Dists []uint64 `json:"dists"`
-	IO    IOStats  `json:"io"`
 }
 
 // IntervalsReq asks for the zero-refinement interval between V and every

@@ -12,10 +12,9 @@ import (
 
 // RemoteCell is the router-side stand-in for one cell's index: every
 // partition.CellIndex operation becomes one RPC to the cell's replica set.
-// It also implements the three batch hooks (BoundaryDistancer,
-// BoundaryIntervaler, RouteRacer), which is what keeps a cross-cell query's
-// RPC count at a handful rather than one per boundary row or refinement
-// step.
+// It also implements the batch hooks (BoundaryIntervaler, RouteRacer,
+// SourceBatcher), which is what keeps a cross-cell query's RPC count at a
+// handful rather than one per boundary row or refinement step.
 //
 // Failure semantics mirror a local paged index with a broken disk: when
 // every replica fails, the error is recorded on the query context via Fail
@@ -26,13 +25,11 @@ import (
 type RemoteCell struct {
 	c    *Client
 	cell int32
-	nb   int // boundary rows of this cell (len of batch replies)
-	memo intervalMemo
+	nb   int // boundary rows of this cell (len of an intervals reply)
 }
 
 var (
 	_ partition.CellIndex          = (*RemoteCell)(nil)
-	_ partition.BoundaryDistancer  = (*RemoteCell)(nil)
 	_ partition.BoundaryIntervaler = (*RemoteCell)(nil)
 	_ partition.RouteRacer         = (*RemoteCell)(nil)
 	_ partition.SourceBatcher      = (*RemoteCell)(nil)
@@ -42,48 +39,17 @@ var (
 // router metadata's row counts.
 func RemoteCells(c *Client, meta *partition.RouterMeta) []partition.CellIndex {
 	out := make([]partition.CellIndex, c.p)
-	rows := memoRowsPerCell(meta.NumBoundary())
 	for cell := 0; cell < c.p; cell++ {
 		lo, hi := meta.BoundaryRows(cell)
-		out[cell] = &RemoteCell{c: c, cell: int32(cell), nb: int(hi - lo),
-			memo: intervalMemo{max: rows}}
-	}
-	return out
-}
-
-// BoundaryDistances implements partition.BoundaryDistancer: one RPC for
-// the whole src→boundary sweep.
-func (rc *RemoteCell) BoundaryDistances(qc *core.QueryContext, src graph.VertexID) []float64 {
-	var resp BoundaryResp
-	err := rc.c.Call(qc.Context(), rc.cell, PathBoundary,
-		&BoundaryReq{Cell: rc.cell, Src: uint32(src)}, &resp)
-	if err != nil {
-		qc.Fail(err)
-		return infDists(rc.nb)
-	}
-	resp.IO.Fold(qc)
-	if len(resp.Dists) != rc.nb {
-		qc.Fail(errRowCount(rc.cell, len(resp.Dists), rc.nb))
-		return infDists(rc.nb)
-	}
-	out := make([]float64, rc.nb)
-	for i, b := range resp.Dists {
-		out[i] = FromBits(b)
+		out[cell] = &RemoteCell{c: c, cell: int32(cell), nb: int(hi - lo)}
 	}
 	return out
 }
 
 // BoundaryIntervals implements partition.BoundaryIntervaler: one RPC for
-// the whole v↔boundary interval sweep, and none at all when the row is in
-// the cell's memo (see memo.go). A hit folds no IOStats — no page was read.
-// The returned row is shared between queries and read-only.
+// the whole v↔boundary interval sweep. The partition layer's label table
+// keeps the row, so a repeated v never reaches this call.
 func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval {
-	key := memoKey{v: v, toV: toV}
-	if row, ok := rc.memo.get(key); ok {
-		rc.c.memoHits.Inc()
-		return row
-	}
-	rc.c.memoMisses.Inc()
 	var resp IntervalsResp
 	err := rc.c.Call(qc.Context(), rc.cell, PathIntervals,
 		&IntervalsReq{Cell: rc.cell, V: uint32(v), ToV: toV}, &resp)
@@ -96,11 +62,7 @@ func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID,
 		qc.Fail(errRowCount(rc.cell, len(resp.Los), rc.nb))
 		return looseIntervals(rc.nb)
 	}
-	out := intervalsFromBits(resp.Los, resp.His)
-	if rc.memo.put(key, out) {
-		rc.c.memoEntries.Add(1)
-	}
-	return out
+	return intervalsFromBits(resp.Los, resp.His)
 }
 
 // SourceBatch implements partition.SourceBatcher: the batch form of the
@@ -261,14 +223,6 @@ func intervalsFromBits(los, his []uint64) []core.Interval {
 	out := make([]core.Interval, len(los))
 	for i := range out {
 		out[i] = core.Interval{Lo: FromBits(los[i]), Hi: FromBits(his[i])}
-	}
-	return out
-}
-
-func infDists(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Inf(1)
 	}
 	return out
 }

@@ -362,9 +362,17 @@ func (e *engine) step() bool {
 	// ε > 0 a self-certified interval (δ⁺ ≤ (1+ε)·δ⁻) also suffices: every
 	// remaining element has true distance ≥ δ⁻, so p's true distance is
 	// within (1+ε)× of the true distance at this rank.
+	//
+	// Separation from Q alone does not cover L: admit keeps an object whose
+	// lower bound has reached Dk out of the queue — it waits in L as the point
+	// interval [Dk, Dk] for drainL — so a p with δ⁻ < Dk < δ⁺ may still lie
+	// behind it. The variants that keep L therefore also require δ⁺ ≤ Dk.
 	selfCert := st.iv.Hi <= (1+e.eps)*st.iv.Lo
-	rankCert := st.refiner.Done() || e.queue.Len() == 0 ||
-		st.iv.Hi < e.queue.PeekKey() || selfCert
+	separated := e.queue.Len() == 0 || st.iv.Hi < e.queue.PeekKey()
+	if e.variant == VariantKNN || e.variant == VariantKNNM {
+		separated = separated && st.iv.Hi <= e.dk()
+	}
+	rankCert := st.refiner.Done() || separated || selfCert
 	// Distance certification: ε = 0 reports the classic loose-interval
 	// lower bound (exact ranking is the contract, not exact distances); an
 	// ε > 0 query additionally promises every reported distance within

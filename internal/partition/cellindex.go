@@ -33,17 +33,11 @@ var _ CellIndex = (*core.Index)(nil)
 // values (+Inf distances, [0,+Inf) intervals), exactly like a storage error
 // on a local index.
 
-// BoundaryDistancer computes the exact within-cell distance from src to
-// every boundary vertex of the cell, in closure row order.
-type BoundaryDistancer interface {
-	BoundaryDistances(qc *core.QueryContext, src graph.VertexID) []float64
-}
-
 // BoundaryIntervaler returns the zero-refinement interval between v and
 // every boundary vertex of the cell, in closure row order. toV selects the
-// direction: boundary→v when true, v→boundary when false. The result depends
-// on the cell image alone, never on the query, so an implementation may hand
-// the same slice to any number of queries: callers must not modify it.
+// direction: boundary→v when true, v→boundary when false. It is how a miss
+// in the destination-label table (labels.go) is filled in one call; the
+// table keeps the returned slice and shares it between queries.
 type BoundaryIntervaler interface {
 	BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval
 }
@@ -82,7 +76,7 @@ func (s *Sharded) qcell(c int32) CellIndex {
 
 // CellExact fully refines the within-cell distance from u to v on one cell
 // index (+Inf when unreachable inside the cell). It is core.ExactDistance
-// over the CellIndex seam — node servers use it to answer boundary and race
+// over the CellIndex seam — node servers use it to answer exact and race
 // RPCs with exactly the arithmetic the in-process router runs.
 func CellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
 	r := cx.Refine(qc, u, v)
@@ -193,6 +187,7 @@ func NewRemote(meta *RouterMeta, cells []CellIndex) (*Sharded, error) {
 		selfContained: meta.selfContained,
 		remote:        cells,
 		comp:          meta.comp,
+		labels:        newLabelTables(meta.asn.P, meta.cl.NB()),
 	}
 	s.stats = Stats{
 		Partitions:       meta.asn.P,

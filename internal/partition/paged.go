@@ -344,7 +344,8 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		})
 	}
 
-	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained, tracker: tracker, pager: pager, comp: comp}
+	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained, tracker: tracker, pager: pager, comp: comp,
+		labels: newLabelTables(p, cl.NB())}
 	s.stats = s.computeStats()
 	return s, nil
 }

@@ -24,8 +24,9 @@ func (s *Sharded) DistanceCtx(qc *core.QueryContext, u, v graph.VertexID) float6
 // DistanceInterval returns a zero-refinement interval on the global network
 // distance: intra-cell pairs in self-contained cells cost one quadtree
 // lookup, exactly like the monolithic index; cross-cell pairs combine the
-// cells' boundary intervals with the closure — |B_p|+|B_q| lookups plus an
-// O(|B_p|·|B_q|) closure scan, but no progressive refinement at all.
+// two endpoints' destination-label rows (labels.go) with the closure — an
+// O(|B_p|·|B_q|) closure scan, |B_p|+|B_q| lookups only where a row is not
+// in the table yet, and no progressive refinement at all.
 func (s *Sharded) DistanceInterval(u, v graph.VertexID) core.Interval {
 	return s.DistanceIntervalCtx(core.NewQueryContext(), u, v)
 }
@@ -37,55 +38,34 @@ func (s *Sharded) DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID
 	}
 	p, q := s.asn.CellOf[u], s.asn.CellOf[v]
 	ul, vl := graph.VertexID(s.asn.LocalOf[u]), graph.VertexID(s.asn.LocalOf[v])
-	pcx, qcx := s.qcell(p), s.qcell(q)
 	if p == q && s.selfContained[p] {
-		return pcx.DistanceIntervalCtx(qc, ul, vl)
+		return s.qcell(p).DistanceIntervalCtx(qc, ul, vl)
 	}
 	lo, hi := math.Inf(1), math.Inf(1)
 	if p == q {
-		iv := pcx.DistanceIntervalCtx(qc, ul, vl)
+		iv := s.qcell(p).DistanceIntervalCtx(qc, ul, vl)
 		lo, hi = iv.Lo, iv.Hi
 	}
 	// True distance = min over boundary pairs (b1 ∈ B_p, b2 ∈ B_q) of
 	// d_p(u,b1) + D(b1,b2) + d_q(b2,v) (and the direct route when p == q),
 	// so the min of the pairs' lower bounds / upper bounds bounds it from
 	// both sides.
-	plo, phi := s.cl.Rows(p)
-	qlo, qhi := s.cl.Rows(q)
+	plo, _ := s.cl.Rows(p)
+	qlo, _ := s.cl.Rows(q)
 	nb := s.cl.NB()
-	// Batch-capable backends answer each boundary sweep in one call (one RPC
-	// per direction on remote cells).
-	ivV := make([]core.Interval, qhi-qlo)
-	if bi, ok := qcx.(BoundaryIntervaler); ok && len(ivV) > 0 {
-		copy(ivV, bi.BoundaryIntervals(qc, vl, true))
-	} else {
-		for j := qlo; j < qhi; j++ {
-			bl := graph.VertexID(s.asn.LocalOf[s.cl.B[j]])
-			ivV[j-qlo] = qcx.DistanceIntervalCtx(qc, bl, vl)
-		}
-	}
-	var ivUs []core.Interval
-	if bi, ok := pcx.(BoundaryIntervaler); ok {
-		ivUs = bi.BoundaryIntervals(qc, ul, false)
-	}
-	for i := plo; i < phi; i++ {
-		var ivU core.Interval
-		if int(i-plo) < len(ivUs) {
-			ivU = ivUs[i-plo]
-		} else {
-			bl := graph.VertexID(s.asn.LocalOf[s.cl.B[i]])
-			ivU = pcx.DistanceIntervalCtx(qc, ul, bl)
-		}
-		if math.IsInf(ivU.Lo, 1) {
+	ivU := s.labelRow(qc, p, ul, false)
+	ivV := s.labelRow(qc, q, vl, true)
+	for i, iu := range ivU {
+		if math.IsInf(iu.Lo, 1) {
 			continue
 		}
-		row := s.cl.D[int(i)*nb : (int(i)+1)*nb]
-		for j := qlo; j < qhi; j++ {
+		row := s.cl.D[(int(plo)+i)*nb+int(qlo):]
+		for j, iv := range ivV {
 			d := row[j]
-			if l := ivU.Lo + d + ivV[j-qlo].Lo; l < lo {
+			if l := iu.Lo + d + iv.Lo; l < lo {
 				lo = l
 			}
-			if h := ivU.Hi + d + ivV[j-qlo].Hi; h < hi {
+			if h := iu.Hi + d + iv.Hi; h < hi {
 				hi = h
 			}
 		}

@@ -6,24 +6,29 @@ import (
 	"silc/internal/core"
 	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/pqueue"
 )
 
-// router is the per-query routing state for one source vertex: the exact
-// within-cell distances from the source to its own cell's boundary (du),
-// and — lazily per destination cell — the "gateway closure" A, the exact
-// global distance from the source to every boundary vertex of that cell
-// (A[b] = min over own-cell gateways b1 of du[b1] + D(b1, b)). One router is
-// built per (QueryContext, source) and cached on the context, so a kNN
-// query amortizes the boundary work across every object it inspects.
+// router is the per-query routing state for one source vertex: the source
+// label du — the exact within-cell distances from the source to its own
+// cell's boundary — and, lazily per destination cell, the "gateway closure"
+// A, the exact global distance from the source to every boundary vertex of
+// that cell (A[b] = min over own-cell gateways b1 of du[b1] + D(b1, b)). One
+// router is built per (QueryContext, source) and cached on the context, so a
+// kNN query amortizes the boundary work across every object it inspects.
 // Routers are owned by one goroutine, like the context that carries them.
 type router struct {
 	s   *Sharded
-	qc  *core.QueryContext
 	src graph.VertexID
 	p   int32 // cell of src
 
 	duReady bool
 	du      []float64 // exact d_p(src, b) per own-cell boundary row (offset from row lo)
+	// dist and heap are ensureDU's search state: tentative within-cell
+	// distances by cell-local id, and the frontier. Kept across sources, so a
+	// warm router's search allocates nothing.
+	dist []float64
+	heap pqueue.Min[graph.VertexID]
 
 	gw    [][]float64 // per cell: A values per row offset; nil until computed
 	gwArg [][]int32   // per cell: argmin own-cell row (global row id) behind each A value
@@ -173,7 +178,6 @@ func (s *Sharded) routerFor(qc *core.QueryContext, src graph.VertexID) *router {
 		cur:   1,
 	}
 	if qc != nil {
-		rt.qc = qc
 		rt.qcGen = qc.Gen()
 		qc.Route = rt
 	}
@@ -217,36 +221,63 @@ func (rt *router) newRR() *routeRefiner {
 	return r
 }
 
-// ensureDU refines the source's distance to each of its own cell's boundary
-// vertices to exact. This is the one-time per-query cost of cross-cell
-// routing: |B_p| progressive refinements on the source's cell index — or a
-// single batch call when the cell backend offers one (a remote cell turns
-// the whole sweep into one RPC).
+// ensureDU computes the source label: the exact within-cell distance from
+// the source to each of its own cell's gateways (+Inf for a gateway the cell's
+// own edges do not reach). This is the one-time per-source cost of cross-cell
+// routing, paid as ONE bounded search: Dijkstra from the source over the
+// global network, relaxing only arcs that stay inside the cell — the induced
+// subgraph the cell index was built on — and stopping once the cell's last
+// gateway is settled. The closure D was computed the same way (one Dijkstra
+// per gateway at build time), so both halves of A = du + D are sums of edge
+// weights in path order, as exact as each other. The search needs the network
+// and the partition metadata only, which a router holds in full: it is the
+// same function over in-process and remote cells, bit for bit.
 func (rt *router) ensureDU() {
 	if rt.duReady {
 		return
 	}
-	s := rt.s
-	lo, hi := s.cl.Rows(rt.p)
-	if cap(rt.du) < int(hi-lo) {
-		rt.du = make([]float64, hi-lo)
-	}
-	rt.du = rt.du[:hi-lo]
-	cx := s.qcell(rt.p)
-	srcLocal := graph.VertexID(s.asn.LocalOf[rt.src])
-	if bd, ok := cx.(BoundaryDistancer); ok {
-		for i := range rt.du {
-			rt.du[i] = math.Inf(1)
-		}
-		copy(rt.du, bd.BoundaryDistances(rt.qc, srcLocal))
-		rt.duReady = true
-		return
-	}
-	for r := lo; r < hi; r++ {
-		bLocal := graph.VertexID(s.asn.LocalOf[s.cl.B[r]])
-		rt.du[r-lo] = CellExact(cx, rt.qc, srcLocal, bLocal)
-	}
 	rt.duReady = true
+	s, asn, p := rt.s, rt.s.asn, rt.p
+	lo, hi := s.cl.Rows(p)
+	rt.du = fillInf(rt.du, int(hi-lo))
+	rt.dist = fillInf(rt.dist, len(asn.Verts[p]))
+	h := &rt.heap
+	h.Reset()
+	rt.dist[asn.LocalOf[rt.src]] = 0
+	h.Push(0, rt.src)
+	for left := int(hi - lo); left > 0 && h.Len() > 0; {
+		d, v := h.Pop()
+		if d > rt.dist[asn.LocalOf[v]] {
+			continue // superseded by a shorter entry for v
+		}
+		if r := s.cl.RowOf[v]; r >= 0 {
+			rt.du[r-lo] = d
+			left--
+		}
+		targets, weights := s.g.Neighbors(v)
+		for i, t := range targets {
+			if asn.CellOf[t] != p {
+				continue
+			}
+			if nd := d + weights[i]; nd < rt.dist[asn.LocalOf[t]] {
+				rt.dist[asn.LocalOf[t]] = nd
+				h.Push(nd, t)
+			}
+		}
+	}
+}
+
+// fillInf returns buf resized to n entries (reallocating only to grow), all
+// +Inf.
+func fillInf(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = math.Inf(1)
+	}
+	return buf
 }
 
 // gateways returns A (and the argmin own-cell gateway behind each entry) for
@@ -375,26 +406,14 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 	}
 	a, _ := rt.gateways(r.q)
 	lo, _ := s.cl.Rows(r.q)
-	cx := s.qcell(r.q)
-	// One batch call fetches every gate's boundary→dst interval when the
-	// cell backend offers it (one RPC on a remote cell).
-	var civs []core.Interval
-	if bi, ok := cx.(BoundaryIntervaler); ok {
-		civs = bi.BoundaryIntervals(qc, r.dstLocal, true)
-	}
+	civs := s.labelRow(qc, r.q, r.dstLocal, true) // every gate's gateway→dst interval
 	r.gates = r.gates[:0]
 	for j, av := range a {
 		if math.IsInf(av, 1) {
 			continue
 		}
-		bLocal := graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]])
-		var civ core.Interval
-		if j < len(civs) {
-			civ = civs[j]
-		} else {
-			civ = cx.DistanceIntervalCtx(qc, bLocal, r.dstLocal)
-		}
-		g := gate{a: av, bLocal: bLocal, civ: civ}
+		civ := civs[j]
+		g := gate{a: av, bLocal: graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]]), civ: civ}
 		g.exact = civ.Lo >= civ.Hi || math.IsInf(civ.Lo, 1)
 		r.gates = append(r.gates, g)
 	}

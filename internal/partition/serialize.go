@@ -245,7 +245,7 @@ func Load(r io.Reader, g *graph.Network) (*Sharded, error) {
 		return nil, fmt.Errorf("partition: checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
 
-	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained}
+	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained, labels: newLabelTables(asn.P, cl.NB())}
 	s.stats = s.computeStats()
 	return s, nil
 }

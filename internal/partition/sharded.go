@@ -75,10 +75,11 @@ type cell struct {
 }
 
 // Sharded is a partitioned SILC index over one network: P per-cell indexes
-// plus the boundary closure. Like the monolithic index it is read-only on
-// the query path — per-query state (including the gateway-closure cache)
-// lives in core.QueryContext — so any number of goroutines may query one
-// shared Sharded concurrently.
+// plus the boundary closure. Like the monolithic index its image is
+// read-only on the query path — per-query state (including the
+// gateway-closure cache) lives in core.QueryContext, and the one shared
+// mutable piece, the destination-label tables, locks per cell — so any
+// number of goroutines may query one shared Sharded concurrently.
 type Sharded struct {
 	g     *graph.Network
 	asn   *Assignment
@@ -97,6 +98,9 @@ type Sharded struct {
 	// index, the encoding of the file it came from).
 	comp  store.Compression
 	stats Stats
+	// labels holds the destination-label rows (labels.go), one bounded table
+	// per cell, shared by every query over in-process and remote cells alike.
+	labels *labelTables
 }
 
 // Compression returns the block-page encoding WritePaged will emit.
@@ -151,7 +155,7 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 	if err := validateCoverage(g, asn, cl, cells); err != nil {
 		return nil, err
 	}
-	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, comp: opt.Compression}
+	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, comp: opt.Compression, labels: newLabelTables(p, cl.NB())}
 	s.selfContained = s.computeSelfContained()
 	closureTime := time.Since(closureStart)
 

@@ -142,10 +142,10 @@ func newEngineObs(e *Engine) *engineObs {
 	return m
 }
 
-// registerDynamic adds the series whose cardinality depends on the
-// engine's final storage topology: per-pool-shard hit/miss/eviction
-// gauges and per-store read counters (labelled by page source). Called
-// once, on the first scrape.
+// registerDynamic adds the series that depend on the engine's final
+// topology: per-pool-shard hit/miss/eviction gauges, the label-table
+// counters of a sharded index, and per-store read counters (labelled by
+// page source). Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
 	if pool := e.qx.Tracker().Pool(); pool != nil {
@@ -165,6 +165,18 @@ func (m *engineObs) registerDynamic(e *Engine) {
 				"Per-pool-shard resident pages.",
 				func() float64 { return float64(pool.ShardLen(i)) })
 		}
+	}
+	if e.shard != nil {
+		labels := e.shard.sx.LabelStats
+		r.CounterFunc("silc_partition_label_hits_total", "",
+			"Gateway-interval rows answered from the label table (no cell lookups, no RPC).",
+			func() float64 { return float64(labels().Hits) })
+		r.CounterFunc("silc_partition_label_misses_total", "",
+			"Gateway-interval rows computed by the cell backend because the label table did not hold them.",
+			func() float64 { return float64(labels().Misses) })
+		r.GaugeFunc("silc_partition_label_rows", "",
+			"Gateway-interval rows the label table holds, all cells together.",
+			func() float64 { return float64(labels().Rows) })
 	}
 	if e.pager == nil {
 		return
@@ -251,7 +263,7 @@ func (e *Engine) TracingEnabled() bool { return e.obs.timed.Load() }
 // histograms (silc_engine_*), search-work counters (silc_knn_*),
 // pool-wide and per-shard buffer-pool traffic (silc_diskio_*), per-store
 // read/decode counters labelled by page source (silc_store_*), and
-// cross-cell routing fan-out (silc_partition_*). Safe for concurrent
+// cross-cell routing fan-out and label-table traffic (silc_partition_*). Safe for concurrent
 // use with queries; scraping never blocks the query path.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	e.obs.dynOnce.Do(func() { e.obs.registerDynamic(e) })

@@ -18,7 +18,7 @@ ROUTER=18090
 NODE_A=18091
 NODE_B=18092
 MONO=18093
-KNN_RPC_BUDGET=25
+KNN_RPC_BUDGET=20
 PIDS=()
 
 cleanup() {
@@ -99,7 +99,7 @@ rpc_total() { # sum of silc_cluster_rpcs_total over the endpoints
   curl -sf "localhost:$ROUTER/metrics" | awk '/^silc_cluster_rpcs_total/ {s += $2} END {print s+0}'
 }
 BUDGET_QS="3 211 419 640 888 1010 1234 1400"
-for q in $BUDGET_QS; do # first touch fills the gateway-interval memo
+for q in $BUDGET_QS; do # first touch fills the router's label table
   curl -sf "localhost:$ROUTER/knn?q=$q&k=10&exact=1" >/dev/null
 done
 before=$(rpc_total)
@@ -126,7 +126,7 @@ for f in node-a node-b; do
   done
 done
 for fam in silc_cluster_rpcs_total silc_cluster_cell_rpcs_total silcserve_requests_total \
-           silc_cluster_memo_hits_total silc_cluster_memo_misses_total silc_cluster_memo_entries; do
+           silc_partition_label_hits_total silc_partition_label_misses_total silc_partition_label_rows; do
   grep -q "^$fam" "$DIR/router.metrics" || { echo "missing $fam on router" >&2; exit 1; }
 done
 echo "   metric families present"
