@@ -17,7 +17,7 @@
 //	SH  sharded vs monolithic index        (beyond the paper: build time,
 //	    storage, and QPS of the partitioned index against the monolith)
 //	PG  real paged store                   (beyond the paper: an exact-
-//	    distance workload on the on-disk SILCPG1 store — pool traffic,
+//	    distance workload on the on-disk paged image — pool traffic,
 //	    actual reads and measured I/O time)
 //
 // Usage:
@@ -26,7 +26,7 @@
 //	experiments -quick          # reduced sizes and query counts (~seconds)
 //	experiments -only F3,F4     # subset
 //	experiments -json           # also write BENCH_<id>.json result files
-//	experiments -baseline       # write canonical BENCH_F3/TP/ALLOC/PG.json baselines
+//	experiments -baseline       # write canonical BENCH_F3/ALLOC/PG.json baselines
 //	experiments -check          # fail on regression against committed baselines
 //
 // With -json every selected experiment additionally writes its raw
@@ -36,8 +36,8 @@
 // -baseline and -check are the benchmark-trajectory gate (see regress.go):
 // -baseline runs a fixed smoke suite and writes the canonical committed
 // baselines; -check reruns it and exits nonzero if an exact count (F3 page
-// traffic and refinements, PG image sizes and cold pool counters, allocs/op)
-// moved at all or calibrated ns/op drifted outside the tolerance band.
+// traffic and refinements, PG image sizes and cold pool counters) moved at
+// all or allocs/op grew. It judges no time; that is benchmark/'s job.
 package main
 
 import (
@@ -63,8 +63,8 @@ func main() {
 		seed     = flag.Int64("seed", bench.DefaultSeed, "master seed")
 		jsonOut  = flag.Bool("json", false, "write machine-readable BENCH_<id>.json result files")
 		jsonDir  = flag.String("json-dir", ".", "directory for -json result files")
-		baseline = flag.Bool("baseline", false, "run the F3/TP/ALLOC/PG smoke suite and write the canonical BENCH_*.json baselines into -json-dir")
-		regCheck = flag.Bool("check", false, "rerun the F3/TP/ALLOC/PG smoke suite and fail on regression against the committed BENCH_*.json baselines")
+		baseline = flag.Bool("baseline", false, "run the F3/ALLOC/PG smoke suite and write the canonical BENCH_*.json baselines into -json-dir")
+		regCheck = flag.Bool("check", false, "rerun the F3/ALLOC/PG smoke suite and fail on regression against the committed BENCH_*.json baselines")
 	)
 	flag.Parse()
 	if *baseline || *regCheck {

@@ -2,12 +2,11 @@
 //
 // `experiments -baseline` runs a fixed smoke-sized measurement suite —
 // F3 (per-query page traffic and refinements of every kNN algorithm on the
-// real paged store), TP (parallel throughput), ALLOC (steady-state
-// allocations on the public Engine surface), and PG (compressed block-page
-// image sizes, cold pool counters, and warm mmap-path timing) — and writes
-// the results as the canonical BENCH_F3.json / BENCH_TP.json /
-// BENCH_ALLOC.json / BENCH_PG.json files, which are committed to the
-// repository.
+// real paged store), ALLOC (steady-state allocations on the public Engine
+// surface), and PG (block-page image sizes in both encodings, cold pool
+// counters, and warm-path allocations through positioned reads and mmap) —
+// and writes the results as the canonical BENCH_F3.json / BENCH_ALLOC.json /
+// BENCH_PG.json files, which are committed to the repository.
 //
 // `experiments -check` (the CI bench-regress job) reruns the identical suite
 // and compares it against the committed files:
@@ -18,16 +17,11 @@
 //     counters. They are machine-independent, so any drift is a change in
 //     paging or search behavior, never noise;
 //   - any increase in allocs/op fails — the hot path is allocation-free by
-//     design and a single new steady-state allocation is a regression;
-//   - ns/op (and QPS, inverted) may drift up to 25% after calibration.
+//     design and a single new steady-state allocation is a regression.
 //
-// Machines differ, so raw nanoseconds are not comparable across the machine
-// that wrote the baseline and the machine running the check. Both runs
-// therefore measure a fixed CPU-bound calibration loop; the checker rescales
-// the committed timings by the ratio of the two calibration times before
-// applying the 25% band. A TP point that asks for more goroutines than
-// either machine had CPUs is printed but not judged: it measures the
-// scheduler, not the index.
+// The gate judges no time: every number it compares is the same on every
+// machine and every run. Latency and throughput are the end-to-end
+// benchmark's job (benchmark/: calibrated alternating pairs with bounds).
 package main
 
 import (
@@ -36,26 +30,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"silc"
 	"silc/internal/bench"
 )
 
-// The smoke suite is sized for CI: large enough that per-query medians are
-// stable, small enough to finish in well under a minute.
+// The smoke suite is sized for CI: small enough to finish in well under a
+// minute.
 const (
 	regressLattice = 48 // rows == cols of the evaluation lattice
 	regressQueries = 24 // queries per sweep point
-	regressRepeats = 5  // TP sweeps per point; the median is recorded
-	regressBand    = 1.25
 )
 
 // regressSpecs returns the F3 sweep points the gate tracks: the paper's
@@ -91,47 +80,28 @@ type f3Counts struct {
 	Refinements float64 `json:"refinements"`
 }
 
-// tpBaseline records where it was measured: a goroutine point above the
-// machine's GOMAXPROCS says nothing about the index.
-type tpBaseline struct {
-	CalibrationNs float64   `json:"calibration_ns"`
-	GOMAXPROCS    int       `json:"gomaxprocs"`
-	NumCPU        int       `json:"num_cpu"`
-	Lattice       int       `json:"lattice"`
-	Queries       int       `json:"queries"`
-	Points        []tpPoint `json:"points"`
-}
-
-type tpPoint struct {
-	Goroutines int     `json:"goroutines"`
-	QPS        float64 `json:"qps"`
-}
-
 type allocBaseline struct {
-	CalibrationNs float64    `json:"calibration_ns"`
-	Rows          []allocRow `json:"rows"`
+	Rows []allocRow `json:"rows"`
 }
 
 // allocRow is one steady-state operation measured through testing.Benchmark
 // on the public Engine API with a warm query-context pool.
 type allocRow struct {
-	Op          string  `json:"op"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Op          string `json:"op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
 }
 
 // pgBaseline tracks the compressed block-page format: exact image sizes in
 // both encodings (byte-deterministic — any drift means the on-disk format
 // changed and the baseline must be consciously regenerated), exact cold-scan
-// pool counters under a 5% pool, and warm-path timing/allocations through
+// pool counters under a 5% pool, and warm-path allocations through
 // positioned reads and mmap.
 type pgBaseline struct {
-	CalibrationNs float64    `json:"calibration_ns"`
-	Lattice       int        `json:"lattice"`
-	Images        []pgImage  `json:"images"`
-	ColdIO        []pgColdIO `json:"cold_io"`
-	Rows          []allocRow `json:"rows"`
+	Lattice int        `json:"lattice"`
+	Images  []pgImage  `json:"images"`
+	ColdIO  []pgColdIO `json:"cold_io"`
+	Rows    []allocRow `json:"rows"`
 }
 
 // pgImage records one index layout's paged image size in both encodings.
@@ -153,41 +123,6 @@ type pgColdIO struct {
 	Reads  int64  `json:"page_reads"`
 	Misses int64  `json:"page_misses"`
 	Hits   int64  `json:"page_hits"`
-}
-
-var calibrationSink uint64
-
-// calibrate times a fixed CPU-bound xorshift loop (best of three) as a
-// machine-speed proxy. The checker divides fresh by baseline calibration to
-// rescale committed ns/op figures onto the current machine.
-func calibrate() float64 {
-	best := math.MaxFloat64
-	for t := 0; t < 3; t++ {
-		start := time.Now()
-		x := uint64(0x9E3779B97F4A7C15)
-		for i := 0; i < 1<<23; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		calibrationSink = x
-		if d := float64(time.Since(start).Nanoseconds()); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // measureF3 runs the smoke sweep once on the real paged store and records
@@ -213,45 +148,10 @@ func measureF3(seed int64) (f3Baseline, error) {
 	return out, nil
 }
 
-// measureTP runs the throughput smoke: one shared index paged from disk,
-// kNN k=10, at 1 and 4 goroutines.
-func measureTP(seed int64, cal float64) (tpBaseline, error) {
-	env, err := bench.NewEnv(regressLattice, regressLattice, seed, true)
-	if err != nil {
-		return tpBaseline{}, err
-	}
-	defer env.Close()
-	const nq = 400
-	w := env.NewThroughputWorkload(nq, 0.05, 10, seed+4)
-	out := tpBaseline{
-		CalibrationNs: cal,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Lattice:       regressLattice,
-		Queries:       nq,
-	}
-	// Median-of-repeats per goroutine count: throughput is the noisiest of
-	// the suites.
-	qps := map[int][]float64{}
-	for rep := 0; rep < regressRepeats; rep++ {
-		pts, err := bench.ThroughputSweep(env.Cold, w, []int{1, 4})
-		if err != nil {
-			return tpBaseline{}, err
-		}
-		for _, pt := range pts {
-			qps[pt.Goroutines] = append(qps[pt.Goroutines], pt.QPS)
-		}
-	}
-	for _, g := range []int{1, 4} {
-		out.Points = append(out.Points, tpPoint{Goroutines: g, QPS: median(qps[g])})
-	}
-	return out, nil
-}
-
 // measureAlloc measures the steady-state public-Engine operations the
 // allocation budgets in allocbudget_test.go cover, via testing.Benchmark so
-// allocs/op and ns/op come from the standard tooling.
-func measureAlloc(seed int64, cal float64) (allocBaseline, error) {
+// allocs/op comes from the standard tooling.
+func measureAlloc(seed int64) (allocBaseline, error) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 32, Cols: 32, Seed: seed})
 	if err != nil {
 		return allocBaseline{}, err
@@ -307,7 +207,7 @@ func measureAlloc(seed int64, cal float64) (allocBaseline, error) {
 			return nil
 		}},
 	}
-	out := allocBaseline{CalibrationNs: cal}
+	var out allocBaseline
 	for _, o := range ops {
 		op := o.op
 		for i := 0; i < 5; i++ { // warm the context pool and page cache
@@ -325,7 +225,6 @@ func measureAlloc(seed int64, cal float64) (allocBaseline, error) {
 		})
 		out.Rows = append(out.Rows, allocRow{
 			Op:          o.name,
-			NsPerOp:     float64(res.NsPerOp()),
 			AllocsPerOp: res.AllocsPerOp(),
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
@@ -337,12 +236,12 @@ func measureAlloc(seed int64, cal float64) (allocBaseline, error) {
 // image sizes, runs a fixed cold kNN scan against each encoding under a 5%
 // pool recording exact pool counters, and benchmarks the warm compressed
 // path through positioned reads and (where supported) a memory mapping.
-func measurePG(seed int64, cal float64) (pgBaseline, error) {
+func measurePG(seed int64) (pgBaseline, error) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: regressLattice, Cols: regressLattice, Seed: seed})
 	if err != nil {
 		return pgBaseline{}, err
 	}
-	out := pgBaseline{CalibrationNs: cal, Lattice: regressLattice}
+	out := pgBaseline{Lattice: regressLattice}
 
 	type layout struct {
 		name  string
@@ -466,7 +365,6 @@ func measurePG(seed int64, cal float64) (pgBaseline, error) {
 		})
 		out.Rows = append(out.Rows, allocRow{
 			Op:          row.name,
-			NsPerOp:     float64(res.NsPerOp()),
 			AllocsPerOp: res.AllocsPerOp(),
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
@@ -476,39 +374,30 @@ func measurePG(seed int64, cal float64) (pgBaseline, error) {
 
 // runRegress drives both modes. In baseline mode the three canonical files
 // are (re)written into dir; in check mode fresh runs are compared against
-// the committed files and any regression returns an error.
+// the committed files and any drift returns an error.
 func runRegress(baseline bool, dir string, seed int64) error {
 	mode := "check"
 	if baseline {
 		mode = "baseline"
 	}
-	fmt.Printf("bench-regress (%s): lattice %dx%d, %d queries/point, TP median of %d repeats\n",
-		mode, regressLattice, regressLattice, regressQueries, regressRepeats)
-	cal := calibrate()
-	fmt.Printf("calibration: %.0f ns (fixed xorshift loop, best of 3)\n\n", cal)
+	fmt.Printf("bench-regress (%s): lattice %dx%d, %d queries/point\n\n",
+		mode, regressLattice, regressLattice, regressQueries)
 
 	f3, err := measureF3(seed)
 	if err != nil {
 		return err
 	}
-	tp, err := measureTP(seed, cal)
+	al, err := measureAlloc(seed)
 	if err != nil {
 		return err
 	}
-	al, err := measureAlloc(seed, cal)
-	if err != nil {
-		return err
-	}
-	pg, err := measurePG(seed, cal)
+	pg, err := measurePG(seed)
 	if err != nil {
 		return err
 	}
 
 	if baseline {
 		if err := writeJSON(dir, "F3", f3); err != nil {
-			return err
-		}
-		if err := writeJSON(dir, "TP", tp); err != nil {
 			return err
 		}
 		if err := writeJSON(dir, "ALLOC", al); err != nil {
@@ -518,13 +407,9 @@ func runRegress(baseline bool, dir string, seed int64) error {
 	}
 
 	var base3 f3Baseline
-	var baseTP tpBaseline
 	var baseAL allocBaseline
 	var basePG pgBaseline
 	if err := readBaseline(dir, "F3", &base3); err != nil {
-		return err
-	}
-	if err := readBaseline(dir, "TP", &baseTP); err != nil {
 		return err
 	}
 	if err := readBaseline(dir, "ALLOC", &baseAL); err != nil {
@@ -536,31 +421,14 @@ func runRegress(baseline bool, dir string, seed int64) error {
 
 	failures := 0
 	failures += checkF3(base3, f3)
-	failures += checkTP(baseTP, tp, cal)
-	failures += checkAlloc(baseAL, al, cal)
-	failures += checkPG(basePG, pg, cal)
+	fmt.Println("ALLOC (allocs/op must not increase at all):")
+	failures += checkRows(baseAL.Rows, al.Rows)
+	failures += checkPG(basePG, pg)
 	if failures > 0 {
 		return fmt.Errorf("bench-regress: %d regression(s) against committed BENCH_*.json", failures)
 	}
-	fmt.Println("\nbench-regress: all checks within tolerance")
+	fmt.Println("\nbench-regress: every count matches the committed baselines")
 	return nil
-}
-
-// scaleFactor converts a baseline-machine time into the expected time on
-// this machine, clamped so a pathological calibration cannot hide (or
-// invent) an order-of-magnitude regression.
-func scaleFactor(freshCal, baseCal float64) float64 {
-	if baseCal <= 0 {
-		return 1
-	}
-	s := freshCal / baseCal
-	if s < 0.25 {
-		s = 0.25
-	}
-	if s > 4 {
-		s = 4
-	}
-	return s
 }
 
 // checkF3 compares the F3 counts by equality, like the PG cold rows: the
@@ -609,50 +477,9 @@ func checkF3(base, fresh f3Baseline) int {
 	return failures
 }
 
-func checkTP(base, fresh tpBaseline, freshCal float64) int {
-	scale := scaleFactor(freshCal, base.CalibrationNs)
-	procs := min(base.GOMAXPROCS, fresh.GOMAXPROCS)
-	fmt.Printf("TP (machine scale %.2fx, band %.0f%%; GOMAXPROCS %d recorded, %d here — points above %d goroutines are not judged):\n",
-		scale, (regressBand-1)*100, base.GOMAXPROCS, fresh.GOMAXPROCS, procs)
-	failures := 0
-	for _, bp := range base.Points {
-		var fp *tpPoint
-		for i := range fresh.Points {
-			if fresh.Points[i].Goroutines == bp.Goroutines {
-				fp = &fresh.Points[i]
-			}
-		}
-		if fp == nil {
-			fmt.Printf("  FAIL g=%d missing from fresh run\n", bp.Goroutines)
-			failures++
-			continue
-		}
-		// QPS scales inversely with machine time: a machine 2x slower on
-		// the calibration loop is expected to deliver half the QPS.
-		expected := bp.QPS / scale
-		status := "ok  "
-		switch {
-		case bp.Goroutines > procs:
-			status = "info"
-		case fp.QPS < expected/regressBand:
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  %s g=%d  base %8.0f qps  fresh %8.0f qps  (%.2fx of scaled base)\n",
-			status, bp.Goroutines, bp.QPS, fp.QPS, fp.QPS/expected)
-	}
-	return failures
-}
-
-func checkAlloc(base, fresh allocBaseline, freshCal float64) int {
-	scale := scaleFactor(freshCal, base.CalibrationNs)
-	fmt.Printf("ALLOC (machine scale %.2fx; allocs/op must not increase at all):\n", scale)
-	return checkRows(base.Rows, fresh.Rows, scale)
-}
-
-// checkRows applies the steady-state rules to one suite's benchmark rows:
-// allocs/op must never grow, ns/op gets the calibrated band.
-func checkRows(base, fresh []allocRow, scale float64) int {
+// checkRows applies the steady-state rule to one suite's benchmark rows:
+// allocs/op must never grow.
+func checkRows(base, fresh []allocRow) int {
 	failures := 0
 	freshByOp := map[string]allocRow{}
 	for _, r := range fresh {
@@ -671,13 +498,9 @@ func checkRows(base, fresh []allocRow, scale float64) int {
 			status = "FAIL"
 			reason = fmt.Sprintf("  <- allocs/op grew %d -> %d", br.AllocsPerOp, fr.AllocsPerOp)
 			failures++
-		} else if fr.NsPerOp > br.NsPerOp*scale*regressBand {
-			status = "FAIL"
-			reason = "  <- ns/op outside band"
-			failures++
 		}
-		fmt.Printf("  %s %-28s base %8.0fns %3d allocs  fresh %8.0fns %3d allocs%s\n",
-			status, br.Op, br.NsPerOp, br.AllocsPerOp, fr.NsPerOp, fr.AllocsPerOp, reason)
+		fmt.Printf("  %s %-28s base %3d allocs  fresh %3d allocs%s\n",
+			status, br.Op, br.AllocsPerOp, fr.AllocsPerOp, reason)
 	}
 	return failures
 }
@@ -686,10 +509,9 @@ func checkRows(base, fresh []allocRow, scale float64) int {
 // counters are byte-deterministic, so they must match EXACTLY — any drift
 // means the on-disk encoding changed, and the baseline (plus the golden
 // files) must be regenerated deliberately, never absorbed by a tolerance
-// band. The warm rows follow the ALLOC rules (checkRows).
-func checkPG(base, fresh pgBaseline, freshCal float64) int {
-	scale := scaleFactor(freshCal, base.CalibrationNs)
-	fmt.Printf("PG (image sizes and cold pool counters exact; machine scale %.2fx for warm ns):\n", scale)
+// band. The warm rows follow the ALLOC rule (checkRows).
+func checkPG(base, fresh pgBaseline) int {
+	fmt.Println("PG (image sizes and cold pool counters exact; warm allocs/op must not increase):")
 	failures := 0
 
 	freshImg := map[string]pgImage{}
@@ -738,7 +560,7 @@ func checkPG(base, fresh pgBaseline, freshCal float64) int {
 		fmt.Println()
 	}
 
-	return failures + checkRows(base.Rows, fresh.Rows, scale)
+	return failures + checkRows(base.Rows, fresh.Rows)
 }
 
 // readBaseline loads a committed BENCH_<id>.json (the {"id","result"}

@@ -5,13 +5,12 @@
 //
 //	silcbuild -net network.txt
 //	silcbuild -rows 96 -cols 96 -seed 2008   # generate, then build
-//	silcbuild -rows 256 -cols 256 -partitions 8 -o idx.shd   # sharded build
-//	silcbuild -rows 128 -cols 128 -format=paged -o idx.silcpg
+//	silcbuild -rows 128 -cols 128 -o idx.silcpg
 //	                      # page-aligned on-disk index, network embedded:
-//	                      # open with silc.OpenIndex / silcserve -index
-//	silcbuild -rows 128 -cols 128 -format=paged -compress=delta -o idx.silcpg2
+//	                      # open with silc.OpenEngine / silcserve -index
+//	silcbuild -rows 128 -cols 128 -compress=delta -o idx.silcpg2
 //	                      # compressed block pages (SILCPG2), >2x smaller
-//	silcbuild -rows 256 -cols 256 -partitions 8 -format=paged -o idx.silcspg
+//	silcbuild -rows 256 -cols 256 -partitions 8 -o idx.silcspg   # sharded build
 //
 // With -partitions N > 1 the build is sharded: the network splits into N
 // spatial cells, each cell builds its own SILC index over only its
@@ -38,27 +37,19 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		parallel   = flag.Int("p", 0, "build workers (0 = all CPUs)")
 		partitions = flag.Int("partitions", 1, "spatial partitions (>1 builds the sharded index)")
-		out        = flag.String("o", "", "write the built index to this file")
-		format     = flag.String("format", "legacy", "output format: legacy (in-RAM load) or paged (page-aligned, demand-paged, network embedded; open with OpenIndex / silcserve)")
-		compress   = flag.String("compress", "none", "paged block-page encoding: none (fixed-width SILCPG1) or delta (delta+varint SILCPG2)")
+		out        = flag.String("o", "", "write the built index to this file as a paged image (page-aligned, demand-paged, network embedded; open with OpenEngine / silcserve -index)")
+		format     = flag.String("format", "paged", "output format; paged is the only one")
+		compress   = flag.String("compress", "none", "block-page encoding: none (fixed-width SILCPG1) or delta (delta+varint SILCPG2)")
 	)
 	flag.Parse()
 
-	if *format != "legacy" && *format != "paged" {
-		fmt.Fprintf(os.Stderr, "silcbuild: unknown -format %q (legacy, paged)\n", *format)
-		os.Exit(1)
-	}
-	if *format == "paged" && *out == "" {
-		fmt.Fprintln(os.Stderr, "silcbuild: -format=paged requires -o")
+	if *format != "paged" {
+		fmt.Fprintf(os.Stderr, "silcbuild: unknown -format %q: PR 21 removed the legacy stream formats, -o writes a paged image (serve it fully resident with -cache-fraction 1)\n", *format)
 		os.Exit(1)
 	}
 	comp, err := silc.ParseCompression(*compress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	if comp != silc.CompressionNone && *format != "paged" {
-		fmt.Fprintln(os.Stderr, "silcbuild: -compress applies to -format=paged only")
 		os.Exit(1)
 	}
 	net, err := loadOrGenerate(*netFile, *rows, *cols, *seed)
@@ -67,7 +58,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *partitions > 1 {
-		buildSharded(net, *partitions, *parallel, *out, *format, comp)
+		buildSharded(net, *partitions, *parallel, *out, comp)
 		return
 	}
 	ix, err := silc.BuildIndex(net, silc.BuildOptions{Parallelism: *parallel, Compression: comp})
@@ -86,18 +77,26 @@ func main() {
 	fmt.Printf("build time:      %v\n", s.BuildTime)
 
 	if *out != "" {
-		if *format == "paged" {
-			info, err := ix.PagedImageInfo()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "silcbuild:", err)
-				os.Exit(1)
-			}
-			printImageInfo(info)
-			writeIndex(*out, func(f *os.File) (int64, error) { return ix.WritePaged(f) })
-		} else {
-			writeIndex(*out, func(f *os.File) (int64, error) { return ix.WriteTo(f) })
-		}
+		writeImage(ix, *out)
 	}
+}
+
+// writeImage prints the planned image's size table, then writes it to path
+// atomically.
+func writeImage(ix interface {
+	PagedImageInfo() (silc.ImageInfo, error)
+	WriteFile(path string) error
+}, path string) {
+	info, err := ix.PagedImageInfo()
+	if err == nil {
+		printImageInfo(info)
+		err = ix.WriteFile(path)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "silcbuild:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("index written:   %s (%.2f MiB)\n", path, float64(info.Total)/(1<<20))
 }
 
 // printImageInfo prints the per-section size table of a planned paged image
@@ -114,7 +113,7 @@ func printImageInfo(info silc.ImageInfo) {
 	fmt.Printf("  crc table:     %d B\n", info.CRCTable)
 }
 
-func buildSharded(net *silc.Network, partitions, parallel int, out, format string, comp silc.Compression) {
+func buildSharded(net *silc.Network, partitions, parallel int, out string, comp silc.Compression) {
 	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{
 		Partitions:  partitions,
 		Parallelism: parallel,
@@ -142,35 +141,8 @@ func buildSharded(net *silc.Network, partitions, parallel int, out, format strin
 		s.CellBuildTime.Round(time.Millisecond), s.ClosureTime.Round(time.Millisecond))
 
 	if out != "" {
-		if format == "paged" {
-			info, err := ix.PagedImageInfo()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "silcbuild:", err)
-				os.Exit(1)
-			}
-			printImageInfo(info)
-			writeIndex(out, func(f *os.File) (int64, error) { return ix.WritePaged(f) })
-		} else {
-			writeIndex(out, func(f *os.File) (int64, error) { return ix.WriteTo(f) })
-		}
+		writeImage(ix, out)
 	}
-}
-
-func writeIndex(path string, write func(*os.File) (int64, error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	written, err := write(f)
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("index written:   %s (%.2f MiB)\n", path, float64(written)/(1<<20))
 }
 
 func loadOrGenerate(file string, rows, cols int, seed int64) (*silc.Network, error) {

@@ -12,7 +12,7 @@
 //	silcquery -rows 64 -cols 64 -partitions 8 -mode dist -q 17 -dest 423
 //
 // -partitions N > 1 queries through the sharded index; -index accepts both
-// monolithic and sharded files (the format is sniffed). -eps asks for
+// monolithic and sharded paged images (the format is sniffed). -eps asks for
 // ε-approximate ranking (fewer refinements, distances certified within
 // (1+ε)×); -max-dist bounds results to a radius. -timeout aborts a query
 // through context cancellation. The refine trace mode requires a monolithic

@@ -66,10 +66,10 @@
 // search itself — refinement stops within one step — not just the response
 // writes.
 //
-// The index is either loaded (-index, produced by silcbuild; the format is
-// sniffed — legacy files additionally need -network, while the paged
-// formats embed it and serve straight from disk through a buffer pool of
-// -cache-fraction of their pages) or built in RAM at startup from a
+// The index is either opened (-index, a paged image produced by silcbuild;
+// the format is sniffed, the network is embedded, and queries serve
+// straight from disk through a buffer pool of -cache-fraction of its pages
+// — 1 sizes the pool to the whole image) or built in RAM at startup from a
 // generated road network — sharded when -partitions N > 1. The
 // query-object set defaults to a random sample of vertices
 // (-object-fraction) or is read from -objects, one vertex id per line. All
@@ -105,7 +105,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		networkPath = flag.String("network", "", "network file (silcbuild text format); empty = generate")
-		indexPath   = flag.String("index", "", "prebuilt index file (paged formats embed the network; legacy formats require -network)")
+		indexPath   = flag.String("index", "", "prebuilt paged index image from silcbuild -o (embeds the network; a -network given too is cross-checked)")
 		rows        = flag.Int("rows", 64, "generated network rows (when no -network)")
 		cols        = flag.Int("cols", 64, "generated network cols")
 		seed        = flag.Int64("seed", 1, "generated network seed")
@@ -380,9 +380,9 @@ func loadOrBuild(networkPath, indexPath string, rows, cols int, seed int64, part
 		}
 	}
 	if indexPath != "" {
-		// OpenEngine sniffs the format: the paged formats (SILCPG1/SILCSPG1)
-		// are self-contained and demand-paged, so net may be nil; the legacy
-		// formats load fully and need -network.
+		// OpenEngine sniffs which of the four paged formats (SILCPG1/2,
+		// SILCSPG1/2) the file holds; all are self-contained and
+		// demand-paged, so net may be nil.
 		eng, err := silc.OpenEngine(indexPath, net, opts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("load index: %w", err)

@@ -3,13 +3,13 @@ package silc
 import "silc/internal/store"
 
 // Compression selects the block-page encoding of paged index images
-// (WritePaged / WriteFile / silcbuild -format=paged).
+// (WritePaged / WriteFile / silcbuild -o).
 //
 // CompressionNone writes the fixed-width 16-byte block entries (formats
 // SILCPG1 / SILCSPG1). CompressionDelta encodes each vertex's Morton-block
 // run as a delta+varint stream (SILCPG2 / SILCSPG2), typically shrinking
 // the image by more than 2x. Both encodings read back identically —
-// OpenIndex, OpenShardedIndex, and LoadEngine sniff the format — so the
+// OpenIndex, OpenShardedIndex, and OpenEngine sniff the format — so the
 // knob trades image size against a little per-page decode work without
 // ever changing query answers.
 type Compression = store.Compression

@@ -27,7 +27,7 @@ type queryBackend interface {
 // Engine is the primary query handle of the package: one request-scoped,
 // context-aware query surface shared by the monolithic Index and the
 // partitioned ShardedIndex. Obtain one with Index.Engine,
-// ShardedIndex.Engine, or LoadEngine; the zero value is not usable.
+// ShardedIndex.Engine, or OpenEngine; the zero value is not usable.
 //
 // Every entry point takes a context.Context — cancellation and deadlines
 // are checked inside the best-first search loop and the progressive

@@ -31,6 +31,9 @@ var (
 	// ErrUnknownObject reports a live-store object id that does not exist
 	// (never inserted, removed, or expired).
 	ErrUnknownObject = errors.New("silc: unknown object id")
+	// ErrBadMagic reports that what OpenEngine / OpenEngineAt was handed is
+	// not a paged index image.
+	ErrBadMagic = errors.New("silc: not a paged index image (magic is none of SILCPG1, SILCPG2, SILCSPG1, SILCSPG2)")
 )
 
 // checkVertex validates one caller-supplied vertex id against the network.

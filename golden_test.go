@@ -3,15 +3,17 @@ package silc_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"silc"
 )
 
-// The golden files under testdata/golden pin all four serialization
+// The golden files under testdata/golden pin all four paged image
 // formats byte for byte: format drift — a changed field, a reordered
 // section, a different rounding — breaks these tests loudly instead of
 // silently invalidating every index file in the field. Regenerate with
@@ -106,32 +108,6 @@ func checkEngineEquivalence(t *testing.T, ref, got *silc.Engine) {
 	}
 }
 
-func TestGoldenMonolithicLegacy(t *testing.T) {
-	net := goldenNetwork(t)
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "grid8.silc", buf.Bytes())
-
-	loaded, err := silc.LoadIndex(bytes.NewReader(buf.Bytes()), net, silc.BuildOptions{})
-	if err != nil {
-		t.Fatalf("loading golden: %v", err)
-	}
-	var re bytes.Buffer
-	if _, err := loaded.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-		t.Fatal("load → re-serialize is not byte-identical")
-	}
-	checkEngineEquivalence(t, ix.Engine(), loaded.Engine())
-}
-
 func TestGoldenMonolithicPaged(t *testing.T) {
 	net := goldenNetwork(t)
 	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
@@ -156,18 +132,6 @@ func TestGoldenMonolithicPaged(t *testing.T) {
 	}
 	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
 		t.Fatal("open → re-serialize is not byte-identical")
-	}
-	// And the legacy stream produced from the paged store must equal the
-	// one from the in-RAM index (cross-format consistency).
-	var legacyFromPaged, legacyFromRAM bytes.Buffer
-	if _, err := opened.WriteTo(&legacyFromPaged); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(&legacyFromRAM); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacyFromPaged.Bytes(), legacyFromRAM.Bytes()) {
-		t.Fatal("legacy stream from the paged store differs from the in-RAM one")
 	}
 	checkEngineEquivalence(t, ix.Engine(), opened.Engine())
 }
@@ -221,32 +185,6 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 		t.Fatal("open → re-serialize is not byte-identical")
 	}
 	checkEngineEquivalence(t, ix.Engine(), opened.Engine())
-}
-
-func TestGoldenShardedLegacy(t *testing.T) {
-	net := goldenNetwork(t)
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "grid8x4.silcshd1", buf.Bytes())
-
-	loaded, err := silc.LoadShardedIndex(bytes.NewReader(buf.Bytes()), net)
-	if err != nil {
-		t.Fatalf("loading golden: %v", err)
-	}
-	var re bytes.Buffer
-	if _, err := loaded.WriteTo(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-		t.Fatal("load → re-serialize is not byte-identical")
-	}
-	checkEngineEquivalence(t, sx.Engine(), loaded.Engine())
 }
 
 func TestGoldenShardedPaged(t *testing.T) {
@@ -303,18 +241,33 @@ func TestGoldenShardedPagedCompressed(t *testing.T) {
 	checkEngineEquivalence(t, sx.Engine(), opened.Engine())
 }
 
-// TestGoldenLoadEngineSniffing loads every golden file through the
-// format-sniffing loaders and checks the right engine comes back.
+// TestGoldenLoadEngineSniffing opens every golden file through the
+// format-sniffing opener and checks the right engine comes back — and that
+// a supplied network of another shape is refused, naming both shapes.
 func TestGoldenLoadEngineSniffing(t *testing.T) {
 	net := goldenNetwork(t)
+	moreVertices, err := silc.GenerateGrid(8, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden grid's 64 vertices on a ring: 128 directed edges, not 224.
+	nb := silc.NewNetworkBuilder()
+	for v := 0; v < net.NumVertices(); v++ {
+		nb.AddVertex(net.Point(silc.VertexID(v)))
+	}
+	for v := 0; v < net.NumVertices(); v++ {
+		nb.AddRoad(silc.VertexID(v), silc.VertexID((v+1)%net.NumVertices()), 1)
+	}
+	fewerEdges, err := nb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		file    string
 		sharded bool
 	}{
-		{"grid8.silc", false},
 		{"grid8.silcpg", false},
 		{"grid8.silcpg2", false},
-		{"grid8x4.silcshd1", true},
 		{"grid8x4.silcspg", true},
 		{"grid8x4.silcspg2", true},
 	} {
@@ -322,15 +275,22 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v (regenerate with SILC_UPDATE_GOLDEN=1)", tc.file, err)
 		}
-		eng, err := silc.LoadEngine(bytes.NewReader(data), net, silc.BuildOptions{})
+		eng, err := silc.OpenEngineAt(bytes.NewReader(data), int64(len(data)), net, silc.BuildOptions{})
 		if err != nil {
-			t.Fatalf("%s: LoadEngine: %v", tc.file, err)
+			t.Fatalf("%s: OpenEngineAt: %v", tc.file, err)
 		}
 		if _, ok := eng.Sharded(); ok != tc.sharded {
 			t.Fatalf("%s: sharded=%v, want %v", tc.file, ok, tc.sharded)
 		}
 		if eng.Network().NumVertices() != net.NumVertices() {
 			t.Fatalf("%s: %d vertices, want %d", tc.file, eng.Network().NumVertices(), net.NumVertices())
+		}
+		for _, other := range []*silc.Network{moreVertices, fewerEdges} {
+			want := fmt.Sprintf("embeds a network of %d vertices and %d edges, supplied network has %d and %d",
+				net.NumVertices(), net.NumEdges(), other.NumVertices(), other.NumEdges())
+			if _, err := silc.OpenEngineAt(bytes.NewReader(data), int64(len(data)), other, silc.BuildOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: mismatched network: err = %v, want %q", tc.file, err, want)
+			}
 		}
 	}
 }

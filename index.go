@@ -15,7 +15,9 @@ type BuildOptions struct {
 	Parallelism int
 	// CacheFraction sizes the LRU buffer pool of a disk-backed index
 	// (OnDisk, OpenIndex, OpenEngine) as a fraction of its total pages
-	// (default 0.05, the paper's setting). In-RAM indexes have no pool.
+	// (default 0.05, the paper's setting); at 1 the pool holds as many
+	// pages as the image has, which serves it resident. In-RAM indexes have
+	// no pool.
 	CacheFraction float64
 	// ProximityRadius, when positive, bounds each vertex's quadtree to the
 	// vertices within that network distance — the paper's location-based-
@@ -101,7 +103,7 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 }
 
 // OpenIndex opens a paged index file (written by Index.WriteFile or
-// silcbuild -format=paged). The file embeds the network, so no separate
+// silcbuild -o). The file embeds the network, so no separate
 // network file is needed; the quadtrees stay on disk and queries
 // materialize them page by page through an LRU buffer pool sized by
 // opts.CacheFraction (default 5% of the database pages). Resident memory
@@ -171,12 +173,6 @@ func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
 // unbounded).
 func (ix *Index) Radius() float64 { return ix.ix.Radius() }
 
-// WriteTo serializes the index in the binary index format (16 bytes per
-// Morton block plus a CRC-32 trailer), so the one-time precomputation can be
-// reused across processes. The network is serialized separately with
-// Network.Write; LoadIndex rebinds the two.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
-
 // WritePaged serializes the index in the page-aligned on-disk format
 // (conventionally *.silcpg): network embedded, quadtree blocks packed onto
 // checksummed pages that OpenIndex reads back on demand. This is the format
@@ -200,20 +196,6 @@ func (ix *Index) PagedImageInfo() (ImageInfo, error) {
 		return ImageInfo{}, err
 	}
 	return p.Info(), nil
-}
-
-// LoadIndex deserializes an index produced by WriteTo and binds it to net,
-// which must be the network it was built from (structural mismatches and
-// corruption are rejected).
-func LoadIndex(r io.Reader, net *Network, opts BuildOptions) (*Index, error) {
-	if net == nil {
-		return nil, ErrNilNetwork
-	}
-	ix, err := core.Load(r, net.g, core.BuildOptions{Compression: opts.Compression})
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(net, ix), nil
 }
 
 // Network returns the indexed network.

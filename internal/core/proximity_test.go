@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/sssp"
+	"silc/internal/store"
 )
 
 func buildProximal(t *testing.T, g *graph.Network, radius float64) *Index {
@@ -118,25 +118,23 @@ func TestProximalAcceptsDisconnected(t *testing.T) {
 
 func TestProximalSerializationPreservesRadius(t *testing.T) {
 	g := roadNet(t, 8, 8, 53)
-	prox := buildProximal(t, g, 0.3)
-	var buf bytes.Buffer
-	if _, err := prox.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()), g, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Radius() != 0.3 {
-		t.Fatalf("radius lost on reload: %v", back.Radius())
-	}
-	// Out-of-range behavior must survive the round trip.
-	for s := 0; s < g.NumVertices(); s += 7 {
-		for v := 0; v < g.NumVertices(); v += 5 {
-			a := prox.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
-			b := back.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
-			if a != b {
-				t.Fatalf("interval differs after reload for (%d,%d)", s, v)
+	for _, comp := range []store.Compression{store.CompressionNone, store.CompressionDelta} {
+		prox, err := Build(g, BuildOptions{ProximityRadius: 0.3, Compression: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := pagedIndex(t, prox, 1)
+		if back.Radius() != 0.3 {
+			t.Fatalf("%v: radius lost on reload: %v", comp, back.Radius())
+		}
+		// Out-of-range behavior must survive the round trip.
+		for s := 0; s < g.NumVertices(); s += 7 {
+			for v := 0; v < g.NumVertices(); v += 5 {
+				a := prox.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
+				b := back.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
+				if a != b {
+					t.Fatalf("%v: interval differs after reload for (%d,%d)", comp, s, v)
+				}
 			}
 		}
 	}

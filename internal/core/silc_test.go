@@ -308,7 +308,8 @@ func pagedIndex(t *testing.T, ix *Index, fraction float64) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPagedIndex(PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
+	return NewPagedIndex(PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
+		Radius: st.Radius(), Lenient: st.Lenient(), Compression: st.Compression()})
 }
 
 func TestPagedIndexTracksIO(t *testing.T) {

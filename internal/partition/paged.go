@@ -15,10 +15,10 @@ import (
 )
 
 // The sharded paged file format ("SILCSPG1"; "SILCSPG2" when the cell
-// images are compressed) is the page-aligned, demand-paged counterpart of
-// SILCSHD1: partition metadata plus one complete embedded store image per
-// cell, each opened as its own ReadAt-backed store while sharing ONE buffer
-// pool — the paper's cache fraction stays a property of the whole database.
+// images are compressed) is partition metadata plus one complete embedded
+// store image per cell, each opened as its own ReadAt-backed store while
+// sharing ONE buffer pool — the paper's cache fraction stays a property of
+// the whole database.
 //
 //	superblock   64 bytes   magic, page size, P, n, m, nb, section offsets
 //	network      the GLOBAL network (store network-section encoding + CRC)
@@ -28,7 +28,9 @@ import (
 //
 // Everything is little-endian; offsets are absolute file offsets. The
 // global network is embedded, so a sharded paged file is self-contained
-// exactly like the monolithic one.
+// exactly like the monolithic one. Everything else — local-id ordering,
+// subnetworks, boundary rows, bounding boxes — is deterministically derived
+// from the network plus cellOf, so it is reconstructed rather than stored.
 
 const shardedPagedSuperblockSize = 64
 
@@ -221,6 +223,19 @@ func (s *Sharded) WritePaged(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// countingWriter tracks the file offset WritePaged has reached, which
+// padTo aligns to the planned section boundaries.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func padTo(cw *countingWriter, off int64) error {

@@ -76,52 +76,6 @@ func TestKDCutBalanceAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestShardedSerializeRoundTrip(t *testing.T) {
-	g, s := buildTestSharded(t, 12, 12, 5, 3, false)
-	var buf bytes.Buffer
-	written, err := s.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", written, buf.Len())
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumPartitions() != s.NumPartitions() || loaded.cl.NB() != s.cl.NB() {
-		t.Fatalf("loaded shape mismatch: P %d/%d, nb %d/%d",
-			loaded.NumPartitions(), s.NumPartitions(), loaded.cl.NB(), s.cl.NB())
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 500; i++ {
-		u := graph.VertexID(rng.Intn(g.NumVertices()))
-		v := graph.VertexID(rng.Intn(g.NumVertices()))
-		if a, b := s.Distance(u, v), loaded.Distance(u, v); a != b {
-			t.Fatalf("Distance(%d,%d) differs after round trip: %v vs %v", u, v, a, b)
-		}
-	}
-
-	// Corruption anywhere in the stream must be rejected.
-	for _, at := range []int{10, buf.Len() / 2, buf.Len() - 2} {
-		bad := append([]byte(nil), buf.Bytes()...)
-		bad[at] ^= 0x40
-		if _, err := Load(bytes.NewReader(bad), g); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", at)
-		}
-	}
-
-	// Binding to the wrong network must be rejected.
-	other, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 11, Cols: 13, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), other); err == nil {
-		t.Fatal("loading against a different network went undetected")
-	}
-}
-
 // TestShardedConcurrentQueries hammers one shared disk-resident sharded
 // index from many goroutines — run under -race in CI. Every query kind that
 // threads a QueryContext through the cells participates.

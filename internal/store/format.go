@@ -46,9 +46,8 @@ const ShardedMagicString = "SILCSPG1"
 // sane recorded page size; the pool's page math adapts.
 const PageSize = diskio.DefaultPageSize
 
-// entrySize is the 16-byte Morton-block disk entry (same layout as the
-// legacy SILCIDX1 stream): code u32, level u8, color u8, pad u16, lamLo
-// f32, lamHi f32.
+// entrySize is the 16-byte Morton-block disk entry: code u32, level u8,
+// color u8, pad u16, lamLo f32, lamHi f32.
 const entrySize = quadtree.EncodedSizeBytes
 
 // superblockSize is the fixed byte size of the leading superblock.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -14,22 +16,19 @@ func TestIndexPersistenceRoundTrip(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
 
-	var netBuf, ixBuf bytes.Buffer
-	if err := net.Write(&netBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(&ixBuf); err != nil {
+	var img bytes.Buffer
+	if _, err := ix.WritePaged(&img); err != nil {
 		t.Fatal(err)
 	}
 
-	// A different process: reload both and verify query equivalence.
-	net2, err := LoadNetwork(&netBuf)
+	// A different process: reopen the self-contained image and verify query
+	// equivalence.
+	ix2, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := LoadIndex(bytes.NewReader(ixBuf.Bytes()), net2, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if got := ix2.Network(); got.NumVertices() != net.NumVertices() || got.NumEdges() != net.NumEdges() {
+		t.Fatalf("embedded network is %d/%d, built over %d/%d", got.NumVertices(), got.NumEdges(), net.NumVertices(), net.NumEdges())
 	}
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 60; trial++ {
@@ -44,13 +43,23 @@ func TestIndexPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadIndexRejectsGarbage(t *testing.T) {
+func TestOpenEngineAtRejectsGarbage(t *testing.T) {
 	net := testNetwork(t)
-	if _, err := LoadIndex(bytes.NewReader([]byte("not an index")), net, BuildOptions{}); err == nil {
-		t.Fatal("garbage accepted")
+	for name, data := range map[string][]byte{
+		"garbage":   []byte("not an index"),
+		"empty":     nil,
+		"truncated": []byte("SILCPG"),
+	} {
+		if _, err := OpenEngineAt(bytes.NewReader(data), int64(len(data)), net, BuildOptions{}); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: err = %v, want ErrBadMagic", name, err)
+		}
 	}
-	if _, err := LoadIndex(bytes.NewReader(nil), nil, BuildOptions{}); err == nil {
-		t.Fatal("nil network accepted")
+	path := filepath.Join(t.TempDir(), "junk")
+	if err := os.WriteFile(path, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenEngine(path, nil, BuildOptions{}); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("OpenEngine on garbage: err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -186,10 +195,10 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 
 	// Persistence keeps the bound.
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadIndex(bytes.NewReader(buf.Bytes()), net, BuildOptions{})
+	back, err := OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package silc
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 
 	"silc/internal/partition"
@@ -107,7 +105,7 @@ func (sx *ShardedIndex) PagedImageInfo() (ImageInfo, error) {
 }
 
 // OpenShardedIndex opens a sharded paged file (ShardedIndex.WriteFile or
-// silcbuild -format=paged -partitions N). The file is self-contained; each
+// silcbuild -partitions N -o). The file is self-contained; each
 // cell opens its own on-disk store and all cells share one buffer pool
 // sized by opts.CacheFraction of the whole database. Close the returned
 // index to release the file.
@@ -172,25 +170,6 @@ func BuildShardedIndex(net *Network, opts ShardedBuildOptions) (*ShardedIndex, e
 	return newShardedIndex(net, sx), nil
 }
 
-// WriteTo serializes the sharded index — partition labels, every cell
-// index, and the boundary closure — so the precomputation is reusable
-// across processes, mirroring Index.WriteTo.
-func (sx *ShardedIndex) WriteTo(w io.Writer) (int64, error) { return sx.sx.WriteTo(w) }
-
-// LoadShardedIndex deserializes a sharded index produced by
-// ShardedIndex.WriteTo and binds it to net, which must be the network it
-// was built from.
-func LoadShardedIndex(r io.Reader, net *Network) (*ShardedIndex, error) {
-	if net == nil {
-		return nil, ErrNilNetwork
-	}
-	sx, err := partition.Load(r, net.g)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedIndex(net, sx), nil
-}
-
 // Network returns the indexed network.
 func (sx *ShardedIndex) Network() *Network { return sx.net }
 
@@ -211,17 +190,21 @@ func (sx *ShardedIndex) IOStats() IOStats { return sx.eng.IOStats() }
 // warm.
 func (sx *ShardedIndex) ResetIOStats() { sx.eng.ResetIOStats() }
 
-// pagedMagic classifies an index file's 8-byte magic: whether it is one of
-// the self-contained demand-paged formats, and if so whether it is the
-// sharded layout.
-func pagedMagic(magic []byte) (paged, sharded bool) {
-	switch string(magic) {
-	case store.MagicString, store.Magic2String:
-		return true, false
-	case store.ShardedMagicString, store.ShardedMagic2String:
-		return true, true
+// sniffLayout reads an image's 8-byte magic and reports which paged layout
+// it names; anything else, a short or empty input included, is ErrBadMagic.
+func sniffLayout(ra io.ReaderAt) (sharded bool, err error) {
+	var magic [8]byte
+	n, err := ra.ReadAt(magic[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return false, err
 	}
-	return false, false
+	switch string(magic[:n]) {
+	case store.MagicString, store.Magic2String:
+		return false, nil
+	case store.ShardedMagicString, store.ShardedMagic2String:
+		return true, nil
+	}
+	return false, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:n])
 }
 
 // openPaged opens a paged image of either layout — by path when one is
@@ -244,10 +227,10 @@ func openPaged(sharded bool, path string, ra io.ReaderAt, size int64, net *Netwo
 	if err != nil {
 		return nil, err
 	}
-	if net != nil && (net.NumVertices() != eng.Network().NumVertices() || net.NumEdges() != eng.Network().NumEdges()) {
+	if got := eng.Network(); net != nil && (net.NumVertices() != got.NumVertices() || net.NumEdges() != got.NumEdges()) {
 		eng.Close()
-		return nil, fmt.Errorf("silc: paged index embeds a %d-vertex network, supplied network has %d",
-			eng.Network().NumVertices(), net.NumVertices())
+		return nil, fmt.Errorf("silc: paged index embeds a network of %d vertices and %d edges, supplied network has %d and %d",
+			got.NumVertices(), got.NumEdges(), net.NumVertices(), net.NumEdges())
 	}
 	return eng, nil
 }
@@ -259,81 +242,34 @@ func engineOf[T interface{ Engine() *Engine }](ix T, err error) (*Engine, error)
 	return ix.Engine(), nil
 }
 
-// LoadEngine sniffs the index file format and loads any of the six index
-// formats — legacy monolithic (SILCIDX1), legacy sharded (SILCSHD1), paged
-// monolithic fixed-width or compressed (SILCPG1, SILCPG2), paged sharded
-// fixed-width or compressed (SILCSPG1, SILCSPG2) — returning its unified
-// query Engine; this is the loader the CLI tools use so one -index flag
-// accepts every format. The concrete index is reachable through
-// Engine.Monolithic / Engine.Sharded.
-//
-// The paged formats are self-contained (the network is embedded), demand-
-// paged, and require r to be an io.ReaderAt with a known size (*os.File,
-// *bytes.Reader); the reader must stay open for the engine's lifetime.
-// When net is non-nil it is cross-checked against the embedded network.
-// The legacy formats load fully into memory and require net.
-func LoadEngine(r io.Reader, net *Network, opts BuildOptions) (*Engine, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(8)
-	if err != nil {
-		return nil, err
-	}
-	if paged, sharded := pagedMagic(magic); paged {
-		ra, size, err := readerAtSize(r)
-		if err != nil {
-			return nil, err
-		}
-		return openPaged(sharded, "", ra, size, net, opts)
-	}
-	if string(magic) == partition.MagicString {
-		return engineOf(LoadShardedIndex(br, net))
-	}
-	return engineOf(LoadIndex(br, net, opts))
-}
-
-// readerAtSize extracts random access plus a total size from a sequential
-// reader — satisfied by *os.File and *bytes.Reader, the two ways paged
-// indexes are actually opened.
-func readerAtSize(r io.Reader) (io.ReaderAt, int64, error) {
-	ra, ok := r.(io.ReaderAt)
-	if !ok {
-		return nil, 0, errors.New("silc: paged index formats need an io.ReaderAt (open the file with OpenEngine, OpenIndex, or OpenShardedIndex)")
-	}
-	switch s := r.(type) {
-	case interface{ Stat() (fs.FileInfo, error) }:
-		info, err := s.Stat()
-		if err != nil {
-			return nil, 0, err
-		}
-		return ra, info.Size(), nil
-	case interface{ Size() int64 }:
-		return ra, s.Size(), nil
-	}
-	return nil, 0, errors.New("silc: cannot determine the paged index size (reader has neither Stat nor Size)")
-}
-
-// OpenEngine opens an index file by path, sniffing its format: the paged
-// formats open demand-paged and self-contained (net may be nil), the
-// legacy formats load fully and require net. The returned engine owns the
-// file; Engine.Close releases it.
+// OpenEngine opens a paged index file by path, sniffing which of the four
+// image formats it holds — monolithic or sharded, fixed-width or compressed
+// (SILCPG1, SILCPG2, SILCSPG1, SILCSPG2) — and returns its unified query
+// Engine; this is the opener the CLI tools use so one -index flag accepts
+// every format. The concrete index is reachable through Engine.Monolithic /
+// Engine.Sharded. The image embeds its network, so net may be nil; a non-nil
+// net is cross-checked against the embedded one. Anything else is rejected
+// with ErrBadMagic. The returned engine owns the file; Engine.Close
+// releases it.
 func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() // paged opens take their own handle; legacy loads fully
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	sharded, err := sniffLayout(f)
+	f.Close() // the layout's opener takes its own handle or mapping
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return openPaged(sharded, path, nil, 0, net, opts)
+}
+
+// OpenEngineAt is OpenEngine over an arbitrary ReaderAt (a section of a
+// larger file, an in-memory image); the caller owns ra's lifetime.
+func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
+	sharded, err := sniffLayout(ra)
+	if err != nil {
 		return nil, err
 	}
-	if paged, sharded := pagedMagic(magic[:]); paged {
-		return openPaged(sharded, path, nil, 0, net, opts)
-	}
-	if net == nil {
-		return nil, fmt.Errorf("silc: index %s is a legacy format, which does not embed the network — supply one", path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return LoadEngine(f, net, opts)
+	return openPaged(sharded, "", ra, size, net, opts)
 }

@@ -118,17 +118,17 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestShardedIndexPersistence reloads the sharded index both ways — the
-// fully loaded legacy format and the demand-paged image under t.TempDir() —
-// and checks each answers bit-identically; the paged reopen additionally
-// reports its pool traffic.
+// TestShardedIndexPersistence reopens the sharded index's paged image both
+// ways — fully resident over an in-memory reader and demand-paged from a
+// file under t.TempDir() — and checks each answers bit-identically; the
+// file reopen additionally reports its pool traffic.
 func TestShardedIndexPersistence(t *testing.T) {
 	net, _, sharded := buildShardedPair(t)
 	var buf bytes.Buffer
-	if _, err := sharded.WriteTo(&buf); err != nil {
+	if _, err := sharded.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadShardedIndex(bytes.NewReader(buf.Bytes()), net)
+	loaded, err := OpenShardedIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ShardedBuildOptions{CacheFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestShardedIndexPersistence(t *testing.T) {
 			t.Fatalf("Distance(%d,%d) differs on the paged image: %v vs %v", u, v, a, b)
 		}
 	}
-	if io := loaded.IOStats(); io != (IOStats{}) {
-		t.Fatalf("in-RAM reload reported I/O: %+v", io)
+	if io := loaded.IOStats(); io.PageReads != io.PageMisses || io.PageReads == 0 {
+		t.Fatalf("fully resident reopen read a page other than on its first touch: %+v", io)
 	}
 	if io := paged.IOStats(); io.PageMisses == 0 || io.PageReads == 0 {
 		t.Fatalf("disk-resident reload recorded no page traffic: %+v", io)
