@@ -75,9 +75,6 @@ func (n *ClusterNode) Close() error { return n.ix.Close() }
 type ClusterRouterOptions struct {
 	// Timeout bounds each RPC attempt (default 5s).
 	Timeout time.Duration
-	// HedgeDelay launches a hedged attempt on another replica when the
-	// first is slow; 0 disables hedging.
-	HedgeDelay time.Duration
 	// FailCooldown deprioritizes a failed replica for this long (default 2s).
 	FailCooldown time.Duration
 	// HTTPClient overrides the transport (tests inject httptest clients).
@@ -116,7 +113,6 @@ func OpenClusterRouter(indexPath string, m *ClusterManifest, opt ClusterRouterOp
 	}
 	client, err := cluster.NewClient(m, meta.NumPartitions(), cluster.ClientOptions{
 		Timeout:      opt.Timeout,
-		HedgeDelay:   opt.HedgeDelay,
 		FailCooldown: opt.FailCooldown,
 		HTTPClient:   opt.HTTPClient,
 	})
@@ -147,13 +143,6 @@ func (r *ClusterRouter) Ready(ctx context.Context) error { return r.client.Ready
 func (r *ClusterRouter) StartProbing(ctx context.Context, interval time.Duration) {
 	r.client.StartProbing(ctx, interval)
 }
-
-// ClusterCellLoad is one cell's cumulative router-side RPC count.
-type ClusterCellLoad = cluster.CellLoad
-
-// HotCells returns the k most-called cells in descending call order — the
-// replica-placement signal behind the silc_cluster_cell_rpcs_total metric.
-func (r *ClusterRouter) HotCells(k int) []ClusterCellLoad { return r.client.HotCells(k) }
 
 // WriteMetrics writes the Prometheus exposition: the engine's silc_*
 // families followed by the RPC client's silc_cluster_* metrics.

@@ -129,7 +129,6 @@ func main() {
 		nodeName      = flag.String("node-name", "", "this node's name in the manifest (required with -cluster node)")
 		drainGrace    = flag.Duration("drain-grace", 5*time.Second, "on SIGTERM, time between failing /readyz and closing the listener")
 		probeInterval = flag.Duration("probe-interval", time.Second, "router: how often to re-probe failed replicas on /readyz")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "router: hedge a slow RPC onto another replica after this delay (0 = off)")
 		readyWait     = flag.Duration("ready-wait", 30*time.Second, "router: how long to wait at startup for every manifest node's /readyz")
 	)
 	flag.Parse()
@@ -153,9 +152,7 @@ func main() {
 		err    error
 	)
 	if *clusterMode == "router" {
-		router, err = openRouter(*manifestPath, *indexPath, silc.ClusterRouterOptions{
-			HedgeDelay: *hedgeDelay,
-		}, *readyWait)
+		router, err = openRouter(*manifestPath, *indexPath, *readyWait)
 		if err != nil {
 			log.Fatalf("silcserve: %v", err)
 		}
@@ -316,12 +313,12 @@ func mountPprof(mux *http.ServeMux) {
 // openRouter is the -cluster router setup: read the index metadata (no cell
 // pages), wire the RPC client over the manifest, and wait for every node's
 // /readyz so the router never serves ahead of its backends.
-func openRouter(manifestPath, indexPath string, opt silc.ClusterRouterOptions, readyWait time.Duration) (*silc.ClusterRouter, error) {
+func openRouter(manifestPath, indexPath string, readyWait time.Duration) (*silc.ClusterRouter, error) {
 	m, indexPath, err := loadManifest(manifestPath, indexPath)
 	if err != nil {
 		return nil, err
 	}
-	router, err := silc.OpenClusterRouter(indexPath, m, opt)
+	router, err := silc.OpenClusterRouter(indexPath, m, silc.ClusterRouterOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -256,7 +256,6 @@ type Agg struct {
 	Queries   int
 
 	CPUTime time.Duration
-	PQTime  time.Duration
 	// ReadTime is the measured wall-clock time inside the store's page
 	// reads. The pool's counters are per query; the store's clock is not,
 	// so this is the batch total divided by the query count.
@@ -277,13 +276,12 @@ type Agg struct {
 	KMinDistOverDk float64
 	ratioCount     int
 
-	sumCPU, sumPQ time.Duration
+	sumCPU time.Duration
 }
 
 func (a *Agg) add(s knn.Stats) {
 	a.Queries++
 	a.sumCPU += s.CPU
-	a.sumPQ += s.PQTime
 	a.MaxQueue += float64(s.MaxQueue)
 	a.Refinements += float64(s.Refinements)
 	a.Lookups += float64(s.Lookups)
@@ -308,7 +306,6 @@ func (a *Agg) finish(readTime time.Duration) {
 		return
 	}
 	a.CPUTime = a.sumCPU / time.Duration(a.Queries)
-	a.PQTime = a.sumPQ / time.Duration(a.Queries)
 	a.ReadTime = readTime / time.Duration(a.Queries)
 	a.MaxQueue /= q
 	a.Refinements /= q

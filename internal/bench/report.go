@@ -117,13 +117,13 @@ func paperScaleTime(a *Agg) time.Duration {
 // renderCost prints one row per (sweep point, algorithm) with the query's
 // CPU time and its I/O in separate columns: pool misses, real page reads
 // and measured read time per query, then the paper-scale total. withPQ adds
-// the L/Dk manipulation share of the CPU time (the paper's KNN-PQ).
+// the paper's KNN-PQ component as a count: manipulations of L per query.
 func renderCost(w io.Writer, title string, points []SweepPoint, names []string, withPQ bool) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "point\talgorithm\tCPU\tpage misses\tpage reads\tread time\tCPU + misses x 200us")
 	if withPQ {
-		fmt.Fprint(tw, "\tKNN-PQ")
+		fmt.Fprint(tw, "\tKNN-PQ (L ops)")
 	}
 	fmt.Fprintln(tw)
 	for _, pt := range points {
@@ -132,7 +132,7 @@ func renderCost(w io.Writer, title string, points []SweepPoint, names []string, 
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%.1f\t%.1f\t%s\t%s", pt.Spec.Label, n,
 				fmtDur(a.CPUTime), a.IOMisses, a.IOReads, fmtDur(a.ReadTime), fmtDur(paperScaleTime(a)))
 			if withPQ {
-				fmt.Fprintf(tw, "\t%s", fmtDur(a.PQTime))
+				fmt.Fprintf(tw, "\t%.1f", a.LOps)
 			}
 			fmt.Fprintln(tw)
 		}
@@ -207,7 +207,8 @@ func RenderF7(w io.Writer, title string, points []SweepPoint) {
 }
 
 // RenderF8 prints the cost decomposition of the SILC variants: CPU, I/O,
-// and the L/Dk manipulation component (KNN-PQ) — the paper's fig. p.38.
+// and the L/Dk manipulation component (KNN-PQ, as L operations per query) —
+// the paper's fig. p.38.
 func RenderF8(w io.Writer, title string, points []SweepPoint) {
 	renderCost(w, "F8 — Cost decomposition of the SILC variants, "+title+" (paper p.38)", points,
 		namesOf(points, []string{"INN", "KNN-I", "KNN", "KNN-M"}), true)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -20,12 +19,6 @@ type ClientOptions struct {
 	// Timeout bounds each individual attempt (default 5s). The caller's
 	// context still caps the whole call.
 	Timeout time.Duration
-	// HedgeDelay launches a second attempt on another replica when the
-	// first has not answered within the delay — the classic tail-latency
-	// hedge; the first response wins and the loser is cancelled. Zero
-	// disables hedging. Every RPC in the protocol is a read, so hedging is
-	// always safe.
-	HedgeDelay time.Duration
 	// FailCooldown is how long a replica stays deprioritized after a failed
 	// attempt (default 2s). Probing (Client.Probe) can clear it earlier.
 	FailCooldown time.Duration
@@ -34,9 +27,8 @@ type ClientOptions struct {
 }
 
 // Client fans per-cell RPCs out to the owning nodes with replica load
-// balancing, per-attempt timeouts, failover retries, and optional hedging.
-// It is the transport half of the router: one Client serves any number of
-// concurrent queries.
+// balancing, per-attempt timeouts and failover retries. It is the transport
+// half of the router: one Client serves any number of concurrent queries.
 type Client struct {
 	m      *Manifest
 	p      int
@@ -48,10 +40,8 @@ type Client struct {
 	reg       *obs.Registry
 	rpcs      map[string]*clientEndpointMetrics
 	retries   *obs.Counter
-	hedges    *obs.Counter
 	failures  *obs.Counter
 	cellCalls []*obs.Counter
-	cellLoad  []atomic.Int64 // per-cell RPC counts for hot-cell detection
 	rr        []atomic.Uint32
 }
 
@@ -116,10 +106,8 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 		c.nodes[i].addr = n.Addr
 		c.nodes[i].name = n.Name
 	}
-	c.rpcs = make(map[string]*clientEndpointMetrics, 8)
-	for _, ep := range []string{
-		PathIntervals, PathInterval, PathExact, PathRace, PathRegion, PathPath,
-	} {
+	c.rpcs = make(map[string]*clientEndpointMetrics, len(endpoints))
+	for _, ep := range endpoints {
 		label := `endpoint="` + ep + `"`
 		c.rpcs[ep] = &clientEndpointMetrics{
 			calls: c.reg.Counter("silc_cluster_rpcs_total", label,
@@ -132,16 +120,13 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 	}
 	c.retries = c.reg.Counter("silc_cluster_retries_total", "",
 		"Attempts launched because a previous replica attempt failed.")
-	c.hedges = c.reg.Counter("silc_cluster_hedges_total", "",
-		"Hedged attempts launched because a replica was slow.")
 	c.failures = c.reg.Counter("silc_cluster_call_failures_total", "",
 		"Cluster RPC calls that exhausted every replica (client-visible failures).")
 	c.cellCalls = make([]*obs.Counter, p)
-	c.cellLoad = make([]atomic.Int64, p)
 	for cell := 0; cell < p; cell++ {
 		c.cellCalls[cell] = c.reg.Counter("silc_cluster_cell_rpcs_total",
 			`cell="`+strconv.Itoa(cell)+`"`,
-			"Cluster RPC calls issued per cell — the router-side per-cell load signal behind hot-cell detection.")
+			"Cluster RPC calls issued per cell — the router-side load signal: a hot cell is one worth another replica.")
 	}
 	return c, nil
 }
@@ -152,30 +137,22 @@ func (c *Client) Registry() *obs.Registry { return c.reg }
 // NumPartitions returns the partition count the client routes for.
 func (c *Client) NumPartitions() int { return c.p }
 
-// CellLoad is one cell's cumulative RPC count.
-type CellLoad struct {
-	Cell  int
-	Calls int64
-}
-
-// HotCells returns the k most-called cells in descending call order — the
-// signal an operator (or an autoscaler) uses to add replicas for skewed
-// cells. Backed by the same per-cell counters /metrics exports.
-func (c *Client) HotCells(k int) []CellLoad {
-	loads := make([]CellLoad, c.p)
-	for i := range loads {
-		loads[i] = CellLoad{Cell: i, Calls: c.cellLoad[i].Load()}
+// readyz reports whether node n answers /readyz with 200.
+func (c *Client) readyz(ctx context.Context, n *nodeState) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/readyz", nil)
+	if err != nil {
+		return err
 	}
-	sort.Slice(loads, func(a, b int) bool {
-		if loads[a].Calls != loads[b].Calls {
-			return loads[a].Calls > loads[b].Calls
-		}
-		return loads[a].Cell < loads[b].Cell
-	})
-	if k < len(loads) {
-		loads = loads[:k]
+	resp, err := c.httpc.Do(req)
+	if err != nil {
+		return fmt.Errorf("cluster: node %s: %w", n.name, err)
 	}
-	return loads
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: node %s: readyz status %d", n.name, resp.StatusCode)
+	}
+	return nil
 }
 
 // Probe checks /readyz on every node currently marked down and re-admits
@@ -189,17 +166,7 @@ func (c *Client) Probe(ctx context.Context) {
 		if n.downUntil.Load() == 0 || n.downUntil.Load() < now {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/readyz", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if c.readyz(ctx, n) == nil {
 			n.downUntil.Store(0)
 		}
 	}
@@ -228,31 +195,22 @@ func (c *Client) StartProbing(ctx context.Context, interval time.Duration) {
 // can gate its own readiness on the cluster being dialable.
 func (c *Client) Ready(ctx context.Context) error {
 	for i := range c.nodes {
-		n := &c.nodes[i]
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/readyz", nil)
-		if err != nil {
+		if err := c.readyz(ctx, &c.nodes[i]); err != nil {
 			return err
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			return fmt.Errorf("cluster: node %s: %w", n.name, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: node %s: readyz status %d", n.name, resp.StatusCode)
 		}
 	}
 	return nil
 }
 
 // Call issues one RPC for cell against its replica set: replicas are tried
-// in round-robin rotation (healthy ones first), a failed attempt
-// immediately fails over to the next replica, and a slow attempt launches a
-// hedge after HedgeDelay. The first successful response wins. Each replica
-// is attempted at most once per call; the call fails only when every
-// replica has failed (or ctx expired) — a single replica failure is
-// invisible to the query.
+// one after another on the caller's goroutine, in round-robin rotation
+// (healthy ones first), each under the per-attempt timeout; a failed attempt
+// fails over to the next replica at once, and the first successful response
+// wins. Each replica is attempted at most once per call; the call fails only
+// when every replica has failed (or ctx expired) — a single replica failure
+// is invisible to the query. Attempts never overlap: the per-attempt timeout
+// and failover bound what a dead or hung replica can cost, and the common
+// case — first replica answers — costs no goroutine, channel or extra context.
 func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, resp any) error {
 	em := c.rpcs[endpoint]
 	if em == nil {
@@ -260,7 +218,6 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 	}
 	em.calls.Inc()
 	c.cellCalls[cell].Inc()
-	c.cellLoad[cell].Add(1)
 	start := time.Now()
 	defer func() { em.latency.Observe(time.Since(start)) }()
 
@@ -269,20 +226,8 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 	if err != nil {
 		return fmt.Errorf("cluster: encoding %s request: %w", endpoint, err)
 	}
-	order := c.replicaOrder(cell)
-	if c.opt.HedgeDelay <= 0 || len(order) == 1 {
-		return c.callInline(ctx, em, cell, endpoint, body, order, resp)
-	}
-	return c.callHedged(ctx, em, cell, endpoint, body, order, resp)
-}
-
-// callInline is Call without hedging: the replicas are tried one after
-// another on the caller's goroutine. With nothing to race there is nothing
-// to wait on but the attempt itself, so the common case — first replica
-// answers — costs no goroutine, channel or extra context.
-func (c *Client) callInline(ctx context.Context, em *clientEndpointMetrics, cell int32, endpoint string, body []byte, order []int, resp any) error {
 	var lastErr error
-	for i, ni := range order {
+	for i, ni := range c.replicaOrder(cell) {
 		if i > 0 {
 			c.retries.Inc()
 		}
@@ -301,67 +246,6 @@ func (c *Client) callInline(ctx context.Context, em *clientEndpointMetrics, cell
 		}
 		lastErr = err
 		c.markDown(ni)
-	}
-	c.failures.Inc()
-	return fmt.Errorf("cluster: cell %d: every replica failed: %w", cell, lastErr)
-}
-
-// callHedged is Call with a hedge timer: attempts run on their own
-// goroutines so a slow first replica can be raced by a second one.
-func (c *Client) callHedged(ctx context.Context, em *clientEndpointMetrics, cell int32, endpoint string, body []byte, order []int, resp any) error {
-	type result struct {
-		data []byte
-		ni   int
-		err  error
-	}
-	results := make(chan result, len(order))
-	attemptCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	attempt := func(ni int) {
-		data, err := c.attempt(attemptCtx, ni, cell, endpoint, body)
-		results <- result{data: data, ni: ni, err: err}
-	}
-
-	launched := 1
-	go attempt(order[0])
-	pending := 1
-	t := time.NewTimer(c.opt.HedgeDelay)
-	defer t.Stop()
-	hedge := t.C
-	var lastErr error
-	for pending > 0 {
-		select {
-		case <-ctx.Done():
-			c.failures.Inc()
-			em.errors.Inc()
-			return ctx.Err()
-		case <-hedge:
-			hedge = nil
-			if launched < len(order) {
-				c.hedges.Inc()
-				go attempt(order[launched])
-				launched++
-				pending++
-			}
-		case res := <-results:
-			pending--
-			if res.err == nil {
-				if err := json.Unmarshal(res.data, resp); err != nil {
-					res.err = fmt.Errorf("cluster: decoding %s response: %w", endpoint, err)
-				} else {
-					return nil
-				}
-			}
-			em.errors.Inc()
-			lastErr = res.err
-			c.markDown(res.ni)
-			if launched < len(order) {
-				c.retries.Inc()
-				go attempt(order[launched])
-				launched++
-				pending++
-			}
-		}
 	}
 	c.failures.Inc()
 	return fmt.Errorf("cluster: cell %d: every replica failed: %w", cell, lastErr)

@@ -101,9 +101,11 @@ func twoReplicaClient(t *testing.T, addrA, addrB string, opt ClientOptions) *Cli
 	return c
 }
 
+// okHandler answers any RPC like a single-form interval lookup whose lower
+// bound is d.
 func okHandler(d uint64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ExactResp{D: d})
+		json.NewEncoder(w).Encode(IntervalResp{Lo: d})
 	}
 }
 
@@ -124,12 +126,12 @@ func TestClientRetriesAcrossReplicas(t *testing.T) {
 	// Run several calls: whichever replica rotation starts on, every call
 	// must succeed, and replica a must never surface its failure.
 	for i := 0; i < 6; i++ {
-		var resp ExactResp
-		if err := c.Call(context.Background(), 0, PathExact, &ExactReq{}, &resp); err != nil {
+		var resp IntervalResp
+		if err := c.Call(context.Background(), 0, PathInterval, &IntervalReq{}, &resp); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if FromBits(resp.D) != 2.5 {
-			t.Fatalf("call %d: got %v", i, FromBits(resp.D))
+		if FromBits(resp.Lo) != 2.5 {
+			t.Fatalf("call %d: got %v", i, FromBits(resp.Lo))
 		}
 	}
 	if bCalls.Load() < 6 {
@@ -154,48 +156,12 @@ func TestClientAllReplicasFailing(t *testing.T) {
 	b := httptest.NewServer(bad)
 	defer b.Close()
 	c := twoReplicaClient(t, a.URL, b.URL, ClientOptions{Timeout: time.Second})
-	var resp ExactResp
-	if err := c.Call(context.Background(), 0, PathExact, &ExactReq{}, &resp); err == nil {
+	var resp IntervalResp
+	if err := c.Call(context.Background(), 0, PathInterval, &IntervalReq{}, &resp); err == nil {
 		t.Fatal("call succeeded with every replica failing")
 	}
 	if c.failures.Value() != 1 {
 		t.Fatalf("failures counter = %d, want 1", c.failures.Value())
-	}
-}
-
-func TestClientHedgesSlowReplica(t *testing.T) {
-	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		okHandler(Bits(1.0))(w, r)
-	}))
-	defer slow.Close()
-	defer close(release)
-	fast := httptest.NewServer(okHandler(Bits(1.0)))
-	defer fast.Close()
-
-	c := twoReplicaClient(t, slow.URL, fast.URL, ClientOptions{
-		Timeout:    5 * time.Second,
-		HedgeDelay: 20 * time.Millisecond,
-	})
-	// Force rotation to start on the slow replica: try both rotations; at
-	// least one call begins on slow and must be rescued by the hedge.
-	for i := 0; i < 2; i++ {
-		var resp ExactResp
-		start := time.Now()
-		if err := c.Call(context.Background(), 0, PathExact, &ExactReq{}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("call %d took %v; hedge did not rescue it", i, d)
-		}
-	}
-	if c.hedges.Value() < 1 {
-		t.Fatal("no hedged attempts recorded")
 	}
 }
 

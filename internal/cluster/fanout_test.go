@@ -3,14 +3,16 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/knn"
 	"silc/internal/partition"
@@ -27,7 +29,9 @@ type fanoutFixture struct {
 	g      *graph.Network
 	client *Client
 	router *partition.Sharded // over the RemoteCells
+	local  *partition.Sharded // the same image, cells in process
 	nodes  []string           // the nodes' base URLs
+	down   []atomic.Bool      // per node: answer every request 503
 	objs   *knn.Objects
 }
 
@@ -53,7 +57,7 @@ func newFanoutFixture(t *testing.T) *fanoutFixture {
 		}
 		return s
 	}
-	f := &fanoutFixture{g: g}
+	f := &fanoutFixture{g: g, local: open(), down: make([]atomic.Bool, 2)}
 	meta, err := partition.OpenPagedMeta(bytes.NewReader(img.Bytes()), int64(img.Len()))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +81,14 @@ func newFanoutFixture(t *testing.T) *fanoutFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		servers[i].Config.Handler = node.Handler()
+		h, down := node.Handler(), &f.down[i]
+		servers[i].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if down.Load() {
+				http.Error(w, `{"error":"injected"}`, http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
 		servers[i].Start()
 	}
 	if f.client, err = NewClient(m, 4, ClientOptions{Timeout: 10 * time.Second}); err != nil {
@@ -163,8 +174,9 @@ func TestClusterRPCBudget(t *testing.T) {
 // TestClusterDistanceRPCs: an exact cross-cell distance costs at most two
 // RPCs — the destination's gateway-interval row (none once the label table
 // holds it) and one race — because the source's label is a search the router
-// runs on its own copy of the network. The boundary sweep RPC that used to
-// come first is gone from the protocol: a node answers it 404.
+// runs on its own copy of the network. The endpoints the protocol has shed —
+// the boundary sweep, and exact and region, which are the one-candidate race
+// and the one-rectangle interval batch — a node answers 404.
 func TestClusterDistanceRPCs(t *testing.T) {
 	f := newFanoutFixture(t)
 	n := f.g.NumVertices()
@@ -195,19 +207,84 @@ func TestClusterDistanceRPCs(t *testing.T) {
 	if pairs < 12 {
 		t.Fatalf("only %d cross-cell pairs on the fixture", pairs)
 	}
-	resp, err := http.Post(f.nodes[0]+"/rpc/v1/boundary", "application/json", strings.NewReader(`{"cell":0,"src":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /rpc/v1/boundary on a node: status %d, want 404", resp.StatusCode)
+	for _, gone := range []string{"boundary", "exact", "region"} {
+		resp, err := http.Post(f.nodes[0]+"/rpc/v1/"+gone, "application/json", strings.NewReader(`{"cell":0}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /rpc/v1/%s on a node: status %d, want 404", gone, resp.StatusCode)
+		}
 	}
 }
 
-// TestClientInlineCallCancelled: without hedging the attempt runs on the
-// caller's goroutine; a context that expires mid-call still ends the call
-// with the context's error and does not mark the replica down.
+// TestClusterFoldedRPCs: the two lookups that had endpoints of their own
+// travel as special cases of the others and keep every bit. A region lower
+// bound the expansion hints do not cover is an interval batch of one
+// rectangle; a pair's exact within-cell distance is a race with one
+// zero-offset candidate. Both must equal what the in-process cells compute,
+// and must go out on exactly those endpoints.
+func TestClusterFoldedRPCs(t *testing.T) {
+	f := newFanoutFixture(t)
+	n := f.g.NumVertices()
+	calls := func(ep string) int64 { return f.client.rpcs[ep].calls.Value() }
+
+	rects := []geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 0.1, MinY: 0.2, MaxX: 0.3, MaxY: 0.6},
+		{MinX: 0.55, MinY: 0.05, MaxX: 0.9, MaxY: 0.45}, {MinX: 0.7, MinY: 0.7, MaxX: 0.71, MaxY: 0.71}}
+	before := calls(PathInterval)
+	for _, q := range f.queries() {
+		for _, rect := range rects {
+			qc := core.NewQueryContext() // fresh: no hint can answer
+			got := f.router.RegionLowerBoundCtx(qc, q, rect)
+			if err := qc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if want := f.local.RegionLowerBoundCtx(core.NewQueryContext(), q, rect); Bits(got) != Bits(want) {
+				t.Fatalf("region bound (%d, %v): router %v, in process %v", q, rect, got, want)
+			}
+		}
+	}
+	if calls(PathInterval) == before {
+		t.Fatal("no region lower bound reached the interval endpoint")
+	}
+
+	// A pair's exact within-cell distance, asked of the remote cell the way a
+	// self-contained cell's same-cell query asks it: Refine, then Step.
+	before = calls(PathRace)
+	for c := 0; c < f.router.NumPartitions(); c++ {
+		nv := f.router.CellVertexCount(c)
+		for u := 0; u < nv; u += 9 {
+			u, v := graph.VertexID(u), graph.VertexID((u*13+nv/2)%nv)
+			qc := core.NewQueryContext()
+			got := partition.CellExact(f.router.CellIndexAt(c), qc, u, v)
+			if err := qc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if want := partition.CellExact(f.local.CellIndexAt(c), core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
+				t.Fatalf("cell %d exact(%d,%d): remote %v, in process %v", c, u, v, got, want)
+			}
+		}
+	}
+	if calls(PathRace) == before {
+		t.Fatal("no exact distance reached the race endpoint")
+	}
+	for u := 0; u < n; u += 7 {
+		u, v := graph.VertexID(u), graph.VertexID((u*31+n/2)%n)
+		qc := core.NewQueryContext()
+		got := f.router.DistanceCtx(qc, u, v)
+		if err := qc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if want := f.local.DistanceCtx(core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
+			t.Fatalf("distance(%d,%d): router %v, in process %v", u, v, got, want)
+		}
+	}
+}
+
+// TestClientInlineCallCancelled: the attempt runs on the caller's goroutine;
+// a context that expires mid-call still ends the call with the context's
+// error and does not mark the replica down.
 func TestClientInlineCallCancelled(t *testing.T) {
 	release := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -221,8 +298,8 @@ func TestClientInlineCallCancelled(t *testing.T) {
 	c := twoReplicaClient(t, slow.URL, slow.URL, ClientOptions{Timeout: 5 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	var resp ExactResp
-	err := c.Call(ctx, 0, PathExact, &ExactReq{}, &resp)
+	var resp IntervalResp
+	err := c.Call(ctx, 0, PathInterval, &IntervalReq{}, &resp)
 	if err != context.DeadlineExceeded {
 		t.Fatalf("Call = %v, want context.DeadlineExceeded", err)
 	}
@@ -234,21 +311,49 @@ func TestClientInlineCallCancelled(t *testing.T) {
 	}
 }
 
-// TestClientSourceBatchOldNode: a node that only speaks the single form of
-// the interval RPC ignores the batch fields and answers one pair; the router
-// must read that as "no batch", not as answers.
-func TestClientSourceBatchOldNode(t *testing.T) {
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(IntervalResp{Lo: Bits(1), Hi: Bits(2)})
-	}))
-	defer old.Close()
-	c := twoReplicaClient(t, old.URL, old.URL, ClientOptions{Timeout: time.Second})
-	rc := &RemoteCell{c: c}
-	qc := core.NewQueryContext()
-	if _, _, ok := rc.SourceBatch(qc, 0, []graph.VertexID{1, 2}, nil); ok {
-		t.Fatal("SourceBatch accepted a single-form reply as a batch")
+// TestClusterFailureRule: an RPC that exhausts its replicas fails the query,
+// and is not retried in another form. With the only replica of the source's
+// cell answering 503, a kNN ends in one error wrapping the client's "every
+// replica failed"; the expansion's batched interval call is the single
+// interval RPC the search makes — one attempt per replica, not one more call
+// per lookup the batch stood for — and the loose stand-ins it left behind
+// reach neither the label table nor the next query.
+func TestClusterFailureRule(t *testing.T) {
+	f := newFanoutFixture(t)
+	var q graph.VertexID
+	for f.router.CellOf(q) != 0 {
+		q++
 	}
-	if qc.Failed() {
-		t.Fatalf("an unanswered batch failed the query: %v", qc.Err())
+	qc := core.NewQueryContext() // one pooled context: the hints it carries must die with each query
+	search := func() knn.Result {
+		qc.ResetForReuse(context.Background())
+		return knn.SearchSpec(f.router, qc, f.objs, q, knn.UnboundedSpec(10, knn.VariantKNN))
+	}
+	want := search()
+	if want.Err != nil || qc.Err() != nil {
+		t.Fatal(want.Err, qc.Err())
+	}
+
+	f.down[0].Store(true) // node a: the one replica of cells 0 and 1
+	em := f.client.rpcs[PathInterval]
+	calls, attempts, failures := em.calls.Value(), em.errors.Value(), f.client.failures.Value()
+	if err := search().Err; err == nil || !strings.Contains(err.Error(), "every replica failed") {
+		t.Fatalf("kNN over a dead cell: err = %v, want one wrapping \"every replica failed\"", err)
+	}
+	if c, a := em.calls.Value()-calls, em.errors.Value()-attempts; c != 1 || a != 1 {
+		t.Fatalf("the failed batch cost %d interval calls and %d attempts, want 1 and 1 (one replica)", c, a)
+	}
+	if got := f.client.failures.Value() - failures; got < 1 {
+		t.Fatalf("silc_cluster_call_failures_total moved by %d", got)
+	}
+
+	f.down[0].Store(false)
+	f.client.Probe(context.Background()) // re-admit node a ahead of its cooldown
+	got := search()
+	if got.Err != nil || qc.Err() != nil {
+		t.Fatal(got.Err, qc.Err())
+	}
+	if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+		t.Fatalf("kNN after the fault differs from before it:\n got  %+v\n want %+v", got.Neighbors, want.Neighbors)
 	}
 }

@@ -26,16 +26,13 @@ import (
 // unwarmed replica.
 //
 // A Node is safe for unlimited concurrent requests, like the index under
-// it. Draining flips /readyz to 503 while every RPC keeps being served;
+// it. StartDrain flips /readyz to 503 while every RPC keeps being served;
 // load balancers (and the cluster client's health probes) stop sending new
 // work, and http.Server.Shutdown finishes what is in flight.
 type Node struct {
 	name  string
 	s     *partition.Sharded
 	owned []bool
-	// gates holds each owned cell's boundary vertices (cell-local ids, in
-	// closure row order): the rows of every intervals reply.
-	gates [][]graph.VertexID
 	// qcs recycles query contexts — and the refiner slabs they carry —
 	// between RPCs.
 	qcs sync.Pool
@@ -68,17 +65,13 @@ func NewNode(name string, m *Manifest, s *partition.Sharded) (*Node, error) {
 		name:  name,
 		s:     s,
 		owned: make([]bool, p),
-		gates: make([][]graph.VertexID, p),
 		reg:   obs.NewRegistry(),
 	}
 	for _, c := range spec.Cells {
 		n.owned[c] = true
-		n.gates[c] = s.BoundaryLocals(c)
 	}
-	n.rpcs = make(map[string]*nodeEndpointMetrics, 8)
-	for _, ep := range []string{
-		PathIntervals, PathInterval, PathExact, PathRace, PathRegion, PathPath,
-	} {
+	n.rpcs = make(map[string]*nodeEndpointMetrics, len(endpoints))
+	for _, ep := range endpoints {
 		label := `endpoint="` + ep + `"`
 		n.rpcs[ep] = &nodeEndpointMetrics{
 			calls: n.reg.Counter("silcnode_rpcs_total", label,
@@ -119,18 +112,13 @@ func (n *Node) Registry() *obs.Registry { return n.reg }
 // with http.Server.Shutdown to finish in-flight connections.
 func (n *Node) StartDrain() { n.draining.Store(true) }
 
-// Draining reports whether StartDrain was called.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
 // Handler returns the node's HTTP surface: the RPC endpoints plus
 // /healthz, /readyz and /metrics.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathIntervals, rpc(n, PathIntervals, n.intervals))
 	mux.HandleFunc(PathInterval, rpc(n, PathInterval, n.interval))
-	mux.HandleFunc(PathExact, rpc(n, PathExact, n.exact))
 	mux.HandleFunc(PathRace, rpc(n, PathRace, n.race))
-	mux.HandleFunc(PathRegion, rpc(n, PathRegion, n.region))
 	mux.HandleFunc(PathPath, rpc(n, PathPath, n.path))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -249,19 +237,13 @@ func (n *Node) intervals(qc *core.QueryContext, req *IntervalsReq) (IntervalsRes
 	if err != nil {
 		return IntervalsResp{}, err
 	}
-	bs := n.gates[req.Cell]
-	los := make([]uint64, len(bs))
-	his := make([]uint64, len(bs))
-	for i, b := range bs {
-		var iv core.Interval
-		if req.ToV {
-			iv = cx.DistanceIntervalCtx(qc, b, graph.VertexID(req.V))
-		} else {
-			iv = cx.DistanceIntervalCtx(qc, graph.VertexID(req.V), b)
-		}
+	row := cx.BoundaryIntervals(qc, graph.VertexID(req.V), req.ToV)
+	los := make([]uint64, len(row))
+	his := make([]uint64, len(row))
+	for i, iv := range row {
 		los[i], his[i] = Bits(iv.Lo), Bits(iv.Hi)
 	}
-	return IntervalsResp{Los: los, His: his, IO: toIOStats(qc.IO)}, nil
+	return IntervalsResp{Los: los, His: his, IO: qc.IO}, nil
 }
 
 func (n *Node) interval(qc *core.QueryContext, req *IntervalReq) (IntervalResp, error) {
@@ -273,7 +255,7 @@ func (n *Node) interval(qc *core.QueryContext, req *IntervalReq) (IntervalResp, 
 		return n.intervalBatch(cx, qc, req)
 	}
 	iv := cx.DistanceIntervalCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
-	return IntervalResp{Lo: Bits(iv.Lo), Hi: Bits(iv.Hi), IO: toIOStats(qc.IO)}, nil
+	return IntervalResp{Lo: Bits(iv.Lo), Hi: Bits(iv.Hi), IO: qc.IO}, nil
 }
 
 // intervalBatch answers the batch form of the interval RPC: every lookup
@@ -303,7 +285,7 @@ func (n *Node) intervalBatch(cx partition.CellIndex, qc *core.QueryContext, req 
 		}
 		resp.Lbs[i] = Bits(cx.RegionLowerBoundCtx(qc, u, rect))
 	}
-	resp.IO = toIOStats(qc.IO)
+	resp.IO = qc.IO
 	return resp, nil
 }
 
@@ -318,15 +300,6 @@ func rectFromBits(minX, minY, maxX, maxY uint64) (geom.Rect, error) {
 		return geom.Rect{}, rpcError{http.StatusBadRequest, "NaN rectangle bound"}
 	}
 	return rect, nil
-}
-
-func (n *Node) exact(qc *core.QueryContext, req *ExactReq) (ExactResp, error) {
-	cx, err := n.checkCell(req.Cell, req.U, req.V)
-	if err != nil {
-		return ExactResp{}, err
-	}
-	d := partition.CellExact(cx, qc, graph.VertexID(req.U), graph.VertexID(req.V))
-	return ExactResp{D: Bits(d), IO: toIOStats(qc.IO)}, nil
 }
 
 func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
@@ -347,21 +320,8 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		offs[i] = FromBits(req.Offs[i])
 		us[i] = graph.VertexID(req.Us[i])
 	}
-	d, arg := partition.RaceCellRoutes(cx, qc, graph.VertexID(req.Dst), offs, us)
-	return RaceResp{D: Bits(d), Arg: arg, IO: toIOStats(qc.IO)}, nil
-}
-
-func (n *Node) region(qc *core.QueryContext, req *RegionReq) (RegionResp, error) {
-	cx, err := n.checkCell(req.Cell, req.Q)
-	if err != nil {
-		return RegionResp{}, err
-	}
-	rect, err := rectFromBits(req.MinX, req.MinY, req.MaxX, req.MaxY)
-	if err != nil {
-		return RegionResp{}, err
-	}
-	d := cx.RegionLowerBoundCtx(qc, graph.VertexID(req.Q), rect)
-	return RegionResp{D: Bits(d), IO: toIOStats(qc.IO)}, nil
+	d, arg := cx.RaceRoutes(qc, graph.VertexID(req.Dst), offs, us)
+	return RaceResp{D: Bits(d), Arg: arg, IO: qc.IO}, nil
 }
 
 func (n *Node) path(qc *core.QueryContext, req *PathReq) (PathResp, error) {
@@ -374,5 +334,5 @@ func (n *Node) path(qc *core.QueryContext, req *PathReq) (PathResp, error) {
 	for i, v := range p {
 		verts[i] = uint32(v)
 	}
-	return PathResp{Verts: verts, IO: toIOStats(qc.IO)}, nil
+	return PathResp{Verts: verts, IO: qc.IO}, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"silc/internal/cluster"
 	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/partition"
 )
@@ -59,7 +60,8 @@ func post(t *testing.T, url string, req any) (*http.Response, []byte) {
 func TestNodeOwnershipAndValidation(t *testing.T) {
 	s, _, srv := buildNode(t)
 
-	// Owned cell: the exact RPC must equal CellExact run in process, and the
+	// Owned cell: a race with one zero-offset candidate — the wire form of a
+	// pair's exact distance — must equal CellExact run in process, and the
 	// intervals RPC must carry one row per boundary vertex.
 	bs := s.BoundaryLocals(0)
 	if len(bs) == 0 {
@@ -67,17 +69,18 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 	}
 	cx := s.CellIndexAt(0)
 	for _, b := range bs {
-		resp, data := post(t, srv.URL+cluster.PathExact, &cluster.ExactReq{Cell: 0, U: 0, V: uint32(b)})
+		resp, data := post(t, srv.URL+cluster.PathRace,
+			&cluster.RaceReq{Cell: 0, Dst: uint32(b), Offs: []uint64{cluster.Bits(0)}, Us: []uint32{0}})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("exact status %d: %s", resp.StatusCode, data)
+			t.Fatalf("race status %d: %s", resp.StatusCode, data)
 		}
-		var er cluster.ExactResp
-		if err := json.Unmarshal(data, &er); err != nil {
+		var rr cluster.RaceResp
+		if err := json.Unmarshal(data, &rr); err != nil {
 			t.Fatal(err)
 		}
 		want := partition.CellExact(cx, core.NewQueryContext(), 0, b)
-		if got := cluster.FromBits(er.D); got != want {
-			t.Fatalf("gateway %d: node says %v, in-process says %v", b, got, want)
+		if cluster.Bits(want) != rr.D {
+			t.Fatalf("gateway %d: node says %v, in-process says %v", b, cluster.FromBits(rr.D), want)
 		}
 	}
 	resp, data := post(t, srv.URL+cluster.PathIntervals, &cluster.IntervalsReq{Cell: 0, V: 0, ToV: true})
@@ -93,14 +96,14 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 	}
 
 	// Unowned cell: 421 so the client can tell routing bugs from failures.
-	resp, _ = post(t, srv.URL+cluster.PathExact, &cluster.ExactReq{Cell: 2, U: 0, V: 1})
+	resp, _ = post(t, srv.URL+cluster.PathInterval, &cluster.IntervalReq{Cell: 2, U: 0, V: 1})
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("unowned cell status %d, want 421", resp.StatusCode)
 	}
 
 	// Vertex out of the cell's local range: 400.
 	nv := s.CellVertexCount(0)
-	resp, _ = post(t, srv.URL+cluster.PathExact, &cluster.ExactReq{Cell: 0, U: uint32(nv), V: 0})
+	resp, _ = post(t, srv.URL+cluster.PathInterval, &cluster.IntervalReq{Cell: 0, U: uint32(nv), V: 0})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad vertex status %d, want 400", resp.StatusCode)
 	}
@@ -149,9 +152,9 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 	_, _, srv := buildNode(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	body, _ := json.Marshal(&cluster.ExactReq{Cell: 0, U: 0, V: 1})
+	body, _ := json.Marshal(&cluster.IntervalReq{Cell: 0, U: 0, V: 1})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		srv.URL+cluster.PathExact, bytes.NewReader(body))
+		srv.URL+cluster.PathInterval, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +165,9 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 }
 
 // TestNodeIntervalBatch: the batch form of the interval RPC answers each
-// lookup with exactly what the single-pair interval and region RPCs return,
-// and rejects malformed batches with 400.
+// vertex with exactly what the single form returns and each rectangle with
+// the cell index's own region lower bound, and rejects malformed batches
+// with 400.
 func TestNodeIntervalBatch(t *testing.T) {
 	s, _, srv := buildNode(t)
 	nv := uint32(s.CellVertexCount(0))
@@ -197,15 +201,11 @@ func TestNodeIntervalBatch(t *testing.T) {
 			t.Fatalf("vertex %d: batch [%x,%x], single [%x,%x]", v, br.Los[i], br.His[i], one.Lo, one.Hi)
 		}
 	}
+	cx := s.CellIndexAt(0)
 	for i, r := range rects {
-		_, data := post(t, srv.URL+cluster.PathRegion, &cluster.RegionReq{Cell: 0, Q: 1,
-			MinX: cluster.Bits(r[0]), MinY: cluster.Bits(r[1]), MaxX: cluster.Bits(r[2]), MaxY: cluster.Bits(r[3])})
-		var one cluster.RegionResp
-		if err := json.Unmarshal(data, &one); err != nil {
-			t.Fatal(err)
-		}
-		if br.Lbs[i] != one.D {
-			t.Fatalf("rectangle %d: batch %x, single %x", i, br.Lbs[i], one.D)
+		want := cx.RegionLowerBoundCtx(core.NewQueryContext(), 1, geom.Rect{MinX: r[0], MinY: r[1], MaxX: r[2], MaxY: r[3]})
+		if br.Lbs[i] != cluster.Bits(want) {
+			t.Fatalf("rectangle %d: batch %x, in process %x", i, br.Lbs[i], cluster.Bits(want))
 		}
 	}
 

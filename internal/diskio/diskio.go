@@ -33,20 +33,21 @@ const AdjacencyEntrySize = 48
 // store (the only layer that knows whether a miss turned into a real
 // positioned read and how many quadtree blocks a cold load decoded) —
 // they ride here so one counter follows the per-query attribution
-// plumbing through every layer.
+// plumbing through every layer, the cluster's wire included: the JSON
+// tags are what a node's RPC reply carries back to the router.
 type Stats struct {
-	Hits   int64
-	Misses int64
+	Hits   int64 `json:"hits,omitempty"`
+	Misses int64 `json:"misses,omitempty"`
 	// Evictions counts pages this counter's touches displaced from the
 	// pool. Like Hits/Misses it is charged exactly once per displaced
 	// page, so per-query sums reproduce pool aggregates.
-	Evictions int64
+	Evictions int64 `json:"evictions,omitempty"`
 	// Reads counts real positioned page reads a paged store performed
 	// (adjacency-page misses are counted but read nothing).
-	Reads int64
+	Reads int64 `json:"reads,omitempty"`
 	// BlocksDecoded counts quadtree blocks decoded on cold tree
 	// materializations (zero on in-RAM indexes).
-	BlocksDecoded int64
+	BlocksDecoded int64 `json:"blocks_decoded,omitempty"`
 }
 
 // Accesses returns total page touches.

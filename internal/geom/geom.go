@@ -101,11 +101,6 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 	return out, true
 }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r
 // (zero if p is inside r).
 func (r Rect) MinDist(p Point) float64 {

@@ -80,7 +80,6 @@ func SearchSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q grap
 	e := scratchFor(clock.qc).engineFor(ix, clock.qc, objs, q, spec.K, spec.Variant)
 	e.eps = spec.Epsilon
 	e.maxDist = spec.MaxDist
-	e.measurePQ = spec.MeasurePQ
 	e.run()
 	res := e.result()
 	clock.finish(&res.Stats)
@@ -135,11 +134,6 @@ type engine struct {
 	d0k      float64 // static bound for kNN-I/kNN-M enqueue filtering
 	d0kFixed bool
 	frozen   bool // kNN-I: stop maintaining L once D0k is fixed
-	// measurePQ enables the PQTime wall-clock instrumentation around L
-	// operations (the paper's KNN-PQ cost split). Off by default: the
-	// time.Now pairs cost ~20% of a warm in-memory query.
-	measurePQ bool
-	pqClock   time.Duration
 
 	// eps relaxes rank certification: report once δ⁺ ≤ (1+eps)·δ⁻.
 	eps float64
@@ -210,7 +204,6 @@ func (sc *scratch) engineFor(ix core.QueryIndex, qc *core.QueryContext, objs *Ob
 	e.drainRest = e.drainRest[:0]
 	e.stats = Stats{Algorithm: variant.String(), K: k}
 	e.d0k, e.d0kFixed, e.frozen = inf, false, false
-	e.measurePQ, e.pqClock = false, 0
 	e.eps, e.maxDist = 0, inf
 	e.err = nil
 	e.hint = nil
@@ -288,7 +281,6 @@ func (e *engine) run() {
 	if e.err == nil && len(e.results) < e.k && (e.variant == VariantKNN || e.variant == VariantKNNM) {
 		e.drainL()
 	}
-	e.stats.PQTime = e.pqClock
 	if n := len(e.results); n > 0 {
 		e.stats.DkFinal = e.results[n-1].Dist
 		if e.variant == VariantKNNM {
@@ -408,8 +400,7 @@ func (e *engine) step() bool {
 // expand processes one object-hierarchy node — the filter phase of the
 // search, as opposed to the interval-refinement phase step drives. Its
 // wall clock is only taken when the span opted in (Timed): time.Now
-// pairs cost real time against a warm in-memory query, the same
-// trade-off MeasurePQ makes.
+// pairs cost real time against a warm in-memory query.
 func (e *engine) expand(n *pmr.Node) {
 	if e.qc.Span.Timed {
 		start := time.Now()
@@ -490,10 +481,6 @@ func (e *engine) maybeInsertL(st *objState) {
 	if !e.maintainsL() || st.inL || st.refiner.OutOfRange() {
 		return
 	}
-	var start time.Time
-	if e.measurePQ {
-		start = time.Now()
-	}
 	if e.l.Len() < e.k {
 		st.lh = e.l.Push(st.iv.Hi, st.id)
 		st.inL = true
@@ -505,9 +492,6 @@ func (e *engine) maybeInsertL(st *objState) {
 		st.lh = e.l.Push(st.iv.Hi, st.id)
 		st.inL = true
 		e.stats.LOps += 2
-	}
-	if e.measurePQ {
-		e.pqClock += time.Since(start)
 	}
 	if n := e.l.Len(); n > e.stats.MaxL {
 		e.stats.MaxL = n
@@ -530,13 +514,7 @@ func (e *engine) updateL(st *objState) {
 		return
 	}
 	if st.inL {
-		if e.measurePQ {
-			start := time.Now()
-			e.l.Update(st.lh, st.iv.Hi)
-			e.pqClock += time.Since(start)
-		} else {
-			e.l.Update(st.lh, st.iv.Hi)
-		}
+		e.l.Update(st.lh, st.iv.Hi)
 		e.stats.LOps++
 		return
 	}
@@ -658,7 +636,6 @@ func NewBrowserSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 	e := scratchFor(qc).engineFor(ix, qc, objs, q, objs.Len(), VariantINN)
 	e.eps = spec.Epsilon
 	e.maxDist = spec.MaxDist
-	e.measurePQ = spec.MeasurePQ
 	return &Browser{e: e}
 }
 
@@ -692,7 +669,6 @@ func (b *Browser) Context() *core.QueryContext { return b.e.qc }
 // traffic charged to its query context so far.
 func (b *Browser) Stats() Stats {
 	s := b.e.stats
-	s.PQTime = b.e.pqClock
 	s.IO = b.e.qc.IO
 	return s
 }

@@ -57,7 +57,6 @@ func (h *hintChecker) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexI
 // sameSearch compares what a search computed, not how long it took.
 func sameSearch(a, b Result) bool {
 	a.Stats.CPU, b.Stats.CPU = 0, 0
-	a.Stats.PQTime, b.Stats.PQTime = 0, 0
 	return reflect.DeepEqual(a, b)
 }
 

@@ -152,8 +152,6 @@ type Stats struct {
 	KMinDistAccepts int
 	// LOps counts manipulations of L (the KNN-PQ cost component).
 	LOps int
-	// PQTime is the measured time spent manipulating L and Dk.
-	PQTime time.Duration
 
 	// D0k is the first-k upper-bound estimate of Dk (kNN-I / kNN-M; also
 	// recorded by kNN for the estimate-quality figure). Zero when no
@@ -204,11 +202,6 @@ type Spec struct {
 	// must say math.Inf(1), which UnboundedSpec and the package-level
 	// convenience wrappers do.
 	MaxDist float64
-	// MeasurePQ enables wall-clock instrumentation of the L/Dk priority
-	// queue operations (Stats.PQTime, the paper's KNN-PQ cost split). It is
-	// off by default because the time.Now pairs around every L operation
-	// cost a measurable fraction of a warm in-memory query.
-	MeasurePQ bool
 }
 
 // UnboundedSpec returns a Spec with the distance bound disabled.

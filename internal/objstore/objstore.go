@@ -46,25 +46,7 @@ type Snapshot struct {
 	// IDs and Vertices are the members in ascending stable-id order.
 	IDs      []int32
 	Vertices []graph.VertexID
-
-	// payload caches one caller-owned value derived from this snapshot
-	// (the silc layer stores its public ObjectSet wrapper here), so
-	// repeated pins of an unchanged version stay allocation-free.
-	payload atomic.Pointer[any]
 }
-
-// Payload returns the cached derived value, nil before SetPayload.
-func (s *Snapshot) Payload() any {
-	if p := s.payload.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// SetPayload caches a value derived from this snapshot. Concurrent setters
-// race benignly: every caller derives an equivalent value for the same
-// immutable snapshot, so last-writer-wins is correct.
-func (s *Snapshot) SetPayload(v any) { s.payload.Store(&v) }
 
 // entry is one live object in the authoritative table.
 type entry struct {

@@ -20,8 +20,7 @@ type Span struct {
 	Op uint8
 	// Timed enables the phase wall-clocks below. Off by default: the
 	// extra time.Now pairs in the expansion loop cost real time on
-	// warm in-memory queries (the MeasurePQ precedent), so serving
-	// processes opt in explicitly.
+	// warm in-memory queries, so serving processes opt in explicitly.
 	Timed bool
 	// FilterNanos is time spent in the filter phase — expanding the
 	// object-hierarchy (region lower bounds and object discovery) —

@@ -10,74 +10,97 @@ import (
 	"silc/internal/graph"
 )
 
-// CellIndex is what the cross-cell routing layer needs from one cell's
-// index: progressive refinement, zero-refinement intervals, region lower
-// bounds, and path retrieval — all in the cell's LOCAL vertex ids. The
-// in-process *core.Index satisfies it directly; a cluster deployment
-// substitutes an RPC-backed implementation per remote cell, and the routing
-// code above this seam cannot tell the difference.
+// CellIndex is the whole contract between the cross-cell routing layer and
+// one cell's index, in the cell's LOCAL vertex ids: progressive refinement,
+// zero-refinement intervals, region lower bounds and path retrieval — the
+// per-pair primitives of a SILC index — plus the two per-cell batches the
+// router is built from, the destination-label row and the route race. Two
+// types implement it: localCell, the in-process adapter over *core.Index,
+// and cluster.RemoteCell, which turns every method into one RPC to the cell's
+// owning nodes. The routing code above the seam asks the same questions of
+// both and gets the same bits.
+//
+// Implementations report failures through qc.Fail and return safe values
+// (+Inf distances, [0,+Inf) intervals, 0 lower bounds, nil paths), exactly
+// like a storage error on a local index.
 type CellIndex interface {
 	Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner
 	DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval
 	RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64
 	PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID
-}
-
-var _ CellIndex = (*core.Index)(nil)
-
-// The optional batch interfaces below collapse the routing layer's per-row
-// loops into one call each. A local *core.Index deliberately implements
-// none of them — the in-process hot path (and its allocation budgets) is
-// untouched — while an RPC-backed cell turns |B| network round-trips into
-// one. Implementations report failures through qc.Fail and return safe
-// values (+Inf distances, [0,+Inf) intervals), exactly like a storage error
-// on a local index.
-
-// BoundaryIntervaler returns the zero-refinement interval between v and
-// every boundary vertex of the cell, in closure row order. toV selects the
-// direction: boundary→v when true, v→boundary when false. It is how a miss
-// in the destination-label table (labels.go) is filled in one call; the
-// table keeps the returned slice and shares it between queries.
-type BoundaryIntervaler interface {
+	// BoundaryIntervals returns the zero-refinement interval between v and
+	// every boundary vertex of the cell, in closure row order: boundary→v
+	// when toV, v→boundary otherwise. It fills a miss in the
+	// destination-label table (labels.go), which keeps the returned slice and
+	// shares it between queries.
 	BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval
-}
-
-// RouteRacer resolves min over candidates i of offs[i] + d_cell(us[i], dst)
-// exactly, returning the minimum and the index achieving it (-1 when every
-// candidate is unreachable). It is the one-shot form of the route race the
-// refiner otherwise steps through: candidates are sorted by their interval
-// lower bound and refined in that order with a cutoff, so the result is the
-// same exact float64 the progressive race converges to.
-type RouteRacer interface {
+	// RaceRoutes resolves min over candidates i of offs[i] + d_cell(us[i], dst)
+	// exactly, returning the minimum and the index achieving it (-1 when
+	// every candidate is unreachable): RaceCellRoutes, run where the cell's
+	// quadtrees are.
 	RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int)
 }
 
-// SourceBatcher answers, in one call, a set of lookups that all start at one
-// source vertex — which on a SILC cell index means they all read the same
-// quadtree: DistanceIntervalCtx(qc, src, d) for every d in dsts and
-// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order.
-// ok is false when the batch could not be answered; the caller then makes the
-// calls one by one. RefineKnown is Refine for a pair whose zero-refinement
-// interval the caller already holds from such a batch. Sharded.HintExpand
-// drives it with what a search is about to ask of the source's own cell.
-type SourceBatcher interface {
-	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) (ivs []core.Interval, lbs []float64, ok bool)
+// RemoteCellIndex is what a cell served from another process adds to the
+// seam, because there every call is a round trip: SourceBatch answers, in one
+// call, a set of lookups that all start at one source vertex — which on a
+// SILC cell index means they all read the same quadtree —
+// DistanceIntervalCtx(qc, src, d) for every d in dsts and
+// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order;
+// RefineKnown is Refine for a pair whose zero-refinement interval the caller
+// already holds from such a batch. Sharded.HintExpand drives both with what a
+// search is about to ask of the source's own cell. In process every lookup is
+// already a direct call, so localCell has neither.
+type RemoteCellIndex interface {
+	CellIndex
+	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) (ivs []core.Interval, lbs []float64)
 	RefineKnown(qc *core.QueryContext, src, dst graph.VertexID, iv core.Interval) core.DistanceRefiner
 }
 
-// qcell returns the query index serving cell c: the in-process cell index,
-// or the remote backend installed by NewRemote.
+// localCell is the in-process CellIndex: the cell's *core.Index answers the
+// per-pair methods itself, and the two batches are loops over it. One is
+// built per cell when the index is assembled (bindCells), so qcell hands out
+// a pointer and the query path allocates nothing for the seam.
+type localCell struct {
+	*core.Index
+	boundary []graph.VertexID // the cell's boundary vertices, cell-local, in closure row order
+}
+
+func (c *localCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, toV bool) []core.Interval {
+	row := make([]core.Interval, len(c.boundary))
+	for i, b := range c.boundary {
+		if toV {
+			row[i] = c.DistanceIntervalCtx(qc, b, v)
+		} else {
+			row[i] = c.DistanceIntervalCtx(qc, v, b)
+		}
+	}
+	return row
+}
+
+func (c *localCell) RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
+	return RaceCellRoutes(c, qc, dst, offs, us)
+}
+
+// bindCells puts every in-process cell behind the seam.
+func (s *Sharded) bindCells() {
+	for c, cx := range s.cells {
+		cx.seam = &localCell{Index: cx.ix, boundary: s.BoundaryLocals(c)}
+	}
+}
+
+// qcell returns the query index serving cell c: the in-process cell behind
+// its adapter, or the remote backend installed by NewRemote.
 func (s *Sharded) qcell(c int32) CellIndex {
 	if s.remote != nil {
 		return s.remote[c]
 	}
-	return s.cells[c].ix
+	return s.cells[c].seam
 }
 
 // CellExact fully refines the within-cell distance from u to v on one cell
 // index (+Inf when unreachable inside the cell). It is core.ExactDistance
-// over the CellIndex seam — node servers use it to answer exact and race
-// RPCs with exactly the arithmetic the in-process router runs.
+// over the CellIndex seam, the refinement every route race ends in.
 func CellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
 	r := cx.Refine(qc, u, v)
 	for !r.Done() {
@@ -99,7 +122,9 @@ func CellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64
 // refine to exact in that order, with a cutoff once no remaining candidate
 // can be strictly shorter. The minimum is exact and identical to stepping
 // the race progressively, because refining past the cutoff can only raise a
-// candidate's value. Node servers serve the race RPC with it.
+// candidate's value. A sole zero-offset candidate makes it CellExact: 0 + d
+// == d in IEEE 754, and a candidate whose lookup already says +Inf is one
+// CellExact would report +Inf for too.
 func RaceCellRoutes(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
 	type cand struct {
 		i  int
@@ -154,10 +179,6 @@ func (s *Sharded) BoundaryLocals(c int) []graph.VertexID {
 	return out
 }
 
-// SelfContained reports whether cell c's intra-cell distances need no
-// closure routing.
-func (s *Sharded) SelfContained(c int) bool { return s.selfContained[c] }
-
 // BoundaryRows returns the closure row range [lo, hi) of cell c.
 func (s *Sharded) BoundaryRows(c int) (lo, hi int32) { return s.cl.Rows(int32(c)) }
 
@@ -168,7 +189,7 @@ func (s *Sharded) BoundaryRows(c int) (lo, hi int32) { return s.cl.Rows(int32(c)
 // nodes. The result answers the full core.QueryIndex surface with exactly
 // the in-process router's arithmetic, holds no cell image data, and is safe
 // for unlimited concurrent queries like any Sharded.
-func NewRemote(meta *RouterMeta, cells []CellIndex) (*Sharded, error) {
+func NewRemote(meta *RouterMeta, cells []RemoteCellIndex) (*Sharded, error) {
 	if meta == nil {
 		return nil, fmt.Errorf("partition: NewRemote needs router metadata")
 	}
@@ -180,15 +201,8 @@ func NewRemote(meta *RouterMeta, cells []CellIndex) (*Sharded, error) {
 			return nil, fmt.Errorf("partition: cell %d has no backend", c)
 		}
 	}
-	s := &Sharded{
-		g:             meta.g,
-		asn:           meta.asn,
-		cl:            meta.cl,
-		selfContained: meta.selfContained,
-		remote:        cells,
-		comp:          meta.comp,
-		labels:        newLabelTables(meta.asn.P, meta.cl.NB()),
-	}
+	s := meta.sharded()
+	s.remote = cells
 	s.stats = Stats{
 		Partitions:       meta.asn.P,
 		Vertices:         meta.g.NumVertices(),

@@ -87,10 +87,10 @@ func (s *Sharded) LabelStats() LabelStats {
 // labelRow returns the zero-refinement interval between cell c's vertex v
 // (cell-local) and every gateway of c, in closure row order: gateway→v when
 // toV, v→gateway otherwise. The row is shared between queries and read-only.
-// A miss fills it through the cell backend — one BoundaryIntervals call where
-// the backend batches (a remote cell's one RPC), |B_c| lookups on the local
-// index otherwise — and stores it unless the fill left a failure on qc: a
-// failed lookup's loose [0,+Inf) stand-in must never outlive the fault.
+// A miss fills it with one BoundaryIntervals call on the cell — |B_c| lookups
+// in process, one RPC on a remote cell — and stores it unless the fill left a
+// failure on qc: a failed lookup's loose [0,+Inf) stand-in must never outlive
+// the fault.
 func (s *Sharded) labelRow(qc *core.QueryContext, c int32, v graph.VertexID, toV bool) []core.Interval {
 	l, t, key := s.labels, &s.labels.cells[c], labelKey{v: v, toV: toV}
 	t.mu.Lock()
@@ -101,21 +101,7 @@ func (s *Sharded) labelRow(qc *core.QueryContext, c int32, v graph.VertexID, toV
 		return row
 	}
 	l.misses.Inc()
-	cx := s.qcell(c)
-	if bi, ok := cx.(BoundaryIntervaler); ok {
-		row = bi.BoundaryIntervals(qc, v, toV)
-	} else {
-		lo, hi := s.cl.Rows(c)
-		row = make([]core.Interval, hi-lo)
-		for r := lo; r < hi; r++ {
-			b := graph.VertexID(s.asn.LocalOf[s.cl.B[r]])
-			if toV {
-				row[r-lo] = cx.DistanceIntervalCtx(qc, b, v)
-			} else {
-				row[r-lo] = cx.DistanceIntervalCtx(qc, v, b)
-			}
-		}
-	}
+	row = s.qcell(c).BoundaryIntervals(qc, v, toV)
 	if !qc.Failed() && t.put(key, row, l.limit) {
 		l.rows.Add(1)
 	}

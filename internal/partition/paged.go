@@ -251,15 +251,14 @@ func padTo(cw *countingWriter, off int64) error {
 // embedded image — all cells sharing one buffer pool sized by
 // opt.CacheFraction of the whole database (opt.CachePages overrides).
 func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
-	h, err := readPagedMeta(ra, size)
+	meta, err := OpenPagedMeta(ra, size)
 	if err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian
-	comp := h.comp
-	p, n := h.asn.P, h.g.NumVertices()
-	cellTabOff, fileSize := h.cellTabOff, h.fileSize
-	g, asn, cl, selfContained := h.g, h.asn, h.cl, h.selfContained
+	g, asn, comp := meta.g, meta.asn, meta.comp
+	p, n := asn.P, g.NumVertices()
+	cellTabOff, fileSize := meta.cellTabOff, meta.fileSize
 	if opt.Mapped != nil && int64(len(opt.Mapped)) < fileSize {
 		return nil, fmt.Errorf("partition: mapping of %d bytes does not cover the %d-byte file", len(opt.Mapped), fileSize)
 	}
@@ -359,15 +358,20 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		})
 	}
 
-	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, selfContained: selfContained, tracker: tracker, pager: pager, comp: comp,
-		labels: newLabelTables(p, cl.NB())}
+	s := meta.sharded()
+	s.cells, s.tracker, s.pager = cells, tracker, pager
+	s.bindCells()
 	s.stats = s.computeStats()
 	return s, nil
 }
 
-// pagedHeader is the parsed superblock + network + meta prefix of a sharded
-// paged file — everything except the cell images themselves.
-type pagedHeader struct {
+// RouterMeta is the metadata half of a sharded paged file — superblock,
+// embedded global network, cell labels, boundary closure, self-contained
+// flags: everything except the cell images. OpenPaged continues from it to
+// the cell table; a stateless cluster router needs nothing else (NewRemote),
+// and because it is read from the same bytes the cell nodes serve, router and
+// nodes can never disagree about the partitioning.
+type RouterMeta struct {
 	comp          store.Compression
 	cellTabOff    int64
 	fileSize      int64
@@ -377,12 +381,10 @@ type pagedHeader struct {
 	selfContained []bool
 }
 
-// readPagedMeta reads and validates the metadata half of a sharded paged
-// file: superblock, embedded global network, self-contained flags, cell
-// labels, and boundary closure. It never touches the cell images, so it is
-// cheap relative to a full open and is the whole state a stateless query
-// router needs.
-func readPagedMeta(ra io.ReaderAt, size int64) (*pagedHeader, error) {
+// OpenPagedMeta reads and validates the metadata sections of a sharded paged
+// file. It never touches the cell images, so it is cheap relative to a full
+// open.
+func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 	head := make([]byte, shardedPagedSuperblockSize)
 	if _, err := ra.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("partition: reading superblock: %w", err)
@@ -488,7 +490,7 @@ func readPagedMeta(ra io.ReaderAt, size int64) (*pagedHeader, error) {
 		return nil, fmt.Errorf("partition: index records %d boundary vertices, network derives %d", nb, len(b))
 	}
 	cl.B, cl.RowOf, cl.CellStart = b, rowOf, cellStart
-	return &pagedHeader{
+	return &RouterMeta{
 		comp:          comp,
 		cellTabOff:    cellTabOff,
 		fileSize:      fileSize,
@@ -499,27 +501,10 @@ func readPagedMeta(ra io.ReaderAt, size int64) (*pagedHeader, error) {
 	}, nil
 }
 
-// RouterMeta is the router-side view of a sharded paged file: the global
-// network, cell labels, boundary closure, and self-contained flags — the
-// exact routing state a stateless cluster router needs, read from the same
-// bytes the cell nodes serve, so router and nodes can never disagree about
-// the partitioning.
-type RouterMeta struct {
-	g             *graph.Network
-	asn           *Assignment
-	cl            *Closure
-	selfContained []bool
-	comp          store.Compression
-}
-
-// OpenPagedMeta reads the metadata sections of a sharded paged file without
-// opening any cell image.
-func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
-	h, err := readPagedMeta(ra, size)
-	if err != nil {
-		return nil, err
-	}
-	return &RouterMeta{g: h.g, asn: h.asn, cl: h.cl, selfContained: h.selfContained, comp: h.comp}, nil
+// sharded starts a Sharded from the metadata: everything but its cells.
+func (m *RouterMeta) sharded() *Sharded {
+	return &Sharded{g: m.g, asn: m.asn, cl: m.cl, selfContained: m.selfContained, comp: m.comp,
+		labels: newLabelTables(m.asn.P, m.cl.NB())}
 }
 
 // Network returns the embedded global network.
@@ -527,15 +512,6 @@ func (m *RouterMeta) Network() *graph.Network { return m.g }
 
 // NumPartitions returns the cell count P.
 func (m *RouterMeta) NumPartitions() int { return m.asn.P }
-
-// NumBoundary returns the total boundary-vertex (closure row) count.
-func (m *RouterMeta) NumBoundary() int { return m.cl.NB() }
-
-// CellOf returns the cell holding global vertex v.
-func (m *RouterMeta) CellOf(v graph.VertexID) int { return int(m.asn.CellOf[v]) }
-
-// CellVertexCount returns the number of vertices in cell c.
-func (m *RouterMeta) CellVertexCount(c int) int { return len(m.asn.Verts[c]) }
 
 // BoundaryRows returns the closure row range [lo, hi) of cell c.
 func (m *RouterMeta) BoundaryRows(c int) (lo, hi int32) { return m.cl.Rows(int32(c)) }

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"silc/internal/core"
 	"silc/internal/graph"
@@ -96,82 +95,28 @@ func (s *Sharded) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.Ve
 	a, arg := rt.gateways(q)
 	qlo, _ := s.cl.Rows(q)
 
-	best := math.Inf(1)
-	direct := false
-	bestEntry := int32(-1)
-	if rr, ok := qcx.(RouteRacer); ok {
-		// One-shot backend: the whole entry race (direct route included when
-		// p == q) collapses into one call — one RPC on a remote cell.
-		offs := make([]float64, 0, len(a)+1)
-		us := make([]graph.VertexID, 0, len(a)+1)
-		rows := make([]int32, 0, len(a)+1)
-		if p == q {
-			offs = append(offs, 0)
-			us = append(us, ul)
-			rows = append(rows, -1)
-		}
-		for j, av := range a {
-			if math.IsInf(av, 1) {
-				continue
-			}
-			offs = append(offs, av)
-			us = append(us, graph.VertexID(s.asn.LocalOf[s.cl.B[qlo+int32(j)]]))
-			rows = append(rows, qlo+int32(j))
-		}
-		d, win := rr.RaceRoutes(qc, vl, offs, us)
-		if win >= 0 {
-			best = d
-			if rows[win] < 0 {
-				direct = true
-			} else {
-				bestEntry = rows[win]
-			}
-		}
-	} else {
-		if p == q {
-			if d := CellExact(pcx, qc, ul, vl); d < best {
-				best = d
-				direct = true
-			}
-		}
-		// Race the entry gateways on their zero-refinement intervals and fully
-		// refine in ascending lower-bound order, so candidates that cannot beat
-		// the best route found so far cost one lookup instead of a complete
-		// progressive refinement.
-		type gateCand struct {
-			row int32
-			lo  float64
-		}
-		cands := make([]gateCand, 0, len(a))
-		for j, av := range a {
-			if math.IsInf(av, 1) {
-				continue
-			}
-			bl := graph.VertexID(s.asn.LocalOf[s.cl.B[qlo+int32(j)]])
-			civ := qcx.DistanceIntervalCtx(qc, bl, vl)
-			cands = append(cands, gateCand{row: qlo + int32(j), lo: av + civ.Lo})
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].lo < cands[j].lo })
-		for _, c := range cands {
-			if c.lo >= best {
-				break // sorted: no remaining candidate can be strictly shorter
-			}
-			av := a[c.row-qlo]
-			bl := graph.VertexID(s.asn.LocalOf[s.cl.B[c.row]])
-			dq := CellExact(qcx, qc, bl, vl)
-			if t := av + dq; t < best {
-				best = t
-				bestEntry = c.row
-				direct = false
-			}
-		}
+	// One race over every way into v: the direct within-cell route (same cell
+	// only, offset 0) and one route per entry gateway of q, offset by the
+	// source's exact distance to it (+Inf offsets never run). In process that
+	// is RaceCellRoutes over the cell's quadtrees; on a remote cell, one RPC.
+	offs := make([]float64, 0, len(a)+1)
+	us := make([]graph.VertexID, 0, len(a)+1)
+	if p == q {
+		offs, us = append(offs, 0), append(us, ul)
 	}
+	direct := len(offs) // candidates ahead of the gateway routes
+	offs = append(offs, a...)
+	for j := range a {
+		us = append(us, graph.VertexID(s.asn.LocalOf[s.cl.B[qlo+int32(j)]]))
+	}
+	_, win := qcx.RaceRoutes(qc, vl, offs, us)
 	switch {
-	case direct:
-		return s.globalPath(p, pcx.PathCtx(qc, ul, vl))
-	case bestEntry < 0:
+	case win < 0:
 		return nil // unreachable (prevented at build time by validation)
+	case win < direct:
+		return s.globalPath(p, pcx.PathCtx(qc, ul, vl))
 	}
+	bestEntry := qlo + int32(win-direct)
 	exit := arg[bestEntry-qlo] // own-cell gateway row achieving A[bestEntry]
 	path := s.globalPath(p, pcx.PathCtx(qc, ul, graph.VertexID(s.asn.LocalOf[s.cl.B[exit]])))
 	if qc.Failed() {

@@ -99,10 +99,6 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 		return
 	}
 	p := s.asn.CellOf[src]
-	sb, ok := s.remote[p].(SourceBatcher)
-	if !ok {
-		return
-	}
 	h := &s.routerFor(qc, src).hints
 	h.ask, h.rects, h.lbs = h.ask[:0], h.rects[:0], nil
 	for _, d := range dsts {
@@ -122,10 +118,9 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 	if len(h.ask)+len(h.rects) == 0 {
 		return
 	}
-	ivs, lbs, ok := sb.SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.rects)
-	if !ok {
-		return
-	}
+	// A failed batch has failed the query (qc.Fail) and answers with loose
+	// stand-ins; keeping them means the doomed search asks nothing again.
+	ivs, lbs := s.remote[p].SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.rects)
 	if h.ivs == nil {
 		h.ivs = make(map[graph.VertexID]core.Interval)
 	}
@@ -140,9 +135,8 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 func (s *Sharded) refineOwn(qc *core.QueryContext, src graph.VertexID, p int32, dstLocal graph.VertexID) core.DistanceRefiner {
 	srcLocal := graph.VertexID(s.asn.LocalOf[src])
 	if s.remote != nil {
-		// A hinted interval means HintExpand found cell p to be a SourceBatcher.
 		if iv, ok := s.routerFor(qc, src).hints.ivs[dstLocal]; ok {
-			return s.remote[p].(SourceBatcher).RefineKnown(qc, srcLocal, dstLocal, iv)
+			return s.remote[p].RefineKnown(qc, srcLocal, dstLocal, iv)
 		}
 	}
 	return s.qcell(p).Refine(qc, srcLocal, dstLocal)
@@ -474,10 +468,11 @@ func (r *routeRefiner) Step() bool {
 	if r.done {
 		return false
 	}
-	// A backend that races routes in one shot (a remote cell: one RPC instead
-	// of a Step round-trip per refinement) collapses the whole race now.
-	if rr, ok := r.s.qcell(r.q).(RouteRacer); ok {
-		return r.stepRace(rr)
+	// Over remote cells a refinement step is a round trip, so the whole race
+	// collapses now, in one RaceRoutes call; in process it is stepped hop by
+	// hop, and a search stops refining as soon as the interval has separated.
+	if r.s.remote != nil {
+		return r.stepRace()
 	}
 	// Pick the non-exact route with the smallest lower bound — the route
 	// holding the aggregate open.
@@ -524,13 +519,13 @@ func (r *routeRefiner) Step() bool {
 	return !r.done
 }
 
-// stepRace resolves the remaining race in one shot on a RouteRacer backend:
-// already-exact routes fold their values into the running minimum locally,
-// and the non-exact ones become (offset, vertex) candidates for one
-// RaceRoutes call. The result equals what progressive stepping converges to
+// stepRace resolves the remaining race in one shot: already-exact routes
+// fold their values into the running minimum locally, and the non-exact ones
+// become (offset, vertex) candidates for one RaceRoutes call on the
+// destination cell. The result equals what progressive stepping converges to
 // — RaceRoutes refines candidates in lower-bound order with the same cutoff
 // — so exactness is preserved.
-func (r *routeRefiner) stepRace(rr RouteRacer) bool {
+func (r *routeRefiner) stepRace() bool {
 	best := math.Inf(1)
 	var offs []float64
 	var us []graph.VertexID
@@ -556,7 +551,7 @@ func (r *routeRefiner) stepRace(rr RouteRacer) bool {
 		us = append(us, g.bLocal)
 	}
 	if len(offs) > 0 {
-		if d, _ := rr.RaceRoutes(r.qc, r.dstLocal, offs, us); d < best {
+		if d, _ := r.s.qcell(r.q).RaceRoutes(r.qc, r.dstLocal, offs, us); d < best {
 			best = d
 		}
 	}

@@ -72,6 +72,7 @@ type cell struct {
 	sub      *graph.Network
 	ix       *core.Index
 	toGlobal []graph.VertexID
+	seam     *localCell // ix behind the CellIndex seam (bindCells)
 }
 
 // Sharded is a partitioned SILC index over one network: P per-cell indexes
@@ -84,10 +85,12 @@ type Sharded struct {
 	g     *graph.Network
 	asn   *Assignment
 	cells []*cell
-	// remote, when non-nil, replaces the in-process cells with one CellIndex
-	// backend per cell (NewRemote): the router-side half of a cluster
-	// deployment. All per-cell work goes through qcell, which prefers it.
-	remote        []CellIndex
+	// remote, when non-nil, replaces the in-process cells with one backend
+	// per cell (NewRemote): the router-side half of a cluster deployment. All
+	// per-cell work goes through qcell, which prefers it; remote != nil is
+	// also how the routing layer knows that a call is a round trip (one-shot
+	// races, expansion hints).
+	remote        []RemoteCellIndex
 	cl            *Closure
 	selfContained []bool
 	tracker       *diskio.Tracker
@@ -156,6 +159,7 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 		return nil, err
 	}
 	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, comp: opt.Compression, labels: newLabelTables(p, cl.NB())}
+	s.bindCells()
 	s.selfContained = s.computeSelfContained()
 	closureTime := time.Since(closureStart)
 

@@ -205,12 +205,6 @@ func (h *Indexed[T]) Top() (float64, T) {
 // TopKey returns the root key. It panics on an empty heap.
 func (h *Indexed[T]) TopKey() float64 { return h.slots[h.heap[0]].key }
 
-// TopHandle returns a handle to the root item. It panics on an empty heap.
-func (h *Indexed[T]) TopHandle() Handle[T] {
-	i := h.heap[0]
-	return Handle[T]{h: h, i: i, gen: h.slots[i].gen}
-}
-
 // Pop removes and returns the root item.
 func (h *Indexed[T]) Pop() (float64, T) {
 	i := h.heap[0]
