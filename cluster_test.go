@@ -172,29 +172,104 @@ func TestClusterEquivalence(t *testing.T) {
 	}
 
 	// The router fanned real RPCs out, and the per-cell load signal saw them.
+	if routerSeries(t, h.router, "silc_cluster_cell_rpcs_total{") == 0 {
+		t.Fatal("router reported zero per-cell RPCs after a full query mix")
+	}
 	var buf strings.Builder
 	if err := h.router.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	total := 0.0
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "silc_cluster_cell_rpcs_total{") {
-			calls, err := strconv.ParseFloat(value, 64)
-			if err != nil {
-				t.Fatalf("metric line %q: %v", line, err)
-			}
-			total += calls
-		}
-	}
-	if total == 0 {
-		t.Fatal("router reported zero per-cell RPCs after a full query mix")
-	}
 	for _, family := range []string{"silc_cluster_rpcs_total", "silc_cluster_cell_rpcs_total",
-		"silc_partition_label_hits_total", "silc_partition_label_misses_total", "silc_partition_label_rows"} {
+		"silc_partition_label_hits_total", "silc_partition_label_misses_total", "silc_partition_label_rows",
+		"silc_partition_race_hinted_total", "silc_partition_race_used_total"} {
 		if !strings.Contains(buf.String(), family) {
 			t.Fatalf("router metrics missing family %s", family)
 		}
 	}
+}
+
+// routerSeries sums the router's metric series whose name (and label prefix)
+// starts with prefix.
+func routerSeries(t *testing.T, r *silc.ClusterRouter, prefix string) float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, prefix) {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			total += v
+		}
+	}
+	return total
+}
+
+// TestClusterExactRPCBudget: what a client that asks for exact distances —
+// every benchmark read — costs in RPCs through the real Engine, whose
+// exactify announces the neighbours it is about to refine. A warm k=10 kNN or
+// range query stays within the budgets internal/cluster holds the bare
+// searches to; a router that raced once per refined neighbour would not. The
+// exported race-batch counters move, and most of what they raced was used.
+func TestClusterExactRPCBudget(t *testing.T) {
+	const knnBudget, rangeBudget = 10, 8
+	h := buildCluster(t, silc.ClusterRouterOptions{Timeout: 10 * time.Second})
+	ctx := context.Background()
+	eng := h.router.Engine()
+	objs := objectsEvery(t, eng.Network(), 4)
+	refObjs := objectsEvery(t, h.sharded.Network(), 4)
+	n := h.net.NumVertices()
+	rpcs := func() float64 { return routerSeries(t, h.router, "silc_cluster_rpcs_total{") }
+	var knnTotal, rangeTotal float64
+	const queries = 12
+	for pass := 0; pass < 2; pass++ { // the first pass fills the label rows
+		for i := 0; i < queries; i++ {
+			q := silc.VertexID((i*n/queries + i) % n)
+			before := rpcs()
+			res, err := eng.Query(ctx, objs, q, 10, silc.WithExactDistances())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := rpcs()
+			rng, err := eng.WithinDistance(ctx, objs, q, 0.25, silc.WithExactDistances())
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, r := mid-before, rpcs()-mid
+			if pass == 0 {
+				continue
+			}
+			if k > knnBudget || r > rangeBudget {
+				t.Errorf("query %d: exact kNN cost %v RPCs (budget %d), exact range %v (budget %d)", q, k, knnBudget, r, rangeBudget)
+			}
+			knnTotal, rangeTotal = knnTotal+k, rangeTotal+r
+			want, err := h.sharded.Query(ctx, refObjs, q, 10, silc.WithExactDistances())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, nb := range res.Neighbors {
+				if w := want.Neighbors[j]; !nb.Exact || nb.ID != w.ID || nb.Dist != w.Dist {
+					t.Fatalf("query %d neighbour %d: router %+v, in process %+v", q, j, nb, w)
+				}
+			}
+			for _, nb := range rng.Neighbors {
+				if !nb.Exact {
+					t.Fatalf("query %d: range neighbour %+v not exact", q, nb)
+				}
+			}
+		}
+	}
+	hinted := routerSeries(t, h.router, "silc_partition_race_hinted_total")
+	used := routerSeries(t, h.router, "silc_partition_race_used_total")
+	if hinted == 0 || used > hinted || used < hinted/2 {
+		t.Fatalf("race batches raced %v destinations, %v of them used", hinted, used)
+	}
+	t.Logf("warm exact queries: %.1f RPCs per kNN, %.1f per range; %v destinations raced in batches, %v used",
+		knnTotal/queries, rangeTotal/queries, hinted, used)
 }
 
 // TestClusterReplicaFailover: with node-c replicating every cell, killing

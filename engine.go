@@ -367,6 +367,19 @@ func (e *Engine) runSpec(qc *core.QueryContext, objs *ObjectSet, q VertexID, k i
 // exactify refines every reported neighbor's distance to exact, charging
 // the work to the query's own context.
 func (e *Engine) exactify(qc *core.QueryContext, q VertexID, res *Result) error {
+	// A backend on which every refinement is a round trip (a cluster router)
+	// is told of all of them at once and races them in one batch per cell.
+	if h, ok := e.qx.(core.ExpandHinter); ok && h.WantsExpandHints() {
+		var dsts []graph.VertexID
+		for _, n := range res.Neighbors {
+			if !n.Exact {
+				dsts = append(dsts, n.Vertex)
+			}
+		}
+		if len(dsts) > 0 {
+			h.HintRefine(qc, q, dsts)
+		}
+	}
 	for i := range res.Neighbors {
 		n := &res.Neighbors[i]
 		if n.Exact {

@@ -37,7 +37,13 @@ type fanoutFixture struct {
 
 func newFanoutFixture(t *testing.T) *fanoutFixture {
 	t.Helper()
-	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 20, Cols: 20, Seed: 5})
+	return newFanoutFixtureOn(t, 20) // no cell of this map is self-contained
+}
+
+// newFanoutFixtureOn serves a side×side road map.
+func newFanoutFixtureOn(t *testing.T, side int) *fanoutFixture {
+	t.Helper()
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: side, Cols: side, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,51 +130,210 @@ func (f *fanoutFixture) queries() []graph.VertexID {
 	return qs
 }
 
-// knnRPCBudget is the most RPCs one warm k=10 kNN may cost on the fixture:
-// one batched interval call per expanded interior node that reaches into the
-// source's cell, and one race per refined object. A per-lookup router spends
-// several times this (one call per inspected object and per child rectangle
-// on top).
-const knnRPCBudget = 20
+// knnRPCBudget and rangeRPCBudget are the most RPCs one warm k=10 kNN and one
+// warm range search may cost on the fixture: one batched interval call per
+// expanded interior node that reaches into the source's cell, and one batched
+// race per refinement round and destination cell. A router that races once
+// per refined object spends twice this, a per-lookup router several times
+// that (one call per inspected object and per child rectangle on top).
+const (
+	knnRPCBudget   = 10
+	rangeRPCBudget = 8
+	// raceWasteBudget bounds the share of batched races no Step went on to
+	// use, over the whole run.
+	raceWasteBudget = 0.25
+)
+
+// exactify is what silc.Engine does for a query WithExactDistances: it
+// announces every reported neighbour that is not exact yet, then refines
+// each. (The engine's own call is held to the same budget by the root
+// package's TestClusterExactRPCBudget.)
+func exactify(ix core.QueryIndex, qc *core.QueryContext, q graph.VertexID, res *knn.Result) {
+	if h, ok := ix.(core.ExpandHinter); ok && h.WantsExpandHints() {
+		var dsts []graph.VertexID
+		for _, n := range res.Neighbors {
+			if !n.Exact {
+				dsts = append(dsts, n.Object.Vertex)
+			}
+		}
+		if len(dsts) > 0 {
+			h.HintRefine(qc, q, dsts)
+		}
+	}
+	for i := range res.Neighbors {
+		if n := &res.Neighbors[i]; !n.Exact {
+			d := core.ExactDistance(ix, qc, q, n.Object.Vertex)
+			n.Dist, n.Interval, n.Exact = d, core.Interval{Lo: d, Hi: d}, true
+		}
+	}
+}
 
 // TestClusterRPCBudget counts silc_cluster_rpcs_total around each warm kNN
-// and range search and fails past the budget, so a change that quietly
-// brings back a per-object or per-rectangle call is caught by a counter,
-// not by a latency graph.
+// and range search — as the search leaves them, and refined to exact
+// distances the way every benchmark read asks — and fails past the budget, so
+// a change that quietly brings back a per-object or per-rectangle call is
+// caught by a counter, not by a latency graph. The race-batch counters pin
+// the other side of the trade: how many of the races a batch ran ahead of
+// time nobody needed.
 func TestClusterRPCBudget(t *testing.T) {
 	f := newFanoutFixture(t)
-	run := func(q graph.VertexID) (knnRPCs, rangeRPCs, lookups int64) {
+	run := func(q graph.VertexID, exact bool) (knnRPCs, rangeRPCs, lookups int64) {
 		qc := core.NewQueryContext()
 		before := f.rpcs()
 		res := knn.SearchSpec(f.router, qc, f.objs, q, knn.UnboundedSpec(10, knn.VariantKNN))
+		if exact {
+			exactify(f.router, qc, q, &res)
+		}
 		if res.Err != nil || qc.Err() != nil {
 			t.Fatalf("kNN(%d): %v / %v", q, res.Err, qc.Err())
 		}
 		mid := f.rpcs()
 		qc.ResetForReuse(context.Background())
-		if res := knn.RangeSearchCtx(f.router, qc, f.objs, q, 0.2); res.Err != nil || qc.Err() != nil {
-			t.Fatalf("range(%d): %v / %v", q, res.Err, qc.Err())
+		rng := knn.RangeSearchCtx(f.router, qc, f.objs, q, 0.2)
+		if exact {
+			exactify(f.router, qc, q, &rng)
+		}
+		if rng.Err != nil || qc.Err() != nil {
+			t.Fatalf("range(%d): %v / %v", q, rng.Err, qc.Err())
 		}
 		return mid - before, f.rpcs() - mid, int64(res.Stats.Lookups)
 	}
 	for _, q := range f.queries() {
-		run(q) // first touch: fills the label rows of the objects these queries inspect
+		run(q, true) // first touch: fills the label rows of the objects these queries inspect
 	}
-	var total, lookups int64
-	for _, q := range f.queries() {
-		k, r, l := run(q)
-		if k > knnRPCBudget || r > knnRPCBudget {
-			t.Errorf("query %d: kNN cost %d RPCs, range %d; budget %d", q, k, r, knnRPCBudget)
+	hinted0, used0 := f.router.RaceHintStats()
+	for _, exact := range []bool{false, true} {
+		var knnTotal, rangeTotal, lookups int64
+		for _, q := range f.queries() {
+			k, r, l := run(q, exact)
+			if k > knnRPCBudget || r > rangeRPCBudget {
+				t.Errorf("query %d (exact=%v): kNN cost %d RPCs (budget %d), range %d (budget %d)",
+					q, exact, k, knnRPCBudget, r, rangeRPCBudget)
+			}
+			knnTotal += k
+			rangeTotal += r
+			lookups += l
 		}
-		total += k
-		lookups += l
+		// The budget must mean something on this fixture: the searches inspect
+		// more objects than they are allowed RPCs.
+		if lookups <= knnTotal {
+			t.Fatalf("fixture too small to tell: %d object lookups for %d RPCs", lookups, knnTotal)
+		}
+		t.Logf("warm k=10 kNN (exact=%v): %.1f RPCs and %.1f object lookups per query; range: %.1f RPCs",
+			exact, float64(knnTotal)/12, float64(lookups)/12, float64(rangeTotal)/12)
 	}
-	// The budget must mean something on this fixture: the searches inspect
-	// more objects than they are allowed RPCs.
-	if lookups <= total {
-		t.Fatalf("fixture too small to tell: %d object lookups for %d RPCs", lookups, total)
+	hinted, used := f.router.RaceHintStats()
+	hinted, used = hinted-hinted0, used-used0
+	if hinted == 0 || used > hinted {
+		t.Fatalf("race batches raced %d destinations, %d of them used", hinted, used)
 	}
-	t.Logf("warm k=10 kNN: %.1f RPCs and %.1f object lookups per query", float64(total)/12, float64(lookups)/12)
+	if waste := float64(hinted-used) / float64(hinted); waste > raceWasteBudget {
+		t.Errorf("%d of %d batched races were never used (%.0f%%, budget %.0f%%)",
+			hinted-used, hinted, 100*waste, 100*raceWasteBudget)
+	} else {
+		t.Logf("batched races: %d raced, %d used (%.0f%% wasted)", hinted, used, 100*waste)
+	}
+}
+
+// hookless hides every optional extension of the index it wraps: a search
+// over it cannot see the router's hints.
+type hookless struct{ core.QueryIndex }
+
+// TestClusterRaceBatchBitIdentical: batching a search's races changes how
+// many RPCs the router makes and nothing it reports. The same router answers
+// kNN and range searches, as the search leaves them and refined to exact,
+// with its hints in reach and hidden; ids, distances, intervals, exactness
+// and the search's own counters agree bit for bit, and the exact distances
+// are the in-process cells'. One map has a self-contained cell — there a
+// same-cell pair is a race whose only candidate is the direct route — and
+// one has none.
+func TestClusterRaceBatchBitIdentical(t *testing.T) {
+	for _, side := range []int{20, 12} {
+		f := newFanoutFixtureOn(t, side)
+		if sc := f.router.Stats().SelfContained; (sc > 0) != (side == 12) {
+			t.Fatalf("%d×%d map: %d self-contained cells", side, side, sc)
+		}
+		run := func(ix core.QueryIndex, q graph.VertexID, rng, exact bool) knn.Result {
+			qc := core.NewQueryContext()
+			var res knn.Result
+			if rng {
+				res = knn.RangeSearchCtx(ix, qc, f.objs, q, 0.2)
+			} else {
+				res = knn.SearchSpec(ix, qc, f.objs, q, knn.UnboundedSpec(10, knn.VariantKNN))
+			}
+			if exact {
+				exactify(ix, qc, q, &res)
+			}
+			if res.Err != nil || qc.Err() != nil {
+				t.Fatalf("query %d: %v / %v", q, res.Err, qc.Err())
+			}
+			return res
+		}
+		for _, q := range f.queries() {
+			for _, rng := range []bool{false, true} {
+				for _, exact := range []bool{false, true} {
+					hinted0, _ := f.router.RaceHintStats()
+					plain := run(hookless{f.router}, q, rng, exact)
+					if h, _ := f.router.RaceHintStats(); h != hinted0 {
+						t.Fatal("a search that cannot see the hinter raced a batch")
+					}
+					got, local := run(f.router, q, rng, exact), run(f.local, q, rng, exact)
+					if len(got.Neighbors) != len(plain.Neighbors) || len(got.Neighbors) != len(local.Neighbors) ||
+						got.Stats.Refinements != plain.Stats.Refinements || got.Stats.Lookups != plain.Stats.Lookups {
+						t.Fatalf("side %d q=%d range=%v exact=%v: hinted %d neighbours %+v, plain %d %+v, in process %d",
+							side, q, rng, exact, len(got.Neighbors), got.Stats, len(plain.Neighbors), plain.Stats, len(local.Neighbors))
+					}
+					for i, n := range got.Neighbors {
+						p := plain.Neighbors[i]
+						if n.Object != p.Object || n.Exact != p.Exact || Bits(n.Dist) != Bits(p.Dist) ||
+							Bits(n.Interval.Lo) != Bits(p.Interval.Lo) || Bits(n.Interval.Hi) != Bits(p.Interval.Hi) {
+							t.Fatalf("side %d q=%d range=%v exact=%v neighbour %d: hinted %+v, plain %+v", side, q, rng, exact, i, n, p)
+						}
+						if l := local.Neighbors[i]; exact && (n.Object != l.Object || Bits(n.Dist) != Bits(l.Dist)) {
+							t.Fatalf("side %d q=%d range=%v neighbour %d: router %+v, in process %+v", side, q, rng, i, n, l)
+						}
+					}
+				}
+			}
+		}
+		if hinted, used := f.router.RaceHintStats(); hinted == 0 || used == 0 {
+			t.Fatalf("side %d: %d destinations raced in batches, %d used", side, hinted, used)
+		}
+
+		// One refiner at a time: the batch shows in nothing the refiner reports
+		// until its own Step, which then costs no RPC and lands on the
+		// in-process distance. Pairs the router did not route through gateways
+		// are same-cell pairs of a self-contained cell.
+		n, own := f.g.NumVertices(), 0
+		for u := 0; u < n; u += 7 {
+			for v := 1; v < n; v += 13 {
+				u, v := graph.VertexID(u), graph.VertexID(v)
+				qc := core.NewQueryContext()
+				r := f.router.Refine(qc, u, v)
+				if r.Done() {
+					continue
+				}
+				if qc.Span.CrossCell == 0 {
+					own++
+				}
+				iv := r.Interval()
+				f.router.HintRefine(qc, u, []graph.VertexID{v, v})
+				if r.Interval() != iv || r.Done() {
+					t.Fatalf("pair (%d,%d): the hint moved the refiner from %v to %v", u, v, iv, r.Interval())
+				}
+				before := f.rpcs()
+				r.Step()
+				want := f.local.DistanceCtx(core.NewQueryContext(), u, v)
+				if got := r.Interval(); f.rpcs() != before || !r.Done() || Bits(got.Lo) != Bits(want) || Bits(got.Hi) != Bits(want) {
+					t.Fatalf("pair (%d,%d): Step after the batch cost %d RPCs and left %v (done=%v), in process %v",
+						u, v, f.rpcs()-before, got, r.Done(), want)
+				}
+			}
+		}
+		if (own > 0) != (side == 12) {
+			t.Fatalf("side %d: %d refined pairs inside a self-contained cell", side, own)
+		}
+	}
 }
 
 // TestClusterDistanceRPCs: an exact cross-cell distance costs at most two
@@ -352,6 +517,96 @@ func TestClusterFailureRule(t *testing.T) {
 	got := search()
 	if got.Err != nil || qc.Err() != nil {
 		t.Fatal(got.Err, qc.Err())
+	}
+	if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+		t.Fatalf("kNN after the fault differs from before it:\n got  %+v\n want %+v", got.Neighbors, want.Neighbors)
+	}
+}
+
+// TestClusterRaceBatchFailure: the failure rule holds for a batched race. A
+// kNN from a live cell whose candidates sit in a dead node's cells fails at
+// its first batch — one race call, one attempt, no single race after it for
+// the destinations the batch stood for or for any other — and the stand-ins
+// the batch parked die with the query: the same pooled context answers as
+// before once the node is back.
+func TestClusterRaceBatchFailure(t *testing.T) {
+	f := newFanoutFixture(t)
+	qc := core.NewQueryContext()
+	search := func(q graph.VertexID) knn.Result {
+		qc.ResetForReuse(context.Background())
+		res := knn.SearchSpec(f.router, qc, f.objs, q, knn.UnboundedSpec(10, knn.VariantKNN))
+		if res.Err == nil {
+			exactify(f.router, qc, q, &res)
+			res.Err = qc.Err()
+		}
+		return res
+	}
+	race, intervals := f.client.rpcs[PathRace], f.client.rpcs[PathIntervals]
+	// A source on node a whose warm search races on both of node b's cells
+	// and asks it nothing else (its label rows are in the table after the
+	// first run): once the first batch has failed, a second cell's batch and
+	// every refiner's own race are still to come.
+	q, found := graph.VertexID(0), false
+	var want knn.Result
+	for ; int(q) < f.g.NumVertices() && !found; q++ {
+		if f.router.CellOf(q) > 1 {
+			continue
+		}
+		search(q)
+		c2, c3, rows := f.client.cellCalls[2].Value(), f.client.cellCalls[3].Value(), intervals.calls.Value()
+		want = search(q)
+		found = want.Err == nil && intervals.calls.Value() == rows &&
+			f.client.cellCalls[2].Value() > c2 && f.client.cellCalls[3].Value() > c3
+	}
+	if q--; !found {
+		t.Fatal("no source on node a whose warm kNN races on both cells of node b")
+	}
+
+	f.down[1].Store(true)
+	calls, attempts, failures := race.calls.Value(), race.errors.Value(), f.client.failures.Value()
+	if err := search(q).Err; err == nil || !strings.Contains(err.Error(), "every replica failed") {
+		t.Fatalf("kNN racing on a dead cell: err = %v, want one wrapping \"every replica failed\"", err)
+	}
+	if a, fl := race.errors.Value()-attempts, f.client.failures.Value()-failures; a != 1 || fl != 1 {
+		t.Fatalf("the failed query cost %d failed race attempts and %d failed calls, want 1 and 1", a, fl)
+	}
+	t.Logf("source %d: %d race calls before the one that failed", q, race.calls.Value()-calls-1)
+
+	// The same rule, one announcement at a time: refiners toward both dead
+	// cells, looked up while the node still answered. The first cell's batch
+	// fails the query; the second cell's batch is not sent, and the refiner
+	// it would have served races nothing on its own either.
+	f.down[1].Store(false)
+	f.client.Probe(context.Background())
+	qc.ResetForReuse(context.Background())
+	var dsts []graph.VertexID
+	var last core.DistanceRefiner
+	for _, cell := range []int{2, 3} {
+		for _, o := range f.objs.All() {
+			if r := f.router.Refine(qc, q, o.Vertex); f.router.CellOf(o.Vertex) == cell && !r.Done() {
+				dsts, last = append(dsts, o.Vertex), r
+				break
+			}
+		}
+	}
+	if len(dsts) != 2 || qc.Err() != nil {
+		t.Fatalf("refiners toward cells 2 and 3: %d, err %v", len(dsts), qc.Err())
+	}
+	f.down[1].Store(true)
+	calls = race.calls.Value()
+	f.router.HintRefine(qc, q, dsts)
+	iv := last.Interval()
+	last.Step()
+	if got := race.calls.Value() - calls; got != 1 || !qc.Failed() || last.Interval() != iv {
+		t.Fatalf("a failed batch was followed by %d more race calls (query failed: %v; refiner %v → %v)",
+			got-1, qc.Failed(), iv, last.Interval())
+	}
+
+	f.down[1].Store(false)
+	f.client.Probe(context.Background())
+	got := search(q)
+	if got.Err != nil {
+		t.Fatal(got.Err)
 	}
 	if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
 		t.Fatalf("kNN after the fault differs from before it:\n got  %+v\n want %+v", got.Neighbors, want.Neighbors)

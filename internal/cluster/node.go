@@ -302,12 +302,27 @@ func rectFromBits(minX, minY, maxX, maxY uint64) (geom.Rect, error) {
 	return rect, nil
 }
 
+// race answers the race RPC: one RaceRoutes per destination, in request
+// order, each over its own run of the flat candidate lists.
 func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
-	if len(req.Offs) != len(req.Us) {
+	if len(req.Ns) != len(req.Dsts) || len(req.Offs) != len(req.Us) {
 		return RaceResp{}, rpcError{http.StatusBadRequest,
-			fmt.Sprintf("%d offsets for %d candidates", len(req.Offs), len(req.Us))}
+			fmt.Sprintf("%d candidate counts for %d destinations, %d offsets for %d candidates",
+				len(req.Ns), len(req.Dsts), len(req.Offs), len(req.Us))}
 	}
-	cx, err := n.checkCell(req.Cell, req.Dst)
+	left := len(req.Offs)
+	for _, c := range req.Ns {
+		if c < 0 || int(c) > left {
+			left = -1
+			break
+		}
+		left -= int(c)
+	}
+	if left != 0 {
+		return RaceResp{}, rpcError{http.StatusBadRequest,
+			fmt.Sprintf("candidate counts do not add up to the %d candidates sent", len(req.Offs))}
+	}
+	cx, err := n.checkCell(req.Cell, req.Dsts...)
 	if err == nil {
 		err = n.checkVerts(req.Cell, req.Us)
 	}
@@ -320,8 +335,19 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		offs[i] = FromBits(req.Offs[i])
 		us[i] = graph.VertexID(req.Us[i])
 	}
-	d, arg := cx.RaceRoutes(qc, graph.VertexID(req.Dst), offs, us)
-	return RaceResp{D: Bits(d), Arg: arg, IO: qc.IO}, nil
+	resp := RaceResp{Ds: make([]uint64, len(req.Dsts)), Args: make([]int32, len(req.Dsts))}
+	at := 0
+	for i, dst := range req.Dsts {
+		if err := qc.Err(); err != nil {
+			return RaceResp{}, err // cancelled or failed: the remaining races would be answered from nothing
+		}
+		end := at + int(req.Ns[i])
+		d, arg := cx.RaceRoutes(qc, graph.VertexID(dst), offs[at:end], us[at:end])
+		resp.Ds[i], resp.Args[i] = Bits(d), int32(arg)
+		at = end
+	}
+	resp.IO = qc.IO
+	return resp, nil
 }
 
 func (n *Node) path(qc *core.QueryContext, req *PathReq) (PathResp, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -70,7 +71,7 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 	cx := s.CellIndexAt(0)
 	for _, b := range bs {
 		resp, data := post(t, srv.URL+cluster.PathRace,
-			&cluster.RaceReq{Cell: 0, Dst: uint32(b), Offs: []uint64{cluster.Bits(0)}, Us: []uint32{0}})
+			&cluster.RaceReq{Cell: 0, Dsts: []uint32{uint32(b)}, Ns: []int32{1}, Offs: []uint64{cluster.Bits(0)}, Us: []uint32{0}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("race status %d: %s", resp.StatusCode, data)
 		}
@@ -79,8 +80,8 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := partition.CellExact(cx, core.NewQueryContext(), 0, b)
-		if cluster.Bits(want) != rr.D {
-			t.Fatalf("gateway %d: node says %v, in-process says %v", b, cluster.FromBits(rr.D), want)
+		if len(rr.Ds) != 1 || len(rr.Args) != 1 || cluster.Bits(want) != rr.Ds[0] {
+			t.Fatalf("gateway %d: node says %v, in-process says %v", b, rr.Ds, want)
 		}
 	}
 	resp, data := post(t, srv.URL+cluster.PathIntervals, &cluster.IntervalsReq{Cell: 0, V: 0, ToV: true})
@@ -109,7 +110,7 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 	}
 
 	// Race candidate count mismatch: 400.
-	resp, _ = post(t, srv.URL+cluster.PathRace, &cluster.RaceReq{Cell: 0, Dst: 0, Offs: []uint64{0}, Us: nil})
+	resp, _ = post(t, srv.URL+cluster.PathRace, &cluster.RaceReq{Cell: 0, Dsts: []uint32{0}, Ns: []int32{1}, Offs: []uint64{0}, Us: nil})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched race status %d, want 400", resp.StatusCode)
 	}
@@ -218,4 +219,103 @@ func TestNodeIntervalBatch(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// TestNodeRaceBatch: the race RPC answers every destination of a batch with
+// exactly what RaceRoutes returns for that destination alone — value and
+// winner, a destination without candidates included — and rejects batches
+// whose columns do not fit together with 400.
+func TestNodeRaceBatch(t *testing.T) {
+	s, _, srv := buildNode(t)
+	cx := s.CellIndexAt(0)
+	bs := s.BoundaryLocals(0)
+	nv := uint32(s.CellVertexCount(0))
+	if len(bs) < 3 {
+		t.Fatalf("cell 0 has %d boundary vertices", len(bs))
+	}
+	// Destination i races candidates[i]; offsets make a late candidate win
+	// now and then, and one is +Inf (never run).
+	dsts := []uint32{1, nv / 2, nv - 1, 1, nv / 3}
+	candidates := [][]uint32{{0}, {uint32(bs[0]), uint32(bs[1]), uint32(bs[2])}, {}, {uint32(bs[2]), 0, uint32(bs[1])}, {uint32(bs[1]), uint32(bs[0])}}
+	offsets := [][]float64{{0}, {0.3, 0.1, 0.2}, {}, {0.05, 0, math.Inf(1)}, {math.Inf(1), 0.25}}
+	req := &cluster.RaceReq{Cell: 0, Dsts: dsts}
+	for i, us := range candidates {
+		req.Ns = append(req.Ns, int32(len(us)))
+		req.Us = append(req.Us, us...)
+		for _, off := range offsets[i] {
+			req.Offs = append(req.Offs, cluster.Bits(off))
+		}
+	}
+	resp, data := post(t, srv.URL+cluster.PathRace, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var rr cluster.RaceResp
+	if err := json.Unmarshal(data, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Ds) != len(dsts) || len(rr.Args) != len(dsts) {
+		t.Fatalf("batch reply has %d distances and %d winners for %d destinations", len(rr.Ds), len(rr.Args), len(dsts))
+	}
+	for i, dst := range dsts {
+		us := make([]graph.VertexID, len(candidates[i]))
+		for j, u := range candidates[i] {
+			us[j] = graph.VertexID(u)
+		}
+		d, arg := cx.RaceRoutes(core.NewQueryContext(), graph.VertexID(dst), offsets[i], us)
+		if rr.Ds[i] != cluster.Bits(d) || int(rr.Args[i]) != arg {
+			t.Fatalf("destination %d (%d): batch says %v by %d, RaceRoutes %v by %d",
+				i, dst, cluster.FromBits(rr.Ds[i]), rr.Args[i], d, arg)
+		}
+	}
+	if rr.Args[2] != -1 || !math.IsInf(cluster.FromBits(rr.Ds[2]), 1) {
+		t.Fatalf("a destination without candidates answered %v by %d", cluster.FromBits(rr.Ds[2]), rr.Args[2])
+	}
+
+	for name, bad := range map[string]*cluster.RaceReq{
+		"ragged counts":             {Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{1}, Offs: []uint64{0}, Us: []uint32{0}},
+		"destination outside":       {Cell: 0, Dsts: []uint32{nv}, Ns: []int32{1}, Offs: []uint64{0}, Us: []uint32{0}},
+		"candidate outside":         {Cell: 0, Dsts: []uint32{1}, Ns: []int32{1}, Offs: []uint64{0}, Us: []uint32{nv}},
+		"counts short of the lists": {Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{1, 0}, Offs: []uint64{0, 0}, Us: []uint32{0, 0}},
+		"counts past the lists":     {Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{1, 2}, Offs: []uint64{0, 0}, Us: []uint32{0, 0}},
+		"negative count":            {Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{-1, 3}, Offs: []uint64{0, 0}, Us: []uint32{0, 0}},
+	} {
+		if resp, _ := post(t, srv.URL+cluster.PathRace, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// FuzzNodeRace: whatever bytes arrive on the race endpoint, the node answers
+// 200 or a 4xx and does not panic — the decoder of the one RPC whose request
+// has columns that must fit together.
+func FuzzNodeRace(f *testing.F) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 6, Cols: 6, Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := partition.Build(g, partition.Options{Partitions: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	node, err := cluster.NewNode("a", &cluster.Manifest{Nodes: []cluster.NodeSpec{
+		{Name: "a", Addr: "http://placeholder", Cells: []int{0, 1}}}}, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := node.Handler()
+	f.Add([]byte(`{"cell":0,"dsts":[1,2],"ns":[1,2],"offs":[0,0,4596373779694328218],"us":[0,3,4]}`)) // a valid batch
+	f.Add([]byte(`{"cell":1,"dsts":[1,2,3],"ns":[1],"offs":[0],"us":[0]}`))                           // ragged counts
+	f.Add([]byte(`{"cell":0,"dsts":[1,2],"ns":[2147483647,2147483647],"offs":[0],"us":[0]}`))         // huge declared counts, short body
+	f.Add([]byte(`{"cell":0,"dsts":[1],"ns":[-1],"offs":[],"us":[]}`))
+	f.Add([]byte(`{"cell":0,"dsts":[1],"ns":[1],"offs":[9221120237041090561],"us":[0]}`)) // NaN offset
+	f.Add([]byte(`{"cell":7}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathRace, bytes.NewReader(body)))
+		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
+			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.Bytes())
+		}
+	})
 }

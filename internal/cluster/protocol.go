@@ -8,8 +8,8 @@
 // the six methods of the partition.CellIndex seam. `interval` answers the
 // zero-refinement lookups from one source vertex — a pair's interval, or a
 // batch of intervals and region lower bounds; `intervals` a gateway-interval
-// row; `race` a route race, of which a fully refined pair distance is the
-// one-candidate case; `path` a within-cell shortest path. Because a node runs
+// row; `race` a batch of route races on one cell, of which a fully refined
+// pair distance is the one-destination, one-candidate case; `path` a within-cell shortest path. Because a node runs
 // the identical cell index code the in-process engine runs, and distances
 // travel as raw IEEE 754 bits, the router's merged answers are bit-identical
 // to the monolithic engine's.
@@ -27,7 +27,7 @@ import (
 const (
 	PathIntervals = "/rpc/v1/intervals" // zero-refinement intervals, v↔every boundary
 	PathInterval  = "/rpc/v1/interval"  // zero-refinement lookups from one source: one pair, or a batch with region lower bounds
-	PathRace      = "/rpc/v1/race"      // min over i of offs[i]+d(us[i],dst), exact; one zero-offset candidate = a pair's exact distance
+	PathRace      = "/rpc/v1/race"      // per destination, min over its candidates i of offs[i]+d(us[i],dst), exact; one destination with one zero-offset candidate = a pair's exact distance
 	PathPath      = "/rpc/v1/path"      // within-cell shortest path
 )
 
@@ -91,21 +91,28 @@ type IntervalResp struct {
 	Lbs []uint64     `json:"lbs,omitempty"`
 }
 
-// RaceReq asks for min over i of offs[i] + d_cell(us[i], Dst), resolved
-// exactly (candidates refine in lower-bound order with a cutoff). A sole
-// candidate at offset 0 asks for the fully refined d_cell(Us[0], Dst): 0 + d
-// == d bit for bit, +Inf bits when unreachable inside the cell.
+// RaceReq asks for one exact route race per destination of Dsts: destination
+// i owns the next Ns[i] entries of the flat candidate lists Offs/Us and gets
+// min over those j of Offs[j] + d_cell(Us[j], Dsts[i]) (candidates refine in
+// lower-bound order with a cutoff). There is one request shape: a single
+// race is a batch of one destination, and a sole candidate at offset 0 asks
+// for the fully refined d_cell(Us[0], Dsts[0]) — 0 + d == d bit for bit,
+// +Inf bits when unreachable inside the cell. A router batches the races a
+// search is about to need on one cell; every destination is still raced on
+// its own, in order, by the code a request for it alone would run.
 type RaceReq struct {
 	Cell int32    `json:"cell"`
-	Dst  uint32   `json:"dst"`
+	Dsts []uint32 `json:"dsts"`
+	Ns   []int32  `json:"ns"`
 	Offs []uint64 `json:"offs"`
 	Us   []uint32 `json:"us"`
 }
 
+// RaceResp answers every destination of the request in order.
 type RaceResp struct {
-	D   uint64       `json:"d"`
-	Arg int          `json:"arg"` // index into Offs/Us; -1 when all unreachable
-	IO  diskio.Stats `json:"io"`
+	Ds   []uint64     `json:"ds"`
+	Args []int32      `json:"args"` // winner's index among the destination's own candidates; -1 when all unreachable
+	IO   diskio.Stats `json:"io"`
 }
 
 // PathReq asks for a within-cell shortest path from U to V, in cell-local

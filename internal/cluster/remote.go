@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"silc/internal/core"
 	"silc/internal/diskio"
@@ -13,9 +14,9 @@ import (
 
 // RemoteCell is the router-side stand-in for one cell's index: every
 // partition.CellIndex operation becomes one RPC to the cell's replica set,
-// and the batch forms (BoundaryIntervals, RaceRoutes, SourceBatch) are what
-// keep a cross-cell query's RPC count at a handful rather than one per
-// boundary row or refinement step.
+// and the batch forms (BoundaryIntervals, RaceRoutes, SourceBatch, RaceBatch)
+// are what keep a cross-cell query's RPC count at a handful rather than one
+// per boundary row or refinement step.
 //
 // Failure semantics mirror a local paged index with a broken disk, and there
 // is one rule: an RPC that exhausts its replicas (or whose reply has the
@@ -105,24 +106,71 @@ func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dst
 	return intervalsFromBits(resp.Los, resp.His), lbs
 }
 
-// RaceRoutes implements partition.CellIndex: the whole candidate race in
-// one RPC.
-func (rc *RemoteCell) RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
-	req := &RaceReq{Cell: rc.cell, Dst: uint32(dst),
-		Offs: make([]uint64, len(offs)), Us: make([]uint32, len(us))}
+// raceCall is the request and reply of one race RPC. Calls are pooled so that
+// a warm router assembles a race without allocating: the candidate lists
+// arrive in the partition router's own scratch, and their wire form is
+// written over the previous call's.
+type raceCall struct {
+	req  RaceReq
+	resp RaceResp
+}
+
+var raceCalls = sync.Pool{New: func() any { return new(raceCall) }}
+
+// race sends one race RPC — destination dsts[i] against the next ns[i]
+// candidates of offs/us — and returns the call holding its checked reply, or
+// nil after failing the query. The caller puts a non-nil call back.
+func (rc *RemoteCell) race(qc *core.QueryContext, dsts []graph.VertexID, ns []int32, offs []float64, us []graph.VertexID) *raceCall {
+	call := raceCalls.Get().(*raceCall)
+	req, resp := &call.req, &call.resp
+	req.Cell = rc.cell
+	req.Dsts, req.Ns, req.Offs, req.Us = req.Dsts[:0], append(req.Ns[:0], ns...), req.Offs[:0], req.Us[:0]
+	for _, d := range dsts {
+		req.Dsts = append(req.Dsts, uint32(d))
+	}
 	for i := range offs {
-		req.Offs[i] = Bits(offs[i])
-		req.Us[i] = uint32(us[i])
+		req.Offs = append(req.Offs, Bits(offs[i]))
+		req.Us = append(req.Us, uint32(us[i]))
 	}
-	var resp RaceResp
-	if !rc.call(qc, PathRace, req, &resp, &resp.IO) {
+	*resp = RaceResp{Ds: resp.Ds[:0], Args: resp.Args[:0]}
+	if !rc.call(qc, PathRace, req, resp, &resp.IO) || !rc.entries(qc, len(dsts), len(resp.Ds), len(resp.Args)) {
+		raceCalls.Put(call)
+		return nil
+	}
+	return call
+}
+
+// RaceRoutes implements partition.CellIndex: the whole candidate race in
+// one RPC, a batch of one destination.
+func (rc *RemoteCell) RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
+	call := rc.race(qc, []graph.VertexID{dst}, []int32{int32(len(offs))}, offs, us)
+	if call == nil {
 		return math.Inf(1), -1
 	}
-	if resp.Arg < -1 || resp.Arg >= len(offs) {
-		qc.Fail(fmt.Errorf("cluster: cell %d race winner %d of %d candidates", rc.cell, resp.Arg, len(offs)))
+	d, arg := FromBits(call.resp.Ds[0]), int(call.resp.Args[0])
+	raceCalls.Put(call)
+	if arg < -1 || arg >= len(offs) {
+		qc.Fail(fmt.Errorf("cluster: cell %d race winner %d of %d candidates", rc.cell, arg, len(offs)))
 		return math.Inf(1), -1
 	}
-	return FromBits(resp.D), resp.Arg
+	return d, arg
+}
+
+// RaceBatch implements partition.RemoteCellIndex: the races of several
+// destinations of the cell in one RPC.
+func (rc *RemoteCell) RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns []int32, offs []float64, us []graph.VertexID, out []float64) []float64 {
+	call := rc.race(qc, dsts, ns, offs, us)
+	if call == nil {
+		for range dsts {
+			out = append(out, math.Inf(1))
+		}
+		return out
+	}
+	for _, d := range call.resp.Ds {
+		out = append(out, FromBits(d))
+	}
+	raceCalls.Put(call)
+	return out
 }
 
 // DistanceIntervalCtx implements partition.CellIndex: the single form of the
@@ -158,19 +206,12 @@ func (rc *RemoteCell) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []grap
 // Refine implements partition.CellIndex: the refiner starts from the
 // node's zero-refinement interval (one RPC) and collapses straight to the
 // exact distance on its first Step (a second RPC) — remote refinement has
-// no useful intermediate granularity, and the routing layer races
-// cross-cell routes in one shot, so Step is only ever reached for
-// intra-cell pairs.
+// no useful intermediate granularity. A router's own queries never come
+// here: partition.Sharded races every pair it refines over remote cells in
+// one shot, same-cell pairs included.
 func (rc *RemoteCell) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
-	return rc.RefineKnown(qc, src, dst, rc.DistanceIntervalCtx(qc, src, dst))
-}
-
-// RefineKnown implements partition.RemoteCellIndex: Refine without the
-// first RPC, for a pair whose zero-refinement interval a SourceBatch call
-// already delivered.
-func (rc *RemoteCell) RefineKnown(qc *core.QueryContext, src, dst graph.VertexID, iv core.Interval) core.DistanceRefiner {
 	r := &remoteRefiner{rc: rc, qc: qc, u: src, v: dst}
-	r.settle(iv)
+	r.settle(rc.DistanceIntervalCtx(qc, src, dst))
 	return r
 }
 

@@ -49,25 +49,35 @@ type QueryIndex interface {
 }
 
 // ExpandHinter is an optional QueryIndex extension for indexes on which
-// every Refine and RegionLowerBoundCtx is expensive to issue on its own — a
-// cluster router pays one RPC each. A best-first search expands one object-
-// hierarchy node at a time and knows, before it makes them, every call the
-// expansion is about to make; handing that set over in one piece lets the
-// index fetch it in one batch. Search algorithms detect the extension by type
-// assertion once per query. The monolithic *Index does not implement it.
+// every Refine, RegionLowerBoundCtx and refiner Step is expensive to issue on
+// its own — a cluster router pays one RPC each. A best-first search expands
+// one object-hierarchy node at a time and knows, before it makes them, every
+// call the expansion is about to make, and at a collision it knows which
+// refiners the query will have to drive to exact; handing either set over in
+// one piece lets the index fetch it in one batch. Search algorithms detect
+// the extension by type assertion once per query. The monolithic *Index does
+// not implement it.
+//
+// The contract of both announcements: a hint changes how many calls the
+// index makes underneath and nothing else. Every Refine,
+// RegionLowerBoundCtx, Interval and Step returns exactly what it would have
+// returned without the hint — a refiner's visible interval still changes
+// only at its own Step — anything announced may never happen, and anything
+// may be announced more than once. The slices are only read during the call.
 type ExpandHinter interface {
-	// WantsExpandHints reports whether HintExpand does anything on this
-	// index. Searches ask once per query and build no hints when it is false
-	// (a sharded index over in-process cells).
+	// WantsExpandHints reports whether the hints do anything on this index.
+	// Searches ask once per query and build no hints when it is false (a
+	// sharded index over in-process cells).
 	WantsExpandHints() bool
 	// HintExpand announces that, before the query ends or its source
 	// changes, the caller expects to call Refine(qc, src, d) for the d in
-	// dsts and RegionLowerBoundCtx(qc, src, r) for the r in rects. It is a
-	// hint and nothing more: those calls return exactly what they would have
-	// returned without it, any of them may never happen, and a destination
-	// may be announced more than once. The slices are only read during the
-	// call.
+	// dsts and RegionLowerBoundCtx(qc, src, r) for the r in rects.
 	HintExpand(qc *QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect)
+	// HintRefine announces that, before the query ends or its source
+	// changes, the caller expects to Step the refiners of the pairs
+	// (src, d), d in dsts, until they are exact. Every d was handed to
+	// Refine(qc, src, d) earlier in the same query.
+	HintRefine(qc *QueryContext, src graph.VertexID, dsts []graph.VertexID)
 }
 
 var _ QueryIndex = (*Index)(nil)

@@ -143,9 +143,9 @@ type engine struct {
 	// results stand.
 	err error
 
-	// hint is the index's expansion-batch hook when it has one that wants
-	// hints (a cluster router), else nil; hintDsts/hintRects are the reusable
-	// buffers one node's hint is assembled in.
+	// hint is the index's batching hook when it has one that wants hints (a
+	// cluster router), else nil; hintDsts/hintRects are the reusable buffers
+	// one hint is assembled in.
 	hint      core.ExpandHinter
 	hintDsts  []graph.VertexID
 	hintRects []geom.Rect
@@ -385,6 +385,9 @@ func (e *engine) step() bool {
 	}
 
 	// Collision: refine one step and reinsert.
+	if e.hint != nil {
+		e.hintCollision(st)
+	}
 	st.refiner.Step()
 	e.stats.Refinements++
 	st.iv = st.refiner.Interval()
@@ -450,6 +453,36 @@ func (e *engine) hintNode(n *pmr.Node) {
 	}
 	e.hintDsts, e.hintRects = dsts, rects
 	e.hint.HintExpand(e.qc, e.q, dsts, rects)
+}
+
+// hintCollision tells a hint-taking index which refiners the query expects
+// to step to exact now that st has collided: st's own, and — while the
+// variant keeps L — those of the members of L that are not exact yet. L is
+// the search's current guess at the result, and a member that stays in it is
+// refined to exact either by a collision of its own or, reported on a loose
+// interval, by the caller that wants exact distances; so the index can race
+// the lot in one batch (one RPC per cell on a cluster router) instead of one
+// at a time.
+func (e *engine) hintCollision(st *objState) {
+	dsts := append(e.hintDsts[:0], e.objs.objs[st.id].Vertex)
+	if e.maintainsL() {
+		e.drainIDs = e.l.AppendItems(e.drainIDs[:0])
+		for _, id := range e.drainIDs {
+			if m := &e.states[id]; m != st && !m.refiner.Done() && !m.refiner.OutOfRange() {
+				dsts = append(dsts, e.objs.objs[id].Vertex)
+			}
+		}
+	}
+	e.hintRefine(dsts)
+}
+
+// hintRefine announces that the query expects to step the refiners toward
+// dsts to exact. dsts was built on e.hintDsts[:0].
+func (e *engine) hintRefine(dsts []graph.VertexID) {
+	e.hintDsts = dsts
+	if len(dsts) > 0 {
+		e.hint.HintRefine(e.qc, e.q, dsts)
+	}
 }
 
 func (e *engine) discover(o pmr.Object) {
@@ -551,10 +584,23 @@ func (e *engine) drainL() {
 	}
 	e.drainRest = rest
 	if !math.IsInf(e.maxDist, 1) || e.eps > 0 {
+		// uncertified: st still has to refine before it may be reported.
+		uncertified := func(st *objState) bool {
+			return !st.refiner.Done() && !st.refiner.OutOfRange() &&
+				!(st.iv.Hi <= e.maxDist && st.iv.Hi <= (1+e.eps)*st.iv.Lo)
+		}
+		if e.hint != nil {
+			dsts := e.hintDsts[:0]
+			for _, st := range rest {
+				if uncertified(st) {
+					dsts = append(dsts, e.objs.objs[st.id].Vertex)
+				}
+			}
+			e.hintRefine(dsts)
+		}
 		kept := rest[:0]
 		for _, st := range rest {
-			for !st.refiner.Done() && !st.refiner.OutOfRange() &&
-				!(st.iv.Hi <= e.maxDist && st.iv.Hi <= (1+e.eps)*st.iv.Lo) {
+			for uncertified(st) {
 				if err := e.qc.Err(); err != nil {
 					// Cancelled mid-drain: reporting the still-uncertified
 					// members would break the maxDist/ε guarantees, so stop

@@ -10,18 +10,21 @@ import (
 	"silc/internal/graph"
 )
 
-// hintChecker is a QueryIndex that takes expansion hints and checks the
-// hook's contract from the index's side: every Refine and every region
-// lower bound the search makes was announced by an earlier HintExpand of the
-// same query, for the same source.
+// hintChecker is a QueryIndex that takes hints and checks the hook's
+// contract from the index's side: every Refine and every region lower bound
+// the search makes was announced by an earlier HintExpand of the same query,
+// for the same source, and every destination a HintRefine announces was
+// handed to Refine earlier in that query.
 type hintChecker struct {
 	core.QueryIndex
-	t      *testing.T
-	src    graph.VertexID
-	dsts   map[graph.VertexID]bool
-	rects  map[geom.Rect]bool
-	hints  int
-	misses int
+	t       *testing.T
+	src     graph.VertexID
+	dsts    map[graph.VertexID]bool
+	rects   map[geom.Rect]bool
+	refined map[graph.VertexID]bool
+	hints   int
+	refines int
+	misses  int
 }
 
 func (h *hintChecker) WantsExpandHints() bool { return true }
@@ -40,10 +43,23 @@ func (h *hintChecker) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts
 	}
 }
 
+func (h *hintChecker) HintRefine(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID) {
+	h.refines++
+	if len(dsts) == 0 {
+		h.t.Errorf("empty refinement hint for source %d", src)
+	}
+	for _, d := range dsts {
+		if src != h.src || !h.refined[d] {
+			h.t.Errorf("source %d: destination %d announced for refinement before any Refine", src, d)
+		}
+	}
+}
+
 func (h *hintChecker) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
 	if src != h.src || !h.dsts[dst] {
 		h.misses++
 	}
+	h.refined[dst] = true
 	return h.QueryIndex.Refine(qc, src, dst)
 }
 
@@ -61,10 +77,11 @@ func sameSearch(a, b Result) bool {
 }
 
 // TestExpandHintsCoverEveryLookup: on an index that wants hints, every
-// variant of the best-first family, the range search and the browser
-// announce each lookup before making it — and the hints change nothing: the
-// result and every counter equal the plain index's. An index without the
-// hook (the monolithic *core.Index) is never asked.
+// variant of the best-first family, the range search, the bounded search
+// that refines in drainL and the browser announce each lookup before making
+// it and each refinement only for pairs they have looked up — and the hints
+// change nothing: the result and every counter equal the plain index's. An
+// index without the hook (the monolithic *core.Index) is never asked.
 func TestExpandHintsCoverEveryLookup(t *testing.T) {
 	h := roadHarness(t, 16, 16, 3)
 	if _, ok := core.QueryIndex(h.ix).(core.ExpandHinter); ok {
@@ -76,7 +93,7 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 		chk := &hintChecker{QueryIndex: h.ix, t: t}
 		fresh := func() *hintChecker {
-			chk.dsts, chk.rects = map[graph.VertexID]bool{}, map[geom.Rect]bool{}
+			chk.dsts, chk.rects, chk.refined = map[graph.VertexID]bool{}, map[geom.Rect]bool{}, map[graph.VertexID]bool{}
 			return chk
 		}
 		for _, v := range Variants {
@@ -89,12 +106,25 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 		if got := RangeSearch(fresh(), objs, q, 0.3); !sameSearch(got, want) {
 			t.Fatalf("q=%d range: hinted search differs", q)
 		}
-		b := NewBrowser(fresh(), objs, q)
-		for n := 0; n < 5; n++ {
-			b.Next()
+		// A distance bound with ε > 0 makes drainL refine the members of L it
+		// reports.
+		bounded := Spec{K: 7, Variant: VariantKNN, Epsilon: 0.05, MaxDist: 0.35}
+		want = SearchSpec(h.ix, core.NewQueryContext(), objs, q, bounded)
+		if got := SearchSpec(fresh(), core.NewQueryContext(), objs, q, bounded); !sameSearch(got, want) {
+			t.Fatalf("q=%d bounded: hinted search differs", q)
 		}
-		if chk.hints == 0 {
-			t.Fatalf("q=%d: a hint-taking index received no hints", q)
+		b, plain := NewBrowser(fresh(), objs, q), NewBrowser(h.ix, objs, q)
+		for n := 0; n < 5; n++ {
+			got, _ := b.Next()
+			if want, _ := plain.Next(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("q=%d: hinted browser's neighbour %d is %+v, want %+v", q, n, got, want)
+			}
+		}
+		if got, want := b.Stats(), plain.Stats(); got != want {
+			t.Fatalf("q=%d: hinted browser's stats %+v, want %+v", q, got, want)
+		}
+		if chk.hints == 0 || chk.refines == 0 {
+			t.Fatalf("q=%d: a hint-taking index received %d expansion and %d refinement hints", q, chk.hints, chk.refines)
 		}
 		if chk.misses != 0 {
 			t.Fatalf("q=%d: %d lookups were never announced", q, chk.misses)

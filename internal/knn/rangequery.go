@@ -53,6 +53,18 @@ func RangeSearchCtx(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 							e.queue.Push(st.iv.Lo, qelem{obj: o.ID})
 						}
 					}
+					if e.hint != nil {
+						// Every object of the leaf whose interval straddles the
+						// radius is refined below until it falls on one side: a
+						// hint-taking index can race them in one batch.
+						dsts := e.hintDsts[:0]
+						for _, o := range el.node.Objects() {
+							if st := &e.states[o.ID]; straddles(st, radius) {
+								dsts = append(dsts, o.Vertex)
+							}
+						}
+						e.hintRefine(dsts)
+					}
 				} else {
 					for _, c := range el.node.Children() {
 						if c == nil {
@@ -70,9 +82,7 @@ func RangeSearchCtx(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 			// Refine until the interval falls on one side of the radius.
 			// Out-of-range objects (proximity-bounded indexes) hold
 			// [indexRadius, +Inf) forever and are excluded below.
-			for st.iv.Lo <= radius && st.iv.Hi > radius &&
-				!st.refiner.Done() && !st.refiner.OutOfRange() &&
-				clock.qc.Err() == nil {
+			for straddles(st, radius) && clock.qc.Err() == nil {
 				st.refiner.Step()
 				e.stats.Refinements++
 				st.iv = st.refiner.Interval()
@@ -92,6 +102,12 @@ func RangeSearchCtx(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 	out.Sorted = false
 	clock.finish(&out.Stats)
 	return out
+}
+
+// straddles reports whether membership of st's object in the range is still
+// undecided and more refinement can decide it.
+func straddles(st *objState, radius float64) bool {
+	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done() && !st.refiner.OutOfRange()
 }
 
 // ObjectsInRange is the INE-style baseline for range search: Dijkstra from q

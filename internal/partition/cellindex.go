@@ -42,19 +42,23 @@ type CellIndex interface {
 }
 
 // RemoteCellIndex is what a cell served from another process adds to the
-// seam, because there every call is a round trip: SourceBatch answers, in one
-// call, a set of lookups that all start at one source vertex — which on a
-// SILC cell index means they all read the same quadtree —
+// seam, because there every call is a round trip: two batches. SourceBatch
+// answers, in one call, a set of lookups that all start at one source vertex
+// — which on a SILC cell index means they all read the same quadtree —
 // DistanceIntervalCtx(qc, src, d) for every d in dsts and
-// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order;
-// RefineKnown is Refine for a pair whose zero-refinement interval the caller
-// already holds from such a batch. Sharded.HintExpand drives both with what a
-// search is about to ask of the source's own cell. In process every lookup is
-// already a direct call, so localCell has neither.
+// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order.
+// RaceBatch is RaceRoutes for several destinations of the cell in one call:
+// dsts[i] races the next ns[i] candidates of the flat lists offs/us, and the
+// minima are appended to out in argument order (+Inf for every destination
+// after a failure, which has failed the query). Sharded.HintExpand drives the
+// first with what a search is about to ask of the source's own cell,
+// Sharded.HintRefine the second with the refiners a search is about to step.
+// In process every lookup is already a direct call, so localCell has
+// neither.
 type RemoteCellIndex interface {
 	CellIndex
 	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) (ivs []core.Interval, lbs []float64)
-	RefineKnown(qc *core.QueryContext, src, dst graph.VertexID, iv core.Interval) core.DistanceRefiner
+	RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns []int32, offs []float64, us []graph.VertexID, out []float64) []float64
 }
 
 // localCell is the in-process CellIndex: the cell's *core.Index answers the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/knn"
 )
@@ -60,5 +61,74 @@ func TestExpandHintLocalNoop(t *testing.T) {
 	s.HintExpand(qc, 0, vs, nil)
 	if qc.Route != nil {
 		t.Fatal("HintExpand built routing state on an in-process index")
+	}
+}
+
+// cannedRemote stands in for a cell served from another process: the in-process
+// cell answers the lookups, and the races are answered from nothing, so what
+// the test below counts is the router's own side of a race.
+type cannedRemote struct{ *localCell }
+
+func (c cannedRemote) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) ([]core.Interval, []float64) {
+	panic("not hinted in this test")
+}
+
+func (c cannedRemote) RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
+	return offs[0], 0
+}
+
+func (c cannedRemote) RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns []int32, offs []float64, us []graph.VertexID, out []float64) []float64 {
+	for range dsts {
+		out = append(out, 1)
+	}
+	return out
+}
+
+// TestRaceAssemblyWarmAllocs: over remote cells a refiner is a slab entry
+// and its race candidates are assembled in the router's scratch, for the
+// single race of a Step and for the batch of a HintRefine alike — a warm
+// context allocates nothing for either on the router's side of the wire.
+func TestRaceAssemblyWarmAllocs(t *testing.T) {
+	g, s := buildTestSharded(t, 14, 14, 4, 7, false)
+	for _, cx := range s.cells {
+		s.remote = append(s.remote, cannedRemote{cx.seam})
+	}
+	n := g.NumVertices()
+	qc := core.NewQueryContext()
+	dsts := make([]graph.VertexID, 0, 8)
+	round := func(src graph.VertexID, hint bool) {
+		qc.ResetForReuse(nil)
+		dsts = dsts[:0]
+		var rs [8]core.DistanceRefiner
+		for i := range rs {
+			dst := graph.VertexID(3 + i*n/8) // the same few label rows every round: none is ever dropped
+			rs[i] = s.Refine(qc, src, dst)
+			dsts = append(dsts, dst)
+		}
+		if hint {
+			s.HintRefine(qc, src, dsts)
+		}
+		for _, r := range rs {
+			r.Step()
+			if !r.Done() {
+				t.Fatalf("source %d: a refiner over remote cells is not exact after one Step", src)
+			}
+		}
+	}
+	for v := 0; v < n; v++ { // warm: label rows, slab, scratch, the largest cell's sizes
+		round(graph.VertexID(v), v%2 == 0)
+	}
+	hinted0, used0 := s.RaceHintStats()
+	v := 0
+	for _, hint := range []bool{false, true} {
+		if got := testing.AllocsPerRun(50, func() {
+			v = (v + 37) % n
+			round(graph.VertexID(v), hint)
+		}); got != 0 {
+			t.Fatalf("hint=%v: a warm round of 8 refiners allocates %.1f times on the router", hint, got)
+		}
+	}
+	if hinted, used := s.RaceHintStats(); hinted == hinted0 || hinted-hinted0 != used-used0 {
+		t.Fatalf("batches raced %d destinations and %d were used", hinted-hinted0, used-used0)
 	}
 }

@@ -47,9 +47,13 @@ type router struct {
 	rrUsed int
 	qcGen  uint64
 
-	// hints holds what HintExpand fetched from the source's own cell (remote
-	// cells only; always empty in process).
+	// hints holds what HintExpand fetched from the source's own cell and which
+	// refiners HintRefine may race ahead of their Step (remote cells only;
+	// always empty in process).
 	hints expandHints
+	// race is the scratch every route race of this router is assembled in,
+	// the single race of a Step and the batch of a HintRefine alike.
+	race raceBatch
 }
 
 // expandHints is what HintExpand has fetched from the source's own cell for
@@ -66,10 +70,15 @@ type expandHints struct {
 	rects []geom.Rect
 	lbs   []float64
 	ask   []graph.VertexID // request scratch: destinations not yet in ivs
+	// live maps a destination (global id) to the refiner Refine last handed
+	// out for it: the routes HintRefine races for that destination, and where
+	// it parks the result.
+	live map[graph.VertexID]*routeRefiner
 }
 
 func (h *expandHints) reset() {
 	clear(h.ivs)
+	clear(h.live)
 	h.rects, h.lbs = h.rects[:0], nil
 }
 
@@ -130,16 +139,14 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 	h.lbs = lbs
 }
 
-// refineOwn starts the within-cell refinement (src, dst) on the source's own
-// cell p, from the hinted interval when the last HintExpand covered dst.
-func (s *Sharded) refineOwn(qc *core.QueryContext, src graph.VertexID, p int32, dstLocal graph.VertexID) core.DistanceRefiner {
-	srcLocal := graph.VertexID(s.asn.LocalOf[src])
-	if s.remote != nil {
-		if iv, ok := s.routerFor(qc, src).hints.ivs[dstLocal]; ok {
-			return s.remote[p].RefineKnown(qc, srcLocal, dstLocal, iv)
-		}
+// ownInterval returns the zero-refinement interval from the source to dst
+// within the source's own remote cell: the hinted one when a HintExpand of
+// this query covered dst, else one interval call.
+func (rt *router) ownInterval(qc *core.QueryContext, dstLocal graph.VertexID) core.Interval {
+	if iv, ok := rt.hints.ivs[dstLocal]; ok {
+		return iv
 	}
-	return s.qcell(p).Refine(qc, srcLocal, dstLocal)
+	return rt.s.remote[rt.p].DistanceIntervalCtx(qc, graph.VertexID(rt.s.asn.LocalOf[rt.src]), dstLocal)
 }
 
 // routerFor returns the context's cached router for src, building one on
@@ -333,16 +340,18 @@ func (rt *router) minInto(c int32) float64 {
 }
 
 // Refine implements core.QueryIndex: progressive refinement of the global
-// network distance (src, dst). Intra-cell pairs in self-contained cells
-// delegate straight to the cell index — a single quadtree lookup, exactly
-// the monolithic cost. Everything else races candidate routes: the direct
-// within-cell route (same cell only) against one gateway route per boundary
-// vertex of dst's cell, each bounded by the exact gateway closure plus the
-// cell index's interval, refined where the aggregate interval demands.
+// network distance (src, dst). Intra-cell pairs in self-contained in-process
+// cells delegate straight to the cell index — a single quadtree lookup,
+// exactly the monolithic cost. Everything else races candidate routes: the
+// direct within-cell route (same cell only) against one gateway route per
+// boundary vertex of dst's cell, each bounded by the exact gateway closure
+// plus the cell index's interval, refined where the aggregate interval
+// demands. Over remote cells the self-contained pair is the same race with
+// the direct route as its only candidate, so every refiner a router hands
+// out is one HintRefine can batch.
 func (s *Sharded) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
-	p, q := s.asn.CellOf[src], s.asn.CellOf[dst]
-	if p == q && s.selfContained[p] {
-		return s.refineOwn(qc, src, p, graph.VertexID(s.asn.LocalOf[dst]))
+	if p := s.asn.CellOf[src]; s.remote == nil && p == s.asn.CellOf[dst] && s.selfContained[p] {
+		return s.qcell(p).Refine(qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[dst]))
 	}
 	return s.newRouteRefiner(qc, src, dst)
 }
@@ -366,13 +375,18 @@ func (g *gate) hi() float64 { return g.a + g.civ.Hi }
 // both valid because the true distance is the min over routes of each
 // route's exact value.
 type routeRefiner struct {
-	s        *Sharded
+	rt       *router
 	qc       *core.QueryContext
 	q        int32 // destination cell
 	dstLocal graph.VertexID
-	srcLocal graph.VertexID // valid only when direct != nil (same-cell pair)
 
-	direct      core.DistanceRefiner // same-cell route; nil cross-cell
+	// A same-cell pair also races the direct within-cell route. In process
+	// that route has a refiner of its own to step; over remote cells it is
+	// only ever raced, from srcLocal, and its zero-refinement interval is all
+	// the refiner holds.
+	hasDirect   bool
+	srcLocal    graph.VertexID
+	direct      core.DistanceRefiner
 	directIv    core.Interval
 	directExact bool
 
@@ -380,42 +394,68 @@ type routeRefiner struct {
 	iv    core.Interval
 	done  bool
 	oor   bool
+
+	// parked is the exact distance a HintRefine batch raced ahead of this
+	// refiner's Step, which adopts it instead of racing again. Until then it
+	// shows in nothing the refiner reports.
+	parked   float64
+	isParked bool
 }
 
 func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID) *routeRefiner {
 	rt := s.routerFor(qc, src)
 	r := rt.newRR()
-	r.s, r.qc, r.q = s, qc, s.asn.CellOf[dst]
+	r.rt, r.qc, r.q = rt, qc, s.asn.CellOf[dst]
 	if src == dst {
 		r.done = true
 		return r
 	}
 	r.dstLocal = graph.VertexID(s.asn.LocalOf[dst])
-	p := s.asn.CellOf[src]
-	if p == r.q {
-		r.srcLocal = graph.VertexID(s.asn.LocalOf[src])
-		r.direct = s.refineOwn(qc, src, p, r.dstLocal)
-		r.directIv = r.direct.Interval()
-		r.directExact = r.direct.Done() || r.direct.OutOfRange()
-	}
-	a, _ := rt.gateways(r.q)
-	lo, _ := s.cl.Rows(r.q)
-	civs := s.labelRow(qc, r.q, r.dstLocal, true) // every gate's gateway→dst interval
 	r.gates = r.gates[:0]
-	for j, av := range a {
-		if math.IsInf(av, 1) {
-			continue
+	if rt.p == r.q {
+		r.hasDirect = true
+		r.srcLocal = graph.VertexID(s.asn.LocalOf[src])
+		if s.remote != nil {
+			r.directIv = rt.ownInterval(qc, r.dstLocal)
+			r.directExact = r.directIv.Lo >= r.directIv.Hi || math.IsInf(r.directIv.Lo, 1)
+		} else {
+			r.direct = s.qcell(r.q).Refine(qc, r.srcLocal, r.dstLocal)
+			r.directIv = r.direct.Interval()
+			r.directExact = r.direct.Done() || r.direct.OutOfRange()
 		}
-		civ := civs[j]
-		g := gate{a: av, bLocal: graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]]), civ: civ}
-		g.exact = civ.Lo >= civ.Hi || math.IsInf(civ.Lo, 1)
-		r.gates = append(r.gates, g)
 	}
-	if qc != nil {
-		qc.Span.CrossCell++
-		qc.Span.GatewayRoutes += int64(len(r.gates))
+	if !(r.hasDirect && s.selfContained[r.q]) {
+		a, _ := rt.gateways(r.q)
+		lo, _ := s.cl.Rows(r.q)
+		civs := s.labelRow(qc, r.q, r.dstLocal, true) // every gate's gateway→dst interval
+		for j, av := range a {
+			if math.IsInf(av, 1) {
+				continue
+			}
+			civ := civs[j]
+			g := gate{a: av, bLocal: graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]]), civ: civ}
+			g.exact = civ.Lo >= civ.Hi || math.IsInf(civ.Lo, 1)
+			r.gates = append(r.gates, g)
+		}
+		if qc != nil {
+			qc.Span.CrossCell++
+			qc.Span.GatewayRoutes += int64(len(r.gates))
+		}
 	}
 	r.recompute()
+	if s.remote != nil && qc != nil {
+		h := &rt.hints
+		if h.live == nil {
+			h.live = make(map[graph.VertexID]*routeRefiner)
+		}
+		// A batch may have raced this pair for an earlier refiner that never
+		// stepped (a search's, when the engine refines its results to exact
+		// afterwards): the value moves to the refiner that will.
+		if prev := h.live[dst]; prev != nil && prev.isParked && !prev.done {
+			r.parked, r.isParked, prev.isParked = prev.parked, true, false
+		}
+		h.live[dst] = r
+	}
 	return r
 }
 
@@ -424,7 +464,7 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 // exact ⇒ the aggregate has collapsed to the true distance).
 func (r *routeRefiner) recompute() {
 	lo, hi := math.Inf(1), math.Inf(1)
-	if r.direct != nil {
+	if r.hasDirect {
 		lo, hi = r.directIv.Lo, r.directIv.Hi
 	}
 	for i := range r.gates {
@@ -438,7 +478,7 @@ func (r *routeRefiner) recompute() {
 	}
 	r.iv = core.Interval{Lo: lo, Hi: hi}
 	kept := r.gates[:0]
-	allExact := r.direct == nil || r.directExact || r.directIv.Lo > hi
+	allExact := !r.hasDirect || r.directExact || r.directIv.Lo > hi
 	for i := range r.gates {
 		g := r.gates[i]
 		if g.lo() > hi {
@@ -468,10 +508,11 @@ func (r *routeRefiner) Step() bool {
 	if r.done {
 		return false
 	}
+	s := r.rt.s
 	// Over remote cells a refinement step is a round trip, so the whole race
 	// collapses now, in one RaceRoutes call; in process it is stepped hop by
 	// hop, and a search stops refining as soon as the interval has separated.
-	if r.s.remote != nil {
+	if s.remote != nil {
 		return r.stepRace()
 	}
 	// Pick the non-exact route with the smallest lower bound — the route
@@ -479,7 +520,7 @@ func (r *routeRefiner) Step() bool {
 	bestLo := math.Inf(1)
 	bestGate := -1
 	stepDirect := false
-	if r.direct != nil && !r.directExact && !(r.directIv.Lo > r.iv.Hi) {
+	if r.hasDirect && !r.directExact && !(r.directIv.Lo > r.iv.Hi) {
 		bestLo = r.directIv.Lo
 		stepDirect = true
 	}
@@ -498,7 +539,7 @@ func (r *routeRefiner) Step() bool {
 	case bestGate >= 0:
 		g := &r.gates[bestGate]
 		if g.r == nil {
-			g.r = r.s.qcell(r.q).Refine(r.qc, g.bLocal, r.dstLocal)
+			g.r = s.qcell(r.q).Refine(r.qc, g.bLocal, r.dstLocal)
 		}
 		g.r.Step()
 		g.civ = g.r.Interval()
@@ -519,24 +560,40 @@ func (r *routeRefiner) Step() bool {
 	return !r.done
 }
 
-// stepRace resolves the remaining race in one shot: already-exact routes
-// fold their values into the running minimum locally, and the non-exact ones
-// become (offset, vertex) candidates for one RaceRoutes call on the
-// destination cell. The result equals what progressive stepping converges to
-// — RaceRoutes refines candidates in lower-bound order with the same cutoff
-// — so exactness is preserved.
-func (r *routeRefiner) stepRace() bool {
+// raceBatch is a router's reusable scratch for route races on one remote
+// cell: destination dsts[i] races the next ns[i] entries of the flat
+// candidate lists offs/us, and base[i] is the minimum over the routes of
+// rrs[i] that were exact already. A Step's single race uses offs and us
+// alone.
+type raceBatch struct {
+	dsts []graph.VertexID
+	ns   []int32
+	offs []float64
+	us   []graph.VertexID
+	rrs  []*routeRefiner
+	base []float64
+	ds   []float64 // RaceBatch's reply
+}
+
+func (b *raceBatch) reset() {
+	b.dsts, b.ns, b.offs, b.us, b.rrs, b.base = b.dsts[:0], b.ns[:0], b.offs[:0], b.us[:0], b.rrs[:0], b.base[:0]
+}
+
+// candidates appends the routes of r that are still undecided to b as
+// (offset, vertex) race candidates on the destination cell — the direct
+// route from the source at offset 0, each surviving non-exact gate at its
+// closure distance — and returns the minimum over the routes that are exact
+// already (+Inf when there is none). The race's result, folded into that
+// minimum, equals what progressive stepping converges to: RaceRoutes refines
+// candidates in lower-bound order with the same cutoff.
+func (r *routeRefiner) candidates(b *raceBatch) float64 {
 	best := math.Inf(1)
-	var offs []float64
-	var us []graph.VertexID
-	if r.direct != nil {
+	if r.hasDirect {
 		if r.directExact {
-			if !r.direct.OutOfRange() {
-				best = r.directIv.Lo
-			}
+			best = r.directIv.Lo // collapsed, or +Inf when unreachable inside the cell
 		} else {
-			offs = append(offs, 0)
-			us = append(us, r.srcLocal)
+			b.offs = append(b.offs, 0)
+			b.us = append(b.us, r.srcLocal)
 		}
 	}
 	for i := range r.gates {
@@ -547,12 +604,32 @@ func (r *routeRefiner) stepRace() bool {
 			}
 			continue
 		}
-		offs = append(offs, g.a)
-		us = append(us, g.bLocal)
+		b.offs = append(b.offs, g.a)
+		b.us = append(b.us, g.bLocal)
 	}
-	if len(offs) > 0 {
-		if d, _ := r.s.qcell(r.q).RaceRoutes(r.qc, r.dstLocal, offs, us); d < best {
-			best = d
+	return best
+}
+
+// stepRace resolves the remaining race in one shot: the value a HintRefine
+// batch parked for this pair when there is one, else one RaceRoutes call on
+// the destination cell over the refiner's own candidates. A query that has
+// failed or been cancelled makes no further call; its refiner stays as it is.
+func (r *routeRefiner) stepRace() bool {
+	best := r.parked
+	if r.isParked {
+		r.isParked = false
+		r.rt.s.raceUsed.Inc()
+	} else {
+		if r.qc.Err() != nil {
+			return false
+		}
+		b := &r.rt.race
+		b.reset()
+		best = r.candidates(b)
+		if len(b.offs) > 0 {
+			if d, _ := r.rt.s.qcell(r.q).RaceRoutes(r.qc, r.dstLocal, b.offs, b.us); d < best {
+				best = d
+			}
 		}
 	}
 	r.iv = core.Interval{Lo: best, Hi: best}
@@ -560,6 +637,57 @@ func (r *routeRefiner) stepRace() bool {
 	r.oor = math.IsInf(best, 1)
 	r.gates = r.gates[:0]
 	return false
+}
+
+// HintRefine implements core.ExpandHinter. Each announced refiner that has
+// not stepped yet would cost one race RPC at its Step; the ones that share a
+// destination cell go out as one RaceBatch call instead, every destination
+// with the very candidates its own Step would race, and the exact distances
+// wait on the refiners until those Steps come. A failed batch has failed the
+// query (qc.Fail): it is the last call the doomed query makes, and the +Inf
+// stand-ins it parks die with the refiners at the next context generation.
+func (s *Sharded) HintRefine(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID) {
+	if s.remote == nil || qc == nil {
+		return
+	}
+	rt := s.routerFor(qc, src)
+	b := &rt.race
+	for c := int32(0); c < int32(s.asn.P) && qc.Err() == nil; c++ {
+		b.reset()
+		for _, d := range dsts {
+			if s.asn.CellOf[d] != c {
+				continue
+			}
+			r := rt.hints.live[d]
+			if r == nil || r.done || r.isParked {
+				continue
+			}
+			r.isParked = true // now, so a destination announced twice races once
+			n := len(b.offs)
+			b.base = append(b.base, r.candidates(b))
+			b.rrs = append(b.rrs, r)
+			b.dsts = append(b.dsts, r.dstLocal)
+			b.ns = append(b.ns, int32(len(b.offs)-n))
+		}
+		if len(b.rrs) == 0 {
+			continue
+		}
+		s.raceHinted.Add(int64(len(b.rrs)))
+		b.ds = s.remote[c].RaceBatch(qc, b.dsts, b.ns, b.offs, b.us, b.ds[:0])
+		for i, r := range b.rrs {
+			r.parked = b.base[i]
+			if d := b.ds[i]; d < r.parked {
+				r.parked = d
+			}
+		}
+	}
+}
+
+// RaceHintStats returns how many destinations HintRefine has raced ahead of
+// their refiner's Step and how many of those parked results a Step went on to
+// adopt. The difference is what the announcements' speculation wasted.
+func (s *Sharded) RaceHintStats() (hinted, used int64) {
+	return s.raceHinted.Value(), s.raceUsed.Value()
 }
 
 // RegionLowerBoundCtx implements core.QueryIndex: a lower bound on the

@@ -7,6 +7,7 @@ import (
 	"silc/internal/core"
 	"silc/internal/diskio"
 	"silc/internal/graph"
+	"silc/internal/obs"
 	"silc/internal/store"
 )
 
@@ -104,6 +105,9 @@ type Sharded struct {
 	// labels holds the destination-label rows (labels.go), one bounded table
 	// per cell, shared by every query over in-process and remote cells alike.
 	labels *labelTables
+	// raceHinted and raceUsed back RaceHintStats; they only move over remote
+	// cells.
+	raceHinted, raceUsed obs.Counter
 }
 
 // Compression returns the block-page encoding WritePaged will emit.

@@ -143,9 +143,9 @@ func newEngineObs(e *Engine) *engineObs {
 }
 
 // registerDynamic adds the series that depend on the engine's final
-// topology: per-pool-shard hit/miss/eviction gauges, the label-table
-// counters of a sharded index, and per-store read counters (labelled by
-// page source). Called once, on the first scrape.
+// topology: per-pool-shard hit/miss/eviction gauges, the label-table and
+// race-batch counters of a sharded index, and per-store read counters
+// (labelled by page source). Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
 	if pool := e.qx.Tracker().Pool(); pool != nil {
@@ -177,6 +177,13 @@ func (m *engineObs) registerDynamic(e *Engine) {
 		r.GaugeFunc("silc_partition_label_rows", "",
 			"Gateway-interval rows the label table holds, all cells together.",
 			func() float64 { return float64(labels().Rows) })
+		races := e.shard.sx.RaceHintStats
+		r.CounterFunc("silc_partition_race_hinted_total", "",
+			"Destinations whose route race a search announced ahead of its refinement step and a remote cell answered in a batch.",
+			func() float64 { hinted, _ := races(); return float64(hinted) })
+		r.CounterFunc("silc_partition_race_used_total", "",
+			"Batched race results a refinement step went on to use; hinted minus used is wasted speculation.",
+			func() float64 { _, used := races(); return float64(used) })
 	}
 	if e.pager == nil {
 		return

@@ -18,7 +18,7 @@ ROUTER=18090
 NODE_A=18091
 NODE_B=18092
 MONO=18093
-KNN_RPC_BUDGET=20
+KNN_RPC_BUDGET=10
 PIDS=()
 
 cleanup() {
@@ -126,7 +126,8 @@ for f in node-a node-b; do
   done
 done
 for fam in silc_cluster_rpcs_total silc_cluster_cell_rpcs_total silcserve_requests_total \
-           silc_partition_label_hits_total silc_partition_label_misses_total silc_partition_label_rows; do
+           silc_partition_label_hits_total silc_partition_label_misses_total silc_partition_label_rows \
+           silc_partition_race_hinted_total silc_partition_race_used_total; do
   grep -q "^$fam" "$DIR/router.metrics" || { echo "missing $fam on router" >&2; exit 1; }
 done
 echo "   metric families present"
