@@ -43,6 +43,16 @@ const (
 	// NO extra allowance over the static-set budget — and per the
 	// never-increase rule this constant may only ever go down.
 	budgetLiveKNNAllocs = budgetKNNAllocs
+	// budgetLiveMoveAllocs bounds LiveObjects.Move at the live_churn
+	// benchmark's population of 1,131 objects: two root-to-leaf path copies
+	// of the object quadtree (a node and its child array per level), one
+	// chunk and one spine of the slot table, the successor, its snapshot and
+	// the next change channel. What it must never again be is a function of
+	// the population — TestAllocBudgetLiveMutation also holds a world 16
+	// times larger to liveMoveScaling times the small world's count (the
+	// tree is two levels deeper there, nothing else grows).
+	budgetLiveMoveAllocs = 48
+	liveMoveScaling      = 1.5
 )
 
 // allocEngine is one backend variant under the allocation budget.
@@ -472,5 +482,57 @@ func TestAllocBudgetLiveKNN(t *testing.T) {
 				t.Fatalf("steady-state live-snapshot KNN allocates %.1f/op, budget %d", got, budgetLiveKNNAllocs)
 			}
 		})
+	}
+}
+
+// liveWorld seeds a live world of the given population on a lattice at the
+// live_churn benchmark's 30% object density, ids 0..objects-1.
+func liveWorld(t testing.TB, objects int) (*LiveObjects, func() VertexID, *rand.Rand) {
+	t.Helper()
+	side := int(math.Ceil(math.Sqrt(float64(objects) / 0.3)))
+	net, err := GenerateGrid(side, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewLiveObjects(net, LiveObjectsOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(objects)))
+	randomVertex := func() VertexID { return VertexID(rng.Intn(net.NumVertices())) }
+	for i := 0; i < objects; i++ {
+		if _, _, err := live.Insert(randomVertex()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return live, randomVertex, rng
+}
+
+// TestAllocBudgetLiveMutation pins what a mutation of the live world
+// allocates: a bounded count at the benchmark's population, and nearly the
+// same count at sixteen times the population — a successor snapshot copies a
+// path and a chunk, it does not rebuild the set.
+func TestAllocBudgetLiveMutation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	allocsPerMove := func(objects int) float64 {
+		live, randomVertex, rng := liveWorld(t, objects)
+		defer live.Close()
+		return testing.AllocsPerRun(2000, func() {
+			if _, err := live.Move(int32(rng.Intn(objects)), randomVertex()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocsPerMove(1131), allocsPerMove(16*1131)
+	t.Logf("Move: %.1f allocs/op at 1,131 objects (budget %d), %.1f at 18,096 (%.2fx, bound %.1fx)",
+		small, budgetLiveMoveAllocs, large, large/small, liveMoveScaling)
+	if small > budgetLiveMoveAllocs {
+		t.Fatalf("a Move of 1,131 live objects allocates %.1f/op, budget %d", small, budgetLiveMoveAllocs)
+	}
+	if large > liveMoveScaling*small {
+		t.Fatalf("a Move of 18,096 live objects allocates %.1f/op, %.2fx the %.1f of 1,131 objects; bound %.1fx",
+			large, large/small, small, liveMoveScaling)
 	}
 }

@@ -522,3 +522,34 @@ func BenchmarkQueryBatch(b *testing.B) {
 		eng.batch(objs, queries, 10)
 	}
 }
+
+// BenchmarkLiveMutation measures one mutation of the live object world at
+// three populations (ROADMAP item 6: sub-linear at 10³/10⁴/10⁵); a
+// mutation derives and publishes one successor snapshot, so ns/op should
+// barely move with the population.
+func BenchmarkLiveMutation(b *testing.B) {
+	for _, n := range []int{1e3, 1e4, 1e5} {
+		live, randomVertex, rng := liveWorld(b, n)
+		b.Run(fmt.Sprintf("Move/%.0e", float64(n)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := live.Move(int32(rng.Intn(n)), randomVertex()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("InsertRemove/%.0e", float64(n)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id, _, err := live.Insert(randomVertex())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := live.Remove(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		live.Close()
+	}
+}

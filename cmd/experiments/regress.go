@@ -207,6 +207,27 @@ func measureAlloc(seed int64) (allocBaseline, error) {
 			return nil
 		}},
 	}
+	// One mutation of a live world at the end-to-end benchmark's population:
+	// a successor snapshot costs a path and a chunk, whatever the population.
+	live, err := silc.NewLiveObjects(net, silc.LiveObjectsOptions{})
+	if err != nil {
+		return allocBaseline{}, err
+	}
+	defer live.Close()
+	const liveObjects = 1131
+	for i := 0; i < liveObjects; i++ {
+		if _, _, err := live.Insert(silc.VertexID(rng.Intn(net.NumVertices()))); err != nil {
+			return allocBaseline{}, err
+		}
+	}
+	ops = append(ops, struct {
+		name string
+		op   func() error
+	}{fmt.Sprintf("live-move/%d", liveObjects), func() error {
+		_, err := live.Move(int32(rng.Intn(liveObjects)), silc.VertexID(rng.Intn(net.NumVertices())))
+		return err
+	}})
+
 	var out allocBaseline
 	for _, o := range ops {
 		op := o.op

@@ -89,12 +89,15 @@ func (s *server) handleObjects(w http.ResponseWriter, r *http.Request) {
 			}
 			writeJSON(w, map[string]any{"id": id, "vertex": *req.Vertex, "version": ver})
 		case req.X != nil && req.Y != nil: // insert at a point, snapped
-			id, ver, err := s.live.InsertPoint(silc.Point{X: *req.X, Y: *req.Y})
+			// Snapped here, once: the reply reports the vertex this write put
+			// the object on, whatever a concurrent Move or Remove of the new
+			// id does before the reply is written.
+			v := s.eng.Network().NearestVertex(silc.Point{X: *req.X, Y: *req.Y})
+			id, ver, err := s.live.Insert(v)
 			if err != nil {
 				writeError(w, err)
 				return
 			}
-			v, _ := s.live.Vertex(id)
 			writeJSON(w, map[string]any{"id": id, "vertex": int64(v), "version": ver})
 		default:
 			writeError(w, badRequest(`body needs a "vertex", an "x"/"y" point, or an "id" plus "vertex" to move`))

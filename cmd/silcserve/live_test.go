@@ -197,6 +197,59 @@ func TestServerLiveObjectsCRUD(t *testing.T) {
 	}
 }
 
+// TestServerPointInsertReportsItsOwnVertex pins the reply of a point insert
+// to the vertex THAT write put the object on. Ids are monotone, so a mover
+// can lie in wait for the next id and relocate it the moment the insert
+// publishes — before the handler writes its reply. A reply read back from
+// the store's current snapshot would then report the mover's vertex.
+func TestServerPointInsertReportsItsOwnVertex(t *testing.T) {
+	srv := testLiveServer(t)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	net := srv.eng.Network()
+
+	const inserts = 300
+	away := net.NearestVertex(silc.Point{X: 1, Y: 1}) // the inserts stay in the opposite quadrant
+	stop := make(chan struct{})
+	moverDone := make(chan struct{})
+	go func() {
+		defer close(moverDone)
+		for id := int32(0); id < inserts; id++ {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := srv.live.Move(id, away); err == nil {
+					break
+				}
+			}
+		}
+	}()
+	for i := 0; i < inserts; i++ {
+		p := silc.Point{X: float64(i%17) / 34, Y: float64(i%13) / 26}
+		want := net.NearestVertex(p)
+		if want == away {
+			t.Fatalf("point %v snaps onto the mover's vertex", p)
+		}
+		var reply struct {
+			ID     int32 `json:"id"`
+			Vertex int64 `json:"vertex"`
+		}
+		if resp := postJSON(t, ts, "/objects", map[string]any{"x": p.X, "y": p.Y}, &reply); resp.StatusCode != 200 {
+			t.Fatalf("point insert status %d", resp.StatusCode)
+		}
+		if reply.ID != int32(i) || reply.Vertex != int64(want) {
+			close(stop)
+			t.Fatalf("insert %d at %v answered id %d on vertex %d, want id %d on vertex %d",
+				i, p, reply.ID, reply.Vertex, i, want)
+		}
+	}
+	close(stop)
+	<-moverDone
+}
+
 // TestServerLiveDisabled: without -live every live surface is a 404.
 func TestServerLiveDisabled(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).routes())

@@ -582,7 +582,7 @@ func TestClusterRaceBatchFailure(t *testing.T) {
 	var dsts []graph.VertexID
 	var last core.DistanceRefiner
 	for _, cell := range []int{2, 3} {
-		for _, o := range f.objs.All() {
+		for _, o := range f.objs.Members() {
 			if r := f.router.Refine(qc, q, o.Vertex); f.router.CellOf(o.Vertex) == cell && !r.Done() {
 				dsts, last = append(dsts, o.Vertex), r
 				break

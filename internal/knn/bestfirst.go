@@ -186,7 +186,9 @@ func (sc *scratch) engineFor(ix core.QueryIndex, qc *core.QueryContext, objs *Ob
 	e.ix, e.qc, e.objs, e.q, e.k, e.variant = ix, qc, objs, q, k, variant
 	e.queue.Reset()
 	e.l.InitMax()
-	n := objs.Len()
+	// states is indexed by slot, so it spans the slot bound — which a live
+	// set's free slots can hold above its object count.
+	n := objs.SlotBound()
 	if cap(e.states) < n {
 		e.states = make([]objState, n)
 	} else {
@@ -210,7 +212,7 @@ func (sc *scratch) engineFor(ix core.QueryIndex, qc *core.QueryContext, objs *Ob
 	if h, ok := ix.(core.ExpandHinter); ok && h.WantsExpandHints() {
 		e.hint = h
 	}
-	if k > 0 && n > 0 {
+	if k > 0 && objs.Len() > 0 {
 		e.queue.Push(0, qelem{node: objs.Tree().Root()})
 		e.noteQueue()
 	}
@@ -464,12 +466,12 @@ func (e *engine) hintNode(n *pmr.Node) {
 // the lot in one batch (one RPC per cell on a cluster router) instead of one
 // at a time.
 func (e *engine) hintCollision(st *objState) {
-	dsts := append(e.hintDsts[:0], e.objs.objs[st.id].Vertex)
+	dsts := append(e.hintDsts[:0], e.objs.slot(st.id).Vertex)
 	if e.maintainsL() {
 		e.drainIDs = e.l.AppendItems(e.drainIDs[:0])
 		for _, id := range e.drainIDs {
 			if m := &e.states[id]; m != st && !m.refiner.Done() && !m.refiner.OutOfRange() {
-				dsts = append(dsts, e.objs.objs[id].Vertex)
+				dsts = append(dsts, e.objs.slot(id).Vertex)
 			}
 		}
 	}
@@ -593,7 +595,7 @@ func (e *engine) drainL() {
 			dsts := e.hintDsts[:0]
 			for _, st := range rest {
 				if uncertified(st) {
-					dsts = append(dsts, e.objs.objs[st.id].Vertex)
+					dsts = append(dsts, e.objs.slot(st.id).Vertex)
 				}
 			}
 			e.hintRefine(dsts)

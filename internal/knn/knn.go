@@ -12,7 +12,10 @@
 package knn
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"silc/internal/core"
@@ -21,109 +24,245 @@ import (
 	"silc/internal/pmr"
 )
 
-// Objects is the query set S: a PMR quadtree plus the vertex->objects map
-// the network-expansion baseline needs.
-// Internally every structure — the quadtree, the vertex map, the search
-// engines' state arrays — works in DENSE slot indices 0..Len-1, so the
-// algorithms can index arrays by object id regardless of how the set was
-// built. Sets built by NewObjectsWithIDs additionally carry caller-assigned
-// stable ids, applied to an object only at the reporting boundary
-// (resultAt/Label), so Neighbor.Object.ID is always the caller's id.
+// Objects is the query set S: a PMR quadtree over the objects plus the slot
+// table the search engines index by.
+//
+// Internally every structure — the quadtree, the search engines' state
+// arrays, the lazy side tables — works in SLOTS: small integers below
+// SlotBound, one per object, carried in pmr.Object.ID. A static set
+// (NewObjects) fills slots 0..Len-1 in input order and its public ids ARE its
+// slots (labels == nil). A live set — one version of the object store, derived
+// from its predecessor by WithInserted/WithMoved/WithRemoved — keeps an
+// object in the same slot for its whole life and hands a freed slot to a
+// later object, so the slots below the bound can hold gaps: SlotBound sizes
+// arrays, Len counts objects. Its public ids are the store's, applied to an
+// object only at the reporting boundary (resultAt/Label), so
+// Neighbor.Object.ID is always the caller's id.
+//
+// An Objects is immutable once built or derived: a derivation copies the
+// root-to-leaf path of the quadtree and one fixed-size chunk of each table
+// it changes, and shares the rest with its predecessor.
 type Objects struct {
+	g    *graph.Network
 	tree *pmr.Tree
-	objs []pmr.Object
-	at   map[graph.VertexID][]int32
-	// labels maps a dense slot to its public id; nil means identity (the
-	// NewObjects fast path stays a bare slice load everywhere).
-	labels []int32
-	// byID is the reverse map, public id -> dense slot; nil for dense sets.
-	byID map[int32]int32
+	// chunks is the slot table: slot i is chunks[i>>chunkShift][i&chunkMask].
+	// A slot below the bound without an object has Vertex == graph.NoVertex;
+	// nothing reads a slot at or above the bound.
+	chunks []*[chunkSize]pmr.Object
+	bound  int
+	live   int
+	// labels maps a slot to its public id, chunked like the slot table; nil
+	// means identity (the NewObjects fast path stays free of it everywhere).
+	labels []*[chunkSize]int32
+
+	// The two side tables no best-first search reads are built on first use,
+	// once per version: at for the network-expansion baselines, byID (live
+	// sets only) for lookups by public id.
+	atOnce   sync.Once
+	at       map[graph.VertexID][]int32
+	byIDOnce sync.Once
+	byID     map[int32]int32
 }
+
+const (
+	chunkShift = 8
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
 
 // NewObjects builds an object set from network vertices. Object IDs are
 // dense in input order. Multiple objects may share a vertex.
 func NewObjects(g *graph.Network, vertices []graph.VertexID) *Objects {
-	s := &Objects{
-		tree: pmr.FromVertices(g, vertices, 0),
-		at:   make(map[graph.VertexID][]int32, len(vertices)),
-	}
-	s.objs = make([]pmr.Object, len(vertices))
+	n := len(vertices)
+	s := &Objects{g: g, tree: pmr.FromVertices(g, vertices, 0), bound: n, live: n}
+	// One allocation, viewed as chunks.
+	flat := make([]pmr.Object, (n+chunkMask)&^chunkMask)
 	for i, v := range vertices {
-		s.objs[i] = pmr.Object{ID: int32(i), Vertex: v, Pos: g.Point(v)}
-		s.at[v] = append(s.at[v], int32(i))
+		flat[i] = pmr.Object{ID: int32(i), Vertex: v, Pos: g.Point(v)}
+	}
+	s.chunks = make([]*[chunkSize]pmr.Object, len(flat)>>chunkShift)
+	for c := range s.chunks {
+		s.chunks[c] = (*[chunkSize]pmr.Object)(flat[c<<chunkShift:])
 	}
 	return s
 }
 
-// NewObjectsWithIDs builds an object set whose objects carry caller-assigned
-// stable ids (not necessarily dense): the live object store's snapshots keep
-// their ids across versions so Remove(id)/Move(id) stay meaningful against
-// query results. ids and vertices are parallel; ids must be distinct.
-// Multiple objects may share a vertex. An empty set is valid (queries over
-// it are rejected at the engine's API edge, not here).
-func NewObjectsWithIDs(g *graph.Network, ids []int32, vertices []graph.VertexID) *Objects {
-	s := &Objects{
-		tree:   pmr.New(0),
-		at:     make(map[graph.VertexID][]int32, len(vertices)),
-		labels: make([]int32, len(ids)),
-		byID:   make(map[int32]int32, len(ids)),
-	}
-	copy(s.labels, ids)
-	s.objs = make([]pmr.Object, len(vertices))
-	for i, v := range vertices {
-		// Dense slot ids inside every search structure; the stable public id
-		// is applied only at the reporting boundary.
-		o := pmr.Object{ID: int32(i), Vertex: v, Pos: g.Point(v)}
-		s.objs[i] = o
-		s.tree.Insert(o)
-		s.at[v] = append(s.at[v], int32(i))
-		s.byID[ids[i]] = int32(i)
-	}
-	return s
+// EmptyObjects returns the live set without objects: the head of the chain of
+// versions the With* derivations produce. It is valid to hold (queries over
+// an empty set are rejected at the engine's API edge, not here).
+func EmptyObjects(g *graph.Network) *Objects {
+	return &Objects{g: g, tree: pmr.New(0), labels: []*[chunkSize]int32{}}
 }
 
-// Len returns |S|.
-func (s *Objects) Len() int { return len(s.objs) }
+// successor starts a derivation: everything shared with s, side tables unbuilt.
+func (s *Objects) successor() *Objects {
+	return &Objects{g: s.g, tree: s.tree, chunks: s.chunks, bound: s.bound, live: s.live, labels: s.labels}
+}
 
-// Tree returns the PMR quadtree over S.
+// withChunk returns table with the chunk of slot replaced by a copy (a fresh
+// chunk when slot opens a new one) and that copy, for the caller to write
+// its one entry. The spine is always reallocated: predecessors may still be
+// reading the old one, resliced or not.
+func withChunk[T any](table []*[chunkSize]T, slot int32) ([]*[chunkSize]T, *[chunkSize]T) {
+	c := int(slot >> chunkShift)
+	spine := make([]*[chunkSize]T, max(len(table), c+1))
+	copy(spine, table)
+	chunk := new([chunkSize]T)
+	if c < len(table) {
+		*chunk = *table[c]
+	}
+	spine[c] = chunk
+	return spine, chunk
+}
+
+// put stores o in its slot of s's own copy of the slot table.
+func (s *Objects) put(o pmr.Object) {
+	var chunk *[chunkSize]pmr.Object
+	s.chunks, chunk = withChunk(s.chunks, o.ID)
+	chunk[o.ID&chunkMask] = o
+}
+
+// WithInserted returns the successor of the live set s that also holds an
+// object with public id on vertex v, in slot — a slot below the bound that
+// holds no object, or the bound itself, which then grows by one.
+func (s *Objects) WithInserted(slot, id int32, v graph.VertexID) *Objects {
+	if int(slot) > s.bound || (int(slot) < s.bound && s.Live(slot)) {
+		panic("knn: WithInserted into a slot that is live or beyond the bound")
+	}
+	n := s.successor()
+	o := pmr.Object{ID: slot, Vertex: v, Pos: s.g.Point(v)}
+	n.put(o)
+	var labels *[chunkSize]int32
+	n.labels, labels = withChunk(s.labels, slot)
+	labels[slot&chunkMask] = id
+	n.tree = s.tree.With(o)
+	n.bound = max(s.bound, int(slot)+1)
+	n.live++
+	return n
+}
+
+// WithMoved returns the successor of s in which the object in slot sits on v.
+func (s *Objects) WithMoved(slot int32, v graph.VertexID) *Objects {
+	n := s.successor()
+	o := pmr.Object{ID: slot, Vertex: v, Pos: s.g.Point(v)}
+	n.put(o)
+	n.tree = s.without(slot).With(o)
+	return n
+}
+
+// WithRemoved returns the successor of s without the object in slot. The
+// bound falls past every trailing slot left without an object, and the
+// chunks above it are dropped.
+func (s *Objects) WithRemoved(slot int32) *Objects {
+	n := s.successor()
+	n.put(pmr.Object{ID: slot, Vertex: graph.NoVertex})
+	n.tree = s.without(slot)
+	n.live--
+	for n.bound > 0 && !n.Live(int32(n.bound-1)) {
+		n.bound--
+	}
+	keep := (n.bound + chunkMask) >> chunkShift
+	n.chunks, n.labels = n.chunks[:keep], n.labels[:keep]
+	return n
+}
+
+// without returns s's tree less the object in slot, which must be live.
+func (s *Objects) without(slot int32) *pmr.Tree {
+	if int(slot) < s.bound {
+		if t, ok := s.tree.Without(s.slot(slot)); ok {
+			return t
+		}
+	}
+	panic("knn: derivation from a slot that holds no object")
+}
+
+// Len returns |S|, the number of objects.
+func (s *Objects) Len() int { return s.live }
+
+// SlotBound returns the exclusive upper bound of the slots in use: what an
+// array indexed by slot must hold. It equals Len for a static set and can
+// exceed it for a live one.
+func (s *Objects) SlotBound() int { return s.bound }
+
+// Live reports whether slot, below the bound, holds an object.
+func (s *Objects) Live(slot int32) bool { return s.slot(slot).Vertex != graph.NoVertex }
+
+// Tree returns the PMR quadtree over S; its objects carry slots.
 func (s *Objects) Tree() *pmr.Tree { return s.tree }
 
-// ByID returns the object with the given PUBLIC id, carrying that id. For
-// NewObjects sets public ids are the dense slots; NewObjectsWithIDs sets go
-// through the stable-id map.
-func (s *Objects) ByID(id int32) pmr.Object {
-	if s.byID == nil {
-		return s.objs[id]
+// slot returns the slot table's entry (ID is the slot itself).
+func (s *Objects) slot(i int32) pmr.Object { return s.chunks[i>>chunkShift][i&chunkMask] }
+
+// objects yields the slot table's entries that hold an object, by ascending
+// slot — what the listings and the lazy side tables are built from.
+func (s *Objects) objects(yield func(pmr.Object) bool) {
+	for i := int32(0); int(i) < s.bound; i++ {
+		if o := s.slot(i); o.Vertex != graph.NoVertex && !yield(o) {
+			return
+		}
 	}
-	o := s.objs[s.byID[id]]
-	o.ID = id
-	return o
 }
 
-// Label maps a dense slot index to its public id (identity for NewObjects
-// sets).
+// ByID returns the object with the given PUBLIC id, carrying that id; an id
+// a live set does not hold comes back with Vertex == graph.NoVertex. For
+// NewObjects sets public ids are the slots; a live set derives its id → slot
+// map on the first call.
+func (s *Objects) ByID(id int32) pmr.Object {
+	if s.labels == nil {
+		return s.slot(id)
+	}
+	s.byIDOnce.Do(func() {
+		s.byID = make(map[int32]int32, s.live)
+		for o := range s.objects {
+			s.byID[s.Label(o.ID)] = o.ID
+		}
+	})
+	if i, ok := s.byID[id]; ok {
+		return s.resultAt(i)
+	}
+	return pmr.Object{ID: id, Vertex: graph.NoVertex}
+}
+
+// Label maps a slot to its public id (identity for NewObjects sets).
 func (s *Objects) Label(i int32) int32 {
 	if s.labels != nil {
-		return s.labels[i]
+		return s.labels[i>>chunkShift][i&chunkMask]
 	}
 	return i
 }
 
-// resultAt returns the object at dense slot i carrying its public id — the
-// only form a reported Neighbor may expose.
+// resultAt returns the object in slot i carrying its public id — the only
+// form a reported Neighbor may expose.
 func (s *Objects) resultAt(i int32) pmr.Object {
-	o := s.objs[i]
+	o := s.slot(i)
 	o.ID = s.Label(i)
 	return o
 }
 
-// All returns the objects in storage order (ascending public id for
-// NewObjectsWithIDs sets). ID fields are dense slots — use Label for public
-// ids. The slice aliases internal storage; do not modify.
-func (s *Objects) All() []pmr.Object { return s.objs }
+// Members lists the objects, carrying their public ids, by ascending id.
+func (s *Objects) Members() []pmr.Object {
+	out := make([]pmr.Object, 0, s.live)
+	for o := range s.objects {
+		o.ID = s.Label(o.ID)
+		out = append(out, o)
+	}
+	if s.labels != nil { // slots are reused, so slot order is not id order
+		slices.SortFunc(out, func(a, b pmr.Object) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	return out
+}
 
-// AtVertex returns the dense slot ids of objects located at v.
-func (s *Objects) AtVertex(v graph.VertexID) []int32 { return s.at[v] }
+// AtVertex returns the slots of the objects located at v, ascending. The
+// vertex map behind it is built on the first call.
+func (s *Objects) AtVertex(v graph.VertexID) []int32 {
+	s.atOnce.Do(func() {
+		s.at = make(map[graph.VertexID][]int32, s.live)
+		for o := range s.objects {
+			s.at[o.Vertex] = append(s.at[o.Vertex], o.ID)
+		}
+	})
+	return s.at[v]
+}
 
 // Neighbor is one reported nearest neighbor.
 type Neighbor struct {

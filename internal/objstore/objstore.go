@@ -4,19 +4,31 @@
 //
 // The design leans on the paper's decoupling property: SILC's shortest-path
 // quadtrees encode path *identity*, so object churn never invalidates the
-// distance index — mutating the world is purely an object-set problem. The
-// store therefore keeps one authoritative table of live objects and, on
-// every mutation, publishes a fresh copy-on-write snapshot (a PMR quadtree
-// plus the id/vertex tables) behind an atomic pointer:
+// distance index — mutating the world is purely an object-set problem. And a
+// mutation costs its change, not the world: every version is the SUCCESSOR of
+// the one before it, derived by copying the root-to-leaf path of the PMR
+// quadtree the mutation touches and one fixed-size chunk of the slot table,
+// and sharing everything else (knn.Objects.WithInserted/WithMoved/
+// WithRemoved over pmr.Tree.With/Without). Version 0 is the empty set at the
+// head of that chain; there is no other way to make a snapshot.
 //
 //   - Readers pin the current snapshot with one atomic load — O(1), no
 //     locks, never blocked by writers — and every query they run against it
-//     is exact for that version.
-//   - Writers serialize under a mutex, bump the monotonically increasing
-//     version, rebuild the snapshot from the live table (O(n log n) in the
-//     object count — the network index is untouched), and publish it.
+//     is exact for that version. A published snapshot is never written
+//     again, so a reader may hold one for as long as it likes.
+//   - Writers serialize under a mutex, derive the successor of the current
+//     snapshot (O(log n) tree nodes plus a chunk, whatever the population —
+//     the network index is untouched), bump the monotonically increasing
+//     version and publish: one version per mutation.
 //   - Each publish closes the store's change channel, waking continuous
 //     queries (Engine.Watch) without polling.
+//
+// Two id spaces meet here. An object's public id is the store's: monotone
+// from 0, never reused. Inside a snapshot the object lives in a SLOT — the
+// index search state is kept under — which stays its own from insert to
+// removal and then goes on the store's free list for a later insert, so the
+// slots in use stay dense however long the store churns. The store's table
+// maps id to slot; the snapshot maps slot back to id when it reports.
 //
 // A TTL sweeper goroutine (Options.TTL > 0) expires objects not touched
 // within the TTL — the ExpireOldNodes scenario of moving-fleet workloads —
@@ -24,7 +36,6 @@
 package objstore
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,16 +52,14 @@ type Snapshot struct {
 	// Version is the store version this snapshot reflects. Versions are
 	// monotonically increasing; version 0 is the empty store at birth.
 	Version uint64
-	// Objects is the immutable query view (stable ids; empty set valid).
+	// Objects is the immutable query view (stable ids; empty set valid);
+	// Objects.Members lists it by ascending id.
 	Objects *knn.Objects
-	// IDs and Vertices are the members in ascending stable-id order.
-	IDs      []int32
-	Vertices []graph.VertexID
 }
 
 // entry is one live object in the authoritative table.
 type entry struct {
-	vertex  graph.VertexID
+	slot    int32     // the object's slot in every snapshot that holds it
 	touched time.Time // last Insert/Move, drives TTL expiry
 }
 
@@ -69,14 +78,17 @@ type Options struct {
 // Store is the versioned concurrent object store. The zero value is not
 // usable; construct with New and release the sweeper with Close.
 type Store struct {
-	g   *graph.Network
 	now func() time.Time
 
 	// mu serializes mutators (writers). Readers never take it: they pin
 	// snapshots through the atomic pointer below.
-	mu      sync.Mutex
-	objs    map[int32]entry
-	ids     []int32 // live ids, ascending (nextID is monotone, appends keep order)
+	mu   sync.Mutex
+	objs map[int32]entry
+	// free holds every slot below the current snapshot's bound that holds no
+	// object. It may also hold stale entries — a slot the bound has since
+	// fallen below, or one handed out again after that — which takeSlotLocked
+	// discards.
+	free    []int32
 	nextID  int32
 	version uint64        // guarded by mu; published value mirrored in snap
 	changed chan struct{} // closed and replaced on every publish
@@ -105,7 +117,6 @@ type Store struct {
 // sweeper.
 func New(g *graph.Network, opt Options) *Store {
 	s := &Store{
-		g:       g,
 		now:     opt.Now,
 		objs:    make(map[int32]entry),
 		changed: make(chan struct{}),
@@ -124,9 +135,9 @@ func New(g *graph.Network, opt Options) *Store {
 	s.expired = s.reg.Counter("silc_objstore_expired_total", "",
 		"Objects expired by TTL or explicit Expire.")
 	s.snapshotBuilds = s.reg.Counter("silc_objstore_snapshot_builds_total", "",
-		"Copy-on-write snapshot rebuilds (one per published version).")
+		"Successor snapshots derived (one per published version).")
 	s.buildSecs = s.reg.CounterScaled("silc_objstore_snapshot_build_seconds_total", "",
-		"Wall-clock seconds spent rebuilding snapshots.", 1e-9)
+		"Wall-clock seconds spent deriving successor snapshots.", 1e-9)
 	s.reg.GaugeFunc("silc_objstore_objects", "",
 		"Objects currently live in the store.",
 		func() float64 { return float64(s.Len()) })
@@ -134,7 +145,7 @@ func New(g *graph.Network, opt Options) *Store {
 		"Current store version (monotone; one bump per mutation).",
 		func() float64 { return float64(s.Version()) })
 
-	s.snap.Store(s.buildSnapshotLocked()) // version 0: the empty world
+	s.snap.Store(&Snapshot{Objects: knn.EmptyObjects(g)}) // version 0: the empty world
 	if opt.TTL > 0 {
 		s.sweepEvery = opt.SweepInterval
 		if s.sweepEvery <= 0 {
@@ -153,12 +164,9 @@ func New(g *graph.Network, opt Options) *Store {
 // Registry returns the store's metric registry (silc_objstore_* families).
 func (s *Store) Registry() *obs.Registry { return s.reg }
 
-// Len returns the number of live objects.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.objs)
-}
+// Len returns the number of live objects: one atomic load, like Version, so
+// a metrics scrape never queues behind a writer.
+func (s *Store) Len() int { return s.snap.Load().Objects.Len() }
 
 // Version returns the current store version.
 func (s *Store) Version() uint64 { return s.snap.Load().Version }
@@ -183,12 +191,26 @@ func (s *Store) Changed() <-chan struct{} {
 func (s *Store) Insert(v graph.VertexID) (int32, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextID
+	start := time.Now()
+	cur := s.snap.Load().Objects
+	id, slot := s.nextID, s.takeSlotLocked(cur)
 	s.nextID++
-	s.objs[id] = entry{vertex: v, touched: s.now()}
-	s.ids = append(s.ids, id) // nextID is monotone: append keeps ids sorted
+	s.objs[id] = entry{slot: slot, touched: s.now()}
 	s.inserts.Inc()
-	return id, s.publishLocked()
+	return id, s.publishLocked(start, cur.WithInserted(slot, id, v))
+}
+
+// takeSlotLocked returns the slot for a new object in the successor of cur:
+// a free one below cur's bound, else the bound itself.
+func (s *Store) takeSlotLocked(cur *knn.Objects) int32 {
+	for n := len(s.free); n > 0; n = len(s.free) {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		if int(slot) < cur.SlotBound() && !cur.Live(slot) {
+			return slot
+		}
+	}
+	return int32(cur.SlotBound())
 }
 
 // Remove deletes the object. It returns the version that no longer contains
@@ -196,13 +218,15 @@ func (s *Store) Insert(v graph.VertexID) (int32, uint64) {
 func (s *Store) Remove(id int32) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objs[id]; !ok {
+	e, ok := s.objs[id]
+	if !ok {
 		return s.version, false
 	}
+	start := time.Now()
 	delete(s.objs, id)
-	s.dropIDLocked(id)
+	s.free = append(s.free, e.slot)
 	s.removes.Inc()
-	return s.publishLocked(), true
+	return s.publishLocked(start, s.snap.Load().Objects.WithRemoved(e.slot)), true
 }
 
 // Move relocates the object to v (refreshing its TTL clock) and returns the
@@ -210,12 +234,15 @@ func (s *Store) Remove(id int32) (uint64, bool) {
 func (s *Store) Move(id int32, v graph.VertexID) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objs[id]; !ok {
+	e, ok := s.objs[id]
+	if !ok {
 		return s.version, false
 	}
-	s.objs[id] = entry{vertex: v, touched: s.now()}
+	start := time.Now()
+	e.touched = s.now()
+	s.objs[id] = e
 	s.moves.Inc()
-	return s.publishLocked(), true
+	return s.publishLocked(start, s.snap.Load().Objects.WithMoved(e.slot, v)), true
 }
 
 // ExpireOlderThan removes every object last touched strictly before cutoff.
@@ -224,22 +251,28 @@ func (s *Store) Move(id int32, v graph.VertexID) (uint64, bool) {
 func (s *Store) ExpireOlderThan(cutoff time.Time) (int, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed := 0
-	for i := 0; i < len(s.ids); {
-		id := s.ids[i]
-		if s.objs[id].touched.Before(cutoff) {
-			delete(s.objs, id)
-			s.ids = append(s.ids[:i], s.ids[i+1:]...)
-			removed++
+	start := time.Now()
+	cur := s.snap.Load().Objects
+	next, removed := cur, 0
+	// By slot, not by ranging over the map: the free list's order — hence
+	// which slot a later insert gets — must not depend on map iteration.
+	// Top slot first, so the bound falls as the sweep goes.
+	for slot := int32(cur.SlotBound()) - 1; slot >= 0; slot-- {
+		if !cur.Live(slot) {
 			continue
 		}
-		i++
+		if id := cur.Label(slot); s.objs[id].touched.Before(cutoff) {
+			delete(s.objs, id)
+			s.free = append(s.free, slot)
+			next = next.WithRemoved(slot)
+			removed++
+		}
 	}
 	if removed == 0 {
 		return 0, s.version
 	}
 	s.expired.Add(int64(removed))
-	return removed, s.publishLocked()
+	return removed, s.publishLocked(start, next)
 }
 
 // Close stops the TTL sweeper and waits for it to exit. The store remains
@@ -269,42 +302,15 @@ func (s *Store) sweep() {
 	}
 }
 
-// dropIDLocked removes id from the sorted id list.
-func (s *Store) dropIDLocked(id int32) {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id })
-	if i < len(s.ids) && s.ids[i] == id {
-		s.ids = append(s.ids[:i], s.ids[i+1:]...)
-	}
-}
-
-// publishLocked bumps the version, rebuilds the snapshot from the live
-// table, publishes it, and wakes the change watchers. Callers hold mu.
-func (s *Store) publishLocked() uint64 {
+// publishLocked bumps the version, publishes next — the successor of the
+// current snapshot, whose derivation began at start — and wakes the change
+// watchers. Callers hold mu.
+func (s *Store) publishLocked(start time.Time, next *knn.Objects) uint64 {
 	s.version++
-	s.snap.Store(s.buildSnapshotLocked())
+	s.snap.Store(&Snapshot{Version: s.version, Objects: next})
+	s.snapshotBuilds.Inc()
+	s.buildSecs.Add(time.Since(start).Nanoseconds())
 	close(s.changed)
 	s.changed = make(chan struct{})
 	return s.version
-}
-
-// buildSnapshotLocked materializes the immutable view of the current table:
-// fresh id/vertex slices (ascending id) and a fresh PMR quadtree. Nothing
-// is shared with previous snapshots, so published versions are frozen.
-func (s *Store) buildSnapshotLocked() *Snapshot {
-	start := time.Now()
-	ids := make([]int32, len(s.ids))
-	copy(ids, s.ids)
-	verts := make([]graph.VertexID, len(ids))
-	for i, id := range ids {
-		verts[i] = s.objs[id].vertex
-	}
-	snap := &Snapshot{
-		Version:  s.version,
-		Objects:  knn.NewObjectsWithIDs(s.g, ids, verts),
-		IDs:      ids,
-		Vertices: verts,
-	}
-	s.snapshotBuilds.Inc()
-	s.buildSecs.Add(time.Since(start).Nanoseconds())
-	return snap
 }

@@ -1,11 +1,20 @@
 package objstore
 
 import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/knn"
+	"silc/internal/pmr"
 )
 
 func testGraph(t testing.TB) *graph.Network {
@@ -39,8 +48,8 @@ func TestCRUDAndVersions(t *testing.T) {
 		t.Fatal("ids not distinct")
 	}
 	snap := s.Snapshot()
-	if snap.Version != 2 || len(snap.IDs) != 2 {
-		t.Fatalf("snapshot version %d with %d members, want 2/2", snap.Version, len(snap.IDs))
+	if snap.Version != 2 || len(snap.Objects.Members()) != 2 {
+		t.Fatalf("snapshot version %d with %d members, want 2/2", snap.Version, len(snap.Objects.Members()))
 	}
 	if snap.Objects.ByID(a).Vertex != 3 || snap.Objects.ByID(b).Vertex != 9 {
 		t.Fatal("snapshot objects on wrong vertices")
@@ -84,17 +93,26 @@ func TestExpireOlderThan(t *testing.T) {
 	defer s.Close()
 
 	old, _ := s.Insert(1)
+	s.Insert(7)
+	s.Insert(7)
 	clock = clock.Add(time.Minute)
 	fresh, _ := s.Insert(2)
 	ver := s.Version()
 
+	// However many objects a sweep removes, it is one version and one wake-up.
+	woken := s.Changed()
 	n, v := s.ExpireOlderThan(clock.Add(-30 * time.Second))
-	if n != 1 || v != ver+1 {
-		t.Fatalf("expire removed %d at version %d, want 1 at %d", n, v, ver+1)
+	if n != 3 || v != ver+1 || s.Version() != ver+1 {
+		t.Fatalf("expire removed %d at version %d (store at %d), want 3 at %d", n, v, s.Version(), ver+1)
+	}
+	select {
+	case <-woken:
+	default:
+		t.Fatal("the sweep did not close the change channel")
 	}
 	snap := s.Snapshot()
-	if len(snap.IDs) != 1 || snap.IDs[0] != fresh {
-		t.Fatalf("surviving ids %v, want [%d]", snap.IDs, fresh)
+	if m := snap.Objects.Members(); len(m) != 1 || m[0].ID != fresh {
+		t.Fatalf("survivors %v, want only id %d", m, fresh)
 	}
 	if _, ok := s.Move(old, 3); ok {
 		t.Fatal("expired object still movable")
@@ -148,10 +166,80 @@ func TestChangedWakesOnPublish(t *testing.T) {
 	}
 }
 
+// TestScrapeDoesNotQueueBehindWriters holds the writers' mutex — as a
+// mutation in progress does — and scrapes: Len, Version and the whole metric
+// exposition read the published snapshot and must answer regardless.
+func TestScrapeDoesNotQueueBehindWriters(t *testing.T) {
+	s := New(testGraph(t), Options{})
+	defer s.Close()
+	s.Insert(3)
+	s.Insert(4)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	scraped := make(chan string, 1)
+	go func() {
+		var buf bytes.Buffer
+		if err := s.Registry().WritePrometheus(&buf); err != nil {
+			scraped <- err.Error()
+			return
+		}
+		scraped <- fmt.Sprintf("len=%d version=%d\n%s", s.Len(), s.Version(), buf.String())
+	}()
+	select {
+	case got := <-scraped:
+		for _, want := range []string{"len=2 version=2", "silc_objstore_objects 2", "silc_objstore_version 2", "silc_objstore_snapshot_builds_total 2"} {
+			if !strings.Contains(got, want) {
+				t.Errorf("scrape misses %q:\n%s", want, got)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a scrape waited for the writers' mutex")
+	}
+}
+
+// checkSnapshot fails unless every way of reading snap agrees with every
+// other: Members ascending by distinct id, Len, the tree's objects, and the
+// lazy ByID and AtVertex tables. It returns Members for later comparison.
+func checkSnapshot(t *testing.T, snap *Snapshot) []pmr.Object {
+	objs := snap.Objects
+	members := objs.Members()
+	if objs.Len() != len(members) || objs.Tree().Len() != len(members) || objs.SlotBound() < len(members) {
+		t.Errorf("version %d: Len %d, tree %d, bound %d, %d members",
+			snap.Version, objs.Len(), objs.Tree().Len(), objs.SlotBound(), len(members))
+	}
+	for i, m := range members {
+		if i > 0 && m.ID <= members[i-1].ID {
+			t.Errorf("version %d: member ids not ascending: %d after %d", snap.Version, m.ID, members[i-1].ID)
+		}
+		if got := objs.ByID(m.ID); got != m {
+			t.Errorf("version %d: ByID(%d) = %+v, Members has %+v", snap.Version, m.ID, got, m)
+		}
+		here := false
+		for _, slot := range objs.AtVertex(m.Vertex) {
+			here = here || objs.Label(slot) == m.ID
+		}
+		if !here {
+			t.Errorf("version %d: AtVertex(%d) misses id %d", snap.Version, m.Vertex, m.ID)
+		}
+	}
+	inTree := objs.Tree().All()
+	for i := range inTree {
+		inTree[i].ID = objs.Label(inTree[i].ID)
+	}
+	slices.SortFunc(inTree, func(a, b pmr.Object) int { return cmp.Compare(a.ID, b.ID) })
+	if !slices.Equal(inTree, members) {
+		t.Errorf("version %d: the tree holds %v, Members %v", snap.Version, inTree, members)
+	}
+	return members
+}
+
 // TestConcurrentChurn hammers the store from many writers while readers pin
 // snapshots; run under -race in CI. Every pinned snapshot must be
-// self-consistent: ascending distinct ids, parallel tables, monotone
-// versions per reader.
+// self-consistent (checkSnapshot) with monotone versions per reader, and
+// must stay what it was: each reader keeps the snapshot it pinned a while
+// ago and reads it again — tables, tree and the lazily built side tables —
+// after the writers have derived many successors from it.
 func TestConcurrentChurn(t *testing.T) {
 	g := testGraph(t)
 	s := New(g, Options{})
@@ -187,6 +275,11 @@ func TestConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var last uint64
+			type pin struct {
+				snap    *Snapshot
+				members []pmr.Object
+			}
+			var held []pin
 			for {
 				select {
 				case <-stop:
@@ -199,22 +292,16 @@ func TestConcurrentChurn(t *testing.T) {
 					return
 				}
 				last = snap.Version
-				if len(snap.IDs) != len(snap.Vertices) || snap.Objects.Len() != len(snap.IDs) {
-					t.Errorf("snapshot tables out of sync: %d ids, %d vertices, %d objects",
-						len(snap.IDs), len(snap.Vertices), snap.Objects.Len())
+				held = append(held, pin{snap, checkSnapshot(t, snap)})
+				if len(held) > 4 {
+					old := held[0]
+					held = held[1:]
+					if again := checkSnapshot(t, old.snap); !slices.Equal(again, old.members) {
+						t.Errorf("version %d changed while pinned: %v, was %v", old.snap.Version, again, old.members)
+					}
+				}
+				if t.Failed() {
 					return
-				}
-				for i := 1; i < len(snap.IDs); i++ {
-					if snap.IDs[i] <= snap.IDs[i-1] {
-						t.Errorf("ids not ascending: %v", snap.IDs)
-						return
-					}
-				}
-				for i, id := range snap.IDs {
-					if snap.Objects.ByID(id).Vertex != snap.Vertices[i] {
-						t.Errorf("object %d vertex mismatch", id)
-						return
-					}
 				}
 			}
 		}()
@@ -228,5 +315,199 @@ func TestConcurrentChurn(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("churn goroutines did not finish")
+	}
+}
+
+// sameShape fails unless the live tree and the oracle's are the same tree up
+// to slot numbering: equal cells, the same quadrants present, and leaves
+// holding the same public ids (the oracle's slot i is ids[i]).
+func sameShape(t *testing.T, step int, live *knn.Objects, a *pmr.Node, ids []int32, b *pmr.Node) {
+	t.Helper()
+	if (a == nil) != (b == nil) {
+		t.Fatalf("step %d: node present on one side only", step)
+	}
+	if a == nil {
+		return
+	}
+	if a.Cell() != b.Cell() || a.IsLeaf() != b.IsLeaf() {
+		t.Fatalf("step %d: cell %v leaf=%v, oracle has cell %v leaf=%v", step, a.Cell(), a.IsLeaf(), b.Cell(), b.IsLeaf())
+	}
+	if !a.IsLeaf() {
+		for i := range a.Children() {
+			sameShape(t, step, live, a.Children()[i], ids, b.Children()[i])
+		}
+		return
+	}
+	var got, want []int32
+	for _, o := range a.Objects() {
+		got = append(got, live.Label(o.ID))
+	}
+	for _, o := range b.Objects() {
+		want = append(want, ids[o.ID])
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: leaf %v holds ids %v, oracle %v", step, a.Cell(), got, want)
+	}
+}
+
+// TestModelHistory replays a long random Insert/Move/Remove/Expire history
+// against a plain id → vertex map and, every few steps, compares the
+// published snapshot with the set knn.NewObjects builds from scratch over
+// that map: members, lookups by id and by vertex, the Euclidean ranking and
+// the quadtree itself. The population is driven up and down so that freed
+// slots are handed out again and the slot bound both grows and falls. (The
+// network-distance queries over such histories are compared in the root
+// package's TestLiveModelHistory, where the engines are.)
+func TestModelHistory(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 14, Cols: 14, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Unix(1000, 0)
+	s := New(g, Options{Now: func() time.Time { return clock }})
+	defer s.Close()
+
+	rng := rand.New(rand.NewSource(11))
+	type modelEntry struct {
+		vertex  graph.VertexID
+		touched time.Time
+	}
+	model := make(map[int32]modelEntry)
+	var ids []int32 // live ids, any order
+	randomVertex := func() graph.VertexID { return graph.VertexID(rng.Intn(g.NumVertices())) }
+	drop := func(i int) {
+		delete(model, ids[i])
+		ids[i] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+	}
+
+	const steps = 6000
+	target, peak := 0, 0
+	var reused, gaps, shrank bool
+	version := uint64(0)
+	for step := 0; step < steps; step++ {
+		if step%500 == 0 {
+			target = []int{30, 300, 20, 700, 0, 120, 600, 40, 260, 10, 90, 400}[step/500]
+		}
+		clock = clock.Add(time.Second)
+		before := s.Snapshot().Objects
+		switch r := rng.Intn(100); {
+		case r < 2 && len(ids) > 0:
+			// Expire everything idle for longer than a random horizon.
+			cutoff := clock.Add(-time.Duration(rng.Intn(3*len(ids)+1)) * time.Second)
+			want := 0
+			for i := len(ids) - 1; i >= 0; i-- {
+				if model[ids[i]].touched.Before(cutoff) {
+					drop(i)
+					want++
+				}
+			}
+			n, v := s.ExpireOlderThan(cutoff)
+			if want > 0 {
+				version++
+			}
+			if n != want || v != version {
+				t.Fatalf("step %d: expire removed %d at version %d, want %d at %d", step, n, v, want, version)
+			}
+		case len(ids) == 0 || (r < 40 && len(ids) < 2*target) || len(ids) < target/2:
+			v := randomVertex()
+			id, ver := s.Insert(v)
+			version++
+			if _, dup := model[id]; dup || ver != version {
+				t.Fatalf("step %d: insert returned id %d (dup=%v) at version %d, want %d", step, id, dup, ver, version)
+			}
+			model[id] = modelEntry{v, clock}
+			ids = append(ids, id)
+			reused = reused || before.SlotBound() == s.Snapshot().Objects.SlotBound()
+		case r < 75 && len(ids) <= 2*target:
+			id, v := ids[rng.Intn(len(ids))], randomVertex()
+			if ver, ok := s.Move(id, v); !ok || ver != version+1 {
+				t.Fatalf("step %d: move of %d: ok=%v version %d", step, id, ok, ver)
+			}
+			version++
+			model[id] = modelEntry{v, clock}
+		default:
+			i := rng.Intn(len(ids))
+			if ver, ok := s.Remove(ids[i]); !ok || ver != version+1 {
+				t.Fatalf("step %d: remove of %d: ok=%v version %d", step, ids[i], ok, ver)
+			}
+			version++
+			drop(i)
+		}
+		peak = max(peak, len(ids))
+		snap := s.Snapshot()
+		live := snap.Objects
+		gaps = gaps || live.SlotBound() > live.Len()
+		shrank = shrank || live.SlotBound() < before.SlotBound()
+		if snap.Version != version || live.Len() != len(ids) || s.Len() != len(ids) || live.SlotBound() > peak {
+			t.Fatalf("step %d: version %d len %d/%d bound %d; model version %d len %d peak %d",
+				step, snap.Version, live.Len(), s.Len(), live.SlotBound(), version, len(ids), peak)
+		}
+		if step%25 != 0 && step != steps-1 {
+			continue
+		}
+
+		// The oracle: a static set built from scratch over the model.
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
+		verts := make([]graph.VertexID, len(sorted))
+		for i, id := range sorted {
+			verts[i] = model[id].vertex
+		}
+		oracle := knn.NewObjects(g, verts)
+
+		members := checkSnapshot(t, snap)
+		if len(members) != len(sorted) {
+			t.Fatalf("step %d: %d members, model has %d", step, len(members), len(sorted))
+		}
+		for i, m := range members {
+			if m.ID != sorted[i] || m.Vertex != verts[i] || m.Pos != g.Point(verts[i]) {
+				t.Fatalf("step %d: member %d is %+v, model has id %d on vertex %d", step, i, m, sorted[i], verts[i])
+			}
+		}
+		if gone := live.ByID(s.nextID); gone.Vertex != graph.NoVertex {
+			t.Fatalf("step %d: ByID of an id never issued = %+v", step, gone)
+		}
+		for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+			var got, want []int32
+			for _, slot := range live.AtVertex(v) {
+				got = append(got, live.Label(slot))
+			}
+			for _, slot := range oracle.AtVertex(v) {
+				want = append(want, sorted[slot])
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: AtVertex(%d) = ids %v, oracle %v", step, v, got, want)
+			}
+		}
+		sameShape(t, step, live, live.Tree().Root(), sorted, oracle.Tree().Root())
+
+		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		k := rng.Intn(len(sorted)+3) + 1
+		got, want := live.Tree().NearestEuclidean(p, k), oracle.Tree().NearestEuclidean(p, k)
+		if len(got) != len(want) {
+			t.Fatalf("step %d: NearestEuclidean returned %d, oracle %d", step, len(got), len(want))
+		}
+		for i := range got {
+			dg, dw := p.Dist(got[i].Pos), p.Dist(want[i].Pos)
+			if dg != dw {
+				t.Fatalf("step %d: Euclidean rank %d at %v, oracle %v", step, i, dg, dw)
+			}
+			// The last rank may tie with an object the cut left out.
+			distinct := i == 0 || p.Dist(want[i-1].Pos) != dw
+			if i < len(want)-1 {
+				distinct = distinct && p.Dist(want[i+1].Pos) != dw
+			} else {
+				distinct = distinct && len(want) == len(sorted)
+			}
+			if distinct && live.Label(got[i].ID) != sorted[want[i].ID] {
+				t.Fatalf("step %d: Euclidean rank %d is id %d, oracle %d", step, i, live.Label(got[i].ID), sorted[want[i].ID])
+			}
+		}
+	}
+	if !reused || !gaps || !shrank {
+		t.Fatalf("history never exercised: slot reuse %v, gaps below the bound %v, a falling bound %v", reused, gaps, shrank)
 	}
 }

@@ -6,7 +6,9 @@
 package pmr
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"silc/internal/geom"
 	"silc/internal/graph"
@@ -76,24 +78,41 @@ func (t *Tree) Len() int { return t.size }
 // Root returns the root node.
 func (t *Tree) Root() *Node { return t.root }
 
-// Insert adds o to the tree.
+// Insert adds o to the tree in place: the bulk-build path of a tree nobody
+// else can see yet. A tree that shares nodes with another (anything With or
+// Without produced or was called on) must use those instead.
 func (t *Tree) Insert(o Object) {
 	t.size++
+	code := o.Pos.Code()
 	n := t.root
 	for !n.IsLeaf() {
-		n = n.childFor(o.Pos.Code())
+		n = n.childFor(code)
 	}
 	n.objects = append(n.objects, o)
-	// Split while over capacity; identical-cell objects stop at MaxLevel.
-	for len(n.objects) > t.capacity && n.cell.Level < geom.MaxLevel {
+	n.splitOver(code, t.capacity)
+}
+
+// splitOver splits the leaf n — not yet visible to any reader — while it is
+// over capacity, following the quadrant of code, the position of the object
+// whose arrival overfilled it: a leaf holds at most capacity+1 objects then,
+// so after a split only the child that took them all can be over in turn.
+// Identical-cell objects stop at MaxLevel.
+func (n *Node) splitOver(code geom.Code, capacity int) {
+	for len(n.objects) > capacity && n.cell.Level < geom.MaxLevel {
 		n.split()
-		n = n.childFor(o.Pos.Code())
+		n = n.childFor(code)
 	}
 }
 
+// quadrant returns which child of n covers code.
+func (n *Node) quadrant(code geom.Code) int {
+	return int((code - n.cell.Code) / geom.Code(geom.Span(n.cell.Level+1)))
+}
+
+// childFor returns the child covering code, creating it if absent. It writes
+// to n, so only Insert and split — which own their nodes — may call it.
 func (n *Node) childFor(code geom.Code) *Node {
-	span := geom.Span(n.cell.Level + 1)
-	i := int((code - n.cell.Code) / geom.Code(span))
+	i := n.quadrant(code)
 	child := n.children[i]
 	if child == nil {
 		child = &Node{cell: n.cell.Child(i)}
@@ -110,6 +129,113 @@ func (n *Node) split() {
 		c := n.childFor(o.Pos.Code())
 		c.objects = append(c.objects, o)
 	}
+}
+
+// With returns a tree that also holds o and leaves t as it was. The two share
+// every node off the root-to-leaf path of o's position; the path itself is
+// copied, and no node reachable from t is written — so any number of readers
+// may keep searching t while successors are derived from it.
+//
+// With and Without keep the tree canonical: a node is interior exactly when
+// its cell holds more than the bucket capacity (and can still be divided),
+// absent quadrants are nil, and a leaf lists its objects by ascending ID.
+// Whatever history produced a set, the tree is node for node the one Insert
+// builds from that set in ID order.
+func (t *Tree) With(o Object) *Tree {
+	return &Tree{root: t.root.with(o, o.Pos.Code(), t.capacity), capacity: t.capacity, size: t.size + 1}
+}
+
+func (n *Node) with(o Object, code geom.Code, capacity int) *Node {
+	if n.IsLeaf() {
+		at, _ := n.find(o.ID)
+		objs := make([]Object, 0, len(n.objects)+1)
+		objs = append(append(append(objs, n.objects[:at]...), o), n.objects[at:]...)
+		leaf := &Node{cell: n.cell, objects: objs}
+		leaf.splitOver(code, capacity)
+		return leaf
+	}
+	i := n.quadrant(code)
+	cp := n.copyInterior()
+	if c := n.children[i]; c != nil {
+		cp.children[i] = c.with(o, code, capacity)
+	} else {
+		cp.children[i] = &Node{cell: n.cell.Child(i), objects: []Object{o}}
+	}
+	return cp
+}
+
+// find returns where in the leaf's ascending-ID list id is, or belongs.
+func (n *Node) find(id int32) (int, bool) {
+	return slices.BinarySearchFunc(n.objects, id, func(o Object, id int32) int { return cmp.Compare(o.ID, id) })
+}
+
+func (n *Node) copyInterior() *Node {
+	kids := *n.children
+	return &Node{cell: n.cell, children: &kids}
+}
+
+// Without returns a tree without the object that has o's ID at o's position,
+// leaving t as it was (see With); ok is false, and the result is t itself,
+// when no such object is stored.
+func (t *Tree) Without(o Object) (*Tree, bool) {
+	root, ok := t.root.without(o, o.Pos.Code(), t.capacity)
+	if !ok {
+		return t, false
+	}
+	if root == nil {
+		root = &Node{cell: geom.RootCell()}
+	}
+	return &Tree{root: root, capacity: t.capacity, size: t.size - 1}, true
+}
+
+// without returns n's replacement — nil when nothing is left in its cell.
+func (n *Node) without(o Object, code geom.Code, capacity int) (*Node, bool) {
+	if n.IsLeaf() {
+		at, found := n.find(o.ID)
+		if !found {
+			return n, false
+		}
+		if len(n.objects) == 1 {
+			return nil, true
+		}
+		objs := make([]Object, 0, len(n.objects)-1)
+		objs = append(append(objs, n.objects[:at]...), n.objects[at+1:]...)
+		return &Node{cell: n.cell, objects: objs}, true
+	}
+	i := n.quadrant(code)
+	c := n.children[i]
+	if c == nil {
+		return n, false
+	}
+	repl, ok := c.without(o, code, capacity)
+	if !ok {
+		return n, false
+	}
+	cp := n.copyInterior()
+	cp.children[i] = repl
+	// An interior child holds more than capacity on its own, so the cell can
+	// only have fallen to capacity when every remaining child is a leaf.
+	held := 0
+	for _, c := range cp.children {
+		if c == nil {
+			continue
+		}
+		if !c.IsLeaf() {
+			return cp, true
+		}
+		held += len(c.objects)
+	}
+	if held > capacity {
+		return cp, true
+	}
+	objs := make([]Object, 0, held)
+	for _, c := range cp.children {
+		if c != nil {
+			objs = append(objs, c.objects...)
+		}
+	}
+	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+	return &Node{cell: n.cell, objects: objs}, true
 }
 
 // All returns every object in the tree, in traversal order.

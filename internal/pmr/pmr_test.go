@@ -2,6 +2,7 @@ package pmr
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -181,5 +182,116 @@ func TestFromVertices(t *testing.T) {
 		if o.Pos != g.Point(o.Vertex) {
 			t.Fatalf("object %d position mismatch", o.ID)
 		}
+	}
+}
+
+// sameTree fails unless a and b are node for node the same tree: equal cells,
+// the same quadrants present, and equal leaf lists in the same order.
+func sameTree(t *testing.T, step int, a, b *Node) {
+	t.Helper()
+	if (a == nil) != (b == nil) {
+		t.Fatalf("step %d: node present on one side only (%v / %v)", step, a, b)
+	}
+	if a == nil {
+		return
+	}
+	if a.cell != b.cell || a.IsLeaf() != b.IsLeaf() {
+		t.Fatalf("step %d: cell %v leaf=%v, want cell %v leaf=%v", step, a.cell, a.IsLeaf(), b.cell, b.IsLeaf())
+	}
+	if a.IsLeaf() {
+		if !slices.Equal(a.objects, b.objects) {
+			t.Fatalf("step %d: leaf %v holds %v, want %v", step, a.cell, a.objects, b.objects)
+		}
+		return
+	}
+	for i := range a.children {
+		sameTree(t, step, a.children[i], b.children[i])
+	}
+}
+
+// TestPathCopyMatchesRebuild drives a long random With/Without history and
+// checks the two promises of the path-copying tree: after any history it is
+// the tree a from-scratch build over the same set produces, and a tree pinned
+// before a step is untouched by it.
+func TestPathCopyMatchesRebuild(t *testing.T) {
+	const steps = 24000
+	rng := rand.New(rand.NewSource(7))
+	pile := geom.Point{X: 0.6180339, Y: 0.3141592} // MaxLevel pile-up
+	hot := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.1, Y: 0.9}, pile}
+	randomPos := func() geom.Point {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			return hot[rng.Intn(len(hot))] // duplicate positions
+		case r < 4:
+			// A tight cluster: deep splits and collapses.
+			return geom.Point{X: 0.5 + rng.Float64()/4096, Y: 0.5 + rng.Float64()/4096}
+		}
+		return geom.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	members := func(tr *Tree) []Object {
+		all := tr.All()
+		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+		return all
+	}
+
+	const capacity = 4
+	tree := New(capacity)
+	var live []Object // the model, ascending ID not required
+	nextID := int32(0)
+	target, maxPiled := 40, 0
+	for step := 0; step < steps; step++ {
+		if step%3000 == 0 {
+			target = []int{40, 400, 5, 150, 0, 300, 60, 10}[step/3000]
+		}
+		pinned, pinnedWant := tree, members(tree)
+
+		insert := len(live) == 0 || (len(live) < 2*target+1 && rng.Intn(2*target+1) >= len(live))
+		if insert {
+			o := Object{ID: nextID, Pos: randomPos()}
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				// Reuse a low ID now and then, as the store's free slots do.
+				o.ID = -1 - nextID
+			}
+			nextID++
+			tree = tree.With(o)
+			live = append(live, o)
+		} else {
+			i := rng.Intn(len(live))
+			var ok bool
+			if tree, ok = tree.Without(live[i]); !ok {
+				t.Fatalf("step %d: Without(%v) found nothing", step, live[i])
+			}
+			if same, ok := tree.Without(live[i]); ok || same != tree {
+				t.Fatalf("step %d: second Without(%v) removed something", step, live[i])
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+
+		if tree.Len() != len(live) {
+			t.Fatalf("step %d: Len %d, want %d", step, tree.Len(), len(live))
+		}
+		if got := members(pinned); !slices.Equal(got, pinnedWant) {
+			t.Fatalf("step %d: the tree pinned before the step changed: %v, was %v", step, got, pinnedWant)
+		}
+		if step%250 == 0 || step == steps-1 {
+			want := append([]Object(nil), live...)
+			sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+			fresh := New(capacity)
+			for _, o := range want {
+				fresh.Insert(o)
+			}
+			sameTree(t, step, tree.Root(), fresh.Root())
+			piled := 0
+			for _, o := range live {
+				if o.Pos == pile {
+					piled++
+				}
+			}
+			maxPiled = max(maxPiled, piled)
+		}
+	}
+	if maxPiled <= capacity {
+		t.Fatalf("at most %d objects shared the pile-up point at a compared step, want more than the capacity %d", maxPiled, capacity)
 	}
 }

@@ -128,21 +128,20 @@ type LiveObject struct {
 // id, along with the snapshot's version.
 func (l *LiveObjects) List() ([]LiveObject, uint64) {
 	snap := l.st.Snapshot()
-	out := make([]LiveObject, len(snap.IDs))
-	for i, id := range snap.IDs {
-		out[i] = LiveObject{ID: id, Vertex: snap.Vertices[i]}
+	members := snap.Objects.Members()
+	out := make([]LiveObject, len(members))
+	for i, o := range members {
+		out[i] = LiveObject{ID: o.ID, Vertex: o.Vertex}
 	}
 	return out, snap.Version
 }
 
 // Vertex returns the object's current vertex, ok=false for an unknown id.
+// The first call against a version builds that snapshot's id table (O(n));
+// a caller that only wants where its own write put an object already knows.
 func (l *LiveObjects) Vertex(id int32) (VertexID, bool) {
-	snap := l.st.Snapshot()
-	i := sort.Search(len(snap.IDs), func(i int) bool { return snap.IDs[i] >= id })
-	if i < len(snap.IDs) && snap.IDs[i] == id {
-		return snap.Vertices[i], true
-	}
-	return NoVertex, false
+	v := l.st.Snapshot().Objects.ByID(id).Vertex
+	return v, v != NoVertex
 }
 
 // View pins the current snapshot as an immutable ObjectSet: one atomic load,

@@ -3,8 +3,10 @@ package silc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -197,6 +199,217 @@ func TestLiveExpire(t *testing.T) {
 	}
 }
 
+// slotOrderedOracle builds, from scratch, the static object set over the
+// model's id → vertex table whose dense ids follow view's slots in ascending
+// order, and returns it with the public id of each dense id. Its quadtree is
+// then view's up to that monotone renumbering, leaf order included, so a
+// search over either walks the same trajectory: every distance bit, every id
+// and every counter must agree, ties and all.
+func slotOrderedOracle(t *testing.T, net *Network, view *ObjectSet, model map[int32]VertexID) (*ObjectSet, []int32) {
+	t.Helper()
+	var ids []int32
+	var verts []VertexID
+	for slot := int32(0); int(slot) < view.objs.SlotBound(); slot++ {
+		if view.objs.Live(slot) {
+			id := view.objs.Label(slot)
+			v, ok := model[id]
+			if !ok {
+				t.Fatalf("version %d: slot %d holds id %d, which the model does not", view.Version(), slot, id)
+			}
+			ids, verts = append(ids, id), append(verts, v)
+		}
+	}
+	if len(ids) != len(model) {
+		t.Fatalf("version %d: %d live slots, model has %d objects", view.Version(), len(ids), len(model))
+	}
+	return mustObjects(t, net, verts), ids
+}
+
+// sameAnswer fails unless got (over a live view) is want (over its oracle,
+// dense ids translated by ids) in every neighbor field, bit for bit, and in
+// every search counter.
+func sameAnswer(t *testing.T, what string, got, want Result, ids []int32) {
+	t.Helper()
+	if len(got.Neighbors) != len(want.Neighbors) || got.Sorted != want.Sorted {
+		t.Fatalf("%s: %d neighbors sorted=%v, oracle %d sorted=%v", what, len(got.Neighbors), got.Sorted, len(want.Neighbors), want.Sorted)
+	}
+	for i, w := range want.Neighbors {
+		w.ID = ids[w.ID]
+		g := got.Neighbors[i]
+		if g.ID != w.ID || g.Vertex != w.Vertex || g.Exact != w.Exact ||
+			math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
+			math.Float64bits(g.Interval.Lo) != math.Float64bits(w.Interval.Lo) ||
+			math.Float64bits(g.Interval.Hi) != math.Float64bits(w.Interval.Hi) {
+			t.Fatalf("%s: rank %d is %+v, oracle %+v", what, i, g, w)
+		}
+	}
+	gs, ws := got.Stats, want.Stats
+	if gs.Refinements != ws.Refinements || gs.Lookups != ws.Lookups || gs.HeapPushes != ws.HeapPushes ||
+		gs.MaxQueue != ws.MaxQueue || gs.Settled != ws.Settled {
+		t.Fatalf("%s: counters %+v, oracle %+v", what, gs, ws)
+	}
+}
+
+// TestLiveModelHistory replays a long random Insert/Move/Remove/Expire
+// history against a plain id → vertex map and, every few steps, asks the live
+// view and a set built from scratch over the map (slotOrderedOracle) the
+// same questions on a monolithic and a sharded engine: all six kNN methods
+// and the range query, loose and refined to exact, plus List, Vertex and the
+// Euclidean ranking. The population is driven up and down so that versions
+// reuse freed slots and carry gaps below their slot bound — and the engines'
+// pooled search arenas meet slot bounds that grow and shrink.
+func TestLiveModelHistory(t *testing.T) {
+	net := testNetwork(t)
+	sx, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []allocEngine{{"monolithic", testIndex(t, net).Engine()}, {"sharded", sx.Engine()}}
+	ctx := context.Background()
+	live, err := NewLiveObjects(net, LiveObjectsOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	rng := rand.New(rand.NewSource(23))
+	randomVertex := func() VertexID { return VertexID(rng.Intn(net.NumVertices())) }
+	model := make(map[int32]VertexID)
+	var ids []int32 // live ids, any order
+	var lastRemoved int32 = -1
+	drop := func(i int) {
+		lastRemoved = ids[i]
+		delete(model, ids[i])
+		ids[i] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+	}
+	version := uint64(0)
+	bump := func(got uint64, err error) {
+		t.Helper()
+		version++
+		if err != nil || got != version {
+			t.Fatalf("mutation answered version %d (%v), want %d", got, err, version)
+		}
+	}
+
+	const steps = 2400
+	target := 0
+	var gaps bool
+	for step := 0; step < steps; step++ {
+		if step%300 == 0 {
+			target = []int{25, 160, 12, 320, 40, 90, 240, 8}[step/300]
+		}
+		switch r := rng.Intn(100); {
+		case step%300 == 299 && len(ids) > 1:
+			// Expire the half of the world that is not touched from here on.
+			mark := time.Now()
+			time.Sleep(2 * time.Millisecond)
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			keep := len(ids) / 2
+			for _, id := range ids[:keep] {
+				v := randomVertex()
+				bump(live.Move(id, v))
+				model[id] = v
+			}
+			for len(ids) > keep {
+				drop(len(ids) - 1)
+			}
+			n, ver := live.Expire(time.Since(mark))
+			version++
+			if n == 0 || len(ids) != live.Len() || ver != version {
+				t.Fatalf("step %d: Expire removed %d at version %d, leaving %d; want %d left at version %d",
+					step, n, ver, live.Len(), len(ids), version)
+			}
+		case len(ids) == 0 || (r < 40 && len(ids) < 2*target) || len(ids) < target/2:
+			v := randomVertex()
+			id, ver, err := live.Insert(v)
+			bump(ver, err)
+			model[id] = v
+			ids = append(ids, id)
+		case r < 75 && len(ids) <= 2*target:
+			id, v := ids[rng.Intn(len(ids))], randomVertex()
+			bump(live.Move(id, v))
+			model[id] = v
+		default:
+			i := rng.Intn(len(ids))
+			bump(live.Remove(ids[i]))
+			drop(i)
+		}
+		if step%20 != 0 && step%300 != 299 || len(ids) == 0 {
+			continue
+		}
+
+		view := live.View()
+		gaps = gaps || view.objs.SlotBound() > view.Len()
+		if view.Version() != version || view.Len() != len(ids) || live.Len() != len(ids) {
+			t.Fatalf("step %d: view version %d len %d (store %d), model version %d len %d",
+				step, view.Version(), view.Len(), live.Len(), version, len(ids))
+		}
+		list, ver := live.List()
+		if ver != version || len(list) != len(ids) {
+			t.Fatalf("step %d: List has %d objects at version %d, model %d at %d", step, len(list), ver, len(ids), version)
+		}
+		for i, o := range list {
+			if v, ok := model[o.ID]; !ok || v != o.Vertex || (i > 0 && list[i-1].ID >= o.ID) {
+				t.Fatalf("step %d: List[%d] = %+v, model has vertex %d (present %v)", step, i, o, v, ok)
+			}
+			if v, ok := live.Vertex(o.ID); !ok || v != o.Vertex || view.Vertex(o.ID) != o.Vertex {
+				t.Fatalf("step %d: Vertex(%d) = %d,%v / view %d, want %d", step, o.ID, v, ok, view.Vertex(o.ID), o.Vertex)
+			}
+		}
+		if v, ok := live.Vertex(lastRemoved); ok || v != NoVertex || view.Vertex(lastRemoved) != NoVertex {
+			t.Fatalf("step %d: removed id %d still resolves to %d", step, lastRemoved, v)
+		}
+
+		oracle, dense := slotOrderedOracle(t, net, view, model)
+		p := Point{X: rng.Float64(), Y: rng.Float64()}
+		got, want := view.NearestEuclidean(p, 7), oracle.NearestEuclidean(p, 7)
+		for i := range want {
+			want[i] = dense[want[i]]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: NearestEuclidean = %v, oracle %v", step, got, want)
+		}
+		q, k := randomVertex(), rng.Intn(10)+1
+		radius := 0.05 + rng.Float64()/4
+		for _, ae := range engines {
+			for _, exact := range []bool{false, true} {
+				var opts []Option
+				if exact {
+					opts = append(opts, WithExactDistances())
+				}
+				for m := MethodKNN; m <= MethodIER; m++ {
+					mopts := append([]Option{WithMethod(m)}, opts...)
+					got, err := ae.eng.Query(ctx, view, q, k, mopts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ae.eng.Query(ctx, oracle, q, k, mopts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Stats.SnapshotVersion != version {
+						t.Fatalf("step %d: %v stamped version %d, want %d", step, m, got.Stats.SnapshotVersion, version)
+					}
+					sameAnswer(t, fmt.Sprintf("step %d, %s %v exact=%v q=%d k=%d", step, ae.name, m, exact, q, k), got, want, dense)
+				}
+				got, err := ae.eng.WithinDistance(ctx, view, q, radius, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ae.eng.WithinDistance(ctx, oracle, q, radius, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAnswer(t, fmt.Sprintf("step %d, %s range exact=%v q=%d r=%v", step, ae.name, exact, q, radius), got, want, dense)
+			}
+		}
+	}
+	if !gaps {
+		t.Fatal("no sampled version had a free slot below its bound")
+	}
+}
+
 // TestLiveSnapshotExactUnderChurn is the oracle property test of the PR: 8
 // mutators interleave Insert/Remove/Move while 8 readers pin snapshots and
 // run kNN + range queries on every backend variant (monolithic, sharded,
@@ -276,6 +489,12 @@ func TestLiveSnapshotExactUnderChurn(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(2000*r + 11)))
 					var lastVer uint64
+					type pinnedRead struct {
+						view      *ObjectSet
+						q         VertexID
+						neighbors []Neighbor
+					}
+					var held []pinnedRead
 					for i := 0; i < readsEach; i++ {
 						view := live.View()
 						if view.Version() < lastVer {
@@ -286,7 +505,7 @@ func TestLiveSnapshotExactUnderChurn(t *testing.T) {
 						// The pinned snapshot's own object table is the ground
 						// truth the oracle scores against — NOT the store's
 						// current state, which the mutators keep changing.
-						objects := view.objs.All()
+						objects := view.objs.Members()
 						q := VertexID(rng.Intn(net.NumVertices()))
 						ds := make([]float64, len(objects))
 						for j, o := range objects {
@@ -315,6 +534,44 @@ func TestLiveSnapshotExactUnderChurn(t *testing.T) {
 							if math.Abs(n.Dist-ds[j]) > 1e-9 {
 								t.Errorf("reader %d q=%d version %d: rank %d dist %v, oracle %v",
 									r, q, view.Version(), j, n.Dist, ds[j])
+								return
+							}
+							// The view's id table is built here, on first use,
+							// while the mutators derive successors from it.
+							if v := view.Vertex(n.ID); v != n.Vertex {
+								t.Errorf("reader %d version %d: Vertex(%d) = %d, the neighbor sits on %d",
+									r, view.Version(), n.ID, v, n.Vertex)
+								return
+							}
+						}
+						// So is its vertex table, which only the expansion
+						// baselines read.
+						ine, err := ae.eng.Query(ctx, view, q, k, WithMethod(MethodINE))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for j, n := range ine.Neighbors {
+							if len(ine.Neighbors) != want || math.Abs(n.Dist-ds[j]) > 1e-9 {
+								t.Errorf("reader %d q=%d version %d: INE rank %d of %d dist %v, oracle %v",
+									r, q, view.Version(), j, len(ine.Neighbors), n.Dist, ds[j])
+								return
+							}
+						}
+						// A version pinned a few reads ago answers as it did
+						// then, whatever has been published since.
+						held = append(held, pinnedRead{view, q, res.Neighbors})
+						if len(held) > 3 {
+							old := held[0]
+							held = held[1:]
+							again, err := ae.eng.Query(ctx, old.view, old.q, k, WithExactDistances())
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if !slices.Equal(again.Neighbors, old.neighbors) {
+								t.Errorf("reader %d q=%d: version %d answered %+v, now %+v",
+									r, old.q, old.view.Version(), old.neighbors, again.Neighbors)
 								return
 							}
 						}

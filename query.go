@@ -77,7 +77,8 @@ func (s *ObjectSet) Len() int { return s.objs.Len() }
 // static sets built by the NewObjectSet constructors.
 func (s *ObjectSet) Version() uint64 { return s.version }
 
-// Vertex returns the vertex hosting object id.
+// Vertex returns the vertex hosting object id; NoVertex for an id a view of
+// a live world does not hold. A view builds its id table on the first call.
 func (s *ObjectSet) Vertex(id int32) VertexID { return s.objs.ByID(id).Vertex }
 
 // NearestEuclidean returns up to k object ids ordered by straight-line
