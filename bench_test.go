@@ -12,9 +12,11 @@ package silc
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -520,6 +522,59 @@ func BenchmarkQueryBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.batch(objs, queries, 10)
+	}
+}
+
+// BenchmarkInProcessQuery times one kNN (k=10) and one range search (radius:
+// the median 10th-neighbour distance) on an in-RAM Engine over a 64×64 road
+// map at 5% and 30% object density: the searches whose filter phase is one
+// region lower bound per child of every object-index node they expand
+// (README, "Region lower bound").
+func BenchmarkInProcessQuery(b *testing.B) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 64, Cols: 64, Seed: bench.DefaultSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := BuildIndex(net, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, ctx, n := idx.Engine(), context.Background(), net.NumVertices()
+	for _, density := range []float64{0.05, 0.3} {
+		rng := rand.New(rand.NewSource(7))
+		vs := make([]VertexID, int(density*float64(n)))
+		for i, v := range rng.Perm(n)[:len(vs)] {
+			vs[i] = VertexID(v)
+		}
+		objs := mustObjects(b, net, vs)
+		qs := make([]VertexID, 256)
+		tenth := make([]float64, len(qs))
+		for i := range qs {
+			qs[i] = VertexID(rng.Intn(n))
+			res, err := eng.Query(ctx, objs, qs[i], 10, WithExactDistances())
+			if err != nil {
+				b.Fatal(err)
+			}
+			tenth[i] = res.Neighbors[9].Dist
+		}
+		slices.Sort(tenth)
+		radius := tenth[len(tenth)/2]
+		b.Run(fmt.Sprintf("knn/%g", density), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Query(ctx, objs, qs[i%len(qs)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("range/%g", density), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.WithinDistance(ctx, objs, qs[i%len(qs)], radius); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -387,7 +387,7 @@ func TestClusterDistanceRPCs(t *testing.T) {
 // TestClusterFoldedRPCs: the two lookups that had endpoints of their own
 // travel as special cases of the others and keep every bit. A region lower
 // bound the expansion hints do not cover is an interval batch of one
-// rectangle; a pair's exact within-cell distance is a race with one
+// cell; a pair's exact within-cell distance is a race with one
 // zero-offset candidate. Both must equal what the in-process cells compute,
 // and must go out on exactly those endpoints.
 func TestClusterFoldedRPCs(t *testing.T) {
@@ -395,18 +395,18 @@ func TestClusterFoldedRPCs(t *testing.T) {
 	n := f.g.NumVertices()
 	calls := func(ep string) int64 { return f.client.rpcs[ep].calls.Value() }
 
-	rects := []geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 0.1, MinY: 0.2, MaxX: 0.3, MaxY: 0.6},
-		{MinX: 0.55, MinY: 0.05, MaxX: 0.9, MaxY: 0.45}, {MinX: 0.7, MinY: 0.7, MaxX: 0.71, MaxY: 0.71}}
+	root := geom.RootCell()
+	cells := []geom.Cell{root, root.Child(0).Child(3), root.Child(1).Child(2).Child(0), root.Child(3).Child(0).Child(3).Child(3).Child(1)}
 	before := calls(PathInterval)
 	for _, q := range f.queries() {
-		for _, rect := range rects {
+		for _, cell := range append(cells, geom.Cell{Code: f.g.Code(q) &^ 0xfff, Level: 10}) {
 			qc := core.NewQueryContext() // fresh: no hint can answer
-			got := f.router.RegionLowerBoundCtx(qc, q, rect)
+			got := f.router.RegionLowerBoundCtx(qc, q, cell)
 			if err := qc.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if want := f.local.RegionLowerBoundCtx(core.NewQueryContext(), q, rect); Bits(got) != Bits(want) {
-				t.Fatalf("region bound (%d, %v): router %v, in process %v", q, rect, got, want)
+			if want := f.local.RegionLowerBoundCtx(core.NewQueryContext(), q, cell); Bits(got) != Bits(want) {
+				t.Fatalf("region bound (%d, %v): router %v, in process %v", q, cell, got, want)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -251,7 +250,7 @@ func (n *Node) interval(qc *core.QueryContext, req *IntervalReq) (IntervalResp, 
 	if err != nil {
 		return IntervalResp{}, err
 	}
-	if len(req.Vs)+len(req.Rects) > 0 {
+	if len(req.Vs)+len(req.Cells) > 0 {
 		return n.intervalBatch(cx, qc, req)
 	}
 	iv := cx.DistanceIntervalCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
@@ -264,42 +263,29 @@ func (n *Node) intervalBatch(cx partition.CellIndex, qc *core.QueryContext, req 
 	if err := n.checkVerts(req.Cell, req.Vs); err != nil {
 		return IntervalResp{}, err
 	}
-	if len(req.Rects)%4 != 0 {
-		return IntervalResp{}, rpcError{http.StatusBadRequest,
-			fmt.Sprintf("%d rectangle words, want a multiple of 4", len(req.Rects))}
+	cells := make([]geom.Cell, len(req.Cells))
+	for i, w := range req.Cells {
+		c, err := cellFromWord(w)
+		if err != nil {
+			return IntervalResp{}, rpcError{http.StatusBadRequest, err.Error()}
+		}
+		cells[i] = c
 	}
 	u := graph.VertexID(req.U)
 	resp := IntervalResp{
 		Los: make([]uint64, len(req.Vs)),
 		His: make([]uint64, len(req.Vs)),
-		Lbs: make([]uint64, len(req.Rects)/4),
+		Lbs: make([]uint64, len(cells)),
 	}
 	for i, v := range req.Vs {
 		iv := cx.DistanceIntervalCtx(qc, u, graph.VertexID(v))
 		resp.Los[i], resp.His[i] = Bits(iv.Lo), Bits(iv.Hi)
 	}
-	for i := range resp.Lbs {
-		rect, err := rectFromBits(req.Rects[4*i], req.Rects[4*i+1], req.Rects[4*i+2], req.Rects[4*i+3])
-		if err != nil {
-			return IntervalResp{}, err
-		}
-		resp.Lbs[i] = Bits(cx.RegionLowerBoundCtx(qc, u, rect))
+	for i, c := range cells {
+		resp.Lbs[i] = Bits(cx.RegionLowerBoundCtx(qc, u, c))
 	}
 	resp.IO = qc.IO
 	return resp, nil
-}
-
-// rectFromBits decodes a transported rectangle, rejecting NaN bounds (every
-// comparison against one is false, so a region walk over it means nothing).
-func rectFromBits(minX, minY, maxX, maxY uint64) (geom.Rect, error) {
-	rect := geom.Rect{
-		MinX: FromBits(minX), MinY: FromBits(minY),
-		MaxX: FromBits(maxX), MaxY: FromBits(maxY),
-	}
-	if math.IsNaN(rect.MinX) || math.IsNaN(rect.MinY) || math.IsNaN(rect.MaxX) || math.IsNaN(rect.MaxY) {
-		return geom.Rect{}, rpcError{http.StatusBadRequest, "NaN rectangle bound"}
-	}
-	return rect, nil
 }
 
 // race answers the race RPC: one RaceRoutes per destination, in request

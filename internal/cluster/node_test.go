@@ -166,19 +166,18 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 }
 
 // TestNodeIntervalBatch: the batch form of the interval RPC answers each
-// vertex with exactly what the single form returns and each rectangle with
-// the cell index's own region lower bound, and rejects malformed batches
-// with 400.
+// vertex with exactly what the single form returns and each quadtree cell
+// with the cell index's own region lower bound, and rejects malformed
+// batches with 400.
 func TestNodeIntervalBatch(t *testing.T) {
 	s, _, srv := buildNode(t)
 	nv := uint32(s.CellVertexCount(0))
 	vs := []uint32{0, nv / 2, nv - 1, 0}
-	rects := [][4]float64{{0, 0, 1, 1}, {0, 0, 0.25, 0.25}, {0.5, 0.5, 0.75, 1}}
+	cells := []geom.Cell{geom.RootCell(), geom.RootCell().Child(0).Child(0), geom.RootCell().Child(3).Child(2),
+		{Code: 0x15 << 26, Level: 5}, {Code: 12345, Level: geom.MaxLevel}}
 	req := &cluster.IntervalReq{Cell: 0, U: 1, Vs: vs}
-	for _, r := range rects {
-		for _, x := range r {
-			req.Rects = append(req.Rects, cluster.Bits(x))
-		}
+	for _, c := range cells {
+		req.Cells = append(req.Cells, cluster.CellWord(c))
 	}
 	resp, data := post(t, srv.URL+cluster.PathInterval, req)
 	if resp.StatusCode != http.StatusOK {
@@ -188,9 +187,9 @@ func TestNodeIntervalBatch(t *testing.T) {
 	if err := json.Unmarshal(data, &br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Los) != len(vs) || len(br.His) != len(vs) || len(br.Lbs) != len(rects) {
-		t.Fatalf("batch reply has %d/%d intervals and %d bounds for %d vertices and %d rectangles",
-			len(br.Los), len(br.His), len(br.Lbs), len(vs), len(rects))
+	if len(br.Los) != len(vs) || len(br.His) != len(vs) || len(br.Lbs) != len(cells) {
+		t.Fatalf("batch reply has %d/%d intervals and %d bounds for %d vertices and %d cells",
+			len(br.Los), len(br.His), len(br.Lbs), len(vs), len(cells))
 	}
 	for i, v := range vs {
 		_, data := post(t, srv.URL+cluster.PathInterval, &cluster.IntervalReq{Cell: 0, U: 1, V: v})
@@ -203,17 +202,18 @@ func TestNodeIntervalBatch(t *testing.T) {
 		}
 	}
 	cx := s.CellIndexAt(0)
-	for i, r := range rects {
-		want := cx.RegionLowerBoundCtx(core.NewQueryContext(), 1, geom.Rect{MinX: r[0], MinY: r[1], MaxX: r[2], MaxY: r[3]})
+	for i, c := range cells {
+		want := cx.RegionLowerBoundCtx(core.NewQueryContext(), 1, c)
 		if br.Lbs[i] != cluster.Bits(want) {
-			t.Fatalf("rectangle %d: batch %x, in process %x", i, br.Lbs[i], cluster.Bits(want))
+			t.Fatalf("cell %v: batch %x, in process %x", c, br.Lbs[i], cluster.Bits(want))
 		}
 	}
 
 	for name, bad := range map[string]*cluster.IntervalReq{
 		"vertex out of range": {Cell: 0, U: 0, Vs: []uint32{nv}},
-		"ragged rectangle":    {Cell: 0, U: 0, Rects: []uint64{0, 0, 0}},
-		"NaN rectangle":       {Cell: 0, U: 0, Rects: []uint64{0x7ff8000000000001, 0, 0, 0}},
+		"level past the grid": {Cell: 0, U: 0, Cells: []uint64{geom.MaxLevel + 1}},
+		"code past the grid":  {Cell: 0, U: 0, Cells: []uint64{1 << 32 << 8}},
+		"misaligned code":     {Cell: 0, U: 0, Cells: []uint64{cluster.CellWord(geom.Cell{Code: 1, Level: 15})}},
 	} {
 		if resp, _ := post(t, srv.URL+cluster.PathInterval, bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
@@ -314,6 +314,39 @@ func FuzzNodeRace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathRace, bytes.NewReader(body)))
+		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
+			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.Bytes())
+		}
+	})
+}
+
+// FuzzNodeInterval: whatever bytes arrive on the interval endpoint, the node
+// answers 200 or a 4xx and does not panic — the decoder of the batch form,
+// whose cell words carry a code and a level that must fit together.
+func FuzzNodeInterval(f *testing.F) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 6, Cols: 6, Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := partition.Build(g, partition.Options{Partitions: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	node, err := cluster.NewNode("a", &cluster.Manifest{Nodes: []cluster.NodeSpec{
+		{Name: "a", Addr: "http://placeholder", Cells: []int{0, 1}}}}, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := node.Handler()
+	f.Add([]byte(`{"cell":0,"u":1,"vs":[0,2],"cells":[0,805306374,4294967311]}`)) // a valid batch: root, L6 at 3·4^10, L15 at 2^24
+	f.Add([]byte(`{"cell":0,"u":1,"cells":[271]}`))                               // code 1 at level 15: misaligned
+	f.Add([]byte(`{"cell":0,"u":1,"cells":[17]}`))                                // level 17
+	f.Add([]byte(`{"cell":1,"u":0,"cells":[1099511627776]}`))                     // code 2^32
+	f.Add([]byte(`{"cell":0,"u":1,"vs":[3]}`))                                    // vs with no cells
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathInterval, bytes.NewReader(body)))
 		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
 			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.Bytes())
 		}

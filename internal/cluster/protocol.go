@@ -16,9 +16,11 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 
 	"silc/internal/diskio"
+	"silc/internal/geom"
 )
 
 // RPC endpoint paths, all POST with JSON bodies. The /rpc/v1 prefix
@@ -66,22 +68,41 @@ type IntervalsResp struct {
 }
 
 // IntervalReq asks for zero-refinement lookups in U's quadtree. The single
-// form (Vs and Rects empty) asks for the interval on d_cell(U, V). The batch
+// form (Vs and Cells empty) asks for the interval on d_cell(U, V). The batch
 // form ignores V and asks for the interval on d_cell(U, Vs[i]) for every i
-// and for the region lower bound from U to every rectangle of Rects, four
-// words each (MinX, MinY, MaxX, MaxY bits) — everything a search's expansion
-// of one object-hierarchy node needs from the source's cell, in one round
-// trip. One rectangle and no Vs is the plain region lower bound.
+// and for the region lower bound from U to every quadtree cell of Cells, one
+// word each (CellWord) — everything a search's expansion of one
+// object-hierarchy node needs from the source's cell, in one round trip. One
+// cell and no Vs is the plain region lower bound.
 type IntervalReq struct {
 	Cell  int32    `json:"cell"`
 	U     uint32   `json:"u"`
 	V     uint32   `json:"v"`
 	Vs    []uint32 `json:"vs,omitempty"`
-	Rects []uint64 `json:"rects,omitempty"`
+	Cells []uint64 `json:"cells,omitempty"`
+}
+
+// CellWord packs a quadtree cell into one wire word: its Morton code above
+// the low 8 bits, its level in them.
+func CellWord(c geom.Cell) uint64 { return uint64(c.Code)<<8 | uint64(c.Level) }
+
+// cellFromWord decodes a CellWord, rejecting a level deeper than the grid, a
+// code beyond it, and a code that is not the corner of a cell at its level.
+func cellFromWord(w uint64) (geom.Cell, error) {
+	c := geom.Cell{Code: geom.Code(w >> 8), Level: uint8(w)}
+	switch {
+	case c.Level > geom.MaxLevel:
+		return geom.Cell{}, fmt.Errorf("cell level %d beyond %d", c.Level, geom.MaxLevel)
+	case uint64(c.Code) >= geom.Span(0):
+		return geom.Cell{}, fmt.Errorf("cell code %#x beyond the grid", uint64(c.Code))
+	case uint64(c.Code)%c.Span() != 0:
+		return geom.Cell{}, fmt.Errorf("cell code %#x not aligned to level %d", uint64(c.Code), c.Level)
+	}
+	return c, nil
 }
 
 // IntervalResp carries Lo/Hi for the single form; Los/His (one per Vs entry)
-// and Lbs (one per rectangle) for the batch form.
+// and Lbs (one per cell) for the batch form.
 type IntervalResp struct {
 	Lo  uint64       `json:"lo"`
 	Hi  uint64       `json:"hi"`

@@ -85,19 +85,19 @@ func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID,
 // SourceBatch implements partition.RemoteCellIndex: the batch form of the
 // interval RPC, one round trip for every lookup an expansion needs from
 // src's quadtree.
-func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) ([]core.Interval, []float64) {
+func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) ([]core.Interval, []float64) {
 	req := &IntervalReq{Cell: rc.cell, U: uint32(src),
-		Vs: make([]uint32, len(dsts)), Rects: make([]uint64, 0, 4*len(rects))}
+		Vs: make([]uint32, len(dsts)), Cells: make([]uint64, len(cells))}
 	for i, d := range dsts {
 		req.Vs[i] = uint32(d)
 	}
-	for _, r := range rects {
-		req.Rects = append(req.Rects, Bits(r.MinX), Bits(r.MinY), Bits(r.MaxX), Bits(r.MaxY))
+	for i, c := range cells {
+		req.Cells[i] = CellWord(c)
 	}
 	var resp IntervalResp
-	lbs := make([]float64, len(rects)) // 0 is a valid lower bound: distances are non-negative
+	lbs := make([]float64, len(cells)) // 0 is a valid lower bound: distances are non-negative
 	if !rc.call(qc, PathInterval, req, &resp, &resp.IO) ||
-		!rc.entries(qc, len(dsts), len(resp.Los), len(resp.His)) || !rc.entries(qc, len(rects), len(resp.Lbs)) {
+		!rc.entries(qc, len(dsts), len(resp.Los), len(resp.His)) || !rc.entries(qc, len(cells), len(resp.Lbs)) {
 		return looseIntervals(len(dsts)), lbs
 	}
 	for i := range lbs {
@@ -183,10 +183,9 @@ func (rc *RemoteCell) DistanceIntervalCtx(qc *core.QueryContext, u, v graph.Vert
 	return core.Interval{Lo: FromBits(resp.Lo), Hi: FromBits(resp.Hi)}
 }
 
-// RegionLowerBoundCtx implements partition.CellIndex: a batch of one
-// rectangle.
-func (rc *RemoteCell) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64 {
-	_, lbs := rc.SourceBatch(qc, q, nil, []geom.Rect{rect})
+// RegionLowerBoundCtx implements partition.CellIndex: a batch of one cell.
+func (rc *RemoteCell) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	_, lbs := rc.SourceBatch(qc, q, nil, []geom.Cell{cell})
 	return lbs[0]
 }
 

@@ -144,21 +144,8 @@ func TestProximalRegionLowerBoundStillValid(t *testing.T) {
 	// Region bounds on a proximal tree cover only in-range vertices, which
 	// is fine: bounds for farther vertices are handled by the [R, Inf)
 	// interval. Here: the bound must never exceed the true distance of an
-	// in-range vertex inside the rect.
+	// in-range vertex inside the cell.
 	g := roadNet(t, 9, 9, 54)
 	radius := 0.4
-	prox := buildProximal(t, g, radius)
-	q := graph.VertexID(2)
-	tree := sssp.Dijkstra(g, q)
-	rect := geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
-	bound := prox.RegionLowerBound(q, rect)
-	for v := 0; v < g.NumVertices(); v++ {
-		vv := graph.VertexID(v)
-		if vv == q || !rect.Contains(g.Point(vv)) || tree.Dist[v] > radius {
-			continue
-		}
-		if bound > tree.Dist[v]+1e-9 {
-			t.Fatalf("bound %v exceeds in-range dist(%d)=%v", bound, v, tree.Dist[v])
-		}
-	}
+	checkRegionBounds(t, "proximal", buildProximal(t, g, radius), radius)
 }

@@ -43,9 +43,10 @@ type QueryIndex interface {
 	// page access to qc (nil = untracked).
 	Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefiner
 	// RegionLowerBoundCtx returns a lower bound on the network distance from
-	// q to any vertex inside rect. qc carries per-query routing state for
+	// q to any vertex whose Morton code lies in cell — the region of one node
+	// of the object index. qc carries per-query routing state for
 	// implementations that need it; the monolithic index ignores it.
-	RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, rect geom.Rect) float64
+	RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64
 }
 
 // ExpandHinter is an optional QueryIndex extension for indexes on which
@@ -71,8 +72,8 @@ type ExpandHinter interface {
 	WantsExpandHints() bool
 	// HintExpand announces that, before the query ends or its source
 	// changes, the caller expects to call Refine(qc, src, d) for the d in
-	// dsts and RegionLowerBoundCtx(qc, src, r) for the r in rects.
-	HintExpand(qc *QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect)
+	// dsts and RegionLowerBoundCtx(qc, src, c) for the c in cells.
+	HintExpand(qc *QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell)
 	// HintRefine announces that, before the query ends or its source
 	// changes, the caller expects to Step the refiners of the pairs
 	// (src, d), d in dsts, until they are exact. Every d was handed to
@@ -91,8 +92,8 @@ func (ix *Index) Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefin
 // RegionLowerBoundCtx implements QueryIndex. On a memory-resident index the
 // walk touches no paged blocks; a disk-backed index materializes q's
 // quadtree through qc first.
-func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, rect geom.Rect) float64 {
-	return ix.regionLowerBound(qc, q, rect)
+func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	return ix.regionLowerBound(qc, q, cell)
 }
 
 // ExactDistance fully refines (src, dst) on any QueryIndex and returns the

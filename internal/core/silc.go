@@ -322,9 +322,10 @@ func NewPagedIndex(cfg PagedConfig) *Index {
 	}
 }
 
-// treeOf resolves v's quadtree from memory or the paged source, recording
-// source failures on qc.
-func (ix *Index) treeOf(qc *QueryContext, v graph.VertexID) (*quadtree.Tree, bool) {
+// Tree resolves v's shortest-path quadtree from memory or the paged source,
+// charging page traffic to qc and recording source failures on it. The tree
+// is read-only and shared.
+func (ix *Index) Tree(qc *QueryContext, v graph.VertexID) (*quadtree.Tree, bool) {
 	if ix.src == nil {
 		return &ix.trees[v], true
 	}
@@ -464,7 +465,7 @@ func (ix *Index) BlockCount(v graph.VertexID) int {
 // false return with qc.Failed() set means the paged store failed, not that
 // dst is uncovered.
 func (ix *Index) lookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.Block, bool) {
-	t, ok := ix.treeOf(qc, u)
+	t, ok := ix.Tree(qc, u)
 	if !ok {
 		return quadtree.Block{}, false
 	}
@@ -576,22 +577,25 @@ func (ix *Index) DistanceCtx(qc *QueryContext, u, v graph.VertexID) float64 {
 }
 
 // RegionLowerBound returns a lower bound on the network distance from q to
-// any vertex inside rect, using q's quadtree only (no graph access). This is
-// the DISTANCE_INTERVAL(object, Region) primitive the kNN algorithm applies
-// to blocks of the object index.
-func (ix *Index) RegionLowerBound(q graph.VertexID, rect geom.Rect) float64 {
-	return ix.regionLowerBound(nil, q, rect)
+// any vertex whose Morton code lies in cell, using q's quadtree only (no
+// graph access). This is the DISTANCE_INTERVAL(object, Region) primitive the
+// kNN algorithm applies to blocks of the object index — every one of which
+// is a quadtree cell.
+func (ix *Index) RegionLowerBound(q graph.VertexID, cell geom.Cell) float64 {
+	return ix.regionLowerBound(nil, q, cell)
 }
 
-func (ix *Index) regionLowerBound(qc *QueryContext, q graph.VertexID, rect geom.Rect) float64 {
-	if rect.Contains(ix.g.Point(q)) {
+func (ix *Index) regionLowerBound(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	// The source lies in no block of its own quadtree, so the tree cannot
+	// tell that q itself is in the cell.
+	if cell.ContainsCode(ix.g.Code(q)) {
 		return 0
 	}
-	t, ok := ix.treeOf(qc, q)
+	t, ok := ix.Tree(qc, q)
 	if !ok {
 		return 0 // storage failure recorded on qc; 0 is a valid lower bound
 	}
-	return t.RegionLowerBound(ix.g.Point(q), rect)
+	return t.CellLowerBound(ix.g.Point(q), cell)
 }
 
 // Refiner carries the progressive-refinement state for one (src, dst) pair:

@@ -268,32 +268,126 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRegionLowerBoundValidAgainstDijkstra(t *testing.T) {
-	g := roadNet(t, 8, 8, 12)
-	ix := buildIndex(t, g)
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		q := graph.VertexID(rng.Intn(g.NumVertices()))
-		tree := sssp.Dijkstra(g, q)
-		x1, x2 := rng.Float64(), rng.Float64()
-		y1, y2 := rng.Float64(), rng.Float64()
-		rect := geom.Rect{
-			MinX: math.Min(x1, x2), MaxX: math.Max(x1, x2),
-			MinY: math.Min(y1, y2), MaxY: math.Max(y1, y2),
-		}
-		bound := ix.RegionLowerBound(q, rect)
-		for v := 0; v < g.NumVertices(); v++ {
-			if !rect.Contains(g.Point(graph.VertexID(v))) || graph.VertexID(v) == q {
-				continue
+// scanRegionBound is RegionLowerBound's oracle: 0 for a cell holding q,
+// else a linear scan of q's blocks — a block covering the cell bounds it by
+// LamLo times the distance to the cell, otherwise the bound is the minimum
+// over the blocks inside the cell of LamLo times the distance to the block.
+func scanRegionBound(t *testing.T, ix *Index, q graph.VertexID, cell geom.Cell) float64 {
+	if cell.ContainsCode(ix.g.Code(q)) {
+		return 0
+	}
+	tree, ok := ix.Tree(nil, q)
+	if !ok {
+		t.Fatalf("no tree for %d", q)
+	}
+	p := ix.g.Point(q)
+	best := math.Inf(1)
+	for _, b := range tree.Blocks {
+		switch {
+		case b.Cell.Level <= cell.Level && b.Cell.ContainsCode(cell.Code):
+			return float64(b.LamLo) * cell.Rect().MinDist(p)
+		case b.Cell.Level >= cell.Level && cell.ContainsCode(b.Cell.Code):
+			if d := float64(b.LamLo) * b.Cell.Rect().MinDist(p); d < best {
+				best = d
 			}
-			if bound > tree.Dist[v]+1e-9 {
-				t.Fatalf("bound %v exceeds dist(%d)=%v", bound, v, tree.Dist[v])
-			}
-		}
-		if rect.Contains(g.Point(q)) && bound != 0 {
-			t.Fatalf("rect containing q must bound 0, got %v", bound)
 		}
 	}
+	return best
+}
+
+// checkRegionBounds: for sampled sources, at every level 0..16 of the cells
+// around sampled vertices and random codes, ix's region bound is bit for bit
+// the scan oracle (paged and in RAM alike), 0 on a cell holding q, and never
+// above Dijkstra's distance to a vertex of the cell the index covers (within
+// radius, reachable).
+func checkRegionBounds(t *testing.T, name string, ix *Index, radius float64) {
+	t.Helper()
+	g := ix.g
+	n := g.NumVertices()
+	paged := pagedIndex(t, ix, 0.05)
+	rng := rand.New(rand.NewSource(int64(n)))
+	for trial := 0; trial < 6; trial++ {
+		q := graph.VertexID(rng.Intn(n))
+		dist := sssp.Dijkstra(g, q).Dist
+		codes := []geom.Code{g.Code(q)}
+		for i := 0; i < 8; i++ {
+			codes = append(codes, g.Code(graph.VertexID(rng.Intn(n))), geom.Code(rng.Uint64()%geom.Span(0)))
+		}
+		for _, code := range codes {
+			for l := uint8(0); l <= geom.MaxLevel; l++ {
+				span := geom.Code(geom.Span(l))
+				cell := geom.Cell{Code: code / span * span, Level: l}
+				got := ix.RegionLowerBound(q, cell)
+				if want := scanRegionBound(t, ix, q, cell); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s q=%d %v: bound %v, scan %v", name, q, cell, got, want)
+				}
+				if pg := paged.RegionLowerBound(q, cell); math.Float64bits(pg) != math.Float64bits(got) {
+					t.Fatalf("%s q=%d %v: paged bound %v, in RAM %v", name, q, cell, pg, got)
+				}
+				for v := 0; v < n; v++ {
+					d := dist[v]
+					if !cell.ContainsCode(g.Code(graph.VertexID(v))) || (radius > 0 && d > radius) {
+						continue
+					}
+					if got > d {
+						t.Fatalf("%s q=%d %v: bound %v exceeds dist(%d)=%v", name, q, cell, got, v, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRegionLowerBoundValidAgainstDijkstra(t *testing.T) {
+	grid, err := graph.GenerateGrid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := graph.GenerateRingRadial(4, 10, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Network{"road": roadNet(t, 8, 8, 12), "grid": grid, "ring": ring} {
+		checkRegionBounds(t, name, buildIndex(t, g), 0)
+	}
+}
+
+// TestLenientRegionLowerBoundStillValid: on a lenient index over a network
+// with one-way streets, a vertex nothing reaches and a vertex that reaches
+// nothing, trees leave the unreachable vertices uncovered and the bound still
+// holds for every vertex that is reachable.
+func TestLenientRegionLowerBoundStillValid(t *testing.T) {
+	const n = 7
+	b := graph.NewBuilder()
+	at := func(r, c int) graph.VertexID { return graph.VertexID(r*n + c) }
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			b.AddVertex(geom.Point{X: (float64(c) + 0.5) / n, Y: (float64(r) + 0.5) / n})
+		}
+	}
+	for r := 0; r < n; r++ {
+		for c := 0; c+1 < n; c++ {
+			b.AddEdge(at(r, c), at(r, c+1), 1.0/n)
+			b.AddEdge(at(c+1, r), at(c, r), 1.0/n)
+			if r%2 == 0 { // every other street is two-way
+				b.AddEdge(at(r, c+1), at(r, c), 1.4/n)
+				b.AddEdge(at(c, r), at(c+1, r), 1.4/n)
+			}
+		}
+	}
+	src := b.AddVertex(geom.Point{X: 0.97, Y: 0.03}) // reaches the lattice, unreachable from it
+	sink := b.AddVertex(geom.Point{X: 0.03, Y: 0.97})
+	b.AddEdge(src, at(0, n-1), 0.1)
+	b.AddEdge(at(n-1, 0), sink, 0.1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(g, BuildOptions{AllowUnreachable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegionBounds(t, "lenient", ix, 0)
 }
 
 // pagedIndex reopens ix demand-paged from its paged image, behind a pool of

@@ -74,33 +74,6 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// UnitRect covers the whole embedding space.
-func UnitRect() Rect { return Rect{0, 0, 1, 1} }
-
-// Contains reports whether p lies inside r (boundary inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
-}
-
-// Intersect returns the intersection of r and s and whether it is non-empty.
-func (r Rect) Intersect(s Rect) (Rect, bool) {
-	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
-	}
-	if out.MinX > out.MaxX || out.MinY > out.MaxY {
-		return Rect{}, false
-	}
-	return out, true
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r
 // (zero if p is inside r).
 func (r Rect) MinDist(p Point) float64 {

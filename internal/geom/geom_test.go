@@ -45,7 +45,7 @@ func TestCellContainsOwnPoints(t *testing.T) {
 		// off the low bits.
 		span := Span(level)
 		cell := Cell{Code: code &^ Code(span-1), Level: level}
-		return cell.ContainsCode(code) && cell.Rect().Contains(Point{
+		return cell.ContainsCode(code) && inRect(cell.Rect(), Point{
 			X: (float64(x) + 0.5) / GridSize,
 			Y: (float64(y) + 0.5) / GridSize,
 		})
@@ -81,7 +81,7 @@ func TestChildRects(t *testing.T) {
 	area := 0.0
 	for i := 0; i < 4; i++ {
 		cr := parent.Child(i).Rect()
-		if !pr.Intersects(cr) {
+		if cr.MinX < pr.MinX || cr.MaxX > pr.MaxX || cr.MinY < pr.MinY || cr.MaxY > pr.MaxY {
 			t.Fatalf("child %d rect %v outside parent %v", i, cr, pr)
 		}
 		area += (cr.MaxX - cr.MinX) * (cr.MaxY - cr.MinY)
@@ -96,11 +96,16 @@ func TestPointCodeMatchesCellRect(t *testing.T) {
 		p := Point{X: frac(xf), Y: frac(yf)}
 		code := p.Code()
 		leaf := Cell{Code: code, Level: MaxLevel}
-		return leaf.Rect().Contains(p)
+		return inRect(leaf.Rect(), p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// inRect reports whether p lies inside r, boundary inclusive.
+func inRect(r Rect, p Point) bool {
+	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
 func frac(v float64) float64 {
@@ -158,26 +163,6 @@ func randRect(rng *rand.Rand) Rect {
 	return Rect{
 		MinX: math.Min(x1, x2), MaxX: math.Max(x1, x2),
 		MinY: math.Min(y1, y2), MaxY: math.Max(y1, y2),
-	}
-}
-
-func TestRectIntersect(t *testing.T) {
-	a := Rect{0, 0, 0.5, 0.5}
-	b := Rect{0.25, 0.25, 1, 1}
-	got, ok := a.Intersect(b)
-	if !ok {
-		t.Fatal("expected intersection")
-	}
-	want := Rect{0.25, 0.25, 0.5, 0.5}
-	if got != want {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	c := Rect{0.6, 0.6, 0.7, 0.7}
-	if _, ok := a.Intersect(c); ok {
-		t.Fatal("expected no intersection")
-	}
-	if a.Intersects(c) {
-		t.Fatal("Intersects should be false")
 	}
 }
 

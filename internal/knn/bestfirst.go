@@ -144,11 +144,11 @@ type engine struct {
 	err error
 
 	// hint is the index's batching hook when it has one that wants hints (a
-	// cluster router), else nil; hintDsts/hintRects are the reusable buffers
+	// cluster router), else nil; hintDsts/hintCells are the reusable buffers
 	// one hint is assembled in.
 	hint      core.ExpandHinter
 	hintDsts  []graph.VertexID
-	hintRects []geom.Rect
+	hintCells []geom.Cell
 }
 
 // scratch is the reusable query arena: one engine frame plus its buffers,
@@ -424,7 +424,7 @@ func (e *engine) expand(n *pmr.Node) {
 		if c == nil {
 			continue
 		}
-		lb := e.ix.RegionLowerBoundCtx(e.qc, e.q, c.Rect())
+		lb := e.ix.RegionLowerBoundCtx(e.qc, e.q, c.Cell())
 		if e.admit(lb) {
 			e.queue.Push(lb, qelem{node: c})
 			e.noteQueue()
@@ -440,7 +440,7 @@ func (e *engine) expand(n *pmr.Node) {
 // index answers the lot in one batch (one RPC on a cluster router) instead
 // of one call at a time.
 func (e *engine) hintNode(n *pmr.Node) {
-	dsts, rects := e.hintDsts[:0], e.hintRects[:0]
+	dsts, cells := e.hintDsts[:0], e.hintCells[:0]
 	for _, o := range n.Objects() {
 		dsts = append(dsts, o.Vertex)
 	}
@@ -448,13 +448,13 @@ func (e *engine) hintNode(n *pmr.Node) {
 		if c == nil {
 			continue
 		}
-		rects = append(rects, c.Rect())
+		cells = append(cells, c.Cell())
 		for _, o := range c.Objects() {
 			dsts = append(dsts, o.Vertex)
 		}
 	}
-	e.hintDsts, e.hintRects = dsts, rects
-	e.hint.HintExpand(e.qc, e.q, dsts, rects)
+	e.hintDsts, e.hintCells = dsts, cells
+	e.hint.HintExpand(e.qc, e.q, dsts, cells)
 }
 
 // hintCollision tells a hint-taking index which refiners the query expects

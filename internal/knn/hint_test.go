@@ -20,7 +20,7 @@ type hintChecker struct {
 	t       *testing.T
 	src     graph.VertexID
 	dsts    map[graph.VertexID]bool
-	rects   map[geom.Rect]bool
+	cells   map[geom.Cell]bool
 	refined map[graph.VertexID]bool
 	hints   int
 	refines int
@@ -29,17 +29,17 @@ type hintChecker struct {
 
 func (h *hintChecker) WantsExpandHints() bool { return true }
 
-func (h *hintChecker) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) {
+func (h *hintChecker) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) {
 	h.hints++
-	if len(dsts)+len(rects) == 0 {
+	if len(dsts)+len(cells) == 0 {
 		h.t.Errorf("empty hint for source %d", src)
 	}
 	h.src = src
 	for _, d := range dsts {
 		h.dsts[d] = true
 	}
-	for _, r := range rects {
-		h.rects[r] = true
+	for _, c := range cells {
+		h.cells[c] = true
 	}
 }
 
@@ -63,11 +63,11 @@ func (h *hintChecker) Refine(qc *core.QueryContext, src, dst graph.VertexID) cor
 	return h.QueryIndex.Refine(qc, src, dst)
 }
 
-func (h *hintChecker) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64 {
-	if q != h.src || !h.rects[rect] {
+func (h *hintChecker) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	if q != h.src || !h.cells[cell] {
 		h.misses++
 	}
-	return h.QueryIndex.RegionLowerBoundCtx(qc, q, rect)
+	return h.QueryIndex.RegionLowerBoundCtx(qc, q, cell)
 }
 
 // sameSearch compares what a search computed, not how long it took.
@@ -93,7 +93,7 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 		chk := &hintChecker{QueryIndex: h.ix, t: t}
 		fresh := func() *hintChecker {
-			chk.dsts, chk.rects, chk.refined = map[graph.VertexID]bool{}, map[geom.Rect]bool{}, map[graph.VertexID]bool{}
+			chk.dsts, chk.cells, chk.refined = map[graph.VertexID]bool{}, map[geom.Cell]bool{}, map[graph.VertexID]bool{}
 			return chk
 		}
 		for _, v := range Variants {

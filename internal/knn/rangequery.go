@@ -70,7 +70,7 @@ func RangeSearchCtx(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q 
 						if c == nil {
 							continue
 						}
-						if lb := ix.RegionLowerBoundCtx(clock.qc, q, c.Rect()); lb <= radius {
+						if lb := ix.RegionLowerBoundCtx(clock.qc, q, c.Cell()); lb <= radius {
 							e.queue.Push(lb, qelem{node: c})
 						}
 					}

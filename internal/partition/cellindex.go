@@ -26,7 +26,7 @@ import (
 type CellIndex interface {
 	Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner
 	DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval
-	RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64
+	RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64
 	PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID
 	// BoundaryIntervals returns the zero-refinement interval between v and
 	// every boundary vertex of the cell, in closure row order: boundary→v
@@ -46,7 +46,7 @@ type CellIndex interface {
 // answers, in one call, a set of lookups that all start at one source vertex
 // — which on a SILC cell index means they all read the same quadtree —
 // DistanceIntervalCtx(qc, src, d) for every d in dsts and
-// RegionLowerBoundCtx(qc, src, r) for every r in rects, in argument order.
+// RegionLowerBoundCtx(qc, src, c) for every c in cells, in argument order.
 // RaceBatch is RaceRoutes for several destinations of the cell in one call:
 // dsts[i] races the next ns[i] candidates of the flat lists offs/us, and the
 // minima are appended to out in argument order (+Inf for every destination
@@ -57,7 +57,7 @@ type CellIndex interface {
 // neither.
 type RemoteCellIndex interface {
 	CellIndex
-	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) (ivs []core.Interval, lbs []float64)
+	SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) (ivs []core.Interval, lbs []float64)
 	RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns []int32, offs []float64, us []graph.VertexID, out []float64) []float64
 }
 

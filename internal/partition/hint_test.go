@@ -69,7 +69,7 @@ func TestExpandHintLocalNoop(t *testing.T) {
 // the test below counts is the router's own side of a race.
 type cannedRemote struct{ *localCell }
 
-func (c cannedRemote) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) ([]core.Interval, []float64) {
+func (c cannedRemote) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) ([]core.Interval, []float64) {
 	panic("not hinted in this test")
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 
-	"silc/internal/geom"
 	"silc/internal/graph"
 )
 
@@ -45,9 +44,6 @@ type Assignment struct {
 	// Verts lists each cell's global vertex ids in Morton-rank order; the
 	// position in this list is the vertex's local id.
 	Verts [][]graph.VertexID
-	// Boxes is the bounding box of each cell's vertices, used by region
-	// pruning to decide which cells a query rectangle can touch.
-	Boxes []geom.Rect
 	// CutEdges counts directed edges whose endpoints lie in different cells.
 	CutEdges int
 }
@@ -149,7 +145,6 @@ func assignmentFromCellOf(g *graph.Network, cellOf []int32, p int) (*Assignment,
 		CellOf:  cellOf,
 		LocalOf: make([]int32, n),
 		Verts:   make([][]graph.VertexID, p),
-		Boxes:   make([]geom.Rect, p),
 	}
 	for _, v := range g.MortonOrder() {
 		c := cellOf[v]
@@ -163,27 +158,6 @@ func assignmentFromCellOf(g *graph.Network, cellOf []int32, p int) (*Assignment,
 		if len(asn.Verts[c]) == 0 {
 			return nil, fmt.Errorf("partition: cell %d is empty", c)
 		}
-		box := geom.Rect{}
-		for i, v := range asn.Verts[c] {
-			pt := g.Point(v)
-			if i == 0 {
-				box = geom.Rect{MinX: pt.X, MinY: pt.Y, MaxX: pt.X, MaxY: pt.Y}
-				continue
-			}
-			if pt.X < box.MinX {
-				box.MinX = pt.X
-			}
-			if pt.X > box.MaxX {
-				box.MaxX = pt.X
-			}
-			if pt.Y < box.MinY {
-				box.MinY = pt.Y
-			}
-			if pt.Y > box.MaxY {
-				box.MaxY = pt.Y
-			}
-		}
-		asn.Boxes[c] = box
 	}
 	for v := 0; v < n; v++ {
 		targets, _ := g.Neighbors(graph.VertexID(v))

@@ -59,7 +59,7 @@ type router struct {
 // expandHints is what HintExpand has fetched from the source's own cell for
 // the current (query, source): the zero-refinement interval source→d for
 // every announced destination d of that cell, and the region lower bounds of
-// the last announced rectangles (a search consumes those at once; announced
+// the last announced cells (a search consumes those at once; announced
 // destinations may wait for a later expansion). The per-call paths look here
 // first and fall back to the cell index on a miss. The values are what the
 // cell index would have returned, bit for bit, so a hit changes the number
@@ -67,7 +67,7 @@ type router struct {
 // query (context generation).
 type expandHints struct {
 	ivs   map[graph.VertexID]core.Interval // by cell-local destination
-	rects []geom.Rect
+	cells []geom.Cell
 	lbs   []float64
 	ask   []graph.VertexID // request scratch: destinations not yet in ivs
 	// live maps a destination (global id) to the refiner Refine last handed
@@ -79,12 +79,12 @@ type expandHints struct {
 func (h *expandHints) reset() {
 	clear(h.ivs)
 	clear(h.live)
-	h.rects, h.lbs = h.rects[:0], nil
+	h.cells, h.lbs = h.cells[:0], nil
 }
 
-func (h *expandHints) region(rect geom.Rect) (float64, bool) {
-	for i, r := range h.rects[:len(h.lbs)] {
-		if r == rect {
+func (h *expandHints) region(cell geom.Cell) (float64, bool) {
+	for i, c := range h.cells[:len(h.lbs)] {
+		if c == cell {
 			return h.lbs[i], true
 		}
 	}
@@ -99,17 +99,17 @@ func (s *Sharded) WantsExpandHints() bool { return s.remote != nil }
 // HintExpand implements core.ExpandHinter. Of everything the expansion is
 // about to ask, the part that costs a remote call each is what the source's
 // own cell answers from the source's quadtree: the within-cell interval to
-// every destination in that cell, and the region bound for every rectangle
-// reaching into it. Those go out as one SourceBatch call; the rest (other
+// every destination in that cell, and the region bound for every quadtree
+// cell holding one of its vertices. Those go out as one SourceBatch call; the rest (other
 // cells' gateway intervals and closure bounds) is source-independent or
 // router-local and is not touched here.
-func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, rects []geom.Rect) {
+func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) {
 	if s.remote == nil || qc == nil {
 		return
 	}
 	p := s.asn.CellOf[src]
 	h := &s.routerFor(qc, src).hints
-	h.ask, h.rects, h.lbs = h.ask[:0], h.rects[:0], nil
+	h.ask, h.cells, h.lbs = h.ask[:0], h.cells[:0], nil
 	for _, d := range dsts {
 		if s.asn.CellOf[d] != p {
 			continue
@@ -119,17 +119,17 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 			h.ask = append(h.ask, dl)
 		}
 	}
-	for _, r := range rects {
-		if s.asn.Boxes[p].Intersects(r) {
-			h.rects = append(h.rects, r)
+	for _, cell := range cells {
+		if s.holds(p, cell) {
+			h.cells = append(h.cells, cell)
 		}
 	}
-	if len(h.ask)+len(h.rects) == 0 {
+	if len(h.ask)+len(h.cells) == 0 {
 		return
 	}
 	// A failed batch has failed the query (qc.Fail) and answers with loose
 	// stand-ins; keeping them means the doomed search asks nothing again.
-	ivs, lbs := s.remote[p].SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.rects)
+	ivs, lbs := s.remote[p].SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.cells)
 	if h.ivs == nil {
 		h.ivs = make(map[graph.VertexID]core.Interval)
 	}
@@ -691,15 +691,16 @@ func (s *Sharded) RaceHintStats() (hinted, used int64) {
 }
 
 // RegionLowerBoundCtx implements core.QueryIndex: a lower bound on the
-// global distance from q to any vertex inside rect. The source's own cell
-// contributes its quadtree's region bound; any other cell intersecting the
-// rectangle contributes the distance to its nearest gateway.
-func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, rect geom.Rect) float64 {
+// global distance from q to any vertex whose Morton code lies in cell. The
+// source's own partition contributes its quadtree's cell bound; any other
+// partition with a vertex in the cell contributes the distance to its
+// nearest gateway.
+func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
 	p := s.asn.CellOf[q]
 	var rt *router
 	best := math.Inf(1)
 	for c := int32(0); c < int32(s.asn.P); c++ {
-		if !s.asn.Boxes[c].Intersects(rect) {
+		if !s.holds(c, cell) {
 			continue
 		}
 		var m float64
@@ -709,10 +710,10 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, r
 				if rt == nil {
 					rt = s.routerFor(qc, q)
 				}
-				m, hinted = rt.hints.region(rect)
+				m, hinted = rt.hints.region(cell)
 			}
 			if !hinted {
-				m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), rect)
+				m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), cell)
 			}
 			if !s.selfContained[p] {
 				if rt == nil {
@@ -733,4 +734,21 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, r
 		}
 	}
 	return best
+}
+
+// holds reports whether partition c has a vertex whose Morton code lies in
+// cell: c's vertices are in Morton order, so that is one binary search. Only
+// such partitions can hold a vertex a region bound over cell must bound.
+func (s *Sharded) holds(c int32, cell geom.Cell) bool {
+	vs := s.asn.Verts[c]
+	lo, hi := 0, len(vs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.g.Code(vs[mid]) < cell.Code {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(vs) && s.g.Code(vs[lo]) < cell.End()
 }

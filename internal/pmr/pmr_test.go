@@ -60,7 +60,7 @@ func TestStructureInvariants(t *testing.T) {
 				t.Fatalf("overfull leaf: %d objects at level %d", len(n.objects), n.cell.Level)
 			}
 			for _, o := range n.objects {
-				if !rect.Contains(o.Pos) {
+				if !n.cell.ContainsCode(o.Pos.Code()) {
 					t.Fatalf("object %d at %v outside leaf %v", o.ID, o.Pos, rect)
 				}
 			}
@@ -293,5 +293,86 @@ func TestPathCopyMatchesRebuild(t *testing.T) {
 	}
 	if maxPiled <= capacity {
 		t.Fatalf("at most %d objects shared the pile-up point at a compared step, want more than the capacity %d", maxPiled, capacity)
+	}
+}
+
+// checkCellsHoldObjects fails unless every object below every node of tr has
+// its vertex's Morton code inside the node's cell, and its cached position's
+// code is that code — the premise the region lower bound rests on: a node's
+// cell is the region a bound over it must cover. It returns the size of the
+// largest leaf at MaxLevel.
+func checkCellsHoldObjects(t *testing.T, g *graph.Network, step int, tr *Tree) int {
+	t.Helper()
+	deepest := 0
+	var walk func(n *Node) []Object
+	walk = func(n *Node) []Object {
+		objs := n.Objects()
+		if n.Cell().Level == geom.MaxLevel {
+			deepest = max(deepest, len(objs))
+		}
+		for _, c := range n.Children() {
+			if c != nil {
+				objs = append(slices.Clip(objs), walk(c)...)
+			}
+		}
+		for _, o := range objs {
+			if code := g.Code(o.Vertex); !n.Cell().ContainsCode(code) || o.Pos.Code() != code {
+				t.Fatalf("step %d: object %d at vertex %d (code %x, position code %x) below node %v",
+					step, o.ID, o.Vertex, uint64(code), uint64(o.Pos.Code()), n.Cell())
+			}
+		}
+		return objs
+	}
+	if got := len(walk(tr.Root())); got != tr.Len() {
+		t.Fatalf("step %d: walked %d objects, tree holds %d", step, got, tr.Len())
+	}
+	return deepest
+}
+
+// TestNodeCellsHoldTheirObjects: for a bulk-built tree and after every step of
+// a seeded With/Without history over network vertices — repeated vertices and
+// a pile-up deeper than the bucket at MaxLevel included — every node's cell
+// holds the codes of every object below it.
+func TestNodeCellsHoldTheirObjects(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 16, Cols: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(11))
+	const capacity = 3
+	pile := graph.VertexID(n / 2)
+	vs := []graph.VertexID{pile, pile, pile, pile, pile}
+	for i := 0; i < 200; i++ {
+		vs = append(vs, graph.VertexID(rng.Intn(n)))
+	}
+	if deepest := checkCellsHoldObjects(t, g, -1, FromVertices(g, vs, capacity)); deepest <= capacity {
+		t.Fatalf("bulk build: largest MaxLevel leaf holds %d, want the pile-up above %d", deepest, capacity)
+	}
+
+	tree := New(capacity)
+	var live []Object
+	deepest := 0
+	for step := 0; step < 3000; step++ {
+		if len(live) == 0 || rng.Intn(5) < 3 {
+			v := graph.VertexID(rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				v = pile
+			}
+			o := Object{ID: int32(step), Vertex: v, Pos: g.Point(v)}
+			tree, live = tree.With(o), append(live, o)
+		} else {
+			i := rng.Intn(len(live))
+			var ok bool
+			if tree, ok = tree.Without(live[i]); !ok {
+				t.Fatalf("step %d: Without(%v) found nothing", step, live[i])
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		deepest = max(deepest, checkCellsHoldObjects(t, g, step, tree))
+	}
+	if deepest <= capacity {
+		t.Fatalf("history: largest MaxLevel leaf held %d, want the pile-up above %d", deepest, capacity)
 	}
 }

@@ -128,40 +128,47 @@ func (t *Tree) FindIndex(code geom.Code) (int, bool) {
 	return lo - 1, true
 }
 
-// RegionLowerBound returns a lower bound on the network distance from the
-// query point q to any vertex lying inside rect: the minimum over blocks b
-// intersecting rect of LamLo(b) * minEuclid(q, b ∩ rect). Vertex-free area
+// CellLowerBound returns a lower bound on the network distance from the
+// query point q to any vertex whose Morton code lies in cell. Blocks and
+// cells are both Morton cells, so a block either covers cell, lies inside
+// it, or is disjoint from it: the bound is LamLo × minEuclid(q, cell) for a
+// covering block, else the minimum over the blocks inside cell — one
+// contiguous code range — of LamLo(b) × minEuclid(q, b). Vertex-free area
 // contributes nothing (there is no vertex there to be near). Returns +Inf
-// when rect covers no block.
-func (t *Tree) RegionLowerBound(q geom.Point, rect geom.Rect) float64 {
-	best := math.Inf(1)
-	if len(t.Blocks) == 0 {
-		return best
+// when cell holds no block.
+func (t *Tree) CellLowerBound(q geom.Point, cell geom.Cell) float64 {
+	n := len(t.Blocks)
+	lo := t.lowerBound(0, n, cell.Code)
+	// An aligned block that starts before cell.Code and contains it is
+	// larger than cell; one that starts at it covers cell unless it is deeper.
+	if lo > 0 && t.Blocks[lo-1].Cell.ContainsCode(cell.Code) {
+		return float64(t.Blocks[lo-1].LamLo) * cell.Rect().MinDist(q)
 	}
-	t.regionVisit(geom.RootCell(), geom.UnitRect(), 0, len(t.Blocks), q, rect, &best)
+	if lo < n && t.Blocks[lo].Cell.Code == cell.Code && t.Blocks[lo].Cell.Level <= cell.Level {
+		return float64(t.Blocks[lo].LamLo) * cell.Rect().MinDist(q)
+	}
+	best := math.Inf(1)
+	t.cellVisit(cell, cell.Rect(), lo, t.lowerBound(lo, n, cell.End()), q, &best)
 	return best
 }
 
-// regionVisit descends the implicit quadtree over the block range [lo, hi).
-// cellRect is cell's rectangle, threaded down the recursion (child rects are
-// quadrant midpoint splits) so no level re-derives it from the Morton code.
-func (t *Tree) regionVisit(cell geom.Cell, cellRect geom.Rect, lo, hi int, q geom.Point, rect geom.Rect, best *float64) {
+// cellVisit descends the implicit quadtree over the block range [lo, hi),
+// every block of which lies inside cell. cellRect is cell's rectangle,
+// threaded down the recursion (child rects are quadrant midpoint splits,
+// exact in float64) so no level re-derives it from the Morton code.
+func (t *Tree) cellVisit(cell geom.Cell, cellRect geom.Rect, lo, hi int, q geom.Point, best *float64) {
 	if lo == hi {
-		return
-	}
-	overlap, ok := cellRect.Intersect(rect)
-	if !ok {
 		return
 	}
 	// Prune: nothing in this cell can beat the current best. MinLambda
 	// scales the Euclidean bound into a valid network-distance bound.
-	if overlap.MinDist(q)*t.MinLambda >= *best {
+	d := cellRect.MinDist(q)
+	if d*t.MinLambda >= *best {
 		return
 	}
 	if b := t.Blocks[lo]; b.Cell == cell {
 		// A single block fills the whole cell: leaf contribution.
-		d := overlap.MinDist(q) * float64(b.LamLo)
-		if d < *best {
+		if d *= float64(b.LamLo); d < *best {
 			*best = d
 		}
 		return
@@ -186,7 +193,7 @@ func (t *Tree) regionVisit(cell geom.Cell, cellRect geom.Rect, lo, hi int, q geo
 		} else {
 			childRect.MinY = midY
 		}
-		t.regionVisit(child, childRect, at, sub, q, rect, best)
+		t.cellVisit(child, childRect, at, sub, q, best)
 		at = sub
 	}
 }

@@ -152,45 +152,163 @@ func TestSingleVertexSource(t *testing.T) {
 	}
 }
 
-func TestRegionLowerBoundIsValid(t *testing.T) {
-	g := testNetwork(t, 4)
-	source := graph.VertexID(1)
-	fx := makeFixture(t, g, source)
-	qt := NewBuilder(fx.codes).Build(fx.colors, fx.ratios)
-	q := g.Point(source)
-	rng := rand.New(rand.NewSource(17))
-
-	for trial := 0; trial < 300; trial++ {
-		x1, x2 := rng.Float64(), rng.Float64()
-		y1, y2 := rng.Float64(), rng.Float64()
-		rect := geom.Rect{
-			MinX: math.Min(x1, x2), MaxX: math.Max(x1, x2),
-			MinY: math.Min(y1, y2), MaxY: math.Max(y1, y2),
+// scanCellBound is CellLowerBound's linear-scan oracle: a block covering the
+// cell bounds it by its LamLo times the distance to the cell; otherwise the
+// bound is the minimum over the blocks inside the cell of LamLo times the
+// distance to the block.
+func scanCellBound(t *Tree, q geom.Point, cell geom.Cell) float64 {
+	best := math.Inf(1)
+	for _, b := range t.Blocks {
+		switch {
+		case b.Cell.Level <= cell.Level && b.Cell.ContainsCode(cell.Code):
+			return float64(b.LamLo) * cell.Rect().MinDist(q)
+		case b.Cell.Level >= cell.Level && cell.ContainsCode(b.Cell.Code):
+			if d := float64(b.LamLo) * b.Cell.Rect().MinDist(q); d < best {
+				best = d
+			}
 		}
-		bound := qt.RegionLowerBound(q, rect)
-		// The bound must not exceed the true network distance to any vertex
-		// inside the rect.
-		for v := 0; v < g.NumVertices(); v++ {
-			vv := graph.VertexID(v)
-			if vv == source || !rect.Contains(g.Point(vv)) {
-				continue
+	}
+	return best
+}
+
+// cellAt returns the level-l cell holding code.
+func cellAt(code geom.Code, l uint8) geom.Cell {
+	span := geom.Code(geom.Span(l))
+	return geom.Cell{Code: code / span * span, Level: l}
+}
+
+// oneWayLattice is an n×n lattice whose two directions of every street cost
+// different amounts, plus one-way diagonals: distances are not symmetric.
+func oneWayLattice(t *testing.T, n int) *graph.Network {
+	t.Helper()
+	b := graph.NewBuilder()
+	at := func(r, c int) graph.VertexID { return graph.VertexID(r*n + c) }
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			b.AddVertex(geom.Point{X: (float64(c) + 0.5) / float64(n), Y: (float64(r) + 0.5) / float64(n)})
+		}
+	}
+	w := 1 / float64(n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			if c+1 < n {
+				b.AddEdge(at(r, c), at(r, c+1), w)
+				b.AddEdge(at(r, c+1), at(r, c), 1.7*w)
 			}
-			if bound > fx.tree.Dist[v]+1e-9 {
-				t.Fatalf("trial %d: bound %v exceeds dist(%d)=%v", trial, bound, v, fx.tree.Dist[v])
+			if r+1 < n {
+				b.AddEdge(at(r, c), at(r+1, c), 1.3*w)
+				b.AddEdge(at(r+1, c), at(r, c), w)
 			}
+			if r+1 < n && c+1 < n && (r+c)%3 == 0 {
+				b.AddEdge(at(r+1, c+1), at(r, c), 1.5*w)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// boundMaps are the shapes the cell-bound tests run on: a road map, a
+// regular grid (vertices on cell-aligned coordinates), a ring-radial map
+// (dense centre, sparse rim) and a one-way lattice.
+func boundMaps(t *testing.T) map[string]*graph.Network {
+	t.Helper()
+	grid, err := graph.GenerateGrid(9, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := graph.GenerateRingRadial(5, 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*graph.Network{"road": testNetwork(t, 4), "grid": grid, "ring": ring, "oneway": oneWayLattice(t, 8)}
+}
+
+// TestRegionLowerBoundIsValid: on every map, for sampled sources and every
+// level 0..16 of the cells around sampled vertices and random codes,
+// CellLowerBound is bit for bit the linear-scan oracle and never exceeds
+// Dijkstra's distance to any vertex of the cell. Every kind of cell occurs:
+// one holding no block, one inside a single block, one equal to a block, one
+// the descent splits, and one holding the source.
+func TestRegionLowerBoundIsValid(t *testing.T) {
+	kinds := map[string]int{}
+	for name, g := range boundMaps(t) {
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, source := range []graph.VertexID{0, graph.VertexID(n / 3), graph.VertexID(n - 1)} {
+			fx := makeFixture(t, g, source)
+			qt := NewBuilder(fx.codes).Build(fx.colors, fx.ratios)
+			q := g.Point(source)
+			var codes []geom.Code
+			for i := 0; i < 12; i++ {
+				codes = append(codes, g.Code(graph.VertexID(rng.Intn(n))), geom.Code(rng.Uint64()%geom.Span(0)))
+			}
+			codes = append(codes, g.Code(source))
+			for _, code := range codes {
+				for l := uint8(0); l <= geom.MaxLevel; l++ {
+					cell := cellAt(code, l)
+					got, want := qt.CellLowerBound(q, cell), scanCellBound(qt, q, cell)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s source %d cell %v: bound %v, scan %v", name, source, cell, got, want)
+					}
+					nearest := math.Inf(1)
+					for v := 0; v < n; v++ {
+						if graph.VertexID(v) != source && cell.ContainsCode(g.Code(graph.VertexID(v))) {
+							nearest = math.Min(nearest, fx.tree.Dist[v])
+						}
+					}
+					if got > nearest {
+						t.Fatalf("%s source %d cell %v: bound %v exceeds the nearest vertex at %v", name, source, cell, got, nearest)
+					}
+					kinds[cellKind(qt, cell, g.Code(source))]++
+				}
+			}
+		}
+	}
+	for _, k := range []string{"empty", "inside", "equal", "split", "source"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s cell was checked (%v)", k, kinds)
 		}
 	}
 }
 
-func TestRegionLowerBoundEmptyRect(t *testing.T) {
+// cellKind names which path of CellLowerBound a cell takes.
+func cellKind(qt *Tree, cell geom.Cell, source geom.Code) string {
+	inside := 0
+	for _, b := range qt.Blocks {
+		switch {
+		case b.Cell == cell:
+			return "equal"
+		case b.Cell.Level < cell.Level && b.Cell.ContainsCode(cell.Code):
+			return "inside"
+		case cell.ContainsCode(b.Cell.Code):
+			inside++
+		}
+	}
+	switch {
+	case cell.ContainsCode(source):
+		return "source"
+	case inside == 0:
+		return "empty"
+	}
+	return "split"
+}
+
+// TestRegionLowerBoundEmptyCell: a cell no block reaches bounds nothing.
+func TestRegionLowerBoundEmptyCell(t *testing.T) {
 	g := testNetwork(t, 5)
 	fx := makeFixture(t, g, 0)
 	qt := NewBuilder(fx.codes).Build(fx.colors, fx.ratios)
-	// A sliver in the extreme corner outside the network's extent: either
-	// +Inf (no blocks) or a large bound; it must not panic and must be >= 0.
-	bound := qt.RegionLowerBound(g.Point(0), geom.Rect{MinX: 0.9999, MinY: 0.9999, MaxX: 0.99995, MaxY: 0.99995})
-	if bound < 0 {
-		t.Fatalf("negative bound %v", bound)
+	for code := geom.Code(0); ; code++ {
+		if _, ok := qt.Find(code); !ok {
+			if got := qt.CellLowerBound(g.Point(0), geom.Cell{Code: code, Level: geom.MaxLevel}); !math.IsInf(got, 1) {
+				t.Fatalf("uncovered grid cell %x bounds %v", uint64(code), got)
+			}
+			return
+		}
 	}
 }
 
@@ -238,16 +356,15 @@ func TestSourceOnlyTree(t *testing.T) {
 	if _, ok := tree.Find(codes[0]); ok {
 		t.Fatal("Find on empty tree succeeded")
 	}
-	if got := tree.RegionLowerBound(geom.Point{X: 0.5, Y: 0.5}, geom.UnitRect()); !math.IsInf(got, 1) {
-		t.Fatalf("RegionLowerBound on empty tree = %v", got)
+	if got := tree.CellLowerBound(geom.Point{X: 0.5, Y: 0.5}, geom.RootCell()); !math.IsInf(got, 1) {
+		t.Fatalf("CellLowerBound on empty tree = %v", got)
 	}
 }
 
 func TestRegionLowerBoundTightOnLeafBlocks(t *testing.T) {
-	// For a rect covering exactly one vertex, the bound should equal
-	// LamLo * euclid(q, nearest point of rect∩block) which is at most
-	// LamLo * euclid(q, vertex) — so bound <= true distance but also
-	// reasonably tight (within LamHi/LamLo of it).
+	// For the grid cell of one vertex the bound is LamLo times the distance
+	// to that cell, at most LamLo * euclid(q, vertex) — so bound <= true
+	// distance but also reasonably tight (within LamHi/LamLo of it).
 	g := testNetwork(t, 6)
 	source := graph.VertexID(2)
 	fx := makeFixture(t, g, source)
@@ -258,12 +375,9 @@ func TestRegionLowerBoundTightOnLeafBlocks(t *testing.T) {
 		if vv == source {
 			continue
 		}
-		p := g.Point(vv)
-		eps := 1e-7
-		rect := geom.Rect{MinX: p.X - eps, MinY: p.Y - eps, MaxX: p.X + eps, MaxY: p.Y + eps}
-		bound := qt.RegionLowerBound(q, rect)
+		bound := qt.CellLowerBound(q, geom.Cell{Code: g.Code(vv), Level: geom.MaxLevel})
 		d := fx.tree.Dist[v]
-		if bound > d+1e-9 {
+		if bound > d {
 			t.Fatalf("bound %v exceeds true %v", bound, d)
 		}
 		if bound < d/10 {
@@ -271,3 +385,43 @@ func TestRegionLowerBoundTightOnLeafBlocks(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCellLowerBound times one region lower bound from a central source
+// of a 64×64 road map to the cells an object index's nodes occupy: levels 2
+// to 9 around random vertices.
+func BenchmarkCellLowerBound(b *testing.B) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 2008})
+	if err != nil {
+		b.Fatal(err)
+	}
+	order := g.MortonOrder()
+	codes := make([]geom.Code, len(order))
+	for i, v := range order {
+		codes[i] = g.Code(v)
+	}
+	source := graph.VertexID(g.NumVertices() / 2)
+	tree := sssp.Dijkstra(g, source)
+	colors := make([]int32, len(order))
+	ratios := make([]float64, len(order))
+	for i, v := range order {
+		if v == source {
+			colors[i] = NoColor
+			continue
+		}
+		colors[i] = int32(g.NeighborIndex(source, tree.FirstHop[v]))
+		ratios[i] = tree.Dist[v] / g.Euclid(source, v)
+	}
+	qt := NewBuilder(codes).Build(colors, ratios)
+	rng := rand.New(rand.NewSource(1))
+	cells := make([]geom.Cell, 1024)
+	for i := range cells {
+		cells[i] = cellAt(g.Code(graph.VertexID(rng.Intn(g.NumVertices()))), uint8(2+rng.Intn(8)))
+	}
+	q := g.Point(source)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		sinkBound = qt.CellLowerBound(q, cells[i%len(cells)])
+	}
+}
+
+var sinkBound float64
