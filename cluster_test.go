@@ -216,7 +216,7 @@ func routerSeries(t *testing.T, r *silc.ClusterRouter, prefix string) float64 {
 // searches to; a router that raced once per refined neighbour would not. The
 // exported race-batch counters move, and most of what they raced was used.
 func TestClusterExactRPCBudget(t *testing.T) {
-	const knnBudget, rangeBudget = 10, 8
+	const knnBudget, rangeBudget = 7, 5
 	h := buildCluster(t, silc.ClusterRouterOptions{Timeout: 10 * time.Second})
 	ctx := context.Background()
 	eng := h.router.Engine()

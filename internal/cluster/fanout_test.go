@@ -131,14 +131,15 @@ func (f *fanoutFixture) queries() []graph.VertexID {
 }
 
 // knnRPCBudget and rangeRPCBudget are the most RPCs one warm k=10 kNN and one
-// warm range search may cost on the fixture: one batched interval call per
-// expanded interior node that reaches into the source's cell, and one batched
-// race per refinement round and destination cell. A router that races once
-// per refined object spends twice this, a per-lookup router several times
-// that (one call per inspected object and per child rectangle on top).
+// warm range search may cost on the fixture: one batched interval call for
+// everything the search asks of the source's own cell (a search announces
+// two levels of its object tree at a time), and one batched race per
+// refinement round and destination cell. A router that races once per
+// refined object spends twice this, a per-lookup router several times that
+// (one call per inspected object and per child cell on top).
 const (
-	knnRPCBudget   = 10
-	rangeRPCBudget = 8
+	knnRPCBudget   = 7
+	rangeRPCBudget = 5
 	// raceWasteBudget bounds the share of batched races no Step went on to
 	// use, over the whole run.
 	raceWasteBudget = 0.25
@@ -172,14 +173,16 @@ func exactify(ix core.QueryIndex, qc *core.QueryContext, q graph.VertexID, res *
 // and range search — as the search leaves them, and refined to exact
 // distances the way every benchmark read asks — and fails past the budget, so
 // a change that quietly brings back a per-object or per-rectangle call is
-// caught by a counter, not by a latency graph. The race-batch counters pin
+// caught by a counter, not by a latency graph. Each warm search asks the
+// source's cell exactly once: one interval call. The race-batch counters pin
 // the other side of the trade: how many of the races a batch ran ahead of
 // time nobody needed.
 func TestClusterRPCBudget(t *testing.T) {
 	f := newFanoutFixture(t)
+	intervals := f.client.rpcs[PathInterval].calls
 	run := func(q graph.VertexID, exact bool) (knnRPCs, rangeRPCs, lookups int64) {
 		qc := core.NewQueryContext()
-		before := f.rpcs()
+		before, ivBefore := f.rpcs(), intervals.Value()
 		res := knn.SearchSpec(f.router, qc, f.objs, q, knn.UnboundedSpec(10, knn.VariantKNN))
 		if exact {
 			exactify(f.router, qc, q, &res)
@@ -187,7 +190,7 @@ func TestClusterRPCBudget(t *testing.T) {
 		if res.Err != nil || qc.Err() != nil {
 			t.Fatalf("kNN(%d): %v / %v", q, res.Err, qc.Err())
 		}
-		mid := f.rpcs()
+		mid, ivMid := f.rpcs(), intervals.Value()
 		qc.ResetForReuse(context.Background())
 		rng := knn.RangeSearchCtx(f.router, qc, f.objs, q, 0.2)
 		if exact {
@@ -195,6 +198,9 @@ func TestClusterRPCBudget(t *testing.T) {
 		}
 		if rng.Err != nil || qc.Err() != nil {
 			t.Fatalf("range(%d): %v / %v", q, rng.Err, qc.Err())
+		}
+		if k, r := ivMid-ivBefore, intervals.Value()-ivMid; k != 1 || r != 1 {
+			t.Errorf("query %d (exact=%v): kNN asked the source's cell %d times, range %d; want once each", q, exact, k, r)
 		}
 		return mid - before, f.rpcs() - mid, int64(res.Stats.Lookups)
 	}
@@ -384,6 +390,15 @@ func TestClusterDistanceRPCs(t *testing.T) {
 	}
 }
 
+// cellExact refines (u, v) on one cell index until it is exact: over a
+// remote cell, one interval call and one race of one.
+func cellExact(cx partition.CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
+	r := cx.Refine(qc, u, v)
+	for r.Step() {
+	}
+	return r.Interval().Lo
+}
+
 // TestClusterFoldedRPCs: the two lookups that had endpoints of their own
 // travel as special cases of the others and keep every bit. A region lower
 // bound the expansion hints do not cover is an interval batch of one
@@ -422,11 +437,11 @@ func TestClusterFoldedRPCs(t *testing.T) {
 		for u := 0; u < nv; u += 9 {
 			u, v := graph.VertexID(u), graph.VertexID((u*13+nv/2)%nv)
 			qc := core.NewQueryContext()
-			got := partition.CellExact(f.router.CellIndexAt(c), qc, u, v)
+			got := cellExact(f.router.CellIndexAt(c), qc, u, v)
 			if err := qc.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if want := partition.CellExact(f.local.CellIndexAt(c), core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
+			if want := cellExact(f.local.CellIndexAt(c), core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
 				t.Fatalf("cell %d exact(%d,%d): remote %v, in process %v", c, u, v, got, want)
 			}
 		}

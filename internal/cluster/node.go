@@ -36,11 +36,12 @@ type Node struct {
 	// between RPCs.
 	qcs sync.Pool
 
-	reg      *obs.Registry
-	rpcs     map[string]*nodeEndpointMetrics
-	rejects  *obs.Counter
-	cellRPCs []*obs.Counter
-	draining atomic.Bool
+	reg         *obs.Registry
+	rpcs        map[string]*nodeEndpointMetrics
+	rejects     *obs.Counter
+	refinements *obs.Counter
+	cellRPCs    []*obs.Counter
+	draining    atomic.Bool
 }
 
 type nodeEndpointMetrics struct {
@@ -83,6 +84,8 @@ func NewNode(name string, m *Manifest, s *partition.Sharded) (*Node, error) {
 	}
 	n.rejects = n.reg.Counter("silcnode_rejected_total", "",
 		"RPCs rejected because this node does not own the requested cell.")
+	n.refinements = n.reg.Counter("silcnode_refinements_total", "",
+		"Interval refinement steps the node's RPCs performed (route races refine; lookups do not).")
 	n.cellRPCs = make([]*obs.Counter, p)
 	for _, c := range spec.Cells {
 		n.cellRPCs[c] = n.reg.Counter("silcnode_cell_rpcs_total",
@@ -174,6 +177,7 @@ func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, re
 		// Handlers are done with qc once they return: replies carry copies.
 		defer n.qcs.Put(qc)
 		resp, err := h(qc, &req)
+		n.refinements.Add(qc.Span.Refinements)
 		if err == nil && qc.Failed() {
 			err = qc.Err() // storage failure during the computation
 		}

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,8 +67,8 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 	s, _, srv := buildNode(t)
 
 	// Owned cell: a race with one zero-offset candidate — the wire form of a
-	// pair's exact distance — must equal CellExact run in process, and the
-	// intervals RPC must carry one row per boundary vertex.
+	// pair's exact distance — must equal the pair refined to exact in
+	// process, and the intervals RPC must carry one row per boundary vertex.
 	bs := s.BoundaryLocals(0)
 	if len(bs) == 0 {
 		t.Fatal("cell 0 has no boundary vertices")
@@ -79,7 +84,10 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 		if err := json.Unmarshal(data, &rr); err != nil {
 			t.Fatal(err)
 		}
-		want := partition.CellExact(cx, core.NewQueryContext(), 0, b)
+		r := cx.Refine(core.NewQueryContext(), 0, b)
+		for r.Step() {
+		}
+		want := r.Interval().Lo // +Inf where the cell does not reach b
 		if len(rr.Ds) != 1 || len(rr.Args) != 1 || cluster.Bits(want) != rr.Ds[0] {
 			t.Fatalf("gateway %d: node says %v, in-process says %v", b, rr.Ds, want)
 		}
@@ -284,6 +292,99 @@ func TestNodeRaceBatch(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+}
+
+// metricValue scrapes one unlabelled series from a server's /metrics.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if value, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no series %s in /metrics", name)
+	return 0
+}
+
+// TestNodeRefinementsCounter: silcnode_refinements_total moves by exactly
+// the refinement steps of the requests the node served. A concurrent burst
+// of race batches (and interval lookups, which refine nothing) is replayed
+// in process, request by request on fresh contexts, and the steps those
+// replays count add up to the counter's delta.
+func TestNodeRefinementsCounter(t *testing.T) {
+	s, _, srv := buildNode(t)
+	rng := rand.New(rand.NewSource(11))
+	var races [][]byte
+	var want int64 // the refinement steps of the burst's races, in process
+	for i := 0; i < 32; i++ {
+		cell := i % 2
+		cx, bs, nv := s.CellIndexAt(cell), s.BoundaryLocals(cell), s.CellVertexCount(cell)
+		req := &cluster.RaceReq{Cell: int32(cell)}
+		qc := core.NewQueryContext()
+		for d, n := 0, 1+rng.Intn(4); d < n; d++ {
+			dst := graph.VertexID(rng.Intn(nv))
+			offs := make([]float64, len(bs))
+			for j, b := range bs {
+				offs[j] = rng.Float64() * 0.2
+				req.Offs, req.Us = append(req.Offs, cluster.Bits(offs[j])), append(req.Us, uint32(b))
+			}
+			req.Dsts, req.Ns = append(req.Dsts, uint32(dst)), append(req.Ns, int32(len(bs)))
+			cx.RaceRoutes(qc, dst, offs, bs)
+		}
+		want += qc.Span.Refinements
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		races = append(races, body)
+	}
+	lookup := []byte(`{"cell":0,"u":1,"vs":[0,2],"cells":[0]}`)
+
+	before := metricValue(t, srv.URL, "silcnode_refinements_total")
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(races))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(races); i += workers {
+				for path, body := range map[string][]byte{cluster.PathRace: races[i], cluster.PathInterval: lookup} {
+					resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+					if err == nil {
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							err = fmt.Errorf("%s: status %d", path, resp.StatusCode)
+						}
+					}
+					if err != nil {
+						errs <- err
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	got := metricValue(t, srv.URL, "silcnode_refinements_total") - before
+	if want == 0 || got != float64(want) {
+		t.Fatalf("silcnode_refinements_total moved by %v over the burst; its requests refine %d steps in process", got, want)
+	}
+	t.Logf("%d race batches: %d refinement steps", len(races), want)
 }
 
 // FuzzNodeRace: whatever bytes arrive on the race endpoint, the node answers

@@ -235,8 +235,8 @@ func (r *remoteRefiner) settle(iv core.Interval) {
 }
 
 // Step asks for the exact distance as a race with one zero-offset candidate:
-// the node refines a sole candidate exactly as CellExact would, and 0 + d ==
-// d to the bit.
+// the node refines a sole candidate to exact, as a local refiner would, and
+// 0 + d == d to the bit.
 func (r *remoteRefiner) Step() bool {
 	if r.done || r.qc.Err() != nil {
 		return false

@@ -432,14 +432,21 @@ func (e *engine) expand(n *pmr.Node) {
 	}
 }
 
-// hintNode tells a hint-taking index what expanding n is about to ask of it:
-// a Refine per object of a leaf; for an interior node a region lower bound
-// per child, plus a Refine per object of every child that is a leaf — those
-// leaves are the expansions most likely to come next, and answering for
-// their (at most 4×bucket) objects now saves them a batch of their own. The
-// index answers the lot in one batch (one RPC on a cluster router) instead
-// of one call at a time.
+// hintNode tells a hint-taking index what expanding n and its children is
+// about to ask of it: a Refine per object of a leaf; for an interior node a
+// region lower bound per child and per grandchild, plus a Refine per object
+// of every child and every grandchild that is a leaf. The index answers the
+// lot in one batch (one RPC on a cluster router) instead of one call at a
+// time.
+//
+// Expanding a child of an announced node, or a leaf grandchild, asks nothing
+// the announcement did not name, so those nodes announce nothing: the nodes
+// that do are the root and the interior nodes at even depth. A node's depth
+// is its cell's level, so the rule needs no per-query state.
 func (e *engine) hintNode(n *pmr.Node) {
+	if depth := n.Cell().Level; depth%2 == 1 || (depth > 0 && n.IsLeaf()) {
+		return
+	}
 	dsts, cells := e.hintDsts[:0], e.hintCells[:0]
 	for _, o := range n.Objects() {
 		dsts = append(dsts, o.Vertex)
@@ -451,6 +458,15 @@ func (e *engine) hintNode(n *pmr.Node) {
 		cells = append(cells, c.Cell())
 		for _, o := range c.Objects() {
 			dsts = append(dsts, o.Vertex)
+		}
+		for _, gc := range c.Children() {
+			if gc == nil {
+				continue
+			}
+			cells = append(cells, gc.Cell())
+			for _, o := range gc.Objects() {
+				dsts = append(dsts, o.Vertex)
+			}
 		}
 	}
 	e.hintDsts, e.hintCells = dsts, cells

@@ -131,3 +131,42 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandHintsCoverDeepTrees: an announcement names two levels of the
+// object tree, and the nodes it covers announce nothing; on object sets
+// dense enough that searches expand interior nodes two and more levels
+// down — and so must announce again — every lookup is still announced first
+// and the results are the plain index's.
+func TestExpandHintsCoverDeepTrees(t *testing.T) {
+	h := roadHarness(t, 24, 24, 5)
+	rng := rand.New(rand.NewSource(26))
+	deeper := 0 // searches that announced more than once
+	for _, m := range []int{200, h.g.NumVertices()} {
+		objs := h.randomObjects(m, rng)
+		for i := 0; i < 10; i++ {
+			q := graph.VertexID(rng.Intn(h.g.NumVertices()))
+			for _, v := range append(Variants, -1) { // -1: the range search
+				chk := &hintChecker{QueryIndex: h.ix, t: t, dsts: map[graph.VertexID]bool{},
+					cells: map[geom.Cell]bool{}, refined: map[graph.VertexID]bool{}}
+				var got, want Result
+				if v < 0 {
+					got, want = RangeSearch(chk, objs, q, 0.3), RangeSearch(h.ix, objs, q, 0.3)
+				} else {
+					got, want = Search(chk, objs, q, 12, v), Search(h.ix, objs, q, 12, v)
+				}
+				if !sameSearch(got, want) {
+					t.Fatalf("m=%d q=%d variant %v: hinted search differs", m, q, v)
+				}
+				if chk.misses != 0 {
+					t.Fatalf("m=%d q=%d variant %v: %d lookups were never announced", m, q, v, chk.misses)
+				}
+				if chk.hints > 1 {
+					deeper++
+				}
+			}
+		}
+	}
+	if deeper == 0 {
+		t.Fatal("no search expanded an interior node two levels down; the trees are too shallow to tell")
+	}
+}

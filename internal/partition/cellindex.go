@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"silc/internal/core"
 	"silc/internal/geom"
@@ -102,64 +101,72 @@ func (s *Sharded) qcell(c int32) CellIndex {
 	return s.cells[c].seam
 }
 
-// CellExact fully refines the within-cell distance from u to v on one cell
-// index (+Inf when unreachable inside the cell). It is core.ExactDistance
-// over the CellIndex seam, the refinement every route race ends in.
-func CellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
-	r := cx.Refine(qc, u, v)
-	for !r.Done() {
-		if qc.Err() != nil {
-			break
-		}
-		if !r.Step() {
-			break
-		}
-	}
-	if r.OutOfRange() {
-		return math.Inf(1)
-	}
-	return r.Interval().Lo
-}
-
 // RaceCellRoutes resolves min over i of offs[i] + d_cell(us[i], dst) on one
-// cell index: candidates sort by their zero-refinement lower bound and
-// refine to exact in that order, with a cutoff once no remaining candidate
-// can be strictly shorter. The minimum is exact and identical to stepping
-// the race progressively, because refining past the cutoff can only raise a
-// candidate's value. A sole zero-offset candidate makes it CellExact: 0 + d
-// == d in IEEE 754, and a candidate whose lookup already says +Inf is one
-// CellExact would report +Inf for too.
+// cell index, returning the minimum and the index achieving it (+Inf and -1
+// when every candidate is unreachable, or after a failure, which is on qc).
+// It is the paper's search over a handful of intervals: every candidate
+// opens one refiner (one lookup), the undecided candidate with the smallest
+// lower bound offs[i]+lo is refined one step at a time, a candidate whose
+// lower bound passes the smallest upper bound is dropped, and the race ends
+// as soon as the smallest lower bound is exact. Only a candidate that could
+// still be the minimum is ever stepped.
+//
+// The winner's value is offs[i] plus its fully refined within-cell distance,
+// exactly what refining that pair alone to exact gives; a sole zero-offset
+// candidate is therefore the pair's exact distance (0 + d == d in IEEE 754).
+// Among candidates of equal value the winner is the first in (offs[i] plus
+// zero-refinement lower bound, index) order. Candidates at +Inf offset, or
+// unreachable inside the cell or beyond its radius, never win.
 func RaceCellRoutes(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
 	type cand struct {
-		i  int
-		lo float64
+		i      int
+		lo0    float64 // offs[i] + the zero-refinement lower bound: the tie order
+		lo, hi float64 // offs[i] + the refiner's current interval
+		r      core.DistanceRefiner
 	}
 	cands := make([]cand, 0, len(offs))
-	for i := range offs {
-		if math.IsInf(offs[i], 1) {
+	for i, off := range offs {
+		if !(off < math.Inf(1)) {
+			continue // +Inf (or NaN): never strictly shorter
+		}
+		r := cx.Refine(qc, us[i], dst)
+		if r.OutOfRange() {
 			continue
 		}
-		iv := cx.DistanceIntervalCtx(qc, us[i], dst)
-		if math.IsInf(iv.Lo, 1) {
-			continue
-		}
-		cands = append(cands, cand{i: i, lo: offs[i] + iv.Lo})
+		iv := r.Interval()
+		cands = append(cands, cand{i: i, lo0: off + iv.Lo, lo: off + iv.Lo, hi: off + iv.Hi, r: r})
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].lo < cands[b].lo })
-	best, arg := math.Inf(1), -1
-	for _, c := range cands {
-		if c.lo >= best {
-			break // sorted: no remaining candidate can be strictly shorter
+	for len(cands) > 0 && qc.Err() == nil {
+		hi := math.Inf(1)
+		for _, c := range cands {
+			if c.hi < hi {
+				hi = c.hi
+			}
 		}
-		if qc.Err() != nil {
-			break
+		// Drop what cannot be the minimum and find the candidate holding the
+		// race open; the candidate defining hi always survives.
+		kept, m := cands[:0], 0
+		for _, c := range cands {
+			if c.lo > hi {
+				continue
+			}
+			kept = append(kept, c)
+			if b := &kept[m]; c.lo < b.lo || (c.lo == b.lo && c.lo0 < b.lo0) {
+				m = len(kept) - 1
+			}
 		}
-		d := CellExact(cx, qc, us[c.i], dst)
-		if t := offs[c.i] + d; t < best {
-			best, arg = t, c.i
+		cands = kept
+		c := &cands[m]
+		if c.r.Done() {
+			return c.lo, c.i
 		}
+		if !c.r.Step() && !c.r.Done() {
+			break // storage failure, recorded on qc
+		}
+		iv := c.r.Interval()
+		c.lo, c.hi = offs[c.i]+iv.Lo, offs[c.i]+iv.Hi
 	}
-	return best, arg
+	return math.Inf(1), -1
 }
 
 // The node-facing accessors below expose exactly the per-cell state a

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -82,6 +83,75 @@ func (c cannedRemote) RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns
 		out = append(out, 1)
 	}
 	return out
+}
+
+// countingRemote stands in for a cell served from another process whose
+// interval calls are counted: batches and single region bounds.
+type countingRemote struct {
+	cannedRemote
+	batches, regions *int
+}
+
+func (c countingRemote) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) ([]core.Interval, []float64) {
+	*c.batches++
+	ivs, lbs := make([]core.Interval, len(dsts)), make([]float64, len(cells))
+	for i, d := range dsts {
+		ivs[i] = c.DistanceIntervalCtx(qc, src, d)
+	}
+	for i, cell := range cells {
+		lbs[i] = c.localCell.RegionLowerBoundCtx(qc, src, cell)
+	}
+	return ivs, lbs
+}
+
+func (c countingRemote) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	*c.regions++
+	return c.localCell.RegionLowerBoundCtx(qc, q, cell)
+}
+
+// TestExpandHintsKeepEveryRegionBound: a region bound fetched by any
+// announcement of a query stays fetched for the rest of that query and
+// source — a later announcement neither evicts it nor asks for it again —
+// and answers what the cell computes, bit for bit. A new query asks afresh.
+func TestExpandHintsKeepEveryRegionBound(t *testing.T) {
+	g, s := buildTestSharded(t, 14, 14, 4, 7, false)
+	var batches, regions int
+	for _, cx := range s.cells {
+		s.remote = append(s.remote, countingRemote{cannedRemote{cx.seam}, &batches, &regions})
+	}
+	local, err := Build(g, Options{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := graph.VertexID(g.NumVertices() / 3)
+	// The quadtree cells around src at levels 1..6 each hold a vertex of its
+	// partition: src itself.
+	var shallow, deep []geom.Cell
+	for level := uint8(1); level <= 6; level++ {
+		cell := geom.Cell{Code: g.Code(src) &^ (geom.Code(geom.Span(level)) - 1), Level: level}
+		if level <= 3 {
+			shallow = append(shallow, cell)
+		} else {
+			deep = append(deep, cell)
+		}
+	}
+	qc := core.NewQueryContext()
+	for query := 1; query <= 2; query++ {
+		qc.ResetForReuse(nil)
+		batches, regions = 0, 0
+		s.HintExpand(qc, src, nil, shallow)
+		s.HintExpand(qc, src, nil, deep)
+		s.HintExpand(qc, src, nil, shallow) // known: asks nothing
+		for _, cell := range append(shallow, deep...) {
+			got := s.RegionLowerBoundCtx(qc, src, cell)
+			if want := local.RegionLowerBoundCtx(core.NewQueryContext(), src, cell); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("query %d, cell %v: hinted bound %v, in process %v", query, cell, got, want)
+			}
+		}
+		if batches != 2 || regions != 0 {
+			t.Fatalf("query %d: %d batches and %d single region calls for two announcements, want 2 and 0", query, batches, regions)
+		}
+	}
 }
 
 // TestRaceAssemblyWarmAllocs: over remote cells a refiner is a slab entry

@@ -58,18 +58,20 @@ type router struct {
 
 // expandHints is what HintExpand has fetched from the source's own cell for
 // the current (query, source): the zero-refinement interval source→d for
-// every announced destination d of that cell, and the region lower bounds of
-// the last announced cells (a search consumes those at once; announced
-// destinations may wait for a later expansion). The per-call paths look here
-// first and fall back to the cell index on a miss. The values are what the
-// cell index would have returned, bit for bit, so a hit changes the number
-// of calls and nothing else. Hints die with their source (rebind) and their
-// query (context generation).
+// every announced destination d of that cell, and the region lower bound of
+// every announced quadtree cell. Either may wait several expansions for its
+// lookup: a search announces two levels of its object tree at a time. The
+// per-call paths look here first and fall back to the cell index on a miss.
+// The values are what the cell index would have returned, bit for bit, so a
+// hit changes the number of calls and nothing else. Hints die with their
+// source (rebind) and their query (context generation).
 type expandHints struct {
-	ivs   map[graph.VertexID]core.Interval // by cell-local destination
+	ivs map[graph.VertexID]core.Interval // by cell-local destination
+	lbs map[geom.Cell]float64
+	// ask and cells are the request scratch: what an announcement names that
+	// ivs and lbs do not hold yet.
+	ask   []graph.VertexID
 	cells []geom.Cell
-	lbs   []float64
-	ask   []graph.VertexID // request scratch: destinations not yet in ivs
 	// live maps a destination (global id) to the refiner Refine last handed
 	// out for it: the routes HintRefine races for that destination, and where
 	// it parks the result.
@@ -78,17 +80,8 @@ type expandHints struct {
 
 func (h *expandHints) reset() {
 	clear(h.ivs)
+	clear(h.lbs)
 	clear(h.live)
-	h.cells, h.lbs = h.cells[:0], nil
-}
-
-func (h *expandHints) region(cell geom.Cell) (float64, bool) {
-	for i, c := range h.cells[:len(h.lbs)] {
-		if c == cell {
-			return h.lbs[i], true
-		}
-	}
-	return 0, false
 }
 
 // WantsExpandHints implements core.ExpandHinter: only a router over remote
@@ -100,16 +93,17 @@ func (s *Sharded) WantsExpandHints() bool { return s.remote != nil }
 // about to ask, the part that costs a remote call each is what the source's
 // own cell answers from the source's quadtree: the within-cell interval to
 // every destination in that cell, and the region bound for every quadtree
-// cell holding one of its vertices. Those go out as one SourceBatch call; the rest (other
-// cells' gateway intervals and closure bounds) is source-independent or
-// router-local and is not touched here.
+// cell holding one of its vertices. What this query has not fetched yet goes
+// out as one SourceBatch call; the rest (other cells' gateway intervals and
+// closure bounds) is source-independent or router-local and is not touched
+// here.
 func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) {
 	if s.remote == nil || qc == nil {
 		return
 	}
 	p := s.asn.CellOf[src]
 	h := &s.routerFor(qc, src).hints
-	h.ask, h.cells, h.lbs = h.ask[:0], h.cells[:0], nil
+	h.ask, h.cells = h.ask[:0], h.cells[:0]
 	for _, d := range dsts {
 		if s.asn.CellOf[d] != p {
 			continue
@@ -120,7 +114,7 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 		}
 	}
 	for _, cell := range cells {
-		if s.holds(p, cell) {
+		if _, known := h.lbs[cell]; !known && s.holds(p, cell) {
 			h.cells = append(h.cells, cell)
 		}
 	}
@@ -131,12 +125,14 @@ func (s *Sharded) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []g
 	// stand-ins; keeping them means the doomed search asks nothing again.
 	ivs, lbs := s.remote[p].SourceBatch(qc, graph.VertexID(s.asn.LocalOf[src]), h.ask, h.cells)
 	if h.ivs == nil {
-		h.ivs = make(map[graph.VertexID]core.Interval)
+		h.ivs, h.lbs = make(map[graph.VertexID]core.Interval), make(map[geom.Cell]float64)
 	}
 	for i, dl := range h.ask {
 		h.ivs[dl] = ivs[i]
 	}
-	h.lbs = lbs
+	for i, cell := range h.cells {
+		h.lbs[cell] = lbs[i]
+	}
 }
 
 // ownInterval returns the zero-refinement interval from the source to dst
@@ -710,7 +706,7 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, c
 				if rt == nil {
 					rt = s.routerFor(qc, q)
 				}
-				m, hinted = rt.hints.region(cell)
+				m, hinted = rt.hints.lbs[cell]
 			}
 			if !hinted {
 				m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), cell)

@@ -74,7 +74,7 @@ func splitCellNetwork(t *testing.T) *graph.Network {
 }
 
 // TestSourceLabelMatchesCellSweep: the bounded search behind router.ensureDU
-// gives, for every source, the distances a full CellExact refinement toward
+// gives, for every source, the distances a full cellExact refinement toward
 // each gateway of the source's cell gives — to 1e-12 relative (equal-length
 // paths may sum in a different order), +Inf exactly where the cell index says
 // unreachable, and an exact 0 for a source that is itself a gateway.
@@ -101,7 +101,7 @@ func TestSourceLabelMatchesCellSweep(t *testing.T) {
 				}
 				for r := lo; r < hi; r++ {
 					got := rt.du[r-lo]
-					want := CellExact(s.qcell(c), qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[s.cl.B[r]]))
+					want := cellExact(s.qcell(c), qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[s.cl.B[r]]))
 					switch {
 					case math.IsInf(want, 1) || math.IsInf(got, 1):
 						if got != want {

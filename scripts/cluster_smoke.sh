@@ -18,7 +18,7 @@ ROUTER=18090
 NODE_A=18091
 NODE_B=18092
 MONO=18093
-KNN_RPC_BUDGET=10
+KNN_RPC_BUDGET=7
 PIDS=()
 
 cleanup() {
@@ -121,7 +121,7 @@ curl -sf "localhost:$NODE_A/metrics" > "$DIR/node-a.metrics"
 curl -sf "localhost:$NODE_B/metrics" > "$DIR/node-b.metrics"
 curl -sf "localhost:$ROUTER/metrics" > "$DIR/router.metrics"
 for f in node-a node-b; do
-  for fam in silcnode_rpcs_total silcnode_cell_rpcs_total silc_store_page_reads_total; do
+  for fam in silcnode_rpcs_total silcnode_cell_rpcs_total silcnode_refinements_total silc_store_page_reads_total; do
     grep -q "^$fam" "$DIR/$f.metrics" || { echo "missing $fam on $f" >&2; exit 1; }
   done
 done
