@@ -91,6 +91,7 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 	if workers > len(queries) {
 		workers = len(queries)
 	}
+	spec := o.spec(k)
 	start := time.Now()
 	results := make([]Result, len(queries))
 	var next atomic.Int64
@@ -112,10 +113,7 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 				// folded here instead of in acquire/release.
 				qc := core.NewQueryContextFor(ctx)
 				e.beginSpan(qc, opBatch)
-				res, err := e.runSpec(qc, objs, queries[i], k, o)
-				if err == nil && o.exact {
-					err = e.exactify(qc, queries[i], &res)
-				}
+				res, err := e.search(qc, objs, queries[i], spec, o)
 				if err != nil {
 					e.obs.fold(qc)
 					if ctx.Err() != nil {
@@ -134,8 +132,6 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 					mu.Unlock()
 					continue
 				}
-				e.foldIO(qc, &res.Stats)
-				res.Stats.SnapshotVersion = objs.version
 				e.obs.fold(qc)
 				results[i] = res
 				answered.Add(1)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -606,5 +607,100 @@ func BenchmarkLiveMutation(b *testing.B) {
 			}
 		})
 		live.Close()
+	}
+}
+
+// BenchmarkPagedKNN times one kNN (k=10) over a paged index of a 64×64 road
+// map (seed 1) with 5% of its vertices as objects, for each page variant:
+// encoding (fixed-width PG1, delta PG2) × page source (positioned reads,
+// mmap) × pool (5% and 100% of the image's pages) × cache state (cold: a
+// fresh open before every pass over the 64 queries; warm: one untimed pass
+// first). The eps=0 and eps=0.1 runs time ε-approximate kNN on warm PG2
+// behind the 5% pool. Every run reports refinements/op and page-reads/op.
+func BenchmarkPagedKNN(b *testing.B) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	path := func(c Compression) string { return filepath.Join(dir, c.String()+".silcpg") }
+	for _, c := range []Compression{CompressionNone, CompressionDelta} {
+		idx, err := BuildIndex(net, BuildOptions{Compression: c})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := idx.WriteFile(path(c)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	n := net.NumVertices()
+	vs := make([]VertexID, n/20)
+	for i, v := range rng.Perm(n)[:len(vs)] {
+		vs[i] = VertexID(v)
+	}
+	objs := mustObjects(b, net, vs)
+	qs := make([]VertexID, 64)
+	for i := range qs {
+		qs[i] = VertexID(rng.Intn(n))
+	}
+
+	run := func(b *testing.B, c Compression, mmap bool, pool float64, cold bool, opts ...Option) {
+		open := func() *Index {
+			idx, err := OpenIndex(path(c), BuildOptions{CacheFraction: pool, Mmap: mmap})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return idx
+		}
+		ctx, idx := context.Background(), open()
+		query := func(i int) QueryStats {
+			res, err := idx.Engine().Query(ctx, objs, qs[i%len(qs)], 10, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Stats
+		}
+		if !cold {
+			for i := range qs {
+				query(i)
+			}
+		}
+		var refinements, reads int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if cold && i > 0 && i%len(qs) == 0 {
+				b.StopTimer()
+				idx.Close()
+				idx = open()
+				b.StartTimer()
+			}
+			s := query(i)
+			refinements += int64(s.Refinements)
+			reads += s.PageReads
+		}
+		b.StopTimer()
+		idx.Close()
+		b.ReportMetric(float64(refinements)/float64(b.N), "refinements/op")
+		b.ReportMetric(float64(reads)/float64(b.N), "page-reads/op")
+	}
+	for _, c := range []struct {
+		name string
+		c    Compression
+	}{{"CompressionNone", CompressionNone}, {"CompressionDelta", CompressionDelta}} {
+		for _, src := range []string{"ReadAt", "Mmap"} {
+			for _, pool := range []float64{0.05, 1} {
+				for _, state := range []string{"cold", "warm"} {
+					b.Run(fmt.Sprintf("%s/%s/pool=%g/%s", c.name, src, pool, state), func(b *testing.B) {
+						run(b, c.c, src == "Mmap", pool, state == "cold")
+					})
+				}
+			}
+		}
+	}
+	for _, eps := range []float64{0, 0.1} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			run(b, CompressionDelta, false, 0.05, false, WithEpsilon(eps))
+		})
 	}
 }

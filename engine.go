@@ -305,18 +305,7 @@ func (e *Engine) Query(ctx context.Context, objs *ObjectSet, q VertexID, k int, 
 	}
 	qc := e.acquireQC(ctx, opKNN)
 	defer e.releaseQC(qc)
-	res, err := e.runSpec(qc, objs, q, k, o)
-	res.Stats.SnapshotVersion = objs.version
-	if err != nil {
-		return res, err
-	}
-	if o.exact {
-		if err := e.exactify(qc, q, &res); err != nil {
-			return res, err
-		}
-	}
-	e.foldIO(qc, &res.Stats)
-	return res, nil
+	return e.search(qc, objs, q, o.spec(k), o)
 }
 
 // checkQuery validates the shared (objs, q, k, opts) prefix of the kNN
@@ -338,30 +327,31 @@ func (e *Engine) checkQuery(objs *ObjectSet, q VertexID, k int, opts []Option) (
 	return o, nil
 }
 
-// runSpec dispatches one kNN query to the selected algorithm — the single
-// generic code path behind both engines and every public entry point.
-func (e *Engine) runSpec(qc *core.QueryContext, objs *ObjectSet, q VertexID, k int, o queryOptions) (Result, error) {
-	spec := knn.Spec{K: k, Epsilon: o.epsilon, MaxDist: o.maxDist}
+// search answers one query on qc — the single code path behind Query,
+// QueryBatch and WithinDistance, on both engines: the search spec selects,
+// o.method dispatches the INE/IER baselines, and the result is stamped with
+// the snapshot version, refined to exact distances when o asks, and given
+// the context's I/O and span counters.
+func (e *Engine) search(qc *core.QueryContext, objs *ObjectSet, q VertexID, spec knn.Spec, o queryOptions) (Result, error) {
 	var raw knn.Result
 	switch o.method {
 	case MethodINE:
 		raw = knn.INESpec(e.qx, qc, objs.objs, q, spec)
 	case MethodIER:
 		raw = knn.IERSpec(e.qx, qc, objs.objs, q, spec)
-	case MethodINN:
-		spec.Variant = knn.VariantINN
-		raw = knn.SearchSpec(e.qx, qc, objs.objs, q, spec)
-	case MethodKNNI:
-		spec.Variant = knn.VariantKNNI
-		raw = knn.SearchSpec(e.qx, qc, objs.objs, q, spec)
-	case MethodKNNM:
-		spec.Variant = knn.VariantKNNM
-		raw = knn.SearchSpec(e.qx, qc, objs.objs, q, spec)
 	default:
-		spec.Variant = knn.VariantKNN
 		raw = knn.SearchSpec(e.qx, qc, objs.objs, q, spec)
 	}
-	return convertResult(raw), raw.Err
+	res := convertResult(raw)
+	res.Stats.SnapshotVersion = objs.version
+	err := raw.Err
+	if err == nil && o.exact {
+		err = e.exactify(qc, q, &res)
+	}
+	if err == nil {
+		e.foldIO(qc, &res.Stats)
+	}
+	return res, err
 }
 
 // exactify refines every reported neighbor's distance to exact, charging
@@ -447,19 +437,9 @@ func (e *Engine) WithinDistance(ctx context.Context, objs *ObjectSet, q VertexID
 	}
 	qc := e.acquireQC(ctx, opRange)
 	defer e.releaseQC(qc)
-	raw := knn.RangeSearchCtx(e.qx, qc, objs.objs, q, radius)
-	res := convertResult(raw)
-	res.Stats.SnapshotVersion = objs.version
-	if raw.Err != nil {
-		return res, raw.Err
-	}
-	if o.exact {
-		if err := e.exactify(qc, q, &res); err != nil {
-			return res, err
-		}
-	}
-	e.foldIO(qc, &res.Stats)
-	return res, nil
+	// Of the options, only WithExactDistances changes a range answer.
+	spec := knn.Spec{K: objs.Len(), Variant: knn.VariantRange, MaxDist: radius}
+	return e.search(qc, objs, q, spec, queryOptions{exact: o.exact})
 }
 
 // Neighbors streams the objects of objs in increasing network distance from
@@ -495,7 +475,7 @@ func (e *Engine) Neighbors(ctx context.Context, objs *ObjectSet, q VertexID, opt
 		br := knn.NewBrowserSpec(e.qx, qc, objs.objs, q, knn.Spec{Epsilon: o.epsilon, MaxDist: o.maxDist})
 		flushStats := func() {
 			if o.statsInto != nil {
-				*o.statsInto = convertBrowserStats(br.Stats())
+				*o.statsInto = convertStats(br.Stats())
 				o.statsInto.SnapshotVersion = objs.version
 				e.foldIO(qc, o.statsInto)
 			}

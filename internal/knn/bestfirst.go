@@ -43,6 +43,11 @@ const (
 	// guarantee kNN-M always provides: k objects, each with true distance
 	// at most D⁰k, the first-k upper-bound estimate.
 	VariantKNNM
+	// VariantRange is the range query as a member of the family: Spec.MaxDist
+	// is the radius, no L is kept, and a popped object is refined in place
+	// until its interval no longer straddles the radius, then reported or
+	// dropped. Its output is unsorted.
+	VariantRange
 )
 
 // String returns the paper's name for the variant.
@@ -56,12 +61,14 @@ func (v Variant) String() string {
 		return "KNN-I"
 	case VariantKNNM:
 		return "KNN-M"
+	case VariantRange:
+		return "RANGE"
 	default:
 		return "unknown"
 	}
 }
 
-// Variants lists the family in the paper's order.
+// Variants lists the paper's kNN family in the paper's order.
 var Variants = []Variant{VariantINN, VariantKNNI, VariantKNN, VariantKNNM}
 
 // Search runs the selected kNN variant from query vertex q with the exact,
@@ -283,7 +290,7 @@ func (e *engine) run() {
 	if e.err == nil && len(e.results) < e.k && (e.variant == VariantKNN || e.variant == VariantKNNM) {
 		e.drainL()
 	}
-	if n := len(e.results); n > 0 {
+	if n := len(e.results); n > 0 && e.variant != VariantRange {
 		e.stats.DkFinal = e.results[n-1].Dist
 		if e.variant == VariantKNNM {
 			// Unsorted output: take the max.
@@ -334,6 +341,21 @@ func (e *engine) step() bool {
 	// [radius, +Inf) and cannot be ranked; they are never reported.
 	if st.refiner.OutOfRange() {
 		st.reported = true // drop without emitting
+		return true
+	}
+
+	// Range: membership is all there is to certify, and nothing left in the
+	// queue bears on it, so refine in place until the interval falls on one
+	// side of the radius. A cancelled query decides on the interval it has.
+	if e.variant == VariantRange {
+		for straddles(st, e.maxDist) && e.qc.Err() == nil {
+			st.refiner.Step()
+			e.stats.Refinements++
+			st.iv = st.refiner.Interval()
+		}
+		if st.iv.Hi <= e.maxDist || (st.refiner.Done() && st.iv.Lo <= e.maxDist) {
+			e.report(st)
+		}
 		return true
 	}
 
@@ -417,6 +439,17 @@ func (e *engine) expand(n *pmr.Node) {
 	if n.IsLeaf() {
 		for _, o := range n.Objects() {
 			e.discover(o)
+		}
+		if e.hint != nil && e.variant == VariantRange {
+			// A range query refines each of these objects whose interval
+			// straddles the radius: announce them as one batch.
+			dsts := e.hintDsts[:0]
+			for _, o := range n.Objects() {
+				if straddles(&e.states[o.ID], e.maxDist) {
+					dsts = append(dsts, o.Vertex)
+				}
+			}
+			e.hintRefine(dsts)
 		}
 		return
 	}
@@ -656,10 +689,16 @@ func (e *engine) result() Result {
 	}
 	return Result{
 		Neighbors: ns,
-		Sorted:    e.variant != VariantKNNM,
+		Sorted:    e.variant != VariantKNNM && e.variant != VariantRange,
 		Stats:     e.stats,
 		Err:       e.err,
 	}
+}
+
+// straddles reports whether st's membership within radius is still undecided
+// and more refinement can decide it.
+func straddles(st *objState, radius float64) bool {
+	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done() && !st.refiner.OutOfRange()
 }
 
 // topOf returns the object id at the root of L.

@@ -2,7 +2,9 @@
 // SILC index: the non-incremental best-first kNN (paper §4) and its variants
 // INN, kNN-I, and kNN-M, plus the two comparison baselines from Papadias et
 // al. (VLDB 2003) — INE (incremental network expansion, i.e. Dijkstra with a
-// result buffer) and IER (incremental Euclidean restriction).
+// result buffer) and IER (incremental Euclidean restriction). The range
+// query is a variant of the same engine (VariantRange): one best-first loop
+// answers kNN, browsing and range queries.
 //
 // All algorithms consume the same inputs — a core.QueryIndex (the monolithic
 // SILC index or the sharded partition index), an object set S in a PMR

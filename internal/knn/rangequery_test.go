@@ -1,12 +1,21 @@
 package knn
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/partition"
 	"silc/internal/sssp"
+	"silc/internal/store"
 )
 
 // rangeTruth returns the ids of objects within radius by brute force.
@@ -123,4 +132,264 @@ func TestRangeSearchRefinesOnlyStraddlers(t *testing.T) {
 	if res.Stats.Lookups == 0 || res.Stats.MaxQueue == 0 {
 		t.Fatalf("stats not populated: %+v", res.Stats)
 	}
+}
+
+// rangeOracle is the range search's own loop from before range became a
+// variant of the best-first engine, kept as the oracle. It drives the engine
+// frame's buffers by hand: pop, prune at the radius, expand a node (and
+// announce a leaf's straddlers to a hint-taking index), or refine a popped
+// object until it falls on one side of the radius.
+func rangeOracle(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, radius float64) Result {
+	clock := beginQueryWith(ix, qc)
+	e := scratchFor(clock.qc).engineFor(ix, clock.qc, objs, q, 0, VariantINN)
+	e.stats.Algorithm = "RANGE"
+
+	if radius >= 0 && objs.Len() > 0 {
+		e.queue.Push(0, qelem{node: objs.Tree().Root()})
+		e.stats.MaxQueue = 1
+		for e.queue.Len() > 0 {
+			if e.err = clock.qc.Err(); e.err != nil {
+				break
+			}
+			key, el := e.queue.Pop()
+			if key > radius {
+				break
+			}
+			if el.node != nil {
+				if e.hint != nil {
+					e.hintNode(el.node)
+				}
+				if el.node.IsLeaf() {
+					for _, o := range el.node.Objects() {
+						st := &e.states[o.ID]
+						*st = objState{id: o.ID, refiner: ix.Refine(clock.qc, q, o.Vertex), epoch: e.epoch}
+						st.iv = st.refiner.Interval()
+						e.stats.Lookups++
+						if st.iv.Lo <= radius {
+							e.queue.Push(st.iv.Lo, qelem{obj: o.ID})
+						}
+					}
+					if e.hint != nil {
+						dsts := e.hintDsts[:0]
+						for _, o := range el.node.Objects() {
+							if st := &e.states[o.ID]; straddles(st, radius) {
+								dsts = append(dsts, o.Vertex)
+							}
+						}
+						e.hintRefine(dsts)
+					}
+				} else {
+					for _, c := range el.node.Children() {
+						if c == nil {
+							continue
+						}
+						if lb := ix.RegionLowerBoundCtx(clock.qc, q, c.Cell()); lb <= radius {
+							e.queue.Push(lb, qelem{node: c})
+						}
+					}
+				}
+				e.noteQueue()
+				continue
+			}
+			st := &e.states[el.obj]
+			for straddles(st, radius) && clock.qc.Err() == nil {
+				st.refiner.Step()
+				e.stats.Refinements++
+				st.iv = st.refiner.Interval()
+			}
+			if st.iv.Hi <= radius || (st.refiner.Done() && st.iv.Lo <= radius) {
+				e.results = append(e.results, Neighbor{
+					Object:   objs.resultAt(st.id),
+					Interval: st.iv,
+					Dist:     st.iv.Lo,
+					Exact:    st.refiner.Done() || st.iv.Exact(),
+				})
+			}
+		}
+	}
+
+	out := e.result()
+	out.Sorted = false
+	clock.finish(&out.Stats)
+	return out
+}
+
+// sameRange reports the first way got differs from the oracle's answer:
+// the neighbours in order, bit for bit, the counters that say what the
+// search computed, and the error.
+func sameRange(got, want Result) error {
+	if len(got.Neighbors) != len(want.Neighbors) {
+		return fmt.Errorf("%d neighbours, oracle %d", len(got.Neighbors), len(want.Neighbors))
+	}
+	for i, g := range got.Neighbors {
+		w := want.Neighbors[i]
+		if g.Object != w.Object || g.Exact != w.Exact ||
+			math.Float64bits(g.Dist) != math.Float64bits(w.Dist) ||
+			math.Float64bits(g.Interval.Lo) != math.Float64bits(w.Interval.Lo) ||
+			math.Float64bits(g.Interval.Hi) != math.Float64bits(w.Interval.Hi) {
+			return fmt.Errorf("neighbour %d is %+v, oracle %+v", i, g, w)
+		}
+	}
+	if got.Sorted || got.Stats.Algorithm != "RANGE" {
+		return fmt.Errorf("sorted %v, algorithm %q", got.Sorted, got.Stats.Algorithm)
+	}
+	if got.Stats.Refinements != want.Stats.Refinements || got.Stats.Lookups != want.Stats.Lookups {
+		return fmt.Errorf("refinements %d, lookups %d; oracle %d, %d",
+			got.Stats.Refinements, got.Stats.Lookups, want.Stats.Refinements, want.Stats.Lookups)
+	}
+	if got.Err != want.Err {
+		return fmt.Errorf("error %v, oracle %v", got.Err, want.Err)
+	}
+	return nil
+}
+
+// liveWithGaps is a live set of m objects on random vertices whose public
+// ids are not its slots, with about a third of them removed again, so free
+// slots sit below the slot bound.
+func liveWithGaps(g *graph.Network, m int, rng *rand.Rand) *Objects {
+	live := EmptyObjects(g)
+	for i := 0; i < m; i++ {
+		live = live.WithInserted(int32(i), int32(5000+3*i), graph.VertexID(rng.Intn(g.NumVertices())))
+	}
+	for _, slot := range rng.Perm(m)[:m/3] {
+		if live.Len() > 1 {
+			live = live.WithRemoved(int32(slot))
+		}
+	}
+	return live
+}
+
+// callLog is a hint-taking index that records, in order, every lookup,
+// region bound and hint a search makes of the in-RAM index it wraps.
+type callLog struct {
+	core.QueryIndex
+	calls []string
+}
+
+func (c *callLog) WantsExpandHints() bool { return true }
+
+func (c *callLog) HintExpand(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) {
+	c.calls = append(c.calls, fmt.Sprint("expand ", src, dsts, cells))
+}
+
+func (c *callLog) HintRefine(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID) {
+	c.calls = append(c.calls, fmt.Sprint("race ", src, dsts))
+}
+
+func (c *callLog) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
+	c.calls = append(c.calls, fmt.Sprint("lookup ", src, dst))
+	return c.QueryIndex.Refine(qc, src, dst)
+}
+
+func (c *callLog) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	c.calls = append(c.calls, fmt.Sprint("bound ", q, cell))
+	return c.QueryIndex.RegionLowerBoundCtx(qc, q, cell)
+}
+
+// take returns the calls recorded since the last take.
+func (c *callLog) take() []string {
+	out := c.calls
+	c.calls = nil
+	return out
+}
+
+// TestRangeMatchesDeletedLoop: the range query on the best-first engine
+// answers every case exactly as the deleted loop did — the same objects in
+// the same order, bit-equal intervals, the same Exact flags and the same
+// refinement and lookup counts — on four index kinds (in-RAM, 4-cell
+// sharded, paged PG2 behind a 5% pool, proximity-bounded so that some
+// objects are out of range), over static sets and live sets with free slots
+// below the slot bound, at radii 0, small, large and beyond every object. A
+// fifth, hint-taking kind checks that the engine makes the loop's index calls
+// and hints in the loop's order. A pre-cancelled context returns the
+// oracle's partial result and error.
+func TestRangeMatchesDeletedLoop(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 24, Cols: 24, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := partition.Build(g, partition.Options{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := ram.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(bytes.NewReader(img.Bytes()), int64(img.Len()), store.OpenOptions{CacheFraction: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Compression() != store.CompressionDelta {
+		t.Fatalf("image is %v, want PG2", st.Compression())
+	}
+	paged := core.NewPagedIndex(core.PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
+	proximal, err := core.Build(g, core.BuildOptions{ProximityRadius: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	rng := rand.New(rand.NewSource(27))
+	n := g.NumVertices()
+	calls := &callLog{QueryIndex: ram}
+	reported, refined, outOfRange := 0, 0, 0
+	for _, kind := range []struct {
+		name string
+		ix   core.QueryIndex
+	}{{"ram", ram}, {"sharded", sharded}, {"paged", paged}, {"proximity", proximal}, {"hinted", calls}} {
+		for i := 0; i < 150; i++ {
+			m := 1 + rng.Intn(n/3)
+			var objs *Objects
+			if i%2 == 0 {
+				objs = (&harness{g: g}).randomObjects(m, rng)
+			} else {
+				objs = liveWithGaps(g, m+1, rng)
+			}
+			q := graph.VertexID(rng.Intn(n))
+			radius := [...]float64{0, rng.Float64() / 10, rng.Float64(), 1e9, math.Inf(1)}[i%5]
+			want := rangeOracle(kind.ix, core.NewQueryContext(), objs, q, radius)
+			// At an unbounded radius the deleted loop reported the objects
+			// beyond a proximity-bounded index's range, flagged exact at the
+			// index radius, which is not their distance. The engine drops
+			// them, as every variant does.
+			want.Neighbors = slices.DeleteFunc(want.Neighbors, func(nb Neighbor) bool {
+				if math.IsInf(nb.Interval.Hi, 1) {
+					outOfRange++
+					return true
+				}
+				return false
+			})
+			wantCalls := calls.take()
+			got := RangeSearchCtx(kind.ix, core.NewQueryContext(), objs, q, radius)
+			if err := sameRange(got, want); err != nil {
+				t.Fatalf("%s case %d (|S|=%d, bound %d, q=%d, radius %v): %v", kind.name, i, objs.Len(), objs.SlotBound(), q, radius, err)
+			}
+			// The same index calls in the same order, hints included; the
+			// engine may stop early once it has reported every object.
+			if gotCalls := calls.take(); len(gotCalls) > len(wantCalls) || !slices.Equal(gotCalls, wantCalls[:len(gotCalls)]) ||
+				(len(gotCalls) < len(wantCalls) && len(got.Neighbors) < objs.Len()) {
+				t.Fatalf("%s case %d (q=%d, radius %v): index calls\n%v\noracle's\n%v", kind.name, i, q, radius, gotCalls, wantCalls)
+			}
+			reported += len(got.Neighbors)
+			refined += got.Stats.Refinements
+			if i%7 == 0 {
+				want := rangeOracle(kind.ix, core.NewQueryContextFor(cancelled), objs, q, radius)
+				got := RangeSearchCtx(kind.ix, core.NewQueryContextFor(cancelled), objs, q, radius)
+				if err := sameRange(got, want); err != nil || got.Err == nil {
+					t.Fatalf("%s case %d, cancelled: %v (error %v)", kind.name, i, err, got.Err)
+				}
+			}
+		}
+	}
+	if reported == 0 || refined == 0 || outOfRange == 0 {
+		t.Fatalf("%d neighbours reported, %d refinements, %d out of the index's range dropped: the cases miss a kind",
+			reported, refined, outOfRange)
+	}
+	t.Logf("%d neighbours reported, %d refinements, %d out of the index's range dropped", reported, refined, outOfRange)
 }

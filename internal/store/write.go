@@ -301,13 +301,6 @@ func ImageSize(n, m int, totalBlocks int64) int64 {
 	return blockOff + blockPages*PageSize + blockPages*4 + 4
 }
 
-// BlockPages returns the number of demand-paged block pages the fixed-width
-// image for totalBlocks entries occupies.
-func BlockPages(totalBlocks int64) int64 {
-	epp := int64(PageSize / entrySize)
-	return (totalBlocks + epp - 1) / epp
-}
-
 func padTo(cw *countingWriter, off int64) error {
 	if cw.n > off {
 		return fmt.Errorf("store: overran section boundary %d (at %d)", off, cw.n)

@@ -3,9 +3,11 @@ package silc
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pagedTestEngine builds a grid index OnDisk under t.TempDir() — persisted
@@ -270,6 +272,65 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	}
 	if n := strings.Count(b2.String(), `silc_diskio_shard_hits_total{shard="0"}`); n != 1 {
 		t.Errorf("shard series appears %d times after second scrape, want 1", n)
+	}
+}
+
+// TestRangeCountersReconcile: a range query runs on the best-first engine,
+// so its counters add up like a kNN's. On monolithic and sharded engines
+// with tracing on, over a 30%-density object set, a burst of WithinDistance
+// calls moves silc_knn_lookups_total by exactly the results' Σ Lookups,
+// every result counts a heap push for the root and one for each object it
+// reports, and the filter phase has a clock.
+func TestRangeCountersReconcile(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 16, Cols: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := BuildIndex(net, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.NumVertices()
+	rng := rand.New(rand.NewSource(8))
+	var vs []VertexID
+	for _, v := range rng.Perm(n)[:n*3/10] {
+		vs = append(vs, VertexID(v))
+	}
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+	}{{"monolithic", mono.Engine()}, {"sharded", sharded.Engine()}} {
+		name, eng := c.name, c.eng
+		eng.SetTracing(true)
+		objs, err := NewObjectSet(eng.Network(), vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := eng.obs.lookups.Value()
+		var lookups, reported int64
+		var filter time.Duration
+		for i := 0; i < 40; i++ {
+			res, err := eng.WithinDistance(context.Background(), objs, VertexID(rng.Intn(n)), rng.Float64()/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.HeapPushes < int64(len(res.Neighbors))+1 {
+				t.Errorf("%s query %d: %d heap pushes for %d reported objects", name, i, res.Stats.HeapPushes, len(res.Neighbors))
+			}
+			lookups += int64(res.Stats.Lookups)
+			reported += int64(len(res.Neighbors))
+			filter += res.Stats.FilterTime
+		}
+		if got := eng.obs.lookups.Value() - before; got != lookups || lookups == 0 {
+			t.Errorf("%s: silc_knn_lookups_total moved by %d, Σ Stats.Lookups %d", name, got, lookups)
+		}
+		if filter <= 0 || reported == 0 {
+			t.Errorf("%s: Σ FilterTime %v over %d reported objects", name, filter, reported)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package silc
 import (
 	"fmt"
 	"math"
+
+	"silc/internal/knn"
 )
 
 // Option configures one query on an Engine: every Engine query entry point
@@ -18,6 +20,21 @@ type queryOptions struct {
 	workers   int
 	exact     bool
 	statsInto *QueryStats
+}
+
+// spec is the kNN search the options select for k; the INE/IER baselines
+// read only K, Epsilon and MaxDist from it.
+func (o queryOptions) spec(k int) knn.Spec {
+	v := knn.VariantKNN
+	switch o.method {
+	case MethodINN:
+		v = knn.VariantINN
+	case MethodKNNI:
+		v = knn.VariantKNNI
+	case MethodKNNM:
+		v = knn.VariantKNNM
+	}
+	return knn.Spec{K: k, Variant: v, Epsilon: o.epsilon, MaxDist: o.maxDist}
 }
 
 // defaultOptions returns the exact, unbounded, MethodKNN defaults.

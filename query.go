@@ -220,7 +220,7 @@ type Result struct {
 }
 
 func convertResult(raw knn.Result) Result {
-	out := Result{Sorted: raw.Sorted}
+	out := Result{Sorted: raw.Sorted, Stats: convertStats(raw.Stats)}
 	out.Neighbors = make([]Neighbor, len(raw.Neighbors))
 	for i, n := range raw.Neighbors {
 		out.Neighbors[i] = Neighbor{
@@ -231,8 +231,13 @@ func convertResult(raw knn.Result) Result {
 			Exact:    n.Exact,
 		}
 	}
-	s := raw.Stats
-	out.Stats = QueryStats{
+	return out
+}
+
+// convertStats is the one knn.Stats → QueryStats conversion; foldIO adds
+// the context's storage and span counters on top.
+func convertStats(s knn.Stats) QueryStats {
+	return QueryStats{
 		Method:      s.Algorithm,
 		MaxQueue:    s.MaxQueue,
 		Refinements: s.Refinements,
@@ -241,17 +246,5 @@ func convertResult(raw knn.Result) Result {
 		PageHits:    s.IO.Hits,
 		PageMisses:  s.IO.Misses,
 		CPUTime:     s.CPU,
-	}
-	return out
-}
-
-func convertBrowserStats(s knn.Stats) QueryStats {
-	return QueryStats{
-		Method:      s.Algorithm,
-		MaxQueue:    s.MaxQueue,
-		Refinements: s.Refinements,
-		Lookups:     s.Lookups,
-		PageHits:    s.IO.Hits,
-		PageMisses:  s.IO.Misses,
 	}
 }
