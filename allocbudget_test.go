@@ -536,3 +536,63 @@ func TestAllocBudgetLiveMutation(t *testing.T) {
 			large, large/small, small, liveMoveScaling)
 	}
 }
+
+// TestAllocBudgetColdDistance pins what one cold distance costs a freshly
+// opened paged index (PG2, positioned reads, 5% pool): a frame per page read
+// and two allocations besides — the WithStats option and the frame map's
+// first bucket. Each refinement hop is a single-block lookup that streams
+// its vertex's run and keeps one block; none materializes a tree the query
+// never comes back to (at 3 allocations per decoded tree, the old path cost
+// several times this budget).
+func TestAllocBudgetColdDistance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 24, Cols: 24, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := built.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Engine {
+		idx, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx.Engine()
+	}
+	ctx := context.Background()
+	src, dst := VertexID(0), VertexID(net.NumVertices()-1)
+	var st QueryStats
+	distance := func(e *Engine, u, v VertexID) {
+		if _, err := e.Distance(ctx, u, v, WithStats(&st)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the process-wide gather scratch on another handle, and the
+	// measured engine's context pool with a distance that reads no page.
+	distance(open(), src, dst)
+	e := open()
+	distance(e, src, src)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	distance(e, src, dst)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("cold distance %d->%d: %d allocs, %d page reads, %d refinements, %d blocks decoded",
+		src, dst, allocs, st.PageReads, st.Refinements, st.BlocksDecoded)
+	if st.PageReads == 0 {
+		t.Fatal("cold distance read no page")
+	}
+	if budget := uint64(st.PageReads) + 2; allocs > budget {
+		t.Fatalf("cold distance allocates %d, budget %d (page reads + 2)", allocs, budget)
+	}
+}

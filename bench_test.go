@@ -610,80 +610,86 @@ func BenchmarkLiveMutation(b *testing.B) {
 	}
 }
 
-// BenchmarkPagedKNN times one kNN (k=10) over a paged index of a 64×64 road
-// map (seed 1) with 5% of its vertices as objects, for each page variant:
-// encoding (fixed-width PG1, delta PG2) × page source (positioned reads,
-// mmap) × pool (5% and 100% of the image's pages) × cache state (cold: a
-// fresh open before every pass over the 64 queries; warm: one untimed pass
-// first). The eps=0 and eps=0.1 runs time ε-approximate kNN on warm PG2
-// behind the 5% pool. Every run reports refinements/op and page-reads/op.
-func BenchmarkPagedKNN(b *testing.B) {
+// pagedBench is the fixture of the paged benchmarks: a 64×64 road map (seed
+// 1) written as a PG1 and a PG2 image, and a seeded random generator for the
+// workload drawn over it.
+type pagedBench struct {
+	net *Network
+	dir string
+	rng *rand.Rand
+}
+
+func newPagedBench(b *testing.B) *pagedBench {
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	path := func(c Compression) string { return filepath.Join(dir, c.String()+".silcpg") }
+	pb := &pagedBench{net: net, dir: b.TempDir(), rng: rand.New(rand.NewSource(7))}
 	for _, c := range []Compression{CompressionNone, CompressionDelta} {
 		idx, err := BuildIndex(net, BuildOptions{Compression: c})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := idx.WriteFile(path(c)); err != nil {
+		if err := idx.WriteFile(pb.path(c)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(7))
-	n := net.NumVertices()
-	vs := make([]VertexID, n/20)
-	for i, v := range rng.Perm(n)[:len(vs)] {
-		vs[i] = VertexID(v)
-	}
-	objs := mustObjects(b, net, vs)
-	qs := make([]VertexID, 64)
-	for i := range qs {
-		qs[i] = VertexID(rng.Intn(n))
-	}
+	return pb
+}
 
-	run := func(b *testing.B, c Compression, mmap bool, pool float64, cold bool, opts ...Option) {
-		open := func() *Index {
-			idx, err := OpenIndex(path(c), BuildOptions{CacheFraction: pool, Mmap: mmap})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return idx
+func (pb *pagedBench) path(c Compression) string {
+	return filepath.Join(pb.dir, c.String()+".silcpg")
+}
+
+// vertex draws a random vertex of the map.
+func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.NumVertices())) }
+
+// run times op over one page variant: a pass is 64 operations, op(e, i)
+// runs the i-th and returns its stats. A cold run opens the image afresh
+// before every pass; a warm one runs two untimed passes first — a vertex's
+// first lookup streams its run and only its second caches the tree, so one
+// pass would leave the first timed pass decoding. It reports refinements,
+// page reads and decoded blocks per operation.
+func (pb *pagedBench) run(b *testing.B, c Compression, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
+	const pass = 64
+	open := func() *Index {
+		idx, err := OpenIndex(pb.path(c), BuildOptions{CacheFraction: pool, Mmap: mmap})
+		if err != nil {
+			b.Fatal(err)
 		}
-		ctx, idx := context.Background(), open()
-		query := func(i int) QueryStats {
-			res, err := idx.Engine().Query(ctx, objs, qs[i%len(qs)], 10, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.Stats
-		}
-		if !cold {
-			for i := range qs {
-				query(i)
-			}
-		}
-		var refinements, reads int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if cold && i > 0 && i%len(qs) == 0 {
-				b.StopTimer()
-				idx.Close()
-				idx = open()
-				b.StartTimer()
-			}
-			s := query(i)
-			refinements += int64(s.Refinements)
-			reads += s.PageReads
-		}
-		b.StopTimer()
-		idx.Close()
-		b.ReportMetric(float64(refinements)/float64(b.N), "refinements/op")
-		b.ReportMetric(float64(reads)/float64(b.N), "page-reads/op")
+		return idx
 	}
+	idx := open()
+	if !cold {
+		for i := 0; i < 2*pass; i++ {
+			op(idx.Engine(), i%pass)
+		}
+	}
+	var refinements, reads, decoded int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cold && i > 0 && i%pass == 0 {
+			b.StopTimer()
+			idx.Close()
+			idx = open()
+			b.StartTimer()
+		}
+		s := op(idx.Engine(), i%pass)
+		refinements += int64(s.Refinements)
+		reads += s.PageReads
+		decoded += s.BlocksDecoded
+	}
+	b.StopTimer()
+	idx.Close()
+	b.ReportMetric(float64(refinements)/float64(b.N), "refinements/op")
+	b.ReportMetric(float64(reads)/float64(b.N), "page-reads/op")
+	b.ReportMetric(float64(decoded)/float64(b.N), "blocks-decoded/op")
+}
+
+// variants runs one sub-benchmark per page variant: encoding (fixed-width
+// PG1, delta PG2) × page source (positioned reads, mmap) × pool (5% and
+// 100% of the image's pages) × cache state (cold, warm).
+func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
 	for _, c := range []struct {
 		name string
 		c    Compression
@@ -692,15 +698,63 @@ func BenchmarkPagedKNN(b *testing.B) {
 			for _, pool := range []float64{0.05, 1} {
 				for _, state := range []string{"cold", "warm"} {
 					b.Run(fmt.Sprintf("%s/%s/pool=%g/%s", c.name, src, pool, state), func(b *testing.B) {
-						run(b, c.c, src == "Mmap", pool, state == "cold")
+						pb.run(b, c.c, src == "Mmap", pool, state == "cold", op)
 					})
 				}
 			}
 		}
 	}
+}
+
+// BenchmarkPagedKNN times one kNN (k=10) over a paged index of a 64×64 road
+// map (seed 1) with 5% of its vertices as objects, for each page variant
+// (pagedBench.variants; cold = a fresh open before every pass over the 64
+// queries, warm = two untimed passes first). The eps=0 and eps=0.1 runs time ε-approximate kNN on warm PG2
+// behind the 5% pool.
+func BenchmarkPagedKNN(b *testing.B) {
+	pb := newPagedBench(b)
+	n := pb.net.NumVertices()
+	vs := make([]VertexID, n/20)
+	for i, v := range pb.rng.Perm(n)[:len(vs)] {
+		vs[i] = VertexID(v)
+	}
+	objs := mustObjects(b, pb.net, vs)
+	qs := make([]VertexID, 64)
+	for i := range qs {
+		qs[i] = pb.vertex()
+	}
+	knn := func(opts ...Option) func(*Engine, int) QueryStats {
+		return func(e *Engine, i int) QueryStats {
+			res, err := e.Query(context.Background(), objs, qs[i], 10, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Stats
+		}
+	}
+	pb.variants(b, knn())
 	for _, eps := range []float64{0, 0.1} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			run(b, CompressionDelta, false, 0.05, false, WithEpsilon(eps))
+			pb.run(b, CompressionDelta, false, 0.05, false, knn(WithEpsilon(eps)))
 		})
 	}
+}
+
+// BenchmarkPagedDistance times one exact network distance between random
+// vertex pairs of the same paged 64×64 road map, for each page variant — a
+// chain of single-block lookups, one per vertex of the shortest path, each
+// mostly of a vertex the query never comes back to.
+func BenchmarkPagedDistance(b *testing.B) {
+	pb := newPagedBench(b)
+	pairs := make([][2]VertexID, 64)
+	for i := range pairs {
+		pairs[i] = [2]VertexID{pb.vertex(), pb.vertex()}
+	}
+	pb.variants(b, func(e *Engine, i int) QueryStats {
+		var st QueryStats
+		if _, err := e.Distance(context.Background(), pairs[i][0], pairs[i][1], WithStats(&st)); err != nil {
+			b.Fatal(err)
+		}
+		return st
+	})
 }

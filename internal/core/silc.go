@@ -265,12 +265,14 @@ func (qc *QueryContext) ioCounter() *diskio.Stats {
 
 // TreeSource supplies per-vertex shortest-path quadtrees to a disk-backed
 // Index. Tree materializes v's quadtree — lazily, through a buffer pool of
-// real pages — charging any page traffic to ioStats (nil = untracked) and
-// returning an error for unreadable or corrupt storage. Implementations
-// must be safe for unlimited concurrent callers; internal/store.Store is
-// the canonical one.
+// real pages — and Lookup returns the one block of it whose cell contains
+// code (ok false when none does) without having to build the tree. Both
+// charge any page traffic to ioStats (nil = untracked) and return an error
+// for unreadable or corrupt storage. Implementations must be safe for
+// unlimited concurrent callers; internal/store.Store is the canonical one.
 type TreeSource interface {
 	Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error)
+	Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error)
 	BlockCount(v graph.VertexID) int
 }
 
@@ -461,19 +463,30 @@ func (ix *Index) BlockCount(v graph.VertexID) int {
 }
 
 // lookup finds the block of tree[u] containing dst's cell; a paged source
-// charges the page traffic to qc's counter (untracked when qc is nil). A
-// false return with qc.Failed() set means the paged store failed, not that
-// dst is uncovered.
+// answers it with one source lookup, charging the page traffic to qc's
+// counter (untracked when qc is nil). A false return with qc.Failed() set
+// means the paged store failed, not that dst is uncovered.
 func (ix *Index) lookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.Block, bool) {
-	t, ok := ix.Tree(qc, u)
-	if !ok {
+	if ix.src == nil {
+		t := &ix.trees[u]
+		i, ok := t.FindIndex(ix.g.Code(dst))
+		if !ok {
+			return quadtree.Block{}, false
+		}
+		return t.Blocks[i], true
+	}
+	return ix.pagedLookup(qc, u, dst)
+}
+
+// pagedLookup is lookup's paged branch, kept out of line so the in-RAM
+// branch — the hot path of every resident index — stays a small frame.
+func (ix *Index) pagedLookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.Block, bool) {
+	b, ok, err := ix.src.Lookup(qc.ioCounter(), u, ix.g.Code(dst))
+	if err != nil {
+		qc.Fail(err) // panics when qc is nil: no error channel
 		return quadtree.Block{}, false
 	}
-	i, ok := t.FindIndex(ix.g.Code(dst))
-	if !ok {
-		return quadtree.Block{}, false
-	}
-	return t.Blocks[i], true
+	return b, ok
 }
 
 // DistanceInterval returns the zero-refinement network-distance interval

@@ -31,7 +31,7 @@ const AdjacencyEntrySize = 48
 // Stats counts buffer-pool traffic. Hits/Misses/Evictions are charged
 // by the pool itself; Reads and BlocksDecoded are charged by the paged
 // store (the only layer that knows whether a miss turned into a real
-// positioned read and how many quadtree blocks a cold load decoded) —
+// positioned read and how many quadtree blocks its decoder passed) —
 // they ride here so one counter follows the per-query attribution
 // plumbing through every layer, the cluster's wire included: the JSON
 // tags are what a node's RPC reply carries back to the router.
@@ -45,8 +45,9 @@ type Stats struct {
 	// Reads counts real positioned page reads a paged store performed
 	// (adjacency-page misses are counted but read nothing).
 	Reads int64 `json:"reads,omitempty"`
-	// BlocksDecoded counts quadtree blocks decoded on cold tree
-	// materializations (zero on in-RAM indexes).
+	// BlocksDecoded counts quadtree blocks passed through a paged store's
+	// decoder, by streamed lookups and tree materializations alike (zero on
+	// in-RAM indexes).
 	BlocksDecoded int64 `json:"blocks_decoded,omitempty"`
 }
 

@@ -194,17 +194,21 @@ func (sc *scratch) engineFor(ix core.QueryIndex, qc *core.QueryContext, objs *Ob
 	e.queue.Reset()
 	e.l.InitMax()
 	// states is indexed by slot, so it spans the slot bound — which a live
-	// set's free slots can hold above its object count.
+	// set's free slots can hold above its object count. It grows
+	// geometrically: a live set growing one insert at a time reallocates it
+	// O(log n) times, not once per query. A new table is zeroed, so no entry
+	// carries a stamp of the epoch about to start.
 	n := objs.SlotBound()
 	if cap(e.states) < n {
-		e.states = make([]objState, n)
+		e.states = make([]objState, n, max(n, 2*cap(e.states)))
 	} else {
 		e.states = e.states[:n]
 	}
 	e.epoch++
 	if e.epoch == 0 {
-		// uint32 wrap: clear stale stamps so none collide with the new epoch.
-		clear(e.states)
+		// uint32 wrap: clear stale stamps — the spare capacity's included —
+		// so none collide with the new epoch.
+		clear(e.states[:cap(e.states)])
 		e.epoch = 1
 	}
 	e.results = e.results[:0]

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -131,4 +132,37 @@ func TestScratchAcrossSlotBounds(t *testing.T) {
 	if !gaps || bounds[1] <= bounds[0] || bounds[2] >= bounds[1] || bounds[3] <= bounds[1] || bounds[4] >= bounds[0]+bounds[2] {
 		t.Fatalf("slot bounds %v (gaps %v): want them to climb, fall and climb higher, with gaps", bounds, gaps)
 	}
+}
+
+// TestStatesGrowGeometrically grows a live set one insert at a time and runs
+// a search over every version on ONE query context. The arena's
+// slot-indexed state table must be reallocated O(log n) times, not once per
+// version, and re-arming it for a query must leave no entry — the spare
+// capacity included — stamped with that query's epoch.
+func TestStatesGrowGeometrically(t *testing.T) {
+	h := roadHarness(t, 10, 10, 4)
+	const inserts = 1000
+	qc := core.NewQueryContext()
+	live := EmptyObjects(h.g)
+	reallocs := 0
+	for i := 0; i < inserts; i++ {
+		live = live.WithInserted(int32(i), int32(i), graph.VertexID(i%h.g.NumVertices()))
+		qc.ResetForReuse(context.Background())
+		sc := scratchFor(qc)
+		before := cap(sc.eng.states)
+		SearchSpec(h.ix, qc, live, 0, UnboundedSpec(3, VariantKNN))
+		if cap(sc.eng.states) != before {
+			reallocs++
+		}
+		e := sc.engineFor(h.ix, qc, live, 0, 3, VariantKNN)
+		for j, st := range e.states[:cap(e.states)] {
+			if st.epoch == e.epoch {
+				t.Fatalf("version %d: re-armed table holds slot %d stamped with the new epoch %d", i, j, e.epoch)
+			}
+		}
+	}
+	if bound := 2 * bits.Len(inserts); reallocs > bound {
+		t.Fatalf("state table reallocated %d times over %d single inserts, want O(log n) ≤ %d", reallocs, inserts, bound)
+	}
+	t.Logf("state table reallocated %d times over %d single inserts", reallocs, inserts)
 }

@@ -204,123 +204,220 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 // minimum LamLo (1 for an empty run, matching Tree.MinLambda semantics).
 //
 // count comes from the validated extent table (counts[v] < n), and the
-// length guard below bounds the allocation by len(data) — a corrupt page
+// header's length guard bounds the allocation by len(data) — a corrupt page
 // cannot demand more memory than its own size times a small constant.
 func DecompressRun(data []byte, count, deg int) ([]quadtree.Block, float64, error) {
+	d, err := newRunDecoder(data, count, deg)
+	if err != nil {
+		return nil, 0, err
+	}
 	if count == 0 {
-		if len(data) != 0 {
-			return nil, 0, fmt.Errorf("store: %d bytes for an empty run", len(data))
-		}
 		return nil, 1, nil
 	}
+	blocks := make([]quadtree.Block, count)
+	minLambda := math.Inf(1)
+	for i := range blocks {
+		if err := d.next(&blocks[i]); err != nil {
+			return nil, 0, err
+		}
+		if lo := float64(blocks[i].LamLo); lo < minLambda {
+			minLambda = lo
+		}
+	}
+	if err := d.finish(); err != nil {
+		return nil, 0, err
+	}
+	return blocks, minLambda, nil
+}
+
+// LookupRun is the single-block counterpart of DecompressRun: one pass of
+// the same decoder over the whole run — every check, the trailing-bytes
+// check included, so it errors exactly when DecompressRun does — keeping
+// only the block whose cell contains code. ok is false when no block does.
+// It allocates nothing.
+func LookupRun(data []byte, count, deg int, code geom.Code) (found quadtree.Block, ok bool, err error) {
+	d, err := newRunDecoder(data, count, deg)
+	if err != nil {
+		return quadtree.Block{}, false, err
+	}
+	var b quadtree.Block
+	for i := 0; i < count; i++ {
+		if err := d.next(&b); err != nil {
+			return quadtree.Block{}, false, err
+		}
+		if !ok && b.Cell.ContainsCode(code) {
+			found, ok = b, true
+		}
+	}
+	if err := d.finish(); err != nil {
+		return quadtree.Block{}, false, err
+	}
+	return found, ok, nil
+}
+
+// runDecoder walks one compressed run block by block. newRunDecoder checks
+// the run header; next decodes and validates one block; finish checks the
+// run was consumed exactly. DecompressRun and LookupRun both drive it, so
+// every check is written once.
+type runDecoder struct {
+	data    []byte
+	at      int
+	dict    []byte
+	i       int // index of the next block
+	prevEnd uint64
+	prevLo  int64
+	curIdx  int
+}
+
+// newRunDecoder validates the run's length, declared block count and color
+// dictionary, and positions the decoder on the first block.
+func newRunDecoder(data []byte, count, deg int) (runDecoder, error) {
+	if count == 0 {
+		if len(data) != 0 {
+			return runDecoder{}, fmt.Errorf("store: %d bytes for an empty run", len(data))
+		}
+		return runDecoder{data: data}, nil
+	}
 	if count < 0 || len(data) < runMinPerBlock*count+runOverhead {
-		return nil, 0, fmt.Errorf("store: run of %d bytes cannot hold %d blocks", len(data), count)
+		return runDecoder{}, fmt.Errorf("store: run of %d bytes cannot hold %d blocks", len(data), count)
 	}
 	nb, at := binary.Uvarint(data)
 	if at <= 0 || nb != uint64(count) {
-		return nil, 0, fmt.Errorf("store: run declares %d blocks, extent records %d", nb, count)
+		return runDecoder{}, fmt.Errorf("store: run declares %d blocks, extent records %d", nb, count)
 	}
 	ncolors := int(data[at])
 	at++
 	if ncolors == 0 || ncolors > deg || len(data)-at < ncolors {
-		return nil, 0, fmt.Errorf("store: invalid color dictionary of %d entries for out-degree %d", ncolors, deg)
+		return runDecoder{}, fmt.Errorf("store: invalid color dictionary of %d entries for out-degree %d", ncolors, deg)
 	}
 	dict := data[at : at+ncolors]
 	at += ncolors
 	for _, c := range dict {
 		if int(c) >= deg {
-			return nil, 0, fmt.Errorf("store: dictionary color %d exceeds out-degree %d", c, deg)
+			return runDecoder{}, fmt.Errorf("store: dictionary color %d exceeds out-degree %d", c, deg)
 		}
 	}
+	return runDecoder{data: data, at: at, dict: dict, prevLo: lamSeedBits}, nil
+}
 
-	uvarint := func() (uint64, bool) {
-		v, w := binary.Uvarint(data[at:])
+// shortUvarint decodes a varint of one to three bytes at the start of p
+// exactly as binary.Uvarint would. It returns w == 0 — leaving the varint to
+// binary.Uvarint — when the varint is longer or p is shorter than three
+// bytes. Gaps, color indexes and ratio deltas are nearly always this short,
+// and unlike the library call the function inlines into the block loop.
+func shortUvarint(p []byte) (v uint64, w int) {
+	if len(p) >= 3 {
+		b0 := uint64(p[0])
+		if b0 < 0x80 {
+			return b0, 1
+		}
+		b1 := uint64(p[1])
+		if b1 < 0x80 {
+			return b0&0x7f | b1<<7, 2
+		}
+		if b2 := uint64(p[2]); b2 < 0x80 {
+			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, 3
+		}
+	}
+	return 0, 0
+}
+
+// next decodes and validates the run's next block into b. Each varint read
+// is shortUvarint with binary.Uvarint behind it; w <= 0 means truncated or
+// overlong, exactly as for the library call alone.
+func (d *runDecoder) next(b *quadtree.Block) error {
+	i, data, at := d.i, d.data, d.at
+	d.i++
+	if at >= len(data) {
+		return fmt.Errorf("store: run truncated at block %d", i)
+	}
+	h := data[at]
+	at++
+	b.Cell.Level = h & runLevelMask
+	if b.Cell.Level > geom.MaxLevel {
+		return fmt.Errorf("store: block %d has level %d beyond %d", i, b.Cell.Level, geom.MaxLevel)
+	}
+	code := d.prevEnd
+	if h&runFlagGap != 0 {
+		enc, w := shortUvarint(data[at:])
+		if w == 0 {
+			enc, w = binary.Uvarint(data[at:])
+		}
 		if w <= 0 {
-			return 0, false
+			return fmt.Errorf("store: block %d gap truncated", i)
 		}
 		at += w
-		return v, true
+		gap, err := decodeGap(enc)
+		if err != nil {
+			return fmt.Errorf("store: block %d: %w", i, err)
+		}
+		if gap > 1<<(2*geom.MaxLevel) {
+			return fmt.Errorf("store: block %d gap %d beyond the grid", i, gap)
+		}
+		code += gap
 	}
+	if code >= 1<<(2*geom.MaxLevel) {
+		return fmt.Errorf("store: block %d code %x beyond the grid", i, code)
+	}
+	b.Cell.Code = geom.Code(code)
+	// Span is a power of four, so alignment is a mask test, not a division.
+	if code&(b.Cell.Span()-1) != 0 {
+		return fmt.Errorf("store: block %d code %x not aligned to level %d", i, code, b.Cell.Level)
+	}
+	d.prevEnd = uint64(b.Cell.End())
+	if h&runFlagColor != 0 {
+		idx, w := shortUvarint(data[at:])
+		if w == 0 {
+			idx, w = binary.Uvarint(data[at:])
+		}
+		if w <= 0 || idx >= uint64(len(d.dict)) {
+			return fmt.Errorf("store: block %d color index out of dictionary", i)
+		}
+		at += w
+		d.curIdx = int(idx)
+	}
+	b.Color = int32(d.dict[d.curIdx])
+	dLo, w := shortUvarint(data[at:])
+	if w == 0 {
+		dLo, w = binary.Uvarint(data[at:])
+	}
+	if w <= 0 {
+		return fmt.Errorf("store: block %d ratio delta truncated", i)
+	}
+	at += w
+	loBits := d.prevLo + unzigzag(dLo)
+	if loBits < 0 || loBits > math.MaxUint32 {
+		return fmt.Errorf("store: block %d ratio bits out of range", i)
+	}
+	d.prevLo = loBits
+	hiBits := loBits
+	if h&runFlagHiEqLo == 0 {
+		dHi, w := shortUvarint(data[at:])
+		if w == 0 {
+			dHi, w = binary.Uvarint(data[at:])
+		}
+		if w <= 0 {
+			return fmt.Errorf("store: block %d ratio span truncated", i)
+		}
+		at += w
+		hiBits = loBits + int64(dHi&math.MaxUint32) // mask keeps the sum in int64 range
+		if dHi > math.MaxUint32 || hiBits > math.MaxUint32 {
+			return fmt.Errorf("store: block %d ratio bits out of range", i)
+		}
+	}
+	d.at = at
+	b.LamLo = math.Float32frombits(uint32(loBits))
+	b.LamHi = math.Float32frombits(uint32(hiBits))
+	if lo, hi := float64(b.LamLo), float64(b.LamHi); math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
+		return fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
+	}
+	return nil
+}
 
-	blocks := make([]quadtree.Block, count)
-	minLambda := math.Inf(1)
-	var prevEnd uint64
-	prevLo := int64(lamSeedBits)
-	curIdx := 0
-	for i := range blocks {
-		if at >= len(data) {
-			return nil, 0, fmt.Errorf("store: run truncated at block %d", i)
-		}
-		h := data[at]
-		at++
-		b := &blocks[i]
-		b.Cell.Level = h & runLevelMask
-		if b.Cell.Level > geom.MaxLevel {
-			return nil, 0, fmt.Errorf("store: block %d has level %d beyond %d", i, b.Cell.Level, geom.MaxLevel)
-		}
-		code := prevEnd
-		if h&runFlagGap != 0 {
-			enc, ok := uvarint()
-			if !ok {
-				return nil, 0, fmt.Errorf("store: block %d gap truncated", i)
-			}
-			gap, err := decodeGap(enc)
-			if err != nil {
-				return nil, 0, fmt.Errorf("store: block %d: %w", i, err)
-			}
-			if gap > 1<<(2*geom.MaxLevel) {
-				return nil, 0, fmt.Errorf("store: block %d gap %d beyond the grid", i, gap)
-			}
-			code += gap
-		}
-		if code >= 1<<(2*geom.MaxLevel) {
-			return nil, 0, fmt.Errorf("store: block %d code %x beyond the grid", i, code)
-		}
-		b.Cell.Code = geom.Code(code)
-		if code%b.Cell.Span() != 0 {
-			return nil, 0, fmt.Errorf("store: block %d code %x not aligned to level %d", i, code, b.Cell.Level)
-		}
-		prevEnd = uint64(b.Cell.End())
-		if h&runFlagColor != 0 {
-			idx, ok := uvarint()
-			if !ok || idx >= uint64(ncolors) {
-				return nil, 0, fmt.Errorf("store: block %d color index out of dictionary", i)
-			}
-			curIdx = int(idx)
-		}
-		b.Color = int32(dict[curIdx])
-		dLo, ok := uvarint()
-		if !ok {
-			return nil, 0, fmt.Errorf("store: block %d ratio delta truncated", i)
-		}
-		loBits := prevLo + unzigzag(dLo)
-		if loBits < 0 || loBits > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("store: block %d ratio bits out of range", i)
-		}
-		prevLo = loBits
-		hiBits := loBits
-		if h&runFlagHiEqLo == 0 {
-			dHi, ok := uvarint()
-			if !ok {
-				return nil, 0, fmt.Errorf("store: block %d ratio span truncated", i)
-			}
-			hiBits = loBits + int64(dHi&math.MaxUint32) // mask keeps the sum in int64 range
-			if dHi > math.MaxUint32 || hiBits > math.MaxUint32 {
-				return nil, 0, fmt.Errorf("store: block %d ratio bits out of range", i)
-			}
-		}
-		b.LamLo = math.Float32frombits(uint32(loBits))
-		b.LamHi = math.Float32frombits(uint32(hiBits))
-		lo, hi := float64(b.LamLo), float64(b.LamHi)
-		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-			return nil, 0, fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
-		}
-		if lo < minLambda {
-			minLambda = lo
-		}
+// finish checks that the blocks consumed the run exactly.
+func (d *runDecoder) finish() error {
+	if d.at != len(d.data) {
+		return fmt.Errorf("store: %d trailing bytes after %d blocks", len(d.data)-d.at, d.i)
 	}
-	if at != len(data) {
-		return nil, 0, fmt.Errorf("store: %d trailing bytes after %d blocks", len(data)-at, count)
-	}
-	return blocks, minLambda, nil
+	return nil
 }

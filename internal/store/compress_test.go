@@ -114,16 +114,23 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 			if _, _, err := store.DecompressRun(tc.data, tc.count, tc.deg); err == nil {
 				t.Fatal("corrupted run decoded without error")
 			}
+			if _, _, err := store.LookupRun(tc.data, tc.count, tc.deg, 16); err == nil {
+				t.Fatal("corrupted run passed the lookup pass without error")
+			}
 		})
 	}
 
 	// Every single-byte mangle must either error out or still decode into a
-	// structurally valid run — never panic, never overrun.
+	// structurally valid run — never panic, never overrun — and the lookup
+	// pass must fail exactly when the decode does.
 	for i := range enc {
 		for _, delta := range []byte{0x01, 0x80, 0xFF} {
 			bad := append([]byte{}, enc...)
 			bad[i] ^= delta
 			dec, _, err := store.DecompressRun(bad, len(blocks), deg)
+			if _, _, lerr := store.LookupRun(bad, len(blocks), deg, 16); (lerr != nil) != (err != nil) {
+				t.Fatalf("mangle at %d: lookup error %v, decode error %v", i, lerr, err)
+			}
 			if err != nil {
 				continue
 			}

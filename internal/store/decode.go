@@ -20,40 +20,17 @@ import (
 // This is the demand-paging deserializer: a corrupted block page surfaces
 // here as an error, never as a panic or a silently wrong tree.
 func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
-	if len(data)%entrySize != 0 {
-		return nil, 0, fmt.Errorf("store: block run of %d bytes is not a multiple of %d", len(data), entrySize)
+	d, count, err := newEntryDecoder(data, deg)
+	if err != nil {
+		return nil, 0, err
 	}
-	count := len(data) / entrySize
 	blocks := make([]quadtree.Block, count)
 	minLambda := math.Inf(1)
-	le := binary.LittleEndian
-	var prevEnd uint64
 	for i := range blocks {
-		e := data[i*entrySize : (i+1)*entrySize]
-		b := &blocks[i]
-		b.Cell.Code = geom.Code(le.Uint32(e[0:4]))
-		b.Cell.Level = e[4]
-		b.Color = int32(e[5])
-		b.LamLo = math.Float32frombits(le.Uint32(e[8:12]))
-		b.LamHi = math.Float32frombits(le.Uint32(e[12:16]))
-		if b.Cell.Level > geom.MaxLevel {
-			return nil, 0, fmt.Errorf("store: block %d has level %d beyond %d", i, b.Cell.Level, geom.MaxLevel)
+		if err := d.next(&blocks[i]); err != nil {
+			return nil, 0, err
 		}
-		if uint64(b.Cell.Code)%b.Cell.Span() != 0 {
-			return nil, 0, fmt.Errorf("store: block %d code %x not aligned to level %d", i, uint64(b.Cell.Code), b.Cell.Level)
-		}
-		if int(b.Color) >= deg {
-			return nil, 0, fmt.Errorf("store: block %d color %d exceeds out-degree %d", i, b.Color, deg)
-		}
-		if uint64(b.Cell.Code) < prevEnd {
-			return nil, 0, fmt.Errorf("store: blocks not sorted/disjoint at %d", i)
-		}
-		prevEnd = uint64(b.Cell.End())
-		lo, hi := float64(b.LamLo), float64(b.LamHi)
-		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-			return nil, 0, fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
-		}
-		if lo < minLambda {
+		if lo := float64(blocks[i].LamLo); lo < minLambda {
 			minLambda = lo
 		}
 	}
@@ -61,4 +38,74 @@ func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
 		minLambda = 1
 	}
 	return blocks, minLambda, nil
+}
+
+// LookupBlocks is the single-block counterpart of DecodeBlocks: one
+// validating pass over every entry of the run — it errors exactly when
+// DecodeBlocks does — keeping only the block whose cell contains code. ok is
+// false when no block does. It allocates nothing.
+func LookupBlocks(data []byte, deg int, code geom.Code) (found quadtree.Block, ok bool, err error) {
+	d, count, err := newEntryDecoder(data, deg)
+	if err != nil {
+		return quadtree.Block{}, false, err
+	}
+	var b quadtree.Block
+	for i := 0; i < count; i++ {
+		if err := d.next(&b); err != nil {
+			return quadtree.Block{}, false, err
+		}
+		if !ok && b.Cell.ContainsCode(code) {
+			found, ok = b, true
+		}
+	}
+	return found, ok, nil
+}
+
+// entryDecoder walks a fixed-width run entry by entry; DecodeBlocks and
+// LookupBlocks both drive it, so every check is written once.
+type entryDecoder struct {
+	data    []byte
+	deg     int
+	i       int // index of the next entry
+	prevEnd uint64
+}
+
+// newEntryDecoder checks the run is whole entries and returns the decoder
+// with the run's entry count.
+func newEntryDecoder(data []byte, deg int) (entryDecoder, int, error) {
+	if len(data)%entrySize != 0 {
+		return entryDecoder{}, 0, fmt.Errorf("store: block run of %d bytes is not a multiple of %d", len(data), entrySize)
+	}
+	return entryDecoder{data: data, deg: deg}, len(data) / entrySize, nil
+}
+
+// next decodes and validates the run's next entry into b.
+func (d *entryDecoder) next(b *quadtree.Block) error {
+	i := d.i
+	d.i++
+	e := d.data[i*entrySize : (i+1)*entrySize]
+	le := binary.LittleEndian
+	b.Cell.Code = geom.Code(le.Uint32(e[0:4]))
+	b.Cell.Level = e[4]
+	b.Color = int32(e[5])
+	b.LamLo = math.Float32frombits(le.Uint32(e[8:12]))
+	b.LamHi = math.Float32frombits(le.Uint32(e[12:16]))
+	if b.Cell.Level > geom.MaxLevel {
+		return fmt.Errorf("store: block %d has level %d beyond %d", i, b.Cell.Level, geom.MaxLevel)
+	}
+	// Span is a power of four, so alignment is a mask test, not a division.
+	if uint64(b.Cell.Code)&(b.Cell.Span()-1) != 0 {
+		return fmt.Errorf("store: block %d code %x not aligned to level %d", i, uint64(b.Cell.Code), b.Cell.Level)
+	}
+	if int(b.Color) >= d.deg {
+		return fmt.Errorf("store: block %d color %d exceeds out-degree %d", i, b.Color, d.deg)
+	}
+	if uint64(b.Cell.Code) < d.prevEnd {
+		return fmt.Errorf("store: blocks not sorted/disjoint at %d", i)
+	}
+	d.prevEnd = uint64(b.Cell.End())
+	if lo, hi := float64(b.LamLo), float64(b.LamHi); math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
+		return fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
+	}
+	return nil
 }

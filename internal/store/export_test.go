@@ -1,0 +1,17 @@
+package store
+
+import "silc/internal/graph"
+
+// VertexState reports whether v's decoded tree is cached and whether its
+// streamed bit is set — the state that decides which path Lookup takes.
+func (s *Store) VertexState(v graph.VertexID) (cached, streamed bool) {
+	return s.cachedTree(v) != nil, s.streamedBit(v)
+}
+
+// EvictVertex routes an eviction of v's first page through the pager, the
+// way the pool reports one, releasing v's tree and clearing its streamed bit.
+func (s *Store) EvictVertex(v graph.VertexID) {
+	if first, _, ok := s.layout.OwnerPages(int(v)); ok {
+		s.pager.Evict(s.pageBase + first)
+	}
+}

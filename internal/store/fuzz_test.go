@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"silc/internal/core"
+	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/quadtree"
 	"silc/internal/store"
 )
 
@@ -59,15 +61,45 @@ func quadtreeDecodeSeeds(tb testing.TB) [][]byte {
 	return [][]byte{run, run[:len(run)/2], flip, {}, make([]byte, 16)}
 }
 
+// checkLookupPass holds a codec's single-block lookup pass to the
+// materializing decode of the same run: lookup errors iff decodeErr is set,
+// and on an accepted run it returns, for probes inside, at the edges of and
+// between the decoded blocks, exactly the block the decoded tree finds.
+func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(geom.Code) (quadtree.Block, bool, error)) {
+	t.Helper()
+	probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
+	for _, b := range blocks {
+		probes = append(probes, b.Cell.Code, b.Cell.Code-1, b.Cell.End()-1, b.Cell.End())
+	}
+	tree := &quadtree.Tree{Blocks: blocks}
+	for _, code := range probes {
+		got, ok, err := lookup(code)
+		if (err != nil) != (decodeErr != nil) {
+			t.Fatalf("probe %x: lookup error %v, decode error %v", code, err, decodeErr)
+		}
+		if decodeErr != nil {
+			return // one probe shows the pass fails; the rest would repeat it
+		}
+		want, wok := tree.Find(code)
+		if ok != wok || got != want {
+			t.Fatalf("probe %x: lookup %+v ok=%v, decoded tree %+v ok=%v", code, got, ok, want, wok)
+		}
+	}
+}
+
 // FuzzQuadtreeDecode feeds arbitrary byte runs and out-degrees to the
-// per-vertex block deserializer: error-not-panic, and any accepted run
-// must satisfy the structural invariants the query path relies on.
+// per-vertex block deserializer: error-not-panic, any accepted run must
+// satisfy the structural invariants the query path relies on, and the
+// single-block lookup pass must agree with the decode (checkLookupPass).
 func FuzzQuadtreeDecode(f *testing.F) {
 	for _, seed := range quadtreeDecodeSeeds(f) {
 		f.Add(seed, uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, deg uint8) {
 		blocks, minLambda, err := store.DecodeBlocks(data, int(deg))
+		checkLookupPass(t, blocks, err, func(code geom.Code) (quadtree.Block, bool, error) {
+			return store.LookupBlocks(data, int(deg), code)
+		})
 		if err != nil {
 			return
 		}
@@ -147,13 +179,17 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 // input length, and any accepted run must satisfy the structural invariants
 // the query path relies on AND survive a re-encode/re-decode round trip
 // bit-identically — the encoder is canonical, so a decode that cannot be
-// reproduced by the writer indicates the decoder accepted garbage.
+// reproduced by the writer indicates the decoder accepted garbage. The
+// single-block lookup pass must agree with the decode (checkLookupPass).
 func FuzzPageDecode(f *testing.F) {
 	for _, seed := range pageDecodeSeeds(f) {
 		f.Add(seed.data, seed.count, uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, deg uint8) {
 		blocks, minLambda, err := store.DecompressRun(data, int(count), int(deg))
+		checkLookupPass(t, blocks, err, func(code geom.Code) (quadtree.Block, bool, error) {
+			return store.LookupRun(data, int(count), int(deg), code)
+		})
 		if err != nil {
 			return
 		}

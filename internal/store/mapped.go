@@ -7,7 +7,7 @@ import (
 )
 
 // OpenBytes opens an image held wholly in memory without copying it: page
-// frames alias data, cold loads decode straight out of it, and the pool
+// frames alias data, cold reads decode straight out of it, and the pool
 // still accounts every touch (a "read" is the first-touch CRC
 // verification). data must stay valid and immutable for the store's
 // lifetime. The sharded open uses it to hand each cell its slice of one

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"silc/internal/diskio"
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/quadtree"
 )
@@ -107,8 +108,8 @@ type ReadStats struct {
 	// CRCTime is the wall-clock time spent checksum-verifying cold
 	// pages — the dominant first-touch cost of the mmap page source.
 	CRCTime time.Duration
-	// BlocksDecoded counts quadtree blocks decoded on cold tree
-	// materializations.
+	// BlocksDecoded counts quadtree blocks passed through the decoder, by
+	// streamed lookups and tree materializations alike.
 	BlocksDecoded int64
 }
 
@@ -140,22 +141,26 @@ type Store struct {
 	mu     sync.RWMutex
 	frames map[diskio.PageID][]byte          // resident raw page bytes, keyed by local page
 	trees  map[graph.VertexID]*quadtree.Tree // decoded trees over resident pages
+	// streamed holds one bit per vertex: set when a lookup streamed the
+	// vertex's run, cleared with its trees when one of its pages is evicted.
+	// A lookup that finds it set materializes the tree (Lookup).
+	streamed []atomic.Uint64
 
 	reads     atomic.Int64
 	readBytes atomic.Int64
 	readNanos atomic.Int64
 	crcNanos  atomic.Int64
-	decoded   atomic.Int64 // quadtree blocks decoded on cold loads
+	decoded   atomic.Int64 // quadtree blocks passed through the decoder
 }
 
 // emptyTree is shared by every vertex with no blocks (the degenerate
 // single-vertex cell of a lenient build).
 var emptyTree = &quadtree.Tree{MinLambda: 1}
 
-// loadScratch carries the gather buffers of one cold tree load: the
-// per-page frame pointers and the contiguous entry run handed to
-// DecodeBlocks. Both are scratch — DecodeBlocks copies values out — so they
-// recycle through a pool instead of being reallocated per cold load.
+// loadScratch carries the gather buffers of one run read (a tree load or a
+// streamed lookup): the per-page frame pointers and the contiguous run
+// handed to the decoder. Both are scratch — the decoder copies values out —
+// so they recycle through a pool instead of being reallocated per read.
 type loadScratch struct {
 	bufs [][]byte
 	run  []byte
@@ -268,6 +273,7 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		pageCRCs: pageCRCs,
 		frames:   make(map[diskio.PageID][]byte),
 		trees:    make(map[graph.VertexID]*quadtree.Tree),
+		streamed: make([]atomic.Uint64, (sb.n+63)/64),
 	}
 	if opts.Pager != nil {
 		s.pager = opts.Pager
@@ -418,86 +424,186 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 	if s.counts[v] == 0 {
 		return emptyTree, nil
 	}
-	first, last, _ := s.layout.OwnerPages(int(v))
-	s.mu.RLock()
-	t := s.trees[v]
-	s.mu.RUnlock()
-	if t != nil {
-		// Cached: touch the pages for LRU recency and accounting. A miss
-		// here means another load (or an adjacency touch) evicted one of
-		// our pages moments ago; the touch re-reads it and heals.
-		for p := first; p <= last; p++ {
-			if _, err := s.touch(p, ioStats, false); err != nil {
-				return nil, err
-			}
+	if t := s.cachedTree(v); t != nil {
+		if err := s.touchRun(ioStats, v); err != nil {
+			return nil, err
 		}
 		return t, nil
 	}
-	// Load: touch every page of v's run, reading missed ones, then decode —
-	// straight out of the mapping when one is attached (the run is
-	// contiguous there, so no gather copy happens), otherwise gathering the
-	// per-page frames into pooled scratch first.
+	return s.materialize(ioStats, v)
+}
+
+// Lookup implements core.TreeSource: it returns the block of v's quadtree
+// whose cell contains code (ok false when none does), with the page traffic
+// of a Tree call — the same pages touched in the same order, so pool hits,
+// misses and reads do not depend on which path answers. A cached tree
+// answers by binary search. Otherwise the lookup streams: one validating
+// pass of the codec's decoder over v's run that keeps only the wanted block
+// and caches nothing. Only a second lookup of v while its pages stay
+// resident materializes and caches the tree — the vertices a query comes
+// back to (its source, the first hops, gateways) are decoded once, the rest
+// of a refinement path is never built as a tree at all.
+func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
+	if s.counts[v] == 0 {
+		return quadtree.Block{}, false, nil
+	}
+	t := s.cachedTree(v)
+	var err error
+	switch {
+	case t != nil:
+		err = s.touchRun(ioStats, v)
+	case s.streamedBit(v):
+		t, err = s.materialize(ioStats, v)
+	default:
+		return s.stream(ioStats, v, code)
+	}
+	if err != nil {
+		return quadtree.Block{}, false, err
+	}
+	b, ok := t.Find(code)
+	return b, ok, nil
+}
+
+// cachedTree returns v's decoded tree when one is cached, else nil.
+func (s *Store) cachedTree(v graph.VertexID) *quadtree.Tree {
+	s.mu.RLock()
+	t := s.trees[v]
+	s.mu.RUnlock()
+	return t
+}
+
+// touchRun touches every page of v's run for LRU recency and accounting —
+// the cached-tree path. A miss here means another load (or an adjacency
+// touch) evicted one of the pages moments ago; the touch re-reads it and
+// heals.
+func (s *Store) touchRun(ioStats *diskio.Stats, v graph.VertexID) error {
+	first, last, _ := s.layout.OwnerPages(int(v))
+	for p := first; p <= last; p++ {
+		if _, err := s.touch(p, ioStats, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// materialize decodes v's whole run into a tree and caches it.
+func (s *Store) materialize(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error) {
+	run, sc, err := s.runBytes(ioStats, v)
+	if err != nil {
+		return nil, err
+	}
 	var blocks []quadtree.Block
 	var minLambda float64
-	var err error
-	if s.mapped != nil {
-		for p := first; p <= last; p++ {
-			if _, err := s.touch(p, ioStats, false); err != nil {
-				return nil, err
-			}
-		}
-		lo, hi := s.layout.EntryRange(int(v))
-		w := s.entryWidth()
-		run := s.mapped[s.sb.blockOff+lo*w : s.sb.blockOff+hi*w]
-		blocks, minLambda, err = s.decodeRun(run, v)
+	if s.sb.version == 2 {
+		blocks, minLambda, err = DecompressRun(run, int(s.counts[v]), s.g.Degree(v))
 	} else {
-		sc := loadPool.Get().(*loadScratch)
-		np := int(last - first + 1)
-		if cap(sc.bufs) < np {
-			sc.bufs = make([][]byte, np)
-		}
-		bufs := sc.bufs[:np]
-		for p := first; p <= last; p++ {
-			b, err := s.touch(p, ioStats, true)
-			if err != nil {
-				clear(bufs)
-				loadPool.Put(sc)
-				return nil, err
-			}
-			bufs[p-first] = b
-		}
-		lo, hi := s.layout.EntryRange(int(v))
-		epp := int64(s.layout.EntriesPerPage())
-		w := s.entryWidth()
-		run := sc.run[:0]
-		for i := lo; i < hi; {
-			page := i / epp
-			end := (page + 1) * epp
-			if end > hi {
-				end = hi
-			}
-			buf := bufs[page-int64(first)]
-			run = append(run, buf[(i%epp)*w:(i%epp+end-i)*w]...)
-			i = end
-		}
-		blocks, minLambda, err = s.decodeRun(run, v)
-		sc.run = run // keep the grown capacity for the next load
-		clear(bufs)  // don't pin evicted frames from inside the pool
-		loadPool.Put(sc)
+		blocks, minLambda, err = DecodeBlocks(run, s.g.Degree(v))
 	}
+	releaseRun(sc, run)
 	if err != nil {
 		return nil, fmt.Errorf("store: vertex %d: %w", v, err)
 	}
-	s.decoded.Add(int64(s.counts[v]))
-	if ioStats != nil {
-		ioStats.BlocksDecoded += int64(s.counts[v])
-	}
-	t = &quadtree.Tree{Blocks: blocks, MinLambda: minLambda}
+	s.chargeDecode(ioStats, v)
+	t := &quadtree.Tree{Blocks: blocks, MinLambda: minLambda}
 	t.Seal()
 	s.mu.Lock()
 	s.trees[v] = t
 	s.mu.Unlock()
 	return t, nil
+}
+
+// stream answers one lookup with a validating pass over v's run, caching
+// nothing but the bit that makes the next lookup of v materialize. The bit
+// is set before the pages are touched, so an eviction of one of v's pages —
+// even by this very touch sequence — clears it.
+func (s *Store) stream(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
+	s.streamed[v>>6].Or(1 << (v & 63))
+	run, sc, err := s.runBytes(ioStats, v)
+	if err != nil {
+		return quadtree.Block{}, false, err
+	}
+	var b quadtree.Block
+	var ok bool
+	if s.sb.version == 2 {
+		b, ok, err = LookupRun(run, int(s.counts[v]), s.g.Degree(v), code)
+	} else {
+		b, ok, err = LookupBlocks(run, s.g.Degree(v), code)
+	}
+	releaseRun(sc, run)
+	if err != nil {
+		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
+	}
+	s.chargeDecode(ioStats, v)
+	return b, ok, nil
+}
+
+// streamedBit reports whether v was streamed since its pages were last
+// evicted.
+func (s *Store) streamedBit(v graph.VertexID) bool {
+	return s.streamed[v>>6].Load()&(1<<(v&63)) != 0
+}
+
+// chargeDecode counts v's blocks as passed through the decoder.
+func (s *Store) chargeDecode(ioStats *diskio.Stats, v graph.VertexID) {
+	s.decoded.Add(int64(s.counts[v]))
+	if ioStats != nil {
+		ioStats.BlocksDecoded += int64(s.counts[v])
+	}
+}
+
+// runBytes touches every page of v's run in order, reading missed ones, and
+// returns the run's bytes: straight out of the mapping when one is attached
+// (the run is contiguous there, so no gather copy happens), otherwise the
+// per-page frames gathered into pooled scratch, which the caller hands back
+// through releaseRun once it has decoded the run.
+func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *loadScratch, error) {
+	first, last, _ := s.layout.OwnerPages(int(v))
+	lo, hi := s.layout.EntryRange(int(v))
+	w := s.entryWidth()
+	if s.mapped != nil {
+		if err := s.touchRun(ioStats, v); err != nil {
+			return nil, nil, err
+		}
+		return s.mapped[s.sb.blockOff+lo*w : s.sb.blockOff+hi*w], nil, nil
+	}
+	sc := loadPool.Get().(*loadScratch)
+	np := int(last - first + 1)
+	if cap(sc.bufs) < np {
+		sc.bufs = make([][]byte, np)
+	}
+	bufs := sc.bufs[:np]
+	for p := first; p <= last; p++ {
+		b, err := s.touch(p, ioStats, true)
+		if err != nil {
+			releaseRun(sc, sc.run)
+			return nil, nil, err
+		}
+		bufs[p-first] = b
+	}
+	epp := int64(s.layout.EntriesPerPage())
+	run := sc.run[:0]
+	for i := lo; i < hi; {
+		page := i / epp
+		end := (page + 1) * epp
+		if end > hi {
+			end = hi
+		}
+		buf := bufs[page-int64(first)]
+		run = append(run, buf[(i%epp)*w:(i%epp+end-i)*w]...)
+		i = end
+	}
+	return run, sc, nil
+}
+
+// releaseRun returns runBytes' gather scratch (nil for a mapped run) to its
+// pool.
+func releaseRun(sc *loadScratch, run []byte) {
+	if sc == nil {
+		return
+	}
+	sc.run = run   // keep the grown capacity for the next gather
+	clear(sc.bufs) // don't pin evicted frames from inside the pool
+	loadPool.Put(sc)
 }
 
 // touch charges local page p to the pool, processes eviction feedback, and
@@ -576,23 +682,16 @@ func (s *Store) entryWidth() int64 {
 	return entrySize
 }
 
-// decodeRun decodes one vertex's gathered (or mapped) run bytes through the
-// image's codec.
-func (s *Store) decodeRun(run []byte, v graph.VertexID) ([]quadtree.Block, float64, error) {
-	if s.sb.version == 2 {
-		return DecompressRun(run, int(s.counts[v]), s.g.Degree(v))
-	}
-	return DecodeBlocks(run, s.g.Degree(v))
-}
-
 // dropPage releases the frame of local page p and every decoded tree whose
-// run overlaps it — the real-memory counterpart of a pool eviction.
+// run overlaps it — the real-memory counterpart of a pool eviction — and
+// clears those vertices' streamed bits, so their next lookup streams again.
 func (s *Store) dropPage(p diskio.PageID) {
 	lo, hi := s.layout.OwnerRange(p)
 	s.mu.Lock()
 	delete(s.frames, p)
 	for v := lo; v < hi; v++ {
 		delete(s.trees, graph.VertexID(v))
+		s.streamed[v>>6].And(^(1 << (v & 63)))
 	}
 	s.mu.Unlock()
 }

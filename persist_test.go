@@ -3,11 +3,17 @@ package silc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -204,5 +210,140 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 	}
 	if back.Radius() != 0.25 {
 		t.Fatalf("radius lost on reload: %v", back.Radius())
+	}
+}
+
+// TestStructuralCorruptionSurfacesOnLookup corrupts one vertex's run header
+// inside a PG2 image behind valid checksums — the mangled page's CRC and the
+// CRC table's own checksum are recomputed — so only the run decoder can
+// catch it. On both page sources, a distance from that vertex must fail on
+// its streamed first lookup and again on the materialized second one, a
+// distance whose path runs through it must fail too, and a sweep of
+// distances, kNN and range queries must never panic: each answer is either
+// an error naming the vertex or exactly the clean image's answer.
+func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
+	net := testNetwork(t)
+	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := built.WritePaged(&buf); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	// SILCPG2 layout (DESIGN.md §11): superblock fields, then the extent
+	// section's per-vertex block counts and run byte lengths.
+	le := binary.LittleEndian
+	pageSize := int(le.Uint32(clean[8:12]))
+	n := int(le.Uint32(clean[16:20]))
+	extentOff := int(le.Uint64(clean[56:64]))
+	blockOff := int(le.Uint64(clean[64:72]))
+	blockPages := int(le.Uint64(clean[72:80]))
+	crcTabOff := int(le.Uint64(clean[80:88]))
+	victim := VertexID(n / 2)
+	runOff := blockOff
+	for v := 0; v < int(victim); v++ {
+		runOff += int(le.Uint32(clean[extentOff+(n+v)*4:]))
+	}
+	if le.Uint32(clean[extentOff+int(victim)*4:]) == 0 {
+		t.Fatalf("vertex %d has no run to corrupt", victim)
+	}
+	_, countLen := binary.Uvarint(clean[runOff:])
+	ncolorsAt := runOff + countLen
+
+	// A path with the victim strictly inside it, found on the clean index.
+	ctx := context.Background()
+	eng := built.Engine()
+	var through [2]VertexID
+	for u := 0; u < n && through == [2]VertexID{}; u++ {
+		for w := n - 1; w > u; w-- {
+			p, err := eng.ShortestPath(ctx, VertexID(u), VertexID(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p) > 2 && slices.Contains(p[1:len(p)-1], victim) {
+				through = [2]VertexID{VertexID(u), VertexID(w)}
+				break
+			}
+		}
+	}
+	if through == [2]VertexID{} {
+		t.Fatalf("no shortest path runs through vertex %d", victim)
+	}
+	objs := mustObjects(t, net, []VertexID{3, VertexID(n / 4), VertexID(n / 3), victim, VertexID(n - 2)})
+
+	for _, m := range []struct {
+		name string
+		at   int
+		set  func(byte) byte
+	}{
+		{"block count", runOff, func(b byte) byte { return b ^ 0x01 }},
+		{"empty dictionary", ncolorsAt, func(byte) byte { return 0 }},
+		{"dictionary color", ncolorsAt + 1, func(byte) byte { return 0xFF }},
+	} {
+		img := append([]byte(nil), clean...)
+		img[m.at] = m.set(img[m.at])
+		page := (m.at - blockOff) / pageSize
+		le.PutUint32(img[crcTabOff+page*4:], crc32.ChecksumIEEE(img[blockOff+page*pageSize:blockOff+(page+1)*pageSize]))
+		le.PutUint32(img[crcTabOff+blockPages*4:], crc32.ChecksumIEEE(img[crcTabOff:crcTabOff+blockPages*4]))
+		path := filepath.Join(t.TempDir(), "mangled.silcpg2")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mmap=%v", m.name, mmap), func(t *testing.T) {
+				idx, err := OpenIndex(path, BuildOptions{CacheFraction: 1, Mmap: mmap})
+				if err != nil {
+					t.Fatalf("open: a run header is not checked at open: %v", err)
+				}
+				defer idx.Close()
+				bad := idx.Engine()
+				named := fmt.Sprintf("vertex %d", victim)
+				check := func(what string, err error) {
+					t.Helper()
+					if err == nil {
+						t.Fatalf("%s: corrupt run of vertex %d answered without error", what, victim)
+					}
+					if !strings.Contains(err.Error(), named) {
+						t.Fatalf("%s: error %q does not name %s", what, err, named)
+					}
+				}
+				dst := VertexID(0)
+				_, err = bad.Distance(ctx, victim, dst)
+				check("streamed lookup", err)
+				_, err = bad.Distance(ctx, victim, dst)
+				check("materialized lookup", err)
+				_, err = bad.Distance(ctx, through[0], through[1])
+				check("path through the vertex", err)
+
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("mangled image panicked: %v", r)
+					}
+				}()
+				sweep := func(what string, got, want any, err error) {
+					t.Helper()
+					if err != nil {
+						check(what, err)
+					} else if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: mangled image answered %v, clean image %v", what, got, want)
+					}
+				}
+				for u := 0; u < n; u += 7 {
+					for w := 0; w < n; w += 5 {
+						got, err := bad.Distance(ctx, VertexID(u), VertexID(w))
+						want, _ := eng.Distance(ctx, VertexID(u), VertexID(w))
+						sweep(fmt.Sprintf("distance %d->%d", u, w), got, want, err)
+					}
+					res, err := bad.Query(ctx, objs, VertexID(u), 3)
+					want, _ := eng.Query(ctx, objs, VertexID(u), 3)
+					sweep(fmt.Sprintf("kNN from %d", u), res.Neighbors, want.Neighbors, err)
+					res, err = bad.WithinDistance(ctx, objs, VertexID(u), 0.2)
+					want, _ = eng.WithinDistance(ctx, objs, VertexID(u), 0.2)
+					sweep(fmt.Sprintf("range from %d", u), res.Neighbors, want.Neighbors, err)
+				}
+			})
+		}
 	}
 }

@@ -193,7 +193,9 @@ type QueryStats struct {
 	PageReads int64
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
-	// BlocksDecoded counts quadtree blocks decoded on cold tree loads.
+	// BlocksDecoded counts quadtree blocks passed through the paged store's
+	// decoder: a lookup streaming a vertex's run and a tree materializing
+	// both count the run's blocks.
 	BlocksDecoded int64
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).
