@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -575,13 +576,17 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One P and no GC from here on: sync.Pool caches per P and empties over
+	// two GC cycles, so warmed scratch would otherwise be lost at random and
+	// reallocated inside the measured query.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm the process-wide gather scratch on another handle, and the
 	// measured engine's context pool with a distance that reads no page.
 	distance(open(), src, dst)
 	e := open()
 	distance(e, src, src)
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	distance(e, src, dst)

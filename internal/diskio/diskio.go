@@ -491,9 +491,6 @@ func (l *Layout) Page(v int, entryIdx int) PageID {
 // EntryRange returns the dense entry index range [lo, hi) of owner v.
 func (l *Layout) EntryRange(v int) (lo, hi int64) { return l.base[v], l.base[v+1] }
 
-// EntriesPerPage returns how many entries pack onto one page.
-func (l *Layout) EntriesPerPage() int { return l.entriesPerPage }
-
 // OwnerPages returns the page range [first, last] spanned by owner v's
 // entries; ok is false when v has none.
 func (l *Layout) OwnerPages(v int) (first, last PageID, ok bool) {

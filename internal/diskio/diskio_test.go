@@ -1,6 +1,7 @@
 package diskio
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -115,6 +116,50 @@ func TestLayoutEmpty(t *testing.T) {
 	l := NewLayout([]int{0, 0}, 16, 4096)
 	if l.TotalPages() != 0 {
 		t.Fatalf("TotalPages = %d", l.TotalPages())
+	}
+}
+
+// TestByteLayoutMatchesEntryLayout checks that a layout of 16-byte entries
+// pages exactly like a layout of their bytes, because no entry straddles a
+// page when the page size is a multiple of 16. The paged store lays out both
+// of its run encodings in bytes and relies on this for the fixed-width one:
+// the pages a vertex owns, and so every pool hit, miss and eviction, are
+// those of its 16-byte entries.
+func TestByteLayoutMatchesEntryLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, ps := range []int{16, 64, 4096} {
+		for trial := 0; trial < 200; trial++ {
+			counts := make([]int, 1+rng.Intn(40))
+			byteLens := make([]int, len(counts))
+			for v := range counts {
+				switch rng.Intn(4) {
+				case 0: // no blocks
+				case 1: // a run longer than a page
+					counts[v] = ps/16 + 1 + rng.Intn(3*ps/16)
+				default:
+					counts[v] = 1 + rng.Intn(20)
+				}
+				byteLens[v] = 16 * counts[v]
+			}
+			entries, bytes := NewLayout(counts, 16, ps), NewLayout(byteLens, 1, ps)
+			if entries.TotalPages() != bytes.TotalPages() {
+				t.Fatalf("page size %d, counts %v: TotalPages %d by entries, %d by bytes", ps, counts, entries.TotalPages(), bytes.TotalPages())
+			}
+			for v := range counts {
+				ef, el, eok := entries.OwnerPages(v)
+				bf, bl, bok := bytes.OwnerPages(v)
+				if ef != bf || el != bl || eok != bok {
+					t.Fatalf("page size %d, counts %v: OwnerPages(%d) = %d,%d,%v by entries, %d,%d,%v by bytes", ps, counts, v, ef, el, eok, bf, bl, bok)
+				}
+			}
+			for p := PageID(0); p <= PageID(entries.TotalPages()); p++ {
+				elo, ehi := entries.OwnerRange(p)
+				blo, bhi := bytes.OwnerRange(p)
+				if elo != blo || ehi != bhi {
+					t.Fatalf("page size %d, counts %v: OwnerRange(%d) = [%d,%d) by entries, [%d,%d) by bytes", ps, counts, p, elo, ehi, blo, bhi)
+				}
+			}
+		}
 	}
 }
 

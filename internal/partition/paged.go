@@ -14,17 +14,18 @@ import (
 	"silc/internal/store"
 )
 
-// The sharded paged file format ("SILCSPG1"; "SILCSPG2" when the cell
-// images are compressed) is partition metadata plus one complete embedded
-// store image per cell, each opened as its own ReadAt-backed store while
-// sharing ONE buffer pool — the paper's cache fraction stays a property of
-// the whole database.
+// The sharded paged file format is partition metadata plus one complete
+// embedded store image per cell, each opened as its own ReadAt-backed store
+// while sharing ONE buffer pool — the paper's cache fraction stays a
+// property of the whole database. Every cell image uses the same run codec,
+// and the file's magic names it (store.ShardedMagic writes it, store.Sniff
+// reads it back).
 //
 //	superblock   64 bytes   magic, page size, P, n, m, nb, section offsets
 //	network      the GLOBAL network (store network-section encoding + CRC)
 //	meta         selfContained flags, cellOf labels, closure D/hop + CRC
 //	cell table   P x (imageOff, imageSize, pageBase) + CRC
-//	cells        page-aligned embedded SILCPG1/SILCPG2 images (one per cell)
+//	cells        page-aligned embedded store images (one per cell)
 //
 // Everything is little-endian; offsets are absolute file offsets. The
 // global network is embedded, so a sharded paged file is self-contained
@@ -145,12 +146,8 @@ func (s *Sharded) WritePaged(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	le := binary.LittleEndian
 
-	magic := store.ShardedMagicString
-	if s.comp == store.CompressionDelta {
-		magic = store.ShardedMagic2String
-	}
 	head := make([]byte, shardedPagedSuperblockSize)
-	copy(head[0:8], magic)
+	copy(head[0:8], store.ShardedMagic(s.comp))
 	le.PutUint32(head[8:12], uint32(store.PageSize))
 	le.PutUint32(head[12:16], uint32(p))
 	le.PutUint32(head[16:20], uint32(n))
@@ -390,13 +387,8 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 		return nil, fmt.Errorf("partition: reading superblock: %w", err)
 	}
 	le := binary.LittleEndian
-	var comp store.Compression
-	switch string(head[0:8]) {
-	case store.ShardedMagicString:
-		comp = store.CompressionNone
-	case store.ShardedMagic2String:
-		comp = store.CompressionDelta
-	default:
+	sharded, comp, ok := store.Sniff(head[0:8])
+	if !ok || !sharded {
 		return nil, fmt.Errorf("partition: bad magic %q", head[0:8])
 	}
 	if stored, computed := le.Uint32(head[60:64]), crc32.ChecksumIEEE(head[:60]); stored != computed {

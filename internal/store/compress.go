@@ -10,16 +10,17 @@ import (
 	"silc/internal/quadtree"
 )
 
-// Compression selects the block-page encoding of a paged image.
+// Compression selects how a paged image encodes each vertex's run of
+// Morton blocks; the layout around the runs is the same for both (format.go).
 type Compression uint8
 
 const (
-	// CompressionNone is the fixed-width SILCPG1 layout: 16 bytes per
-	// Morton block, pageSize/16 entries per page.
+	// CompressionNone encodes a run as fixed-width 16-byte entries: the
+	// SILCPG1 image.
 	CompressionNone Compression = iota
-	// CompressionDelta is the SILCPG2 layout: per-vertex runs compressed as
-	// delta+varint streams (Morton gaps, per-run color dictionaries,
-	// float-bit deltas for the ratio bounds), byte-packed onto pages.
+	// CompressionDelta compresses a run as a delta+varint stream (Morton
+	// gaps, per-run color dictionaries, float-bit deltas for the ratio
+	// bounds): the SILCPG2 image.
 	CompressionDelta
 )
 

@@ -9,6 +9,23 @@ import (
 	"silc/internal/quadtree"
 )
 
+// appendEntries appends one vertex's sorted run as the 16-byte Morton-block
+// entries DecodeBlocks reads back. Colors must fit the entry's color byte.
+func appendEntries(dst []byte, blocks []quadtree.Block) ([]byte, error) {
+	le := binary.LittleEndian
+	for i := range blocks {
+		b := &blocks[i]
+		if b.Color < 0 || b.Color > 255 {
+			return nil, fmt.Errorf("store: block %d color %d exceeds the disk format's 8-bit width", i, b.Color)
+		}
+		dst = le.AppendUint32(dst, uint32(b.Cell.Code))
+		dst = append(dst, b.Cell.Level, byte(b.Color), 0, 0)
+		dst = le.AppendUint32(dst, math.Float32bits(b.LamLo))
+		dst = le.AppendUint32(dst, math.Float32bits(b.LamHi))
+	}
+	return dst, nil
+}
+
 // DecodeBlocks decodes one vertex's contiguous run of 16-byte Morton-block
 // entries into quadtree blocks, validating every structural invariant the
 // query path relies on: cell levels within the grid, cell codes aligned to

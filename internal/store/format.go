@@ -5,17 +5,27 @@
 // misses correspond to actual page reads, and eviction actually frees the
 // decoded trees built over the evicted page.
 //
-// The monolithic paged image ("SILCPG1\0", conventionally *.silcpg) is laid
-// out so every structure a query touches repeatedly sits on fixed-size
-// pages:
+// A paged image (conventionally *.silcpg) is laid out so every structure a
+// query touches repeatedly sits on fixed-size pages:
 //
-//	superblock   92 bytes   magic, page size, counts, radius, section offsets
+//	superblock   magic, page size, flags, counts, radius, offsets + CRC
 //	network      coords + CSR adjacency + CRC   (loaded eagerly: O(n+m))
-//	extents      per-vertex block counts + CRC  (loaded eagerly: O(n))
+//	extents      per-vertex block counts [+ run lengths] + CRC   (eager: O(n))
 //	  ...zero padding to a page boundary...
-//	block pages  16-byte Morton-block entries, densely packed vertex-major,
-//	             pageSize/16 entries per page   (demand-paged)
+//	block pages  one run per vertex with blocks, byte-packed vertex-major
+//	             across pages                   (demand-paged)
 //	page CRCs    one CRC-32 per block page + table CRC (loaded eagerly)
+//
+// A run is one vertex's sorted Morton blocks, encoded by the image's codec
+// (codec.go). The magic names the codec, and the codec decides the rest:
+//
+//	codec             magic      superblock  extent columns      run
+//	CompressionNone   SILCPG1\0  92 bytes    counts              16-byte entries (decode.go)
+//	CompressionDelta  SILCPG2\0  100 bytes   counts, run bytes   delta+varint stream (compress.go)
+//
+// The 100-byte superblock is the 92-byte one with the block section's byte
+// count inserted at offset 40; a 16-byte-entry image derives that count, and
+// every run length, as 16 x the block count.
 //
 // All integers are little-endian. Offsets are relative to the image start,
 // so a complete image can be embedded inside a larger file (the sharded
@@ -35,13 +45,6 @@ import (
 	"silc/internal/quadtree"
 )
 
-// MagicString identifies a monolithic paged store image.
-const MagicString = "SILCPG1\x00"
-
-// ShardedMagicString identifies a sharded paged file (partition metadata
-// plus one embedded store image per cell).
-const ShardedMagicString = "SILCSPG1"
-
 // PageSize is the on-disk page size the writer emits. Readers accept any
 // sane recorded page size; the pool's page math adapts.
 const PageSize = diskio.DefaultPageSize
@@ -50,24 +53,22 @@ const PageSize = diskio.DefaultPageSize
 // color u8, pad u16, lamLo f32, lamHi f32.
 const entrySize = quadtree.EncodedSizeBytes
 
-// superblockSize is the fixed byte size of the leading superblock.
+// superblockSize is the byte size of the superblock of a codec that does
+// not store lengths.
 const superblockSize = 92
 
 const flagLenient = 1 << 0
 
-// superblock is the decoded leading block of a monolithic image. version 1
-// ("SILCPG1\0") lays fixed 16-byte entries on the block pages; version 2
-// ("SILCPG2\0", format2.go) byte-packs compressed runs and additionally
-// records compBytes, the dense length of the block section.
+// superblock is the decoded leading block of a paged image.
 type superblock struct {
-	version     int // 1 or 2; zero value means 1
+	c           *codec
 	pageSize    int
 	lenient     bool
 	n           int
 	m           int
 	radius      float64
 	totalBlocks int64
-	compBytes   int64 // version 2 only
+	blockBytes  int64 // dense length of the block section
 	netOff      int64
 	extentOff   int64
 	blockOff    int64
@@ -76,65 +77,65 @@ type superblock struct {
 	imageSize   int64
 }
 
-// headerSize returns the byte size of the encoded superblock.
-func (sb *superblock) headerSize() int64 {
-	if sb.version == 2 {
-		return superblockSize2
-	}
-	return superblockSize
+// layOut places every section from the page size, the counts and the
+// block section's byte count.
+func (sb *superblock) layOut() {
+	ps := int64(sb.pageSize)
+	sb.netOff = sb.c.headerSize()
+	sb.extentOff = sb.netOff + NetworkSectionSize(sb.n, sb.m)
+	sb.blockOff = Align(sb.extentOff+sb.c.extentSize(sb.n), ps)
+	sb.blockPages = (sb.blockBytes + ps - 1) / ps
+	sb.crcTabOff = sb.blockOff + sb.blockPages*ps
+	sb.imageSize = sb.crcTabOff + sb.blockPages*4 + 4
 }
 
 func (sb *superblock) encode() []byte {
-	buf := make([]byte, superblockSize)
-	copy(buf[0:8], MagicString)
 	le := binary.LittleEndian
-	le.PutUint32(buf[8:12], uint32(sb.pageSize))
+	buf := make([]byte, 0, sb.c.headerSize())
+	buf = append(buf, sb.c.magic...)
 	var flags uint32
 	if sb.lenient {
 		flags |= flagLenient
 	}
-	le.PutUint32(buf[12:16], flags)
-	le.PutUint32(buf[16:20], uint32(sb.n))
-	le.PutUint32(buf[20:24], uint32(sb.m))
-	le.PutUint64(buf[24:32], math.Float64bits(sb.radius))
-	le.PutUint64(buf[32:40], uint64(sb.totalBlocks))
-	le.PutUint64(buf[40:48], uint64(sb.netOff))
-	le.PutUint64(buf[48:56], uint64(sb.extentOff))
-	le.PutUint64(buf[56:64], uint64(sb.blockOff))
-	le.PutUint64(buf[64:72], uint64(sb.blockPages))
-	le.PutUint64(buf[72:80], uint64(sb.crcTabOff))
-	le.PutUint64(buf[80:88], uint64(sb.imageSize))
-	le.PutUint32(buf[88:92], crc32.ChecksumIEEE(buf[:88]))
-	return buf
+	buf = le.AppendUint32(buf, uint32(sb.pageSize))
+	buf = le.AppendUint32(buf, flags)
+	buf = le.AppendUint32(buf, uint32(sb.n))
+	buf = le.AppendUint32(buf, uint32(sb.m))
+	buf = le.AppendUint64(buf, math.Float64bits(sb.radius))
+	buf = le.AppendUint64(buf, uint64(sb.totalBlocks))
+	if sb.c.storesLengths {
+		buf = le.AppendUint64(buf, uint64(sb.blockBytes))
+	}
+	for _, w := range [...]int64{sb.netOff, sb.extentOff, sb.blockOff, sb.blockPages, sb.crcTabOff, sb.imageSize} {
+		buf = le.AppendUint64(buf, uint64(w))
+	}
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeSuperblock parses and sanity-checks a superblock against the
-// available image size.
-func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
-	if len(buf) != superblockSize {
-		return nil, fmt.Errorf("store: superblock is %d bytes, want %d", len(buf), superblockSize)
-	}
-	if string(buf[0:8]) != MagicString {
-		return nil, fmt.Errorf("store: bad magic %q", buf[0:8])
-	}
+// decodeSuperblock parses and sanity-checks the c.headerSize() bytes of a
+// superblock whose magic named c against the available image size.
+func decodeSuperblock(c *codec, buf []byte, size int64) (*superblock, error) {
 	le := binary.LittleEndian
-	if stored, computed := le.Uint32(buf[88:92]), crc32.ChecksumIEEE(buf[:88]); stored != computed {
+	body := len(buf) - 4
+	if stored, computed := le.Uint32(buf[body:]), crc32.ChecksumIEEE(buf[:body]); stored != computed {
 		return nil, fmt.Errorf("store: superblock checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
 	sb := &superblock{
-		version:     1,
+		c:           c,
 		pageSize:    int(le.Uint32(buf[8:12])),
 		lenient:     le.Uint32(buf[12:16])&flagLenient != 0,
 		n:           int(le.Uint32(buf[16:20])),
 		m:           int(le.Uint32(buf[20:24])),
 		radius:      math.Float64frombits(le.Uint64(buf[24:32])),
 		totalBlocks: int64(le.Uint64(buf[32:40])),
-		netOff:      int64(le.Uint64(buf[40:48])),
-		extentOff:   int64(le.Uint64(buf[48:56])),
-		blockOff:    int64(le.Uint64(buf[56:64])),
-		blockPages:  int64(le.Uint64(buf[64:72])),
-		crcTabOff:   int64(le.Uint64(buf[72:80])),
-		imageSize:   int64(le.Uint64(buf[80:88])),
+	}
+	words := buf[40:body]
+	if c.storesLengths {
+		sb.blockBytes = int64(le.Uint64(words))
+		words = words[8:]
+	}
+	for i, w := range [...]*int64{&sb.netOff, &sb.extentOff, &sb.blockOff, &sb.blockPages, &sb.crcTabOff, &sb.imageSize} {
+		*w = int64(le.Uint64(words[i*8:]))
 	}
 	if sb.pageSize < entrySize || sb.pageSize > 1<<20 || sb.pageSize%entrySize != 0 {
 		return nil, fmt.Errorf("store: invalid page size %d", sb.pageSize)
@@ -151,30 +152,26 @@ func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
 	if sb.imageSize <= 0 || sb.imageSize > size {
 		return nil, fmt.Errorf("store: image size %d exceeds available %d bytes", sb.imageSize, size)
 	}
-	// Sections must be ordered, in range, and sized exactly as the counts
-	// imply — every later read is then bounded by imageSize.
-	if sb.netOff != superblockSize {
-		return nil, fmt.Errorf("store: network section at %d, want %d", sb.netOff, superblockSize)
-	}
-	if sb.extentOff != sb.netOff+NetworkSectionSize(sb.n, sb.m) {
-		return nil, fmt.Errorf("store: extent section at %d, inconsistent with n=%d m=%d", sb.extentOff, sb.n, sb.m)
-	}
-	if sb.blockOff != Align(sb.extentOff+extentSectionSize(sb.n), int64(sb.pageSize)) {
-		return nil, fmt.Errorf("store: block section at %d not page-aligned after extents", sb.blockOff)
-	}
-	if sb.totalBlocks < 0 || sb.totalBlocks > int64(sb.n)*int64(sb.n) {
+	// Every block takes at least perBlock bytes of the block section, which
+	// lies inside the image: bounding totalBlocks by that keeps the derived
+	// section length, and the page math on it, in range.
+	if sb.totalBlocks < 0 || sb.totalBlocks > int64(sb.n)*int64(sb.n) || sb.totalBlocks > sb.imageSize/c.perBlock {
 		return nil, fmt.Errorf("store: implausible total block count %d for %d vertices", sb.totalBlocks, sb.n)
 	}
-	epp := int64(sb.pageSize / entrySize)
-	wantPages := (sb.totalBlocks + epp - 1) / epp
-	if sb.blockPages != wantPages {
-		return nil, fmt.Errorf("store: %d block pages recorded, %d blocks imply %d", sb.blockPages, sb.totalBlocks, wantPages)
+	if !c.storesLengths {
+		sb.blockBytes = c.perBlock * sb.totalBlocks
 	}
-	if sb.crcTabOff != sb.blockOff+sb.blockPages*int64(sb.pageSize) {
-		return nil, fmt.Errorf("store: page CRC table at %d, inconsistent with %d block pages", sb.crcTabOff, sb.blockPages)
+	if err := c.checkRun(sb.totalBlocks, sb.blockBytes); err != nil || sb.blockBytes > sb.imageSize {
+		return nil, fmt.Errorf("store: block section of %d bytes implausible for %d blocks", sb.blockBytes, sb.totalBlocks)
 	}
-	if sb.imageSize != sb.crcTabOff+sb.blockPages*4+4 {
-		return nil, fmt.Errorf("store: image size %d inconsistent with section layout", sb.imageSize)
+	// Sections must sit exactly where the counts place them — every later
+	// read is then bounded by imageSize.
+	want := *sb
+	want.layOut()
+	if want != *sb {
+		return nil, fmt.Errorf("store: sections at %d, %d, %d (%d block pages), %d, ending %d; the counts place them at %d, %d, %d (%d), %d, ending %d",
+			sb.netOff, sb.extentOff, sb.blockOff, sb.blockPages, sb.crcTabOff, sb.imageSize,
+			want.netOff, want.extentOff, want.blockOff, want.blockPages, want.crcTabOff, want.imageSize)
 	}
 	return sb, nil
 }
@@ -188,12 +185,6 @@ func Align(off, pageSize int64) int64 {
 // vertices and m directed edges, including its trailing CRC.
 func NetworkSectionSize(n, m int) int64 {
 	return int64(n)*16 + int64(n+1)*4 + int64(m)*12 + 4
-}
-
-// extentSectionSize returns the byte size of the extent table, including
-// its trailing CRC.
-func extentSectionSize(n int) int64 {
-	return int64(n)*4 + 4
 }
 
 // EncodeNetworkSection serializes g's coordinates and CSR adjacency.
@@ -284,42 +275,61 @@ func DecodeNetworkSection(buf []byte, n, m int) (*graph.Network, error) {
 	return g, nil
 }
 
-// encodeExtentSection serializes the per-vertex block counts.
-func encodeExtentSection(counts []uint32) []byte {
-	buf := make([]byte, extentSectionSize(len(counts)))
+// encodeExtentSection serializes the per-vertex block counts, then, when
+// c stores them, the per-vertex run lengths.
+func encodeExtentSection(c *codec, counts, byteLens []uint32) []byte {
 	le := binary.LittleEndian
-	for i, c := range counts {
-		le.PutUint32(buf[i*4:], c)
+	buf := make([]byte, 0, c.extentSize(len(counts)))
+	for _, x := range counts {
+		buf = le.AppendUint32(buf, x)
 	}
-	le.PutUint32(buf[len(counts)*4:], crc32.ChecksumIEEE(buf[:len(counts)*4]))
-	return buf
+	if c.storesLengths {
+		for _, x := range byteLens {
+			buf = le.AppendUint32(buf, x)
+		}
+	}
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeExtentSection parses and validates the per-vertex block counts. A
+// decodeExtentSection parses and validates the per-vertex block counts and
+// run lengths (perBlock x the count where c does not store them). A
 // shortest-path quadtree block contains at least one colored vertex, so no
-// vertex can own n or more blocks.
-func decodeExtentSection(buf []byte, n int, totalBlocks int64) ([]uint32, error) {
-	if int64(len(buf)) != extentSectionSize(n) {
-		return nil, fmt.Errorf("store: extent section is %d bytes, want %d", len(buf), extentSectionSize(n))
-	}
+// vertex can own n or more blocks; each run length must pass the codec's
+// check, and the columns must sum to the superblock's totals — a corrupt
+// table cannot make a run claim more bytes than the section holds or fewer
+// than its blocks need.
+func decodeExtentSection(c *codec, buf []byte, n int, totalBlocks, blockBytes int64) (counts []uint32, lens []int, err error) {
 	le := binary.LittleEndian
-	payload := buf[:n*4]
-	if stored, computed := le.Uint32(buf[n*4:]), crc32.ChecksumIEEE(payload); stored != computed {
-		return nil, fmt.Errorf("store: extent section checksum mismatch: stored %08x computed %08x", stored, computed)
+	payload := buf[:len(buf)-4]
+	if stored, computed := le.Uint32(buf[len(payload):]), crc32.ChecksumIEEE(payload); stored != computed {
+		return nil, nil, fmt.Errorf("store: extent section checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
-	counts := make([]uint32, n)
-	var total int64
+	counts = make([]uint32, n)
+	lens = make([]int, n)
+	var total, totalBytes int64
 	for v := range counts {
 		counts[v] = le.Uint32(payload[v*4:])
 		if counts[v] >= uint32(n) {
-			return nil, fmt.Errorf("store: vertex %d records %d blocks, impossible for %d vertices", v, counts[v], n)
+			return nil, nil, fmt.Errorf("store: vertex %d records %d blocks, impossible for %d vertices", v, counts[v], n)
 		}
+		runLen := c.perBlock * int64(counts[v])
+		if c.storesLengths {
+			runLen = int64(le.Uint32(payload[(n+v)*4:]))
+		}
+		if err := c.checkRun(int64(counts[v]), runLen); err != nil {
+			return nil, nil, fmt.Errorf("store: vertex %d: %w", v, err)
+		}
+		lens[v] = int(runLen)
 		total += int64(counts[v])
+		totalBytes += runLen
 	}
 	if total != totalBlocks {
-		return nil, fmt.Errorf("store: extent counts sum to %d blocks, superblock records %d", total, totalBlocks)
+		return nil, nil, fmt.Errorf("store: extent counts sum to %d blocks, superblock records %d", total, totalBlocks)
 	}
-	return counts, nil
+	if totalBytes != blockBytes {
+		return nil, nil, fmt.Errorf("store: extent run lengths sum to %d bytes, superblock records %d", totalBytes, blockBytes)
+	}
+	return counts, lens, nil
 }
 
 // readSection reads exactly [off, off+size) from ra.

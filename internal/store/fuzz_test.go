@@ -231,8 +231,8 @@ func FuzzPageDecode(f *testing.F) {
 	})
 }
 
-// openPagedSeeds builds seed images for the store opener, in both the
-// fixed-width v1 and delta-compressed v2 encodings.
+// openPagedSeeds builds seed images for the store opener, in both codecs:
+// fixed-width entries and delta-compressed runs.
 func openPagedSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	g, err := graph.GenerateGrid(5, 5)

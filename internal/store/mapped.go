@@ -6,17 +6,6 @@ import (
 	"os"
 )
 
-// OpenBytes opens an image held wholly in memory without copying it: page
-// frames alias data, cold reads decode straight out of it, and the pool
-// still accounts every touch (a "read" is the first-touch CRC
-// verification). data must stay valid and immutable for the store's
-// lifetime. The sharded open uses it to hand each cell its slice of one
-// file-wide mapping.
-func OpenBytes(data []byte, opts OpenOptions) (*Store, error) {
-	opts.Mapped = data
-	return Open(bytes.NewReader(data), int64(len(data)), opts)
-}
-
 // MapFile opens path through a read-only memory mapping and returns the
 // mapped bytes plus the closer that unmaps and releases the file. It fails
 // on platforms without mmap support (and on empty files); callers fall back

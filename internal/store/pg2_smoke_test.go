@@ -77,12 +77,12 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		check(t, s)
 	})
 	t.Run("bytes", func(t *testing.T) {
-		s, err := store.OpenBytes(img2, store.OpenOptions{CacheFraction: 0.05})
+		s, err := store.Open(bytes.NewReader(img2), int64(len(img2)), store.OpenOptions{Mapped: img2, CacheFraction: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !s.Mapped() {
-			t.Fatal("OpenBytes store not mapped")
+			t.Fatal("store over an in-memory image not mapped")
 		}
 		check(t, s)
 		if rs := s.ReadStats(); rs.Reads == 0 {

@@ -127,11 +127,10 @@ type ReadStats struct {
 type Store struct {
 	ra       io.ReaderAt
 	closer   io.Closer
-	sb       *superblock
+	sb       *superblock // its codec decodes the runs
 	g        *graph.Network
 	counts   []uint32
-	byteLens []uint32 // v2 images: per-vertex compressed run lengths
-	mapped   []byte   // whole image in memory; nil for ReadAt-backed stores
+	mapped   []byte // whole image in memory; nil for ReadAt-backed stores
 	layout   *diskio.Layout
 	pageCRCs []uint32
 	pageBase diskio.PageID
@@ -169,35 +168,26 @@ type loadScratch struct {
 var loadPool = sync.Pool{New: func() any { return new(loadScratch) }}
 
 // Open parses a paged store image from ra, whose total size must be given
-// (files: Stat; embedded sections: the section length). Both the
-// fixed-width SILCPG1 and the compressed SILCPG2 layouts are accepted — the
-// magic decides. The network, extent table, and page CRC table load
-// eagerly; block pages are read only on demand.
+// (files: Stat; embedded sections: the section length). The magic picks the
+// codec of the image's runs. The network, extent table, and page CRC table
+// load eagerly; block pages are read only on demand.
 func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	magic, err := readSection(ra, 0, 8)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading superblock: %w", err)
 	}
-	var sb *superblock
-	switch string(magic) {
-	case Magic2String:
-		head, err := readSection(ra, 0, superblockSize2)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading superblock: %w", err)
-		}
-		sb, err = decodeSuperblock2(head, size)
-		if err != nil {
-			return nil, err
-		}
-	default: // v1 path also produces the canonical bad-magic error
-		head, err := readSection(ra, 0, superblockSize)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading superblock: %w", err)
-		}
-		sb, err = decodeSuperblock(head, size)
-		if err != nil {
-			return nil, err
-		}
+	sharded, comp, ok := Sniff(magic)
+	if !ok || sharded {
+		return nil, fmt.Errorf("store: bad magic %q", magic)
+	}
+	c := &codecs[comp]
+	head, err := readSection(ra, 0, c.headerSize())
+	if err != nil {
+		return nil, fmt.Errorf("store: reading superblock: %w", err)
+	}
+	sb, err := decodeSuperblock(c, head, size)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Mapped != nil && int64(len(opts.Mapped)) < sb.imageSize {
 		return nil, fmt.Errorf("store: mapped image of %d bytes shorter than recorded size %d", len(opts.Mapped), sb.imageSize)
@@ -210,25 +200,13 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var counts, byteLens []uint32
-	if sb.version == 2 {
-		extBuf, err := readSection(ra, sb.extentOff, extent2SectionSize(sb.n))
-		if err != nil {
-			return nil, fmt.Errorf("store: reading extent section: %w", err)
-		}
-		counts, byteLens, err = decodeExtent2Section(extBuf, sb.n, sb.totalBlocks, sb.compBytes)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		extBuf, err := readSection(ra, sb.extentOff, extentSectionSize(sb.n))
-		if err != nil {
-			return nil, fmt.Errorf("store: reading extent section: %w", err)
-		}
-		counts, err = decodeExtentSection(extBuf, sb.n, sb.totalBlocks)
-		if err != nil {
-			return nil, err
-		}
+	extBuf, err := readSection(ra, sb.extentOff, c.extentSize(sb.n))
+	if err != nil {
+		return nil, fmt.Errorf("store: reading extent section: %w", err)
+	}
+	counts, lens, err := decodeExtentSection(c, extBuf, sb.n, sb.totalBlocks, sb.blockBytes)
+	if err != nil {
+		return nil, err
 	}
 	tabBuf, err := readSection(ra, sb.crcTabOff, sb.blockPages*4+4)
 	if err != nil {
@@ -241,33 +219,17 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	for i := range pageCRCs {
 		pageCRCs[i] = leU32(tabBuf[i*4:])
 	}
-	// The page layout maps each vertex's entry run to its pages: 16-byte
-	// entries for v1, single bytes for v2's byte-packed compressed runs —
-	// OwnerPages/OwnerRange and the eviction feedback work identically.
-	var layout *diskio.Layout
-	if sb.version == 2 {
-		intLens := make([]int, sb.n)
-		for v, l := range byteLens {
-			intLens[v] = int(l)
-		}
-		layout = diskio.NewLayout(intLens, 1, sb.pageSize)
-	} else {
-		intCounts := make([]int, sb.n)
-		for v, c := range counts {
-			intCounts[v] = int(c)
-		}
-		layout = diskio.NewLayout(intCounts, entrySize, sb.pageSize)
-	}
-	if layout.TotalPages() != sb.blockPages {
-		return nil, fmt.Errorf("store: layout spans %d pages, superblock records %d", layout.TotalPages(), sb.blockPages)
-	}
+	// The page layout maps each vertex's run to its pages, in bytes for both
+	// codecs: a 16-byte entry never straddles a page, so its runs own the
+	// pages their entries would. The run lengths sum to the block section's
+	// byte count, so the layout spans exactly its blockPages.
+	layout := diskio.NewLayout(lens, 1, sb.pageSize)
 
 	s := &Store{
 		ra:       ra,
 		sb:       sb,
 		g:        g,
 		counts:   counts,
-		byteLens: byteLens,
 		mapped:   opts.Mapped,
 		layout:   layout,
 		pageCRCs: pageCRCs,
@@ -339,13 +301,8 @@ func (s *Store) Radius() float64 { return s.sb.radius }
 // Lenient reports whether the index was built with AllowUnreachable.
 func (s *Store) Lenient() bool { return s.sb.lenient }
 
-// Compression returns the block-page encoding of the opened image.
-func (s *Store) Compression() Compression {
-	if s.sb.version == 2 {
-		return CompressionDelta
-	}
-	return CompressionNone
-}
+// Compression returns the run codec of the opened image.
+func (s *Store) Compression() Compression { return s.sb.c.comp }
 
 // Mapped reports whether page frames alias an in-memory image instead of
 // being read through ReadAt.
@@ -492,13 +449,7 @@ func (s *Store) materialize(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.
 	if err != nil {
 		return nil, err
 	}
-	var blocks []quadtree.Block
-	var minLambda float64
-	if s.sb.version == 2 {
-		blocks, minLambda, err = DecompressRun(run, int(s.counts[v]), s.g.Degree(v))
-	} else {
-		blocks, minLambda, err = DecodeBlocks(run, s.g.Degree(v))
-	}
+	blocks, minLambda, err := s.sb.c.decode(run, int(s.counts[v]), s.g.Degree(v))
 	releaseRun(sc, run)
 	if err != nil {
 		return nil, fmt.Errorf("store: vertex %d: %w", v, err)
@@ -522,13 +473,7 @@ func (s *Store) stream(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) 
 	if err != nil {
 		return quadtree.Block{}, false, err
 	}
-	var b quadtree.Block
-	var ok bool
-	if s.sb.version == 2 {
-		b, ok, err = LookupRun(run, int(s.counts[v]), s.g.Degree(v), code)
-	} else {
-		b, ok, err = LookupBlocks(run, s.g.Degree(v), code)
-	}
+	b, ok, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code)
 	releaseRun(sc, run)
 	if err != nil {
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
@@ -559,12 +504,11 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, v graph.VertexID) {
 func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *loadScratch, error) {
 	first, last, _ := s.layout.OwnerPages(int(v))
 	lo, hi := s.layout.EntryRange(int(v))
-	w := s.entryWidth()
 	if s.mapped != nil {
 		if err := s.touchRun(ioStats, v); err != nil {
 			return nil, nil, err
 		}
-		return s.mapped[s.sb.blockOff+lo*w : s.sb.blockOff+hi*w], nil, nil
+		return s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi], nil, nil
 	}
 	sc := loadPool.Get().(*loadScratch)
 	np := int(last - first + 1)
@@ -580,16 +524,13 @@ func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *load
 		}
 		bufs[p-first] = b
 	}
-	epp := int64(s.layout.EntriesPerPage())
+	ps := int64(s.sb.pageSize)
 	run := sc.run[:0]
 	for i := lo; i < hi; {
-		page := i / epp
-		end := (page + 1) * epp
-		if end > hi {
-			end = hi
-		}
+		page := i / ps
+		end := min((page+1)*ps, hi)
 		buf := bufs[page-int64(first)]
-		run = append(run, buf[(i%epp)*w:(i%epp+end-i)*w]...)
+		run = append(run, buf[i%ps:i%ps+end-i]...)
 		i = end
 	}
 	return run, sc, nil
@@ -671,15 +612,6 @@ func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 		return nil, fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum)
 	}
 	return buf, nil
-}
-
-// entryWidth returns the byte width of one layout entry: 16-byte fixed
-// entries for v1 images, single bytes for v2's compressed runs.
-func (s *Store) entryWidth() int64 {
-	if s.sb.version == 2 {
-		return 1
-	}
-	return entrySize
 }
 
 // dropPage releases the frame of local page p and every decoded tree whose

@@ -198,13 +198,11 @@ func sniffLayout(ra io.ReaderAt) (sharded bool, err error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return false, err
 	}
-	switch string(magic[:n]) {
-	case store.MagicString, store.Magic2String:
-		return false, nil
-	case store.ShardedMagicString, store.ShardedMagic2String:
-		return true, nil
+	sharded, _, ok := store.Sniff(magic[:n])
+	if !ok {
+		return false, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:n])
 	}
-	return false, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:n])
+	return sharded, nil
 }
 
 // openPaged opens a paged image of either layout — by path when one is
