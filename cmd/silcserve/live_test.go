@@ -10,19 +10,20 @@ import (
 	"testing"
 
 	"silc"
+	"silc/internal/server"
 )
 
 // testLiveServer is testServer plus a live object world over the same
 // network, as -live would wire it up.
-func testLiveServer(t *testing.T) *server {
+func testLiveServer(t *testing.T) server.Config {
 	t.Helper()
 	srv := testServer(t)
-	live, err := silc.NewLiveObjects(srv.eng.Network(), silc.LiveObjectsOptions{})
+	live, err := silc.NewLiveObjects(srv.Engine.Network(), silc.LiveObjectsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { live.Close() })
-	srv.live = live
+	srv.Live = live
 	return srv
 }
 
@@ -46,7 +47,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body map[string]an
 }
 
 func TestServerLiveObjectsCRUD(t *testing.T) {
-	ts := httptest.NewServer(testLiveServer(t).routes())
+	ts := httptest.NewServer(routes(testLiveServer(t)))
 	defer ts.Close()
 
 	// Insert at a vertex.
@@ -204,9 +205,9 @@ func TestServerLiveObjectsCRUD(t *testing.T) {
 // the store's current snapshot would then report the mover's vertex.
 func TestServerPointInsertReportsItsOwnVertex(t *testing.T) {
 	srv := testLiveServer(t)
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(routes(srv))
 	defer ts.Close()
-	net := srv.eng.Network()
+	net := srv.Engine.Network()
 
 	const inserts = 300
 	away := net.NearestVertex(silc.Point{X: 1, Y: 1}) // the inserts stay in the opposite quadrant
@@ -221,7 +222,7 @@ func TestServerPointInsertReportsItsOwnVertex(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := srv.live.Move(id, away); err == nil {
+				if _, err := srv.Live.Move(id, away); err == nil {
 					break
 				}
 			}
@@ -252,7 +253,7 @@ func TestServerPointInsertReportsItsOwnVertex(t *testing.T) {
 
 // TestServerLiveDisabled: without -live every live surface is a 404.
 func TestServerLiveDisabled(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 	for _, path := range []string{"/objects", "/watch?q=0&k=2", "/knn?q=0&k=1&live=1"} {
 		resp := getJSON(t, ts, path, nil)
@@ -266,10 +267,10 @@ func TestServerLiveDisabled(t *testing.T) {
 // line is the full initial top-k, a live insert produces a delta line.
 func TestServerWatchStream(t *testing.T) {
 	srv := testLiveServer(t)
-	if _, _, err := srv.live.Insert(3); err != nil {
+	if _, _, err := srv.Live.Insert(3); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(routes(srv))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL + "/watch?q=3&k=4")
@@ -296,7 +297,7 @@ func TestServerWatchStream(t *testing.T) {
 	}
 
 	// A mutation that changes the top-k yields a delta line.
-	if _, _, err := srv.live.Insert(4); err != nil {
+	if _, _, err := srv.Live.Insert(4); err != nil {
 		t.Fatal(err)
 	}
 	var second struct {

@@ -15,11 +15,12 @@ import (
 	"time"
 
 	"silc"
+	"silc/internal/server"
 )
 
 // testServer serves a disk-resident index: built OnDisk under t.TempDir()
 // and reopened behind the default 5% pool, so page counters are real reads.
-func testServer(t *testing.T) *server {
+func testServer(t *testing.T) server.Config {
 	t.Helper()
 	net, err := silc.GenerateGrid(8, 8)
 	if err != nil {
@@ -34,8 +35,11 @@ func testServer(t *testing.T) *server {
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
 	}
-	return newServer(ix.Engine(), mustObjects(t, net, vs), 100, 1000)
+	return server.Config{Engine: ix.Engine(), Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
 }
+
+// routes is the handler silcserve serves c behind.
+func routes(c server.Config) http.Handler { return server.New(c).Handler() }
 
 func mustObjects(t *testing.T, net *silc.Network, vs []silc.VertexID) *silc.ObjectSet {
 	t.Helper()
@@ -62,7 +66,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Resp
 }
 
 func TestServerEndpoints(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 
 	var knn struct {
@@ -149,7 +153,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerBadRequests(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 	for _, path := range []string{
 		"/knn?q=0",                 // missing k
@@ -167,7 +171,7 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 func TestServerBatchKNN(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 
 	body, _ := json.Marshal(map[string]any{
@@ -216,7 +220,7 @@ func TestServerBatchKNN(t *testing.T) {
 // many goroutines; run under -race this is the serving-layer concurrency
 // check.
 func TestServerConcurrentRequests(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 
 	paths := []string{
@@ -255,7 +259,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 
 // testShardedServer builds a server over a sharded engine, exercising the
 // Engine-generic serving path.
-func testShardedServer(t *testing.T) *server {
+func testShardedServer(t *testing.T) server.Config {
 	t.Helper()
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 10, Cols: 10, Seed: 4})
 	if err != nil {
@@ -278,7 +282,7 @@ func testShardedServer(t *testing.T) *server {
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
 	}
-	return newServer(ix.Engine(), mustObjects(t, net, vs), 100, 1000)
+	return server.Config{Engine: ix.Engine(), Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
 }
 
 func decodeBrowseStream(t *testing.T, ts *httptest.Server, path string) (ranks []int, dists []float64, trailer map[string]any) {
@@ -311,11 +315,11 @@ func decodeBrowseStream(t *testing.T, ts *httptest.Server, path string) (ranks [
 }
 
 func TestServerBrowseStreaming(t *testing.T) {
-	for name, srv := range map[string]*server{
+	for name, srv := range map[string]server.Config{
 		"monolithic": testServer(t),
 		"sharded":    testShardedServer(t),
 	} {
-		ts := httptest.NewServer(srv.routes())
+		ts := httptest.NewServer(routes(srv))
 		ranks, dists, trailer := decodeBrowseStream(t, ts, "/browse?src=0&n=7")
 		if len(ranks) != 7 {
 			t.Fatalf("%s: streamed %d neighbors, want 7", name, len(ranks))
@@ -335,7 +339,7 @@ func TestServerBrowseStreaming(t *testing.T) {
 			t.Fatalf("%s: trailer missing cursor stats: %v", name, trailer)
 		}
 		// Exhausting the object set ends the stream early with the trailer.
-		nv := srv.eng.Network().NumVertices()
+		nv := srv.Engine.Network().NumVertices()
 		ranks, _, trailer = decodeBrowseStream(t, ts, "/browse?src=1&n=100")
 		if len(ranks) != nv || trailer == nil {
 			t.Fatalf("%s: exhausted stream returned %d of %d objects (trailer %v)", name, len(ranks), nv, trailer)
@@ -354,7 +358,7 @@ func TestServerBrowseStreaming(t *testing.T) {
 // TestServerEpsilonParam exercises the ε-approximate knob over HTTP: valid
 // values answer with certified-approximate distances, bad values are 400s.
 func TestServerEpsilonParam(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 
 	var knn struct {
@@ -385,8 +389,8 @@ func TestServerEpsilonParam(t *testing.T) {
 // stream) rather than hang or serve a stale result.
 func TestServerRequestTimeout(t *testing.T) {
 	srv := testServer(t)
-	srv.timeout = time.Nanosecond
-	ts := httptest.NewServer(srv.routes())
+	srv.Timeout = time.Nanosecond
+	ts := httptest.NewServer(routes(srv))
 	defer ts.Close()
 
 	for _, path := range []string{"/knn?q=5&k=4", "/distance?src=0&dst=63", "/range?q=0&radius=0.4"} {
@@ -415,7 +419,7 @@ func TestServerRequestTimeout(t *testing.T) {
 }
 
 func TestServerShardedEndpoints(t *testing.T) {
-	ts := httptest.NewServer(testShardedServer(t).routes())
+	ts := httptest.NewServer(routes(testShardedServer(t)))
 	defer ts.Close()
 	var dist struct {
 		Reachable bool    `json:"reachable"`
@@ -478,8 +482,8 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 
 func TestServerMetrics(t *testing.T) {
 	srv := testServer(t)
-	srv.eng.SetTracing(true)
-	ts := httptest.NewServer(srv.routes())
+	srv.Engine.SetTracing(true)
+	ts := httptest.NewServer(routes(srv))
 	defer ts.Close()
 	out := scrapeMetrics(t, ts)
 
@@ -552,8 +556,8 @@ func TestServerMetricsPaged(t *testing.T) {
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
 	}
-	srv := newServer(eng, mustObjects(t, eng.Network(), vs), 100, 1000)
-	ts := httptest.NewServer(srv.routes())
+	srv := server.Config{Engine: eng, Objects: mustObjects(t, eng.Network(), vs), MaxK: 100, MaxBatch: 1000}
+	ts := httptest.NewServer(routes(srv))
 	defer ts.Close()
 	out := scrapeMetrics(t, ts)
 	for _, want := range []string{
@@ -571,14 +575,14 @@ func TestServerMetricsPaged(t *testing.T) {
 
 func TestServerSlowLog(t *testing.T) {
 	srv := testServer(t)
-	srv.eng.SetTracing(true)
+	srv.Engine.SetTracing(true)
 	logPath := t.TempDir() + "/slow.ndjson"
-	slow, err := openSlowLog(logPath, 0) // threshold 0: log everything
+	slow, err := server.OpenSlowLog(logPath, 0) // threshold 0: log everything
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.slow = slow
-	ts := httptest.NewServer(srv.routes())
+	srv.SlowLog = slow
+	ts := httptest.NewServer(routes(srv))
 	for _, path := range []string{"/knn?q=3&k=4", "/distance?src=0&dst=9"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -640,7 +644,7 @@ func TestServerSlowLog(t *testing.T) {
 }
 
 func TestServerStatsEndpointLatency(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).routes())
+	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
 	for i := 0; i < 5; i++ {
 		resp, err := ts.Client().Get(ts.URL + "/knn?q=3&k=4")
@@ -678,7 +682,7 @@ func TestServerStatsEndpointLatency(t *testing.T) {
 
 func TestServerPprofGate(t *testing.T) {
 	srv := testServer(t)
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(routes(srv))
 	resp, err := ts.Client().Get(ts.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -690,8 +694,8 @@ func TestServerPprofGate(t *testing.T) {
 	}
 
 	srv2 := testServer(t)
-	srv2.pprof = true
-	ts2 := httptest.NewServer(srv2.routes())
+	srv2.Pprof = true
+	ts2 := httptest.NewServer(routes(srv2))
 	defer ts2.Close()
 	resp2, err := ts2.Client().Get(ts2.URL + "/debug/pprof/")
 	if err != nil {
@@ -724,7 +728,7 @@ func TestNodePprofGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, on := range []bool{false, true} {
-		ts := httptest.NewServer(nodeRoutes(node, on))
+		ts := httptest.NewServer(routes(server.Config{Node: node, Pprof: on}))
 		want := map[string]int{"/debug/pprof/": 404, "/debug/pprof/cmdline": 404, "/readyz": 200, "/metrics": 200}
 		if on {
 			want["/debug/pprof/"], want["/debug/pprof/cmdline"] = 200, 200
