@@ -28,22 +28,19 @@ type objectRequest struct {
 // snapshot, POST inserts or moves, DELETE removes. Every mutation response
 // carries the first store version reflecting it, so a client can correlate
 // its write with the SnapshotVersion stamped on later query results.
-func (s *Server) handleObjects(r *http.Request) (any, error) {
+func (s *Server) handleObjects(r *http.Request) (answer, error) {
 	if s.Live == nil {
-		return nil, errLiveDisabled
+		return answer{}, errLiveDisabled
 	}
 	switch r.Method {
 	case http.MethodGet:
-		objects, version := s.Live.List()
-		list := make([]map[string]any, len(objects))
-		for i, o := range objects {
-			list[i] = map[string]any{"id": o.ID, "vertex": o.Vertex}
-		}
-		return map[string]any{"version": version, "count": len(list), "objects": list}, nil
+		body := &objectsReply{}
+		body.objects, body.version = s.Live.List()
+		return answer{body: body}, nil
 	case http.MethodPost:
 		var req objectRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, badRequest("bad JSON body: %v", err)
+			return answer{}, badRequest("bad JSON body: %v", err)
 		}
 		if req.ID == nil && req.Vertex == nil && req.X != nil && req.Y != nil {
 			// Snapped here, once: the reply reports the vertex this write put
@@ -53,34 +50,33 @@ func (s *Server) handleObjects(r *http.Request) (any, error) {
 			req.Vertex = &v
 		}
 		if req.Vertex == nil {
-			return nil, badRequest(`body needs a "vertex", an "x"/"y" point, or an "id" plus "vertex" to move`)
+			return answer{}, badRequest(`body needs a "vertex", an "x"/"y" point, or an "id" plus "vertex" to move`)
 		}
-		var ver uint64
+		body := &putReply{vertex: *req.Vertex}
 		var err error
 		if req.ID != nil {
-			ver, err = s.Live.Move(*req.ID, *req.Vertex)
+			body.id = *req.ID
+			body.version, err = s.Live.Move(body.id, body.vertex)
 		} else {
-			var id int32
-			id, ver, err = s.Live.Insert(*req.Vertex)
-			req.ID = &id
+			body.id, body.version, err = s.Live.Insert(body.vertex)
 		}
 		if err != nil {
-			return nil, err
+			return answer{}, err
 		}
-		return map[string]any{"id": *req.ID, "vertex": *req.Vertex, "version": ver}, nil
+		return answer{body: body}, nil
 	case http.MethodDelete:
 		p := s.params(r)
-		id := int32(p.int("id", required))
+		body := &deleteReply{id: int32(p.int("id", required))}
 		if p.err != nil {
-			return nil, p.err
+			return answer{}, p.err
 		}
-		ver, err := s.Live.Remove(id)
-		if err != nil {
-			return nil, err
+		var err error
+		if body.version, err = s.Live.Remove(body.id); err != nil {
+			return answer{}, err
 		}
-		return map[string]any{"id": id, "version": ver}, nil
+		return answer{body: body}, nil
 	}
-	return nil, httpError{status: http.StatusMethodNotAllowed, msg: "use GET, POST, or DELETE"}
+	return answer{}, httpError{status: http.StatusMethodNotAllowed, msg: "use GET, POST, or DELETE"}
 }
 
 // handleWatch streams continuous kNN over the live world: one NDJSON line

@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"silc"
@@ -137,15 +139,15 @@ func (s *Server) objects(live bool) (*silc.ObjectSet, error) {
 	return s.Live.View(), nil
 }
 
-func (s *Server) handleKNN(r *http.Request) (any, error) {
+func (s *Server) handleKNN(r *http.Request) (answer, error) {
 	var req knnRequest
 	batch := r.Method == http.MethodPost
 	if batch {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, badRequest("bad JSON body: %v", err)
+			return answer{}, badRequest("bad JSON body: %v", err)
 		}
 		if len(req.Queries) == 0 || len(req.Queries) > s.MaxBatch {
-			return nil, badRequest("batch size must be in [1,%d]", s.MaxBatch)
+			return answer{}, badRequest("batch size must be in [1,%d]", s.MaxBatch)
 		}
 	} else {
 		p := s.params(r)
@@ -159,90 +161,58 @@ func (s *Server) handleKNN(r *http.Request) (any, error) {
 			Live:    p.flag("live"),
 		}
 		if p.err != nil {
-			return nil, p.err
+			return answer{}, p.err
 		}
 	}
 	opts, err := s.knnOptions(&req)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	objs, err := s.objects(req.Live)
 	if err != nil {
-		return nil, err
-	}
-	result := func(q silc.VertexID, res silc.Result) map[string]any {
-		return map[string]any{"query": q, "sorted": res.Sorted, "neighbors": toNeighbors(res.Neighbors)}
+		return answer{}, err
 	}
 	if !batch {
-		res, err := s.Engine.Query(r.Context(), objs, req.Queries[0], req.K, opts...)
-		if err != nil {
-			return nil, err
+		body := &knnReply{k: req.K, q: req.Queries[0]}
+		if body.res, err = s.Engine.Query(r.Context(), objs, body.q, req.K, opts...); err != nil {
+			return answer{}, err
 		}
-		body := result(req.Queries[0], res)
-		body["k"] = req.K
-		return answered(res.Stats, body), nil
+		return answered(body, &body.res.Stats), nil
 	}
-	b, err := s.Engine.QueryBatch(r.Context(), objs, req.Queries, req.K, opts...)
-	if err != nil {
-		return nil, err
+	body := &batchReply{k: req.K, queries: req.Queries}
+	if body.b, err = s.Engine.QueryBatch(r.Context(), objs, req.Queries, req.K, opts...); err != nil {
+		return answer{}, err
 	}
-	results := make([]map[string]any, len(b.Results))
-	for i, res := range b.Results {
-		results[i] = result(req.Queries[i], res)
-		results[i]["stats"] = toStats(res.Stats)
-	}
-	return answer{queries: len(req.Queries), body: map[string]any{
-		"k":       req.K,
-		"results": results,
-		"batch": map[string]any{
-			"queries":      b.Stats.Queries,
-			"failed":       b.Stats.Failed,
-			"skipped":      b.Stats.Skipped,
-			"workers":      b.Stats.Workers,
-			"wall_us":      b.Stats.Wall.Microseconds(),
-			"qps":          b.Stats.QPS,
-			"total_cpu_us": b.Stats.TotalCPU.Microseconds(),
-			"page_hits":    b.Stats.PageHits,
-			"page_misses":  b.Stats.PageMisses,
-		},
-	}}, nil
+	return answer{body: body, queries: len(req.Queries)}, nil
 }
 
-func (s *Server) handleDistance(r *http.Request) (any, error) {
+func (s *Server) handleDistance(r *http.Request) (answer, error) {
 	p := s.params(r)
-	src, dst := p.vertex("src"), p.vertex("dst")
+	body := &distanceReply{src: p.vertex("src"), dst: p.vertex("dst")}
 	if p.err != nil {
-		return nil, p.err
+		return answer{}, p.err
 	}
-	var st silc.QueryStats
-	d, err := s.Engine.Distance(r.Context(), src, dst, silc.WithStats(&st))
-	if err != nil {
-		return nil, err
+	var err error
+	if body.dist, err = s.Engine.Distance(r.Context(), body.src, body.dst, silc.WithStats(&body.stats)); err != nil {
+		return answer{}, err
 	}
-	body := map[string]any{"src": src, "dst": dst, "reachable": !math.IsInf(d, 1)}
-	if !math.IsInf(d, 1) {
-		body["distance"] = d
-	}
-	return answered(st, body), nil
+	return answered(body, &body.stats), nil
 }
 
-func (s *Server) handlePath(r *http.Request) (any, error) {
+func (s *Server) handlePath(r *http.Request) (answer, error) {
 	p := s.params(r)
-	src, dst := p.vertex("src"), p.vertex("dst")
+	body := &pathReply{src: p.vertex("src"), dst: p.vertex("dst")}
 	if p.err != nil {
-		return nil, p.err
+		return answer{}, p.err
 	}
-	var st silc.QueryStats
-	path, err := s.Engine.ShortestPath(r.Context(), src, dst, silc.WithStats(&st))
-	if err != nil {
-		return nil, err
+	var err error
+	if body.path, err = s.Engine.ShortestPath(r.Context(), body.src, body.dst, silc.WithStats(&body.stats)); err != nil {
+		return answer{}, err
 	}
-	body := map[string]any{"src": src, "dst": dst, "reachable": path != nil}
-	if path != nil {
-		body["distance"] = pathCost(s.Engine.Network(), path)
-		body["path"] = path
+	if body.path != nil {
+		body.dist = pathCost(s.Engine.Network(), body.path)
 	}
-	return answered(st, body), nil
+	return answered(body, &body.stats), nil
 }
 
 // pathCost sums edge weights along a path already retrieved from the index,
@@ -262,103 +232,63 @@ func pathCost(net *silc.Network, path []silc.VertexID) float64 {
 	return total
 }
 
-func (s *Server) handleRange(r *http.Request) (any, error) {
+func (s *Server) handleRange(r *http.Request) (answer, error) {
 	p := s.params(r)
-	q, radius := p.vertex("q"), p.float("radius", math.NaN()) // absent: rejected below
-	if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
+	body := &rangeReply{q: p.vertex("q"), radius: p.float("radius", math.NaN())} // absent: rejected below
+	if math.IsNaN(body.radius) || math.IsInf(body.radius, 0) || body.radius < 0 {
 		p.fail("parameter radius must be a finite non-negative number")
 	}
 	exact, live := p.flag("exact"), p.flag("live")
 	if p.err != nil {
-		return nil, p.err
+		return answer{}, p.err
 	}
 	objs, err := s.objects(live)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	var opts []silc.Option
 	if exact {
 		opts = append(opts, silc.WithExactDistances())
 	}
-	res, err := s.Engine.WithinDistance(r.Context(), objs, q, radius, opts...)
-	if err != nil {
-		return nil, err
+	if body.res, err = s.Engine.WithinDistance(r.Context(), objs, body.q, body.radius, opts...); err != nil {
+		return answer{}, err
 	}
-	return answered(res.Stats, map[string]any{
-		"query":     q,
-		"radius":    radius,
-		"count":     len(res.Neighbors),
-		"neighbors": toNeighbors(res.Neighbors),
-	}), nil
+	return answered(body, &body.res.Stats), nil
 }
 
-func (s *Server) handleStats(r *http.Request) (any, error) {
-	var index map[string]any
+func (s *Server) handleStats(r *http.Request) (answer, error) {
+	body := &statsReply{
+		objects:  s.Objects.Len(),
+		pool:     s.Engine.IOStats(),
+		uptimeS:  int64(time.Since(s.started).Seconds()),
+		queries:  s.queries.Load(),
+		inflight: s.inflight.Value(),
+		tracing:  s.Engine.TracingEnabled(),
+	}
 	if sx, ok := s.Engine.Sharded(); ok {
 		st := sx.Stats()
-		index = map[string]any{
-			"vertices":          st.Vertices,
-			"edges":             st.Edges,
-			"partitions":        st.Partitions,
-			"boundary_vertices": st.BoundaryVertices,
-			"cut_edges":         st.CutEdges,
-			"self_contained":    st.SelfContained,
-			"total_blocks":      st.CellBlocks,
-			"cell_bytes":        st.CellBytes,
-			"closure_bytes":     st.ClosureBytes,
-			"total_bytes":       st.TotalBytes,
-			"build_time_ms":     st.BuildTime.Milliseconds(),
-		}
+		body.sharded = &st
 	} else if mono, ok := s.Engine.Monolithic(); ok {
-		st := mono.Stats()
-		index = map[string]any{
-			"vertices":          st.Vertices,
-			"edges":             st.Edges,
-			"total_blocks":      st.TotalBlocks,
-			"total_bytes":       st.TotalBytes,
-			"blocks_per_vertex": st.BlocksPerVertex(),
-			"build_time_ms":     st.BuildTime.Milliseconds(),
-			"radius":            mono.Radius(),
-		}
+		body.mono = &monoStats{BuildStats: mono.Stats(), radius: mono.Radius()}
 	}
-	io := s.Engine.IOStats()
-	var requests int64
-	endpoints := make(map[string]any, len(s.endpoints))
 	for name, em := range s.endpoints {
-		requests += em.requests.Value()
+		body.requests += em.requests.Value()
 		if em.latency.Count() == 0 {
 			continue
 		}
-		endpoints[name] = map[string]any{
-			"requests": em.requests.Value(),
-			"p50_us":   em.latency.Quantile(0.50).Microseconds(),
-			"p90_us":   em.latency.Quantile(0.90).Microseconds(),
-			"p99_us":   em.latency.Quantile(0.99).Microseconds(),
-		}
+		body.endpoints = append(body.endpoints, endpointStats{
+			name:     name,
+			requests: em.requests.Value(),
+			p50US:    em.latency.Quantile(0.50).Microseconds(),
+			p90US:    em.latency.Quantile(0.90).Microseconds(),
+			p99US:    em.latency.Quantile(0.99).Microseconds(),
+		})
 	}
-	var live map[string]any
+	slices.SortFunc(body.endpoints, func(a, b endpointStats) int { return strings.Compare(a.name, b.name) })
 	if s.Live != nil {
-		live = map[string]any{"objects": s.Live.Len(), "version": s.Live.Version()}
+		body.live = &liveStats{objects: s.Live.Len(), version: s.Live.Version()}
 	}
-	return map[string]any{
-		"index":   index,
-		"objects": s.Objects.Len(),
-		"live":    live,
-		"pool": map[string]any{
-			"page_hits":           io.PageHits,
-			"page_misses":         io.PageMisses,
-			"page_reads":          io.PageReads,
-			"measured_io_time_us": io.MeasuredIOTime.Microseconds(),
-		},
-		"server": map[string]any{
-			"uptime_s":  int64(time.Since(s.started).Seconds()),
-			"requests":  requests,
-			"queries":   s.queries.Load(),
-			"inflight":  s.inflight.Value(),
-			"tracing":   s.Engine.TracingEnabled(),
-			"endpoints": endpoints,
-		},
-	}, nil
+	return answer{body: body}, nil
 }
 
 // handleBrowse streams incremental distance browsing — the paper's headline
@@ -441,10 +371,14 @@ type queryStatsJSON struct {
 	SnapshotVer   uint64 `json:"snapshot_version,omitempty"`
 }
 
+func toNeighbor(n silc.Neighbor) neighborJSON {
+	return neighborJSON{ID: n.ID, Vertex: int64(n.Vertex), Dist: n.Dist, Exact: n.Exact}
+}
+
 func toNeighbors(ns []silc.Neighbor) []neighborJSON {
 	out := make([]neighborJSON, len(ns))
 	for i, n := range ns {
-		out[i] = neighborJSON{ID: n.ID, Vertex: int64(n.Vertex), Dist: n.Dist, Exact: n.Exact}
+		out[i] = toNeighbor(n)
 	}
 	return out
 }

@@ -244,41 +244,40 @@ func (s *Server) observe(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// answer is a JSON handler's reply to queries: the body, how many logical
-// queries it answered, and — for a single query — that query's statistics.
+// answer is a JSON handler's reply: the body, how many logical queries it
+// answered, and — for a single query — that query's statistics, which the
+// body carries too.
 type answer struct {
-	body    map[string]any
+	body    reply
 	queries int
 	stats   *silc.QueryStats
 }
 
-// answered is the reply to one query; its statistics go into the body too.
-func answered(st silc.QueryStats, body map[string]any) answer {
-	body["stats"] = toStats(st)
-	return answer{body: body, queries: 1, stats: &st}
+// answered is the reply to one query.
+func answered(body reply, st *silc.QueryStats) answer {
+	return answer{body: body, queries: 1, stats: st}
 }
 
 // serveJSON adapts a JSON handler: it caps the request body at maxBody,
 // maps an error to its status, counts the queries an answer reports and
 // notes its statistics for the slow-query log, and writes the reply.
-func (s *Server) serveJSON(maxBody int64, h func(*http.Request) (any, error)) http.HandlerFunc {
+func (s *Server) serveJSON(maxBody int64, h func(*http.Request) (answer, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if maxBody > 0 {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
-		v, err := h(r)
+		a, err := h(r)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		if a, ok := v.(answer); ok {
-			s.queries.Add(int64(a.queries))
-			if a.stats != nil {
-				noteStats(r, *a.stats)
-			}
-			v = a.body
+		s.queries.Add(int64(a.queries))
+		if a.stats != nil {
+			noteStats(r, *a.stats)
 		}
-		writeJSON(w, v)
+		if err := writeReply(w, a.body); err != nil {
+			writeError(w, err)
+		}
 	}
 }
 
@@ -353,13 +352,6 @@ func (e httpError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) httpError {
 	return httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // writeError maps an error to its HTTP status: the engine's typed

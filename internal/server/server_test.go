@@ -1,9 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,6 +79,29 @@ func everyVertex(t testing.TB, net *silc.Network) *silc.ObjectSet {
 	return objs
 }
 
+// ramGridConfig serves an in-RAM 16×16 grid with an object on every fifth
+// vertex.
+func ramGridConfig(t testing.TB) Config {
+	t.Helper()
+	net, err := silc.GenerateGrid(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vs []silc.VertexID
+	for v := 0; v < net.NumVertices(); v += 5 {
+		vs = append(vs, silc.VertexID(v))
+	}
+	objs, err := silc.NewObjectSet(net, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{Engine: ix.Engine(), Objects: objs, MaxK: 100, MaxBatch: 1000}
+}
+
 // serve answers one request in process.
 func serve(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
@@ -105,5 +131,73 @@ func TestServerRejectsWrappedIDs(t *testing.T) {
 				t.Fatalf("live world changed: version %d, %d objects", cfg.Live.Version(), cfg.Live.Len())
 			}
 		})
+	}
+}
+
+// TestServerAllocBudget pins the allocations of a warm request served
+// through Handler() on the in-RAM grid, the engine's own and the test's
+// request and recorder included. Replies written by encoding/json from maps
+// took 63 (GET /knn at k=10), 53 (GET /distance) and 5,196 (POST /knn, 64
+// queries at k=10, 4,200-odd of them the engine's): reflection creeping
+// back into a reply shows here.
+func TestServerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	h := New(ramGridConfig(t)).Handler()
+	queries := make([]string, 64)
+	for i := range queries {
+		queries[i] = strconv.Itoa(i * 4)
+	}
+	batch := `{"queries":[` + strings.Join(queries, ",") + `],"k":10}`
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pools mid-count
+	for _, c := range []struct {
+		method, target, body string
+		budget               float64
+	}{
+		{"GET", "/knn?q=100&k=10", "", 39},
+		{"GET", "/distance?src=3&dst=250", "", 32},
+		{"POST", "/knn", batch, 4241},
+	} {
+		send := func() {
+			if rec := serve(h, c.method, c.target, c.body); rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", c.method, c.target, rec.Code, rec.Body)
+			}
+		}
+		send() // warm the pools
+		if got := testing.AllocsPerRun(50, send); got > c.budget {
+			t.Errorf("%s %s: %.0f allocs, budget %.0f", c.method, c.target, got, c.budget)
+		}
+	}
+}
+
+// TestLiveReplyStampsVersion: a live GET /knn, a live /range and every
+// result of a live batch carry the world's current version spelled exactly
+// `"snapshot_version": <v>`, the literal a client may search a reply for
+// instead of decoding it (the benchmark's live_churn does).
+func TestLiveReplyStampsVersion(t *testing.T) {
+	cfg := liveGridConfig(t)
+	for _, v := range []silc.VertexID{3, 9, 40, 41, 63} {
+		if _, _, err := cfg.Live.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(cfg).Handler()
+	stamp := fmt.Sprintf("\"snapshot_version\": %d\n", cfg.Live.Version())
+	for _, c := range []struct {
+		method, target, body string
+		stamps               int
+	}{
+		{"GET", "/knn?q=10&k=3&live=1", "", 1},
+		{"GET", "/range?q=10&radius=0.5&live=1", "", 1},
+		{"POST", "/knn", `{"queries":[0,10,63],"k":2,"live":true}`, 3},
+	} {
+		rec := serve(h, c.method, c.target, c.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", c.method, c.target, rec.Code, rec.Body)
+		}
+		if n := strings.Count(rec.Body.String(), stamp); n != c.stamps {
+			t.Errorf("%s %s: %d × %q, want %d:\n%s", c.method, c.target, n, stamp, c.stamps, rec.Body)
+		}
 	}
 }
