@@ -45,8 +45,8 @@ type Stats struct {
 	// Reads counts real positioned page reads a paged store performed
 	// (adjacency-page misses are counted but read nothing).
 	Reads int64 `json:"reads,omitempty"`
-	// BlocksDecoded counts quadtree blocks passed through a paged store's
-	// decoder, by streamed lookups and tree materializations alike (zero on
+	// BlocksDecoded counts quadtree blocks a paged store's decoder actually
+	// passed, by streamed lookups and tree materializations alike (zero on
 	// in-RAM indexes).
 	BlocksDecoded int64 `json:"blocks_decoded,omitempty"`
 }

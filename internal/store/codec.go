@@ -33,7 +33,10 @@ type codec struct {
 	checkRun func(count, bytes int64) error
 	encode   func(dst []byte, blocks []quadtree.Block) ([]byte, error)
 	decode   func(run []byte, count, deg int) ([]quadtree.Block, float64, error)
-	lookup   func(run []byte, count, deg int, code geom.Code) (quadtree.Block, bool, error)
+	// lookup finds the block containing code and counts the blocks it
+	// decoded: a whole validating pass, or — for a run that already passed
+	// one — only as many checked blocks as the answer needs.
+	lookup func(run []byte, count, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error)
 }
 
 var codecs = [...]codec{
@@ -53,8 +56,8 @@ var codecs = [...]codec{
 		decode: func(run []byte, _, deg int) ([]quadtree.Block, float64, error) {
 			return DecodeBlocks(run, deg)
 		},
-		lookup: func(run []byte, _, deg int, code geom.Code) (quadtree.Block, bool, error) {
-			return LookupBlocks(run, deg, code)
+		lookup: func(run []byte, _, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
+			return LookupBlocks(run, deg, code, validated)
 		},
 	},
 	CompressionDelta: {

@@ -231,35 +231,43 @@ func DecompressRun(data []byte, count, deg int) ([]quadtree.Block, float64, erro
 	return blocks, minLambda, nil
 }
 
-// LookupRun is the single-block counterpart of DecompressRun: one pass of
-// the same decoder over the whole run — every check, the trailing-bytes
-// check included, so it errors exactly when DecompressRun does — keeping
-// only the block whose cell contains code. ok is false when no block does.
-// It allocates nothing.
-func LookupRun(data []byte, count, deg int, code geom.Code) (found quadtree.Block, ok bool, err error) {
+// LookupRun is the single-block counterpart of DecompressRun: it returns the
+// block whose cell contains code (ok false when none does) and how many
+// blocks it decoded. It allocates nothing.
+//
+// Unless validated, it is one pass of the same decoder over the whole run —
+// every check, the trailing-bytes check included, so it errors exactly when
+// DecompressRun does. A validated run is one that already passed such a pass
+// (the caller vouches its bytes are unchanged since): the header and every
+// block decoded are still checked, but the pass stops at the first block
+// ending past code, which either contains it or proves no block does.
+func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (found quadtree.Block, ok bool, decoded int, err error) {
 	d, err := newRunDecoder(data, count, deg)
 	if err != nil {
-		return quadtree.Block{}, false, err
+		return quadtree.Block{}, false, 0, err
 	}
 	var b quadtree.Block
 	for i := 0; i < count; i++ {
 		if err := d.next(&b); err != nil {
-			return quadtree.Block{}, false, err
+			return quadtree.Block{}, false, 0, err
 		}
 		if !ok && b.Cell.ContainsCode(code) {
 			found, ok = b, true
 		}
+		if validated && b.Cell.End() > code {
+			return found, ok, i + 1, nil
+		}
 	}
 	if err := d.finish(); err != nil {
-		return quadtree.Block{}, false, err
+		return quadtree.Block{}, false, 0, err
 	}
-	return found, ok, nil
+	return found, ok, count, nil
 }
 
 // runDecoder walks one compressed run block by block. newRunDecoder checks
 // the run header; next decodes and validates one block; finish checks the
-// run was consumed exactly. DecompressRun and LookupRun both drive it, so
-// every check is written once.
+// run was consumed exactly. DecompressRun and LookupRun (both of its modes)
+// drive it, so every check is written once.
 type runDecoder struct {
 	data    []byte
 	at      int

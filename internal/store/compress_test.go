@@ -114,7 +114,7 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 			if _, _, err := store.DecompressRun(tc.data, tc.count, tc.deg); err == nil {
 				t.Fatal("corrupted run decoded without error")
 			}
-			if _, _, err := store.LookupRun(tc.data, tc.count, tc.deg, 16); err == nil {
+			if _, _, _, err := store.LookupRun(tc.data, tc.count, tc.deg, 16, false); err == nil {
 				t.Fatal("corrupted run passed the lookup pass without error")
 			}
 		})
@@ -128,7 +128,7 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 			bad := append([]byte{}, enc...)
 			bad[i] ^= delta
 			dec, _, err := store.DecompressRun(bad, len(blocks), deg)
-			if _, _, lerr := store.LookupRun(bad, len(blocks), deg, 16); (lerr != nil) != (err != nil) {
+			if _, _, _, lerr := store.LookupRun(bad, len(blocks), deg, 16, false); (lerr != nil) != (err != nil) {
 				t.Fatalf("mangle at %d: lookup error %v, decode error %v", i, lerr, err)
 			}
 			if err != nil {

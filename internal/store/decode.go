@@ -57,25 +57,51 @@ func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
 	return blocks, minLambda, nil
 }
 
-// LookupBlocks is the single-block counterpart of DecodeBlocks: one
-// validating pass over every entry of the run — it errors exactly when
-// DecodeBlocks does — keeping only the block whose cell contains code. ok is
-// false when no block does. It allocates nothing.
-func LookupBlocks(data []byte, deg int, code geom.Code) (found quadtree.Block, ok bool, err error) {
+// LookupBlocks is the single-block counterpart of DecodeBlocks: it returns
+// the block whose cell contains code (ok false when none does) and how many
+// entries it decoded. It allocates nothing.
+//
+// Unless validated, it is one validating pass over every entry of the run,
+// so it errors exactly when DecodeBlocks does. A validated run is one that
+// already passed such a pass (the caller vouches its bytes are unchanged
+// since), so its entries are known sorted and disjoint: the lookup binary
+// searches for the first entry ending past code, and every entry it reads
+// still passes the per-entry checks.
+func LookupBlocks(data []byte, deg int, code geom.Code, validated bool) (found quadtree.Block, ok bool, decoded int, err error) {
 	d, count, err := newEntryDecoder(data, deg)
 	if err != nil {
-		return quadtree.Block{}, false, err
+		return quadtree.Block{}, false, 0, err
 	}
 	var b quadtree.Block
+	if validated {
+		lo, hi := 0, count
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			decoded++
+			if err := d.entry(mid, &b); err != nil {
+				return quadtree.Block{}, false, 0, err
+			}
+			if b.Cell.End() > code {
+				hi, found = mid, b
+			} else {
+				lo = mid + 1
+			}
+		}
+		// found is entry lo, the last mid to lower hi, unless lo == count.
+		if lo == count || !found.Cell.ContainsCode(code) {
+			return quadtree.Block{}, false, decoded, nil
+		}
+		return found, true, decoded, nil
+	}
 	for i := 0; i < count; i++ {
 		if err := d.next(&b); err != nil {
-			return quadtree.Block{}, false, err
+			return quadtree.Block{}, false, 0, err
 		}
 		if !ok && b.Cell.ContainsCode(code) {
 			found, ok = b, true
 		}
 	}
-	return found, ok, nil
+	return found, ok, count, nil
 }
 
 // entryDecoder walks a fixed-width run entry by entry; DecodeBlocks and
@@ -96,10 +122,25 @@ func newEntryDecoder(data []byte, deg int) (entryDecoder, int, error) {
 	return entryDecoder{data: data, deg: deg}, len(data) / entrySize, nil
 }
 
-// next decodes and validates the run's next entry into b.
+// next decodes and validates the run's next entry into b: the checks of
+// entry, and that it starts past the end of the entry before it.
 func (d *entryDecoder) next(b *quadtree.Block) error {
 	i := d.i
 	d.i++
+	if err := d.entry(i, b); err != nil {
+		return err
+	}
+	if uint64(b.Cell.Code) < d.prevEnd {
+		return fmt.Errorf("store: blocks not sorted/disjoint at %d", i)
+	}
+	d.prevEnd = uint64(b.Cell.End())
+	return nil
+}
+
+// entry decodes entry i into b with every check that involves no other
+// entry: level within the grid, code aligned to it, color inside the
+// out-degree, ratio bounds ordered and not NaN.
+func (d *entryDecoder) entry(i int, b *quadtree.Block) error {
 	e := d.data[i*entrySize : (i+1)*entrySize]
 	le := binary.LittleEndian
 	b.Cell.Code = geom.Code(le.Uint32(e[0:4]))
@@ -117,10 +158,6 @@ func (d *entryDecoder) next(b *quadtree.Block) error {
 	if int(b.Color) >= d.deg {
 		return fmt.Errorf("store: block %d color %d exceeds out-degree %d", i, b.Color, d.deg)
 	}
-	if uint64(b.Cell.Code) < d.prevEnd {
-		return fmt.Errorf("store: blocks not sorted/disjoint at %d", i)
-	}
-	d.prevEnd = uint64(b.Cell.End())
 	if lo, hi := float64(b.LamLo), float64(b.LamHi); math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
 	}

@@ -2,10 +2,11 @@ package store
 
 import "silc/internal/graph"
 
-// VertexState reports whether v's decoded tree is cached and whether its
-// streamed bit is set — the state that decides which path Lookup takes.
-func (s *Store) VertexState(v graph.VertexID) (cached, streamed bool) {
-	return s.cachedTree(v) != nil, s.streamedBit(v)
+// VertexState reports whether v's decoded tree is cached, whether its
+// streamed bit is set, and whether its run has passed a full validating
+// pass — the state that decides which path Lookup takes.
+func (s *Store) VertexState(v graph.VertexID) (cached, streamed, validated bool) {
+	return s.cachedTree(v) != nil, s.streamed.has(v), s.validated.has(v)
 }
 
 // EvictVertex routes an eviction of v's first page through the pager, the

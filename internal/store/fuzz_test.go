@@ -61,11 +61,14 @@ func quadtreeDecodeSeeds(tb testing.TB) [][]byte {
 	return [][]byte{run, run[:len(run)/2], flip, {}, make([]byte, 16)}
 }
 
-// checkLookupPass holds a codec's single-block lookup pass to the
-// materializing decode of the same run: lookup errors iff decodeErr is set,
-// and on an accepted run it returns, for probes inside, at the edges of and
-// between the decoded blocks, exactly the block the decoded tree finds.
-func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(geom.Code) (quadtree.Block, bool, error)) {
+// checkLookupPass holds a codec's single-block lookup to the materializing
+// decode of the same run. The full pass errors iff decodeErr is set, and on
+// an accepted run it decodes every block and returns, for probes inside, at
+// the edges of and between the decoded blocks, exactly the block the decoded
+// tree finds. On an accepted run the validated lookup — the early exit a
+// store takes once the full pass succeeded — must return the same block and
+// ok for every probe, decoding no more blocks than the run holds.
+func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(code geom.Code, validated bool) (quadtree.Block, bool, int, error)) {
 	t.Helper()
 	probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
 	for _, b := range blocks {
@@ -73,7 +76,7 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 	}
 	tree := &quadtree.Tree{Blocks: blocks}
 	for _, code := range probes {
-		got, ok, err := lookup(code)
+		got, ok, decoded, err := lookup(code, false)
 		if (err != nil) != (decodeErr != nil) {
 			t.Fatalf("probe %x: lookup error %v, decode error %v", code, err, decodeErr)
 		}
@@ -81,8 +84,14 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 			return // one probe shows the pass fails; the rest would repeat it
 		}
 		want, wok := tree.Find(code)
-		if ok != wok || got != want {
-			t.Fatalf("probe %x: lookup %+v ok=%v, decoded tree %+v ok=%v", code, got, ok, want, wok)
+		if ok != wok || got != want || decoded != len(blocks) {
+			t.Fatalf("probe %x: lookup %+v ok=%v (%d decoded), decoded tree %+v ok=%v (%d blocks)",
+				code, got, ok, decoded, want, wok, len(blocks))
+		}
+		got, ok, decoded, err = lookup(code, true)
+		if err != nil || ok != wok || got != want || decoded > len(blocks) {
+			t.Fatalf("probe %x: validated lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d blocks)",
+				code, got, ok, decoded, err, want, wok, len(blocks))
 		}
 	}
 }
@@ -90,15 +99,16 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 // FuzzQuadtreeDecode feeds arbitrary byte runs and out-degrees to the
 // per-vertex block deserializer: error-not-panic, any accepted run must
 // satisfy the structural invariants the query path relies on, and the
-// single-block lookup pass must agree with the decode (checkLookupPass).
+// single-block lookup, full and validated, must agree with the decode
+// (checkLookupPass).
 func FuzzQuadtreeDecode(f *testing.F) {
 	for _, seed := range quadtreeDecodeSeeds(f) {
 		f.Add(seed, uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, deg uint8) {
 		blocks, minLambda, err := store.DecodeBlocks(data, int(deg))
-		checkLookupPass(t, blocks, err, func(code geom.Code) (quadtree.Block, bool, error) {
-			return store.LookupBlocks(data, int(deg), code)
+		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
+			return store.LookupBlocks(data, int(deg), code, validated)
 		})
 		if err != nil {
 			return
@@ -180,15 +190,16 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 // the query path relies on AND survive a re-encode/re-decode round trip
 // bit-identically — the encoder is canonical, so a decode that cannot be
 // reproduced by the writer indicates the decoder accepted garbage. The
-// single-block lookup pass must agree with the decode (checkLookupPass).
+// single-block lookup, full and validated, must agree with the decode
+// (checkLookupPass).
 func FuzzPageDecode(f *testing.F) {
 	for _, seed := range pageDecodeSeeds(f) {
 		f.Add(seed.data, seed.count, uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, deg uint8) {
 		blocks, minLambda, err := store.DecompressRun(data, int(count), int(deg))
-		checkLookupPass(t, blocks, err, func(code geom.Code) (quadtree.Block, bool, error) {
-			return store.LookupRun(data, int(count), int(deg), code)
+		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
+			return store.LookupRun(data, int(count), int(deg), code, validated)
 		})
 		if err != nil {
 			return

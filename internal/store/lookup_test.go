@@ -2,10 +2,13 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"silc/internal/core"
@@ -27,11 +30,15 @@ func sameBlock(a, b quadtree.Block) bool {
 // On both encodings, both page sources, and pools of one page, 5% and 100%,
 // every vertex is probed with the code of every vertex plus codes no vertex
 // has. Each probe goes through every path — a streamed first use, a
-// materialized second use, the cached tree, and a streamed use again after
-// an eviction — and each answer must equal, in its bits and in ok, the block
-// Tree().FindIndex finds on a separate handle of the same image. Where no
-// eviction interferes, the path each lookup took must be the one the state
-// before it prescribes.
+// materialized second use, the cached tree, and a validated use: a streamed
+// one again after an eviction, of a run that already passed a full check —
+// and each answer must equal, in its bits and in ok, the block
+// Tree().FindIndex finds on a separate handle of the same image. The blocks
+// each lookup decoded must be those of the path the state before it
+// prescribes: the whole run on a full pass, none from a cached tree, and on
+// the validated path only the blocks up to the first one ending past the
+// probe (PG2) or one binary search's worth (PG1). Where no eviction
+// interferes, the state after each lookup must be the one its path leaves.
 func TestLookupMatchesTree(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	pg2, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
@@ -39,17 +46,7 @@ func TestLookupMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	probes := make([]geom.Code, 0, n+18)
-	for v := 0; v < n; v++ {
-		probes = append(probes, g.Code(graph.VertexID(v)))
-	}
-	// Codes no vertex has: random grid cells (mostly in vertex-free area) and
-	// the first code past the grid.
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 16; i++ {
-		probes = append(probes, geom.Code(rng.Uint32()))
-	}
-	probes = append(probes, 1<<(2*geom.MaxLevel), 1<<(2*geom.MaxLevel)-1)
+	probes := lookupProbes(g)
 
 	dir := t.TempDir()
 	pools := []struct {
@@ -64,6 +61,21 @@ func TestLookupMatchesTree(t *testing.T) {
 		name string
 		img  []byte
 	}{{"PG1", writeImage(t, ix)}, {"PG2", writeImage(t, pg2)}} {
+		// validatedDecodes is how many blocks a validated lookup of probe c
+		// decodes from a run of tree's blocks: exactly that many on PG2, at
+		// most that many on PG1.
+		validatedDecodes := func(tree *quadtree.Tree, c geom.Code) int {
+			count := len(tree.Blocks)
+			if enc.name == "PG1" {
+				return bits.Len(uint(count)) // at most one binary search
+			}
+			for i, b := range tree.Blocks {
+				if b.Cell.End() > c {
+					return i + 1
+				}
+			}
+			return count
+		}
 		ref, err := store.Open(bytes.NewReader(enc.img), int64(len(enc.img)), store.OpenOptions{CacheFraction: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -94,12 +106,14 @@ func TestLookupMatchesTree(t *testing.T) {
 						for pass := 0; pass < 3; pass++ {
 							for i, c := range probes {
 								if (i+pass)%3 == 0 {
+									_, _, wasValidated := s.VertexState(vid)
 									s.EvictVertex(vid)
-									if cached, streamed := s.VertexState(vid); cached || streamed {
-										t.Fatalf("vertex %d: an eviction left cached=%v streamed=%v", v, cached, streamed)
+									if cached, streamed, validated := s.VertexState(vid); cached || streamed || validated != wasValidated {
+										t.Fatalf("vertex %d: an eviction left cached=%v streamed=%v, validated %v → %v",
+											v, cached, streamed, wasValidated, validated)
 									}
 								}
-								cached, streamed := s.VertexState(vid)
+								cached, streamed, validated := s.VertexState(vid)
 								path := "streamed"
 								switch {
 								case s.BlockCount(vid) == 0:
@@ -108,6 +122,8 @@ func TestLookupMatchesTree(t *testing.T) {
 									path = "cached"
 								case streamed:
 									path = "materialized"
+								case validated:
+									path = "validated"
 								}
 								paths[path]++
 								var io diskio.Stats
@@ -124,24 +140,155 @@ func TestLookupMatchesTree(t *testing.T) {
 									t.Fatalf("vertex %d probe %x (%s): Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
 										v, c, path, got, ok, want, wok)
 								}
-								if io.Evictions > 0 || path == "empty" {
+								switch count := int64(len(tree.Blocks)); path {
+								case "streamed", "materialized":
+									if io.BlocksDecoded != count {
+										t.Fatalf("vertex %d probe %x (%s): decoded %d of %d blocks", v, c, path, io.BlocksDecoded, count)
+									}
+								case "validated":
+									limit := int64(validatedDecodes(tree, c))
+									if io.BlocksDecoded < 1 || io.BlocksDecoded > limit || (enc.name == "PG2" && io.BlocksDecoded != limit) {
+										t.Fatalf("vertex %d probe %x (validated): decoded %d blocks, want at most %d of %d",
+											v, c, io.BlocksDecoded, limit, count)
+									}
+								default:
+									if io.BlocksDecoded != 0 {
+										t.Fatalf("vertex %d probe %x (%s): decoded %d blocks", v, c, path, io.BlocksDecoded)
+									}
+								}
+								if path == "empty" {
 									continue
 								}
-								nowCached, nowStreamed := s.VertexState(vid)
-								if path == "streamed" && (nowCached || !nowStreamed) {
-									t.Fatalf("vertex %d: a streamed lookup left cached=%v streamed=%v", v, nowCached, nowStreamed)
+								nowCached, nowStreamed, nowValidated := s.VertexState(vid)
+								if !nowValidated {
+									t.Fatalf("vertex %d: a %s lookup left its run unvalidated", v, path)
 								}
-								if path != "streamed" && !nowCached {
+								if io.Evictions > 0 {
+									continue
+								}
+								if (path == "streamed" || path == "validated") && (nowCached || !nowStreamed) {
+									t.Fatalf("vertex %d: a %s lookup left cached=%v streamed=%v", v, path, nowCached, nowStreamed)
+								}
+								if (path == "materialized" || path == "cached") && !nowCached {
 									t.Fatalf("vertex %d: a %s lookup left no cached tree", v, path)
 								}
 							}
 						}
 					}
-					if paths["streamed"] == 0 || paths["materialized"] == 0 || paths["cached"] == 0 {
+					if paths["streamed"] == 0 || paths["materialized"] == 0 || paths["cached"] == 0 || paths["validated"] == 0 {
 						t.Fatalf("paths taken %v: every path must be exercised", paths)
 					}
 				})
 			}
+		}
+	}
+}
+
+// lookupProbes returns the code of every vertex of g plus codes no vertex
+// has: random grid cells (mostly in vertex-free area), the last code of the
+// grid and the first code past it.
+func lookupProbes(g *graph.Network) []geom.Code {
+	n := g.NumVertices()
+	probes := make([]geom.Code, 0, n+18)
+	for v := 0; v < n; v++ {
+		probes = append(probes, g.Code(graph.VertexID(v)))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		probes = append(probes, geom.Code(rng.Uint32()))
+	}
+	return append(probes, 1<<(2*geom.MaxLevel), 1<<(2*geom.MaxLevel)-1)
+}
+
+// TestValidatedLookupConcurrent races lookups of the same runs on one store
+// behind a one-page pool, over both encodings and both page sources: 8
+// goroutines probe every vertex in different orders, so first full passes,
+// validated early exits, materializations and evictions of each other's
+// pages interleave. Every answer must equal Tree().FindIndex on a separate
+// handle, and every run looked up must end validated. Run it under -race.
+func TestValidatedLookupConcurrent(t *testing.T) {
+	g, ix := buildTestIndex(t, 10, 10)
+	pg2, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	probes := lookupProbes(g)
+	dir := t.TempDir()
+	for _, enc := range []struct {
+		name string
+		img  []byte
+	}{{"PG1", writeImage(t, ix)}, {"PG2", writeImage(t, pg2)}} {
+		ref, err := store.Open(bytes.NewReader(enc.img), int64(len(enc.img)), store.OpenOptions{CacheFraction: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := make([]*quadtree.Tree, n)
+		for v := range trees {
+			if trees[v], err = ref.Tree(nil, graph.VertexID(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(dir, enc.name)
+		if err := os.WriteFile(path, enc.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{"ReadAt", "Mmap"} {
+			t.Run(enc.name+"/"+src, func(t *testing.T) {
+				open := store.OpenFile
+				if src == "Mmap" {
+					open = store.OpenMapped
+				}
+				s, err := open(path, store.OpenOptions{CachePages: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				const workers = 8
+				errs := make(chan error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						order := rand.New(rand.NewSource(int64(w))).Perm(n)
+						for pass := 0; pass < 2; pass++ {
+							for _, v := range order {
+								vid := graph.VertexID(v)
+								for i := w % 3; i < len(probes); i += 3 {
+									c := probes[i]
+									got, ok, err := s.Lookup(nil, vid, c)
+									if err != nil {
+										errs <- fmt.Errorf("vertex %d probe %x: %v", v, c, err)
+										return
+									}
+									var want quadtree.Block
+									wi, wok := trees[v].FindIndex(c)
+									if wok {
+										want = trees[v].Blocks[wi]
+									}
+									if ok != wok || !sameBlock(got, want) {
+										errs <- fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
+											v, c, got, ok, want, wok)
+										return
+									}
+								}
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
+				for v := 0; v < n; v++ {
+					vid := graph.VertexID(v)
+					if _, _, validated := s.VertexState(vid); !validated && s.BlockCount(vid) > 0 {
+						t.Fatalf("vertex %d: looked up but never validated", v)
+					}
+				}
+			})
 		}
 	}
 }

@@ -108,8 +108,10 @@ type ReadStats struct {
 	// CRCTime is the wall-clock time spent checksum-verifying cold
 	// pages — the dominant first-touch cost of the mmap page source.
 	CRCTime time.Duration
-	// BlocksDecoded counts quadtree blocks passed through the decoder, by
-	// streamed lookups and tree materializations alike.
+	// BlocksDecoded counts quadtree blocks the decoder actually passed: a
+	// materialization or a first streamed lookup passes the vertex's whole
+	// run, a streamed lookup of a validated run only the blocks its answer
+	// needed.
 	BlocksDecoded int64
 }
 
@@ -143,7 +145,13 @@ type Store struct {
 	// streamed holds one bit per vertex: set when a lookup streamed the
 	// vertex's run, cleared with its trees when one of its pages is evicted.
 	// A lookup that finds it set materializes the tree (Lookup).
-	streamed []atomic.Uint64
+	streamed vertexBits
+	// validated holds one bit per vertex, set once a full validating pass
+	// over its run succeeded (a first streamed lookup or a materialization)
+	// and never cleared: the image is immutable and every page read is
+	// CRC-checked, so the run's bytes stay the ones that passed. A streamed
+	// lookup of a validated run stops at the block it needs.
+	validated vertexBits
 
 	reads     atomic.Int64
 	readBytes atomic.Int64
@@ -226,16 +234,17 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	layout := diskio.NewLayout(lens, 1, sb.pageSize)
 
 	s := &Store{
-		ra:       ra,
-		sb:       sb,
-		g:        g,
-		counts:   counts,
-		mapped:   opts.Mapped,
-		layout:   layout,
-		pageCRCs: pageCRCs,
-		frames:   make(map[diskio.PageID][]byte),
-		trees:    make(map[graph.VertexID]*quadtree.Tree),
-		streamed: make([]atomic.Uint64, (sb.n+63)/64),
+		ra:        ra,
+		sb:        sb,
+		g:         g,
+		counts:    counts,
+		mapped:    opts.Mapped,
+		layout:    layout,
+		pageCRCs:  pageCRCs,
+		frames:    make(map[diskio.PageID][]byte),
+		trees:     make(map[graph.VertexID]*quadtree.Tree),
+		streamed:  newVertexBits(sb.n),
+		validated: newVertexBits(sb.n),
 	}
 	if opts.Pager != nil {
 		s.pager = opts.Pager
@@ -394,12 +403,14 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 // whose cell contains code (ok false when none does), with the page traffic
 // of a Tree call — the same pages touched in the same order, so pool hits,
 // misses and reads do not depend on which path answers. A cached tree
-// answers by binary search. Otherwise the lookup streams: one validating
-// pass of the codec's decoder over v's run that keeps only the wanted block
-// and caches nothing. Only a second lookup of v while its pages stay
-// resident materializes and caches the tree — the vertices a query comes
-// back to (its source, the first hops, gateways) are decoded once, the rest
-// of a refinement path is never built as a tree at all.
+// answers by binary search. Otherwise the lookup streams: the codec's
+// decoder passes over v's run, keeping only the wanted block and caching
+// nothing — the whole run, validating it, the first time; once v's run has
+// passed a full check, only up to the block the answer needs. Only a second
+// lookup of v while its pages stay resident materializes and caches the
+// tree — the vertices a query comes back to (its source, the first hops,
+// gateways) are decoded once, the rest of a refinement path is never built
+// as a tree at all.
 func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
 	if s.counts[v] == 0 {
 		return quadtree.Block{}, false, nil
@@ -409,7 +420,7 @@ func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) 
 	switch {
 	case t != nil:
 		err = s.touchRun(ioStats, v)
-	case s.streamedBit(v):
+	case s.streamed.has(v):
 		t, err = s.materialize(ioStats, v)
 	default:
 		return s.stream(ioStats, v, code)
@@ -454,7 +465,8 @@ func (s *Store) materialize(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.
 	if err != nil {
 		return nil, fmt.Errorf("store: vertex %d: %w", v, err)
 	}
-	s.chargeDecode(ioStats, v)
+	s.validated.set(v)
+	s.chargeDecode(ioStats, len(blocks))
 	t := &quadtree.Tree{Blocks: blocks, MinLambda: minLambda}
 	t.Seal()
 	s.mu.Lock()
@@ -463,36 +475,35 @@ func (s *Store) materialize(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.
 	return t, nil
 }
 
-// stream answers one lookup with a validating pass over v's run, caching
-// nothing but the bit that makes the next lookup of v materialize. The bit
-// is set before the pages are touched, so an eviction of one of v's pages —
-// even by this very touch sequence — clears it.
+// stream answers one lookup with a pass over v's run — a full validating
+// one unless v's run already passed one — caching nothing but the bits that
+// make the next lookup of v materialize and later streams of v stop early.
+// The streamed bit is set before the pages are touched, so an eviction of
+// one of v's pages — even by this very touch sequence — clears it.
 func (s *Store) stream(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
-	s.streamed[v>>6].Or(1 << (v & 63))
+	s.streamed.set(v)
 	run, sc, err := s.runBytes(ioStats, v)
 	if err != nil {
 		return quadtree.Block{}, false, err
 	}
-	b, ok, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code)
+	validated := s.validated.has(v)
+	b, ok, decoded, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code, validated)
 	releaseRun(sc, run)
 	if err != nil {
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
 	}
-	s.chargeDecode(ioStats, v)
+	if !validated {
+		s.validated.set(v)
+	}
+	s.chargeDecode(ioStats, decoded)
 	return b, ok, nil
 }
 
-// streamedBit reports whether v was streamed since its pages were last
-// evicted.
-func (s *Store) streamedBit(v graph.VertexID) bool {
-	return s.streamed[v>>6].Load()&(1<<(v&63)) != 0
-}
-
-// chargeDecode counts v's blocks as passed through the decoder.
-func (s *Store) chargeDecode(ioStats *diskio.Stats, v graph.VertexID) {
-	s.decoded.Add(int64(s.counts[v]))
+// chargeDecode counts blocks passed through the decoder.
+func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
+	s.decoded.Add(int64(blocks))
 	if ioStats != nil {
-		ioStats.BlocksDecoded += int64(s.counts[v])
+		ioStats.BlocksDecoded += int64(blocks)
 	}
 }
 
@@ -617,16 +628,26 @@ func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 // dropPage releases the frame of local page p and every decoded tree whose
 // run overlaps it — the real-memory counterpart of a pool eviction — and
 // clears those vertices' streamed bits, so their next lookup streams again.
+// Their validated bits stay set.
 func (s *Store) dropPage(p diskio.PageID) {
 	lo, hi := s.layout.OwnerRange(p)
 	s.mu.Lock()
 	delete(s.frames, p)
 	for v := lo; v < hi; v++ {
 		delete(s.trees, graph.VertexID(v))
-		s.streamed[v>>6].And(^(1 << (v & 63)))
+		s.streamed.clear(graph.VertexID(v))
 	}
 	s.mu.Unlock()
 }
+
+// vertexBits holds one atomic bit per vertex.
+type vertexBits []atomic.Uint64
+
+func newVertexBits(n int) vertexBits { return make(vertexBits, (n+63)/64) }
+
+func (b vertexBits) set(v graph.VertexID)      { b[v>>6].Or(1 << (v & 63)) }
+func (b vertexBits) clear(v graph.VertexID)    { b[v>>6].And(^(1 << (v & 63))) }
+func (b vertexBits) has(v graph.VertexID) bool { return b[v>>6].Load()&(1<<(v&63)) != 0 }
 
 func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24

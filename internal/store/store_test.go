@@ -249,7 +249,7 @@ func TestDecodeBlocksRejectsCorruption(t *testing.T) {
 		if _, _, err := store.DecodeBlocks(b, 3); err == nil {
 			t.Errorf("%s: corrupt run decoded without error", tc.name)
 		}
-		if _, _, err := store.LookupBlocks(b, 3, 0); err == nil {
+		if _, _, _, err := store.LookupBlocks(b, 3, 0, false); err == nil {
 			t.Errorf("%s: corrupt run passed the lookup pass without error", tc.name)
 		}
 	}
@@ -262,7 +262,7 @@ func TestDecodeBlocksRejectsCorruption(t *testing.T) {
 	if _, _, err := store.DecodeBlocks(two, 3); err == nil {
 		t.Error("overlapping blocks decoded without error")
 	}
-	if _, _, err := store.LookupBlocks(two, 3, 0); err == nil {
+	if _, _, _, err := store.LookupBlocks(two, 3, 0, false); err == nil {
 		t.Error("overlapping blocks passed the lookup pass without error")
 	}
 }

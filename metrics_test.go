@@ -40,76 +40,93 @@ func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 // checks the triple equality the observability layer promises: per-query
 // stats sum to the pool-wide aggregates, and both match the folded
 // Prometheus counters — with every storage counter (hits, misses, reads,
-// evictions, decodes) nonzero under pressure.
+// evictions, decodes) nonzero under pressure. A second pass runs the same
+// queries once their runs are validated: its sums must agree just the same,
+// and it must decode fewer blocks, because a streamed lookup of a validated
+// run stops at the block it needs.
 func TestMetricsColdScanCounts(t *testing.T) {
 	eng, objs := pagedTestEngine(t)
 	tracker := eng.qx.Tracker()
-	base := tracker.Stats()
-	baseReads := eng.pager.ReadStats()
-
-	var sum QueryStats
-	const queries = 40
-	for q := 0; q < queries; q++ {
-		res, err := eng.Query(context.Background(), objs, VertexID(q*6), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := res.Stats
-		sum.PageHits += s.PageHits
-		sum.PageMisses += s.PageMisses
-		sum.PageReads += s.PageReads
-		sum.Evictions += s.Evictions
-		sum.BlocksDecoded += s.BlocksDecoded
-	}
-
-	// Under a 5% pool every counter must have moved.
-	if sum.PageMisses == 0 || sum.PageReads == 0 || sum.BlocksDecoded == 0 || sum.Evictions == 0 {
-		t.Fatalf("cold scan left counters at zero: %+v", sum)
-	}
-
-	// Per-query sums == pool-wide deltas (the statsum invariant surfaced
-	// through the engine).
-	agg := tracker.Stats()
-	if got := agg.Hits - base.Hits; got != sum.PageHits {
-		t.Errorf("pool hits delta %d != per-query sum %d", got, sum.PageHits)
-	}
-	if got := agg.Misses - base.Misses; got != sum.PageMisses {
-		t.Errorf("pool misses delta %d != per-query sum %d", got, sum.PageMisses)
-	}
-	if got := agg.Evictions - base.Evictions; got != sum.Evictions {
-		t.Errorf("pool evictions delta %d != per-query sum %d", got, sum.Evictions)
-	}
-	reads := eng.pager.ReadStats()
-	if got := reads.Reads - baseReads.Reads; got != sum.PageReads {
-		t.Errorf("pager reads delta %d != per-query sum %d", got, sum.PageReads)
-	}
-	if got := reads.BlocksDecoded - baseReads.BlocksDecoded; got != sum.BlocksDecoded {
-		t.Errorf("pager decodes delta %d != per-query sum %d", got, sum.BlocksDecoded)
-	}
-
-	// The folded Prometheus counters saw exactly the query-attributed
-	// traffic (they start at zero on a fresh engine).
 	m := eng.obs
-	if got := m.queries[opKNN].Value(); got != queries {
-		t.Errorf("queries_total{op=knn} = %d, want %d", got, queries)
-	}
-	if got := m.latency[opKNN].Count(); got != queries {
-		t.Errorf("query_seconds count = %d, want %d", got, queries)
-	}
-	for _, c := range []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		{"page_hits", m.pageHits.Value(), sum.PageHits},
-		{"page_misses", m.pageMisses.Value(), sum.PageMisses},
-		{"page_reads", m.pageReads.Value(), sum.PageReads},
-		{"evictions", m.evictions.Value(), sum.Evictions},
-		{"blocks_decoded", m.blocksDecoded.Value(), sum.BlocksDecoded},
-	} {
-		if c.got != c.want {
-			t.Errorf("folded %s = %d, want %d", c.name, c.got, c.want)
+
+	var total QueryStats
+	var decodedPerPass [2]int64
+	const queries = 40
+	for pass := range decodedPerPass {
+		base := tracker.Stats()
+		baseReads := eng.pager.ReadStats()
+		var sum QueryStats
+		for q := 0; q < queries; q++ {
+			res, err := eng.Query(context.Background(), objs, VertexID(q*6), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Stats
+			sum.PageHits += s.PageHits
+			sum.PageMisses += s.PageMisses
+			sum.PageReads += s.PageReads
+			sum.Evictions += s.Evictions
+			sum.BlocksDecoded += s.BlocksDecoded
 		}
+		decodedPerPass[pass] = sum.BlocksDecoded
+
+		// Under a 5% pool every counter must have moved.
+		if sum.PageMisses == 0 || sum.PageReads == 0 || sum.BlocksDecoded == 0 || sum.Evictions == 0 {
+			t.Fatalf("pass %d: cold scan left counters at zero: %+v", pass, sum)
+		}
+
+		// Per-query sums == pool-wide deltas (the statsum invariant surfaced
+		// through the engine).
+		agg := tracker.Stats()
+		if got := agg.Hits - base.Hits; got != sum.PageHits {
+			t.Errorf("pass %d: pool hits delta %d != per-query sum %d", pass, got, sum.PageHits)
+		}
+		if got := agg.Misses - base.Misses; got != sum.PageMisses {
+			t.Errorf("pass %d: pool misses delta %d != per-query sum %d", pass, got, sum.PageMisses)
+		}
+		if got := agg.Evictions - base.Evictions; got != sum.Evictions {
+			t.Errorf("pass %d: pool evictions delta %d != per-query sum %d", pass, got, sum.Evictions)
+		}
+		reads := eng.pager.ReadStats()
+		if got := reads.Reads - baseReads.Reads; got != sum.PageReads {
+			t.Errorf("pass %d: pager reads delta %d != per-query sum %d", pass, got, sum.PageReads)
+		}
+		if got := reads.BlocksDecoded - baseReads.BlocksDecoded; got != sum.BlocksDecoded {
+			t.Errorf("pass %d: pager decodes delta %d != per-query sum %d", pass, got, sum.BlocksDecoded)
+		}
+		total.PageHits += sum.PageHits
+		total.PageMisses += sum.PageMisses
+		total.PageReads += sum.PageReads
+		total.Evictions += sum.Evictions
+		total.BlocksDecoded += sum.BlocksDecoded
+
+		// The folded Prometheus counters saw exactly the query-attributed
+		// traffic (they start at zero on a fresh engine).
+		if got, want := m.queries[opKNN].Value(), int64(queries*(pass+1)); got != want {
+			t.Errorf("queries_total{op=knn} = %d, want %d", got, want)
+		}
+		if got, want := m.latency[opKNN].Count(), int64(queries*(pass+1)); got != want {
+			t.Errorf("query_seconds count = %d, want %d", got, want)
+		}
+		for _, c := range []struct {
+			name string
+			got  int64
+			want int64
+		}{
+			{"page_hits", m.pageHits.Value(), total.PageHits},
+			{"page_misses", m.pageMisses.Value(), total.PageMisses},
+			{"page_reads", m.pageReads.Value(), total.PageReads},
+			{"evictions", m.evictions.Value(), total.Evictions},
+			{"blocks_decoded", m.blocksDecoded.Value(), total.BlocksDecoded},
+		} {
+			if c.got != c.want {
+				t.Errorf("pass %d: folded %s = %d, want %d", pass, c.name, c.got, c.want)
+			}
+		}
+	}
+	t.Logf("blocks decoded per pass: %v", decodedPerPass)
+	if decodedPerPass[1] >= decodedPerPass[0] {
+		t.Errorf("blocks decoded per pass %v: the validated second pass must decode fewer", decodedPerPass)
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"silc/internal/diskio"
 )
 
 func TestIndexPersistenceRoundTrip(t *testing.T) {
@@ -213,14 +215,18 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 	}
 }
 
-// TestStructuralCorruptionSurfacesOnLookup corrupts one vertex's run header
-// inside a PG2 image behind valid checksums — the mangled page's CRC and the
-// CRC table's own checksum are recomputed — so only the run decoder can
-// catch it. On both page sources, a distance from that vertex must fail on
-// its streamed first lookup and again on the materialized second one, a
-// distance whose path runs through it must fail too, and a sweep of
-// distances, kNN and range queries must never panic: each answer is either
-// an error naming the vertex or exactly the clean image's answer.
+// TestStructuralCorruptionSurfacesOnLookup corrupts one vertex's run inside
+// a PG2 image behind valid checksums — the mangled page's CRC and the CRC
+// table's own checksum are recomputed — so only the run decoder can catch
+// it: three mangles of the run header, and one of its final byte, which
+// makes the last varint run off the end of the run, where a lookup that
+// stopped at the block it needs would never look. On both page sources, a
+// distance from that vertex must fail on its streamed first lookup, again on
+// the materialized second one, and again on a streamed lookup after its
+// pages are evicted; a distance whose path runs through it must fail too,
+// and a sweep of distances, kNN and range queries must never panic: each
+// answer is either an error naming the vertex or exactly the clean image's
+// answer.
 func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	net := testNetwork(t)
 	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
@@ -251,6 +257,7 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	}
 	_, countLen := binary.Uvarint(clean[runOff:])
 	ncolorsAt := runOff + countLen
+	runEnd := runOff + int(le.Uint32(clean[extentOff+(n+int(victim))*4:]))
 
 	// A path with the victim strictly inside it, found on the clean index.
 	ctx := context.Background()
@@ -281,6 +288,7 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 		{"block count", runOff, func(b byte) byte { return b ^ 0x01 }},
 		{"empty dictionary", ncolorsAt, func(byte) byte { return 0 }},
 		{"dictionary color", ncolorsAt + 1, func(byte) byte { return 0xFF }},
+		{"run tail", runEnd - 1, func(byte) byte { return 0x80 }},
 	} {
 		img := append([]byte(nil), clean...)
 		img[m.at] = m.set(img[m.at])
@@ -314,6 +322,11 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 				check("streamed lookup", err)
 				_, err = bad.Distance(ctx, victim, dst)
 				check("materialized lookup", err)
+				for p := (runOff - blockOff) / pageSize; p <= (runEnd-1-blockOff)/pageSize; p++ {
+					bad.pager.Evict(diskio.PageID(p))
+				}
+				_, err = bad.Distance(ctx, victim, dst)
+				check("lookup after an eviction", err)
 				_, err = bad.Distance(ctx, through[0], through[1])
 				check("path through the vertex", err)
 

@@ -193,9 +193,11 @@ type QueryStats struct {
 	PageReads int64
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
-	// BlocksDecoded counts quadtree blocks passed through the paged store's
-	// decoder: a lookup streaming a vertex's run and a tree materializing
-	// both count the run's blocks.
+	// BlocksDecoded counts quadtree blocks the paged store's decoder
+	// actually passed: a tree materializing and a lookup streaming a vertex's
+	// run for the first time count the run's blocks, a lookup streaming a
+	// run that already passed a full check only those up to the block it
+	// needed.
 	BlocksDecoded int64
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).
