@@ -539,12 +539,14 @@ func TestAllocBudgetLiveMutation(t *testing.T) {
 }
 
 // TestAllocBudgetColdDistance pins what one cold distance costs a freshly
-// opened paged index (PG2, positioned reads, 5% pool): a frame per page read
-// and two allocations besides — the WithStats option and the frame map's
-// first bucket. Each refinement hop is a single-block lookup that streams
-// its vertex's run and keeps one block; none materializes a tree the query
-// never comes back to (at 3 allocations per decoded tree, the old path cost
-// several times this budget).
+// opened paged index (PG2, positioned reads, 5% pool): at most a frame per
+// page read — fewer once the pool fills and each eviction gives its frame
+// to the next miss (7 allocations for 30 reads) — and two allocations
+// besides: the WithStats option and the frame map's first bucket. Each
+// refinement hop is a single-block lookup that streams its vertex's run
+// and keeps one block; none materializes a tree the query never comes back
+// to (at 3 allocations per decoded tree, the old path cost several times
+// this budget).
 func TestAllocBudgetColdDistance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -599,5 +601,78 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 	}
 	if budget := uint64(st.PageReads) + 2; allocs > budget {
 		t.Fatalf("cold distance allocates %d, budget %d (page reads + 2)", allocs, budget)
+	}
+}
+
+// budgetWarmPagedDistanceAllocs bounds the allocations of a warm pass of
+// 32 distances behind an evicting pool (TestAllocBudgetWarmPagedDistance),
+// however many pages the pass reads: two per distance (its QueryStats and
+// the WithStats option) and the trees two second lookups materialize.
+// Measured 70 with 325 page reads; 395 when every miss allocated a frame.
+const budgetWarmPagedDistanceAllocs = 70
+
+// TestAllocBudgetWarmPagedDistance pins what warm distances cost behind a
+// 5% PG2 pool over positioned reads that does evict: every miss reads into
+// a frame an eviction gave back, so the allocations of a pass do not grow
+// with its page reads. What a pass still allocates is the trees its
+// lookups materialize on a vertex's second use while its pages stay
+// resident.
+func TestAllocBudgetWarmPagedDistance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 24, Cols: 24, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := built.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := idx.Engine()
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([][2]VertexID, 32)
+	for i := range pairs {
+		pairs[i] = [2]VertexID{VertexID(rng.Intn(net.NumVertices())), VertexID(rng.Intn(net.NumVertices()))}
+	}
+	ctx := context.Background()
+	var reads, evictions int64
+	pass := func() {
+		for _, p := range pairs {
+			var st QueryStats
+			if _, err := e.Distance(ctx, p[0], p[1], WithStats(&st)); err != nil {
+				t.Fatal(err)
+			}
+			reads += st.PageReads
+			evictions += st.Evictions
+		}
+	}
+	// One P and no GC, as in TestAllocBudgetColdDistance; the warm-up
+	// passes fill the pool, its free list and the context pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 4; i++ {
+		pass()
+	}
+	reads, evictions = 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("warm pass of %d distances: %d allocs, %d page reads, %d evictions", len(pairs), allocs, reads, evictions)
+	if evictions == 0 || reads == 0 {
+		t.Fatalf("the pass read %d pages and evicted %d: the pool must evict", reads, evictions)
+	}
+	if allocs > budgetWarmPagedDistanceAllocs {
+		t.Fatalf("warm pass allocates %d, budget %d (it read %d pages)", allocs, budgetWarmPagedDistanceAllocs, reads)
 	}
 }

@@ -16,3 +16,11 @@ func (s *Store) EvictVertex(v graph.VertexID) {
 		s.pager.Evict(s.pageBase + first)
 	}
 }
+
+// FreeFrames returns the number of released frames on the Pager's free
+// list.
+func (pg *Pager) FreeFrames() int {
+	pg.freeMu.Lock()
+	defer pg.freeMu.Unlock()
+	return len(pg.free)
+}

@@ -292,3 +292,108 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupRecycledFramesConcurrent races the three ways a run is read —
+// a Lookup on whatever path the vertex's state picks, a Tree, and a
+// streamed Lookup forced by an eviction — from 8 goroutines over a 2-page
+// pool on ReadAt stores of both encodings. Nearly every touch evicts, so
+// page frames are recycled constantly: a run gathered from a frame after
+// the frame went back to the Pager would read another page's bytes. Every
+// answer must equal the in-RAM tree's FindIndex and every tree the in-RAM
+// tree.
+func TestLookupRecycledFramesConcurrent(t *testing.T) {
+	g, ix := buildTestIndex(t, 10, 10)
+	pg2, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	probes := lookupProbes(g)
+	dir := t.TempDir()
+	for _, enc := range []struct {
+		name string
+		ix   *core.Index
+	}{{"PG1", ix}, {"PG2", pg2}} {
+		t.Run(enc.name, func(t *testing.T) {
+			path := filepath.Join(dir, enc.name)
+			if err := os.WriteFile(path, writeImage(t, enc.ix), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := store.OpenFile(path, store.OpenOptions{CachePages: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			trees := make([]*quadtree.Tree, n)
+			for v := range trees {
+				trees[v], _ = enc.ix.Tree(nil, graph.VertexID(v))
+			}
+			const workers = 8
+			errs := make(chan error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					order := rand.New(rand.NewSource(int64(w))).Perm(n)
+					for pass := 0; pass < 2; pass++ {
+						for i, v := range order {
+							vid := graph.VertexID(v)
+							want := trees[v]
+							if (w+i+pass)%3 == 1 {
+								got, err := s.Tree(nil, vid)
+								if err != nil {
+									errs <- fmt.Errorf("vertex %d Tree: %v", v, err)
+									return
+								}
+								if !sameTree(got, want) {
+									errs <- fmt.Errorf("vertex %d Tree: %d blocks differ from the in-RAM tree's %d", v, len(got.Blocks), len(want.Blocks))
+									return
+								}
+								continue
+							}
+							for j := (w + i) % 5; j < len(probes); j += 5 {
+								if (w+i+pass)%3 == 2 {
+									s.EvictVertex(vid) // the next Lookup streams
+								}
+								c := probes[j]
+								got, ok, err := s.Lookup(nil, vid, c)
+								if err != nil {
+									errs <- fmt.Errorf("vertex %d probe %x: %v", v, c, err)
+									return
+								}
+								var wb quadtree.Block
+								wi, wok := want.FindIndex(c)
+								if wok {
+									wb = want.Blocks[wi]
+								}
+								if ok != wok || !sameBlock(got, wb) {
+									errs <- fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, in-RAM FindIndex %+v ok=%v", v, c, got, ok, wb, wok)
+									return
+								}
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// sameTree compares two trees block for block, bit for bit.
+func sameTree(a, b *quadtree.Tree) bool {
+	if len(a.Blocks) != len(b.Blocks) || math.Float64bits(a.MinLambda) != math.Float64bits(b.MinLambda) {
+		return false
+	}
+	for i := range a.Blocks {
+		if !sameBlock(a.Blocks[i], b.Blocks[i]) {
+			return false
+		}
+	}
+	return true
+}

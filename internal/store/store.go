@@ -41,16 +41,26 @@ type OpenOptions struct {
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
 // store owning each page-id range, so evicting a page actually releases the
-// frame and the decoded quadtrees built over it. Register every store
-// (Open does it) before queries start; registration is not synchronized
-// with concurrent touches.
+// frame and the decoded quadtrees built over it. Released frames of
+// ReadAt-backed stores go onto the Pager's free list, from which the next
+// miss in any registered store reads, so a full pool's frames are reused
+// rather than reallocated. Register every store (Open does it) before
+// queries start; registration is not synchronized with concurrent touches.
 type Pager struct {
 	pool   *diskio.Pool
 	stores []*Store
+
+	freeMu  sync.Mutex
+	free    [][]byte // released page frames, no reader holds any of them
+	maxFree int      // the pool's capacity, computed once
 }
 
 // NewPager returns a Pager over pool (which may be nil until SetPool).
-func NewPager(pool *diskio.Pool) *Pager { return &Pager{pool: pool} }
+func NewPager(pool *diskio.Pool) *Pager {
+	pg := &Pager{}
+	pg.SetPool(pool)
+	return pg
+}
 
 // Pool returns the shared pool.
 func (pg *Pager) Pool() *diskio.Pool { return pg.pool }
@@ -58,7 +68,40 @@ func (pg *Pager) Pool() *diskio.Pool { return pg.pool }
 // SetPool installs the shared pool. The sharded open sizes the pool only
 // after every cell store is open (capacity depends on their page counts);
 // it must be called before the first query touches any registered store.
-func (pg *Pager) SetPool(pool *diskio.Pool) { pg.pool = pool }
+func (pg *Pager) SetPool(pool *diskio.Pool) {
+	pg.pool = pool
+	if pool != nil {
+		pg.maxFree = pool.Capacity()
+	}
+}
+
+// takeFrame returns a released frame of size bytes, or a new one when the
+// free list has none. A frame of another size is dropped, not reused.
+func (pg *Pager) takeFrame(size int) []byte {
+	pg.freeMu.Lock()
+	var b []byte
+	if n := len(pg.free); n > 0 {
+		b = pg.free[n-1]
+		pg.free[n-1] = nil
+		pg.free = pg.free[:n-1]
+	}
+	pg.freeMu.Unlock()
+	if len(b) != size {
+		b = make([]byte, size)
+	}
+	return b
+}
+
+// giveFrame puts a released frame on the free list, which holds at most
+// the pool's capacity; a frame past that is left to the GC. The caller must
+// be the frame's last holder: no store maps it and no reader copies from it.
+func (pg *Pager) giveFrame(b []byte) {
+	pg.freeMu.Lock()
+	if len(pg.free) < pg.maxFree {
+		pg.free = append(pg.free, b)
+	}
+	pg.freeMu.Unlock()
+}
 
 // Evict routes one evicted page id to the store owning it. Ids outside
 // every store's block range (adjacency pages) need no release.
@@ -117,9 +160,10 @@ type ReadStats struct {
 
 // Store is an open paged index image: the network and extent table resident
 // (O(n+m)), the Morton-block pages demand-paged through the buffer pool.
-// Every pool miss is an actual ReadAt; every eviction releases the page
-// frame and the decoded per-vertex quadtrees overlapping it, so resident
-// memory tracks the pool capacity rather than the index size.
+// Every pool miss is an actual ReadAt; every eviction drops the decoded
+// per-vertex quadtrees overlapping the page and returns its frame to the
+// Pager, whose next miss reads into it, so resident memory tracks the pool
+// capacity rather than the index size.
 //
 // A Store is safe for unlimited concurrent readers. The residency invariant
 // — a decoded tree is cached only while all its pages are pool-resident —
@@ -164,13 +208,12 @@ type Store struct {
 // single-vertex cell of a lenient build).
 var emptyTree = &quadtree.Tree{MinLambda: 1}
 
-// loadScratch carries the gather buffers of one run read (a tree load or a
-// streamed lookup): the per-page frame pointers and the contiguous run
-// handed to the decoder. Both are scratch — the decoder copies values out —
-// so they recycle through a pool instead of being reallocated per read.
+// loadScratch carries the gather buffer of one run read (a tree load or a
+// streamed lookup): the contiguous run handed to the decoder. It is scratch
+// — the decoder copies values out — so it recycles through a pool instead
+// of being reallocated per read.
 type loadScratch struct {
-	bufs [][]byte
-	run  []byte
+	run []byte
 }
 
 var loadPool = sync.Pool{New: func() any { return new(loadScratch) }}
@@ -447,7 +490,7 @@ func (s *Store) cachedTree(v graph.VertexID) *quadtree.Tree {
 func (s *Store) touchRun(ioStats *diskio.Stats, v graph.VertexID) error {
 	first, last, _ := s.layout.OwnerPages(int(v))
 	for p := first; p <= last; p++ {
-		if _, err := s.touch(p, ioStats, false); err != nil {
+		if _, err := s.touch(p, ioStats, nil, 0, 0); err != nil {
 			return err
 		}
 	}
@@ -509,9 +552,9 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
 
 // runBytes touches every page of v's run in order, reading missed ones, and
 // returns the run's bytes: straight out of the mapping when one is attached
-// (the run is contiguous there, so no gather copy happens), otherwise the
-// per-page frames gathered into pooled scratch, which the caller hands back
-// through releaseRun once it has decoded the run.
+// (the run is contiguous there, so no gather copy happens), otherwise
+// gathered into pooled scratch page by page as each page is touched, which
+// the caller hands back through releaseRun once it has decoded the run.
 func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *loadScratch, error) {
 	first, last, _ := s.layout.OwnerPages(int(v))
 	lo, hi := s.layout.EntryRange(int(v))
@@ -522,27 +565,15 @@ func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *load
 		return s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi], nil, nil
 	}
 	sc := loadPool.Get().(*loadScratch)
-	np := int(last - first + 1)
-	if cap(sc.bufs) < np {
-		sc.bufs = make([][]byte, np)
-	}
-	bufs := sc.bufs[:np]
+	run := sc.run[:0]
+	ps := int64(s.sb.pageSize)
 	for p := first; p <= last; p++ {
-		b, err := s.touch(p, ioStats, true)
-		if err != nil {
-			releaseRun(sc, sc.run)
+		base := int64(p) * ps
+		var err error
+		if run, err = s.touch(p, ioStats, run, max(lo, base)-base, min(hi, base+ps)-base); err != nil {
+			releaseRun(sc, run)
 			return nil, nil, err
 		}
-		bufs[p-first] = b
-	}
-	ps := int64(s.sb.pageSize)
-	run := sc.run[:0]
-	for i := lo; i < hi; {
-		page := i / ps
-		end := min((page+1)*ps, hi)
-		buf := bufs[page-int64(first)]
-		run = append(run, buf[i%ps:i%ps+end-i]...)
-		i = end
 	}
 	return run, sc, nil
 }
@@ -553,54 +584,60 @@ func releaseRun(sc *loadScratch, run []byte) {
 	if sc == nil {
 		return
 	}
-	sc.run = run   // keep the grown capacity for the next gather
-	clear(sc.bufs) // don't pin evicted frames from inside the pool
+	sc.run = run // keep the grown capacity for the next gather
 	loadPool.Put(sc)
 }
 
-// touch charges local page p to the pool, processes eviction feedback, and
-// — on a miss, or when the caller needs the bytes — ensures the page frame
-// is resident, reading it from disk as required. Returns the frame bytes
-// when want is true.
-func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, want bool) ([]byte, error) {
+// touch charges local page p to the pool and processes eviction feedback;
+// on a miss it reads the page and publishes its frame. It appends bytes
+// [from, to) of the page to dst and returns the result; an empty range
+// (touchRun) wants no bytes, so a hit returns at once. The copy is made
+// while the frame cannot be recycled: on a hit under s.mu's read lock,
+// which dropPage must acquire to unmap it, on a miss from the private frame
+// before it is published.
+func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from, to int64) ([]byte, error) {
 	hit, evicted, hasEvict := s.pager.pool.TouchEvict(s.pageBase+p, ioStats)
 	if hasEvict {
 		s.pager.Evict(evicted)
 	}
 	if hit {
-		if !want {
-			return nil, nil
+		if from == to {
+			return dst, nil
 		}
 		s.mu.RLock()
 		b := s.frames[p]
+		if b != nil {
+			dst = append(dst, b[from:to]...)
+		}
 		s.mu.RUnlock()
 		if b != nil {
-			return b, nil
+			return dst, nil
 		}
 		// Frame lost to a concurrent eviction between the pool touch and
 		// here — fall through to a real read.
 	}
 	b, err := s.readPage(p)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if ioStats != nil {
 		ioStats.Reads++
 	}
+	dst = append(dst, b[from:to]...)
 	s.mu.Lock()
+	old := s.frames[p]
 	s.frames[p] = b
 	s.mu.Unlock()
-	if !want {
-		return nil, nil
-	}
-	return b, nil
+	s.releaseFrame(old)
+	return dst, nil
 }
 
-// readPage materializes one block page: an actual disk read for
-// ReadAt-backed stores, a checksum-verified subslice of the mapping for
-// mapped ones. Either way the page counts as one read in ReadStats — for a
-// mapping, "read" means first-touch verification, the moment the page
-// faults in.
+// readPage materializes one block page: an actual disk read, into a frame
+// an eviction released when the Pager has one, for ReadAt-backed stores; a
+// checksum-verified subslice of the mapping for mapped ones. Either way the
+// page counts as one read in ReadStats — for a mapping, "read" means
+// first-touch verification, the moment the page faults in. The frame is
+// the caller's alone until it publishes it.
 func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	off := s.sb.blockOff + int64(p)*int64(s.sb.pageSize)
 	var buf []byte
@@ -608,36 +645,49 @@ func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	if s.mapped != nil {
 		buf = s.mapped[off : off+int64(s.sb.pageSize)]
 	} else {
-		buf = make([]byte, s.sb.pageSize)
+		buf = s.pager.takeFrame(s.sb.pageSize)
 		if _, err := s.ra.ReadAt(buf, off); err != nil {
+			s.releaseFrame(buf)
 			return nil, fmt.Errorf("store: reading block page %d: %w", p, err)
 		}
 	}
-	s.readNanos.Add(time.Since(start).Nanoseconds())
-	crcStart := time.Now()
+	read := time.Now() // the read's end is the checksum's start
+	s.readNanos.Add(read.Sub(start).Nanoseconds())
 	sum := crc32.ChecksumIEEE(buf)
-	s.crcNanos.Add(time.Since(crcStart).Nanoseconds())
+	s.crcNanos.Add(time.Since(read).Nanoseconds())
 	s.reads.Add(1)
 	s.readBytes.Add(int64(s.sb.pageSize))
 	if sum != s.pageCRCs[p] {
+		s.releaseFrame(buf)
 		return nil, fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum)
 	}
 	return buf, nil
 }
 
+// releaseFrame hands a frame no reader can reach any more to the Pager. A
+// mapped store's frames alias the mapping and are never reused.
+func (s *Store) releaseFrame(b []byte) {
+	if b != nil && s.mapped == nil {
+		s.pager.giveFrame(b)
+	}
+}
+
 // dropPage releases the frame of local page p and every decoded tree whose
 // run overlaps it — the real-memory counterpart of a pool eviction — and
 // clears those vertices' streamed bits, so their next lookup streams again.
-// Their validated bits stay set.
+// Their validated bits stay set. The frame goes back to the Pager only once
+// it is unmapped, so no reader is still copying from it.
 func (s *Store) dropPage(p diskio.PageID) {
 	lo, hi := s.layout.OwnerRange(p)
 	s.mu.Lock()
+	b := s.frames[p]
 	delete(s.frames, p)
 	for v := lo; v < hi; v++ {
 		delete(s.trees, graph.VertexID(v))
 		s.streamed.clear(graph.VertexID(v))
 	}
 	s.mu.Unlock()
+	s.releaseFrame(b)
 }
 
 // vertexBits holds one atomic bit per vertex.

@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"silc/internal/core"
@@ -190,7 +191,11 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 }
 
 // TestSharedPagerEvictionRouting opens two stores over one pool and checks
-// that evictions caused by one store release frames held by the other.
+// that evictions caused by one store release frames held by the other, and
+// that the frames stay bounded under churn: an evicted frame goes back to
+// the shared Pager and the next miss in either store reads into it, so the
+// frames resident in both stores plus those on the free list never exceed
+// the pool's capacity by more than one.
 func TestSharedPagerEvictionRouting(t *testing.T) {
 	_, ixA := buildTestIndex(t, 10, 10)
 	_, ixB := buildTestIndex(t, 12, 12)
@@ -222,6 +227,34 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 	rs := pager.ReadStats()
 	if rs.Reads == 0 || rs.Bytes == 0 {
 		t.Fatalf("pager read stats empty: %+v", rs)
+	}
+
+	// Churn: interleave the two stores' trees and lookups in random order.
+	capacity := pager.Pool().Capacity()
+	rng := rand.New(rand.NewSource(11))
+	var churn diskio.Stats
+	for i := 0; i < 4000; i++ {
+		st, g := stA, gA
+		if rng.Intn(2) == 1 {
+			st, g = stB, gB
+		}
+		v := graph.VertexID(rng.Intn(g.NumVertices()))
+		var err error
+		if i%3 == 0 {
+			_, err = st.Tree(&churn, v)
+		} else {
+			_, _, err = st.Lookup(&churn, v, g.Code(graph.VertexID(rng.Intn(g.NumVertices()))))
+		}
+		if err != nil {
+			t.Fatalf("churn %d: vertex %d: %v", i, v, err)
+		}
+		resident, free := stA.ResidentPages()+stB.ResidentPages(), pager.FreeFrames()
+		if resident+free > capacity+1 {
+			t.Fatalf("churn %d: %d resident + %d free frames exceed pool capacity %d + 1", i, resident, free, capacity)
+		}
+	}
+	if churn.Evictions < 1000 {
+		t.Fatalf("churn evicted only %d pages", churn.Evictions)
 	}
 }
 
