@@ -23,26 +23,24 @@ import (
 // arena plus the public copy convertResult hands the caller — pooling those
 // would let a query scribble over a result the caller still holds).
 //
-// These are regression budgets, not targets: a change that pushes any
-// steady-state query over its budget reintroduced per-query garbage and
-// should be fixed, not accommodated by raising the constant.
+// Each budget is the count measured on every backend, not a ceiling above
+// it: one new steady-state allocation fails its test. A change that removes
+// one lowers the constant; nothing raises it.
 const (
 	// budgetKNNAllocs bounds Engine.Query (KNN, k=10, warm pool): the
 	// drained neighbor slice + the public result copy.
-	budgetKNNAllocs = 8
+	budgetKNNAllocs = 2
 	// budgetRangeAllocs bounds Engine.WithinDistance on a radius returning
 	// a handful of objects; same two result slices.
-	budgetRangeAllocs = 8
+	budgetRangeAllocs = 2
 	// budgetNeighborsAllocs bounds a full Engine.Neighbors stream of 10
-	// objects: the iterator closures and the browser cursor are per-stream
-	// (not per-element) costs, so the stream fits the same budget as a
-	// one-shot query.
-	budgetNeighborsAllocs = 8
+	// objects: the stream's own state costs one allocation per stream, not
+	// one per element.
+	budgetNeighborsAllocs = 1
 	// budgetLiveKNNAllocs bounds Engine.Query over a pinned live-world
 	// snapshot (LiveObjects.View + KNN k=10, store version unchanged):
 	// pinning is one atomic load of a cached wrapper, so the live path gets
-	// NO extra allowance over the static-set budget — and per the
-	// never-increase rule this constant may only ever go down.
+	// NO extra allowance over the static-set budget.
 	budgetLiveKNNAllocs = budgetKNNAllocs
 	// budgetLiveMoveAllocs bounds LiveObjects.Move at the live_churn
 	// benchmark's population of 1,131 objects: two root-to-leaf path copies
@@ -52,7 +50,7 @@ const (
 	// the population — TestAllocBudgetLiveMutation also holds a world 16
 	// times larger to liveMoveScaling times the small world's count (the
 	// tree is two levels deeper there, nothing else grows).
-	budgetLiveMoveAllocs = 48
+	budgetLiveMoveAllocs = 28
 	liveMoveScaling      = 1.5
 )
 
@@ -437,11 +435,19 @@ func TestAllocBudgetScrapeDuringQueries(t *testing.T) {
 			}
 		}
 	}()
-	got := measureAllocs(func() {
-		if _, err := ae.eng.Query(ctx, objs, queries[0], 10); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// testing.AllocsPerRun counts every goroutine's allocations. Its single
+	// P keeps the scraper off the CPU while the queries run, unless a loaded
+	// machine stretches them past a scheduler time slice: then the scraper
+	// runs and its own allocations land in the count. The scraper can only
+	// add to it, so the least of three measurements is the query's.
+	got := math.Inf(1)
+	for try := 0; try < 3 && got > budgetKNNAllocs; try++ {
+		got = min(got, measureAllocs(func() {
+			if _, err := ae.eng.Query(ctx, objs, queries[0], 10); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
 	close(stop)
 	wg.Wait()
 	t.Logf("KNN under concurrent scrape: %.1f allocs/op (budget %d)", got, budgetKNNAllocs)

@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"silc/internal/bench"
@@ -477,30 +476,6 @@ func BenchmarkBrowser(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkTPParallelThroughput measures concurrent kNN throughput over one
-// shared disk-resident index (experiment TP). Sweep goroutine counts with
-// `go test -bench=TP -cpu 1,2,4,8`: ns/op at each -cpu value is the
-// inverse of that goroutine count's QPS.
-func BenchmarkTPParallelThroughput(b *testing.B) {
-	e := sharedEnv(b)
-	rng := rand.New(rand.NewSource(99))
-	objs := e.ObjectSet(0.05, rng)
-	queries := make([]graph.VertexID, 512)
-	for i := range queries {
-		queries[i] = e.Query(rng)
-	}
-	ix := coldIndex(b, e, false)
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1) - 1
-			knn.Search(ix, objs, queries[i%int64(len(queries))], 10, knn.VariantKNN)
-		}
-	})
 }
 
 // BenchmarkQueryBatch measures the public batch API end to end: one call

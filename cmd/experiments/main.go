@@ -12,10 +12,8 @@
 //	F6  KMINDIST pruning in kNN-M          (paper p.36)
 //	F7  quality of D0k and KMINDIST        (paper p.37)
 //	F8  CPU, I/O and KNN-PQ decomposition  (paper p.38)
-//	TP  parallel query throughput          (beyond the paper: QPS vs
-//	    goroutine count on one shared index, memory- and disk-resident)
-//	SH  sharded vs monolithic index        (beyond the paper: build time,
-//	    storage, and QPS of the partitioned index against the monolith)
+//	SH  sharded vs monolithic index        (beyond the paper: build time
+//	    and storage of the partitioned index against the monolith)
 //	PG  real paged store                   (beyond the paper: an exact-
 //	    distance workload on the on-disk paged image — pool traffic,
 //	    actual reads and measured I/O time)
@@ -25,19 +23,14 @@
 //	experiments                 # full run (~minutes)
 //	experiments -quick          # reduced sizes and query counts (~seconds)
 //	experiments -only F3,F4     # subset
-//	experiments -json           # also write BENCH_<id>.json result files
-//	experiments -baseline       # write canonical BENCH_F3/ALLOC/PG.json baselines
-//	experiments -check          # fail on regression against committed baselines
+//	experiments -json-dir out   # also write out/BENCH_<id>.json result files
 //
-// With -json every selected experiment additionally writes its raw
-// measurements as machine-readable BENCH_<id>.json (into -json-dir), so the
-// perf trajectory of the repo can be tracked without parsing tables.
-//
-// -baseline and -check are the benchmark-trajectory gate (see regress.go):
-// -baseline runs a fixed smoke suite and writes the canonical committed
-// baselines; -check reruns it and exits nonzero if an exact count (F3 page
-// traffic and refinements, PG image sizes and cold pool counters) moved at
-// all or allocs/op grew. It judges no time; that is benchmark/'s job.
+// With -json-dir every selected experiment additionally writes its raw
+// measurements as machine-readable BENCH_<id>.json into that directory.
+// Nothing is written by default: the BENCH_F3.json and BENCH_PG.json at the
+// repository root are the exact-count gates of `go test` (countgate_test.go),
+// a different, fixed smoke suite, and a run of this command must not
+// overwrite them. End-to-end throughput is benchmark/'s job.
 package main
 
 import (
@@ -46,7 +39,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -55,31 +47,18 @@ import (
 
 func main() {
 	var (
-		quick    = flag.Bool("quick", false, "reduced sizes and query counts")
-		only     = flag.String("only", "", "comma-separated subset, e.g. F1,F3,T1")
-		rows     = flag.Int("rows", bench.DefaultRows, "evaluation lattice rows")
-		cols     = flag.Int("cols", bench.DefaultCols, "evaluation lattice cols")
-		queries  = flag.Int("queries", 50, "queries per sweep point (paper: >=50)")
-		seed     = flag.Int64("seed", bench.DefaultSeed, "master seed")
-		jsonOut  = flag.Bool("json", false, "write machine-readable BENCH_<id>.json result files")
-		jsonDir  = flag.String("json-dir", ".", "directory for -json result files")
-		baseline = flag.Bool("baseline", false, "run the F3/ALLOC/PG smoke suite and write the canonical BENCH_*.json baselines into -json-dir")
-		regCheck = flag.Bool("check", false, "rerun the F3/ALLOC/PG smoke suite and fail on regression against the committed BENCH_*.json baselines")
+		quick   = flag.Bool("quick", false, "reduced sizes and query counts")
+		only    = flag.String("only", "", "comma-separated subset, e.g. F1,F3,T1")
+		rows    = flag.Int("rows", bench.DefaultRows, "evaluation lattice rows")
+		cols    = flag.Int("cols", bench.DefaultCols, "evaluation lattice cols")
+		queries = flag.Int("queries", 50, "queries per sweep point (paper: >=50)")
+		seed    = flag.Int64("seed", bench.DefaultSeed, "master seed")
+		jsonDir = flag.String("json-dir", "", "write machine-readable BENCH_<id>.json result files into this directory (empty: write none)")
 	)
 	flag.Parse()
-	if *baseline || *regCheck {
-		if *baseline && *regCheck {
-			check(fmt.Errorf("-baseline and -check are mutually exclusive"))
-		}
-		check(runRegress(*baseline, *jsonDir, *seed))
-		return
-	}
 	record := func(id string, payload any) {
-		if !*jsonOut {
-			return
-		}
-		if err := writeJSON(*jsonDir, id, payload); err != nil {
-			check(err)
+		if *jsonDir != "" {
+			check(writeJSON(*jsonDir, id, payload))
 		}
 	}
 
@@ -135,18 +114,18 @@ func main() {
 	}
 
 	if want("SH") {
-		shRows, shCols, shParts, shQueries := *rows, *cols, 8, 2000
+		shRows, shCols, shParts := *rows, *cols, 8
 		if *quick {
-			shRows, shCols, shParts, shQueries = 32, 32, 4, 200
+			shRows, shCols, shParts = 32, 32, 4
 		}
-		cmp, err := bench.CompareSharded(shRows, shCols, shParts, shQueries, *seed)
+		cmp, err := bench.CompareSharded(shRows, shCols, shParts, *seed)
 		check(err)
 		bench.RenderSharded(out, cmp)
 		record("SH", cmp)
 	}
 
 	needEnv := want("F2") || want("F3") || want("F4") || want("F5") ||
-		want("F6") || want("F7") || want("F8") || want("TP")
+		want("F6") || want("F7") || want("F8")
 	if !needEnv {
 		fmt.Fprintf(out, "done in %v\n", time.Since(start).Round(time.Millisecond))
 		return
@@ -209,28 +188,6 @@ func main() {
 		}
 	}
 
-	if want("TP") {
-		gcs := []int{1, 2, 4, 8, 16}
-		nq := 2000
-		if *quick {
-			gcs, nq = []int{1, 2, 4}, 400
-		}
-		w := env.NewThroughputWorkload(nq, 0.05, 10, *seed+4)
-		diskPts, err := bench.ThroughputSweep(env.Cold, w, gcs)
-		check(err)
-		fmt.Fprintln(out, bench.ThroughputTable(
-			fmt.Sprintf("TP: parallel kNN throughput, disk-resident (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
-			diskPts))
-		memEnv, err := bench.NewEnv(*rows, *cols, *seed, false)
-		check(err)
-		wm := memEnv.NewThroughputWorkload(nq, 0.05, 10, *seed+4)
-		memPts, err := bench.ThroughputSweep(memEnv.Cold, wm, gcs)
-		check(err)
-		fmt.Fprintln(out, bench.ThroughputTable(
-			"TP: parallel kNN throughput, memory-resident",
-			memPts))
-		record("TP", map[string]any{"disk_resident": diskPts, "memory_resident": memPts})
-	}
 	fmt.Fprintf(out, "done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 

@@ -1,0 +1,220 @@
+package silc_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"silc"
+	"silc/internal/bench"
+)
+
+// The exact-count gates. BENCH_F3.json and BENCH_PG.json at the repository
+// root pin what the paper's evaluation states as counts — page misses, page
+// reads and refinements per query, paged image sizes and cold pool traffic —
+// for a fixed 48×48 smoke suite. Every number is a sum of integer counts over
+// a single-threaded workload on a deterministic LRU and page layout, so it is
+// the same on every machine and every run: any drift is a change in paging,
+// encoding or search behaviour, never noise. Regenerate deliberately with
+// SILC_UPDATE_GOLDEN=1 go test -run CountsPinned . and justify the diff.
+const (
+	countLattice = 48 // rows == cols of the smoke lattice
+	countQueries = 24 // queries per F3 sweep point
+)
+
+type f3Counts struct {
+	Lattice         int       `json:"lattice"`
+	QueriesPerPoint int       `json:"queries_per_point"`
+	Points          []f3Point `json:"points"`
+}
+
+type f3Point struct {
+	Label string `json:"label"`
+	K     int    `json:"k"`
+	// Fraction is |S|/N, the object-set density of the point.
+	Fraction float64 `json:"s_fraction"`
+	// PerQuery maps algorithm name to its mean per-query counts over the
+	// point's fixed workload, each batch starting from a cold store.
+	PerQuery map[string]f3PerQuery `json:"per_query"`
+}
+
+type f3PerQuery struct {
+	PageMisses  float64 `json:"page_misses"`
+	PageReads   float64 `json:"page_reads"`
+	Refinements float64 `json:"refinements"`
+}
+
+type pgCounts struct {
+	Lattice int        `json:"lattice"`
+	Images  []pgImage  `json:"images"`
+	ColdIO  []pgColdIO `json:"cold_io"`
+}
+
+// pgImage is one index layout's paged image size in both encodings. Ratio is
+// fixed-width ÷ compressed over the whole image, page alignment included.
+type pgImage struct {
+	Name       string  `json:"name"`
+	FixedBytes int64   `json:"fixed_bytes"`
+	DeltaBytes int64   `json:"delta_bytes"`
+	Ratio      float64 `json:"ratio"`
+}
+
+// pgColdIO is the pool traffic of a fixed cold kNN scan under a 5% pool.
+type pgColdIO struct {
+	Name   string `json:"name"`
+	Reads  int64  `json:"page_reads"`
+	Misses int64  `json:"page_misses"`
+	Hits   int64  `json:"page_hits"`
+}
+
+// TestF3CountsPinned runs the paper's |S|=0.07N column at k=10 and k=100
+// through every kNN algorithm on the real paged store and compares the
+// per-query page misses, page reads and refinements with BENCH_F3.json.
+func TestF3CountsPinned(t *testing.T) {
+	if silc.RaceEnabled {
+		t.Skip("single-threaded and deterministic; the race detector only slows it")
+	}
+	t.Parallel()
+	env, err := bench.NewEnv(countLattice, countLattice, bench.DefaultSeed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	specs := []bench.SweepSpec{
+		{Label: "k=10", Fraction: 0.07, K: 10},
+		{Label: "k=100", Fraction: 0.07, K: 100},
+	}
+	pts, err := env.Sweep(specs, countQueries, bench.Algorithms(), bench.DefaultSeed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := f3Counts{Lattice: countLattice, QueriesPerPoint: countQueries}
+	for _, pt := range pts {
+		p := f3Point{Label: pt.Spec.Label, K: pt.Spec.K, Fraction: pt.Spec.Fraction, PerQuery: map[string]f3PerQuery{}}
+		for name, agg := range pt.Per {
+			p.PerQuery[name] = f3PerQuery{PageMisses: agg.IOMisses, PageReads: agg.IOReads, Refinements: agg.Refinements}
+		}
+		out.Points = append(out.Points, p)
+	}
+	checkCounts(t, "F3", out)
+}
+
+// TestPGCountsPinned builds the 48×48 index monolithic and in four cells, in
+// both page encodings, then runs a fixed cold kNN scan (every 7th vertex,
+// k=10) against each encoding behind a 5% pool, and compares image sizes and
+// pool counters with BENCH_PG.json.
+func TestPGCountsPinned(t *testing.T) {
+	if silc.RaceEnabled {
+		t.Skip("single-threaded and deterministic; the race detector only slows it")
+	}
+	t.Parallel()
+	seed := int64(bench.DefaultSeed)
+	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: countLattice, Cols: countLattice, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pagedWriter interface {
+		WritePaged(io.Writer) (int64, error)
+	}
+	layouts := []struct {
+		name  string
+		build func(silc.Compression) (pagedWriter, error)
+	}{
+		{"mono", func(c silc.Compression) (pagedWriter, error) {
+			return silc.BuildIndex(net, silc.BuildOptions{Compression: c})
+		}},
+		{"sharded-4", func(c silc.Compression) (pagedWriter, error) {
+			return silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, Compression: c})
+		}},
+	}
+	out := pgCounts{Lattice: countLattice}
+	mono := map[silc.Compression][]byte{}
+	for _, l := range layouts {
+		img := pgImage{Name: l.name}
+		for _, c := range []silc.Compression{silc.CompressionNone, silc.CompressionDelta} {
+			ix, err := l.build(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := ix.WritePaged(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if c == silc.CompressionNone {
+				img.FixedBytes = int64(buf.Len())
+			} else {
+				img.DeltaBytes = int64(buf.Len())
+			}
+			if l.name == "mono" {
+				mono[c] = buf.Bytes()
+			}
+		}
+		img.Ratio = float64(img.FixedBytes) / float64(img.DeltaBytes)
+		out.Images = append(out.Images, img)
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	perm := rng.Perm(net.NumVertices())
+	verts := make([]silc.VertexID, 48)
+	for i := range verts {
+		verts[i] = silc.VertexID(perm[i])
+	}
+	objs, err := silc.NewObjectSet(net, verts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, enc := range []struct {
+		name string
+		comp silc.Compression
+	}{{"pg1", silc.CompressionNone}, {"pg2", silc.CompressionDelta}} {
+		img := mono[enc.comp]
+		cold, err := silc.OpenIndexAt(bytes.NewReader(img), int64(len(img)), silc.BuildOptions{CacheFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < net.NumVertices(); q += 7 {
+			if _, err := cold.Engine().Query(ctx, objs, silc.VertexID(q), 10); err != nil {
+				t.Fatalf("cold %s query %d: %v", enc.name, q, err)
+			}
+		}
+		io := cold.IOStats()
+		out.ColdIO = append(out.ColdIO, pgColdIO{Name: enc.name, Reads: io.PageReads, Misses: io.PageMisses, Hits: io.PageHits})
+	}
+	checkCounts(t, "PG", out)
+}
+
+// checkCounts marshals result in the committed {"id","result"} shape and
+// compares it byte for byte with BENCH_<id>.json, naming the first line that
+// differs.
+func checkCounts(t *testing.T, id string, result any) {
+	t.Helper()
+	got, err := json.MarshalIndent(map[string]any{"id": id, "result": result}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := "BENCH_" + id + ".json"
+	want, ok := goldenFile(t, path, got)
+	if !ok || bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return fmt.Sprintf("<end of file after %d lines>", len(lines))
+	}
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	t.Fatalf("%s drifted at line %d:\n  got  %s\n  want %s\n(a count moved; if that is intended, regenerate with SILC_UPDATE_GOLDEN=1 and justify the diff)",
+		path, i+1, strings.TrimSpace(line(gl, i)), strings.TrimSpace(line(wl, i)))
+}

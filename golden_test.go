@@ -35,7 +35,21 @@ func goldenNetwork(t testing.TB) *silc.Network {
 // under SILC_UPDATE_GOLDEN=1.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
+	want, ok := goldenFile(t, filepath.Join("testdata", "golden", name), got)
+	if ok && !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: serialization drifted from the golden file: %d vs %d bytes, first difference at offset %d", name, len(got), len(want), i)
+	}
+}
+
+// goldenFile returns the committed contents of the golden file at path and
+// true. Under SILC_UPDATE_GOLDEN=1 it instead rewrites the file with got and
+// returns false: there is nothing left to compare.
+func goldenFile(t *testing.T, path string, got []byte) ([]byte, bool) {
+	t.Helper()
 	if os.Getenv("SILC_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -43,19 +57,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		return nil, false
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with SILC_UPDATE_GOLDEN=1): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
-		}
-		t.Fatalf("%s: serialization drifted from the golden file: %d vs %d bytes, first difference at offset %d", name, len(got), len(want), i)
-	}
+	return want, true
 }
 
 // checkEngineEquivalence compares a loaded engine's answers against the
