@@ -84,3 +84,49 @@ func TestPagedImageBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildImagePinned pins the SHA-256 of the PG2 image of three builds, so
+// a change to the build — the heap, the per-source search, the quadtree
+// builder — that moves a single first hop or ratio bound turns it red. When
+// two shortest paths tie, the first hop is the one the search settles first,
+// so the image depends on the heap's pop order among equal keys: the 32×32
+// lattice is full of such ties, the 64×64 road map is the benchmark's shape,
+// and the proximity build covers the radius cut-off.
+func TestBuildImagePinned(t *testing.T) {
+	if silc.RaceEnabled {
+		t.Skip("builds three indexes of up to 4,096 vertices; too slow under -race")
+	}
+	for _, tc := range []struct {
+		name   string
+		net    func() (*silc.Network, error)
+		radius float64
+		sha256 string
+	}{
+		{"grid32", func() (*silc.Network, error) { return silc.GenerateGrid(32, 32) }, 0, "8785fca255ab700ee4e55d2391a0066608a5a5c24300dedfc76ca755353b9839"},
+		{"road64", func() (*silc.Network, error) {
+			return silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
+		}, 0, "7ea2f37478790f30e98882a66bd4da235e5e66777f0b80037a5aa055c91e7642"},
+		{"road48/proximity", func() (*silc.Network, error) {
+			return silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 48, Cols: 48, Seed: 3})
+		}, 0.15, "4af165433360918d53a45220de39b0c5bc8f3ae5a6263426fc76d14e57f37228"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := tc.net()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: tc.radius, Compression: silc.CompressionDelta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var img bytes.Buffer
+			if _, err := ix.WritePaged(&img); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(img.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+				t.Errorf("image of %d bytes has SHA-256 %s, pinned %s", img.Len(), got, tc.sha256)
+			}
+		})
+	}
+}
