@@ -15,8 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"silc/internal/diskio"
@@ -24,7 +22,6 @@ import (
 	"silc/internal/graph"
 	"silc/internal/obs"
 	"silc/internal/quadtree"
-	"silc/internal/sssp"
 	"silc/internal/store"
 )
 
@@ -337,105 +334,6 @@ func (ix *Index) Tree(qc *QueryContext, v graph.VertexID) (*quadtree.Tree, bool)
 		return nil, false
 	}
 	return t, true
-}
-
-// Build precomputes the SILC index for g. It returns an error if the network
-// is not strongly connected (every shortest-path quadtree must color every
-// vertex), unless a ProximityRadius bounds the build, in which case
-// unreachable vertices are simply out of range.
-func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
-	start := time.Now()
-	n := g.NumVertices()
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	order := g.MortonOrder()
-	codes := make([]geom.Code, n)
-	for i, v := range order {
-		codes[i] = g.Code(v)
-	}
-	qb := quadtree.NewBuilder(codes) // read-only after construction; shared
-
-	trees := make([]quadtree.Tree, n)
-	errs := make([]error, workers)
-	var next int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sssp.NewWorkspace(n)
-			colors := make([]int32, n)
-			ratios := make([]float64, n)
-			for {
-				mu.Lock()
-				src := next
-				next++
-				mu.Unlock()
-				if src >= int64(n) {
-					return
-				}
-				source := graph.VertexID(src)
-				tree := ws.Run(g, source)
-				for i, v := range order {
-					if v == source {
-						colors[i] = quadtree.NoColor
-						ratios[i] = 0
-						continue
-					}
-					if opts.ProximityRadius > 0 && tree.Dist[v] > opts.ProximityRadius {
-						colors[i] = quadtree.OutOfRange
-						ratios[i] = 0
-						continue
-					}
-					if math.IsInf(tree.Dist[v], 1) {
-						if opts.AllowUnreachable {
-							colors[i] = quadtree.OutOfRange
-							ratios[i] = 0
-							continue
-						}
-						errs[w] = fmt.Errorf("core: vertex %d unreachable from %d; SILC requires a strongly connected network", v, source)
-						return
-					}
-					colors[i] = int32(g.NeighborIndex(source, tree.FirstHop[v]))
-					ratios[i] = tree.Dist[v] / g.Euclid(source, v)
-				}
-				trees[source] = *qb.Build(colors, ratios)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	ix := &Index{g: g, trees: trees, radius: opts.ProximityRadius, lenient: opts.AllowUnreachable, comp: opts.Compression}
-	ix.stats = BuildStats{
-		Vertices:  n,
-		Edges:     g.NumEdges(),
-		MinBlocks: math.MaxInt,
-		BuildTime: time.Since(start),
-	}
-	for i := range trees {
-		b := trees[i].NumBlocks()
-		ix.stats.TotalBlocks += int64(b)
-		if b < ix.stats.MinBlocks {
-			ix.stats.MinBlocks = b
-		}
-		if b > ix.stats.MaxBlocks {
-			ix.stats.MaxBlocks = b
-		}
-	}
-	ix.stats.TotalBytes = ix.stats.TotalBlocks * quadtree.EncodedSizeBytes
-	return ix, nil
 }
 
 // Network returns the indexed network.

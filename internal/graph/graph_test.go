@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"silc/internal/geom"
@@ -293,6 +295,99 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := Read(bytes.NewReader([]byte(s))); err == nil {
 			t.Fatalf("expected error for %q", s)
 		}
+	}
+}
+
+// TestReadParsesWriteExactly round-trips Write output through Read with
+// awkward coordinates and weights, and checks every parsed value bit for
+// bit against fmt.Sscanf, the parser Read used before it went to strconv.
+func TestReadParsesWriteExactly(t *testing.T) {
+	b := NewBuilder()
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 0.9999999999999999, Y: 1.0 / 3}, {X: 0.1 + 0.2, Y: 5e-324}, {X: 0.5, Y: 0.7}}
+	for _, p := range pts {
+		b.AddVertex(p)
+	}
+	for i, w := range []float64{1.0 / 3, 1e-300, 0.1 + 0.2, math.MaxFloat64, 5e-324, 2, 1e21, 123456789.123456789} {
+		u := VertexID(i % len(pts))
+		b.AddEdge(u, (u+1+VertexID(i/len(pts)))%VertexID(len(pts)), w)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := Write(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Read(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := Write(&again, g2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), text.Bytes()) {
+		t.Fatalf("Write(Read(Write(g))) differs from Write(g):\n%s\nvs\n%s", again.Bytes(), text.Bytes())
+	}
+	lines := strings.Split(strings.TrimSpace(text.String()), "\n")[2:]
+	for v := 0; v < g2.NumVertices(); v++ {
+		var want geom.Point
+		if _, err := fmt.Sscanf(lines[v], "%g %g", &want.X, &want.Y); err != nil {
+			t.Fatal(err)
+		}
+		if got := g2.Point(VertexID(v)); math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+			t.Errorf("vertex line %q: Read %v, fmt.Sscanf %v", lines[v], got, want)
+		}
+	}
+	for i, e := range g2.Edges() {
+		line := lines[g2.NumVertices()+i]
+		var from, to int
+		var w float64
+		if _, err := fmt.Sscanf(line, "%d %d %g", &from, &to, &w); err != nil {
+			t.Fatal(err)
+		}
+		if e.From != VertexID(from) || e.To != VertexID(to) || math.Float64bits(e.Weight) != math.Float64bits(w) {
+			t.Errorf("edge line %q: Read %v, fmt.Sscanf %d %d %v", line, e, from, to, w)
+		}
+	}
+}
+
+// TestReadRejectsMalformedLines feeds one bad line at a time into an
+// otherwise valid file and requires an error that quotes it.
+func TestReadRejectsMalformedLines(t *testing.T) {
+	const valid = "silc-network 1\n2 2\n0.25 0.25\n0.75 0.75\n0 1 1\n1 0 1\n"
+	for _, tc := range []struct{ bad, in string }{
+		{"silc-network", "silc-network\n"},
+		{"silc-network x", "silc-network x\n"},
+		{"silc-network 1 2", "silc-network 1 2\n"},
+		{"silc-net 1", "silc-net 1\n2 0\n"},
+		{"2", "silc-network 1\n2\n"},
+		{"2 two", "silc-network 1\n2 two\n"},
+		{"2 2 2", "silc-network 1\n2 2 2\n"},
+		{"0.25", strings.Replace(valid, "0.25 0.25", "0.25", 1)},
+		{"0.25 0.25 0.25", strings.Replace(valid, "0.25 0.25", "0.25 0.25 0.25", 1)},
+		{"0.25 y", strings.Replace(valid, "0.25 0.25", "0.25 y", 1)},
+		{"0.25 0.25x", strings.Replace(valid, "0.25 0.25", "0.25 0.25x", 1)},
+		{"0,25 0.25", strings.Replace(valid, "0.25 0.25", "0,25 0.25", 1)},
+		{"0 1", strings.Replace(valid, "0 1 1", "0 1", 1)},
+		{"0 1 1 1", strings.Replace(valid, "0 1 1", "0 1 1 1", 1)},
+		{"0 1.5 1", strings.Replace(valid, "0 1 1", "0 1.5 1", 1)},
+		{"0 4294967297 1", strings.Replace(valid, "0 1 1", "0 4294967297 1", 1)},
+		{"0 1 w", strings.Replace(valid, "0 1 1", "0 1 w", 1)},
+		{"0 1 1e999", strings.Replace(valid, "0 1 1", "0 1 1e999", 1)},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%q: no error", tc.bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.bad)) {
+			t.Errorf("%q: error %q does not quote the line", tc.bad, err)
+		}
+	}
+	if _, err := Read(strings.NewReader("# comment\n\n" + strings.ReplaceAll(valid, " ", " \t "))); err != nil {
+		t.Errorf("comments, blank lines and mixed white space: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"silc/internal/geom"
@@ -64,7 +65,14 @@ func Read(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
 	var version int
-	if _, err := fmt.Sscanf(header, formatMagic+" %d", &version); err != nil {
+	f, err := fields(header, 2)
+	if err == nil && f[0] != formatMagic {
+		err = fmt.Errorf("magic %q, want %q", f[0], formatMagic)
+	}
+	if err == nil {
+		version, err = strconv.Atoi(f[1])
+	}
+	if err != nil {
 		return nil, fmt.Errorf("graph: bad header %q: %w", header, err)
 	}
 	if version != formatVersion {
@@ -76,7 +84,14 @@ func Read(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("graph: reading counts: %w", err)
 	}
 	var n, m int
-	if _, err := fmt.Sscanf(counts, "%d %d", &n, &m); err != nil {
+	f, err = fields(counts, 2)
+	if err == nil {
+		n, err = strconv.Atoi(f[0])
+	}
+	if err == nil {
+		m, err = strconv.Atoi(f[1])
+	}
+	if err != nil {
 		return nil, fmt.Errorf("graph: bad counts %q: %w", counts, err)
 	}
 	if n < 0 || m < 0 {
@@ -90,7 +105,14 @@ func Read(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("graph: reading vertex %d: %w", i, err)
 		}
 		var p geom.Point
-		if _, err := fmt.Sscanf(line, "%g %g", &p.X, &p.Y); err != nil {
+		f, err := fields(line, 2)
+		if err == nil {
+			p.X, err = strconv.ParseFloat(f[0], 64)
+		}
+		if err == nil {
+			p.Y, err = strconv.ParseFloat(f[1], 64)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("graph: bad vertex line %q: %w", line, err)
 		}
 		b.AddVertex(p)
@@ -100,12 +122,32 @@ func Read(r io.Reader) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading edge %d: %w", i, err)
 		}
-		var from, to int
+		var from, to int64
 		var w float64
-		if _, err := fmt.Sscanf(line, "%d %d %g", &from, &to, &w); err != nil {
+		f, err := fields(line, 3)
+		if err == nil {
+			from, err = strconv.ParseInt(f[0], 10, 32)
+		}
+		if err == nil {
+			to, err = strconv.ParseInt(f[1], 10, 32)
+		}
+		if err == nil {
+			w, err = strconv.ParseFloat(f[2], 64)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("graph: bad edge line %q: %w", line, err)
 		}
 		b.AddEdge(VertexID(from), VertexID(to), w)
 	}
 	return b.Build()
+}
+
+// fields splits a line at white space and requires exactly n fields. The
+// values are then parsed with strconv, which fmt's scanning verbs use too.
+func fields(line string, n int) ([]string, error) {
+	f := strings.Fields(line)
+	if len(f) != n {
+		return nil, fmt.Errorf("%d fields, want %d", len(f), n)
+	}
+	return f, nil
 }

@@ -5,95 +5,143 @@
 // refinement), and a bounded max-heap for best-k accumulation.
 package pqueue
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Min is a 4-ary min-heap of values of type T ordered by a float64 key.
 // The zero value is an empty, ready-to-use heap.
 //
-// The 4-ary shape halves the sift depth of a binary heap and puts each
-// node's four child keys in 32 contiguous bytes — at most one cache line
-// per level — which matters because the pop-heavy Dijkstra frontiers spend
-// most of their heap time sifting down.
+// The 4-ary shape halves the sift depth of a binary heap, which matters
+// because the pop-heavy Dijkstra frontiers spend most of their heap time
+// sifting down. Each item is stored as one {key, value} pair whose key is an
+// order-preserving integer image of the float (see keyBits), so the sift
+// picks the least of four children with integer arithmetic and no branch,
+// and a node's four children sit next to each other.
+//
+// Keys must not be NaN. -0 and +0 are the same key, and Pop, Peek and
+// PeekKey return it as +0; every other key comes back bit for bit. Among
+// equal keys the pop order is a fixed function of the push/pop sequence,
+// and the SILC build's images depend on it: a tie between two shortest
+// paths is broken by which vertex is settled first.
 type Min[T any] struct {
-	keys []float64
-	vals []T
+	items []minItem[T]
+}
+
+type minItem[T any] struct {
+	key uint64
+	val T
+}
+
+// keyBits maps a non-NaN float64 to a uint64 with the same order: the sign
+// bit is flipped on non-negative values and every bit on negative ones, so
+// the integer order of the images is the float order. -0 folds to +0, which
+// the float order treats as equal.
+func keyBits(f float64) uint64 {
+	if f == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// keyFloat inverts keyBits.
+func keyFloat(k uint64) float64 {
+	return math.Float64frombits(k ^ (k>>63 - 1 | 1<<63))
 }
 
 // Len returns the number of queued items.
-func (h *Min[T]) Len() int { return len(h.keys) }
+func (h *Min[T]) Len() int { return len(h.items) }
 
-// Push inserts v with the given key.
+// Push inserts v with the given key, which must not be NaN.
 func (h *Min[T]) Push(key float64, v T) {
-	h.keys = append(h.keys, key)
-	h.vals = append(h.vals, v)
-	h.up(len(h.keys) - 1)
+	h.items = append(h.items, minItem[T]{keyBits(key), v})
+	h.up(len(h.items) - 1)
 }
 
 // Pop removes and returns the minimum-key item. It panics on an empty heap.
 func (h *Min[T]) Pop() (float64, T) {
-	n := len(h.keys) - 1
-	key, val := h.keys[0], h.vals[0]
-	h.keys[0], h.vals[0] = h.keys[n], h.vals[n]
-	h.keys = h.keys[:n]
-	var zero T
-	h.vals[n] = zero
-	h.vals = h.vals[:n]
+	n := len(h.items) - 1
+	top := h.items[0]
+	h.items[0] = h.items[n]
+	h.items[n] = minItem[T]{}
+	h.items = h.items[:n]
 	if n > 0 {
 		h.down(0)
 	}
-	return key, val
+	return keyFloat(top.key), top.val
 }
 
 // Peek returns the minimum key and value without removing them.
 // It panics on an empty heap.
-func (h *Min[T]) Peek() (float64, T) { return h.keys[0], h.vals[0] }
+func (h *Min[T]) Peek() (float64, T) { return keyFloat(h.items[0].key), h.items[0].val }
 
 // PeekKey returns the minimum key. It panics on an empty heap.
-func (h *Min[T]) PeekKey() float64 { return h.keys[0] }
+func (h *Min[T]) PeekKey() float64 { return keyFloat(h.items[0].key) }
 
 // Reset empties the heap, retaining capacity.
 func (h *Min[T]) Reset() {
-	h.keys = h.keys[:0]
-	clearSlice(h.vals)
-	h.vals = h.vals[:0]
+	clearSlice(h.items)
+	h.items = h.items[:0]
 }
 
 func (h *Min[T]) up(i int) {
-	key, val := h.keys[i], h.vals[i]
+	items := h.items
+	it := items[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if h.keys[parent] <= key {
+		if items[parent].key <= it.key {
 			break
 		}
-		h.keys[i], h.vals[i] = h.keys[parent], h.vals[parent]
+		items[i] = items[parent]
 		i = parent
 	}
-	h.keys[i], h.vals[i] = key, val
+	items[i] = it
 }
 
+// down sifts the item at i to its place. Among equal child keys the
+// leftmost wins, and the item stops above any child whose key equals its
+// own: both rules fix the tie order the SILC images depend on.
 func (h *Min[T]) down(i int) {
-	n := len(h.keys)
-	key, val := h.keys[i], h.vals[i]
+	items := h.items
+	n := len(items)
+	it := items[i]
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		best, bestKey := first, h.keys[first]
-		for c := first + 1; c < end; c++ {
-			if h.keys[c] < bestKey {
-				best, bestKey = c, h.keys[c]
+		best, bestKey := first, items[first].key
+		if first+3 < n {
+			// A full family: a two-round tournament with no branch to
+			// mispredict. The borrow of x-y is 1 exactly when x < y, so a
+			// right key wins only when strictly smaller and the leftmost
+			// of equal keys wins. The builtin mins compile to conditional
+			// moves and the final select is a mask.
+			fam := items[first : first+4 : first+4]
+			k0, k1, k2, k3 := fam[0].key, fam[1].key, fam[2].key, fam[3].key
+			m01, m23 := min(k0, k1), min(k2, k3)
+			_, b01 := bits.Sub64(k1, k0, 0)
+			_, b23 := bits.Sub64(k3, k2, 0)
+			_, b := bits.Sub64(m23, m01, 0)
+			j01, j23 := int(b01), 2+int(b23)
+			best += j01 ^ (j01^j23)&-int(b)
+			bestKey = min(m01, m23)
+		} else {
+			for c := first + 1; c < n; c++ {
+				if k := items[c].key; k < bestKey {
+					best, bestKey = c, k
+				}
 			}
 		}
-		if key <= bestKey {
+		if it.key <= bestKey {
 			break
 		}
-		h.keys[i], h.vals[i] = bestKey, h.vals[best]
+		items[i] = items[best]
 		i = best
 	}
-	h.keys[i], h.vals[i] = key, val
+	items[i] = it
 }
 
 func clearSlice[T any](s []T) {

@@ -1,6 +1,8 @@
 package pqueue
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -188,4 +190,151 @@ func TestIndexedPanicsOnInvalidHandle(t *testing.T) {
 		}
 	}()
 	h.Update(hd, 2)
+}
+
+// refMin is Min as it was with float64 keys in a separate array: the
+// reference for the pop order among equal keys, which the SILC images
+// depend on.
+type refMin[T any] struct {
+	keys []float64
+	vals []T
+}
+
+func (h *refMin[T]) Len() int { return len(h.keys) }
+
+func (h *refMin[T]) Push(key float64, v T) {
+	h.keys = append(h.keys, key)
+	h.vals = append(h.vals, v)
+	i := len(h.keys) - 1
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if h.keys[parent] <= key {
+			break
+		}
+		h.keys[i], h.vals[i] = h.keys[parent], h.vals[parent]
+		i = parent
+	}
+	h.keys[i], h.vals[i] = key, v
+}
+
+func (h *refMin[T]) Pop() (float64, T) {
+	n := len(h.keys) - 1
+	key, val := h.keys[0], h.vals[0]
+	h.keys[0], h.vals[0] = h.keys[n], h.vals[n]
+	h.keys, h.vals = h.keys[:n], h.vals[:n]
+	if n > 0 {
+		i, k, v := 0, h.keys[0], h.vals[0]
+		for {
+			first := i<<2 + 1
+			if first >= n {
+				break
+			}
+			best, bestKey := first, h.keys[first]
+			for c := first + 1; c < first+4 && c < n; c++ {
+				if h.keys[c] < bestKey {
+					best, bestKey = c, h.keys[c]
+				}
+			}
+			if k <= bestKey {
+				break
+			}
+			h.keys[i], h.vals[i] = bestKey, h.vals[best]
+			i = best
+		}
+		h.keys[i], h.vals[i] = k, v
+	}
+	return key, val
+}
+
+// tieKeys is the key alphabet of FuzzMinMatchesReference: few distinct
+// values, so most pushes tie, with both zeros, both infinities, negatives,
+// subnormals and the extremes.
+var tieKeys = []float64{
+	0, math.Copysign(0, -1), 1, 1, 2, -1, -2.5, math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.MaxFloat64, -math.MaxFloat64, 0.1, 0.1 + 0.2, 0.3,
+}
+
+// sameKey compares popped keys: bit for bit, except that Min returns -0
+// as +0.
+func sameKey(got, want float64) bool {
+	if want == 0 {
+		return got == 0 && !math.Signbit(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// FuzzMinMatchesReference drives Min and refMin through the same push/pop
+// sequence and requires the identical (key, value) sequence out.
+func FuzzMinMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff})
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0xff, 1, 0xff, 0xff, 0xff})
+	f.Add([]byte{3, 2, 1, 0, 7, 8, 9, 10, 0xff, 5, 5, 5, 0xff, 0xff, 4, 4})
+	seed := make([]byte, 512)
+	rand.New(rand.NewSource(1)).Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var got Min[int]
+		var want refMin[int]
+		pop := func(step int) {
+			gk, gv := got.Pop()
+			wk, wv := want.Pop()
+			if !sameKey(gk, wk) || gv != wv {
+				t.Fatalf("op %d: Pop = (%v, %d), reference (%v, %d)", step, gk, gv, wk, wv)
+			}
+		}
+		for i, op := range ops {
+			switch {
+			case op == 0xff && want.Len() > 0:
+				pop(i)
+			case op >= 0xe0:
+				// A key outside the alphabet, drawn from the next bytes.
+				var b [8]byte
+				copy(b[:], ops[i:])
+				k := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				if k != k {
+					k = float64(op)
+				}
+				got.Push(k, i)
+				want.Push(k, i)
+			case op != 0xff:
+				k := tieKeys[int(op)%len(tieKeys)]
+				got.Push(k, i)
+				want.Push(k, i)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("op %d: Len = %d, reference %d", i, got.Len(), want.Len())
+			}
+			if got.Len() > 0 {
+				wk, wv := want.keys[0], want.vals[0]
+				if gk, gv := got.Peek(); !sameKey(gk, wk) || gv != wv {
+					t.Fatalf("op %d: Peek = (%v, %d), reference (%v, %d)", i, gk, gv, wk, wv)
+				}
+			}
+		}
+		for step := len(ops); want.Len() > 0; step++ {
+			pop(step)
+		}
+	})
+}
+
+func TestKeyBitsOrder(t *testing.T) {
+	keys := append([]float64(nil), tieKeys...)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		k := math.Float64frombits(rng.Uint64())
+		if k == k {
+			keys = append(keys, k)
+		}
+	}
+	for _, a := range keys {
+		if back := keyFloat(keyBits(a)); !sameKey(back, a) {
+			t.Fatalf("keyFloat(keyBits(%v)) = %v", a, back)
+		}
+		for _, b := range keys {
+			if (a < b) != (keyBits(a) < keyBits(b)) || (a == b) != (keyBits(a) == keyBits(b)) {
+				t.Fatalf("keyBits breaks the order of %v and %v", a, b)
+			}
+		}
+	}
 }

@@ -13,7 +13,6 @@ package quadtree
 
 import (
 	"math"
-	"sort"
 
 	"silc/internal/geom"
 )
@@ -285,20 +284,23 @@ func (b *Builder) buildRange(cell geom.Cell, lo, hi int, colors []int32, ratios 
 		if color < 0 {
 			return // only the source and/or out-of-range vertices: no block
 		}
-		lamLo, lamHi := float32(math.Inf(1)), float32(math.Inf(-1))
+		// Round outward so float32 bounds still contain every ratio. Both
+		// roundings are monotone, so rounding the smallest and largest
+		// ratio once gives the bounds that rounding each ratio would.
+		minR, maxR := math.Inf(1), math.Inf(-1)
 		for i := lo; i < hi; i++ {
 			if colors[i] == NoColor {
 				continue
 			}
 			r := ratios[i]
-			// Round outward so float32 bounds still contain the ratio.
-			if f := nextDown32(r); f < lamLo {
-				lamLo = f
+			if r < minR {
+				minR = r
 			}
-			if f := nextUp32(r); f > lamHi {
-				lamHi = f
+			if r > maxR {
+				maxR = r
 			}
 		}
+		lamLo, lamHi := nextDown32(minR), nextUp32(maxR)
 		t.Blocks = append(t.Blocks, Block{Cell: cell, Color: color, LamLo: lamLo, LamHi: lamHi})
 		if float64(lamLo) < t.MinLambda {
 			t.MinLambda = float64(lamLo)
@@ -312,22 +314,38 @@ func (b *Builder) buildRange(cell geom.Cell, lo, hi int, colors []int32, ratios 
 	for i := 0; i < 4; i++ {
 		child := cell.Child(i)
 		end := child.End()
-		sub := at + sort.Search(hi-at, func(j int) bool {
-			return b.codes[at+j] >= end
-		})
+		sub, top := at, hi // first index in [at, hi) whose code is >= end
+		for sub < top {
+			mid := int(uint(sub+top) >> 1)
+			if b.codes[mid] >= end {
+				top = mid
+			} else {
+				sub = mid + 1
+			}
+		}
 		b.buildRange(child, at, sub, colors, ratios, t)
 		at = sub
 	}
 }
 
 // nextDown32 converts v to float32 and steps one ULP down, guaranteeing the
-// result does not exceed v even after reconstruction rounding.
+// result does not exceed v even after reconstruction rounding. For a
+// positive finite float32 the step is one less in the bit pattern; every
+// other value takes math.Nextafter32.
 func nextDown32(v float64) float32 {
-	return math.Nextafter32(float32(v), float32(math.Inf(-1)))
+	f := float32(v)
+	if f > 0 && f <= math.MaxFloat32 {
+		return math.Float32frombits(math.Float32bits(f) - 1)
+	}
+	return math.Nextafter32(f, float32(math.Inf(-1)))
 }
 
-// nextUp32 converts v to the smallest float32 not below it, stepping one ULP up.
+// nextUp32 converts v to float32 and steps one ULP up, the float32 image of
+// nextDown32.
 func nextUp32(v float64) float32 {
 	f := float32(v)
+	if f > 0 && f <= math.MaxFloat32 {
+		return math.Float32frombits(math.Float32bits(f) + 1)
+	}
 	return math.Nextafter32(f, float32(math.Inf(1)))
 }

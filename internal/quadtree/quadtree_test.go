@@ -347,6 +347,40 @@ func TestLambdaBoundsOutwardRounding(t *testing.T) {
 	}
 }
 
+// TestNextULPMatchesNextafter32 sweeps the float32 classes the ratio
+// bounds could meet — normals, subnormals, the extremes, zeros, negatives,
+// infinities and NaN — plus float64 inputs between and beyond them, and
+// requires the bit-stepping nextDown32/nextUp32 to return exactly what
+// math.Nextafter32 returns.
+func TestNextULPMatchesNextafter32(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 1.5, -1.5, 1.0 / 3, 2.0 / 3, 1e-40, -1e-40,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.SmallestNonzeroFloat32 / 3, 0x1p-126, 0x1p-126 - 0x1p-149,
+		math.MaxFloat32, -math.MaxFloat32, math.MaxFloat32 * (1 + 0x1p-25), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		vals = append(vals,
+			float64(math.Float32frombits(rng.Uint32())), // every float32 class
+			math.Float64frombits(rng.Uint64()),          // every float64 class
+			1+3*rng.Float64(),                           // the ratios of a road map
+		)
+	}
+	same := func(a, b float32) bool {
+		return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+	}
+	for _, v := range vals {
+		if got, want := nextDown32(v), math.Nextafter32(float32(v), float32(math.Inf(-1))); !same(got, want) {
+			t.Fatalf("nextDown32(%g) = %g (%#x), Nextafter32 %g (%#x)", v, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+		if got, want := nextUp32(v), math.Nextafter32(float32(v), float32(math.Inf(1))); !same(got, want) {
+			t.Fatalf("nextUp32(%g) = %g (%#x), Nextafter32 %g (%#x)", v, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+}
+
 func TestSourceOnlyTree(t *testing.T) {
 	codes := []geom.Code{geom.Encode(100, 100)}
 	tree := NewBuilder(codes).Build([]int32{NoColor}, []float64{0})

@@ -47,13 +47,13 @@ func (t *Tree) PathTo(dst graph.VertexID) []graph.VertexID {
 	return rev
 }
 
-// Workspace holds reusable buffers for repeated Dijkstra runs (the SILC
-// builder runs one per vertex; each parallel worker owns a Workspace).
+// Workspace holds reusable buffers for repeated Dijkstra runs (the
+// partition closure and the distance oracle run one per vertex they
+// cover; each parallel worker owns a Workspace).
 type Workspace struct {
 	dist     []float64
 	parent   []graph.VertexID
 	firstHop []graph.VertexID
-	settled  []bool
 	heap     pqueue.Min[graph.VertexID]
 }
 
@@ -63,23 +63,24 @@ func NewWorkspace(n int) *Workspace {
 		dist:     make([]float64, n),
 		parent:   make([]graph.VertexID, n),
 		firstHop: make([]graph.VertexID, n),
-		settled:  make([]bool, n),
 	}
 }
 
 // Run computes the full shortest-path tree from source. The returned Tree
-// aliases the workspace's buffers.
+// aliases the workspace's buffers. A vertex is pushed only with a key below
+// its current distance, so its pushes carry strictly decreasing keys and
+// every entry but the last is stale: d > dist[v] alone skips them, with no
+// settled flags.
 func (ws *Workspace) Run(g *graph.Network, source graph.VertexID) *Tree {
 	n := g.NumVertices()
 	if len(ws.dist) < n {
 		*ws = *NewWorkspace(n)
 	}
-	dist, parent, firstHop, settled := ws.dist[:n], ws.parent[:n], ws.firstHop[:n], ws.settled[:n]
+	dist, parent, firstHop := ws.dist[:n], ws.parent[:n], ws.firstHop[:n]
 	for i := range dist {
 		dist[i] = Inf
 		parent[i] = graph.NoVertex
 		firstHop[i] = graph.NoVertex
-		settled[i] = false
 	}
 	h := &ws.heap
 	h.Reset()
@@ -89,10 +90,9 @@ func (ws *Workspace) Run(g *graph.Network, source graph.VertexID) *Tree {
 	count := 0
 	for h.Len() > 0 {
 		d, v := h.Pop()
-		if settled[v] || d > dist[v] {
+		if d > dist[v] {
 			continue
 		}
-		settled[v] = true
 		count++
 		targets, weights := g.Neighbors(v)
 		for i, t := range targets {
