@@ -115,6 +115,28 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	}
 }
 
+// smallPoolEngine is the paged variant behind the paper's 5% pool (PG2,
+// positioned reads) that TestAllocBudgetKNN and TestAllocBudgetRange add to
+// allocEngines: its warm queries evict and re-read pages, each miss into a
+// frame an eviction gave back, and decode every run they look up, so the
+// budget holds only if no decoded tree is allocated along the way.
+func smallPoolEngine(t testing.TB, net *Network) allocEngine {
+	t.Helper()
+	ix, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := ix.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocEngine{"paged-pg2-pool5%-warm", paged.Engine()}
+}
+
 func allocFixture(t testing.TB) (*Network, *ObjectSet, []VertexID, []VertexID) {
 	t.Helper()
 	net := testNetwork(t)
@@ -148,7 +170,7 @@ func TestAllocBudgetKNN(t *testing.T) {
 	net, objs, _, queries := allocFixture(t)
 	ctx := context.Background()
 	q := queries[0]
-	for _, ae := range allocEngines(t, net) {
+	for _, ae := range append(allocEngines(t, net), smallPoolEngine(t, net)) {
 		t.Run(ae.name, func(t *testing.T) {
 			got := measureAllocs(func() {
 				if _, err := ae.eng.Query(ctx, objs, q, 10); err != nil {
@@ -171,7 +193,7 @@ func TestAllocBudgetRange(t *testing.T) {
 	net, objs, _, queries := allocFixture(t)
 	ctx := context.Background()
 	q := queries[1]
-	for _, ae := range allocEngines(t, net) {
+	for _, ae := range append(allocEngines(t, net), smallPoolEngine(t, net)) {
 		t.Run(ae.name, func(t *testing.T) {
 			got := measureAllocs(func() {
 				if _, err := ae.eng.WithinDistance(ctx, objs, q, 0.25); err != nil {
@@ -549,10 +571,9 @@ func TestAllocBudgetLiveMutation(t *testing.T) {
 // page read — fewer once the pool fills and each eviction gives its frame
 // to the next miss (7 allocations for 30 reads) — and two allocations
 // besides: the WithStats option and the frame map's first bucket. Each
-// refinement hop is a single-block lookup that streams its vertex's run
-// and keeps one block; none materializes a tree the query never comes back
-// to (at 3 allocations per decoded tree, the old path cost several times
-// this budget).
+// refinement hop is a single-block lookup that decodes its vertex's run and
+// keeps one block; none builds a tree (at 3 allocations per decoded tree,
+// a path that did cost several times this budget).
 func TestAllocBudgetColdDistance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -612,17 +633,16 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 
 // budgetWarmPagedDistanceAllocs bounds the allocations of a warm pass of
 // 32 distances behind an evicting pool (TestAllocBudgetWarmPagedDistance),
-// however many pages the pass reads: two per distance (its QueryStats and
-// the WithStats option) and the trees two second lookups materialize.
-// Measured 70 with 325 page reads; 395 when every miss allocated a frame.
-const budgetWarmPagedDistanceAllocs = 70
+// however many pages the pass reads: two per distance, its QueryStats and
+// the WithStats option. Measured 64 with 325 page reads; 70 while the store
+// cached the trees of second lookups, 395 when every miss allocated a
+// frame.
+const budgetWarmPagedDistanceAllocs = 64
 
 // TestAllocBudgetWarmPagedDistance pins what warm distances cost behind a
 // 5% PG2 pool over positioned reads that does evict: every miss reads into
-// a frame an eviction gave back, so the allocations of a pass do not grow
-// with its page reads. What a pass still allocates is the trees its
-// lookups materialize on a vertex's second use while its pages stay
-// resident.
+// a frame an eviction gave back and no lookup builds a tree, so the
+// allocations of a pass do not grow with its page reads.
 func TestAllocBudgetWarmPagedDistance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")

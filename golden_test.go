@@ -132,8 +132,8 @@ func TestGoldenMonolithicPaged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening golden: %v", err)
 	}
-	// Round trip THROUGH the demand-paged store: materialize every tree
-	// from pages and re-serialize; the image must be byte-identical.
+	// Round trip THROUGH the demand-paged store: decode every tree from
+	// pages and re-serialize; the image must be byte-identical.
 	var re bytes.Buffer
 	if _, err := opened.WritePaged(&re); err != nil {
 		t.Fatal(err)

@@ -105,9 +105,12 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 // OpenIndex opens a paged index file (written by Index.WriteFile or
 // silcbuild -o). The file embeds the network, so no separate
 // network file is needed; the quadtrees stay on disk and queries
-// materialize them page by page through an LRU buffer pool sized by
-// opts.CacheFraction (default 5% of the database pages). Resident memory
-// therefore tracks the pool capacity, not the index size. Close the
+// read them page by page through an LRU buffer pool sized by
+// opts.CacheFraction (default 5% of the database pages), the store's only
+// cache: a lookup decodes the blocks it needs from the run's pages, keeping
+// no decoded tree. Resident memory therefore tracks the pool capacity, not
+// the index size, plus per-vertex bookkeeping (the extent table and, for
+// PG2, one 16-byte restart point per 16 blocks). Close the
 // returned Index to release the file.
 func OpenIndex(path string, opts BuildOptions) (*Index, error) {
 	open := store.OpenFile

@@ -90,8 +90,8 @@ func (ix *Index) Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefin
 }
 
 // RegionLowerBoundCtx implements QueryIndex. On a memory-resident index the
-// walk touches no paged blocks; a disk-backed index materializes q's
-// quadtree through qc first.
+// walk touches no paged blocks; a disk-backed index walks the tree of q that
+// qc holds, decoded by the query's first bound from q (sourceTree).
 func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
 	return ix.regionLowerBound(qc, q, cell)
 }

@@ -147,6 +147,16 @@ type QueryContext struct {
 	// their own per-query sub-allocations (e.g. the partition layer's
 	// route-refiner slab) are safe to recycle.
 	gen uint64
+	// source is the quadtree region bounds read on a paged index: vertex v's
+	// tree in index ix, decoded by the query's first bound from v and only
+	// re-touched by the rest (Index.sourceTree). The key names the index
+	// because the cells of a sharded index share one context. ResetForReuse
+	// drops the key and keeps the tree's block storage.
+	source struct {
+		ix   *Index
+		v    graph.VertexID
+		tree quadtree.Tree
+	}
 }
 
 // Gen returns the context's reuse generation; it changes on every
@@ -188,6 +198,7 @@ func (qc *QueryContext) ResetForReuse(ctx context.Context) {
 	qc.Span = obs.Span{}
 	qc.ioErr = nil
 	qc.refiners.reset()
+	qc.source.ix = nil
 	qc.gen++
 	qc.ctx = nil
 	if ctx != nil && ctx != context.Background() {
@@ -261,14 +272,19 @@ func (qc *QueryContext) ioCounter() *diskio.Stats {
 }
 
 // TreeSource supplies per-vertex shortest-path quadtrees to a disk-backed
-// Index. Tree materializes v's quadtree — lazily, through a buffer pool of
-// real pages — and Lookup returns the one block of it whose cell contains
-// code (ok false when none does) without having to build the tree. Both
-// charge any page traffic to ioStats (nil = untracked) and return an error
-// for unreadable or corrupt storage. Implementations must be safe for
-// unlimited concurrent callers; internal/store.Store is the canonical one.
+// Index, reading them through a buffer pool of real pages and keeping
+// nothing decoded. Tree decodes v's quadtree into a new tree, DecodeTree
+// into the caller's, reusing its storage; Touch touches the pages either
+// would without decoding, for a caller that still holds the tree; Lookup
+// returns the one block of it whose cell contains code (ok false when none
+// does) without building the tree. All charge their page traffic to ioStats
+// (nil = untracked) and return an error for unreadable or corrupt storage.
+// Implementations must be safe for unlimited concurrent callers;
+// internal/store.Store is the canonical one.
 type TreeSource interface {
 	Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error)
+	DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error
+	Touch(ioStats *diskio.Stats, v graph.VertexID) error
 	Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error)
 	BlockCount(v graph.VertexID) int
 }
@@ -321,9 +337,9 @@ func NewPagedIndex(cfg PagedConfig) *Index {
 	}
 }
 
-// Tree resolves v's shortest-path quadtree from memory or the paged source,
-// charging page traffic to qc and recording source failures on it. The tree
-// is read-only and shared.
+// Tree resolves v's shortest-path quadtree from memory or, decoded anew,
+// from the paged source, charging page traffic to qc and recording source
+// failures on it. The tree is read-only.
 func (ix *Index) Tree(qc *QueryContext, v graph.VertexID) (*quadtree.Tree, bool) {
 	if ix.src == nil {
 		return &ix.trees[v], true
@@ -502,11 +518,36 @@ func (ix *Index) regionLowerBound(qc *QueryContext, q graph.VertexID, cell geom.
 	if cell.ContainsCode(ix.g.Code(q)) {
 		return 0
 	}
-	t, ok := ix.Tree(qc, q)
+	t, ok := ix.sourceTree(qc, q)
 	if !ok {
 		return 0 // storage failure recorded on qc; 0 is a valid lower bound
 	}
 	return t.CellLowerBound(ix.g.Point(q), cell)
+}
+
+// sourceTree is Tree for region bounds, which a query asks of one source
+// many times: on a paged index the tree qc holds is decoded by the query's
+// first bound from q and only touched by the rest, so the pool sees the
+// same page touches as a decode per bound would cause.
+func (ix *Index) sourceTree(qc *QueryContext, q graph.VertexID) (*quadtree.Tree, bool) {
+	if ix.src == nil || qc == nil {
+		return ix.Tree(qc, q)
+	}
+	src := &qc.source
+	var err error
+	if src.ix == ix && src.v == q {
+		err = ix.src.Touch(&qc.IO, q)
+	} else {
+		src.ix = nil // a failed decode leaves the tree unspecified
+		if err = ix.src.DecodeTree(&qc.IO, q, &src.tree); err == nil {
+			src.ix, src.v = ix, q
+		}
+	}
+	if err != nil {
+		qc.Fail(err)
+		return nil, false
+	}
+	return &src.tree, true
 }
 
 // Refiner carries the progressive-refinement state for one (src, dst) pair:

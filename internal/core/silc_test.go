@@ -440,6 +440,46 @@ func TestPagedIndexTracksIO(t *testing.T) {
 	}
 }
 
+// TestSourceTreeKeyedByIndex holds the source tree a query context keeps
+// for region bounds to its key. One context asks bounds from the same
+// vertex of two paged indexes of different networks, in turn, as the cells
+// of a sharded index share one context; every bound must be the in-RAM
+// index's. The held tree must also cost the pool what a decode per bound
+// would: the same bounds, asked through a fresh context each on a second
+// handle of each image, must leave the same pool counters.
+func TestSourceTreeKeyedByIndex(t *testing.T) {
+	mems := []*Index{buildIndex(t, roadNet(t, 8, 8, 12)), buildIndex(t, roadNet(t, 9, 9, 13))}
+	var held, fresh []*Index
+	for _, mem := range mems {
+		held = append(held, pagedIndex(t, mem, 0.05))
+		fresh = append(fresh, pagedIndex(t, mem, 0.05))
+	}
+	const q = 3
+	qc := NewQueryContext()
+	for round := 0; round < 3; round++ {
+		for level := uint8(1); level <= 3; level++ {
+			for i, mem := range mems {
+				for code := uint64(0); code < geom.Span(0); code += geom.Span(level) {
+					cell := geom.Cell{Code: geom.Code(code), Level: level}
+					if got, want := held[i].RegionLowerBoundCtx(qc, q, cell), mem.RegionLowerBound(q, cell); got != want {
+						t.Fatalf("index %d round %d cell %v: bound %v, in-RAM %v", i, round, cell, got, want)
+					}
+					fresh[i].RegionLowerBoundCtx(NewQueryContext(), q, cell)
+				}
+			}
+		}
+	}
+	if err := qc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range mems {
+		h, f := held[i].Tracker().Stats(), fresh[i].Tracker().Stats()
+		if h.Hits != f.Hits || h.Misses != f.Misses || h.Evictions != f.Evictions || h.Hits+h.Misses == 0 {
+			t.Fatalf("index %d: pool counters with the held tree %+v, with a decode per bound %+v", i, h, f)
+		}
+	}
+}
+
 func TestIntervalHelpers(t *testing.T) {
 	a := Interval{Lo: 1, Hi: 3}
 	b := Interval{Lo: 2.5, Hi: 4}

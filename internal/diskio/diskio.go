@@ -46,8 +46,7 @@ type Stats struct {
 	// (adjacency-page misses are counted but read nothing).
 	Reads int64 `json:"reads,omitempty"`
 	// BlocksDecoded counts quadtree blocks a paged store's decoder actually
-	// passed, by streamed lookups and tree materializations alike (zero on
-	// in-RAM indexes).
+	// passed, by lookups and tree decodes alike (zero on in-RAM indexes).
 	BlocksDecoded int64 `json:"blocks_decoded,omitempty"`
 }
 

@@ -53,7 +53,7 @@ type Tree struct {
 	// dominate Euclidean segment lengths.
 	MinLambda float64
 	// codes mirrors Blocks[i].Cell.Code in a packed side array. The lookup
-	// binary search probes it instead of the 24-byte Block structs: eight
+	// binary search probes it instead of the 32-byte Block structs: eight
 	// codes share a cache line where two blocks do, so the tail of the
 	// search — the probes that are never prefetchable — stays in one or two
 	// lines. Built by Seal; lookups fall back to Blocks when absent.

@@ -32,11 +32,15 @@ type codec struct {
 	// end).
 	checkRun func(count, bytes int64) error
 	encode   func(dst []byte, blocks []quadtree.Block) ([]byte, error)
-	decode   func(run []byte, count, deg int) ([]quadtree.Block, float64, error)
-	// lookup finds the block containing code and counts the blocks it
-	// decoded: a whole validating pass, or — for a run that already passed
-	// one — only as many checked blocks as the answer needs.
-	lookup func(run []byte, count, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error)
+	// decode decodes a whole run, appending to dst[:0]. lookup finds the
+	// block containing code and counts the blocks it decoded: a whole
+	// validating pass, which records the run's restart points into points,
+	// or — for a run that already passed one — only as many checked blocks
+	// as the answer needs, resuming from those points. points is how many
+	// restart points a run of count blocks has.
+	decode func(dst []quadtree.Block, run []byte, count, deg int) ([]quadtree.Block, float64, error)
+	lookup func(run []byte, count, deg int, code geom.Code, points []restart, validated bool) (quadtree.Block, bool, int, error)
+	points func(count int) int
 }
 
 var codecs = [...]codec{
@@ -53,12 +57,13 @@ var codecs = [...]codec{
 			return nil
 		},
 		encode: appendEntries,
-		decode: func(run []byte, _, deg int) ([]quadtree.Block, float64, error) {
-			return DecodeBlocks(run, deg)
+		decode: func(dst []quadtree.Block, run []byte, _, deg int) ([]quadtree.Block, float64, error) {
+			return decodeBlocks(dst, run, deg)
 		},
-		lookup: func(run []byte, _, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
+		lookup: func(run []byte, _, deg int, code geom.Code, _ []restart, validated bool) (quadtree.Block, bool, int, error) {
 			return LookupBlocks(run, deg, code, validated)
 		},
+		points: func(int) int { return 0 }, // a validated lookup binary-searches
 	},
 	CompressionDelta: {
 		comp:          CompressionDelta,
@@ -73,8 +78,9 @@ var codecs = [...]codec{
 			return nil
 		},
 		encode: CompressRun,
-		decode: DecompressRun,
-		lookup: LookupRun,
+		decode: decompressRun,
+		lookup: lookupRun,
+		points: restartPoints,
 	},
 }
 

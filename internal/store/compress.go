@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
+	"sync/atomic"
 
 	"silc/internal/geom"
 	"silc/internal/quadtree"
@@ -208,14 +211,19 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 // header's length guard bounds the allocation by len(data) — a corrupt page
 // cannot demand more memory than its own size times a small constant.
 func DecompressRun(data []byte, count, deg int) ([]quadtree.Block, float64, error) {
+	return decompressRun(nil, data, count, deg)
+}
+
+// decompressRun is DecompressRun appending to dst[:0].
+func decompressRun(dst []quadtree.Block, data []byte, count, deg int) ([]quadtree.Block, float64, error) {
 	d, err := newRunDecoder(data, count, deg)
 	if err != nil {
 		return nil, 0, err
 	}
 	if count == 0 {
-		return nil, 1, nil
+		return dst[:0], 1, nil
 	}
-	blocks := make([]quadtree.Block, count)
+	blocks := slices.Grow(dst[:0], count)[:count]
 	minLambda := math.Inf(1)
 	for i := range blocks {
 		if err := d.next(&blocks[i]); err != nil {
@@ -231,23 +239,45 @@ func DecompressRun(data []byte, count, deg int) ([]quadtree.Block, float64, erro
 	return blocks, minLambda, nil
 }
 
-// LookupRun is the single-block counterpart of DecompressRun: it returns the
+// restartEvery is the most blocks a validated lookup of a run decodes.
+const restartEvery = 16
+
+// restart is the decoder state in front of block (j+1)·restartEvery of a
+// run, its j-th restart point: the offset of the block's header byte, the
+// end of the block before it, the ratio bits its delta starts from and the
+// dictionary index in force. Two first passes over one run may record its
+// points at once; the fields are atomic, and both store the same values.
+type restart struct {
+	at, prevEnd, prevLo, curIdx atomic.Uint32
+}
+
+// restartPoints is how many restart points a run of count blocks has.
+func restartPoints(count int) int { return max(count-1, 0) / restartEvery }
+
+// lookupRun is the single-block counterpart of DecompressRun: it returns the
 // block whose cell contains code (ok false when none does) and how many
 // blocks it decoded. It allocates nothing.
 //
 // Unless validated, it is one pass of the same decoder over the whole run —
 // every check, the trailing-bytes check included, so it errors exactly when
-// DecompressRun does. A validated run is one that already passed such a pass
-// (the caller vouches its bytes are unchanged since): the header and every
-// block decoded are still checked, but the pass stops at the first block
-// ending past code, which either contains it or proves no block does.
-func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (found quadtree.Block, ok bool, decoded int, err error) {
+// DecompressRun does — recording the run's restart points into points. A
+// validated run passed such a pass (the caller vouches its bytes are
+// unchanged since), and points are the ones it recorded, or nil: the lookup
+// resumes from the last point in front of the first block ending past code,
+// still checks every block it decodes, and stops at that block, which
+// either contains code or proves no block does.
+func lookupRun(data []byte, count, deg int, code geom.Code, points []restart, validated bool) (found quadtree.Block, ok bool, decoded int, err error) {
 	d, err := newRunDecoder(data, count, deg)
 	if err != nil {
 		return quadtree.Block{}, false, 0, err
 	}
+	first := 0
+	if validated {
+		first, points = d.resume(points, code), nil // read the points, record none
+	}
 	var b quadtree.Block
-	for i := 0; i < count; i++ {
+	for i := first; i < count; i++ {
+		d.record(points)
 		if err := d.next(&b); err != nil {
 			return quadtree.Block{}, false, 0, err
 		}
@@ -255,18 +285,18 @@ func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (fou
 			found, ok = b, true
 		}
 		if validated && b.Cell.End() > code {
-			return found, ok, i + 1, nil
+			return found, ok, i + 1 - first, nil
 		}
 	}
 	if err := d.finish(); err != nil {
 		return quadtree.Block{}, false, 0, err
 	}
-	return found, ok, count, nil
+	return found, ok, count - first, nil
 }
 
 // runDecoder walks one compressed run block by block. newRunDecoder checks
 // the run header; next decodes and validates one block; finish checks the
-// run was consumed exactly. DecompressRun and LookupRun (both of its modes)
+// run was consumed exactly. DecompressRun and lookupRun (both of its modes)
 // drive it, so every check is written once.
 type runDecoder struct {
 	data    []byte
@@ -421,6 +451,32 @@ func (d *runDecoder) next(b *quadtree.Block) error {
 		return fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
 	}
 	return nil
+}
+
+// record stores the decoder state into the restart point in front of the
+// next block, when points has one there.
+func (d *runDecoder) record(points []restart) {
+	if j := d.i/restartEvery - 1; d.i%restartEvery == 0 && j >= 0 && j < len(points) {
+		p := &points[j]
+		p.at.Store(uint32(d.at))
+		p.prevEnd.Store(uint32(d.prevEnd))
+		p.prevLo.Store(uint32(d.prevLo))
+		p.curIdx.Store(uint32(d.curIdx))
+	}
+}
+
+// resume positions the decoder on the last restart point whose preceding
+// blocks all end at or before code and returns its block index (0, the
+// run's start, when there is none).
+func (d *runDecoder) resume(points []restart, code geom.Code) int {
+	j := sort.Search(len(points), func(j int) bool { return geom.Code(points[j].prevEnd.Load()) > code })
+	if j == 0 {
+		return 0
+	}
+	p := &points[j-1]
+	d.i = j * restartEvery
+	d.at, d.prevEnd, d.prevLo, d.curIdx = int(p.at.Load()), uint64(p.prevEnd.Load()), int64(p.prevLo.Load()), int(p.curIdx.Load())
+	return d.i
 }
 
 // finish checks that the blocks consumed the run exactly.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"silc/internal/geom"
 	"silc/internal/quadtree"
@@ -26,7 +27,7 @@ func appendEntries(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBlocks decodes one vertex's contiguous run of 16-byte Morton-block
+// decodeBlocks decodes one vertex's contiguous run of 16-byte Morton-block
 // entries into quadtree blocks, validating every structural invariant the
 // query path relies on: cell levels within the grid, cell codes aligned to
 // their level, blocks sorted and disjoint, colors inside the vertex's
@@ -35,13 +36,14 @@ func appendEntries(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 // quadtree.Tree.MinLambda semantics).
 //
 // This is the demand-paging deserializer: a corrupted block page surfaces
-// here as an error, never as a panic or a silently wrong tree.
-func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
+// here as an error, never as a panic or a silently wrong tree. The blocks
+// are appended to dst[:0].
+func decodeBlocks(dst []quadtree.Block, data []byte, deg int) ([]quadtree.Block, float64, error) {
 	d, count, err := newEntryDecoder(data, deg)
 	if err != nil {
 		return nil, 0, err
 	}
-	blocks := make([]quadtree.Block, count)
+	blocks := slices.Grow(dst[:0], count)[:count]
 	minLambda := math.Inf(1)
 	for i := range blocks {
 		if err := d.next(&blocks[i]); err != nil {
@@ -57,12 +59,12 @@ func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
 	return blocks, minLambda, nil
 }
 
-// LookupBlocks is the single-block counterpart of DecodeBlocks: it returns
+// LookupBlocks is the single-block counterpart of decodeBlocks: it returns
 // the block whose cell contains code (ok false when none does) and how many
 // entries it decoded. It allocates nothing.
 //
 // Unless validated, it is one validating pass over every entry of the run,
-// so it errors exactly when DecodeBlocks does. A validated run is one that
+// so it errors exactly when decodeBlocks does. A validated run is one that
 // already passed such a pass (the caller vouches its bytes are unchanged
 // since), so its entries are known sorted and disjoint: the lookup binary
 // searches for the first entry ending past code, and every entry it reads
@@ -104,7 +106,7 @@ func LookupBlocks(data []byte, deg int, code geom.Code, validated bool) (found q
 	return found, ok, count, nil
 }
 
-// entryDecoder walks a fixed-width run entry by entry; DecodeBlocks and
+// entryDecoder walks a fixed-width run entry by entry; decodeBlocks and
 // LookupBlocks both drive it, so every check is written once.
 type entryDecoder struct {
 	data    []byte

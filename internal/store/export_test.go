@@ -1,16 +1,21 @@
 package store
 
-import "silc/internal/graph"
+import (
+	"silc/internal/geom"
+	"silc/internal/graph"
+	"silc/internal/quadtree"
+)
 
-// VertexState reports whether v's decoded tree is cached, whether its
-// streamed bit is set, and whether its run has passed a full validating
-// pass — the state that decides which path Lookup takes.
-func (s *Store) VertexState(v graph.VertexID) (cached, streamed, validated bool) {
-	return s.cachedTree(v) != nil, s.streamed.has(v), s.validated.has(v)
-}
+// RestartEvery is how many blocks of a PG2 run lie between two restart
+// points.
+const RestartEvery = restartEvery
+
+// Validated reports whether v's run has passed a full validating pass, the
+// state that decides which path Lookup takes.
+func (s *Store) Validated(v graph.VertexID) bool { return s.validated.has(v) }
 
 // EvictVertex routes an eviction of v's first page through the pager, the
-// way the pool reports one, releasing v's tree and clearing its streamed bit.
+// way the pool reports one.
 func (s *Store) EvictVertex(v graph.VertexID) {
 	if first, _, ok := s.layout.OwnerPages(int(v)); ok {
 		s.pager.Evict(s.pageBase + first)
@@ -23,4 +28,28 @@ func (pg *Pager) FreeFrames() int {
 	pg.freeMu.Lock()
 	defer pg.freeMu.Unlock()
 	return len(pg.free)
+}
+
+// DecodeBlocks decodes a PG1 run into new blocks.
+func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
+	return decodeBlocks(nil, data, deg)
+}
+
+// LookupRun is the PG2 single-block lookup with no restart points: its
+// validated mode decodes from the start of the run.
+func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
+	return lookupRun(data, count, deg, code, nil, validated)
+}
+
+// IndexRun runs the full validating pass of the PG2 lookup over a run,
+// recording its restart points, and returns the validated lookup that
+// resumes from them, or the pass's error when the run fails it.
+func IndexRun(data []byte, count, deg int) (func(geom.Code) (quadtree.Block, bool, int, error), error) {
+	points := make([]restart, restartPoints(count))
+	if _, _, _, err := lookupRun(data, count, deg, 0, points, false); err != nil {
+		return nil, err
+	}
+	return func(code geom.Code) (quadtree.Block, bool, int, error) {
+		return lookupRun(data, count, deg, code, points, true)
+	}, nil
 }

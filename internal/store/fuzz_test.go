@@ -61,15 +61,30 @@ func quadtreeDecodeSeeds(tb testing.TB) [][]byte {
 	return [][]byte{run, run[:len(run)/2], flip, {}, make([]byte, 16)}
 }
 
-// checkLookupPass holds a codec's single-block lookup to the materializing
+// checkLookupPass holds a codec's single-block lookup to the whole-run
 // decode of the same run. The full pass errors iff decodeErr is set, and on
 // an accepted run it decodes every block and returns, for probes inside, at
 // the edges of and between the decoded blocks, exactly the block the decoded
 // tree finds. On an accepted run the validated lookup — the early exit a
 // store takes once the full pass succeeded — must return the same block and
 // ok for every probe, decoding no more blocks than the run holds.
-func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(code geom.Code, validated bool) (quadtree.Block, bool, int, error)) {
+//
+// index, for the PG2 codec, runs the full pass that records the run's
+// restart points and returns the validated lookup resuming from them. The
+// pass must fail iff decodeErr is set; on an accepted run the lookup
+// resuming from its points must return the full pass's block and ok for
+// every probe, decoding exactly the blocks from its restart point through
+// the first block ending past the probe.
+func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(code geom.Code, validated bool) (quadtree.Block, bool, int, error),
+	index func() (func(geom.Code) (quadtree.Block, bool, int, error), error)) {
 	t.Helper()
+	var indexed func(geom.Code) (quadtree.Block, bool, int, error)
+	if index != nil {
+		var err error
+		if indexed, err = index(); (err != nil) != (decodeErr != nil) {
+			t.Fatalf("indexing pass error %v, decode error %v", err, decodeErr)
+		}
+	}
 	probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
 	for _, b := range blocks {
 		probes = append(probes, b.Cell.Code, b.Cell.Code-1, b.Cell.End()-1, b.Cell.End())
@@ -93,6 +108,14 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 			t.Fatalf("probe %x: validated lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d blocks)",
 				code, got, ok, decoded, err, want, wok, len(blocks))
 		}
+		if indexed == nil {
+			continue
+		}
+		got, ok, decoded, err = indexed(code)
+		if limit := validatedDecodes("PG2", tree, code); err != nil || ok != wok || got != want || int64(decoded) != limit {
+			t.Fatalf("probe %x: restart-indexed lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d of %d blocks)",
+				code, got, ok, decoded, err, want, wok, limit, len(blocks))
+		}
 	}
 }
 
@@ -109,7 +132,7 @@ func FuzzQuadtreeDecode(f *testing.F) {
 		blocks, minLambda, err := store.DecodeBlocks(data, int(deg))
 		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
 			return store.LookupBlocks(data, int(deg), code, validated)
-		})
+		}, nil)
 		if err != nil {
 			return
 		}
@@ -130,7 +153,8 @@ func FuzzQuadtreeDecode(f *testing.F) {
 }
 
 // pageDecodeSeeds builds seed inputs for the compressed-run decoder: a real
-// delta-compressed vertex run plus hand-mangled variants.
+// delta-compressed vertex run plus hand-mangled variants, and the longest
+// run of a 12×12 grid, which has restart points to resume from.
 func pageDecodeSeeds(tb testing.TB) []struct {
 	data  []byte
 	count uint16
@@ -181,7 +205,42 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 		{flipHeader, count},
 		{nil, 0},
 		{make([]byte, 64), 7},
+		longestRunSeed(tb, 12),
 	}
+}
+
+// longestRunSeed returns the delta-compressed run of the vertex with the
+// most blocks in a side×side grid's index, and its block count.
+func longestRunSeed(tb testing.TB, side int) struct {
+	data  []byte
+	count uint16
+} {
+	tb.Helper()
+	g, err := graph.GenerateGrid(side, side)
+	if err != nil {
+		tb.Fatalf("grid: %v", err)
+	}
+	ix, err := core.Build(g, core.BuildOptions{})
+	if err != nil {
+		tb.Fatalf("build: %v", err)
+	}
+	var longest *quadtree.Tree
+	for v := 0; v < g.NumVertices(); v++ {
+		if t, _ := ix.Tree(nil, graph.VertexID(v)); longest == nil || len(t.Blocks) > len(longest.Blocks) {
+			longest = t
+		}
+	}
+	if len(longest.Blocks) <= 2*store.RestartEvery {
+		tb.Fatalf("longest run of a %d×%d grid has only %d blocks", side, side, len(longest.Blocks))
+	}
+	run, err := store.CompressRun(nil, longest.Blocks)
+	if err != nil {
+		tb.Fatalf("compress: %v", err)
+	}
+	return struct {
+		data  []byte
+		count uint16
+	}{run, uint16(len(longest.Blocks))}
 }
 
 // FuzzPageDecode feeds arbitrary byte streams, block counts, and out-degrees
@@ -190,8 +249,8 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 // the query path relies on AND survive a re-encode/re-decode round trip
 // bit-identically — the encoder is canonical, so a decode that cannot be
 // reproduced by the writer indicates the decoder accepted garbage. The
-// single-block lookup, full and validated, must agree with the decode
-// (checkLookupPass).
+// single-block lookup, full, validated and resuming from restart points,
+// must agree with the decode (checkLookupPass).
 func FuzzPageDecode(f *testing.F) {
 	for _, seed := range pageDecodeSeeds(f) {
 		f.Add(seed.data, seed.count, uint8(4))
@@ -200,6 +259,8 @@ func FuzzPageDecode(f *testing.F) {
 		blocks, minLambda, err := store.DecompressRun(data, int(count), int(deg))
 		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
 			return store.LookupRun(data, int(count), int(deg), code, validated)
+		}, func() (func(geom.Code) (quadtree.Block, bool, int, error), error) {
+			return store.IndexRun(data, int(count), int(deg))
 		})
 		if err != nil {
 			return
@@ -292,8 +353,8 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 
 // FuzzOpenPaged drives the store opener with arbitrary images. A
 // successful open is fully exercised: every vertex's quadtree is
-// materialized, so lazily-detected page corruption also surfaces as
-// errors, never panics.
+// decoded, so lazily-detected page corruption also surfaces as errors,
+// never panics.
 func FuzzOpenPaged(f *testing.F) {
 	for _, seed := range openPagedSeeds(f) {
 		f.Add(seed)

@@ -29,16 +29,14 @@ func sameBlock(a, b quadtree.Block) bool {
 // TestLookupMatchesTree is the differential test of the single-block lookup.
 // On both encodings, both page sources, and pools of one page, 5% and 100%,
 // every vertex is probed with the code of every vertex plus codes no vertex
-// has. Each probe goes through every path — a streamed first use, a
-// materialized second use, the cached tree, and a validated use: a streamed
-// one again after an eviction, of a run that already passed a full check —
-// and each answer must equal, in its bits and in ok, the block
-// Tree().FindIndex finds on a separate handle of the same image. The blocks
-// each lookup decoded must be those of the path the state before it
-// prescribes: the whole run on a full pass, none from a cached tree, and on
-// the validated path only the blocks up to the first one ending past the
-// probe (PG2) or one binary search's worth (PG1). Where no eviction
-// interferes, the state after each lookup must be the one its path leaves.
+// has, over both paths a lookup takes: the full validating pass of a run
+// that has passed none yet, and the validated lookup of one that has — some
+// of them right after an eviction of the run's first page, so its pages are
+// read again. Each answer must equal, in its bits and in ok, the block
+// Tree().FindIndex finds on a separate handle of the same image. A full pass
+// must decode the whole run and leave it validated; a validated lookup on
+// PG2 must decode exactly the blocks from its restart point to the first
+// block ending past the probe, on PG1 at most one binary search's worth.
 func TestLookupMatchesTree(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	pg2, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
@@ -61,21 +59,6 @@ func TestLookupMatchesTree(t *testing.T) {
 		name string
 		img  []byte
 	}{{"PG1", writeImage(t, ix)}, {"PG2", writeImage(t, pg2)}} {
-		// validatedDecodes is how many blocks a validated lookup of probe c
-		// decodes from a run of tree's blocks: exactly that many on PG2, at
-		// most that many on PG1.
-		validatedDecodes := func(tree *quadtree.Tree, c geom.Code) int {
-			count := len(tree.Blocks)
-			if enc.name == "PG1" {
-				return bits.Len(uint(count)) // at most one binary search
-			}
-			for i, b := range tree.Blocks {
-				if b.Cell.End() > c {
-					return i + 1
-				}
-			}
-			return count
-		}
 		ref, err := store.Open(bytes.NewReader(enc.img), int64(len(enc.img)), store.OpenOptions{CacheFraction: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -103,26 +86,16 @@ func TestLookupMatchesTree(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for pass := 0; pass < 3; pass++ {
+						for pass := 0; pass < 2; pass++ {
 							for i, c := range probes {
 								if (i+pass)%3 == 0 {
-									_, _, wasValidated := s.VertexState(vid)
 									s.EvictVertex(vid)
-									if cached, streamed, validated := s.VertexState(vid); cached || streamed || validated != wasValidated {
-										t.Fatalf("vertex %d: an eviction left cached=%v streamed=%v, validated %v → %v",
-											v, cached, streamed, wasValidated, validated)
-									}
 								}
-								cached, streamed, validated := s.VertexState(vid)
-								path := "streamed"
+								path := "full"
 								switch {
 								case s.BlockCount(vid) == 0:
 									path = "empty"
-								case cached:
-									path = "cached"
-								case streamed:
-									path = "materialized"
-								case validated:
+								case s.Validated(vid):
 									path = "validated"
 								}
 								paths[path]++
@@ -140,48 +113,58 @@ func TestLookupMatchesTree(t *testing.T) {
 									t.Fatalf("vertex %d probe %x (%s): Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
 										v, c, path, got, ok, want, wok)
 								}
-								switch count := int64(len(tree.Blocks)); path {
-								case "streamed", "materialized":
-									if io.BlocksDecoded != count {
-										t.Fatalf("vertex %d probe %x (%s): decoded %d of %d blocks", v, c, path, io.BlocksDecoded, count)
+								count := len(tree.Blocks)
+								switch path {
+								case "full":
+									if io.BlocksDecoded != int64(count) {
+										t.Fatalf("vertex %d probe %x (full): decoded %d of %d blocks", v, c, io.BlocksDecoded, count)
 									}
 								case "validated":
-									limit := int64(validatedDecodes(tree, c))
-									if io.BlocksDecoded < 1 || io.BlocksDecoded > limit || (enc.name == "PG2" && io.BlocksDecoded != limit) {
-										t.Fatalf("vertex %d probe %x (validated): decoded %d blocks, want at most %d of %d",
-											v, c, io.BlocksDecoded, limit, count)
+									if limit := validatedDecodes(enc.name, tree, c); io.BlocksDecoded < 1 || io.BlocksDecoded > limit ||
+										(enc.name == "PG2" && io.BlocksDecoded != limit) {
+										t.Fatalf("vertex %d probe %x (validated): decoded %d of %d blocks, want %d (PG2) or at most that (PG1)",
+											v, c, io.BlocksDecoded, count, limit)
 									}
 								default:
 									if io.BlocksDecoded != 0 {
-										t.Fatalf("vertex %d probe %x (%s): decoded %d blocks", v, c, path, io.BlocksDecoded)
+										t.Fatalf("vertex %d probe %x (empty): decoded %d blocks", v, c, io.BlocksDecoded)
 									}
 								}
-								if path == "empty" {
-									continue
-								}
-								nowCached, nowStreamed, nowValidated := s.VertexState(vid)
-								if !nowValidated {
+								if path != "empty" && !s.Validated(vid) {
 									t.Fatalf("vertex %d: a %s lookup left its run unvalidated", v, path)
-								}
-								if io.Evictions > 0 {
-									continue
-								}
-								if (path == "streamed" || path == "validated") && (nowCached || !nowStreamed) {
-									t.Fatalf("vertex %d: a %s lookup left cached=%v streamed=%v", v, path, nowCached, nowStreamed)
-								}
-								if (path == "materialized" || path == "cached") && !nowCached {
-									t.Fatalf("vertex %d: a %s lookup left no cached tree", v, path)
 								}
 							}
 						}
 					}
-					if paths["streamed"] == 0 || paths["materialized"] == 0 || paths["cached"] == 0 || paths["validated"] == 0 {
-						t.Fatalf("paths taken %v: every path must be exercised", paths)
+					if paths["full"] == 0 || paths["validated"] == 0 {
+						t.Fatalf("paths taken %v: both paths must be exercised", paths)
 					}
 				})
 			}
 		}
 	}
+}
+
+// validatedDecodes is how many blocks a validated lookup of probe c decodes
+// from a run of tree's blocks. On PG2 it is exactly the blocks from the
+// lookup's restart point — the last multiple of RestartEvery that has a
+// point and is at most the index k of the first block ending past c (the
+// run's length when none does) — through block k, or to the run's end. On
+// PG1 it is at most one binary search's probes.
+func validatedDecodes(enc string, tree *quadtree.Tree, c geom.Code) int64 {
+	count := len(tree.Blocks)
+	if enc == "PG1" {
+		return int64(bits.Len(uint(count)))
+	}
+	k := count
+	for i, b := range tree.Blocks {
+		if b.Cell.End() > c {
+			k = i
+			break
+		}
+	}
+	start := min(k/store.RestartEvery, (count-1)/store.RestartEvery) * store.RestartEvery
+	return int64(min(k+1, count) - start)
 }
 
 // lookupProbes returns the code of every vertex of g plus codes no vertex
@@ -201,11 +184,14 @@ func lookupProbes(g *graph.Network) []geom.Code {
 }
 
 // TestValidatedLookupConcurrent races lookups of the same runs on one store
-// behind a one-page pool, over both encodings and both page sources: 8
-// goroutines probe every vertex in different orders, so first full passes,
-// validated early exits, materializations and evictions of each other's
-// pages interleave. Every answer must equal Tree().FindIndex on a separate
-// handle, and every run looked up must end validated. Run it under -race.
+// behind a one-page pool, over both encodings and both page sources. First,
+// for every vertex in turn, 8 goroutines released together make the first
+// lookups of its run, so concurrent full passes race to record one PG2 run's
+// restart points. Then the 8 goroutines probe every vertex in different
+// orders, so validated lookups resuming from those points and evictions of
+// each other's pages interleave. Every answer must equal Tree().FindIndex
+// on a separate handle, and every run looked up must end validated. Run it
+// under -race.
 func TestValidatedLookupConcurrent(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	pg2, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
@@ -245,8 +231,39 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 				}
 				defer s.Close()
 				const workers = 8
-				errs := make(chan error, workers)
+				errs := make(chan error, workers*(n+1))
+				check := func(v int, c geom.Code) error {
+					got, ok, err := s.Lookup(nil, graph.VertexID(v), c)
+					if err != nil {
+						return fmt.Errorf("vertex %d probe %x: %v", v, c, err)
+					}
+					var want quadtree.Block
+					wi, wok := trees[v].FindIndex(c)
+					if wok {
+						want = trees[v].Blocks[wi]
+					}
+					if ok != wok || !sameBlock(got, want) {
+						return fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
+							v, c, got, ok, want, wok)
+					}
+					return nil
+				}
 				var wg sync.WaitGroup
+				for v := 0; v < n; v++ {
+					start := make(chan struct{})
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							<-start
+							if err := check(v, probes[(v+w*len(probes)/workers)%len(probes)]); err != nil {
+								errs <- err
+							}
+						}(w)
+					}
+					close(start)
+					wg.Wait()
+				}
 				for w := 0; w < workers; w++ {
 					wg.Add(1)
 					go func(w int) {
@@ -254,22 +271,9 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 						order := rand.New(rand.NewSource(int64(w))).Perm(n)
 						for pass := 0; pass < 2; pass++ {
 							for _, v := range order {
-								vid := graph.VertexID(v)
 								for i := w % 3; i < len(probes); i += 3 {
-									c := probes[i]
-									got, ok, err := s.Lookup(nil, vid, c)
-									if err != nil {
-										errs <- fmt.Errorf("vertex %d probe %x: %v", v, c, err)
-										return
-									}
-									var want quadtree.Block
-									wi, wok := trees[v].FindIndex(c)
-									if wok {
-										want = trees[v].Blocks[wi]
-									}
-									if ok != wok || !sameBlock(got, want) {
-										errs <- fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
-											v, c, got, ok, want, wok)
+									if err := check(v, probes[i]); err != nil {
+										errs <- err
 										return
 									}
 								}
@@ -284,7 +288,7 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 				}
 				for v := 0; v < n; v++ {
 					vid := graph.VertexID(v)
-					if _, _, validated := s.VertexState(vid); !validated && s.BlockCount(vid) > 0 {
+					if !s.Validated(vid) && s.BlockCount(vid) > 0 {
 						t.Fatalf("vertex %d: looked up but never validated", v)
 					}
 				}
@@ -294,9 +298,9 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 }
 
 // TestLookupRecycledFramesConcurrent races the three ways a run is read —
-// a Lookup on whatever path the vertex's state picks, a Tree, and a
-// streamed Lookup forced by an eviction — from 8 goroutines over a 2-page
-// pool on ReadAt stores of both encodings. Nearly every touch evicts, so
+// a Lookup on whatever path the vertex's state picks, a Tree, and a Lookup
+// right after an eviction of the run's first page — from 8 goroutines over
+// a 2-page pool on ReadAt stores of both encodings. Nearly every touch evicts, so
 // page frames are recycled constantly: a run gathered from a frame after
 // the frame went back to the Pager would read another page's bytes. Every
 // answer must equal the in-RAM tree's FindIndex and every tree the in-RAM
@@ -354,7 +358,7 @@ func TestLookupRecycledFramesConcurrent(t *testing.T) {
 							}
 							for j := (w + i) % 5; j < len(probes); j += 5 {
 								if (w+i+pass)%3 == 2 {
-									s.EvictVertex(vid) // the next Lookup streams
+									s.EvictVertex(vid) // the next Lookup reads the page again
 								}
 								c := probes[j]
 								got, ok, err := s.Lookup(nil, vid, c)

@@ -40,11 +40,10 @@ type OpenOptions struct {
 }
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
-// store owning each page-id range, so evicting a page actually releases the
-// frame and the decoded quadtrees built over it. Released frames of
-// ReadAt-backed stores go onto the Pager's free list, from which the next
-// miss in any registered store reads, so a full pool's frames are reused
-// rather than reallocated. Register every store (Open does it) before
+// store owning each page-id range, so evicting a page actually releases its
+// frame. Released frames of ReadAt-backed stores go onto the Pager's free
+// list, from which the next miss in any registered store reads, so a full
+// pool's frames are reused rather than reallocated. Register every store (Open does it) before
 // queries start; registration is not synchronized with concurrent touches.
 type Pager struct {
 	pool   *diskio.Pool
@@ -152,24 +151,20 @@ type ReadStats struct {
 	// pages — the dominant first-touch cost of the mmap page source.
 	CRCTime time.Duration
 	// BlocksDecoded counts quadtree blocks the decoder actually passed: a
-	// materialization or a first streamed lookup passes the vertex's whole
-	// run, a streamed lookup of a validated run only the blocks its answer
-	// needed.
+	// tree decode or a vertex's first lookup passes its whole run, a lookup
+	// of a validated run only the blocks its answer needed.
 	BlocksDecoded int64
 }
 
 // Store is an open paged index image: the network and extent table resident
-// (O(n+m)), the Morton-block pages demand-paged through the buffer pool.
-// Every pool miss is an actual ReadAt; every eviction drops the decoded
-// per-vertex quadtrees overlapping the page and returns its frame to the
-// Pager, whose next miss reads into it, so resident memory tracks the pool
-// capacity rather than the index size.
+// (O(n+m)), the Morton-block pages demand-paged through the buffer pool,
+// which is the store's one cache. Every pool miss is an actual ReadAt; every
+// eviction returns the page's frame to the Pager, whose next miss reads into
+// it, so resident page memory tracks the pool capacity rather than the
+// index size. Nothing decoded is kept: a lookup or a tree decodes from the
+// run's pages each time.
 //
-// A Store is safe for unlimited concurrent readers. The residency invariant
-// — a decoded tree is cached only while all its pages are pool-resident —
-// is maintained exactly under serial access and self-healingly under
-// concurrency (a stale tree is dropped or its pages re-read on the next
-// touch).
+// A Store is safe for unlimited concurrent readers.
 type Store struct {
 	ra       io.ReaderAt
 	closer   io.Closer
@@ -184,18 +179,18 @@ type Store struct {
 	tracker  *diskio.Tracker // private-pool opens only; nil under a shared Pager
 
 	mu     sync.RWMutex
-	frames map[diskio.PageID][]byte          // resident raw page bytes, keyed by local page
-	trees  map[graph.VertexID]*quadtree.Tree // decoded trees over resident pages
-	// streamed holds one bit per vertex: set when a lookup streamed the
-	// vertex's run, cleared with its trees when one of its pages is evicted.
-	// A lookup that finds it set materializes the tree (Lookup).
-	streamed vertexBits
+	frames map[diskio.PageID][]byte // resident raw page bytes, keyed by local page
+
 	// validated holds one bit per vertex, set once a full validating pass
-	// over its run succeeded (a first streamed lookup or a materialization)
-	// and never cleared: the image is immutable and every page read is
-	// CRC-checked, so the run's bytes stay the ones that passed. A streamed
-	// lookup of a validated run stops at the block it needs.
+	// of Lookup over its run succeeded, after it recorded the run's restart
+	// points, and never cleared: the image is immutable and every page read
+	// is CRC-checked, so the run's bytes stay the ones that passed. A lookup
+	// of a validated run decodes only the blocks it needs.
 	validated vertexBits
+	// points is the restart slab, sized at Open: v's run's points are
+	// points[pointsAt[v]:pointsAt[v+1]], as many as the codec gives it.
+	points   []restart
+	pointsAt []int
 
 	reads     atomic.Int64
 	readBytes atomic.Int64
@@ -204,12 +199,8 @@ type Store struct {
 	decoded   atomic.Int64 // quadtree blocks passed through the decoder
 }
 
-// emptyTree is shared by every vertex with no blocks (the degenerate
-// single-vertex cell of a lenient build).
-var emptyTree = &quadtree.Tree{MinLambda: 1}
-
-// loadScratch carries the gather buffer of one run read (a tree load or a
-// streamed lookup): the contiguous run handed to the decoder. It is scratch
+// loadScratch carries the gather buffer of one run read (a tree decode or
+// a lookup): the contiguous run handed to the decoder. It is scratch
 // — the decoder copies values out — so it recycles through a pool instead
 // of being reallocated per read.
 type loadScratch struct {
@@ -276,6 +267,10 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	// byte count, so the layout spans exactly its blockPages.
 	layout := diskio.NewLayout(lens, 1, sb.pageSize)
 
+	pointsAt := make([]int, sb.n+1)
+	for v, count := range counts {
+		pointsAt[v+1] = pointsAt[v] + c.points(int(count))
+	}
 	s := &Store{
 		ra:        ra,
 		sb:        sb,
@@ -285,9 +280,9 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		layout:    layout,
 		pageCRCs:  pageCRCs,
 		frames:    make(map[diskio.PageID][]byte),
-		trees:     make(map[graph.VertexID]*quadtree.Tree),
-		streamed:  newVertexBits(sb.n),
 		validated: newVertexBits(sb.n),
+		points:    make([]restart, pointsAt[sb.n]),
+		pointsAt:  pointsAt,
 	}
 	if opts.Pager != nil {
 		s.pager = opts.Pager
@@ -398,14 +393,6 @@ func (s *Store) ResidentPages() int {
 	return len(s.frames)
 }
 
-// ResidentTrees returns the number of decoded per-vertex quadtrees
-// currently cached.
-func (s *Store) ResidentTrees() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.trees)
-}
-
 // ResetReadStats zeroes the actual read counters (cache contents stay).
 func (s *Store) ResetReadStats() {
 	s.reads.Store(0)
@@ -426,70 +413,44 @@ func (s *Store) ReadStats() ReadStats {
 	}
 }
 
-// Tree implements core.TreeSource: it returns v's shortest-path quadtree,
-// materializing it from disk on first touch. Page traffic is charged to the
-// shared pool and to ioStats (nil = untracked); misses perform real reads.
+// Tree implements core.TreeSource: it decodes v's shortest-path quadtree
+// into a new tree. Nothing is cached: every call reads the run's pages
+// through the pool and decodes it again.
 func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error) {
-	if s.counts[v] == 0 {
-		return emptyTree, nil
+	t := new(quadtree.Tree)
+	if err := s.DecodeTree(ioStats, v, t); err != nil {
+		return nil, err
 	}
-	if t := s.cachedTree(v); t != nil {
-		if err := s.touchRun(ioStats, v); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	return s.materialize(ioStats, v)
+	return t, nil
 }
 
-// Lookup implements core.TreeSource: it returns the block of v's quadtree
-// whose cell contains code (ok false when none does), with the page traffic
-// of a Tree call — the same pages touched in the same order, so pool hits,
-// misses and reads do not depend on which path answers. A cached tree
-// answers by binary search. Otherwise the lookup streams: the codec's
-// decoder passes over v's run, keeping only the wanted block and caching
-// nothing — the whole run, validating it, the first time; once v's run has
-// passed a full check, only up to the block the answer needs. Only a second
-// lookup of v while its pages stay resident materializes and caches the
-// tree — the vertices a query comes back to (its source, the first hops,
-// gateways) are decoded once, the rest of a refinement path is never built
-// as a tree at all.
-func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
-	if s.counts[v] == 0 {
-		return quadtree.Block{}, false, nil
-	}
-	t := s.cachedTree(v)
-	var err error
-	switch {
-	case t != nil:
-		err = s.touchRun(ioStats, v)
-	case s.streamed.has(v):
-		t, err = s.materialize(ioStats, v)
-	default:
-		return s.stream(ioStats, v, code)
-	}
+// DecodeTree implements core.TreeSource: it decodes v's whole run into t,
+// reusing t's block storage; on an error t's blocks are unspecified. Page
+// traffic is charged to the shared pool and to ioStats (nil = untracked);
+// misses perform real reads.
+func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
+	run, sc, err := s.runBytes(ioStats, v)
 	if err != nil {
-		return quadtree.Block{}, false, err
+		return err
 	}
-	b, ok := t.Find(code)
-	return b, ok, nil
+	blocks, minLambda, err := s.sb.c.decode(t.Blocks, run, int(s.counts[v]), s.g.Degree(v))
+	releaseRun(sc, run)
+	if err != nil {
+		return fmt.Errorf("store: vertex %d: %w", v, err)
+	}
+	s.chargeDecode(ioStats, len(blocks))
+	t.Blocks, t.MinLambda = blocks, minLambda
+	t.Seal()
+	return nil
 }
 
-// cachedTree returns v's decoded tree when one is cached, else nil.
-func (s *Store) cachedTree(v graph.VertexID) *quadtree.Tree {
-	s.mu.RLock()
-	t := s.trees[v]
-	s.mu.RUnlock()
-	return t
-}
-
-// touchRun touches every page of v's run for LRU recency and accounting —
-// the cached-tree path. A miss here means another load (or an adjacency
-// touch) evicted one of the pages moments ago; the touch re-reads it and
-// heals.
-func (s *Store) touchRun(ioStats *diskio.Stats, v graph.VertexID) error {
-	first, last, _ := s.layout.OwnerPages(int(v))
-	for p := first; p <= last; p++ {
+// Touch implements core.TreeSource: it touches every page of v's run in
+// order, reading missed ones and decoding nothing — what a caller that
+// still holds v's decoded tree does instead of decoding it again, so that
+// pool recency, hits, misses and reads are the same either way.
+func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
+	first, last, ok := s.layout.OwnerPages(int(v))
+	for p := first; ok && p <= last; p++ {
 		if _, err := s.touch(p, ioStats, nil, 0, 0); err != nil {
 			return err
 		}
@@ -497,40 +458,21 @@ func (s *Store) touchRun(ioStats *diskio.Stats, v graph.VertexID) error {
 	return nil
 }
 
-// materialize decodes v's whole run into a tree and caches it.
-func (s *Store) materialize(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error) {
-	run, sc, err := s.runBytes(ioStats, v)
-	if err != nil {
-		return nil, err
-	}
-	blocks, minLambda, err := s.sb.c.decode(run, int(s.counts[v]), s.g.Degree(v))
-	releaseRun(sc, run)
-	if err != nil {
-		return nil, fmt.Errorf("store: vertex %d: %w", v, err)
-	}
-	s.validated.set(v)
-	s.chargeDecode(ioStats, len(blocks))
-	t := &quadtree.Tree{Blocks: blocks, MinLambda: minLambda}
-	t.Seal()
-	s.mu.Lock()
-	s.trees[v] = t
-	s.mu.Unlock()
-	return t, nil
-}
-
-// stream answers one lookup with a pass over v's run — a full validating
-// one unless v's run already passed one — caching nothing but the bits that
-// make the next lookup of v materialize and later streams of v stop early.
-// The streamed bit is set before the pages are touched, so an eviction of
-// one of v's pages — even by this very touch sequence — clears it.
-func (s *Store) stream(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
-	s.streamed.set(v)
+// Lookup implements core.TreeSource: it returns the block of v's quadtree
+// whose cell contains code (ok false when none does), touching the pages a
+// Tree call touches, in the same order, and caching nothing. Until a full
+// validating pass over v's run succeeded, the codec's decoder passes over
+// the whole run; after that it decodes only the blocks the answer needs —
+// on PG2 at most restartEvery, from a restart point the first pass
+// recorded, on PG1 one binary search's worth.
+func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
 	run, sc, err := s.runBytes(ioStats, v)
 	if err != nil {
 		return quadtree.Block{}, false, err
 	}
 	validated := s.validated.has(v)
-	b, ok, decoded, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code, validated)
+	points := s.points[s.pointsAt[v]:s.pointsAt[v+1]]
+	b, ok, decoded, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code, points, validated)
 	releaseRun(sc, run)
 	if err != nil {
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
@@ -556,10 +498,10 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
 // gathered into pooled scratch page by page as each page is touched, which
 // the caller hands back through releaseRun once it has decoded the run.
 func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *loadScratch, error) {
-	first, last, _ := s.layout.OwnerPages(int(v))
+	first, last, ok := s.layout.OwnerPages(int(v))
 	lo, hi := s.layout.EntryRange(int(v))
 	if s.mapped != nil {
-		if err := s.touchRun(ioStats, v); err != nil {
+		if err := s.Touch(ioStats, v); err != nil {
 			return nil, nil, err
 		}
 		return s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi], nil, nil
@@ -567,7 +509,7 @@ func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *load
 	sc := loadPool.Get().(*loadScratch)
 	run := sc.run[:0]
 	ps := int64(s.sb.pageSize)
-	for p := first; p <= last; p++ {
+	for p := first; ok && p <= last; p++ {
 		base := int64(p) * ps
 		var err error
 		if run, err = s.touch(p, ioStats, run, max(lo, base)-base, min(hi, base+ps)-base); err != nil {
@@ -591,7 +533,7 @@ func releaseRun(sc *loadScratch, run []byte) {
 // touch charges local page p to the pool and processes eviction feedback;
 // on a miss it reads the page and publishes its frame. It appends bytes
 // [from, to) of the page to dst and returns the result; an empty range
-// (touchRun) wants no bytes, so a hit returns at once. The copy is made
+// (Touch) wants no bytes, so a hit returns at once. The copy is made
 // while the frame cannot be recycled: on a hit under s.mu's read lock,
 // which dropPage must acquire to unmap it, on a miss from the private frame
 // before it is published.
@@ -672,20 +614,13 @@ func (s *Store) releaseFrame(b []byte) {
 	}
 }
 
-// dropPage releases the frame of local page p and every decoded tree whose
-// run overlaps it — the real-memory counterpart of a pool eviction — and
-// clears those vertices' streamed bits, so their next lookup streams again.
-// Their validated bits stay set. The frame goes back to the Pager only once
-// it is unmapped, so no reader is still copying from it.
+// dropPage releases the frame of local page p — the real-memory
+// counterpart of a pool eviction. The frame goes back to the Pager only
+// once it is unmapped, so no reader is still copying from it.
 func (s *Store) dropPage(p diskio.PageID) {
-	lo, hi := s.layout.OwnerRange(p)
 	s.mu.Lock()
 	b := s.frames[p]
 	delete(s.frames, p)
-	for v := lo; v < hi; v++ {
-		delete(s.trees, graph.VertexID(v))
-		s.streamed.clear(graph.VertexID(v))
-	}
 	s.mu.Unlock()
 	s.releaseFrame(b)
 }
@@ -696,7 +631,6 @@ type vertexBits []atomic.Uint64
 func newVertexBits(n int) vertexBits { return make(vertexBits, (n+63)/64) }
 
 func (b vertexBits) set(v graph.VertexID)      { b[v>>6].Or(1 << (v & 63)) }
-func (b vertexBits) clear(v graph.VertexID)    { b[v>>6].And(^(1 << (v & 63))) }
 func (b vertexBits) has(v graph.VertexID) bool { return b[v>>6].Load()&(1<<(v&63)) != 0 }
 
 func leU32(b []byte) uint32 {

@@ -103,7 +103,7 @@ func newEngineObs(e *Engine) *engineObs {
 	m.evictions = r.Counter("silc_engine_pool_evictions_total", "",
 		"Pool evictions forced by completed queries.")
 	m.blocksDecoded = r.Counter("silc_engine_blocks_decoded_total", "",
-		"Quadtree blocks passed through the paged decoder (streamed lookups and tree loads) by completed queries.")
+		"Quadtree blocks passed through the paged decoder (lookups and tree decodes) by completed queries.")
 
 	m.crossCell = r.Counter("silc_partition_cross_cell_refiners_total", "",
 		"Cross-cell route refiners built (sharded indexes).")
@@ -208,14 +208,11 @@ func (m *engineObs) registerDynamic(e *Engine) {
 			"Wall-clock seconds checksum-verifying cold pages per store.",
 			func() float64 { return st.ReadStats().CRCTime.Seconds() })
 		r.CounterFunc("silc_store_blocks_decoded_total", label,
-			"Quadtree blocks passed through the paged decoder (streamed lookups and tree loads) per store.",
+			"Quadtree blocks passed through the paged decoder (lookups and tree decodes) per store.",
 			func() float64 { return float64(st.ReadStats().BlocksDecoded) })
 		r.GaugeFunc("silc_store_resident_pages", label,
 			"Page frames currently held in memory per store.",
 			func() float64 { return float64(st.ResidentPages()) })
-		r.GaugeFunc("silc_store_resident_trees", label,
-			"Decoded per-vertex quadtrees currently cached per store.",
-			func() float64 { return float64(st.ResidentTrees()) })
 	}
 }
 

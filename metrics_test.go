@@ -42,8 +42,8 @@ func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 // Prometheus counters — with every storage counter (hits, misses, reads,
 // evictions, decodes) nonzero under pressure. A second pass runs the same
 // queries once their runs are validated: its sums must agree just the same,
-// and it must decode fewer blocks, because a streamed lookup of a validated
-// run stops at the block it needs.
+// and it must decode fewer blocks, because a lookup of a validated run
+// decodes only the blocks it needs.
 func TestMetricsColdScanCounts(t *testing.T) {
 	eng, objs := pagedTestEngine(t)
 	tracker := eng.qx.Tracker()

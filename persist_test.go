@@ -221,9 +221,10 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 // it: three mangles of the run header, and one of its final byte, which
 // makes the last varint run off the end of the run, where a lookup that
 // stopped at the block it needs would never look. On both page sources, a
-// distance from that vertex must fail on its streamed first lookup, again on
-// the materialized second one, and again on a streamed lookup after its
-// pages are evicted; a distance whose path runs through it must fail too,
+// distance from that vertex must fail on its first lookup, again on the
+// second — a failed full pass leaves the run unvalidated, so it is again a
+// full pass — and again on a lookup after its pages are evicted; a distance
+// whose path runs through it must fail too,
 // and a sweep of distances, kNN and range queries must never panic: each
 // answer is either an error naming the vertex or exactly the clean image's
 // answer.
@@ -319,9 +320,9 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 				}
 				dst := VertexID(0)
 				_, err = bad.Distance(ctx, victim, dst)
-				check("streamed lookup", err)
+				check("first lookup", err)
 				_, err = bad.Distance(ctx, victim, dst)
-				check("materialized lookup", err)
+				check("second lookup", err)
 				for p := (runOff - blockOff) / pageSize; p <= (runEnd-1-blockOff)/pageSize; p++ {
 					bad.pager.Evict(diskio.PageID(p))
 				}

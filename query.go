@@ -194,10 +194,9 @@ type QueryStats struct {
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
 	// BlocksDecoded counts quadtree blocks the paged store's decoder
-	// actually passed: a tree materializing and a lookup streaming a vertex's
-	// run for the first time count the run's blocks, a lookup streaming a
-	// run that already passed a full check only those up to the block it
-	// needed.
+	// actually passed: a tree decode and a vertex's first lookup count the
+	// run's blocks, a lookup of a run that already passed a full check only
+	// those it needed — on PG2 from the restart point in front of its block.
 	BlocksDecoded int64
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).
