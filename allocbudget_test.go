@@ -63,10 +63,10 @@ type allocEngine struct {
 // allocEngines builds the Engine variants the budgets cover: monolithic
 // in-RAM, sharded, and disk-paged with a pool large enough that the steady
 // state never evicts (the warm-pool regime — cold loads real-read and
-// decode, which legitimately allocates). The paged variant runs in both
-// block-page encodings, and the compressed one additionally through a
-// memory mapping: decoding out of the mapping must not add a single
-// steady-state allocation over the positioned-read path.
+// decode, which legitimately allocates). The paged variant reads its image
+// from memory (paged-warm), from a file by positioned reads (paged-pg2-warm)
+// and through a memory mapping of that file (paged-pg2-mmap-warm): neither
+// the file nor the mapping may add a single steady-state allocation.
 func allocEngines(t testing.TB, net *Network) []allocEngine {
 	t.Helper()
 	ix, err := BuildIndex(net, BuildOptions{})
@@ -85,22 +85,15 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cix, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pg2 bytes.Buffer
-	if _, err := cix.WritePaged(&pg2); err != nil {
-		t.Fatal(err)
-	}
-	paged2, err := OpenIndexAt(bytes.NewReader(pg2.Bytes()), int64(pg2.Len()), BuildOptions{CacheFraction: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "alloc.silcpg2")
-	if err := os.WriteFile(path, pg2.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, pg.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	paged2, err := OpenIndex(path, BuildOptions{CacheFraction: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { paged2.Close() })
 	mapped, err := OpenIndex(path, BuildOptions{CacheFraction: 1.0, Mmap: true})
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +108,14 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	}
 }
 
-// smallPoolEngine is the paged variant behind the paper's 5% pool (PG2,
-// positioned reads) that TestAllocBudgetKNN and TestAllocBudgetRange add to
+// smallPoolEngine is the paged variant behind the paper's 5% pool
+// (positioned reads) that TestAllocBudgetKNN and TestAllocBudgetRange add to
 // allocEngines: its warm queries evict and re-read pages, each miss into a
 // frame an eviction gave back, and decode every run they look up, so the
 // budget holds only if no decoded tree is allocated along the way.
 func smallPoolEngine(t testing.TB, net *Network) allocEngine {
 	t.Helper()
-	ix, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	ix, err := BuildIndex(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +575,7 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	built, err := BuildIndex(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +644,7 @@ func TestAllocBudgetWarmPagedDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	built, err := BuildIndex(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

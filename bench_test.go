@@ -382,13 +382,13 @@ func BenchmarkF8IOTime(b *testing.B) {
 // BenchmarkBuild measures the one-time precomputation on the benchmark's
 // 64×64 road map (seed 1) in two phases: build runs core.Build (one
 // Dijkstra and one shortest-path quadtree per vertex), encode writes the
-// built index as a delta-coded (PG2) paged image.
+// built index as a paged image.
 func BenchmarkBuild(b *testing.B) {
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.BuildOptions{Compression: store.CompressionDelta}
+	var opts core.BuildOptions
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -608,12 +608,12 @@ func BenchmarkLiveMutation(b *testing.B) {
 }
 
 // pagedBench is the fixture of the paged benchmarks: a 64×64 road map (seed
-// 1) written as a PG1 and a PG2 image, and a seeded random generator for the
+// 1) written as a paged image, and a seeded random generator for the
 // workload drawn over it.
 type pagedBench struct {
-	net *Network
-	dir string
-	rng *rand.Rand
+	net  *Network
+	path string
+	rng  *rand.Rand
 }
 
 func newPagedBench(b *testing.B) *pagedBench {
@@ -621,21 +621,15 @@ func newPagedBench(b *testing.B) *pagedBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb := &pagedBench{net: net, dir: b.TempDir(), rng: rand.New(rand.NewSource(7))}
-	for _, c := range []Compression{CompressionNone, CompressionDelta} {
-		idx, err := BuildIndex(net, BuildOptions{Compression: c})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := idx.WriteFile(pb.path(c)); err != nil {
-			b.Fatal(err)
-		}
+	pb := &pagedBench{net: net, path: filepath.Join(b.TempDir(), "index.silcpg"), rng: rand.New(rand.NewSource(7))}
+	idx, err := BuildIndex(net, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := idx.WriteFile(pb.path); err != nil {
+		b.Fatal(err)
 	}
 	return pb
-}
-
-func (pb *pagedBench) path(c Compression) string {
-	return filepath.Join(pb.dir, c.String()+".silcpg")
 }
 
 // vertex draws a random vertex of the map.
@@ -645,13 +639,13 @@ func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.Num
 // runs the i-th and returns its stats. A cold run opens the image afresh
 // before every pass; a warm one runs two untimed passes first, so every run
 // the workload touches has passed its full check — its lookups decode only
-// the blocks they need, on PG2 from a restart point — and the pool holds
+// the blocks they need, from a restart point — and the pool holds
 // what the workload last touched. It reports refinements, page reads and
 // decoded blocks per operation.
-func (pb *pagedBench) run(b *testing.B, c Compression, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
+func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
 	const pass = 64
 	open := func() *Index {
-		idx, err := OpenIndex(pb.path(c), BuildOptions{CacheFraction: pool, Mmap: mmap})
+		idx, err := OpenIndex(pb.path, BuildOptions{CacheFraction: pool, Mmap: mmap})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -684,21 +678,16 @@ func (pb *pagedBench) run(b *testing.B, c Compression, mmap bool, pool float64, 
 	b.ReportMetric(float64(decoded)/float64(b.N), "blocks-decoded/op")
 }
 
-// variants runs one sub-benchmark per page variant: encoding (fixed-width
-// PG1, delta PG2) × page source (positioned reads, mmap) × pool (5% and
-// 100% of the image's pages) × cache state (cold, warm).
+// variants runs one sub-benchmark per page variant: page source
+// (positioned reads, mmap) × pool (5% and 100% of the image's pages) ×
+// cache state (cold, warm).
 func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
-	for _, c := range []struct {
-		name string
-		c    Compression
-	}{{"CompressionNone", CompressionNone}, {"CompressionDelta", CompressionDelta}} {
-		for _, src := range []string{"ReadAt", "Mmap"} {
-			for _, pool := range []float64{0.05, 1} {
-				for _, state := range []string{"cold", "warm"} {
-					b.Run(fmt.Sprintf("%s/%s/pool=%g/%s", c.name, src, pool, state), func(b *testing.B) {
-						pb.run(b, c.c, src == "Mmap", pool, state == "cold", op)
-					})
-				}
+	for _, src := range []string{"ReadAt", "Mmap"} {
+		for _, pool := range []float64{0.05, 1} {
+			for _, state := range []string{"cold", "warm"} {
+				b.Run(fmt.Sprintf("%s/pool=%g/%s", src, pool, state), func(b *testing.B) {
+					pb.run(b, src == "Mmap", pool, state == "cold", op)
+				})
 			}
 		}
 	}
@@ -707,8 +696,8 @@ func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStat
 // BenchmarkPagedKNN times one kNN (k=10) over a paged index of a 64×64 road
 // map (seed 1) with 5% of its vertices as objects, for each page variant
 // (pagedBench.variants; cold = a fresh open before every pass over the 64
-// queries, warm = two untimed passes first). The eps=0 and eps=0.1 runs time ε-approximate kNN on warm PG2
-// behind the 5% pool.
+// queries, warm = two untimed passes first). The eps=0 and eps=0.1 runs time
+// ε-approximate kNN warm behind the 5% pool.
 func BenchmarkPagedKNN(b *testing.B) {
 	pb := newPagedBench(b)
 	n := pb.net.NumVertices()
@@ -733,7 +722,7 @@ func BenchmarkPagedKNN(b *testing.B) {
 	pb.variants(b, knn())
 	for _, eps := range []float64{0, 0.1} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			pb.run(b, CompressionDelta, false, 0.05, false, knn(WithEpsilon(eps)))
+			pb.run(b, false, 0.05, false, knn(WithEpsilon(eps)))
 		})
 	}
 }

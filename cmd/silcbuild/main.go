@@ -6,10 +6,9 @@
 //	silcbuild -net network.txt
 //	silcbuild -rows 96 -cols 96 -seed 2008   # generate, then build
 //	silcbuild -rows 128 -cols 128 -o idx.silcpg
-//	                      # page-aligned on-disk index, network embedded:
+//	                      # page-aligned on-disk index, network embedded,
+//	                      # delta+varint block pages (SILCPG2):
 //	                      # open with silc.OpenEngine / silcserve -index
-//	silcbuild -rows 128 -cols 128 -compress=delta -o idx.silcpg2
-//	                      # compressed block pages (SILCPG2), >2x smaller
 //	silcbuild -rows 256 -cols 256 -partitions 8 -o idx.silcspg   # sharded build
 //
 // With -partitions N > 1 the build is sharded: the network splits into N
@@ -39,7 +38,8 @@ func main() {
 		partitions = flag.Int("partitions", 1, "spatial partitions (>1 builds the sharded index)")
 		out        = flag.String("o", "", "write the built index to this file as a paged image (page-aligned, demand-paged, network embedded; open with OpenEngine / silcserve -index)")
 		format     = flag.String("format", "paged", "output format; paged is the only one")
-		compress   = flag.String("compress", "none", "block-page encoding: none (fixed-width SILCPG1) or delta (delta+varint SILCPG2)")
+		// -compress stays only because the benchmark module passes it.
+		compress = flag.String("compress", "delta", "block-page encoding; delta (delta+varint) is the only one")
 	)
 	flag.Parse()
 
@@ -47,9 +47,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "silcbuild: unknown -format %q: PR 21 removed the legacy stream formats, -o writes a paged image (serve it fully resident with -cache-fraction 1)\n", *format)
 		os.Exit(1)
 	}
-	comp, err := silc.ParseCompression(*compress)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
+	if *compress != "delta" {
+		fmt.Fprintf(os.Stderr, "silcbuild: unknown -compress %q: the fixed-width encoding was removed, every image is delta-compressed (omit -compress)\n", *compress)
 		os.Exit(1)
 	}
 	net, err := loadOrGenerate(*netFile, *rows, *cols, *seed)
@@ -58,10 +57,10 @@ func main() {
 		os.Exit(1)
 	}
 	if *partitions > 1 {
-		buildSharded(net, *partitions, *parallel, *out, comp)
+		buildSharded(net, *partitions, *parallel, *out)
 		return
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{Parallelism: *parallel, Compression: comp})
+	ix, err := silc.BuildIndex(net, silc.BuildOptions{Parallelism: *parallel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "silcbuild:", err)
 		os.Exit(1)
@@ -99,25 +98,22 @@ func writeImage(ix interface {
 	fmt.Printf("index written:   %s (%.2f MiB)\n", path, float64(info.Total)/(1<<20))
 }
 
-// printImageInfo prints the per-section size table of a planned paged image
-// and its compression ratio against the fixed-width encoding.
+// printImageInfo prints the per-section size table of a planned paged image.
 func printImageInfo(info silc.ImageInfo) {
 	mib := func(b int64) float64 { return float64(b) / (1 << 20) }
-	fmt.Printf("paged image:     %.2f MiB, %s (%.2fx vs fixed-width %.2f MiB)\n",
-		mib(info.Total), info.Compression, info.Ratio(), mib(info.FixedWidthTotal))
+	fmt.Printf("paged image:     %.2f MiB\n", mib(info.Total))
 	fmt.Printf("  superblock:    %d B\n", info.Superblock)
 	fmt.Printf("  network:       %.2f MiB\n", mib(info.Network))
 	fmt.Printf("  extents:       %.2f MiB\n", mib(info.Extents))
-	fmt.Printf("  block pages:   %.2f MiB (%d pages, %d blocks, raw %.2f MiB)\n",
-		mib(info.BlockSection), info.BlockPages, info.TotalBlocks, mib(info.RawBlockBytes))
+	fmt.Printf("  block pages:   %.2f MiB (%d pages, %d blocks)\n",
+		mib(info.BlockSection), info.BlockPages, info.TotalBlocks)
 	fmt.Printf("  crc table:     %d B\n", info.CRCTable)
 }
 
-func buildSharded(net *silc.Network, partitions, parallel int, out string, comp silc.Compression) {
+func buildSharded(net *silc.Network, partitions, parallel int, out string) {
 	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{
 		Partitions:  partitions,
 		Parallelism: parallel,
-		Compression: comp,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "silcbuild:", err)

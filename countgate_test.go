@@ -55,13 +55,10 @@ type pgCounts struct {
 	ColdIO  []pgColdIO `json:"cold_io"`
 }
 
-// pgImage is one index layout's paged image size in both encodings. Ratio is
-// fixed-width ÷ compressed over the whole image, page alignment included.
+// pgImage is one index layout's paged image size.
 type pgImage struct {
-	Name       string  `json:"name"`
-	FixedBytes int64   `json:"fixed_bytes"`
-	DeltaBytes int64   `json:"delta_bytes"`
-	Ratio      float64 `json:"ratio"`
+	Name       string `json:"name"`
+	DeltaBytes int64  `json:"delta_bytes"`
 }
 
 // pgColdIO is the pool traffic of a fixed cold kNN scan under a 5% pool.
@@ -104,10 +101,10 @@ func TestF3CountsPinned(t *testing.T) {
 	checkCounts(t, "F3", out)
 }
 
-// TestPGCountsPinned builds the 48×48 index monolithic and in four cells, in
-// both page encodings, then runs a fixed cold kNN scan (every 7th vertex,
-// k=10) against each encoding behind a 5% pool, and compares image sizes and
-// pool counters with BENCH_PG.json.
+// TestPGCountsPinned builds the 48×48 index monolithic and in four cells,
+// then runs a fixed cold kNN scan (every 7th vertex, k=10) against the
+// monolithic image behind a 5% pool, and compares image sizes and pool
+// counters with BENCH_PG.json.
 func TestPGCountsPinned(t *testing.T) {
 	if silc.RaceEnabled {
 		t.Skip("single-threaded and deterministic; the race detector only slows it")
@@ -118,44 +115,31 @@ func TestPGCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	monoIx, err := silc.BuildIndex(net, silc.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardedIx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	type pagedWriter interface {
 		WritePaged(io.Writer) (int64, error)
 	}
-	layouts := []struct {
-		name  string
-		build func(silc.Compression) (pagedWriter, error)
-	}{
-		{"mono", func(c silc.Compression) (pagedWriter, error) {
-			return silc.BuildIndex(net, silc.BuildOptions{Compression: c})
-		}},
-		{"sharded-4", func(c silc.Compression) (pagedWriter, error) {
-			return silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, Compression: c})
-		}},
-	}
 	out := pgCounts{Lattice: countLattice}
-	mono := map[silc.Compression][]byte{}
-	for _, l := range layouts {
-		img := pgImage{Name: l.name}
-		for _, c := range []silc.Compression{silc.CompressionNone, silc.CompressionDelta} {
-			ix, err := l.build(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := ix.WritePaged(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if c == silc.CompressionNone {
-				img.FixedBytes = int64(buf.Len())
-			} else {
-				img.DeltaBytes = int64(buf.Len())
-			}
-			if l.name == "mono" {
-				mono[c] = buf.Bytes()
-			}
+	var mono []byte
+	for _, l := range []struct {
+		name string
+		ix   pagedWriter
+	}{{"mono", monoIx}, {"sharded-4", shardedIx}} {
+		var buf bytes.Buffer
+		if _, err := l.ix.WritePaged(&buf); err != nil {
+			t.Fatal(err)
 		}
-		img.Ratio = float64(img.FixedBytes) / float64(img.DeltaBytes)
-		out.Images = append(out.Images, img)
+		if l.name == "mono" {
+			mono = buf.Bytes()
+		}
+		out.Images = append(out.Images, pgImage{Name: l.name, DeltaBytes: int64(buf.Len())})
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -169,23 +153,17 @@ func TestPGCountsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, enc := range []struct {
-		name string
-		comp silc.Compression
-	}{{"pg1", silc.CompressionNone}, {"pg2", silc.CompressionDelta}} {
-		img := mono[enc.comp]
-		cold, err := silc.OpenIndexAt(bytes.NewReader(img), int64(len(img)), silc.BuildOptions{CacheFraction: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < net.NumVertices(); q += 7 {
-			if _, err := cold.Engine().Query(ctx, objs, silc.VertexID(q), 10); err != nil {
-				t.Fatalf("cold %s query %d: %v", enc.name, q, err)
-			}
-		}
-		io := cold.IOStats()
-		out.ColdIO = append(out.ColdIO, pgColdIO{Name: enc.name, Reads: io.PageReads, Misses: io.PageMisses, Hits: io.PageHits})
+	cold, err := silc.OpenIndexAt(bytes.NewReader(mono), int64(len(mono)), silc.BuildOptions{CacheFraction: 0.05})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for q := 0; q < net.NumVertices(); q += 7 {
+		if _, err := cold.Engine().Query(ctx, objs, silc.VertexID(q), 10); err != nil {
+			t.Fatalf("cold query %d: %v", q, err)
+		}
+	}
+	st := cold.IOStats()
+	out.ColdIO = append(out.ColdIO, pgColdIO{Name: "pg2", Reads: st.PageReads, Misses: st.PageMisses, Hits: st.PageHits})
 	checkCounts(t, "PG", out)
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"silc/internal/store"
 )
 
 // The typed errors of the query API. Every Engine entry point validates its
@@ -31,9 +33,11 @@ var (
 	// ErrUnknownObject reports a live-store object id that does not exist
 	// (never inserted, removed, or expired).
 	ErrUnknownObject = errors.New("silc: unknown object id")
-	// ErrBadMagic reports that what OpenEngine / OpenEngineAt was handed is
-	// not a paged index image.
-	ErrBadMagic = errors.New("silc: not a paged index image (magic is none of SILCPG1, SILCPG2, SILCSPG1, SILCSPG2)")
+	// ErrBadMagic reports that what OpenEngine, OpenEngineAt, OpenIndex or
+	// OpenIndexAt was handed is not a paged index image. An image of the
+	// removed fixed-width format is rejected with it too; its message says
+	// to rebuild the image with silcbuild -o.
+	ErrBadMagic = store.ErrBadMagic
 )
 
 // checkVertex validates one caller-supplied vertex id against the network.

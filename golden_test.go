@@ -13,8 +13,8 @@ import (
 	"silc"
 )
 
-// The golden files under testdata/golden pin all four paged image
-// formats byte for byte: format drift — a changed field, a reordered
+// The golden files under testdata/golden pin both paged image layouts,
+// monolithic and sharded, byte for byte: format drift — a changed field, a reordered
 // section, a different rounding — breaks these tests loudly instead of
 // silently invalidating every index file in the field. Regenerate with
 // SILC_UPDATE_GOLDEN=1 go test -run Golden (and justify the diff in the
@@ -116,7 +116,11 @@ func checkEngineEquivalence(t *testing.T, ref, got *silc.Engine) {
 	}
 }
 
-func TestGoldenMonolithicPaged(t *testing.T) {
+// TestGoldenMonolithicPagedCompressed pins the monolithic paged format
+// (SILCPG2): delta+varint block runs. The open → re-serialize round trip
+// goes through the demand-paged store — every tree decoded from pages — and
+// must reproduce the image byte for byte: the encoder is deterministic.
+func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
 	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
 	if err != nil {
@@ -126,61 +130,8 @@ func TestGoldenMonolithicPaged(t *testing.T) {
 	if _, err := ix.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "grid8.silcpg", buf.Bytes())
-
-	opened, err := silc.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), silc.BuildOptions{})
-	if err != nil {
-		t.Fatalf("opening golden: %v", err)
-	}
-	// Round trip THROUGH the demand-paged store: decode every tree from
-	// pages and re-serialize; the image must be byte-identical.
-	var re bytes.Buffer
-	if _, err := opened.WritePaged(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-		t.Fatal("open → re-serialize is not byte-identical")
-	}
-	checkEngineEquivalence(t, ix.Engine(), opened.Engine())
-}
-
-// TestGoldenMonolithicPagedCompressed pins the compressed paged format
-// (SILCPG2): delta+varint block runs. The open → re-serialize round trip
-// goes through the demand-paged store and must reproduce the image byte for
-// byte — the encoder is deterministic — and an index opened from a PG2
-// image re-serializes as PG2 without being asked.
-func TestGoldenMonolithicPagedCompressed(t *testing.T) {
-	net := goldenNetwork(t)
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{Compression: silc.CompressionDelta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WritePaged(&buf); err != nil {
-		t.Fatal(err)
-	}
 	checkGolden(t, "grid8.silcpg2", buf.Bytes())
 
-	// The compressed image must undercut the fixed-width one.
-	var fixed bytes.Buffer
-	info, err := ix.PagedImageInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedIx, err := silc.BuildIndex(net, silc.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fixedIx.WritePaged(&fixed); err != nil {
-		t.Fatal(err)
-	}
-	if int64(fixed.Len()) != info.FixedWidthTotal {
-		t.Fatalf("ImageInfo predicts fixed-width %d bytes, actual %d", info.FixedWidthTotal, fixed.Len())
-	}
-	if buf.Len() >= fixed.Len() {
-		t.Fatalf("compressed image %d bytes, fixed-width %d", buf.Len(), fixed.Len())
-	}
-
 	opened, err := silc.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), silc.BuildOptions{})
 	if err != nil {
 		t.Fatalf("opening golden: %v", err)
@@ -195,37 +146,11 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	checkEngineEquivalence(t, ix.Engine(), opened.Engine())
 }
 
-func TestGoldenShardedPaged(t *testing.T) {
-	net := goldenNetwork(t)
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sx.WritePaged(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "grid8x4.silcspg", buf.Bytes())
-
-	opened, err := silc.OpenShardedIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), silc.ShardedBuildOptions{})
-	if err != nil {
-		t.Fatalf("opening golden: %v", err)
-	}
-	var re bytes.Buffer
-	if _, err := opened.WritePaged(&re); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
-		t.Fatal("open → re-serialize is not byte-identical")
-	}
-	checkEngineEquivalence(t, sx.Engine(), opened.Engine())
-}
-
-// TestGoldenShardedPagedCompressed pins the compressed sharded paged format
+// TestGoldenShardedPagedCompressed pins the sharded paged format
 // (SILCSPG2): every embedded cell image is a SILCPG2 image.
 func TestGoldenShardedPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, Compression: silc.CompressionDelta})
+	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +199,7 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		file    string
 		sharded bool
 	}{
-		{"grid8.silcpg", false},
 		{"grid8.silcpg2", false},
-		{"grid8x4.silcspg", true},
 		{"grid8x4.silcspg2", true},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", tc.file))

@@ -34,11 +34,6 @@ type BuildOptions struct {
 	// tracks CacheFraction rather than the index size. Close the returned
 	// Index to release the file.
 	OnDisk string
-	// Compression selects the paged image encoding WritePaged, WriteFile,
-	// and OnDisk emit — CompressionNone (fixed-width, the default) or
-	// CompressionDelta (delta+varint runs, typically over 2x smaller).
-	// Opening sniffs the format, so this knob never affects reads.
-	Compression Compression
 	// Mmap makes OpenIndex (and OnDisk's reopen) access the paged file
 	// through a read-only memory mapping instead of positioned reads: warm
 	// pages decode straight from the mapping with no syscall and no gather
@@ -81,12 +76,11 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 	g := st.Graph()
 	total, minBlocks, maxBlocks := st.BlockStats()
 	cx := core.NewPagedIndex(core.PagedConfig{
-		Graph:       g,
-		Source:      st,
-		Tracker:     st.Tracker(),
-		Radius:      st.Radius(),
-		Lenient:     st.Lenient(),
-		Compression: st.Compression(),
+		Graph:   g,
+		Source:  st,
+		Tracker: st.Tracker(),
+		Radius:  st.Radius(),
+		Lenient: st.Lenient(),
 		Stats: core.BuildStats{
 			Vertices:    g.NumVertices(),
 			Edges:       g.NumEdges(),
@@ -109,9 +103,9 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 // opts.CacheFraction (default 5% of the database pages), the store's only
 // cache: a lookup decodes the blocks it needs from the run's pages, keeping
 // no decoded tree. Resident memory therefore tracks the pool capacity, not
-// the index size, plus per-vertex bookkeeping (the extent table and, for
-// PG2, one 16-byte restart point per 16 blocks). Close the
-// returned Index to release the file.
+// the index size, plus per-vertex bookkeeping (the extent table and one
+// 16-byte restart point per 16 blocks). Close the returned Index to release
+// the file.
 func OpenIndex(path string, opts BuildOptions) (*Index, error) {
 	open := store.OpenFile
 	if opts.Mmap {
@@ -156,7 +150,6 @@ func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
 	ix, err := core.Build(net.g, core.BuildOptions{
 		Parallelism:     opts.Parallelism,
 		ProximityRadius: opts.ProximityRadius,
-		Compression:     opts.Compression,
 	})
 	if err != nil {
 		return nil, err
@@ -177,9 +170,10 @@ func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
 func (ix *Index) Radius() float64 { return ix.ix.Radius() }
 
 // WritePaged serializes the index in the page-aligned on-disk format
-// (conventionally *.silcpg): network embedded, quadtree blocks packed onto
-// checksummed pages that OpenIndex reads back on demand. This is the format
-// to use when the index should not have to fit in memory.
+// (conventionally *.silcpg): network embedded, each vertex's quadtree
+// blocks delta+varint encoded onto checksummed pages that OpenIndex reads
+// back on demand. This is the format to use when the index should not have
+// to fit in memory.
 func (ix *Index) WritePaged(w io.Writer) (int64, error) { return ix.ix.WritePaged(w) }
 
 // WriteFile writes the paged on-disk format to path atomically: the image
@@ -189,10 +183,13 @@ func (ix *Index) WriteFile(path string) error {
 	return store.WriteFileAtomic(path, ix.WritePaged)
 }
 
-// PagedImageInfo reports the section layout and compression ratio of the
-// paged image WritePaged would produce, without writing it. Under
-// CompressionDelta this encodes every block run, so it costs about as much
-// as the write itself.
+// ImageInfo describes the section layout of a paged index image — what
+// silcbuild prints as its per-section size table.
+type ImageInfo = store.ImageInfo
+
+// PagedImageInfo reports the section layout of the paged image WritePaged
+// would produce, without writing it. It encodes every block run, so it
+// costs about as much as the write itself.
 func (ix *Index) PagedImageInfo() (ImageInfo, error) {
 	p, err := ix.ix.PlanPaged()
 	if err != nil {

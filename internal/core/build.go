@@ -80,7 +80,7 @@ func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
 		}
 	}
 
-	ix := &Index{g: g, trees: trees, radius: opts.ProximityRadius, lenient: opts.AllowUnreachable, comp: opts.Compression}
+	ix := &Index{g: g, trees: trees, radius: opts.ProximityRadius, lenient: opts.AllowUnreachable}
 	ix.stats = BuildStats{
 		Vertices:  n,
 		Edges:     g.NumEdges(),

@@ -8,7 +8,6 @@ import (
 
 	"silc/internal/graph"
 	"silc/internal/sssp"
-	"silc/internal/store"
 )
 
 // Property-based tests (testing/quick) over randomly generated networks:
@@ -137,22 +136,17 @@ func TestQuickSerializationIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, comp := range []store.Compression{store.CompressionNone, store.CompressionDelta} {
-			ix, err := Build(g, BuildOptions{Compression: comp})
-			if err != nil {
+		ix, err := Build(g, BuildOptions{})
+		if err != nil {
+			return false
+		}
+		back := pagedIndex(t, ix, 1)
+		rng := rand.New(rand.NewSource(seedRaw ^ 0x1111))
+		for trial := 0; trial < 10; trial++ {
+			u := graph.VertexID(rng.Intn(g.NumVertices()))
+			v := graph.VertexID(rng.Intn(g.NumVertices()))
+			if ix.DistanceInterval(u, v) != back.DistanceInterval(u, v) {
 				return false
-			}
-			back := pagedIndex(t, ix, 1)
-			if back.comp != comp {
-				return false
-			}
-			rng := rand.New(rand.NewSource(seedRaw ^ 0x1111))
-			for trial := 0; trial < 10; trial++ {
-				u := graph.VertexID(rng.Intn(g.NumVertices()))
-				v := graph.VertexID(rng.Intn(g.NumVertices()))
-				if ix.DistanceInterval(u, v) != back.DistanceInterval(u, v) {
-					return false
-				}
 			}
 		}
 		return true

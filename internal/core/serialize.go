@@ -23,10 +23,9 @@ func (ix *Index) treeFor(v graph.VertexID) (*quadtree.Tree, error) {
 // *treeErr, which the caller must check after the write/plan completes.
 func (ix *Index) pagedSource(treeErr *error) store.Source {
 	return store.Source{
-		Graph:       ix.g,
-		Radius:      ix.radius,
-		Lenient:     ix.lenient,
-		Compression: ix.comp,
+		Graph:   ix.g,
+		Radius:  ix.radius,
+		Lenient: ix.lenient,
 		Tree: func(v graph.VertexID) *quadtree.Tree {
 			t, err := ix.treeFor(v)
 			if err != nil {
@@ -42,9 +41,7 @@ func (ix *Index) pagedSource(treeErr *error) store.Source {
 
 // WritePaged serializes the index in the page-aligned on-disk format of
 // internal/store — the format OpenIndex / store.Open reads back with demand
-// paging. The network is embedded, so the image is self-contained. The
-// block-page encoding follows BuildOptions.Compression (or, for an index
-// opened from a paged image, that image's encoding).
+// paging. The network is embedded, so the image is self-contained.
 func (ix *Index) WritePaged(w io.Writer) (int64, error) {
 	var treeErr error
 	written, err := store.Write(w, ix.pagedSource(&treeErr))
@@ -55,8 +52,8 @@ func (ix *Index) WritePaged(w io.Writer) (int64, error) {
 }
 
 // PlanPaged lays out the paged image WritePaged would produce without
-// writing it: the plan reports per-section sizes and the compression ratio
-// (ImagePlan.Info) and can then be streamed once with WriteTo. The sharded
+// writing it: the plan reports per-section sizes (ImagePlan.Info) and can
+// then be streamed once with WriteTo. The sharded
 // writer and silcbuild's size table both build on this.
 func (ix *Index) PlanPaged() (*store.ImagePlan, error) {
 	var treeErr error

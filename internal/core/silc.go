@@ -65,12 +65,6 @@ type BuildOptions struct {
 	// Distance returns +Inf and Path returns nil for them. Proximity-bounded
 	// builds accept disconnected networks (unreachable = out of range).
 	ProximityRadius float64
-	// Compression selects the block-page encoding WritePaged/WriteFile emit:
-	// CompressionNone writes the fixed-width 16-byte entries (SILCPG1),
-	// CompressionDelta writes delta+varint run streams (SILCPG2), typically
-	// over 2x smaller. Either format reads back identically; the knob only
-	// changes the image, never query answers.
-	Compression store.Compression
 	// AllowUnreachable accepts networks that are not strongly connected:
 	// unreachable destinations are colored out-of-range instead of failing
 	// the build, and queries against them report the interval [+Inf, +Inf]
@@ -304,7 +298,6 @@ type Index struct {
 	tracker *diskio.Tracker // the paged store's; nil when memory-resident
 	radius  float64         // 0 = unbounded
 	lenient bool            // AllowUnreachable: misses mean unreachable, not corrupt
-	comp    store.Compression
 	stats   BuildStats
 }
 
@@ -315,8 +308,8 @@ type PagedConfig struct {
 	Tracker *diskio.Tracker
 	Radius  float64
 	Lenient bool
-	// Compression records the block-page encoding of the backing image, so
-	// re-serializing the opened index preserves its format.
+	// Compression is ignored: every image is delta-compressed. The field
+	// stays only because the benchmark module sets it.
 	Compression store.Compression
 	Stats       BuildStats
 }
@@ -332,7 +325,6 @@ func NewPagedIndex(cfg PagedConfig) *Index {
 		tracker: cfg.Tracker,
 		radius:  cfg.Radius,
 		lenient: cfg.Lenient,
-		comp:    cfg.Compression,
 		stats:   cfg.Stats,
 	}
 }
@@ -363,10 +355,6 @@ func (ix *Index) Tracker() *diskio.Tracker { return ix.tracker }
 
 // Radius returns the proximity bound of the index (0 when unbounded).
 func (ix *Index) Radius() float64 { return ix.radius }
-
-// Compression returns the block-page encoding WritePaged will emit — for a
-// paged index, the encoding of the image it was opened from.
-func (ix *Index) Compression() store.Compression { return ix.comp }
 
 // BlockCount returns the Morton block count of v's shortest-path quadtree.
 func (ix *Index) BlockCount(v graph.VertexID) int {

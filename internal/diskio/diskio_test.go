@@ -121,10 +121,7 @@ func TestLayoutEmpty(t *testing.T) {
 
 // TestByteLayoutMatchesEntryLayout checks that a layout of 16-byte entries
 // pages exactly like a layout of their bytes, because no entry straddles a
-// page when the page size is a multiple of 16. The paged store lays out both
-// of its run encodings in bytes and relies on this for the fixed-width one:
-// the pages a vertex owns, and so every pool hit, miss and eviction, are
-// those of its 16-byte entries.
+// page when the page size is a multiple of 16.
 func TestByteLayoutMatchesEntryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, ps := range []int{16, 64, 4096} {

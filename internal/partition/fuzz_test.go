@@ -36,7 +36,9 @@ func FuzzOpenPagedSharded(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-100] ^= 0xFF
 	f.Add(flip)
-	f.Add([]byte("SILCSPG1"))
+	oldMagic := append([]byte(nil), valid...)
+	oldMagic[7] = '1' // SILCSPG2 -> the removed format's magic
+	f.Add(oldMagic)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{CachePages: 4})
 		if err != nil {

@@ -17,9 +17,8 @@ import (
 // The sharded paged file format is partition metadata plus one complete
 // embedded store image per cell, each opened as its own ReadAt-backed store
 // while sharing ONE buffer pool — the paper's cache fraction stays a
-// property of the whole database. Every cell image uses the same run codec,
-// and the file's magic names it (store.ShardedMagic writes it, store.Sniff
-// reads it back).
+// property of the whole database. The file opens with store.ShardedMagic,
+// which store.Sniff recognises.
 //
 //	superblock   64 bytes   magic, page size, P, n, m, nb, section offsets
 //	network      the GLOBAL network (store network-section encoding + CRC)
@@ -49,8 +48,8 @@ type shardedLayout struct {
 }
 
 // planPagedLayout plans every cell image and lays out the sharded file.
-// Under compression the per-cell image sizes are only known after encoding,
-// which is why planning precedes any writing.
+// The per-cell image sizes are only known after encoding, which is why
+// planning precedes any writing.
 func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 	if s.cells == nil {
 		return nil, fmt.Errorf("partition: a remote (router-side) index holds no cell images to serialize")
@@ -91,22 +90,19 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 
 // PagedImageInfo reports the section layout of the sharded paged image
 // WritePaged would produce: per-cell sections summed, partition metadata
-// counted under Extents, and the fixed-width footprint of the same index
-// for the compression ratio. It plans (and under compression, encodes)
-// every cell image, so it costs about as much as a write.
+// counted under Extents. It plans, and so encodes, every cell image, so it
+// costs about as much as a write.
 func (s *Sharded) PagedImageInfo() (store.ImageInfo, error) {
 	l, err := s.planPagedLayout()
 	if err != nil {
 		return store.ImageInfo{}, err
 	}
 	out := store.ImageInfo{
-		Compression: s.comp,
-		Superblock:  shardedPagedSuperblockSize,
-		Network:     store.NetworkSectionSize(s.g.NumVertices(), s.g.NumEdges()),
-		Extents:     l.metaSize + l.cellTabSize,
-		Total:       l.fileSize,
+		Superblock: shardedPagedSuperblockSize,
+		Network:    store.NetworkSectionSize(s.g.NumVertices(), s.g.NumEdges()),
+		Extents:    l.metaSize + l.cellTabSize,
+		Total:      l.fileSize,
 	}
-	fw := store.Align(l.cellTabOff+l.cellTabSize, store.PageSize)
 	for _, pl := range l.plans {
 		info := pl.Info()
 		out.Superblock += info.Superblock
@@ -116,10 +112,7 @@ func (s *Sharded) PagedImageInfo() (store.ImageInfo, error) {
 		out.CRCTable += info.CRCTable
 		out.BlockPages += info.BlockPages
 		out.TotalBlocks += info.TotalBlocks
-		out.RawBlockBytes += info.RawBlockBytes
-		fw = store.Align(fw+info.FixedWidthTotal, store.PageSize)
 	}
-	out.FixedWidthTotal = fw
 	return out, nil
 }
 
@@ -147,7 +140,7 @@ func (s *Sharded) WritePaged(w io.Writer) (int64, error) {
 	le := binary.LittleEndian
 
 	head := make([]byte, shardedPagedSuperblockSize)
-	copy(head[0:8], store.ShardedMagic(s.comp))
+	copy(head[0:8], store.ShardedMagic)
 	le.PutUint32(head[8:12], uint32(store.PageSize))
 	le.PutUint32(head[12:16], uint32(p))
 	le.PutUint32(head[16:20], uint32(n))
@@ -253,7 +246,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		return nil, err
 	}
 	le := binary.LittleEndian
-	g, asn, comp := meta.g, meta.asn, meta.comp
+	g, asn := meta.g, meta.asn
 	p, n := asn.P, g.NumVertices()
 	cellTabOff, fileSize := meta.cellTabOff, meta.fileSize
 	if opt.Mapped != nil && int64(len(opt.Mapped)) < fileSize {
@@ -309,9 +302,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
 		}
-		if st.Compression() != comp {
-			return nil, fmt.Errorf("partition: cell %d image encoded %v, sharded header says %v", c, st.Compression(), comp)
-		}
 		if bases[c] != totalBlockPages {
 			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, bases[c], totalBlockPages)
 		}
@@ -338,12 +328,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		st := stores[c]
 		total, minB, maxB := st.BlockStats()
 		cells[c].ix = core.NewPagedIndex(core.PagedConfig{
-			Graph:       cells[c].sub,
-			Source:      st,
-			Tracker:     tracker,
-			Radius:      st.Radius(),
-			Lenient:     st.Lenient(),
-			Compression: st.Compression(),
+			Graph:   cells[c].sub,
+			Source:  st,
+			Tracker: tracker,
+			Radius:  st.Radius(),
+			Lenient: st.Lenient(),
 			Stats: core.BuildStats{
 				Vertices:    cells[c].sub.NumVertices(),
 				Edges:       cells[c].sub.NumEdges(),
@@ -369,7 +358,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 // and because it is read from the same bytes the cell nodes serve, router and
 // nodes can never disagree about the partitioning.
 type RouterMeta struct {
-	comp          store.Compression
 	cellTabOff    int64
 	fileSize      int64
 	g             *graph.Network
@@ -387,9 +375,12 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 		return nil, fmt.Errorf("partition: reading superblock: %w", err)
 	}
 	le := binary.LittleEndian
-	sharded, comp, ok := store.Sniff(head[0:8])
-	if !ok || !sharded {
-		return nil, fmt.Errorf("partition: bad magic %q", head[0:8])
+	sharded, err := store.Sniff(head[0:8])
+	if err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	if !sharded {
+		return nil, fmt.Errorf("partition: %q opens a monolithic image, not a sharded file", head[0:8])
 	}
 	if stored, computed := le.Uint32(head[60:64]), crc32.ChecksumIEEE(head[:60]); stored != computed {
 		return nil, fmt.Errorf("partition: superblock checksum mismatch: stored %08x computed %08x", stored, computed)
@@ -483,7 +474,6 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 	}
 	cl.B, cl.RowOf, cl.CellStart = b, rowOf, cellStart
 	return &RouterMeta{
-		comp:          comp,
 		cellTabOff:    cellTabOff,
 		fileSize:      fileSize,
 		g:             g,
@@ -495,7 +485,7 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 
 // sharded starts a Sharded from the metadata: everything but its cells.
 func (m *RouterMeta) sharded() *Sharded {
-	return &Sharded{g: m.g, asn: m.asn, cl: m.cl, selfContained: m.selfContained, comp: m.comp,
+	return &Sharded{g: m.g, asn: m.asn, cl: m.cl, selfContained: m.selfContained,
 		labels: newLabelTables(m.asn.P, m.cl.NB())}
 }
 

@@ -68,7 +68,7 @@ func TestCorruptCellPageErrorsNotPanics(t *testing.T) {
 	cellTabOff := int64(le.Uint64(img[44:52]))
 	victim := p - 1
 	imageOff := int64(le.Uint64(img[cellTabOff+int64(victim)*24:]))
-	blockOff := int64(le.Uint64(img[imageOff+56 : imageOff+64]))
+	blockOff := int64(le.Uint64(img[imageOff+64 : imageOff+72])) // the superblock's block-section offset
 	corrupt := append([]byte(nil), img...)
 	corrupt[imageOff+blockOff] ^= 0xFF
 

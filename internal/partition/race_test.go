@@ -9,7 +9,6 @@ import (
 
 	"silc/internal/core"
 	"silc/internal/graph"
-	"silc/internal/store"
 )
 
 // cellExact fully refines the within-cell distance from u to v on one cell
@@ -207,10 +206,10 @@ func checkRaces(t *testing.T, name string, races []raceCase) raceTally {
 	return tally
 }
 
-// pagedCells reopens s's image demand-paged, PG2-encoded, behind a 5% pool.
+// pagedCells reopens s's image demand-paged behind a 5% pool.
 func pagedCells(t testing.TB, g *graph.Network, p int) *Sharded {
 	t.Helper()
-	s, err := Build(g, Options{Partitions: p, Compression: store.CompressionDelta})
+	s, err := Build(g, Options{Partitions: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +220,6 @@ func pagedCells(t testing.TB, g *graph.Network, p int) *Sharded {
 	paged, err := OpenPaged(bytes.NewReader(img.Bytes()), int64(img.Len()), Options{CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if paged.Compression() != store.CompressionDelta {
-		t.Fatalf("image is %v, want PG2", paged.Compression())
 	}
 	return paged
 }

@@ -27,10 +27,6 @@ type Options struct {
 	// page capacity for the paged (OpenPaged) configuration. Tests use it
 	// to force heavy eviction.
 	CachePages int
-	// Compression selects the block-page encoding WritePaged emits for every
-	// cell image: CompressionNone for fixed-width SILCSPG1, CompressionDelta
-	// for the delta+varint SILCSPG2. Reading accepts both regardless.
-	Compression store.Compression
 	// Mapped, when non-nil in OpenPaged, is the whole file memory-mapped (or
 	// otherwise resident): each cell store decodes straight out of its
 	// subslice with no ReadAt and no gather copy. Must cover the file and
@@ -98,9 +94,6 @@ type Sharded struct {
 	// pager is set by OpenPaged: the shared real-page pool behind every
 	// cell store, reporting actual read counters.
 	pager *store.Pager
-	// comp is the block-page encoding WritePaged emits (for an opened paged
-	// index, the encoding of the file it came from).
-	comp  store.Compression
 	stats Stats
 	// labels holds the destination-label rows (labels.go), one bounded table
 	// per cell, shared by every query over in-process and remote cells alike.
@@ -109,9 +102,6 @@ type Sharded struct {
 	// cells.
 	raceHinted, raceUsed obs.Counter
 }
-
-// Compression returns the block-page encoding WritePaged will emit.
-func (s *Sharded) Compression() store.Compression { return s.comp }
 
 // StorePager returns the shared on-disk pager of a paged (OpenPaged) index,
 // nil for in-RAM indexes.
@@ -145,7 +135,6 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 		ix, err := core.Build(sub, core.BuildOptions{
 			Parallelism:      opt.Parallelism,
 			AllowUnreachable: p > 1,
-			Compression:      opt.Compression,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d index: %w", c, err)
@@ -162,7 +151,7 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 	if err := validateCoverage(g, asn, cl, cells); err != nil {
 		return nil, err
 	}
-	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, comp: opt.Compression, labels: newLabelTables(p, cl.NB())}
+	s := &Sharded{g: g, asn: asn, cells: cells, cl: cl, labels: newLabelTables(p, cl.NB())}
 	s.bindCells()
 	s.selfContained = s.computeSelfContained()
 	closureTime := time.Since(closureStart)

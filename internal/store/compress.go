@@ -13,43 +13,13 @@ import (
 	"silc/internal/quadtree"
 )
 
-// Compression selects how a paged image encodes each vertex's run of
-// Morton blocks; the layout around the runs is the same for both (format.go).
+// Compression names the encoding of a paged image's runs. Every image is
+// delta+varint (CompressionDelta); the type stays only because the benchmark
+// module compiles against it (Store.Compression, core.PagedConfig).
 type Compression uint8
 
-const (
-	// CompressionNone encodes a run as fixed-width 16-byte entries: the
-	// SILCPG1 image.
-	CompressionNone Compression = iota
-	// CompressionDelta compresses a run as a delta+varint stream (Morton
-	// gaps, per-run color dictionaries, float-bit deltas for the ratio
-	// bounds): the SILCPG2 image.
-	CompressionDelta
-)
-
-// String returns the silcbuild -compress spelling of c.
-func (c Compression) String() string {
-	switch c {
-	case CompressionNone:
-		return "none"
-	case CompressionDelta:
-		return "delta"
-	default:
-		return fmt.Sprintf("Compression(%d)", uint8(c))
-	}
-}
-
-// ParseCompression maps the -compress flag spellings back to a Compression.
-func ParseCompression(s string) (Compression, error) {
-	switch s {
-	case "none":
-		return CompressionNone, nil
-	case "delta":
-		return CompressionDelta, nil
-	default:
-		return 0, fmt.Errorf("store: unknown compression %q (want none or delta)", s)
-	}
-}
+// CompressionDelta is the delta+varint run encoding, the only one.
+const CompressionDelta Compression = 1
 
 // The compressed run layout (one run per vertex with at least one block,
 // byte-packed; DESIGN.md §11 documents it normatively):
@@ -73,8 +43,8 @@ func ParseCompression(s string) (Compression, error) {
 // aligned multiple of 4^k across holes; ratio bounds of nearby blocks share
 // high float bits, so their bit deltas are short varints. The decoder
 // reconstructs codes by accumulating gaps, which re-establishes the
-// sorted/disjoint invariant for free; everything else is revalidated exactly
-// like the fixed-width DecodeBlocks path.
+// sorted/disjoint invariant for free; everything else is revalidated block
+// by block.
 const (
 	runFlagGap     = 1 << 5
 	runFlagHiEqLo  = 1 << 6
@@ -120,8 +90,7 @@ func decodeGap(enc uint64) (uint64, error) {
 // CompressRun appends the delta+varint encoding of one vertex's sorted
 // Morton-block run to dst. The encoder is deterministic, so re-serializing
 // a decoded image reproduces it byte for byte. Runs must be non-empty,
-// sorted, and carry colors in the disk format's 8-bit width — the same
-// preconditions the fixed-width writer enforces.
+// sorted, and carry colors in the disk format's 8-bit width.
 func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("store: empty runs are not stored")
@@ -202,9 +171,10 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 }
 
 // DecompressRun decodes one vertex's compressed run, revalidating every
-// structural invariant the query path relies on — exactly the checks of the
-// fixed-width DecodeBlocks, plus the run must declare the expected block
-// count and consume its bytes exactly. It returns the blocks and the
+// structural invariant the query path relies on: cell levels within the
+// grid, blocks sorted and disjoint, colors inside the vertex's out-degree,
+// ratio bounds ordered and not NaN, and the run must declare the expected
+// block count and consume its bytes exactly. It returns the blocks and the
 // minimum LamLo (1 for an empty run, matching Tree.MinLambda semantics).
 //
 // count comes from the validated extent table (counts[v] < n), and the
@@ -292,6 +262,15 @@ func lookupRun(data []byte, count, deg int, code geom.Code, points []restart, va
 		return quadtree.Block{}, false, 0, err
 	}
 	return found, ok, count - first, nil
+}
+
+// checkRunLength reports whether bytes can be the length of a run of count
+// blocks (of a whole block section, too: sections are runs laid end to end).
+func checkRunLength(count, bytes int64) error {
+	if (count == 0 && bytes != 0) || (count > 0 && bytes < runMinPerBlock*count+runOverhead) {
+		return fmt.Errorf("%d run bytes cannot hold %d blocks", bytes, count)
+	}
+	return nil
 }
 
 // runDecoder walks one compressed run block by block. newRunDecoder checks

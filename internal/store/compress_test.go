@@ -78,7 +78,7 @@ func TestCompressRunRoundTrip(t *testing.T) {
 
 // TestDecompressRunRejectsCorruption mangles valid runs every which way and
 // checks the decoder reports an error rather than panicking or fabricating
-// blocks, mirroring TestDecodeBlocksRejectsCorruption for the v2 codec.
+// blocks; so must the lookup's validating pass.
 func TestDecompressRunRejectsCorruption(t *testing.T) {
 	blocks := []quadtree.Block{
 		{Cell: mustCell(t, 0, 14), Color: 0, LamLo: 1.0, LamHi: 1.25},
@@ -93,6 +93,20 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 	if _, _, err := store.DecompressRun(enc, len(blocks), deg); err != nil {
 		t.Fatalf("valid run rejected: %v", err)
 	}
+	// The encoder checks neither alignment nor NaN, so it writes these
+	// one-block runs for the decoder to reject.
+	compress := func(b quadtree.Block) []byte {
+		run, err := store.CompressRun(nil, []quadtree.Block{b})
+		if err != nil {
+			t.Fatalf("compress %+v: %v", b, err)
+		}
+		return run
+	}
+	nan := math.Float32frombits(0x7FC00000)
+	misaligned := compress(quadtree.Block{Cell: geom.Cell{Code: 1, Level: 14}, LamLo: 1, LamHi: 1})
+	nanBounds := compress(quadtree.Block{Cell: mustCell(t, 0, 14), LamLo: nan, LamHi: nan})
+	deepLevel := append([]byte{}, enc...)
+	deepLevel[4] = deepLevel[4]&^0x1F | (geom.MaxLevel + 1) // first block's header byte
 
 	cases := []struct {
 		name  string
@@ -108,6 +122,9 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 		{"empty run with data", enc, 0, deg},
 		{"zero dictionary", append([]byte{3, 0}, enc[2:]...), 3, deg},
 		{"color beyond degree", enc, 3, 1},
+		{"level beyond grid", deepLevel, 3, deg},
+		{"misaligned code", misaligned, 1, deg},
+		{"NaN ratio bounds", nanBounds, 1, deg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"silc/internal/quadtree"
 )
 
-// RestartEvery is how many blocks of a PG2 run lie between two restart
+// RestartEvery is how many blocks of a run lie between two restart
 // points.
 const RestartEvery = restartEvery
 
@@ -30,18 +30,13 @@ func (pg *Pager) FreeFrames() int {
 	return len(pg.free)
 }
 
-// DecodeBlocks decodes a PG1 run into new blocks.
-func DecodeBlocks(data []byte, deg int) ([]quadtree.Block, float64, error) {
-	return decodeBlocks(nil, data, deg)
-}
-
-// LookupRun is the PG2 single-block lookup with no restart points: its
+// LookupRun is the single-block lookup with no restart points: its
 // validated mode decodes from the start of the run.
 func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
 	return lookupRun(data, count, deg, code, nil, validated)
 }
 
-// IndexRun runs the full validating pass of the PG2 lookup over a run,
+// IndexRun runs the full validating pass of the lookup over a run,
 // recording its restart points, and returns the validated lookup that
 // resumes from them, or the pass's error when the run fails it.
 func IndexRun(data []byte, count, deg int) (func(geom.Code) (quadtree.Block, bool, int, error), error) {

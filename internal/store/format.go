@@ -10,22 +10,15 @@
 //
 //	superblock   magic, page size, flags, counts, radius, offsets + CRC
 //	network      coords + CSR adjacency + CRC   (loaded eagerly: O(n+m))
-//	extents      per-vertex block counts [+ run lengths] + CRC   (eager: O(n))
+//	extents      per-vertex block counts, then run lengths + CRC   (eager: O(n))
 //	  ...zero padding to a page boundary...
 //	block pages  one run per vertex with blocks, byte-packed vertex-major
 //	             across pages                   (demand-paged)
 //	page CRCs    one CRC-32 per block page + table CRC (loaded eagerly)
 //
-// A run is one vertex's sorted Morton blocks, encoded by the image's codec
-// (codec.go). The magic names the codec, and the codec decides the rest:
-//
-//	codec             magic      superblock  extent columns      run
-//	CompressionNone   SILCPG1\0  92 bytes    counts              16-byte entries (decode.go)
-//	CompressionDelta  SILCPG2\0  100 bytes   counts, run bytes   delta+varint stream (compress.go)
-//
-// The 100-byte superblock is the 92-byte one with the block section's byte
-// count inserted at offset 40; a 16-byte-entry image derives that count, and
-// every run length, as 16 x the block count.
+// A run is one vertex's sorted Morton blocks as a delta+varint stream
+// (compress.go). The magic is SILCPG2\0; a sharded file of embedded images
+// (internal/partition) opens with SILCSPG2. The superblock is 100 bytes.
 //
 // All integers are little-endian. Offsets are relative to the image start,
 // so a complete image can be embedded inside a larger file (the sharded
@@ -34,6 +27,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -42,26 +36,49 @@ import (
 	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
-	"silc/internal/quadtree"
 )
 
 // PageSize is the on-disk page size the writer emits. Readers accept any
 // sane recorded page size; the pool's page math adapts.
 const PageSize = diskio.DefaultPageSize
 
-// entrySize is the 16-byte Morton-block disk entry: code u32, level u8,
-// color u8, pad u16, lamLo f32, lamHi f32.
-const entrySize = quadtree.EncodedSizeBytes
+// The magics of a monolithic image and of a sharded file, the only names
+// of the formats: every other package asks Sniff or writes ShardedMagic.
+const (
+	magic        = "SILCPG2\x00"
+	ShardedMagic = "SILCSPG2"
+)
 
-// superblockSize is the byte size of the superblock of a codec that does
-// not store lengths.
-const superblockSize = 92
+// ErrBadMagic reports bytes that open no paged image; the root package
+// exports it as silc.ErrBadMagic.
+var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG2 nor SILCSPG2)")
+
+// Sniff reports whether an 8-byte magic opens a sharded file or a
+// monolithic image. Any other bytes are an error wrapping ErrBadMagic, which
+// for the removed fixed-width format says to rebuild the image.
+func Sniff(m []byte) (sharded bool, err error) {
+	switch string(m) {
+	case magic:
+		return false, nil
+	case ShardedMagic:
+		return true, nil
+	case "SILCPG1\x00", "SILCSPG1": // the removed fixed-width format
+		return false, fmt.Errorf("%w: %q is the removed fixed-width format (SILCPG1/SILCSPG1); rebuild the image with silcbuild -o", ErrBadMagic, m)
+	}
+	return false, fmt.Errorf("%w: got %q", ErrBadMagic, m)
+}
+
+// superblockSize is the byte size of the superblock.
+const superblockSize = 100
+
+// extentSize is the byte size of the extent table for n vertices: a column
+// of block counts, a column of run lengths and the trailing CRC.
+func extentSize(n int) int64 { return 8*int64(n) + 4 }
 
 const flagLenient = 1 << 0
 
 // superblock is the decoded leading block of a paged image.
 type superblock struct {
-	c           *codec
 	pageSize    int
 	lenient     bool
 	n           int
@@ -81,9 +98,9 @@ type superblock struct {
 // block section's byte count.
 func (sb *superblock) layOut() {
 	ps := int64(sb.pageSize)
-	sb.netOff = sb.c.headerSize()
+	sb.netOff = superblockSize
 	sb.extentOff = sb.netOff + NetworkSectionSize(sb.n, sb.m)
-	sb.blockOff = Align(sb.extentOff+sb.c.extentSize(sb.n), ps)
+	sb.blockOff = Align(sb.extentOff+extentSize(sb.n), ps)
 	sb.blockPages = (sb.blockBytes + ps - 1) / ps
 	sb.crcTabOff = sb.blockOff + sb.blockPages*ps
 	sb.imageSize = sb.crcTabOff + sb.blockPages*4 + 4
@@ -91,8 +108,8 @@ func (sb *superblock) layOut() {
 
 func (sb *superblock) encode() []byte {
 	le := binary.LittleEndian
-	buf := make([]byte, 0, sb.c.headerSize())
-	buf = append(buf, sb.c.magic...)
+	buf := make([]byte, 0, superblockSize)
+	buf = append(buf, magic...)
 	var flags uint32
 	if sb.lenient {
 		flags |= flagLenient
@@ -103,25 +120,21 @@ func (sb *superblock) encode() []byte {
 	buf = le.AppendUint32(buf, uint32(sb.m))
 	buf = le.AppendUint64(buf, math.Float64bits(sb.radius))
 	buf = le.AppendUint64(buf, uint64(sb.totalBlocks))
-	if sb.c.storesLengths {
-		buf = le.AppendUint64(buf, uint64(sb.blockBytes))
-	}
-	for _, w := range [...]int64{sb.netOff, sb.extentOff, sb.blockOff, sb.blockPages, sb.crcTabOff, sb.imageSize} {
+	for _, w := range [...]int64{sb.blockBytes, sb.netOff, sb.extentOff, sb.blockOff, sb.blockPages, sb.crcTabOff, sb.imageSize} {
 		buf = le.AppendUint64(buf, uint64(w))
 	}
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeSuperblock parses and sanity-checks the c.headerSize() bytes of a
-// superblock whose magic named c against the available image size.
-func decodeSuperblock(c *codec, buf []byte, size int64) (*superblock, error) {
+// decodeSuperblock parses and sanity-checks the superblockSize bytes of a
+// superblock against the available image size.
+func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
 	le := binary.LittleEndian
 	body := len(buf) - 4
 	if stored, computed := le.Uint32(buf[body:]), crc32.ChecksumIEEE(buf[:body]); stored != computed {
 		return nil, fmt.Errorf("store: superblock checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
 	sb := &superblock{
-		c:           c,
 		pageSize:    int(le.Uint32(buf[8:12])),
 		lenient:     le.Uint32(buf[12:16])&flagLenient != 0,
 		n:           int(le.Uint32(buf[16:20])),
@@ -129,15 +142,10 @@ func decodeSuperblock(c *codec, buf []byte, size int64) (*superblock, error) {
 		radius:      math.Float64frombits(le.Uint64(buf[24:32])),
 		totalBlocks: int64(le.Uint64(buf[32:40])),
 	}
-	words := buf[40:body]
-	if c.storesLengths {
-		sb.blockBytes = int64(le.Uint64(words))
-		words = words[8:]
+	for i, w := range [...]*int64{&sb.blockBytes, &sb.netOff, &sb.extentOff, &sb.blockOff, &sb.blockPages, &sb.crcTabOff, &sb.imageSize} {
+		*w = int64(le.Uint64(buf[40+i*8:]))
 	}
-	for i, w := range [...]*int64{&sb.netOff, &sb.extentOff, &sb.blockOff, &sb.blockPages, &sb.crcTabOff, &sb.imageSize} {
-		*w = int64(le.Uint64(words[i*8:]))
-	}
-	if sb.pageSize < entrySize || sb.pageSize > 1<<20 || sb.pageSize%entrySize != 0 {
+	if sb.pageSize < 16 || sb.pageSize > 1<<20 || sb.pageSize%16 != 0 {
 		return nil, fmt.Errorf("store: invalid page size %d", sb.pageSize)
 	}
 	if sb.n <= 0 {
@@ -152,16 +160,13 @@ func decodeSuperblock(c *codec, buf []byte, size int64) (*superblock, error) {
 	if sb.imageSize <= 0 || sb.imageSize > size {
 		return nil, fmt.Errorf("store: image size %d exceeds available %d bytes", sb.imageSize, size)
 	}
-	// Every block takes at least perBlock bytes of the block section, which
-	// lies inside the image: bounding totalBlocks by that keeps the derived
-	// section length, and the page math on it, in range.
-	if sb.totalBlocks < 0 || sb.totalBlocks > int64(sb.n)*int64(sb.n) || sb.totalBlocks > sb.imageSize/c.perBlock {
+	// Every block takes at least runMinPerBlock bytes of the block section,
+	// which lies inside the image: bounding totalBlocks by that keeps the
+	// page math in range.
+	if sb.totalBlocks < 0 || sb.totalBlocks > int64(sb.n)*int64(sb.n) || sb.totalBlocks > sb.imageSize/runMinPerBlock {
 		return nil, fmt.Errorf("store: implausible total block count %d for %d vertices", sb.totalBlocks, sb.n)
 	}
-	if !c.storesLengths {
-		sb.blockBytes = c.perBlock * sb.totalBlocks
-	}
-	if err := c.checkRun(sb.totalBlocks, sb.blockBytes); err != nil || sb.blockBytes > sb.imageSize {
+	if err := checkRunLength(sb.totalBlocks, sb.blockBytes); err != nil || sb.blockBytes > sb.imageSize {
 		return nil, fmt.Errorf("store: block section of %d bytes implausible for %d blocks", sb.blockBytes, sb.totalBlocks)
 	}
 	// Sections must sit exactly where the counts place them — every later
@@ -275,30 +280,27 @@ func DecodeNetworkSection(buf []byte, n, m int) (*graph.Network, error) {
 	return g, nil
 }
 
-// encodeExtentSection serializes the per-vertex block counts, then, when
-// c stores them, the per-vertex run lengths.
-func encodeExtentSection(c *codec, counts, byteLens []uint32) []byte {
+// encodeExtentSection serializes the per-vertex block counts, then the
+// per-vertex run lengths.
+func encodeExtentSection(counts, byteLens []uint32) []byte {
 	le := binary.LittleEndian
-	buf := make([]byte, 0, c.extentSize(len(counts)))
+	buf := make([]byte, 0, extentSize(len(counts)))
 	for _, x := range counts {
 		buf = le.AppendUint32(buf, x)
 	}
-	if c.storesLengths {
-		for _, x := range byteLens {
-			buf = le.AppendUint32(buf, x)
-		}
+	for _, x := range byteLens {
+		buf = le.AppendUint32(buf, x)
 	}
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // decodeExtentSection parses and validates the per-vertex block counts and
-// run lengths (perBlock x the count where c does not store them). A
-// shortest-path quadtree block contains at least one colored vertex, so no
-// vertex can own n or more blocks; each run length must pass the codec's
-// check, and the columns must sum to the superblock's totals — a corrupt
-// table cannot make a run claim more bytes than the section holds or fewer
-// than its blocks need.
-func decodeExtentSection(c *codec, buf []byte, n int, totalBlocks, blockBytes int64) (counts []uint32, lens []int, err error) {
+// run lengths. A shortest-path quadtree block contains at least one colored
+// vertex, so no vertex can own n or more blocks; each run length must be
+// able to hold its blocks, and the columns must sum to the superblock's
+// totals — a corrupt table cannot make a run claim more bytes than the
+// section holds or fewer than its blocks need.
+func decodeExtentSection(buf []byte, n int, totalBlocks, blockBytes int64) (counts []uint32, lens []int, err error) {
 	le := binary.LittleEndian
 	payload := buf[:len(buf)-4]
 	if stored, computed := le.Uint32(buf[len(payload):]), crc32.ChecksumIEEE(payload); stored != computed {
@@ -312,11 +314,8 @@ func decodeExtentSection(c *codec, buf []byte, n int, totalBlocks, blockBytes in
 		if counts[v] >= uint32(n) {
 			return nil, nil, fmt.Errorf("store: vertex %d records %d blocks, impossible for %d vertices", v, counts[v], n)
 		}
-		runLen := c.perBlock * int64(counts[v])
-		if c.storesLengths {
-			runLen = int64(le.Uint32(payload[(n+v)*4:]))
-		}
-		if err := c.checkRun(int64(counts[v]), runLen); err != nil {
+		runLen := int64(le.Uint32(payload[(n+v)*4:]))
+		if err := checkRunLength(int64(counts[v]), runLen); err != nil {
 			return nil, nil, fmt.Errorf("store: vertex %d: %w", v, err)
 		}
 		lens[v] = int(runLen)

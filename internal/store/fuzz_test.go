@@ -2,8 +2,6 @@ package store_test
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,74 +14,26 @@ import (
 	"silc/internal/store"
 )
 
-// quadtreeDecodeSeeds builds seed block runs for the demand-paging
-// deserializer: a real vertex run from a built index plus hand-mangled
-// variants.
-func quadtreeDecodeSeeds(tb testing.TB) [][]byte {
-	tb.Helper()
-	g, err := graph.GenerateGrid(5, 5)
-	if err != nil {
-		tb.Fatalf("grid: %v", err)
-	}
-	ix, err := core.Build(g, core.BuildOptions{})
-	if err != nil {
-		tb.Fatalf("build: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WritePaged(&buf); err != nil {
-		tb.Fatalf("write: %v", err)
-	}
-	img := buf.Bytes()
-	st, err := store.Open(bytes.NewReader(img), int64(len(img)), store.OpenOptions{})
-	if err != nil {
-		tb.Fatalf("open: %v", err)
-	}
-	// Re-encode vertex 0's run straight from the decoded tree.
-	t0, err := st.Tree(nil, 0)
-	if err != nil {
-		tb.Fatalf("tree: %v", err)
-	}
-	run := make([]byte, 0, len(t0.Blocks)*16)
-	var e [16]byte
-	for _, b := range t0.Blocks {
-		binary.LittleEndian.PutUint32(e[0:4], uint32(b.Cell.Code))
-		e[4] = b.Cell.Level
-		e[5] = byte(b.Color)
-		e[6], e[7] = 0, 0
-		binary.LittleEndian.PutUint32(e[8:12], math.Float32bits(b.LamLo))
-		binary.LittleEndian.PutUint32(e[12:16], math.Float32bits(b.LamHi))
-		run = append(run, e[:]...)
-	}
-	flip := append([]byte(nil), run...)
-	if len(flip) > 4 {
-		flip[4] = 29 // absurd level
-	}
-	return [][]byte{run, run[:len(run)/2], flip, {}, make([]byte, 16)}
-}
-
-// checkLookupPass holds a codec's single-block lookup to the whole-run
-// decode of the same run. The full pass errors iff decodeErr is set, and on
-// an accepted run it decodes every block and returns, for probes inside, at
-// the edges of and between the decoded blocks, exactly the block the decoded
+// checkLookupPass holds the single-block lookup to the whole-run decode of
+// the same run. The full pass errors iff decodeErr is set, and on an
+// accepted run it decodes every block and returns, for probes inside, at the
+// edges of and between the decoded blocks, exactly the block the decoded
 // tree finds. On an accepted run the validated lookup — the early exit a
 // store takes once the full pass succeeded — must return the same block and
 // ok for every probe, decoding no more blocks than the run holds.
 //
-// index, for the PG2 codec, runs the full pass that records the run's
-// restart points and returns the validated lookup resuming from them. The
-// pass must fail iff decodeErr is set; on an accepted run the lookup
-// resuming from its points must return the full pass's block and ok for
-// every probe, decoding exactly the blocks from its restart point through
-// the first block ending past the probe.
+// index runs the full pass that records the run's restart points and
+// returns the validated lookup resuming from them. The pass must fail iff
+// decodeErr is set; on an accepted run the lookup resuming from its points
+// must return the full pass's block and ok for every probe, decoding
+// exactly the blocks from its restart point through the first block ending
+// past the probe.
 func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(code geom.Code, validated bool) (quadtree.Block, bool, int, error),
 	index func() (func(geom.Code) (quadtree.Block, bool, int, error), error)) {
 	t.Helper()
-	var indexed func(geom.Code) (quadtree.Block, bool, int, error)
-	if index != nil {
-		var err error
-		if indexed, err = index(); (err != nil) != (decodeErr != nil) {
-			t.Fatalf("indexing pass error %v, decode error %v", err, decodeErr)
-		}
+	indexed, err := index()
+	if (err != nil) != (decodeErr != nil) {
+		t.Fatalf("indexing pass error %v, decode error %v", err, decodeErr)
 	}
 	probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
 	for _, b := range blocks {
@@ -108,48 +58,12 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 			t.Fatalf("probe %x: validated lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d blocks)",
 				code, got, ok, decoded, err, want, wok, len(blocks))
 		}
-		if indexed == nil {
-			continue
-		}
 		got, ok, decoded, err = indexed(code)
-		if limit := validatedDecodes("PG2", tree, code); err != nil || ok != wok || got != want || int64(decoded) != limit {
+		if limit := validatedDecodes(tree, code); err != nil || ok != wok || got != want || int64(decoded) != limit {
 			t.Fatalf("probe %x: restart-indexed lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d of %d blocks)",
 				code, got, ok, decoded, err, want, wok, limit, len(blocks))
 		}
 	}
-}
-
-// FuzzQuadtreeDecode feeds arbitrary byte runs and out-degrees to the
-// per-vertex block deserializer: error-not-panic, any accepted run must
-// satisfy the structural invariants the query path relies on, and the
-// single-block lookup, full and validated, must agree with the decode
-// (checkLookupPass).
-func FuzzQuadtreeDecode(f *testing.F) {
-	for _, seed := range quadtreeDecodeSeeds(f) {
-		f.Add(seed, uint8(4))
-	}
-	f.Fuzz(func(t *testing.T, data []byte, deg uint8) {
-		blocks, minLambda, err := store.DecodeBlocks(data, int(deg))
-		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
-			return store.LookupBlocks(data, int(deg), code, validated)
-		}, nil)
-		if err != nil {
-			return
-		}
-		prevEnd := uint64(0)
-		for _, b := range blocks {
-			if int(b.Color) >= int(deg) || b.Color < 0 {
-				t.Fatalf("accepted block with color %d for out-degree %d", b.Color, deg)
-			}
-			if uint64(b.Cell.Code) < prevEnd {
-				t.Fatal("accepted unsorted blocks")
-			}
-			prevEnd = uint64(b.Cell.End())
-			if float64(b.LamLo) < minLambda {
-				t.Fatalf("minLambda %v above block lower bound %v", minLambda, b.LamLo)
-			}
-		}
-	})
 }
 
 // pageDecodeSeeds builds seed inputs for the compressed-run decoder: a real
@@ -303,8 +217,9 @@ func FuzzPageDecode(f *testing.F) {
 	})
 }
 
-// openPagedSeeds builds seed images for the store opener, in both codecs:
-// fixed-width entries and delta-compressed runs.
+// openPagedSeeds builds seed images for the store opener: a valid image,
+// truncations and bit flips of it, and magics the opener rejects — the
+// removed fixed-width format's and the sharded file's.
 func openPagedSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	g, err := graph.GenerateGrid(5, 5)
@@ -324,18 +239,9 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 	flipHeader[30] ^= 0xFF
 	flipPage := append([]byte(nil), valid...)
 	flipPage[len(flipPage)-64] ^= 0x01 // inside the last block page / CRC table
-
-	cix, err := core.Build(g, core.BuildOptions{Compression: store.CompressionDelta})
-	if err != nil {
-		tb.Fatalf("build compressed: %v", err)
-	}
-	var buf2 bytes.Buffer
-	if _, err := cix.WritePaged(&buf2); err != nil {
-		tb.Fatalf("write compressed: %v", err)
-	}
-	valid2 := buf2.Bytes()
-	flipRun := append([]byte(nil), valid2...)
-	flipRun[len(flipRun)-64] ^= 0x01 // inside the last compressed page / CRC table
+	oldMagic := append([]byte(nil), valid...)
+	oldMagic[6] = '1' // SILCPG2 -> the removed format's magic
+	sharded := append([]byte(store.ShardedMagic), valid[8:]...)
 	return [][]byte{
 		valid,
 		valid[:40],
@@ -343,10 +249,10 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 		flipHeader,
 		flipPage,
 		{},
-		[]byte("SILCPG1\x00short"),
-		valid2,
-		valid2[:len(valid2)/2],
-		flipRun,
+		[]byte("SILCPG1\x00short"), // the removed fixed-width format
+		oldMagic,
+		sharded,
+		valid[:100],
 		[]byte("SILCPG2\x00short"),
 	}
 }
@@ -354,7 +260,8 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 // FuzzOpenPaged drives the store opener with arbitrary images. A
 // successful open is fully exercised: every vertex's quadtree is
 // decoded, so lazily-detected page corruption also surfaces as errors,
-// never panics.
+// never panics. Its checked-in corpus also holds whole images of the
+// removed fixed-width format, which the opener must reject.
 func FuzzOpenPaged(f *testing.F) {
 	for _, seed := range openPagedSeeds(f) {
 		f.Add(seed)
@@ -373,8 +280,10 @@ func FuzzOpenPaged(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the checked-in seed corpora under
-// testdata/fuzz when SILC_GEN_CORPUS=1.
+// TestWriteFuzzCorpus regenerates FuzzPageDecode's checked-in seed corpus
+// under testdata/fuzz when SILC_GEN_CORPUS=1. FuzzOpenPaged's corpus is
+// not regenerated: seeds 0 to 6 are images of the removed fixed-width
+// writer, kept to drive the opener's rejection.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("SILC_GEN_CORPUS") == "" {
 		t.Skip("set SILC_GEN_CORPUS=1 to regenerate the fuzz seed corpus")
@@ -387,14 +296,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, seed := range quadtreeDecodeSeeds(t) {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\nbyte('\\x04')\n"
-		write(filepath.Join("testdata", "fuzz", "FuzzQuadtreeDecode"), "seed-"+strconv.Itoa(i), body)
-	}
-	for i, seed := range openPagedSeeds(t) {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
-		write(filepath.Join("testdata", "fuzz", "FuzzOpenPaged"), "seed-"+strconv.Itoa(i), body)
 	}
 	for i, seed := range pageDecodeSeeds(t) {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed.data)) + ")\nuint16(" +

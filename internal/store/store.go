@@ -168,7 +168,7 @@ type ReadStats struct {
 type Store struct {
 	ra       io.ReaderAt
 	closer   io.Closer
-	sb       *superblock // its codec decodes the runs
+	sb       *superblock
 	g        *graph.Network
 	counts   []uint32
 	mapped   []byte // whole image in memory; nil for ReadAt-backed stores
@@ -188,7 +188,7 @@ type Store struct {
 	// of a validated run decodes only the blocks it needs.
 	validated vertexBits
 	// points is the restart slab, sized at Open: v's run's points are
-	// points[pointsAt[v]:pointsAt[v+1]], as many as the codec gives it.
+	// points[pointsAt[v]:pointsAt[v+1]], restartPoints(counts[v]) of them.
 	points   []restart
 	pointsAt []int
 
@@ -210,24 +210,26 @@ type loadScratch struct {
 var loadPool = sync.Pool{New: func() any { return new(loadScratch) }}
 
 // Open parses a paged store image from ra, whose total size must be given
-// (files: Stat; embedded sections: the section length). The magic picks the
-// codec of the image's runs. The network, extent table, and page CRC table
-// load eagerly; block pages are read only on demand.
+// (files: Stat; embedded sections: the section length). The network, extent
+// table, and page CRC table load eagerly; block pages are read only on
+// demand.
 func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
-	magic, err := readSection(ra, 0, 8)
+	m, err := readSection(ra, 0, 8)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading superblock: %w", err)
 	}
-	sharded, comp, ok := Sniff(magic)
-	if !ok || sharded {
-		return nil, fmt.Errorf("store: bad magic %q", magic)
+	sharded, err := Sniff(m)
+	if err != nil {
+		return nil, err
 	}
-	c := &codecs[comp]
-	head, err := readSection(ra, 0, c.headerSize())
+	if sharded {
+		return nil, fmt.Errorf("store: %q opens a sharded file, not a monolithic image", m)
+	}
+	head, err := readSection(ra, 0, superblockSize)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading superblock: %w", err)
 	}
-	sb, err := decodeSuperblock(c, head, size)
+	sb, err := decodeSuperblock(head, size)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +244,11 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	extBuf, err := readSection(ra, sb.extentOff, c.extentSize(sb.n))
+	extBuf, err := readSection(ra, sb.extentOff, extentSize(sb.n))
 	if err != nil {
 		return nil, fmt.Errorf("store: reading extent section: %w", err)
 	}
-	counts, lens, err := decodeExtentSection(c, extBuf, sb.n, sb.totalBlocks, sb.blockBytes)
+	counts, lens, err := decodeExtentSection(extBuf, sb.n, sb.totalBlocks, sb.blockBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -261,15 +263,14 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	for i := range pageCRCs {
 		pageCRCs[i] = leU32(tabBuf[i*4:])
 	}
-	// The page layout maps each vertex's run to its pages, in bytes for both
-	// codecs: a 16-byte entry never straddles a page, so its runs own the
-	// pages their entries would. The run lengths sum to the block section's
-	// byte count, so the layout spans exactly its blockPages.
+	// The page layout maps each vertex's run to its pages, in bytes. The run
+	// lengths sum to the block section's byte count, so the layout spans
+	// exactly its blockPages.
 	layout := diskio.NewLayout(lens, 1, sb.pageSize)
 
 	pointsAt := make([]int, sb.n+1)
 	for v, count := range counts {
-		pointsAt[v+1] = pointsAt[v] + c.points(int(count))
+		pointsAt[v+1] = pointsAt[v] + restartPoints(int(count))
 	}
 	s := &Store{
 		ra:        ra,
@@ -348,8 +349,9 @@ func (s *Store) Radius() float64 { return s.sb.radius }
 // Lenient reports whether the index was built with AllowUnreachable.
 func (s *Store) Lenient() bool { return s.sb.lenient }
 
-// Compression returns the run codec of the opened image.
-func (s *Store) Compression() Compression { return s.sb.c.comp }
+// Compression returns CompressionDelta, the encoding of every image. It
+// stays only because the benchmark module compiles against it.
+func (s *Store) Compression() Compression { return CompressionDelta }
 
 // Mapped reports whether page frames alias an in-memory image instead of
 // being read through ReadAt.
@@ -433,7 +435,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 	if err != nil {
 		return err
 	}
-	blocks, minLambda, err := s.sb.c.decode(t.Blocks, run, int(s.counts[v]), s.g.Degree(v))
+	blocks, minLambda, err := decompressRun(t.Blocks, run, int(s.counts[v]), s.g.Degree(v))
 	releaseRun(sc, run)
 	if err != nil {
 		return fmt.Errorf("store: vertex %d: %w", v, err)
@@ -461,10 +463,9 @@ func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 // Lookup implements core.TreeSource: it returns the block of v's quadtree
 // whose cell contains code (ok false when none does), touching the pages a
 // Tree call touches, in the same order, and caching nothing. Until a full
-// validating pass over v's run succeeded, the codec's decoder passes over
-// the whole run; after that it decodes only the blocks the answer needs —
-// on PG2 at most restartEvery, from a restart point the first pass
-// recorded, on PG1 one binary search's worth.
+// validating pass over v's run succeeded, the decoder passes over the whole
+// run; after that it decodes only the blocks the answer needs, at most
+// restartEvery, from a restart point the first pass recorded.
 func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
 	run, sc, err := s.runBytes(ioStats, v)
 	if err != nil {
@@ -472,7 +473,7 @@ func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) 
 	}
 	validated := s.validated.has(v)
 	points := s.points[s.pointsAt[v]:s.pointsAt[v+1]]
-	b, ok, decoded, err := s.sb.c.lookup(run, int(s.counts[v]), s.g.Degree(v), code, points, validated)
+	b, ok, decoded, err := lookupRun(run, int(s.counts[v]), s.g.Degree(v), code, points, validated)
 	releaseRun(sc, run)
 	if err != nil {
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)

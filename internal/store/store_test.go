@@ -252,45 +252,3 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 		t.Fatalf("churn evicted only %d pages", churn.Evictions)
 	}
 }
-
-// TestDecodeBlocksRejectsCorruption spot-checks the structural validation
-// of the demand-paging deserializer.
-func TestDecodeBlocksRejectsCorruption(t *testing.T) {
-	valid := make([]byte, 16)
-	valid[4] = 2 // level 2
-	valid[5] = 0 // color 0
-	for _, tc := range []struct {
-		name   string
-		mutate func(b []byte)
-	}{
-		{"short", func(b []byte) {}}, // handled below with odd length
-		{"level", func(b []byte) { b[4] = 30 }},
-		{"misaligned", func(b []byte) { b[0] = 1 }},
-		{"color", func(b []byte) { b[5] = 9 }},
-		{"nan-lambda", func(b []byte) { b[8], b[9], b[10], b[11] = 0, 0, 0xC0, 0x7F }},
-	} {
-		b := append([]byte(nil), valid...)
-		tc.mutate(b)
-		if tc.name == "short" {
-			b = b[:7]
-		}
-		if _, _, err := store.DecodeBlocks(b, 3); err == nil {
-			t.Errorf("%s: corrupt run decoded without error", tc.name)
-		}
-		if _, _, _, err := store.LookupBlocks(b, 3, 0, false); err == nil {
-			t.Errorf("%s: corrupt run passed the lookup pass without error", tc.name)
-		}
-	}
-	if _, _, err := store.DecodeBlocks(valid, 3); err != nil {
-		t.Errorf("valid run rejected: %v", err)
-	}
-	// Unsorted pair: the lookup pass must reject it even though its first
-	// entry already answers the probe.
-	two := append(append([]byte(nil), valid...), valid...)
-	if _, _, err := store.DecodeBlocks(two, 3); err == nil {
-		t.Error("overlapping blocks decoded without error")
-	}
-	if _, _, _, err := store.LookupBlocks(two, 3, 0, false); err == nil {
-		t.Error("overlapping blocks passed the lookup pass without error")
-	}
-}

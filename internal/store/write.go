@@ -16,16 +16,15 @@ import (
 // Tree is called once per vertex, in vertex order, while the plan encodes
 // the vertex's run.
 type Source struct {
-	Graph       *graph.Network
-	Radius      float64
-	Lenient     bool
-	Compression Compression
-	Tree        func(v graph.VertexID) *quadtree.Tree
+	Graph   *graph.Network
+	Radius  float64
+	Lenient bool
+	Tree    func(v graph.VertexID) *quadtree.Tree
 }
 
 // ImagePlan is a fully laid-out paged image ready to stream: every section
-// offset is fixed and the block section is already encoded (a compressed
-// section's size is not predictable from block counts alone). The sharded
+// offset is fixed and the block section is already encoded (its size is not
+// predictable from block counts alone). The sharded
 // writer plans every cell up front to compute the cell table, then streams
 // the plans.
 type ImagePlan struct {
@@ -39,10 +38,9 @@ type ImagePlan struct {
 // ImageInfo describes the section layout of a planned image — what
 // silcbuild prints as the per-section size table.
 type ImageInfo struct {
-	Compression Compression
-	Superblock  int64
-	Network     int64
-	Extents     int64
+	Superblock int64
+	Network    int64
+	Extents    int64
 	// BlockSection is the on-disk size of the demand-paged block section
 	// (BlockPages full pages, padded tail included).
 	BlockSection int64
@@ -50,34 +48,14 @@ type ImageInfo struct {
 	Total        int64
 	BlockPages   int64
 	TotalBlocks  int64
-	// RawBlockBytes is the fixed-width footprint of the same blocks —
-	// TotalBlocks x 16 — the numerator of the block-stream ratio.
-	RawBlockBytes int64
-	// FixedWidthTotal is the image size a CompressionNone write of the same
-	// index would produce; Ratio() compares against it.
-	FixedWidthTotal int64
-}
-
-// Ratio returns the whole-image compression ratio (>= 1 in practice; 1 for
-// CompressionNone images).
-func (i ImageInfo) Ratio() float64 {
-	if i.Total == 0 {
-		return 1
-	}
-	return float64(i.FixedWidthTotal) / float64(i.Total)
 }
 
 // PlanImage lays out the paged image for src: it encodes every vertex's
-// run through the codec of src.Compression and fixes all section offsets.
-// The plan is then streamed by WriteTo.
+// run and fixes all section offsets. The plan is then streamed by WriteTo.
 func PlanImage(src Source) (*ImagePlan, error) {
-	c, err := codecFor(src.Compression)
-	if err != nil {
-		return nil, err
-	}
 	g := src.Graph
 	n := g.NumVertices()
-	sb := &superblock{c: c, pageSize: PageSize, lenient: src.Lenient, n: n, m: g.NumEdges(), radius: src.Radius}
+	sb := &superblock{pageSize: PageSize, lenient: src.Lenient, n: n, m: g.NumEdges(), radius: src.Radius}
 	p := &ImagePlan{src: src, sb: sb, counts: make([]uint32, n), byteLens: make([]uint32, n)}
 	for v := 0; v < n; v++ {
 		t := src.Tree(graph.VertexID(v))
@@ -88,7 +66,8 @@ func PlanImage(src Source) (*ImagePlan, error) {
 			continue
 		}
 		before := len(p.blocks)
-		p.blocks, err = c.encode(p.blocks, t.Blocks)
+		var err error
+		p.blocks, err = CompressRun(p.blocks, t.Blocks)
 		if err != nil {
 			return nil, fmt.Errorf("store: vertex %d: %w", v, err)
 		}
@@ -114,17 +93,14 @@ func (p *ImagePlan) BlockPages() int64 { return p.sb.blockPages }
 func (p *ImagePlan) Info() ImageInfo {
 	sb := p.sb
 	return ImageInfo{
-		Compression:     sb.c.comp,
-		Superblock:      sb.c.headerSize(),
-		Network:         NetworkSectionSize(sb.n, sb.m),
-		Extents:         sb.c.extentSize(sb.n),
-		BlockSection:    sb.blockPages * int64(sb.pageSize),
-		CRCTable:        sb.blockPages*4 + 4,
-		Total:           sb.imageSize,
-		BlockPages:      sb.blockPages,
-		TotalBlocks:     sb.totalBlocks,
-		RawBlockBytes:   sb.totalBlocks * entrySize,
-		FixedWidthTotal: ImageSize(sb.n, sb.m, sb.totalBlocks),
+		Superblock:   superblockSize,
+		Network:      NetworkSectionSize(sb.n, sb.m),
+		Extents:      extentSize(sb.n),
+		BlockSection: sb.blockPages * int64(sb.pageSize),
+		CRCTable:     sb.blockPages*4 + 4,
+		Total:        sb.imageSize,
+		BlockPages:   sb.blockPages,
+		TotalBlocks:  sb.totalBlocks,
 	}
 }
 
@@ -133,7 +109,7 @@ func (p *ImagePlan) Info() ImageInfo {
 func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	sb := p.sb
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	for _, section := range [][]byte{sb.encode(), EncodeNetworkSection(p.src.Graph), encodeExtentSection(sb.c, p.counts, p.byteLens)} {
+	for _, section := range [][]byte{sb.encode(), EncodeNetworkSection(p.src.Graph), encodeExtentSection(p.counts, p.byteLens)} {
 		if _, err := cw.Write(section); err != nil {
 			return cw.n, err
 		}
@@ -148,9 +124,7 @@ func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	tab := make([]byte, 0, sb.blockPages*4+4)
 	page := make([]byte, sb.pageSize)
 	for at := 0; at < len(p.blocks); at += len(page) {
-		if n := copy(page, p.blocks[at:]); !sb.c.stalePad {
-			clear(page[n:])
-		}
+		clear(page[copy(page, p.blocks[at:]):])
 		tab = le.AppendUint32(tab, crc32.ChecksumIEEE(page))
 		if _, err := cw.Write(page); err != nil {
 			return cw.n, err
@@ -179,15 +153,13 @@ func Write(w io.Writer, src Source) (int64, error) {
 	return p.WriteTo(w)
 }
 
-// ImageSize predicts the byte size of the fixed-width (CompressionNone)
-// paged image Write would produce for n vertices, m edges and totalBlocks
-// blocks, without writing it: ImageInfo.FixedWidthTotal. Compressed images
-// are planned instead (PlanImage), since their size depends on the encoded
-// bytes.
+// ImageSize is the size of an image of n vertices, m edges and totalBlocks
+// blocks stored as 16 bytes each, the footprint of the deleted fixed-width
+// format. It stays only as the numerator of the benchmark module's
+// store.image_ratio.
 func ImageSize(n, m int, totalBlocks int64) int64 {
-	sb := superblock{c: &codecs[CompressionNone], pageSize: PageSize, n: n, m: m, blockBytes: totalBlocks * entrySize}
-	sb.layOut()
-	return sb.imageSize
+	blockPages := (totalBlocks*16 + PageSize - 1) / PageSize
+	return Align(92+NetworkSectionSize(n, m)+4*int64(n)+4, PageSize) + blockPages*(PageSize+4) + 4
 }
 
 func padTo(cw *countingWriter, off int64) error {

@@ -413,7 +413,7 @@ func TestLiveModelHistory(t *testing.T) {
 // TestLiveSnapshotExactUnderChurn is the oracle property test of the PR: 8
 // mutators interleave Insert/Remove/Move while 8 readers pin snapshots and
 // run kNN + range queries on every backend variant (monolithic, sharded,
-// paged in both encodings, mmap). Every pinned result must be EXACT against
+// paged from memory, from a file and through mmap). Every pinned result must be EXACT against
 // a Floyd-Warshall oracle evaluated over that snapshot's own object table —
 // a reader seeing a half-applied mutation shows up as a wrong distance, a
 // shared-state bug as a -race report (scripts/ci.yml runs this package with

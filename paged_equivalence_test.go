@@ -15,10 +15,9 @@ import (
 )
 
 // The equivalence property: the in-RAM Index, the demand-paged PagedIndex
-// in both block-page encodings and both page sources (positioned reads and
-// mmap, pool squeezed to ~1% to force heavy eviction), and the ShardedIndex
-// (in RAM and paged, both encodings) must answer identical KNN, range, and
-// Browser queries on every network family. Run under -race in CI, with a
+// over both page sources (positioned reads and mmap, pool squeezed to ~1%
+// to force heavy eviction), and the ShardedIndex (in RAM and paged) must
+// answer identical KNN, range, and Browser queries on every network family. Run under -race in CI, with a
 // concurrent phase hammering the shared pool from many goroutines.
 
 type equivEngine struct {
@@ -27,9 +26,9 @@ type equivEngine struct {
 	paged bool // reads real pages: the pool-traffic check applies
 }
 
-// buildEquivEngines assembles the engine matrix over one network — in-RAM /
-// paged-PG1 / paged-PG2 / sharded-SPG1 / sharded-SPG2 crossed with
-// positioned reads and mmap — the paged ones reading real pages through a
+// buildEquivEngines assembles the engine matrix over one network — in-RAM,
+// sharded, and their paged images crossed with positioned reads and mmap —
+// the paged ones reading real pages through a
 // deliberately tiny pool. The mmap opens go through temp files; on
 // platforms without mmap support they silently degrade to positioned reads,
 // which still must answer identically.
@@ -64,35 +63,22 @@ func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 		return path
 	}
 
-	for _, comp := range []silc.Compression{silc.CompressionNone, silc.CompressionDelta} {
-		cix, err := silc.BuildIndex(net, silc.BuildOptions{Compression: comp})
+	mono := writeTemp("mono", ix.WritePaged)
+	shard := writeTemp("shard", sx.WritePaged)
+	for _, src := range []string{"readat", "mmap"} {
+		mmap := src == "mmap"
+		px, err := silc.OpenIndex(mono, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("open paged %s: %v", src, err)
 		}
-		csx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, Compression: comp})
+		t.Cleanup(func() { px.Close() })
+		engines = append(engines, equivEngine{"paged-" + src, px.Engine(), true})
+		psx, err := silc.OpenShardedIndex(shard, silc.ShardedBuildOptions{CacheFraction: 0.01, Mmap: mmap})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("open sharded %s: %v", src, err)
 		}
-		mono := writeTemp("mono-"+comp.String(), cix.WritePaged)
-		shard := writeTemp("shard-"+comp.String(), csx.WritePaged)
-		for _, mmap := range []bool{false, true} {
-			src := "readat"
-			if mmap {
-				src = "mmap"
-			}
-			px, err := silc.OpenIndex(mono, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
-			if err != nil {
-				t.Fatalf("open paged %s %s: %v", comp, src, err)
-			}
-			t.Cleanup(func() { px.Close() })
-			engines = append(engines, equivEngine{fmt.Sprintf("paged-%s-%s", comp, src), px.Engine(), true})
-			psx, err := silc.OpenShardedIndex(shard, silc.ShardedBuildOptions{CacheFraction: 0.01, Mmap: mmap})
-			if err != nil {
-				t.Fatalf("open sharded %s %s: %v", comp, src, err)
-			}
-			t.Cleanup(func() { psx.Close() })
-			engines = append(engines, equivEngine{fmt.Sprintf("sharded-%s-%s", comp, src), psx.Engine(), true})
-		}
+		t.Cleanup(func() { psx.Close() })
+		engines = append(engines, equivEngine{"sharded-paged-" + src, psx.Engine(), true})
 	}
 	return engines
 }

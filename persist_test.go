@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -68,6 +69,63 @@ func TestOpenEngineAtRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenEngine(path, nil, BuildOptions{}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("OpenEngine on garbage: err = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestOpenRejectsRemovedFormat hands every opener a monolithic and a
+// sharded image whose magic names the removed fixed-width format (the
+// version digit of SILCPG2 / SILCSPG2 set to 1): each must fail with
+// ErrBadMagic and say to rebuild the image.
+func TestOpenRejectsRemovedFormat(t *testing.T) {
+	net := testNetwork(t)
+	mono, err := BuildIndex(net, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		write   func(io.Writer) (int64, error)
+		version int // offset of the magic's version digit
+	}{{"mono", mono.WritePaged, 6}, {"sharded", sharded.WritePaged, 7}} {
+		var buf bytes.Buffer
+		if _, err := tc.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		img[tc.version] = '1'
+		path := filepath.Join(t.TempDir(), tc.name)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opens := map[string]func() error{
+			"OpenEngineAt": func() error {
+				_, err := OpenEngineAt(bytes.NewReader(img), int64(len(img)), net, BuildOptions{})
+				return err
+			},
+			"OpenEngine": func() error {
+				_, err := OpenEngine(path, nil, BuildOptions{})
+				return err
+			},
+		}
+		if tc.name == "mono" {
+			opens["OpenIndexAt"] = func() error {
+				_, err := OpenIndexAt(bytes.NewReader(img), int64(len(img)), BuildOptions{})
+				return err
+			}
+		}
+		for name, open := range opens {
+			err := open()
+			if !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("%s %s: err = %v, want ErrBadMagic", tc.name, name, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "removed") || !strings.Contains(msg, "silcbuild -o") {
+				t.Fatalf("%s %s: %q does not say the format was removed and to rebuild with silcbuild -o", tc.name, name, msg)
+			}
+		}
 	}
 }
 
@@ -230,7 +288,7 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 // answer.
 func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	net := testNetwork(t)
-	built, err := BuildIndex(net, BuildOptions{Compression: CompressionDelta})
+	built, err := BuildIndex(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

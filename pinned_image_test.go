@@ -12,7 +12,7 @@ import (
 // TestPagedImageBytesPinned pins the SHA-256 of paged images in shapes the
 // grid8 goldens do not reach: a road map built with a proximity radius (the
 // radius word, out-of-range vertices left out of every block) and a 4-cell
-// sharded build (the lenient flag, the cell table), each in both encodings.
+// sharded build (the lenient flag, the cell table).
 // Each image must also survive open → WritePaged byte for byte, and
 // PagedImageInfo must predict its length.
 func TestPagedImageBytesPinned(t *testing.T) {
@@ -23,19 +23,16 @@ func TestPagedImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sharded bool
-		comp    silc.Compression
 		sha256  string
 	}{
-		{"proximity/none", false, silc.CompressionNone, "a27be3d673680a29733cc83673edb21707136a9790364919913b8b53db57e1b0"},
-		{"proximity/delta", false, silc.CompressionDelta, "e7435b5fa148dc5528d9ad3b4be9686f29ac5c53ba072b076b706d27691f45ca"},
-		{"sharded4/none", true, silc.CompressionNone, "874af7333329a027747dc426de11e3f67f27fb9d960853d3a637b338e259b204"},
-		{"sharded4/delta", true, silc.CompressionDelta, "1ff0c8b8127a0d6bb7ef5aadb2bab1541f1a268c41515386cc64c5569e30f3e7"},
+		{"proximity/delta", false, "e7435b5fa148dc5528d9ad3b4be9686f29ac5c53ba072b076b706d27691f45ca"},
+		{"sharded4/delta", true, "1ff0c8b8127a0d6bb7ef5aadb2bab1541f1a268c41515386cc64c5569e30f3e7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var img, re bytes.Buffer
 			var info silc.ImageInfo
 			if tc.sharded {
-				sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4, Compression: tc.comp})
+				sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,7 +50,7 @@ func TestPagedImageBytesPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: 0.2, Compression: tc.comp})
+				ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: 0.2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +82,7 @@ func TestPagedImageBytesPinned(t *testing.T) {
 	}
 }
 
-// TestBuildImagePinned pins the SHA-256 of the PG2 image of three builds, so
+// TestBuildImagePinned pins the SHA-256 of the paged image of three builds, so
 // a change to the build — the heap, the per-source search, the quadtree
 // builder — that moves a single first hop or ratio bound turns it red. When
 // two shortest paths tie, the first hop is the one the search settles first,
@@ -115,7 +112,7 @@ func TestBuildImagePinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: tc.radius, Compression: silc.CompressionDelta})
+			ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: tc.radius})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -196,7 +196,7 @@ type QueryStats struct {
 	// BlocksDecoded counts quadtree blocks the paged store's decoder
 	// actually passed: a tree decode and a vertex's first lookup count the
 	// run's blocks, a lookup of a run that already passed a full check only
-	// those it needed — on PG2 from the restart point in front of its block.
+	// those it needed, from the restart point in front of its block.
 	BlocksDecoded int64
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).

@@ -26,10 +26,6 @@ type ShardedBuildOptions struct {
 	// the whole database (default 0.05, the paper's setting), not of each
 	// shard. In-RAM sharded indexes have no pool.
 	CacheFraction float64
-	// Compression selects the paged image encoding WritePaged/WriteFile
-	// emit for every cell image — CompressionNone (fixed-width SILCSPG1) or
-	// CompressionDelta (delta+varint SILCSPG2). Opening sniffs the format.
-	Compression Compression
 	// Mmap makes OpenShardedIndex access the file through one read-only
 	// memory mapping shared by every cell store, falling back to positioned
 	// reads on platforms without mmap.
@@ -82,7 +78,6 @@ func shardedOptions(opts ShardedBuildOptions) partition.Options {
 		Partitions:    opts.Partitions,
 		Parallelism:   opts.Parallelism,
 		CacheFraction: opts.CacheFraction,
-		Compression:   opts.Compression,
 	}
 }
 
@@ -98,8 +93,7 @@ func (sx *ShardedIndex) WriteFile(path string) error {
 	return store.WriteFileAtomic(path, sx.WritePaged)
 }
 
-// PagedImageInfo reports the section layout and compression ratio of the
-// sharded paged image WritePaged would produce, without writing it.
+// PagedImageInfo reports the section layout of the sharded paged image WritePaged would produce, without writing it.
 func (sx *ShardedIndex) PagedImageInfo() (ImageInfo, error) {
 	return sx.sx.PagedImageInfo()
 }
@@ -198,11 +192,7 @@ func sniffLayout(ra io.ReaderAt) (sharded bool, err error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return false, err
 	}
-	sharded, _, ok := store.Sniff(magic[:n])
-	if !ok {
-		return false, fmt.Errorf("%w: got %q", ErrBadMagic, magic[:n])
-	}
-	return sharded, nil
+	return store.Sniff(magic[:n])
 }
 
 // openPaged opens a paged image of either layout — by path when one is
@@ -240,14 +230,14 @@ func engineOf[T interface{ Engine() *Engine }](ix T, err error) (*Engine, error)
 	return ix.Engine(), nil
 }
 
-// OpenEngine opens a paged index file by path, sniffing which of the four
-// image formats it holds — monolithic or sharded, fixed-width or compressed
-// (SILCPG1, SILCPG2, SILCSPG1, SILCSPG2) — and returns its unified query
-// Engine; this is the opener the CLI tools use so one -index flag accepts
-// every format. The concrete index is reachable through Engine.Monolithic /
+// OpenEngine opens a paged index file by path, sniffing which of the two
+// image layouts it holds — monolithic (SILCPG2) or sharded (SILCSPG2) — and
+// returns its unified query Engine; this is the opener the CLI tools use so
+// one -index flag accepts both. The concrete index is reachable through Engine.Monolithic /
 // Engine.Sharded. The image embeds its network, so net may be nil; a non-nil
 // net is cross-checked against the embedded one. Anything else is rejected
-// with ErrBadMagic. The returned engine owns the file; Engine.Close
+// with ErrBadMagic; so is an image of the removed fixed-width format, with a
+// note to rebuild it. The returned engine owns the file; Engine.Close
 // releases it.
 func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
 	f, err := os.Open(path)
