@@ -69,11 +69,11 @@ type allocEngine struct {
 // the file nor the mapping may add a single steady-state allocation.
 func allocEngines(t testing.TB, net *Network) []allocEngine {
 	t.Helper()
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sx, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	if _, err := ix.WritePaged(&pg); err != nil {
 		t.Fatal(err)
 	}
-	paged, err := OpenIndexAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), BuildOptions{CacheFraction: 1.0})
+	paged, err := OpenEngineAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), nil, BuildOptions{CacheFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +89,22 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	if err := os.WriteFile(path, pg.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paged2, err := OpenIndex(path, BuildOptions{CacheFraction: 1.0})
+	paged2, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { paged2.Close() })
-	mapped, err := OpenIndex(path, BuildOptions{CacheFraction: 1.0, Mmap: true})
+	mapped, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1.0, Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mapped.Close() })
 	return []allocEngine{
-		{"monolithic", ix.Engine()},
-		{"sharded", sx.Engine()},
-		{"paged-warm", paged.Engine()},
-		{"paged-pg2-warm", paged2.Engine()},
-		{"paged-pg2-mmap-warm", mapped.Engine()},
+		{"monolithic", ix},
+		{"sharded", sx},
+		{"paged-warm", paged},
+		{"paged-pg2-warm", paged2},
+		{"paged-pg2-mmap-warm", mapped},
 	}
 }
 
@@ -115,7 +115,7 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 // budget holds only if no decoded tree is allocated along the way.
 func smallPoolEngine(t testing.TB, net *Network) allocEngine {
 	t.Helper()
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func smallPoolEngine(t testing.TB, net *Network) allocEngine {
 	if _, err := ix.WritePaged(&img); err != nil {
 		t.Fatal(err)
 	}
-	paged, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+	paged, err := OpenEngineAt(bytes.NewReader(img.Bytes()), int64(img.Len()), nil, BuildOptions{CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return allocEngine{"paged-pg2-pool5%-warm", paged.Engine()}
+	return allocEngine{"paged-pg2-pool5%-warm", paged}
 }
 
 func allocFixture(t testing.TB) (*Network, *ObjectSet, []VertexID, []VertexID) {
@@ -575,7 +575,7 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := BuildIndex(net, BuildOptions{})
+	built, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,11 +584,11 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := func() *Engine {
-		idx, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+		idx, err := OpenEngineAt(bytes.NewReader(img.Bytes()), int64(img.Len()), nil, BuildOptions{CacheFraction: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return idx.Engine()
+		return idx
 	}
 	ctx := context.Background()
 	src, dst := VertexID(0), VertexID(net.NumVertices()-1)
@@ -644,7 +644,7 @@ func TestAllocBudgetWarmPagedDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := BuildIndex(net, BuildOptions{})
+	built, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,11 +652,10 @@ func TestAllocBudgetWarmPagedDistance(t *testing.T) {
 	if _, err := built.WritePaged(&img); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{CacheFraction: 0.05})
+	e, err := OpenEngineAt(bytes.NewReader(img.Bytes()), int64(img.Len()), nil, BuildOptions{CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := idx.Engine()
 	rng := rand.New(rand.NewSource(5))
 	pairs := make([][2]VertexID, 32)
 	for i := range pairs {

@@ -65,11 +65,11 @@ func TestEpsilonApproximationBound(t *testing.T) {
 				queries[i] = VertexID(rng.Intn(n))
 			}
 
-			mono, err := BuildIndex(net, BuildOptions{})
+			mono, err := Build(net, BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+			sharded, err := Build(net, BuildOptions{Partitions: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestEpsilonApproximationBound(t *testing.T) {
 			for _, tc := range []struct {
 				tag string
 				eng *Engine
-			}{{"mono", mono.Engine()}, {"sharded", sharded.Engine()}} {
+			}{{"mono", mono}, {"sharded", sharded}} {
 				prevRefs := math.MaxInt64
 				for _, eps := range epsilons {
 					totalRefs := 0

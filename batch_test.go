@@ -17,7 +17,7 @@ func batchFixture(t *testing.T) (*Engine, *ObjectSet, []VertexID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func batchFixture(t *testing.T) (*Engine, *ObjectSet, []VertexID) {
 	for v := 0; v < net.NumVertices(); v += 7 {
 		queries = append(queries, VertexID(v))
 	}
-	return ix.Engine(), objs, queries
+	return ix, objs, queries
 }
 
 // TestQueryBatchDeadlinePropagates: the request context's deadline reaches
@@ -83,7 +83,7 @@ func TestQueryBatchSurvivesQueryFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sx, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,10 @@ func TestQueryBatchSurvivesQueryFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := &flakyReaderAt{ra: bytes.NewReader(buf.Bytes())}
-	paged, err := OpenShardedIndexAt(flaky, int64(buf.Len()), ShardedBuildOptions{CacheFraction: 0.02})
+	eng, err := OpenEngineAt(flaky, int64(buf.Len()), nil, BuildOptions{CacheFraction: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := paged.Engine()
 
 	var objVerts []VertexID
 	for v := 0; v < net.NumVertices(); v += 3 {
@@ -147,13 +146,13 @@ func TestQueryBatchSurvivesQueryFailure(t *testing.T) {
 
 // pagedFlakyIndex opens a paged monolithic index through a fault-injecting
 // ReaderAt, with an object set and query list over its network.
-func pagedFlakyIndex(t *testing.T) (*Index, *flakyReaderAt, *ObjectSet, []VertexID) {
+func pagedFlakyIndex(t *testing.T) (*Engine, *flakyReaderAt, *ObjectSet, []VertexID) {
 	t.Helper()
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func pagedFlakyIndex(t *testing.T) (*Index, *flakyReaderAt, *ObjectSet, []Vertex
 		t.Fatal(err)
 	}
 	flaky := &flakyReaderAt{ra: bytes.NewReader(buf.Bytes())}
-	paged, err := OpenIndexAt(flaky, int64(buf.Len()), BuildOptions{CacheFraction: 0.02})
+	paged, err := OpenEngineAt(flaky, int64(buf.Len()), nil, BuildOptions{CacheFraction: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +186,7 @@ func pagedFlakyIndex(t *testing.T) (*Index, *flakyReaderAt, *ObjectSet, []Vertex
 // queries, with Failed/Skipped carrying the remainder, so the three always
 // add up to the request.
 func TestBatchStatsAccounting(t *testing.T) {
-	paged, flaky, objs, queries := pagedFlakyIndex(t)
-	eng := paged.Engine()
+	eng, flaky, objs, queries := pagedFlakyIndex(t)
 
 	// One worker, one injected storage fault: the first query fails, the
 	// rest must be answered and counted as such.

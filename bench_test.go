@@ -504,7 +504,7 @@ func BenchmarkBrowser(b *testing.B) {
 // answering 64 queries over the worker pool.
 func BenchmarkQueryBatch(b *testing.B) {
 	net := testNetwork(b)
-	eng := on(b, testDiskIndex(b, net).Engine())
+	eng := on(b, testDiskIndex(b, net))
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(net.NumVertices())
 	vertices := make([]VertexID, 50)
@@ -533,11 +533,11 @@ func BenchmarkInProcessQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx, err := BuildIndex(net, BuildOptions{})
+	idx, err := Build(net, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, ctx, n := idx.Engine(), context.Background(), net.NumVertices()
+	eng, ctx, n := idx, context.Background(), net.NumVertices()
 	for _, density := range []float64{0.05, 0.3} {
 		rng := rand.New(rand.NewSource(7))
 		vs := make([]VertexID, int(density*float64(n)))
@@ -622,11 +622,11 @@ func newPagedBench(b *testing.B) *pagedBench {
 		b.Fatal(err)
 	}
 	pb := &pagedBench{net: net, path: filepath.Join(b.TempDir(), "index.silcpg"), rng: rand.New(rand.NewSource(7))}
-	idx, err := BuildIndex(net, BuildOptions{})
+	idx, err := Build(net, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := idx.WriteFile(pb.path); err != nil {
+	if _, err := idx.WriteFile(pb.path); err != nil {
 		b.Fatal(err)
 	}
 	return pb
@@ -644,8 +644,8 @@ func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.Num
 // decoded blocks per operation.
 func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
 	const pass = 64
-	open := func() *Index {
-		idx, err := OpenIndex(pb.path, BuildOptions{CacheFraction: pool, Mmap: mmap})
+	open := func() *Engine {
+		idx, err := OpenEngine(pb.path, nil, BuildOptions{CacheFraction: pool, Mmap: mmap})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -654,7 +654,7 @@ func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op f
 	idx := open()
 	if !cold {
 		for i := 0; i < 2*pass; i++ {
-			op(idx.Engine(), i%pass)
+			op(idx, i%pass)
 		}
 	}
 	var refinements, reads, decoded int64
@@ -666,7 +666,7 @@ func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op f
 			idx = open()
 			b.StartTimer()
 		}
-		s := op(idx.Engine(), i%pass)
+		s := op(idx, i%pass)
 		refinements += int64(s.Refinements)
 		reads += s.PageReads
 		decoded += s.BlocksDecoded

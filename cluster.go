@@ -2,6 +2,7 @@ package silc
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -32,19 +33,22 @@ func LoadClusterManifest(path string) (*ClusterManifest, error) {
 // surface the router fans out to. The node opens the full paged file, but
 // demand paging means only its own cells' pages ever materialize.
 type ClusterNode struct {
-	ix   *ShardedIndex
+	eng  *Engine
 	node *cluster.Node
 }
 
-// NewClusterNode binds the node named name in the manifest to an opened
-// sharded index (typically OpenShardedIndex over the manifest's index
-// file).
-func NewClusterNode(ix *ShardedIndex, m *ClusterManifest, name string) (*ClusterNode, error) {
-	n, err := cluster.NewNode(name, m, ix.sx)
+// NewClusterNode binds the node named name in the manifest to an engine
+// over a partitioned index (typically OpenEngine over the manifest's index
+// file). A monolithic engine has no cells to serve and is refused.
+func NewClusterNode(eng *Engine, m *ClusterManifest, name string) (*ClusterNode, error) {
+	if eng.sharded == nil {
+		return nil, errors.New("silc: a cluster node serves the cells of a partitioned index, and this engine is monolithic")
+	}
+	n, err := cluster.NewNode(name, m, eng.sharded)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterNode{ix: ix, node: n}, nil
+	return &ClusterNode{eng: eng, node: n}, nil
 }
 
 // Name returns the node's manifest name.
@@ -62,14 +66,14 @@ func (n *ClusterNode) StartDrain() { n.node.StartDrain() }
 // families (buffer pool, stores) followed by the node's silcnode_* RPC
 // metrics.
 func (n *ClusterNode) WriteMetrics(w io.Writer) error {
-	if err := n.ix.Engine().WriteMetrics(w); err != nil {
+	if err := n.eng.WriteMetrics(w); err != nil {
 		return err
 	}
 	return n.node.Registry().WritePrometheus(w)
 }
 
 // Close releases the index file.
-func (n *ClusterNode) Close() error { return n.ix.Close() }
+func (n *ClusterNode) Close() error { return n.eng.Close() }
 
 // ClusterRouterOptions tunes the router's RPC client.
 type ClusterRouterOptions struct {
@@ -90,7 +94,7 @@ type ClusterRouterOptions struct {
 // engine's. The router's Engine answers the full query surface (kNN,
 // range, browse, distance, path) and is safe for unlimited concurrent use.
 type ClusterRouter struct {
-	ix     *ShardedIndex
+	eng    *Engine
 	client *cluster.Client
 }
 
@@ -124,14 +128,14 @@ func OpenClusterRouter(indexPath string, m *ClusterManifest, opt ClusterRouterOp
 		return nil, err
 	}
 	return &ClusterRouter{
-		ix:     newShardedIndex(&Network{g: meta.Network()}, sx),
+		eng:    newEngine(&Network{g: meta.Network()}, sx, nil),
 		client: client,
 	}, nil
 }
 
 // Engine returns the router's unified query handle — the same API an
 // in-process index serves, now backed by the cluster.
-func (r *ClusterRouter) Engine() *Engine { return r.ix.Engine() }
+func (r *ClusterRouter) Engine() *Engine { return r.eng }
 
 // Ready verifies every manifest node answers /readyz, so the router can
 // gate its own readiness on the cluster being dialable.
@@ -147,7 +151,7 @@ func (r *ClusterRouter) StartProbing(ctx context.Context, interval time.Duration
 // WriteMetrics writes the Prometheus exposition: the engine's silc_*
 // families followed by the RPC client's silc_cluster_* metrics.
 func (r *ClusterRouter) WriteMetrics(w io.Writer) error {
-	if err := r.ix.Engine().WriteMetrics(w); err != nil {
+	if err := r.eng.WriteMetrics(w); err != nil {
 		return err
 	}
 	return r.client.Registry().WritePrometheus(w)

@@ -37,27 +37,27 @@ func buildCluster(t *testing.T, opt silc.ClusterRouterOptions) *clusterHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	sx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cluster.silcspg")
-	if err := sx.WriteFile(path); err != nil {
+	if _, err := sx.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{CacheFraction: 0.05})
+	ref, err := silc.OpenEngine(path, nil, silc.BuildOptions{CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ref.Close() })
 
 	h := &clusterHarness{
-		mono:    ix.Engine(),
-		sharded: ref.Engine(),
+		mono:    ix,
+		sharded: ref,
 		servers: make(map[string]*httptest.Server),
 		net:     net,
 	}
@@ -79,7 +79,7 @@ func buildCluster(t *testing.T, opt silc.ClusterRouterOptions) *clusterHarness {
 		m.Nodes = append(m.Nodes, silc.ClusterNodeSpec{Name: spec.name, Addr: srv.URL, Cells: spec.cells})
 	}
 	for _, spec := range specs {
-		nodeIx, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{CacheFraction: 0.05})
+		nodeIx, err := silc.OpenEngine(path, nil, silc.BuildOptions{CacheFraction: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,73 +56,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "silcbuild:", err)
 		os.Exit(1)
 	}
-	if *partitions > 1 {
-		buildSharded(net, *partitions, *parallel, *out)
+	eng, err := silc.Build(net, silc.BuildOptions{Partitions: *partitions, Parallelism: *parallel})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "silcbuild:", err)
+		os.Exit(1)
+	}
+	printStats(eng.Stats())
+	if *out != "" {
+		info, err := eng.WriteFile(*out)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "silcbuild:", err)
+			os.Exit(1)
+		}
+		printImageInfo(info)
+		fmt.Printf("index written:   %s (%.2f MiB)\n", *out, float64(info.Total)/(1<<20))
+	}
+}
+
+// printStats prints the build's storage statistics: the monolithic
+// index's block accounting, or a partitioned build's cells and closure.
+func printStats(st silc.IndexStats) {
+	n := float64(st.Vertices)
+	fmt.Printf("vertices:        %d\n", st.Vertices)
+	fmt.Printf("directed edges:  %d\n", st.Edges)
+	s := st.Sharded
+	if s == nil {
+		fmt.Printf("morton blocks:   %d\n", st.TotalBlocks)
+		fmt.Printf("blocks/vertex:   %.1f (min %d, max %d)\n", st.BlocksPerVertex(), st.MinBlocks, st.MaxBlocks)
+		fmt.Printf("c in c*n^1.5:    %.2f\n", float64(st.TotalBlocks)/(n*math.Sqrt(n)))
+		fmt.Printf("encoded size:    %.2f MiB\n", float64(st.TotalBytes)/(1<<20))
+		fmt.Printf("build time:      %v\n", st.BuildTime)
 		return
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{Parallelism: *parallel})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	s := ix.Stats()
-	n := float64(s.Vertices)
-	fmt.Printf("vertices:        %d\n", s.Vertices)
-	fmt.Printf("directed edges:  %d\n", s.Edges)
-	fmt.Printf("morton blocks:   %d\n", s.TotalBlocks)
-	fmt.Printf("blocks/vertex:   %.1f (min %d, max %d)\n", s.BlocksPerVertex(), s.MinBlocks, s.MaxBlocks)
-	fmt.Printf("c in c*n^1.5:    %.2f\n", float64(s.TotalBlocks)/(n*math.Sqrt(n)))
-	fmt.Printf("encoded size:    %.2f MiB\n", float64(s.TotalBytes)/(1<<20))
-	fmt.Printf("build time:      %v\n", s.BuildTime)
-
-	if *out != "" {
-		writeImage(ix, *out)
-	}
-}
-
-// writeImage prints the planned image's size table, then writes it to path
-// atomically.
-func writeImage(ix interface {
-	PagedImageInfo() (silc.ImageInfo, error)
-	WriteFile(path string) error
-}, path string) {
-	info, err := ix.PagedImageInfo()
-	if err == nil {
-		printImageInfo(info)
-		err = ix.WriteFile(path)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("index written:   %s (%.2f MiB)\n", path, float64(info.Total)/(1<<20))
-}
-
-// printImageInfo prints the per-section size table of a planned paged image.
-func printImageInfo(info silc.ImageInfo) {
-	mib := func(b int64) float64 { return float64(b) / (1 << 20) }
-	fmt.Printf("paged image:     %.2f MiB\n", mib(info.Total))
-	fmt.Printf("  superblock:    %d B\n", info.Superblock)
-	fmt.Printf("  network:       %.2f MiB\n", mib(info.Network))
-	fmt.Printf("  extents:       %.2f MiB\n", mib(info.Extents))
-	fmt.Printf("  block pages:   %.2f MiB (%d pages, %d blocks)\n",
-		mib(info.BlockSection), info.BlockPages, info.TotalBlocks)
-	fmt.Printf("  crc table:     %d B\n", info.CRCTable)
-}
-
-func buildSharded(net *silc.Network, partitions, parallel int, out string) {
-	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{
-		Partitions:  partitions,
-		Parallelism: parallel,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "silcbuild:", err)
-		os.Exit(1)
-	}
-	s := ix.Stats()
-	n := float64(s.Vertices)
-	fmt.Printf("vertices:        %d\n", s.Vertices)
-	fmt.Printf("directed edges:  %d\n", s.Edges)
 	fmt.Printf("partitions:      %d (cells of %d..%d vertices, %d self-contained)\n",
 		s.Partitions, s.MinCellVertices, s.MaxCellVertices, s.SelfContained)
 	fmt.Printf("boundary:        %d vertices, %d cut edges\n", s.BoundaryVertices, s.CutEdges)
@@ -135,10 +100,18 @@ func buildSharded(net *silc.Network, partitions, parallel int, out string) {
 	fmt.Printf("build time:      %v (partition %v, cells %v, closure %v)\n",
 		s.BuildTime.Round(time.Millisecond), s.PartitionTime.Round(time.Millisecond),
 		s.CellBuildTime.Round(time.Millisecond), s.ClosureTime.Round(time.Millisecond))
+}
 
-	if out != "" {
-		writeImage(ix, out)
-	}
+// printImageInfo prints the per-section size table of a written paged image.
+func printImageInfo(info silc.ImageInfo) {
+	mib := func(b int64) float64 { return float64(b) / (1 << 20) }
+	fmt.Printf("paged image:     %.2f MiB\n", mib(info.Total))
+	fmt.Printf("  superblock:    %d B\n", info.Superblock)
+	fmt.Printf("  network:       %.2f MiB\n", mib(info.Network))
+	fmt.Printf("  extents:       %.2f MiB\n", mib(info.Extents))
+	fmt.Printf("  block pages:   %.2f MiB (%d pages, %d blocks)\n",
+		mib(info.BlockSection), info.BlockPages, info.TotalBlocks)
+	fmt.Printf("  crc table:     %d B\n", info.CRCTable)
 }
 
 func loadOrGenerate(file string, rows, cols int, seed int64) (*silc.Network, error) {

@@ -15,8 +15,9 @@
 // monolithic and sharded paged images (the format is sniffed). -eps asks for
 // ε-approximate ranking (fewer refinements, distances certified within
 // (1+ε)×); -max-dist bounds results to a radius. -timeout aborts a query
-// through context cancellation. The refine trace mode requires a monolithic
-// index. -stats appends one JSON object per query to stdout with the
+// through context cancellation. The refine trace prints each refinement's
+// interval; on a monolithic index it also names the exact-prefix vertex.
+// -stats appends one JSON object per query to stdout with the
 // query's own statistics (refinements, page traffic, phase timings) and
 // the engine-wide I/O aggregates; -trace additionally times the
 // filter/refinement phase split.
@@ -68,18 +69,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-	} else if *parts > 1 {
-		sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: *parts})
-		if err != nil {
-			fail(err)
-		}
-		eng = sx.Engine()
-	} else {
-		ix, err := silc.BuildIndex(net, silc.BuildOptions{})
-		if err != nil {
-			fail(err)
-		}
-		eng = ix.Engine()
+	} else if eng, err = silc.Build(net, silc.BuildOptions{Partitions: *parts}); err != nil {
+		fail(err)
 	}
 	src, dst := silc.VertexID(*q), silc.VertexID(*dest)
 	if *trace {
@@ -127,22 +118,20 @@ func main() {
 			printStats(eng, st)
 		}
 	case "refine":
-		mono, ok := eng.Monolithic()
-		if !ok {
-			fail(fmt.Errorf("the refine trace requires a monolithic index"))
+		r, err := eng.NewRefiner(src, dst)
+		if err != nil {
+			fail(err)
 		}
-		if *q < 0 || *q >= net.NumVertices() || *dest < 0 || *dest >= net.NumVertices() {
-			fail(fmt.Errorf("vertex out of range [0,%d)", net.NumVertices()))
-		}
-		r := mono.NewRefiner(src, dst)
 		iv := r.Interval()
 		fmt.Printf("step %2d: [%.6f, %.6f] width %.6f\n", 0, iv.Lo, iv.Hi, iv.Hi-iv.Lo)
-		for !r.Done() {
+		for !r.Done() && !r.OutOfRange() {
 			r.Step()
 			iv = r.Interval()
-			via, acc := r.Via()
-			fmt.Printf("step %2d: [%.6f, %.6f] width %.6f  via %d at exact %.6f\n",
-				r.Steps(), iv.Lo, iv.Hi, iv.Hi-iv.Lo, via, acc)
+			fmt.Printf("step %2d: [%.6f, %.6f] width %.6f", r.Steps(), iv.Lo, iv.Hi, iv.Hi-iv.Lo)
+			if via, acc, ok := r.Via(); ok {
+				fmt.Printf("  via %d at exact %.6f", via, acc)
+			}
+			fmt.Println()
 		}
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))

@@ -73,9 +73,9 @@ func main() {
 		if *nodeName == "" {
 			log.Fatal("silcserve: -cluster node requires -node-name")
 		}
-		ix, err := silc.OpenShardedIndex(index, silc.ShardedBuildOptions{CacheFraction: *cacheFrac, Mmap: *mmap})
+		eng, err := silc.OpenEngine(index, nil, silc.BuildOptions{CacheFraction: *cacheFrac, Mmap: *mmap})
 		check(err)
-		cfg.Node, err = silc.NewClusterNode(ix, m, *nodeName)
+		cfg.Node, err = silc.NewClusterNode(eng, m, *nodeName)
 		check(err)
 		defer cfg.Node.Close()
 		log.Printf("cluster node %s serving cells %v of %s", *nodeName, m.Node(*nodeName).Cells, index)
@@ -87,7 +87,7 @@ func main() {
 		defer stopProbing()
 		router.StartProbing(probeCtx, *probeInterval)
 	case "":
-		cfg.Engine, err = loadOrBuild(*networkPath, *indexPath, *rows, *cols, *seed, *partitions, silc.BuildOptions{CacheFraction: *cacheFrac, Mmap: *mmap})
+		cfg.Engine, err = loadOrBuild(*networkPath, *indexPath, *rows, *cols, *seed, silc.BuildOptions{Partitions: *partitions, CacheFraction: *cacheFrac, Mmap: *mmap})
 		check(err)
 	default:
 		log.Fatalf("silcserve: unknown -cluster %q (node, router)", *clusterMode)
@@ -177,7 +177,7 @@ func loadManifest(manifestPath, indexPath string) (*silc.ClusterManifest, string
 
 // loadOrBuild opens the paged -index (its format is sniffed and its network
 // embedded; a -network given too is cross-checked) or builds one in RAM.
-func loadOrBuild(networkPath, indexPath string, rows, cols int, seed int64, partitions int, opts silc.BuildOptions) (*silc.Engine, error) {
+func loadOrBuild(networkPath, indexPath string, rows, cols int, seed int64, opts silc.BuildOptions) (*silc.Engine, error) {
 	var net *silc.Network
 	var err error
 	if networkPath != "" {
@@ -202,20 +202,12 @@ func loadOrBuild(networkPath, indexPath string, rows, cols int, seed int64, part
 			return nil, err
 		}
 	}
-	if partitions > 1 {
-		log.Printf("building sharded index over %d vertices (%d partitions)...", net.NumVertices(), partitions)
-		sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: partitions})
-		if err != nil {
-			return nil, err
-		}
-		return sx.Engine(), nil
+	if opts.Partitions > 1 {
+		log.Printf("building sharded index over %d vertices (%d partitions)...", net.NumVertices(), opts.Partitions)
+	} else {
+		log.Printf("building index over %d vertices...", net.NumVertices())
 	}
-	log.Printf("building index over %d vertices...", net.NumVertices())
-	ix, err := silc.BuildIndex(net, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Engine(), nil
+	return silc.Build(net, opts)
 }
 
 // loadObjects reads the object vertices from path, one id per line, or

@@ -18,15 +18,23 @@ import (
 	"silc/internal/server"
 )
 
-// testServer serves a disk-resident index: built OnDisk under t.TempDir()
-// and reopened behind the default 5% pool, so page counters are real reads.
+// testServer serves a disk-resident index: written under t.TempDir() and
+// reopened behind the default 5% pool, so page counters are real reads.
 func testServer(t *testing.T) server.Config {
 	t.Helper()
 	net, err := silc.GenerateGrid(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{OnDisk: filepath.Join(t.TempDir(), "grid.silcpg")})
+	built, err := silc.Build(net, silc.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.silcpg")
+	if _, err := built.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := silc.OpenEngine(path, nil, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +43,7 @@ func testServer(t *testing.T) server.Config {
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
 	}
-	return server.Config{Engine: ix.Engine(), Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
+	return server.Config{Engine: ix, Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
 }
 
 // routes is the handler silcserve serves c behind.
@@ -265,15 +273,15 @@ func testShardedServer(t *testing.T) server.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	built, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "road.silcspg")
-	if err := built.WriteFile(path); err != nil {
+	if _, err := built.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{})
+	ix, err := silc.OpenEngine(path, nil, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +290,7 @@ func testShardedServer(t *testing.T) server.Config {
 	for i := range vs {
 		vs[i] = silc.VertexID(i)
 	}
-	return server.Config{Engine: ix.Engine(), Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
+	return server.Config{Engine: ix, Objects: mustObjects(t, net, vs), MaxK: 100, MaxBatch: 1000}
 }
 
 func decodeBrowseStream(t *testing.T, ts *httptest.Server, path string) (ranks []int, dists []float64, trailer map[string]any) {
@@ -533,7 +541,7 @@ func TestServerMetricsPaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +724,7 @@ func TestNodePprofGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	ix, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

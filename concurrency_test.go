@@ -10,9 +10,9 @@ import (
 )
 
 // concurrencyFixture builds one shared index — in RAM, or disk-resident
-// (OnDisk under t.TempDir(), behind the default 5% pool) — an object set,
-// and a pool of query vertices.
-func concurrencyFixture(t *testing.T, diskResident bool) (*Index, *ObjectSet, []VertexID) {
+// (written under t.TempDir() and reopened behind the default 5% pool) — an
+// object set, and a pool of query vertices.
+func concurrencyFixture(t *testing.T, diskResident bool) (*Engine, *ObjectSet, []VertexID) {
 	t.Helper()
 	net := testNetwork(t)
 	ix := testIndex(t, net)
@@ -47,8 +47,7 @@ func neighborsEqual(t *testing.T, tag string, got, want []Neighbor) {
 }
 
 func testParallelQueries(t *testing.T, diskResident bool) {
-	ix, objs, queries := concurrencyFixture(t, diskResident)
-	eng := ix.Engine()
+	eng, objs, queries := concurrencyFixture(t, diskResident)
 	const k = 5
 
 	want := make([]Result, len(queries))
@@ -85,7 +84,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		ix, objs, queries := concurrencyFixture(t, disk)
 		const k = 4
-		eng := on(t, ix.Engine())
+		eng := on(t, ix)
 		batch := eng.batch(objs, queries, k)
 		if len(batch.Results) != len(queries) {
 			t.Fatalf("batch returned %d results for %d queries", len(batch.Results), len(queries))
@@ -119,7 +118,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 
 func TestQueryBatchWorkersBound(t *testing.T) {
 	ix, objs, queries := concurrencyFixture(t, false)
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	one := eng.batch(objs, queries, 3, WithWorkers(1))
 	four := eng.batch(objs, queries, 3, WithWorkers(4))
 	if one.Stats.Workers != 1 || four.Stats.Workers != 4 {
@@ -138,7 +137,7 @@ func TestQueryBatchAllMethods(t *testing.T) {
 	ix, objs, queries := concurrencyFixture(t, true)
 	queries = queries[:10]
 	for _, m := range []Method{MethodKNN, MethodINN, MethodKNNI, MethodKNNM, MethodINE, MethodIER} {
-		batch := on(t, ix.Engine()).batch(objs, queries, 3, WithMethod(m))
+		batch := on(t, ix).batch(objs, queries, 3, WithMethod(m))
 		for i, res := range batch.Results {
 			if len(res.Neighbors) != 3 {
 				t.Fatalf("%v query %d: %d neighbors", m, i, len(res.Neighbors))
@@ -151,8 +150,7 @@ func TestQueryBatchAllMethods(t *testing.T) {
 // one shared disk-resident index: each cursor must stream the same sequence
 // a fresh solo cursor produces.
 func TestConcurrentBrowsers(t *testing.T) {
-	ix, objs, queries := concurrencyFixture(t, true)
-	eng := ix.Engine()
+	eng, objs, queries := concurrencyFixture(t, true)
 	starts := queries[:6]
 	const steps = 15
 
@@ -205,7 +203,7 @@ func TestConcurrentBrowsers(t *testing.T) {
 // over one shared disk-resident index — the -race canary for the whole
 // query surface.
 func TestConcurrentMixedReaders(t *testing.T) {
-	ix, objs, queries := concurrencyFixture(t, true)
+	eng, objs, queries := concurrencyFixture(t, true)
 	var wg sync.WaitGroup
 	run := func(f func(i int)) {
 		wg.Add(1)
@@ -217,7 +215,7 @@ func TestConcurrentMixedReaders(t *testing.T) {
 		}()
 	}
 	n := len(queries)
-	eng, ctx := ix.Engine(), context.Background()
+	ctx := context.Background()
 	check := func(err error) {
 		if err != nil {
 			t.Error(err)
@@ -229,9 +227,9 @@ func TestConcurrentMixedReaders(t *testing.T) {
 	run(func(i int) { _, err := eng.DistanceInterval(ctx, queries[i%n], queries[(i+5)%n]); check(err) })
 	run(func(i int) { _, err := eng.IsCloser(ctx, queries[i%n], queries[(i+1)%n], queries[(i+2)%n]); check(err) })
 	run(func(i int) { _, err := eng.WithinDistance(ctx, objs, queries[i%n], 0.2); check(err) })
-	run(func(i int) { ix.IOStats() })
+	run(func(i int) { eng.IOStats() })
 	wg.Wait()
-	if s := ix.IOStats(); s.PageHits+s.PageMisses == 0 {
+	if s := eng.IOStats(); s.PageHits+s.PageMisses == 0 {
 		t.Fatal("pool-wide counters should have accumulated traffic")
 	}
 }
@@ -242,8 +240,7 @@ func TestConcurrentMixedReaders(t *testing.T) {
 // query's own context, never diffed from the shared pool — must sum to the
 // pool-wide totals exactly.
 func TestDiskPerQueryStatsSumToPool(t *testing.T) {
-	ix, objs, queries := concurrencyFixture(t, true)
-	eng := ix.Engine()
+	eng, objs, queries := concurrencyFixture(t, true)
 	const goroutines = 64
 	sums := make([]QueryStats, goroutines)
 	var wg sync.WaitGroup
@@ -270,7 +267,7 @@ func TestDiskPerQueryStatsSumToPool(t *testing.T) {
 		sum.PageMisses += s.PageMisses
 		sum.PageReads += s.PageReads
 	}
-	pool := ix.IOStats()
+	pool := eng.IOStats()
 	pool.MeasuredIOTime = 0 // the store's read clock has no per-query share
 	if sum != pool || pool.PageMisses == 0 {
 		t.Fatalf("per-query sum %+v != pool totals %+v", sum, pool)

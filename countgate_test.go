@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,22 +114,19 @@ func TestPGCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monoIx, err := silc.BuildIndex(net, silc.BuildOptions{})
+	monoIx, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedIx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	shardedIx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	type pagedWriter interface {
-		WritePaged(io.Writer) (int64, error)
 	}
 	out := pgCounts{Lattice: countLattice}
 	var mono []byte
 	for _, l := range []struct {
 		name string
-		ix   pagedWriter
+		ix   *silc.Engine
 	}{{"mono", monoIx}, {"sharded-4", shardedIx}} {
 		var buf bytes.Buffer
 		if _, err := l.ix.WritePaged(&buf); err != nil {
@@ -153,12 +149,12 @@ func TestPGCountsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cold, err := silc.OpenIndexAt(bytes.NewReader(mono), int64(len(mono)), silc.BuildOptions{CacheFraction: 0.05})
+	cold, err := silc.OpenEngineAt(bytes.NewReader(mono), int64(len(mono)), nil, silc.BuildOptions{CacheFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < net.NumVertices(); q += 7 {
-		if _, err := cold.Engine().Query(ctx, objs, silc.VertexID(q), 10); err != nil {
+		if _, err := cold.Query(ctx, objs, silc.VertexID(q), 10); err != nil {
 			t.Fatalf("cold query %d: %v", q, err)
 		}
 	}

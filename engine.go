@@ -2,6 +2,7 @@ package silc
 
 import (
 	"context"
+	"io"
 	"iter"
 	"sync"
 	"sync/atomic"
@@ -10,24 +11,27 @@ import (
 	"silc/internal/core"
 	"silc/internal/graph"
 	"silc/internal/knn"
+	"silc/internal/partition"
 	"silc/internal/store"
 )
 
 // queryBackend is what the unified Engine needs from an index
-// implementation: the generic query surface the kNN family consumes plus
-// context-attributed interval and path retrieval. Both the monolithic
-// core.Index and the sharded partition index satisfy it, which is what lets
-// one generic code path answer every query on both.
+// implementation: the generic query surface the kNN family consumes,
+// context-attributed interval and path retrieval, and the paged-image
+// writer. Both the monolithic core.Index and the sharded partition index
+// satisfy it, which is what lets one generic code path answer every query
+// on both.
 type queryBackend interface {
 	core.QueryIndex
 	DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval
 	PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID
+	WritePaged(w io.Writer) (store.ImageInfo, error)
 }
 
-// Engine is the primary query handle of the package: one request-scoped,
-// context-aware query surface shared by the monolithic Index and the
-// partitioned ShardedIndex. Obtain one with Index.Engine,
-// ShardedIndex.Engine, or OpenEngine; the zero value is not usable.
+// Engine is the package's one index handle: a monolithic or a partitioned
+// SILC index, in RAM or paged from disk, behind one request-scoped,
+// context-aware query surface. Obtain one with Build, OpenEngine or
+// OpenEngineAt (or a ClusterRouter's Engine); the zero value is not usable.
 //
 // Every entry point takes a context.Context — cancellation and deadlines
 // are checked inside the best-first search loop and the progressive
@@ -38,13 +42,16 @@ type queryBackend interface {
 // WithWorkers, WithExactDistances) in place of the old positional-argument
 // combinatorics.
 //
-// An Engine is read-only and safe for unlimited concurrent use, exactly
-// like the index it wraps.
+// An Engine is read-only and safe for unlimited concurrent use: the buffer
+// pool is sharded and per-query statistics live in query-owned contexts.
 type Engine struct {
-	net   *Network
-	qx    queryBackend
-	mono  *Index
-	shard *ShardedIndex
+	net *Network
+	qx  queryBackend
+	// sharded is qx when the index is partitioned (nil otherwise): cluster
+	// nodes serve it, and its label-table and race counters are exported.
+	sharded *partition.Sharded
+	// closer releases the file behind an engine OpenEngine opened.
+	closer io.Closer
 	// pager is set when the engine runs over an on-disk store; it reports
 	// the actual read counters.
 	pager *store.Pager
@@ -64,12 +71,12 @@ type Engine struct {
 	obs *engineObs
 }
 
-// newEngine is the single Engine constructor behind both index kinds;
-// it wires the metric aggregates before the first query can run.
-// Callers fill in mono/shard/pager afterwards — the scrape-time
-// collectors read those fields lazily.
-func newEngine(net *Network, qx queryBackend) *Engine {
-	e := &Engine{net: net, qx: qx}
+// newEngine is the single Engine constructor behind both index kinds; it
+// wires the metric aggregates before the first query can run. pager is the
+// paged store's (nil in RAM).
+func newEngine(net *Network, qx queryBackend, pager *store.Pager) *Engine {
+	e := &Engine{net: net, qx: qx, pager: pager}
+	e.sharded, _ = qx.(*partition.Sharded)
 	e.obs = newEngineObs(e)
 	return e
 }
@@ -108,19 +115,11 @@ func (e *Engine) liveQueryContexts() int64 { return e.qcLive.Load() }
 // Network returns the indexed network.
 func (e *Engine) Network() *Network { return e.net }
 
-// Monolithic returns the underlying monolithic index, when the engine wraps
-// one (build/format statistics live on the concrete types).
-func (e *Engine) Monolithic() (*Index, bool) { return e.mono, e.mono != nil }
-
-// Sharded returns the underlying partitioned index, when the engine wraps
-// one.
-func (e *Engine) Sharded() (*ShardedIndex, bool) { return e.shard, e.shard != nil }
-
 // IOStats returns cumulative pool-wide buffer-pool statistics (zeros for
 // memory-resident indexes). Per-query traffic is on each Result's Stats;
 // summing the per-query counters over a workload reproduces these
 // pool-wide totals exactly, because the pool charges each touch to both
-// at once. On a sharded paged engine (OpenShardedIndex) all cell stores
+// at once. On a sharded paged engine all cell stores
 // share one pool and one pager, so every figure here aggregates across all
 // cells — there is no per-cell breakdown at this level (WriteMetrics
 // exposes per-store series).
@@ -135,16 +134,87 @@ func (e *Engine) IOStats() IOStats {
 	return out
 }
 
-// Close releases the file behind a disk-backed engine (OpenEngine); it is
-// a no-op for in-RAM engines and engines whose reader the caller owns.
+// Close releases the file behind an engine OpenEngine opened; it is a
+// no-op for in-RAM engines and engines whose reader the caller owns.
+// Queries must not run concurrently with or after Close.
 func (e *Engine) Close() error {
-	switch {
-	case e.mono != nil:
-		return e.mono.Close()
-	case e.shard != nil:
-		return e.shard.Close()
+	if e.closer != nil {
+		return e.closer.Close()
 	}
 	return nil
+}
+
+// Stats returns the build statistics of the index behind the engine. An
+// opened image reports its block counts; build times are those of the
+// in-process build and zero after an open.
+func (e *Engine) Stats() IndexStats {
+	if e.sharded == nil {
+		return IndexStats{BuildStats: e.qx.(*core.Index).Stats()}
+	}
+	st := e.sharded.Stats()
+	return IndexStats{Sharded: &st, BuildStats: BuildStats{
+		Vertices:    st.Vertices,
+		Edges:       st.Edges,
+		TotalBlocks: st.CellBlocks,
+		TotalBytes:  st.CellBytes,
+		BuildTime:   st.BuildTime,
+	}}
+}
+
+// Radius returns the proximity bound the index was built with (0 when
+// unbounded, and always on a partitioned engine).
+func (e *Engine) Radius() float64 {
+	if ix, ok := e.qx.(*core.Index); ok {
+		return ix.Radius()
+	}
+	return 0
+}
+
+// NumPartitions returns the cell count P (1 on a monolithic engine).
+func (e *Engine) NumPartitions() int {
+	if e.sharded == nil {
+		return 1
+	}
+	return e.sharded.NumPartitions()
+}
+
+// PartitionOf returns the cell holding vertex v (0 on a monolithic engine).
+func (e *Engine) PartitionOf(v VertexID) int {
+	if e.sharded == nil {
+		return 0
+	}
+	return e.sharded.CellOf(v)
+}
+
+// WritePaged serializes the index in the page-aligned on-disk format that
+// OpenEngine reads back on demand, network embedded: one image of
+// checksummed pages holding each vertex's quadtree blocks delta+varint
+// encoded (conventionally *.silcpg), or, for a partitioned index, the
+// partition metadata plus one such image per cell (*.silcspg). It returns
+// the layout of the image it wrote; its Total is the byte count. A
+// ClusterRouter's engine holds no cell images and cannot write one.
+func (e *Engine) WritePaged(w io.Writer) (ImageInfo, error) { return e.qx.WritePaged(w) }
+
+// WriteFile writes the paged image to path atomically: it is fsynced under
+// a temp name and renamed into place, so a crash or a failed write leaves
+// whatever was at path before, never a torn file.
+func (e *Engine) WriteFile(path string) (info ImageInfo, err error) {
+	err = store.WriteFileAtomic(path, func(w io.Writer) (err error) {
+		info, err = e.WritePaged(w)
+		return err
+	})
+	return info, err
+}
+
+// NewRefiner starts progressive refinement for the pair (src, dst).
+func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
+	if err := checkVertex(e.net, "src", src); err != nil {
+		return nil, err
+	}
+	if err := checkVertex(e.net, "dst", dst); err != nil {
+		return nil, err
+	}
+	return &Refiner{r: e.qx.Refine(nil, src, dst), mono: e.sharded == nil}, nil
 }
 
 // ResetIOStats zeroes the buffer-pool counters — and, on a disk-backed

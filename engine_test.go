@@ -1,0 +1,149 @@
+package silc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"path/filepath"
+	"testing"
+
+	"silc/internal/sssp"
+)
+
+// TestEngineOneHandle drives the one index handle through its life on both
+// index kinds: Build with Partitions 1 and 4, WriteFile, then OpenEngine
+// through positioned reads and through mmap. Every engine must report its
+// statistics and partitioning like the built one, and its Refiner must
+// converge to Distance on a cross-cell and a same-cell pair. Only the
+// partitioned engines may back a cluster node, and the distance oracle over
+// the 4-cell engine must meet its ε bound against Dijkstra.
+func TestEngineOneHandle(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.NumVertices()
+	manifest := &ClusterManifest{Nodes: []ClusterNodeSpec{{Name: "a", Addr: "http://127.0.0.1:1", Cells: []int{0, 1, 2, 3}}}}
+	ctx := context.Background()
+	var pairs map[string][2]VertexID // chosen on the 4-cell build
+	for _, parts := range []int{4, 1} {
+		built, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parts == 4 {
+			pairs = cellPairs(t, built)
+			checkOracle(t, net, built)
+		}
+		path := filepath.Join(t.TempDir(), "ix.silcpg")
+		info, err := built.WriteFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Total == 0 || info.TotalBlocks != built.Stats().TotalBlocks {
+			t.Fatalf("P=%d: WriteFile reported %+v for %d blocks", parts, info, built.Stats().TotalBlocks)
+		}
+		engines := map[string]*Engine{"built": built}
+		for _, mmap := range []bool{false, true} {
+			eng, err := OpenEngine(path, nil, BuildOptions{Mmap: mmap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			engines[fmt.Sprintf("mmap=%v", mmap)] = eng
+		}
+		want := built.Stats()
+		for name, eng := range engines {
+			tag := fmt.Sprintf("P=%d/%s", parts, name)
+			st := eng.Stats()
+			if st.Vertices != n || st.Edges != net.NumEdges() || st.TotalBlocks != want.TotalBlocks || st.TotalBlocks == 0 {
+				t.Fatalf("%s: stats %+v, built %+v", tag, st.BuildStats, want.BuildStats)
+			}
+			if (st.Sharded != nil) != (parts > 1) || st.Sharded != nil && st.Sharded.Partitions != parts {
+				t.Fatalf("%s: sharded stats %+v", tag, st.Sharded)
+			}
+			if got := eng.NumPartitions(); got != parts {
+				t.Fatalf("%s: NumPartitions = %d", tag, got)
+			}
+			for v := VertexID(0); int(v) < n; v++ {
+				if got := eng.PartitionOf(v); got != built.PartitionOf(v) || got < 0 || got >= parts {
+					t.Fatalf("%s: PartitionOf(%d) = %d, built says %d", tag, v, got, built.PartitionOf(v))
+				}
+			}
+			for kind, p := range pairs {
+				want, err := eng.Distance(ctx, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := eng.NewRefiner(p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; !r.Done() && !r.OutOfRange(); i++ {
+					if i > n {
+						t.Fatalf("%s %s: refiner did not converge in %d steps", tag, kind, n)
+					}
+					r.Step()
+				}
+				if iv := r.Interval(); iv.Lo != want || iv.Hi != want || r.Steps() == 0 {
+					t.Fatalf("%s %s: refined to %+v in %d steps, Distance = %v", tag, kind, iv, r.Steps(), want)
+				}
+				if v, d, ok := r.Via(); ok != (parts == 1) || ok && (v != p[1] || d != want) {
+					t.Fatalf("%s %s: Via = %d, %v, %v", tag, kind, v, d, ok)
+				}
+			}
+			if _, err := eng.NewRefiner(0, VertexID(n)); !errors.Is(err, ErrVertexRange) {
+				t.Fatalf("%s: NewRefiner out of range: %v", tag, err)
+			}
+			_, err := NewClusterNode(eng, manifest, "a")
+			if (err == nil) != (parts > 1) {
+				t.Fatalf("%s: NewClusterNode err = %v", tag, err)
+			}
+		}
+	}
+}
+
+// cellPairs picks, on a partitioned engine, a pair of vertices in different
+// cells and a pair in one cell, neither adjacent.
+func cellPairs(t *testing.T, eng *Engine) map[string][2]VertexID {
+	t.Helper()
+	out := map[string][2]VertexID{}
+	n := VertexID(eng.Network().NumVertices())
+	for u := VertexID(0); u < n; u++ {
+		for v := n - 1; v > u+1; v-- {
+			kind := "cross-cell"
+			if eng.PartitionOf(u) == eng.PartitionOf(v) {
+				kind = "same-cell"
+			}
+			if _, ok := out[kind]; !ok {
+				out[kind] = [2]VertexID{u, v}
+			}
+		}
+	}
+	if len(out) != 2 {
+		t.Fatalf("no pair of each kind: %v", out)
+	}
+	return out
+}
+
+// checkOracle builds the ε = 0.25 distance oracle over eng and checks a
+// sample of its answers against Dijkstra.
+func checkOracle(t *testing.T, net *Network, eng *Engine) {
+	t.Helper()
+	const eps = 0.25
+	o, err := BuildDistanceOracle(eng, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.NumVertices()
+	for u := 0; u < n; u += 7 {
+		truth := sssp.Dijkstra(net.g, VertexID(u))
+		for v := 0; v < n; v += 3 {
+			want := truth.Dist[v]
+			if got := o.Distance(VertexID(u), VertexID(v)); math.Abs(got-want) > eps*want+1e-9 {
+				t.Fatalf("oracle d(%d,%d) = %v, Dijkstra %v: beyond ε = %v", u, v, got, want, eps)
+			}
+		}
+	}
+}

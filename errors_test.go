@@ -15,15 +15,15 @@ func engineFixtures(t *testing.T) (*Network, []*Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := BuildIndex(net, BuildOptions{})
+	mono, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sharded, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, []*Engine{mono.Engine(), sharded.Engine()}
+	return net, []*Engine{mono, sharded}
 }
 
 // TestObjectSetValidation is the regression test for the boundary bug:
@@ -106,6 +106,9 @@ func TestQueryValidation(t *testing.T) {
 		if _, err := eng.IsCloser(ctx, 0, 1, bad); !errors.Is(err, ErrVertexRange) {
 			t.Fatalf("%s: IsCloser bad b: got %v, want ErrVertexRange", tag, err)
 		}
+		if _, err := eng.NewRefiner(bad, 0); !errors.Is(err, ErrVertexRange) {
+			t.Fatalf("%s: NewRefiner bad src: got %v, want ErrVertexRange", tag, err)
+		}
 
 		if _, err := eng.WithinDistance(ctx, objs, 0, -0.5); !errors.Is(err, ErrBadRadius) {
 			t.Fatalf("%s: negative radius: got %v, want ErrBadRadius", tag, err)
@@ -134,6 +137,25 @@ func TestQueryValidation(t *testing.T) {
 		res, err := eng.Query(ctx, objs, 0, 3)
 		if err != nil || len(res.Neighbors) != 3 {
 			t.Fatalf("%s: valid query failed: %v (%d neighbors)", tag, err, len(res.Neighbors))
+		}
+	}
+}
+
+// TestBuildRejectsPartitionedRadius checks the one build-option combination
+// Build refuses: a partitioned index has no proximity radius, so asking for
+// both is a typed error rather than silently unbounded cells. Either option
+// alone still builds.
+func TestBuildRejectsPartitionedRadius(t *testing.T) {
+	net, err := GenerateGrid(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(net, BuildOptions{Partitions: 4, ProximityRadius: 0.3}); !errors.Is(err, ErrRadiusPartitioned) {
+		t.Fatalf("partitioned build with a radius: got %v, want ErrRadiusPartitioned", err)
+	}
+	for _, opts := range []BuildOptions{{Partitions: 4}, {Partitions: 1, ProximityRadius: 0.3}} {
+		if _, err := Build(net, opts); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func ExampleEngine_Neighbors() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	eng, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +27,6 @@ func ExampleEngine_Neighbors() {
 		log.Fatal(err)
 	}
 
-	eng := ix.Engine()
 	shown := 0
 	for n, err := range eng.Neighbors(context.Background(), objs, 0) {
 		if err != nil {

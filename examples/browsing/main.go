@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	eng, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,6 @@ func main() {
 		log.Fatal(err)
 	}
 	q := silc.VertexID(rng.Intn(net.NumVertices()))
-	eng := ix.Engine()
 	ctx := context.Background()
 
 	// The first ten restaurants, streamed lazily: the iterator performs
@@ -81,7 +80,10 @@ func main() {
 	// hop by hop until exact.
 	dest := restaurants[0]
 	fmt.Printf("\nprogressive refinement of distance(%d, %d):\n", q, dest)
-	r := ix.NewRefiner(q, dest)
+	r, err := eng.NewRefiner(q, dest)
+	if err != nil {
+		log.Fatal(err)
+	}
 	iv := r.Interval()
 	fmt.Printf("  lookup:  [%.4f, %.4f]  width %.4f\n", iv.Lo, iv.Hi, iv.Hi-iv.Lo)
 	for !r.Done() {

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	eng, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +91,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := ix.Engine()
 	ctx := context.Background()
 	roadDist := func(v silc.VertexID) float64 {
 		d, err := eng.Distance(ctx, piano, v)

@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	eng, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("network: %d vertices (%d vertex pairs)\n\n", n, n*n)
 
 	for _, eps := range []float64{0.5, 0.25, 0.1} {
-		o, err := silc.BuildDistanceOracle(ix, eps)
+		o, err := silc.BuildDistanceOracle(eng, eps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func main() {
 			if u == v {
 				continue
 			}
-			exact, err := ix.Engine().Distance(ctx, u, v)
+			exact, err := eng.Distance(ctx, u, v)
 			if err != nil {
 				log.Fatal(err)
 			}

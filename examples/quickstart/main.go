@@ -26,11 +26,11 @@ func main() {
 
 	// 2. Precompute the SILC index: one shortest-path quadtree per vertex.
 	// This is the one-time cost that every later query amortizes.
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	eng, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := ix.Stats()
+	s := eng.Stats()
 	fmt.Printf("index:   %d Morton blocks (%.1f per vertex, %.2f MiB) in %v\n\n",
 		s.TotalBlocks, s.BlocksPerVertex(), float64(s.TotalBytes)/(1<<20), s.BuildTime)
 
@@ -50,7 +50,6 @@ func main() {
 
 	// 4. The five nearest shops by driving distance, exact. All queries go
 	// through the Engine handle: context-aware, error-returning, optioned.
-	eng := ix.Engine()
 	ctx := context.Background()
 	res, err := eng.Query(ctx, objs, home, 5, silc.WithExactDistances())
 	if err != nil {

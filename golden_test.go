@@ -122,7 +122,7 @@ func checkEngineEquivalence(t *testing.T, ref, got *silc.Engine) {
 // must reproduce the image byte for byte: the encoder is deterministic.
 func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	}
 	checkGolden(t, "grid8.silcpg2", buf.Bytes())
 
-	opened, err := silc.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), silc.BuildOptions{})
+	opened, err := silc.OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, silc.BuildOptions{})
 	if err != nil {
 		t.Fatalf("opening golden: %v", err)
 	}
@@ -143,14 +143,14 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
 		t.Fatal("open → re-serialize is not byte-identical")
 	}
-	checkEngineEquivalence(t, ix.Engine(), opened.Engine())
+	checkEngineEquivalence(t, ix, opened)
 }
 
 // TestGoldenShardedPagedCompressed pins the sharded paged format
 // (SILCSPG2): every embedded cell image is a SILCPG2 image.
 func TestGoldenShardedPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	sx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestGoldenShardedPagedCompressed(t *testing.T) {
 	}
 	checkGolden(t, "grid8x4.silcspg2", buf.Bytes())
 
-	opened, err := silc.OpenShardedIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), silc.ShardedBuildOptions{})
+	opened, err := silc.OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, silc.BuildOptions{})
 	if err != nil {
 		t.Fatalf("opening golden: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestGoldenShardedPagedCompressed(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), buf.Bytes()) {
 		t.Fatal("open → re-serialize is not byte-identical")
 	}
-	checkEngineEquivalence(t, sx.Engine(), opened.Engine())
+	checkEngineEquivalence(t, sx, opened)
 }
 
 // TestGoldenLoadEngineSniffing opens every golden file through the
@@ -210,8 +210,8 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: OpenEngineAt: %v", tc.file, err)
 		}
-		if _, ok := eng.Sharded(); ok != tc.sharded {
-			t.Fatalf("%s: sharded=%v, want %v", tc.file, ok, tc.sharded)
+		if sharded := eng.Stats().Sharded != nil; sharded != tc.sharded {
+			t.Fatalf("%s: sharded=%v, want %v", tc.file, sharded, tc.sharded)
 		}
 		if eng.Network().NumVertices() != net.NumVertices() {
 			t.Fatalf("%s: %d vertices, want %d", tc.file, eng.Network().NumVertices(), net.NumVertices())

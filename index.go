@@ -1,23 +1,38 @@
 package silc
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"silc/internal/core"
+	"silc/internal/partition"
 	"silc/internal/store"
 )
 
-// BuildOptions configures BuildIndex.
+// BuildOptions configures Build, OpenEngine and OpenEngineAt. Partitions,
+// Parallelism and ProximityRadius shape a build; CacheFraction and Mmap
+// apply only when an image is opened, and a build ignores them.
 type BuildOptions struct {
+	// Partitions is the spatial cell count P. At 0 or 1 Build makes one
+	// monolithic index. Above 1 each cell builds an independent SILC index
+	// over its induced subnetwork — O(n/P) Dijkstra sources per cell
+	// instead of O(n) overall, and Θ(n^1.5/√P) Morton blocks in total — and
+	// a one-time boundary closure stitches cross-cell queries back to exact
+	// answers.
+	Partitions int
 	// Parallelism sets the number of build workers (0 = all CPUs). The
 	// build runs one Dijkstra per vertex, parallelized over sources.
 	Parallelism int
-	// CacheFraction sizes the LRU buffer pool of a disk-backed index
-	// (OnDisk, OpenIndex, OpenEngine) as a fraction of its total pages
-	// (default 0.05, the paper's setting); at 1 the pool holds as many
-	// pages as the image has, which serves it resident. In-RAM indexes have
-	// no pool.
+	// CacheFraction sizes the LRU buffer pool of an opened image as a
+	// fraction of its total pages (default 0.05, the paper's setting); a
+	// sharded image shares one pool across every cell, so the fraction is
+	// of the whole database. At 1 the pool holds as many pages as the image
+	// has, which serves it resident. Open-time only: in-RAM indexes have no
+	// pool.
 	CacheFraction float64
 	// ProximityRadius, when positive, bounds each vertex's quadtree to the
 	// vertices within that network distance — the paper's location-based-
@@ -25,57 +40,168 @@ type BuildOptions struct {
 	// local-search workloads; queries beyond the radius report Distance
 	// +Inf, ShortestPath nil, and the interval [radius, +Inf), and
 	// NearestNeighbors returns only in-range neighbors (possibly fewer
-	// than k).
+	// than k). A partitioned build has no radius: combining the two is
+	// ErrRadiusPartitioned.
 	ProximityRadius float64
-	// OnDisk, when set, persists the built index to this path in the
-	// page-aligned on-disk format and returns a genuinely disk-resident
-	// index reading through the buffer pool: the in-RAM quadtrees are
-	// released, pool misses become actual page reads, and resident memory
-	// tracks CacheFraction rather than the index size. Close the returned
-	// Index to release the file.
-	OnDisk string
-	// Mmap makes OpenIndex (and OnDisk's reopen) access the paged file
-	// through a read-only memory mapping instead of positioned reads: warm
-	// pages decode straight from the mapping with no syscall and no gather
-	// copy. Falls back to positioned reads on platforms without mmap.
+	// Mmap makes OpenEngine access the image through a read-only memory
+	// mapping instead of positioned reads (one mapping shared by every cell
+	// of a sharded image): warm pages decode straight from the mapping with
+	// no syscall and no gather copy. Falls back to positioned reads on
+	// platforms without mmap. Open-time only.
 	Mmap bool
 }
 
 // BuildStats summarizes a completed index build.
 type BuildStats = core.BuildStats
 
+// ShardedStats describes a partitioned build: per-cell index statistics
+// plus the partitioner's and closure's own accounting.
+type ShardedStats = partition.Stats
+
+// IndexStats describes the index behind an Engine. BuildStats counts the
+// Morton-block storage; on a partitioned engine it totals every cell, and
+// Sharded carries the rest — per-cell statistics (MinBlocks and MaxBlocks
+// among them), boundary and closure. Sharded is nil on a monolithic engine.
+type IndexStats struct {
+	BuildStats
+	Sharded *ShardedStats
+}
+
+// ImageInfo describes the section layout of a paged index image — what
+// WritePaged and WriteFile report and silcbuild prints as its size table.
+type ImageInfo = store.ImageInfo
+
 // Interval is a closed network-distance interval guaranteed to contain the
 // exact network distance.
 type Interval = core.Interval
 
-// Index is a SILC index over one network: per-vertex shortest-path quadtrees
-// supporting interval-based distance queries, progressive refinement, exact
-// distances, and path retrieval. Every Index — including disk-backed ones —
-// is safe for unlimited concurrent readers: the buffer pool is sharded and
-// per-query statistics live in query-owned contexts, never on the Index.
+// Build precomputes the SILC index for net and returns its Engine: one
+// monolithic index when opts.Partitions ≤ 1, else a partitioned one (kd-cut
+// over vertex coordinates, one SILC index per cell, and the boundary
+// closure). The network must be strongly connected — validated during the
+// build even though individual cells may be internally disconnected.
+// Persist the result with WriteFile and serve it from disk with OpenEngine.
+func Build(net *Network, opts BuildOptions) (*Engine, error) {
+	if net == nil {
+		return nil, ErrNilNetwork
+	}
+	if opts.Partitions <= 1 {
+		ix, err := core.Build(net.g, core.BuildOptions{
+			Parallelism:     opts.Parallelism,
+			ProximityRadius: opts.ProximityRadius,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return newEngine(net, ix, nil), nil
+	}
+	if opts.ProximityRadius > 0 {
+		return nil, fmt.Errorf("%w: Partitions=%d, ProximityRadius=%v", ErrRadiusPartitioned, opts.Partitions, opts.ProximityRadius)
+	}
+	sx, err := partition.Build(net.g, partition.Options{
+		Partitions:  opts.Partitions,
+		Parallelism: opts.Parallelism,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(net, sx, nil), nil
+}
+
+// OpenEngine opens a paged index file by path — written by Engine.WriteFile
+// or silcbuild -o — sniffing which of the two image layouts it holds,
+// monolithic (SILCPG2) or sharded (SILCSPG2). The image embeds its network,
+// so net may be nil; a non-nil net is cross-checked against the embedded
+// one. Anything else is rejected with ErrBadMagic; so is an image of the
+// removed fixed-width format, with a note to rebuild it.
 //
-// Queries run through the unified Engine handle (Index.Engine).
-type Index struct {
-	net    *Network
-	ix     *core.Index
-	eng    *Engine
-	closer io.Closer // file behind a disk-backed index; nil when in-RAM
+// The quadtrees stay on disk: queries read them page by page through one
+// LRU buffer pool sized by opts.CacheFraction (default 5% of the database
+// pages), the store's only cache — a lookup decodes the blocks it needs
+// from the run's pages and keeps no decoded tree. Resident memory therefore
+// tracks the pool capacity, not the index size, plus per-vertex bookkeeping
+// (the extent table and one 16-byte restart point per 16 blocks). The
+// returned engine owns the file; Engine.Close releases it.
+func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
+	if opts.Mmap {
+		if data, unmap, err := store.MapFile(path); err == nil {
+			return openOwned(path, bytes.NewReader(data), int64(len(data)), data, unmap, net, opts)
+		}
+		// mmap unavailable: fall through to positioned reads.
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return openOwned(path, f, info.Size(), nil, f, net, opts)
 }
 
-// newIndex wires a built core index to its unified query engine.
-func newIndex(net *Network, cx *core.Index) *Index {
-	ix := &Index{net: net, ix: cx}
-	ix.eng = newEngine(net, cx)
-	ix.eng.mono = ix
-	return ix
+// openOwned opens the image behind closer and hands the engine ownership of
+// it, releasing it instead when the open fails.
+func openOwned(path string, ra io.ReaderAt, size int64, mapped []byte, closer io.Closer, net *Network, opts BuildOptions) (*Engine, error) {
+	eng, err := openImage(ra, size, mapped, net, opts)
+	if err != nil {
+		closer.Close()
+		if errors.Is(err, ErrBadMagic) {
+			err = fmt.Errorf("%s: %w", path, err)
+		}
+		return nil, err
+	}
+	eng.closer = closer
+	return eng, nil
 }
 
-// pagedIndexFrom wraps an opened paged store as a public Index. closer is
-// released by Index.Close (nil when the caller owns the reader).
-func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
+// OpenEngineAt is OpenEngine over an arbitrary ReaderAt (a section of a
+// larger file, an in-memory image); the caller owns ra's lifetime, and
+// opts.Mmap is ignored.
+func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
+	return openImage(ra, size, nil, net, opts)
+}
+
+// openImage sniffs the image's layout, opens it — over mapped when the
+// bytes are memory-mapped — and cross-checks a supplied network against the
+// embedded one.
+func openImage(ra io.ReaderAt, size int64, mapped []byte, net *Network, opts BuildOptions) (*Engine, error) {
+	var magic [8]byte
+	n, err := ra.ReadAt(magic[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	sharded, err := store.Sniff(magic[:n])
+	if err != nil {
+		return nil, err
+	}
+	var eng *Engine
+	if sharded {
+		sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction, Mapped: mapped})
+		if err != nil {
+			return nil, err
+		}
+		eng = newEngine(&Network{g: sx.Network()}, sx, sx.StorePager())
+	} else {
+		st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction, Mapped: mapped})
+		if err != nil {
+			return nil, err
+		}
+		eng = newEngine(&Network{g: st.Graph()}, pagedCore(st), st.Pager())
+	}
+	if got := eng.Network(); net != nil && (net.NumVertices() != got.NumVertices() || net.NumEdges() != got.NumEdges()) {
+		return nil, fmt.Errorf("silc: paged index embeds a network of %d vertices and %d edges, supplied network has %d and %d",
+			got.NumVertices(), got.NumEdges(), net.NumVertices(), net.NumEdges())
+	}
+	return eng, nil
+}
+
+// pagedCore wraps an opened paged store as the core index that reads it.
+func pagedCore(st *store.Store) *core.Index {
 	g := st.Graph()
 	total, minBlocks, maxBlocks := st.BlockStats()
-	cx := core.NewPagedIndex(core.PagedConfig{
+	return core.NewPagedIndex(core.PagedConfig{
 		Graph:   g,
 		Source:  st,
 		Tracker: st.Tracker(),
@@ -90,132 +216,15 @@ func pagedIndexFrom(st *store.Store, closer io.Closer) *Index {
 			MaxBlocks:   maxBlocks,
 		},
 	})
-	ix := newIndex(&Network{g: g}, cx)
-	ix.closer = closer
-	ix.eng.pager = st.Pager()
-	return ix
 }
-
-// OpenIndex opens a paged index file (written by Index.WriteFile or
-// silcbuild -o). The file embeds the network, so no separate
-// network file is needed; the quadtrees stay on disk and queries
-// read them page by page through an LRU buffer pool sized by
-// opts.CacheFraction (default 5% of the database pages), the store's only
-// cache: a lookup decodes the blocks it needs from the run's pages, keeping
-// no decoded tree. Resident memory therefore tracks the pool capacity, not
-// the index size, plus per-vertex bookkeeping (the extent table and one
-// 16-byte restart point per 16 blocks). Close the returned Index to release
-// the file.
-func OpenIndex(path string, opts BuildOptions) (*Index, error) {
-	open := store.OpenFile
-	if opts.Mmap {
-		open = store.OpenMapped
-	}
-	st, err := open(path, store.OpenOptions{CacheFraction: opts.CacheFraction})
-	if err != nil {
-		return nil, err
-	}
-	return pagedIndexFrom(st, st), nil
-}
-
-// OpenIndexAt is OpenIndex over an arbitrary ReaderAt (a section of a
-// larger file, an in-memory image). The caller owns ra's lifetime.
-func OpenIndexAt(ra io.ReaderAt, size int64, opts BuildOptions) (*Index, error) {
-	st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction})
-	if err != nil {
-		return nil, err
-	}
-	return pagedIndexFrom(st, nil), nil
-}
-
-// Close releases the file behind a disk-backed index; it is a no-op for
-// in-RAM indexes. Queries must not run concurrently with or after Close.
-func (ix *Index) Close() error {
-	if ix.closer != nil {
-		return ix.closer.Close()
-	}
-	return nil
-}
-
-// Engine returns the unified context-aware query handle over this index —
-// the primary query surface of the package.
-func (ix *Index) Engine() *Engine { return ix.eng }
-
-// BuildIndex precomputes the SILC index for net. The network must be
-// strongly connected (use the generators, or validate custom networks).
-func BuildIndex(net *Network, opts BuildOptions) (*Index, error) {
-	if net == nil {
-		return nil, ErrNilNetwork
-	}
-	ix, err := core.Build(net.g, core.BuildOptions{
-		Parallelism:     opts.Parallelism,
-		ProximityRadius: opts.ProximityRadius,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.OnDisk != "" {
-		// Persist to the paged format and reopen disk-resident: the in-RAM
-		// trees are dropped with the build-time index.
-		if err := store.WriteFileAtomic(opts.OnDisk, ix.WritePaged); err != nil {
-			return nil, err
-		}
-		return OpenIndex(opts.OnDisk, opts)
-	}
-	return newIndex(net, ix), nil
-}
-
-// Radius returns the proximity bound the index was built with (0 when
-// unbounded).
-func (ix *Index) Radius() float64 { return ix.ix.Radius() }
-
-// WritePaged serializes the index in the page-aligned on-disk format
-// (conventionally *.silcpg): network embedded, each vertex's quadtree
-// blocks delta+varint encoded onto checksummed pages that OpenIndex reads
-// back on demand. This is the format to use when the index should not have
-// to fit in memory.
-func (ix *Index) WritePaged(w io.Writer) (int64, error) { return ix.ix.WritePaged(w) }
-
-// WriteFile writes the paged on-disk format to path atomically: the image
-// is fsynced under a temp name and renamed into place, so a crash or a
-// failed write leaves whatever was at path before, never a torn file.
-func (ix *Index) WriteFile(path string) error {
-	return store.WriteFileAtomic(path, ix.WritePaged)
-}
-
-// ImageInfo describes the section layout of a paged index image — what
-// silcbuild prints as its per-section size table.
-type ImageInfo = store.ImageInfo
-
-// PagedImageInfo reports the section layout of the paged image WritePaged
-// would produce, without writing it. It encodes every block run, so it
-// costs about as much as the write itself.
-func (ix *Index) PagedImageInfo() (ImageInfo, error) {
-	p, err := ix.ix.PlanPaged()
-	if err != nil {
-		return ImageInfo{}, err
-	}
-	return p.Info(), nil
-}
-
-// Network returns the indexed network.
-func (ix *Index) Network() *Network { return ix.net }
-
-// Stats returns build statistics (vertices, Morton blocks, bytes, times).
-func (ix *Index) Stats() BuildStats { return ix.ix.Stats() }
-
-// NextHop returns the first vertex after u on the shortest path toward v.
-func (ix *Index) NextHop(u, v VertexID) VertexID { return ix.ix.NextHop(u, v) }
 
 // Refiner exposes progressive refinement directly: each Step tightens the
-// distance interval by one hop of the underlying shortest path.
+// distance interval by one hop of the underlying shortest path (on a
+// partitioned engine, one step of the cross-cell route race).
 type Refiner struct {
-	r *core.Refiner
-}
-
-// NewRefiner starts progressive refinement for the pair (src, dst).
-func (ix *Index) NewRefiner(src, dst VertexID) *Refiner {
-	return &Refiner{r: ix.ix.NewRefiner(src, dst)}
+	r     core.DistanceRefiner
+	mono  bool // the refiner walks one quadtree path in global vertex ids
+	steps int
 }
 
 // Interval returns the current distance interval.
@@ -223,17 +232,30 @@ func (r *Refiner) Interval() Interval { return r.r.Interval() }
 
 // Step refines once; it returns false when the interval is exact or the
 // destination is out of a proximity-bounded index's range.
-func (r *Refiner) Step() bool { return r.r.Step() }
+func (r *Refiner) Step() bool {
+	if r.r.Done() || r.r.OutOfRange() {
+		return false
+	}
+	r.steps++
+	return r.r.Step()
+}
 
 // Done reports whether the interval is exact.
 func (r *Refiner) Done() bool { return r.r.Done() }
 
 // Steps returns the number of refinements performed.
-func (r *Refiner) Steps() int { return r.r.Steps() }
+func (r *Refiner) Steps() int { return r.steps }
 
 // Via returns the last committed intermediate vertex and the exact distance
-// from the source to it.
-func (r *Refiner) Via() (VertexID, float64) { return r.r.Via() }
+// from the source to it. ok is false on a partitioned engine, whose
+// refiners race several routes and commit to no single path vertex.
+func (r *Refiner) Via() (v VertexID, exact float64, ok bool) {
+	if !r.mono {
+		return NoVertex, 0, false
+	}
+	v, exact = r.r.(*core.Refiner).Via()
+	return v, exact, true
+}
 
 // OutOfRange reports whether the destination lies beyond a
 // proximity-bounded index's radius; the interval is then [radius, +Inf) and
@@ -252,12 +274,3 @@ type IOStats struct {
 	// MeasuredIOTime is the wall-clock time spent in those reads.
 	MeasuredIOTime time.Duration
 }
-
-// IOStats returns cumulative pool-wide buffer-pool statistics, summed over
-// all queries since the last reset. Per-query traffic is reported on each
-// Result's QueryStats.
-func (ix *Index) IOStats() IOStats { return ix.eng.IOStats() }
-
-// ResetIOStats zeroes the buffer-pool counters and the store's read
-// counters, exactly like Engine.ResetIOStats. Cache contents stay warm.
-func (ix *Index) ResetIOStats() { ix.eng.ResetIOStats() }

@@ -56,7 +56,8 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 	}
 	path := f.Name()
 	defer os.Remove(path)
-	fileBytes, err := ix.WritePaged(f)
+	info, err := ix.WritePaged(f)
+	fileBytes := info.Total
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

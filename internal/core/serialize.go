@@ -40,21 +40,24 @@ func (ix *Index) pagedSource(treeErr *error) store.Source {
 }
 
 // WritePaged serializes the index in the page-aligned on-disk format of
-// internal/store — the format OpenIndex / store.Open reads back with demand
-// paging. The network is embedded, so the image is self-contained.
-func (ix *Index) WritePaged(w io.Writer) (int64, error) {
-	var treeErr error
-	written, err := store.Write(w, ix.pagedSource(&treeErr))
-	if treeErr != nil {
-		return written, treeErr
+// internal/store — the format store.Open reads back with demand paging —
+// and returns the layout it wrote (Total is the byte count). The network
+// is embedded, so the image is self-contained.
+func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
+	p, err := ix.PlanPaged()
+	if err != nil {
+		return store.ImageInfo{}, err
 	}
-	return written, err
+	if _, err := p.WriteTo(w); err != nil {
+		return store.ImageInfo{}, err
+	}
+	return p.Info(), nil
 }
 
 // PlanPaged lays out the paged image WritePaged would produce without
 // writing it: the plan reports per-section sizes (ImagePlan.Info) and can
-// then be streamed once with WriteTo. The sharded
-// writer and silcbuild's size table both build on this.
+// then be streamed once with WriteTo. WritePaged and the
+// sharded writer both build on this.
 func (ix *Index) PlanPaged() (*store.ImagePlan, error) {
 	var treeErr error
 	p, err := store.PlanImage(ix.pagedSource(&treeErr))

@@ -161,8 +161,9 @@ type DistanceOracle struct {
 }
 
 // BuildDistanceOracle constructs the oracle with relative error eps,
-// using ix for the exact distances the construction needs.
-func BuildDistanceOracle(ix *core.Index, eps float64) (*DistanceOracle, error) {
+// using ix — monolithic or partitioned — for the exact distances the
+// construction needs.
+func BuildDistanceOracle(ix core.QueryIndex, eps float64) (*DistanceOracle, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("oracle: eps %v out of range (0,1)", eps)
 	}
@@ -213,7 +214,7 @@ type cellInfo struct {
 
 type oracleBuilder struct {
 	o     *DistanceOracle
-	ix    *core.Index
+	ix    core.QueryIndex
 	radii map[geom.Cell]cellInfo
 }
 
@@ -231,7 +232,7 @@ func (b *oracleBuilder) info(s span) cellInfo {
 		if v == rep {
 			continue
 		}
-		if d := b.ix.Distance(rep, v); d > radius {
+		if d := core.ExactDistance(b.ix, nil, rep, v); d > radius {
 			radius = d
 		}
 	}
@@ -249,7 +250,7 @@ func (b *oracleBuilder) decompose(a, c span) {
 	}
 	if a.cell != c.cell {
 		ia, ic := b.info(a), b.info(c)
-		d := b.ix.Distance(ia.rep, ic.rep)
+		d := core.ExactDistance(b.ix, nil, ia.rep, ic.rep)
 		err := ia.radius + ic.radius
 		if err <= b.o.eps*(d-err) {
 			b.o.pairs[pairKey{a.cell.Code, c.cell.Code, a.cell.Level, c.cell.Level}] = d

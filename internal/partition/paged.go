@@ -88,13 +88,16 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 	return l, nil
 }
 
-// PagedImageInfo reports the section layout of the sharded paged image
-// WritePaged would produce: per-cell sections summed, partition metadata
-// counted under Extents. It plans, and so encodes, every cell image, so it
-// costs about as much as a write.
-func (s *Sharded) PagedImageInfo() (store.ImageInfo, error) {
+// WritePaged serializes the sharded index in the paged on-disk format in a
+// single streaming pass over the planned layout, and returns that layout:
+// per-cell sections summed, partition metadata counted under Extents, and
+// Total the bytes written.
+func (s *Sharded) WritePaged(w io.Writer) (store.ImageInfo, error) {
 	l, err := s.planPagedLayout()
 	if err != nil {
+		return store.ImageInfo{}, err
+	}
+	if _, err := s.writeLayout(w, l); err != nil {
 		return store.ImageInfo{}, err
 	}
 	out := store.ImageInfo{
@@ -116,18 +119,13 @@ func (s *Sharded) PagedImageInfo() (store.ImageInfo, error) {
 	return out, nil
 }
 
-// WritePaged serializes the sharded index in the paged on-disk format in a
-// single streaming pass over the planned layout.
-func (s *Sharded) WritePaged(w io.Writer) (int64, error) {
+// writeLayout streams the planned sharded image l to w.
+func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	g := s.g
 	p := s.asn.P
 	n, m := g.NumVertices(), g.NumEdges()
 	nb := s.cl.NB()
 
-	l, err := s.planPagedLayout()
-	if err != nil {
-		return 0, err
-	}
 	netOff := int64(shardedPagedSuperblockSize)
 	metaOff := netOff + store.NetworkSectionSize(n, m)
 	metaSize := l.metaSize

@@ -26,12 +26,12 @@ func TestRouterServerMatchesStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	built, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cluster.silcspg")
-	if err := built.WriteFile(path); err != nil {
+	if _, err := built.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	var objects []silc.VertexID
@@ -57,7 +57,7 @@ func TestRouterServerMatchesStandalone(t *testing.T) {
 	}
 	nodeServers := map[string]*Server{}
 	for name, ts := range nodes {
-		ix, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{CacheFraction: 0.05})
+		ix, err := silc.OpenEngine(path, nil, silc.BuildOptions{CacheFraction: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}

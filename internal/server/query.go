@@ -265,11 +265,10 @@ func (s *Server) handleStats(r *http.Request) (answer, error) {
 		inflight: s.inflight.Value(),
 		tracing:  s.Engine.TracingEnabled(),
 	}
-	if sx, ok := s.Engine.Sharded(); ok {
-		st := sx.Stats()
-		body.sharded = &st
-	} else if mono, ok := s.Engine.Monolithic(); ok {
-		body.mono = &monoStats{BuildStats: mono.Stats(), radius: mono.Radius()}
+	if st := s.Engine.Stats(); st.Sharded != nil {
+		body.sharded = st.Sharded
+	} else {
+		body.mono = &monoStats{BuildStats: st.BuildStats, radius: s.Engine.Radius()}
 	}
 	for name, em := range s.endpoints {
 		body.requests += em.requests.Value()

@@ -315,8 +315,7 @@ func (r *rangeReply) appendJSON(w *jsonWriter) {
 }
 
 // statsReply is GET /stats's body. Its index is the sharded or the
-// monolithic index's build statistics, or null when the engine wraps
-// neither.
+// monolithic index's build statistics (null when neither is set).
 type statsReply struct {
 	sharded   *silc.ShardedStats
 	mono      *monoStats

@@ -315,7 +315,7 @@ func BenchmarkReplyEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -334,11 +334,11 @@ func BenchmarkReplyEncode(b *testing.B) {
 	}
 	ctx := b.Context()
 	single := &knnReply{k: 10, q: queries[0]}
-	if single.res, err = ix.Engine().Query(ctx, objs, single.q, 10); err != nil {
+	if single.res, err = ix.Query(ctx, objs, single.q, 10); err != nil {
 		b.Fatal(err)
 	}
 	batch := &batchReply{k: 10, queries: queries}
-	if batch.b, err = ix.Engine().QueryBatch(ctx, objs, queries, 10); err != nil {
+	if batch.b, err = ix.QueryBatch(ctx, objs, queries, 10); err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -13,20 +13,36 @@ import (
 	"silc"
 )
 
-// gridConfig serves the disk-backed 8×8 grid — built OnDisk and reopened
-// behind the default 5% pool — with an object on every vertex.
+// gridConfig serves the disk-backed 8×8 grid — written to disk and
+// reopened behind the default 5% pool — with an object on every vertex.
 func gridConfig(t testing.TB) Config {
 	t.Helper()
 	net, err := silc.GenerateGrid(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{OnDisk: filepath.Join(t.TempDir(), "grid.silcpg")})
+	eng := diskEngine(t, net, silc.BuildOptions{}, "grid.silcpg")
+	return Config{Engine: eng, Objects: everyVertex(t, net), MaxK: 100, MaxBatch: 1000}
+}
+
+// diskEngine builds net's index with opts, writes it to name under
+// t.TempDir() and reopens it behind the default 5% pool.
+func diskEngine(t testing.TB, net *silc.Network, opts silc.BuildOptions, name string) *silc.Engine {
+	t.Helper()
+	built, err := silc.Build(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ix.Close() })
-	return Config{Engine: ix.Engine(), Objects: everyVertex(t, net), MaxK: 100, MaxBatch: 1000}
+	path := filepath.Join(t.TempDir(), name)
+	if _, err := built.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := silc.OpenEngine(path, nil, silc.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng
 }
 
 // liveGridConfig is gridConfig plus an empty live world.
@@ -50,20 +66,8 @@ func shardedConfig(t testing.TB) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "road.silcspg")
-	if err := built.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := silc.OpenShardedIndex(path, silc.ShardedBuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
-	return Config{Engine: ix.Engine(), Objects: everyVertex(t, net), MaxK: 100, MaxBatch: 1000}
+	eng := diskEngine(t, net, silc.BuildOptions{Partitions: 4}, "road.silcspg")
+	return Config{Engine: eng, Objects: everyVertex(t, net), MaxK: 100, MaxBatch: 1000}
 }
 
 func everyVertex(t testing.TB, net *silc.Network) *silc.ObjectSet {
@@ -87,7 +91,7 @@ func ramGridConfig(t testing.TB) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,7 @@ func ramGridConfig(t testing.TB) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Engine: ix.Engine(), Objects: objs, MaxK: 100, MaxBatch: 1000}
+	return Config{Engine: ix, Objects: objs, MaxK: 100, MaxBatch: 1000}
 }
 
 // serve answers one request in process.

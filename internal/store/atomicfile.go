@@ -11,14 +11,14 @@ import (
 // in path's directory, are fsynced, and only then renamed over path, after
 // which the directory entry is fsynced too. On any failure the temp file is
 // removed and whatever was at path before stays untouched.
-func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) error {
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err = write(f); err == nil {
+	if err = write(f); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {

@@ -21,9 +21,9 @@ func TestWriteFileAtomicKeepsOldImage(t *testing.T) {
 	}
 
 	errTorn := errors.New("writer failed midway")
-	err := WriteFileAtomic(path, func(w io.Writer) (int64, error) {
-		n, _ := w.Write([]byte("half of a new im"))
-		return int64(n), errTorn
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		w.Write([]byte("half of a new im")) // the torn half; errTorn is the failure under test
+		return errTorn
 	})
 	if !errors.Is(err, errTorn) {
 		t.Fatalf("WriteFileAtomic = %v, want the writer's error", err)
@@ -41,9 +41,9 @@ func TestWriteFileAtomicKeepsOldImage(t *testing.T) {
 	}
 
 	fresh := []byte("a whole new image")
-	if err := WriteFileAtomic(path, func(w io.Writer) (int64, error) {
-		n, err := w.Write(fresh)
-		return int64(n), err
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(fresh)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"silc/internal/store"
 )
 
-// TestPG2StoreRoundTrip writes an image with store.Write, opens it through
+// TestPG2StoreRoundTrip writes an image with store.PlanImage, opens it through
 // every page source (ReadAt, in-memory mapping, OpenMapped on a real file),
 // and checks each decoded tree is bit-identical to the in-RAM tree it was
 // written from.
@@ -22,7 +22,11 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		return tr
 	}
 	var buf bytes.Buffer
-	if _, err := store.Write(&buf, store.Source{Graph: g, Tree: treeFor}); err != nil {
+	plan, err := store.PlanImage(store.Source{Graph: g, Tree: treeFor})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	if _, err := plan.WriteTo(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	img2 := buf.Bytes()

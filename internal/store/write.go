@@ -143,16 +143,6 @@ func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// Write serializes a paged store image to w in a single streaming pass. It
-// returns the image size in bytes.
-func Write(w io.Writer, src Source) (int64, error) {
-	p, err := PlanImage(src)
-	if err != nil {
-		return 0, err
-	}
-	return p.WriteTo(w)
-}
-
 // ImageSize is the size of an image of n vertices, m edges and totalBlocks
 // blocks stored as 16 bytes each, the footprint of the deleted fixed-width
 // format. It stays only as the numerator of the benchmark module's

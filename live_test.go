@@ -41,7 +41,7 @@ func TestNewObjectSetFromPointsDedupe(t *testing.T) {
 	}
 	// A kNN from vertex 5 must see ONE object at distance zero, not phantom
 	// duplicates of the same location.
-	eng := testIndex(t, net).Engine()
+	eng := testIndex(t, net)
 	res, err := eng.Query(context.Background(), objs, 5, 2, WithExactDistances())
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestNewObjectSetFromPointsDedupe(t *testing.T) {
 // mutations), version stamping on results, and the typed errors.
 func TestLiveObjectsLifecycle(t *testing.T) {
 	net := testNetwork(t)
-	eng := testIndex(t, net).Engine()
+	eng := testIndex(t, net)
 	ctx := context.Background()
 	live, err := NewLiveObjects(net, LiveObjectsOptions{})
 	if err != nil {
@@ -260,11 +260,11 @@ func sameAnswer(t *testing.T, what string, got, want Result, ids []int32) {
 // pooled search arenas meet slot bounds that grow and shrink.
 func TestLiveModelHistory(t *testing.T) {
 	net := testNetwork(t)
-	sx, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sx, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []allocEngine{{"monolithic", testIndex(t, net).Engine()}, {"sharded", sx.Engine()}}
+	engines := []allocEngine{{"monolithic", testIndex(t, net)}, {"sharded", sx}}
 	ctx := context.Background()
 	live, err := NewLiveObjects(net, LiveObjectsOptions{})
 	if err != nil {
@@ -616,7 +616,7 @@ func TestLiveSnapshotExactUnderChurn(t *testing.T) {
 // Neighbors exactly — whatever interleaving the store publishes.
 func TestWatchDeltas(t *testing.T) {
 	net := testNetwork(t)
-	eng := testIndex(t, net).Engine()
+	eng := testIndex(t, net)
 	live, err := NewLiveObjects(net, LiveObjectsOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -742,7 +742,7 @@ func TestWatchDeltas(t *testing.T) {
 // only) element.
 func TestWatchValidation(t *testing.T) {
 	net := testNetwork(t)
-	eng := testIndex(t, net).Engine()
+	eng := testIndex(t, net)
 	live, err := NewLiveObjects(net, LiveObjectsOptions{})
 	if err != nil {
 		t.Fatal(err)

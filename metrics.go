@@ -33,10 +33,9 @@ var opNames = [numOps]string{
 // engineObs holds the engine's metric aggregates and their registry.
 // Recording is atomic and allocation-free; everything here is created
 // once per Engine at construction. Series whose cardinality depends on
-// post-construction state (per-pool-shard counters, per-store read
-// counters — the pager is attached after the Engine literal is built)
-// are registered lazily on the first WriteMetrics, by which point the
-// engine's storage topology is final.
+// the engine's storage topology (per-pool-shard counters, per-store read
+// counters, a partitioned index's label and race counters) are
+// registered lazily, on the first WriteMetrics.
 type engineObs struct {
 	reg     *obs.Registry
 	dynOnce sync.Once
@@ -67,8 +66,7 @@ type engineObs struct {
 
 // newEngineObs builds the aggregate set for e, registering the static
 // families eagerly. Collector closures dereference engine state at
-// scrape time, so fields assigned after construction (e.pager) are
-// still observed correctly.
+// scrape time.
 func newEngineObs(e *Engine) *engineObs {
 	m := &engineObs{reg: obs.NewRegistry()}
 	r := m.reg
@@ -166,8 +164,8 @@ func (m *engineObs) registerDynamic(e *Engine) {
 				func() float64 { return float64(pool.ShardLen(i)) })
 		}
 	}
-	if e.shard != nil {
-		labels := e.shard.sx.LabelStats
+	if e.sharded != nil {
+		labels := e.sharded.LabelStats
 		r.CounterFunc("silc_partition_label_hits_total", "",
 			"Gateway-interval rows answered from the label table (no cell lookups, no RPC).",
 			func() float64 { return float64(labels().Hits) })
@@ -177,7 +175,7 @@ func (m *engineObs) registerDynamic(e *Engine) {
 		r.GaugeFunc("silc_partition_label_rows", "",
 			"Gateway-interval rows the label table holds, all cells together.",
 			func() float64 { return float64(labels().Rows) })
-		races := e.shard.sx.RaceHintStats
+		races := e.sharded.RaceHintStats
 		r.CounterFunc("silc_partition_race_hinted_total", "",
 			"Destinations whose route race a search announced ahead of its refinement step and a remote cell answered in a batch.",
 			func() float64 { hinted, _ := races(); return float64(hinted) })

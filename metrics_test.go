@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
-// pagedTestEngine builds a grid index OnDisk under t.TempDir() — persisted
+// pagedTestEngine builds a grid index on disk under t.TempDir() — persisted
 // in the paged format and reopened through a deliberately tiny buffer
 // pool — so a query sweep is cold: misses, real page reads of the file,
 // block decodes, and evictions are all forced.
@@ -20,20 +19,16 @@ func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged, err := BuildIndex(net, BuildOptions{OnDisk: filepath.Join(t.TempDir(), "grid.silcpg"), CacheFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { paged.Close() })
+	paged := diskEngine(t, net, BuildOptions{CacheFraction: 0.05})
 	vs := make([]VertexID, net.NumVertices())
 	for i := range vs {
 		vs[i] = VertexID(i)
 	}
-	objs, err := NewObjectSet(paged.Engine().Network(), vs)
+	objs, err := NewObjectSet(paged.Network(), vs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return paged.Engine(), objs
+	return paged, objs
 }
 
 // TestMetricsColdScanCounts runs a deterministic sequential cold scan and
@@ -139,7 +134,7 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sx, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +142,10 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 	if _, err := sx.WritePaged(&pg); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenShardedIndexAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), ShardedBuildOptions{CacheFraction: 0.1})
+	eng, err := OpenEngineAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), nil, BuildOptions{CacheFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := opened.Engine()
 	eng.ResetIOStats()
 
 	vs := make([]VertexID, net.NumVertices())
@@ -205,7 +199,7 @@ func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +207,10 @@ func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	if _, err := ix.WritePaged(&pg); err != nil {
 		t.Fatal(err)
 	}
-	paged, err := OpenIndexAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), BuildOptions{CacheFraction: 0.1})
+	eng, err := OpenEngineAt(bytes.NewReader(pg.Bytes()), int64(pg.Len()), nil, BuildOptions{CacheFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := paged.Engine()
 	vs := []VertexID{0, 5, 9, 20, 33}
 	objs, err := NewObjectSet(eng.Network(), vs)
 	if err != nil {
@@ -229,7 +222,7 @@ func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	if eng.IOStats().PageReads == 0 {
 		t.Fatal("cold query performed no reads; test is vacuous")
 	}
-	paged.ResetIOStats()
+	eng.ResetIOStats()
 	if after := eng.IOStats(); after.PageReads != 0 || after.PageMisses != 0 {
 		t.Fatalf("Index.ResetIOStats left pager/tracker counters: %+v", after)
 	}
@@ -303,11 +296,11 @@ func TestRangeCountersReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := BuildIndex(net, BuildOptions{})
+	mono, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 4})
+	sharded, err := Build(net, BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +313,7 @@ func TestRangeCountersReconcile(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		eng  *Engine
-	}{{"monolithic", mono.Engine()}, {"sharded", sharded.Engine()}} {
+	}{{"monolithic", mono}, {"sharded", sharded}} {
 		name, eng := c.name, c.eng
 		eng.SetTracing(true)
 		objs, err := NewObjectSet(eng.Network(), vs)
@@ -358,11 +351,10 @@ func TestStatsOptionOnScalarQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndex(net, BuildOptions{})
+	eng, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ix.Engine()
 	eng.SetTracing(true)
 	ctx := context.Background()
 

@@ -14,9 +14,10 @@ type DistanceOracle struct {
 }
 
 // BuildDistanceOracle constructs an ε-approximate oracle on top of an
-// existing index (the construction uses the index's exact distances).
-func BuildDistanceOracle(ix *Index, eps float64) (*DistanceOracle, error) {
-	o, err := oracle.BuildDistanceOracle(ix.ix, eps)
+// engine, monolithic or partitioned (the construction uses the engine's
+// exact distances).
+func BuildDistanceOracle(eng *Engine, eps float64) (*DistanceOracle, error) {
+	o, err := oracle.BuildDistanceOracle(eng.qx, eps)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,7 @@ package silc_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -14,11 +12,12 @@ import (
 	"silc"
 )
 
-// The equivalence property: the in-RAM Index, the demand-paged PagedIndex
-// over both page sources (positioned reads and mmap, pool squeezed to ~1%
-// to force heavy eviction), and the ShardedIndex (in RAM and paged) must
-// answer identical KNN, range, and Browser queries on every network family. Run under -race in CI, with a
-// concurrent phase hammering the shared pool from many goroutines.
+// The equivalence property: the in-RAM monolithic engine, its paged image
+// opened over both page sources (positioned reads and mmap, pool squeezed
+// to ~1% to force heavy eviction), and the 4-cell engine (in RAM and paged)
+// must answer identical KNN, range, and Browser queries on every network
+// family. Run under -race in CI, with a concurrent phase hammering the
+// shared pool from many goroutines.
 
 type equivEngine struct {
 	name  string
@@ -35,50 +34,43 @@ type equivEngine struct {
 func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 	t.Helper()
 	dir := t.TempDir()
-	ix, err := silc.BuildIndex(net, silc.BuildOptions{})
+	ix, err := silc.Build(net, silc.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
+	sx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := []equivEngine{
-		{"in-RAM", ix.Engine(), false},
-		{"sharded", sx.Engine(), false},
+		{"in-RAM", ix, false},
+		{"sharded", sx, false},
 	}
 
-	writeTemp := func(name string, write func(io.Writer) (int64, error)) string {
+	writeTemp := func(name string, eng *silc.Engine) string {
 		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if _, err := eng.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
 
-	mono := writeTemp("mono", ix.WritePaged)
-	shard := writeTemp("shard", sx.WritePaged)
+	mono := writeTemp("mono", ix)
+	shard := writeTemp("shard", sx)
 	for _, src := range []string{"readat", "mmap"} {
 		mmap := src == "mmap"
-		px, err := silc.OpenIndex(mono, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
+		px, err := silc.OpenEngine(mono, nil, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
 		if err != nil {
 			t.Fatalf("open paged %s: %v", src, err)
 		}
 		t.Cleanup(func() { px.Close() })
-		engines = append(engines, equivEngine{"paged-" + src, px.Engine(), true})
-		psx, err := silc.OpenShardedIndex(shard, silc.ShardedBuildOptions{CacheFraction: 0.01, Mmap: mmap})
+		engines = append(engines, equivEngine{"paged-" + src, px, true})
+		psx, err := silc.OpenEngine(shard, nil, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
 		if err != nil {
 			t.Fatalf("open sharded %s: %v", src, err)
 		}
 		t.Cleanup(func() { psx.Close() })
-		engines = append(engines, equivEngine{"sharded-paged-" + src, psx.Engine(), true})
+		engines = append(engines, equivEngine{"sharded-paged-" + src, psx, true})
 	}
 	return engines
 }

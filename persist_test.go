@@ -32,7 +32,7 @@ func TestIndexPersistenceRoundTrip(t *testing.T) {
 
 	// A different process: reopen the self-contained image and verify query
 	// equivalence.
-	ix2, err := OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), BuildOptions{})
+	ix2, err := OpenEngineAt(bytes.NewReader(img.Bytes()), int64(img.Len()), nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestIndexPersistenceRoundTrip(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		v := VertexID(rng.Intn(net.NumVertices()))
-		if a, b := on(t, ix.Engine()).dist(u, v), on(t, ix2.Engine()).dist(u, v); math.Abs(a-b) > 1e-12 {
+		if a, b := on(t, ix).dist(u, v), on(t, ix2).dist(u, v); math.Abs(a-b) > 1e-12 {
 			t.Fatalf("distance differs after reload: %v vs %v", a, b)
 		}
 	}
@@ -78,17 +78,17 @@ func TestOpenEngineAtRejectsGarbage(t *testing.T) {
 // ErrBadMagic and say to rebuild the image.
 func TestOpenRejectsRemovedFormat(t *testing.T) {
 	net := testNetwork(t)
-	mono, err := BuildIndex(net, BuildOptions{})
+	mono, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 2})
+	sharded, err := Build(net, BuildOptions{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name    string
-		write   func(io.Writer) (int64, error)
+		write   func(io.Writer) (ImageInfo, error)
 		version int // offset of the magic's version digit
 	}{{"mono", mono.WritePaged, 6}, {"sharded", sharded.WritePaged, 7}} {
 		var buf bytes.Buffer
@@ -110,12 +110,6 @@ func TestOpenRejectsRemovedFormat(t *testing.T) {
 				_, err := OpenEngine(path, nil, BuildOptions{})
 				return err
 			},
-		}
-		if tc.name == "mono" {
-			opens["OpenIndexAt"] = func() error {
-				_, err := OpenIndexAt(bytes.NewReader(img), int64(len(img)), BuildOptions{})
-				return err
-			}
 		}
 		for name, open := range opens {
 			err := open()
@@ -141,7 +135,7 @@ func TestWithinDistance(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[45])
 
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	for _, radius := range []float64{0.1, 0.3, 0.7} {
 		res := eng.within(objs, q, radius)
 		// Cross-validate against exact distances.
@@ -160,7 +154,7 @@ func TestWithinDistance(t *testing.T) {
 			}
 		}
 	}
-	if res, err := ix.Engine().WithinDistance(context.Background(), objs, q, -1); !errors.Is(err, ErrBadRadius) || len(res.Neighbors) != 0 {
+	if res, err := ix.WithinDistance(context.Background(), objs, q, -1); !errors.Is(err, ErrBadRadius) || len(res.Neighbors) != 0 {
 		t.Fatalf("negative radius: %d objects, err %v", len(res.Neighbors), err)
 	}
 }
@@ -169,7 +163,7 @@ func TestConcurrentReaders(t *testing.T) {
 	// An in-memory index must serve concurrent queries safely (run under
 	// -race in CI); concurrency_test.go covers the disk-resident ones.
 	net := testNetwork(t)
-	eng := testIndex(t, net).Engine()
+	eng := testIndex(t, net)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(12))
 	perm := rng.Perm(net.NumVertices())
@@ -214,7 +208,7 @@ func TestConcurrentReaders(t *testing.T) {
 
 func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 	net := testNetwork(t)
-	ix, err := BuildIndex(net, BuildOptions{ProximityRadius: 0.25})
+	ix, err := Build(net, BuildOptions{ProximityRadius: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +228,8 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 		if u == v {
 			continue
 		}
-		want := on(t, full.Engine()).dist(u, v)
-		got := on(t, ix.Engine()).dist(u, v)
+		want := on(t, full).dist(u, v)
+		got := on(t, ix).dist(u, v)
 		if want <= 0.25 {
 			sawNear = true
 			if math.Abs(got-want) > 1e-9 {
@@ -246,10 +240,13 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 			if !math.IsInf(got, 1) {
 				t.Fatalf("out-of-range distance %v, want +Inf", got)
 			}
-			if on(t, ix.Engine()).path(u, v) != nil {
+			if on(t, ix).path(u, v) != nil {
 				t.Fatal("out-of-range path not nil")
 			}
-			r := ix.NewRefiner(u, v)
+			r, err := ix.NewRefiner(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !r.OutOfRange() {
 				t.Fatal("refiner should report out of range")
 			}
@@ -264,7 +261,7 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 	if _, err := ix.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), BuildOptions{})
+	back, err := OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +285,12 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 // answer.
 func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	net := testNetwork(t)
-	built, err := BuildIndex(net, BuildOptions{})
+	eng, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := built.WritePaged(&buf); err != nil {
+	if _, err := eng.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
@@ -320,7 +317,6 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 
 	// A path with the victim strictly inside it, found on the clean index.
 	ctx := context.Background()
-	eng := built.Engine()
 	var through [2]VertexID
 	for u := 0; u < n && through == [2]VertexID{}; u++ {
 		for w := n - 1; w > u; w-- {
@@ -360,12 +356,11 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 		}
 		for _, mmap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mmap=%v", m.name, mmap), func(t *testing.T) {
-				idx, err := OpenIndex(path, BuildOptions{CacheFraction: 1, Mmap: mmap})
+				bad, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1, Mmap: mmap})
 				if err != nil {
 					t.Fatalf("open: a run header is not checked at open: %v", err)
 				}
-				defer idx.Close()
-				bad := idx.Engine()
+				defer bad.Close()
 				named := fmt.Sprintf("vertex %d", victim)
 				check := func(what string, err error) {
 					t.Helper()

@@ -13,60 +13,37 @@ import (
 // grid8 goldens do not reach: a road map built with a proximity radius (the
 // radius word, out-of-range vertices left out of every block) and a 4-cell
 // sharded build (the lenient flag, the cell table).
-// Each image must also survive open → WritePaged byte for byte, and
-// PagedImageInfo must predict its length.
+// Each image must also survive open → WritePaged byte for byte, and the
+// ImageInfo WritePaged returns must total the bytes it wrote.
 func TestPagedImageBytesPinned(t *testing.T) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 24, Cols: 24, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		sharded bool
-		sha256  string
+		name   string
+		opts   silc.BuildOptions
+		sha256 string
 	}{
-		{"proximity/delta", false, "e7435b5fa148dc5528d9ad3b4be9686f29ac5c53ba072b076b706d27691f45ca"},
-		{"sharded4/delta", true, "1ff0c8b8127a0d6bb7ef5aadb2bab1541f1a268c41515386cc64c5569e30f3e7"},
+		{"proximity/delta", silc.BuildOptions{ProximityRadius: 0.2}, "e7435b5fa148dc5528d9ad3b4be9686f29ac5c53ba072b076b706d27691f45ca"},
+		{"sharded4/delta", silc.BuildOptions{Partitions: 4}, "1ff0c8b8127a0d6bb7ef5aadb2bab1541f1a268c41515386cc64c5569e30f3e7"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			built, err := silc.Build(net, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var img, re bytes.Buffer
-			var info silc.ImageInfo
-			if tc.sharded {
-				sx, err := silc.BuildShardedIndex(net, silc.ShardedBuildOptions{Partitions: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sx.WritePaged(&img); err != nil {
-					t.Fatal(err)
-				}
-				if info, err = sx.PagedImageInfo(); err != nil {
-					t.Fatal(err)
-				}
-				opened, err := silc.OpenShardedIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), silc.ShardedBuildOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := opened.WritePaged(&re); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: 0.2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ix.WritePaged(&img); err != nil {
-					t.Fatal(err)
-				}
-				if info, err = ix.PagedImageInfo(); err != nil {
-					t.Fatal(err)
-				}
-				opened, err := silc.OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len()), silc.BuildOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := opened.WritePaged(&re); err != nil {
-					t.Fatal(err)
-				}
+			info, err := built.WritePaged(&img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened, err := silc.OpenEngineAt(bytes.NewReader(img.Bytes()), int64(img.Len()), nil, silc.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := opened.WritePaged(&re); err != nil {
+				t.Fatal(err)
 			}
 			sum := sha256.Sum256(img.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
@@ -76,7 +53,7 @@ func TestPagedImageBytesPinned(t *testing.T) {
 				t.Error("open → WritePaged is not byte-identical")
 			}
 			if info.Total != int64(img.Len()) {
-				t.Errorf("PagedImageInfo().Total = %d, image is %d bytes", info.Total, img.Len())
+				t.Errorf("WritePaged reported Total = %d, wrote %d bytes", info.Total, img.Len())
 			}
 		})
 	}
@@ -112,7 +89,7 @@ func TestBuildImagePinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := silc.BuildIndex(net, silc.BuildOptions{ProximityRadius: tc.radius})
+			ix, err := silc.Build(net, silc.BuildOptions{ProximityRadius: tc.radius})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,17 +8,17 @@ import (
 	"testing"
 )
 
-func buildShardedPair(t *testing.T) (*Network, *Index, *ShardedIndex) {
+func buildShardedPair(t *testing.T) (*Network, *Engine, *Engine) {
 	t.Helper()
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 16, Cols: 16, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := BuildIndex(net, BuildOptions{})
+	mono, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildShardedIndex(net, ShardedBuildOptions{Partitions: 5})
+	sharded, err := Build(net, BuildOptions{Partitions: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	if got := sharded.NumPartitions(); got != 5 {
 		t.Fatalf("NumPartitions = %d, want 5", got)
 	}
-	st := sharded.Stats()
+	st := sharded.Stats().Sharded
 	if st.BoundaryVertices == 0 || st.CellBlocks == 0 {
 		t.Fatalf("implausible sharded stats: %+v", st)
 	}
@@ -43,7 +43,7 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 			st.CellBlocks, mono.Stats().TotalBlocks)
 	}
 
-	mq, sq := on(t, mono.Engine()), on(t, sharded.Engine())
+	mq, sq := on(t, mono), on(t, sharded)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
 		u := VertexID(rng.Intn(n))
@@ -111,7 +111,7 @@ func TestShardedIndexMatchesMonolithic(t *testing.T) {
 	}
 
 	// Both indexes expose the unified serving engine.
-	for _, e := range []*Engine{mono.Engine(), sharded.Engine()} {
+	for _, e := range []*Engine{mono, sharded} {
 		if e.Network().NumVertices() != n {
 			t.Fatal("Engine.Network mismatch")
 		}
@@ -128,20 +128,20 @@ func TestShardedIndexPersistence(t *testing.T) {
 	if _, err := sharded.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := OpenShardedIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ShardedBuildOptions{CacheFraction: 1})
+	loaded, err := OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, BuildOptions{CacheFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ix.silcspg")
-	if err := sharded.WriteFile(path); err != nil {
+	if _, err := sharded.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	paged, err := OpenShardedIndex(path, ShardedBuildOptions{})
+	paged, err := OpenEngine(path, nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer paged.Close()
-	want, lq, pq := on(t, sharded.Engine()), on(t, loaded.Engine()), on(t, paged.Engine())
+	want, lq, pq := on(t, sharded), on(t, loaded), on(t, paged)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		u := VertexID(rng.Intn(net.NumVertices()))

@@ -10,14 +10,14 @@
 // time. The query-object domain is decoupled from the network: object sets
 // change freely without touching the precomputed index.
 //
-// Queries run through the unified Engine handle — context-aware,
-// error-returning, with functional options (WithMethod, WithEpsilon,
-// WithMaxDistance, WithWorkers, WithExactDistances) — shared by the
-// monolithic Index and the partitioned ShardedIndex. Basic use:
+// The Engine is the one index handle — monolithic or partitioned, in RAM or
+// paged from disk — and its queries are context-aware and error-returning,
+// with functional options (WithMethod, WithEpsilon, WithMaxDistance,
+// WithWorkers, WithExactDistances). Build makes one, WriteFile persists it,
+// and OpenEngine serves the image from disk. Basic use:
 //
 //	net, _ := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
-//	ix, _ := silc.BuildIndex(net, silc.BuildOptions{})
-//	eng := ix.Engine()
+//	eng, _ := silc.Build(net, silc.BuildOptions{}) // Partitions: 4 shards it
 //	objs, _ := silc.NewObjectSet(net, storeVertices)
 //	res, _ := eng.Query(ctx, objs, queryVertex, 5, silc.WithExactDistances())
 //	for _, n := range res.Neighbors {

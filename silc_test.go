@@ -19,9 +19,9 @@ func testNetwork(t testing.TB) *Network {
 	return net
 }
 
-func testIndex(t testing.TB, net *Network) *Index {
+func testIndex(t testing.TB, net *Network) *Engine {
 	t.Helper()
-	ix, err := BuildIndex(net, BuildOptions{})
+	ix, err := Build(net, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEndToEndNearestNeighbors(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[30])
 
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	res := eng.knnExact(objs, q, 5)
 	if len(res.Neighbors) != 5 || !res.Sorted {
 		t.Fatalf("result shape: %d sorted=%v", len(res.Neighbors), res.Sorted)
@@ -182,7 +182,7 @@ func TestAllMethodsAgreeOnResultSet(t *testing.T) {
 	q := VertexID(perm[50])
 	k := 7
 
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	reference := eng.knnExact(objs, q, k)
 	refDists := make([]float64, k)
 	for i, n := range reference.Neighbors {
@@ -232,7 +232,7 @@ func TestBrowserMatchesNearestNeighbors(t *testing.T) {
 	objs := mustObjects(t, net, vertices)
 	q := VertexID(perm[25])
 
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	want := eng.knnExact(objs, q, objs.Len())
 	next := eng.browse(objs, q)
 	for i := 0; ; i++ {
@@ -257,7 +257,7 @@ func TestShortestPathAndIntervals(t *testing.T) {
 	ix := testIndex(t, net)
 	u, v := VertexID(0), VertexID(net.NumVertices()-1)
 
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	iv := eng.interval(u, v)
 	d := eng.dist(u, v)
 	if iv.Lo > d+1e-9 || iv.Hi < d-1e-9 {
@@ -287,17 +287,17 @@ func TestShortestPathAndIntervals(t *testing.T) {
 	if math.Abs(total-d) > 1e-9 {
 		t.Fatalf("path weight %v != distance %v", total, d)
 	}
-	if hop := ix.NextHop(u, v); hop != path[1] {
-		t.Fatalf("NextHop %d != path[1] %d", hop, path[1])
-	}
 }
 
 func TestRefinerConverges(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
 	u, v := VertexID(3), VertexID(net.NumVertices()-4)
-	r := ix.NewRefiner(u, v)
-	want := on(t, ix.Engine()).dist(u, v)
+	r, err := ix.NewRefiner(u, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := on(t, ix).dist(u, v)
 	steps := 0
 	for !r.Done() {
 		r.Step()
@@ -310,7 +310,7 @@ func TestRefinerConverges(t *testing.T) {
 	if r.Steps() != steps {
 		t.Fatal("step count mismatch")
 	}
-	if via, acc := r.Via(); via != v || math.Abs(acc-want) > 1e-9 {
+	if via, acc, ok := r.Via(); !ok || via != v || math.Abs(acc-want) > 1e-9 {
 		t.Fatalf("Via after convergence = %d,%v", via, acc)
 	}
 }
@@ -319,7 +319,7 @@ func TestIsCloser(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
 	rng := rand.New(rand.NewSource(4))
-	eng := on(t, ix.Engine())
+	eng := on(t, ix)
 	for trial := 0; trial < 100; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		a := VertexID(rng.Intn(net.NumVertices()))
@@ -385,7 +385,7 @@ func TestNetworkBuilderAndCustomQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := on(t, testIndex(t, net).Engine())
+	eng := on(t, testIndex(t, net))
 	if got := eng.dist(a, c); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("Distance(a,c) = %v", got)
 	}
@@ -400,20 +400,36 @@ func TestNetworkBuilderAndCustomQueries(t *testing.T) {
 
 // testDiskIndex builds the test index disk-resident: persisted under
 // t.TempDir() and reopened behind the default 5% pool.
-func testDiskIndex(t testing.TB, net *Network) *Index {
+func testDiskIndex(t testing.TB, net *Network) *Engine {
 	t.Helper()
-	ix, err := BuildIndex(net, BuildOptions{OnDisk: filepath.Join(t.TempDir(), "ix.silcpg")})
+	return diskEngine(t, net, BuildOptions{})
+}
+
+// diskEngine builds net's index with opts, writes its paged image under
+// tb.TempDir() and reopens it disk-resident with the same opts; the engine
+// is closed when the test ends.
+func diskEngine(tb testing.TB, net *Network, opts BuildOptions) *Engine {
+	tb.Helper()
+	built, err := Build(net, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { ix.Close() })
-	return ix
+	path := filepath.Join(tb.TempDir(), "ix.silcpg")
+	if _, err := built.WriteFile(path); err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := OpenEngine(path, nil, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Close() })
+	return eng
 }
 
 func TestOnDiskIOStats(t *testing.T) {
 	net := testNetwork(t)
 	ix := testDiskIndex(t, net)
-	on(t, ix.Engine()).dist(0, VertexID(net.NumVertices()-1))
+	on(t, ix).dist(0, VertexID(net.NumVertices()-1))
 	s := ix.IOStats()
 	if s.PageMisses == 0 || s.PageReads != s.PageMisses || s.MeasuredIOTime <= 0 {
 		t.Fatalf("a cold disk-resident query must miss, and every miss is a timed real read: %+v", s)
@@ -443,7 +459,7 @@ func TestDistanceOracleFacade(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		u := VertexID(rng.Intn(net.NumVertices()))
 		v := VertexID(rng.Intn(net.NumVertices()))
-		want := on(t, ix.Engine()).dist(u, v)
+		want := on(t, ix).dist(u, v)
 		got := o.Distance(u, v)
 		if math.Abs(got-want) > 0.25*want+1e-9 {
 			t.Fatalf("oracle error too large: %v vs %v", got, want)
@@ -452,7 +468,7 @@ func TestDistanceOracleFacade(t *testing.T) {
 }
 
 func TestBuildIndexErrors(t *testing.T) {
-	if _, err := BuildIndex(nil, BuildOptions{}); err == nil {
+	if _, err := Build(nil, BuildOptions{}); err == nil {
 		t.Fatal("nil network accepted")
 	}
 	nb := NewNetworkBuilder()
@@ -462,7 +478,7 @@ func TestBuildIndexErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildIndex(net, BuildOptions{}); err == nil {
+	if _, err := Build(net, BuildOptions{}); err == nil {
 		t.Fatal("disconnected network accepted")
 	}
 }
