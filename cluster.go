@@ -54,7 +54,7 @@ func NewClusterNode(eng *Engine, m *ClusterManifest, name string) (*ClusterNode,
 // Name returns the node's manifest name.
 func (n *ClusterNode) Name() string { return n.node.Name() }
 
-// Handler returns the node's HTTP surface: the /rpc/v1/* endpoints plus
+// Handler returns the node's HTTP surface: the /rpc/v2/* endpoints plus
 // /healthz, /readyz and /metrics.
 func (n *ClusterNode) Handler() http.Handler { return n.node.Handler() }
 

@@ -64,9 +64,11 @@ func newTransport() *http.Transport {
 }
 
 type clientEndpointMetrics struct {
-	calls   *obs.Counter
-	errors  *obs.Counter
-	latency *obs.Histogram
+	calls     *obs.Counter
+	errors    *obs.Counter
+	latency   *obs.Histogram
+	reqBytes  *obs.Counter
+	respBytes *obs.Counter
 }
 
 type nodeState struct {
@@ -116,6 +118,10 @@ func NewClient(m *Manifest, p int, opt ClientOptions) (*Client, error) {
 				"Failed cluster RPC attempts per endpoint (each retried attempt counts)."),
 			latency: c.reg.Histogram("silc_cluster_rpc_seconds", label,
 				"Cluster RPC call latency per endpoint, across all attempts of the call."),
+			reqBytes: c.reg.Counter("silc_cluster_rpc_bytes_total", label+`,dir="req"`,
+				"Cluster RPC frame bytes per endpoint and direction: request bodies sent and reply bodies read, every attempt counted."),
+			respBytes: c.reg.Counter("silc_cluster_rpc_bytes_total", label+`,dir="resp"`,
+				"Cluster RPC frame bytes per endpoint and direction: request bodies sent and reply bodies read, every attempt counted."),
 		}
 	}
 	c.retries = c.reg.Counter("silc_cluster_retries_total", "",
@@ -211,7 +217,8 @@ func (c *Client) Ready(ctx context.Context) error {
 // is invisible to the query. Attempts never overlap: the per-attempt timeout
 // and failover bound what a dead or hung replica can cost, and the common
 // case — first replica answers — costs no goroutine, channel or extra context.
-func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, resp any) error {
+// The reply decodes into resp, reusing its columns.
+func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, resp Message) error {
 	em := c.rpcs[endpoint]
 	if em == nil {
 		return fmt.Errorf("cluster: unknown endpoint %s", endpoint)
@@ -221,22 +228,22 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 	start := time.Now()
 	defer func() { em.latency.Observe(time.Since(start)) }()
 
-	// The request body is encoded once and replayed per attempt.
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding %s request: %w", endpoint, err)
-	}
+	// The request frame is encoded once and replayed per attempt. It goes
+	// back to the pool only when the first attempt succeeded: the transport
+	// may still be sending it for an attempt that failed early.
+	body := getFrameBuf()
+	body.b = req.appendFrame(body.b[:0])
 	var lastErr error
 	for i, ni := range c.replicaOrder(cell) {
 		if i > 0 {
 			c.retries.Inc()
 		}
-		data, err := c.attempt(ctx, ni, cell, endpoint, body)
+		err := c.attempt(ctx, ni, endpoint, em, body.b, resp)
 		if err == nil {
-			if err = json.Unmarshal(data, resp); err == nil {
-				return nil
+			if i == 0 {
+				putFrameBuf(body)
 			}
-			err = fmt.Errorf("cluster: decoding %s response: %w", endpoint, err)
+			return nil
 		}
 		em.errors.Inc()
 		if ctx.Err() != nil {
@@ -251,35 +258,45 @@ func (c *Client) Call(ctx context.Context, cell int32, endpoint string, req, res
 	return fmt.Errorf("cluster: cell %d: every replica failed: %w", cell, lastErr)
 }
 
+// maxReplyBytes bounds a reply body the client reads.
+const maxReplyBytes = 64 << 20
+
 // attempt performs one HTTP POST against one replica under the per-attempt
-// timeout.
-func (c *Client) attempt(ctx context.Context, ni int, cell int32, endpoint string, body []byte) ([]byte, error) {
+// timeout and decodes a 200 reply into resp.
+func (c *Client) attempt(ctx context.Context, ni int, endpoint string, em *clientEndpointMetrics, body []byte, resp Message) error {
 	actx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost,
 		c.nodes[ni].addr+endpoint, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
+	req.Header.Set("Content-Type", frameContentType)
+	em.reqBytes.Add(int64(len(body)))
+	hr, err := c.httpc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", c.nodes[ni].name, err)
+		return fmt.Errorf("node %s: %w", c.nodes[ni].name, err)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	defer hr.Body.Close()
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	buf.b, err = readBody(io.LimitReader(hr.Body, maxReplyBytes), buf.b, hr.ContentLength)
+	em.respBytes.Add(int64(len(buf.b)))
 	if err != nil {
-		return nil, fmt.Errorf("node %s: reading response: %w", c.nodes[ni].name, err)
+		return fmt.Errorf("node %s: reading response: %w", c.nodes[ni].name, err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if hr.StatusCode != http.StatusOK {
 		var er ErrorResp
 		msg := ""
-		if json.Unmarshal(data, &er) == nil {
+		if json.Unmarshal(buf.b, &er) == nil {
 			msg = ": " + er.Error
 		}
-		return nil, fmt.Errorf("node %s: %s status %d%s", c.nodes[ni].name, endpoint, resp.StatusCode, msg)
+		return fmt.Errorf("node %s: %s status %d%s", c.nodes[ni].name, endpoint, hr.StatusCode, msg)
 	}
-	return data, nil
+	if err := decodeFrame(buf.b, resp); err != nil {
+		return fmt.Errorf("node %s: %s reply: %w", c.nodes[ni].name, endpoint, err)
+	}
+	return nil
 }
 
 // replicaOrder returns cell's replicas in attempt order: round-robin

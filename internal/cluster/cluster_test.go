@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -68,21 +67,14 @@ func TestBitsRoundTrip(t *testing.T) {
 	if Bits(FromBits(Bits(nan))) != Bits(nan) {
 		t.Fatal("NaN bit pattern not preserved")
 	}
-	// And through JSON, the transport that matters.
-	type wrap struct {
-		D uint64 `json:"d"`
-	}
+	// And through a reply frame, the transport that matters.
 	for _, v := range vals {
-		data, err := json.Marshal(wrap{D: Bits(v)})
-		if err != nil {
+		var back IntervalResp
+		if err := decodeFrame((&IntervalResp{Lo: Bits(v)}).appendFrame(nil), &back); err != nil {
 			t.Fatal(err)
 		}
-		var back wrap
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		if FromBits(back.D) != v {
-			t.Fatalf("JSON round trip %v -> %v", v, FromBits(back.D))
+		if FromBits(back.Lo) != v {
+			t.Fatalf("frame round trip %v -> %v", v, FromBits(back.Lo))
 		}
 	}
 }
@@ -105,7 +97,7 @@ func twoReplicaClient(t *testing.T, addrA, addrB string, opt ClientOptions) *Cli
 // bound is d.
 func okHandler(d uint64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(IntervalResp{Lo: d})
+		w.Write((&IntervalResp{Lo: d}).appendFrame(nil))
 	}
 }
 

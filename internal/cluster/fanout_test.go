@@ -345,9 +345,10 @@ func TestClusterRaceBatchBitIdentical(t *testing.T) {
 // TestClusterDistanceRPCs: an exact cross-cell distance costs at most two
 // RPCs — the destination's gateway-interval row (none once the label table
 // holds it) and one race — because the source's label is a search the router
-// runs on its own copy of the network. The endpoints the protocol has shed —
-// the boundary sweep, and exact and region, which are the one-candidate race
-// and the one-rectangle interval batch — a node answers 404.
+// runs on its own copy of the network. A node answers 404 on every path of
+// v1, the JSON protocol: the four endpoints that moved to /rpc/v2 and the
+// three it shed — the boundary sweep, and exact and region, which are the
+// one-candidate race and the one-rectangle interval batch.
 func TestClusterDistanceRPCs(t *testing.T) {
 	f := newFanoutFixture(t)
 	n := f.g.NumVertices()
@@ -378,7 +379,8 @@ func TestClusterDistanceRPCs(t *testing.T) {
 	if pairs < 12 {
 		t.Fatalf("only %d cross-cell pairs on the fixture", pairs)
 	}
-	for _, gone := range []string{"boundary", "exact", "region"} {
+	// The version gate: routers and nodes move from v1 to v2 together.
+	for _, gone := range []string{"intervals", "interval", "race", "path", "boundary", "exact", "region"} {
 		resp, err := http.Post(f.nodes[0]+"/rpc/v1/"+gone, "application/json", strings.NewReader(`{"cell":0}`))
 		if err != nil {
 			t.Fatal(err)

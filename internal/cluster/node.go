@@ -147,12 +147,30 @@ type rpcError struct {
 
 func (e rpcError) Error() string { return e.msg }
 
-// rpc wraps one endpoint handler with decoding, metrics, and error
-// rendering. Handlers receive a decoded request and a query context bound
-// to the HTTP request's context — the router's deadline and disconnects
+// maxRequestBytes bounds a request body the node reads.
+const maxRequestBytes = 16 << 20
+
+// rpcCall is one RPC's decoded request and its reply, recycled per endpoint
+// so that a warm node decodes into and answers from columns it already has.
+type rpcCall[Req, Resp any] struct {
+	req  Req
+	resp Resp
+}
+
+// rpc wraps one endpoint handler with frame decoding and encoding, metrics,
+// and error rendering. Handlers receive a decoded request, the reply to fill
+// — every field of it, since the reply is recycled — and a query context
+// bound to the HTTP request's context: the router's deadline and disconnects
 // cancel the node-side computation within one refinement step.
-func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, req *Req) (Resp, error)) http.HandlerFunc {
+func rpc[Req, Resp any, PReq interface {
+	*Req
+	Message
+}, PResp interface {
+	*Resp
+	Message
+}](n *Node, ep string, h func(qc *core.QueryContext, req *Req, resp *Resp) error) http.HandlerFunc {
 	em := n.rpcs[ep]
+	calls := sync.Pool{New: func() any { return new(rpcCall[Req, Resp]) }}
 	return func(w http.ResponseWriter, r *http.Request) {
 		em.calls.Inc()
 		start := time.Now()
@@ -162,10 +180,20 @@ func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, re
 			writeRPCError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
+		buf := getFrameBuf()
+		defer putFrameBuf(buf)
+		var err error
+		buf.b, err = readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), buf.b, r.ContentLength)
+		if err != nil {
 			em.errors.Inc()
-			writeRPCError(w, http.StatusBadRequest, "bad JSON body: "+err.Error())
+			writeRPCError(w, http.StatusBadRequest, "reading body: "+err.Error())
+			return
+		}
+		call := calls.Get().(*rpcCall[Req, Resp])
+		defer calls.Put(call)
+		if err := decodeFrame(buf.b, PReq(&call.req)); err != nil {
+			em.errors.Inc()
+			writeRPCError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		qc, ok := n.qcs.Get().(*core.QueryContext)
@@ -176,7 +204,7 @@ func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, re
 		}
 		// Handlers are done with qc once they return: replies carry copies.
 		defer n.qcs.Put(qc)
-		resp, err := h(qc, &req)
+		err = h(qc, &call.req, &call.resp)
 		n.refinements.Add(qc.Span.Refinements)
 		if err == nil && qc.Failed() {
 			err = qc.Err() // storage failure during the computation
@@ -190,8 +218,10 @@ func rpc[Req any, Resp any](n *Node, ep string, h func(qc *core.QueryContext, re
 			}
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		buf.b = PResp(&call.resp).appendFrame(buf.b[:0])
+		w.Header().Set("Content-Type", frameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
+		w.Write(buf.b)
 	}
 }
 
@@ -235,68 +265,68 @@ func (n *Node) checkVerts(cell int32, verts []uint32) error {
 	return nil
 }
 
-func (n *Node) intervals(qc *core.QueryContext, req *IntervalsReq) (IntervalsResp, error) {
+func (n *Node) intervals(qc *core.QueryContext, req *IntervalsReq, resp *IntervalsResp) error {
 	cx, err := n.checkCell(req.Cell, req.V)
 	if err != nil {
-		return IntervalsResp{}, err
+		return err
 	}
 	row := cx.BoundaryIntervals(qc, graph.VertexID(req.V), req.ToV)
-	los := make([]uint64, len(row))
-	his := make([]uint64, len(row))
-	for i, iv := range row {
-		los[i], his[i] = Bits(iv.Lo), Bits(iv.Hi)
+	resp.Los, resp.His = resp.Los[:0], resp.His[:0]
+	for _, iv := range row {
+		resp.Los, resp.His = append(resp.Los, Bits(iv.Lo)), append(resp.His, Bits(iv.Hi))
 	}
-	return IntervalsResp{Los: los, His: his, IO: qc.IO}, nil
+	resp.IO = qc.IO
+	return nil
 }
 
-func (n *Node) interval(qc *core.QueryContext, req *IntervalReq) (IntervalResp, error) {
+func (n *Node) interval(qc *core.QueryContext, req *IntervalReq, resp *IntervalResp) error {
 	cx, err := n.checkCell(req.Cell, req.U, req.V)
 	if err != nil {
-		return IntervalResp{}, err
+		return err
 	}
+	*resp = IntervalResp{Los: resp.Los[:0], His: resp.His[:0], Lbs: resp.Lbs[:0]}
 	if len(req.Vs)+len(req.Cells) > 0 {
-		return n.intervalBatch(cx, qc, req)
+		if err := n.intervalBatch(cx, qc, req, resp); err != nil {
+			return err
+		}
+	} else {
+		iv := cx.DistanceIntervalCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
+		resp.Lo, resp.Hi = Bits(iv.Lo), Bits(iv.Hi)
 	}
-	iv := cx.DistanceIntervalCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
-	return IntervalResp{Lo: Bits(iv.Lo), Hi: Bits(iv.Hi), IO: qc.IO}, nil
+	resp.IO = qc.IO
+	return nil
 }
 
 // intervalBatch answers the batch form of the interval RPC: every lookup
 // reads U's quadtree, so after the first they cost no page traffic.
-func (n *Node) intervalBatch(cx partition.CellIndex, qc *core.QueryContext, req *IntervalReq) (IntervalResp, error) {
+func (n *Node) intervalBatch(cx partition.CellIndex, qc *core.QueryContext, req *IntervalReq, resp *IntervalResp) error {
 	if err := n.checkVerts(req.Cell, req.Vs); err != nil {
-		return IntervalResp{}, err
+		return err
 	}
 	cells := make([]geom.Cell, len(req.Cells))
 	for i, w := range req.Cells {
 		c, err := cellFromWord(w)
 		if err != nil {
-			return IntervalResp{}, rpcError{http.StatusBadRequest, err.Error()}
+			return rpcError{http.StatusBadRequest, err.Error()}
 		}
 		cells[i] = c
 	}
 	u := graph.VertexID(req.U)
-	resp := IntervalResp{
-		Los: make([]uint64, len(req.Vs)),
-		His: make([]uint64, len(req.Vs)),
-		Lbs: make([]uint64, len(cells)),
-	}
-	for i, v := range req.Vs {
+	for _, v := range req.Vs {
 		iv := cx.DistanceIntervalCtx(qc, u, graph.VertexID(v))
-		resp.Los[i], resp.His[i] = Bits(iv.Lo), Bits(iv.Hi)
+		resp.Los, resp.His = append(resp.Los, Bits(iv.Lo)), append(resp.His, Bits(iv.Hi))
 	}
-	for i, c := range cells {
-		resp.Lbs[i] = Bits(cx.RegionLowerBoundCtx(qc, u, c))
+	for _, c := range cells {
+		resp.Lbs = append(resp.Lbs, Bits(cx.RegionLowerBoundCtx(qc, u, c)))
 	}
-	resp.IO = qc.IO
-	return resp, nil
+	return nil
 }
 
 // race answers the race RPC: one RaceRoutes per destination, in request
 // order, each over its own run of the flat candidate lists.
-func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
+func (n *Node) race(qc *core.QueryContext, req *RaceReq, resp *RaceResp) error {
 	if len(req.Ns) != len(req.Dsts) || len(req.Offs) != len(req.Us) {
-		return RaceResp{}, rpcError{http.StatusBadRequest,
+		return rpcError{http.StatusBadRequest,
 			fmt.Sprintf("%d candidate counts for %d destinations, %d offsets for %d candidates",
 				len(req.Ns), len(req.Dsts), len(req.Offs), len(req.Us))}
 	}
@@ -309,7 +339,7 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		left -= int(c)
 	}
 	if left != 0 {
-		return RaceResp{}, rpcError{http.StatusBadRequest,
+		return rpcError{http.StatusBadRequest,
 			fmt.Sprintf("candidate counts do not add up to the %d candidates sent", len(req.Offs))}
 	}
 	cx, err := n.checkCell(req.Cell, req.Dsts...)
@@ -317,7 +347,7 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		err = n.checkVerts(req.Cell, req.Us)
 	}
 	if err != nil {
-		return RaceResp{}, err
+		return err
 	}
 	offs := make([]float64, len(req.Offs))
 	us := make([]graph.VertexID, len(req.Us))
@@ -325,30 +355,30 @@ func (n *Node) race(qc *core.QueryContext, req *RaceReq) (RaceResp, error) {
 		offs[i] = FromBits(req.Offs[i])
 		us[i] = graph.VertexID(req.Us[i])
 	}
-	resp := RaceResp{Ds: make([]uint64, len(req.Dsts)), Args: make([]int32, len(req.Dsts))}
+	resp.Ds, resp.Args = resp.Ds[:0], resp.Args[:0]
 	at := 0
 	for i, dst := range req.Dsts {
 		if err := qc.Err(); err != nil {
-			return RaceResp{}, err // cancelled or failed: the remaining races would be answered from nothing
+			return err // cancelled or failed: the remaining races would be answered from nothing
 		}
 		end := at + int(req.Ns[i])
 		d, arg := cx.RaceRoutes(qc, graph.VertexID(dst), offs[at:end], us[at:end])
-		resp.Ds[i], resp.Args[i] = Bits(d), int32(arg)
+		resp.Ds, resp.Args = append(resp.Ds, Bits(d)), append(resp.Args, int32(arg))
 		at = end
 	}
 	resp.IO = qc.IO
-	return resp, nil
+	return nil
 }
 
-func (n *Node) path(qc *core.QueryContext, req *PathReq) (PathResp, error) {
+func (n *Node) path(qc *core.QueryContext, req *PathReq, resp *PathResp) error {
 	cx, err := n.checkCell(req.Cell, req.U, req.V)
 	if err != nil {
-		return PathResp{}, err
+		return err
 	}
-	p := cx.PathCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V))
-	verts := make([]uint32, len(p))
-	for i, v := range p {
-		verts[i] = uint32(v)
+	resp.Verts = resp.Verts[:0]
+	for _, v := range cx.PathCtx(qc, graph.VertexID(req.U), graph.VertexID(req.V)) {
+		resp.Verts = append(resp.Verts, uint32(v))
 	}
-	return PathResp{Verts: verts, IO: qc.IO}, nil
+	resp.IO = qc.IO
+	return nil
 }

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -45,13 +44,10 @@ func buildNode(t *testing.T) (*partition.Sharded, *cluster.Node, *httptest.Serve
 	return s, node, srv
 }
 
-func post(t *testing.T, url string, req any) (*http.Response, []byte) {
+// post sends req's frame to url and returns the reply and its body.
+func post(t *testing.T, url string, req cluster.Message) (*http.Response, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(cluster.EncodeFrame(req)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +77,7 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 			t.Fatalf("race status %d: %s", resp.StatusCode, data)
 		}
 		var rr cluster.RaceResp
-		if err := json.Unmarshal(data, &rr); err != nil {
+		if err := cluster.DecodeFrame(data, &rr); err != nil {
 			t.Fatal(err)
 		}
 		r := cx.Refine(core.NewQueryContext(), 0, b)
@@ -97,7 +93,7 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 		t.Fatalf("intervals status %d: %s", resp.StatusCode, data)
 	}
 	var ir cluster.IntervalsResp
-	if err := json.Unmarshal(data, &ir); err != nil {
+	if err := cluster.DecodeFrame(data, &ir); err != nil {
 		t.Fatal(err)
 	}
 	if len(ir.Los) != len(bs) || len(ir.His) != len(bs) {
@@ -161,7 +157,7 @@ func TestNodeDeadlinePropagates(t *testing.T) {
 	_, _, srv := buildNode(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	body, _ := json.Marshal(&cluster.IntervalReq{Cell: 0, U: 0, V: 1})
+	body := cluster.EncodeFrame(&cluster.IntervalReq{Cell: 0, U: 0, V: 1})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		srv.URL+cluster.PathInterval, bytes.NewReader(body))
 	if err != nil {
@@ -192,7 +188,7 @@ func TestNodeIntervalBatch(t *testing.T) {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
 	}
 	var br cluster.IntervalResp
-	if err := json.Unmarshal(data, &br); err != nil {
+	if err := cluster.DecodeFrame(data, &br); err != nil {
 		t.Fatal(err)
 	}
 	if len(br.Los) != len(vs) || len(br.His) != len(vs) || len(br.Lbs) != len(cells) {
@@ -202,7 +198,7 @@ func TestNodeIntervalBatch(t *testing.T) {
 	for i, v := range vs {
 		_, data := post(t, srv.URL+cluster.PathInterval, &cluster.IntervalReq{Cell: 0, U: 1, V: v})
 		var one cluster.IntervalResp
-		if err := json.Unmarshal(data, &one); err != nil {
+		if err := cluster.DecodeFrame(data, &one); err != nil {
 			t.Fatal(err)
 		}
 		if br.Los[i] != one.Lo || br.His[i] != one.Hi {
@@ -259,7 +255,7 @@ func TestNodeRaceBatch(t *testing.T) {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
 	}
 	var rr cluster.RaceResp
-	if err := json.Unmarshal(data, &rr); err != nil {
+	if err := cluster.DecodeFrame(data, &rr); err != nil {
 		t.Fatal(err)
 	}
 	if len(rr.Ds) != len(dsts) || len(rr.Args) != len(dsts) {
@@ -343,13 +339,9 @@ func TestNodeRefinementsCounter(t *testing.T) {
 			cx.RaceRoutes(qc, dst, offs, bs)
 		}
 		want += qc.Span.Refinements
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		races = append(races, body)
+		races = append(races, cluster.EncodeFrame(req))
 	}
-	lookup := []byte(`{"cell":0,"u":1,"vs":[0,2],"cells":[0]}`)
+	lookup := cluster.EncodeFrame(&cluster.IntervalReq{Cell: 0, U: 1, Vs: []uint32{0, 2}, Cells: []uint64{0}})
 
 	before := metricValue(t, srv.URL, "silcnode_refinements_total")
 	const workers = 4
@@ -361,7 +353,7 @@ func TestNodeRefinementsCounter(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(races); i += workers {
 				for path, body := range map[string][]byte{cluster.PathRace: races[i], cluster.PathInterval: lookup} {
-					resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+					resp, err := http.Post(srv.URL+path, "application/octet-stream", bytes.NewReader(body))
 					if err == nil {
 						resp.Body.Close()
 						if resp.StatusCode != http.StatusOK {
@@ -387,10 +379,8 @@ func TestNodeRefinementsCounter(t *testing.T) {
 	t.Logf("%d race batches: %d refinement steps", len(races), want)
 }
 
-// FuzzNodeRace: whatever bytes arrive on the race endpoint, the node answers
-// 200 or a 4xx and does not panic — the decoder of the one RPC whose request
-// has columns that must fit together.
-func FuzzNodeRace(f *testing.F) {
+// fuzzNode serves a 6×6 road map's two cells from one node.
+func fuzzNode(f *testing.F) http.Handler {
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 6, Cols: 6, Seed: 7})
 	if err != nil {
 		f.Fatal(err)
@@ -404,52 +394,95 @@ func FuzzNodeRace(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := node.Handler()
-	f.Add([]byte(`{"cell":0,"dsts":[1,2],"ns":[1,2],"offs":[0,0,4596373779694328218],"us":[0,3,4]}`)) // a valid batch
-	f.Add([]byte(`{"cell":1,"dsts":[1,2,3],"ns":[1],"offs":[0],"us":[0]}`))                           // ragged counts
-	f.Add([]byte(`{"cell":0,"dsts":[1,2],"ns":[2147483647,2147483647],"offs":[0],"us":[0]}`))         // huge declared counts, short body
-	f.Add([]byte(`{"cell":0,"dsts":[1],"ns":[-1],"offs":[],"us":[]}`))
-	f.Add([]byte(`{"cell":0,"dsts":[1],"ns":[1],"offs":[9221120237041090561],"us":[0]}`)) // NaN offset
-	f.Add([]byte(`{"cell":7}`))
-	f.Add([]byte(`[`))
+	return node.Handler()
+}
+
+// serveFrame posts body to path on h and requires a 200 whose body is a
+// reply frame of resp's shape, or a 4xx: never a 5xx, never a panic.
+func serveFrame(t *testing.T, h http.Handler, path string, body []byte, resp cluster.Message) int {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	switch {
+	case w.Code == http.StatusOK:
+		if err := cluster.DecodeFrame(w.Body.Bytes(), resp); err != nil {
+			t.Fatalf("%s: 200 for %x with a reply that does not decode: %v", path, body, err)
+		}
+	case w.Code < 400 || w.Code > 499:
+		t.Fatalf("%s: status %d for %x: %s", path, w.Code, body, w.Body.Bytes())
+	}
+	return w.Code
+}
+
+// frameSeeds adds a valid frame, the frame cut short by one byte and the
+// frame with one byte too many.
+func frameSeeds(f *testing.F, valid []byte) {
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid...), 0))
+}
+
+// FuzzNodeRace: whatever bytes arrive on the race endpoint, the node answers
+// a 4xx or a 200 whose reply has one distance and one winner per destination,
+// and does not panic — the decoder of the one RPC whose request has columns
+// that must fit together.
+func FuzzNodeRace(f *testing.F) {
+	h := fuzzNode(f)
+	frameSeeds(f, cluster.EncodeFrame(&cluster.RaceReq{Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{1, 2},
+		Offs: []uint64{0, 0, cluster.Bits(0.1)}, Us: []uint32{0, 3, 4}})) // a valid batch, truncated, trailing
+	f.Add(cluster.EncodeFrame(&cluster.RaceReq{Cell: 1, Dsts: []uint32{1, 2, 3}, Ns: []int32{1}, Offs: []uint64{0}, Us: []uint32{0}})) // ragged ns
+	f.Add([]byte{5, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0})                                                                   // 2^32−1 destinations declared in a 13-byte body
+	f.Add(cluster.EncodeFrame(&cluster.RaceReq{Cell: 0, Dsts: []uint32{1, 2}, Ns: []int32{2147483647, 2147483647}, Offs: []uint64{0}, Us: []uint32{0}}))
+	f.Add(cluster.EncodeFrame(&cluster.RaceReq{Cell: 0, Dsts: []uint32{1}, Ns: []int32{-1}}))
+	f.Add(cluster.EncodeFrame(&cluster.RaceReq{Cell: 0, Dsts: []uint32{1}, Ns: []int32{1}, Offs: []uint64{0x7ff8000000000001}, Us: []uint32{0}})) // NaN offset bits
+	f.Add(cluster.EncodeFrame(&cluster.RaceReq{Cell: 7, Dsts: []uint32{1}, Ns: []int32{1}, Offs: []uint64{0}, Us: []uint32{0}}))                  // unknown cell
+	f.Add([]byte(`{"cell":0,"dsts":[1,2],"ns":[1,2],"offs":[0,0,4596373779694328218],"us":[0,3,4]}`))                                             // a v1 JSON body
 	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathRace, bytes.NewReader(body)))
-		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
-			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.Bytes())
+		var resp cluster.RaceResp
+		if serveFrame(t, h, cluster.PathRace, body, &resp) != http.StatusOK {
+			return
+		}
+		var req cluster.RaceReq
+		if err := cluster.DecodeFrame(body, &req); err != nil {
+			t.Fatalf("200 for a request that does not decode: %v", err)
+		}
+		if len(resp.Ds) != len(req.Dsts) || len(resp.Args) != len(req.Dsts) {
+			t.Fatalf("%d distances and %d winners for %d destinations", len(resp.Ds), len(resp.Args), len(req.Dsts))
 		}
 	})
 }
 
-// FuzzNodeInterval: whatever bytes arrive on the interval endpoint, the node
-// answers 200 or a 4xx and does not panic — the decoder of the batch form,
-// whose cell words carry a code and a level that must fit together.
+// FuzzNodeInterval: whatever bytes arrive on the lookup endpoints — interval,
+// whose batch form's cell words carry a code and a level that must fit
+// together, intervals and path — the node answers a 4xx or a 200 with a reply
+// of the endpoint's shape, and does not panic. Every input goes to all three.
 func FuzzNodeInterval(f *testing.F) {
-	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 6, Cols: 6, Seed: 7})
-	if err != nil {
-		f.Fatal(err)
+	h := fuzzNode(f)
+	frameSeeds(f, cluster.EncodeFrame(&cluster.IntervalReq{Cell: 0, U: 1, Vs: []uint32{0, 2},
+		Cells: []uint64{0, 805306374, 4294967311}})) // a valid batch (root, L6 at 3·4^10, L15 at 2^24), truncated, trailing
+	for _, cells := range []uint64{271, 17, 1 << 40} { // code 1 at level 15: misaligned; level 17; code 2^32
+		f.Add(cluster.EncodeFrame(&cluster.IntervalReq{Cell: 1, U: 1, Cells: []uint64{cells}}))
 	}
-	s, err := partition.Build(g, partition.Options{Partitions: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	node, err := cluster.NewNode("a", &cluster.Manifest{Nodes: []cluster.NodeSpec{
-		{Name: "a", Addr: "http://placeholder", Cells: []int{0, 1}}}}, s)
-	if err != nil {
-		f.Fatal(err)
-	}
-	h := node.Handler()
-	f.Add([]byte(`{"cell":0,"u":1,"vs":[0,2],"cells":[0,805306374,4294967311]}`)) // a valid batch: root, L6 at 3·4^10, L15 at 2^24
-	f.Add([]byte(`{"cell":0,"u":1,"cells":[271]}`))                               // code 1 at level 15: misaligned
-	f.Add([]byte(`{"cell":0,"u":1,"cells":[17]}`))                                // level 17
-	f.Add([]byte(`{"cell":1,"u":0,"cells":[1099511627776]}`))                     // code 2^32
-	f.Add([]byte(`{"cell":0,"u":1,"vs":[3]}`))                                    // vs with no cells
-	f.Add([]byte(`[`))
+	f.Add(cluster.EncodeFrame(&cluster.IntervalReq{Cell: 0, U: 1, Vs: []uint32{3}}))   // vs with no cells
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0}) // 2^32−1 vertices declared in a 19-byte body
+	f.Add(cluster.EncodeFrame(&cluster.IntervalReq{Cell: 9, U: 0, V: 1}))              // unknown cell
+	f.Add(cluster.EncodeFrame(&cluster.IntervalsReq{Cell: 0, V: 1, ToV: true}))        // a valid intervals frame
+	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 0, 0, 2})                                        // an intervals frame whose bool is 2
+	f.Add(cluster.EncodeFrame(&cluster.PathReq{Cell: 1, U: 0, V: 2}))                  // a valid path frame
+	f.Add(cluster.EncodeFrame(&cluster.PathReq{Cell: 0, U: 0, V: 4294967295}))         // a path to the largest id
+	f.Add([]byte(`{"cell":0,"u":1,"vs":[0,2],"cells":[0]}`))                           // a v1 JSON body
 	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathInterval, bytes.NewReader(body)))
-		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
-			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.Bytes())
+		var req cluster.IntervalReq
+		var resp cluster.IntervalResp
+		if serveFrame(t, h, cluster.PathInterval, body, &resp) == http.StatusOK {
+			if err := cluster.DecodeFrame(body, &req); err != nil {
+				t.Fatalf("200 for a request that does not decode: %v", err)
+			}
+			if len(resp.Los) != len(req.Vs) || len(resp.His) != len(req.Vs) || len(resp.Lbs) != len(req.Cells) {
+				t.Fatalf("%d/%d intervals and %d bounds for %d vertices and %d cells",
+					len(resp.Los), len(resp.His), len(resp.Lbs), len(req.Vs), len(req.Cells))
+			}
 		}
+		serveFrame(t, h, cluster.PathIntervals, body, new(cluster.IntervalsResp))
+		serveFrame(t, h, cluster.PathPath, body, new(cluster.PathResp))
 	})
 }

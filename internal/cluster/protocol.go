@@ -23,23 +23,23 @@ import (
 	"silc/internal/geom"
 )
 
-// RPC endpoint paths, all POST with JSON bodies. The /rpc/v1 prefix
-// versions the wire contract: a node and router disagreeing on the protocol
-// fail loudly on 404 rather than subtly on skewed semantics.
+// RPC endpoint paths, all POST with binary frame bodies (wire.go) in both
+// directions. The /rpc/v2 prefix versions the wire contract: a node and
+// router disagreeing on the protocol fail loudly on 404 rather than subtly on
+// skewed semantics. v1 carried the same messages as JSON.
 const (
-	PathIntervals = "/rpc/v1/intervals" // zero-refinement intervals, v↔every boundary
-	PathInterval  = "/rpc/v1/interval"  // zero-refinement lookups from one source: one pair, or a batch with region lower bounds
-	PathRace      = "/rpc/v1/race"      // per destination, min over its candidates i of offs[i]+d(us[i],dst), exact; one destination with one zero-offset candidate = a pair's exact distance
-	PathPath      = "/rpc/v1/path"      // within-cell shortest path
+	PathIntervals = "/rpc/v2/intervals" // zero-refinement intervals, v↔every boundary
+	PathInterval  = "/rpc/v2/interval"  // zero-refinement lookups from one source: one pair, or a batch with region lower bounds
+	PathRace      = "/rpc/v2/race"      // per destination, min over its candidates i of offs[i]+d(us[i],dst), exact; one destination with one zero-offset candidate = a pair's exact distance
+	PathPath      = "/rpc/v2/path"      // within-cell shortest path
 )
 
 // endpoints lists the whole RPC surface, for the per-endpoint metric tables.
 var endpoints = []string{PathIntervals, PathInterval, PathRace, PathPath}
 
 // Distances cross the wire as their IEEE 754 bit patterns (uint64), never
-// as decimal text: JSON number formatting would round-trip most float64
-// values but not guarantee it for every value and not represent ±Inf at
-// all, and the cluster's contract is bit-identical answers.
+// as decimal text, so ±Inf, NaN payloads, −0 and the last ulp all survive:
+// the cluster's contract is bit-identical answers.
 
 // Bits encodes a float64 for transport.
 func Bits(f float64) uint64 { return math.Float64bits(f) }
@@ -51,10 +51,15 @@ func FromBits(b uint64) float64 { return math.Float64frombits(b) }
 // answering the request. The router adds it to the originating query's own
 // counters, so a cross-cell query's I/O attribution spans the cluster exactly
 // like it spans the shared pool in process.
+//
+// Each request and reply below is one frame shape of wire.go, its fields on
+// the wire in declaration order.
 
 // IntervalsReq asks for the zero-refinement interval between V and every
 // boundary vertex of Cell, in closure row order. ToV selects the direction:
-// boundary→V when true, V→boundary when false.
+// boundary→V when true, V→boundary when false. The JSON tags of the
+// Intervals pair serve only the benchmark's cluster.json_codec_us rung; no
+// RPC encodes JSON.
 type IntervalsReq struct {
 	Cell int32  `json:"cell"`
 	V    uint32 `json:"v"`
@@ -75,11 +80,11 @@ type IntervalsResp struct {
 // object-hierarchy node needs from the source's cell, in one round trip. One
 // cell and no Vs is the plain region lower bound.
 type IntervalReq struct {
-	Cell  int32    `json:"cell"`
-	U     uint32   `json:"u"`
-	V     uint32   `json:"v"`
-	Vs    []uint32 `json:"vs,omitempty"`
-	Cells []uint64 `json:"cells,omitempty"`
+	Cell  int32
+	U     uint32
+	V     uint32
+	Vs    []uint32
+	Cells []uint64
 }
 
 // CellWord packs a quadtree cell into one wire word: its Morton code above
@@ -104,12 +109,12 @@ func cellFromWord(w uint64) (geom.Cell, error) {
 // IntervalResp carries Lo/Hi for the single form; Los/His (one per Vs entry)
 // and Lbs (one per cell) for the batch form.
 type IntervalResp struct {
-	Lo  uint64       `json:"lo"`
-	Hi  uint64       `json:"hi"`
-	IO  diskio.Stats `json:"io"`
-	Los []uint64     `json:"los,omitempty"`
-	His []uint64     `json:"his,omitempty"`
-	Lbs []uint64     `json:"lbs,omitempty"`
+	Lo  uint64
+	Hi  uint64
+	Los []uint64
+	His []uint64
+	Lbs []uint64
+	IO  diskio.Stats
 }
 
 // RaceReq asks for one exact route race per destination of Dsts: destination
@@ -122,31 +127,31 @@ type IntervalResp struct {
 // search is about to need on one cell; every destination is still raced on
 // its own, in order, by the code a request for it alone would run.
 type RaceReq struct {
-	Cell int32    `json:"cell"`
-	Dsts []uint32 `json:"dsts"`
-	Ns   []int32  `json:"ns"`
-	Offs []uint64 `json:"offs"`
-	Us   []uint32 `json:"us"`
+	Cell int32
+	Dsts []uint32
+	Ns   []int32
+	Offs []uint64
+	Us   []uint32
 }
 
 // RaceResp answers every destination of the request in order.
 type RaceResp struct {
-	Ds   []uint64     `json:"ds"`
-	Args []int32      `json:"args"` // winner's index among the destination's own candidates; -1 when all unreachable
-	IO   diskio.Stats `json:"io"`
+	Ds   []uint64
+	Args []int32 // winner's index among the destination's own candidates; -1 when all unreachable
+	IO   diskio.Stats
 }
 
 // PathReq asks for a within-cell shortest path from U to V, in cell-local
 // vertex ids.
 type PathReq struct {
-	Cell int32  `json:"cell"`
-	U    uint32 `json:"u"`
-	V    uint32 `json:"v"`
+	Cell int32
+	U    uint32
+	V    uint32
 }
 
 type PathResp struct {
-	Verts []uint32     `json:"verts"`
-	IO    diskio.Stats `json:"io"`
+	Verts []uint32
+	IO    diskio.Stats
 }
 
 // ErrorResp is the JSON body of every non-200 RPC response.

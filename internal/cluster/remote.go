@@ -47,7 +47,7 @@ func RemoteCells(c *Client, meta *partition.RouterMeta) []partition.RemoteCellIn
 // call issues one RPC for the cell on behalf of qc's query and adds the
 // node-side page traffic (io, a field of resp) to the query's own. It
 // reports false after failing the query.
-func (rc *RemoteCell) call(qc *core.QueryContext, endpoint string, req, resp any, io *diskio.Stats) bool {
+func (rc *RemoteCell) call(qc *core.QueryContext, endpoint string, req, resp Message, io *diskio.Stats) bool {
 	if err := rc.c.Call(qc.Context(), rc.cell, endpoint, req, resp); err != nil {
 		qc.Fail(err)
 		return false
@@ -86,17 +86,18 @@ func (rc *RemoteCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID,
 // interval RPC, one round trip for every lookup an expansion needs from
 // src's quadtree.
 func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dsts []graph.VertexID, cells []geom.Cell) ([]core.Interval, []float64) {
-	req := &IntervalReq{Cell: rc.cell, U: uint32(src),
-		Vs: make([]uint32, len(dsts)), Cells: make([]uint64, len(cells))}
-	for i, d := range dsts {
-		req.Vs[i] = uint32(d)
+	call := intervalCalls.Get().(*intervalCall)
+	defer intervalCalls.Put(call)
+	req, resp := &call.req, &call.resp
+	*req = IntervalReq{Cell: rc.cell, U: uint32(src), Vs: req.Vs[:0], Cells: req.Cells[:0]}
+	for _, d := range dsts {
+		req.Vs = append(req.Vs, uint32(d))
 	}
-	for i, c := range cells {
-		req.Cells[i] = CellWord(c)
+	for _, c := range cells {
+		req.Cells = append(req.Cells, CellWord(c))
 	}
-	var resp IntervalResp
 	lbs := make([]float64, len(cells)) // 0 is a valid lower bound: distances are non-negative
-	if !rc.call(qc, PathInterval, req, &resp, &resp.IO) ||
+	if !rc.call(qc, PathInterval, req, resp, &resp.IO) ||
 		!rc.entries(qc, len(dsts), len(resp.Los), len(resp.His)) || !rc.entries(qc, len(cells), len(resp.Lbs)) {
 		return looseIntervals(len(dsts)), lbs
 	}
@@ -106,14 +107,19 @@ func (rc *RemoteCell) SourceBatch(qc *core.QueryContext, src graph.VertexID, dst
 	return intervalsFromBits(resp.Los, resp.His), lbs
 }
 
+// intervalCall is the request and reply of one interval RPC, pooled like
+// raceCall: the request's columns are written over the previous call's and
+// the reply decodes into the previous reply's.
+type intervalCall = rpcCall[IntervalReq, IntervalResp]
+
+var intervalCalls = sync.Pool{New: func() any { return new(intervalCall) }}
+
 // raceCall is the request and reply of one race RPC. Calls are pooled so that
 // a warm router assembles a race without allocating: the candidate lists
-// arrive in the partition router's own scratch, and their wire form is
-// written over the previous call's.
-type raceCall struct {
-	req  RaceReq
-	resp RaceResp
-}
+// arrive in the partition router's own scratch, their wire form is written
+// over the previous call's, and the reply decodes into the previous reply's
+// columns.
+type raceCall = rpcCall[RaceReq, RaceResp]
 
 var raceCalls = sync.Pool{New: func() any { return new(raceCall) }}
 
@@ -132,7 +138,6 @@ func (rc *RemoteCell) race(qc *core.QueryContext, dsts []graph.VertexID, ns []in
 		req.Offs = append(req.Offs, Bits(offs[i]))
 		req.Us = append(req.Us, uint32(us[i]))
 	}
-	*resp = RaceResp{Ds: resp.Ds[:0], Args: resp.Args[:0]}
 	if !rc.call(qc, PathRace, req, resp, &resp.IO) || !rc.entries(qc, len(dsts), len(resp.Ds), len(resp.Args)) {
 		raceCalls.Put(call)
 		return nil
@@ -176,8 +181,11 @@ func (rc *RemoteCell) RaceBatch(qc *core.QueryContext, dsts []graph.VertexID, ns
 // DistanceIntervalCtx implements partition.CellIndex: the single form of the
 // interval RPC.
 func (rc *RemoteCell) DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval {
-	var resp IntervalResp
-	if !rc.call(qc, PathInterval, &IntervalReq{Cell: rc.cell, U: uint32(u), V: uint32(v)}, &resp, &resp.IO) {
+	call := intervalCalls.Get().(*intervalCall)
+	defer intervalCalls.Put(call)
+	req, resp := &call.req, &call.resp
+	*req = IntervalReq{Cell: rc.cell, U: uint32(u), V: uint32(v), Vs: req.Vs[:0], Cells: req.Cells[:0]}
+	if !rc.call(qc, PathInterval, req, resp, &resp.IO) {
 		return core.Interval{Lo: 0, Hi: math.Inf(1)}
 	}
 	return core.Interval{Lo: FromBits(resp.Lo), Hi: FromBits(resp.Hi)}

@@ -7,7 +7,10 @@
 # scrapes /metrics on all three processes, asserts the cluster metric
 # families are being exported, and holds the router to its RPC budget: the
 # silc_cluster_rpcs_total delta over a run of warm k=10 kNN queries, divided
-# by the queries sent, must stay under KNN_RPC_BUDGET.
+# by the queries sent, must stay under KNN_RPC_BUDGET. Checks the wire
+# version gate on a real node: the JSON protocol's POST /rpc/v1/race is a
+# 404, and a JSON body on /rpc/v2/race, which takes binary frames, a 400.
+# Prints the frame bytes per RPC from silc_cluster_rpc_bytes_total.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -116,6 +119,15 @@ if ! awk -v x="$per_knn" -v max="$KNN_RPC_BUDGET" 'BEGIN {exit !(x > 0 && x <= m
   exit 1
 fi
 
+echo "== wire version gate on node-a"
+v1=$(curl -s -o /dev/null -w '%{http_code}' -X POST "localhost:$NODE_A/rpc/v1/race" \
+  -d '{"cell":0,"dsts":[1],"ns":[1],"offs":[0],"us":[0]}')
+[ "$v1" = 404 ] || { echo "POST /rpc/v1/race answered $v1, want 404" >&2; exit 1; }
+json=$(curl -s -o /dev/null -w '%{http_code}' -X POST "localhost:$NODE_A/rpc/v2/race" \
+  -d '{"cell":0,"dsts":[1],"ns":[1],"offs":[0],"us":[0]}')
+[ "$json" = 400 ] || { echo "a JSON body on /rpc/v2/race answered $json, want 400" >&2; exit 1; }
+echo "   /rpc/v1/race 404, JSON on /rpc/v2/race 400"
+
 echo "== scrape /metrics on all three processes"
 curl -sf "localhost:$NODE_A/metrics" > "$DIR/node-a.metrics"
 curl -sf "localhost:$NODE_B/metrics" > "$DIR/node-b.metrics"
@@ -125,11 +137,22 @@ for f in node-a node-b; do
     grep -q "^$fam" "$DIR/$f.metrics" || { echo "missing $fam on $f" >&2; exit 1; }
   done
 done
-for fam in silc_cluster_rpcs_total silc_cluster_cell_rpcs_total silcserve_requests_total \
+for fam in silc_cluster_rpcs_total silc_cluster_rpc_bytes_total silc_cluster_cell_rpcs_total silcserve_requests_total \
            silc_partition_label_hits_total silc_partition_label_misses_total silc_partition_label_rows \
            silc_partition_race_hinted_total silc_partition_race_used_total; do
   grep -q "^$fam" "$DIR/router.metrics" || { echo "missing $fam on router" >&2; exit 1; }
 done
 echo "   metric families present"
+
+echo "== frame bytes per RPC over the whole run (router)"
+awk '
+  /^silc_cluster_rpcs_total\{/ { match($0, /endpoint="[^"]*"/); calls[substr($0, RSTART, RLENGTH)] = $2 }
+  /^silc_cluster_rpc_bytes_total\{/ {
+    match($0, /endpoint="[^"]*"/); ep = substr($0, RSTART, RLENGTH)
+    if ($0 ~ /dir="req"/) req[ep] = $2; else resp[ep] = $2
+  }
+  END { for (ep in calls) if (calls[ep] > 0)
+          printf "   %s: %d calls, %.1f request bytes and %.1f reply bytes per call\n", ep, calls[ep], req[ep] / calls[ep], resp[ep] / calls[ep] }
+' "$DIR/router.metrics" | sort
 
 echo "cluster smoke OK"
