@@ -3,9 +3,12 @@ package silc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"silc/internal/sssp"
@@ -408,6 +411,103 @@ func TestEpsilonZeroMatchesExact(t *testing.T) {
 				plain.Neighbors[i].Dist != eps0.Neighbors[i].Dist {
 				t.Fatalf("%s: ε=0 differs from exact at %d: %+v vs %+v",
 					tag, i, plain.Neighbors[i], eps0.Neighbors[i])
+			}
+		}
+	}
+}
+
+// TestEpsilonCertificates checks WithEpsilon on Distance and WithinDistance
+// against Dijkstra on four engines over one road map: monolithic and 4-cell
+// in RAM, and both paged behind a 5% pool. At ε ∈ {0.1, 0.25} every
+// distance d satisfies d ≤ true ≤ (1+ε)·d, and every range answer at
+// radius r (0 among them) holds every object within r and none beyond
+// (1+ε)·r. At ε = 0 each call returns the bits of the same call without the
+// option.
+func TestEpsilonCertificates(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 16, Cols: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.NumVertices()
+	rng := rand.New(rand.NewSource(5))
+	vertices := make([]VertexID, n/2)
+	for i, v := range rng.Perm(n)[:len(vertices)] {
+		vertices[i] = VertexID(v)
+	}
+	objs := mustObjects(t, net, vertices)
+	sources := make([]VertexID, 12)
+	truth := make([][]float64, len(sources))
+	for i := range sources {
+		sources[i] = VertexID(rng.Intn(n))
+		truth[i] = sssp.Dijkstra(net.g, sources[i]).Dist
+	}
+	engines := map[string]*Engine{}
+	for _, parts := range []int{1, 4} {
+		eng, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ix.silcpg")
+		if _, err := eng.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		paged, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { paged.Close() })
+		engines[fmt.Sprintf("P=%d/ram", parts)] = eng
+		engines[fmt.Sprintf("P=%d/paged", parts)] = paged
+	}
+
+	ctx := context.Background()
+	for name, eng := range engines {
+		for i, u := range sources {
+			for v := VertexID(0); int(v) < n; v += 5 {
+				want := truth[i][v]
+				tol := 1e-6 * (1 + want)
+				exact, err := eng.Distance(ctx, u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eps := range []float64{0, 0.1, 0.25} {
+					d, err := eng.Distance(ctx, u, v, WithEpsilon(eps))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if eps == 0 && math.Float64bits(d) != math.Float64bits(exact) {
+						t.Fatalf("%s: d(%d,%d) = %v at ε=0, %v without the option", name, u, v, d, exact)
+					}
+					if d > want+tol || want > (1+eps)*d+tol {
+						t.Fatalf("%s ε=%v: d(%d,%d) = %v, Dijkstra %v", name, eps, u, v, d, want)
+					}
+				}
+			}
+			for _, radius := range []float64{0, 0.15, 0.35} {
+				exact, err := eng.WithinDistance(ctx, objs, u, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eps := range []float64{0, 0.1, 0.25} {
+					res, err := eng.WithinDistance(ctx, objs, u, radius, WithEpsilon(eps))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if eps == 0 && (!reflect.DeepEqual(res.Neighbors, exact.Neighbors) || res.Stats.Refinements != exact.Stats.Refinements) {
+						t.Fatalf("%s: range(%d, %v) at ε=0 differs from the call without the option", name, u, radius)
+					}
+					in := make(map[int32]bool, len(res.Neighbors))
+					for _, nb := range res.Neighbors {
+						in[nb.ID] = true
+					}
+					for id := int32(0); int(id) < objs.Len(); id++ {
+						d := truth[i][objs.Vertex(id)]
+						tol := 1e-6 * (1 + d)
+						if d <= radius-tol && !in[id] || d > (1+eps)*radius+tol && in[id] {
+							t.Fatalf("%s ε=%v: range(%d, %v) reports object %d at distance %v: %v", name, eps, u, radius, id, d, in[id])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -1,13 +1,9 @@
-// Package-level benchmarks: one benchmark family per table and figure of
-// the paper's evaluation (DESIGN.md §4 maps each to its experiment id).
-// `go test -bench=. -benchmem` regenerates every measurement; the custom
-// metrics reported via b.ReportMetric carry the figure's quantity (block
-// counts, queue sizes, refinement counts, page misses and reads) alongside
-// wall time.
-//
-// cmd/experiments renders the same data as the paper's tables; these
-// benchmarks make the measurements reproducible under the standard Go
-// tooling.
+// Package-level benchmarks of the public engine, the build and the paged
+// store: the build, paged kNN and distance per page variant, browsing,
+// batches, in-process kNN and range, live mutations, and two ablations.
+// The paper's tables and figures have one renderer, cmd/experiments
+// (DESIGN.md §4); these benchmarks time what it does not, under the standard
+// Go tooling (`go test -run '^$' -bench . -benchmem`).
 package silc
 
 import (
@@ -25,8 +21,6 @@ import (
 	"silc/internal/core"
 	"silc/internal/graph"
 	"silc/internal/knn"
-	"silc/internal/oracle"
-	"silc/internal/sssp"
 	"silc/internal/store"
 )
 
@@ -73,148 +67,6 @@ func coldIndex(b *testing.B, e *bench.Env, baseline bool) core.QueryIndex {
 	return ix
 }
 
-// BenchmarkT1StorageModels measures the space/query-time trade-off table
-// (paper p.11): distance queries against each storage model.
-func BenchmarkT1StorageModels(b *testing.B) {
-	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 24, Cols: 24, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]graph.VertexID, 256)
-	for i := range pairs {
-		pairs[i] = [2]graph.VertexID{
-			graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)),
-		}
-	}
-
-	ix, err := core.Build(g, core.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	nh, err := oracle.BuildNextHop(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exp, err := oracle.BuildExplicitPaths(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	or, err := oracle.BuildDistanceOracle(ix, 0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("Dijkstra", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			sssp.ShortestPath(g, p[0], p[1])
-		}
-	})
-	b.Run("ExplicitPaths", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(exp.SizeBytes()), "storage-bytes")
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			exp.Distance(p[0], p[1])
-		}
-	})
-	b.Run("NextHop", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(nh.SizeBytes()), "storage-bytes")
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			nh.Distance(p[0], p[1])
-		}
-	})
-	b.Run("SILC", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(ix.Stats().TotalBytes), "storage-bytes")
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			ix.Distance(p[0], p[1])
-		}
-	})
-	b.Run("DistanceOracle", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(or.SizeBytes()), "storage-bytes")
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			or.Distance(p[0], p[1])
-		}
-	})
-}
-
-// BenchmarkF1StorageGrowth measures SILC build cost and block counts as the
-// network grows (paper p.16; block counts follow n^1.5).
-func BenchmarkF1StorageGrowth(b *testing.B) {
-	for _, rc := range []int{16, 24, 32, 48} {
-		b.Run(fmt.Sprintf("lattice=%dx%d", rc, rc), func(b *testing.B) {
-			var blocks int64
-			var vertices int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: rc, Cols: rc, Seed: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ix, err := core.Build(g, core.BuildOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocks = ix.Stats().TotalBlocks
-				vertices = g.NumVertices()
-			}
-			b.ReportMetric(float64(blocks), "morton-blocks")
-			b.ReportMetric(float64(blocks)/float64(vertices), "blocks/vertex")
-		})
-	}
-}
-
-// BenchmarkF2DijkstraVsSILCPath compares point-to-point path retrieval:
-// Dijkstra and A* settle large fractions of the network, SILC touches only
-// path vertices (paper pp.3/7).
-func BenchmarkF2DijkstraVsSILCPath(b *testing.B) {
-	e := sharedEnv(b)
-	rng := rand.New(rand.NewSource(9))
-	n := e.G.NumVertices()
-	pairs := make([][2]graph.VertexID, 128)
-	for i := range pairs {
-		pairs[i] = [2]graph.VertexID{
-			graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)),
-		}
-	}
-	b.Run("Dijkstra", func(b *testing.B) {
-		b.ReportAllocs()
-		settled := 0
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			settled = sssp.ShortestPath(e.G, p[0], p[1]).Settled
-		}
-		b.ReportMetric(float64(settled), "vertices-settled")
-	})
-	b.Run("AStar", func(b *testing.B) {
-		b.ReportAllocs()
-		settled := 0
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			settled = sssp.AStar(e.G, p[0], p[1]).Settled
-		}
-		b.ReportMetric(float64(settled), "vertices-settled")
-	})
-	b.Run("SILC", func(b *testing.B) {
-		b.ReportAllocs()
-		hops := 0
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			hops = len(e.Ix.Path(p[0], p[1])) - 1
-		}
-		b.ReportMetric(float64(hops), "vertices-settled")
-	})
-}
-
 // benchWorkload is one pre-seeded (object set, query vertex) pair.
 type benchWorkload struct {
 	objs *knn.Objects
@@ -255,128 +107,6 @@ func sweepBench(b *testing.B, algo bench.Algorithm, fraction float64, k int) {
 	b.ReportMetric(agg.refinements/n, "refinements/query")
 	b.ReportMetric(agg.maxQueue/n, "max-queue")
 	b.ReportMetric(agg.ioMisses/n, "page-misses/query")
-}
-
-// BenchmarkF3ExecTimeVaryS is the paper's p.33 left panel: k=10, |S|/N in
-// {0.001, 0.01, 0.05, 0.2}, all six algorithms. The same runs provide the
-// queue-size (F4), refinement (F5), and I/O (F8) series via the reported
-// metrics.
-func BenchmarkF3ExecTimeVaryS(b *testing.B) {
-	for _, f := range []float64{0.001, 0.01, 0.05, 0.2} {
-		for _, algo := range bench.Algorithms() {
-			algo := algo
-			b.Run(fmt.Sprintf("S=%gN/%s", f, algo.Name), func(b *testing.B) {
-				sweepBench(b, algo, f, 10)
-			})
-		}
-	}
-}
-
-// BenchmarkF3ExecTimeVaryK is the paper's p.33 right panel: |S| = 0.07N,
-// k in {5, 10, 50, 100, 300}.
-func BenchmarkF3ExecTimeVaryK(b *testing.B) {
-	for _, k := range []int{5, 10, 50, 100, 300} {
-		for _, algo := range bench.Algorithms() {
-			algo := algo
-			b.Run(fmt.Sprintf("k=%d/%s", k, algo.Name), func(b *testing.B) {
-				sweepBench(b, algo, 0.07, k)
-			})
-		}
-	}
-}
-
-// BenchmarkF4QueueSize isolates the queue-size comparison of fig. p.34 at
-// the paper's headline point (k=10, |S|=0.07N): the kNN family's Dk pruning
-// versus INN.
-func BenchmarkF4QueueSize(b *testing.B) {
-	for _, algo := range bench.SILCVariants() {
-		algo := algo
-		b.Run(algo.Name, func(b *testing.B) { sweepBench(b, algo, 0.07, 10) })
-	}
-}
-
-// BenchmarkF5Refinements isolates the refinement comparison of fig. p.35:
-// kNN-M's KMINDIST shortcut saves the ordering refinements.
-func BenchmarkF5Refinements(b *testing.B) {
-	for _, algo := range bench.SILCVariants() {
-		algo := algo
-		b.Run(algo.Name, func(b *testing.B) { sweepBench(b, algo, 0.05, 10) })
-	}
-}
-
-// BenchmarkF6KMinDistPruning measures the share of kNN-M results accepted
-// directly against KMINDIST (fig. p.36).
-func BenchmarkF6KMinDistPruning(b *testing.B) {
-	e := sharedEnv(b)
-	rng := rand.New(rand.NewSource(3))
-	ix := coldIndex(b, e, false)
-	// Deterministic pre-seeded workloads: object-set generation happens
-	// outside the timed loop so the measurement covers the query alone.
-	workloads := benchWorkloads(e, rng, 0.07, 32)
-	accepts, total := 0.0, 0.0
-	k := 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := workloads[i%len(workloads)]
-		res := knn.Search(ix, w.objs, w.q, k, knn.VariantKNNM)
-		accepts += float64(res.Stats.KMinDistAccepts)
-		total += float64(len(res.Neighbors))
-	}
-	if total > 0 {
-		b.ReportMetric(100*accepts/total, "kmindist-accept-%")
-	}
-}
-
-// BenchmarkF7EstimateQuality measures D0k and KMINDIST relative to the true
-// Dk (fig. p.37).
-func BenchmarkF7EstimateQuality(b *testing.B) {
-	e := sharedEnv(b)
-	rng := rand.New(rand.NewSource(4))
-	ix := coldIndex(b, e, false)
-	workloads := benchWorkloads(e, rng, 0.07, 32)
-	var d0kRatio, kminRatio, count float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := workloads[i%len(workloads)]
-		res := knn.Search(ix, w.objs, w.q, 10, knn.VariantKNN)
-		s := res.Stats
-		if s.D0k > 0 && s.DkFinal > 0 {
-			d0kRatio += s.D0k / s.DkFinal
-			kminRatio += s.KMinDist0 / s.DkFinal
-			count++
-		}
-	}
-	if count > 0 {
-		b.ReportMetric(100*d0kRatio/count, "D0k/Dk-%")
-		b.ReportMetric(100*kminRatio/count, "KMINDIST/Dk-%")
-	}
-}
-
-// BenchmarkF8IOTime measures the I/O of the SILC family on the paged store
-// with the 5% LRU pool (fig. p.38): real page reads per query and the
-// measured time inside them.
-func BenchmarkF8IOTime(b *testing.B) {
-	for _, algo := range bench.SILCVariants() {
-		algo := algo
-		b.Run(algo.Name, func(b *testing.B) {
-			e := sharedEnv(b)
-			rng := rand.New(rand.NewSource(5))
-			ix := coldIndex(b, e, false)
-			workloads := benchWorkloads(e, rng, 0.07, 32)
-			var reads float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := workloads[i%len(workloads)]
-				res := algo.Run(ix, w.objs, w.q, 10)
-				reads += float64(res.Stats.IO.Reads)
-			}
-			b.ReportMetric(reads/float64(b.N), "page-reads/query")
-			b.ReportMetric(float64(e.ReadStats().Time.Microseconds())/float64(b.N), "read-us/query")
-		})
-	}
 }
 
 // BenchmarkBuild measures the one-time precomputation on the benchmark's

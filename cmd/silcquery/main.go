@@ -7,14 +7,17 @@
 //	silcquery -rows 48 -cols 48 -mode knn -q 17 -k 5 -objects 0.05 -method KNN
 //	silcquery -rows 48 -cols 48 -mode knn -q 17 -k 5 -eps 0.25 -max-dist 0.8
 //	silcquery -net network.txt -mode dist -q 17 -dest 423
+//	silcquery -net network.txt -mode dist -q 17 -dest 423 -eps 0.1
 //	silcquery -net network.txt -mode path -q 17 -dest 423
 //	silcquery -net network.txt -mode refine -q 17 -dest 423
 //	silcquery -rows 64 -cols 64 -partitions 8 -mode dist -q 17 -dest 423
 //
 // -partitions N > 1 queries through the sharded index; -index accepts both
-// monolithic and sharded paged images (the format is sniffed). -eps asks for
-// ε-approximate ranking (fewer refinements, distances certified within
-// (1+ε)×); -max-dist bounds results to a radius. -timeout aborts a query
+// monolithic and sharded paged images (the format is sniffed). -eps applies
+// to knn and dist: it asks for ε-approximate ranking, or an ε-approximate
+// distance printed with its certifying interval (fewer refinements,
+// distances certified within (1+ε)×); -max-dist bounds knn results to a
+// radius. -timeout aborts a query
 // through context cancellation. The refine trace prints each refinement's
 // interval; on a monolithic index it also names the exact-prefix vertex.
 // -stats appends one JSON object per query to stdout with the
@@ -47,7 +50,7 @@ func main() {
 		k       = flag.Int("k", 5, "neighbor count (knn)")
 		objFrac = flag.Float64("objects", 0.05, "object fraction of N (knn)")
 		method  = flag.String("method", "KNN", "algorithm: KNN, INN, KNN-I, KNN-M, INE, IER")
-		eps     = flag.Float64("eps", 0, "ε-approximate ranking (knn; 0 = exact)")
+		eps     = flag.Float64("eps", 0, "ε-approximate ranking (knn) and distance (dist); 0 = exact")
 		maxDist = flag.Float64("max-dist", 0, "bound results to network distance ≤ d (knn; 0 = unbounded)")
 		timeout = flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 		parts   = flag.Int("partitions", 1, "spatial partitions (>1 queries the sharded index)")
@@ -93,12 +96,18 @@ func main() {
 			fail(err)
 		}
 		var st silc.QueryStats
-		d, err := eng.Distance(ctx, src, dst, silc.WithStats(&st))
+		d, err := eng.Distance(ctx, src, dst, silc.WithStats(&st), silc.WithEpsilon(*eps))
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("interval (no refinement): [%.6f, %.6f]\n", iv.Lo, iv.Hi)
-		fmt.Printf("exact network distance:   %.6f\n", d)
+		if *eps > 0 {
+			cert, steps := certify(eng, src, dst, *eps)
+			fmt.Printf("ε-approximate distance:   %.6f (ε = %g)\n", d, *eps)
+			fmt.Printf("certifying interval:      [%.6f, %.6f] after %d refinement steps\n", cert.Lo, cert.Hi, steps)
+		} else {
+			fmt.Printf("exact network distance:   %.6f\n", d)
+		}
 		fmt.Printf("euclidean distance:       %.6f\n", net.Euclid(src, dst))
 		if *stats {
 			printStats(eng, st)
@@ -136,6 +145,22 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
+}
+
+// certify steps a refiner for (src, dst) to the interval Distance stops at
+// under eps, the first with hi ≤ (1+eps)·lo, and returns it with the steps
+// it took. Its lo is the ε-approximate distance, and the true distance lies
+// inside it.
+func certify(eng *silc.Engine, src, dst silc.VertexID, eps float64) (silc.Interval, int) {
+	r, err := eng.NewRefiner(src, dst)
+	if err != nil {
+		fail(err)
+	}
+	iv := r.Interval()
+	for iv.Hi > (1+eps)*iv.Lo && !r.Done() && r.Step() {
+		iv = r.Interval()
+	}
+	return iv, r.Steps()
 }
 
 func runKNN(ctx context.Context, net *silc.Network, eng *silc.Engine, q silc.VertexID, k int, frac float64, methodName string, eps, maxDist float64, seed int64, stats bool) {

@@ -363,8 +363,10 @@ func TestServerBrowseStreaming(t *testing.T) {
 	}
 }
 
-// TestServerEpsilonParam exercises the ε-approximate knob over HTTP: valid
-// values answer with certified-approximate distances, bad values are 400s.
+// TestServerEpsilonParam exercises the ε-approximate knob over HTTP on
+// /knn, /browse, /distance and /range: valid values answer with
+// certified-approximate distances, bad values (NaN, negative, infinite,
+// unparsable) are 400s.
 func TestServerEpsilonParam(t *testing.T) {
 	ts := httptest.NewServer(routes(testServer(t)))
 	defer ts.Close()
@@ -381,9 +383,18 @@ func TestServerEpsilonParam(t *testing.T) {
 	if len(knn.Neighbors) != 4 {
 		t.Fatalf("eps knn: %+v", knn)
 	}
-	for _, path := range []string{"/knn?q=5&k=4&eps=-1", "/knn?q=5&k=4&eps=nope", "/browse?src=0&eps=-2"} {
+	bad := []string{"/knn?q=5&k=4&eps=-1", "/knn?q=5&k=4&eps=nope", "/browse?src=0&eps=-2"}
+	for _, eps := range []string{"NaN", "-1", "%2BInf", "abc"} {
+		bad = append(bad, "/distance?src=3&dst=60&eps="+eps, "/range?q=9&radius=0.3&eps="+eps)
+	}
+	for _, path := range bad {
 		if resp := getJSON(t, ts, path, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/distance?src=3&dst=60&eps=0.1", "/range?q=9&radius=0.3&eps=0.1"} {
+		if resp := getJSON(t, ts, path, nil); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
 	}
 	ranks, _, trailer := decodeBrowseStream(t, ts, "/browse?src=0&n=5&eps=0.5")

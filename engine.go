@@ -232,11 +232,12 @@ func (e *Engine) ResetIOStats() {
 	}
 }
 
-// Distance returns the exact network distance from u to v by full
-// progressive refinement (+Inf when v is unreachable or beyond a
-// proximity-bounded index's radius). Cancelling ctx stops the refinement
-// and returns ctx's error. WithStats captures the query's execution
-// statistics; other options are accepted and ignored.
+// Distance returns the network distance from u to v by progressive
+// refinement (+Inf when v is unreachable or beyond a proximity-bounded
+// index's radius): exact by default, and under WithEpsilon(ε) the lower
+// bound d of the first interval with δ⁺ ≤ (1+ε)·δ⁻, so that
+// d ≤ true ≤ (1+ε)·d. Cancelling ctx stops the refinement and returns
+// ctx's error. WithStats captures the query's execution statistics.
 func (e *Engine) Distance(ctx context.Context, u, v VertexID, opts ...Option) (float64, error) {
 	o, err := resolveOptions(opts)
 	if err != nil {
@@ -250,7 +251,7 @@ func (e *Engine) Distance(ctx context.Context, u, v VertexID, opts ...Option) (f
 	}
 	qc := e.acquireQC(ctx, opDistance)
 	defer e.releaseQC(qc)
-	d := core.ExactDistance(e.qx, qc, u, v)
+	d := core.ApproxDistance(e.qx, qc, u, v, o.epsilon)
 	if err := qc.Err(); err != nil {
 		return 0, err
 	}
@@ -491,6 +492,10 @@ func (e *Engine) fillStats(qc *core.QueryContext, method string, s *QueryStats) 
 // most radius — the network-distance range query. Results are unordered;
 // intervals are refined exactly far enough to decide membership, so Dist is
 // exact only where Exact is set (WithExactDistances refines the rest).
+//
+// WithEpsilon(ε) makes the radius distance-bounded: an object is in once
+// δ⁻ ≤ radius and δ⁺ ≤ (1+ε)·radius, and out once δ⁻ > radius, so the
+// answer holds every object within radius and none beyond (1+ε)·radius.
 func (e *Engine) WithinDistance(ctx context.Context, objs *ObjectSet, q VertexID, radius float64, opts ...Option) (Result, error) {
 	o, err := resolveOptions(opts)
 	if err != nil {
@@ -507,8 +512,8 @@ func (e *Engine) WithinDistance(ctx context.Context, objs *ObjectSet, q VertexID
 	}
 	qc := e.acquireQC(ctx, opRange)
 	defer e.releaseQC(qc)
-	// Of the options, only WithExactDistances changes a range answer.
-	spec := knn.Spec{K: objs.Len(), Variant: knn.VariantRange, MaxDist: radius}
+	// Of the options, WithEpsilon and WithExactDistances change a range answer.
+	spec := knn.Spec{K: objs.Len(), Variant: knn.VariantRange, Epsilon: o.epsilon, MaxDist: radius}
 	return e.search(qc, objs, q, spec, queryOptions{exact: o.exact})
 }
 

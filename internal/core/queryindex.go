@@ -101,8 +101,21 @@ func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell ge
 // When qc carries a cancelled context the loop stops early and the current
 // lower bound is returned; callers surfacing errors check qc.Err after.
 func ExactDistance(ix QueryIndex, qc *QueryContext, src, dst graph.VertexID) float64 {
+	return ApproxDistance(ix, qc, src, dst, 0)
+}
+
+// ApproxDistance refines (src, dst) until its interval certifies
+// δ⁺ ≤ (1+eps)·δ⁻ and returns δ⁻, so the result d satisfies
+// d ≤ true ≤ (1+eps)·d. At eps = 0 it is ExactDistance: the refinement runs
+// until the refiner is done.
+func ApproxDistance(ix QueryIndex, qc *QueryContext, src, dst graph.VertexID, eps float64) float64 {
 	r := ix.Refine(qc, src, dst)
 	for !r.Done() {
+		if eps > 0 {
+			if iv := r.Interval(); iv.Hi <= (1+eps)*iv.Lo {
+				break
+			}
+		}
 		if qc.Err() != nil {
 			break
 		}

@@ -46,7 +46,8 @@ const (
 	// VariantRange is the range query as a member of the family: Spec.MaxDist
 	// is the radius, no L is kept, and a popped object is refined in place
 	// until its interval no longer straddles the radius, then reported or
-	// dropped. Its output is unsorted.
+	// dropped. Spec.Epsilon widens acceptance to δ⁺ ≤ (1+ε)·radius (reach).
+	// Its output is unsorted.
 	VariantRange
 )
 
@@ -349,15 +350,15 @@ func (e *engine) step() bool {
 	}
 
 	// Range: membership is all there is to certify, and nothing left in the
-	// queue bears on it, so refine in place until the interval falls on one
-	// side of the radius. A cancelled query decides on the interval it has.
+	// queue bears on it, so refine in place while the interval straddles the
+	// radius. A cancelled query decides on the interval it has.
 	if e.variant == VariantRange {
-		for straddles(st, e.maxDist) && e.qc.Err() == nil {
+		for e.straddles(st) && e.qc.Err() == nil {
 			st.refiner.Step()
 			e.stats.Refinements++
 			st.iv = st.refiner.Interval()
 		}
-		if st.iv.Hi <= e.maxDist || (st.refiner.Done() && st.iv.Lo <= e.maxDist) {
+		if st.iv.Lo <= e.maxDist && (st.iv.Hi <= e.reach() || st.refiner.Done()) {
 			e.report(st)
 		}
 		return true
@@ -449,7 +450,7 @@ func (e *engine) expand(n *pmr.Node) {
 			// straddles the radius: announce them as one batch.
 			dsts := e.hintDsts[:0]
 			for _, o := range n.Objects() {
-				if straddles(&e.states[o.ID], e.maxDist) {
+				if e.straddles(&e.states[o.ID]) {
 					dsts = append(dsts, o.Vertex)
 				}
 			}
@@ -699,10 +700,16 @@ func (e *engine) result() Result {
 	}
 }
 
-// straddles reports whether st's membership within radius is still undecided
-// and more refinement can decide it.
-func straddles(st *objState, radius float64) bool {
-	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done() && !st.refiner.OutOfRange()
+// reach is the range variant's acceptance bound on δ⁺: the radius, widened
+// to (1+ε)·radius under ε. An object is in once δ⁻ ≤ radius and
+// δ⁺ ≤ reach, and out once δ⁻ > radius, so the answer holds every object
+// within the radius and none beyond (1+ε)·radius.
+func (e *engine) reach() float64 { return (1 + e.eps) * e.maxDist }
+
+// straddles reports whether st's range membership is still undecided and
+// more refinement can decide it.
+func (e *engine) straddles(st *objState) bool {
+	return st.iv.Lo <= e.maxDist && st.iv.Hi > e.reach() && !st.refiner.Done() && !st.refiner.OutOfRange()
 }
 
 // topOf returns the object id at the root of L.

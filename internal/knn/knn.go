@@ -334,8 +334,9 @@ type Spec struct {
 	// Epsilon relaxes rank certification: a neighbor is reported as soon as
 	// its interval satisfies δ⁺ ≤ (1+ε)·δ⁻, which certifies its true
 	// distance within (1+ε)× of the true distance at that rank. 0 keeps the
-	// paper's exact-rank contract. The exact baselines (INE/IER) ignore it —
-	// exact answers satisfy every ε.
+	// paper's exact-rank contract. VariantRange reads it as a widened
+	// radius: accepted objects have δ⁺ ≤ (1+ε)·MaxDist. The exact baselines
+	// (INE/IER) ignore it — exact answers satisfy every ε.
 	Epsilon float64
 	// MaxDist bounds reported neighbors to network distance ≤ MaxDist — the
 	// hybrid kNN∩range query. +Inf disables it. Note that the zero value is

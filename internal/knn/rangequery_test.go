@@ -214,6 +214,12 @@ func rangeOracle(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q gra
 	return out
 }
 
+// straddles is the exact loop's membership test: st's interval contains
+// radius and more refinement can move it off.
+func straddles(st *objState, radius float64) bool {
+	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done() && !st.refiner.OutOfRange()
+}
+
 // sameRange reports the first way got differs from the oracle's answer:
 // the neighbours in order, bit for bit, the counters that say what the
 // search computed, and the error.
@@ -389,4 +395,66 @@ func TestRangeMatchesDeletedLoop(t *testing.T) {
 			reported, refined, outOfRange)
 	}
 	t.Logf("%d neighbours reported, %d refinements, %d out of the index's range dropped", reported, refined, outOfRange)
+}
+
+// TestEpsilonSavesRefinements measures ε = 0.1 against ε = 0 on the 48×48
+// road map (seed 1) with 5% of its vertices as objects. A range query at
+// the query's 10th-neighbour distance must spend at most half the
+// refinements per query, and a distance between random vertices must take
+// fewer refinement steps per pair.
+func TestEpsilonSavesRefinements(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 48, Cols: 48, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(g, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]graph.VertexID, n/20)
+	for i, v := range rng.Perm(n)[:len(vs)] {
+		vs[i] = graph.VertexID(v)
+	}
+	objs := NewObjects(g, vs)
+	queries := make([]graph.VertexID, 64)
+	radii := make([]float64, len(queries))
+	for i := range queries {
+		queries[i] = graph.VertexID(rng.Intn(n))
+		dist := sssp.Dijkstra(g, queries[i]).Dist
+		ds := make([]float64, len(vs))
+		for j, v := range vs {
+			ds[j] = dist[v]
+		}
+		slices.Sort(ds)
+		radii[i] = ds[9]
+	}
+	pairs := make([][2]graph.VertexID, 256)
+	for i := range pairs {
+		pairs[i] = [2]graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))}
+	}
+
+	var rangeRef, distSteps [2]float64
+	for i, eps := range []float64{0, 0.1} {
+		for j, q := range queries {
+			spec := Spec{K: objs.Len(), Variant: VariantRange, Epsilon: eps, MaxDist: radii[j]}
+			rangeRef[i] += float64(SearchSpec(ix, core.NewQueryContext(), objs, q, spec).Stats.Refinements)
+		}
+		for _, p := range pairs {
+			qc := core.NewQueryContext()
+			core.ApproxDistance(ix, qc, p[0], p[1], eps)
+			distSteps[i] += float64(qc.Span.Refinements)
+		}
+		rangeRef[i] /= float64(len(queries))
+		distSteps[i] /= float64(len(pairs))
+	}
+	t.Logf("range refinements per query: %.1f at ε=0, %.1f at ε=0.1", rangeRef[0], rangeRef[1])
+	t.Logf("distance steps per pair: %.1f at ε=0, %.1f at ε=0.1", distSteps[0], distSteps[1])
+	if rangeRef[1] > 0.5*rangeRef[0] {
+		t.Errorf("ε=0.1 range spent %.1f refinements per query, more than half of ε=0's %.1f", rangeRef[1], rangeRef[0])
+	}
+	if distSteps[1] >= distSteps[0] {
+		t.Errorf("ε=0.1 distance took %.1f steps per pair, ε=0 %.1f", distSteps[1], distSteps[0])
+	}
 }

@@ -5,7 +5,11 @@
 // ε-approximate network distance oracle built from path-coherent pairs —
 // the well-separated-pair construction sketched in the talk's "Path
 // Coherence Beyond SILC" section (the PCP framework of the authors'
-// follow-on work).
+// follow-on work). The pair oracle is kept only as the T1 table's
+// comparison row (internal/bench), the way INE and IER are kept as kNN
+// baselines: the library's ε-approximate distance is the engine's own
+// refiner stopped at δ⁺ ≤ (1+ε)·δ⁻ (core.ApproxDistance), which needs no
+// extra state.
 package oracle
 
 import (

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,15 +13,18 @@ import (
 	"testing"
 
 	"silc"
+	"silc/internal/graph"
+	"silc/internal/sssp"
 )
 
 // TestRouterServerMatchesStandalone is the multi-process cluster smoke
 // (scripts/cluster_smoke.sh) in one process: two node servers splitting a
 // four-cell sharded image, a router server over them, and a standalone
 // server over the same file. Router answers are byte-identical to the
-// standalone ones once per-query stats are dropped, a warm k=10 kNN stays
-// within the router's RPC budget, and every process exports the metric
-// families the smoke greps for.
+// standalone ones once per-query stats are dropped, ε = 0.1 distances and
+// ranges from both meet their (1+ε) certificates against Dijkstra, a warm
+// k=10 kNN stays within the router's RPC budget, and every process exports
+// the metric families the smoke greps for.
 func TestRouterServerMatchesStandalone(t *testing.T) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 40, Cols: 40, Seed: 11})
 	if err != nil {
@@ -108,6 +112,52 @@ func TestRouterServerMatchesStandalone(t *testing.T) {
 			want, got := canonical(t, get(monoTS, target)), canonical(t, get(routerTS, target))
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s: router answered\n%s\nstandalone\n%s", target, got, want)
+			}
+		}
+	}
+
+	// ε = 0.1 through the router and the standalone server alike: every
+	// /distance d satisfies d ≤ Dijkstra ≤ (1+ε)·d, and every /range answer
+	// at radius r holds every object within r and none beyond (1+ε)·r.
+	const eps = 0.1
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 40, Cols: 40, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []int{0, 97, 555, 1203, net.NumVertices() - 1} {
+		truth := sssp.Dijkstra(g, graph.VertexID(q)).Dist
+		for name, ts := range map[string]*httptest.Server{"router": routerTS, "standalone": monoTS} {
+			for dst := 0; dst < net.NumVertices(); dst += 61 {
+				var reply struct {
+					Distance float64 `json:"distance"`
+				}
+				if err := json.Unmarshal(get(ts, fmt.Sprintf("/distance?src=%d&dst=%d&eps=%g", q, dst, eps)), &reply); err != nil {
+					t.Fatal(err)
+				}
+				want := truth[dst]
+				if tol := 1e-6 * (1 + want); reply.Distance > want+tol || want > (1+eps)*reply.Distance+tol {
+					t.Errorf("%s: /distance %d→%d at ε=%g = %v, Dijkstra %v", name, q, dst, eps, reply.Distance, want)
+				}
+			}
+			for _, radius := range []float64{0, 0.2, 0.45} {
+				var reply struct {
+					Neighbors []struct {
+						Vertex int `json:"vertex"`
+					} `json:"neighbors"`
+				}
+				if err := json.Unmarshal(get(ts, fmt.Sprintf("/range?q=%d&radius=%g&eps=%g", q, radius, eps)), &reply); err != nil {
+					t.Fatal(err)
+				}
+				in := map[int]bool{}
+				for _, nb := range reply.Neighbors {
+					in[nb.Vertex] = true
+				}
+				for _, v := range objects {
+					d := truth[v]
+					if tol := 1e-6 * (1 + d); d <= radius-tol && !in[int(v)] || d > (1+eps)*radius+tol && in[int(v)] {
+						t.Errorf("%s: /range q=%d radius=%g ε=%g: object at vertex %d (distance %v) reported %v", name, q, radius, eps, v, d, in[int(v)])
+					}
+				}
 			}
 		}
 	}

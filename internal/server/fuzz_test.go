@@ -10,13 +10,14 @@ import (
 	"silc"
 )
 
-// FuzzServerRequest sends GET /knn query strings, POST /knn and POST
-// /objects bodies, and DELETE /objects query strings to the 8×8 grid server,
-// whose static set and (reset) live world both hold an object on every
-// vertex. No request may panic or answer 5xx; every 4xx carries a JSON
-// {"error": …}; every 200 kNN result starts at its echoed query vertex at
-// distance 0, and every 200 /objects reply names an id and a vertex the live
-// world agrees with.
+// FuzzServerRequest sends GET /knn, /distance and /range query strings,
+// POST /knn and POST /objects bodies, and DELETE /objects query strings to
+// the 8×8 grid server, whose static set and (reset) live world both hold an
+// object on every vertex. No request may panic or answer 5xx; every 4xx
+// carries a JSON {"error": …}; every 200 kNN result starts at its echoed
+// query vertex at distance 0, every 200 /distance and /range reply is JSON,
+// and every 200 /objects reply names an id and a vertex the live world
+// agrees with.
 func FuzzServerRequest(f *testing.F) {
 	f.Add(uint8(0), "q=5&k=3")
 	f.Add(uint8(0), "q=63&k=4&method=INN&eps=0.5&max_dist=0.3&exact=1&live=1")
@@ -26,6 +27,10 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(uint8(2), `{"id":3,"vertex":12}`)
 	f.Add(uint8(2), `{"x":0.25,"y":0.75}`)
 	f.Add(uint8(3), "id=5")
+	for _, eps := range []string{"0.1", "NaN", "-1", "%2BInf", "abc", "1e308"} {
+		f.Add(uint8(4), "src=3&dst=60&eps="+eps)
+		f.Add(uint8(5), "q=9&radius=0.3&exact=1&eps="+eps)
+	}
 
 	cfg := gridConfig(f)
 	n := cfg.Engine.Network().NumVertices()
@@ -44,7 +49,7 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		var req *http.Request
 		var err error
-		switch kind % 4 {
+		switch kind % 6 {
 		case 0:
 			req, err = http.NewRequest(http.MethodGet, "/knn?"+input, nil)
 		case 1:
@@ -53,6 +58,10 @@ func FuzzServerRequest(f *testing.F) {
 			req, err = http.NewRequest(http.MethodPost, "/objects", strings.NewReader(input))
 		case 3:
 			req, err = http.NewRequest(http.MethodDelete, "/objects?"+input, nil)
+		case 4:
+			req, err = http.NewRequest(http.MethodGet, "/distance?"+input, nil)
+		case 5:
+			req, err = http.NewRequest(http.MethodGet, "/range?"+input, nil)
 		}
 		if err != nil {
 			return // not a request a client could send
@@ -72,6 +81,10 @@ func FuzzServerRequest(f *testing.F) {
 			t.Fatalf("%s %s %q: status %d", req.Method, req.URL.Path, input, rec.Code)
 		case req.URL.Path == "/knn":
 			checkKNNReply(t, req.Method, input, body)
+		case req.URL.Path != "/objects":
+			if !json.Valid(body) {
+				t.Fatalf("%s %s %q: reply is not JSON: %s", req.Method, req.URL.Path, input, body)
+			}
 		default:
 			var reply struct {
 				ID     *int32 `json:"id"`

@@ -103,13 +103,11 @@ type knnRequest struct {
 // builds its query options. A max_dist of 0 means unbounded.
 func (s *Server) knnOptions(req *knnRequest) ([]silc.Option, error) {
 	method, err := silc.ParseMethod(req.Method)
-	switch {
+	switch err = cmp.Or(err, checkEps(req.Eps)); {
 	case req.K < 1 || req.K > s.MaxK:
 		return nil, badRequest("k must be in [1,%d]", s.MaxK)
 	case err != nil:
 		return nil, err
-	case math.IsNaN(req.Eps) || math.IsInf(req.Eps, 0) || req.Eps < 0:
-		return nil, badRequest("eps must be a finite non-negative number")
 	case math.IsNaN(req.MaxDist) || req.MaxDist < 0:
 		return nil, badRequest("max_dist must be a non-negative number")
 	}
@@ -124,6 +122,15 @@ func (s *Server) knnOptions(req *knnRequest) ([]silc.Option, error) {
 		opts = append(opts, silc.WithExactDistances())
 	}
 	return opts, nil
+}
+
+// checkEps is the eps check of every endpoint that takes eps: a finite
+// non-negative number, 0 (the default) for an exact query.
+func checkEps(eps float64) error {
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
+		return badRequest("eps must be a finite non-negative number")
+	}
+	return nil
 }
 
 // objects resolves the object set a query runs against: the static startup
@@ -189,11 +196,12 @@ func (s *Server) handleKNN(r *http.Request) (answer, error) {
 func (s *Server) handleDistance(r *http.Request) (answer, error) {
 	p := s.params(r)
 	body := &distanceReply{src: p.vertex("src"), dst: p.vertex("dst")}
-	if p.err != nil {
-		return answer{}, p.err
+	eps := p.float("eps", 0)
+	if err := cmp.Or(p.err, checkEps(eps)); err != nil {
+		return answer{}, err
 	}
 	var err error
-	if body.dist, err = s.Engine.Distance(r.Context(), body.src, body.dst, silc.WithStats(&body.stats)); err != nil {
+	if body.dist, err = s.Engine.Distance(r.Context(), body.src, body.dst, silc.WithStats(&body.stats), silc.WithEpsilon(eps)); err != nil {
 		return answer{}, err
 	}
 	return answered(body, &body.stats), nil
@@ -238,15 +246,18 @@ func (s *Server) handleRange(r *http.Request) (answer, error) {
 	if math.IsNaN(body.radius) || math.IsInf(body.radius, 0) || body.radius < 0 {
 		p.fail("parameter radius must be a finite non-negative number")
 	}
-	exact, live := p.flag("exact"), p.flag("live")
-	if p.err != nil {
-		return answer{}, p.err
+	eps, exact, live := p.float("eps", 0), p.flag("exact"), p.flag("live")
+	if err := cmp.Or(p.err, checkEps(eps)); err != nil {
+		return answer{}, err
 	}
 	objs, err := s.objects(live)
 	if err != nil {
 		return answer{}, err
 	}
 	var opts []silc.Option
+	if eps > 0 {
+		opts = append(opts, silc.WithEpsilon(eps))
+	}
 	if exact {
 		opts = append(opts, silc.WithExactDistances())
 	}

@@ -13,10 +13,13 @@
 //	                                 incrementally (NDJSON, one line per
 //	                                 neighbor) — the paper's distance
 //	                                 browsing over HTTP
-//	GET  /distance?src=U&dst=V       exact network distance
+//	GET  /distance?src=U&dst=V[&eps=E]
+//	                                 network distance, exact or, with eps,
+//	                                 its lower bound d with true ≤ (1+E)·d
 //	GET  /path?src=U&dst=V           exact shortest path
-//	GET  /range?q=V&radius=R[&exact=1]
-//	                                 objects within network distance R
+//	GET  /range?q=V&radius=R[&eps=E][&exact=1]
+//	                                 objects within network distance R;
+//	                                 eps admits objects up to (1+E)·R
 //
 // With a live object world (Config.Live, seeded by the caller) whose
 // mutations never touch the index, the server additionally answers:

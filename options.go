@@ -8,8 +8,10 @@ import (
 )
 
 // Option configures one query on an Engine: every Engine query entry point
-// accepts any combination, and each documents which options it honors (the
-// rest are ignored).
+// accepts any combination, and each documents which options it honors.
+// WithEpsilon means one thing on every call that refines a distance;
+// options a call has no use for (WithWorkers on a single query, say) leave
+// it as it is.
 type Option func(*queryOptions)
 
 // queryOptions is the resolved option set of one query.
@@ -81,14 +83,19 @@ func WithMethod(m Method) Option {
 	return func(o *queryOptions) { o.method = m }
 }
 
-// WithEpsilon relaxes rank certification to ε-approximate: a neighbor is
-// reported as soon as its distance interval satisfies δ⁺ ≤ (1+ε)·δ⁻, which
-// certifies its true network distance within a (1+ε) factor of the true
-// distance at that rank — and, since reported distances are interval lower
-// bounds, every reported distance d satisfies d ≤ true ≤ (1+ε)·d. Larger ε
-// means fewer progressive refinements. ε = 0 (the default) keeps the
-// paper's exact-rank contract. Honored by Query, QueryBatch, and Neighbors;
-// the exact INE/IER baselines ignore it.
+// WithEpsilon makes a query ε-approximate; ε = 0 (the default) keeps it
+// exact, and larger ε means fewer progressive refinements. Query,
+// QueryBatch, Neighbors, Distance and WithinDistance honor it:
+//   - Query, QueryBatch and Neighbors report a neighbor as soon as its
+//     distance interval satisfies δ⁺ ≤ (1+ε)·δ⁻, which certifies its true
+//     network distance within a (1+ε) factor of the true distance at that
+//     rank; the exact INE/IER baselines satisfy every ε as they are.
+//   - Distance refines until δ⁺ ≤ (1+ε)·δ⁻.
+//   - WithinDistance(radius) returns every object within radius and none
+//     beyond (1+ε)·radius.
+//
+// Reported distances are interval lower bounds, so every one of them, d,
+// satisfies d ≤ true ≤ (1+ε)·d.
 func WithEpsilon(eps float64) Option {
 	return func(o *queryOptions) { o.epsilon = eps }
 }

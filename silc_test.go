@@ -445,28 +445,6 @@ func TestOnDiskIOStats(t *testing.T) {
 	}
 }
 
-func TestDistanceOracleFacade(t *testing.T) {
-	net := testNetwork(t)
-	ix := testIndex(t, net)
-	o, err := BuildDistanceOracle(ix, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Epsilon() != 0.25 || o.NumPairs() == 0 || o.SizeBytes() == 0 {
-		t.Fatal("oracle metadata missing")
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		u := VertexID(rng.Intn(net.NumVertices()))
-		v := VertexID(rng.Intn(net.NumVertices()))
-		want := on(t, ix).dist(u, v)
-		got := o.Distance(u, v)
-		if math.Abs(got-want) > 0.25*want+1e-9 {
-			t.Fatalf("oracle error too large: %v vs %v", got, want)
-		}
-	}
-}
-
 func TestBuildIndexErrors(t *testing.T) {
 	if _, err := Build(nil, BuildOptions{}); err == nil {
 		t.Fatal("nil network accepted")
