@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 // approxFixture is one generator family instantiated small enough for
@@ -52,7 +53,7 @@ func TestEpsilonApproximationBound(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			net := fx.net
 			n := net.NumVertices()
-			truth := sssp.FloydWarshall(net.g)
+			truth := testkit.FloydWarshall(net.g)
 
 			rng := rand.New(rand.NewSource(9))
 			perm := rng.Perm(n)
@@ -157,7 +158,7 @@ func TestEpsilonApproximationBound(t *testing.T) {
 // surface, including that ε = 0 streams exact distances.
 func TestEpsilonNeighborsStream(t *testing.T) {
 	net, engines := engineFixtures(t)
-	truth := sssp.FloydWarshall(net.g)
+	truth := testkit.FloydWarshall(net.g)
 	rng := rand.New(rand.NewSource(5))
 	perm := rng.Perm(net.NumVertices())
 	vertices := make([]VertexID, 30)
@@ -202,7 +203,7 @@ func TestEpsilonNeighborsStream(t *testing.T) {
 // and none missing while closer eligible objects exist.
 func TestHybridMaxDistance(t *testing.T) {
 	net, engines := engineFixtures(t)
-	truth := sssp.FloydWarshall(net.g)
+	truth := testkit.FloydWarshall(net.g)
 	rng := rand.New(rand.NewSource(13))
 	perm := rng.Perm(net.NumVertices())
 	vertices := make([]VertexID, 40)

@@ -1,6 +1,7 @@
 // Package-level benchmarks of the public engine, the build and the paged
 // store: the build, paged kNN and distance per page variant, browsing,
-// batches, in-process kNN and range, live mutations, and two ablations.
+// batches, in-process kNN and range, live mutations, and the cache-size
+// ablation.
 // The paper's tables and figures have one renderer, cmd/experiments
 // (DESIGN.md §4); these benchmarks time what it does not, under the standard
 // Go tooling (`go test -run '^$' -bench . -benchmem`).
@@ -52,63 +53,6 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// coldIndex starts the shared environment's store cold for one benchmark:
-// the SILC database, or the network-only one the baselines run against.
-func coldIndex(b *testing.B, e *bench.Env, baseline bool) core.QueryIndex {
-	b.Helper()
-	open := e.Cold
-	if baseline {
-		open = e.ColdNetwork
-	}
-	ix, err := open()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ix
-}
-
-// benchWorkload is one pre-seeded (object set, query vertex) pair.
-type benchWorkload struct {
-	objs *knn.Objects
-	q    graph.VertexID
-}
-
-// benchWorkloads pre-generates n deterministic workloads so fixture
-// construction never runs inside a timed loop.
-func benchWorkloads(e *bench.Env, rng *rand.Rand, fraction float64, n int) []benchWorkload {
-	ws := make([]benchWorkload, n)
-	for i := range ws {
-		ws[i] = benchWorkload{objs: e.ObjectSet(fraction, rng), q: e.Query(rng)}
-	}
-	return ws
-}
-
-// sweepBench runs one (fraction, k) evaluation point for one algorithm,
-// reporting the figure metrics. Workloads are regenerated per iteration
-// exactly as in the paper's methodology.
-func sweepBench(b *testing.B, algo bench.Algorithm, fraction float64, k int) {
-	e := sharedEnv(b)
-	rng := rand.New(rand.NewSource(77))
-	queries := benchWorkloads(e, rng, fraction, 32)
-	ix := coldIndex(b, e, algo.Baseline)
-	var agg struct {
-		refinements, maxQueue, ioMisses float64
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := queries[i%len(queries)]
-		res := algo.Run(ix, w.objs, w.q, k)
-		agg.refinements += float64(res.Stats.Refinements)
-		agg.maxQueue += float64(res.Stats.MaxQueue)
-		agg.ioMisses += float64(res.Stats.IO.Misses)
-	}
-	n := float64(b.N)
-	b.ReportMetric(agg.refinements/n, "refinements/query")
-	b.ReportMetric(agg.maxQueue/n, "max-queue")
-	b.ReportMetric(agg.ioMisses/n, "page-misses/query")
-}
-
 // BenchmarkBuild measures the one-time precomputation on the benchmark's
 // 64×64 road map (seed 1) in two phases: build runs core.Build (one
 // Dijkstra and one shortest-path quadtree per vertex), encode writes the
@@ -144,19 +88,6 @@ func BenchmarkBuild(b *testing.B) {
 		}
 		b.SetBytes(int64(buf.Len()))
 	})
-}
-
-// BenchmarkAblationIERAStar quantifies how much of IER's cost is the
-// unguided per-candidate Dijkstra by swapping in A* (ablation; the paper
-// uses Dijkstra).
-func BenchmarkAblationIERAStar(b *testing.B) {
-	for _, algo := range []bench.Algorithm{
-		{Name: "IER-Dijkstra", Baseline: true, Run: knn.IER},
-		bench.IERAStarAlgorithm(),
-	} {
-		algo := algo
-		b.Run(algo.Name, func(b *testing.B) { sweepBench(b, algo, 0.05, 10) })
-	}
 }
 
 // BenchmarkAblationCacheSize sweeps the LRU pool fraction, showing the I/O
@@ -199,7 +130,7 @@ func BenchmarkAblationCacheSize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := knn.Search(ix, objs, queries[i%len(queries)], 10, knn.VariantKNN)
+				res := knn.SearchSpec(ix, nil, objs, queries[i%len(queries)], knn.UnboundedSpec(10, knn.VariantKNN))
 				misses += float64(res.Stats.IO.Misses)
 			}
 			b.ReportMetric(misses/float64(b.N), "page-misses/query")
@@ -217,11 +148,14 @@ func BenchmarkBrowser(b *testing.B) {
 	for i := range queries {
 		queries[i] = e.Query(rng)
 	}
-	ix := coldIndex(b, e, false)
+	ix, err := e.Cold()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		browser := knn.NewBrowser(ix, objs, queries[i%len(queries)])
+		browser := knn.NewBrowserSpec(ix, nil, objs, queries[i%len(queries)], knn.UnboundedSpec(0, knn.VariantINN))
 		for j := 0; j < 10; j++ {
 			if _, ok := browser.Next(); !ok {
 				break

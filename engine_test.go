@@ -1,10 +1,14 @@
 package silc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -120,4 +124,63 @@ func cellPairs(t *testing.T, eng *Engine) map[string][2]VertexID {
 		t.Fatalf("no pair of each kind: %v", out)
 	}
 	return out
+}
+
+// TestOpenValidatesCacheFraction opens a monolithic and a 2-cell image
+// through both openers: a NaN, infinite or negative cache fraction is an
+// error that names the value, 0 sizes the pool at 5% of the image's pages,
+// fractions in (0, 1] size it as before, and a larger one holds the whole
+// image and no more.
+func TestOpenValidatesCacheFraction(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 10, Cols: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{1, 2} {
+		built, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ix.silcpg")
+		if _, err := built.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openers := map[string]func(BuildOptions) (*Engine, error){
+			"OpenEngine": func(o BuildOptions) (*Engine, error) { return OpenEngine(path, nil, o) },
+			"OpenEngineAt": func(o BuildOptions) (*Engine, error) {
+				return OpenEngineAt(bytes.NewReader(img), int64(len(img)), nil, o)
+			},
+		}
+		for name, open := range openers {
+			tag := fmt.Sprintf("P=%d/%s", parts, name)
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+				eng, err := open(BuildOptions{CacheFraction: bad})
+				if err == nil {
+					eng.Close()
+					t.Fatalf("%s: cache fraction %v accepted", tag, bad)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+					t.Fatalf("%s: cache fraction %v: error %q does not name the value", tag, bad, err)
+				}
+			}
+			for _, c := range []struct{ fraction, share float64 }{
+				{0, 0.05}, {0.05, 0.05}, {0.3, 0.3}, {1, 1}, {10000, 1},
+			} {
+				eng, err := open(BuildOptions{CacheFraction: c.fraction})
+				if err != nil {
+					t.Fatalf("%s: cache fraction %v: %v", tag, c.fraction, err)
+				}
+				total := eng.qx.Tracker().TotalPages()
+				want := max(int(float64(total)*c.share), 1)
+				if got := eng.pager.Pool().Capacity(); got != want {
+					t.Errorf("%s: cache fraction %v: pool of %d pages, want %d of %d", tag, c.fraction, got, want, total)
+				}
+				eng.Close()
+			}
+		}
+	}
 }

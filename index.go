@@ -30,8 +30,9 @@ type BuildOptions struct {
 	// CacheFraction sizes the LRU buffer pool of an opened image as a
 	// fraction of its total pages (default 0.05, the paper's setting); a
 	// sharded image shares one pool across every cell, so the fraction is
-	// of the whole database. At 1 the pool holds as many pages as the image
-	// has, which serves it resident. Open-time only: in-RAM indexes have no
+	// of the whole database. At 1 or above the pool holds as many pages as
+	// the image has, which serves it resident. NaN, infinite and negative
+	// fractions make the open fail. Open-time only: in-RAM indexes have no
 	// pool.
 	CacheFraction float64
 	// ProximityRadius, when positive, bounds each vertex's quadtree to the

@@ -234,21 +234,6 @@ func Algorithms() []Algorithm {
 	return algos
 }
 
-// IERAStarAlgorithm is the ablation variant of IER using A* instead of the
-// paper's per-candidate Dijkstra.
-func IERAStarAlgorithm() Algorithm {
-	qc := core.NewQueryContext()
-	return Algorithm{Name: "IER-A*", Baseline: true, Run: func(ix core.QueryIndex, o *knn.Objects, q graph.VertexID, k int) knn.Result {
-		qc.ResetForReuse(nil)
-		return knn.IERAStarSpec(ix, qc, o, q, knn.UnboundedSpec(k, knn.VariantKNN))
-	}}
-}
-
-// SILCVariants returns only the SILC-driven family.
-func SILCVariants() []Algorithm {
-	return Algorithms()[2:]
-}
-
 // Agg aggregates query statistics for one algorithm at one sweep point.
 // All means are per query.
 type Agg struct {

@@ -90,7 +90,7 @@ func (e *Env) DijkstraVsSILC(queries int, seed int64) ([]VisitRow, VisitSummary)
 		}
 		dij := sssp.ShortestPath(e.G, s, d)
 		ast := sssp.AStar(e.G, s, d)
-		path := e.Ix.Path(s, d)
+		path := e.Ix.PathCtx(nil, s, d)
 		row := VisitRow{
 			PathHops:        len(path) - 1,
 			DijkstraSettled: dij.Settled,
@@ -214,12 +214,12 @@ func StorageModels(rows, cols int, seed int64, eps float64, queries int) ([]Mode
 		Model: "SILC", Bytes: ix.Stats().TotalBytes, BuildTime: buildSILC,
 		DistQuery: timeIt(func() {
 			for _, p := range pairs {
-				ix.Distance(p.s, p.d)
+				ix.DistanceCtx(nil, p.s, p.d)
 			}
 		}),
 		PathQuery: timeIt(func() {
 			for _, p := range pairs {
-				ix.Path(p.s, p.d)
+				ix.PathCtx(nil, p.s, p.d)
 			}
 		}),
 		Note: "O(n^1.5) space, O(k log n) query",

@@ -9,6 +9,7 @@ import (
 	"silc/internal/graph"
 	"silc/internal/quadtree"
 	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 // referenceTree is the per-source loop Build ran before its rank-space
@@ -25,7 +26,7 @@ func referenceTree(g *graph.Network, qb *quadtree.Builder, ws *sssp.Workspace, s
 		case opts.ProximityRadius > 0 && d > opts.ProximityRadius, math.IsInf(d, 1):
 			colors[i] = quadtree.OutOfRange
 		default:
-			colors[i] = int32(g.NeighborIndex(source, tree.FirstHop[v]))
+			colors[i] = int32(testkit.NeighborIndex(g, source, tree.FirstHop[v]))
 			ratios[i] = d / g.Euclid(source, v)
 		}
 	}
@@ -84,7 +85,7 @@ func TestBuildMatchesDeletedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := graph.GenerateRandomConnected(60, 60, 0.5, 1)
+	random, err := testkit.GenerateRandomConnected(60, 60, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 func buildProximal(t *testing.T, g *graph.Network, radius float64) *Index {
@@ -38,35 +39,35 @@ func TestProximalQueriesMatchUnboundedInRange(t *testing.T) {
 			}
 			if d <= radius {
 				inRange++
-				if got := prox.Distance(ss, vv); math.Abs(got-d) > 1e-9 {
+				if got := prox.DistanceCtx(nil, ss, vv); math.Abs(got-d) > 1e-9 {
 					t.Fatalf("in-range Distance(%d,%d)=%v want %v", s, v, got, d)
 				}
-				a, b := full.DistanceInterval(ss, vv), prox.DistanceInterval(ss, vv)
+				a, b := full.DistanceIntervalCtx(nil, ss, vv), prox.DistanceIntervalCtx(nil, ss, vv)
 				// Proximal blocks may be finer (split around range borders),
 				// so the interval can be tighter but must stay valid.
 				if b.Lo > d+1e-9 || b.Hi < d-1e-9 {
 					t.Fatalf("proximal interval [%v,%v] misses %v (full: %+v)", b.Lo, b.Hi, d, a)
 				}
-				path := prox.Path(ss, vv)
-				if path == nil || math.Abs(sssp.PathWeight(g, path)-d) > 1e-9 {
+				path := prox.PathCtx(nil, ss, vv)
+				if path == nil || math.Abs(testkit.PathWeight(g, path)-d) > 1e-9 {
 					t.Fatalf("in-range Path(%d,%d) wrong", s, v)
 				}
 			} else {
 				outRange++
-				iv := prox.DistanceInterval(ss, vv)
+				iv := prox.DistanceIntervalCtx(nil, ss, vv)
 				if iv.Lo != radius || !math.IsInf(iv.Hi, 1) {
 					t.Fatalf("out-of-range interval = %+v", iv)
 				}
-				if !math.IsInf(prox.Distance(ss, vv), 1) {
+				if !math.IsInf(prox.DistanceCtx(nil, ss, vv), 1) {
 					t.Fatalf("out-of-range Distance finite")
 				}
-				if prox.Path(ss, vv) != nil {
+				if prox.PathCtx(nil, ss, vv) != nil {
 					t.Fatalf("out-of-range Path not nil")
 				}
-				if prox.NextHop(ss, vv) != graph.NoVertex {
+				if prox.NextHopCtx(nil, ss, vv) != graph.NoVertex {
 					t.Fatalf("out-of-range NextHop not NoVertex")
 				}
-				r := prox.NewRefiner(ss, vv)
+				r := prox.NewRefinerCtx(nil, ss, vv)
 				if !r.OutOfRange() || r.Step() {
 					t.Fatal("out-of-range refiner should be stuck")
 				}
@@ -107,10 +108,10 @@ func TestProximalAcceptsDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Distance(u, v); math.Abs(got-0.06) > 1e-12 {
+	if got := ix.DistanceCtx(nil, u, v); math.Abs(got-0.06) > 1e-12 {
 		t.Fatalf("island-internal distance = %v", got)
 	}
-	if !math.IsInf(ix.Distance(u, w), 1) {
+	if !math.IsInf(ix.DistanceCtx(nil, u, w), 1) {
 		t.Fatal("cross-island distance should be +Inf")
 	}
 }
@@ -128,8 +129,8 @@ func TestProximalSerializationPreservesRadius(t *testing.T) {
 	// Out-of-range behavior must survive the round trip.
 	for s := 0; s < g.NumVertices(); s += 7 {
 		for v := 0; v < g.NumVertices(); v += 5 {
-			a := prox.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
-			b := back.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
+			a := prox.DistanceIntervalCtx(nil, graph.VertexID(s), graph.VertexID(v))
+			b := back.DistanceIntervalCtx(nil, graph.VertexID(s), graph.VertexID(v))
 			if a != b {
 				t.Fatalf("interval differs after reload for (%d,%d)", s, v)
 			}

@@ -89,13 +89,6 @@ func (ix *Index) Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefin
 	return ix.NewRefinerCtx(qc, src, dst)
 }
 
-// RegionLowerBoundCtx implements QueryIndex. On a memory-resident index the
-// walk touches no paged blocks; a disk-backed index walks the tree of q that
-// qc holds, decoded by the query's first bound from q (sourceTree).
-func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
-	return ix.regionLowerBound(qc, q, cell)
-}
-
 // ExactDistance fully refines (src, dst) on any QueryIndex and returns the
 // exact network distance (+Inf when dst is out of range or unreachable).
 // When qc carries a cancelled context the loop stops early and the current

@@ -8,6 +8,7 @@ import (
 
 	"silc/internal/graph"
 	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 // Property-based tests (testing/quick) over randomly generated networks:
@@ -21,7 +22,7 @@ func quickNet(seedRaw int64, sizeRaw uint8, lattice bool) (*graph.Network, error
 		return graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: rows, Cols: cols, Seed: seedRaw})
 	}
 	n := 10 + int(sizeRaw%50)
-	return graph.GenerateRandomConnected(n, n/2, 0.5, seedRaw)
+	return testkit.GenerateRandomConnected(n, n/2, 0.5, seedRaw)
 }
 
 func TestQuickIntervalContainment(t *testing.T) {
@@ -38,7 +39,7 @@ func TestQuickIntervalContainment(t *testing.T) {
 		src := graph.VertexID(rng.Intn(g.NumVertices()))
 		tree := sssp.Dijkstra(g, src)
 		for v := 0; v < g.NumVertices(); v++ {
-			iv := ix.DistanceInterval(src, graph.VertexID(v))
+			iv := ix.DistanceIntervalCtx(nil, src, graph.VertexID(v))
 			d := tree.Dist[v]
 			if src == graph.VertexID(v) {
 				d = 0
@@ -72,7 +73,7 @@ func TestQuickRefinementNeverWidensAndConverges(t *testing.T) {
 			if s == d {
 				want = 0
 			}
-			r := ix.NewRefiner(s, d)
+			r := ix.NewRefinerCtx(nil, s, d)
 			prev := r.Interval()
 			steps := 0
 			for !r.Done() {
@@ -111,7 +112,7 @@ func TestQuickPathOptimality(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			s := graph.VertexID(rng.Intn(g.NumVertices()))
 			d := graph.VertexID(rng.Intn(g.NumVertices()))
-			path := ix.Path(s, d)
+			path := ix.PathCtx(nil, s, d)
 			if path[0] != s || path[len(path)-1] != d {
 				return false
 			}
@@ -119,7 +120,7 @@ func TestQuickPathOptimality(t *testing.T) {
 				continue
 			}
 			want := sssp.ShortestPath(g, s, d).Dist
-			if math.Abs(sssp.PathWeight(g, path)-want) > 1e-9 {
+			if math.Abs(testkit.PathWeight(g, path)-want) > 1e-9 {
 				return false
 			}
 		}
@@ -145,7 +146,7 @@ func TestQuickSerializationIdentity(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			u := graph.VertexID(rng.Intn(g.NumVertices()))
 			v := graph.VertexID(rng.Intn(g.NumVertices()))
-			if ix.DistanceInterval(u, v) != back.DistanceInterval(u, v) {
+			if ix.DistanceIntervalCtx(nil, u, v) != back.DistanceIntervalCtx(nil, u, v) {
 				return false
 			}
 		}

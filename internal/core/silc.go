@@ -35,10 +35,6 @@ type Interval struct {
 // floating-point noise).
 func (iv Interval) Exact() bool { return iv.Hi-iv.Lo <= exactEps*(1+iv.Hi) }
 
-// Intersects reports whether two intervals overlap — the paper's "collision"
-// test between candidate neighbors.
-func (iv Interval) Intersects(o Interval) bool { return iv.Lo <= o.Hi && o.Lo <= iv.Hi }
-
 // intersect tightens iv by o; both must contain the true value, so the
 // intersection is non-empty up to floating-point noise, which is clamped.
 func (iv Interval) intersect(o Interval) Interval {
@@ -391,13 +387,8 @@ func (ix *Index) pagedLookup(qc *QueryContext, u, dst graph.VertexID) (quadtree.
 	return b, ok
 }
 
-// DistanceInterval returns the zero-refinement network-distance interval
-// between u and v: one block lookup in u's quadtree.
-func (ix *Index) DistanceInterval(u, v graph.VertexID) Interval {
-	return ix.DistanceIntervalCtx(nil, u, v)
-}
-
-// DistanceIntervalCtx is DistanceInterval with per-query I/O attribution.
+// DistanceIntervalCtx returns the zero-refinement network-distance interval
+// between u and v: one block lookup in u's quadtree, charged to qc.
 func (ix *Index) DistanceIntervalCtx(qc *QueryContext, u, v graph.VertexID) Interval {
 	if u == v {
 		return Interval{}
@@ -429,13 +420,9 @@ func (ix *Index) missInterval(u, v graph.VertexID) Interval {
 	panic(fmt.Sprintf("core: vertex %d not covered by quadtree of %d", v, u))
 }
 
-// NextHop returns the first vertex after u on the shortest path u→v.
-// It returns graph.NoVertex when v lies beyond the proximity radius.
-func (ix *Index) NextHop(u, v graph.VertexID) graph.VertexID {
-	return ix.NextHopCtx(nil, u, v)
-}
-
-// NextHopCtx is NextHop with per-query I/O attribution.
+// NextHopCtx returns the first vertex after u on the shortest path u→v,
+// charging the lookup to qc. It returns graph.NoVertex when v lies beyond
+// the proximity radius.
 func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexID {
 	if u == v {
 		return v
@@ -451,14 +438,10 @@ func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexI
 	return targets[b.Color]
 }
 
-// Path retrieves the exact shortest path from u to v (inclusive), one block
-// lookup per hop — the paper's "entire shortest path in size-of-path steps".
-// It returns nil when v lies beyond the proximity radius.
-func (ix *Index) Path(u, v graph.VertexID) []graph.VertexID {
-	return ix.PathCtx(nil, u, v)
-}
-
-// PathCtx is Path with per-query I/O attribution.
+// PathCtx retrieves the exact shortest path from u to v (inclusive), one
+// block lookup per hop — the paper's "entire shortest path in size-of-path
+// steps" — charging every lookup to qc. It returns nil when v lies beyond
+// the proximity radius.
 func (ix *Index) PathCtx(qc *QueryContext, u, v graph.VertexID) []graph.VertexID {
 	path := []graph.VertexID{u}
 	for cur := u; cur != v; {
@@ -471,36 +454,20 @@ func (ix *Index) PathCtx(qc *QueryContext, u, v graph.VertexID) []graph.VertexID
 	return path
 }
 
-// Distance fully refines and returns the exact network distance.
-// It returns +Inf when v lies beyond the proximity radius.
-func (ix *Index) Distance(u, v graph.VertexID) float64 {
-	return ix.DistanceCtx(nil, u, v)
-}
-
-// DistanceCtx is Distance with per-query I/O attribution.
+// DistanceCtx fully refines (u, v) through ExactDistance and returns the
+// exact network distance, +Inf when v lies beyond the proximity radius.
 func (ix *Index) DistanceCtx(qc *QueryContext, u, v graph.VertexID) float64 {
-	r := ix.NewRefinerCtx(qc, u, v)
-	for !r.Done() {
-		if !r.Step() {
-			break
-		}
-	}
-	if r.OutOfRange() {
-		return math.Inf(1)
-	}
-	return r.Interval().Lo
+	return ExactDistance(ix, qc, u, v)
 }
 
-// RegionLowerBound returns a lower bound on the network distance from q to
-// any vertex whose Morton code lies in cell, using q's quadtree only (no
+// RegionLowerBoundCtx returns a lower bound on the network distance from q
+// to any vertex whose Morton code lies in cell, using q's quadtree only (no
 // graph access). This is the DISTANCE_INTERVAL(object, Region) primitive the
 // kNN algorithm applies to blocks of the object index — every one of which
-// is a quadtree cell.
-func (ix *Index) RegionLowerBound(q graph.VertexID, cell geom.Cell) float64 {
-	return ix.regionLowerBound(nil, q, cell)
-}
-
-func (ix *Index) regionLowerBound(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+// is a quadtree cell. On a memory-resident index the walk touches no paged
+// blocks; a disk-backed index walks the tree of q that qc holds, decoded by
+// the query's first bound from q (sourceTree).
+func (ix *Index) RegionLowerBoundCtx(qc *QueryContext, q graph.VertexID, cell geom.Cell) float64 {
 	// The source lies in no block of its own quadtree, so the tree cannot
 	// tell that q itself is in the cell.
 	if cell.ContainsCode(ix.g.Code(q)) {
@@ -557,16 +524,11 @@ type Refiner struct {
 	failed     bool // storage failure recorded on qc; no further stepping
 }
 
-// NewRefiner computes the zero-refinement interval and returns the
-// refinement cursor for the pair.
-func (ix *Index) NewRefiner(src, dst graph.VertexID) *Refiner {
-	return ix.NewRefinerCtx(nil, src, dst)
-}
-
-// NewRefinerCtx is NewRefiner with per-query I/O attribution: every block
-// lookup the cursor performs is charged to qc. With a non-nil qc the cursor
-// comes from the context's refiner slab and stays valid until the context is
-// recycled (ResetForReuse); context-free callers get a heap allocation.
+// NewRefinerCtx computes the zero-refinement interval and returns the
+// refinement cursor for the pair. Every block lookup the cursor performs is
+// charged to qc (nil = untracked). With a non-nil qc the cursor comes from
+// the context's refiner slab and stays valid until the context is recycled
+// (ResetForReuse); context-free callers get a heap allocation.
 func (ix *Index) NewRefinerCtx(qc *QueryContext, src, dst graph.VertexID) *Refiner {
 	var r *Refiner
 	if qc != nil {

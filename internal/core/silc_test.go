@@ -10,6 +10,7 @@ import (
 	"silc/internal/graph"
 	"silc/internal/sssp"
 	"silc/internal/store"
+	"silc/internal/testkit"
 )
 
 func buildIndex(t testing.TB, g *graph.Network) *Index {
@@ -52,7 +53,7 @@ func TestIntervalContainsTrueDistanceAllPairs(t *testing.T) {
 	for s := 0; s < g.NumVertices(); s++ {
 		tree := sssp.Dijkstra(g, graph.VertexID(s))
 		for v := 0; v < g.NumVertices(); v++ {
-			iv := ix.DistanceInterval(graph.VertexID(s), graph.VertexID(v))
+			iv := ix.DistanceIntervalCtx(nil, graph.VertexID(s), graph.VertexID(v))
 			d := tree.Dist[v]
 			if s == v {
 				if iv.Lo != 0 || iv.Hi != 0 {
@@ -76,7 +77,7 @@ func TestRefinementMonotoneAndConvergesToExact(t *testing.T) {
 	for _, pair := range testPairs(g, 120, 3) {
 		s, d := pair[0], pair[1]
 		truth := sssp.ShortestPath(g, s, d)
-		r := ix.NewRefiner(s, d)
+		r := ix.NewRefinerCtx(nil, s, d)
 		prev := r.Interval()
 		if s == d {
 			if !r.Done() {
@@ -122,7 +123,7 @@ func TestViaExposesExactPrefix(t *testing.T) {
 		if s == d {
 			continue
 		}
-		r := ix.NewRefiner(s, d)
+		r := ix.NewRefinerCtx(nil, s, d)
 		for !r.Done() {
 			r.Step()
 			via, acc := r.Via()
@@ -144,7 +145,7 @@ func TestDistanceMatchesDijkstra(t *testing.T) {
 		if s == d {
 			want = 0
 		}
-		if got := ix.Distance(s, d); math.Abs(got-want) > 1e-9 {
+		if got := ix.DistanceCtx(nil, s, d); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("Distance(%d,%d)=%v want %v", s, d, got, want)
 		}
 	}
@@ -155,7 +156,7 @@ func TestPathIsShortestAndValid(t *testing.T) {
 	ix := buildIndex(t, g)
 	for _, pair := range testPairs(g, 100, 13) {
 		s, d := pair[0], pair[1]
-		path := ix.Path(s, d)
+		path := ix.PathCtx(nil, s, d)
 		if path[0] != s || path[len(path)-1] != d {
 			t.Fatalf("path endpoints %v", path)
 		}
@@ -166,7 +167,7 @@ func TestPathIsShortestAndValid(t *testing.T) {
 			}
 			continue
 		}
-		got := sssp.PathWeight(g, path)
+		got := testkit.PathWeight(g, path)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("path weight %v want %v", got, want)
 		}
@@ -179,12 +180,12 @@ func TestNextHopAgreesWithSomeShortestPath(t *testing.T) {
 	for _, pair := range testPairs(g, 80, 17) {
 		s, d := pair[0], pair[1]
 		if s == d {
-			if ix.NextHop(s, d) != d {
+			if ix.NextHopCtx(nil, s, d) != d {
 				t.Fatal("NextHop(self) != self")
 			}
 			continue
 		}
-		hop := ix.NextHop(s, d)
+		hop := ix.NextHopCtx(nil, s, d)
 		w, ok := g.EdgeWeight(s, hop)
 		if !ok {
 			t.Fatalf("NextHop %d not adjacent to %d", hop, s)
@@ -260,8 +261,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			serial.Stats().TotalBlocks, parallel.Stats().TotalBlocks)
 	}
 	for _, pair := range testPairs(g, 50, 23) {
-		a := serial.DistanceInterval(pair[0], pair[1])
-		b := parallel.DistanceInterval(pair[0], pair[1])
+		a := serial.DistanceIntervalCtx(nil, pair[0], pair[1])
+		b := parallel.DistanceIntervalCtx(nil, pair[0], pair[1])
 		if a != b {
 			t.Fatalf("intervals differ for %v: %+v vs %+v", pair, a, b)
 		}
@@ -317,11 +318,11 @@ func checkRegionBounds(t *testing.T, name string, ix *Index, radius float64) {
 			for l := uint8(0); l <= geom.MaxLevel; l++ {
 				span := geom.Code(geom.Span(l))
 				cell := geom.Cell{Code: code / span * span, Level: l}
-				got := ix.RegionLowerBound(q, cell)
+				got := ix.RegionLowerBoundCtx(nil, q, cell)
 				if want := scanRegionBound(t, ix, q, cell); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s q=%d %v: bound %v, scan %v", name, q, cell, got, want)
 				}
-				if pg := paged.RegionLowerBound(q, cell); math.Float64bits(pg) != math.Float64bits(got) {
+				if pg := paged.RegionLowerBoundCtx(nil, q, cell); math.Float64bits(pg) != math.Float64bits(got) {
 					t.Fatalf("%s q=%d %v: paged bound %v, in RAM %v", name, q, cell, pg, got)
 				}
 				for v := 0; v < n; v++ {
@@ -427,7 +428,7 @@ func TestPagedIndexTracksIO(t *testing.T) {
 		t.Fatalf("pool capacity %d, want 5%% of %d pages = %d", got, tr.TotalPages(), want)
 	}
 	before := tr.Stats().Accesses()
-	if got, want := ix.Distance(0, graph.VertexID(g.NumVertices()-1)), mem.Distance(0, graph.VertexID(g.NumVertices()-1)); got != want {
+	if got, want := ix.DistanceCtx(nil, 0, graph.VertexID(g.NumVertices()-1)), mem.DistanceCtx(nil, 0, graph.VertexID(g.NumVertices()-1)); got != want {
 		t.Fatalf("paged distance %v, in-RAM %v", got, want)
 	}
 	after := tr.Stats().Accesses()
@@ -461,7 +462,7 @@ func TestSourceTreeKeyedByIndex(t *testing.T) {
 			for i, mem := range mems {
 				for code := uint64(0); code < geom.Span(0); code += geom.Span(level) {
 					cell := geom.Cell{Code: geom.Code(code), Level: level}
-					if got, want := held[i].RegionLowerBoundCtx(qc, q, cell), mem.RegionLowerBound(q, cell); got != want {
+					if got, want := held[i].RegionLowerBoundCtx(qc, q, cell), mem.RegionLowerBoundCtx(nil, q, cell); got != want {
 						t.Fatalf("index %d round %d cell %v: bound %v, in-RAM %v", i, round, cell, got, want)
 					}
 					fresh[i].RegionLowerBoundCtx(NewQueryContext(), q, cell)
@@ -483,13 +484,6 @@ func TestSourceTreeKeyedByIndex(t *testing.T) {
 func TestIntervalHelpers(t *testing.T) {
 	a := Interval{Lo: 1, Hi: 3}
 	b := Interval{Lo: 2.5, Hi: 4}
-	c := Interval{Lo: 3.5, Hi: 5}
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Fatal("a,b should collide")
-	}
-	if a.Intersects(c) {
-		t.Fatal("a,c should not collide")
-	}
 	if (Interval{Lo: 2, Hi: 2}).Exact() != true {
 		t.Fatal("point interval should be exact")
 	}
@@ -511,12 +505,12 @@ func TestRandomTopologies(t *testing.T) {
 	// SILC must stay correct on non-planar random graphs (compression is
 	// what degrades, not correctness).
 	for seed := int64(0); seed < 3; seed++ {
-		g, err := graph.GenerateRandomConnected(60, 60, 0.5, seed)
+		g, err := testkit.GenerateRandomConnected(60, 60, 0.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix := buildIndex(t, g)
-		oracle := sssp.FloydWarshall(g)
+		oracle := testkit.FloydWarshall(g)
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 60; trial++ {
 			s := graph.VertexID(rng.Intn(g.NumVertices()))
@@ -525,7 +519,7 @@ func TestRandomTopologies(t *testing.T) {
 			if s == d {
 				want = 0
 			}
-			if got := ix.Distance(s, d); math.Abs(got-want) > 1e-9 {
+			if got := ix.DistanceCtx(nil, s, d); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("seed %d: Distance(%d,%d)=%v want %v", seed, s, d, got, want)
 			}
 		}

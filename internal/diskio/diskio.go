@@ -13,7 +13,6 @@
 package diskio
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -482,11 +481,6 @@ func NewLayout(entryCounts []int, entrySize, pageSize int) *Layout {
 	return &Layout{base: base, firstPage: first, entriesPerPage: epp}
 }
 
-// Page returns the page holding entry entryIdx of owner v.
-func (l *Layout) Page(v int, entryIdx int) PageID {
-	return PageID((l.base[v] + int64(entryIdx)) / int64(l.entriesPerPage))
-}
-
 // EntryRange returns the dense entry index range [lo, hi) of owner v.
 func (l *Layout) EntryRange(v int) (lo, hi int64) { return l.base[v], l.base[v+1] }
 
@@ -507,24 +501,6 @@ func (l *Layout) FirstPage(v int) (PageID, bool) {
 		return 0, false
 	}
 	return l.firstPage[v], true
-}
-
-// OwnerRange inverts Page: it returns the owner index range [lo, hi) whose
-// entries overlap the given page (empty when the page is past the layout).
-// Entries pack densely, so a page boundary can split an owner's run and one
-// page can hold runs of many owners.
-func (l *Layout) OwnerRange(page PageID) (lo, hi int) {
-	owners := len(l.base) - 1
-	first := int64(page) * int64(l.entriesPerPage)
-	last := first + int64(l.entriesPerPage) // one past the page's entries
-	// lo: first owner whose run ends after the page starts.
-	lo = sort.Search(owners, func(v int) bool { return l.base[v+1] > first })
-	// hi: first owner whose run starts at or past the page's end.
-	hi = sort.Search(owners, func(v int) bool { return l.base[v] >= last })
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }
 
 // TotalPages returns the number of pages the layout occupies.

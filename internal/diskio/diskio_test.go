@@ -94,16 +94,16 @@ func TestLayoutPaging(t *testing.T) {
 	if l.TotalPages() != 2 {
 		t.Fatalf("TotalPages = %d", l.TotalPages())
 	}
-	if got := l.Page(0, 0); got != 0 {
-		t.Fatalf("Page(0,0) = %d", got)
+	if lo, hi := l.EntryRange(2); lo != 10 || hi != 310 {
+		t.Fatalf("EntryRange(2) = [%d,%d)", lo, hi)
 	}
-	if got := l.Page(2, 0); got != 0 { // entry 10 of the global array
-		t.Fatalf("Page(2,0) = %d", got)
+	first, last, ok := l.OwnerPages(0)
+	if !ok || first != 0 || last != 0 {
+		t.Fatalf("OwnerPages(0) = %d,%d,%v", first, last, ok)
 	}
-	if got := l.Page(2, 250); got != 1 { // entry 260 crosses into page 1
-		t.Fatalf("Page(2,250) = %d", got)
-	}
-	first, last, ok := l.OwnerPages(2)
+	// Owner 2 starts at entry 10 of the global array on page 0; its entry
+	// 250 is global entry 260, on page 1.
+	first, last, ok = l.OwnerPages(2)
 	if !ok || first != 0 || last != 1 {
 		t.Fatalf("OwnerPages(2) = %d,%d,%v", first, last, ok)
 	}
@@ -147,13 +147,6 @@ func TestByteLayoutMatchesEntryLayout(t *testing.T) {
 				bf, bl, bok := bytes.OwnerPages(v)
 				if ef != bf || el != bl || eok != bok {
 					t.Fatalf("page size %d, counts %v: OwnerPages(%d) = %d,%d,%v by entries, %d,%d,%v by bytes", ps, counts, v, ef, el, eok, bf, bl, bok)
-				}
-			}
-			for p := PageID(0); p <= PageID(entries.TotalPages()); p++ {
-				elo, ehi := entries.OwnerRange(p)
-				blo, bhi := bytes.OwnerRange(p)
-				if elo != blo || ehi != bhi {
-					t.Fatalf("page size %d, counts %v: OwnerRange(%d) = [%d,%d) by entries, [%d,%d) by bytes", ps, counts, p, elo, ehi, blo, bhi)
 				}
 			}
 		}

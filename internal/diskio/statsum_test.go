@@ -93,33 +93,3 @@ func TestTrackerPerQuerySum(t *testing.T) {
 		t.Fatalf("per-query sum %+v != tracker aggregates %+v", sum, agg)
 	}
 }
-
-// TestOwnerRangeInvertsPage cross-checks Layout.OwnerRange against the
-// forward Page map on an irregular layout.
-func TestOwnerRangeInvertsPage(t *testing.T) {
-	counts := []int{0, 3, 700, 1, 0, 256, 255, 257, 0, 12}
-	l := NewLayout(counts, 16, 4096)
-	for p := PageID(0); p < PageID(l.TotalPages()); p++ {
-		lo, hi := l.OwnerRange(p)
-		for v := range counts {
-			overlaps := false
-			for e := 0; e < counts[v]; e++ {
-				if l.Page(v, e) == p {
-					overlaps = true
-					break
-				}
-			}
-			inRange := v >= lo && v < hi
-			if overlaps && !inRange {
-				t.Fatalf("page %d: owner %d overlaps but OwnerRange [%d,%d) misses it", p, v, lo, hi)
-			}
-			if !overlaps && inRange && counts[v] > 0 {
-				t.Fatalf("page %d: owner %d in OwnerRange [%d,%d) but has no entry there", p, v, lo, hi)
-			}
-		}
-	}
-	// Past-the-end page must be empty.
-	if lo, hi := l.OwnerRange(PageID(l.TotalPages()) + 5); lo != hi {
-		t.Fatalf("past-end page returned non-empty owner range [%d,%d)", lo, hi)
-	}
-}

@@ -229,38 +229,3 @@ func GenerateRingRadial(rings, spokes int, seed int64) (*Network, error) {
 	}
 	return b.Build()
 }
-
-// GenerateRandomConnected builds a connected (non-planar) network of n
-// random points: a random spanning chain plus extra random edges. Weights
-// are Euclidean length times Uniform[1, 1+noise]. Used by property tests to
-// exercise SILC on topologies the generator's lattice never produces.
-func GenerateRandomConnected(n, extraEdges int, noise float64, seed int64) (*Network, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: need >= 2 vertices, got %d", n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder()
-	used := make(map[geom.Code]bool, n)
-	for i := 0; i < n; i++ {
-		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		p = resolveCell(p, used, rng)
-		b.AddVertex(p)
-	}
-	perm := rng.Perm(n)
-	w := func(u, v VertexID) float64 {
-		return b.pts[u].Dist(b.pts[v]) * (1 + noise*rng.Float64())
-	}
-	for i := 1; i < n; i++ {
-		u, v := VertexID(perm[i-1]), VertexID(perm[i])
-		b.AddBiEdge(u, v, w(u, v))
-	}
-	for e := 0; e < extraEdges; e++ {
-		u := VertexID(rng.Intn(n))
-		v := VertexID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		b.AddBiEdge(u, v, w(u, v))
-	}
-	return b.Build()
-}

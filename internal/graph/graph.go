@@ -62,21 +62,6 @@ func (g *Network) Neighbors(v VertexID) ([]VertexID, []float64) {
 	return g.targets[lo:hi], g.weights[lo:hi]
 }
 
-// NeighborIndex returns the index of w within v's adjacency list, or -1.
-// The index serves as the "color" of a first hop in shortest-path maps.
-// Among parallel edges the minimum-weight one is returned — the edge any
-// shortest path actually uses.
-func (g *Network) NeighborIndex(v, w VertexID) int {
-	targets, weights := g.Neighbors(v)
-	best := -1
-	for i, t := range targets {
-		if t == w && (best < 0 || weights[i] < weights[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
 // EdgeWeight returns the weight of the directed edge (u,v) and whether the
 // edge exists. Parallel edges are permitted; the minimum weight is returned,
 // matching what any shortest path would use.
@@ -97,18 +82,6 @@ func (g *Network) MortonOrder() []VertexID { return g.order }
 
 // MortonRank returns the position of v in the Morton-sorted order.
 func (g *Network) MortonRank(v VertexID) int32 { return g.rank[v] }
-
-// VertexAtCode returns the vertex whose grid cell has the given Morton code,
-// or NoVertex. Cells hold at most one vertex (enforced at build time).
-func (g *Network) VertexAtCode(code geom.Code) VertexID {
-	i := sort.Search(len(g.order), func(i int) bool {
-		return g.codes[g.order[i]] >= code
-	})
-	if i < len(g.order) && g.codes[g.order[i]] == code {
-		return g.order[i]
-	}
-	return NoVertex
-}
 
 // NearestVertex returns the vertex nearest to p by Euclidean distance using
 // a linear scan. Query snapping in the public API goes through the object

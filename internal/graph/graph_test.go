@@ -33,12 +33,6 @@ func TestBuilderBasic(t *testing.T) {
 	if _, ok := g.EdgeWeight(d, c); ok {
 		t.Fatal("edge d->c should not exist")
 	}
-	if got := g.NeighborIndex(a, c); got != 0 {
-		t.Fatalf("NeighborIndex(a,c)=%d", got)
-	}
-	if got := g.NeighborIndex(a, d); got != -1 {
-		t.Fatalf("NeighborIndex(a,d)=%d want -1", got)
-	}
 }
 
 func TestBuilderValidation(t *testing.T) {
@@ -99,12 +93,6 @@ func TestMortonOrderSorted(t *testing.T) {
 		if int(g.MortonRank(v)) != i {
 			t.Fatalf("rank mismatch for %d", v)
 		}
-		if got := g.VertexAtCode(g.Code(v)); got != v {
-			t.Fatalf("VertexAtCode(%x)=%d want %d", uint64(g.Code(v)), got, v)
-		}
-	}
-	if got := g.VertexAtCode(geom.Code(1<<40 + 12345)); got != NoVertex {
-		t.Fatalf("VertexAtCode on absent code = %d", got)
 	}
 }
 
@@ -198,21 +186,6 @@ func TestGenerateRingRadial(t *testing.T) {
 	}
 	if g.Degree(0) != 8 { // plaza connects to first ring
 		t.Fatalf("plaza degree = %d", g.Degree(0))
-	}
-}
-
-func TestGenerateRandomConnected(t *testing.T) {
-	g, err := GenerateRandomConnected(50, 40, 0.3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 50 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	for _, e := range g.Edges() {
-		if e.Weight < g.Euclid(e.From, e.To)-1e-12 {
-			t.Fatal("weight below Euclidean length")
-		}
 	}
 }
 

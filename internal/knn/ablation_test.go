@@ -5,8 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"silc/internal/core"
 	"silc/internal/graph"
 )
+
+// ierAStar is IER with the per-candidate Dijkstra replaced by A* under the
+// admissible Euclidean heuristic — an ablation showing how much of IER's
+// cost is the unguided per-candidate search.
+func ierAStar(ix core.QueryIndex, objs *Objects, q graph.VertexID, k int) Result {
+	return ier(ix, nil, objs, q, UnboundedSpec(k, VariantKNN), true, "IER-A*")
+}
 
 func TestIERAStarMatchesIER(t *testing.T) {
 	// The A* ablation must return identical results to the paper-faithful
@@ -18,8 +26,8 @@ func TestIERAStarMatchesIER(t *testing.T) {
 		objs := h.randomObjects(rng.Intn(50)+5, rng)
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 		k := rng.Intn(6) + 1
-		a := IER(h.ix, objs, q, k)
-		b := IERAStar(h.ix, objs, q, k)
+		a := IERSpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNN))
+		b := ierAStar(h.ix, objs, q, k)
 		if len(a.Neighbors) != len(b.Neighbors) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a.Neighbors), len(b.Neighbors))
 		}
@@ -42,35 +50,19 @@ func TestIERAStarMatchesIER(t *testing.T) {
 func TestINEDegenerateSingleObject(t *testing.T) {
 	h := roadHarness(t, 6, 6, 72)
 	objs := NewObjects(h.g, []graph.VertexID{5})
-	res := INE(h.ix, objs, 5, 1)
+	res := INESpec(h.ix, nil, objs, 5, UnboundedSpec(1, VariantKNN))
 	if len(res.Neighbors) != 1 || res.Neighbors[0].Dist != 0 {
 		t.Fatalf("INE self-object: %+v", res.Neighbors)
 	}
 	// k exceeding |S| with INE must expand the whole reachable network and
 	// still terminate with one object.
-	res = INE(h.ix, objs, 0, 4)
+	res = INESpec(h.ix, nil, objs, 0, UnboundedSpec(4, VariantKNN))
 	if len(res.Neighbors) != 1 {
 		t.Fatalf("INE k>|S|: %d neighbors", len(res.Neighbors))
 	}
 	if res.Stats.Settled != h.g.NumVertices() {
 		t.Fatalf("INE should have exhausted the network: settled %d of %d",
 			res.Stats.Settled, h.g.NumVertices())
-	}
-}
-
-func TestSearchResultDistancesHelper(t *testing.T) {
-	h := roadHarness(t, 6, 6, 73)
-	rng := rand.New(rand.NewSource(5))
-	objs := h.randomObjects(10, rng)
-	res := Search(h.ix, objs, 0, 3, VariantKNN)
-	d := res.Distances()
-	if len(d) != len(res.Neighbors) {
-		t.Fatal("Distances length mismatch")
-	}
-	for i := range d {
-		if d[i] != res.Neighbors[i].Dist {
-			t.Fatal("Distances content mismatch")
-		}
 	}
 }
 

@@ -58,18 +58,14 @@ func (w *dijkstraWS) setDist(v graph.VertexID, d float64) {
 func (w *dijkstraWS) settled(v graph.VertexID) bool { return w.done[v] == w.epoch }
 func (w *dijkstraWS) settle(v graph.VertexID)       { w.done[v] = w.epoch }
 
-// INE is the "incremental network expansion" baseline of Papadias et al.:
-// Dijkstra from the query vertex over the disk-resident network, collecting
-// objects at settled vertices into a buffer of the k best, halting once the
-// expansion frontier passes the kth-best distance. Its cost scales with the
-// number of edges closer than the kth neighbor.
-func INE(ix core.QueryIndex, objs *Objects, q graph.VertexID, k int) Result {
-	return INESpec(ix, core.NewQueryContext(), objs, q, UnboundedSpec(k, VariantKNN))
-}
-
-// INESpec is INE under a caller-supplied query context (cancellation + I/O
-// attribution) and Spec. The expansion truncates at Spec.MaxDist; Epsilon is
-// ignored (the baseline is exact, which satisfies every ε).
+// INESpec is the "incremental network expansion" baseline of Papadias et
+// al.: Dijkstra from the query vertex over the disk-resident network,
+// collecting objects at settled vertices into a buffer of the k best,
+// halting once the expansion frontier passes the kth-best distance. Its cost
+// scales with the number of edges closer than the kth neighbor. It runs
+// under a caller-supplied query context (cancellation + I/O attribution; nil
+// = a fresh one) and Spec. The expansion truncates at Spec.MaxDist; Epsilon
+// is ignored (the baseline is exact, which satisfies every ε).
 func INESpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
 	clock := beginQueryWith(ix, qc)
 	sc := scratchFor(clock.qc)
@@ -142,36 +138,21 @@ func INESpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.V
 	return res
 }
 
-// IER is the "incremental Euclidean restriction" baseline: objects stream in
-// Euclidean-distance order from the PMR quadtree; each candidate's network
-// distance is computed with a point-to-point Dijkstra (as in the paper);
-// the stream stops once the next Euclidean distance exceeds the kth-best
-// network distance, which is sound because network distance dominates
-// Euclidean distance.
-func IER(ix core.QueryIndex, objs *Objects, q graph.VertexID, k int) Result {
-	return IERSpec(ix, core.NewQueryContext(), objs, q, UnboundedSpec(k, VariantKNN))
-}
-
-// IERSpec is IER under a caller-supplied query context (cancellation + I/O
-// attribution) and Spec; candidates beyond Spec.MaxDist are discarded and
-// the Euclidean stream stops at the bound (sound because network distance
-// dominates Euclidean distance). Epsilon is ignored (the baseline is exact).
+// IERSpec is the "incremental Euclidean restriction" baseline: objects
+// stream in Euclidean-distance order from the PMR quadtree; each candidate's
+// network distance is computed with a point-to-point Dijkstra (as in the
+// paper); the stream stops once the next Euclidean distance exceeds the
+// kth-best network distance, which is sound because network distance
+// dominates Euclidean distance. It runs under a caller-supplied query
+// context (cancellation + I/O attribution; nil = a fresh one) and Spec;
+// candidates beyond Spec.MaxDist are discarded and the Euclidean stream
+// stops at the bound. Epsilon is ignored (the baseline is exact).
 func IERSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
 	return ier(ix, qc, objs, q, spec, false, "IER")
 }
 
-// IERAStar is IER with the per-candidate Dijkstra replaced by A* under the
-// admissible Euclidean heuristic — an ablation showing how much of IER's
-// cost is the unguided per-candidate search.
-func IERAStar(ix core.QueryIndex, objs *Objects, q graph.VertexID, k int) Result {
-	return ier(ix, core.NewQueryContext(), objs, q, UnboundedSpec(k, VariantKNN), true, "IER-A*")
-}
-
-// IERAStarSpec is IERAStar under a caller-supplied query context and Spec.
-func IERAStarSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
-	return ier(ix, qc, objs, q, spec, true, "IER-A*")
-}
-
+// ier runs IER; with astar the per-candidate Dijkstra is A* under the
+// admissible Euclidean heuristic, the ablation ablation_test.go measures.
 func ier(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec, astar bool, name string) Result {
 	clock := beginQueryWith(ix, qc)
 	sc := scratchFor(clock.qc)

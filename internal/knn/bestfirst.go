@@ -72,17 +72,12 @@ func (v Variant) String() string {
 // Variants lists the paper's kNN family in the paper's order.
 var Variants = []Variant{VariantINN, VariantKNNI, VariantKNN, VariantKNNM}
 
-// Search runs the selected kNN variant from query vertex q with the exact,
-// unbounded, uncancellable defaults.
-func Search(ix core.QueryIndex, objs *Objects, q graph.VertexID, k int, variant Variant) Result {
-	return SearchSpec(ix, core.NewQueryContext(), objs, q, UnboundedSpec(k, variant))
-}
-
-// SearchSpec runs the best-first kNN family under a caller-supplied query
-// context (cancellation + I/O attribution) and Spec (ε-approximation,
-// distance bound). All search scratch lives on the query context and is
-// reused by its next query, so a pooled context answers steady-state queries
-// without allocating; the returned Result owns its Neighbors slice.
+// SearchSpec runs the best-first kNN family from query vertex q under a
+// caller-supplied query context (cancellation + I/O attribution; nil = a
+// fresh one) and Spec (variant, ε-approximation, distance bound). All search
+// scratch lives on the query context and is reused by its next query, so a
+// pooled context answers steady-state queries without allocating; the
+// returned Result owns its Neighbors slice.
 func SearchSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
 	clock := beginQueryWith(ix, qc)
 	e := scratchFor(clock.qc).engineFor(ix, clock.qc, objs, q, spec.K, spec.Variant)
@@ -727,16 +722,12 @@ type Browser struct {
 	at int
 }
 
-// NewBrowser positions a cursor before the nearest object to q. Each cursor
-// owns its query context, so independent cursors — even over one shared
-// disk-backed index — browse concurrently, each accounting its own I/O.
-func NewBrowser(ix core.QueryIndex, objs *Objects, q graph.VertexID) *Browser {
-	return NewBrowserSpec(ix, core.NewQueryContext(), objs, q, UnboundedSpec(0, VariantINN))
-}
-
-// NewBrowserSpec positions a cursor bound to a caller-supplied query context
-// (cancellation + I/O attribution) and Spec: Epsilon relaxes per-neighbor
-// rank certification, MaxDist ends the stream at the distance bound.
+// NewBrowserSpec positions a cursor before the nearest object to q, bound to
+// a caller-supplied query context (cancellation + I/O attribution; nil = a
+// fresh one) and Spec: Epsilon relaxes per-neighbor rank certification,
+// MaxDist ends the stream at the distance bound. Cursors over distinct
+// contexts — even over one shared disk-backed index — browse concurrently,
+// each accounting its own I/O.
 // Spec.K and Spec.Variant are ignored — a browser always streams the whole
 // set incrementally (INN).
 //

@@ -97,13 +97,13 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 			return chk
 		}
 		for _, v := range Variants {
-			want := Search(h.ix, objs, q, 7, v)
-			if got := Search(fresh(), objs, q, 7, v); !sameSearch(got, want) {
+			want := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(7, v))
+			if got := SearchSpec(fresh(), nil, objs, q, UnboundedSpec(7, v)); !sameSearch(got, want) {
 				t.Fatalf("q=%d %v: hinted search differs\n got %+v\nwant %+v", q, v, got, want)
 			}
 		}
-		want := RangeSearch(h.ix, objs, q, 0.3)
-		if got := RangeSearch(fresh(), objs, q, 0.3); !sameSearch(got, want) {
+		want := RangeSearchCtx(h.ix, nil, objs, q, 0.3)
+		if got := RangeSearchCtx(fresh(), nil, objs, q, 0.3); !sameSearch(got, want) {
 			t.Fatalf("q=%d range: hinted search differs", q)
 		}
 		// A distance bound with ε > 0 makes drainL refine the members of L it
@@ -113,7 +113,7 @@ func TestExpandHintsCoverEveryLookup(t *testing.T) {
 		if got := SearchSpec(fresh(), core.NewQueryContext(), objs, q, bounded); !sameSearch(got, want) {
 			t.Fatalf("q=%d bounded: hinted search differs", q)
 		}
-		b, plain := NewBrowser(fresh(), objs, q), NewBrowser(h.ix, objs, q)
+		b, plain := NewBrowserSpec(fresh(), nil, objs, q, UnboundedSpec(0, VariantINN)), NewBrowserSpec(h.ix, nil, objs, q, UnboundedSpec(0, VariantINN))
 		for n := 0; n < 5; n++ {
 			got, _ := b.Next()
 			if want, _ := plain.Next(); !reflect.DeepEqual(got, want) {
@@ -150,9 +150,9 @@ func TestExpandHintsCoverDeepTrees(t *testing.T) {
 					cells: map[geom.Cell]bool{}, refined: map[graph.VertexID]bool{}}
 				var got, want Result
 				if v < 0 {
-					got, want = RangeSearch(chk, objs, q, 0.3), RangeSearch(h.ix, objs, q, 0.3)
+					got, want = RangeSearchCtx(chk, nil, objs, q, 0.3), RangeSearchCtx(h.ix, nil, objs, q, 0.3)
 				} else {
-					got, want = Search(chk, objs, q, 12, v), Search(h.ix, objs, q, 12, v)
+					got, want = SearchSpec(chk, nil, objs, q, UnboundedSpec(12, v)), SearchSpec(h.ix, nil, objs, q, UnboundedSpec(12, v))
 				}
 				if !sameSearch(got, want) {
 					t.Fatalf("m=%d q=%d variant %v: hinted search differs", m, q, v)

@@ -341,23 +341,13 @@ type Spec struct {
 	// MaxDist bounds reported neighbors to network distance ≤ MaxDist — the
 	// hybrid kNN∩range query. +Inf disables it. Note that the zero value is
 	// a real bound (only distance-0 objects): callers wanting "unbounded"
-	// must say math.Inf(1), which UnboundedSpec and the package-level
-	// convenience wrappers do.
+	// must say math.Inf(1), which UnboundedSpec does.
 	MaxDist float64
 }
 
 // UnboundedSpec returns a Spec with the distance bound disabled.
 func UnboundedSpec(k int, variant Variant) Spec {
 	return Spec{K: k, Variant: variant, MaxDist: inf}
-}
-
-// Distances returns the reported distances in result order.
-func (r Result) Distances() []float64 {
-	out := make([]float64, len(r.Neighbors))
-	for i, n := range r.Neighbors {
-		out[i] = n.Dist
-	}
-	return out
 }
 
 // queryClock pairs one query's wall clock with its own I/O counters. Every
@@ -369,10 +359,6 @@ type queryClock struct {
 	ix    core.QueryIndex
 	qc    *core.QueryContext
 	start time.Time
-}
-
-func beginQuery(ix core.QueryIndex) queryClock {
-	return beginQueryWith(ix, core.NewQueryContext())
 }
 
 // beginQueryWith charges the query to a caller-owned context, so the caller

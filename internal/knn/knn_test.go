@@ -11,6 +11,7 @@ import (
 	"silc/internal/graph"
 	"silc/internal/sssp"
 	"silc/internal/store"
+	"silc/internal/testkit"
 )
 
 // harness bundles a network, its SILC index, and ground-truth machinery.
@@ -76,8 +77,12 @@ type algorithm struct {
 
 func allAlgorithms() []algorithm {
 	algos := []algorithm{
-		{"INE", true, func(h *harness, o *Objects, q graph.VertexID, k int) Result { return INE(h.ix, o, q, k) }},
-		{"IER", true, func(h *harness, o *Objects, q graph.VertexID, k int) Result { return IER(h.ix, o, q, k) }},
+		{"INE", true, func(h *harness, o *Objects, q graph.VertexID, k int) Result {
+			return INESpec(h.ix, nil, o, q, UnboundedSpec(k, VariantKNN))
+		}},
+		{"IER", true, func(h *harness, o *Objects, q graph.VertexID, k int) Result {
+			return IERSpec(h.ix, nil, o, q, UnboundedSpec(k, VariantKNN))
+		}},
 	}
 	for _, v := range Variants {
 		v := v
@@ -85,7 +90,7 @@ func allAlgorithms() []algorithm {
 			name:   v.String(),
 			sorted: v != VariantKNNM,
 			run: func(h *harness, o *Objects, q graph.VertexID, k int) Result {
-				return Search(h.ix, o, q, k, v)
+				return SearchSpec(h.ix, nil, o, q, UnboundedSpec(k, v))
 			},
 		})
 	}
@@ -177,7 +182,7 @@ func TestAlgorithmsOnRandomTopology(t *testing.T) {
 	// (see TestKNNMBoundedErrorOnAdversarialTopology for its guarantee).
 	algos := allAlgorithms()
 	for seed := int64(0); seed < 3; seed++ {
-		g, err := graph.GenerateRandomConnected(70, 60, 0.4, seed)
+		g, err := testkit.GenerateRandomConnected(70, 60, 0.4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +210,7 @@ func TestKNNMBoundedErrorOnAdversarialTopology(t *testing.T) {
 	// distance, and every returned object's true distance at most D⁰k (the
 	// first-k upper-bound estimate, itself >= the true kth distance).
 	for seed := int64(0); seed < 4; seed++ {
-		g, err := graph.GenerateRandomConnected(70, 60, 0.4, seed)
+		g, err := testkit.GenerateRandomConnected(70, 60, 0.4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +221,7 @@ func TestKNNMBoundedErrorOnAdversarialTopology(t *testing.T) {
 			q := graph.VertexID(rng.Intn(g.NumVertices()))
 			k := rng.Intn(8) + 1
 			_, byID := h.truth(objs, q, k)
-			res := Search(h.ix, objs, q, k, VariantKNNM)
+			res := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNNM))
 			want := k
 			if objs.Len() < k {
 				want = objs.Len()
@@ -303,7 +308,7 @@ func TestBrowserStreamsInOrder(t *testing.T) {
 	q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 	_, byID := h.truth(objs, q, objs.Len())
 
-	b := NewBrowser(h.ix, objs, q)
+	b := NewBrowserSpec(h.ix, nil, objs, q, UnboundedSpec(0, VariantINN))
 	var dists []float64
 	for {
 		nb, ok := b.Next()
@@ -331,7 +336,7 @@ func TestBrowserIncrementalityCheaperThanRestart(t *testing.T) {
 	objs := h.randomObjects(60, rng)
 	q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 
-	b := NewBrowser(h.ix, objs, q)
+	b := NewBrowserSpec(h.ix, nil, objs, q, UnboundedSpec(0, VariantINN))
 	for i := 0; i < 5; i++ {
 		b.Next()
 	}
@@ -340,7 +345,7 @@ func TestBrowserIncrementalityCheaperThanRestart(t *testing.T) {
 		b.Next()
 	}
 	after10 := b.Stats().Refinements
-	fresh := Search(h.ix, objs, q, 10, VariantINN).Stats.Refinements
+	fresh := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantINN)).Stats.Refinements
 	// Browsing to 10 must not exceed a fresh k=10 search (same state machine).
 	if after10 > fresh {
 		t.Fatalf("incremental refinements %d > fresh %d", after10, fresh)
@@ -358,7 +363,7 @@ func TestStatsPopulated(t *testing.T) {
 	k := 8
 
 	for _, v := range Variants {
-		res := Search(h.ix, objs, q, k, v)
+		res := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(k, v))
 		s := res.Stats
 		if s.Algorithm != v.String() || s.K != k {
 			t.Fatalf("%v: bad labels %+v", v, s)
@@ -388,11 +393,11 @@ func TestStatsPopulated(t *testing.T) {
 		}
 	}
 
-	ine := INE(h.ix, objs, q, k)
+	ine := INESpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNN))
 	if ine.Stats.Settled == 0 || ine.Stats.Relaxed == 0 {
 		t.Fatalf("INE expansion stats empty: %+v", ine.Stats)
 	}
-	ier := IER(h.ix, objs, q, k)
+	ier := IERSpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNN))
 	if ier.Stats.AStarCalls < k {
 		t.Fatalf("IER must run at least k shortest-path calls: %+v", ier.Stats)
 	}
@@ -412,7 +417,7 @@ func TestD0kOverestimatesAndKMinDistUnderestimatesDk(t *testing.T) {
 		k := 10
 		topK, _ := h.truth(objs, q, k)
 		trueDk := topK[len(topK)-1]
-		res := Search(h.ix, objs, q, k, VariantKNN)
+		res := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNN))
 		s := res.Stats
 		if s.D0k < trueDk-distTol {
 			violations++ // D0k must upper-bound the true kth distance
@@ -432,7 +437,7 @@ func TestINEStopsEarly(t *testing.T) {
 	h := roadHarness(t, 16, 16, 11)
 	rng := rand.New(rand.NewSource(29))
 	objs := h.randomObjects(h.g.NumVertices()/4, rng)
-	res := INE(h.ix, objs, graph.VertexID(rng.Intn(h.g.NumVertices())), 3)
+	res := INESpec(h.ix, nil, objs, graph.VertexID(rng.Intn(h.g.NumVertices())), UnboundedSpec(3, VariantKNN))
 	if res.Stats.Settled >= h.g.NumVertices()/2 {
 		t.Fatalf("INE settled %d of %d vertices", res.Stats.Settled, h.g.NumVertices())
 	}
@@ -481,7 +486,7 @@ func TestKNNMAcceptsViaKMinDist(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		objs := h.randomObjects(h.g.NumVertices()/10, rng)
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
-		res := Search(h.ix, objs, q, 10, VariantKNNM)
+		res := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantKNNM))
 		totalAccepts += res.Stats.KMinDistAccepts
 		totalResults += len(res.Neighbors)
 	}
@@ -500,8 +505,8 @@ func TestKNNMRefinesLessThanKNN(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		objs := h.randomObjects(h.g.NumVertices()/10, rng)
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
-		knnRef += Search(h.ix, objs, q, 10, VariantKNN).Stats.Refinements
-		knnmRef += Search(h.ix, objs, q, 10, VariantKNNM).Stats.Refinements
+		knnRef += SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantKNN)).Stats.Refinements
+		knnmRef += SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantKNNM)).Stats.Refinements
 	}
 	if knnmRef >= knnRef {
 		t.Fatalf("kNN-M refinements %d not below kNN %d", knnmRef, knnRef)
@@ -515,8 +520,8 @@ func TestKNNQueueSmallerThanINN(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		objs := h.randomObjects(h.g.NumVertices()/10, rng)
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
-		knnQ += Search(h.ix, objs, q, 10, VariantKNN).Stats.MaxQueue
-		innQ += Search(h.ix, objs, q, 10, VariantINN).Stats.MaxQueue
+		knnQ += SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantKNN)).Stats.MaxQueue
+		innQ += SearchSpec(h.ix, nil, objs, q, UnboundedSpec(10, VariantINN)).Stats.MaxQueue
 	}
 	if knnQ >= innQ {
 		t.Fatalf("kNN max queue %d not below INN %d (Dk pruning ineffective)", knnQ, innQ)

@@ -46,7 +46,7 @@ func TestProximalKNNReturnsInRangeNeighbors(t *testing.T) {
 		}
 
 		for _, v := range Variants {
-			res := Search(h.ix, objs, q, k, v)
+			res := SearchSpec(h.ix, nil, objs, q, UnboundedSpec(k, v))
 			if len(res.Neighbors) != len(want) {
 				t.Fatalf("%v: got %d in-range neighbors, want %d (trial %d)",
 					v, len(res.Neighbors), len(want), trial)
@@ -70,7 +70,7 @@ func TestProximalKNNReturnsInRangeNeighbors(t *testing.T) {
 
 		// Range search bounded by a radius below the index bound.
 		r := radius * rng.Float64()
-		res := RangeSearch(h.ix, objs, q, r)
+		res := RangeSearchCtx(h.ix, nil, objs, q, r)
 		wantCount := 0
 		for id := int32(0); id < int32(objs.Len()); id++ {
 			if tree.Dist[objs.ByID(id).Vertex] <= r {
@@ -99,7 +99,7 @@ func TestProximalBrowserStopsAtRadius(t *testing.T) {
 	q := graph.VertexID(rng.Intn(g.NumVertices()))
 	tree := sssp.Dijkstra(g, q)
 
-	b := NewBrowser(h.ix, objs, q)
+	b := NewBrowserSpec(h.ix, nil, objs, q, UnboundedSpec(0, VariantINN))
 	count := 0
 	for {
 		nb, ok := b.Next()

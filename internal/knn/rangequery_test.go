@@ -16,6 +16,7 @@ import (
 	"silc/internal/partition"
 	"silc/internal/sssp"
 	"silc/internal/store"
+	"silc/internal/testkit"
 )
 
 // rangeTruth returns the ids of objects within radius by brute force.
@@ -66,13 +67,12 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		q := graph.VertexID(rng.Intn(h.g.NumVertices()))
 		radius := rng.Float64() * 0.8
 		want := rangeTruth(h, objs, q, radius)
-		checkRange(t, "RANGE", RangeSearch(h.ix, objs, q, radius), want)
-		checkRange(t, "RANGE-INE", ObjectsInRange(h.ix, objs, q, radius), want)
+		checkRange(t, "RANGE", RangeSearchCtx(h.ix, nil, objs, q, radius), want)
 	}
 }
 
 func TestRangeSearchOnRandomTopology(t *testing.T) {
-	g, err := graph.GenerateRandomConnected(60, 50, 0.4, 5)
+	g, err := testkit.GenerateRandomConnected(60, 50, 0.4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRangeSearchOnRandomTopology(t *testing.T) {
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		radius := rng.Float64() * 1.5
 		want := rangeTruth(h, objs, q, radius)
-		checkRange(t, "RANGE", RangeSearch(h.ix, objs, q, radius), want)
+		checkRange(t, "RANGE", RangeSearchCtx(h.ix, nil, objs, q, radius), want)
 	}
 }
 
@@ -94,20 +94,20 @@ func TestRangeSearchEdgeCases(t *testing.T) {
 	q := objs.ByID(0).Vertex
 
 	// Zero radius: exactly the objects at q.
-	res := RangeSearch(h.ix, objs, q, 0)
+	res := RangeSearchCtx(h.ix, nil, objs, q, 0)
 	if len(res.Neighbors) != len(objs.AtVertex(q)) {
 		t.Fatalf("radius 0: got %d want %d", len(res.Neighbors), len(objs.AtVertex(q)))
 	}
 	// Negative radius: empty.
-	if res := RangeSearch(h.ix, objs, q, -1); len(res.Neighbors) != 0 {
+	if res := RangeSearchCtx(h.ix, nil, objs, q, -1); len(res.Neighbors) != 0 {
 		t.Fatal("negative radius returned objects")
 	}
 	// Huge radius: everything.
-	if res := RangeSearch(h.ix, objs, q, 1e9); len(res.Neighbors) != objs.Len() {
+	if res := RangeSearchCtx(h.ix, nil, objs, q, 1e9); len(res.Neighbors) != objs.Len() {
 		t.Fatalf("huge radius returned %d of %d", len(res.Neighbors), objs.Len())
 	}
 	// Empty set.
-	if res := RangeSearch(h.ix, NewObjects(h.g, nil), q, 1); len(res.Neighbors) != 0 {
+	if res := RangeSearchCtx(h.ix, nil, NewObjects(h.g, nil), q, 1); len(res.Neighbors) != 0 {
 		t.Fatal("empty set returned objects")
 	}
 }
@@ -120,7 +120,7 @@ func TestRangeSearchRefinesOnlyStraddlers(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	objs := h.randomObjects(60, rng)
 	q := graph.VertexID(rng.Intn(h.g.NumVertices()))
-	res := RangeSearch(h.ix, objs, q, 0.3)
+	res := RangeSearchCtx(h.ix, nil, objs, q, 0.3)
 
 	full := 0
 	for id := int32(0); id < int32(objs.Len()); id++ {

@@ -41,7 +41,7 @@ func TestKNNKthNeighbourRepro(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q, k = 46, 10
-	res := Search(ix, NewObjects(g, kthNeighbourObjects), q, k, VariantKNN)
+	res := SearchSpec(ix, nil, NewObjects(g, kthNeighbourObjects), q, UnboundedSpec(k, VariantKNN))
 	if len(res.Neighbors) != k {
 		t.Fatalf("%d neighbours, want %d", len(res.Neighbors), k)
 	}

@@ -223,7 +223,7 @@ func checkSnapshot(t *testing.T, snap *Snapshot) []pmr.Object {
 			t.Errorf("version %d: AtVertex(%d) misses id %d", snap.Version, m.Vertex, m.ID)
 		}
 	}
-	inTree := objs.Tree().All()
+	inTree := treeObjects(objs.Tree())
 	for i := range inTree {
 		inTree[i].ID = objs.Label(inTree[i].ID)
 	}
@@ -232,6 +232,23 @@ func checkSnapshot(t *testing.T, snap *Snapshot) []pmr.Object {
 		t.Errorf("version %d: the tree holds %v, Members %v", snap.Version, inTree, members)
 	}
 	return members
+}
+
+// treeObjects returns every object in t, in traversal order.
+func treeObjects(t *pmr.Tree) []pmr.Object {
+	var out []pmr.Object
+	var walk func(*pmr.Node)
+	walk = func(n *pmr.Node) {
+		if n == nil {
+			return
+		}
+		out = append(out, n.Objects()...)
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	return out
 }
 
 // TestConcurrentChurn hammers the store from many writers while readers pin

@@ -87,9 +87,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by linear
 // interpolation inside the log-spaced bucket that contains it, so the
 // estimate's relative error is bounded by the bucket width (a factor

@@ -292,9 +292,6 @@ func (b *oracleBuilder) children(s span) []span {
 	return out
 }
 
-// NumPairs returns the number of stored cell pairs.
-func (o *DistanceOracle) NumPairs() int { return len(o.pairs) }
-
 // SizeBytes returns the oracle's storage footprint: 26 bytes per pair (two
 // packed cells plus one distance).
 func (o *DistanceOracle) SizeBytes() int64 { return int64(len(o.pairs)) * 26 }

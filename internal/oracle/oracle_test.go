@@ -9,6 +9,7 @@ import (
 	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 func testNet(t *testing.T, rows, cols int, seed int64) *graph.Network {
@@ -26,7 +27,7 @@ func TestNextHopMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := sssp.FloydWarshall(g)
+	oracle := testkit.FloydWarshall(g)
 	for u := 0; u < g.NumVertices(); u++ {
 		for v := 0; v < g.NumVertices(); v++ {
 			uu, vv := graph.VertexID(u), graph.VertexID(v)
@@ -39,7 +40,7 @@ func TestNextHopMatchesDijkstra(t *testing.T) {
 				t.Fatalf("bad path endpoints for (%d,%d)", u, v)
 			}
 			if u != v {
-				if w := sssp.PathWeight(g, path); math.Abs(w-oracle[u][v]) > 1e-9 {
+				if w := testkit.PathWeight(g, path); math.Abs(w-oracle[u][v]) > 1e-9 {
 					t.Fatalf("path weight %v want %v", w, oracle[u][v])
 				}
 			}
@@ -72,7 +73,7 @@ func TestExplicitPathsMatchDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := sssp.FloydWarshall(g)
+	oracle := testkit.FloydWarshall(g)
 	for u := 0; u < g.NumVertices(); u++ {
 		for v := 0; v < g.NumVertices(); v++ {
 			uu, vv := graph.VertexID(u), graph.VertexID(v)
@@ -81,7 +82,7 @@ func TestExplicitPathsMatchDijkstra(t *testing.T) {
 			}
 			if u != v {
 				path := e.Path(uu, vv)
-				if w := sssp.PathWeight(g, path); math.Abs(w-oracle[u][v]) > 1e-9 {
+				if w := testkit.PathWeight(g, path); math.Abs(w-oracle[u][v]) > 1e-9 {
 					t.Fatalf("path weight mismatch (%d,%d)", u, v)
 				}
 			}
@@ -144,10 +145,10 @@ func TestDistanceOraclePairCountGrowsWithPrecision(t *testing.T) {
 	g := testNet(t, 8, 8, 5)
 	loose := buildOracle(t, g, 0.5)
 	tight := buildOracle(t, g, 0.1)
-	if tight.NumPairs() <= loose.NumPairs() {
-		t.Fatalf("pairs: eps=0.1 %d should exceed eps=0.5 %d", tight.NumPairs(), loose.NumPairs())
+	if len(tight.pairs) <= len(loose.pairs) {
+		t.Fatalf("pairs: eps=0.1 %d should exceed eps=0.5 %d", len(tight.pairs), len(loose.pairs))
 	}
-	if loose.SizeBytes() != int64(loose.NumPairs())*26 {
+	if loose.SizeBytes() != int64(len(loose.pairs))*26 {
 		t.Fatal("SizeBytes inconsistent with pair count")
 	}
 	if loose.Epsilon() != 0.5 {
@@ -163,16 +164,16 @@ func TestDistanceOracleSubquadraticGrowth(t *testing.T) {
 	large := testNet(t, 20, 20, 6)
 	oSmall := buildOracle(t, small, 0.5)
 	oLarge := buildOracle(t, large, 0.5)
-	rSmall := float64(oSmall.NumPairs()) / float64(small.NumVertices()*small.NumVertices())
-	rLarge := float64(oLarge.NumPairs()) / float64(large.NumVertices()*large.NumVertices())
+	rSmall := float64(len(oSmall.pairs)) / float64(small.NumVertices()*small.NumVertices())
+	rLarge := float64(len(oLarge.pairs)) / float64(large.NumVertices()*large.NumVertices())
 	if rLarge >= rSmall {
 		t.Fatalf("pair density did not fall: %.3f (n=%d) -> %.3f (n=%d)",
 			rSmall, small.NumVertices(), rLarge, large.NumVertices())
 	}
 	// And at this size the pair table is already well below n^2 entries.
 	n := large.NumVertices()
-	if oLarge.NumPairs() >= n*n/3 {
-		t.Fatalf("oracle stores %d pairs for %d vertices; no compression", oLarge.NumPairs(), n)
+	if len(oLarge.pairs) >= n*n/3 {
+		t.Fatalf("oracle stores %d pairs for %d vertices; no compression", len(oLarge.pairs), n)
 	}
 }
 

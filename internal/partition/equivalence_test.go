@@ -8,7 +8,7 @@ import (
 	"silc/internal/core"
 	"silc/internal/graph"
 	"silc/internal/knn"
-	"silc/internal/sssp"
+	"silc/internal/testkit"
 )
 
 const eps = 1e-9
@@ -65,7 +65,7 @@ func TestShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: monolithic build: %v", name, err)
 		}
-		truth := sssp.FloydWarshall(g)
+		truth := testkit.FloydWarshall(g)
 		for _, p := range []int{1, 2, 3, 4, 7} {
 			if p > g.NumVertices() {
 				continue
@@ -114,7 +114,7 @@ func checkEquivalence(t *testing.T, name string, g *graph.Network, mono *core.In
 		if len(path) == 0 || path[0] != pr.u || path[len(path)-1] != pr.v {
 			t.Fatalf("%s P=%d: path(%d,%d) endpoints wrong: %v", name, p, pr.u, pr.v, path)
 		}
-		if w := sssp.PathWeight(g, path); !approxEq(w, want) {
+		if w := testkit.PathWeight(g, path); !approxEq(w, want) {
 			t.Fatalf("%s P=%d: path(%d,%d) weighs %v, truth %v", name, p, pr.u, pr.v, w, want)
 		}
 		if pathCells(s, path) >= 3 {
@@ -151,8 +151,8 @@ func checkEquivalence(t *testing.T, name string, g *graph.Network, mono *core.In
 		}
 		insertionSort(trueDists)
 		for _, variant := range knn.Variants {
-			mr := knn.Search(mono, monoObjs, q, k, variant)
-			sr := knn.Search(s, shardObjs, q, k, variant)
+			mr := knn.SearchSpec(mono, nil, monoObjs, q, knn.UnboundedSpec(k, variant))
+			sr := knn.SearchSpec(s, nil, shardObjs, q, knn.UnboundedSpec(k, variant))
 			verifyKNN(t, name, p, "mono/"+variant.String(), truth, q, k, trueDists, mr)
 			verifyKNN(t, name, p, "sharded/"+variant.String(), truth, q, k, trueDists, sr)
 		}
@@ -167,8 +167,8 @@ func checkEquivalence(t *testing.T, name string, g *graph.Network, mono *core.In
 			}
 		}
 		for label, res := range map[string]knn.Result{
-			"mono":    knn.RangeSearch(mono, monoObjs, q, radius),
-			"sharded": knn.RangeSearch(s, shardObjs, q, radius),
+			"mono":    knn.RangeSearchCtx(mono, nil, monoObjs, q, radius),
+			"sharded": knn.RangeSearchCtx(s, nil, shardObjs, q, radius),
 		} {
 			if got := len(res.Neighbors); got < loCount || got > hiCount {
 				t.Fatalf("%s P=%d %s: range(%d, %v) reported %d objects, truth says [%d,%d]",

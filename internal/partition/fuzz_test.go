@@ -40,7 +40,7 @@ func FuzzOpenPagedSharded(f *testing.F) {
 	oldMagic[7] = '1' // SILCSPG2 -> the removed format's magic
 	f.Add(oldMagic)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{CachePages: 4})
+		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{poolPages: 4})
 		if err != nil {
 			return
 		}

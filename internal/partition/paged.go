@@ -237,7 +237,7 @@ func padTo(cw *countingWriter, off int64) error {
 // OpenPaged opens a sharded paged file: partition metadata and the global
 // network load eagerly, then every cell opens its own store over its
 // embedded image — all cells sharing one buffer pool sized by
-// opt.CacheFraction of the whole database (opt.CachePages overrides).
+// opt.CacheFraction of the whole database.
 func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	meta, err := OpenPagedMeta(ra, size)
 	if err != nil {
@@ -311,13 +311,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		stores[c] = st
 		cells[c] = &cell{id: int32(c), sub: sub, toGlobal: asn.Verts[c]}
 	}
-	fraction := opt.CacheFraction
-	if fraction <= 0 {
-		fraction = 0.05
-	}
-	capacity := opt.CachePages
+	capacity := opt.poolPages
 	if capacity <= 0 {
-		capacity = int(float64(totalBlockPages+adjPages) * fraction)
+		if capacity, err = store.PoolPages(totalBlockPages+adjPages, opt.CacheFraction); err != nil {
+			return nil, err
+		}
 	}
 	pager.SetPool(diskio.NewPool(capacity, diskio.DefaultPoolShards))
 	tracker := diskio.NewStoreTracker(totalBlockPages, degrees, pager.Pool())

@@ -109,7 +109,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 					t.Errorf("empty path %d->%d", u, v)
 					return
 				}
-				knn.Search(s, objs, u, 1+rng.Intn(5), knn.Variants[i%len(knn.Variants)])
+				knn.SearchSpec(s, nil, objs, u, knn.UnboundedSpec(1+rng.Intn(5), knn.Variants[i%len(knn.Variants)]))
 			}
 		}(int64(w))
 	}

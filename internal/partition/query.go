@@ -10,27 +10,20 @@ import (
 
 var _ core.QueryIndex = (*Sharded)(nil)
 
-// Distance fully refines and returns the exact global network distance.
-func (s *Sharded) Distance(u, v graph.VertexID) float64 {
-	return s.DistanceCtx(core.NewQueryContext(), u, v)
-}
-
-// DistanceCtx is Distance with per-query I/O attribution and router reuse.
+// DistanceCtx fully refines (u, v) through core.ExactDistance and returns
+// the exact global network distance. qc carries the query's router and I/O
+// attribution.
 func (s *Sharded) DistanceCtx(qc *core.QueryContext, u, v graph.VertexID) float64 {
 	return core.ExactDistance(s, qc, u, v)
 }
 
-// DistanceInterval returns a zero-refinement interval on the global network
-// distance: intra-cell pairs in self-contained cells cost one quadtree
-// lookup, exactly like the monolithic index; cross-cell pairs combine the
-// two endpoints' destination-label rows (labels.go) with the closure — an
-// O(|B_p|·|B_q|) closure scan, |B_p|+|B_q| lookups only where a row is not
-// in the table yet, and no progressive refinement at all.
-func (s *Sharded) DistanceInterval(u, v graph.VertexID) core.Interval {
-	return s.DistanceIntervalCtx(core.NewQueryContext(), u, v)
-}
-
-// DistanceIntervalCtx is DistanceInterval with per-query I/O attribution.
+// DistanceIntervalCtx returns a zero-refinement interval on the global
+// network distance: intra-cell pairs in self-contained cells cost one
+// quadtree lookup, exactly like the monolithic index; cross-cell pairs
+// combine the two endpoints' destination-label rows (labels.go) with the
+// closure — an O(|B_p|·|B_q|) closure scan, |B_p|+|B_q| lookups only where a
+// row is not in the table yet, and no progressive refinement at all. Every
+// lookup is charged to qc.
 func (s *Sharded) DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval {
 	if u == v {
 		return core.Interval{}
@@ -72,15 +65,11 @@ func (s *Sharded) DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID
 	return core.Interval{Lo: lo, Hi: hi}
 }
 
-// Path retrieves an exact shortest path from u to v across cells: the
+// PathCtx retrieves an exact shortest path from u to v across cells: the
 // within-cell prefix to the best exit gateway, the closure's hop chain
 // (each hop either a within-cell segment or a single cross-cell edge), and
-// the within-cell suffix from the best entry gateway.
-func (s *Sharded) Path(u, v graph.VertexID) []graph.VertexID {
-	return s.PathCtx(core.NewQueryContext(), u, v)
-}
-
-// PathCtx is Path with per-query I/O attribution and router reuse.
+// the within-cell suffix from the best entry gateway. qc carries the query's
+// router and I/O attribution.
 func (s *Sharded) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID {
 	if u == v {
 		return []graph.VertexID{u}

@@ -21,17 +21,18 @@ type Options struct {
 	Parallelism int
 	// CacheFraction sizes the LRU pool OpenPaged shares across every cell
 	// store plus the network, so the cache fraction stays a property of the
-	// whole database rather than of each shard (default 0.05).
+	// whole database rather than of each shard; store.PoolPages is the
+	// policy (default 0.05).
 	CacheFraction float64
-	// CachePages, when positive, overrides CacheFraction with an absolute
-	// page capacity for the paged (OpenPaged) configuration. Tests use it
-	// to force heavy eviction.
-	CachePages int
 	// Mapped, when non-nil in OpenPaged, is the whole file memory-mapped (or
 	// otherwise resident): each cell store decodes straight out of its
 	// subslice with no ReadAt and no gather copy. Must cover the file and
 	// stay valid until the index is released.
 	Mapped []byte
+
+	// poolPages, when positive, replaces the CacheFraction sizing with an
+	// absolute page capacity, so tests can force heavy eviction.
+	poolPages int
 }
 
 // Stats describes a completed sharded build.
@@ -237,6 +238,3 @@ func (s *Sharded) NumPartitions() int { return s.asn.P }
 
 // CellOf returns the cell holding vertex v.
 func (s *Sharded) CellOf(v graph.VertexID) int { return int(s.asn.CellOf[v]) }
-
-// Closure returns the boundary closure (read-only).
-func (s *Sharded) Closure() *Closure { return s.cl }

@@ -238,26 +238,6 @@ func (n *Node) without(o Object, code geom.Code, capacity int) (*Node, bool) {
 	return &Node{cell: n.cell, objects: objs}, true
 }
 
-// All returns every object in the tree, in traversal order.
-func (t *Tree) All() []Object {
-	var out []Object
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		if n.IsLeaf() {
-			out = append(out, n.objects...)
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return out
-}
-
 // NearestEuclidean returns up to k objects ordered by increasing Euclidean
 // distance from p — the incremental filter of the IER baseline and the
 // geodesic ("as the crow flies") ranking of the paper's motivating examples.

@@ -22,6 +22,26 @@ func randomObjects(n int, seed int64) []Object {
 	return objs
 }
 
+// all returns every object in the tree, in traversal order.
+func all(t *Tree) []Object {
+	var out []Object
+	var walk func(*Node)
+	walk = func(n *Node) {
+		if n == nil {
+			return
+		}
+		if n.IsLeaf() {
+			out = append(out, n.objects...)
+			return
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return out
+}
+
 func TestInsertAndAll(t *testing.T) {
 	objs := randomObjects(500, 1)
 	tree := New(0)
@@ -31,7 +51,7 @@ func TestInsertAndAll(t *testing.T) {
 	if tree.Len() != len(objs) {
 		t.Fatalf("Len = %d", tree.Len())
 	}
-	got := tree.All()
+	got := all(tree)
 	if len(got) != len(objs) {
 		t.Fatalf("All returned %d", len(got))
 	}
@@ -145,7 +165,7 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.NearestEuclidean(geom.Point{X: 0.5, Y: 0.5}, 3); len(got) != 0 {
 		t.Fatalf("got %d from empty tree", len(got))
 	}
-	if tree.Len() != 0 || len(tree.All()) != 0 {
+	if tree.Len() != 0 || len(all(tree)) != 0 {
 		t.Fatal("empty tree not empty")
 	}
 }
@@ -177,7 +197,7 @@ func TestFromVertices(t *testing.T) {
 	if tree.Len() != 3 {
 		t.Fatalf("Len = %d", tree.Len())
 	}
-	for i, o := range tree.All() {
+	for i, o := range all(tree) {
 		_ = i
 		if o.Pos != g.Point(o.Vertex) {
 			t.Fatalf("object %d position mismatch", o.ID)
@@ -229,7 +249,7 @@ func TestPathCopyMatchesRebuild(t *testing.T) {
 		return geom.Point{X: rng.Float64(), Y: rng.Float64()}
 	}
 	members := func(tr *Tree) []Object {
-		all := tr.All()
+		all := all(tr)
 		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 		return all
 	}

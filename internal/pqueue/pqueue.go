@@ -20,8 +20,8 @@ import (
 // picks the least of four children with integer arithmetic and no branch,
 // and a node's four children sit next to each other.
 //
-// Keys must not be NaN. -0 and +0 are the same key, and Pop, Peek and
-// PeekKey return it as +0; every other key comes back bit for bit. Among
+// Keys must not be NaN. -0 and +0 are the same key, and Pop and PeekKey
+// return it as +0; every other key comes back bit for bit. Among
 // equal keys the pop order is a fixed function of the push/pop sequence,
 // and the SILC build's images depend on it: a tie between two shortest
 // paths is broken by which vertex is settled first.
@@ -72,10 +72,6 @@ func (h *Min[T]) Pop() (float64, T) {
 	}
 	return keyFloat(top.key), top.val
 }
-
-// Peek returns the minimum key and value without removing them.
-// It panics on an empty heap.
-func (h *Min[T]) Peek() (float64, T) { return keyFloat(h.items[0].key), h.items[0].val }
 
 // PeekKey returns the minimum key. It panics on an empty heap.
 func (h *Min[T]) PeekKey() float64 { return keyFloat(h.items[0].key) }
@@ -188,17 +184,8 @@ func (h Handle[T]) Valid() bool {
 		h.h.slots[h.i].gen == h.gen && h.h.slots[h.i].pos >= 0
 }
 
-// Key returns the current key of the handle's item.
-func (h Handle[T]) Key() float64 { return h.h.slots[h.i].key }
-
 // Value returns the item stored under the handle.
 func (h Handle[T]) Value() T { return h.h.slots[h.i].val }
-
-// NewIndexedMax returns an empty max-ordered indexed heap.
-func NewIndexedMax[T any]() *Indexed[T] { return &Indexed[T]{max: true} }
-
-// NewIndexedMin returns an empty min-ordered indexed heap.
-func NewIndexedMin[T any]() *Indexed[T] { return &Indexed[T]{} }
 
 // InitMax prepares a zero-value (or previously used) heap as an empty
 // max-ordered heap, retaining slab capacity. For embedding an Indexed by
@@ -343,15 +330,9 @@ func (h *Indexed[T]) down(i int) {
 	}
 }
 
-// Items returns the queued values in heap (not sorted) order. Intended for
-// draining results at the end of a search.
-func (h *Indexed[T]) Items() []T {
-	return h.AppendItems(make([]T, 0, len(h.heap)))
-}
-
 // AppendItems appends the queued values in heap (not sorted) order to dst
-// and returns the extended slice — the allocation-free form of Items for
-// callers that reuse a drain buffer.
+// and returns the extended slice, for draining results at the end of a
+// search into a reused buffer.
 func (h *Indexed[T]) AppendItems(dst []T) []T {
 	for _, si := range h.heap {
 		dst = append(dst, h.slots[si].val)

@@ -36,12 +36,15 @@ func TestMinHeapSortsKeys(t *testing.T) {
 	}
 }
 
+// peek returns the minimum key and value without removing them.
+func peek[T any](h *Min[T]) (float64, T) { return keyFloat(h.items[0].key), h.items[0].val }
+
 func TestMinHeapValuesFollowKeys(t *testing.T) {
 	var h Min[string]
 	h.Push(3, "c")
 	h.Push(1, "a")
 	h.Push(2, "b")
-	if k, v := h.Peek(); k != 1 || v != "a" {
+	if k, v := peek(&h); k != 1 || v != "a" {
 		t.Fatalf("Peek = %v,%v", k, v)
 	}
 	for _, want := range []string{"a", "b", "c"} {
@@ -67,7 +70,7 @@ func TestMinHeapReset(t *testing.T) {
 }
 
 func TestIndexedMaxOrdering(t *testing.T) {
-	h := NewIndexedMax[int]()
+	h := &Indexed[int]{max: true}
 	keys := []float64{5, 1, 9, 3, 7}
 	for i, k := range keys {
 		h.Push(k, i)
@@ -83,7 +86,7 @@ func TestIndexedMaxOrdering(t *testing.T) {
 }
 
 func TestIndexedUpdateAndRemove(t *testing.T) {
-	h := NewIndexedMax[string]()
+	h := &Indexed[string]{max: true}
 	a := h.Push(10, "a")
 	b := h.Push(20, "b")
 	c := h.Push(30, "c")
@@ -113,7 +116,7 @@ func TestIndexedUpdateAndRemove(t *testing.T) {
 func TestIndexedRandomizedAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		h := NewIndexedMin[int]()
+		h := &Indexed[int]{}
 		type item struct {
 			key    float64
 			handle Handle[int]
@@ -161,11 +164,11 @@ func TestIndexedRandomizedAgainstSort(t *testing.T) {
 }
 
 func TestIndexedItems(t *testing.T) {
-	h := NewIndexedMax[int]()
+	h := &Indexed[int]{max: true}
 	for i := 0; i < 5; i++ {
 		h.Push(float64(i), i)
 	}
-	items := h.Items()
+	items := h.AppendItems(nil)
 	if len(items) != 5 {
 		t.Fatalf("Items len = %d", len(items))
 	}
@@ -181,7 +184,7 @@ func TestIndexedItems(t *testing.T) {
 }
 
 func TestIndexedPanicsOnInvalidHandle(t *testing.T) {
-	h := NewIndexedMin[int]()
+	h := &Indexed[int]{}
 	hd := h.Push(1, 1)
 	h.Remove(hd)
 	defer func() {
@@ -307,7 +310,7 @@ func FuzzMinMatchesReference(f *testing.F) {
 			}
 			if got.Len() > 0 {
 				wk, wv := want.keys[0], want.vals[0]
-				if gk, gv := got.Peek(); !sameKey(gk, wk) || gv != wv {
+				if gk, gv := peek(&got); !sameKey(gk, wk) || gv != wv {
 					t.Fatalf("op %d: Peek = (%v, %d), reference (%v, %d)", i, gk, gv, wk, wv)
 				}
 			}

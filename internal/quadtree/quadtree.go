@@ -77,21 +77,9 @@ func (t *Tree) Seal() {
 // NumBlocks returns the Morton block count (the paper's storage unit).
 func (t *Tree) NumBlocks() int { return len(t.Blocks) }
 
-// EncodedBytes returns the tree's size in the disk layout.
-func (t *Tree) EncodedBytes() int { return len(t.Blocks) * EncodedSizeBytes }
-
-// Find returns the block containing the given Morton code. ok is false when
-// the code lies in uncovered (vertex-free or source) territory.
-func (t *Tree) Find(code geom.Code) (Block, bool) {
-	i, ok := t.FindIndex(code)
-	if !ok {
-		return Block{}, false
-	}
-	return t.Blocks[i], true
-}
-
-// FindIndex is Find but returns the block's index, for page-access
-// accounting by the disk layer. The binary search is hand-rolled: this is
+// FindIndex returns the index of the block containing the given Morton
+// code. ok is false when the code lies in uncovered (vertex-free or source)
+// territory. The binary search is hand-rolled: this is
 // the single hottest call of the query path (one per interval lookup), and
 // the sort.Search closure costs more than the comparisons themselves.
 func (t *Tree) FindIndex(code geom.Code) (int, bool) {

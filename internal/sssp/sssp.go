@@ -1,7 +1,7 @@
 // Package sssp implements the shortest-path primitives the SILC framework is
 // built from (single-source Dijkstra with first-hop labels) and compares
 // against (point-to-point Dijkstra and A*, the engines behind the INE and
-// IER baselines), plus a Floyd–Warshall oracle for property tests.
+// IER baselines).
 package sssp
 
 import (
@@ -202,57 +202,4 @@ func pointToPoint(g *graph.Network, s, t graph.VertexID, heuristic func(graph.Ve
 		res.Path = rev
 	}
 	return res
-}
-
-// FloydWarshall computes the all-pairs distance matrix. It is the test
-// oracle for small networks; O(n^3) time and O(n^2) space.
-func FloydWarshall(g *graph.Network) [][]float64 {
-	n := g.NumVertices()
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = Inf
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		if e.Weight < d[e.From][e.To] {
-			d[e.From][e.To] = e.Weight
-		}
-	}
-	for k := 0; k < n; k++ {
-		dk := d[k]
-		for i := 0; i < n; i++ {
-			dik := d[i][k]
-			if math.IsInf(dik, 1) {
-				continue
-			}
-			di := d[i]
-			for j := 0; j < n; j++ {
-				if nd := dik + dk[j]; nd < di[j] {
-					di[j] = nd
-				}
-			}
-		}
-	}
-	return d
-}
-
-// PathWeight sums the edge weights along a vertex path, returning Inf if any
-// hop is not an edge of g. Used to validate reconstructed paths.
-func PathWeight(g *graph.Network, path []graph.VertexID) float64 {
-	if len(path) == 0 {
-		return Inf
-	}
-	total := 0.0
-	for i := 1; i < len(path); i++ {
-		w, ok := g.EdgeWeight(path[i-1], path[i])
-		if !ok {
-			return Inf
-		}
-		total += w
-	}
-	return total
 }

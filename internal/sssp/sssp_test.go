@@ -7,6 +7,7 @@ import (
 
 	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/testkit"
 )
 
 // smallNetworks returns a varied set of small networks for oracle comparison.
@@ -24,7 +25,7 @@ func smallNetworks(t *testing.T) []*graph.Network {
 			t.Fatal(err)
 		}
 		nets = append(nets, g)
-		r, err := graph.GenerateRandomConnected(40, 30, 0.4, seed+100)
+		r, err := testkit.GenerateRandomConnected(40, 30, 0.4, seed+100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func smallNetworks(t *testing.T) []*graph.Network {
 
 func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	for gi, g := range smallNetworks(t) {
-		want := FloydWarshall(g)
+		want := testkit.FloydWarshall(g)
 		for s := 0; s < g.NumVertices(); s++ {
 			tree := Dijkstra(g, graph.VertexID(s))
 			for v := 0; v < g.NumVertices(); v++ {
@@ -86,11 +87,11 @@ func TestDijkstraTreeInvariants(t *testing.T) {
 			if path[1] != tree.FirstHop[v] {
 				t.Fatalf("net %d: FirstHop[%d]=%d, path says %d", gi, v, tree.FirstHop[v], path[1])
 			}
-			if g.NeighborIndex(s, tree.FirstHop[v]) < 0 {
+			if testkit.NeighborIndex(g, s, tree.FirstHop[v]) < 0 {
 				t.Fatalf("net %d: FirstHop[%d]=%d is not a neighbor of source", gi, v, tree.FirstHop[v])
 			}
 			// The path's summed weight equals the reported distance.
-			if math.Abs(PathWeight(g, path)-tree.Dist[v]) > 1e-9 {
+			if math.Abs(testkit.PathWeight(g, path)-tree.Dist[v]) > 1e-9 {
 				t.Fatalf("net %d: path weight mismatch at %d", gi, v)
 			}
 		}
@@ -143,7 +144,7 @@ func TestWorkspaceReuse(t *testing.T) {
 func TestShortestPathAndAStarAgree(t *testing.T) {
 	for gi, g := range smallNetworks(t) {
 		rng := rand.New(rand.NewSource(int64(gi)))
-		oracle := FloydWarshall(g)
+		oracle := testkit.FloydWarshall(g)
 		for trial := 0; trial < 30; trial++ {
 			s := graph.VertexID(rng.Intn(g.NumVertices()))
 			d := graph.VertexID(rng.Intn(g.NumVertices()))
@@ -168,10 +169,10 @@ func TestShortestPathAndAStarAgree(t *testing.T) {
 			if !ast.Found || math.Abs(ast.Dist-want) > 1e-9 {
 				t.Fatalf("net %d: astar %v want %v", gi, ast.Dist, want)
 			}
-			if math.Abs(PathWeight(g, dij.Path)-want) > 1e-9 {
+			if math.Abs(testkit.PathWeight(g, dij.Path)-want) > 1e-9 {
 				t.Fatalf("net %d: dijkstra path weight mismatch", gi)
 			}
-			if math.Abs(PathWeight(g, ast.Path)-want) > 1e-9 {
+			if math.Abs(testkit.PathWeight(g, ast.Path)-want) > 1e-9 {
 				t.Fatalf("net %d: astar path weight mismatch", gi)
 			}
 		}
@@ -216,22 +217,6 @@ func TestDijkstraVisitsLargeFraction(t *testing.T) {
 	}
 	if len(res.Path) >= res.Settled {
 		t.Fatalf("path length %d should be far below settled %d", len(res.Path), res.Settled)
-	}
-}
-
-func TestPathWeightRejectsNonPath(t *testing.T) {
-	g, err := graph.GenerateGrid(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(PathWeight(g, []graph.VertexID{0, 8}), 1) {
-		t.Fatal("PathWeight accepted a non-edge hop")
-	}
-	if !math.IsInf(PathWeight(g, nil), 1) {
-		t.Fatal("PathWeight of empty path should be Inf")
-	}
-	if got := PathWeight(g, []graph.VertexID{4}); got != 0 {
-		t.Fatalf("single-vertex path weight = %v", got)
 	}
 }
 

@@ -48,3 +48,10 @@ func IndexRun(data []byte, count, deg int) (func(geom.Code) (quadtree.Block, boo
 		return lookupRun(data, count, deg, code, points, true)
 	}, nil
 }
+
+// WithPoolPages returns opts with the private pool sized to exactly pages
+// pages, whatever CacheFraction says.
+func WithPoolPages(opts OpenOptions, pages int) OpenOptions {
+	opts.poolPages = pages
+	return opts
+}

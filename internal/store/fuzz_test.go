@@ -48,7 +48,11 @@ func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, loo
 		if decodeErr != nil {
 			return // one probe shows the pass fails; the rest would repeat it
 		}
-		want, wok := tree.Find(code)
+		var want quadtree.Block
+		i, wok := tree.FindIndex(code)
+		if wok {
+			want = tree.Blocks[i]
+		}
 		if ok != wok || got != want || decoded != len(blocks) {
 			t.Fatalf("probe %x: lookup %+v ok=%v (%d decoded), decoded tree %+v ok=%v (%d blocks)",
 				code, got, ok, decoded, want, wok, len(blocks))
@@ -267,7 +271,7 @@ func FuzzOpenPaged(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := store.Open(bytes.NewReader(data), int64(len(data)), store.OpenOptions{CachePages: 4})
+		st, err := store.Open(bytes.NewReader(data), int64(len(data)), store.WithPoolPages(store.OpenOptions{}, 4))
 		if err != nil {
 			return
 		}

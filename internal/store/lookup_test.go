@@ -44,7 +44,7 @@ func TestLookupMatchesTree(t *testing.T) {
 		name string
 		opts store.OpenOptions
 	}{
-		{"pool=1page", store.OpenOptions{CachePages: 1}},
+		{"pool=1page", store.WithPoolPages(store.OpenOptions{}, 1)},
 		{"pool=5%", store.OpenOptions{CacheFraction: 0.05}},
 		{"pool=100%", store.OpenOptions{CacheFraction: 1}},
 	}
@@ -201,7 +201,7 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 			if src == "Mmap" {
 				open = store.OpenMapped
 			}
-			s, err := open(path, store.OpenOptions{CachePages: 1})
+			s, err := open(path, store.WithPoolPages(store.OpenOptions{}, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +289,7 @@ func TestLookupRecycledFramesConcurrent(t *testing.T) {
 		if err := os.WriteFile(path, writeImage(t, ix), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := store.OpenFile(path, store.OpenOptions{CachePages: 2})
+		s, err := store.OpenFile(path, store.WithPoolPages(store.OpenOptions{}, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

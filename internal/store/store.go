@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -18,12 +19,10 @@ import (
 // OpenOptions configures Open.
 type OpenOptions struct {
 	// CacheFraction sizes the private buffer pool as a fraction of the
-	// image's total pages (block pages + adjacency pages); default 0.05,
-	// the paper's setting.
+	// image's total pages (block pages + adjacency pages), through
+	// PoolPages: default 0.05, the paper's setting; at 1 or above the pool
+	// holds the whole image.
 	CacheFraction float64
-	// CachePages, when positive, overrides CacheFraction with an absolute
-	// page capacity. Tests use it to force heavy eviction.
-	CachePages int
 	// Pager shares an externally owned pool across several stores — the
 	// sharded open gives every cell store the same Pager so the cache
 	// fraction stays a property of the whole database. When set, PageBase
@@ -37,6 +36,26 @@ type OpenOptions struct {
 	// verification on first touch keep working unchanged. The slice must
 	// cover the image and stay valid until Close.
 	Mapped []byte
+
+	// poolPages, when positive, replaces the CacheFraction sizing with an
+	// absolute page capacity, so tests can force heavy eviction.
+	poolPages int
+}
+
+// PoolPages is the pool-sizing policy of an opened image: fraction of its
+// totalPages (block pages plus adjacency pages), where 0 means the paper's
+// 5% and a fraction of 1 or more holds every page. NaN, ±Inf and negative
+// fractions are rejected.
+func PoolPages(totalPages int64, fraction float64) (int, error) {
+	switch {
+	case math.IsNaN(fraction) || math.IsInf(fraction, 0) || fraction < 0:
+		return 0, fmt.Errorf("store: cache fraction %v: want a finite fraction >= 0", fraction)
+	case fraction == 0:
+		fraction = 0.05
+	case fraction > 1:
+		fraction = 1
+	}
+	return int(float64(totalPages) * fraction), nil
 }
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
@@ -294,13 +313,11 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 			degrees[v] = g.Degree(graph.VertexID(v))
 		}
 		adjPages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
-		capacity := opts.CachePages
+		capacity := opts.poolPages
 		if capacity <= 0 {
-			fraction := opts.CacheFraction
-			if fraction <= 0 {
-				fraction = 0.05
+			if capacity, err = PoolPages(sb.blockPages+adjPages, opts.CacheFraction); err != nil {
+				return nil, err
 			}
-			capacity = int(float64(sb.blockPages+adjPages) * fraction)
 		}
 		pool := diskio.NewPool(capacity, diskio.DefaultPoolShards)
 		s.pager = NewPager(pool)

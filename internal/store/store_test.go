@@ -66,7 +66,7 @@ func TestPagedRoundTrip(t *testing.T) {
 	for u := 0; u < n; u += 3 {
 		for v := 0; v < n; v += 7 {
 			uu, vv := graph.VertexID(u), graph.VertexID(v)
-			want := ix.Distance(uu, vv)
+			want := ix.DistanceCtx(nil, uu, vv)
 			got := core.ExactDistance(px, qc, uu, vv)
 			if err := qc.Err(); err != nil {
 				t.Fatalf("paged distance %d->%d: %v", u, v, err)
@@ -74,14 +74,14 @@ func TestPagedRoundTrip(t *testing.T) {
 			if math.Abs(want-got) > 1e-9*(1+want) {
 				t.Fatalf("distance %d->%d: paged %v, in-RAM %v", u, v, got, want)
 			}
-			wiv := ix.DistanceInterval(uu, vv)
+			wiv := ix.DistanceIntervalCtx(nil, uu, vv)
 			giv := px.DistanceIntervalCtx(qc, uu, vv)
 			if wiv != giv {
 				t.Fatalf("interval %d->%d: paged %+v, in-RAM %+v", u, v, giv, wiv)
 			}
 		}
 	}
-	wp := ix.Path(0, graph.VertexID(n-1))
+	wp := ix.PathCtx(nil, 0, graph.VertexID(n-1))
 	gp := px.PathCtx(qc, 0, graph.VertexID(n-1))
 	if len(wp) != len(gp) {
 		t.Fatalf("path length %d, want %d", len(gp), len(wp))
@@ -106,7 +106,7 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	img := writeImage(t, ix)
 
 	const capacity = 8
-	st, err := store.Open(bytes.NewReader(img), int64(len(img)), store.OpenOptions{CachePages: capacity})
+	st, err := store.Open(bytes.NewReader(img), int64(len(img)), store.WithPoolPages(store.OpenOptions{}, capacity))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
