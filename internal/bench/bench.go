@@ -132,7 +132,11 @@ func (e *Env) ColdNetwork() (core.QueryIndex, error) {
 		degrees[v] = e.G.Degree(graph.VertexID(v))
 	}
 	pages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
-	pool := diskio.NewPool(int(float64(pages)*cacheFraction), diskio.DefaultPoolShards)
+	poolPages, err := store.PoolPages(pages, cacheFraction)
+	if err != nil {
+		return nil, err
+	}
+	pool := diskio.NewPool(poolPages, diskio.DefaultPoolShards)
 	return networkDB{Index: e.Ix, tracker: diskio.NewStoreTracker(0, degrees, pool)}, nil
 }
 

@@ -240,6 +240,15 @@ func TestStorageModelsTable(t *testing.T) {
 	if !(nh.Bytes > silc.Bytes) {
 		t.Fatalf("next-hop %d not above SILC %d", nh.Bytes, silc.Bytes)
 	}
+	// The ε row is SILC's refiner stopped early: SILC's bytes, no build or
+	// path query of its own.
+	approx, ok := byName["SILC, ε = 0.25"]
+	if !ok {
+		t.Fatalf("missing the ε row: %v", rows)
+	}
+	if approx.Bytes != silc.Bytes || approx.BuildTime != 0 || approx.PathQuery != 0 {
+		t.Fatalf("ε row %+v, SILC %+v", approx, silc)
+	}
 }
 
 func TestRenderersProduceTables(t *testing.T) {

@@ -32,8 +32,9 @@ const AdjacencyEntrySize = 48
 // store (the only layer that knows whether a miss turned into a real
 // positioned read and how many quadtree blocks its decoder passed) —
 // they ride here so one counter follows the per-query attribution
-// plumbing through every layer, the cluster's wire included: the JSON
-// tags are what a node's RPC reply carries back to the router.
+// plumbing through every layer, the cluster's wire included (the binary
+// frames of internal/cluster/wire.go). The JSON tags serve only the
+// benchmark's JSON codec rung, cluster.json_codec_us.
 type Stats struct {
 	Hits   int64 `json:"hits,omitempty"`
 	Misses int64 `json:"misses,omitempty"`

@@ -104,18 +104,6 @@ type Edge struct {
 	Weight   float64
 }
 
-// Edges returns a copy of all directed edges.
-func (g *Network) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		targets, weights := g.Neighbors(VertexID(v))
-		for i := range targets {
-			out = append(out, Edge{From: VertexID(v), To: targets[i], Weight: weights[i]})
-		}
-	}
-	return out
-}
-
 // Builder accumulates vertices and edges and assembles a validated Network.
 type Builder struct {
 	pts   []geom.Point

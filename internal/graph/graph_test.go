@@ -105,14 +105,14 @@ func TestGenerateRoadNetworkProperties(t *testing.T) {
 		t.Fatalf("suspiciously small network: %d vertices", g.NumVertices())
 	}
 	// Weight >= Euclidean length of the segment (lambda >= 1 precondition).
-	for _, e := range g.Edges() {
+	for _, e := range edges(g) {
 		d := g.Euclid(e.From, e.To)
 		if e.Weight < d-1e-12 {
 			t.Fatalf("edge %d->%d weight %v below Euclid %v", e.From, e.To, e.Weight, d)
 		}
 	}
 	// Symmetry: the generator emits bidirectional roads.
-	for _, e := range g.Edges() {
+	for _, e := range edges(g) {
 		if w, ok := g.EdgeWeight(e.To, e.From); !ok || w != e.Weight {
 			t.Fatalf("edge %d->%d not symmetric", e.From, e.To)
 		}
@@ -313,7 +313,7 @@ func TestReadParsesWriteExactly(t *testing.T) {
 			t.Errorf("vertex line %q: Read %v, fmt.Sscanf %v", lines[v], got, want)
 		}
 	}
-	for i, e := range g2.Edges() {
+	for i, e := range edges(g2) {
 		line := lines[g2.NumVertices()+i]
 		var from, to int
 		var w float64
@@ -374,4 +374,16 @@ func TestNearestVertex(t *testing.T) {
 			t.Fatalf("NearestVertex of vertex %d = %d", v, got)
 		}
 	}
+}
+
+// edges lists every directed edge, in vertex then adjacency order.
+func edges(g *Network) []Edge {
+	var out []Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		targets, weights := g.Neighbors(VertexID(v))
+		for i := range targets {
+			out = append(out, Edge{From: VertexID(v), To: targets[i], Weight: weights[i]})
+		}
+	}
+	return out
 }

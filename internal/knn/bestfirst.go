@@ -11,6 +11,7 @@ import (
 	"silc/internal/graph"
 	"silc/internal/pmr"
 	"silc/internal/pqueue"
+	"silc/internal/sssp"
 )
 
 // Variant selects one member of the SILC best-first kNN family.
@@ -162,9 +163,9 @@ type engine struct {
 // therefore their own arenas.
 type scratch struct {
 	eng engine
-	// ws is the Dijkstra/A* workspace of the graph-expansion baselines;
-	// epoch-stamped so IER resets it per candidate in O(1).
-	ws dijkstraWS
+	// search is the graph expansion of the INE/IER baselines;
+	// epoch-stamped so IER re-arms it per candidate in O(1).
+	search sssp.Search
 	// best accumulates the k best neighbors for INE/IER; drainNb is the
 	// reusable drain buffer behind their result sorting.
 	best    pqueue.Indexed[Neighbor]

@@ -304,9 +304,8 @@ type Stats struct {
 	// DkFinal is the distance of the kth reported neighbor.
 	DkFinal float64
 
-	Settled    int // INE/IER: vertices settled by graph expansion
-	Relaxed    int // INE/IER: edges relaxed
-	AStarCalls int // IER: per-candidate shortest-path computations
+	Settled int // INE/IER: vertices settled by graph expansion
+	Relaxed int // INE/IER: edges relaxed
 
 	IO  diskio.Stats  // buffer-pool traffic during the query
 	CPU time.Duration // measured wall time of the query computation

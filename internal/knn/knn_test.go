@@ -398,8 +398,8 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatalf("INE expansion stats empty: %+v", ine.Stats)
 	}
 	ier := IERSpec(h.ix, nil, objs, q, UnboundedSpec(k, VariantKNN))
-	if ier.Stats.AStarCalls < k {
-		t.Fatalf("IER must run at least k shortest-path calls: %+v", ier.Stats)
+	if ier.Stats.Settled == 0 || ier.Stats.Relaxed == 0 {
+		t.Fatalf("IER per-candidate search stats empty: %+v", ier.Stats)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package sssp implements the shortest-path primitives the SILC framework is
 // built from (single-source Dijkstra with first-hop labels) and compares
-// against (point-to-point Dijkstra and A*, the engines behind the INE and
-// IER baselines).
+// against (Search: the one incremental Dijkstra/A* behind point-to-point
+// queries and the INE and IER baselines).
 package sssp
 
 import (
 	"math"
 
+	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/pqueue"
 )
@@ -48,8 +49,8 @@ func (t *Tree) PathTo(dst graph.VertexID) []graph.VertexID {
 }
 
 // Workspace holds reusable buffers for repeated Dijkstra runs (the
-// partition closure and the distance oracle run one per vertex they
-// cover; each parallel worker owns a Workspace).
+// partition closure and the T1 path tables run one per vertex they cover;
+// each parallel worker owns a Workspace).
 type Workspace struct {
 	dist     []float64
 	parent   []graph.VertexID
@@ -122,84 +123,138 @@ func Dijkstra(g *graph.Network, source graph.VertexID) *Tree {
 
 // PointToPoint is the result of a point-to-point query.
 type PointToPoint struct {
-	Dist    float64
-	Path    []graph.VertexID // inclusive of both endpoints; nil if not found
-	Settled int              // vertices permanently labeled ("visited" in the paper)
-	Relaxed int              // edges relaxed
-	Found   bool
+	Dist    float64 // Inf if the target is unreachable
+	Settled int     // vertices permanently labeled ("visited" in the paper)
 }
 
 // ShortestPath runs Dijkstra from s with early termination at t. Its Settled
 // count reproduces the paper's motivating measurement (Dijkstra visits 3191
 // of 4233 vertices to find a 76-edge path).
 func ShortestPath(g *graph.Network, s, t graph.VertexID) PointToPoint {
-	return pointToPoint(g, s, t, nil)
+	return searchTo(g, s, t, graph.NoVertex)
 }
 
 // AStar runs A* from s to t with the Euclidean-distance heuristic, which is
 // admissible and consistent because every edge weight is at least the
-// Euclidean length of the segment. This is the engine the IER baseline uses
-// for its per-candidate network-distance computations.
+// Euclidean length of the segment.
 func AStar(g *graph.Network, s, t graph.VertexID) PointToPoint {
-	target := g.Point(t)
-	h := func(v graph.VertexID) float64 { return g.Point(v).Dist(target) }
-	return pointToPoint(g, s, t, h)
+	return searchTo(g, s, t, t)
 }
 
-func pointToPoint(g *graph.Network, s, t graph.VertexID, heuristic func(graph.VertexID) float64) PointToPoint {
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	parent := make([]graph.VertexID, n)
-	settled := make([]bool, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = graph.NoVertex
-	}
-	var h pqueue.Min[graph.VertexID]
-	dist[s] = 0
-	if heuristic != nil {
-		h.Push(heuristic(s), s)
-	} else {
-		h.Push(0, s)
-	}
-	res := PointToPoint{Dist: Inf}
-	for h.Len() > 0 {
-		_, v := h.Pop()
-		if settled[v] {
-			continue
+func searchTo(g *graph.Network, s, t, goal graph.VertexID) PointToPoint {
+	var sr Search
+	sr.Start(g, s, goal)
+	for {
+		v, d, ok := sr.Next(Inf)
+		if !ok {
+			return PointToPoint{Dist: Inf, Settled: sr.Settled}
 		}
-		settled[v] = true
-		res.Settled++
 		if v == t {
-			res.Found = true
-			res.Dist = dist[t]
-			break
+			return PointToPoint{Dist: d, Settled: sr.Settled}
 		}
-		d := dist[v]
-		targets, weights := g.Neighbors(v)
+	}
+}
+
+// Search is one incremental shortest-path expansion from a source: Dijkstra,
+// or A* toward a goal under the Euclidean heuristic. It is the graph search
+// behind the baselines: point-to-point queries (ShortestPath, AStar, IER's
+// per-candidate distances) and INE's network expansion.
+//
+// Next settles one vertex per call. The arcs of the vertex one call settles
+// are relaxed at the start of the following call, so a caller can stop at a
+// vertex (the target, a distance bound) without reading its arcs, and can do
+// its own per-vertex work (collect objects, charge an adjacency page) before
+// they are read. The marks are epoch-stamped, so Start re-arms a reused
+// Search in O(1) rather than clearing or reallocating per-vertex state.
+type Search struct {
+	g       *graph.Network
+	dist    []float64
+	seen    []uint32 // dist[v] is valid iff seen[v] == epoch
+	done    []uint32 // v is settled iff done[v] == epoch
+	epoch   uint32
+	heap    pqueue.Min[graph.VertexID]
+	astar   bool
+	goal    geom.Point
+	pending graph.VertexID // settled by the last Next, arcs not yet relaxed
+
+	Settled  int // vertices settled since Start
+	Relaxed  int // arcs relaxed since Start
+	MaxQueue int // peak queue length, measured after each vertex's relaxation
+}
+
+// Start arms the search from src over g. With goal != graph.NoVertex it is
+// A*: the queue is keyed by distance plus the Euclidean distance to goal.
+func (s *Search) Start(g *graph.Network, src, goal graph.VertexID) {
+	n := g.NumVertices()
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
+		s.seen = make([]uint32, n)
+		s.done = make([]uint32, n)
+	} else {
+		s.dist = s.dist[:n]
+		s.seen = s.seen[:n]
+		s.done = s.done[:n]
+	}
+	s.epoch++
+	if s.epoch == 0 { // uint32 wrap: clear stale stamps, beyond n too
+		clear(s.seen[:cap(s.seen)])
+		clear(s.done[:cap(s.done)])
+		s.epoch = 1
+	}
+	s.g = g
+	s.heap.Reset()
+	s.astar = goal != graph.NoVertex
+	if s.astar {
+		s.goal = g.Point(goal)
+	}
+	s.pending = graph.NoVertex
+	s.Settled, s.Relaxed, s.MaxQueue = 0, 0, 0
+	s.dist[src] = 0
+	s.seen[src] = s.epoch
+	s.heap.Push(s.key(0, src), src)
+}
+
+func (s *Search) key(d float64, v graph.VertexID) float64 {
+	if s.astar {
+		return d + s.g.Point(v).Dist(s.goal)
+	}
+	return d
+}
+
+// Next relaxes the arcs of the vertex the previous call settled, then
+// settles the unsettled vertex of least key and returns it with its distance
+// from the source. It reports false, settling nothing, when no reachable
+// vertex is left or when the least key exceeds limit (Inf for none). A
+// Dijkstra search's key is the distance; an A* search's adds the Euclidean
+// distance to the goal.
+func (s *Search) Next(limit float64) (graph.VertexID, float64, bool) {
+	if v := s.pending; v != graph.NoVertex {
+		s.pending = graph.NoVertex
+		d := s.dist[v]
+		targets, weights := s.g.Neighbors(v)
 		for i, u := range targets {
-			nd := d + weights[i]
-			res.Relaxed++
-			if nd < dist[u] {
-				dist[u] = nd
-				parent[u] = v
-				key := nd
-				if heuristic != nil {
-					key += heuristic(u)
-				}
-				h.Push(key, u)
+			s.Relaxed++
+			if nd := d + weights[i]; s.seen[u] != s.epoch || nd < s.dist[u] {
+				s.dist[u] = nd
+				s.seen[u] = s.epoch
+				s.heap.Push(s.key(nd, u), u)
 			}
 		}
+		s.MaxQueue = max(s.MaxQueue, s.heap.Len())
 	}
-	if res.Found {
-		var rev []graph.VertexID
-		for v := t; v != graph.NoVertex; v = parent[v] {
-			rev = append(rev, v)
+	for s.heap.Len() > 0 {
+		key, v := s.heap.Pop()
+		if s.done[v] == s.epoch {
+			continue // a stale entry: v settled from a smaller key
 		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
+		if key > limit {
+			s.heap.Push(key, v)
+			return graph.NoVertex, 0, false
 		}
-		res.Path = rev
+		s.done[v] = s.epoch
+		s.Settled++
+		s.pending = v
+		return v, s.dist[v], true
 	}
-	return res
+	return graph.NoVertex, 0, false
 }

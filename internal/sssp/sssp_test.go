@@ -10,7 +10,8 @@ import (
 	"silc/internal/testkit"
 )
 
-// smallNetworks returns a varied set of small networks for oracle comparison.
+// smallNetworks returns a varied set of small networks, one-way ones among
+// them, for oracle comparison.
 func smallNetworks(t *testing.T) []*graph.Network {
 	t.Helper()
 	var nets []*graph.Network
@@ -35,7 +36,7 @@ func smallNetworks(t *testing.T) []*graph.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, ring)
+	nets = append(nets, ring, oneWayNetwork(t, 60, 240, 1), oneWayNetwork(t, 90, 300, 2))
 	return nets
 }
 
@@ -151,29 +152,20 @@ func TestShortestPathAndAStarAgree(t *testing.T) {
 			dij := ShortestPath(g, s, d)
 			ast := AStar(g, s, d)
 			want := oracle[s][d]
-			if s == d {
-				if !dij.Found || dij.Dist != 0 {
-					t.Fatalf("net %d: s==d dij=%+v", gi, dij)
-				}
-				continue
-			}
 			if math.IsInf(want, 1) {
-				if dij.Found || ast.Found {
+				if !math.IsInf(dij.Dist, 1) || !math.IsInf(ast.Dist, 1) {
 					t.Fatalf("net %d: found path to unreachable", gi)
 				}
 				continue
 			}
-			if !dij.Found || math.Abs(dij.Dist-want) > 1e-9 {
+			if math.Abs(dij.Dist-want) > 1e-9 {
 				t.Fatalf("net %d: dijkstra %v want %v", gi, dij.Dist, want)
 			}
-			if !ast.Found || math.Abs(ast.Dist-want) > 1e-9 {
+			if math.Abs(ast.Dist-want) > 1e-9 {
 				t.Fatalf("net %d: astar %v want %v", gi, ast.Dist, want)
 			}
-			if math.Abs(testkit.PathWeight(g, dij.Path)-want) > 1e-9 {
-				t.Fatalf("net %d: dijkstra path weight mismatch", gi)
-			}
-			if math.Abs(testkit.PathWeight(g, ast.Path)-want) > 1e-9 {
-				t.Fatalf("net %d: astar path weight mismatch", gi)
+			if ast.Settled > dij.Settled {
+				t.Fatalf("net %d %d->%d: A* settled %d, Dijkstra %d", gi, s, d, ast.Settled, dij.Settled)
 			}
 		}
 	}
@@ -207,16 +199,17 @@ func TestDijkstraVisitsLargeFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ShortestPath(g, 0, graph.VertexID(g.NumVertices()-1))
-	if !res.Found {
+	dst := graph.VertexID(g.NumVertices() - 1)
+	res := ShortestPath(g, 0, dst)
+	if math.IsInf(res.Dist, 1) {
 		t.Fatal("path not found")
 	}
 	frac := float64(res.Settled) / float64(g.NumVertices())
 	if frac < 0.5 {
 		t.Fatalf("Dijkstra settled only %.0f%%, expected the pathological >50%%", frac*100)
 	}
-	if len(res.Path) >= res.Settled {
-		t.Fatalf("path length %d should be far below settled %d", len(res.Path), res.Settled)
+	if n := len(Dijkstra(g, 0).PathTo(dst)); n >= res.Settled {
+		t.Fatalf("path length %d should be far below settled %d", n, res.Settled)
 	}
 }
 

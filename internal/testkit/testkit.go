@@ -1,7 +1,7 @@
 // Package testkit holds the oracles and generators that tests of several
-// packages share: Floyd–Warshall all-pairs distances, path weights, first-hop
-// colors and random non-planar networks. Only test files import it; the
-// root test TestInternalExportsHaveCallers enforces that.
+// packages share: edge lists, Floyd–Warshall all-pairs distances, path
+// weights, first-hop colors and random non-planar networks. Only test files
+// import it; the root test TestInternalExportsHaveCallers enforces that.
 package testkit
 
 import (
@@ -12,6 +12,18 @@ import (
 	"silc/internal/geom"
 	"silc/internal/graph"
 )
+
+// Edges lists every directed edge of g, in vertex then adjacency order.
+func Edges(g *graph.Network) []graph.Edge {
+	out := make([]graph.Edge, 0, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		targets, weights := g.Neighbors(graph.VertexID(v))
+		for i := range targets {
+			out = append(out, graph.Edge{From: graph.VertexID(v), To: targets[i], Weight: weights[i]})
+		}
+	}
+	return out
+}
 
 // FloydWarshall computes the all-pairs distance matrix, +Inf where no path
 // exists. It is the test oracle for small networks; O(n^3) time and O(n^2)
@@ -27,7 +39,7 @@ func FloydWarshall(g *graph.Network) [][]float64 {
 			}
 		}
 	}
-	for _, e := range g.Edges() {
+	for _, e := range Edges(g) {
 		if e.Weight < d[e.From][e.To] {
 			d[e.From][e.To] = e.Weight
 		}

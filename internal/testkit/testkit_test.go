@@ -16,7 +16,7 @@ func TestGenerateRandomConnected(t *testing.T) {
 	if g.NumVertices() != 50 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
-	for _, e := range g.Edges() {
+	for _, e := range Edges(g) {
 		if e.Weight < g.Euclid(e.From, e.To)-1e-12 {
 			t.Fatal("weight below Euclidean length")
 		}
