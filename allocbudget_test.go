@@ -85,7 +85,7 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "alloc.silcpg2")
+	path := filepath.Join(t.TempDir(), "alloc.silcpg")
 	if err := os.WriteFile(path, pg.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestAllocBudgetLiveMutation(t *testing.T) {
 }
 
 // TestAllocBudgetColdDistance pins what one cold distance costs a freshly
-// opened paged index (PG2, positioned reads, 5% pool): at most a frame per
+// opened paged index (positioned reads, 5% pool): at most a frame per
 // page read — fewer once the pool fills and each eviction gives its frame
 // to the next miss (7 allocations for 30 reads) — and two allocations
 // besides: the WithStats option and the frame map's first bucket. Each
@@ -633,7 +633,7 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 const budgetWarmPagedDistanceAllocs = 64
 
 // TestAllocBudgetWarmPagedDistance pins what warm distances cost behind a
-// 5% PG2 pool over positioned reads that does evict: every miss reads into
+// 5% pool over positioned reads that does evict: every miss reads into
 // a frame an eviction gave back and no lookup builds a tree, so the
 // allocations of a pass do not grow with its page reads.
 func TestAllocBudgetWarmPagedDistance(t *testing.T) {

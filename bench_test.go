@@ -301,11 +301,10 @@ func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.Num
 
 // run times op over one page variant: a pass is 64 operations, op(e, i)
 // runs the i-th and returns its stats. A cold run opens the image afresh
-// before every pass; a warm one runs two untimed passes first, so every run
-// the workload touches has passed its full check — its lookups decode only
-// the blocks they need, from a restart point — and the pool holds
-// what the workload last touched. It reports refinements, page reads and
-// decoded blocks per operation.
+// before every pass; a warm one runs two untimed passes first, so the pool
+// holds what the workload last touched. A lookup decodes the same blocks
+// either way. It reports refinements, page reads and decoded blocks per
+// operation.
 func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
 	const pass = 64
 	open := func() *Engine {

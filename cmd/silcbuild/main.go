@@ -7,7 +7,7 @@
 //	silcbuild -rows 96 -cols 96 -seed 2008   # generate, then build
 //	silcbuild -rows 128 -cols 128 -o idx.silcpg
 //	                      # page-aligned on-disk index, network embedded,
-//	                      # delta+varint block pages (SILCPG2):
+//	                      # delta+varint block pages (SILCPG3):
 //	                      # open with silc.OpenEngine / silcserve -index
 //	silcbuild -rows 256 -cols 256 -partitions 8 -o idx.silcspg   # sharded build
 //

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"silc"
@@ -68,36 +69,82 @@ type pgColdIO struct {
 	Hits   int64  `json:"page_hits"`
 }
 
-// TestF3CountsPinned runs the paper's |S|=0.07N column at k=10 and k=100
-// through every kNN algorithm on the real paged store and compares the
-// per-query page misses, page reads and refinements with BENCH_F3.json.
+// f3Suite runs the paper's |S|=0.07N column at k=10 and k=100 through every
+// kNN algorithm on the real paged store, once per test binary, and returns
+// the per-query page misses, page reads and refinements of each point.
+func f3Suite(t *testing.T) f3Counts {
+	t.Helper()
+	f3Once.Do(func() {
+		env, err := bench.NewEnv(countLattice, countLattice, bench.DefaultSeed, true)
+		if err != nil {
+			f3Once.err = err
+			return
+		}
+		defer env.Close()
+		specs := []bench.SweepSpec{
+			{Label: "k=10", Fraction: 0.07, K: 10},
+			{Label: "k=100", Fraction: 0.07, K: 100},
+		}
+		pts, err := env.Sweep(specs, countQueries, bench.Algorithms(), bench.DefaultSeed+2)
+		if err != nil {
+			f3Once.err = err
+			return
+		}
+		out := f3Counts{Lattice: countLattice, QueriesPerPoint: countQueries}
+		for _, pt := range pts {
+			p := f3Point{Label: pt.Spec.Label, K: pt.Spec.K, Fraction: pt.Spec.Fraction, PerQuery: map[string]f3PerQuery{}}
+			for name, agg := range pt.Per {
+				p.PerQuery[name] = f3PerQuery{PageMisses: agg.IOMisses, PageReads: agg.IOReads, Refinements: agg.Refinements}
+			}
+			out.Points = append(out.Points, p)
+		}
+		f3Once.out = out
+	})
+	if f3Once.err != nil {
+		t.Fatal(f3Once.err)
+	}
+	return f3Once.out
+}
+
+var f3Once struct {
+	sync.Once
+	out f3Counts
+	err error
+}
+
+// TestF3CountsPinned compares the F3 suite's per-query counts with
+// BENCH_F3.json.
 func TestF3CountsPinned(t *testing.T) {
 	if silc.RaceEnabled {
 		t.Skip("single-threaded and deterministic; the race detector only slows it")
 	}
 	t.Parallel()
-	env, err := bench.NewEnv(countLattice, countLattice, bench.DefaultSeed, true)
-	if err != nil {
-		t.Fatal(err)
+	checkCounts(t, "F3", f3Suite(t))
+}
+
+// TestF3PageOrdering holds the F3 suite to the paper's claim for Figure 3:
+// at every point KNN-M reads no more SILC pages per query than INN, KNN and
+// KNN-I.
+func TestF3PageOrdering(t *testing.T) {
+	if silc.RaceEnabled {
+		t.Skip("single-threaded and deterministic; the race detector only slows it")
 	}
-	defer env.Close()
-	specs := []bench.SweepSpec{
-		{Label: "k=10", Fraction: 0.07, K: 10},
-		{Label: "k=100", Fraction: 0.07, K: 100},
-	}
-	pts, err := env.Sweep(specs, countQueries, bench.Algorithms(), bench.DefaultSeed+2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f3Counts{Lattice: countLattice, QueriesPerPoint: countQueries}
-	for _, pt := range pts {
-		p := f3Point{Label: pt.Spec.Label, K: pt.Spec.K, Fraction: pt.Spec.Fraction, PerQuery: map[string]f3PerQuery{}}
-		for name, agg := range pt.Per {
-			p.PerQuery[name] = f3PerQuery{PageMisses: agg.IOMisses, PageReads: agg.IOReads, Refinements: agg.Refinements}
+	t.Parallel()
+	for _, p := range f3Suite(t).Points {
+		m, ok := p.PerQuery["KNN-M"]
+		if !ok {
+			t.Fatalf("%s: no KNN-M counts", p.Label)
 		}
-		out.Points = append(out.Points, p)
+		for _, name := range []string{"INN", "KNN", "KNN-I"} {
+			o, ok := p.PerQuery[name]
+			if !ok {
+				t.Fatalf("%s: no %s counts", p.Label, name)
+			}
+			if m.PageReads > o.PageReads {
+				t.Errorf("%s: KNN-M reads %v pages per query, %s %v", p.Label, m.PageReads, name, o.PageReads)
+			}
+		}
 	}
-	checkCounts(t, "F3", out)
 }
 
 // TestPGCountsPinned builds the 48×48 index monolithic and in four cells,

@@ -117,9 +117,10 @@ func checkEngineEquivalence(t *testing.T, ref, got *silc.Engine) {
 }
 
 // TestGoldenMonolithicPagedCompressed pins the monolithic paged format
-// (SILCPG2): delta+varint block runs. The open → re-serialize round trip
-// goes through the demand-paged store — every tree decoded from pages — and
-// must reproduce the image byte for byte: the encoder is deterministic.
+// (SILCPG3): delta+varint block runs behind their restart tables. The open
+// → re-serialize round trip goes through the demand-paged store — every
+// tree decoded from pages — and must reproduce the image byte for byte: the
+// encoder is deterministic.
 func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
 	ix, err := silc.Build(net, silc.BuildOptions{})
@@ -130,7 +131,7 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 	if _, err := ix.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "grid8.silcpg2", buf.Bytes())
+	checkGolden(t, "grid8.silcpg3", buf.Bytes())
 
 	opened, err := silc.OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, silc.BuildOptions{})
 	if err != nil {
@@ -147,7 +148,7 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 }
 
 // TestGoldenShardedPagedCompressed pins the sharded paged format
-// (SILCSPG2): every embedded cell image is a SILCPG2 image.
+// (SILCSPG3): every embedded cell image is a SILCPG3 image.
 func TestGoldenShardedPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
 	sx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
@@ -158,7 +159,7 @@ func TestGoldenShardedPagedCompressed(t *testing.T) {
 	if _, err := sx.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "grid8x4.silcspg2", buf.Bytes())
+	checkGolden(t, "grid8x4.silcspg3", buf.Bytes())
 
 	opened, err := silc.OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, silc.BuildOptions{})
 	if err != nil {
@@ -199,8 +200,8 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		file    string
 		sharded bool
 	}{
-		{"grid8.silcpg2", false},
-		{"grid8x4.silcspg2", true},
+		{"grid8.silcpg3", false},
+		{"grid8x4.silcspg3", true},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", tc.file))
 		if err != nil {

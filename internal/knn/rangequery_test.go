@@ -304,7 +304,7 @@ func (c *callLog) take() []string {
 // answers every case exactly as the deleted loop did — the same objects in
 // the same order, bit-equal intervals, the same Exact flags and the same
 // refinement and lookup counts — on four index kinds (in-RAM, 4-cell
-// sharded, paged PG2 behind a 5% pool, proximity-bounded so that some
+// sharded, paged behind a 5% pool, proximity-bounded so that some
 // objects are out of range), over static sets and live sets with free slots
 // below the slot bound, at radii 0, small, large and beyond every object. A
 // fifth, hint-taking kind checks that the engine makes the loop's index calls

@@ -19,7 +19,9 @@ func fuzzNetwork(tb testing.TB) *graph.Network {
 
 // FuzzOpenPagedSharded drives the sharded paged opener with arbitrary
 // bytes; beyond parsing, a successful open is queried once so lazily
-// -detected corruption also surfaces as errors.
+// -detected corruption also surfaces as errors. Its seeds are a valid file,
+// a truncation and a bit flip of it, and the file under the magics of the
+// two removed formats.
 func FuzzOpenPagedSharded(f *testing.F) {
 	g := fuzzNetwork(f)
 	sx, err := Build(g, Options{Partitions: 3})
@@ -36,9 +38,11 @@ func FuzzOpenPagedSharded(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-100] ^= 0xFF
 	f.Add(flip)
-	oldMagic := append([]byte(nil), valid...)
-	oldMagic[7] = '1' // SILCSPG2 -> the removed format's magic
-	f.Add(oldMagic)
+	for _, version := range []byte{'1', '2'} { // the removed formats' magics
+		oldMagic := append([]byte(nil), valid...)
+		oldMagic[7] = version
+		f.Add(oldMagic)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{poolPages: 4})
 		if err != nil {

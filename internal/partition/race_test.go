@@ -229,7 +229,7 @@ func pagedCells(t testing.TB, g *graph.Network, p int) *Sharded {
 // refinement steps. The races are random candidate sets and the gateway
 // races PathCtx runs, on road, grid (equal weights: many ties) and one-way
 // maps, on four kinds of cell index: in-RAM cells (lenient, like every cell
-// of a multi-cell build), the same cells paged PG2 behind a 5% pool, a
+// of a multi-cell build), the same cells paged behind a 5% pool, a
 // proximity-bounded index and the splitcell fixture's lenient cell that
 // cannot reach half of itself.
 func TestRaceCellRoutesMatchesOracle(t *testing.T) {
@@ -323,7 +323,7 @@ func TestRaceCellRoutesFewerSteps(t *testing.T) {
 }
 
 // BenchmarkRaceCellRoutes times the races PathCtx runs on a 64×64 road map
-// in four cells, paged PG2 behind a 5% pool, progressive and through the
+// in four cells, paged behind a 5% pool, progressive and through the
 // oracle, and reports refinement steps per race.
 func BenchmarkRaceCellRoutes(b *testing.B) {
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})

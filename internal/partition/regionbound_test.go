@@ -239,7 +239,7 @@ func liveObjects(g *graph.Network, density float64, rng *rand.Rand) *knn.Objects
 }
 
 // TestCellBoundAnswersUnchanged: on four index kinds — monolithic, 4-cell
-// sharded, paged PG2 behind a 5% pool, and live views at 2.5%, 5% and 30%
+// sharded, paged behind a 5% pool, and live views at 2.5%, 5% and 30%
 // density — every query of the mix answers exactly what it answered with the
 // rectangle bound, and the tighter cell bound costs no more lookups or heap
 // pushes and at most 1% more refinements in sum.

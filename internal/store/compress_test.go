@@ -78,7 +78,8 @@ func TestCompressRunRoundTrip(t *testing.T) {
 
 // TestDecompressRunRejectsCorruption mangles valid runs every which way and
 // checks the decoder reports an error rather than panicking or fabricating
-// blocks; so must the lookup's validating pass.
+// blocks; so must a lookup that decodes to the run's end, read whole or a
+// few bytes at a time.
 func TestDecompressRunRejectsCorruption(t *testing.T) {
 	blocks := []quadtree.Block{
 		{Cell: mustCell(t, 0, 14), Color: 0, LamLo: 1.0, LamHi: 1.25},
@@ -106,7 +107,9 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 	misaligned := compress(quadtree.Block{Cell: geom.Cell{Code: 1, Level: 14}, LamLo: 1, LamHi: 1})
 	nanBounds := compress(quadtree.Block{Cell: mustCell(t, 0, 14), LamLo: nan, LamHi: nan})
 	deepLevel := append([]byte{}, enc...)
-	deepLevel[4] = deepLevel[4]&^0x1F | (geom.MaxLevel + 1) // first block's header byte
+	deepLevel[5] = deepLevel[5]&^0x1F | (geom.MaxLevel + 1) // first block's header byte
+	// past every block: a lookup of it decodes the whole run
+	const farProbe = 1<<(2*geom.MaxLevel) - 1
 
 	cases := []struct {
 		name  string
@@ -131,22 +134,29 @@ func TestDecompressRunRejectsCorruption(t *testing.T) {
 			if _, _, err := store.DecompressRun(tc.data, tc.count, tc.deg); err == nil {
 				t.Fatal("corrupted run decoded without error")
 			}
-			if _, _, _, err := store.LookupRun(tc.data, tc.count, tc.deg, 16, false); err == nil {
-				t.Fatal("corrupted run passed the lookup pass without error")
+			for _, chunk := range []int{0, 3} {
+				if _, _, _, err := store.LookupRun(tc.data, tc.count, tc.deg, farProbe, chunk); err == nil {
+					t.Fatalf("corrupted run passed a lookup to its end without error (chunk %d)", chunk)
+				}
 			}
 		})
 	}
 
 	// Every single-byte mangle must either error out or still decode into a
-	// structurally valid run — never panic, never overrun — and the lookup
-	// pass must fail exactly when the decode does.
+	// structurally valid run — never panic, never overrun. A lookup must
+	// succeed on every run the decode accepts and fail on every other run
+	// it decodes to the end: one whose early block already ends past the
+	// probe never sees the later mangle, and need not.
 	for i := range enc {
 		for _, delta := range []byte{0x01, 0x80, 0xFF} {
 			bad := append([]byte{}, enc...)
 			bad[i] ^= delta
 			dec, _, err := store.DecompressRun(bad, len(blocks), deg)
-			if _, _, _, lerr := store.LookupRun(bad, len(blocks), deg, 16, false); (lerr != nil) != (err != nil) {
-				t.Fatalf("mangle at %d: lookup error %v, decode error %v", i, lerr, err)
+			for _, chunk := range []int{0, 3} {
+				_, _, decoded, lerr := store.LookupRun(bad, len(blocks), deg, farProbe, chunk)
+				if (err == nil && lerr != nil) || (err != nil && lerr == nil && decoded == len(blocks)) {
+					t.Fatalf("mangle at %d: lookup error %v after %d blocks (chunk %d), decode error %v", i, lerr, decoded, chunk, err)
+				}
 			}
 			if err != nil {
 				continue

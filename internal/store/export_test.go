@@ -1,24 +1,36 @@
 package store
 
 import (
+	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
 	"silc/internal/quadtree"
 )
 
 // RestartEvery is how many blocks of a run lie between two restart
-// points.
+// entries.
 const RestartEvery = restartEvery
-
-// Validated reports whether v's run has passed a full validating pass, the
-// state that decides which path Lookup takes.
-func (s *Store) Validated(v graph.VertexID) bool { return s.validated.has(v) }
 
 // EvictVertex routes an eviction of v's first page through the pager, the
 // way the pool reports one.
 func (s *Store) EvictVertex(v graph.VertexID) {
 	if first, _, ok := s.layout.OwnerPages(int(v)); ok {
 		s.pager.Evict(s.pageBase + first)
+	}
+}
+
+// DropFrames releases every resident page frame while the pool still
+// counts the pages resident, so the next touch of any page, hit or miss,
+// reads it again.
+func (s *Store) DropFrames() {
+	s.mu.RLock()
+	pages := make([]diskio.PageID, 0, len(s.frames))
+	for p := range s.frames {
+		pages = append(pages, p)
+	}
+	s.mu.RUnlock()
+	for _, p := range pages {
+		s.dropPage(p)
 	}
 }
 
@@ -30,23 +42,54 @@ func (pg *Pager) FreeFrames() int {
 	return len(pg.free)
 }
 
-// LookupRun is the single-block lookup with no restart points: its
-// validated mode decodes from the start of the run.
-func LookupRun(data []byte, count, deg int, code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
-	return lookupRun(data, count, deg, code, nil, validated)
+// LookupRun is the single-block lookup over a run held in memory, read
+// chunk bytes at a time (the whole run at once when chunk <= 0), the way a
+// store reads it page by page.
+func LookupRun(data []byte, count, deg int, code geom.Code, chunk int) (quadtree.Block, bool, int, error) {
+	if chunk <= 0 {
+		chunk = max(len(data), 1)
+	}
+	r := runReader{data: data, ps: int64(chunk), size: len(data)}
+	return lookupRun(&r, count, deg, code)
 }
 
-// IndexRun runs the full validating pass of the lookup over a run,
-// recording its restart points, and returns the validated lookup that
-// resumes from them, or the pass's error when the run fails it.
-func IndexRun(data []byte, count, deg int) (func(geom.Code) (quadtree.Block, bool, int, error), error) {
-	points := make([]restart, restartPoints(count))
-	if _, _, _, err := lookupRun(data, count, deg, 0, points, false); err != nil {
-		return nil, err
+// RunLayout says where a run's bytes lie: Lo is the run's offset in the
+// block section, whose pages are PageSize bytes from file offset
+// BlockOffset on; Blocks is the run offset of its first block, the end of
+// its header; Ends[i] is the end of block i, counted from the first block.
+type RunLayout struct {
+	Lo, BlockOffset int64
+	PageSize        int
+	Blocks          int
+	Ends            []int
+}
+
+// Layout returns the layout of v's run, read straight from the image.
+func (s *Store) Layout(v graph.VertexID) (RunLayout, error) {
+	lo, hi := s.layout.EntryRange(int(v))
+	l := RunLayout{Lo: lo, BlockOffset: s.sb.blockOff, PageSize: s.sb.pageSize}
+	count := int(s.counts[v])
+	if count == 0 {
+		return l, nil
 	}
-	return func(code geom.Code) (quadtree.Block, bool, int, error) {
-		return lookupRun(data, count, deg, code, points, true)
-	}, nil
+	run, err := readSection(s.ra, s.sb.blockOff+lo, hi-lo)
+	if err != nil {
+		return l, err
+	}
+	var h runHead
+	if err := h.parse(run, len(run), count, s.g.Degree(v)); err != nil {
+		return l, err
+	}
+	l.Blocks = h.blocks
+	d := runDecoder{restart: runStart, data: run[h.blocks:], dict: h.dict}
+	var b quadtree.Block
+	for d.i < count {
+		if err := d.next(&b); err != nil {
+			return l, err
+		}
+		l.Ends = append(l.Ends, d.at)
+	}
+	return l, nil
 }
 
 // WithPoolPages returns opts with the private pool sized to exactly pages

@@ -17,8 +17,9 @@
 //	page CRCs    one CRC-32 per block page + table CRC (loaded eagerly)
 //
 // A run is one vertex's sorted Morton blocks as a delta+varint stream
-// (compress.go). The magic is SILCPG2\0; a sharded file of embedded images
-// (internal/partition) opens with SILCSPG2. The superblock is 100 bytes.
+// behind a header that holds its restart table (compress.go). The magic is
+// SILCPG3\0; a sharded file of embedded images (internal/partition) opens
+// with SILCSPG3. The superblock is 100 bytes.
 //
 // All integers are little-endian. Offsets are relative to the image start,
 // so a complete image can be embedded inside a larger file (the sharded
@@ -45,17 +46,17 @@ const PageSize = diskio.DefaultPageSize
 // The magics of a monolithic image and of a sharded file, the only names
 // of the formats: every other package asks Sniff or writes ShardedMagic.
 const (
-	magic        = "SILCPG2\x00"
-	ShardedMagic = "SILCSPG2"
+	magic        = "SILCPG3\x00"
+	ShardedMagic = "SILCSPG3"
 )
 
 // ErrBadMagic reports bytes that open no paged image; the root package
 // exports it as silc.ErrBadMagic.
-var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG2 nor SILCSPG2)")
+var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG3 nor SILCSPG3)")
 
 // Sniff reports whether an 8-byte magic opens a sharded file or a
 // monolithic image. Any other bytes are an error wrapping ErrBadMagic, which
-// for the removed fixed-width format says to rebuild the image.
+// for a removed format says to rebuild the image.
 func Sniff(m []byte) (sharded bool, err error) {
 	switch string(m) {
 	case magic:
@@ -64,6 +65,8 @@ func Sniff(m []byte) (sharded bool, err error) {
 		return true, nil
 	case "SILCPG1\x00", "SILCSPG1": // the removed fixed-width format
 		return false, fmt.Errorf("%w: %q is the removed fixed-width format (SILCPG1/SILCSPG1); rebuild the image with silcbuild -o", ErrBadMagic, m)
+	case "SILCPG2\x00", "SILCSPG2": // the removed format without restart tables
+		return false, fmt.Errorf("%w: %q is the removed format without restart tables (SILCPG2/SILCSPG2); rebuild the image with silcbuild -o", ErrBadMagic, m)
 	}
 	return false, fmt.Errorf("%w: got %q", ErrBadMagic, m)
 }

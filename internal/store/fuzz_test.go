@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -14,65 +15,44 @@ import (
 	"silc/internal/store"
 )
 
-// checkLookupPass holds the single-block lookup to the whole-run decode of
-// the same run. The full pass errors iff decodeErr is set, and on an
-// accepted run it decodes every block and returns, for probes inside, at the
-// edges of and between the decoded blocks, exactly the block the decoded
-// tree finds. On an accepted run the validated lookup — the early exit a
-// store takes once the full pass succeeded — must return the same block and
-// ok for every probe, decoding no more blocks than the run holds.
-//
-// index runs the full pass that records the run's restart points and
-// returns the validated lookup resuming from them. The pass must fail iff
-// decodeErr is set; on an accepted run the lookup resuming from its points
-// must return the full pass's block and ok for every probe, decoding
-// exactly the blocks from its restart point through the first block ending
-// past the probe.
-func checkLookupPass(t *testing.T, blocks []quadtree.Block, decodeErr error, lookup func(code geom.Code, validated bool) (quadtree.Block, bool, int, error),
-	index func() (func(geom.Code) (quadtree.Block, bool, int, error), error)) {
+// checkLookups holds the single-block lookup to the whole-run decode of
+// the same run, read whole and a few bytes at a time. On a run the decode
+// accepts, every probe — inside, at the edges of and between the decoded
+// blocks — must return exactly the block the decoded tree finds, decoding
+// exactly the blocks from its restart entry through the first block ending
+// past the probe. On a run the decode rejects, a lookup may fail or answer
+// from the part of the run it reads, but must not panic.
+func checkLookups(t *testing.T, data []byte, count, deg int, blocks []quadtree.Block, decodeErr error) {
 	t.Helper()
-	indexed, err := index()
-	if (err != nil) != (decodeErr != nil) {
-		t.Fatalf("indexing pass error %v, decode error %v", err, decodeErr)
-	}
-	probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
+	probes := []geom.Code{0, 1 << 30, 1 << 31, 1<<(2*geom.MaxLevel) - 1, 1 << (2 * geom.MaxLevel)}
 	for _, b := range blocks {
 		probes = append(probes, b.Cell.Code, b.Cell.Code-1, b.Cell.End()-1, b.Cell.End())
 	}
 	tree := &quadtree.Tree{Blocks: blocks}
 	for _, code := range probes {
-		got, ok, decoded, err := lookup(code, false)
-		if (err != nil) != (decodeErr != nil) {
-			t.Fatalf("probe %x: lookup error %v, decode error %v", code, err, decodeErr)
-		}
-		if decodeErr != nil {
-			return // one probe shows the pass fails; the rest would repeat it
-		}
-		var want quadtree.Block
-		i, wok := tree.FindIndex(code)
-		if wok {
-			want = tree.Blocks[i]
-		}
-		if ok != wok || got != want || decoded != len(blocks) {
-			t.Fatalf("probe %x: lookup %+v ok=%v (%d decoded), decoded tree %+v ok=%v (%d blocks)",
-				code, got, ok, decoded, want, wok, len(blocks))
-		}
-		got, ok, decoded, err = lookup(code, true)
-		if err != nil || ok != wok || got != want || decoded > len(blocks) {
-			t.Fatalf("probe %x: validated lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d blocks)",
-				code, got, ok, decoded, err, want, wok, len(blocks))
-		}
-		got, ok, decoded, err = indexed(code)
-		if limit := validatedDecodes(tree, code); err != nil || ok != wok || got != want || int64(decoded) != limit {
-			t.Fatalf("probe %x: restart-indexed lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d of %d blocks)",
-				code, got, ok, decoded, err, want, wok, limit, len(blocks))
+		for _, chunk := range []int{0, 7} {
+			got, ok, decoded, err := store.LookupRun(data, count, deg, code, chunk)
+			if decodeErr != nil {
+				continue
+			}
+			var want quadtree.Block
+			i, wok := tree.FindIndex(code)
+			if wok {
+				want = tree.Blocks[i]
+			}
+			if limit := spanDecodes(tree, code); err != nil || ok != wok || got != want || int64(decoded) != limit {
+				t.Fatalf("probe %x (chunk %d): lookup %+v ok=%v (%d decoded) err=%v, decoded tree %+v ok=%v (%d of %d blocks)",
+					code, chunk, got, ok, decoded, err, want, wok, limit, len(blocks))
+			}
 		}
 	}
 }
 
 // pageDecodeSeeds builds seed inputs for the compressed-run decoder: a real
-// delta-compressed vertex run plus hand-mangled variants, and the longest
-// run of a 12×12 grid, which has restart points to resume from.
+// delta-compressed vertex run plus hand-mangled variants, the longest run
+// of a 12×12 grid, which has restart entries to start from, and that run
+// with its first entry's offset off by one, then the shift of its
+// aligned end code.
 func pageDecodeSeeds(tb testing.TB) []struct {
 	data  []byte
 	count uint16
@@ -112,6 +92,13 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 	if len(flipHeader) > 2 {
 		flipHeader[2] = 0x1F // absurd level in the first block header
 	}
+	longest := longestRunSeed(tb, 12)
+	entryOffset := append([]byte(nil), longest.data...)
+	at := restartTableAt(longest.data)
+	entryOffset[at] ^= 0x01 // entry 0's offset delta, a one-byte varint
+	entryKey := append([]byte(nil), longest.data...)
+	_, w := binary.Uvarint(longest.data[at:])
+	entryKey[at+w] ^= 0x01 // the shift of entry 0's aligned end-code delta
 	return []struct {
 		data  []byte
 		count uint16
@@ -123,8 +110,19 @@ func pageDecodeSeeds(tb testing.TB) []struct {
 		{flipHeader, count},
 		{nil, 0},
 		{make([]byte, 64), 7},
-		longestRunSeed(tb, 12),
+		longest,
+		{entryOffset, longest.count},
+		{entryKey, longest.count},
 	}
+}
+
+// restartTableAt returns the offset of a run's restart table: past the
+// block count, the dictionary and the table's length.
+func restartTableAt(run []byte) int {
+	_, at := binary.Uvarint(run)
+	at += 1 + int(run[at])
+	_, w := binary.Uvarint(run[at:])
+	return at + w
 }
 
 // longestRunSeed returns the delta-compressed run of the vertex with the
@@ -167,19 +165,14 @@ func longestRunSeed(tb testing.TB, side int) struct {
 // the query path relies on AND survive a re-encode/re-decode round trip
 // bit-identically — the encoder is canonical, so a decode that cannot be
 // reproduced by the writer indicates the decoder accepted garbage. The
-// single-block lookup, full, validated and resuming from restart points,
-// must agree with the decode (checkLookupPass).
+// single-block lookup must agree with the decode (checkLookups).
 func FuzzPageDecode(f *testing.F) {
 	for _, seed := range pageDecodeSeeds(f) {
 		f.Add(seed.data, seed.count, uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, deg uint8) {
 		blocks, minLambda, err := store.DecompressRun(data, int(count), int(deg))
-		checkLookupPass(t, blocks, err, func(code geom.Code, validated bool) (quadtree.Block, bool, int, error) {
-			return store.LookupRun(data, int(count), int(deg), code, validated)
-		}, func() (func(geom.Code) (quadtree.Block, bool, int, error), error) {
-			return store.IndexRun(data, int(count), int(deg))
-		})
+		checkLookups(t, data, int(count), int(deg), blocks, err)
 		if err != nil {
 			return
 		}
@@ -222,8 +215,8 @@ func FuzzPageDecode(f *testing.F) {
 }
 
 // openPagedSeeds builds seed images for the store opener: a valid image,
-// truncations and bit flips of it, and magics the opener rejects — the
-// removed fixed-width format's and the sharded file's.
+// truncations and bit flips of it, and magics the opener rejects — the two
+// removed formats' and the sharded file's.
 func openPagedSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	g, err := graph.GenerateGrid(5, 5)
@@ -244,7 +237,9 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 	flipPage := append([]byte(nil), valid...)
 	flipPage[len(flipPage)-64] ^= 0x01 // inside the last block page / CRC table
 	oldMagic := append([]byte(nil), valid...)
-	oldMagic[6] = '1' // SILCPG2 -> the removed format's magic
+	oldMagic[6] = '1' // the removed fixed-width format's magic
+	noTables := append([]byte(nil), valid...)
+	noTables[6] = '2' // the removed format without restart tables
 	sharded := append([]byte(store.ShardedMagic), valid[8:]...)
 	return [][]byte{
 		valid,
@@ -257,15 +252,18 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 		oldMagic,
 		sharded,
 		valid[:100],
-		[]byte("SILCPG2\x00short"),
+		[]byte("SILCPG2\x00short"), // the removed format without restart tables
+		noTables,
+		[]byte("SILCPG3\x00short"),
 	}
 }
 
 // FuzzOpenPaged drives the store opener with arbitrary images. A
-// successful open is fully exercised: every vertex's quadtree is
-// decoded, so lazily-detected page corruption also surfaces as errors,
-// never panics. Its checked-in corpus also holds whole images of the
-// removed fixed-width format, which the opener must reject.
+// successful open is fully exercised: every vertex's quadtree is decoded
+// and looked up at every vertex's code, so lazily-detected page corruption
+// also surfaces as errors, never panics. Its checked-in corpus holds whole
+// images of the two removed formats, which the opener must reject, beside
+// openPagedSeeds.
 func FuzzOpenPaged(f *testing.F) {
 	for _, seed := range openPagedSeeds(f) {
 		f.Add(seed)
@@ -275,19 +273,25 @@ func FuzzOpenPaged(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n := st.Graph().NumVertices()
-		for v := 0; v < n; v++ {
+		g := st.Graph()
+		for v := 0; v < g.NumVertices(); v++ {
 			if _, err := st.Tree(nil, graph.VertexID(v)); err != nil {
 				return // corrupt page detected lazily — fine
+			}
+			for u := 0; u < g.NumVertices(); u++ {
+				if _, _, err := st.Lookup(nil, graph.VertexID(v), g.Code(graph.VertexID(u))); err != nil {
+					t.Fatalf("vertex %d: a lookup fails on a run its tree decode accepts: %v", v, err)
+				}
 			}
 		}
 	})
 }
 
-// TestWriteFuzzCorpus regenerates FuzzPageDecode's checked-in seed corpus
-// under testdata/fuzz when SILC_GEN_CORPUS=1. FuzzOpenPaged's corpus is
-// not regenerated: seeds 0 to 6 are images of the removed fixed-width
-// writer, kept to drive the opener's rejection.
+// TestWriteFuzzCorpus regenerates the checked-in seed corpora under
+// testdata/fuzz when SILC_GEN_CORPUS=1: FuzzPageDecode's, and FuzzOpenPaged's
+// from seed 11 on. FuzzOpenPaged's seeds 0 to 10 are not regenerated: they
+// are images of the two removed writers (0 to 6 fixed-width, 7 to 10
+// without restart tables), kept to drive the opener's rejection.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("SILC_GEN_CORPUS") == "" {
 		t.Skip("set SILC_GEN_CORPUS=1 to regenerate the fuzz seed corpus")
@@ -305,5 +309,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed.data)) + ")\nuint16(" +
 			strconv.Itoa(int(seed.count)) + ")\nbyte('\\x04')\n"
 		write(filepath.Join("testdata", "fuzz", "FuzzPageDecode"), "seed-"+strconv.Itoa(i), body)
+	}
+	for i, seed := range openPagedSeeds(t) {
+		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
+		write(filepath.Join("testdata", "fuzz", "FuzzOpenPaged"), "seed-"+strconv.Itoa(11+i), body)
 	}
 }

@@ -3,10 +3,12 @@ package store_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,16 +27,16 @@ func sameBlock(a, b quadtree.Block) bool {
 }
 
 // TestLookupMatchesTree is the differential test of the single-block lookup.
-// On both page sources, and pools of one page, 5% and 100%,
-// every vertex is probed with the code of every vertex plus codes no vertex
-// has, over both paths a lookup takes: the full validating pass of a run
-// that has passed none yet, and the validated lookup of one that has — some
+// On both page sources, and pools of one page, 5% and 100%, every vertex is
+// probed twice with the code of every vertex plus codes no vertex has, some
 // of them right after an eviction of the run's first page, so its pages are
 // read again. Each answer must equal, in its bits and in ok, the block
-// Tree().FindIndex finds on a separate handle of the same image. A full pass
-// must decode the whole run and leave it validated; a validated lookup must
-// decode exactly the blocks from its restart point to the first block
-// ending past the probe.
+// Tree().FindIndex finds on a separate handle of the same image. Each
+// lookup must decode exactly the blocks from its restart entry through the
+// first block ending past the probe, and touch each page holding the run's
+// header or those blocks exactly once and no other page. On ReadAt the
+// pages are named: every other lookup runs with every frame dropped, so
+// each page it touches is read, and the reads must be exactly those pages.
 func TestLookupMatchesTree(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	n := g.NumVertices()
@@ -60,19 +62,26 @@ func TestLookupMatchesTree(t *testing.T) {
 	for _, src := range []string{"ReadAt", "Mmap"} {
 		for _, pool := range pools {
 			t.Run("PG2/"+src+"/"+pool.name, func(t *testing.T) {
-				open := store.OpenFile
+				rec := &readRecorder{r: bytes.NewReader(img)}
+				var s *store.Store
+				var err error
 				if src == "Mmap" {
-					open = store.OpenMapped
+					s, err = store.OpenMapped(path, pool.opts)
+				} else {
+					s, err = store.Open(rec, int64(len(img)), pool.opts)
 				}
-				s, err := open(path, pool.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				paths := map[string]int{}
+				spans, multiPage := 0, 0
 				for v := 0; v < n; v++ {
 					vid := graph.VertexID(v)
 					tree, err := ref.Tree(nil, vid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					layout, err := s.Layout(vid)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -81,18 +90,15 @@ func TestLookupMatchesTree(t *testing.T) {
 							if (i+pass)%3 == 0 {
 								s.EvictVertex(vid)
 							}
-							path := "full"
-							switch {
-							case s.BlockCount(vid) == 0:
-								path = "empty"
-							case s.Validated(vid):
-								path = "validated"
+							named := src == "ReadAt" && (i+pass)%2 == 0
+							if named {
+								s.DropFrames()
 							}
-							paths[path]++
+							rec.offs = rec.offs[:0]
 							var io diskio.Stats
 							got, ok, err := s.Lookup(&io, vid, c)
 							if err != nil {
-								t.Fatalf("vertex %d probe %x (%s): %v", v, c, path, err)
+								t.Fatalf("vertex %d probe %x: %v", v, c, err)
 							}
 							var want quadtree.Block
 							wi, wok := tree.FindIndex(c)
@@ -100,55 +106,109 @@ func TestLookupMatchesTree(t *testing.T) {
 								want = tree.Blocks[wi]
 							}
 							if ok != wok || !sameBlock(got, want) {
-								t.Fatalf("vertex %d probe %x (%s): Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
-									v, c, path, got, ok, want, wok)
+								t.Fatalf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
+									v, c, got, ok, want, wok)
 							}
-							count := len(tree.Blocks)
-							switch path {
-							case "full":
-								if io.BlocksDecoded != int64(count) {
-									t.Fatalf("vertex %d probe %x (full): decoded %d of %d blocks", v, c, io.BlocksDecoded, count)
-								}
-							case "validated":
-								if limit := validatedDecodes(tree, c); io.BlocksDecoded != limit {
-									t.Fatalf("vertex %d probe %x (validated): decoded %d of %d blocks, want %d",
-										v, c, io.BlocksDecoded, count, limit)
-								}
-							default:
-								if io.BlocksDecoded != 0 {
-									t.Fatalf("vertex %d probe %x (empty): decoded %d blocks", v, c, io.BlocksDecoded)
+							if want := spanDecodes(tree, c); io.BlocksDecoded != want {
+								t.Fatalf("vertex %d probe %x: decoded %d of %d blocks, want %d",
+									v, c, io.BlocksDecoded, len(tree.Blocks), want)
+							}
+							pages := lookupPages(layout, tree, c)
+							if io.Accesses() != int64(len(pages)) {
+								t.Fatalf("vertex %d probe %x: %d page touches, want one for each of pages %v",
+									v, c, io.Accesses(), pages)
+							}
+							if named {
+								if read := rec.pages(layout); !slices.Equal(read, pages) {
+									t.Fatalf("vertex %d probe %x: read pages %v, want %v (header and decoded span)", v, c, read, pages)
 								}
 							}
-							if path != "empty" && !s.Validated(vid) {
-								t.Fatalf("vertex %d: a %s lookup left its run unvalidated", v, path)
+							if len(pages) > 0 {
+								spans++
+							}
+							if len(pages) > 1 {
+								multiPage++
 							}
 						}
 					}
 				}
-				if paths["full"] == 0 || paths["validated"] == 0 {
-					t.Fatalf("paths taken %v: both paths must be exercised", paths)
+				if multiPage == 0 || multiPage == spans {
+					t.Fatalf("%d of %d lookups touched more than one page: both kinds must be exercised", multiPage, spans)
 				}
 			})
 		}
 	}
 }
 
-// validatedDecodes is how many blocks a validated lookup of probe c decodes
-// from a run of tree's blocks: exactly the blocks from the lookup's restart
-// point — the last multiple of RestartEvery that has a point and is at most
-// the index k of the first block ending past c (the run's length when none
-// does) — through block k, or to the run's end.
-func validatedDecodes(tree *quadtree.Tree, c geom.Code) int64 {
+// readRecorder is an io.ReaderAt that records the offset of every read.
+type readRecorder struct {
+	r    io.ReaderAt
+	offs []int64
+}
+
+func (r *readRecorder) ReadAt(p []byte, off int64) (int, error) {
+	r.offs = append(r.offs, off)
+	return r.r.ReadAt(p, off)
+}
+
+// pages returns the block pages the recorded reads read, in read order.
+func (r *readRecorder) pages(l store.RunLayout) []int64 {
+	var pages []int64
+	for _, off := range r.offs {
+		pages = append(pages, (off-l.BlockOffset)/int64(l.PageSize))
+	}
+	return pages
+}
+
+// spanDecodes is how many blocks a lookup of probe c decodes from a run of
+// tree's blocks: exactly the blocks from its restart entry — the last
+// multiple of RestartEvery that has an entry and is at most the index k of
+// the first block ending past c (the run's length when none does) — through
+// block k, or to the run's end.
+func spanDecodes(tree *quadtree.Tree, c geom.Code) int64 {
 	count := len(tree.Blocks)
-	k := count
-	for i, b := range tree.Blocks {
+	k := firstEndingPast(tree.Blocks, c)
+	start := min(k/store.RestartEvery, max(count-1, 0)/store.RestartEvery) * store.RestartEvery
+	return int64(min(k+1, count) - start)
+}
+
+// firstEndingPast is the index of the first block ending past c, or
+// len(blocks) when none does.
+func firstEndingPast(blocks []quadtree.Block, c geom.Code) int {
+	for i, b := range blocks {
 		if b.Cell.End() > c {
-			k = i
-			break
+			return i
 		}
 	}
+	return len(blocks)
+}
+
+// lookupPages is the block pages, ascending, a lookup of probe c touches
+// in tree's run, laid out as l: those holding the run's header, then those
+// holding the blocks spanDecodes counts.
+func lookupPages(l store.RunLayout, tree *quadtree.Tree, c geom.Code) []int64 {
+	count := len(l.Ends)
+	if count == 0 {
+		return nil
+	}
+	k := firstEndingPast(tree.Blocks, c)
 	start := min(k/store.RestartEvery, (count-1)/store.RestartEvery) * store.RestartEvery
-	return int64(min(k+1, count) - start)
+	from := 0
+	if start > 0 {
+		from = l.Ends[start-1]
+	}
+	var pages []int64
+	add := func(lo, hi int) {
+		ps := int64(l.PageSize)
+		for p := (l.Lo + int64(lo)) / ps; p <= (l.Lo+int64(hi)-1)/ps; p++ {
+			if len(pages) == 0 || pages[len(pages)-1] < p {
+				pages = append(pages, p)
+			}
+		}
+	}
+	add(0, l.Blocks)
+	add(l.Blocks+from, l.Blocks+l.Ends[min(k, count-1)])
+	return pages
 }
 
 // lookupProbes returns the code of every vertex of g plus codes no vertex
@@ -168,14 +228,12 @@ func lookupProbes(g *graph.Network) []geom.Code {
 }
 
 // TestValidatedLookupConcurrent races lookups of the same runs on one store
-// behind a one-page pool, over both page sources. First,
-// for every vertex in turn, 8 goroutines released together make the first
-// lookups of its run, so concurrent full passes race to record one run's
-// restart points. Then the 8 goroutines probe every vertex in different
-// orders, so validated lookups resuming from those points and evictions of
-// each other's pages interleave. Every answer must equal Tree().FindIndex
-// on a separate handle, and every run looked up must end validated. Run it
-// under -race.
+// behind a one-page pool, over both page sources. First, for every vertex
+// in turn, 8 goroutines released together look up its run at once, each
+// from another restart entry. Then the 8 goroutines probe every vertex in
+// different orders, so lookups and evictions of each other's pages
+// interleave. Every answer must equal Tree().FindIndex on a separate handle.
+// Run it under -race.
 func TestValidatedLookupConcurrent(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	n := g.NumVertices()
@@ -262,21 +320,14 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			for v := 0; v < n; v++ {
-				vid := graph.VertexID(v)
-				if !s.Validated(vid) && s.BlockCount(vid) > 0 {
-					t.Fatalf("vertex %d: looked up but never validated", v)
-				}
-			}
 		})
 	}
 }
 
 // TestLookupRecycledFramesConcurrent races the three ways a run is read —
-// a Lookup on whatever path the vertex's state picks, a Tree, and a Lookup
-// right after an eviction of the run's first page — from 8 goroutines over
-// a 2-page pool on a ReadAt store. Nearly every touch evicts, so
-// page frames are recycled constantly: a run gathered from a frame after
+// a Lookup, a Tree, and a Lookup right after an eviction of the run's first
+// page — from 8 goroutines over a 2-page pool on a ReadAt store. Nearly
+// every touch evicts, so page frames are recycled constantly: a run gathered from a frame after
 // the frame went back to the Pager would read another page's bytes. Every
 // answer must equal the in-RAM tree's FindIndex and every tree the in-RAM
 // tree.

@@ -170,8 +170,8 @@ type ReadStats struct {
 	// pages — the dominant first-touch cost of the mmap page source.
 	CRCTime time.Duration
 	// BlocksDecoded counts quadtree blocks the decoder actually passed: a
-	// tree decode or a vertex's first lookup passes its whole run, a lookup
-	// of a validated run only the blocks its answer needed.
+	// tree decode passes its whole run, a lookup the blocks from its
+	// restart entry to its answer.
 	BlocksDecoded int64
 }
 
@@ -200,17 +200,6 @@ type Store struct {
 	mu     sync.RWMutex
 	frames map[diskio.PageID][]byte // resident raw page bytes, keyed by local page
 
-	// validated holds one bit per vertex, set once a full validating pass
-	// of Lookup over its run succeeded, after it recorded the run's restart
-	// points, and never cleared: the image is immutable and every page read
-	// is CRC-checked, so the run's bytes stay the ones that passed. A lookup
-	// of a validated run decodes only the blocks it needs.
-	validated vertexBits
-	// points is the restart slab, sized at Open: v's run's points are
-	// points[pointsAt[v]:pointsAt[v+1]], restartPoints(counts[v]) of them.
-	points   []restart
-	pointsAt []int
-
 	reads     atomic.Int64
 	readBytes atomic.Int64
 	readNanos atomic.Int64
@@ -219,9 +208,9 @@ type Store struct {
 }
 
 // loadScratch carries the gather buffer of one run read (a tree decode or
-// a lookup): the contiguous run handed to the decoder. It is scratch
-// — the decoder copies values out — so it recycles through a pool instead
-// of being reallocated per read.
+// a lookup): the run's bytes handed to the decoder. It is scratch — the
+// decoder copies values out — so it recycles through a pool instead of
+// being reallocated per read.
 type loadScratch struct {
 	run []byte
 }
@@ -287,22 +276,15 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	// exactly its blockPages.
 	layout := diskio.NewLayout(lens, 1, sb.pageSize)
 
-	pointsAt := make([]int, sb.n+1)
-	for v, count := range counts {
-		pointsAt[v+1] = pointsAt[v] + restartPoints(int(count))
-	}
 	s := &Store{
-		ra:        ra,
-		sb:        sb,
-		g:         g,
-		counts:    counts,
-		mapped:    opts.Mapped,
-		layout:    layout,
-		pageCRCs:  pageCRCs,
-		frames:    make(map[diskio.PageID][]byte),
-		validated: newVertexBits(sb.n),
-		points:    make([]restart, pointsAt[sb.n]),
-		pointsAt:  pointsAt,
+		ra:       ra,
+		sb:       sb,
+		g:        g,
+		counts:   counts,
+		mapped:   opts.Mapped,
+		layout:   layout,
+		pageCRCs: pageCRCs,
+		frames:   make(map[diskio.PageID][]byte),
 	}
 	if opts.Pager != nil {
 		s.pager = opts.Pager
@@ -444,16 +426,18 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 }
 
 // DecodeTree implements core.TreeSource: it decodes v's whole run into t,
-// reusing t's block storage; on an error t's blocks are unspecified. Page
-// traffic is charged to the shared pool and to ioStats (nil = untracked);
-// misses perform real reads.
+// checking every block and every restart entry, and reusing t's block
+// storage; on an error t's blocks are unspecified. Page traffic is charged
+// to the shared pool and to ioStats (nil = untracked); misses perform real
+// reads.
 func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
-	run, sc, err := s.runBytes(ioStats, v)
+	r := s.reader(ioStats, v)
+	defer r.release()
+	run, err := r.read(0, r.size)
 	if err != nil {
 		return err
 	}
 	blocks, minLambda, err := decompressRun(t.Blocks, run, int(s.counts[v]), s.g.Degree(v))
-	releaseRun(sc, run)
 	if err != nil {
 		return fmt.Errorf("store: vertex %d: %w", v, err)
 	}
@@ -478,25 +462,16 @@ func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 }
 
 // Lookup implements core.TreeSource: it returns the block of v's quadtree
-// whose cell contains code (ok false when none does), touching the pages a
-// Tree call touches, in the same order, and caching nothing. Until a full
-// validating pass over v's run succeeded, the decoder passes over the whole
-// run; after that it decodes only the blocks the answer needs, at most
-// restartEvery, from a restart point the first pass recorded.
+// whose cell contains code (ok false when none does), caching nothing. It
+// touches, in order, the pages holding the run's header and those holding
+// the bytes it decodes: from the restart entry in front of the block it
+// needs through that block, at most restartEvery blocks.
 func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
-	run, sc, err := s.runBytes(ioStats, v)
-	if err != nil {
-		return quadtree.Block{}, false, err
-	}
-	validated := s.validated.has(v)
-	points := s.points[s.pointsAt[v]:s.pointsAt[v+1]]
-	b, ok, decoded, err := lookupRun(run, int(s.counts[v]), s.g.Degree(v), code, points, validated)
-	releaseRun(sc, run)
+	r := s.reader(ioStats, v)
+	b, ok, decoded, err := lookupRun(&r, int(s.counts[v]), s.g.Degree(v), code)
+	r.release()
 	if err != nil {
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
-	}
-	if !validated {
-		s.validated.set(v)
 	}
 	s.chargeDecode(ioStats, decoded)
 	return b, ok, nil
@@ -510,42 +485,84 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
 	}
 }
 
-// runBytes touches every page of v's run in order, reading missed ones, and
-// returns the run's bytes: straight out of the mapping when one is attached
-// (the run is contiguous there, so no gather copy happens), otherwise
-// gathered into pooled scratch page by page as each page is touched, which
-// the caller hands back through releaseRun once it has decoded the run.
-func (s *Store) runBytes(ioStats *diskio.Stats, v graph.VertexID) ([]byte, *loadScratch, error) {
-	first, last, ok := s.layout.OwnerPages(int(v))
-	lo, hi := s.layout.EntryRange(int(v))
-	if s.mapped != nil {
-		if err := s.Touch(ioStats, v); err != nil {
-			return nil, nil, err
-		}
-		return s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi], nil, nil
-	}
-	sc := loadPool.Get().(*loadScratch)
-	run := sc.run[:0]
-	ps := int64(s.sb.pageSize)
-	for p := first; ok && p <= last; p++ {
-		base := int64(p) * ps
-		var err error
-		if run, err = s.touch(p, ioStats, run, max(lo, base)-base, min(hi, base+ps)-base); err != nil {
-			releaseRun(sc, run)
-			return nil, nil, err
-		}
-	}
-	return run, sc, nil
+// runReader hands the bytes of one run to its decoder as the decoder asks
+// for them, page by page: it touches each page once, in order, and exposes
+// no byte of a page it has not touched. A mapped store's bytes come straight
+// out of the mapping; a ReadAt store's are gathered, as each page is
+// touched, into pooled scratch that release hands back. Gathered bytes are
+// never overwritten while the reader is in use, so slices of earlier reads
+// stay valid.
+type runReader struct {
+	s       *Store // nil: data is a run in memory, its "pages" ps bytes each
+	ioStats *diskio.Stats
+	data    []byte       // the whole run, when it is in memory or mapped
+	sc      *loadScratch // ReadAt: sc.run[off:] holds the run's bytes from offset at on
+	off, at int
+	end     int           // the bytes from at to end are at hand
+	lo, ps  int64         // the run's offset in its page space; the page size
+	size    int           // the run's length
+	next    diskio.PageID // the page after the last one touched
 }
 
-// releaseRun returns runBytes' gather scratch (nil for a mapped run) to its
-// pool.
-func releaseRun(sc *loadScratch, run []byte) {
-	if sc == nil {
-		return
+// reader returns the runReader of v's run.
+func (s *Store) reader(ioStats *diskio.Stats, v graph.VertexID) runReader {
+	lo, hi := s.layout.EntryRange(int(v))
+	r := runReader{s: s, ioStats: ioStats, lo: lo, ps: int64(s.sb.pageSize), size: int(hi - lo)}
+	if s.mapped != nil {
+		r.data = s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi]
+	} else {
+		r.sc = loadPool.Get().(*loadScratch)
+		r.sc.run = r.sc.run[:0]
 	}
-	sc.run = run // keep the grown capacity for the next gather
-	loadPool.Put(sc)
+	return r
+}
+
+// read returns the run's bytes from offset from to the end of the last
+// page touched, first touching the pages up to the one holding byte to-1
+// (the run's last byte when to is past it). Offsets must not decrease from
+// call to call. When from lies past the bytes at hand, they start afresh
+// at its page: the pages in between are skipped, never touched.
+func (r *runReader) read(from, to int) ([]byte, error) {
+	if r.size == 0 {
+		return nil, nil
+	}
+	to = min(to, r.size)
+	if from >= r.end {
+		p := (r.lo + int64(from)) / r.ps
+		r.next, r.at = diskio.PageID(p), max(int(p*r.ps-r.lo), 0)
+		r.end = r.at
+		if r.sc != nil {
+			r.off = len(r.sc.run)
+		}
+	}
+	for r.end < to {
+		if r.s != nil {
+			var err error
+			if r.sc == nil {
+				_, err = r.s.touch(r.next, r.ioStats, nil, 0, 0)
+			} else {
+				base := int64(r.next) * r.ps
+				r.sc.run, err = r.s.touch(r.next, r.ioStats, r.sc.run, max(r.lo, base)-base, min(r.lo+int64(r.size), base+r.ps)-base)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		r.next++
+		r.end = min(int(int64(r.next)*r.ps-r.lo), r.size)
+	}
+	if r.sc == nil {
+		return r.data[from:r.end], nil
+	}
+	return r.sc.run[r.off+from-r.at : r.off+r.end-r.at], nil
+}
+
+// release returns the gather scratch to its pool.
+func (r *runReader) release() {
+	if r.sc != nil {
+		loadPool.Put(r.sc)
+		r.sc = nil
+	}
 }
 
 // touch charges local page p to the pool and processes eviction feedback;
@@ -642,14 +659,6 @@ func (s *Store) dropPage(p diskio.PageID) {
 	s.mu.Unlock()
 	s.releaseFrame(b)
 }
-
-// vertexBits holds one atomic bit per vertex.
-type vertexBits []atomic.Uint64
-
-func newVertexBits(n int) vertexBits { return make(vertexBits, (n+63)/64) }
-
-func (b vertexBits) set(v graph.VertexID)      { b[v>>6].Or(1 << (v & 63)) }
-func (b vertexBits) has(v graph.VertexID) bool { return b[v>>6].Load()&(1<<(v&63)) != 0 }
 
 func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24

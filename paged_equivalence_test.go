@@ -192,7 +192,7 @@ func TestEquivalenceAcrossBackends(t *testing.T) {
 
 // TestEquivalenceConcurrent hammers all four backends from many goroutines
 // over the 1%-sized shared pools — the race-detector workout for the store
-// (page frames, restart points, eviction routing) and the pool.
+// (page frames, run reads, eviction routing) and the pool.
 func TestEquivalenceConcurrent(t *testing.T) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 99})
 	if err != nil {

@@ -19,6 +19,8 @@ import (
 	"testing"
 
 	"silc/internal/diskio"
+	"silc/internal/geom"
+	"silc/internal/graph"
 )
 
 func TestIndexPersistenceRoundTrip(t *testing.T) {
@@ -73,9 +75,10 @@ func TestOpenEngineAtRejectsGarbage(t *testing.T) {
 }
 
 // TestOpenRejectsRemovedFormat hands every opener a monolithic and a
-// sharded image whose magic names the removed fixed-width format (the
-// version digit of SILCPG2 / SILCSPG2 set to 1): each must fail with
-// ErrBadMagic and say to rebuild the image.
+// sharded image whose magic names a removed format — the version digit of
+// SILCPG3 / SILCSPG3 set to 1, the fixed-width format, or to 2, the format
+// without restart tables: each must fail with ErrBadMagic and say to
+// rebuild the image.
 func TestOpenRejectsRemovedFormat(t *testing.T) {
 	net := testNetwork(t)
 	mono, err := Build(net, BuildOptions{})
@@ -91,33 +94,35 @@ func TestOpenRejectsRemovedFormat(t *testing.T) {
 		write   func(io.Writer) (ImageInfo, error)
 		version int // offset of the magic's version digit
 	}{{"mono", mono.WritePaged, 6}, {"sharded", sharded.WritePaged, 7}} {
-		var buf bytes.Buffer
-		if _, err := tc.write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		img := buf.Bytes()
-		img[tc.version] = '1'
-		path := filepath.Join(t.TempDir(), tc.name)
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opens := map[string]func() error{
-			"OpenEngineAt": func() error {
-				_, err := OpenEngineAt(bytes.NewReader(img), int64(len(img)), net, BuildOptions{})
-				return err
-			},
-			"OpenEngine": func() error {
-				_, err := OpenEngine(path, nil, BuildOptions{})
-				return err
-			},
-		}
-		for name, open := range opens {
-			err := open()
-			if !errors.Is(err, ErrBadMagic) {
-				t.Fatalf("%s %s: err = %v, want ErrBadMagic", tc.name, name, err)
+		for _, version := range []byte{'1', '2'} {
+			var buf bytes.Buffer
+			if _, err := tc.write(&buf); err != nil {
+				t.Fatal(err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, "removed") || !strings.Contains(msg, "silcbuild -o") {
-				t.Fatalf("%s %s: %q does not say the format was removed and to rebuild with silcbuild -o", tc.name, name, msg)
+			img := buf.Bytes()
+			img[tc.version] = version
+			path := filepath.Join(t.TempDir(), tc.name)
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opens := map[string]func() error{
+				"OpenEngineAt": func() error {
+					_, err := OpenEngineAt(bytes.NewReader(img), int64(len(img)), net, BuildOptions{})
+					return err
+				},
+				"OpenEngine": func() error {
+					_, err := OpenEngine(path, nil, BuildOptions{})
+					return err
+				},
+			}
+			for name, open := range opens {
+				err := open()
+				if !errors.Is(err, ErrBadMagic) {
+					t.Fatalf("%s %s (version %c): err = %v, want ErrBadMagic", tc.name, name, version, err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "removed") || !strings.Contains(msg, "silcbuild -o") {
+					t.Fatalf("%s %s (version %c): %q does not say the format was removed and to rebuild with silcbuild -o", tc.name, name, version, msg)
+				}
 			}
 		}
 	}
@@ -271,18 +276,31 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 }
 
 // TestStructuralCorruptionSurfacesOnLookup corrupts one vertex's run inside
-// a PG2 image behind valid checksums — the mangled page's CRC and the CRC
+// an image behind valid checksums — the mangled page's CRC and the CRC
 // table's own checksum are recomputed — so only the run decoder can catch
-// it: three mangles of the run header, and one of its final byte, which
-// makes the last varint run off the end of the run, where a lookup that
-// stopped at the block it needs would never look. On both page sources, a
-// distance from that vertex must fail on its first lookup, again on the
-// second — a failed full pass leaves the run unvalidated, so it is again a
-// full pass — and again on a lookup after its pages are evicted; a distance
-// whose path runs through it must fail too,
-// and a sweep of distances, kNN and range queries must never panic: each
-// answer is either an error naming the vertex or exactly the clean image's
-// answer.
+// it, and holds the store's one lookup path to its fault contract:
+//
+//   - run header (block count, empty dictionary, dictionary color): every
+//     lookup reads the header, so every lookup of the run fails, and so does
+//     a distance from the vertex — on its first lookup, again on the second
+//     and after its pages are evicted — and one whose path runs through it.
+//   - run tail (the final byte made a varint continuation, which runs off
+//     the run's end): every call that decodes the last block fails — a tree
+//     decode, and a lookup whose first block ending past its probe is the
+//     last or none — and every other lookup returns the clean image's
+//     block, bit for bit.
+//   - restart entry (entry 0's offset one higher, or its end code one step
+//     of its aligned encoding further; every later entry moves with it): a
+//     tree decode fails, and so does a lookup
+//     probing an entry's true end code, which decodes up to that entry and
+//     finds the state disagreeing with it. A lookup that ends before entry
+//     0's block returns the clean block; one that starts at a moved entry
+//     decodes what the entry points at, block by block checked, and must
+//     only not panic.
+//
+// On both page sources a sweep of distances, kNN and range queries over
+// the header and tail mangles must never panic: each answer is either an
+// error naming the vertex or exactly the clean image's answer.
 func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	net := testNetwork(t)
 	eng, err := Build(net, BuildOptions{})
@@ -294,8 +312,14 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
-	// SILCPG2 layout (DESIGN.md §11): superblock fields, then the extent
-	// section's per-vertex block counts and run byte lengths.
+	cleanEng, err := OpenEngineAt(bytes.NewReader(clean), int64(len(clean)), nil, BuildOptions{CacheFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanStore := cleanEng.pager.Stores()[0]
+	// The image layout (DESIGN.md §11): superblock fields, then the extent
+	// section's per-vertex block counts and run byte lengths; a run starts
+	// with its block count, dictionary and restart table.
 	le := binary.LittleEndian
 	pageSize := int(le.Uint32(clean[8:12]))
 	n := int(le.Uint32(clean[16:20]))
@@ -308,12 +332,48 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	for v := 0; v < int(victim); v++ {
 		runOff += int(le.Uint32(clean[extentOff+(n+v)*4:]))
 	}
-	if le.Uint32(clean[extentOff+int(victim)*4:]) == 0 {
-		t.Fatalf("vertex %d has no run to corrupt", victim)
+	tree, err := cleanStore.Tree(nil, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const restartEvery = 16
+	if len(tree.Blocks) <= 2*restartEvery {
+		t.Fatalf("vertex %d has %d blocks, too few for two restart entries", victim, len(tree.Blocks))
 	}
 	_, countLen := binary.Uvarint(clean[runOff:])
 	ncolorsAt := runOff + countLen
+	tableLenAt := ncolorsAt + 1 + int(clean[ncolorsAt])
+	_, w := binary.Uvarint(clean[tableLenAt:])
+	tableAt := tableLenAt + w // entry 0: offset delta, end-code delta, ...
+	_, w = binary.Uvarint(clean[tableAt:])
+	keyAt := tableAt + w
+	if clean[tableAt] >= 0x7F || clean[keyAt]&0x70 == 0x70 {
+		t.Fatalf("entry 0's offset or aligned end code does not take one more step in its first byte")
+	}
 	runEnd := runOff + int(le.Uint32(clean[extentOff+(n+int(victim))*4:]))
+
+	// Probes: every vertex's code, and the codes at and around every block.
+	var probes []geom.Code
+	for v := 0; v < n; v++ {
+		probes = append(probes, net.g.Code(graph.VertexID(v)))
+	}
+	for _, b := range tree.Blocks {
+		probes = append(probes, b.Cell.Code, b.Cell.Code-1, b.Cell.End()-1, b.Cell.End())
+	}
+	entryEnds := map[geom.Code]bool{}
+	for i := restartEvery; i < len(tree.Blocks); i += restartEvery {
+		entryEnds[tree.Blocks[i-1].Cell.End()] = true
+	}
+	// decodesTo is the index of the last block a lookup of c decodes: the
+	// first block ending past c, or the last block.
+	decodesTo := func(c geom.Code) int {
+		for i, b := range tree.Blocks {
+			if b.Cell.End() > c {
+				return i
+			}
+		}
+		return len(tree.Blocks) - 1
+	}
 
 	// A path with the victim strictly inside it, found on the clean index.
 	ctx := context.Background()
@@ -335,22 +395,30 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 	}
 	objs := mustObjects(t, net, []VertexID{3, VertexID(n / 4), VertexID(n / 3), victim, VertexID(n - 2)})
 
+	const (
+		header = iota
+		tail
+		entry
+	)
 	for _, m := range []struct {
 		name string
 		at   int
 		set  func(byte) byte
+		kind int
 	}{
-		{"block count", runOff, func(b byte) byte { return b ^ 0x01 }},
-		{"empty dictionary", ncolorsAt, func(byte) byte { return 0 }},
-		{"dictionary color", ncolorsAt + 1, func(byte) byte { return 0xFF }},
-		{"run tail", runEnd - 1, func(byte) byte { return 0x80 }},
+		{"block count", runOff, func(b byte) byte { return b ^ 0x01 }, header},
+		{"empty dictionary", ncolorsAt, func(byte) byte { return 0 }, header},
+		{"dictionary color", ncolorsAt + 1, func(byte) byte { return 0xFF }, header},
+		{"run tail", runEnd - 1, func(byte) byte { return 0x80 }, tail},
+		{"restart offset", tableAt, func(b byte) byte { return b + 1 }, entry},
+		{"restart key", keyAt, func(b byte) byte { return b + 0x10 }, entry}, // above the 4-bit shift
 	} {
 		img := append([]byte(nil), clean...)
 		img[m.at] = m.set(img[m.at])
 		page := (m.at - blockOff) / pageSize
 		le.PutUint32(img[crcTabOff+page*4:], crc32.ChecksumIEEE(img[blockOff+page*pageSize:blockOff+(page+1)*pageSize]))
 		le.PutUint32(img[crcTabOff+blockPages*4:], crc32.ChecksumIEEE(img[crcTabOff:crcTabOff+blockPages*4]))
-		path := filepath.Join(t.TempDir(), "mangled.silcpg2")
+		path := filepath.Join(t.TempDir(), "mangled.silcpg")
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -358,9 +426,10 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/mmap=%v", m.name, mmap), func(t *testing.T) {
 				bad, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1, Mmap: mmap})
 				if err != nil {
-					t.Fatalf("open: a run header is not checked at open: %v", err)
+					t.Fatalf("open: a run is not checked at open: %v", err)
 				}
 				defer bad.Close()
+				badStore := bad.pager.Stores()[0]
 				named := fmt.Sprintf("vertex %d", victim)
 				check := func(what string, err error) {
 					t.Helper()
@@ -371,24 +440,48 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 						t.Fatalf("%s: error %q does not name %s", what, err, named)
 					}
 				}
-				dst := VertexID(0)
-				_, err = bad.Distance(ctx, victim, dst)
-				check("first lookup", err)
-				_, err = bad.Distance(ctx, victim, dst)
-				check("second lookup", err)
-				for p := (runOff - blockOff) / pageSize; p <= (runEnd-1-blockOff)/pageSize; p++ {
-					bad.pager.Evict(diskio.PageID(p))
-				}
-				_, err = bad.Distance(ctx, victim, dst)
-				check("lookup after an eviction", err)
-				_, err = bad.Distance(ctx, through[0], through[1])
-				check("path through the vertex", err)
-
 				defer func() {
 					if r := recover(); r != nil {
 						t.Fatalf("mangled image panicked: %v", r)
 					}
 				}()
+
+				_, err = badStore.Tree(nil, victim)
+				check("tree decode", err)
+				for _, c := range probes {
+					got, ok, err := badStore.Lookup(nil, victim, c)
+					want, wok, _ := cleanStore.Lookup(nil, victim, c)
+					what := fmt.Sprintf("lookup of %x", c)
+					switch {
+					case m.kind == header,
+						m.kind == tail && decodesTo(c) == len(tree.Blocks)-1,
+						m.name == "restart key" && entryEnds[c]:
+						check(what, err)
+					case m.kind == tail || decodesTo(c) < restartEvery:
+						if err != nil || ok != wok || got != want {
+							t.Fatalf("%s: mangled image answered %+v ok=%v err=%v, clean image %+v ok=%v", what, got, ok, err, want, wok)
+						}
+					}
+				}
+				if m.kind == entry {
+					return
+				}
+
+				dst := VertexID(0)
+				if m.kind == header {
+					_, err = bad.Distance(ctx, victim, dst)
+					check("first lookup", err)
+					_, err = bad.Distance(ctx, victim, dst)
+					check("second lookup", err)
+					for p := (runOff - blockOff) / pageSize; p <= (runEnd-1-blockOff)/pageSize; p++ {
+						bad.pager.Evict(diskio.PageID(p))
+					}
+					_, err = bad.Distance(ctx, victim, dst)
+					check("lookup after an eviction", err)
+					_, err = bad.Distance(ctx, through[0], through[1])
+					check("path through the vertex", err)
+				}
+
 				sweep := func(what string, got, want any, err error) {
 					t.Helper()
 					if err != nil {

@@ -194,9 +194,9 @@ type QueryStats struct {
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
 	// BlocksDecoded counts quadtree blocks the paged store's decoder
-	// actually passed: a tree decode and a vertex's first lookup count the
-	// run's blocks, a lookup of a run that already passed a full check only
-	// those it needed, from the restart point in front of its block.
+	// actually passed: a tree decode counts the run's blocks, a lookup
+	// those from the restart entry in front of its block through that
+	// block, at most 16.
 	BlocksDecoded int64
 	// GatewayRoutes counts candidate gateway routes raced by cross-cell
 	// refiners (sharded indexes only).
