@@ -25,8 +25,8 @@ func TestPagedImageBytesPinned(t *testing.T) {
 		opts   silc.BuildOptions
 		sha256 string
 	}{
-		{"proximity/delta", silc.BuildOptions{ProximityRadius: 0.2}, "e7435b5fa148dc5528d9ad3b4be9686f29ac5c53ba072b076b706d27691f45ca"},
-		{"sharded4/delta", silc.BuildOptions{Partitions: 4}, "1ff0c8b8127a0d6bb7ef5aadb2bab1541f1a268c41515386cc64c5569e30f3e7"},
+		{"proximity/delta", silc.BuildOptions{ProximityRadius: 0.2}, "8e364f35ddf461811bae4c95e49e585219decf209d144305e4d03871c32ca4e7"},
+		{"sharded4/delta", silc.BuildOptions{Partitions: 4}, "17020ee03ab9647b671e3b78caa2c1c93b4980b6cb2ee4d9c32084f48f9f513f"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			built, err := silc.Build(net, tc.opts)
@@ -76,13 +76,13 @@ func TestBuildImagePinned(t *testing.T) {
 		radius float64
 		sha256 string
 	}{
-		{"grid32", func() (*silc.Network, error) { return silc.GenerateGrid(32, 32) }, 0, "8785fca255ab700ee4e55d2391a0066608a5a5c24300dedfc76ca755353b9839"},
+		{"grid32", func() (*silc.Network, error) { return silc.GenerateGrid(32, 32) }, 0, "3f2c80ce75585f36fb25b1461d5a2a9dcc2bba4991d51b815a610de2bdfdfbf4"},
 		{"road64", func() (*silc.Network, error) {
 			return silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
-		}, 0, "7ea2f37478790f30e98882a66bd4da235e5e66777f0b80037a5aa055c91e7642"},
+		}, 0, "1dbbcc6a61208e9d3be6f90977abc89d9af5aba8b12f0e1cf930586d23ae314d"},
 		{"road48/proximity", func() (*silc.Network, error) {
 			return silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 48, Cols: 48, Seed: 3})
-		}, 0.15, "4af165433360918d53a45220de39b0c5bc8f3ae5a6263426fc76d14e57f37228"},
+		}, 0.15, "5e9691c1fb9354927134307d651a817544436873964d06b8c522d9648373fd38"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, err := tc.net()
