@@ -562,11 +562,11 @@ func TestAllocBudgetLiveMutation(t *testing.T) {
 // TestAllocBudgetColdDistance pins what one cold distance costs a freshly
 // opened paged index (positioned reads, 5% pool): at most a frame per
 // page read — fewer once the pool fills and each eviction gives its frame
-// to the next miss (7 allocations for 30 reads) — and two allocations
+// to the next miss (7 allocations for 28 reads) — and two allocations
 // besides: the WithStats option and the frame map's first bucket. Each
-// refinement hop is a single-block lookup that decodes its vertex's run and
-// keeps one block; none builds a tree (at 3 allocations per decoded tree,
-// a path that did cost several times this budget).
+// refinement hop is a single-block lookup that decodes at most 16 blocks
+// of its vertex's run and keeps one; none builds a tree (at 3 allocations
+// per decoded tree, a path that did cost several times this budget).
 func TestAllocBudgetColdDistance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -627,7 +627,7 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 // budgetWarmPagedDistanceAllocs bounds the allocations of a warm pass of
 // 32 distances behind an evicting pool (TestAllocBudgetWarmPagedDistance),
 // however many pages the pass reads: two per distance, its QueryStats and
-// the WithStats option. Measured 64 with 325 page reads; 70 while the store
+// the WithStats option. Measured 64 with 306 page reads; 70 while the store
 // cached the trees of second lookups, 395 when every miss allocated a
 // frame.
 const budgetWarmPagedDistanceAllocs = 64
