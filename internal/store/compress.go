@@ -222,13 +222,14 @@ func decompressRun(dst []quadtree.Block, data []byte, count, deg int) ([]quadtre
 // asks r only for the bytes it decodes. Decoding up to the next entry
 // checks the entry; decoding to the run's end checks the run ends there.
 func lookupRun(r *runReader, count, deg int, code geom.Code) (found quadtree.Block, ok bool, decoded int, err error) {
-	head, err := r.read(0, 1)
+	size := len(r.run)
+	run, err := r.read(0, 1)
 	var h runHead
 	for err == nil {
-		if err = h.parse(head, r.size, count, deg); err != errShort || len(head) == r.size {
+		if err = h.parse(run, size, count, deg); err != errShort || len(run) == size {
 			break
 		}
-		head, err = r.read(0, len(head)+1) // the header runs onto the next page
+		run, err = r.read(0, len(run)+1) // the head runs onto the next page
 	}
 	if err != nil {
 		return quadtree.Block{}, false, 0, err
@@ -247,11 +248,10 @@ func lookupRun(r *runReader, count, deg int, code geom.Code) (found quadtree.Blo
 		from, first = h.last, h.j*restartEvery
 	}
 
-	var d runDecoder
-	d.restart, d.base, d.dict, d.i = from, from.at, h.dict, first
-	if d.data, err = r.read(h.blocks+d.base, h.blocks+d.base+1); err != nil {
+	if run, err = r.read(h.blocks+from.at, h.blocks+from.at+1); err != nil {
 		return quadtree.Block{}, false, 0, err
 	}
+	d := runDecoder{restart: from, data: run[h.blocks:], dict: h.dict, i: first}
 	var b quadtree.Block
 	for d.i < count {
 		if d.i == stop {
@@ -260,14 +260,15 @@ func lookupRun(r *runReader, count, deg int, code geom.Code) (found quadtree.Blo
 			}
 		}
 		if err := d.next(&b); err != nil {
-			if err != errShort || h.blocks+d.base+len(d.data) == r.size {
+			if err != errShort || len(run) == size {
 				return quadtree.Block{}, false, 0, err
 			}
 			// The block runs onto a page not read yet: read it and decode
 			// the block again (next left d as it was).
-			if d.data, err = r.read(h.blocks+d.base, h.blocks+d.base+len(d.data)+1); err != nil {
+			if run, err = r.read(h.blocks+d.at, len(run)+1); err != nil {
 				return quadtree.Block{}, false, 0, err
 			}
+			d.data = run[h.blocks:]
 			continue
 		}
 		if b.Cell.End() > code {
@@ -276,7 +277,7 @@ func lookupRun(r *runReader, count, deg int, code geom.Code) (found quadtree.Blo
 		}
 	}
 	if d.i == count {
-		if err := d.finish(r.size - h.blocks); err != nil {
+		if err := d.finish(size - h.blocks); err != nil {
 			return quadtree.Block{}, false, 0, err
 		}
 	}
@@ -415,8 +416,7 @@ func (h *runHead) next() error {
 // DecompressRun and lookupRun drive it, so every check is written once.
 type runDecoder struct {
 	restart        // the state in front of block i
-	data    []byte // the block stream from its offset base on
-	base    int
+	data    []byte // the block stream, or a prefix of it
 	dict    []byte
 	i       int // index of the next block
 }
@@ -447,7 +447,7 @@ func shortUvarint(p []byte) (v uint64, w int) {
 // shortUvarint with binary.Uvarint behind it. On an error it leaves d and
 // b as they were, so on errShort a caller can extend d.data and call again.
 func (d *runDecoder) next(b *quadtree.Block) error {
-	i, data, at := d.i, d.data, d.at-d.base
+	i, data, at := d.i, d.data, d.at
 	if at >= len(data) {
 		return errShort
 	}
@@ -531,7 +531,7 @@ func (d *runDecoder) next(b *quadtree.Block) error {
 		return fmt.Errorf("store: block %d has invalid ratio bounds [%v, %v]", i, lo, hi)
 	}
 	*b = quadtree.Block{Cell: cell, Color: int32(d.dict[curIdx]), LamLo: lamLo, LamHi: lamHi}
-	d.restart = restart{at: d.base + at, prevEnd: uint64(cell.End()), prevLo: loBits, curIdx: curIdx}
+	d.restart = restart{at: at, prevEnd: uint64(cell.End()), prevLo: loBits, curIdx: curIdx}
 	d.i++
 	return nil
 }

@@ -49,7 +49,7 @@ func LookupRun(data []byte, count, deg int, code geom.Code, chunk int) (quadtree
 	if chunk <= 0 {
 		chunk = max(len(data), 1)
 	}
-	r := runReader{data: data, ps: int64(chunk), size: len(data)}
+	r := runReader{run: data, ps: int64(chunk)}
 	return lookupRun(&r, count, deg, code)
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,10 +208,10 @@ type Store struct {
 	decoded   atomic.Int64 // quadtree blocks passed through the decoder
 }
 
-// loadScratch carries the gather buffer of one run read (a tree decode or
-// a lookup): the run's bytes handed to the decoder. It is scratch — the
-// decoder copies values out — so it recycles through a pool instead of
-// being reallocated per read.
+// loadScratch carries the run-sized buffer one run read (a tree decode or
+// a lookup) copies its pages' bytes into. It is scratch — the decoder
+// copies values out — so it recycles through a pool instead of being
+// reallocated per read.
 type loadScratch struct {
 	run []byte
 }
@@ -433,7 +434,7 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
 	r := s.reader(ioStats, v)
 	defer r.release()
-	run, err := r.read(0, r.size)
+	run, err := r.read(0, len(r.run))
 	if err != nil {
 		return err
 	}
@@ -454,7 +455,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 	first, last, ok := s.layout.OwnerPages(int(v))
 	for p := first; ok && p <= last; p++ {
-		if _, err := s.touch(p, ioStats, nil, 0, 0); err != nil {
+		if err := s.touch(p, ioStats, nil, 0); err != nil {
 			return err
 		}
 	}
@@ -487,74 +488,60 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
 
 // runReader hands the bytes of one run to its decoder as the decoder asks
 // for them, page by page: it touches each page once, in order, and exposes
-// no byte of a page it has not touched. A mapped store's bytes come straight
-// out of the mapping; a ReadAt store's are gathered, as each page is
-// touched, into pooled scratch that release hands back. Gathered bytes are
-// never overwritten while the reader is in use, so slices of earlier reads
-// stay valid.
+// no byte past the last page it touched. A mapped store's bytes come
+// straight out of the mapping; a ReadAt store's are copied, as each page is
+// touched, to their offsets in pooled scratch that release hands back. A
+// skipped page's bytes are never read: decoding only moves forward.
 type runReader struct {
-	s       *Store // nil: data is a run in memory, its "pages" ps bytes each
+	s       *Store // nil: run is in memory, its "pages" ps bytes each
 	ioStats *diskio.Stats
-	data    []byte       // the whole run, when it is in memory or mapped
-	sc      *loadScratch // ReadAt: sc.run[off:] holds the run's bytes from offset at on
-	off, at int
-	end     int           // the bytes from at to end are at hand
-	lo, ps  int64         // the run's offset in its page space; the page size
-	size    int           // the run's length
-	next    diskio.PageID // the page after the last one touched
+	run     []byte       // the run, each touched page's bytes at their offsets
+	sc      *loadScratch // ReadAt: the scratch run lives in
+	lo, ps  int64        // the run's offset in its page space; the page size
+	end     int          // the run's bytes up to end are at hand
+	next    diskio.PageID
 }
 
 // reader returns the runReader of v's run.
 func (s *Store) reader(ioStats *diskio.Stats, v graph.VertexID) runReader {
 	lo, hi := s.layout.EntryRange(int(v))
-	r := runReader{s: s, ioStats: ioStats, lo: lo, ps: int64(s.sb.pageSize), size: int(hi - lo)}
+	r := runReader{s: s, ioStats: ioStats, lo: lo, ps: int64(s.sb.pageSize)}
 	if s.mapped != nil {
-		r.data = s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi]
+		r.run = s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi]
 	} else {
 		r.sc = loadPool.Get().(*loadScratch)
-		r.sc.run = r.sc.run[:0]
+		r.sc.run = slices.Grow(r.sc.run[:0], int(hi-lo))[:hi-lo]
+		r.run = r.sc.run
 	}
 	return r
 }
 
-// read returns the run's bytes from offset from to the end of the last
-// page touched, first touching the pages up to the one holding byte to-1
-// (the run's last byte when to is past it). Offsets must not decrease from
-// call to call. When from lies past the bytes at hand, they start afresh
-// at its page: the pages in between are skipped, never touched.
+// read touches the pages holding the run's bytes from offset from to to-1
+// (to the run's end when to is past it) that are not at hand yet, and
+// returns the run's bytes up to the end of the last page touched. A from
+// past the bytes at hand skips the pages in between, never touching them.
 func (r *runReader) read(from, to int) ([]byte, error) {
-	if r.size == 0 {
-		return nil, nil
-	}
-	to = min(to, r.size)
+	to = min(to, len(r.run))
 	if from >= r.end {
 		p := (r.lo + int64(from)) / r.ps
-		r.next, r.at = diskio.PageID(p), max(int(p*r.ps-r.lo), 0)
-		r.end = r.at
-		if r.sc != nil {
-			r.off = len(r.sc.run)
-		}
+		r.next, r.end = diskio.PageID(p), max(int(p*r.ps-r.lo), 0)
 	}
 	for r.end < to {
+		base := int64(r.next) * r.ps
+		end := min(int(base+r.ps-r.lo), len(r.run))
 		if r.s != nil {
-			var err error
-			if r.sc == nil {
-				_, err = r.s.touch(r.next, r.ioStats, nil, 0, 0)
-			} else {
-				base := int64(r.next) * r.ps
-				r.sc.run, err = r.s.touch(r.next, r.ioStats, r.sc.run, max(r.lo, base)-base, min(r.lo+int64(r.size), base+r.ps)-base)
+			var dst []byte // a mapped run needs no copy
+			if r.sc != nil {
+				dst = r.run[r.end:end]
 			}
-			if err != nil {
+			if err := r.s.touch(r.next, r.ioStats, dst, r.lo+int64(r.end)-base); err != nil {
 				return nil, err
 			}
 		}
 		r.next++
-		r.end = min(int(int64(r.next)*r.ps-r.lo), r.size)
+		r.end = end
 	}
-	if r.sc == nil {
-		return r.data[from:r.end], nil
-	}
-	return r.sc.run[r.off+from-r.at : r.off+r.end-r.at], nil
+	return r.run[:r.end], nil
 }
 
 // release returns the gather scratch to its pool.
@@ -566,47 +553,46 @@ func (r *runReader) release() {
 }
 
 // touch charges local page p to the pool and processes eviction feedback;
-// on a miss it reads the page and publishes its frame. It appends bytes
-// [from, to) of the page to dst and returns the result; an empty range
-// (Touch) wants no bytes, so a hit returns at once. The copy is made
-// while the frame cannot be recycled: on a hit under s.mu's read lock,
-// which dropPage must acquire to unmap it, on a miss from the private frame
-// before it is published.
-func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from, to int64) ([]byte, error) {
+// on a miss it reads the page and publishes its frame. It copies the page's
+// bytes from offset from on into dst; an empty dst (Touch) wants no bytes,
+// so a hit returns at once. The copy is made while the frame cannot be
+// recycled: on a hit under s.mu's read lock, which dropPage must acquire
+// to unmap it, on a miss from the private frame before it is published.
+func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from int64) error {
 	hit, evicted, hasEvict := s.pager.pool.TouchEvict(s.pageBase+p, ioStats)
 	if hasEvict {
 		s.pager.Evict(evicted)
 	}
 	if hit {
-		if from == to {
-			return dst, nil
+		if len(dst) == 0 {
+			return nil
 		}
 		s.mu.RLock()
 		b := s.frames[p]
 		if b != nil {
-			dst = append(dst, b[from:to]...)
+			copy(dst, b[from:])
 		}
 		s.mu.RUnlock()
 		if b != nil {
-			return dst, nil
+			return nil
 		}
 		// Frame lost to a concurrent eviction between the pool touch and
 		// here — fall through to a real read.
 	}
 	b, err := s.readPage(p)
 	if err != nil {
-		return dst, err
+		return err
 	}
 	if ioStats != nil {
 		ioStats.Reads++
 	}
-	dst = append(dst, b[from:to]...)
+	copy(dst, b[from:])
 	s.mu.Lock()
 	old := s.frames[p]
 	s.frames[p] = b
 	s.mu.Unlock()
 	s.releaseFrame(old)
-	return dst, nil
+	return nil
 }
 
 // readPage materializes one block page: an actual disk read, into a frame
