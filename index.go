@@ -113,8 +113,9 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 // or silcbuild -o — sniffing which of the two image layouts it holds,
 // monolithic (SILCPG3) or sharded (SILCSPG3). The image embeds its network,
 // so net may be nil; a non-nil net is cross-checked against the embedded
-// one. Anything else is rejected with ErrBadMagic; so is an image of the
-// removed fixed-width format, with a note to rebuild it.
+// one. Anything else is rejected with ErrBadMagic; so is an image of a
+// removed format (fixed-width, or without restart tables), with a note to
+// rebuild it.
 //
 // The quadtrees stay on disk: queries read them page by page through one
 // LRU buffer pool sized by opts.CacheFraction (default 5% of the database
