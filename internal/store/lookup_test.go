@@ -27,20 +27,67 @@ func sameBlock(a, b quadtree.Block) bool {
 }
 
 // TestLookupMatchesTree is the differential test of the single-block lookup.
-// On both page sources, and pools of one page, 5% and 100%, every vertex is
-// probed twice with the code of every vertex plus codes no vertex has, some
-// of them right after an eviction of the run's first page, so its pages are
-// read again. Each answer must equal, in its bits and in ok, the block
-// Tree().FindIndex finds on a separate handle of the same image. Each
-// lookup must decode exactly the blocks from its restart entry through the
-// first block ending past the probe, and touch each page holding the run's
-// header or those blocks exactly once and no other page. On ReadAt the
-// pages are named: every other lookup runs with every frame dropped, so
-// each page it touches is read, and the reads must be exactly those pages.
+// On both page sources, and pools of one page, 5% and 100%, it probes every
+// vertex of a 10×10 road map twice with the code of every vertex plus codes
+// no vertex has, and the runs of longRunsImage that span three pages or more
+// at every third block, some lookups right after an eviction of the run's first
+// page, so its pages are read again. Each answer must equal, in its bits
+// and in ok, the block Tree().FindIndex finds on a separate handle of the
+// same image. Each lookup must decode exactly the blocks from its restart
+// entry through the first block ending past the probe, and touch each page
+// holding the run's header or those blocks exactly once and no other page:
+// the long runs make lookups that skip the pages between the two. On
+// ReadAt the pages are named: every other lookup runs with every frame
+// dropped, so each page it touches is read, and the reads must be exactly
+// those pages.
 func TestLookupMatchesTree(t *testing.T) {
-	g, ix := buildTestIndex(t, 10, 10)
-	n := g.NumVertices()
-	probes := lookupProbes(g)
+	type lookupImage struct {
+		img      []byte
+		path     string
+		ref      *store.Store
+		vertices []graph.VertexID
+		probes   func(tree *quadtree.Tree) []geom.Code
+		passes   int
+	}
+	image := func(name string, img []byte) lookupImage {
+		ref, err := store.Open(bytes.NewReader(img), int64(len(img)), store.OpenOptions{CacheFraction: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return lookupImage{img: img, path: path, ref: ref}
+	}
+	_, ix := buildTestIndex(t, 10, 10)
+	small := image("road10", writeImage(t, ix))
+	g := small.ref.Graph()
+	for v := 0; v < g.NumVertices(); v++ {
+		small.vertices = append(small.vertices, graph.VertexID(v))
+	}
+	vertexProbes := lookupProbes(g)
+	small.probes = func(*quadtree.Tree) []geom.Code { return vertexProbes }
+	small.passes = 2
+	long := image("long", longRunsImage(t))
+	for v := 0; v < long.ref.Graph().NumVertices(); v++ {
+		l, err := long.ref.Layout(graph.VertexID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(l.Ends); n > 0 && (l.Lo+int64(l.Blocks+l.Ends[n-1])-1)/int64(l.PageSize)-l.Lo/int64(l.PageSize) >= 2 {
+			long.vertices = append(long.vertices, graph.VertexID(v))
+		}
+	}
+	long.probes = func(tree *quadtree.Tree) []geom.Code {
+		probes := []geom.Code{0, 1<<(2*geom.MaxLevel) - 1}
+		for i := 0; i < len(tree.Blocks); i += 3 {
+			b := tree.Blocks[i]
+			probes = append(probes, b.Cell.Code, b.Cell.End()-1)
+		}
+		return probes
+	}
+	long.passes = 1
 
 	pools := []struct {
 		name string
@@ -50,94 +97,135 @@ func TestLookupMatchesTree(t *testing.T) {
 		{"pool=5%", store.OpenOptions{CacheFraction: 0.05}},
 		{"pool=100%", store.OpenOptions{CacheFraction: 1}},
 	}
-	img := writeImage(t, ix)
-	ref, err := store.Open(bytes.NewReader(img), int64(len(img)), store.OpenOptions{CacheFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "img")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, src := range []string{"ReadAt", "Mmap"} {
 		for _, pool := range pools {
 			t.Run("PG2/"+src+"/"+pool.name, func(t *testing.T) {
-				rec := &readRecorder{r: bytes.NewReader(img)}
-				var s *store.Store
-				var err error
-				if src == "Mmap" {
-					s, err = store.OpenMapped(path, pool.opts)
-				} else {
-					s, err = store.Open(rec, int64(len(img)), pool.opts)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				spans, multiPage := 0, 0
-				for v := 0; v < n; v++ {
-					vid := graph.VertexID(v)
-					tree, err := ref.Tree(nil, vid)
+				spans, multiPage, skipping := 0, 0, 0
+				for _, im := range []lookupImage{small, long} {
+					rec := &readRecorder{r: bytes.NewReader(im.img)}
+					var s *store.Store
+					var err error
+					if src == "Mmap" {
+						s, err = store.OpenMapped(im.path, pool.opts)
+					} else {
+						s, err = store.Open(rec, int64(len(im.img)), pool.opts)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					layout, err := s.Layout(vid)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for pass := 0; pass < 2; pass++ {
-						for i, c := range probes {
-							if (i+pass)%3 == 0 {
-								s.EvictVertex(vid)
-							}
-							named := src == "ReadAt" && (i+pass)%2 == 0
-							if named {
-								s.DropFrames()
-							}
-							rec.offs = rec.offs[:0]
-							var io diskio.Stats
-							got, ok, err := s.Lookup(&io, vid, c)
-							if err != nil {
-								t.Fatalf("vertex %d probe %x: %v", v, c, err)
-							}
-							var want quadtree.Block
-							wi, wok := tree.FindIndex(c)
-							if wok {
-								want = tree.Blocks[wi]
-							}
-							if ok != wok || !sameBlock(got, want) {
-								t.Fatalf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
-									v, c, got, ok, want, wok)
-							}
-							if want := spanDecodes(tree, c); io.BlocksDecoded != want {
-								t.Fatalf("vertex %d probe %x: decoded %d of %d blocks, want %d",
-									v, c, io.BlocksDecoded, len(tree.Blocks), want)
-							}
-							pages := lookupPages(layout, tree, c)
-							if io.Accesses() != int64(len(pages)) {
-								t.Fatalf("vertex %d probe %x: %d page touches, want one for each of pages %v",
-									v, c, io.Accesses(), pages)
-							}
-							if named {
-								if read := rec.pages(layout); !slices.Equal(read, pages) {
-									t.Fatalf("vertex %d probe %x: read pages %v, want %v (header and decoded span)", v, c, read, pages)
+					defer s.Close()
+					for _, vid := range im.vertices {
+						tree, err := im.ref.Tree(nil, vid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						layout, err := s.Layout(vid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for pass := 0; pass < im.passes; pass++ {
+							for i, c := range im.probes(tree) {
+								if (i+pass)%3 == 0 {
+									s.EvictVertex(vid)
 								}
-							}
-							if len(pages) > 0 {
-								spans++
-							}
-							if len(pages) > 1 {
-								multiPage++
+								named := src == "ReadAt" && (i+pass)%2 == 0
+								if named {
+									s.DropFrames()
+								}
+								rec.offs = rec.offs[:0]
+								var io diskio.Stats
+								got, ok, err := s.Lookup(&io, vid, c)
+								if err != nil {
+									t.Fatalf("vertex %d probe %x: %v", vid, c, err)
+								}
+								var want quadtree.Block
+								wi, wok := tree.FindIndex(c)
+								if wok {
+									want = tree.Blocks[wi]
+								}
+								if ok != wok || !sameBlock(got, want) {
+									t.Fatalf("vertex %d probe %x: Lookup %+v ok=%v, Tree().FindIndex %+v ok=%v",
+										vid, c, got, ok, want, wok)
+								}
+								if want := spanDecodes(tree, c); io.BlocksDecoded != want {
+									t.Fatalf("vertex %d probe %x: decoded %d of %d blocks, want %d",
+										vid, c, io.BlocksDecoded, len(tree.Blocks), want)
+								}
+								pages := lookupPages(layout, tree, c)
+								if io.Accesses() != int64(len(pages)) {
+									t.Fatalf("vertex %d probe %x: %d page touches, want one for each of pages %v",
+										vid, c, io.Accesses(), pages)
+								}
+								if named {
+									if read := rec.pages(layout); !slices.Equal(read, pages) {
+										t.Fatalf("vertex %d probe %x: read pages %v, want %v (header and decoded span)", vid, c, read, pages)
+									}
+								}
+								if len(pages) > 0 {
+									spans++
+								}
+								if len(pages) > 1 {
+									multiPage++
+								}
+								if len(pages) > 0 && pages[len(pages)-1]-pages[0] >= int64(len(pages)) {
+									skipping++
+								}
 							}
 						}
 					}
 				}
-				if multiPage == 0 || multiPage == spans {
-					t.Fatalf("%d of %d lookups touched more than one page: both kinds must be exercised", multiPage, spans)
+				if multiPage == 0 || multiPage == spans || skipping == 0 {
+					t.Fatalf("%d of %d lookups touched more than one page, %d skipped one: every kind must be exercised", multiPage, spans, skipping)
 				}
 			})
 		}
 	}
+}
+
+// longRunsImage writes an image over a 40×40 grid where every 50th vertex's
+// run holds 200 to 1,400 random blocks — sorted, level-aligned, colored
+// within the vertex's out-degree, ratio bounds in [1, 2.5] — so many span
+// three pages or more; the other runs hold one or two. The store checks a
+// run's structure, not what its blocks mean.
+func longRunsImage(t *testing.T) []byte {
+	t.Helper()
+	g, err := graph.GenerateGrid(40, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	trees := make([]*quadtree.Tree, g.NumVertices())
+	for v := range trees {
+		var blocks []quadtree.Block
+		code := uint64(0)
+		n := 1 + rng.Intn(2)
+		if v%50 == 0 {
+			n = 200 + rng.Intn(1200)
+		}
+		for len(blocks) < n {
+			level := uint8(12 + rng.Intn(5))
+			span := uint64(1) << (2 * (geom.MaxLevel - level))
+			code = (code+span-1)/span*span + uint64(rng.Intn(3))*span
+			lo := 1 + rng.Float32()
+			hi := lo
+			if rng.Intn(2) == 0 {
+				hi += rng.Float32() / 2
+			}
+			blocks = append(blocks, quadtree.Block{Cell: geom.Cell{Code: geom.Code(code), Level: level},
+				Color: int32(rng.Intn(g.Degree(graph.VertexID(v)))), LamLo: lo, LamHi: hi})
+			code += span
+		}
+		trees[v] = &quadtree.Tree{Blocks: blocks}
+	}
+	plan, err := store.PlanImage(store.Source{Graph: g, Tree: func(v graph.VertexID) *quadtree.Tree { return trees[v] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := plan.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // readRecorder is an io.ReaderAt that records the offset of every read.
