@@ -75,7 +75,7 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("mmap", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "grid.silcpg2")
+		path := filepath.Join(t.TempDir(), "grid.silcpg")
 		if err := os.WriteFile(path, img2, 0o644); err != nil {
 			t.Fatal(err)
 		}
