@@ -92,16 +92,19 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 	}
 	// Per-run color dictionary in first-appearance order: block colors become
 	// small indexes, and consecutive blocks sharing a color cost nothing.
-	var dictIdx [256]int // index+1 of each color in dict, 0 while absent
+	var dictIdx [256]int
+	for i := range dictIdx {
+		dictIdx[i] = -1
+	}
 	dict := make([]byte, 0, 16)
 	for i := range blocks {
 		c := blocks[i].Color
 		if c < 0 || c > 255 {
 			return nil, fmt.Errorf("store: block %d color %d exceeds the disk format's 8-bit width", i, c)
 		}
-		if dictIdx[c] == 0 {
-			dict = append(dict, byte(c))
+		if dictIdx[c] < 0 {
 			dictIdx[c] = len(dict)
+			dict = append(dict, byte(c))
 		}
 	}
 	if len(dict) > 255 {
@@ -144,7 +147,7 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 		if hiBits == loBits {
 			h |= runFlagHiEqLo
 		}
-		if dictIdx[b.Color]-1 != st.curIdx {
+		if dictIdx[b.Color] != st.curIdx {
 			h |= runFlagColor
 		}
 		stream = append(stream, h)
@@ -152,7 +155,7 @@ func CompressRun(dst []byte, blocks []quadtree.Block) ([]byte, error) {
 			stream = binary.AppendUvarint(stream, encodeGap(gap))
 		}
 		if h&runFlagColor != 0 {
-			st.curIdx = dictIdx[b.Color] - 1
+			st.curIdx = dictIdx[b.Color]
 			stream = binary.AppendUvarint(stream, uint64(st.curIdx))
 		}
 		stream = binary.AppendUvarint(stream, zigzag(loBits-st.prevLo))
