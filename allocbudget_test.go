@@ -109,9 +109,9 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 }
 
 // smallPoolEngine is the paged variant behind the paper's 5% pool
-// (positioned reads) that TestAllocBudgetKNN and TestAllocBudgetRange add to
-// allocEngines: its warm queries evict and re-read pages, each miss into a
-// frame an eviction gave back, and decode every run they look up, so the
+// (positioned reads of an in-memory image) that TestAllocBudgetRange adds
+// to allocEngines: its warm queries evict and re-read pages, each miss into
+// a frame an eviction gave back, and decode every run they look up, so the
 // budget holds only if no decoded tree is allocated along the way.
 func smallPoolEngine(t testing.TB, net *Network) allocEngine {
 	t.Helper()
@@ -154,8 +154,32 @@ func measureAllocs(f func()) float64 {
 	return testing.AllocsPerRun(50, f)
 }
 
+// pageSourceEngines opens one image of net through each page source of the
+// paged benchmarks (pageSources), behind the paper's 5% pool: warm queries
+// evict and refill frames, by a positioned read, a copy out of the mapping,
+// or a subslice of it.
+func pageSourceEngines(t testing.TB, net *Network) []allocEngine {
+	t.Helper()
+	ix, err := Build(net, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sources.silcpg")
+	if _, err := ix.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var engines []allocEngine
+	for _, src := range pageSources {
+		eng := openSource(t, path, src, 0.05)
+		t.Cleanup(func() { eng.Close() })
+		engines = append(engines, allocEngine{"paged-" + src + "-pool5%-warm", eng})
+	}
+	return engines
+}
+
 // TestAllocBudgetKNN enforces the tentpole property: warm Engine.Query
-// (KNN, k=10) stays within budgetKNNAllocs on every backend variant.
+// (KNN, k=10) stays within budgetKNNAllocs on every backend variant: in
+// RAM, sharded, an in-memory image, and a 5% pool over each page source.
 func TestAllocBudgetKNN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -163,7 +187,7 @@ func TestAllocBudgetKNN(t *testing.T) {
 	net, objs, _, queries := allocFixture(t)
 	ctx := context.Background()
 	q := queries[0]
-	for _, ae := range append(allocEngines(t, net), smallPoolEngine(t, net)) {
+	for _, ae := range append(allocEngines(t, net)[:3], pageSourceEngines(t, net)...) {
 		t.Run(ae.name, func(t *testing.T) {
 			got := measureAllocs(func() {
 				if _, err := ae.eng.Query(ctx, objs, q, 10); err != nil {

@@ -299,21 +299,51 @@ func newPagedBench(b *testing.B) *pagedBench {
 // vertex draws a random vertex of the map.
 func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.NumVertices())) }
 
+// The page sources of the paged benchmarks: what fills a missed frame.
+var pageSources = []string{
+	"ReaderAt", // OpenEngineAt over an *os.File: a positioned read per miss
+	"File",     // OpenEngine: a copy out of the file's mapping per miss
+	"Mmap",     // OpenEngine with Mmap: frames alias the mapping
+}
+
+// openSource opens the image at path through page source src (one of
+// pageSources) behind a pool of the given fraction. The engine owns
+// whatever the open took: Close releases it.
+func openSource(tb testing.TB, path, src string, pool float64) *Engine {
+	tb.Helper()
+	opts := BuildOptions{CacheFraction: pool, Mmap: src == "Mmap"}
+	if src != "ReaderAt" {
+		eng, err := OpenEngine(path, nil, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return eng
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := OpenEngineAt(f, info.Size(), nil, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng.closer = f
+	return eng
+}
+
 // run times op over one page variant: a pass is 64 operations, op(e, i)
 // runs the i-th and returns its stats. A cold run opens the image afresh
 // before every pass; a warm one runs two untimed passes first, so the pool
 // holds what the workload last touched. A lookup decodes the same blocks
 // either way. It reports refinements, page reads and decoded blocks per
 // operation.
-func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
+func (pb *pagedBench) run(b *testing.B, src string, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
 	const pass = 64
-	open := func() *Engine {
-		idx, err := OpenEngine(pb.path, nil, BuildOptions{CacheFraction: pool, Mmap: mmap})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return idx
-	}
+	open := func() *Engine { return openSource(b, pb.path, src, pool) }
 	idx := open()
 	if !cold {
 		for i := 0; i < 2*pass; i++ {
@@ -342,14 +372,14 @@ func (pb *pagedBench) run(b *testing.B, mmap bool, pool float64, cold bool, op f
 }
 
 // variants runs one sub-benchmark per page variant: page source
-// (positioned reads, mmap) × pool (5% and 100% of the image's pages) ×
-// cache state (cold, warm).
+// (pageSources) × pool (5% and 100% of the image's pages) × cache state
+// (cold, warm).
 func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
-	for _, src := range []string{"ReadAt", "Mmap"} {
+	for _, src := range pageSources {
 		for _, pool := range []float64{0.05, 1} {
 			for _, state := range []string{"cold", "warm"} {
 				b.Run(fmt.Sprintf("%s/pool=%g/%s", src, pool, state), func(b *testing.B) {
-					pb.run(b, src == "Mmap", pool, state == "cold", op)
+					pb.run(b, src, pool, state == "cold", op)
 				})
 			}
 		}
@@ -385,7 +415,7 @@ func BenchmarkPagedKNN(b *testing.B) {
 	pb.variants(b, knn())
 	for _, eps := range []float64{0, 0.1} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			pb.run(b, false, 0.05, false, knn(WithEpsilon(eps)))
+			pb.run(b, "File", 0.05, false, knn(WithEpsilon(eps)))
 		})
 	}
 }

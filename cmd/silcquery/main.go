@@ -54,7 +54,7 @@ func main() {
 		maxDist = flag.Float64("max-dist", 0, "bound results to network distance ≤ d (knn; 0 = unbounded)")
 		timeout = flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 		parts   = flag.Int("partitions", 1, "spatial partitions (>1 queries the sharded index)")
-		mmap    = flag.Bool("mmap", false, "open paged index files through a read-only memory mapping")
+		mmap    = flag.Bool("mmap", false, "serve page frames straight out of the paged index file's read-only memory mapping instead of copying each missed page out of it")
 		stats   = flag.Bool("stats", false, "print per-query statistics and engine I/O aggregates as JSON")
 		trace   = flag.Bool("trace", false, "time the filter/refinement phase split (implies the timing columns in -stats)")
 	)

@@ -580,9 +580,9 @@ func TestServerMetricsPaged(t *testing.T) {
 	defer ts.Close()
 	out := scrapeMetrics(t, ts)
 	for _, want := range []string{
-		`silc_store_page_reads_total{store="0",source="readat"}`,
-		`silc_store_blocks_decoded_total{store="0",source="readat"}`,
-		`silc_store_resident_pages{store="0",source="readat"}`,
+		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
+		`silc_store_blocks_decoded_total{store="0",source="mmapcopy"}`,
+		`silc_store_resident_pages{store="0",source="mmapcopy"}`,
 		"silc_engine_page_reads_total",
 		"silc_engine_blocks_decoded_total",
 	} {

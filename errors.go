@@ -41,6 +41,14 @@ var (
 	// removed fixed-width format is rejected with it too; its message says
 	// to rebuild the image with silcbuild -o.
 	ErrBadMagic = store.ErrBadMagic
+	// ErrCorruptImage reports an index found corrupt while a query read it:
+	// a page whose CRC does not match, a block or restart entry that fails
+	// a decoder check, a memory fault reading a mapped image (the file was
+	// truncated under the engine), a lookup that finds no block where a
+	// strict index must have one, or a refinement walk longer than any
+	// shortest path. A plain I/O error of the image's ReaderAt does not
+	// match it.
+	ErrCorruptImage = store.ErrCorrupt
 )
 
 // checkVertex validates one caller-supplied vertex id against the network.

@@ -1,7 +1,6 @@
 package silc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,11 +43,12 @@ type BuildOptions struct {
 	// than k). A partitioned build has no radius: combining the two is
 	// ErrRadiusPartitioned.
 	ProximityRadius float64
-	// Mmap makes OpenEngine access the image through a read-only memory
-	// mapping instead of positioned reads (one mapping shared by every cell
-	// of a sharded image): warm pages decode straight from the mapping with
-	// no syscall and no gather copy. Falls back to positioned reads on
-	// platforms without mmap. Open-time only.
+	// Mmap makes the page frames of an image OpenEngine opens alias its
+	// read-only memory mapping (one mapping shared by every cell of a
+	// sharded image): warm pages decode straight from the mapping, and a
+	// hit copies nothing. Without it a missed page is copied out of the
+	// mapping into a private frame, checked, and decoded from there. Falls
+	// back to positioned reads on platforms without mmap. Open-time only.
 	Mmap bool
 }
 
@@ -121,18 +121,29 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 // LRU buffer pool sized by opts.CacheFraction (default 5% of the database
 // pages), the store's only cache — a lookup reads the run's header and the
 // pages of the blocks it decodes, from the restart entry in the image in
-// front of its block, and keeps no decoded tree. Resident memory is
-// therefore the pool plus O(n) bookkeeping (the embedded network and the
-// extent table), not the index size: TestPagedHeapResident measures about
-// 140 B per vertex outside the pool on road maps from 48×48 to 96×96. The
-// returned engine owns the file; Engine.Close releases it.
+// front of its block, and keeps no decoded tree. The file is mapped
+// read-only: a pool miss copies its page out of the mapping into a
+// recycled private frame and checks the frame's CRC before anything decodes
+// it — no syscall per miss. With opts.Mmap the frames alias the mapping
+// instead. Where mapping fails, misses are positioned reads of the file.
+// Either way a fault reading the mapping (the file was truncated under the
+// engine) is an error wrapping ErrCorruptImage, not a crash.
+//
+// The Go heap therefore holds the pool plus O(n) bookkeeping (the embedded
+// network and the extent table), not the index size: TestPagedHeapResident
+// measures about 140 B per vertex outside the pool on road maps from 48×48
+// to 96×96. The process's resident set also counts the pages of the mapping
+// it has touched, which the kernel may drop at any time. The returned
+// engine owns the file; Engine.Close releases it.
 func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
-	if opts.Mmap {
-		if data, unmap, err := store.MapFile(path); err == nil {
-			return openOwned(path, bytes.NewReader(data), int64(len(data)), data, unmap, net, opts)
+	if data, unmap, err := store.MapFile(path); err == nil {
+		var alias []byte
+		if opts.Mmap {
+			alias = data
 		}
-		// mmap unavailable: fall through to positioned reads.
+		return openOwned(path, store.Mapping(data), int64(len(data)), alias, unmap, net, opts)
 	}
+	// mmap unavailable: positioned reads.
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -161,14 +172,15 @@ func openOwned(path string, ra io.ReaderAt, size int64, mapped []byte, closer io
 }
 
 // OpenEngineAt is OpenEngine over an arbitrary ReaderAt (a section of a
-// larger file, an in-memory image); the caller owns ra's lifetime, and
-// opts.Mmap is ignored.
+// larger file, an in-memory image): every pool miss is a ReadAt into a
+// recycled private frame. The caller owns ra's lifetime, and opts.Mmap is
+// ignored.
 func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
 	return openImage(ra, size, nil, net, opts)
 }
 
-// openImage sniffs the image's layout, opens it — over mapped when the
-// bytes are memory-mapped — and cross-checks a supplied network against the
+// openImage sniffs the image's layout, opens it — its frames aliasing
+// mapped when that is set — and cross-checks a supplied network against the
 // embedded one.
 func openImage(ra io.ReaderAt, size int64, mapped []byte, net *Network, opts BuildOptions) (*Engine, error) {
 	var magic [8]byte
@@ -271,9 +283,10 @@ func (r *Refiner) OutOfRange() bool { return r.r.OutOfRange() }
 type IOStats struct {
 	PageHits   int64
 	PageMisses int64
-	// PageReads counts the actual page reads the paged store performed.
-	// Misses on the network's adjacency pages (INE/IER expansion) are
-	// counted but read nothing: the network is resident.
+	// PageReads counts the actual page reads the paged store performed:
+	// missed frames filled by a positioned read or a copy out of the
+	// image's mapping. Misses on the network's adjacency pages (INE/IER
+	// expansion) are counted but read nothing: the network is resident.
 	PageReads int64
 	// MeasuredIOTime is the wall-clock time spent in those reads.
 	MeasuredIOTime time.Duration

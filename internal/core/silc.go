@@ -399,30 +399,47 @@ func (ix *Index) DistanceIntervalCtx(qc *QueryContext, u, v graph.VertexID) Inte
 			// Storage failure: the error is on qc; [0, +Inf) stays true.
 			return Interval{Lo: 0, Hi: math.Inf(1)}
 		}
-		return ix.missInterval(u, v)
+		iv, _ := ix.missInterval(qc, u, v)
+		return iv
 	}
 	e := ix.g.Euclid(u, v)
 	return Interval{Lo: float64(b.LamLo) * e, Hi: float64(b.LamHi) * e}
 }
 
-// missInterval handles a lookup miss: beyond the proximity radius the true
-// distance is known to exceed the radius; on a lenient (AllowUnreachable)
-// index a miss means the destination is unreachable, so the interval is the
-// point [+Inf, +Inf]; on an unbounded strict index a miss is a
-// corrupted-index bug.
-func (ix *Index) missInterval(u, v graph.VertexID) Interval {
+// missInterval handles a lookup miss of v in u's quadtree: beyond the
+// proximity radius the true distance is known to exceed the radius; on a
+// lenient (AllowUnreachable) index a miss means the destination is
+// unreachable, so the interval is the point [+Inf, +Inf]. Either way ok is
+// true. On an unbounded strict index a miss means the index is corrupt: the
+// error goes to qc (a panic when qc is nil: no error channel), ok is false
+// and the interval is [0, +Inf), still true.
+func (ix *Index) missInterval(qc *QueryContext, u, v graph.VertexID) (iv Interval, ok bool) {
 	if ix.radius > 0 {
-		return Interval{Lo: ix.radius, Hi: math.Inf(1)}
+		return Interval{Lo: ix.radius, Hi: math.Inf(1)}, true
 	}
 	if ix.lenient {
-		return Interval{Lo: math.Inf(1), Hi: math.Inf(1)}
+		return Interval{Lo: math.Inf(1), Hi: math.Inf(1)}, true
 	}
-	panic(fmt.Sprintf("core: vertex %d not covered by quadtree of %d", v, u))
+	notCovered(qc, u, v)
+	return Interval{Lo: 0, Hi: math.Inf(1)}, false
+}
+
+// notCovered records on qc (a panic when qc is nil) that u's quadtree has
+// no block for v where it must have one.
+func notCovered(qc *QueryContext, u, v graph.VertexID) {
+	qc.Fail(fmt.Errorf("core: vertex %d not covered by quadtree of %d: %w", v, u, store.ErrCorrupt))
+}
+
+// walkTooLong records on qc (a panic when qc is nil) that a walk from u to
+// v went hops hops without arriving — as many as the longest shortest path
+// has, n−1, so the blocks it followed are corrupt.
+func walkTooLong(qc *QueryContext, u, v graph.VertexID, hops int) {
+	qc.Fail(fmt.Errorf("core: walk from %d to %d passed %d hops without arriving: %w", u, v, hops, store.ErrCorrupt))
 }
 
 // NextHopCtx returns the first vertex after u on the shortest path u→v,
 // charging the lookup to qc. It returns graph.NoVertex when v lies beyond
-// the proximity radius.
+// the proximity radius, and when the lookup fails (the error is on qc).
 func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexID {
 	if u == v {
 		return v
@@ -430,7 +447,7 @@ func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexI
 	b, ok := ix.lookup(qc, u, v)
 	if !ok {
 		if !qc.Failed() {
-			ix.missInterval(u, v) // panics when the index is strict and unbounded
+			ix.missInterval(qc, u, v) // fails qc when the index is strict and unbounded
 		}
 		return graph.NoVertex
 	}
@@ -441,10 +458,15 @@ func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexI
 // PathCtx retrieves the exact shortest path from u to v (inclusive), one
 // block lookup per hop — the paper's "entire shortest path in size-of-path
 // steps" — charging every lookup to qc. It returns nil when v lies beyond
-// the proximity radius.
+// the proximity radius, and when the walk fails: a failed lookup, or n−1
+// hops without reaching v (the error is on qc).
 func (ix *Index) PathCtx(qc *QueryContext, u, v graph.VertexID) []graph.VertexID {
 	path := []graph.VertexID{u}
 	for cur := u; cur != v; {
+		if hops := len(path) - 1; hops == ix.g.NumVertices()-1 {
+			walkTooLong(qc, u, v, hops)
+			return nil
+		}
 		cur = ix.NextHopCtx(qc, cur, v)
 		if cur == graph.NoVertex {
 			return nil
@@ -548,8 +570,8 @@ func (ix *Index) NewRefinerCtx(qc *QueryContext, src, dst graph.VertexID) *Refin
 			r.failed = true
 			return r
 		}
-		r.iv = ix.missInterval(src, dst)
-		r.outOfRange = true
+		r.iv, r.outOfRange = ix.missInterval(qc, src, dst)
+		r.failed = !r.outOfRange
 		return r
 	}
 	e := ix.g.Euclid(src, dst)
@@ -578,7 +600,10 @@ func (r *Refiner) Via() (graph.VertexID, float64) { return r.cur, r.acc }
 
 // Step performs one refinement: advance one hop along the encoded shortest
 // path and tighten the interval. It returns false once the interval is
-// exact.
+// exact, and when the walk fails: a failed lookup, a lookup miss on a
+// strict unbounded index, or n−1 hops without reaching the destination —
+// the longest a shortest path can be. The failure is recorded on the
+// refiner's query context (a panic when it has none).
 func (r *Refiner) Step() bool {
 	if r.done || r.outOfRange || r.failed {
 		return false
@@ -597,13 +622,19 @@ func (r *Refiner) Step() bool {
 		r.done = true
 		return false
 	}
+	if r.steps >= g.NumVertices()-1 {
+		walkTooLong(r.qc, r.src, r.dst, r.steps)
+		r.failed = true
+		return false
+	}
 	b, ok := r.ix.lookup(r.qc, next, r.dst)
 	if !ok {
-		if r.qc.Failed() {
-			r.failed = true // error is on r.qc; the interval remains valid
-			return false
+		if !r.qc.Failed() {
+			// The destination is within reach of every vertex on the way.
+			notCovered(r.qc, next, r.dst)
 		}
-		panic(fmt.Sprintf("core: vertex %d not covered by quadtree of %d", r.dst, next))
+		r.failed = true // error is on r.qc
+		return false
 	}
 	r.color = b.Color
 	e := g.Euclid(next, r.dst)

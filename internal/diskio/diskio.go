@@ -30,7 +30,8 @@ const AdjacencyEntrySize = 48
 // Stats counts buffer-pool traffic. Hits/Misses/Evictions are charged
 // by the pool itself; Reads and BlocksDecoded are charged by the paged
 // store (the only layer that knows whether a miss turned into a real
-// positioned read and how many quadtree blocks its decoder passed) —
+// page read — a positioned read or a copy out of the image's mapping — and
+// how many quadtree blocks its decoder passed) —
 // they ride here so one counter follows the per-query attribution
 // plumbing through every layer, the cluster's wire included (the binary
 // frames of internal/cluster/wire.go). The JSON tags serve only the

@@ -15,10 +15,11 @@ import (
 )
 
 // The sharded paged file format is partition metadata plus one complete
-// embedded store image per cell, each opened as its own ReadAt-backed store
-// while sharing ONE buffer pool — the paper's cache fraction stays a
-// property of the whole database. The file opens with store.ShardedMagic,
-// which store.Sniff recognises.
+// embedded store image per cell, each opened as its own store over its
+// section of the file (or of the file's mapping) while sharing ONE buffer
+// pool — the paper's cache fraction stays a property of the whole
+// database. The file opens with store.ShardedMagic, which store.Sniff
+// recognises.
 //
 //	superblock   64 bytes   magic, page size, P, n, m, nb, section offsets
 //	network      the GLOBAL network (store network-section encoding + CRC)
@@ -296,7 +297,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		if opt.Mapped != nil {
 			cellOpts.Mapped = opt.Mapped[offs[c] : offs[c]+sizes[c]]
 		}
-		st, err := store.Open(io.NewSectionReader(ra, offs[c], sizes[c]), sizes[c], cellOpts)
+		var cellRA io.ReaderAt = io.NewSectionReader(ra, offs[c], sizes[c])
+		if m, ok := ra.(store.Mapping); ok { // each cell copies out of its section
+			cellRA = m[offs[c] : offs[c]+sizes[c]]
+		}
+		st, err := store.Open(cellRA, sizes[c], cellOpts)
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
 		}

@@ -25,9 +25,11 @@ type Options struct {
 	// policy (default 0.05).
 	CacheFraction float64
 	// Mapped, when non-nil in OpenPaged, is the whole file memory-mapped (or
-	// otherwise resident): each cell store decodes straight out of its
-	// subslice with no ReadAt and no gather copy. Must cover the file and
-	// stay valid until the index is released.
+	// otherwise resident): each cell store's frames alias its subslice, and
+	// it decodes straight out of it with no ReadAt and no copy. Must cover
+	// the file and stay valid until the index is released. (To copy missed
+	// pages out of a mapping instead, open over a store.Mapping: each cell
+	// store reads its section of it.)
 	Mapped []byte
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an

@@ -54,6 +54,25 @@ const (
 // exports it as silc.ErrBadMagic.
 var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG3 nor SILCSPG3)")
 
+// ErrCorrupt is the one sentinel of a corrupt index found while serving
+// it: a block page whose CRC does not match, a run header, restart entry or
+// block that fails a decoder check, a copy out of a mapping that faulted
+// (the file shrank under it), and, in internal/core, a lookup miss on a
+// strict unbounded index or a refinement walk past n−1 hops. A plain I/O
+// error of a ReaderAt does not wrap it. The root package exports it as
+// silc.ErrCorruptImage.
+var ErrCorrupt = errors.New("silc: corrupt index")
+
+// corruptError marks err as corruption: errors.Is matches both err and
+// ErrCorrupt, and the message is err's own.
+type corruptError struct{ err error }
+
+func (e corruptError) Error() string   { return e.err.Error() }
+func (e corruptError) Unwrap() []error { return []error{e.err, ErrCorrupt} }
+
+// corrupt returns err marked as corruption.
+func corrupt(err error) error { return corruptError{err} }
+
 // Sniff reports whether an 8-byte magic opens a sharded file or a
 // monolithic image. Any other bytes are an error wrapping ErrBadMagic, which
 // for a removed format says to rebuild the image.

@@ -414,83 +414,117 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 
 // TestLookupRecycledFramesConcurrent races the three ways a run is read —
 // a Lookup, a Tree, and a Lookup right after an eviction of the run's first
-// page — from 8 goroutines over a 2-page pool on a ReadAt store. Nearly
-// every touch evicts, so page frames are recycled constantly: a run gathered from a frame after
-// the frame went back to the Pager would read another page's bytes. Every
-// answer must equal the in-RAM tree's FindIndex and every tree the in-RAM
-// tree.
+// page — from 8 goroutines over a 2-page pool, on each page source. Nearly
+// every touch evicts, so the frames of ReadAt and File stores are recycled
+// constantly: a run gathered from a frame after the frame went back to the
+// Pager would read another page's bytes. Every answer must equal the in-RAM
+// tree's FindIndex and every tree the in-RAM tree.
 func TestLookupRecycledFramesConcurrent(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	n := g.NumVertices()
 	probes := lookupProbes(g)
+	path := filepath.Join(t.TempDir(), "img")
+	if err := os.WriteFile(path, writeImage(t, ix), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	t.Run("PG2", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "img")
-		if err := os.WriteFile(path, writeImage(t, ix), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := store.OpenFile(path, store.WithPoolPages(store.OpenOptions{}, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		trees := make([]*quadtree.Tree, n)
-		for v := range trees {
-			trees[v], _ = ix.Tree(nil, graph.VertexID(v))
-		}
-		const workers = 8
-		errs := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				order := rand.New(rand.NewSource(int64(w))).Perm(n)
-				for pass := 0; pass < 2; pass++ {
-					for i, v := range order {
-						vid := graph.VertexID(v)
-						want := trees[v]
-						if (w+i+pass)%3 == 1 {
-							got, err := s.Tree(nil, vid)
-							if err != nil {
-								errs <- fmt.Errorf("vertex %d Tree: %v", v, err)
-								return
-							}
-							if !sameTree(got, want) {
-								errs <- fmt.Errorf("vertex %d Tree: %d blocks differ from the in-RAM tree's %d", v, len(got.Blocks), len(want.Blocks))
-								return
-							}
-							continue
-						}
-						for j := (w + i) % 5; j < len(probes); j += 5 {
-							if (w+i+pass)%3 == 2 {
-								s.EvictVertex(vid) // the next Lookup reads the page again
-							}
-							c := probes[j]
-							got, ok, err := s.Lookup(nil, vid, c)
-							if err != nil {
-								errs <- fmt.Errorf("vertex %d probe %x: %v", v, c, err)
-								return
-							}
-							var wb quadtree.Block
-							wi, wok := want.FindIndex(c)
-							if wok {
-								wb = want.Blocks[wi]
-							}
-							if ok != wok || !sameBlock(got, wb) {
-								errs <- fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, in-RAM FindIndex %+v ok=%v", v, c, got, ok, wb, wok)
-								return
-							}
-						}
-					}
+		for _, src := range pageSources {
+			t.Run(src, func(t *testing.T) {
+				s := openSource(t, path, src, store.WithPoolPages(store.OpenOptions{}, 2))
+				trees := make([]*quadtree.Tree, n)
+				for v := range trees {
+					trees[v], _ = ix.Tree(nil, graph.VertexID(v))
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
+				const workers = 8
+				errs := make(chan error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						order := rand.New(rand.NewSource(int64(w))).Perm(n)
+						for pass := 0; pass < 2; pass++ {
+							for i, v := range order {
+								vid := graph.VertexID(v)
+								want := trees[v]
+								if (w+i+pass)%3 == 1 {
+									got, err := s.Tree(nil, vid)
+									if err != nil {
+										errs <- fmt.Errorf("vertex %d Tree: %v", v, err)
+										return
+									}
+									if !sameTree(got, want) {
+										errs <- fmt.Errorf("vertex %d Tree: %d blocks differ from the in-RAM tree's %d", v, len(got.Blocks), len(want.Blocks))
+										return
+									}
+									continue
+								}
+								for j := (w + i) % 5; j < len(probes); j += 5 {
+									if (w+i+pass)%3 == 2 {
+										s.EvictVertex(vid) // the next Lookup reads the page again
+									}
+									c := probes[j]
+									got, ok, err := s.Lookup(nil, vid, c)
+									if err != nil {
+										errs <- fmt.Errorf("vertex %d probe %x: %v", v, c, err)
+										return
+									}
+									var wb quadtree.Block
+									wi, wok := want.FindIndex(c)
+									if wok {
+										wb = want.Blocks[wi]
+									}
+									if ok != wok || !sameBlock(got, wb) {
+										errs <- fmt.Errorf("vertex %d probe %x: Lookup %+v ok=%v, in-RAM FindIndex %+v ok=%v", v, c, got, ok, wb, wok)
+										return
+									}
+								}
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
+			})
 		}
 	})
+}
+
+// The page sources of a store opened from a file: what fills a missed
+// frame.
+var pageSources = []string{
+	"ReadAt", // OpenFile: a positioned read
+	"File",   // Open over a Mapping: a copy out of the mapping
+	"Mmap",   // OpenMapped: the frames alias the mapping
+}
+
+// openSource opens the image at path through page source src (one of
+// pageSources); the test's cleanup closes it.
+func openSource(t *testing.T, path, src string, opts store.OpenOptions) *store.Store {
+	t.Helper()
+	var s *store.Store
+	var err error
+	switch src {
+	case "ReadAt":
+		s, err = store.OpenFile(path, opts)
+	case "Mmap":
+		s, err = store.OpenMapped(path, opts)
+	case "File":
+		data, unmap, merr := store.MapFile(path)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		t.Cleanup(func() { unmap.Close() })
+		s, err = store.Open(store.Mapping(data), int64(len(data)), opts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // sameTree compares two trees block for block, bit for bit.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,10 +33,13 @@ type OpenOptions struct {
 	Pager    *Pager
 	PageBase diskio.PageID
 	// Mapped, when non-nil, is the whole image held in (usually mmap'd)
-	// memory: page frames become subslices of it — no ReadAt syscall, no
-	// gather copy — while pool accounting, eviction feedback, and CRC
-	// verification on first touch keep working unchanged. The slice must
-	// cover the image and stay valid until Close.
+	// memory whose pages the frames alias: page frames become subslices of
+	// it — no read, no copy — while pool accounting, eviction feedback, and
+	// CRC verification on first touch keep working unchanged. The decoder
+	// reads the mapping itself, under the fault guard of Mapping. The slice
+	// must cover the image and stay valid until Close. To copy missed pages
+	// out of a mapping into private frames instead, open over a Mapping and
+	// leave Mapped nil.
 	Mapped []byte
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an
@@ -61,10 +65,11 @@ func PoolPages(totalPages int64, fraction float64) (int, error) {
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
 // store owning each page-id range, so evicting a page actually releases its
-// frame. Released frames of ReadAt-backed stores go onto the Pager's free
-// list, from which the next miss in any registered store reads, so a full
-// pool's frames are reused rather than reallocated. Register every store (Open does it) before
-// queries start; registration is not synchronized with concurrent touches.
+// frame. Released private frames (every store's but a Mapped one's) go onto
+// the Pager's free list, which the next miss in any registered store fills,
+// so a full pool's frames are reused rather than reallocated. Register
+// every store (Open does it) before queries start; registration is not
+// synchronized with concurrent touches.
 type Pager struct {
 	pool   *diskio.Pool
 	stores []*Store
@@ -163,9 +168,10 @@ func (pg *Pager) Stores() []*Store { return pg.stores }
 type ReadStats struct {
 	Reads int64
 	Bytes int64
-	// Time is the wall-clock time spent inside ReadAt — the measured I/O
-	// time. For mapped stores the subslice itself is free; the first-touch
-	// cost is the checksum, reported separately as CRCTime.
+	// Time is the wall-clock time spent filling missed frames — inside
+	// ReadAt, which over a Mapping is a copy out of the mapping: the
+	// measured I/O time. For Mapped stores the subslice itself is free; the
+	// first-touch cost is the checksum, reported separately as CRCTime.
 	Time time.Duration
 	// CRCTime is the wall-clock time spent checksum-verifying cold
 	// pages — the dominant first-touch cost of the mmap page source.
@@ -178,11 +184,13 @@ type ReadStats struct {
 
 // Store is an open paged index image: the network and extent table resident
 // (O(n+m)), the Morton-block pages demand-paged through the buffer pool,
-// which is the store's one cache. Every pool miss is an actual ReadAt; every
-// eviction returns the page's frame to the Pager, whose next miss reads into
-// it, so resident page memory tracks the pool capacity rather than the
-// index size. Nothing decoded is kept: a lookup or a tree decodes from the
-// run's pages each time.
+// which is the store's one cache. Every pool miss fills a private frame by
+// a ReadAt — a positioned read of a file, or a copy out of a Mapping — and
+// checks its CRC; every eviction returns the page's frame to the Pager,
+// whose next miss fills it, so resident page memory tracks the pool
+// capacity rather than the index size. A Mapped store's frames alias the
+// mapping instead. Nothing decoded is kept: a lookup or a tree decodes from
+// the run's pages each time.
 //
 // A Store is safe for unlimited concurrent readers.
 type Store struct {
@@ -191,7 +199,7 @@ type Store struct {
 	sb       *superblock
 	g        *graph.Network
 	counts   []uint32
-	mapped   []byte // whole image in memory; nil for ReadAt-backed stores
+	mapped   []byte // whole image in memory, aliased by the frames; nil for ReadAt-backed stores
 	layout   *diskio.Layout
 	pageCRCs []uint32
 	pageBase diskio.PageID
@@ -357,6 +365,20 @@ func (s *Store) Compression() Compression { return CompressionDelta }
 // being read through ReadAt.
 func (s *Store) Mapped() bool { return s.mapped != nil }
 
+// Source names what fills a missed page frame: "readat" for a positioned
+// read, "mmapcopy" for a copy out of a Mapping into a private frame, "mmap"
+// when the frames alias the mapping (OpenOptions.Mapped). It is the source
+// label of the silc_store_* metrics.
+func (s *Store) Source() string {
+	switch _, copies := s.ra.(Mapping); {
+	case s.Mapped():
+		return "mmap"
+	case copies:
+		return "mmapcopy"
+	}
+	return "readat"
+}
+
 // Tracker returns the store's private tracker (nil when the store shares a
 // Pager owned by someone else).
 func (s *Store) Tracker() *diskio.Tracker { return s.tracker }
@@ -430,8 +452,12 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 // checking every block and every restart entry, and reusing t's block
 // storage; on an error t's blocks are unspecified. Page traffic is charged
 // to the shared pool and to ioStats (nil = untracked); misses perform real
-// reads.
-func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
+// reads. A failed check is an error wrapping ErrCorrupt.
+func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) (err error) {
+	if s.mapped != nil { // the decoder reads the mapping
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer recoverFault(&err)
+	}
 	r := s.reader(ioStats, v)
 	defer r.release()
 	run, err := r.read(0, len(r.run))
@@ -440,7 +466,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 	}
 	blocks, minLambda, err := decompressRun(t.Blocks, run, int(s.counts[v]), s.g.Degree(v))
 	if err != nil {
-		return fmt.Errorf("store: vertex %d: %w", v, err)
+		return fmt.Errorf("store: vertex %d: %w", v, corrupt(err))
 	}
 	s.chargeDecode(ioStats, len(blocks))
 	t.Blocks, t.MinLambda = blocks, minLambda
@@ -452,7 +478,11 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 // order, reading missed ones and decoding nothing — what a caller that
 // still holds v's decoded tree does instead of decoding it again, so that
 // pool recency, hits, misses and reads are the same either way.
-func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
+func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) (err error) {
+	if s.mapped != nil { // the checksum of a first touch reads the mapping
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer recoverFault(&err)
+	}
 	first, last, ok := s.layout.OwnerPages(int(v))
 	for p := first; ok && p <= last; p++ {
 		if err := s.touch(p, ioStats, nil, 0); err != nil {
@@ -466,12 +496,21 @@ func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 // whose cell contains code (ok false when none does), caching nothing. It
 // touches, in order, the pages holding the run's header and those holding
 // the bytes it decodes: from the restart entry in front of the block it
-// needs through that block, at most restartEvery blocks.
-func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error) {
+// needs through that block, at most restartEvery blocks. A failed check is
+// an error wrapping ErrCorrupt.
+func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (b quadtree.Block, ok bool, err error) {
+	if s.mapped != nil { // the decoder reads the mapping
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer recoverFault(&err)
+	}
 	r := s.reader(ioStats, v)
-	b, ok, decoded, err := lookupRun(&r, int(s.counts[v]), s.g.Degree(v), code)
+	var decoded int
+	b, ok, decoded, err = lookupRun(&r, int(s.counts[v]), s.g.Degree(v), code)
 	r.release()
 	if err != nil {
+		if err != r.fillErr { // a decoder check, not a page fill
+			err = corrupt(err)
+		}
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
 	}
 	s.chargeDecode(ioStats, decoded)
@@ -500,6 +539,7 @@ type runReader struct {
 	lo, ps  int64        // the run's offset in its page space; the page size
 	end     int          // the run's bytes up to end are at hand
 	next    diskio.PageID
+	fillErr error // the error of the page fill that failed, if one did
 }
 
 // reader returns the runReader of v's run.
@@ -535,6 +575,7 @@ func (r *runReader) read(from, to int) ([]byte, error) {
 				dst = r.run[r.end:end]
 			}
 			if err := r.s.touch(r.next, r.ioStats, dst, r.lo+int64(r.end)-base); err != nil {
+				r.fillErr = err
 				return nil, err
 			}
 		}
@@ -595,12 +636,13 @@ func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from i
 	return nil
 }
 
-// readPage materializes one block page: an actual disk read, into a frame
-// an eviction released when the Pager has one, for ReadAt-backed stores; a
-// checksum-verified subslice of the mapping for mapped ones. Either way the
-// page counts as one read in ReadStats — for a mapping, "read" means
-// first-touch verification, the moment the page faults in. The frame is
-// the caller's alone until it publishes it.
+// readPage materializes one block page: a ReadAt — a disk read, or a copy
+// out of a Mapping — into a frame an eviction released when the Pager has
+// one, for ReadAt-backed stores; a subslice of the mapping for Mapped ones.
+// Either way the frame is checksum-verified and the page counts as one read
+// in ReadStats — for a Mapped store, "read" means first-touch verification,
+// the moment the page faults in. A checksum mismatch wraps ErrCorrupt. The
+// frame is the caller's alone until it publishes it.
 func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	off := s.sb.blockOff + int64(p)*int64(s.sb.pageSize)
 	var buf []byte
@@ -622,13 +664,13 @@ func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	s.readBytes.Add(int64(s.sb.pageSize))
 	if sum != s.pageCRCs[p] {
 		s.releaseFrame(buf)
-		return nil, fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum)
+		return nil, corrupt(fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum))
 	}
 	return buf, nil
 }
 
 // releaseFrame hands a frame no reader can reach any more to the Pager. A
-// mapped store's frames alias the mapping and are never reused.
+// Mapped store's frames alias the mapping and are never reused.
 func (s *Store) releaseFrame(b []byte) {
 	if b != nil && s.mapped == nil {
 		s.pager.giveFrame(b)

@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,6 +179,9 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 		qc := core.NewQueryContext()
 		core.ExactDistance(px, qc, graph.VertexID(u), graph.VertexID((u+n/2)%n))
 		if err := qc.Err(); err != nil {
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("checksum failure %v does not match store.ErrCorrupt", err)
+			}
 			sawErr = true
 		}
 	}
@@ -190,65 +195,119 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 // that the frames stay bounded under churn: an evicted frame goes back to
 // the shared Pager and the next miss in either store reads into it, so the
 // frames resident in both stores plus those on the free list never exceed
-// the pool's capacity by more than one.
+// the pool's capacity by more than one. It runs over each page source.
 func TestSharedPagerEvictionRouting(t *testing.T) {
 	_, ixA := buildTestIndex(t, 10, 10)
 	_, ixB := buildTestIndex(t, 12, 12)
 	imgA, imgB := writeImage(t, ixA), writeImage(t, ixB)
 
-	pager := store.NewPager(diskio.NewPool(4, 4))
-	stA, err := store.Open(bytes.NewReader(imgA), int64(len(imgA)), store.OpenOptions{Pager: pager})
-	if err != nil {
-		t.Fatalf("Open A: %v", err)
-	}
-	stB, err := store.Open(bytes.NewReader(imgB), int64(len(imgB)), store.OpenOptions{Pager: pager, PageBase: diskio.PageID(stA.BlockPages())})
-	if err != nil {
-		t.Fatalf("Open B: %v", err)
-	}
-	gA, gB := stA.Graph(), stB.Graph()
-	for v := 0; v < gA.NumVertices(); v += 2 {
-		if _, err := stA.Tree(nil, graph.VertexID(v)); err != nil {
-			t.Fatalf("A tree %d: %v", v, err)
-		}
-	}
-	for v := 0; v < gB.NumVertices(); v += 2 {
-		if _, err := stB.Tree(nil, graph.VertexID(v)); err != nil {
-			t.Fatalf("B tree %d: %v", v, err)
-		}
-	}
-	if total := stA.ResidentPages() + stB.ResidentPages(); total > 4 {
-		t.Fatalf("resident pages %d exceed shared capacity 4", total)
-	}
-	rs := pager.ReadStats()
-	if rs.Reads == 0 || rs.Bytes == 0 {
-		t.Fatalf("pager read stats empty: %+v", rs)
-	}
+	for _, src := range pageSources {
+		t.Run(src, func(t *testing.T) {
+			pager := store.NewPager(diskio.NewPool(4, 4))
+			// open opens img over src in the shared pager: positioned reads
+			// of the bytes, copies out of them as a Mapping, or frames
+			// aliasing them.
+			open := func(img []byte, opts store.OpenOptions) (*store.Store, error) {
+				opts.Pager = pager
+				var ra io.ReaderAt = bytes.NewReader(img)
+				if src != "ReadAt" {
+					ra = store.Mapping(img)
+				}
+				if src == "Mmap" {
+					opts.Mapped = img
+				}
+				return store.Open(ra, int64(len(img)), opts)
+			}
+			stA, err := open(imgA, store.OpenOptions{})
+			if err != nil {
+				t.Fatalf("Open A: %v", err)
+			}
+			stB, err := open(imgB, store.OpenOptions{PageBase: diskio.PageID(stA.BlockPages())})
+			if err != nil {
+				t.Fatalf("Open B: %v", err)
+			}
+			gA, gB := stA.Graph(), stB.Graph()
+			for v := 0; v < gA.NumVertices(); v += 2 {
+				if _, err := stA.Tree(nil, graph.VertexID(v)); err != nil {
+					t.Fatalf("A tree %d: %v", v, err)
+				}
+			}
+			for v := 0; v < gB.NumVertices(); v += 2 {
+				if _, err := stB.Tree(nil, graph.VertexID(v)); err != nil {
+					t.Fatalf("B tree %d: %v", v, err)
+				}
+			}
+			if total := stA.ResidentPages() + stB.ResidentPages(); total > 4 {
+				t.Fatalf("resident pages %d exceed shared capacity 4", total)
+			}
+			rs := pager.ReadStats()
+			if rs.Reads == 0 || rs.Bytes == 0 {
+				t.Fatalf("pager read stats empty: %+v", rs)
+			}
 
-	// Churn: interleave the two stores' trees and lookups in random order.
-	capacity := pager.Pool().Capacity()
-	rng := rand.New(rand.NewSource(11))
-	var churn diskio.Stats
-	for i := 0; i < 4000; i++ {
-		st, g := stA, gA
-		if rng.Intn(2) == 1 {
-			st, g = stB, gB
-		}
-		v := graph.VertexID(rng.Intn(g.NumVertices()))
-		var err error
-		if i%3 == 0 {
-			_, err = st.Tree(&churn, v)
-		} else {
-			_, _, err = st.Lookup(&churn, v, g.Code(graph.VertexID(rng.Intn(g.NumVertices()))))
-		}
-		if err != nil {
-			t.Fatalf("churn %d: vertex %d: %v", i, v, err)
-		}
-		resident, free := stA.ResidentPages()+stB.ResidentPages(), pager.FreeFrames()
-		if resident+free > capacity+1 {
-			t.Fatalf("churn %d: %d resident + %d free frames exceed pool capacity %d + 1", i, resident, free, capacity)
-		}
+			// Churn: interleave the two stores' trees and lookups in random order.
+			capacity := pager.Pool().Capacity()
+			rng := rand.New(rand.NewSource(11))
+			var churn diskio.Stats
+			for i := 0; i < 4000; i++ {
+				st, g := stA, gA
+				if rng.Intn(2) == 1 {
+					st, g = stB, gB
+				}
+				v := graph.VertexID(rng.Intn(g.NumVertices()))
+				var err error
+				if i%3 == 0 {
+					_, err = st.Tree(&churn, v)
+				} else {
+					_, _, err = st.Lookup(&churn, v, g.Code(graph.VertexID(rng.Intn(g.NumVertices()))))
+				}
+				if err != nil {
+					t.Fatalf("churn %d: vertex %d: %v", i, v, err)
+				}
+				resident, free := stA.ResidentPages()+stB.ResidentPages(), pager.FreeFrames()
+				if resident+free > capacity+1 {
+					t.Fatalf("churn %d: %d resident + %d free frames exceed pool capacity %d + 1", i, resident, free, capacity)
+				}
+			}
+			if churn.Evictions < 1000 {
+				t.Fatalf("churn evicted only %d pages", churn.Evictions)
+			}
+		})
 	}
-	if churn.Evictions < 1000 {
-		t.Fatalf("churn evicted only %d pages", churn.Evictions)
+}
+
+// flakyReader is an image whose reads fail with errFlaky once armed, the
+// way a disk's would.
+type flakyReader struct {
+	img   []byte
+	armed bool
+}
+
+var errFlaky = errors.New("flaky disk")
+
+func (r *flakyReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.armed {
+		return 0, errFlaky
+	}
+	return bytes.NewReader(r.img).ReadAt(p, off)
+}
+
+// TestReadErrorIsNotCorruption checks the line ErrCorrupt draws: a ReaderAt
+// that fails is an I/O error, which a lookup and a tree decode pass on as
+// it is, not as corruption.
+func TestReadErrorIsNotCorruption(t *testing.T) {
+	g, ix := buildTestIndex(t, 8, 8)
+	r := &flakyReader{img: writeImage(t, ix)}
+	s, err := store.Open(r, int64(len(r.img)), store.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.armed = true
+	_, _, lerr := s.Lookup(nil, 5, g.Code(9))
+	_, terr := s.Tree(nil, 5)
+	for what, err := range map[string]error{"lookup": lerr, "tree": terr} {
+		if !errors.Is(err, errFlaky) || errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: %v; want the read error, not store.ErrCorrupt", what, err)
+		}
 	}
 }

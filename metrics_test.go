@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -260,7 +262,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 		"silc_knn_filter_seconds_total",
 		"silc_diskio_pool_hits_total",
 		`silc_diskio_shard_hits_total{shard="0"}`,
-		`silc_store_page_reads_total{store="0",source="readat"}`,
+		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
 		"silc_engine_inflight_queries 0",
 	} {
 		if !strings.Contains(out, want) {
@@ -422,5 +424,73 @@ func TestBatchFoldsMetrics(t *testing.T) {
 	}
 	if got := eng.obs.pageMisses.Value(); got != sum {
 		t.Errorf("folded misses %d != batch per-query sum %d", got, sum)
+	}
+}
+
+// TestStoreSourceLabel pins the source label of the silc_store_* series for
+// each way an image is opened: a ReaderAt is "readat" whatever it reads, a
+// file opened by path copies missed pages out of its mapping ("mmapcopy"),
+// and with Mmap the frames alias the mapping ("mmap"). Every cell store of
+// a sharded image carries its engine's label.
+func TestStoreSourceLabel(t *testing.T) {
+	net, err := GenerateGrid(10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, parts := range []int{1, 4} {
+		built, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "image"+itoa(parts))
+		if _, err := built.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		opens := []struct {
+			name, source string
+			open         func() (*Engine, error)
+		}{
+			{"OpenEngineAt/bytes", "readat", func() (*Engine, error) {
+				return OpenEngineAt(bytes.NewReader(img), int64(len(img)), nil, BuildOptions{})
+			}},
+			{"OpenEngineAt/file", "readat", func() (*Engine, error) {
+				return OpenEngineAt(fh, int64(len(img)), nil, BuildOptions{})
+			}},
+			{"OpenEngine", "mmapcopy", func() (*Engine, error) { return OpenEngine(path, nil, BuildOptions{}) }},
+			{"OpenEngine/Mmap", "mmap", func() (*Engine, error) { return OpenEngine(path, nil, BuildOptions{Mmap: true}) }},
+		}
+		for _, o := range opens {
+			t.Run(o.name+"/P="+itoa(parts), func(t *testing.T) {
+				eng, err := o.open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				var b bytes.Buffer
+				if err := eng.WriteMetrics(&b); err != nil {
+					t.Fatal(err)
+				}
+				out := b.String()
+				for i := range parts {
+					want := `silc_store_page_reads_total{store="` + itoa(i) + `",source="` + o.source + `"}`
+					if !strings.Contains(out, want) {
+						t.Errorf("missing %s", want)
+					}
+				}
+				if n := strings.Count(out, `source="`+o.source+`"`); n != strings.Count(out, `source="`) {
+					t.Errorf("%d of %d store series carry source=%q", n, strings.Count(out, `source="`), o.source)
+				}
+			})
+		}
 	}
 }

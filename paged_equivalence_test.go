@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -13,11 +14,12 @@ import (
 )
 
 // The equivalence property: the in-RAM monolithic engine, its paged image
-// opened over both page sources (positioned reads and mmap, pool squeezed
-// to ~1% to force heavy eviction), and the 4-cell engine (in RAM and paged)
-// must answer identical KNN, range, and Browser queries on every network
-// family. Run under -race in CI, with a concurrent phase hammering the
-// shared pool from many goroutines.
+// opened over all three page sources (positioned reads, copies out of the
+// mapping, frames aliasing the mapping; pool squeezed to ~1% to force heavy
+// eviction), and the 4-cell engine (in RAM and paged) must answer identical
+// KNN, range, and Browser queries on every network family. Run under -race
+// in CI, with a concurrent phase hammering the shared pool from many
+// goroutines.
 
 type equivEngine struct {
 	name  string
@@ -26,11 +28,12 @@ type equivEngine struct {
 }
 
 // buildEquivEngines assembles the engine matrix over one network — in-RAM,
-// sharded, and their paged images crossed with positioned reads and mmap —
-// the paged ones reading real pages through a
-// deliberately tiny pool. The mmap opens go through temp files; on
-// platforms without mmap support they silently degrade to positioned reads,
-// which still must answer identically.
+// sharded, and their paged images crossed with the three page sources:
+// readat (OpenEngineAt over the file), file (OpenEngine: a miss copies out
+// of the mapping into a recycled frame) and mmap (frames alias the mapping)
+// — the paged ones reading real pages through a deliberately tiny pool. On
+// platforms without mmap support file and mmap silently degrade to
+// positioned reads, which still must answer identically.
 func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 	t.Helper()
 	dir := t.TempDir()
@@ -57,20 +60,34 @@ func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 
 	mono := writeTemp("mono", ix)
 	shard := writeTemp("shard", sx)
-	for _, src := range []string{"readat", "mmap"} {
-		mmap := src == "mmap"
-		px, err := silc.OpenEngine(mono, nil, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
-		if err != nil {
-			t.Fatalf("open paged %s: %v", src, err)
+	open := func(path, src string) *silc.Engine {
+		opts := silc.BuildOptions{CacheFraction: 0.01, Mmap: src == "mmap"}
+		var eng *silc.Engine
+		var err error
+		if src == "readat" {
+			f, ferr := os.Open(path)
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			t.Cleanup(func() { f.Close() })
+			info, ferr := f.Stat()
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			eng, err = silc.OpenEngineAt(f, info.Size(), nil, opts)
+		} else {
+			eng, err = silc.OpenEngine(path, nil, opts)
 		}
-		t.Cleanup(func() { px.Close() })
-		engines = append(engines, equivEngine{"paged-" + src, px, true})
-		psx, err := silc.OpenEngine(shard, nil, silc.BuildOptions{CacheFraction: 0.01, Mmap: mmap})
 		if err != nil {
-			t.Fatalf("open sharded %s: %v", src, err)
+			t.Fatalf("open %s %s: %v", path, src, err)
 		}
-		t.Cleanup(func() { psx.Close() })
-		engines = append(engines, equivEngine{"sharded-paged-" + src, psx, true})
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	for _, src := range []string{"readat", "file", "mmap"} {
+		engines = append(engines,
+			equivEngine{"paged-" + src, open(mono, src), true},
+			equivEngine{"sharded-paged-" + src, open(shard, src), true})
 	}
 	return engines
 }

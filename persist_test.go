@@ -439,6 +439,9 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 					if !strings.Contains(err.Error(), named) {
 						t.Fatalf("%s: error %q does not name %s", what, err, named)
 					}
+					if !errors.Is(err, ErrCorruptImage) {
+						t.Fatalf("%s: error %q does not match ErrCorruptImage", what, err)
+					}
 				}
 				defer func() {
 					if r := recover(); r != nil {

@@ -188,8 +188,9 @@ type QueryStats struct {
 	HeapPushes  int64 // search-queue pushes (best-first family)
 	PageHits    int64 // buffer-pool hits (disk-backed indexes)
 	PageMisses  int64 // buffer-pool misses
-	// PageReads counts real positioned reads the paged store performed for
-	// this query (zero on in-RAM indexes).
+	// PageReads counts the missed page frames the paged store filled for
+	// this query — a positioned read, or a copy out of the image's mapping
+	// (zero on in-RAM indexes).
 	PageReads int64
 	// Evictions counts pool pages this query's touches displaced.
 	Evictions int64
