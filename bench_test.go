@@ -272,10 +272,11 @@ func BenchmarkLiveMutation(b *testing.B) {
 }
 
 // pagedBench is the fixture of the paged benchmarks: a 64×64 road map (seed
-// 1) written as a paged image, and a seeded random generator for the
-// workload drawn over it.
+// 1), its in-RAM engine and the paged image written from it, and a seeded
+// random generator for the workload drawn over it.
 type pagedBench struct {
 	net  *Network
+	ram  *Engine
 	path string
 	rng  *rand.Rand
 }
@@ -286,11 +287,10 @@ func newPagedBench(b *testing.B) *pagedBench {
 		b.Fatal(err)
 	}
 	pb := &pagedBench{net: net, path: filepath.Join(b.TempDir(), "index.silcpg"), rng: rand.New(rand.NewSource(7))}
-	idx, err := Build(net, BuildOptions{})
-	if err != nil {
+	if pb.ram, err = Build(net, BuildOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := idx.WriteFile(pb.path); err != nil {
+	if _, err := pb.ram.WriteFile(pb.path); err != nil {
 		b.Fatal(err)
 	}
 	return pb
@@ -335,15 +335,14 @@ func openSource(tb testing.TB, path, src string, pool float64) *Engine {
 	return eng
 }
 
-// run times op over one page variant: a pass is 64 operations, op(e, i)
-// runs the i-th and returns its stats. A cold run opens the image afresh
-// before every pass; a warm one runs two untimed passes first, so the pool
-// holds what the workload last touched. A lookup decodes the same blocks
-// either way. It reports refinements, page reads and decoded blocks per
-// operation.
-func (pb *pagedBench) run(b *testing.B, src string, pool float64, cold bool, op func(e *Engine, i int) QueryStats) {
+// run times op over the engine open returns: a pass is 64 operations,
+// op(e, i) runs the i-th and returns its stats. A cold run opens the engine
+// afresh before every pass; a warm one runs two untimed passes first, so a
+// paged engine's pool holds what the workload last touched. A lookup
+// decodes the same blocks either way. It reports refinements, page reads
+// and decoded blocks per operation.
+func (pb *pagedBench) run(b *testing.B, open func() *Engine, cold bool, op func(e *Engine, i int) QueryStats) {
 	const pass = 64
-	open := func() *Engine { return openSource(b, pb.path, src, pool) }
 	idx := open()
 	if !cold {
 		for i := 0; i < 2*pass; i++ {
@@ -371,26 +370,36 @@ func (pb *pagedBench) run(b *testing.B, src string, pool float64, cold bool, op 
 	b.ReportMetric(float64(decoded)/float64(b.N), "blocks-decoded/op")
 }
 
+// paged returns an opener of the image through page source src behind a
+// pool of the given fraction.
+func (pb *pagedBench) paged(b *testing.B, src string, pool float64) func() *Engine {
+	return func() *Engine { return openSource(b, pb.path, src, pool) }
+}
+
 // variants runs one sub-benchmark per page variant: page source
 // (pageSources) × pool (5% and 100% of the image's pages) × cache state
-// (cold, warm).
+// (cold, warm); and RAM, the in-RAM engine the image was written from, so
+// that the warm paged to in-RAM ratio is measured on the same queries.
 func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
 	for _, src := range pageSources {
 		for _, pool := range []float64{0.05, 1} {
 			for _, state := range []string{"cold", "warm"} {
 				b.Run(fmt.Sprintf("%s/pool=%g/%s", src, pool, state), func(b *testing.B) {
-					pb.run(b, src, pool, state == "cold", op)
+					pb.run(b, pb.paged(b, src, pool), state == "cold", op)
 				})
 			}
 		}
 	}
+	b.Run("RAM", func(b *testing.B) {
+		pb.run(b, func() *Engine { return pb.ram }, false, op)
+	})
 }
 
 // BenchmarkPagedKNN times one kNN (k=10) over a paged index of a 64×64 road
 // map (seed 1) with 5% of its vertices as objects, for each page variant
 // (pagedBench.variants; cold = a fresh open before every pass over the 64
-// queries, warm = two untimed passes first). The eps=0 and eps=0.1 runs time
-// ε-approximate kNN warm behind the 5% pool.
+// queries, warm = two untimed passes first) and in RAM. The eps=0 and
+// eps=0.1 runs time ε-approximate kNN warm behind the 5% pool.
 func BenchmarkPagedKNN(b *testing.B) {
 	pb := newPagedBench(b)
 	n := pb.net.NumVertices()
@@ -415,15 +424,16 @@ func BenchmarkPagedKNN(b *testing.B) {
 	pb.variants(b, knn())
 	for _, eps := range []float64{0, 0.1} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			pb.run(b, "File", 0.05, false, knn(WithEpsilon(eps)))
+			pb.run(b, pb.paged(b, "File", 0.05), false, knn(WithEpsilon(eps)))
 		})
 	}
 }
 
 // BenchmarkPagedDistance times one exact network distance between random
-// vertex pairs of the same paged 64×64 road map, for each page variant — a
-// chain of single-block lookups, one per vertex of the shortest path, each
-// mostly of a vertex the query never comes back to.
+// vertex pairs of the same 64×64 road map, for each page variant and in
+// RAM. A paged distance is a chain of single-block lookups, one per vertex
+// of the shortest path, each mostly of a vertex the query never comes back
+// to.
 func BenchmarkPagedDistance(b *testing.B) {
 	pb := newPagedBench(b)
 	pairs := make([][2]VertexID, 64)

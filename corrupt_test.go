@@ -161,7 +161,8 @@ func TestTruncatedImageFailsCleanly(t *testing.T) {
 // distance from vertex 0 to a neighbour reads only vertex 0's run, which
 // lies on that page: while the page stays resident, hits serve the frame
 // that passed its CRC; once another query has evicted it, the page's next
-// miss reads the new bytes and fails with ErrCorruptImage.
+// miss reads the new bytes and fails with ErrCorruptImage, and the failed
+// query's statistics report that miss.
 func TestOverwrittenPageFailsOnItsNextMiss(t *testing.T) {
 	f := newCorruptFixture(t)
 	ctx := context.Background()
@@ -219,8 +220,9 @@ func TestOverwrittenPageFailsOnItsNextMiss(t *testing.T) {
 					w, d, f.truth[0][w], st.PageMisses, err)
 			}
 			f.check(t, eng, VertexID(f.net.NumVertices()-1)) // evicts the page
-			if _, _, err = distance(); !errors.Is(err, ErrCorruptImage) {
-				t.Fatalf("after eviction: err %v; want the page's miss to fail with ErrCorruptImage", err)
+			if _, st, err = distance(); !errors.Is(err, ErrCorruptImage) || st.PageMisses < 1 {
+				t.Fatalf("after eviction: err %v, %d misses; want the page's miss to fail with ErrCorruptImage and be counted",
+					err, st.PageMisses)
 			}
 		})
 	}

@@ -237,7 +237,8 @@ func (e *Engine) ResetIOStats() {
 // index's radius): exact by default, and under WithEpsilon(ε) the lower
 // bound d of the first interval with δ⁺ ≤ (1+ε)·δ⁻, so that
 // d ≤ true ≤ (1+ε)·d. Cancelling ctx stops the refinement and returns
-// ctx's error. WithStats captures the query's execution statistics.
+// ctx's error. WithStats captures the query's execution statistics, a
+// failed query's included.
 func (e *Engine) Distance(ctx context.Context, u, v VertexID, opts ...Option) (float64, error) {
 	o, err := resolveOptions(opts)
 	if err != nil {
@@ -252,18 +253,19 @@ func (e *Engine) Distance(ctx context.Context, u, v VertexID, opts ...Option) (f
 	qc := e.acquireQC(ctx, opDistance)
 	defer e.releaseQC(qc)
 	d := core.ApproxDistance(e.qx, qc, u, v, o.epsilon)
-	if err := qc.Err(); err != nil {
-		return 0, err
-	}
 	if o.statsInto != nil {
 		e.fillStats(qc, "DISTANCE", o.statsInto)
+	}
+	if err := qc.Err(); err != nil {
+		return 0, err
 	}
 	return d, nil
 }
 
 // DistanceInterval returns the zero-refinement network-distance interval
 // between u and v: a bounded number of lookups, no graph search.
-// WithStats captures the query's execution statistics.
+// WithStats captures the query's execution statistics, a failed query's
+// included.
 func (e *Engine) DistanceInterval(ctx context.Context, u, v VertexID, opts ...Option) (Interval, error) {
 	o, err := resolveOptions(opts)
 	if err != nil {
@@ -278,11 +280,11 @@ func (e *Engine) DistanceInterval(ctx context.Context, u, v VertexID, opts ...Op
 	qc := e.acquireQC(ctx, opInterval)
 	defer e.releaseQC(qc)
 	iv := e.qx.DistanceIntervalCtx(qc, u, v)
-	if err := qc.Err(); err != nil {
-		return Interval{}, err
-	}
 	if o.statsInto != nil {
 		e.fillStats(qc, "INTERVAL", o.statsInto)
+	}
+	if err := qc.Err(); err != nil {
+		return Interval{}, err
 	}
 	return iv, nil
 }
@@ -290,7 +292,7 @@ func (e *Engine) DistanceInterval(ctx context.Context, u, v VertexID, opts ...Op
 // ShortestPath retrieves the exact shortest path from u to v, inclusive of
 // both endpoints (nil when v is unreachable). Cancelling ctx abandons the
 // retrieval and returns ctx's error. WithStats captures the query's
-// execution statistics.
+// execution statistics, a failed query's included.
 func (e *Engine) ShortestPath(ctx context.Context, u, v VertexID, opts ...Option) ([]VertexID, error) {
 	o, err := resolveOptions(opts)
 	if err != nil {
@@ -305,11 +307,11 @@ func (e *Engine) ShortestPath(ctx context.Context, u, v VertexID, opts ...Option
 	qc := e.acquireQC(ctx, opPath)
 	defer e.releaseQC(qc)
 	path := e.qx.PathCtx(qc, u, v)
-	if err := qc.Err(); err != nil {
-		return nil, err
-	}
 	if o.statsInto != nil {
 		e.fillStats(qc, "PATH", o.statsInto)
+	}
+	if err := qc.Err(); err != nil {
+		return nil, err
 	}
 	return path, nil
 }
@@ -402,7 +404,7 @@ func (e *Engine) checkQuery(objs *ObjectSet, q VertexID, k int, opts []Option) (
 // QueryBatch and WithinDistance, on both engines: the search spec selects,
 // o.method dispatches the INE/IER baselines, and the result is stamped with
 // the snapshot version, refined to exact distances when o asks, and given
-// the context's I/O and span counters.
+// the context's I/O and span counters, a failed query's too.
 func (e *Engine) search(qc *core.QueryContext, objs *ObjectSet, q VertexID, spec knn.Spec, o queryOptions) (Result, error) {
 	var raw knn.Result
 	switch o.method {
@@ -419,9 +421,7 @@ func (e *Engine) search(qc *core.QueryContext, objs *ObjectSet, q VertexID, spec
 	if err == nil && o.exact {
 		err = e.exactify(qc, q, &res)
 	}
-	if err == nil {
-		e.foldIO(qc, &res.Stats)
-	}
+	e.foldIO(qc, &res.Stats)
 	return res, err
 }
 

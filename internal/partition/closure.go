@@ -14,9 +14,9 @@ import (
 // Closure is the boundary-vertex distance closure: the exact global network
 // distance between every ordered pair of boundary vertices (vertices with at
 // least one edge to or from another cell), plus a next-boundary-hop matrix
-// for path reconstruction. It is computed once at build time — one full
-// Dijkstra per boundary vertex — and is what lets per-cell indexes answer
-// cross-partition queries exactly.
+// for path reconstruction. It is computed once at build time — one Dijkstra
+// per boundary vertex, run until every boundary vertex is settled — and is
+// what lets per-cell indexes answer cross-partition queries exactly.
 type Closure struct {
 	// B lists the boundary vertices grouped by cell, Morton-ordered within
 	// each cell; the position in B is the vertex's closure row.
@@ -89,10 +89,10 @@ func boundaryRows(g *graph.Network, asn *Assignment) (b []graph.VertexID, rowOf 
 	return b, rowOf, cellStart
 }
 
-// buildClosure runs one full-network Dijkstra per boundary vertex (parallel
-// over sources) and fills the distance and hop matrices. It fails if any
-// boundary vertex cannot reach another — the sharded build's strong-
-// connectivity check at the cell-graph level.
+// buildClosure runs one Search per boundary vertex (parallel over sources)
+// and fills the distance and hop matrices. It fails if any boundary vertex
+// cannot reach another — the sharded build's strong-connectivity check at
+// the cell-graph level.
 func buildClosure(g *graph.Network, asn *Assignment, parallelism int) (*Closure, error) {
 	b, rowOf, cellStart := boundaryRows(g, asn)
 	nb := len(b)
@@ -121,30 +121,46 @@ func buildClosure(g *graph.Network, asn *Assignment, parallelism int) (*Closure,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ws := sssp.NewWorkspace(n)
+			var sr sssp.Search
+			// fb[v] is the closure row of the first boundary vertex strictly
+			// after the source on its shortest path to the settled vertex v,
+			// -1 when there is none. It is derived as v settles, from v's
+			// parent, which settled before it.
 			fb := make([]int32, n)
-			stack := make([]graph.VertexID, 0, 64)
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= nb {
 					return
 				}
 				src := b[i]
-				tree := ws.Run(g, src)
-				firstBoundary(tree, src, rowOf, fb, &stack)
 				row := cl.D[i*nb : (i+1)*nb]
 				hop := cl.Hop[i*nb : (i+1)*nb]
-				for j, bj := range b {
-					d := tree.Dist[bj]
-					if math.IsInf(d, 1) {
-						errs[w] = fmt.Errorf("partition: boundary vertex %d unreachable from %d; the network must be strongly connected", bj, src)
-						return
+				for j := range row {
+					row[j] = math.Inf(1)
+				}
+				sr.Start(g, src, graph.NoVertex)
+				for left := nb; left > 0; {
+					v, d, ok := sr.Next(sssp.Inf)
+					if !ok {
+						break
 					}
-					row[j] = d
-					if j == i {
-						hop[j] = int32(i)
-					} else {
-						hop[j] = fb[bj]
+					f := int32(-1)
+					if p := sr.Parent(v); p != graph.NoVertex {
+						if f = fb[p]; f < 0 {
+							f = rowOf[v]
+						}
+					}
+					fb[v] = f
+					if r := rowOf[v]; r >= 0 {
+						row[r], hop[r] = d, f
+						left--
+					}
+				}
+				hop[i] = int32(i)
+				for j, d := range row {
+					if math.IsInf(d, 1) {
+						errs[w] = fmt.Errorf("partition: boundary vertex %d unreachable from %d; the network must be strongly connected", b[j], src)
+						return
 					}
 				}
 			}
@@ -157,42 +173,6 @@ func buildClosure(g *graph.Network, asn *Assignment, parallelism int) (*Closure,
 		}
 	}
 	return cl, nil
-}
-
-// firstBoundary fills fb[v] with the closure row of the first boundary
-// vertex strictly after src on the shortest path src→v (-1 when the path
-// has none, or v is unreached). It resolves lazily along parent chains with
-// memoization — O(n) total, no distance sort.
-func firstBoundary(tree *sssp.Tree, src graph.VertexID, rowOf []int32, fb []int32, stack *[]graph.VertexID) {
-	const unknown = int32(-2)
-	for i := range fb {
-		fb[i] = unknown
-	}
-	fb[src] = -1
-	for v := range fb {
-		if fb[v] != unknown {
-			continue
-		}
-		if tree.Parent[v] == graph.NoVertex {
-			fb[v] = -1 // unreached
-			continue
-		}
-		s := (*stack)[:0]
-		u := graph.VertexID(v)
-		for fb[u] == unknown {
-			s = append(s, u)
-			u = tree.Parent[u]
-		}
-		inherited := fb[u]
-		for k := len(s) - 1; k >= 0; k-- {
-			w := s[k]
-			if inherited < 0 && rowOf[w] >= 0 {
-				inherited = rowOf[w]
-			}
-			fb[w] = inherited
-		}
-		*stack = s
-	}
 }
 
 // validateCoverage checks that, within every cell, each vertex both reaches

@@ -16,7 +16,8 @@ import (
 //   - the source label du — the exact within-cell distance from the source to
 //     every gateway of its own cell. It depends on the source alone, lives on
 //     the per-query router, and is computed by one bounded search
-//     (router.ensureDU);
+//     (router.ensureDU: an sssp.Search kept inside the source's cell and
+//     stopped at the cell's last gateway);
 //   - the destination label — the zero-refinement interval between a vertex v
 //     and every gateway of v's cell. It is read off the cell's immutable
 //     image and depends on nothing that changes while the image is served, so

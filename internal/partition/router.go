@@ -6,7 +6,7 @@ import (
 	"silc/internal/core"
 	"silc/internal/geom"
 	"silc/internal/graph"
-	"silc/internal/pqueue"
+	"silc/internal/sssp"
 )
 
 // router is the per-query routing state for one source vertex: the source
@@ -24,11 +24,9 @@ type router struct {
 
 	duReady bool
 	du      []float64 // exact d_p(src, b) per own-cell boundary row (offset from row lo)
-	// dist and heap are ensureDU's search state: tentative within-cell
-	// distances by cell-local id, and the frontier. Kept across sources, so a
-	// warm router's search allocates nothing.
-	dist []float64
-	heap pqueue.Min[graph.VertexID]
+	// sr is ensureDU's search, kept across sources, so a warm router's
+	// search allocates nothing.
+	sr sssp.Search
 
 	gw    [][]float64 // per cell: A values per row offset; nil until computed
 	gwArg [][]int32   // per cell: argmin own-cell row (global row id) behind each A value
@@ -221,60 +219,39 @@ func (rt *router) newRR() *routeRefiner {
 // ensureDU computes the source label: the exact within-cell distance from
 // the source to each of its own cell's gateways (+Inf for a gateway the cell's
 // own edges do not reach). This is the one-time per-source cost of cross-cell
-// routing, paid as ONE bounded search: Dijkstra from the source over the
-// global network, relaxing only arcs that stay inside the cell — the induced
-// subgraph the cell index was built on — and stopping once the cell's last
-// gateway is settled. The closure D was computed the same way (one Dijkstra
-// per gateway at build time), so both halves of A = du + D are sums of edge
-// weights in path order, as exact as each other. The search needs the network
-// and the partition metadata only, which a router holds in full: it is the
-// same function over in-process and remote cells, bit for bit.
+// routing, paid as ONE bounded search: a Search from the source over the
+// global network kept inside the source's cell — the induced subgraph the
+// cell index was built on — and stopped once the cell's last gateway is
+// settled. The closure D was computed by the same Search (one per gateway at
+// build time), so both halves of A = du + D are sums of edge weights in path
+// order, as exact as each other. The search needs the network and the
+// partition metadata only, which a router holds in full: it is the same
+// function over in-process and remote cells, bit for bit.
 func (rt *router) ensureDU() {
 	if rt.duReady {
 		return
 	}
 	rt.duReady = true
-	s, asn, p := rt.s, rt.s.asn, rt.p
-	lo, hi := s.cl.Rows(p)
-	rt.du = fillInf(rt.du, int(hi-lo))
-	rt.dist = fillInf(rt.dist, len(asn.Verts[p]))
-	h := &rt.heap
-	h.Reset()
-	rt.dist[asn.LocalOf[rt.src]] = 0
-	h.Push(0, rt.src)
-	for left := int(hi - lo); left > 0 && h.Len() > 0; {
-		d, v := h.Pop()
-		if d > rt.dist[asn.LocalOf[v]] {
-			continue // superseded by a shorter entry for v
+	s := rt.s
+	lo, hi := s.cl.Rows(rt.p)
+	if cap(rt.du) < int(hi-lo) {
+		rt.du = make([]float64, hi-lo)
+	}
+	rt.du = rt.du[:hi-lo]
+	for i := range rt.du {
+		rt.du[i] = math.Inf(1)
+	}
+	rt.sr.StartWithin(s.g, rt.src, s.asn.CellOf)
+	for left := hi - lo; left > 0; {
+		v, d, ok := rt.sr.Next(sssp.Inf)
+		if !ok {
+			break
 		}
 		if r := s.cl.RowOf[v]; r >= 0 {
 			rt.du[r-lo] = d
 			left--
 		}
-		targets, weights := s.g.Neighbors(v)
-		for i, t := range targets {
-			if asn.CellOf[t] != p {
-				continue
-			}
-			if nd := d + weights[i]; nd < rt.dist[asn.LocalOf[t]] {
-				rt.dist[asn.LocalOf[t]] = nd
-				h.Push(nd, t)
-			}
-		}
 	}
-}
-
-// fillInf returns buf resized to n entries (reallocating only to grow), all
-// +Inf.
-func fillInf(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = math.Inf(1)
-	}
-	return buf
 }
 
 // gateways returns A (and the argmin own-cell gateway behind each entry) for

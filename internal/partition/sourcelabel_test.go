@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"silc/internal/core"
@@ -148,5 +149,45 @@ func TestSourceLabelWarmAllocs(t *testing.T) {
 		s.routerFor(qc, graph.VertexID(v)).ensureDU()
 	}); got != 0 {
 		t.Fatalf("a warm source label allocates %.1f times", got)
+	}
+}
+
+// benchMap is the benchmark's map: a 64×64 road network (seed 1) in four
+// cells.
+func benchMap(b *testing.B) (*graph.Network, *Sharded) {
+	b.Helper()
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 64, Cols: 64, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Build(g, Options{Partitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, s
+}
+
+// BenchmarkSourceLabel times the source label, the router's one bounded
+// search per new source, over 256 random sources of the 64×64 four-cell
+// map, each a source change of one reused router.
+func BenchmarkSourceLabel(b *testing.B) {
+	g, s := benchMap(b)
+	srcs := rand.New(rand.NewSource(64)).Perm(g.NumVertices())[:256]
+	qc := core.NewQueryContext()
+	i := 0
+	for b.Loop() {
+		s.routerFor(qc, graph.VertexID(srcs[i%len(srcs)])).ensureDU()
+		i++
+	}
+}
+
+// BenchmarkClosure times the boundary closure of the 64×64 four-cell map at
+// one worker: one search per boundary vertex.
+func BenchmarkClosure(b *testing.B) {
+	g, s := benchMap(b)
+	for b.Loop() {
+		if _, err := buildClosure(g, s.asn, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package sssp implements the shortest-path primitives the SILC framework is
-// built from (single-source Dijkstra with first-hop labels) and compares
-// against (Search: the one incremental Dijkstra/A* behind point-to-point
-// queries and the INE and IER baselines).
+// built from and compares against. Search is the one graph search loop: an
+// incremental Dijkstra/A* behind point-to-point queries, the INE and IER
+// baselines, the partitioned index's boundary closure and its per-query
+// source label (a search kept inside the source's cell). Workspace.Run and
+// Dijkstra drive it to exhaustion and hand back the whole tree, first hops
+// included.
 package sssp
 
 import (
@@ -48,14 +51,13 @@ func (t *Tree) PathTo(dst graph.VertexID) []graph.VertexID {
 	return rev
 }
 
-// Workspace holds reusable buffers for repeated Dijkstra runs (the
-// partition closure and the T1 path tables run one per vertex they cover;
-// each parallel worker owns a Workspace).
+// Workspace holds reusable buffers for repeated full-tree runs (the T1 path
+// tables run one per vertex they cover).
 type Workspace struct {
+	sr       Search
 	dist     []float64
 	parent   []graph.VertexID
 	firstHop []graph.VertexID
-	heap     pqueue.Min[graph.VertexID]
 }
 
 // NewWorkspace returns a workspace for networks of up to n vertices.
@@ -67,11 +69,10 @@ func NewWorkspace(n int) *Workspace {
 	}
 }
 
-// Run computes the full shortest-path tree from source. The returned Tree
-// aliases the workspace's buffers. A vertex is pushed only with a key below
-// its current distance, so its pushes carry strictly decreasing keys and
-// every entry but the last is stale: d > dist[v] alone skips them, with no
-// settled flags.
+// Run computes the full shortest-path tree from source: a Search run to
+// exhaustion, each vertex's parent and first hop read off as it settles
+// (its parent settled before it). The returned Tree aliases the workspace's
+// buffers.
 func (ws *Workspace) Run(g *graph.Network, source graph.VertexID) *Tree {
 	n := g.NumVertices()
 	if len(ws.dist) < n {
@@ -83,42 +84,27 @@ func (ws *Workspace) Run(g *graph.Network, source graph.VertexID) *Tree {
 		parent[i] = graph.NoVertex
 		firstHop[i] = graph.NoVertex
 	}
-	h := &ws.heap
-	h.Reset()
-
-	dist[source] = 0
-	h.Push(0, source)
-	count := 0
-	for h.Len() > 0 {
-		d, v := h.Pop()
-		if d > dist[v] {
-			continue
+	sr := &ws.sr
+	sr.Start(g, source, graph.NoVertex)
+	for {
+		v, d, ok := sr.Next(Inf)
+		if !ok {
+			break
 		}
-		count++
-		targets, weights := g.Neighbors(v)
-		for i, t := range targets {
-			nd := d + weights[i]
-			if nd < dist[t] {
-				dist[t] = nd
-				parent[t] = v
-				if v == source {
-					firstHop[t] = t
-				} else {
-					firstHop[t] = firstHop[v]
-				}
-				h.Push(nd, t)
-			}
+		dist[v] = d
+		if p := sr.Parent(v); p == source {
+			parent[v], firstHop[v] = p, v
+		} else if p != graph.NoVertex {
+			parent[v], firstHop[v] = p, firstHop[p]
 		}
 	}
-	return &Tree{Source: source, Dist: dist, Parent: parent, FirstHop: firstHop, Settled: count}
+	return &Tree{Source: source, Dist: dist, Parent: parent, FirstHop: firstHop, Settled: sr.Settled}
 }
 
 // Dijkstra computes the full shortest-path tree from source with freshly
 // allocated buffers.
 func Dijkstra(g *graph.Network, source graph.VertexID) *Tree {
-	t := NewWorkspace(g.NumVertices()).Run(g, source)
-	// Detach from the (otherwise discarded) workspace for clarity.
-	return t
+	return NewWorkspace(g.NumVertices()).Run(g, source)
 }
 
 // PointToPoint is the result of a point-to-point query.
@@ -157,24 +143,34 @@ func searchTo(g *graph.Network, s, t, goal graph.VertexID) PointToPoint {
 
 // Search is one incremental shortest-path expansion from a source: Dijkstra,
 // or A* toward a goal under the Euclidean heuristic. It is the graph search
-// behind the baselines: point-to-point queries (ShortestPath, AStar, IER's
-// per-candidate distances) and INE's network expansion.
+// behind every query-time and closure search: point-to-point queries
+// (ShortestPath, AStar, IER's per-candidate distances), INE's network
+// expansion, full trees (Workspace.Run), and the partitioned index's
+// boundary closure and source label. Only the SILC build's rank-space
+// search in internal/core is apart.
 //
 // Next settles one vertex per call. The arcs of the vertex one call settles
 // are relaxed at the start of the following call, so a caller can stop at a
 // vertex (the target, a distance bound) without reading its arcs, and can do
 // its own per-vertex work (collect objects, charge an adjacency page) before
-// they are read. The marks are epoch-stamped, so Start re-arms a reused
+// they are read. Each improving relaxation records the vertex's predecessor,
+// so a settled vertex's Parent is final and the tree can be read off in
+// settle order. The marks are epoch-stamped, so Start re-arms a reused
 // Search in O(1) rather than clearing or reallocating per-vertex state.
 type Search struct {
-	g       *graph.Network
-	dist    []float64
-	seen    []uint32 // dist[v] is valid iff seen[v] == epoch
-	done    []uint32 // v is settled iff done[v] == epoch
-	epoch   uint32
-	heap    pqueue.Min[graph.VertexID]
-	astar   bool
-	goal    geom.Point
+	g      *graph.Network
+	dist   []float64
+	parent []graph.VertexID // valid where dist is
+	seen   []uint32         // dist[v] is valid iff seen[v] == epoch
+	done   []uint32         // v is settled iff done[v] == epoch
+	epoch  uint32
+	heap   pqueue.Min[graph.VertexID]
+	astar  bool
+	goal   geom.Point
+	// region, when set by StartWithin, confines the search to the vertices
+	// v with region[v] == keep: arcs to any other vertex are not relaxed.
+	region  []int32
+	keep    int32
 	pending graph.VertexID // settled by the last Next, arcs not yet relaxed
 
 	Settled  int // vertices settled since Start
@@ -188,10 +184,12 @@ func (s *Search) Start(g *graph.Network, src, goal graph.VertexID) {
 	n := g.NumVertices()
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
+		s.parent = make([]graph.VertexID, n)
 		s.seen = make([]uint32, n)
 		s.done = make([]uint32, n)
 	} else {
 		s.dist = s.dist[:n]
+		s.parent = s.parent[:n]
 		s.seen = s.seen[:n]
 		s.done = s.done[:n]
 	}
@@ -207,12 +205,29 @@ func (s *Search) Start(g *graph.Network, src, goal graph.VertexID) {
 	if s.astar {
 		s.goal = g.Point(goal)
 	}
+	s.region = nil
 	s.pending = graph.NoVertex
 	s.Settled, s.Relaxed, s.MaxQueue = 0, 0, 0
 	s.dist[src] = 0
+	s.parent[src] = graph.NoVertex
 	s.seen[src] = s.epoch
 	s.heap.Push(s.key(0, src), src)
 }
+
+// StartWithin arms a Dijkstra search from src that stays inside src's
+// region, the vertices v with region[v] == region[src]: it relaxes no arc
+// leaving the region, so it settles exactly what the subgraph the region
+// induces reaches from src, at that subgraph's distances. region is indexed
+// by vertex and read, not copied.
+func (s *Search) StartWithin(g *graph.Network, src graph.VertexID, region []int32) {
+	s.Start(g, src, graph.NoVertex)
+	s.region, s.keep = region, region[src]
+}
+
+// Parent returns the vertex v was last reached from: for a settled v, its
+// predecessor on the shortest path from the source (graph.NoVertex for the
+// source itself). Unspecified for a vertex the search has not reached.
+func (s *Search) Parent(v graph.VertexID) graph.VertexID { return s.parent[v] }
 
 func (s *Search) key(d float64, v graph.VertexID) float64 {
 	if s.astar {
@@ -233,9 +248,13 @@ func (s *Search) Next(limit float64) (graph.VertexID, float64, bool) {
 		d := s.dist[v]
 		targets, weights := s.g.Neighbors(v)
 		for i, u := range targets {
+			if s.region != nil && s.region[u] != s.keep {
+				continue
+			}
 			s.Relaxed++
 			if nd := d + weights[i]; s.seen[u] != s.epoch || nd < s.dist[u] {
 				s.dist[u] = nd
+				s.parent[u] = v
 				s.seen[u] = s.epoch
 				s.heap.Push(s.key(nd, u), u)
 			}

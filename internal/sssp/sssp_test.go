@@ -40,7 +40,18 @@ func smallNetworks(t *testing.T) []*graph.Network {
 	return nets
 }
 
+// TestDijkstraMatchesFloydWarshall checks the one search against an oracle
+// that shares none of its code: full trees, and searches kept inside a
+// region. For the latter each network is split at its middle x into two
+// regions; a search from s inside s's region must settle exactly what the
+// region's induced subgraph reaches, at Floyd-Warshall's distances over
+// that subgraph, and the parents it records must spell paths inside the
+// region whose weights are those distances. Some same-region pairs must be
+// farther apart inside their region than in the whole network, or the split
+// tests nothing.
 func TestDijkstraMatchesFloydWarshall(t *testing.T) {
+	var sr Search
+	detours := 0
 	for gi, g := range smallNetworks(t) {
 		want := testkit.FloydWarshall(g)
 		for s := 0; s < g.NumVertices(); s++ {
@@ -52,7 +63,95 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 				}
 			}
 		}
+
+		region, local, subs := splitRegions(t, g)
+		wantIn := [2][][]float64{testkit.FloydWarshall(subs[0]), testkit.FloydWarshall(subs[1])}
+		for s := 0; s < g.NumVertices(); s++ {
+			src := graph.VertexID(s)
+			in := wantIn[region[s]]
+			sr.StartWithin(g, src, region)
+			settled := 0
+			for {
+				v, d, ok := sr.Next(Inf)
+				if !ok {
+					break
+				}
+				settled++
+				if region[v] != region[s] {
+					t.Fatalf("net %d: search from %d left its region at %d", gi, s, v)
+				}
+				if w := in[local[s]][local[v]]; math.Abs(d-w) > 1e-9 {
+					t.Fatalf("net %d: in-region dist(%d,%d) = %v want %v", gi, s, v, d, w)
+				}
+				var path []graph.VertexID
+				for u := v; u != graph.NoVertex; u = sr.Parent(u) {
+					if region[u] != region[s] || len(path) > g.NumVertices() {
+						t.Fatalf("net %d: parent chain %d→%d leaves the region or loops: %v", gi, s, v, path)
+					}
+					path = append([]graph.VertexID{u}, path...)
+				}
+				if path[0] != src || math.Abs(testkit.PathWeight(g, path)-d) > 1e-9 {
+					t.Fatalf("net %d: parents give path %v of weight %v for dist(%d,%d) = %v",
+						gi, path, testkit.PathWeight(g, path), s, v, d)
+				}
+			}
+			reach := 0
+			for v, w := range want[s] {
+				if region[v] != region[s] {
+					continue
+				}
+				wi := in[local[s]][local[v]]
+				if !math.IsInf(wi, 1) {
+					reach++
+				}
+				if wi > w+1e-9 {
+					detours++
+				}
+			}
+			if settled != reach {
+				t.Fatalf("net %d: search from %d settled %d, its region reaches %d", gi, s, settled, reach)
+			}
+		}
 	}
+	if detours == 0 {
+		t.Fatal("no pair is farther apart inside its region than in the network")
+	}
+	t.Logf("%d same-region pairs are farther apart inside their region", detours)
+}
+
+// splitRegions labels each vertex of g 0 or 1 by which side of the middle
+// x it lies on, and returns each region's induced subgraph with every
+// vertex's id in it.
+func splitRegions(t *testing.T, g *graph.Network) (region []int32, local []graph.VertexID, subs [2]*graph.Network) {
+	t.Helper()
+	n := g.NumVertices()
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for v := 0; v < n; v++ {
+		x := g.Point(graph.VertexID(v)).X
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	region = make([]int32, n)
+	local = make([]graph.VertexID, n)
+	bs := [2]*graph.Builder{graph.NewBuilder(), graph.NewBuilder()}
+	for v := 0; v < n; v++ {
+		if g.Point(graph.VertexID(v)).X > (lo+hi)/2 {
+			region[v] = 1
+		}
+		local[v] = bs[region[v]].AddVertex(g.Point(graph.VertexID(v)))
+	}
+	for _, e := range testkit.Edges(g) {
+		if r := region[e.From]; r == region[e.To] {
+			bs[r].AddEdge(local[e.From], local[e.To], e.Weight)
+		}
+	}
+	for r, b := range bs {
+		sub, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[r] = sub
+	}
+	return region, local, subs
 }
 
 func TestDijkstraTreeInvariants(t *testing.T) {

@@ -119,9 +119,10 @@ func WithWorkers(n int) Option {
 // WithStats points a streaming query at a statistics sink: Neighbors
 // updates *dst with the stream's cumulative statistics (lookups,
 // refinements, buffer-pool traffic) after every yielded neighbor, so *dst
-// holds the final numbers when the sequence ends however it ends. Query,
-// QueryBatch, and WithinDistance report statistics on their Result instead
-// and ignore this option.
+// holds the final numbers when the sequence ends however it ends.
+// Distance, DistanceInterval and ShortestPath fill *dst once, when the query
+// ends, failed or not. Query, QueryBatch, and WithinDistance report
+// statistics on their Result instead and ignore this option.
 func WithStats(dst *QueryStats) Option {
 	return func(o *queryOptions) { o.statsInto = dst }
 }
