@@ -65,8 +65,9 @@ type allocEngine struct {
 // state never evicts (the warm-pool regime — cold loads real-read and
 // decode, which legitimately allocates). The paged variant reads its image
 // from memory (paged-warm), from a file by positioned reads (paged-pg2-warm)
-// and through a memory mapping of that file (paged-pg2-mmap-warm): neither
-// the file nor the mapping may add a single steady-state allocation.
+// and by copies out of a memory mapping of that file (paged-pg2-mmap-warm,
+// what OpenEngine serves): neither the file nor the mapping may add a
+// single steady-state allocation.
 func allocEngines(t testing.TB, net *Network) []allocEngine {
 	t.Helper()
 	ix, err := Build(net, BuildOptions{})
@@ -89,15 +90,9 @@ func allocEngines(t testing.TB, net *Network) []allocEngine {
 	if err := os.WriteFile(path, pg.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	paged2, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	paged2 := openSource(t, path, "ReaderAt", 1.0)
 	t.Cleanup(func() { paged2.Close() })
-	mapped, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1.0, Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped := openSource(t, path, "File", 1.0)
 	t.Cleanup(func() { mapped.Close() })
 	return []allocEngine{
 		{"monolithic", ix},
@@ -156,8 +151,8 @@ func measureAllocs(f func()) float64 {
 
 // pageSourceEngines opens one image of net through each page source of the
 // paged benchmarks (pageSources), behind the paper's 5% pool: warm queries
-// evict and refill frames, by a positioned read, a copy out of the mapping,
-// or a subslice of it.
+// evict and refill frames, by a positioned read or a copy out of the
+// mapping.
 func pageSourceEngines(t testing.TB, net *Network) []allocEngine {
 	t.Helper()
 	ix, err := Build(net, BuildOptions{})

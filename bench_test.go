@@ -303,7 +303,6 @@ func (pb *pagedBench) vertex() VertexID { return VertexID(pb.rng.Intn(pb.net.Num
 var pageSources = []string{
 	"ReaderAt", // OpenEngineAt over an *os.File: a positioned read per miss
 	"File",     // OpenEngine: a copy out of the file's mapping per miss
-	"Mmap",     // OpenEngine with Mmap: frames alias the mapping
 }
 
 // openSource opens the image at path through page source src (one of
@@ -311,7 +310,7 @@ var pageSources = []string{
 // whatever the open took: Close releases it.
 func openSource(tb testing.TB, path, src string, pool float64) *Engine {
 	tb.Helper()
-	opts := BuildOptions{CacheFraction: pool, Mmap: src == "Mmap"}
+	opts := BuildOptions{CacheFraction: pool}
 	if src != "ReaderAt" {
 		eng, err := OpenEngine(path, nil, opts)
 		if err != nil {

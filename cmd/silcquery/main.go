@@ -54,7 +54,6 @@ func main() {
 		maxDist = flag.Float64("max-dist", 0, "bound results to network distance ≤ d (knn; 0 = unbounded)")
 		timeout = flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 		parts   = flag.Int("partitions", 1, "spatial partitions (>1 queries the sharded index)")
-		mmap    = flag.Bool("mmap", false, "serve page frames straight out of the paged index file's read-only memory mapping instead of copying each missed page out of it")
 		stats   = flag.Bool("stats", false, "print per-query statistics and engine I/O aggregates as JSON")
 		trace   = flag.Bool("trace", false, "time the filter/refinement phase split (implies the timing columns in -stats)")
 	)
@@ -68,7 +67,7 @@ func main() {
 	if *idxFile != "" {
 		// OpenEngine sniffs the format; paged indexes stay on disk and the
 		// engine owns the file handle (released on process exit).
-		eng, err = silc.OpenEngine(*idxFile, net, silc.BuildOptions{Mmap: *mmap})
+		eng, err = silc.OpenEngine(*idxFile, net, silc.BuildOptions{})
 		if err != nil {
 			fail(err)
 		}

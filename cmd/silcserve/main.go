@@ -40,7 +40,6 @@ func main() {
 		rows        = flag.Int("rows", 64, "generated network rows (when no -network)")
 		cols        = flag.Int("cols", 64, "generated network cols")
 		seed        = flag.Int64("seed", 1, "generated network seed")
-		mmap        = flag.Bool("mmap", false, "serve page frames straight out of the paged index file's read-only memory mapping instead of copying each missed page out of it (falls back to positioned reads where unsupported)")
 		cacheFrac   = flag.Float64("cache-fraction", 0.05, "buffer-pool size of a paged -index, as a fraction of its total pages")
 		objectsPath = flag.String("objects", "", "object vertices file, one id per line; empty = random sample")
 		objectFrac  = flag.Float64("object-fraction", 0.05, "fraction of vertices carrying an object (when no -objects)")
@@ -73,7 +72,7 @@ func main() {
 		if *nodeName == "" {
 			log.Fatal("silcserve: -cluster node requires -node-name")
 		}
-		eng, err := silc.OpenEngine(index, nil, silc.BuildOptions{CacheFraction: *cacheFrac, Mmap: *mmap})
+		eng, err := silc.OpenEngine(index, nil, silc.BuildOptions{CacheFraction: *cacheFrac})
 		check(err)
 		cfg.Node, err = silc.NewClusterNode(eng, m, *nodeName)
 		check(err)
@@ -87,7 +86,7 @@ func main() {
 		defer stopProbing()
 		router.StartProbing(probeCtx, *probeInterval)
 	case "":
-		cfg.Engine, err = loadOrBuild(*networkPath, *indexPath, *rows, *cols, *seed, silc.BuildOptions{Partitions: *partitions, CacheFraction: *cacheFrac, Mmap: *mmap})
+		cfg.Engine, err = loadOrBuild(*networkPath, *indexPath, *rows, *cols, *seed, silc.BuildOptions{Partitions: *partitions, CacheFraction: *cacheFrac})
 		check(err)
 	default:
 		log.Fatalf("silcserve: unknown -cluster %q (node, router)", *clusterMode)

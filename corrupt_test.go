@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"silc/internal/sssp"
@@ -17,8 +18,9 @@ import (
 // one page, so nearly every touch misses and evicts.
 const tinyPool = 1e-9
 
-// corruptFixture is a 16×16 road map written as a paged image, its objects
-// and the Dijkstra distances from every vertex.
+// corruptFixture is a 16×16 road map written as a paged image — monolithic,
+// or of a build over some cells — its objects and the Dijkstra distances
+// from every vertex.
 type corruptFixture struct {
 	net   *Network
 	img   []byte
@@ -28,13 +30,13 @@ type corruptFixture struct {
 	truth [][]float64
 }
 
-func newCorruptFixture(t *testing.T) *corruptFixture {
+func newCorruptFixture(t *testing.T, partitions int) *corruptFixture {
 	t.Helper()
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 16, Cols: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := Build(net, BuildOptions{})
+	built, err := Build(net, BuildOptions{Partitions: partitions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +128,21 @@ func (f *corruptFixture) check(t *testing.T, eng *Engine, q VertexID) (failed in
 }
 
 // TestTruncatedImageFailsCleanly truncates the image file to half its size
-// under an open engine, behind a one-page pool, for the default open (a
-// miss copies its page out of the mapping) and for Mmap (the frames alias
-// the mapping). Touching a mapped page past the new end of the file faults:
+// under an engine of the default open (a miss copies its page out of the
+// mapping), behind a one-page pool, for a monolithic image (File) and a
+// 4-cell one (Sharded), whose cell stores copy out of their own sections of
+// one mapping. Copying a mapped page past the new end of the file faults:
 // every distance, kNN and range query must answer as Dijkstra does or fail
 // with ErrCorruptImage, and none may crash the process.
 func TestTruncatedImageFailsCleanly(t *testing.T) {
-	f := newCorruptFixture(t)
-	for _, src := range []string{"File", "Mmap"} {
-		t.Run(src, func(t *testing.T) {
+	for _, row := range []struct {
+		name       string
+		partitions int
+	}{{"File", 1}, {"Sharded", 4}} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newCorruptFixture(t, row.partitions)
 			path := f.write(t)
-			eng, err := OpenEngine(path, nil, BuildOptions{CacheFraction: tinyPool, Mmap: src == "Mmap"})
+			eng, err := OpenEngine(path, nil, BuildOptions{CacheFraction: tinyPool})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,58 +162,83 @@ func TestTruncatedImageFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestOverwrittenPageFailsOnItsNextMiss overwrites the first block page of
-// the file in place under an engine that holds it in its one-page pool. The
+// TestOverwrittenPageFailsOnItsNextMiss overwrites block pages of the file
+// in place under an engine that holds one of them in its one-page pool. On
+// a monolithic image (ReaderAt: positioned reads; File: the default open,
+// copies out of the mapping) it overwrites the first block page, and the
 // distance from vertex 0 to a neighbour reads only vertex 0's run, which
-// lies on that page: while the page stays resident, hits serve the frame
-// that passed its CRC; once another query has evicted it, the page's next
-// miss reads the new bytes and fails with ErrCorruptImage, and the failed
-// query's statistics report that miss.
+// lies on that page. On a 4-cell image under the default open (Sharded),
+// whose cell stores copy out of their own sections of one mapping, it
+// overwrites the whole file, and the query is the first distance from a
+// vertex to a neighbour that, repeated, reads one page. While the page
+// stays resident, hits serve the frame that passed its CRC; once another
+// query has evicted it, the page's next miss reads the new bytes and fails
+// its CRC with ErrCorruptImage — the decoder never sees the new bytes — and
+// the failed query's statistics report that miss.
 func TestOverwrittenPageFailsOnItsNextMiss(t *testing.T) {
-	f := newCorruptFixture(t)
 	ctx := context.Background()
-	targets, _ := f.net.g.Neighbors(0)
-	w := VertexID(targets[0])
-	blockOff := f.info.Total - f.info.CRCTable - f.info.BlockSection
-	for _, src := range []string{"ReaderAt", "File"} {
-		t.Run(src, func(t *testing.T) {
+	for _, row := range []struct {
+		name       string
+		partitions int
+	}{{"ReaderAt", 1}, {"File", 1}, {"Sharded", 4}} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newCorruptFixture(t, row.partitions)
 			path := f.write(t)
 			var eng *Engine
 			var err error
-			if src == "File" {
-				eng, err = OpenEngine(path, nil, BuildOptions{CacheFraction: tinyPool})
-			} else {
+			if row.name == "ReaderAt" {
 				fh, ferr := os.Open(path)
 				if ferr != nil {
 					t.Fatal(ferr)
 				}
 				defer fh.Close()
 				eng, err = OpenEngineAt(fh, int64(len(f.img)), nil, BuildOptions{CacheFraction: tinyPool})
+			} else {
+				eng, err = OpenEngine(path, nil, BuildOptions{CacheFraction: tinyPool})
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
+			var u, w VertexID
 			distance := func() (float64, QueryStats, error) {
 				var st QueryStats
-				d, err := eng.Distance(ctx, 0, w, WithStats(&st))
+				d, err := eng.Distance(ctx, u, w, WithStats(&st))
 				return d, st, err
 			}
-			for range 2 {
-				if _, _, err := distance(); err != nil {
-					t.Fatal(err)
+			// resident runs the query until its page stays in the pool:
+			// false when a repeat still misses.
+			resident := func() bool {
+				targets, _ := f.net.g.Neighbors(u)
+				w = VertexID(targets[0])
+				for range 2 {
+					if _, _, err := distance(); err != nil {
+						t.Fatal(err)
+					}
 				}
+				_, st, _ := distance()
+				return st.PageMisses == 0
+			}
+			off, size := f.info.Total-f.info.CRCTable-f.info.BlockSection, int64(store.PageSize)
+			if row.partitions > 1 {
+				for off, size = 0, int64(len(f.img)); !resident(); u++ {
+					if int(u) == f.net.NumVertices()-1 {
+						t.Fatal("every repeated distance to a neighbour misses: no query reads one page")
+					}
+				}
+			} else if !resident() {
+				t.Fatalf("Distance(0, %d) misses on a repeat: vertex 0's run spans pages", w)
 			}
 
-			page := make([]byte, store.PageSize)
-			for i := range page {
-				page[i] = 0xA5
+			junk := make([]byte, size)
+			for i := range junk {
+				junk[i] = 0xA5
 			}
 			fh, err := os.OpenFile(path, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fh.WriteAt(page, blockOff); err != nil {
+			if _, err := fh.WriteAt(junk, off); err != nil {
 				t.Fatal(err)
 			}
 			if err := fh.Close(); err != nil {
@@ -215,13 +246,14 @@ func TestOverwrittenPageFailsOnItsNextMiss(t *testing.T) {
 			}
 
 			d, st, err := distance()
-			if err != nil || st.PageMisses != 0 || !near(d, f.truth[0][w]) {
-				t.Fatalf("resident page: Distance(0, %d) = %v (Dijkstra %v), %d misses, err %v; want the verified frame's answer from hits",
-					w, d, f.truth[0][w], st.PageMisses, err)
+			if err != nil || st.PageMisses != 0 || !near(d, f.truth[u][w]) {
+				t.Fatalf("resident page: Distance(%d, %d) = %v (Dijkstra %v), %d misses, err %v; want the verified frame's answer from hits",
+					u, w, d, f.truth[u][w], st.PageMisses, err)
 			}
 			f.check(t, eng, VertexID(f.net.NumVertices()-1)) // evicts the page
-			if _, st, err = distance(); !errors.Is(err, ErrCorruptImage) || st.PageMisses < 1 {
-				t.Fatalf("after eviction: err %v, %d misses; want the page's miss to fail with ErrCorruptImage and be counted",
+			_, st, err = distance()
+			if !errors.Is(err, ErrCorruptImage) || !strings.Contains(err.Error(), "checksum mismatch") || st.PageMisses < 1 {
+				t.Fatalf("after eviction: err %v, %d misses; want the page's miss to fail its CRC, before any decode, with ErrCorruptImage and be counted",
 					err, st.PageMisses)
 			}
 		})

@@ -13,8 +13,9 @@ import (
 )
 
 // TestEngineOneHandle drives the one index handle through its life on both
-// index kinds: Build with Partitions 1 and 4, WriteFile, then OpenEngine
-// through positioned reads and through mmap. Every engine must report its
+// index kinds: Build with Partitions 1 and 4, WriteFile, then open the file
+// through each page source (OpenEngineAt's positioned reads, OpenEngine's
+// copies out of the mapping). Every engine must report its
 // statistics and partitioning like the built one, and its Refiner must
 // converge to Distance on a cross-cell and a same-cell pair. Only the
 // partitioned engines may back a cluster node.
@@ -44,13 +45,10 @@ func TestEngineOneHandle(t *testing.T) {
 			t.Fatalf("P=%d: WriteFile reported %+v for %d blocks", parts, info, built.Stats().TotalBlocks)
 		}
 		engines := map[string]*Engine{"built": built}
-		for _, mmap := range []bool{false, true} {
-			eng, err := OpenEngine(path, nil, BuildOptions{Mmap: mmap})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, src := range pageSources {
+			eng := openSource(t, path, src, 0)
 			t.Cleanup(func() { eng.Close() })
-			engines[fmt.Sprintf("mmap=%v", mmap)] = eng
+			engines[src] = eng
 		}
 		want := built.Stats()
 		for name, eng := range engines {

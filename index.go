@@ -13,8 +13,8 @@ import (
 )
 
 // BuildOptions configures Build, OpenEngine and OpenEngineAt. Partitions,
-// Parallelism and ProximityRadius shape a build; CacheFraction and Mmap
-// apply only when an image is opened, and a build ignores them.
+// Parallelism and ProximityRadius shape a build; CacheFraction applies only
+// when an image is opened, and a build ignores it.
 type BuildOptions struct {
 	// Partitions is the spatial cell count P. At 0 or 1 Build makes one
 	// monolithic index. Above 1 each cell builds an independent SILC index
@@ -43,13 +43,6 @@ type BuildOptions struct {
 	// than k). A partitioned build has no radius: combining the two is
 	// ErrRadiusPartitioned.
 	ProximityRadius float64
-	// Mmap makes the page frames of an image OpenEngine opens alias its
-	// read-only memory mapping (one mapping shared by every cell of a
-	// sharded image): warm pages decode straight from the mapping, and a
-	// hit copies nothing. Without it a missed page is copied out of the
-	// mapping into a private frame, checked, and decoded from there. Falls
-	// back to positioned reads on platforms without mmap. Open-time only.
-	Mmap bool
 }
 
 // BuildStats summarizes a completed index build.
@@ -122,12 +115,13 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 // pages), the store's only cache — a lookup reads the run's header and the
 // pages of the blocks it decodes, from the restart entry in the image in
 // front of its block, and keeps no decoded tree. The file is mapped
-// read-only: a pool miss copies its page out of the mapping into a
-// recycled private frame and checks the frame's CRC before anything decodes
-// it — no syscall per miss. With opts.Mmap the frames alias the mapping
-// instead. Where mapping fails, misses are positioned reads of the file.
-// Either way a fault reading the mapping (the file was truncated under the
-// engine) is an error wrapping ErrCorruptImage, not a crash.
+// read-only (one mapping shared by every cell of a sharded image): a pool
+// miss copies its page out of the mapping into a recycled private frame and
+// checks the frame's CRC before anything decodes it — no syscall per miss.
+// Where mapping fails, misses are positioned reads of the file into the
+// same frames. A page that no longer matches its CRC, or a fault copying
+// out of the mapping (the file was truncated under the engine), is an
+// error wrapping ErrCorruptImage on its next miss, not a crash.
 //
 // The Go heap therefore holds the pool plus O(n) bookkeeping (the embedded
 // network and the extent table), not the index size: TestPagedHeapResident
@@ -137,11 +131,7 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 // engine owns the file; Engine.Close releases it.
 func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
 	if data, unmap, err := store.MapFile(path); err == nil {
-		var alias []byte
-		if opts.Mmap {
-			alias = data
-		}
-		return openOwned(path, store.Mapping(data), int64(len(data)), alias, unmap, net, opts)
+		return openOwned(path, store.Mapping(data), int64(len(data)), unmap, net, opts)
 	}
 	// mmap unavailable: positioned reads.
 	f, err := os.Open(path)
@@ -153,13 +143,13 @@ func OpenEngine(path string, net *Network, opts BuildOptions) (*Engine, error) {
 		f.Close()
 		return nil, err
 	}
-	return openOwned(path, f, info.Size(), nil, f, net, opts)
+	return openOwned(path, f, info.Size(), f, net, opts)
 }
 
 // openOwned opens the image behind closer and hands the engine ownership of
 // it, releasing it instead when the open fails.
-func openOwned(path string, ra io.ReaderAt, size int64, mapped []byte, closer io.Closer, net *Network, opts BuildOptions) (*Engine, error) {
-	eng, err := openImage(ra, size, mapped, net, opts)
+func openOwned(path string, ra io.ReaderAt, size int64, closer io.Closer, net *Network, opts BuildOptions) (*Engine, error) {
+	eng, err := OpenEngineAt(ra, size, net, opts)
 	if err != nil {
 		closer.Close()
 		if errors.Is(err, ErrBadMagic) {
@@ -173,16 +163,9 @@ func openOwned(path string, ra io.ReaderAt, size int64, mapped []byte, closer io
 
 // OpenEngineAt is OpenEngine over an arbitrary ReaderAt (a section of a
 // larger file, an in-memory image): every pool miss is a ReadAt into a
-// recycled private frame. The caller owns ra's lifetime, and opts.Mmap is
-// ignored.
+// recycled private frame, checked against its CRC before anything decodes
+// it. The caller owns ra's lifetime.
 func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
-	return openImage(ra, size, nil, net, opts)
-}
-
-// openImage sniffs the image's layout, opens it — its frames aliasing
-// mapped when that is set — and cross-checks a supplied network against the
-// embedded one.
-func openImage(ra io.ReaderAt, size int64, mapped []byte, net *Network, opts BuildOptions) (*Engine, error) {
 	var magic [8]byte
 	n, err := ra.ReadAt(magic[:], 0)
 	if err != nil && !errors.Is(err, io.EOF) {
@@ -194,13 +177,13 @@ func openImage(ra io.ReaderAt, size int64, mapped []byte, net *Network, opts Bui
 	}
 	var eng *Engine
 	if sharded {
-		sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction, Mapped: mapped})
+		sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction})
 		if err != nil {
 			return nil, err
 		}
 		eng = newEngine(&Network{g: sx.Network()}, sx, sx.StorePager())
 	} else {
-		st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction, Mapped: mapped})
+		st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction})
 		if err != nil {
 			return nil, err
 		}

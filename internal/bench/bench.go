@@ -174,20 +174,20 @@ func (e *Env) Close() error {
 // ObjectSet draws round(fraction*N) distinct random vertices as S (the
 // paper's "object distribution |S| as a fraction of N").
 func (e *Env) ObjectSet(fraction float64, rng *rand.Rand) *knn.Objects {
-	n := e.G.NumVertices()
-	m := int(math.Round(fraction * float64(n)))
-	if m < 1 {
-		m = 1
-	}
-	if m > n {
-		m = n
-	}
+	n, m := e.G.NumVertices(), e.objectCount(fraction)
 	perm := rng.Perm(n)
 	vs := make([]graph.VertexID, m)
 	for i := 0; i < m; i++ {
 		vs[i] = graph.VertexID(perm[i])
 	}
 	return knn.NewObjects(e.G, vs)
+}
+
+// objectCount is the size of an object set of the given fraction of the
+// vertices: at least one object, at most every vertex.
+func (e *Env) objectCount(fraction float64) int {
+	n := e.G.NumVertices()
+	return min(max(int(math.Round(fraction*float64(n))), 1), n)
 }
 
 // Query draws a random query vertex.
@@ -338,9 +338,12 @@ func VaryKSpec() []SweepSpec {
 }
 
 // SweepPoint is the aggregated outcome of one spec across all algorithms.
+// Objects is the size of each of its object sets; below Spec.K no query can
+// return k neighbours.
 type SweepPoint struct {
-	Spec SweepSpec
-	Per  map[string]*Agg
+	Spec    SweepSpec
+	Objects int
+	Per     map[string]*Agg
 }
 
 // Sweep runs queriesPer random (object set, query) pairs per spec through
@@ -363,7 +366,7 @@ func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed i
 		for qi := range queries {
 			queries[qi] = workload{objs: e.ObjectSet(spec.Fraction, rng), q: e.Query(rng)}
 		}
-		pt := SweepPoint{Spec: spec, Per: make(map[string]*Agg, len(algos))}
+		pt := SweepPoint{Spec: spec, Objects: e.objectCount(spec.Fraction), Per: make(map[string]*Agg, len(algos))}
 		for _, a := range algos {
 			agg := &Agg{Algorithm: a.Name}
 			pt.Per[a.Name] = agg

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -279,6 +280,51 @@ func TestRenderersProduceTables(t *testing.T) {
 	for _, want := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "T1", "page misses", "read time", "KNN-M", "INE", "slope"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSweepRendersDegeneratePointsAsNA renders F4–F7 over a synthetic sweep
+// whose first point has fewer objects than k — the -quick map's |S| = 0.001N
+// at k = 10 — and whose second is computable: every cell of the first row
+// reads n/a, none of the second does, and one note line names the first.
+func TestSweepRendersDegeneratePointsAsNA(t *testing.T) {
+	agg := func() *Agg {
+		return &Agg{MaxQueue: 40, Refinements: 30, KMinAccepts: 2, D0kOverDk: 1.2, KMinDistOverDk: 0.9}
+	}
+	per := func() map[string]*Agg {
+		return map[string]*Agg{"INN": agg(), "KNN-I": agg(), "KNN": agg(), "KNN-M": agg()}
+	}
+	points := []SweepPoint{
+		{Spec: SweepSpec{Label: "|S|=0.001N", Fraction: 0.001, K: 10}, Objects: 1, Per: per()},
+		{Spec: SweepSpec{Label: "|S|=0.05N", Fraction: 0.05, K: 10}, Objects: 51, Per: per()},
+	}
+	for name, render := range map[string]func(io.Writer, string, []SweepPoint){
+		"F4": RenderF4, "F5": RenderF5, "F6": RenderF6, "F7": RenderF7,
+	} {
+		var buf bytes.Buffer
+		render(&buf, "vary |S|", points)
+		var rows, notes []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, "|S|="):
+				rows = append(rows, line)
+			case strings.HasPrefix(line, "n/a:"):
+				notes = append(notes, line)
+			}
+		}
+		if len(rows) != 2 {
+			t.Fatalf("%s: %d point rows, want 2:\n%s", name, len(rows), buf.String())
+		}
+		cells := strings.Fields(rows[0])[1:]
+		if len(cells) == 0 || strings.Count(rows[0], "n/a") != len(cells) {
+			t.Errorf("%s: degenerate row %q: want every cell n/a", name, rows[0])
+		}
+		if strings.Contains(rows[1], "n/a") || strings.Contains(rows[1], "-") {
+			t.Errorf("%s: computable row %q has a cell without a value", name, rows[1])
+		}
+		if len(notes) != 1 || !strings.Contains(notes[0], "|S|=0.001N (1 objects, k=10)") || strings.Contains(notes[0], "0.05N") {
+			t.Errorf("%s: notes %q: want one naming only |S|=0.001N", name, notes)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 	"time"
 )
@@ -62,7 +63,9 @@ func RenderModels(w io.Writer, rows []ModelRow) {
 type metricFn func(point SweepPoint, name string) string
 
 // renderSweep prints one metric across sweep points (rows) and algorithms
-// (columns).
+// (columns). A point with fewer objects than k has no k-th neighbour, so
+// every ratio to it means nothing: its cells read n/a, and a note under
+// the table names each such point.
 func renderSweep(w io.Writer, title string, points []SweepPoint, names []string, metric metricFn) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -71,14 +74,26 @@ func renderSweep(w io.Writer, title string, points []SweepPoint, names []string,
 		fmt.Fprintf(tw, "\t%s", n)
 	}
 	fmt.Fprintln(tw)
+	var dropped []string
 	for _, pt := range points {
 		fmt.Fprint(tw, pt.Spec.Label)
+		short := pt.Objects < pt.Spec.K
+		if short {
+			dropped = append(dropped, fmt.Sprintf("%s (%d objects, k=%d)", pt.Spec.Label, pt.Objects, pt.Spec.K))
+		}
 		for _, n := range names {
-			fmt.Fprintf(tw, "\t%s", metric(pt, n))
+			cell := "n/a"
+			if !short {
+				cell = metric(pt, n)
+			}
+			fmt.Fprintf(tw, "\t%s", cell)
 		}
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
+	if len(dropped) > 0 {
+		fmt.Fprintf(w, "n/a: fewer objects than k at %s\n", strings.Join(dropped, ", "))
+	}
 	fmt.Fprintln(w)
 }
 

@@ -238,7 +238,8 @@ func padTo(cw *countingWriter, off int64) error {
 // OpenPaged opens a sharded paged file: partition metadata and the global
 // network load eagerly, then every cell opens its own store over its
 // embedded image — all cells sharing one buffer pool sized by
-// opt.CacheFraction of the whole database.
+// opt.CacheFraction of the whole database. Over a store.Mapping each cell
+// store copies its missed pages out of its own section of the mapping.
 func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	meta, err := OpenPagedMeta(ra, size)
 	if err != nil {
@@ -248,9 +249,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	g, asn := meta.g, meta.asn
 	p, n := asn.P, g.NumVertices()
 	cellTabOff, fileSize := meta.cellTabOff, meta.fileSize
-	if opt.Mapped != nil && int64(len(opt.Mapped)) < fileSize {
-		return nil, fmt.Errorf("partition: mapping of %d bytes does not cover the %d-byte file", len(opt.Mapped), fileSize)
-	}
 
 	tab := make([]byte, int64(p)*24+4)
 	if _, err := ra.ReadAt(tab, cellTabOff); err != nil {
@@ -290,18 +288,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
 		}
-		cellOpts := store.OpenOptions{
-			Pager:    pager,
-			PageBase: diskio.PageID(bases[c]),
-		}
-		if opt.Mapped != nil {
-			cellOpts.Mapped = opt.Mapped[offs[c] : offs[c]+sizes[c]]
-		}
 		var cellRA io.ReaderAt = io.NewSectionReader(ra, offs[c], sizes[c])
 		if m, ok := ra.(store.Mapping); ok { // each cell copies out of its section
 			cellRA = m[offs[c] : offs[c]+sizes[c]]
 		}
-		st, err := store.Open(cellRA, sizes[c], cellOpts)
+		st, err := store.Open(cellRA, sizes[c], store.OpenOptions{Pager: pager, PageBase: diskio.PageID(bases[c])})
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
 		}

@@ -24,13 +24,6 @@ type Options struct {
 	// whole database rather than of each shard; store.PoolPages is the
 	// policy (default 0.05).
 	CacheFraction float64
-	// Mapped, when non-nil in OpenPaged, is the whole file memory-mapped (or
-	// otherwise resident): each cell store's frames alias its subslice, and
-	// it decodes straight out of it with no ReadAt and no copy. Must cover
-	// the file and stay valid until the index is released. (To copy missed
-	// pages out of a mapping instead, open over a store.Mapping: each cell
-	// store reads its section of it.)
-	Mapped []byte
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an
 	// absolute page capacity, so tests can force heavy eviction.

@@ -97,23 +97,21 @@ func TestLookupMatchesTree(t *testing.T) {
 		{"pool=5%", store.OpenOptions{CacheFraction: 0.05}},
 		{"pool=100%", store.OpenOptions{CacheFraction: 1}},
 	}
-	for _, src := range []string{"ReadAt", "Mmap"} {
+	for _, src := range []string{"ReadAt", "File"} {
 		for _, pool := range pools {
 			t.Run("PG2/"+src+"/"+pool.name, func(t *testing.T) {
 				spans, multiPage, skipping := 0, 0, 0
 				for _, im := range []lookupImage{small, long} {
 					rec := &readRecorder{r: bytes.NewReader(im.img)}
 					var s *store.Store
-					var err error
-					if src == "Mmap" {
-						s, err = store.OpenMapped(im.path, pool.opts)
+					if src == "File" {
+						s = openSource(t, im.path, src, pool.opts)
 					} else {
-						s, err = store.Open(rec, int64(len(im.img)), pool.opts)
+						var err error
+						if s, err = store.Open(rec, int64(len(im.img)), pool.opts); err != nil {
+							t.Fatal(err)
+						}
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
 					for _, vid := range im.vertices {
 						tree, err := im.ref.Tree(nil, vid)
 						if err != nil {
@@ -341,17 +339,9 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []string{"ReadAt", "Mmap"} {
+	for _, src := range pageSources {
 		t.Run("PG2/"+src, func(t *testing.T) {
-			open := store.OpenFile
-			if src == "Mmap" {
-				open = store.OpenMapped
-			}
-			s, err := open(path, store.WithPoolPages(store.OpenOptions{}, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := openSource(t, path, src, store.WithPoolPages(store.OpenOptions{}, 1))
 			const workers = 8
 			errs := make(chan error, workers*(n+1))
 			check := func(v int, c geom.Code) error {
@@ -498,7 +488,6 @@ func TestLookupRecycledFramesConcurrent(t *testing.T) {
 var pageSources = []string{
 	"ReadAt", // OpenFile: a positioned read
 	"File",   // Open over a Mapping: a copy out of the mapping
-	"Mmap",   // OpenMapped: the frames alias the mapping
 }
 
 // openSource opens the image at path through page source src (one of
@@ -510,8 +499,6 @@ func openSource(t *testing.T, path, src string, opts store.OpenOptions) *store.S
 	switch src {
 	case "ReadAt":
 		s, err = store.OpenFile(path, opts)
-	case "Mmap":
-		s, err = store.OpenMapped(path, opts)
 	case "File":
 		data, unmap, merr := store.MapFile(path)
 		if merr != nil {

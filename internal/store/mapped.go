@@ -56,10 +56,9 @@ func (m Mapping) ReadAt(p []byte, off int64) (n int, err error) {
 	return n, err
 }
 
-// recoverFault, deferred behind debug.SetPanicOnFault(true), turns a
-// memory fault of the deferring function — a mapped page whose file was
-// truncated or unmapped under it — into *err wrapping ErrCorrupt. Any other
-// panic goes on.
+// recoverFault, deferred behind debug.SetPanicOnFault(true) in ReadAt, turns
+// a memory fault of the copy — a mapped page whose file was truncated under
+// it — into *err wrapping ErrCorrupt. Any other panic goes on.
 func recoverFault(err *error) {
 	r := recover()
 	if r == nil {
@@ -72,18 +71,17 @@ func recoverFault(err *error) {
 	panic(r)
 }
 
-// OpenMapped opens a paged store file through a read-only memory mapping
-// whose pages the store's frames alias: warm pages decode straight from the
-// mapping with no syscall and no copy, under the same fault guard as
-// Mapping. On platforms without mmap support (or when the map fails) it
-// degrades to a plain ReadAt-backed OpenFile — same semantics, page reads
-// go through syscalls again. Close unmaps and releases the file.
+// OpenMapped opens a paged store file through a read-only memory mapping:
+// MapFile, then Open over the Mapping, so every missed page is copied out
+// of the mapping into a private frame and CRC-checked, as in any store. It
+// exists for the benchmark's store.tree_cold_mmap_us rung, which times that
+// fill. Where the file cannot be mapped it degrades to OpenFile. Close
+// unmaps and releases the file.
 func OpenMapped(path string, opts OpenOptions) (*Store, error) {
 	data, closer, err := MapFile(path)
 	if err != nil {
 		return OpenFile(path, opts)
 	}
-	opts.Mapped = data
 	s, err := Open(Mapping(data), int64(len(data)), opts)
 	if err != nil {
 		closer.Close()

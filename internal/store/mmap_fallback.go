@@ -7,14 +7,10 @@ import (
 	"os"
 )
 
-// mmapSupported reports whether this platform maps files natively;
-// OpenMapped falls back to ReadAt elsewhere.
-const mmapSupported = false
-
 var errNoMmap = errors.New("store: memory mapping not supported on this platform")
 
-// mmapFile is the portable stub: OpenMapped degrades to a plain
-// ReadAt-backed store.
+// mmapFile is the portable stub: MapFile fails, and its callers open the
+// file for positioned reads instead.
 func mmapFile(*os.File, int64) ([]byte, func() error, error) {
 	return nil, nil, errNoMmap
 }

@@ -8,10 +8,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this platform maps files natively;
-// OpenMapped falls back to ReadAt elsewhere.
-const mmapSupported = true
-
 // mmapFile maps [0, size) of f read-only and returns the mapping plus its
 // unmap function. The mapping outlives the file descriptor, but Close keeps
 // both until the store is done with them.

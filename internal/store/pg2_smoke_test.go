@@ -12,9 +12,9 @@ import (
 )
 
 // TestPG2StoreRoundTrip writes an image with store.PlanImage, opens it through
-// every page source (ReadAt, in-memory mapping, OpenMapped on a real file),
-// and checks each decoded tree is bit-identical to the in-RAM tree it was
-// written from.
+// every page source (ReadAt, a Mapping of the bytes, OpenMapped on a real
+// file), and checks each decoded tree is bit-identical to the in-RAM tree it
+// was written from.
 func TestPG2StoreRoundTrip(t *testing.T) {
 	g, ix := buildTestIndex(t, 16, 16)
 	treeFor := func(v graph.VertexID) *quadtree.Tree {
@@ -62,16 +62,16 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		check(t, s)
 	})
 	t.Run("bytes", func(t *testing.T) {
-		s, err := store.Open(bytes.NewReader(img2), int64(len(img2)), store.OpenOptions{Mapped: img2, CacheFraction: 0.05})
+		s, err := store.Open(store.Mapping(img2), int64(len(img2)), store.OpenOptions{CacheFraction: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Mapped() {
-			t.Fatal("store over an in-memory image not mapped")
+		if src := s.Source(); src != "mmapcopy" {
+			t.Fatalf("store over a Mapping of the bytes fills frames by %q, want mmapcopy", src)
 		}
 		check(t, s)
 		if rs := s.ReadStats(); rs.Reads == 0 {
-			t.Error("mapped store recorded no first-touch reads")
+			t.Error("store over a Mapping recorded no page reads")
 		}
 	})
 	t.Run("mmap", func(t *testing.T) {
@@ -82,6 +82,9 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		s, err := store.OpenMapped(path, store.OpenOptions{CacheFraction: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if src := s.Source(); src != "mmapcopy" {
+			t.Fatalf("OpenMapped fills frames by %q, want mmapcopy", src)
 		}
 		check(t, s)
 		if err := s.Close(); err != nil {

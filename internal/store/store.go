@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,15 +31,6 @@ type OpenOptions struct {
 	// private pool or tracker is created.
 	Pager    *Pager
 	PageBase diskio.PageID
-	// Mapped, when non-nil, is the whole image held in (usually mmap'd)
-	// memory whose pages the frames alias: page frames become subslices of
-	// it — no read, no copy — while pool accounting, eviction feedback, and
-	// CRC verification on first touch keep working unchanged. The decoder
-	// reads the mapping itself, under the fault guard of Mapping. The slice
-	// must cover the image and stay valid until Close. To copy missed pages
-	// out of a mapping into private frames instead, open over a Mapping and
-	// leave Mapped nil.
-	Mapped []byte
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an
 	// absolute page capacity, so tests can force heavy eviction.
@@ -65,11 +55,10 @@ func PoolPages(totalPages int64, fraction float64) (int, error) {
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
 // store owning each page-id range, so evicting a page actually releases its
-// frame. Released private frames (every store's but a Mapped one's) go onto
-// the Pager's free list, which the next miss in any registered store fills,
-// so a full pool's frames are reused rather than reallocated. Register
-// every store (Open does it) before queries start; registration is not
-// synchronized with concurrent touches.
+// frame. Released frames go onto the Pager's free list, which the next miss
+// in any registered store fills, so a full pool's frames are reused rather
+// than reallocated. Register every store (Open does it) before queries
+// start; registration is not synchronized with concurrent touches.
 type Pager struct {
 	pool   *diskio.Pool
 	stores []*Store
@@ -170,11 +159,10 @@ type ReadStats struct {
 	Bytes int64
 	// Time is the wall-clock time spent filling missed frames — inside
 	// ReadAt, which over a Mapping is a copy out of the mapping: the
-	// measured I/O time. For Mapped stores the subslice itself is free; the
-	// first-touch cost is the checksum, reported separately as CRCTime.
+	// measured I/O time.
 	Time time.Duration
-	// CRCTime is the wall-clock time spent checksum-verifying cold
-	// pages — the dominant first-touch cost of the mmap page source.
+	// CRCTime is the wall-clock time spent checksum-verifying missed
+	// pages, after their fill and before anything decodes them.
 	CRCTime time.Duration
 	// BlocksDecoded counts quadtree blocks the decoder actually passed: a
 	// tree decode passes its whole run, a lookup the blocks from its
@@ -188,9 +176,8 @@ type ReadStats struct {
 // a ReadAt — a positioned read of a file, or a copy out of a Mapping — and
 // checks its CRC; every eviction returns the page's frame to the Pager,
 // whose next miss fills it, so resident page memory tracks the pool
-// capacity rather than the index size. A Mapped store's frames alias the
-// mapping instead. Nothing decoded is kept: a lookup or a tree decodes from
-// the run's pages each time.
+// capacity rather than the index size. Nothing decoded is kept: a lookup or
+// a tree decodes from the run's pages each time.
 //
 // A Store is safe for unlimited concurrent readers.
 type Store struct {
@@ -199,7 +186,6 @@ type Store struct {
 	sb       *superblock
 	g        *graph.Network
 	counts   []uint32
-	mapped   []byte // whole image in memory, aliased by the frames; nil for ReadAt-backed stores
 	layout   *diskio.Layout
 	pageCRCs []uint32
 	pageBase diskio.PageID
@@ -250,9 +236,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Mapped != nil && int64(len(opts.Mapped)) < sb.imageSize {
-		return nil, fmt.Errorf("store: mapped image of %d bytes shorter than recorded size %d", len(opts.Mapped), sb.imageSize)
-	}
 	netBuf, err := readSection(ra, sb.netOff, NetworkSectionSize(sb.n, sb.m))
 	if err != nil {
 		return nil, fmt.Errorf("store: reading network section: %w", err)
@@ -290,7 +273,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		sb:       sb,
 		g:        g,
 		counts:   counts,
-		mapped:   opts.Mapped,
 		layout:   layout,
 		pageCRCs: pageCRCs,
 		frames:   make(map[diskio.PageID][]byte),
@@ -361,19 +343,11 @@ func (s *Store) Lenient() bool { return s.sb.lenient }
 // stays only because the benchmark module compiles against it.
 func (s *Store) Compression() Compression { return CompressionDelta }
 
-// Mapped reports whether page frames alias an in-memory image instead of
-// being read through ReadAt.
-func (s *Store) Mapped() bool { return s.mapped != nil }
-
-// Source names what fills a missed page frame: "readat" for a positioned
-// read, "mmapcopy" for a copy out of a Mapping into a private frame, "mmap"
-// when the frames alias the mapping (OpenOptions.Mapped). It is the source
-// label of the silc_store_* metrics.
+// Source names what fills a missed page frame: "mmapcopy" for a copy out of
+// a Mapping, "readat" for a positioned read. It is the source label of the
+// silc_store_* metrics.
 func (s *Store) Source() string {
-	switch _, copies := s.ra.(Mapping); {
-	case s.Mapped():
-		return "mmap"
-	case copies:
+	if _, copies := s.ra.(Mapping); copies {
 		return "mmapcopy"
 	}
 	return "readat"
@@ -453,11 +427,7 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 // storage; on an error t's blocks are unspecified. Page traffic is charged
 // to the shared pool and to ioStats (nil = untracked); misses perform real
 // reads. A failed check is an error wrapping ErrCorrupt.
-func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) (err error) {
-	if s.mapped != nil { // the decoder reads the mapping
-		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		defer recoverFault(&err)
-	}
+func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
 	r := s.reader(ioStats, v)
 	defer r.release()
 	run, err := r.read(0, len(r.run))
@@ -478,11 +448,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 // order, reading missed ones and decoding nothing — what a caller that
 // still holds v's decoded tree does instead of decoding it again, so that
 // pool recency, hits, misses and reads are the same either way.
-func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) (err error) {
-	if s.mapped != nil { // the checksum of a first touch reads the mapping
-		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		defer recoverFault(&err)
-	}
+func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 	first, last, ok := s.layout.OwnerPages(int(v))
 	for p := first; ok && p <= last; p++ {
 		if err := s.touch(p, ioStats, nil, 0); err != nil {
@@ -499,10 +465,6 @@ func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) (err error) {
 // needs through that block, at most restartEvery blocks. A failed check is
 // an error wrapping ErrCorrupt.
 func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (b quadtree.Block, ok bool, err error) {
-	if s.mapped != nil { // the decoder reads the mapping
-		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-		defer recoverFault(&err)
-	}
 	r := s.reader(ioStats, v)
 	var decoded int
 	b, ok, decoded, err = lookupRun(&r, int(s.counts[v]), s.g.Degree(v), code)
@@ -527,15 +489,14 @@ func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
 
 // runReader hands the bytes of one run to its decoder as the decoder asks
 // for them, page by page: it touches each page once, in order, and exposes
-// no byte past the last page it touched. A mapped store's bytes come
-// straight out of the mapping; a ReadAt store's are copied, as each page is
-// touched, to their offsets in pooled scratch that release hands back. A
+// no byte past the last page it touched. The bytes are copied, as each page
+// is touched, to their offsets in pooled scratch that release hands back. A
 // skipped page's bytes are never read: decoding only moves forward.
 type runReader struct {
 	s       *Store // nil: run is in memory, its "pages" ps bytes each
 	ioStats *diskio.Stats
 	run     []byte       // the run, each touched page's bytes at their offsets
-	sc      *loadScratch // ReadAt: the scratch run lives in
+	sc      *loadScratch // pooled scratch the run lives in; nil for an in-memory run
 	lo, ps  int64        // the run's offset in its page space; the page size
 	end     int          // the run's bytes up to end are at hand
 	next    diskio.PageID
@@ -545,15 +506,9 @@ type runReader struct {
 // reader returns the runReader of v's run.
 func (s *Store) reader(ioStats *diskio.Stats, v graph.VertexID) runReader {
 	lo, hi := s.layout.EntryRange(int(v))
-	r := runReader{s: s, ioStats: ioStats, lo: lo, ps: int64(s.sb.pageSize)}
-	if s.mapped != nil {
-		r.run = s.mapped[s.sb.blockOff+lo : s.sb.blockOff+hi]
-	} else {
-		r.sc = loadPool.Get().(*loadScratch)
-		r.sc.run = slices.Grow(r.sc.run[:0], int(hi-lo))[:hi-lo]
-		r.run = r.sc.run
-	}
-	return r
+	sc := loadPool.Get().(*loadScratch)
+	sc.run = slices.Grow(sc.run[:0], int(hi-lo))[:hi-lo]
+	return runReader{s: s, ioStats: ioStats, run: sc.run, sc: sc, lo: lo, ps: int64(s.sb.pageSize)}
 }
 
 // read touches the pages holding the run's bytes from offset from to to-1
@@ -570,11 +525,7 @@ func (r *runReader) read(from, to int) ([]byte, error) {
 		base := int64(r.next) * r.ps
 		end := min(int(base+r.ps-r.lo), len(r.run))
 		if r.s != nil {
-			var dst []byte // a mapped run needs no copy
-			if r.sc != nil {
-				dst = r.run[r.end:end]
-			}
-			if err := r.s.touch(r.next, r.ioStats, dst, r.lo+int64(r.end)-base); err != nil {
+			if err := r.s.touch(r.next, r.ioStats, r.run[r.end:end], r.lo+int64(r.end)-base); err != nil {
 				r.fillErr = err
 				return nil, err
 			}
@@ -638,23 +589,16 @@ func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from i
 
 // readPage materializes one block page: a ReadAt — a disk read, or a copy
 // out of a Mapping — into a frame an eviction released when the Pager has
-// one, for ReadAt-backed stores; a subslice of the mapping for Mapped ones.
-// Either way the frame is checksum-verified and the page counts as one read
-// in ReadStats — for a Mapped store, "read" means first-touch verification,
-// the moment the page faults in. A checksum mismatch wraps ErrCorrupt. The
-// frame is the caller's alone until it publishes it.
+// one. The frame is checksum-verified before it is returned, and the page
+// counts as one read in ReadStats. A checksum mismatch wraps ErrCorrupt.
+// The frame is the caller's alone until it publishes it.
 func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	off := s.sb.blockOff + int64(p)*int64(s.sb.pageSize)
-	var buf []byte
 	start := time.Now()
-	if s.mapped != nil {
-		buf = s.mapped[off : off+int64(s.sb.pageSize)]
-	} else {
-		buf = s.pager.takeFrame(s.sb.pageSize)
-		if _, err := s.ra.ReadAt(buf, off); err != nil {
-			s.releaseFrame(buf)
-			return nil, fmt.Errorf("store: reading block page %d: %w", p, err)
-		}
+	buf := s.pager.takeFrame(s.sb.pageSize)
+	if _, err := s.ra.ReadAt(buf, off); err != nil {
+		s.releaseFrame(buf)
+		return nil, fmt.Errorf("store: reading block page %d: %w", p, err)
 	}
 	read := time.Now() // the read's end is the checksum's start
 	s.readNanos.Add(read.Sub(start).Nanoseconds())
@@ -669,10 +613,9 @@ func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
 	return buf, nil
 }
 
-// releaseFrame hands a frame no reader can reach any more to the Pager. A
-// Mapped store's frames alias the mapping and are never reused.
+// releaseFrame hands a frame no reader can reach any more to the Pager.
 func (s *Store) releaseFrame(b []byte) {
-	if b != nil && s.mapped == nil {
+	if b != nil {
 		s.pager.giveFrame(b)
 	}
 }

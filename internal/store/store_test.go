@@ -205,16 +205,12 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 		t.Run(src, func(t *testing.T) {
 			pager := store.NewPager(diskio.NewPool(4, 4))
 			// open opens img over src in the shared pager: positioned reads
-			// of the bytes, copies out of them as a Mapping, or frames
-			// aliasing them.
+			// of the bytes, or copies out of them as a Mapping.
 			open := func(img []byte, opts store.OpenOptions) (*store.Store, error) {
 				opts.Pager = pager
 				var ra io.ReaderAt = bytes.NewReader(img)
-				if src != "ReadAt" {
+				if src == "File" {
 					ra = store.Mapping(img)
-				}
-				if src == "Mmap" {
-					opts.Mapped = img
 				}
 				return store.Open(ra, int64(len(img)), opts)
 			}

@@ -190,13 +190,13 @@ func (m *engineObs) registerDynamic(e *Engine) {
 		st := st
 		label := `store="` + itoa(i) + `",source="` + st.Source() + `"`
 		r.CounterFunc("silc_store_page_reads_total", label,
-			"Real page reads per store: missed frames filled (first-touch verification for mmap).",
+			"Real page reads per store: missed frames filled.",
 			func() float64 { return float64(st.ReadStats().Reads) })
 		r.CounterFunc("silc_store_read_bytes_total", label,
 			"Bytes read per store.",
 			func() float64 { return float64(st.ReadStats().Bytes) })
 		r.CounterFunc("silc_store_read_seconds_total", label,
-			"Wall-clock seconds filling missed page frames per store: positioned reads (readat) or copies out of the mapping (mmapcopy); near 0 for mmap, whose frames alias the mapping.",
+			"Wall-clock seconds filling missed page frames per store: positioned reads (readat) or copies out of the mapping (mmapcopy).",
 			func() float64 { return st.ReadStats().Time.Seconds() })
 		r.CounterFunc("silc_store_crc_seconds_total", label,
 			"Wall-clock seconds checksum-verifying cold pages per store.",

@@ -429,9 +429,9 @@ func TestBatchFoldsMetrics(t *testing.T) {
 
 // TestStoreSourceLabel pins the source label of the silc_store_* series for
 // each way an image is opened: a ReaderAt is "readat" whatever it reads, a
-// file opened by path copies missed pages out of its mapping ("mmapcopy"),
-// and with Mmap the frames alias the mapping ("mmap"). Every cell store of
-// a sharded image carries its engine's label.
+// and a file opened by path copies missed pages out of its mapping
+// ("mmapcopy"). Every cell store of a sharded image carries its engine's
+// label.
 func TestStoreSourceLabel(t *testing.T) {
 	net, err := GenerateGrid(10, 10)
 	if err != nil {
@@ -467,7 +467,6 @@ func TestStoreSourceLabel(t *testing.T) {
 				return OpenEngineAt(fh, int64(len(img)), nil, BuildOptions{})
 			}},
 			{"OpenEngine", "mmapcopy", func() (*Engine, error) { return OpenEngine(path, nil, BuildOptions{}) }},
-			{"OpenEngine/Mmap", "mmap", func() (*Engine, error) { return OpenEngine(path, nil, BuildOptions{Mmap: true}) }},
 		}
 		for _, o := range opens {
 			t.Run(o.name+"/P="+itoa(parts), func(t *testing.T) {

@@ -14,9 +14,8 @@ import (
 )
 
 // The equivalence property: the in-RAM monolithic engine, its paged image
-// opened over all three page sources (positioned reads, copies out of the
-// mapping, frames aliasing the mapping; pool squeezed to ~1% to force heavy
-// eviction), and the 4-cell engine (in RAM and paged) must answer identical
+// opened over both page sources (positioned reads, copies out of the
+// mapping; pool squeezed to ~1% to force heavy eviction), and the 4-cell engine (in RAM and paged) must answer identical
 // KNN, range, and Browser queries on every network family. Run under -race
 // in CI, with a concurrent phase hammering the shared pool from many
 // goroutines.
@@ -28,12 +27,12 @@ type equivEngine struct {
 }
 
 // buildEquivEngines assembles the engine matrix over one network — in-RAM,
-// sharded, and their paged images crossed with the three page sources:
-// readat (OpenEngineAt over the file), file (OpenEngine: a miss copies out
-// of the mapping into a recycled frame) and mmap (frames alias the mapping)
-// — the paged ones reading real pages through a deliberately tiny pool. On
-// platforms without mmap support file and mmap silently degrade to
-// positioned reads, which still must answer identically.
+// sharded, and their paged images crossed with the two page sources:
+// readat (OpenEngineAt over the file) and file (OpenEngine: a miss copies
+// out of the mapping into a recycled frame) — the paged ones reading real
+// pages through a deliberately tiny pool. On platforms without mmap support
+// file silently degrades to positioned reads, which still must answer
+// identically.
 func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 	t.Helper()
 	dir := t.TempDir()
@@ -61,7 +60,7 @@ func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 	mono := writeTemp("mono", ix)
 	shard := writeTemp("shard", sx)
 	open := func(path, src string) *silc.Engine {
-		opts := silc.BuildOptions{CacheFraction: 0.01, Mmap: src == "mmap"}
+		opts := silc.BuildOptions{CacheFraction: 0.01}
 		var eng *silc.Engine
 		var err error
 		if src == "readat" {
@@ -84,7 +83,7 @@ func buildEquivEngines(t *testing.T, net *silc.Network) []equivEngine {
 		t.Cleanup(func() { eng.Close() })
 		return eng
 	}
-	for _, src := range []string{"readat", "file", "mmap"} {
+	for _, src := range []string{"readat", "file"} {
 		engines = append(engines,
 			equivEngine{"paged-" + src, open(mono, src), true},
 			equivEngine{"sharded-paged-" + src, open(shard, src), true})
@@ -189,8 +188,6 @@ func TestEquivalenceAcrossBackends(t *testing.T) {
 
 			// The paged engines must have actually paged: real reads
 			// happened and the working set exceeded the squeezed pool.
-			// (Under mmap a "read" is the first-touch CRC verification of a
-			// mapped page frame — the counters keep working.)
 			for _, ee := range engines {
 				if !ee.paged {
 					continue

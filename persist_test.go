@@ -298,7 +298,8 @@ func TestProximityBoundedIndexPublicAPI(t *testing.T) {
 //     decodes what the entry points at, block by block checked, and must
 //     only not panic.
 //
-// On both page sources a sweep of distances, kNN and range queries over
+// On both page sources (mmap=false: positioned reads of the file;
+// mmap=true: copies out of its mapping) a sweep of distances, kNN and range queries over
 // the header and tail mangles must never panic: each answer is either an
 // error naming the vertex or exactly the clean image's answer.
 func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
@@ -424,10 +425,11 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 		}
 		for _, mmap := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mmap=%v", m.name, mmap), func(t *testing.T) {
-				bad, err := OpenEngine(path, nil, BuildOptions{CacheFraction: 1, Mmap: mmap})
-				if err != nil {
-					t.Fatalf("open: a run is not checked at open: %v", err)
+				src := "ReaderAt" // positioned reads of the file
+				if mmap {
+					src = "File" // copies out of its mapping
 				}
+				bad := openSource(t, path, src, 1) // a run is not checked at open
 				defer bad.Close()
 				badStore := bad.pager.Stores()[0]
 				named := fmt.Sprintf("vertex %d", victim)
