@@ -36,7 +36,7 @@ var (
 
 func sharedEnv(b *testing.B) *bench.Env {
 	envOnce.Do(func() {
-		env, envErr = bench.NewEnv(64, 64, bench.DefaultSeed, true)
+		env, envErr = bench.NewEnv(64, 64, bench.DefaultSeed)
 	})
 	if envErr != nil {
 		b.Fatal(envErr)
@@ -376,9 +376,10 @@ func (pb *pagedBench) paged(b *testing.B, src string, pool float64) func() *Engi
 }
 
 // variants runs one sub-benchmark per page variant: page source
-// (pageSources) × pool (5% and 100% of the image's pages) × cache state
-// (cold, warm); and RAM, the in-RAM engine the image was written from, so
-// that the warm paged to in-RAM ratio is measured on the same queries.
+// (pageSources) × pool (5% and 100% of the image's block pages) × cache
+// state (cold, warm); and RAM, the in-RAM engine the image was written
+// from, so that the warm paged to in-RAM ratio is measured on the same
+// queries.
 func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
 	for _, src := range pageSources {
 		for _, pool := range []float64{0.05, 1} {

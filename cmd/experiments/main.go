@@ -132,7 +132,7 @@ func main() {
 	}
 
 	fmt.Fprintf(out, "building evaluation index (%dx%d lattice)...\n", *rows, *cols)
-	env, err := bench.NewEnv(*rows, *cols, *seed, true)
+	env, err := bench.NewEnv(*rows, *cols, *seed)
 	check(err)
 	defer env.Close()
 	s := env.Ix.Stats()

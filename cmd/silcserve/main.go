@@ -40,7 +40,7 @@ func main() {
 		rows        = flag.Int("rows", 64, "generated network rows (when no -network)")
 		cols        = flag.Int("cols", 64, "generated network cols")
 		seed        = flag.Int64("seed", 1, "generated network seed")
-		cacheFrac   = flag.Float64("cache-fraction", 0.05, "buffer-pool size of a paged -index, as a fraction of its total pages")
+		cacheFrac   = flag.Float64("cache-fraction", 0.05, "buffer-pool size of a paged -index, as a fraction of its block pages")
 		objectsPath = flag.String("objects", "", "object vertices file, one id per line; empty = random sample")
 		objectFrac  = flag.Float64("object-fraction", 0.05, "fraction of vertices carrying an object (when no -objects)")
 		objectSeed  = flag.Int64("object-seed", 2008, "object sample seed")

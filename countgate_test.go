@@ -75,7 +75,7 @@ type pgColdIO struct {
 func f3Suite(t *testing.T) f3Counts {
 	t.Helper()
 	f3Once.Do(func() {
-		env, err := bench.NewEnv(countLattice, countLattice, bench.DefaultSeed, true)
+		env, err := bench.NewEnv(countLattice, countLattice, bench.DefaultSeed)
 		if err != nil {
 			f3Once.err = err
 			return

@@ -124,7 +124,7 @@ func (e *Engine) Network() *Network { return e.net }
 // cells — there is no per-cell breakdown at this level (WriteMetrics
 // exposes per-store series).
 func (e *Engine) IOStats() IOStats {
-	s := e.qx.Tracker().Stats()
+	s := e.qx.Pool().Stats()
 	out := IOStats{PageHits: s.Hits, PageMisses: s.Misses}
 	if e.pager != nil {
 		rs := e.pager.ReadStats()
@@ -224,9 +224,7 @@ func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 // The Prometheus counters (WriteMetrics) are monotone and are deliberately
 // NOT reset.
 func (e *Engine) ResetIOStats() {
-	if t := e.qx.Tracker(); t != nil {
-		t.ResetStats()
-	}
+	e.qx.Pool().ResetStats()
 	if e.pager != nil {
 		e.pager.ResetReadStats()
 	}

@@ -126,9 +126,9 @@ func cellPairs(t *testing.T, eng *Engine) map[string][2]VertexID {
 
 // TestOpenValidatesCacheFraction opens a monolithic and a 2-cell image
 // through both openers: a NaN, infinite or negative cache fraction is an
-// error that names the value, 0 sizes the pool at 5% of the image's pages,
-// fractions in (0, 1] size it as before, and a larger one holds the whole
-// image and no more.
+// error that names the value, 0 sizes the pool at 5% of the image's block
+// pages, fractions in (0, 1] size it as before, and a larger one holds the
+// whole image and no more.
 func TestOpenValidatesCacheFraction(t *testing.T) {
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 10, Cols: 10, Seed: 3})
 	if err != nil {
@@ -172,7 +172,10 @@ func TestOpenValidatesCacheFraction(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cache fraction %v: %v", tag, c.fraction, err)
 				}
-				total := eng.qx.Tracker().TotalPages()
+				var total int64 // the pages a query can read: every block page
+				for _, st := range eng.pager.Stores() {
+					total += st.BlockPages()
+				}
 				want := max(int(float64(total)*c.share), 1)
 				if got := eng.pager.Pool().Capacity(); got != want {
 					t.Errorf("%s: cache fraction %v: pool of %d pages, want %d of %d", tag, c.fraction, got, want, total)

@@ -27,12 +27,12 @@ type BuildOptions struct {
 	// build runs one Dijkstra per vertex, parallelized over sources.
 	Parallelism int
 	// CacheFraction sizes the LRU buffer pool of an opened image as a
-	// fraction of its total pages (default 0.05, the paper's setting); a
-	// sharded image shares one pool across every cell, so the fraction is
-	// of the whole database. At 1 or above the pool holds as many pages as
-	// the image has, which serves it resident. NaN, infinite and negative
-	// fractions make the open fail. Open-time only: in-RAM indexes have no
-	// pool.
+	// fraction of its block pages, the pages a query reads (default 0.05,
+	// the paper's setting); a sharded image shares one pool across every
+	// cell, so the fraction is of every cell's block pages. At 1 or above
+	// the pool holds as many pages as the image has, which serves it
+	// resident. NaN, infinite and negative fractions make the open fail.
+	// Open-time only: in-RAM indexes have no pool.
 	CacheFraction float64
 	// ProximityRadius, when positive, bounds each vertex's quadtree to the
 	// vertices within that network distance — the paper's location-based-
@@ -268,8 +268,9 @@ type IOStats struct {
 	PageMisses int64
 	// PageReads counts the actual page reads the paged store performed:
 	// missed frames filled by a positioned read or a copy out of the
-	// image's mapping. Misses on the network's adjacency pages (INE/IER
-	// expansion) are counted but read nothing: the network is resident.
+	// image's mapping. Every page the pool counts is a block page the store
+	// reads, so reads follow misses; the graph-expansion baselines (INE,
+	// IER) run on the resident network and charge no page at all.
 	PageReads int64
 	// MeasuredIOTime is the wall-clock time spent in those reads.
 	MeasuredIOTime time.Duration

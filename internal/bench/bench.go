@@ -16,23 +16,21 @@ import (
 	"time"
 
 	"silc/internal/core"
-	"silc/internal/diskio"
 	"silc/internal/graph"
 	"silc/internal/knn"
 	"silc/internal/store"
 )
 
-// Env is one experiment environment: a network plus its SILC index. A
-// disk-resident environment serves the index from a paged image in a temp
-// file behind the paper's 5% LRU pool; Close releases the file.
+// Env is one experiment environment: a network plus its SILC index, served
+// from a paged image in a temp file behind the paper's 5% LRU pool; Close
+// releases the file.
 type Env struct {
 	G *graph.Network
-	// Ix is the index as last opened: memory-resident, or the paged image
-	// behind the pool Cold last started.
+	// Ix is the paged index behind the pool Cold last started.
 	Ix *core.Index
 
-	image string       // paged image path; "" when memory-resident
-	st    *store.Store // open store behind Ix; nil when memory-resident
+	image string       // paged image path
+	st    *store.Store // open store behind Ix
 	stats core.BuildStats
 }
 
@@ -49,17 +47,16 @@ const (
 // cacheFraction is the paper's buffer-pool size: 5% of the database pages.
 const cacheFraction = 0.05
 
-// NewEnv builds an environment on a rows x cols lattice. diskResident
-// writes the built index to a temp paged image and reopens it behind the
-// paper's 5% LRU buffer pool, so every page miss the experiments report is
-// a real read.
+// NewEnv builds an environment on a rows x cols lattice, writes the built
+// index to a temp paged image and reopens it behind the paper's 5% LRU
+// buffer pool, so every page miss the experiments report is a real read.
 //
 // The evaluation network uses mild weight noise (travel cost close to road
 // length, as in the paper's TIGER-derived network): interval tightness — and
 // with it the refinement counts the figures measure — is a property of the
 // weights, and wildly noisy weights belong in correctness tests, not in the
 // evaluation substrate.
-func NewEnv(rows, cols int, seed int64, diskResident bool) (*Env, error) {
+func NewEnv(rows, cols int, seed int64) (*Env, error) {
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{
 		Rows: rows, Cols: cols, Seed: seed,
 		WeightNoise: 0.1,
@@ -71,10 +68,7 @@ func NewEnv(rows, cols int, seed int64, diskResident bool) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{G: g, Ix: ix, stats: ix.Stats()}
-	if !diskResident {
-		return e, nil
-	}
+	e := &Env{G: g, stats: ix.Stats()}
 	f, err := os.CreateTemp("", "silc-bench-*.silcpg")
 	if err != nil {
 		return nil, err
@@ -94,15 +88,10 @@ func NewEnv(rows, cols int, seed int64, diskResident bool) (*Env, error) {
 	return e, nil
 }
 
-// Cold returns the index one SILC-driven algorithm's query batch runs
-// against, its buffer pool empty: the paged image freshly reopened (the
-// store opened before is closed), so no batch rides pages an earlier one
-// faulted in. A memory-resident environment has no pool; Cold returns its
-// index unchanged.
+// Cold returns the index one algorithm's query batch runs against, its
+// buffer pool empty: the paged image freshly reopened (the store opened
+// before is closed), so no batch rides pages an earlier one faulted in.
 func (e *Env) Cold() (core.QueryIndex, error) {
-	if e.image == "" {
-		return e.Ix, nil
-	}
 	if e.st != nil {
 		e.st.Close()
 	}
@@ -119,51 +108,11 @@ func (e *Env) Cold() (core.QueryIndex, error) {
 	return e.Ix, nil
 }
 
-// ColdNetwork is Cold for the graph-expansion baselines. INE and IER carry
-// no SILC store, so their pool is the cache fraction of the network's
-// adjacency pages alone — sizing it by someone else's index would hand them
-// an effectively unbounded cache.
-func (e *Env) ColdNetwork() (core.QueryIndex, error) {
-	if ix, err := e.Cold(); err != nil || e.image == "" {
-		return ix, err
-	}
-	degrees := make([]int, e.G.NumVertices())
-	for v := range degrees {
-		degrees[v] = e.G.Degree(graph.VertexID(v))
-	}
-	pages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
-	poolPages, err := store.PoolPages(pages, cacheFraction)
-	if err != nil {
-		return nil, err
-	}
-	pool := diskio.NewPool(poolPages, diskio.DefaultPoolShards)
-	return networkDB{Index: e.Ix, tracker: diskio.NewStoreTracker(0, degrees, pool)}, nil
-}
+// ReadStats returns the real read counters of the store Cold last opened.
+func (e *Env) ReadStats() store.ReadStats { return e.st.ReadStats() }
 
-// networkDB is the database INE and IER run against: the environment's
-// network behind a pool of its own. The baselines expand the graph and never
-// reach the embedded index's block store.
-type networkDB struct {
-	*core.Index
-	tracker *diskio.Tracker
-}
-
-func (d networkDB) Tracker() *diskio.Tracker { return d.tracker }
-
-// ReadStats returns the real read counters of the store Cold last opened
-// (zero for a memory-resident environment).
-func (e *Env) ReadStats() store.ReadStats {
-	if e.st == nil {
-		return store.ReadStats{}
-	}
-	return e.st.ReadStats()
-}
-
-// Close releases the paged image of a disk-resident environment.
+// Close releases the paged image.
 func (e *Env) Close() error {
-	if e.image == "" {
-		return nil
-	}
 	err := e.st.Close()
 	if rerr := os.Remove(e.image); err == nil {
 		err = rerr
@@ -195,17 +144,15 @@ func (e *Env) Query(rng *rand.Rand) graph.VertexID {
 	return graph.VertexID(rng.Intn(e.G.NumVertices()))
 }
 
-// Algorithm is a named kNN algorithm. Baseline marks the graph-expansion
-// comparators whose disk-resident database is the network alone.
+// Algorithm is a named kNN algorithm.
 //
 // Each Algorithm owns one reusable query context, so consecutive Run calls
 // measure the steady state the query path is designed for (scratch arenas
 // warm, zero allocations) rather than cold-start setup. Run is therefore
 // not safe for concurrent use; the harness batches queries sequentially.
 type Algorithm struct {
-	Name     string
-	Baseline bool
-	Run      func(core.QueryIndex, *knn.Objects, graph.VertexID, int) knn.Result
+	Name string
+	Run  func(core.QueryIndex, *knn.Objects, graph.VertexID, int) knn.Result
 }
 
 // pooled wraps a Spec-style entry point with a persistent query context,
@@ -221,8 +168,8 @@ func pooled(run func(core.QueryIndex, *core.QueryContext, *knn.Objects, graph.Ve
 // Algorithms returns the full comparison set in the paper's order.
 func Algorithms() []Algorithm {
 	algos := []Algorithm{
-		{Name: "INE", Baseline: true, Run: pooled(knn.INESpec)},
-		{Name: "IER", Baseline: true, Run: pooled(knn.IERSpec)},
+		{Name: "INE", Run: pooled(knn.INESpec)},
+		{Name: "IER", Run: pooled(knn.IERSpec)},
 	}
 	for _, v := range knn.Variants {
 		v := v
@@ -257,7 +204,7 @@ type Agg struct {
 	LOps        float64
 	Settled     float64
 	IOAccesses  float64
-	IOMisses    float64 // pool misses, adjacency pages included
+	IOMisses    float64 // pool misses
 	IOReads     float64 // real page reads
 
 	// Estimate-quality ratios, averaged over queries where defined.
@@ -351,9 +298,10 @@ type SweepPoint struct {
 // ("each query run on at least 50 random input datasets of same size").
 //
 // Every algorithm replays the identical workload, and each algorithm's batch
-// starts from a cold store (Cold, ColdNetwork) and warms its own cache
-// across the batch — running the algorithms interleaved on one pool would
-// let later algorithms ride the pages the first one faulted in.
+// starts from a cold store (Cold) and warms its own cache across the batch
+// — running the algorithms interleaved on one pool would let later
+// algorithms ride the pages the first one faulted in. The graph-expansion
+// baselines run on the same index and touch no page of it.
 func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed int64) ([]SweepPoint, error) {
 	rng := rand.New(rand.NewSource(seed))
 	points := make([]SweepPoint, 0, len(specs))
@@ -370,11 +318,7 @@ func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed i
 		for _, a := range algos {
 			agg := &Agg{Algorithm: a.Name}
 			pt.Per[a.Name] = agg
-			open := e.Cold
-			if a.Baseline {
-				open = e.ColdNetwork
-			}
-			ix, err := open()
+			ix, err := e.Cold()
 			if err != nil {
 				return nil, err
 			}

@@ -94,7 +94,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		CacheFr:       cacheFraction,
 		FileBytes:     fileBytes,
 		BlockPages:    st.BlockPages(),
-		PoolPages:     st.Tracker().Pool().Capacity(),
+		PoolPages:     st.Pager().Pool().Capacity(),
 		PagedHits:     paged.Hits,
 		PagedMisses:   paged.Misses,
 		ActualReads:   st.ReadStats().Reads,

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -74,16 +75,11 @@ func renderSweep(w io.Writer, title string, points []SweepPoint, names []string,
 		fmt.Fprintf(tw, "\t%s", n)
 	}
 	fmt.Fprintln(tw)
-	var dropped []string
 	for _, pt := range points {
 		fmt.Fprint(tw, pt.Spec.Label)
-		short := pt.Objects < pt.Spec.K
-		if short {
-			dropped = append(dropped, fmt.Sprintf("%s (%d objects, k=%d)", pt.Spec.Label, pt.Objects, pt.Spec.K))
-		}
 		for _, n := range names {
 			cell := "n/a"
-			if !short {
+			if !pt.short() {
 				cell = metric(pt, n)
 			}
 			fmt.Fprintf(tw, "\t%s", cell)
@@ -91,10 +87,25 @@ func renderSweep(w io.Writer, title string, points []SweepPoint, names []string,
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
+	noteShort(w, points)
+	fmt.Fprintln(w)
+}
+
+// short reports whether the point has fewer objects than k.
+func (pt SweepPoint) short() bool { return pt.Objects < pt.Spec.K }
+
+// noteShort names, in one line under a table, every point with fewer
+// objects than k.
+func noteShort(w io.Writer, points []SweepPoint) {
+	var dropped []string
+	for _, pt := range points {
+		if pt.short() {
+			dropped = append(dropped, fmt.Sprintf("%s (%d objects, k=%d)", pt.Spec.Label, pt.Objects, pt.Spec.K))
+		}
+	}
 	if len(dropped) > 0 {
 		fmt.Fprintf(w, "n/a: fewer objects than k at %s\n", strings.Join(dropped, ", "))
 	}
-	fmt.Fprintln(w)
 }
 
 func namesOf(points []SweepPoint, only []string) []string {
@@ -129,10 +140,17 @@ func paperScaleTime(a *Agg) time.Duration {
 	return a.CPUTime + time.Duration(a.IOMisses*float64(paperMissCost))
 }
 
+// baseline reports whether the named algorithm is one of the
+// graph-expansion comparators, INE and IER. They expand the resident
+// network and charge no page, so their I/O is not measured (DESIGN.md §5).
+func baseline(name string) bool { return name == "INE" || name == "IER" }
+
 // renderCost prints one row per (sweep point, algorithm) with the query's
 // CPU time and its I/O in separate columns: pool misses, real page reads
 // and measured read time per query, then the paper-scale total. withPQ adds
 // the paper's KNN-PQ component as a count: manipulations of L per query.
+// A baseline's I/O columns, and every cell of a point with fewer objects
+// than k, read n/a; notes under the table say why.
 func renderCost(w io.Writer, title string, points []SweepPoint, names []string, withPQ bool) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -144,15 +162,27 @@ func renderCost(w io.Writer, title string, points []SweepPoint, names []string, 
 	for _, pt := range points {
 		for _, n := range names {
 			a := pt.Per[n]
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.1f\t%.1f\t%s\t%s", pt.Spec.Label, n,
-				fmtDur(a.CPUTime), a.IOMisses, a.IOReads, fmtDur(a.ReadTime), fmtDur(paperScaleTime(a)))
-			if withPQ {
-				fmt.Fprintf(tw, "\t%.1f", a.LOps)
+			cells := []string{fmtDur(a.CPUTime), "n/a", "n/a", "n/a", "n/a"}
+			if !baseline(n) {
+				cells = append(cells[:1], fmt.Sprintf("%.1f", a.IOMisses), fmt.Sprintf("%.1f", a.IOReads),
+					fmtDur(a.ReadTime), fmtDur(paperScaleTime(a)))
 			}
-			fmt.Fprintln(tw)
+			if withPQ {
+				cells = append(cells, fmt.Sprintf("%.1f", a.LOps))
+			}
+			if pt.short() {
+				for i := range cells {
+					cells[i] = "n/a"
+				}
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", pt.Spec.Label, n, strings.Join(cells, "\t"))
 		}
 	}
 	tw.Flush()
+	noteShort(w, points)
+	if baselines := slices.DeleteFunc(slices.Clone(names), func(n string) bool { return !baseline(n) }); len(baselines) > 0 {
+		fmt.Fprintf(w, "%s: I/O not measured; they expand the resident network and read no page\n", strings.Join(baselines, ", "))
+	}
 	fmt.Fprintln(w)
 }
 

@@ -24,7 +24,7 @@ func TestThroughputScalesWithGoroutines(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skip("needs >= 4 CPUs to demonstrate scaling")
 	}
-	env, err := NewEnv(48, 48, DefaultSeed, true)
+	env, err := NewEnv(48, 48, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,10 @@ type QueryIndex interface {
 	// Network returns the indexed network (for the sharded index, the full
 	// global network).
 	Network() *graph.Network
-	// Tracker returns the paged-storage tracker, nil for memory-resident
-	// indexes. Sharded indexes expose one tracker shared by all cells.
-	Tracker() *diskio.Tracker
+	// Pool returns the buffer pool of the paged store, nil for
+	// memory-resident indexes. Sharded indexes expose the one pool all
+	// their cells share.
+	Pool() *diskio.Pool
 	// Refine starts progressive refinement for (src, dst), charging every
 	// page access to qc (nil = untracked).
 	Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefiner

@@ -291,17 +291,20 @@ type Index struct {
 	// per-lookup header load walks one contiguous array instead of chasing
 	// a pointer per tree
 	src     TreeSource
-	tracker *diskio.Tracker // the paged store's; nil when memory-resident
-	radius  float64         // 0 = unbounded
-	lenient bool            // AllowUnreachable: misses mean unreachable, not corrupt
+	pool    *diskio.Pool // the paged store's; nil when memory-resident
+	radius  float64      // 0 = unbounded
+	lenient bool         // AllowUnreachable: misses mean unreachable, not corrupt
 	stats   BuildStats
 }
 
 // PagedConfig assembles a disk-backed Index from an opened paged store.
 type PagedConfig struct {
-	Graph   *graph.Network
-	Source  TreeSource
-	Tracker *diskio.Tracker
+	Graph  *graph.Network
+	Source TreeSource
+	// Tracker is the store's buffer pool, the one Pool returns. It would be
+	// named Pool; it keeps its old name only because the benchmark module
+	// sets it (ROADMAP 1(i)).
+	Tracker *diskio.Pool
 	Radius  float64
 	Lenient bool
 	// Compression is ignored: every image is delta-compressed. The field
@@ -318,7 +321,7 @@ func NewPagedIndex(cfg PagedConfig) *Index {
 	return &Index{
 		g:       cfg.Graph,
 		src:     cfg.Source,
-		tracker: cfg.Tracker,
+		pool:    cfg.Tracker,
 		radius:  cfg.Radius,
 		lenient: cfg.Lenient,
 		stats:   cfg.Stats,
@@ -346,8 +349,8 @@ func (ix *Index) Network() *graph.Network { return ix.g }
 // Stats returns the build statistics.
 func (ix *Index) Stats() BuildStats { return ix.stats }
 
-// Tracker returns the paged-storage tracker, or nil for in-memory indexes.
-func (ix *Index) Tracker() *diskio.Tracker { return ix.tracker }
+// Pool returns the paged store's buffer pool, or nil for in-memory indexes.
+func (ix *Index) Pool() *diskio.Pool { return ix.pool }
 
 // Radius returns the proximity bound of the index (0 when unbounded).
 func (ix *Index) Radius() float64 { return ix.radius }

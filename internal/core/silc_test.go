@@ -418,26 +418,27 @@ func TestPagedIndexTracksIO(t *testing.T) {
 	g := roadNet(t, 8, 8, 14)
 	mem := buildIndex(t, g)
 	ix := pagedIndex(t, mem, 0.05)
-	tr := ix.Tracker()
-	if tr == nil {
-		t.Fatal("tracker missing")
+	pool := ix.Pool()
+	if pool == nil {
+		t.Fatal("pool missing")
 	}
-	// The pool is the cache fraction of the whole database: block pages
-	// plus the network's adjacency pages.
-	if got, want := tr.Pool().Capacity(), max(int(float64(tr.TotalPages())*0.05), 1); got != want {
-		t.Fatalf("pool capacity %d, want 5%% of %d pages = %d", got, tr.TotalPages(), want)
+	// The pool is the cache fraction of the pages a query can read: the
+	// image's block pages.
+	blockPages := ix.src.(*store.Store).BlockPages()
+	if got, want := pool.Capacity(), max(int(float64(blockPages)*0.05), 1); got != want {
+		t.Fatalf("pool capacity %d, want 5%% of %d block pages = %d", got, blockPages, want)
 	}
-	before := tr.Stats().Accesses()
+	before := pool.Stats().Accesses()
 	if got, want := ix.DistanceCtx(nil, 0, graph.VertexID(g.NumVertices()-1)), mem.DistanceCtx(nil, 0, graph.VertexID(g.NumVertices()-1)); got != want {
 		t.Fatalf("paged distance %v, in-RAM %v", got, want)
 	}
-	after := tr.Stats().Accesses()
+	after := pool.Stats().Accesses()
 	if after <= before {
 		t.Fatal("Distance produced no page accesses")
 	}
-	// In-memory index must have no tracker.
-	if mem.Tracker() != nil {
-		t.Fatal("in-memory index should have nil tracker")
+	// An in-memory index has no pool.
+	if mem.Pool() != nil {
+		t.Fatal("in-memory index should have a nil pool")
 	}
 }
 
@@ -474,7 +475,7 @@ func TestSourceTreeKeyedByIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range mems {
-		h, f := held[i].Tracker().Stats(), fresh[i].Tracker().Stats()
+		h, f := held[i].Pool().Stats(), fresh[i].Pool().Stats()
 		if h.Hits != f.Hits || h.Misses != f.Misses || h.Evictions != f.Evictions || h.Hits+h.Misses == 0 {
 			t.Fatalf("index %d: pool counters with the held tree %+v, with a decode per bound %+v", i, h, f)
 		}

@@ -1,9 +1,10 @@
 // Package diskio is the buffer pool of the disk-resident setting of the
-// paper's evaluation: the SILC quadtrees and the network adjacency lists
-// live in fixed-size pages behind an LRU pool sized to a fraction of the
-// total page count (the paper uses 5%). The paged store (internal/store)
-// turns every block-page miss into a real read; algorithms report the page
-// hits and misses they caused.
+// paper's evaluation: the SILC quadtrees live in fixed-size pages behind an
+// LRU pool sized to a fraction of the image's block pages (the paper uses
+// 5%). The paged store (internal/store) is the pool's only user: it charges
+// every page it reads, turns every miss into a real read, and releases the
+// frame of every page the pool evicts. Algorithms report the page hits and
+// misses they caused.
 //
 // The buffer pool is sharded: page ids hash onto N independently
 // mutex-guarded LRU shards, so unlimited concurrent queries can share one
@@ -16,16 +17,9 @@ import (
 	"sync"
 )
 
-// PageID identifies one page across all paged structures of an index.
+// PageID identifies one block page of an index: a cell store's pages sit
+// at its page base in the id space its sharded image's stores share.
 type PageID int64
-
-// DefaultPageSize is the page size in bytes.
-const DefaultPageSize = 4096
-
-// AdjacencyEntrySize is the on-disk size of one directed edge in a
-// network database: target, weight, and the road-segment record (name,
-// geometry) that real road databases carry alongside connectivity.
-const AdjacencyEntrySize = 48
 
 // Stats counts buffer-pool traffic. Hits/Misses/Evictions are charged
 // by the pool itself; Reads and BlocksDecoded are charged by the paged
@@ -43,8 +37,10 @@ type Stats struct {
 	// pool. Like Hits/Misses it is charged exactly once per displaced
 	// page, so per-query sums reproduce pool aggregates.
 	Evictions int64 `json:"evictions,omitempty"`
-	// Reads counts real positioned page reads a paged store performed
-	// (adjacency-page misses are counted but read nothing).
+	// Reads counts the pages a paged store actually read: a positioned
+	// read, or a copy out of the image's mapping. Every miss is one, so
+	// Reads equals Misses except where a frame lost to a concurrent
+	// eviction is read again on a hit.
 	Reads int64 `json:"reads,omitempty"`
 	// BlocksDecoded counts quadtree blocks a paged store's decoder actually
 	// passed, by lookups and tree decodes alike (zero on in-RAM indexes).
@@ -433,9 +429,13 @@ func (p *Pool) Len() int {
 	return total
 }
 
-// Stats returns the aggregate hit/miss counters summed across shards.
+// Stats returns the aggregate hit/miss counters summed across shards. A
+// nil *Pool — an in-RAM index has none — counts nothing.
 func (p *Pool) Stats() Stats {
 	var total Stats
+	if p == nil {
+		return total
+	}
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
@@ -445,160 +445,16 @@ func (p *Pool) Stats() Stats {
 	return total
 }
 
-// ResetStats zeroes the aggregate counters without evicting pages.
+// ResetStats zeroes the aggregate counters without evicting pages; on a
+// nil *Pool it does nothing.
 func (p *Pool) ResetStats() {
+	if p == nil {
+		return
+	}
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		s.lru.ResetStats()
 		s.mu.Unlock()
 	}
-}
-
-// Layout maps (owner, entry) coordinates onto a dense page range: owner v's
-// entries start at a prefix-sum base and pack entriesPerPage to a page.
-// It describes how per-vertex SILC block runs (or adjacency lists) are
-// serialized onto disk.
-type Layout struct {
-	base           []int64  // per-owner first entry index; len = owners+1
-	firstPage      []PageID // per-owner page of entry 0, precomputed; len = owners
-	entriesPerPage int
-}
-
-// NewLayout builds a layout for owners with the given per-owner entry
-// counts, entries of entrySize bytes, on pages of pageSize bytes.
-func NewLayout(entryCounts []int, entrySize, pageSize int) *Layout {
-	if entrySize <= 0 || pageSize < entrySize {
-		panic("diskio: invalid entry/page size")
-	}
-	base := make([]int64, len(entryCounts)+1)
-	for i, n := range entryCounts {
-		base[i+1] = base[i] + int64(n)
-	}
-	epp := pageSize / entrySize
-	first := make([]PageID, len(entryCounts))
-	for i := range first {
-		first[i] = PageID(base[i] / int64(epp))
-	}
-	return &Layout{base: base, firstPage: first, entriesPerPage: epp}
-}
-
-// EntryRange returns the dense entry index range [lo, hi) of owner v.
-func (l *Layout) EntryRange(v int) (lo, hi int64) { return l.base[v], l.base[v+1] }
-
-// OwnerPages returns the page range [first, last] spanned by owner v's
-// entries; ok is false when v has none.
-func (l *Layout) OwnerPages(v int) (first, last PageID, ok bool) {
-	lo, hi := l.base[v], l.base[v+1]
-	if lo == hi {
-		return 0, 0, false
-	}
-	return l.firstPage[v], PageID((hi - 1) / int64(l.entriesPerPage)), true
-}
-
-// FirstPage returns the page of owner v's first entry; ok is false when v
-// has no entries. Division-free: the per-owner first page is precomputed.
-func (l *Layout) FirstPage(v int) (PageID, bool) {
-	if l.base[v] == l.base[v+1] {
-		return 0, false
-	}
-	return l.firstPage[v], true
-}
-
-// TotalPages returns the number of pages the layout occupies.
-func (l *Layout) TotalPages() int64 {
-	total := l.base[len(l.base)-1]
-	if total == 0 {
-		return 0
-	}
-	return (total-1)/int64(l.entriesPerPage) + 1
-}
-
-// Tracker pairs the buffer pool of a paged store with the page-id space of
-// the network's adjacency lists, which sits just above the store's block
-// pages: the store charges its own block-page traffic to the pool, and the
-// graph-expansion algorithms charge one adjacency page per expanded vertex
-// through TouchAdjacency. Adjacency pages are counted, never read — the
-// network is resident. A nil *Tracker is valid and counts nothing (the pure
-// in-memory configuration). Touch methods are safe for unlimited concurrent
-// callers; each caller attributes its own traffic through the *Stats counter
-// it passes in.
-type Tracker struct {
-	pool      *Pool
-	adjacency *Layout
-	adjBase   PageID
-	// onEvict, when set, observes every page the pool evicts through this
-	// tracker's Touch methods. The paged store uses it to release the real
-	// page frame and any decoded structures built over the evicted page.
-	onEvict func(PageID)
-}
-
-// NewStoreTracker wires a Tracker around pool, the buffer pool of a paged
-// block store. blockPages is the page count of the store's block sections;
-// the adjacency layout of a network with the given out-degrees gets the id
-// space just above them.
-func NewStoreTracker(blockPages int64, degrees []int, pool *Pool) *Tracker {
-	return &Tracker{
-		pool:      pool,
-		adjacency: NewLayout(degrees, AdjacencyEntrySize, DefaultPageSize),
-		adjBase:   PageID(blockPages),
-	}
-}
-
-// SetEvictionHandler registers fn to observe every page evicted by this
-// tracker's Touch methods. Call before queries start; not synchronized with
-// concurrent touches.
-func (t *Tracker) SetEvictionHandler(fn func(PageID)) {
-	if t != nil {
-		t.onEvict = fn
-	}
-}
-
-// Pool returns the buffer pool (nil for a nil tracker).
-func (t *Tracker) Pool() *Pool {
-	if t == nil {
-		return nil
-	}
-	return t.pool
-}
-
-// TouchAdjacency records an access to vertex v's adjacency list (INE/IER
-// expansion step), attributed to qs. Lists rarely straddle pages; the first
-// page is charged.
-func (t *Tracker) TouchAdjacency(v int, qs *Stats) {
-	if t == nil {
-		return
-	}
-	first, ok := t.adjacency.FirstPage(v)
-	if !ok {
-		return
-	}
-	_, evicted, hasEvict := t.pool.TouchEvict(t.adjBase+first, qs)
-	if hasEvict && t.onEvict != nil {
-		t.onEvict(evicted)
-	}
-}
-
-// Stats returns the pool-wide aggregate counters (zero for a nil tracker).
-func (t *Tracker) Stats() Stats {
-	if t == nil {
-		return Stats{}
-	}
-	return t.pool.Stats()
-}
-
-// ResetStats zeroes the aggregate counters, keeping cache contents warm.
-func (t *Tracker) ResetStats() {
-	if t != nil {
-		t.pool.ResetStats()
-	}
-}
-
-// TotalPages returns the page count across the block and adjacency id
-// spaces.
-func (t *Tracker) TotalPages() int64 {
-	if t == nil {
-		return 0
-	}
-	return int64(t.adjBase) + t.adjacency.TotalPages()
 }

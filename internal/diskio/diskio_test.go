@@ -1,7 +1,6 @@
 package diskio
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -87,129 +86,6 @@ func TestStatsAccessesAndAdd(t *testing.T) {
 	}
 }
 
-func TestLayoutPaging(t *testing.T) {
-	// Three owners with 10, 0, 300 entries of 16 bytes on 4096-byte pages
-	// (256 entries per page).
-	l := NewLayout([]int{10, 0, 300}, 16, 4096)
-	if l.TotalPages() != 2 {
-		t.Fatalf("TotalPages = %d", l.TotalPages())
-	}
-	if lo, hi := l.EntryRange(2); lo != 10 || hi != 310 {
-		t.Fatalf("EntryRange(2) = [%d,%d)", lo, hi)
-	}
-	first, last, ok := l.OwnerPages(0)
-	if !ok || first != 0 || last != 0 {
-		t.Fatalf("OwnerPages(0) = %d,%d,%v", first, last, ok)
-	}
-	// Owner 2 starts at entry 10 of the global array on page 0; its entry
-	// 250 is global entry 260, on page 1.
-	first, last, ok = l.OwnerPages(2)
-	if !ok || first != 0 || last != 1 {
-		t.Fatalf("OwnerPages(2) = %d,%d,%v", first, last, ok)
-	}
-	if _, _, ok := l.OwnerPages(1); ok {
-		t.Fatal("owner 1 has no entries")
-	}
-}
-
-func TestLayoutEmpty(t *testing.T) {
-	l := NewLayout([]int{0, 0}, 16, 4096)
-	if l.TotalPages() != 0 {
-		t.Fatalf("TotalPages = %d", l.TotalPages())
-	}
-}
-
-// TestByteLayoutMatchesEntryLayout checks that a layout of 16-byte entries
-// pages exactly like a layout of their bytes, because no entry straddles a
-// page when the page size is a multiple of 16.
-func TestByteLayoutMatchesEntryLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, ps := range []int{16, 64, 4096} {
-		for trial := 0; trial < 200; trial++ {
-			counts := make([]int, 1+rng.Intn(40))
-			byteLens := make([]int, len(counts))
-			for v := range counts {
-				switch rng.Intn(4) {
-				case 0: // no blocks
-				case 1: // a run longer than a page
-					counts[v] = ps/16 + 1 + rng.Intn(3*ps/16)
-				default:
-					counts[v] = 1 + rng.Intn(20)
-				}
-				byteLens[v] = 16 * counts[v]
-			}
-			entries, bytes := NewLayout(counts, 16, ps), NewLayout(byteLens, 1, ps)
-			if entries.TotalPages() != bytes.TotalPages() {
-				t.Fatalf("page size %d, counts %v: TotalPages %d by entries, %d by bytes", ps, counts, entries.TotalPages(), bytes.TotalPages())
-			}
-			for v := range counts {
-				ef, el, eok := entries.OwnerPages(v)
-				bf, bl, bok := bytes.OwnerPages(v)
-				if ef != bf || el != bl || eok != bok {
-					t.Fatalf("page size %d, counts %v: OwnerPages(%d) = %d,%d,%v by entries, %d,%d,%v by bytes", ps, counts, v, ef, el, eok, bf, bl, bok)
-				}
-			}
-		}
-	}
-}
-
-func TestLayoutPanicsOnBadSizes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewLayout([]int{1}, 100, 50)
-}
-
-func TestTrackerDisjointSpacesAndNil(t *testing.T) {
-	// A store with 3 block pages: the store charges its block pages to the
-	// pool itself, the tracker maps adjacency lists just above them.
-	pool := NewPool(8, 1)
-	tr := NewStoreTracker(3, []int{4, 4}, pool)
-	pool.Touch(0, nil)
-	tr.TouchAdjacency(0, nil)
-	tr.TouchAdjacency(1, nil)
-	s := tr.Stats()
-	// Block page 0 and adjacency page (shared by both tiny lists) are
-	// distinct pages: 2 misses, 1 hit.
-	if s.Misses != 2 || s.Hits != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	// 3 block pages plus one adjacency page (8 edges at 48B fit one page).
-	if tr.TotalPages() != 4 {
-		t.Fatalf("TotalPages = %d", tr.TotalPages())
-	}
-	if tr.Pool() != pool {
-		t.Fatal("tracker must expose the store's pool")
-	}
-
-	var nilTracker *Tracker
-	nilTracker.TouchAdjacency(0, nil)
-	nilTracker.ResetStats()
-	nilTracker.SetEvictionHandler(func(PageID) {})
-	if s := nilTracker.Stats(); s != (Stats{}) {
-		t.Fatalf("nil tracker stats = %+v", s)
-	}
-	if nilTracker.TotalPages() != 0 || nilTracker.Pool() != nil {
-		t.Fatal("nil tracker should report zeros")
-	}
-}
-
-// TestTrackerEvictionFeedback: an adjacency touch that displaces a block
-// page must tell the store, which owns the frame behind it.
-func TestTrackerEvictionFeedback(t *testing.T) {
-	pool := NewPool(1, 1)
-	tr := NewStoreTracker(1, []int{4}, pool)
-	var evicted []PageID
-	tr.SetEvictionHandler(func(id PageID) { evicted = append(evicted, id) })
-	pool.Touch(0, nil)
-	tr.TouchAdjacency(0, nil)
-	if len(evicted) != 1 || evicted[0] != 0 {
-		t.Fatalf("evicted = %v, want block page 0", evicted)
-	}
-}
-
 func TestPoolShardingAndCapacity(t *testing.T) {
 	p := NewPool(100, 8)
 	if p.NumShards() != 8 {
@@ -291,28 +167,12 @@ func TestPoolConcurrentTouches(t *testing.T) {
 	}
 }
 
-func TestTrackerConcurrentTouches(t *testing.T) {
-	const blockPages = 782 // two 100000-block runs of 16B entries
-	pool := NewPool(80, DefaultPoolShards)
-	tr := NewStoreTracker(blockPages, []int{100, 100}, pool)
-	var wg sync.WaitGroup
-	counters := make([]Stats, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				pool.Touch(PageID((w%2)*391+i%4), &counters[w]) // the store's block touch
-				tr.TouchAdjacency(w%2, &counters[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	var sum int64
-	for w := range counters {
-		sum += counters[w].Accesses()
-	}
-	if got := tr.Stats().Accesses(); got != sum {
-		t.Fatalf("aggregate %d != per-query sum %d", got, sum)
+// TestNilPoolCountsNothing: an in-RAM index has no pool, and its nil *Pool
+// reports zero counters and ignores a reset.
+func TestNilPoolCountsNothing(t *testing.T) {
+	var p *Pool
+	p.ResetStats()
+	if s := p.Stats(); s != (Stats{}) {
+		t.Fatalf("nil pool stats = %+v", s)
 	}
 }

@@ -10,19 +10,19 @@ import (
 )
 
 // INESpec is the "incremental network expansion" baseline of Papadias et
-// al.: Dijkstra from the query vertex over the disk-resident network,
-// collecting objects at settled vertices into a buffer of the k best,
-// halting once the expansion frontier passes the kth-best distance. Its cost
-// scales with the number of edges closer than the kth neighbor. It runs
-// under a caller-supplied query context (cancellation + I/O attribution; nil
-// = a fresh one) and Spec. The expansion truncates at Spec.MaxDist; Epsilon
+// al.: Dijkstra from the query vertex over the network, collecting objects
+// at settled vertices into a buffer of the k best, halting once the
+// expansion frontier passes the kth-best distance. Its cost scales with the
+// number of edges closer than the kth neighbor. The network is resident,
+// so the expansion charges no page: its I/O is not measured (DESIGN.md §5).
+// It runs under a caller-supplied query context (cancellation; nil = a
+// fresh one) and Spec. The expansion truncates at Spec.MaxDist; Epsilon
 // is ignored (the baseline is exact, which satisfies every ε).
 func INESpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
 	clock := beginQueryWith(ix, qc)
 	sc := scratchFor(clock.qc)
 	k := spec.K
 	g := ix.Network()
-	tracker := ix.Tracker()
 	stats := Stats{Algorithm: "INE", K: k}
 	var cancelErr error
 
@@ -47,7 +47,6 @@ func INESpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.V
 			for _, id := range objs.AtVertex(v) {
 				sc.keep(k, objs.resultAt(id), d)
 			}
-			tracker.TouchAdjacency(int(v), &clock.qc.IO)
 		}
 		stats.Settled, stats.Relaxed, stats.MaxQueue = sr.Settled, sr.Relaxed, sr.MaxQueue
 	}
@@ -59,17 +58,16 @@ func INESpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.V
 // network distance is computed with a point-to-point Dijkstra (as in the
 // paper); the stream stops once the next Euclidean distance exceeds the
 // kth-best network distance, which is sound because network distance
-// dominates Euclidean distance. It runs under a caller-supplied query
-// context (cancellation + I/O attribution; nil = a fresh one) and Spec;
-// candidates beyond Spec.MaxDist, and candidates the search never reaches,
-// are discarded, and the Euclidean stream stops at the bound. Epsilon is
-// ignored (the baseline is exact).
+// dominates Euclidean distance. Like INE it charges no page. It runs under
+// a caller-supplied query context (cancellation; nil = a fresh one) and
+// Spec; candidates beyond Spec.MaxDist, and candidates the search never
+// reaches, are discarded, and the Euclidean stream stops at the bound.
+// Epsilon is ignored (the baseline is exact).
 func IERSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.VertexID, spec Spec) Result {
 	clock := beginQueryWith(ix, qc)
 	sc := scratchFor(clock.qc)
 	k := spec.K
 	g := ix.Network()
-	tracker := ix.Tracker()
 	stats := Stats{Algorithm: "IER", K: k}
 	var cancelErr error
 
@@ -91,9 +89,7 @@ func IERSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.V
 			if sc.best.Len() == k && eucl >= sc.best.TopKey() {
 				break
 			}
-			// The candidate's network distance: a point-to-point search on
-			// the paged network, charging each settled vertex's adjacency
-			// page to the query but the target's, whose arcs it never reads.
+			// The candidate's network distance: a point-to-point search.
 			d := 0.0
 			if o.Vertex != q {
 				d = inf
@@ -110,7 +106,6 @@ func IERSpec(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q graph.V
 						d = dv
 						break
 					}
-					tracker.TouchAdjacency(int(v), &clock.qc.IO)
 				}
 				stats.Settled += sr.Settled
 				stats.Relaxed += sr.Relaxed

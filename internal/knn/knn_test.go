@@ -468,8 +468,10 @@ func TestIOStatsOnPagedIndex(t *testing.T) {
 
 	for _, algo := range allAlgorithms() {
 		res := algo.run(h, objs, q, 5)
-		if res.Stats.IO.Accesses() == 0 {
-			t.Fatalf("%s: no IO recorded on disk-resident index", algo.name)
+		// The baselines expand the resident network and charge no page;
+		// every SILC variant reads the index's block pages.
+		if baseline := algo.name == "INE" || algo.name == "IER"; (res.Stats.IO.Accesses() == 0) != baseline {
+			t.Fatalf("%s: %d page accesses on a disk-resident index", algo.name, res.Stats.IO.Accesses())
 		}
 		if res.Stats.CPU <= 0 {
 			t.Fatalf("%s: bad times %+v", algo.name, res.Stats)

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -135,7 +134,7 @@ func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	offs, sizes, bases := l.offs, l.sizes, l.bases
 	fileSize := l.fileSize
 
-	cw := &countingWriter{w: bufio.NewWriter(w)}
+	cw := store.NewCountingWriter(w)
 	le := binary.LittleEndian
 
 	head := make([]byte, shardedPagedSuperblockSize)
@@ -151,10 +150,10 @@ func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	le.PutUint64(head[52:60], uint64(fileSize))
 	le.PutUint32(head[60:64], crc32.ChecksumIEEE(head[:60]))
 	if _, err := cw.Write(head); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 	if _, err := cw.Write(store.EncodeNetworkSection(g)); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 
 	meta := make([]byte, metaSize)
@@ -179,7 +178,7 @@ func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	mb = mb[nb*nb*4:]
 	le.PutUint32(mb, crc32.ChecksumIEEE(meta[:metaSize-4]))
 	if _, err := cw.Write(meta); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 
 	tab := make([]byte, cellTabSize)
@@ -190,49 +189,28 @@ func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	}
 	le.PutUint32(tab[p*24:], crc32.ChecksumIEEE(tab[:p*24]))
 	if _, err := cw.Write(tab); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
 
 	for c := range s.cells {
-		if err := padTo(cw, offs[c]); err != nil {
-			return cw.n, err
+		if err := cw.PadTo(offs[c]); err != nil {
+			return cw.N, err
 		}
 		written, err := l.plans[c].WriteTo(cw)
 		if err != nil {
-			return cw.n, err
+			return cw.N, err
 		}
 		if written != sizes[c] {
-			return cw.n, fmt.Errorf("partition: cell %d image wrote %d bytes, predicted %d (format drift)", c, written, sizes[c])
+			return cw.N, fmt.Errorf("partition: cell %d image wrote %d bytes, predicted %d (format drift)", c, written, sizes[c])
 		}
 	}
-	if err := padTo(cw, fileSize); err != nil {
-		return cw.n, err
+	if err := cw.PadTo(fileSize); err != nil {
+		return cw.N, err
 	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		return cw.n, err
+	if err := cw.Flush(); err != nil {
+		return cw.N, err
 	}
-	return cw.n, nil
-}
-
-// countingWriter tracks the file offset WritePaged has reached, which
-// padTo aligns to the planned section boundaries.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func padTo(cw *countingWriter, off int64) error {
-	if cw.n > off {
-		return fmt.Errorf("partition: overran section boundary %d (at %d)", off, cw.n)
-	}
-	_, err := cw.Write(make([]byte, off-cw.n))
-	return err
+	return cw.N, nil
 }
 
 // OpenPaged opens a sharded paged file: partition metadata and the global
@@ -247,7 +225,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 	le := binary.LittleEndian
 	g, asn := meta.g, meta.asn
-	p, n := asn.P, g.NumVertices()
+	p := asn.P
 	cellTabOff, fileSize := meta.cellTabOff, meta.fileSize
 
 	tab := make([]byte, int64(p)*24+4)
@@ -258,12 +236,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		return nil, fmt.Errorf("partition: cell table checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
 
-	// One pool for the whole database: block pages of every cell plus the
-	// adjacency pages of the global network.
-	degrees := make([]int, n)
-	for v := 0; v < n; v++ {
-		degrees[v] = g.Degree(graph.VertexID(v))
-	}
 	offs := make([]int64, p)
 	sizes := make([]int64, p)
 	bases := make([]int64, p)
@@ -277,8 +249,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 
 	// First open every cell store (page counts come from the images), then
-	// size the shared pool.
-	adjPages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
+	// size the one pool they share over all their block pages.
 	pager := store.NewPager(nil) // pool installed below, before any touch
 	cells := make([]*cell, p)
 	stores := make([]*store.Store, p)
@@ -309,20 +280,18 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 	capacity := opt.poolPages
 	if capacity <= 0 {
-		if capacity, err = store.PoolPages(totalBlockPages+adjPages, opt.CacheFraction); err != nil {
+		if capacity, err = store.PoolPages(totalBlockPages, opt.CacheFraction); err != nil {
 			return nil, err
 		}
 	}
 	pager.SetPool(diskio.NewPool(capacity, diskio.DefaultPoolShards))
-	tracker := diskio.NewStoreTracker(totalBlockPages, degrees, pager.Pool())
-	tracker.SetEvictionHandler(pager.Evict)
 	for c := 0; c < p; c++ {
 		st := stores[c]
 		total, minB, maxB := st.BlockStats()
 		cells[c].ix = core.NewPagedIndex(core.PagedConfig{
 			Graph:   cells[c].sub,
 			Source:  st,
-			Tracker: tracker,
+			Tracker: pager.Pool(),
 			Radius:  st.Radius(),
 			Lenient: st.Lenient(),
 			Stats: core.BuildStats{
@@ -337,7 +306,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 
 	s := meta.sharded()
-	s.cells, s.tracker, s.pager = cells, tracker, pager
+	s.cells, s.pager = cells, pager
 	s.bindCells()
 	s.stats = s.computeStats()
 	return s, nil

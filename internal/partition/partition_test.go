@@ -114,7 +114,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if io := s.Tracker().Stats(); io.Accesses() == 0 {
+	if io := s.Pool().Stats(); io.Accesses() == 0 {
 		t.Fatal("disk-resident sharded index recorded no page traffic")
 	}
 }

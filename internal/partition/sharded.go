@@ -86,7 +86,6 @@ type Sharded struct {
 	remote        []RemoteCellIndex
 	cl            *Closure
 	selfContained []bool
-	tracker       *diskio.Tracker
 	// pager is set by OpenPaged: the shared real-page pool behind every
 	// cell store, reporting actual read counters.
 	pager *store.Pager
@@ -222,8 +221,14 @@ func (s *Sharded) computeStats() Stats {
 // Network returns the full indexed network.
 func (s *Sharded) Network() *graph.Network { return s.g }
 
-// Tracker returns the shared paged-storage tracker, nil when memory-resident.
-func (s *Sharded) Tracker() *diskio.Tracker { return s.tracker }
+// Pool returns the buffer pool every cell store shares, nil when
+// memory-resident.
+func (s *Sharded) Pool() *diskio.Pool {
+	if s.pager == nil {
+		return nil
+	}
+	return s.pager.Pool()
+}
 
 // Stats returns the sharded build statistics.
 func (s *Sharded) Stats() Stats { return s.stats }

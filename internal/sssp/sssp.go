@@ -152,7 +152,7 @@ func searchTo(g *graph.Network, s, t, goal graph.VertexID) PointToPoint {
 // Next settles one vertex per call. The arcs of the vertex one call settles
 // are relaxed at the start of the following call, so a caller can stop at a
 // vertex (the target, a distance bound) without reading its arcs, and can do
-// its own per-vertex work (collect objects, charge an adjacency page) before
+// its own per-vertex work (collect the objects at it) before
 // they are read. Each improving relaxation records the vertex's predecessor,
 // so a settled vertex's Parent is final and the tree can be read off in
 // settle order. The marks are epoch-stamped, so Start re-arms a reused

@@ -14,7 +14,7 @@ const RestartEvery = restartEvery
 // EvictVertex routes an eviction of v's first page through the pager, the
 // way the pool reports one.
 func (s *Store) EvictVertex(v graph.VertexID) {
-	if first, _, ok := s.layout.OwnerPages(int(v)); ok {
+	if first, _, ok := s.runPages(v); ok {
 		s.pager.Evict(s.pageBase + first)
 	}
 }
@@ -66,7 +66,7 @@ type RunLayout struct {
 
 // Layout returns the layout of v's run, read straight from the image.
 func (s *Store) Layout(v graph.VertexID) (RunLayout, error) {
-	lo, hi := s.layout.EntryRange(int(v))
+	lo, hi := s.runOffs[v], s.runOffs[v+1]
 	l := RunLayout{Lo: lo, BlockOffset: s.sb.blockOff, PageSize: s.sb.pageSize}
 	count := int(s.counts[v])
 	if count == 0 {

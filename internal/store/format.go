@@ -34,14 +34,13 @@ import (
 	"io"
 	"math"
 
-	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
 )
 
 // PageSize is the on-disk page size the writer emits. Readers accept any
 // sane recorded page size; the pool's page math adapts.
-const PageSize = diskio.DefaultPageSize
+const PageSize = 4096
 
 // The magics of a monolithic image and of a sharded file, the only names
 // of the formats: every other package asks Sniff or writes ShardedMagic.
@@ -321,16 +320,18 @@ func encodeExtentSection(counts, byteLens []uint32) []byte {
 // vertex, so no vertex can own n or more blocks; each run length must be
 // able to hold its blocks, and the columns must sum to the superblock's
 // totals — a corrupt table cannot make a run claim more bytes than the
-// section holds or fewer than its blocks need.
-func decodeExtentSection(buf []byte, n int, totalBlocks, blockBytes int64) (counts []uint32, lens []int, err error) {
+// section holds or fewer than its blocks need. It returns the counts and
+// the runs' offsets: run v holds bytes [runOffs[v], runOffs[v+1]) of the
+// block section.
+func decodeExtentSection(buf []byte, n int, totalBlocks, blockBytes int64) (counts []uint32, runOffs []int64, err error) {
 	le := binary.LittleEndian
 	payload := buf[:len(buf)-4]
 	if stored, computed := le.Uint32(buf[len(payload):]), crc32.ChecksumIEEE(payload); stored != computed {
 		return nil, nil, fmt.Errorf("store: extent section checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
 	counts = make([]uint32, n)
-	lens = make([]int, n)
-	var total, totalBytes int64
+	runOffs = make([]int64, n+1)
+	var total int64
 	for v := range counts {
 		counts[v] = le.Uint32(payload[v*4:])
 		if counts[v] >= uint32(n) {
@@ -340,17 +341,16 @@ func decodeExtentSection(buf []byte, n int, totalBlocks, blockBytes int64) (coun
 		if err := checkRunLength(int64(counts[v]), runLen); err != nil {
 			return nil, nil, fmt.Errorf("store: vertex %d: %w", v, err)
 		}
-		lens[v] = int(runLen)
+		runOffs[v+1] = runOffs[v] + runLen
 		total += int64(counts[v])
-		totalBytes += runLen
 	}
 	if total != totalBlocks {
 		return nil, nil, fmt.Errorf("store: extent counts sum to %d blocks, superblock records %d", total, totalBlocks)
 	}
-	if totalBytes != blockBytes {
+	if totalBytes := runOffs[n]; totalBytes != blockBytes {
 		return nil, nil, fmt.Errorf("store: extent run lengths sum to %d bytes, superblock records %d", totalBytes, blockBytes)
 	}
-	return counts, lens, nil
+	return counts, runOffs, nil
 }
 
 // readSection reads exactly [off, off+size) from ra.

@@ -20,15 +20,14 @@ import (
 // OpenOptions configures Open.
 type OpenOptions struct {
 	// CacheFraction sizes the private buffer pool as a fraction of the
-	// image's total pages (block pages + adjacency pages), through
-	// PoolPages: default 0.05, the paper's setting; at 1 or above the pool
-	// holds the whole image.
+	// image's block pages, through PoolPages: default 0.05, the paper's
+	// setting; at 1 or above the pool holds the whole image.
 	CacheFraction float64
 	// Pager shares an externally owned pool across several stores — the
 	// sharded open gives every cell store the same Pager so the cache
 	// fraction stays a property of the whole database. When set, PageBase
 	// is this store's first block-page id in the shared namespace and no
-	// private pool or tracker is created.
+	// private pool is created.
 	Pager    *Pager
 	PageBase diskio.PageID
 
@@ -38,10 +37,10 @@ type OpenOptions struct {
 }
 
 // PoolPages is the pool-sizing policy of an opened image: fraction of its
-// totalPages (block pages plus adjacency pages), where 0 means the paper's
-// 5% and a fraction of 1 or more holds every page. NaN, ±Inf and negative
+// blockPages, the pages a query can read, where 0 means the paper's 5% and
+// a fraction of 1 or more holds every page. NaN, ±Inf and negative
 // fractions are rejected.
-func PoolPages(totalPages int64, fraction float64) (int, error) {
+func PoolPages(blockPages int64, fraction float64) (int, error) {
 	switch {
 	case math.IsNaN(fraction) || math.IsInf(fraction, 0) || fraction < 0:
 		return 0, fmt.Errorf("store: cache fraction %v: want a finite fraction >= 0", fraction)
@@ -50,7 +49,7 @@ func PoolPages(totalPages int64, fraction float64) (int, error) {
 	case fraction > 1:
 		fraction = 1
 	}
-	return int(float64(totalPages) * fraction), nil
+	return int(float64(blockPages) * fraction), nil
 }
 
 // Pager owns one shared buffer pool and routes eviction feedback to the
@@ -116,8 +115,7 @@ func (pg *Pager) giveFrame(b []byte) {
 	pg.freeMu.Unlock()
 }
 
-// Evict routes one evicted page id to the store owning it. Ids outside
-// every store's block range (adjacency pages) need no release.
+// Evict routes one evicted page id to the store owning it.
 func (pg *Pager) Evict(id diskio.PageID) {
 	for _, s := range pg.stores {
 		if id >= s.pageBase && id < s.pageBase+diskio.PageID(s.sb.blockPages) {
@@ -186,11 +184,10 @@ type Store struct {
 	sb       *superblock
 	g        *graph.Network
 	counts   []uint32
-	layout   *diskio.Layout
+	runOffs  []int64 // run v is bytes [runOffs[v], runOffs[v+1]) of the block section
 	pageCRCs []uint32
 	pageBase diskio.PageID
 	pager    *Pager
-	tracker  *diskio.Tracker // private-pool opens only; nil under a shared Pager
 
 	mu     sync.RWMutex
 	frames map[diskio.PageID][]byte // resident raw page bytes, keyed by local page
@@ -248,7 +245,7 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading extent section: %w", err)
 	}
-	counts, lens, err := decodeExtentSection(extBuf, sb.n, sb.totalBlocks, sb.blockBytes)
+	counts, runOffs, err := decodeExtentSection(extBuf, sb.n, sb.totalBlocks, sb.blockBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -263,17 +260,12 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	for i := range pageCRCs {
 		pageCRCs[i] = leU32(tabBuf[i*4:])
 	}
-	// The page layout maps each vertex's run to its pages, in bytes. The run
-	// lengths sum to the block section's byte count, so the layout spans
-	// exactly its blockPages.
-	layout := diskio.NewLayout(lens, 1, sb.pageSize)
-
 	s := &Store{
 		ra:       ra,
 		sb:       sb,
 		g:        g,
 		counts:   counts,
-		layout:   layout,
+		runOffs:  runOffs,
 		pageCRCs: pageCRCs,
 		frames:   make(map[diskio.PageID][]byte),
 	}
@@ -281,21 +273,13 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		s.pager = opts.Pager
 		s.pageBase = opts.PageBase
 	} else {
-		degrees := make([]int, sb.n)
-		for v := 0; v < sb.n; v++ {
-			degrees[v] = g.Degree(graph.VertexID(v))
-		}
-		adjPages := diskio.NewLayout(degrees, diskio.AdjacencyEntrySize, diskio.DefaultPageSize).TotalPages()
 		capacity := opts.poolPages
 		if capacity <= 0 {
-			if capacity, err = PoolPages(sb.blockPages+adjPages, opts.CacheFraction); err != nil {
+			if capacity, err = PoolPages(sb.blockPages, opts.CacheFraction); err != nil {
 				return nil, err
 			}
 		}
-		pool := diskio.NewPool(capacity, diskio.DefaultPoolShards)
-		s.pager = NewPager(pool)
-		s.tracker = diskio.NewStoreTracker(sb.blockPages, degrees, pool)
-		s.tracker.SetEvictionHandler(s.pager.Evict)
+		s.pager = NewPager(diskio.NewPool(capacity, diskio.DefaultPoolShards))
 	}
 	s.pager.stores = append(s.pager.stores, s)
 	return s, nil
@@ -353,9 +337,10 @@ func (s *Store) Source() string {
 	return "readat"
 }
 
-// Tracker returns the store's private tracker (nil when the store shares a
-// Pager owned by someone else).
-func (s *Store) Tracker() *diskio.Tracker { return s.tracker }
+// Tracker returns the buffer pool the store charges, its own or its
+// Pager's shared one. It would be named Pool; it keeps its old name only
+// because the benchmark module calls it (ROADMAP 1(i)).
+func (s *Store) Tracker() *diskio.Pool { return s.pager.pool }
 
 // Pager returns the pager routing this store's evictions.
 func (s *Store) Pager() *Pager { return s.pager }
@@ -449,7 +434,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 // still holds v's decoded tree does instead of decoding it again, so that
 // pool recency, hits, misses and reads are the same either way.
 func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
-	first, last, ok := s.layout.OwnerPages(int(v))
+	first, last, ok := s.runPages(v)
 	for p := first; ok && p <= last; p++ {
 		if err := s.touch(p, ioStats, nil, 0); err != nil {
 			return err
@@ -503,9 +488,19 @@ type runReader struct {
 	fillErr error // the error of the page fill that failed, if one did
 }
 
+// runPages returns the range [first, last] of local pages v's run spans;
+// ok is false when v has no blocks.
+func (s *Store) runPages(v graph.VertexID) (first, last diskio.PageID, ok bool) {
+	lo, hi, ps := s.runOffs[v], s.runOffs[v+1], int64(s.sb.pageSize)
+	if lo == hi {
+		return 0, 0, false
+	}
+	return diskio.PageID(lo / ps), diskio.PageID((hi - 1) / ps), true
+}
+
 // reader returns the runReader of v's run.
 func (s *Store) reader(ioStats *diskio.Stats, v graph.VertexID) runReader {
-	lo, hi := s.layout.EntryRange(int(v))
+	lo, hi := s.runOffs[v], s.runOffs[v+1]
 	sc := loadPool.Get().(*loadScratch)
 	sc.run = slices.Grow(sc.run[:0], int(hi-lo))[:hi-lo]
 	return runReader{s: s, ioStats: ioStats, run: sc.run, sc: sc, lo: lo, ps: int64(s.sb.pageSize)}

@@ -133,7 +133,7 @@ func TestEvictionBoundsResidency(t *testing.T) {
 			}
 		}
 	}
-	pool := st.Tracker().Pool()
+	pool := st.Pager().Pool()
 	if pool.Len() > capacity {
 		t.Fatalf("pool holds %d pages, capacity %d", pool.Len(), capacity)
 	}

@@ -108,14 +108,14 @@ func (p *ImagePlan) Info() ImageInfo {
 // byte count, which always equals ImageSize on success.
 func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	sb := p.sb
-	cw := &countingWriter{w: bufio.NewWriter(w)}
+	cw := NewCountingWriter(w)
 	for _, section := range [][]byte{sb.encode(), EncodeNetworkSection(p.src.Graph), encodeExtentSection(p.counts, p.byteLens)} {
 		if _, err := cw.Write(section); err != nil {
-			return cw.n, err
+			return cw.N, err
 		}
 	}
-	if err := padTo(cw, sb.blockOff); err != nil {
-		return cw.n, err
+	if err := cw.PadTo(sb.blockOff); err != nil {
+		return cw.N, err
 	}
 
 	// The block section page by page, collecting the trailing page CRC
@@ -127,20 +127,20 @@ func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 		clear(page[copy(page, p.blocks[at:]):])
 		tab = le.AppendUint32(tab, crc32.ChecksumIEEE(page))
 		if _, err := cw.Write(page); err != nil {
-			return cw.n, err
+			return cw.N, err
 		}
 	}
 	tab = le.AppendUint32(tab, crc32.ChecksumIEEE(tab))
 	if _, err := cw.Write(tab); err != nil {
-		return cw.n, err
+		return cw.N, err
 	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		return cw.n, err
+	if err := cw.Flush(); err != nil {
+		return cw.N, err
 	}
-	if cw.n != sb.imageSize {
-		return cw.n, fmt.Errorf("store: wrote %d bytes, layout predicts %d (format drift)", cw.n, sb.imageSize)
+	if cw.N != sb.imageSize {
+		return cw.N, fmt.Errorf("store: wrote %d bytes, layout predicts %d (format drift)", cw.N, sb.imageSize)
 	}
-	return cw.n, nil
+	return cw.N, nil
 }
 
 // ImageSize is the size of an image of n vertices, m edges and totalBlocks
@@ -152,22 +152,33 @@ func ImageSize(n, m int, totalBlocks int64) int64 {
 	return Align(92+NetworkSectionSize(n, m)+4*int64(n)+4, PageSize) + blockPages*(PageSize+4) + 4
 }
 
-func padTo(cw *countingWriter, off int64) error {
-	if cw.n > off {
-		return fmt.Errorf("store: overran section boundary %d (at %d)", off, cw.n)
+// CountingWriter buffers what an image writer emits and counts the bytes
+// written, N: the file offset the writer has reached, which PadTo aligns
+// to a planned section boundary. Flush before the count is final on disk.
+type CountingWriter struct {
+	w *bufio.Writer
+	N int64
+}
+
+// NewCountingWriter returns a CountingWriter over a buffered w.
+func NewCountingWriter(w io.Writer) *CountingWriter {
+	return &CountingWriter{w: bufio.NewWriter(w)}
+}
+
+func (c *CountingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.N += int64(n)
+	return n, err
+}
+
+// PadTo writes zeros up to offset off, which must not lie behind N.
+func (c *CountingWriter) PadTo(off int64) error {
+	if c.N > off {
+		return fmt.Errorf("store: overran section boundary %d (at %d)", off, c.N)
 	}
-	pad := make([]byte, off-cw.n)
-	_, err := cw.Write(pad)
+	_, err := c.Write(make([]byte, off-c.N))
 	return err
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+// Flush writes the buffered bytes to the underlying writer.
+func (c *CountingWriter) Flush() error { return c.w.Flush() }

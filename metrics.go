@@ -108,23 +108,23 @@ func newEngineObs(e *Engine) *engineObs {
 	m.gatewayRoutes = r.Counter("silc_partition_gateway_routes_total", "",
 		"Candidate gateway routes raced by cross-cell refiners.")
 
-	// Pool-wide diskio families read the tracker/pager aggregates at
+	// Pool-wide diskio families read the pool/pager aggregates at
 	// scrape time — they cover untracked traffic too, so comparing them
 	// with the query-attributed silc_engine_* counters above exposes
 	// non-query pool pressure.
 	r.CounterFunc("silc_diskio_pool_hits_total", "",
 		"Pool-wide buffer-pool hits (all traffic, query-attributed or not).",
-		func() float64 { return float64(e.qx.Tracker().Stats().Hits) })
+		func() float64 { return float64(e.qx.Pool().Stats().Hits) })
 	r.CounterFunc("silc_diskio_pool_misses_total", "",
 		"Pool-wide buffer-pool misses.",
-		func() float64 { return float64(e.qx.Tracker().Stats().Misses) })
+		func() float64 { return float64(e.qx.Pool().Stats().Misses) })
 	r.CounterFunc("silc_diskio_pool_evictions_total", "",
 		"Pool-wide buffer-pool evictions.",
-		func() float64 { return float64(e.qx.Tracker().Stats().Evictions) })
+		func() float64 { return float64(e.qx.Pool().Stats().Evictions) })
 	r.GaugeFunc("silc_diskio_pool_resident_pages", "",
 		"Pages currently resident in the buffer pool.",
 		func() float64 {
-			if p := e.qx.Tracker().Pool(); p != nil {
+			if p := e.qx.Pool(); p != nil {
 				return float64(p.Len())
 			}
 			return 0
@@ -132,7 +132,7 @@ func newEngineObs(e *Engine) *engineObs {
 	r.GaugeFunc("silc_diskio_pool_capacity_pages", "",
 		"Buffer-pool page capacity.",
 		func() float64 {
-			if p := e.qx.Tracker().Pool(); p != nil {
+			if p := e.qx.Pool(); p != nil {
 				return float64(p.Capacity())
 			}
 			return 0
@@ -146,7 +146,7 @@ func newEngineObs(e *Engine) *engineObs {
 // (labelled by page source). Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
-	if pool := e.qx.Tracker().Pool(); pool != nil {
+	if pool := e.qx.Pool(); pool != nil {
 		for i := 0; i < pool.NumShards(); i++ {
 			i := i
 			label := `shard="` + itoa(i) + `"`

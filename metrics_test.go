@@ -43,14 +43,14 @@ func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 // often its run was read before.
 func TestMetricsColdScanCounts(t *testing.T) {
 	eng, objs := pagedTestEngine(t)
-	tracker := eng.qx.Tracker()
+	pool := eng.qx.Pool()
 	m := eng.obs
 
 	var total QueryStats
 	var decodedPerPass [2]int64
 	const queries = 40
 	for pass := range decodedPerPass {
-		base := tracker.Stats()
+		base := pool.Stats()
 		baseReads := eng.pager.ReadStats()
 		var sum QueryStats
 		for q := 0; q < queries; q++ {
@@ -74,7 +74,7 @@ func TestMetricsColdScanCounts(t *testing.T) {
 
 		// Per-query sums == pool-wide deltas (the statsum invariant surfaced
 		// through the engine).
-		agg := tracker.Stats()
+		agg := pool.Stats()
 		if got := agg.Hits - base.Hits; got != sum.PageHits {
 			t.Errorf("pass %d: pool hits delta %d != per-query sum %d", pass, got, sum.PageHits)
 		}
@@ -182,7 +182,7 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 		t.Errorf("IOStats reads %d (all cell stores) != per-query sum %d", io.PageReads, sum.PageReads)
 	}
 
-	// ResetIOStats zeroes tracker and every cell store's read counters.
+	// ResetIOStats zeroes the pool and every cell store's read counters.
 	eng.ResetIOStats()
 	if after := eng.IOStats(); after.PageHits != 0 || after.PageMisses != 0 || after.PageReads != 0 {
 		t.Errorf("ResetIOStats left counters: %+v", after)
@@ -194,7 +194,7 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 }
 
 // TestIndexResetIOStatsCoversPager is the regression test for the old
-// Index.ResetIOStats inconsistency: it used to reset only the tracker,
+// Index.ResetIOStats inconsistency: it used to reset only the pool counters,
 // leaving the pager's read counters running.
 func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	net, err := GenerateGrid(8, 8)
@@ -226,7 +226,56 @@ func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	}
 	eng.ResetIOStats()
 	if after := eng.IOStats(); after.PageReads != 0 || after.PageMisses != 0 {
-		t.Fatalf("Index.ResetIOStats left pager/tracker counters: %+v", after)
+		t.Fatalf("Index.ResetIOStats left pager/pool counters: %+v", after)
+	}
+}
+
+// TestBaselinesLeaveThePoolAlone: INE and IER expand the resident network
+// and read no page, so on a warm 5%-pool engine they report no page
+// traffic, move none of the pool's counters, and evict no real frame — a
+// repeated kNN query after them reads exactly the pages it reads when
+// repeated on a twin engine that never ran them.
+func TestBaselinesLeaveThePoolAlone(t *testing.T) {
+	ctx := context.Background()
+	eng, objs := pagedTestEngine(t)
+	twin, _ := pagedTestEngine(t)
+	n := eng.Network().NumVertices()
+	const probe = 100
+	knn := func(e *Engine, q int) QueryStats {
+		t.Helper()
+		res, err := e.Query(ctx, objs, VertexID(q), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	for _, e := range []*Engine{eng, twin} {
+		for q := 0; q < n; q += 7 {
+			knn(e, q)
+		}
+		knn(e, probe)
+	}
+	before := eng.IOStats()
+	if before.PageMisses == 0 {
+		t.Fatal("the warm-up read no page; the test is vacuous")
+	}
+	for q := 3; q < n; q += 11 {
+		for _, m := range []Method{MethodINE, MethodIER} {
+			res, err := eng.Query(ctx, objs, VertexID(q), 20, WithMethod(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := res.Stats; s.PageMisses != 0 || s.PageHits != 0 || s.PageReads != 0 {
+				t.Fatalf("%s at %d charged pages: %d hits, %d misses, %d reads", s.Method, q, s.PageHits, s.PageMisses, s.PageReads)
+			}
+		}
+	}
+	if after := eng.IOStats(); after.PageHits != before.PageHits || after.PageMisses != before.PageMisses || after.PageReads != before.PageReads {
+		t.Fatalf("the baselines moved the pool: %+v before, %+v after", before, after)
+	}
+	if got, want := knn(eng, probe), knn(twin, probe); got.PageReads != want.PageReads || got.PageHits != want.PageHits {
+		t.Fatalf("kNN at %d repeated after the baselines: %d reads, %d hits; repeated on the twin that never ran them: %d and %d",
+			probe, got.PageReads, got.PageHits, want.PageReads, want.PageHits)
 	}
 }
 
