@@ -132,7 +132,7 @@ func main() {
 		}
 		iv := r.Interval()
 		fmt.Printf("step %2d: [%.6f, %.6f] width %.6f\n", 0, iv.Lo, iv.Hi, iv.Hi-iv.Lo)
-		for !r.Done() && !r.OutOfRange() {
+		for !r.Done() {
 			r.Step()
 			iv = r.Interval()
 			fmt.Printf("step %2d: [%.6f, %.6f] width %.6f", r.Steps(), iv.Lo, iv.Hi, iv.Hi-iv.Lo)

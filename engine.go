@@ -161,15 +161,6 @@ func (e *Engine) Stats() IndexStats {
 	}}
 }
 
-// Radius returns the proximity bound the index was built with (0 when
-// unbounded, and always on a partitioned engine).
-func (e *Engine) Radius() float64 {
-	if ix, ok := e.qx.(*core.Index); ok {
-		return ix.Radius()
-	}
-	return 0
-}
-
 // NumPartitions returns the cell count P (1 on a monolithic engine).
 func (e *Engine) NumPartitions() int {
 	if e.sharded == nil {
@@ -231,8 +222,7 @@ func (e *Engine) ResetIOStats() {
 }
 
 // Distance returns the network distance from u to v by progressive
-// refinement (+Inf when v is unreachable or beyond a proximity-bounded
-// index's radius): exact by default, and under WithEpsilon(ε) the lower
+// refinement: exact by default, and under WithEpsilon(ε) the lower
 // bound d of the first interval with δ⁺ ≤ (1+ε)·δ⁻, so that
 // d ≤ true ≤ (1+ε)·d. Cancelling ctx stops the refinement and returns
 // ctx's error. WithStats captures the query's execution statistics, a
@@ -341,10 +331,10 @@ func (e *Engine) IsCloser(ctx context.Context, u, a, b VertexID) (bool, error) {
 		if ib.Hi <= ia.Lo {
 			return false, nil
 		}
-		// Intervals collide: refine the wider one first; a stuck refiner
-		// (exact, or out of range) cedes to the other.
-		aStuck := ra.Done() || ra.OutOfRange()
-		bStuck := rb.Done() || rb.OutOfRange()
+		// Intervals collide: refine the wider one first; an exact refiner
+		// cedes to the other.
+		aStuck := ra.Done()
+		bStuck := rb.Done()
 		switch {
 		case aStuck && bStuck:
 			return ia.Lo < ib.Lo, nil

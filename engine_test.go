@@ -77,7 +77,7 @@ func TestEngineOneHandle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; !r.Done() && !r.OutOfRange(); i++ {
+				for i := 0; !r.Done(); i++ {
 					if i > n {
 						t.Fatalf("%s %s: refiner did not converge in %d steps", tag, kind, n)
 					}

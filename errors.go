@@ -33,9 +33,6 @@ var (
 	// ErrUnknownObject reports a live-store object id that does not exist
 	// (never inserted, removed, or expired).
 	ErrUnknownObject = errors.New("silc: unknown object id")
-	// ErrRadiusPartitioned reports a Build asked for both a partitioned
-	// index and a proximity radius; a partitioned build has no radius.
-	ErrRadiusPartitioned = errors.New("silc: a partitioned build takes no proximity radius")
 	// ErrBadMagic reports that what OpenEngine or OpenEngineAt was handed
 	// is not a paged index image. An image of the
 	// removed fixed-width format is rejected with it too; its message says

@@ -140,22 +140,3 @@ func TestQueryValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildRejectsPartitionedRadius checks the one build-option combination
-// Build refuses: a partitioned index has no proximity radius, so asking for
-// both is a typed error rather than silently unbounded cells. Either option
-// alone still builds.
-func TestBuildRejectsPartitionedRadius(t *testing.T) {
-	net, err := GenerateGrid(6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(net, BuildOptions{Partitions: 4, ProximityRadius: 0.3}); !errors.Is(err, ErrRadiusPartitioned) {
-		t.Fatalf("partitioned build with a radius: got %v, want ErrRadiusPartitioned", err)
-	}
-	for _, opts := range []BuildOptions{{Partitions: 4}, {Partitions: 1, ProximityRadius: 0.3}} {
-		if _, err := Build(net, opts); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-	}
-}

@@ -12,9 +12,9 @@ import (
 	"silc/internal/store"
 )
 
-// BuildOptions configures Build, OpenEngine and OpenEngineAt. Partitions,
-// Parallelism and ProximityRadius shape a build; CacheFraction applies only
-// when an image is opened, and a build ignores it.
+// BuildOptions configures Build, OpenEngine and OpenEngineAt. Partitions
+// and Parallelism shape a build; CacheFraction applies only when an image
+// is opened, and a build ignores it.
 type BuildOptions struct {
 	// Partitions is the spatial cell count P. At 0 or 1 Build makes one
 	// monolithic index. Above 1 each cell builds an independent SILC index
@@ -34,15 +34,6 @@ type BuildOptions struct {
 	// resident. NaN, infinite and negative fractions make the open fail.
 	// Open-time only: in-RAM indexes have no pool.
 	CacheFraction float64
-	// ProximityRadius, when positive, bounds each vertex's quadtree to the
-	// vertices within that network distance — the paper's location-based-
-	// services approximation. It cuts build time and storage sharply for
-	// local-search workloads; queries beyond the radius report Distance
-	// +Inf, ShortestPath nil, and the interval [radius, +Inf), and
-	// NearestNeighbors returns only in-range neighbors (possibly fewer
-	// than k). A partitioned build has no radius: combining the two is
-	// ErrRadiusPartitioned.
-	ProximityRadius float64
 }
 
 // BuildStats summarizes a completed index build.
@@ -80,17 +71,11 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 		return nil, ErrNilNetwork
 	}
 	if opts.Partitions <= 1 {
-		ix, err := core.Build(net.g, core.BuildOptions{
-			Parallelism:     opts.Parallelism,
-			ProximityRadius: opts.ProximityRadius,
-		})
+		ix, err := core.Build(net.g, core.BuildOptions{Parallelism: opts.Parallelism})
 		if err != nil {
 			return nil, err
 		}
 		return newEngine(net, ix, nil), nil
-	}
-	if opts.ProximityRadius > 0 {
-		return nil, fmt.Errorf("%w: Partitions=%d, ProximityRadius=%v", ErrRadiusPartitioned, opts.Partitions, opts.ProximityRadius)
 	}
 	sx, err := partition.Build(net.g, partition.Options{
 		Partitions:  opts.Partitions,
@@ -204,7 +189,6 @@ func pagedCore(st *store.Store) *core.Index {
 		Graph:   g,
 		Source:  st,
 		Tracker: st.Tracker(),
-		Radius:  st.Radius(),
 		Lenient: st.Lenient(),
 		Stats: core.BuildStats{
 			Vertices:    g.NumVertices(),
@@ -229,10 +213,9 @@ type Refiner struct {
 // Interval returns the current distance interval.
 func (r *Refiner) Interval() Interval { return r.r.Interval() }
 
-// Step refines once; it returns false when the interval is exact or the
-// destination is out of a proximity-bounded index's range.
+// Step refines once; it returns false when the interval is exact.
 func (r *Refiner) Step() bool {
-	if r.r.Done() || r.r.OutOfRange() {
+	if r.r.Done() {
 		return false
 	}
 	r.steps++
@@ -255,11 +238,6 @@ func (r *Refiner) Via() (v VertexID, exact float64, ok bool) {
 	v, exact = r.r.(*core.Refiner).Via()
 	return v, exact, true
 }
-
-// OutOfRange reports whether the destination lies beyond a
-// proximity-bounded index's radius; the interval is then [radius, +Inf) and
-// cannot improve.
-func (r *Refiner) OutOfRange() bool { return r.r.OutOfRange() }
 
 // IOStats reports the buffer-pool traffic of a disk-backed index (zeros for
 // in-RAM indexes, which have no pool).

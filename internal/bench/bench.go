@@ -102,8 +102,8 @@ func (e *Env) Cold() (core.QueryIndex, error) {
 	e.st = st
 	e.Ix = core.NewPagedIndex(core.PagedConfig{
 		Graph: e.G, Source: st, Tracker: st.Tracker(),
-		Radius: st.Radius(), Lenient: st.Lenient(),
-		Stats: e.stats,
+		Lenient: st.Lenient(),
+		Stats:   e.stats,
 	})
 	return e.Ix, nil
 }

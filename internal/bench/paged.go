@@ -71,7 +71,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 	defer st.Close()
 	px := core.NewPagedIndex(core.PagedConfig{
 		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Radius: st.Radius(), Lenient: st.Lenient(),
+		Lenient: st.Lenient(),
 	})
 
 	n := g.NumVertices()

@@ -228,18 +228,15 @@ type remoteRefiner struct {
 	u, v graph.VertexID
 	iv   core.Interval
 	done bool
-	oor  bool
 }
 
 func (r *remoteRefiner) Interval() core.Interval { return r.iv }
 func (r *remoteRefiner) Done() bool              { return r.done }
-func (r *remoteRefiner) OutOfRange() bool        { return r.oor }
 
 // settle adopts iv, done once it has collapsed or says unreachable.
 func (r *remoteRefiner) settle(iv core.Interval) {
 	r.iv = iv
-	r.oor = math.IsInf(iv.Lo, 1)
-	r.done = r.oor || iv.Lo >= iv.Hi
+	r.done = math.IsInf(iv.Lo, 1) || iv.Lo >= iv.Hi
 }
 
 // Step asks for the exact distance as a race with one zero-offset candidate:

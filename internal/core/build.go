@@ -15,8 +15,8 @@ import (
 
 // Build precomputes the SILC index for g. It returns an error if the network
 // is not strongly connected (every shortest-path quadtree must color every
-// vertex), unless a ProximityRadius bounds the build, in which case
-// unreachable vertices are simply out of range.
+// vertex), unless AllowUnreachable lets it color unreachable vertices out of
+// range.
 //
 // The per-source searches run in Morton-rank space (see rankGraph), so each
 // one writes its colors and distances in the order the quadtree builder
@@ -41,10 +41,6 @@ func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
 		codes[i] = g.Code(v)
 	}
 	qb := quadtree.NewBuilder(codes) // read-only after construction; shared
-	limit := math.Inf(1)
-	if opts.ProximityRadius > 0 {
-		limit = opts.ProximityRadius
-	}
 
 	trees := make([]quadtree.Tree, n)
 	errs := make([]error, workers)
@@ -65,7 +61,7 @@ func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
 					return
 				}
 				source := graph.VertexID(src)
-				if err := s.run(rg, g.MortonRank(source), limit, opts.AllowUnreachable); err != nil {
+				if err := s.run(rg, g.MortonRank(source), opts.AllowUnreachable); err != nil {
 					errs[w] = err
 					return
 				}
@@ -80,7 +76,7 @@ func Build(g *graph.Network, opts BuildOptions) (*Index, error) {
 		}
 	}
 
-	ix := &Index{g: g, trees: trees, radius: opts.ProximityRadius, lenient: opts.AllowUnreachable}
+	ix := &Index{g: g, trees: trees, lenient: opts.AllowUnreachable}
 	ix.stats = BuildStats{
 		Vertices:  n,
 		Edges:     g.NumEdges(),
@@ -160,9 +156,9 @@ func newSourceSearch(n int) *sourceSearch {
 // is strictly below every earlier key of the same vertex, so an entry
 // whose key exceeds its vertex's distance is stale. Colors follow the
 // strict < of the relaxation: among parallel arcs the first of minimum
-// weight wins. The search stops at the first pop beyond limit; everything
-// not settled by then is out of range.
-func (s *sourceSearch) run(rg *rankGraph, src int32, limit float64, lenient bool) error {
+// weight wins. A vertex the search never reaches is out of range when
+// lenient and an error otherwise.
+func (s *sourceSearch) run(rg *rankGraph, src int32, lenient bool) error {
 	inf := math.Inf(1)
 	dist, colors, arcs, off := s.dist, s.colors, rg.arcs, rg.off
 	for i := range dist {
@@ -180,9 +176,6 @@ func (s *sourceSearch) run(rg *rankGraph, src int32, limit float64, lenient bool
 	}
 	for h.Len() > 0 {
 		d, v := h.Pop()
-		if d > limit {
-			break
-		}
 		if d > dist[v] {
 			continue
 		}
@@ -201,7 +194,7 @@ func (s *sourceSearch) run(rg *rankGraph, src int32, limit float64, lenient bool
 		switch {
 		case int32(r) == src:
 			colors[r], s.ratios[r] = quadtree.NoColor, 0
-		case d > limit || (d == inf && lenient):
+		case d == inf && lenient:
 			colors[r], s.ratios[r] = quadtree.OutOfRange, 0
 		case d == inf:
 			return fmt.Errorf("core: vertex %d unreachable from %d; SILC requires a strongly connected network", rg.order[r], rg.order[src])

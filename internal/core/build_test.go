@@ -15,7 +15,7 @@ import (
 // referenceTree is the per-source loop Build ran before its rank-space
 // search: a vertex-space sssp.Workspace run, then colors from
 // NeighborIndex of each vertex's first hop, walked in Morton order.
-func referenceTree(g *graph.Network, qb *quadtree.Builder, ws *sssp.Workspace, source graph.VertexID, opts BuildOptions) *quadtree.Tree {
+func referenceTree(g *graph.Network, qb *quadtree.Builder, ws *sssp.Workspace, source graph.VertexID) *quadtree.Tree {
 	n := g.NumVertices()
 	colors, ratios := make([]int32, n), make([]float64, n)
 	tree := ws.Run(g, source)
@@ -23,7 +23,7 @@ func referenceTree(g *graph.Network, qb *quadtree.Builder, ws *sssp.Workspace, s
 		switch d := tree.Dist[v]; {
 		case v == source:
 			colors[i] = quadtree.NoColor
-		case opts.ProximityRadius > 0 && d > opts.ProximityRadius, math.IsInf(d, 1):
+		case math.IsInf(d, 1):
 			colors[i] = quadtree.OutOfRange
 		default:
 			colors[i] = int32(testkit.NeighborIndex(g, source, tree.FirstHop[v]))
@@ -77,9 +77,8 @@ func parallelEdgeLattice(t *testing.T) *graph.Network {
 
 // TestBuildMatchesDeletedLoop requires every tree of Build to equal the
 // tree the old vertex-space loop builds, on ties (lattices), a road map, a
-// non-planar random graph, parallel edges, one-way streets with
-// unreachable vertices, and proximity radii — one of them exactly a
-// distance that vertices sit at, so the cut-off's tie is covered.
+// non-planar random graph, parallel edges, and one-way streets with
+// unreachable vertices.
 func TestBuildMatchesDeletedLoop(t *testing.T) {
 	grid, err := graph.GenerateGrid(9, 9)
 	if err != nil {
@@ -90,8 +89,6 @@ func TestBuildMatchesDeletedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	road := roadNet(t, 16, 16, 2)
-	// A radius some vertices lie at exactly: grid distances from vertex 0.
-	tieRadius := sssp.Dijkstra(grid, 0).Dist[grid.NumVertices()/2]
 	for _, tc := range []struct {
 		name string
 		g    *graph.Network
@@ -102,8 +99,6 @@ func TestBuildMatchesDeletedLoop(t *testing.T) {
 		{"random60", random, BuildOptions{}},
 		{"parallel-edges", parallelEdgeLattice(t), BuildOptions{}},
 		{"one-way-lenient", oneWayLenient(t), BuildOptions{AllowUnreachable: true}},
-		{"road16/proximity", road, BuildOptions{ProximityRadius: 0.2}},
-		{"grid9/proximity-tie", grid, BuildOptions{ProximityRadius: tieRadius}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ix, err := Build(tc.g, tc.opts)
@@ -118,7 +113,7 @@ func TestBuildMatchesDeletedLoop(t *testing.T) {
 			qb := quadtree.NewBuilder(codes)
 			ws := sssp.NewWorkspace(n)
 			for s := 0; s < n; s++ {
-				want := referenceTree(tc.g, qb, ws, graph.VertexID(s), tc.opts)
+				want := referenceTree(tc.g, qb, ws, graph.VertexID(s))
 				got := &ix.trees[s]
 				if !reflect.DeepEqual(got.Blocks, want.Blocks) || got.MinLambda != want.MinLambda {
 					t.Fatalf("source %d: %d blocks (min λ %v), reference %d (min λ %v)",

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
@@ -18,14 +16,11 @@ type DistanceRefiner interface {
 	// network distance.
 	Interval() Interval
 	// Step refines once; it returns false when no further tightening is
-	// possible (exact, or out of range).
+	// possible.
 	Step() bool
-	// Done reports whether the interval is exact.
+	// Done reports whether the interval is exact. An unreachable
+	// destination (a lenient cell index) is done at [+Inf, +Inf].
 	Done() bool
-	// OutOfRange reports whether the destination is beyond reach (proximity
-	// bound, or unreachable on a lenient index); the interval then cannot
-	// improve.
-	OutOfRange() bool
 }
 
 // QueryIndex is the query-time surface the kNN algorithms (and every other
@@ -91,7 +86,7 @@ func (ix *Index) Refine(qc *QueryContext, src, dst graph.VertexID) DistanceRefin
 }
 
 // ExactDistance fully refines (src, dst) on any QueryIndex and returns the
-// exact network distance (+Inf when dst is out of range or unreachable).
+// exact network distance (+Inf when dst is unreachable).
 // When qc carries a cancelled context the loop stops early and the current
 // lower bound is returned; callers surfacing errors check qc.Err after.
 func ExactDistance(ix QueryIndex, qc *QueryContext, src, dst graph.VertexID) float64 {
@@ -116,9 +111,6 @@ func ApproxDistance(ix QueryIndex, qc *QueryContext, src, dst graph.VertexID, ep
 		if !r.Step() {
 			break
 		}
-	}
-	if r.OutOfRange() {
-		return math.Inf(1)
 	}
 	return r.Interval().Lo
 }

@@ -24,7 +24,6 @@ func (ix *Index) treeFor(v graph.VertexID) (*quadtree.Tree, error) {
 func (ix *Index) pagedSource(treeErr *error) store.Source {
 	return store.Source{
 		Graph:   ix.g,
-		Radius:  ix.radius,
 		Lenient: ix.lenient,
 		Tree: func(v graph.VertexID) *quadtree.Tree {
 			t, err := ix.treeFor(v)

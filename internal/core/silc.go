@@ -53,14 +53,6 @@ type BuildOptions struct {
 	// Parallelism is the number of concurrent build workers; 0 means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// ProximityRadius, when positive, bounds each shortest-path quadtree to
-	// the vertices within that network distance of its source — the paper's
-	// location-based-services approximation ("shortest-path quadtree on
-	// proximal vertices only"). Queries between vertices farther apart than
-	// the radius report the interval [radius, +Inf) and cannot be refined;
-	// Distance returns +Inf and Path returns nil for them. Proximity-bounded
-	// builds accept disconnected networks (unreachable = out of range).
-	ProximityRadius float64
 	// AllowUnreachable accepts networks that are not strongly connected:
 	// unreachable destinations are colored out-of-range instead of failing
 	// the build, and queries against them report the interval [+Inf, +Inf]
@@ -292,7 +284,6 @@ type Index struct {
 	// a pointer per tree
 	src     TreeSource
 	pool    *diskio.Pool // the paged store's; nil when memory-resident
-	radius  float64      // 0 = unbounded
 	lenient bool         // AllowUnreachable: misses mean unreachable, not corrupt
 	stats   BuildStats
 }
@@ -305,6 +296,8 @@ type PagedConfig struct {
 	// named Pool; it keeps its old name only because the benchmark module
 	// sets it (ROADMAP 1(i)).
 	Tracker *diskio.Pool
+	// Radius is ignored: the proximity-bounded build is gone. The field
+	// stays only because the benchmark module sets it (ROADMAP 1(i)).
 	Radius  float64
 	Lenient bool
 	// Compression is ignored: every image is delta-compressed. The field
@@ -322,7 +315,6 @@ func NewPagedIndex(cfg PagedConfig) *Index {
 		g:       cfg.Graph,
 		src:     cfg.Source,
 		pool:    cfg.Tracker,
-		radius:  cfg.Radius,
 		lenient: cfg.Lenient,
 		stats:   cfg.Stats,
 	}
@@ -351,9 +343,6 @@ func (ix *Index) Stats() BuildStats { return ix.stats }
 
 // Pool returns the paged store's buffer pool, or nil for in-memory indexes.
 func (ix *Index) Pool() *diskio.Pool { return ix.pool }
-
-// Radius returns the proximity bound of the index (0 when unbounded).
-func (ix *Index) Radius() float64 { return ix.radius }
 
 // BlockCount returns the Morton block count of v's shortest-path quadtree.
 func (ix *Index) BlockCount(v graph.VertexID) int {
@@ -409,17 +398,13 @@ func (ix *Index) DistanceIntervalCtx(qc *QueryContext, u, v graph.VertexID) Inte
 	return Interval{Lo: float64(b.LamLo) * e, Hi: float64(b.LamHi) * e}
 }
 
-// missInterval handles a lookup miss of v in u's quadtree: beyond the
-// proximity radius the true distance is known to exceed the radius; on a
-// lenient (AllowUnreachable) index a miss means the destination is
-// unreachable, so the interval is the point [+Inf, +Inf]. Either way ok is
-// true. On an unbounded strict index a miss means the index is corrupt: the
-// error goes to qc (a panic when qc is nil: no error channel), ok is false
-// and the interval is [0, +Inf), still true.
+// missInterval handles a lookup miss of v in u's quadtree: on a lenient
+// (AllowUnreachable) index a miss means the destination is unreachable, so
+// the interval is the exact point [+Inf, +Inf] and ok is true. On a strict
+// index a miss means the index is corrupt: the error goes to qc (a panic
+// when qc is nil: no error channel), ok is false and the interval is
+// [0, +Inf), still true.
 func (ix *Index) missInterval(qc *QueryContext, u, v graph.VertexID) (iv Interval, ok bool) {
-	if ix.radius > 0 {
-		return Interval{Lo: ix.radius, Hi: math.Inf(1)}, true
-	}
 	if ix.lenient {
 		return Interval{Lo: math.Inf(1), Hi: math.Inf(1)}, true
 	}
@@ -441,8 +426,9 @@ func walkTooLong(qc *QueryContext, u, v graph.VertexID, hops int) {
 }
 
 // NextHopCtx returns the first vertex after u on the shortest path u→v,
-// charging the lookup to qc. It returns graph.NoVertex when v lies beyond
-// the proximity radius, and when the lookup fails (the error is on qc).
+// charging the lookup to qc. It returns graph.NoVertex when v is
+// unreachable (a lenient index), and when the lookup fails (the error is
+// on qc).
 func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexID {
 	if u == v {
 		return v
@@ -450,7 +436,7 @@ func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexI
 	b, ok := ix.lookup(qc, u, v)
 	if !ok {
 		if !qc.Failed() {
-			ix.missInterval(qc, u, v) // fails qc when the index is strict and unbounded
+			ix.missInterval(qc, u, v) // fails qc when the index is strict
 		}
 		return graph.NoVertex
 	}
@@ -460,9 +446,9 @@ func (ix *Index) NextHopCtx(qc *QueryContext, u, v graph.VertexID) graph.VertexI
 
 // PathCtx retrieves the exact shortest path from u to v (inclusive), one
 // block lookup per hop — the paper's "entire shortest path in size-of-path
-// steps" — charging every lookup to qc. It returns nil when v lies beyond
-// the proximity radius, and when the walk fails: a failed lookup, or n−1
-// hops without reaching v (the error is on qc).
+// steps" — charging every lookup to qc. It returns nil when v is
+// unreachable (a lenient index), and when the walk fails: a failed lookup,
+// or n−1 hops without reaching v (the error is on qc).
 func (ix *Index) PathCtx(qc *QueryContext, u, v graph.VertexID) []graph.VertexID {
 	path := []graph.VertexID{u}
 	for cur := u; cur != v; {
@@ -480,7 +466,7 @@ func (ix *Index) PathCtx(qc *QueryContext, u, v graph.VertexID) []graph.VertexID
 }
 
 // DistanceCtx fully refines (u, v) through ExactDistance and returns the
-// exact network distance, +Inf when v lies beyond the proximity radius.
+// exact network distance, +Inf when v is unreachable (a lenient index).
 func (ix *Index) DistanceCtx(qc *QueryContext, u, v graph.VertexID) float64 {
 	return ExactDistance(ix, qc, u, v)
 }
@@ -536,17 +522,16 @@ func (ix *Index) sourceTree(qc *QueryContext, q graph.VertexID) (*quadtree.Tree,
 // lookup) and tightens the interval monotonically; after at most
 // path-length steps the interval is exact.
 type Refiner struct {
-	ix         *Index
-	qc         *QueryContext
-	src, dst   graph.VertexID
-	cur        graph.VertexID
-	acc        float64
-	color      int32 // color of the block containing dst in cur's quadtree
-	iv         Interval
-	steps      int
-	done       bool
-	outOfRange bool
-	failed     bool // storage failure recorded on qc; no further stepping
+	ix       *Index
+	qc       *QueryContext
+	src, dst graph.VertexID
+	cur      graph.VertexID
+	acc      float64
+	color    int32 // color of the block containing dst in cur's quadtree
+	iv       Interval
+	steps    int
+	done     bool
+	failed   bool // storage failure recorded on qc; no further stepping
 }
 
 // NewRefinerCtx computes the zero-refinement interval and returns the
@@ -573,8 +558,9 @@ func (ix *Index) NewRefinerCtx(qc *QueryContext, src, dst graph.VertexID) *Refin
 			r.failed = true
 			return r
 		}
-		r.iv, r.outOfRange = ix.missInterval(qc, src, dst)
-		r.failed = !r.outOfRange
+		// Unreachable on a lenient index: done at the exact [+Inf, +Inf].
+		r.iv, r.done = ix.missInterval(qc, src, dst)
+		r.failed = !r.done
 		return r
 	}
 	e := ix.g.Euclid(src, dst)
@@ -589,10 +575,6 @@ func (r *Refiner) Interval() Interval { return r.iv }
 // Done reports whether the interval is exact (destination reached).
 func (r *Refiner) Done() bool { return r.done }
 
-// OutOfRange reports whether the destination lies beyond the index's
-// proximity radius; the interval is then [radius, +Inf) and cannot improve.
-func (r *Refiner) OutOfRange() bool { return r.outOfRange }
-
 // Steps returns the number of refinement operations performed.
 func (r *Refiner) Steps() int { return r.steps }
 
@@ -604,11 +586,11 @@ func (r *Refiner) Via() (graph.VertexID, float64) { return r.cur, r.acc }
 // Step performs one refinement: advance one hop along the encoded shortest
 // path and tighten the interval. It returns false once the interval is
 // exact, and when the walk fails: a failed lookup, a lookup miss on a
-// strict unbounded index, or n−1 hops without reaching the destination —
+// strict index, or n−1 hops without reaching the destination —
 // the longest a shortest path can be. The failure is recorded on the
 // refiner's query context (a panic when it has none).
 func (r *Refiner) Step() bool {
-	if r.done || r.outOfRange || r.failed {
+	if r.done || r.failed {
 		return false
 	}
 	r.steps++

@@ -411,7 +411,7 @@ func pagedIndex(t *testing.T, ix *Index, fraction float64) *Index {
 		t.Fatal(err)
 	}
 	return NewPagedIndex(PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Radius: st.Radius(), Lenient: st.Lenient()})
+		Lenient: st.Lenient()})
 }
 
 func TestPagedIndexTracksIO(t *testing.T) {

@@ -101,12 +101,12 @@ func twoComponents(t *testing.T) *graph.Network {
 }
 
 // TestBaselinesOnDisconnectedNetwork: over two unconnected components,
-// indexed with a proximity radius wider than either, INE, IER and KNN report
-// the same neighbors, and none from the other component, even when k exceeds
-// the objects in reach.
+// indexed leniently (AllowUnreachable, so the other component's objects are
+// done at [+Inf, +Inf]), INE, IER and KNN report the same neighbors, and
+// none from the other component, even when k exceeds the objects in reach.
 func TestBaselinesOnDisconnectedNetwork(t *testing.T) {
 	g := twoComponents(t)
-	ix, err := core.Build(g, core.BuildOptions{ProximityRadius: 10})
+	ix, err := core.Build(g, core.BuildOptions{AllowUnreachable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,9 +338,8 @@ func (e *engine) step() bool {
 		return false
 	}
 
-	// Out-of-range objects (proximity-bounded indexes) carry the interval
-	// [radius, +Inf) and cannot be ranked; they are never reported.
-	if st.refiner.OutOfRange() {
+	// Unreachable objects are never reported.
+	if unreachable(st) {
 		st.reported = true // drop without emitting
 		return true
 	}
@@ -401,7 +400,7 @@ func (e *engine) step() bool {
 			e.report(st)
 			return true
 		}
-		if st.refiner.Done() || st.refiner.OutOfRange() {
+		if st.refiner.Done() {
 			st.reported = true // exact but beyond the distance bound: drop
 			return true
 		}
@@ -520,7 +519,7 @@ func (e *engine) hintCollision(st *objState) {
 	if e.maintainsL() {
 		e.drainIDs = e.l.AppendItems(e.drainIDs[:0])
 		for _, id := range e.drainIDs {
-			if m := &e.states[id]; m != st && !m.refiner.Done() && !m.refiner.OutOfRange() {
+			if m := &e.states[id]; m != st && !m.refiner.Done() {
 				dsts = append(dsts, e.objs.slot(id).Vertex)
 			}
 		}
@@ -563,7 +562,7 @@ func (e *engine) maintainsL() bool {
 }
 
 func (e *engine) maybeInsertL(st *objState) {
-	if !e.maintainsL() || st.inL || st.refiner.OutOfRange() {
+	if !e.maintainsL() || st.inL || unreachable(st) {
 		return
 	}
 	if e.l.Len() < e.k {
@@ -638,7 +637,7 @@ func (e *engine) drainL() {
 	if !math.IsInf(e.maxDist, 1) || e.eps > 0 {
 		// uncertified: st still has to refine before it may be reported.
 		uncertified := func(st *objState) bool {
-			return !st.refiner.Done() && !st.refiner.OutOfRange() &&
+			return !st.refiner.Done() &&
 				!(st.iv.Hi <= e.maxDist && st.iv.Hi <= (1+e.eps)*st.iv.Lo)
 		}
 		if e.hint != nil {
@@ -664,7 +663,7 @@ func (e *engine) drainL() {
 				e.stats.Refinements++
 				st.iv = st.refiner.Interval()
 			}
-			if !st.refiner.OutOfRange() && st.iv.Lo <= e.maxDist {
+			if !unreachable(st) && st.iv.Lo <= e.maxDist {
 				kept = append(kept, st)
 			}
 		}
@@ -705,8 +704,14 @@ func (e *engine) reach() float64 { return (1 + e.eps) * e.maxDist }
 // straddles reports whether st's range membership is still undecided and
 // more refinement can decide it.
 func (e *engine) straddles(st *objState) bool {
-	return st.iv.Lo <= e.maxDist && st.iv.Hi > e.reach() && !st.refiner.Done() && !st.refiner.OutOfRange()
+	return st.iv.Lo <= e.maxDist && st.iv.Hi > e.reach() && !st.refiner.Done()
 }
+
+// unreachable reports whether st's destination cannot be reached from the
+// query vertex — possible only on a lenient (AllowUnreachable) cell index,
+// where the refiner is done at [+Inf, +Inf]. Such an object has no rank and
+// is never reported.
+func unreachable(st *objState) bool { return math.IsInf(st.iv.Lo, 1) }
 
 // topOf returns the object id at the root of L.
 func topOf(l *pqueue.Indexed[int32]) int32 {

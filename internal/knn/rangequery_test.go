@@ -218,7 +218,7 @@ func rangeOracle(ix core.QueryIndex, qc *core.QueryContext, objs *Objects, q gra
 // straddles is the exact loop's membership test: st's interval contains
 // radius and more refinement can move it off.
 func straddles(st *objState, radius float64) bool {
-	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done() && !st.refiner.OutOfRange()
+	return st.iv.Lo <= radius && st.iv.Hi > radius && !st.refiner.Done()
 }
 
 // sameRange reports the first way got differs from the oracle's answer:
@@ -303,11 +303,10 @@ func (c *callLog) take() []string {
 // TestRangeMatchesDeletedLoop: the range query on the best-first engine
 // answers every case exactly as the deleted loop did — the same objects in
 // the same order, bit-equal intervals, the same Exact flags and the same
-// refinement and lookup counts — on four index kinds (in-RAM, 4-cell
-// sharded, paged behind a 5% pool, proximity-bounded so that some
-// objects are out of range), over static sets and live sets with free slots
-// below the slot bound, at radii 0, small, large and beyond every object. A
-// fifth, hint-taking kind checks that the engine makes the loop's index calls
+// refinement and lookup counts — on three index kinds (in-RAM, 4-cell
+// sharded, paged behind a 5% pool), over static sets and live sets with free
+// slots below the slot bound, at radii 0, small, large and beyond every
+// object. A fourth, hint-taking kind checks that the engine makes the loop's index calls
 // and hints in the loop's order. A pre-cancelled context returns the
 // oracle's partial result and error.
 func TestRangeMatchesDeletedLoop(t *testing.T) {
@@ -332,21 +331,17 @@ func TestRangeMatchesDeletedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	paged := core.NewPagedIndex(core.PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
-	proximal, err := core.Build(g, core.BuildOptions{ProximityRadius: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(27))
 	n := g.NumVertices()
 	calls := &callLog{QueryIndex: ram}
-	reported, refined, outOfRange := 0, 0, 0
+	reported, refined := 0, 0
 	for _, kind := range []struct {
 		name string
 		ix   core.QueryIndex
-	}{{"ram", ram}, {"sharded", sharded}, {"paged", paged}, {"proximity", proximal}, {"hinted", calls}} {
+	}{{"ram", ram}, {"sharded", sharded}, {"paged", paged}, {"hinted", calls}} {
 		for i := 0; i < 150; i++ {
 			m := 1 + rng.Intn(n/3)
 			var objs *Objects
@@ -358,17 +353,6 @@ func TestRangeMatchesDeletedLoop(t *testing.T) {
 			q := graph.VertexID(rng.Intn(n))
 			radius := [...]float64{0, rng.Float64() / 10, rng.Float64(), 1e9, math.Inf(1)}[i%5]
 			want := rangeOracle(kind.ix, core.NewQueryContext(), objs, q, radius)
-			// At an unbounded radius the deleted loop reported the objects
-			// beyond a proximity-bounded index's range, flagged exact at the
-			// index radius, which is not their distance. The engine drops
-			// them, as every variant does.
-			want.Neighbors = slices.DeleteFunc(want.Neighbors, func(nb Neighbor) bool {
-				if math.IsInf(nb.Interval.Hi, 1) {
-					outOfRange++
-					return true
-				}
-				return false
-			})
 			wantCalls := calls.take()
 			got := RangeSearchCtx(kind.ix, core.NewQueryContext(), objs, q, radius)
 			if err := sameRange(got, want); err != nil {
@@ -391,11 +375,10 @@ func TestRangeMatchesDeletedLoop(t *testing.T) {
 			}
 		}
 	}
-	if reported == 0 || refined == 0 || outOfRange == 0 {
-		t.Fatalf("%d neighbours reported, %d refinements, %d out of the index's range dropped: the cases miss a kind",
-			reported, refined, outOfRange)
+	if reported == 0 || refined == 0 {
+		t.Fatalf("%d neighbours reported, %d refinements: the cases miss a kind", reported, refined)
 	}
-	t.Logf("%d neighbours reported, %d refinements, %d out of the index's range dropped", reported, refined, outOfRange)
+	t.Logf("%d neighbours reported, %d refinements", reported, refined)
 }
 
 // TestEpsilonSavesRefinements measures ε = 0.1 against ε = 0 on the 48×48

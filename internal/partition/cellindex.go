@@ -116,7 +116,7 @@ func (s *Sharded) qcell(c int32) CellIndex {
 // candidate is therefore the pair's exact distance (0 + d == d in IEEE 754).
 // Among candidates of equal value the winner is the first in (offs[i] plus
 // zero-refinement lower bound, index) order. Candidates at +Inf offset, or
-// unreachable inside the cell or beyond its radius, never win.
+// unreachable inside the cell (a lower bound of +Inf), never win.
 func RaceCellRoutes(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
 	type cand struct {
 		i      int
@@ -130,10 +130,10 @@ func RaceCellRoutes(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, off
 			continue // +Inf (or NaN): never strictly shorter
 		}
 		r := cx.Refine(qc, us[i], dst)
-		if r.OutOfRange() {
+		iv := r.Interval()
+		if math.IsInf(iv.Lo, 1) {
 			continue
 		}
-		iv := r.Interval()
 		cands = append(cands, cand{i: i, lo0: off + iv.Lo, lo: off + iv.Lo, hi: off + iv.Hi, r: r})
 	}
 	for len(cands) > 0 && qc.Err() == nil {

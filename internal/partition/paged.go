@@ -292,7 +292,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			Graph:   cells[c].sub,
 			Source:  st,
 			Tracker: pager.Pool(),
-			Radius:  st.Radius(),
 			Lenient: st.Lenient(),
 			Stats: core.BuildStats{
 				Vertices:    cells[c].sub.NumVertices(),

@@ -12,13 +12,10 @@ import (
 )
 
 // cellExact fully refines the within-cell distance from u to v on one cell
-// index (+Inf when unreachable inside the cell or beyond its radius).
+// index (+Inf when unreachable inside the cell).
 func cellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
 	r := cx.Refine(qc, u, v)
 	for !r.Done() && qc.Err() == nil && r.Step() {
-	}
-	if r.OutOfRange() {
-		return math.Inf(1)
 	}
 	return r.Interval().Lo
 }
@@ -61,13 +58,11 @@ func raceOracle(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []
 // refining (u, v) alone to exact agree bit for bit, and the race names
 // candidate 0 exactly when the distance is finite. That identity is why the
 // wire has no exact endpoint. Checked over every ordered pair of every cell,
-// on three kinds of pair: reachable; unreachable inside a lenient cell (the
-// splitcell fixture's a street from its b street); and beyond the radius of
-// a proximity-bounded index, whose zero-refinement interval [radius, +Inf)
-// is finite below.
+// on two kinds of pair: reachable, and unreachable inside a lenient cell
+// (the splitcell fixture's a street from its b street).
 func TestRaceOfOneIsCellExact(t *testing.T) {
-	reachable, unreachable, beyond := 0, 0, 0
-	check := func(name string, cx CellIndex, nv int, count *int) {
+	reachable, unreachable := 0, 0
+	check := func(name string, cx CellIndex, nv int) {
 		t.Helper()
 		qc := core.NewQueryContext()
 		for u := 0; u < nv; u++ {
@@ -82,7 +77,7 @@ func TestRaceOfOneIsCellExact(t *testing.T) {
 				wantArg := 0
 				if math.IsInf(want, 1) {
 					wantArg = -1
-					*count++
+					unreachable++
 				} else {
 					reachable++
 				}
@@ -100,18 +95,11 @@ func TestRaceOfOneIsCellExact(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for c := range s.cells {
-			check(name, s.qcell(int32(c)), s.CellVertexCount(c), &unreachable)
+			check(name, s.qcell(int32(c)), s.CellVertexCount(c))
 		}
 	}
-	g := nets["road14x14b"]
-	ix, err := core.Build(g, core.BuildOptions{ProximityRadius: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("proximity-bounded", &localCell{Index: ix}, g.NumVertices(), &beyond)
-	if reachable == 0 || unreachable == 0 || beyond == 0 {
-		t.Fatalf("pairs: %d reachable, %d unreachable in a lenient cell, %d beyond the radius; need all three kinds",
-			reachable, unreachable, beyond)
+	if reachable == 0 || unreachable == 0 {
+		t.Fatalf("pairs: %d reachable, %d unreachable in a lenient cell; need both kinds", reachable, unreachable)
 	}
 }
 
@@ -228,10 +216,9 @@ func pagedCells(t testing.TB, g *graph.Network, p int) *Sharded {
 // with the oracle's value, bit for bit, and the oracle's winner, in no more
 // refinement steps. The races are random candidate sets and the gateway
 // races PathCtx runs, on road, grid (equal weights: many ties) and one-way
-// maps, on four kinds of cell index: in-RAM cells (lenient, like every cell
-// of a multi-cell build), the same cells paged behind a 5% pool, a
-// proximity-bounded index and the splitcell fixture's lenient cell that
-// cannot reach half of itself.
+// maps, on three kinds of cell index: in-RAM cells (lenient, like every cell
+// of a multi-cell build), the same cells paged behind a 5% pool, and the
+// splitcell fixture's lenient cell that cannot reach half of itself.
 func TestRaceCellRoutesMatchesOracle(t *testing.T) {
 	nets := testNetworks(t)
 	nets["oneway8x8"] = oneWayNetwork(t)
@@ -279,16 +266,6 @@ func TestRaceCellRoutesMatchesOracle(t *testing.T) {
 			add(name+"/"+kind, races)
 		}
 	}
-	g := nets["road14x14b"]
-	ix, err := core.Build(g, core.BuildOptions{ProximityRadius: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var races []raceCase
-	for i := 0; i < 200; i++ {
-		races = append(races, randomRace(rng, &localCell{Index: ix}, g.NumVertices(), 0.3))
-	}
-	add("road14x14b/proximity", races)
 	if total.won == 0 || total.won == total.races || total.unreachable == 0 {
 		t.Fatalf("%d races, %d won, %d unreachable candidates: the sets miss a case", total.races, total.won, total.unreachable)
 	}

@@ -366,7 +366,6 @@ type routeRefiner struct {
 	gates []gate
 	iv    core.Interval
 	done  bool
-	oor   bool
 
 	// parked is the exact distance a HintRefine batch raced ahead of this
 	// refiner's Step, which adopts it instead of racing again. Until then it
@@ -394,7 +393,7 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 		} else {
 			r.direct = s.qcell(r.q).Refine(qc, r.srcLocal, r.dstLocal)
 			r.directIv = r.direct.Interval()
-			r.directExact = r.direct.Done() || r.direct.OutOfRange()
+			r.directExact = r.direct.Done()
 		}
 	}
 	if !(r.hasDirect && s.selfContained[r.q]) {
@@ -463,17 +462,11 @@ func (r *routeRefiner) recompute() {
 		kept = append(kept, g)
 	}
 	r.gates = kept
-	if allExact {
-		r.done = true
-		if math.IsInf(lo, 1) {
-			r.oor = true
-		}
-	}
+	r.done = allExact
 }
 
 func (r *routeRefiner) Interval() core.Interval { return r.iv }
 func (r *routeRefiner) Done() bool              { return r.done }
-func (r *routeRefiner) OutOfRange() bool        { return r.oor }
 
 // Step refines the route currently defining the aggregate lower bound by
 // one hop and returns false once the aggregate is exact.
@@ -516,17 +509,14 @@ func (r *routeRefiner) Step() bool {
 		}
 		g.r.Step()
 		g.civ = g.r.Interval()
-		g.exact = g.r.Done() || g.r.OutOfRange()
+		g.exact = g.r.Done()
 	case stepDirect:
 		r.direct.Step()
 		r.directIv = r.direct.Interval()
-		r.directExact = r.direct.Done() || r.direct.OutOfRange()
+		r.directExact = r.direct.Done()
 	default:
 		// Nothing steppable: every surviving route is exact.
 		r.done = true
-		if math.IsInf(r.iv.Lo, 1) {
-			r.oor = true
-		}
 		return false
 	}
 	r.recompute()
@@ -607,7 +597,6 @@ func (r *routeRefiner) stepRace() bool {
 	}
 	r.iv = core.Interval{Lo: best, Hi: best}
 	r.done = true
-	r.oor = math.IsInf(best, 1)
 	r.gates = r.gates[:0]
 	return false
 }

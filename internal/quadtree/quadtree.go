@@ -21,11 +21,11 @@ import (
 // It acts as a wildcard: the source joins any neighboring block.
 const NoColor int32 = -1
 
-// OutOfRange marks vertices beyond a proximity-bounded build's network
-// radius (the paper's location-based-services approximation: quadtrees over
-// proximal vertices only). Unlike NoColor it is NOT a wildcard — blocks
-// split until out-of-range vertices are excluded, so lookups of far
-// destinations miss instead of returning a wrong color.
+// OutOfRange marks vertices the source cannot reach, which only a lenient
+// (AllowUnreachable) build admits: a partition cell's induced subnetwork
+// need not be strongly connected. Unlike NoColor it is NOT a wildcard —
+// blocks split until unreachable vertices are excluded, so lookups of them
+// miss instead of returning a wrong color.
 const OutOfRange int32 = -2
 
 // Block is one Morton block of a shortest-path quadtree. It asserts: every

@@ -279,7 +279,7 @@ func (s *Server) handleStats(r *http.Request) (answer, error) {
 	if st := s.Engine.Stats(); st.Sharded != nil {
 		body.sharded = st.Sharded
 	} else {
-		body.mono = &monoStats{BuildStats: st.BuildStats, radius: s.Engine.Radius()}
+		body.mono = &st.BuildStats
 	}
 	for name, em := range s.endpoints {
 		body.requests += em.requests.Value()

@@ -318,7 +318,7 @@ func (r *rangeReply) appendJSON(w *jsonWriter) {
 // monolithic index's build statistics (null when neither is set).
 type statsReply struct {
 	sharded   *silc.ShardedStats
-	mono      *monoStats
+	mono      *silc.BuildStats
 	objects   int
 	live      *liveStats // nil (null) without a live world
 	pool      silc.IOStats
@@ -328,11 +328,6 @@ type statsReply struct {
 	inflight  int64
 	tracing   bool
 	endpoints []endpointStats // ascending by name
-}
-
-type monoStats struct {
-	silc.BuildStats
-	radius float64
 }
 
 type liveStats struct {
@@ -370,7 +365,6 @@ func (r *statsReply) appendJSON(w *jsonWriter) {
 		w.key("blocks_per_vertex").float(mono.BlocksPerVertex())
 		w.key("build_time_ms").int(mono.BuildTime.Milliseconds())
 		w.key("edges").int(int64(mono.Edges))
-		w.key("radius").float(mono.radius)
 		w.key("total_blocks").int(mono.TotalBlocks)
 		w.key("total_bytes").int(mono.TotalBytes)
 		w.key("vertices").int(int64(mono.Vertices))

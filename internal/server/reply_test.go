@@ -92,7 +92,6 @@ func oracle(r reply) any {
 				"total_bytes":       st.TotalBytes,
 				"blocks_per_vertex": st.BlocksPerVertex(),
 				"build_time_ms":     st.BuildTime.Milliseconds(),
-				"radius":            st.radius,
 			}
 		}
 		endpoints := make(map[string]any, len(r.endpoints))
@@ -219,9 +218,9 @@ func fuzzReplies(f1, f2 float64, i int64, u uint64, n uint8, bits uint32, method
 			SelfContained: int(n) / 2, CellBlocks: i, CellBytes: int64(u), ClosureBytes: -i, TotalBytes: i, BuildTime: time.Duration(u),
 		}
 	case 2:
-		stats.mono = &monoStats{radius: f1, BuildStats: silc.BuildStats{
+		stats.mono = &silc.BuildStats{
 			Vertices: int(n), Edges: int(i), TotalBlocks: i, TotalBytes: int64(u), BuildTime: time.Duration(i),
-		}}
+		}
 	}
 	if bit(18) {
 		stats.live = &liveStats{objects: int(i), version: u}

@@ -8,7 +8,7 @@
 // A paged image (conventionally *.silcpg) is laid out so every structure a
 // query touches repeatedly sits on fixed-size pages:
 //
-//	superblock   magic, page size, flags, counts, radius, offsets + CRC
+//	superblock   magic, page size, flags, counts, reserved, offsets + CRC
 //	network      coords + CSR adjacency + CRC   (loaded eagerly: O(n+m))
 //	extents      per-vertex block counts, then run lengths + CRC   (eager: O(n))
 //	  ...zero padding to a page boundary...
@@ -57,7 +57,7 @@ var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SI
 // it: a block page whose CRC does not match, a run header, restart entry or
 // block that fails a decoder check, a copy out of a mapping that faulted
 // (the file shrank under it), and, in internal/core, a lookup miss on a
-// strict unbounded index or a refinement walk past n−1 hops. A plain I/O
+// strict index or a refinement walk past n−1 hops. A plain I/O
 // error of a ReaderAt does not wrap it. The root package exports it as
 // silc.ErrCorruptImage.
 var ErrCorrupt = errors.New("silc: corrupt index")
@@ -104,7 +104,6 @@ type superblock struct {
 	lenient     bool
 	n           int
 	m           int
-	radius      float64
 	totalBlocks int64
 	blockBytes  int64 // dense length of the block section
 	netOff      int64
@@ -139,7 +138,7 @@ func (sb *superblock) encode() []byte {
 	buf = le.AppendUint32(buf, flags)
 	buf = le.AppendUint32(buf, uint32(sb.n))
 	buf = le.AppendUint32(buf, uint32(sb.m))
-	buf = le.AppendUint64(buf, math.Float64bits(sb.radius))
+	buf = le.AppendUint64(buf, 0) // reserved: the removed proximity radius
 	buf = le.AppendUint64(buf, uint64(sb.totalBlocks))
 	for _, w := range [...]int64{sb.blockBytes, sb.netOff, sb.extentOff, sb.blockOff, sb.blockPages, sb.crcTabOff, sb.imageSize} {
 		buf = le.AppendUint64(buf, uint64(w))
@@ -160,7 +159,6 @@ func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
 		lenient:     le.Uint32(buf[12:16])&flagLenient != 0,
 		n:           int(le.Uint32(buf[16:20])),
 		m:           int(le.Uint32(buf[20:24])),
-		radius:      math.Float64frombits(le.Uint64(buf[24:32])),
 		totalBlocks: int64(le.Uint64(buf[32:40])),
 	}
 	for i, w := range [...]*int64{&sb.blockBytes, &sb.netOff, &sb.extentOff, &sb.blockOff, &sb.blockPages, &sb.crcTabOff, &sb.imageSize} {
@@ -175,8 +173,10 @@ func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
 	if sb.m < 0 {
 		return nil, fmt.Errorf("store: invalid edge count %d", sb.m)
 	}
-	if math.IsNaN(sb.radius) || sb.radius < 0 {
-		return nil, fmt.Errorf("store: invalid proximity radius %v", sb.radius)
+	// The word at 24 held the proximity radius of a bounded build, a build
+	// that no longer exists; every image written since has it zero.
+	if w := le.Uint64(buf[24:32]); w != 0 {
+		return nil, fmt.Errorf("store: image built with proximity radius %v, which is no longer supported; rebuild the image with silcbuild -o", math.Float64frombits(w))
 	}
 	if sb.imageSize <= 0 || sb.imageSize > size {
 		return nil, fmt.Errorf("store: image size %d exceeds available %d bytes", sb.imageSize, size)

@@ -3,6 +3,8 @@ package store_test
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -241,6 +243,11 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 	noTables := append([]byte(nil), valid...)
 	noTables[6] = '2' // the removed format without restart tables
 	sharded := append([]byte(store.ShardedMagic), valid[8:]...)
+	// A removed proximity-bounded build: a nonzero radius word behind a
+	// valid superblock CRC.
+	bounded := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(bounded[24:], math.Float64bits(0.2))
+	binary.LittleEndian.PutUint32(bounded[96:], crc32.ChecksumIEEE(bounded[:96]))
 	return [][]byte{
 		valid,
 		valid[:40],
@@ -255,6 +262,7 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 		[]byte("SILCPG2\x00short"), // the removed format without restart tables
 		noTables,
 		[]byte("SILCPG3\x00short"),
+		bounded,
 	}
 }
 
@@ -263,7 +271,8 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 // and looked up at every vertex's code, so lazily-detected page corruption
 // also surfaces as errors, never panics. Its checked-in corpus holds whole
 // images of the two removed formats, which the opener must reject, beside
-// openPagedSeeds.
+// openPagedSeeds, whose last seed is an image of the removed
+// proximity-bounded build, rejected by its radius word.
 func FuzzOpenPaged(f *testing.F) {
 	for _, seed := range openPagedSeeds(f) {
 		f.Add(seed)

@@ -317,8 +317,10 @@ func (s *Store) Close() error {
 // Graph returns the network rebuilt from the image's network section.
 func (s *Store) Graph() *graph.Network { return s.g }
 
-// Radius returns the recorded proximity bound (0 = unbounded).
-func (s *Store) Radius() float64 { return s.sb.radius }
+// Radius returns 0: the proximity-bounded build is gone and an image with a
+// radius does not open. It stays only because the benchmark module calls
+// it (ROADMAP 1(i)).
+func (s *Store) Radius() float64 { return 0 }
 
 // Lenient reports whether the index was built with AllowUnreachable.
 func (s *Store) Lenient() bool { return s.sb.lenient }

@@ -56,8 +56,8 @@ func TestPagedRoundTrip(t *testing.T) {
 	total, _, _ := st.BlockStats()
 	px := core.NewPagedIndex(core.PagedConfig{
 		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Radius: st.Radius(), Lenient: st.Lenient(),
-		Stats: core.BuildStats{TotalBlocks: total},
+		Lenient: st.Lenient(),
+		Stats:   core.BuildStats{TotalBlocks: total},
 	})
 	if px.Stats().TotalBlocks != ix.Stats().TotalBlocks {
 		t.Fatalf("total blocks %d, want %d", px.Stats().TotalBlocks, ix.Stats().TotalBlocks)
@@ -117,7 +117,7 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	}
 	px := core.NewPagedIndex(core.PagedConfig{
 		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Radius: st.Radius(), Lenient: st.Lenient(),
+		Lenient: st.Lenient(),
 	})
 
 	n := g.NumVertices()

@@ -17,7 +17,6 @@ import (
 // the vertex's run.
 type Source struct {
 	Graph   *graph.Network
-	Radius  float64
 	Lenient bool
 	Tree    func(v graph.VertexID) *quadtree.Tree
 }
@@ -55,7 +54,7 @@ type ImageInfo struct {
 func PlanImage(src Source) (*ImagePlan, error) {
 	g := src.Graph
 	n := g.NumVertices()
-	sb := &superblock{pageSize: PageSize, lenient: src.Lenient, n: n, m: g.NumEdges(), radius: src.Radius}
+	sb := &superblock{pageSize: PageSize, lenient: src.Lenient, n: n, m: g.NumEdges()}
 	p := &ImagePlan{src: src, sb: sb, counts: make([]uint32, n), byteLens: make([]uint32, n)}
 	for v := 0; v < n; v++ {
 		t := src.Tree(graph.VertexID(v))

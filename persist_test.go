@@ -128,6 +128,49 @@ func TestOpenRejectsRemovedFormat(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBoundedImage: an image of the removed proximity-bounded
+// build — the superblock's reserved word at offset 24 nonzero, its CRC
+// recomputed — does not open, monolithic or as one cell of a 4-cell image,
+// and the error names the proximity radius and says to rebuild. The same
+// edit writing zero back opens, so the word alone is refused.
+func TestOpenRejectsBoundedImage(t *testing.T) {
+	net := testNetwork(t)
+	for _, parts := range []int{1, 4} {
+		eng, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := eng.WritePaged(&buf); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		// The monolithic superblock opens the image; a sharded file embeds
+		// one per cell, each at a page-aligned offset.
+		sb := bytes.Index(img, []byte("SILCPG3\x00"))
+		if sb < 0 || sb%4096 != 0 || (parts > 1) != (sb > 0) {
+			t.Fatalf("P=%d: monolithic superblock at %d", parts, sb)
+		}
+		setRadius := func(r float64) {
+			binary.LittleEndian.PutUint64(img[sb+24:], math.Float64bits(r))
+			binary.LittleEndian.PutUint32(img[sb+96:], crc32.ChecksumIEEE(img[sb:sb+96]))
+		}
+		setRadius(0.25)
+		_, err = OpenEngineAt(bytes.NewReader(img), int64(len(img)), nil, BuildOptions{})
+		if err == nil {
+			t.Fatalf("P=%d: an image with a proximity radius opened", parts)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "proximity radius") || !strings.Contains(msg, "silcbuild -o") {
+			t.Fatalf("P=%d: %q does not name the proximity radius and say to rebuild with silcbuild -o", parts, msg)
+		}
+		t.Logf("P=%d: %v", parts, err)
+		setRadius(0)
+		if _, err := OpenEngineAt(bytes.NewReader(img), int64(len(img)), nil, BuildOptions{}); err != nil {
+			t.Fatalf("P=%d: the image with its radius word zeroed again: %v", parts, err)
+		}
+	}
+}
+
 func TestWithinDistance(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
@@ -208,70 +251,6 @@ func TestConcurrentReaders(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-func TestProximityBoundedIndexPublicAPI(t *testing.T) {
-	net := testNetwork(t)
-	ix, err := Build(net, BuildOptions{ProximityRadius: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Radius() != 0.25 {
-		t.Fatalf("Radius = %v", ix.Radius())
-	}
-	full := testIndex(t, net)
-	if ix.Stats().TotalBlocks >= full.Stats().TotalBlocks {
-		t.Fatal("proximity bound did not shrink the index")
-	}
-
-	rng := rand.New(rand.NewSource(14))
-	sawNear, sawFar := false, false
-	for trial := 0; trial < 200 && !(sawNear && sawFar); trial++ {
-		u := VertexID(rng.Intn(net.NumVertices()))
-		v := VertexID(rng.Intn(net.NumVertices()))
-		if u == v {
-			continue
-		}
-		want := on(t, full).dist(u, v)
-		got := on(t, ix).dist(u, v)
-		if want <= 0.25 {
-			sawNear = true
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("in-range distance %v want %v", got, want)
-			}
-		} else {
-			sawFar = true
-			if !math.IsInf(got, 1) {
-				t.Fatalf("out-of-range distance %v, want +Inf", got)
-			}
-			if on(t, ix).path(u, v) != nil {
-				t.Fatal("out-of-range path not nil")
-			}
-			r, err := ix.NewRefiner(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r.OutOfRange() {
-				t.Fatal("refiner should report out of range")
-			}
-		}
-	}
-	if !sawNear || !sawFar {
-		t.Fatal("test radius did not exercise both regimes")
-	}
-
-	// Persistence keeps the bound.
-	var buf bytes.Buffer
-	if _, err := ix.WritePaged(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Radius() != 0.25 {
-		t.Fatalf("radius lost on reload: %v", back.Radius())
 	}
 }
 
