@@ -517,7 +517,7 @@ func TestServerMetrics(t *testing.T) {
 		"silc_knn_heap_pushes_total",
 		"silc_diskio_pool_hits_total",
 		"silc_diskio_pool_capacity_pages",
-		`silc_diskio_shard_hits_total{shard="0"}`,
+		"silc_diskio_pool_resident_pages",
 		`silcserve_requests_total{endpoint="/knn"}`,
 		`silcserve_request_seconds_bucket{endpoint="/knn"`,
 		"silcserve_inflight_requests",
@@ -527,7 +527,7 @@ func TestServerMetrics(t *testing.T) {
 		}
 	}
 	// Each family header must appear exactly once even with many series.
-	for _, fam := range []string{"silc_engine_queries_total", "silc_diskio_shard_hits_total", "silcserve_requests_total"} {
+	for _, fam := range []string{"silc_engine_queries_total", "silc_diskio_pool_hits_total", "silcserve_requests_total"} {
 		if n := strings.Count(out, "# TYPE "+fam+" "); n != 1 {
 			t.Errorf("family %s has %d TYPE headers, want 1", fam, n)
 		}
@@ -582,7 +582,7 @@ func TestServerMetricsPaged(t *testing.T) {
 	for _, want := range []string{
 		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
 		`silc_store_blocks_decoded_total{store="0",source="mmapcopy"}`,
-		`silc_store_resident_pages{store="0",source="mmapcopy"}`,
+		`silc_store_read_bytes_total{store="0",source="mmapcopy"}`,
 		"silc_engine_page_reads_total",
 		"silc_engine_blocks_decoded_total",
 	} {

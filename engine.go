@@ -43,7 +43,8 @@ type queryBackend interface {
 // combinatorics.
 //
 // An Engine is read-only and safe for unlimited concurrent use: the buffer
-// pool is sharded and per-query statistics live in query-owned contexts.
+// pool is safe for concurrent readers and per-query statistics live in
+// query-owned contexts.
 type Engine struct {
 	net *Network
 	qx  queryBackend

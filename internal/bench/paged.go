@@ -100,7 +100,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		ActualReads:   st.ReadStats().Reads,
 		ActualBytes:   st.ReadStats().Bytes,
 		MeasuredIO:    st.ReadStats().Time,
-		ResidentPages: st.ResidentPages(),
+		ResidentPages: st.Tracker().Len(),
 	}, nil
 }
 

@@ -1,16 +1,14 @@
 // Package diskio is the buffer pool of the disk-resident setting of the
 // paper's evaluation: the SILC quadtrees live in fixed-size pages behind an
 // LRU pool sized to a fraction of the image's block pages (the paper uses
-// 5%). The paged store (internal/store) is the pool's only user: it charges
-// every page it reads, turns every miss into a real read, and releases the
-// frame of every page the pool evicts. Algorithms report the page hits and
+// 5%). The paged store (internal/store) is the pool's only user: it reads
+// every page through the pool, which holds the page frames and fills a
+// missed one by the store's read. Algorithms report the page hits and
 // misses they caused.
 //
-// The buffer pool is sharded: page ids hash onto N independently
-// mutex-guarded LRU shards, so unlimited concurrent queries can share one
-// pool without serializing on a single lock. Aggregate hit/miss counters are
-// atomic; per-query attribution happens through a query-owned *Stats counter
-// passed into every Touch call (nil for untracked access).
+// The pool is one exact LRU under one mutex. Per-query attribution happens
+// through a query-owned *Stats counter passed into every read (nil for
+// untracked access).
 package diskio
 
 import (
@@ -33,14 +31,13 @@ type PageID int64
 type Stats struct {
 	Hits   int64 `json:"hits,omitempty"`
 	Misses int64 `json:"misses,omitempty"`
-	// Evictions counts pages this counter's touches displaced from the
+	// Evictions counts pages this counter's reads displaced from the
 	// pool. Like Hits/Misses it is charged exactly once per displaced
 	// page, so per-query sums reproduce pool aggregates.
 	Evictions int64 `json:"evictions,omitempty"`
 	// Reads counts the pages a paged store actually read: a positioned
-	// read, or a copy out of the image's mapping. Every miss is one, so
-	// Reads equals Misses except where a frame lost to a concurrent
-	// eviction is read again on a hit.
+	// read, or a copy out of the image's mapping. Every miss is one read
+	// attempt, so Reads equals Misses unless a read fails.
 	Reads int64 `json:"reads,omitempty"`
 	// BlocksDecoded counts quadtree blocks a paged store's decoder actually
 	// passed, by lookups and tree decodes alike (zero on in-RAM indexes).
@@ -59,390 +56,196 @@ func (s *Stats) Add(o Stats) {
 	s.BlocksDecoded += o.BlocksDecoded
 }
 
-// Cache is a single LRU page list — the building block of one Pool shard.
-// The zero value is unusable; create with NewCache. Not safe for concurrent
-// use on its own: Pool guards each Cache with its shard mutex.
-//
-// Two representations back the same LRU semantics, picked by capacity. At or
-// below smallCacheMax, pages live in one array kept in MRU order: lookup is
-// a linear scan and move-to-front a short copy, all within a cache line or
-// two — the common shape for small images, whose 5% capacity shards into a
-// handful of pages each. Above it, the page -> slot map is an open-addressed
-// table (Fibonacci hashing, linear probing, backward-shift deletion) over a
-// doubly-linked slot list — a couple of flat array probes with no Go-map
-// hashing overhead and no tombstone accumulation.
-type Cache struct {
+// Pool is an exact LRU buffer pool whose entries own their page frames,
+// safe for unlimited concurrent users. One mutex guards the recency list,
+// the page map, the free frames and the aggregate counters. A hit copies
+// the bytes it wants out of the resident frame under the lock; a miss
+// fills a free frame outside it, so no reader ever touches a frame the
+// pool may recycle.
+type Pool struct {
+	mu       sync.Mutex
 	capacity int
-	// Small representation: pages[0:used] in MRU order.
-	// Large representation: pages indexed by stable slot; table/prev/next
-	// maintain the hash map and recency list.
-	pages []PageID
-	table []int32 // open-addressed: slot index, or -1 for empty; nil in small mode
-	mask  uint64  // len(table)-1; len is a power of two
-	shift uint    // 64 - log2(len(table)), for Fibonacci hashing
-	prev  []int32
-	next  []int32
-	head  int32 // most recently used
-	tail  int32 // least recently used
-	used  int
+	slots    map[PageID]int32 // resident page -> its entry
+	entries  []entry          // at most capacity, never shrinks
+	head     int32            // most recently used entry, -1 when empty
+	tail     int32            // least recently used entry
+	// free holds frames no entry owns: an evicted page's, a failed fill's,
+	// or one a concurrent fill of the same page made redundant. Entries
+	// plus free frames never exceed capacity+1, so a full pool keeps one
+	// frame for its next miss and allocates no more.
+	free  [][]byte
 	stats Stats
 }
 
-// smallCacheMax is the largest capacity served by the MRU-array
-// representation: 16 pages span two cache lines, which a scan-plus-shift
-// handles faster than any hash probe sequence.
-const smallCacheMax = 16
+type entry struct {
+	id         PageID
+	frame      []byte
+	prev, next int32
+}
 
-// NewCache returns an LRU cache holding up to capacity pages (minimum 1).
-func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &Cache{
+// NewPool returns a pool of the given page capacity (minimum 1). shards is
+// ignored: the pool is one LRU. The argument stays only because the
+// benchmark module calls NewPool with it (ROADMAP 1(i)).
+func NewPool(capacity, shards int) *Pool {
+	capacity = max(capacity, 1)
+	return &Pool{
 		capacity: capacity,
-		pages:    make([]PageID, capacity),
+		slots:    make(map[PageID]int32, capacity),
+		entries:  make([]entry, 0, capacity),
 		head:     -1,
 		tail:     -1,
 	}
-	if capacity <= smallCacheMax {
-		return c
-	}
-	// Table sized to the next power of two past 2x capacity keeps the load
-	// factor at or below 0.5, so linear probe chains stay short.
-	size := 8
-	for size < 2*capacity {
-		size <<= 1
-	}
-	log2 := 0
-	for 1<<log2 < size {
-		log2++
-	}
-	c.table = make([]int32, size)
-	c.mask = uint64(size - 1)
-	c.shift = uint(64 - log2)
-	c.prev = make([]int32, capacity)
-	c.next = make([]int32, capacity)
-	for i := range c.table {
-		c.table[i] = -1
-	}
-	return c
 }
 
-// home returns p's preferred table index (Fibonacci hashing).
-func (c *Cache) home(p PageID) uint64 {
-	return (uint64(p) * 0x9E3779B97F4A7C15) >> c.shift
-}
-
-// find probes for p, returning its table index and slot, or tableIdx with
-// slot -1 when absent (tableIdx then points at the empty probe endpoint).
-func (c *Cache) find(p PageID) (tableIdx uint64, slot int32) {
-	i := c.home(p)
-	for {
-		s := c.table[i]
-		if s < 0 || c.pages[s] == p {
-			return i, s
+// Read copies the bytes of page id from offset from on into dst (an empty
+// dst wants none) and charges the access to the pool and, when qs is
+// non-nil, to the caller's counter (qs must be owned by the calling
+// goroutine): exactly one hit or one miss, the same outcome the aggregates
+// get, so summing every caller's counters reproduces them.
+//
+// On a miss Read calls fill outside the lock with a free frame (nil or of
+// any length when none is free); fill returns the frame holding the page,
+// its own allocation if it had to make one. The filled frame joins the
+// pool as the most recently used page, and the least recently used page's
+// frame, when the pool was full, goes onto the free list. A fill's error
+// is returned and leaves the page absent, so its next read misses again.
+// Concurrent misses of one page each fill a frame; the first to finish
+// joins the pool.
+func (p *Pool) Read(id PageID, qs *Stats, dst []byte, from int, fill func(frame []byte) ([]byte, error)) error {
+	p.mu.Lock()
+	if i, ok := p.slots[id]; ok {
+		p.stats.Hits++
+		p.moveToFront(i)
+		copy(dst, p.entries[i].frame[from:])
+		p.mu.Unlock()
+		if qs != nil {
+			qs.Hits++
 		}
-		i = (i + 1) & c.mask
+		return nil
+	}
+	p.stats.Misses++
+	var frame []byte
+	if n := len(p.free); n > 0 {
+		frame, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if qs != nil {
+		qs.Misses++
+	}
+
+	frame, err := fill(frame)
+	if err == nil {
+		copy(dst, frame[from:]) // the frame is still this reader's alone
+	}
+	p.mu.Lock()
+	evicted := false
+	if _, ok := p.slots[id]; err != nil || ok {
+		p.park(frame)
+	} else {
+		evicted = p.insert(id, frame)
+	}
+	p.mu.Unlock()
+	if evicted && qs != nil {
+		qs.Evictions++
+	}
+	return err
+}
+
+// insert makes page id, filled into frame, the most recently used page,
+// evicting the least recently used one when the pool is full; it reports
+// whether it evicted. The caller holds p.mu.
+func (p *Pool) insert(id PageID, frame []byte) (evicted bool) {
+	var i int32
+	if len(p.entries) < p.capacity {
+		i = int32(len(p.entries))
+		p.entries = append(p.entries, entry{})
+	} else {
+		i = p.tail
+		p.detach(i)
+		old := &p.entries[i]
+		delete(p.slots, old.id)
+		p.stats.Evictions++
+		evicted = true
+		p.free = append(p.free, old.frame)
+	}
+	p.entries[i].id, p.entries[i].frame = id, frame
+	p.slots[id] = i
+	p.pushFront(i)
+	p.park(nil)
+	return evicted
+}
+
+// park puts frame (when non-nil) on the free list and drops free frames
+// past the pool's bound of capacity+1 frames held. The caller holds p.mu.
+func (p *Pool) park(frame []byte) {
+	if frame != nil {
+		p.free = append(p.free, frame)
+	}
+	for len(p.free) > 0 && len(p.entries)+len(p.free) > p.capacity+1 {
+		p.free[len(p.free)-1] = nil
+		p.free = p.free[:len(p.free)-1]
 	}
 }
 
-// unlink removes the entry at table index i, backward-shifting the probe
-// chain behind it so future probes never cross a hole mid-chain.
-func (c *Cache) unlink(i uint64) {
-	j := i
-	for {
-		c.table[i] = -1
-		for {
-			j = (j + 1) & c.mask
-			s := c.table[j]
-			if s < 0 {
-				return
-			}
-			h := c.home(c.pages[s])
-			// Move s up to the hole unless its home lies in (i, j] — in
-			// cyclic terms — in which case the chain still reaches it.
-			var reachable bool
-			if i <= j {
-				reachable = h > i && h <= j
-			} else {
-				reachable = h > i || h <= j
-			}
-			if !reachable {
-				c.table[i] = s
-				i = j
-				break
-			}
-		}
+func (p *Pool) detach(i int32) {
+	prev, next := p.entries[i].prev, p.entries[i].next
+	if prev >= 0 {
+		p.entries[prev].next = next
+	} else {
+		p.head = next
+	}
+	if next >= 0 {
+		p.entries[next].prev = prev
+	} else {
+		p.tail = prev
 	}
 }
 
-// Capacity returns the configured page capacity.
-func (c *Cache) Capacity() int { return c.capacity }
+func (p *Pool) pushFront(i int32) {
+	p.entries[i].prev, p.entries[i].next = -1, p.head
+	if p.head >= 0 {
+		p.entries[p.head].prev = i
+	}
+	p.head = i
+	if p.tail < 0 {
+		p.tail = i
+	}
+}
+
+func (p *Pool) moveToFront(i int32) {
+	if p.head != i {
+		p.detach(i)
+		p.pushFront(i)
+	}
+}
+
+// TouchEvict reads page id wanting no bytes, with a fill that reads
+// nothing. It stays only because the benchmark module times the pool's
+// hit and miss paths with it (ROADMAP 1(i)).
+func (p *Pool) TouchEvict(id PageID, qs *Stats) {
+	_ = p.Read(id, qs, nil, 0, func(frame []byte) ([]byte, error) { return frame, nil })
+}
+
+// Capacity returns the page capacity.
+func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the number of resident pages.
-func (c *Cache) Len() int { return c.used }
-
-// Stats returns the accumulated hit/miss counts.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without evicting pages.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// touchSmall is TouchEvict for the MRU-array representation.
-func (c *Cache) touchSmall(p PageID) (hit bool, evicted PageID, hasEvict bool) {
-	pages := c.pages
-	for i := 0; i < c.used; i++ {
-		if pages[i] == p {
-			c.stats.Hits++
-			copy(pages[1:i+1], pages[:i])
-			pages[0] = p
-			return true, 0, false
-		}
-	}
-	c.stats.Misses++
-	if c.used < c.capacity {
-		c.used++
-	} else {
-		evicted, hasEvict = pages[c.used-1], true
-		c.stats.Evictions++
-	}
-	copy(pages[1:c.used], pages[:c.used-1])
-	pages[0] = p
-	return false, evicted, hasEvict
-}
-
-// Touch accesses page p, returning true on a hit. On a miss the page is
-// loaded, evicting the least recently used page if the pool is full.
-func (c *Cache) Touch(p PageID) bool {
-	hit, _, _ := c.TouchEvict(p)
-	return hit
-}
-
-// TouchEvict is Touch with eviction feedback: when loading p displaced a
-// resident page, evicted holds its id and hasEvict is true. Callers that
-// cache decoded structures against resident pages (the paged index store)
-// use the feedback to actually release the displaced data.
-func (c *Cache) TouchEvict(p PageID) (hit bool, evicted PageID, hasEvict bool) {
-	if c.table == nil {
-		return c.touchSmall(p)
-	}
-	ti, slot := c.find(p)
-	if slot >= 0 {
-		c.stats.Hits++
-		c.moveToFront(slot)
-		return true, 0, false
-	}
-	c.stats.Misses++
-	if c.used < c.capacity {
-		slot = int32(c.used)
-		c.used++
-	} else {
-		slot = c.tail
-		c.detach(slot)
-		evicted, hasEvict = c.pages[slot], true
-		c.stats.Evictions++
-		evIdx, _ := c.find(evicted)
-		c.unlink(evIdx)
-		// The backward shift may have filled the probe endpoint found for p;
-		// re-probe from p's home.
-		for ti = c.home(p); c.table[ti] >= 0; ti = (ti + 1) & c.mask {
-		}
-	}
-	c.pages[slot] = p
-	c.table[ti] = slot
-	c.pushFront(slot)
-	return false, evicted, hasEvict
-}
-
-func (c *Cache) detach(slot int32) {
-	p, n := c.prev[slot], c.next[slot]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.head = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tail = p
-	}
-}
-
-func (c *Cache) pushFront(slot int32) {
-	c.prev[slot] = -1
-	c.next[slot] = c.head
-	if c.head >= 0 {
-		c.prev[c.head] = slot
-	}
-	c.head = slot
-	if c.tail < 0 {
-		c.tail = slot
-	}
-}
-
-func (c *Cache) moveToFront(slot int32) {
-	if c.head == slot {
-		return
-	}
-	c.detach(slot)
-	c.pushFront(slot)
-}
-
-// DefaultPoolShards is the shard count of a sharded buffer pool. Power of
-// two so shard selection is a mask; large enough that tens of goroutines
-// rarely collide on one shard mutex.
-const DefaultPoolShards = 64
-
-// Pool is a sharded LRU buffer pool, safe for unlimited concurrent users.
-// Pages hash onto shards (Fibonacci hashing of the PageID), each shard is a
-// mutex-guarded Cache holding its slice of the total capacity. Hit/miss
-// aggregates live in the per-shard caches — already under the shard mutex the
-// touch holds — rather than in pool-wide atomics, so concurrent queries never
-// ping-pong a shared counter cache line; Stats sums across shards on demand.
-// Per-shard LRU approximates global LRU the way production buffer managers
-// do: eviction order is exact within a shard and pages spread uniformly
-// across shards.
-type Pool struct {
-	shards []poolShard
-	shift  uint // 64 - log2(len(shards))
-}
-
-type poolShard struct {
-	mu  sync.Mutex
-	lru *Cache
-	// Pad to a 64-byte cache line (8 mutex + 8 pointer + 48) so neighboring
-	// shard mutexes don't false-share.
-	_ [48]byte
-}
-
-// NewPool returns a sharded pool of the given total page capacity (minimum
-// 1). The shard count is reduced below shards when the capacity is too small
-// to give every shard at least one page.
-func NewPool(capacity, shards int) *Pool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	for shards > 1 && (shards&(shards-1)) != 0 {
-		shards-- // round down to a power of two
-	}
-	for shards > capacity {
-		shards >>= 1
-	}
-	p := &Pool{shards: make([]poolShard, shards)}
-	log2 := 0
-	for 1<<log2 < shards {
-		log2++
-	}
-	p.shift = uint(64 - log2)
-	base, rem := capacity/shards, capacity%shards
-	for i := range p.shards {
-		c := base
-		if i < rem {
-			c++
-		}
-		p.shards[i].lru = NewCache(c)
-	}
-	return p
-}
-
-// shardOf maps a page id onto its shard by Fibonacci hashing.
-func (p *Pool) shardOf(id PageID) *poolShard {
-	if len(p.shards) == 1 {
-		return &p.shards[0]
-	}
-	return &p.shards[(uint64(id)*0x9E3779B97F4A7C15)>>p.shift]
-}
-
-// Touch accesses page id, returning true on a hit. The access is counted in
-// the pool's atomic aggregates and, when qs is non-nil, in the caller's
-// per-query counter (qs must be owned by the calling goroutine).
-func (p *Pool) Touch(id PageID, qs *Stats) bool {
-	hit, _, _ := p.TouchEvict(id, qs)
-	return hit
-}
-
-// TouchEvict is Touch with eviction feedback (see Cache.TouchEvict). The
-// per-query counter qs is charged with exactly one hit or one miss — the
-// same outcome added to the pool's atomic aggregates — so summing the
-// per-query counters of all users reproduces the aggregates exactly.
-func (p *Pool) TouchEvict(id PageID, qs *Stats) (hit bool, evicted PageID, hasEvict bool) {
-	s := p.shardOf(id)
-	s.mu.Lock()
-	hit, evicted, hasEvict = s.lru.TouchEvict(id)
-	s.mu.Unlock()
-	if qs != nil {
-		if hit {
-			qs.Hits++
-		} else {
-			qs.Misses++
-		}
-		if hasEvict {
-			qs.Evictions++
-		}
-	}
-	return hit, evicted, hasEvict
-}
-
-// Capacity returns the total page capacity across shards.
-func (p *Pool) Capacity() int {
-	total := 0
-	for i := range p.shards {
-		total += p.shards[i].lru.Capacity()
-	}
-	return total
-}
-
-// NumShards returns the shard count.
-func (p *Pool) NumShards() int { return len(p.shards) }
-
-// ShardStats returns shard i's hit/miss/eviction counters — the
-// per-shard breakdown behind the Stats aggregate, for observability.
-func (p *Pool) ShardStats(i int) Stats {
-	s := &p.shards[i]
-	s.mu.Lock()
-	st := s.lru.Stats()
-	s.mu.Unlock()
-	return st
-}
-
-// ShardLen returns shard i's resident page count.
-func (p *Pool) ShardLen(i int) int {
-	s := &p.shards[i]
-	s.mu.Lock()
-	n := s.lru.Len()
-	s.mu.Unlock()
-	return n
-}
-
-// Len returns the number of resident pages across shards.
 func (p *Pool) Len() int {
-	total := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		total += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return total
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.slots)
 }
 
-// Stats returns the aggregate hit/miss counters summed across shards. A
-// nil *Pool — an in-RAM index has none — counts nothing.
+// Stats returns the aggregate counters. A nil *Pool — an in-RAM index has
+// none — counts nothing.
 func (p *Pool) Stats() Stats {
-	var total Stats
 	if p == nil {
-		return total
+		return Stats{}
 	}
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		total.Add(s.lru.Stats())
-		s.mu.Unlock()
-	}
-	return total
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // ResetStats zeroes the aggregate counters without evicting pages; on a
@@ -451,10 +254,7 @@ func (p *Pool) ResetStats() {
 	if p == nil {
 		return
 	}
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		s.lru.ResetStats()
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	p.stats = Stats{}
+	p.mu.Unlock()
 }

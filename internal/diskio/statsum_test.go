@@ -7,9 +7,9 @@ import (
 )
 
 // TestPerQueryStatsSumToAggregates is the double-counting regression test:
-// with 64 concurrent "queries" each touching pages through its own Stats
-// counter, the per-query counters must sum EXACTLY to the pool's atomic
-// aggregates — every touch charged once to each, never zero or twice.
+// with 64 concurrent "queries" each reading pages through its own Stats
+// counter, the per-query counters must sum EXACTLY to the pool's
+// aggregates — every read charged once to each, never zero or twice.
 func TestPerQueryStatsSumToAggregates(t *testing.T) {
 	const (
 		goroutines = 64
@@ -17,7 +17,7 @@ func TestPerQueryStatsSumToAggregates(t *testing.T) {
 		pages      = 512
 		capacity   = 40
 	)
-	pool := NewPool(capacity, DefaultPoolShards)
+	pool := NewPool(capacity, 1)
 	perQuery := make([]Stats, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -26,10 +26,12 @@ func TestPerQueryStatsSumToAggregates(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i) * 911))
 			for j := 0; j < touches; j++ {
-				// Mix of Touch and TouchEvict — both must charge identically.
+				// Mix of reads that want bytes and TouchEvict, which wants
+				// none — both must charge identically.
 				id := PageID(rng.Intn(pages))
 				if j%2 == 0 {
-					pool.Touch(id, &perQuery[i])
+					var dst [8]byte
+					pool.Read(id, &perQuery[i], dst[:], 0, fillID(id))
 				} else {
 					pool.TouchEvict(id, &perQuery[i])
 				}

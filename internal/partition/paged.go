@@ -284,7 +284,7 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			return nil, err
 		}
 	}
-	pager.SetPool(diskio.NewPool(capacity, diskio.DefaultPoolShards))
+	pager.SetPool(diskio.NewPool(capacity, 1))
 	for c := 0; c < p; c++ {
 		st := stores[c]
 		total, minB, maxB := st.BlockStats()

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"sync/atomic"
+
 	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
@@ -11,35 +13,19 @@ import (
 // entries.
 const RestartEvery = restartEvery
 
-// EvictVertex routes an eviction of v's first page through the pager, the
-// way the pool reports one.
-func (s *Store) EvictVertex(v graph.VertexID) {
-	if first, _, ok := s.runPages(v); ok {
-		s.pager.Evict(s.pageBase + first)
-	}
-}
+// flushed numbers the pages Flush reads, so no two flushes, even
+// concurrent ones, read the same page.
+var flushed atomic.Int64
 
-// DropFrames releases every resident page frame while the pool still
-// counts the pages resident, so the next touch of any page, hit or miss,
-// reads it again.
-func (s *Store) DropFrames() {
-	s.mu.RLock()
-	pages := make([]diskio.PageID, 0, len(s.frames))
-	for p := range s.frames {
-		pages = append(pages, p)
+// Flush reads as many fresh pages past the store's own as its pool holds,
+// with a fill that reads nothing, so every page of the store misses on its
+// next read: an eviction by touching other pages.
+func (s *Store) Flush() {
+	pool := s.pager.pool
+	beyond := s.pageBase + diskio.PageID(s.sb.blockPages)
+	for range pool.Capacity() {
+		pool.TouchEvict(beyond+diskio.PageID(flushed.Add(1)), nil)
 	}
-	s.mu.RUnlock()
-	for _, p := range pages {
-		s.dropPage(p)
-	}
-}
-
-// FreeFrames returns the number of released frames on the Pager's free
-// list.
-func (pg *Pager) FreeFrames() int {
-	pg.freeMu.Lock()
-	defer pg.freeMu.Unlock()
-	return len(pg.free)
 }
 
 // LookupRun is the single-block lookup over a run held in memory, read

@@ -1,9 +1,9 @@
 // Package store implements the real disk-resident SILC index: a
 // page-aligned file format for shortest-path quadtrees and a lazy,
 // ReadAt-backed store that decodes per-vertex quadtrees on demand from
-// pages read through the sharded buffer pool of internal/diskio — so pool
-// hits and misses correspond to actual page reads, eviction actually frees
-// the page's frame, and the pool is the only cache.
+// pages read through the buffer pool of internal/diskio, which holds the
+// page frames — so pool hits and misses correspond to actual page reads,
+// eviction actually frees the page's frame, and the pool is the only cache.
 //
 // A paged image (conventionally *.silcpg) is laid out so every structure a
 // query touches repeatedly sits on fixed-size pages:

@@ -30,16 +30,15 @@ func sameBlock(a, b quadtree.Block) bool {
 // On both page sources, and pools of one page, 5% and 100%, it probes every
 // vertex of a 10×10 road map twice with the code of every vertex plus codes
 // no vertex has, and the runs of longRunsImage that span three pages or more
-// at every third block, some lookups right after an eviction of the run's first
-// page, so its pages are read again. Each answer must equal, in its bits
-// and in ok, the block Tree().FindIndex finds on a separate handle of the
-// same image. Each lookup must decode exactly the blocks from its restart
+// at every third block, some lookups right after the pool was flushed (its
+// pages evicted by reads of other pages), so the run's pages are read
+// again. Each answer must equal, in its bits and in ok, the block
+// Tree().FindIndex finds on a separate handle of the same image. Each lookup must decode exactly the blocks from its restart
 // entry through the first block ending past the probe, and touch each page
 // holding the run's header or those blocks exactly once and no other page:
 // the long runs make lookups that skip the pages between the two. On
-// ReadAt the pages are named: every other lookup runs with every frame
-// dropped, so each page it touches is read, and the reads must be exactly
-// those pages.
+// ReadAt the pages are named: every other lookup runs on a flushed pool, so
+// each page it touches is read, and the reads must be exactly those pages.
 func TestLookupMatchesTree(t *testing.T) {
 	type lookupImage struct {
 		img      []byte
@@ -123,12 +122,9 @@ func TestLookupMatchesTree(t *testing.T) {
 						}
 						for pass := 0; pass < im.passes; pass++ {
 							for i, c := range im.probes(tree) {
-								if (i+pass)%3 == 0 {
-									s.EvictVertex(vid)
-								}
 								named := src == "ReadAt" && (i+pass)%2 == 0
-								if named {
-									s.DropFrames()
+								if named || (i+pass)%3 == 0 {
+									s.Flush()
 								}
 								rec.offs = rec.offs[:0]
 								var io diskio.Stats
@@ -403,12 +399,12 @@ func TestValidatedLookupConcurrent(t *testing.T) {
 }
 
 // TestLookupRecycledFramesConcurrent races the three ways a run is read —
-// a Lookup, a Tree, and a Lookup right after an eviction of the run's first
-// page — from 8 goroutines over a 2-page pool, on each page source. Nearly
-// every touch evicts, so the frames of ReadAt and File stores are recycled
-// constantly: a run gathered from a frame after the frame went back to the
-// Pager would read another page's bytes. Every answer must equal the in-RAM
-// tree's FindIndex and every tree the in-RAM tree.
+// a Lookup, a Tree, and a Lookup right after a flush of the pool — from 8
+// goroutines over a 2-page pool, on each page source. Nearly every touch
+// evicts, so the pool's frames are recycled constantly: a run gathered from
+// a frame after the frame went back to the free list would read another
+// page's bytes. Every answer must equal the in-RAM tree's FindIndex and
+// every tree the in-RAM tree.
 func TestLookupRecycledFramesConcurrent(t *testing.T) {
 	g, ix := buildTestIndex(t, 10, 10)
 	n := g.NumVertices()
@@ -451,7 +447,7 @@ func TestLookupRecycledFramesConcurrent(t *testing.T) {
 								}
 								for j := (w + i) % 5; j < len(probes); j += 5 {
 									if (w+i+pass)%3 == 2 {
-										s.EvictVertex(vid) // the next Lookup reads the page again
+										s.Flush() // the next Lookup reads the page again
 									}
 									c := probes[j]
 									got, ok, err := s.Lookup(nil, vid, c)

@@ -52,78 +52,24 @@ func PoolPages(blockPages int64, fraction float64) (int, error) {
 	return int(float64(blockPages) * fraction), nil
 }
 
-// Pager owns one shared buffer pool and routes eviction feedback to the
-// store owning each page-id range, so evicting a page actually releases its
-// frame. Released frames go onto the Pager's free list, which the next miss
-// in any registered store fills, so a full pool's frames are reused rather
-// than reallocated. Register every store (Open does it) before queries
-// start; registration is not synchronized with concurrent touches.
+// Pager shares one buffer pool among the stores registered with it and
+// sums their read counters. Register every store (Open does it) before
+// queries start; registration is not synchronized with concurrent reads.
 type Pager struct {
 	pool   *diskio.Pool
 	stores []*Store
-
-	freeMu  sync.Mutex
-	free    [][]byte // released page frames, no reader holds any of them
-	maxFree int      // the pool's capacity, computed once
 }
 
 // NewPager returns a Pager over pool (which may be nil until SetPool).
-func NewPager(pool *diskio.Pool) *Pager {
-	pg := &Pager{}
-	pg.SetPool(pool)
-	return pg
-}
+func NewPager(pool *diskio.Pool) *Pager { return &Pager{pool: pool} }
 
 // Pool returns the shared pool.
 func (pg *Pager) Pool() *diskio.Pool { return pg.pool }
 
 // SetPool installs the shared pool. The sharded open sizes the pool only
 // after every cell store is open (capacity depends on their page counts);
-// it must be called before the first query touches any registered store.
-func (pg *Pager) SetPool(pool *diskio.Pool) {
-	pg.pool = pool
-	if pool != nil {
-		pg.maxFree = pool.Capacity()
-	}
-}
-
-// takeFrame returns a released frame of size bytes, or a new one when the
-// free list has none. A frame of another size is dropped, not reused.
-func (pg *Pager) takeFrame(size int) []byte {
-	pg.freeMu.Lock()
-	var b []byte
-	if n := len(pg.free); n > 0 {
-		b = pg.free[n-1]
-		pg.free[n-1] = nil
-		pg.free = pg.free[:n-1]
-	}
-	pg.freeMu.Unlock()
-	if len(b) != size {
-		b = make([]byte, size)
-	}
-	return b
-}
-
-// giveFrame puts a released frame on the free list, which holds at most
-// the pool's capacity; a frame past that is left to the GC. The caller must
-// be the frame's last holder: no store maps it and no reader copies from it.
-func (pg *Pager) giveFrame(b []byte) {
-	pg.freeMu.Lock()
-	if len(pg.free) < pg.maxFree {
-		pg.free = append(pg.free, b)
-	}
-	pg.freeMu.Unlock()
-}
-
-// Evict routes one evicted page id to the store owning it.
-func (pg *Pager) Evict(id diskio.PageID) {
-	for _, s := range pg.stores {
-		if id >= s.pageBase && id < s.pageBase+diskio.PageID(s.sb.blockPages) {
-			s.dropPage(id - s.pageBase)
-			return
-		}
-	}
-}
+// it must be called before the first query reads any registered store.
+func (pg *Pager) SetPool(pool *diskio.Pool) { pg.pool = pool }
 
 // ResetReadStats zeroes the real read counters of every registered store,
 // so a measurement window's actual reads line up with a pool-counter reset.
@@ -170,12 +116,11 @@ type ReadStats struct {
 
 // Store is an open paged index image: the network and extent table resident
 // (O(n+m)), the Morton-block pages demand-paged through the buffer pool,
-// which is the store's one cache. Every pool miss fills a private frame by
-// a ReadAt — a positioned read of a file, or a copy out of a Mapping — and
-// checks its CRC; every eviction returns the page's frame to the Pager,
-// whose next miss fills it, so resident page memory tracks the pool
-// capacity rather than the index size. Nothing decoded is kept: a lookup or
-// a tree decodes from the run's pages each time.
+// which is the store's one cache and holds the page frames. Every pool miss
+// fills a free frame of the pool by a ReadAt — a positioned read of a file,
+// or a copy out of a Mapping — and checks its CRC, so resident page memory
+// tracks the pool capacity rather than the index size. Nothing decoded is
+// kept: a lookup or a tree decodes from the run's pages each time.
 //
 // A Store is safe for unlimited concurrent readers.
 type Store struct {
@@ -188,9 +133,6 @@ type Store struct {
 	pageCRCs []uint32
 	pageBase diskio.PageID
 	pager    *Pager
-
-	mu     sync.RWMutex
-	frames map[diskio.PageID][]byte // resident raw page bytes, keyed by local page
 
 	reads     atomic.Int64
 	readBytes atomic.Int64
@@ -267,7 +209,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		counts:   counts,
 		runOffs:  runOffs,
 		pageCRCs: pageCRCs,
-		frames:   make(map[diskio.PageID][]byte),
 	}
 	if opts.Pager != nil {
 		s.pager = opts.Pager
@@ -279,7 +220,7 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 				return nil, err
 			}
 		}
-		s.pager = NewPager(diskio.NewPool(capacity, diskio.DefaultPoolShards))
+		s.pager = NewPager(diskio.NewPool(capacity, 1))
 	}
 	s.pager.stores = append(s.pager.stores, s)
 	return s, nil
@@ -344,7 +285,7 @@ func (s *Store) Source() string {
 // because the benchmark module calls it (ROADMAP 1(i)).
 func (s *Store) Tracker() *diskio.Pool { return s.pager.pool }
 
-// Pager returns the pager routing this store's evictions.
+// Pager returns the Pager whose pool this store reads through.
 func (s *Store) Pager() *Pager { return s.pager }
 
 // BlockPages returns the number of demand-paged block pages.
@@ -368,15 +309,6 @@ func (s *Store) BlockStats() (total int64, minBlocks, maxBlocks int) {
 
 // BlockCount implements core.TreeSource.
 func (s *Store) BlockCount(v graph.VertexID) int { return int(s.counts[v]) }
-
-// ResidentPages returns the number of page frames currently held in
-// memory — bounded by the pool capacity (plus transient staleness under
-// concurrency).
-func (s *Store) ResidentPages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.frames)
-}
 
 // ResetReadStats zeroes the actual read counters (cache contents stay).
 func (s *Store) ResetReadStats() {
@@ -541,91 +473,41 @@ func (r *runReader) release() {
 	}
 }
 
-// touch charges local page p to the pool and processes eviction feedback;
-// on a miss it reads the page and publishes its frame. It copies the page's
-// bytes from offset from on into dst; an empty dst (Touch) wants no bytes,
-// so a hit returns at once. The copy is made while the frame cannot be
-// recycled: on a hit under s.mu's read lock, which dropPage must acquire
-// to unmap it, on a miss from the private frame before it is published.
+// touch reads local page p through the pool, copying its bytes from
+// offset from on into dst; an empty dst (Touch) wants no bytes, so a hit
+// returns at once. A miss reads the page into a free frame of the pool.
 func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from int64) error {
-	hit, evicted, hasEvict := s.pager.pool.TouchEvict(s.pageBase+p, ioStats)
-	if hasEvict {
-		s.pager.Evict(evicted)
-	}
-	if hit {
-		if len(dst) == 0 {
-			return nil
-		}
-		s.mu.RLock()
-		b := s.frames[p]
-		if b != nil {
-			copy(dst, b[from:])
-		}
-		s.mu.RUnlock()
-		if b != nil {
-			return nil
-		}
-		// Frame lost to a concurrent eviction between the pool touch and
-		// here — fall through to a real read.
-	}
-	b, err := s.readPage(p)
-	if err != nil {
-		return err
-	}
-	if ioStats != nil {
-		ioStats.Reads++
-	}
-	copy(dst, b[from:])
-	s.mu.Lock()
-	old := s.frames[p]
-	s.frames[p] = b
-	s.mu.Unlock()
-	s.releaseFrame(old)
-	return nil
+	return s.pager.pool.Read(s.pageBase+p, ioStats, dst, int(from), func(frame []byte) ([]byte, error) {
+		return s.readPage(p, ioStats, frame)
+	})
 }
 
-// readPage materializes one block page: a ReadAt — a disk read, or a copy
-// out of a Mapping — into a frame an eviction released when the Pager has
-// one. The frame is checksum-verified before it is returned, and the page
-// counts as one read in ReadStats. A checksum mismatch wraps ErrCorrupt.
-// The frame is the caller's alone until it publishes it.
-func (s *Store) readPage(p diskio.PageID) ([]byte, error) {
+// readPage fills frame — reallocated when it is not one page long — with
+// block page p by a ReadAt: a disk read, or a copy out of a Mapping. The
+// page counts as one read in ReadStats and in ioStats, and is
+// checksum-verified before it is returned; a mismatch wraps ErrCorrupt.
+func (s *Store) readPage(p diskio.PageID, ioStats *diskio.Stats, frame []byte) ([]byte, error) {
+	if len(frame) != s.sb.pageSize {
+		frame = make([]byte, s.sb.pageSize)
+	}
 	off := s.sb.blockOff + int64(p)*int64(s.sb.pageSize)
 	start := time.Now()
-	buf := s.pager.takeFrame(s.sb.pageSize)
-	if _, err := s.ra.ReadAt(buf, off); err != nil {
-		s.releaseFrame(buf)
-		return nil, fmt.Errorf("store: reading block page %d: %w", p, err)
+	if _, err := s.ra.ReadAt(frame, off); err != nil {
+		return frame, fmt.Errorf("store: reading block page %d: %w", p, err)
 	}
 	read := time.Now() // the read's end is the checksum's start
 	s.readNanos.Add(read.Sub(start).Nanoseconds())
-	sum := crc32.ChecksumIEEE(buf)
+	sum := crc32.ChecksumIEEE(frame)
 	s.crcNanos.Add(time.Since(read).Nanoseconds())
 	s.reads.Add(1)
 	s.readBytes.Add(int64(s.sb.pageSize))
+	if ioStats != nil {
+		ioStats.Reads++
+	}
 	if sum != s.pageCRCs[p] {
-		s.releaseFrame(buf)
-		return nil, corrupt(fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum))
+		return frame, corrupt(fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum))
 	}
-	return buf, nil
-}
-
-// releaseFrame hands a frame no reader can reach any more to the Pager.
-func (s *Store) releaseFrame(b []byte) {
-	if b != nil {
-		s.pager.giveFrame(b)
-	}
-}
-
-// dropPage releases the frame of local page p — the real-memory
-// counterpart of a pool eviction. The frame goes back to the Pager only
-// once it is unmapped, so no reader is still copying from it.
-func (s *Store) dropPage(p diskio.PageID) {
-	s.mu.Lock()
-	b := s.frames[p]
-	delete(s.frames, p)
-	s.mu.Unlock()
-	s.releaseFrame(b)
+	return frame, nil
 }
 
 func leU32(b []byte) uint32 {

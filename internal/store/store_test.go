@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -99,7 +100,7 @@ func TestPagedRoundTrip(t *testing.T) {
 }
 
 // TestEvictionBoundsResidency forces heavy eviction with a pool much
-// smaller than the index and checks that resident memory — the page
+// smaller than the index and checks that resident memory — the pool's page
 // frames, the store's only cache — stays bounded by the pool capacity
 // rather than growing with the pages touched. This is the disk-residency acceptance property:
 // the full index exceeds the pool, yet queries run within it.
@@ -128,15 +129,12 @@ func TestEvictionBoundsResidency(t *testing.T) {
 			if err := qc.Err(); err != nil {
 				t.Fatalf("distance %d->%d: %v", u, v, err)
 			}
-			if rp := st.ResidentPages(); rp > capacity {
+			if rp := st.Tracker().Len(); rp > capacity {
 				t.Fatalf("resident pages %d exceed pool capacity %d", rp, capacity)
 			}
 		}
 	}
-	pool := st.Pager().Pool()
-	if pool.Len() > capacity {
-		t.Fatalf("pool holds %d pages, capacity %d", pool.Len(), capacity)
-	}
+	pool := st.Tracker()
 	stats := pool.Stats()
 	if stats.Misses != st.ReadStats().Reads {
 		t.Fatalf("pool misses %d but %d actual reads — misses must be real reads", stats.Misses, st.ReadStats().Reads)
@@ -190,12 +188,27 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 	}
 }
 
+// frameRecorder is a page source that, once armed, records every distinct
+// frame a store reads a page into.
+type frameRecorder struct {
+	r      io.ReaderAt
+	armed  bool
+	frames map[*byte]bool
+}
+
+func (f *frameRecorder) ReadAt(p []byte, off int64) (int, error) {
+	if f.armed && len(p) > 0 {
+		f.frames[&p[0]] = true
+	}
+	return f.r.ReadAt(p, off)
+}
+
 // TestSharedPagerEvictionRouting opens two stores over one pool and checks
-// that evictions caused by one store release frames held by the other, and
-// that the frames stay bounded under churn: an evicted frame goes back to
-// the shared Pager and the next miss in either store reads into it, so the
-// frames resident in both stores plus those on the free list never exceed
-// the pool's capacity by more than one. It runs over each page source.
+// that they share its frames under churn: an evicted page's frame goes onto
+// the pool's free list and the next miss in either store reads into it, so
+// the frames both stores ever read into never exceed the pool's capacity
+// plus the one fill in flight, and the pool never holds more pages than its
+// capacity. It runs over each page source.
 func TestSharedPagerEvictionRouting(t *testing.T) {
 	_, ixA := buildTestIndex(t, 10, 10)
 	_, ixB := buildTestIndex(t, 12, 12)
@@ -203,7 +216,8 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 
 	for _, src := range pageSources {
 		t.Run(src, func(t *testing.T) {
-			pager := store.NewPager(diskio.NewPool(4, 4))
+			pager := store.NewPager(diskio.NewPool(4, 1))
+			var recorders []*frameRecorder
 			// open opens img over src in the shared pager: positioned reads
 			// of the bytes, or copies out of them as a Mapping.
 			open := func(img []byte, opts store.OpenOptions) (*store.Store, error) {
@@ -212,7 +226,9 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 				if src == "File" {
 					ra = store.Mapping(img)
 				}
-				return store.Open(ra, int64(len(img)), opts)
+				rec := &frameRecorder{r: ra, frames: map[*byte]bool{}}
+				recorders = append(recorders, rec)
+				return store.Open(rec, int64(len(img)), opts)
 			}
 			stA, err := open(imgA, store.OpenOptions{})
 			if err != nil {
@@ -221,6 +237,26 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 			stB, err := open(imgB, store.OpenOptions{PageBase: diskio.PageID(stA.BlockPages())})
 			if err != nil {
 				t.Fatalf("Open B: %v", err)
+			}
+			frames := map[*byte]bool{}
+			// held checks the frames read into so far against the bound.
+			held := func(what string) {
+				t.Helper()
+				for _, rec := range recorders {
+					for f := range rec.frames {
+						frames[f] = true
+					}
+				}
+				capacity := pager.Pool().Capacity()
+				if len(frames) > capacity+1 {
+					t.Fatalf("%s: stores read into %d frames, pool capacity %d + 1", what, len(frames), capacity)
+				}
+				if n := pager.Pool().Len(); n > capacity {
+					t.Fatalf("%s: pool holds %d pages, capacity %d", what, n, capacity)
+				}
+			}
+			for _, rec := range recorders {
+				rec.armed = true
 			}
 			gA, gB := stA.Graph(), stB.Graph()
 			for v := 0; v < gA.NumVertices(); v += 2 {
@@ -233,16 +269,13 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 					t.Fatalf("B tree %d: %v", v, err)
 				}
 			}
-			if total := stA.ResidentPages() + stB.ResidentPages(); total > 4 {
-				t.Fatalf("resident pages %d exceed shared capacity 4", total)
-			}
+			held("trees")
 			rs := pager.ReadStats()
 			if rs.Reads == 0 || rs.Bytes == 0 {
 				t.Fatalf("pager read stats empty: %+v", rs)
 			}
 
 			// Churn: interleave the two stores' trees and lookups in random order.
-			capacity := pager.Pool().Capacity()
 			rng := rand.New(rand.NewSource(11))
 			var churn diskio.Stats
 			for i := 0; i < 4000; i++ {
@@ -260,13 +293,13 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 				if err != nil {
 					t.Fatalf("churn %d: vertex %d: %v", i, v, err)
 				}
-				resident, free := stA.ResidentPages()+stB.ResidentPages(), pager.FreeFrames()
-				if resident+free > capacity+1 {
-					t.Fatalf("churn %d: %d resident + %d free frames exceed pool capacity %d + 1", i, resident, free, capacity)
-				}
+				held(fmt.Sprintf("churn %d", i))
 			}
 			if churn.Evictions < 1000 {
 				t.Fatalf("churn evicted only %d pages", churn.Evictions)
+			}
+			if churn.Reads != churn.Misses {
+				t.Fatalf("churn: %d reads for %d misses", churn.Reads, churn.Misses)
 			}
 		})
 	}

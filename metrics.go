@@ -33,9 +33,9 @@ var opNames = [numOps]string{
 // engineObs holds the engine's metric aggregates and their registry.
 // Recording is atomic and allocation-free; everything here is created
 // once per Engine at construction. Series whose cardinality depends on
-// the engine's storage topology (per-pool-shard counters, per-store read
-// counters, a partitioned index's label and race counters) are
-// registered lazily, on the first WriteMetrics.
+// the engine's storage topology (per-store read counters, a partitioned
+// index's label and race counters) are registered lazily, on the first
+// WriteMetrics.
 type engineObs struct {
 	reg     *obs.Registry
 	dynOnce sync.Once
@@ -141,29 +141,10 @@ func newEngineObs(e *Engine) *engineObs {
 }
 
 // registerDynamic adds the series that depend on the engine's final
-// topology: per-pool-shard hit/miss/eviction gauges, the label-table and
-// race-batch counters of a sharded index, and per-store read counters
-// (labelled by page source). Called once, on the first scrape.
+// topology: the label-table and race-batch counters of a sharded index,
+// and per-store read counters (labelled by page source). Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
-	if pool := e.qx.Pool(); pool != nil {
-		for i := 0; i < pool.NumShards(); i++ {
-			i := i
-			label := `shard="` + itoa(i) + `"`
-			r.CounterFunc("silc_diskio_shard_hits_total", label,
-				"Per-pool-shard buffer-pool hits.",
-				func() float64 { return float64(pool.ShardStats(i).Hits) })
-			r.CounterFunc("silc_diskio_shard_misses_total", label,
-				"Per-pool-shard buffer-pool misses.",
-				func() float64 { return float64(pool.ShardStats(i).Misses) })
-			r.CounterFunc("silc_diskio_shard_evictions_total", label,
-				"Per-pool-shard buffer-pool evictions.",
-				func() float64 { return float64(pool.ShardStats(i).Evictions) })
-			r.GaugeFunc("silc_diskio_shard_resident_pages", label,
-				"Per-pool-shard resident pages.",
-				func() float64 { return float64(pool.ShardLen(i)) })
-		}
-	}
 	if e.sharded != nil {
 		labels := e.sharded.LabelStats
 		r.CounterFunc("silc_partition_label_hits_total", "",
@@ -204,16 +185,12 @@ func (m *engineObs) registerDynamic(e *Engine) {
 		r.CounterFunc("silc_store_blocks_decoded_total", label,
 			"Quadtree blocks passed through the paged decoder (lookups and tree decodes) per store.",
 			func() float64 { return float64(st.ReadStats().BlocksDecoded) })
-		r.GaugeFunc("silc_store_resident_pages", label,
-			"Page frames currently held in memory per store.",
-			func() float64 { return float64(st.ResidentPages()) })
 	}
 }
 
 // fold adds a finished query's span and I/O counters to the engine
 // aggregates and observes its end-to-end latency. Called exactly once
-// per checkout, from releaseQC (and from the batch workers, whose
-// contexts bypass the pool).
+// per checkout, from releaseQC.
 func (m *engineObs) fold(qc *core.QueryContext) {
 	sp := &qc.Span
 	if sp.Begin.IsZero() {
@@ -259,10 +236,10 @@ func (e *Engine) TracingEnabled() bool { return e.obs.timed.Load() }
 // WriteMetrics writes the engine's metrics in Prometheus text
 // exposition format: per-entry-point query counts and latency
 // histograms (silc_engine_*), search-work counters (silc_knn_*),
-// pool-wide and per-shard buffer-pool traffic (silc_diskio_*), per-store
-// read/decode counters labelled by page source (silc_store_*), and
-// cross-cell routing fan-out and label-table traffic (silc_partition_*). Safe for concurrent
-// use with queries; scraping never blocks the query path.
+// buffer-pool traffic (silc_diskio_*), per-store read/decode counters
+// labelled by page source (silc_store_*), and cross-cell routing fan-out
+// and label-table traffic (silc_partition_*). Safe for concurrent use with
+// queries; scraping never blocks the query path.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	e.obs.dynOnce.Do(func() { e.obs.registerDynamic(e) })
 	return e.obs.reg.WritePrometheus(w)

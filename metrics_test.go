@@ -310,7 +310,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 		"silc_knn_refinements_total",
 		"silc_knn_filter_seconds_total",
 		"silc_diskio_pool_hits_total",
-		`silc_diskio_shard_hits_total{shard="0"}`,
+		"silc_diskio_pool_resident_pages",
 		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
 		"silc_engine_inflight_queries 0",
 	} {
@@ -320,7 +320,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	}
 	for _, fam := range []string{
 		"silc_engine_queries_total", "silc_engine_query_seconds",
-		"silc_diskio_shard_hits_total", "silc_store_page_reads_total",
+		"silc_diskio_pool_hits_total", "silc_store_page_reads_total",
 	} {
 		if n := strings.Count(out, "# TYPE "+fam+" "); n != 1 {
 			t.Errorf("family %s has %d TYPE headers, want 1", fam, n)
@@ -331,8 +331,8 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	if err := eng.WriteMetrics(&b2); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(b2.String(), `silc_diskio_shard_hits_total{shard="0"}`); n != 1 {
-		t.Errorf("shard series appears %d times after second scrape, want 1", n)
+	if n := strings.Count(b2.String(), `silc_store_page_reads_total{store="0",source="mmapcopy"}`); n != 1 {
+		t.Errorf("store series appears %d times after second scrape, want 1", n)
 	}
 }
 

@@ -206,7 +206,7 @@ func TestEquivalenceAcrossBackends(t *testing.T) {
 
 // TestEquivalenceConcurrent hammers all four backends from many goroutines
 // over the 1%-sized shared pools — the race-detector workout for the store
-// (page frames, run reads, eviction routing) and the pool.
+// (run reads, page fills) and the pool (its frames and recency list).
 func TestEquivalenceConcurrent(t *testing.T) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 99})
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"testing"
 
-	"silc/internal/diskio"
 	"silc/internal/geom"
 	"silc/internal/graph"
 )
@@ -457,9 +456,7 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 					check("first lookup", err)
 					_, err = bad.Distance(ctx, victim, dst)
 					check("second lookup", err)
-					for p := (runOff - blockOff) / pageSize; p <= (runEnd-1-blockOff)/pageSize; p++ {
-						bad.pager.Evict(diskio.PageID(p))
-					}
+					flushPool(bad)
 					_, err = bad.Distance(ctx, victim, dst)
 					check("lookup after an eviction", err)
 					_, err = bad.Distance(ctx, through[0], through[1])
