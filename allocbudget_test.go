@@ -52,6 +52,12 @@ const (
 	// tree is two levels deeper there, nothing else grows).
 	budgetLiveMoveAllocs = 28
 	liveMoveScaling      = 1.5
+	// budgetBatchAllocsPerQuery bounds a warm Engine.QueryBatch of 64 kNN
+	// queries (k=10, in RAM), divided by 64: each query's two result
+	// slices, plus the batch's own result slice and workers spread over
+	// the queries. The batch draws its query contexts from the engine
+	// pool, as Query does.
+	budgetBatchAllocsPerQuery = 3
 )
 
 // allocEngine is one backend variant under the allocation budget.
@@ -194,6 +200,31 @@ func TestAllocBudgetKNN(t *testing.T) {
 				t.Fatalf("steady-state KNN k=10 allocates %.1f/op, budget %d", got, budgetKNNAllocs)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetBatch enforces budgetBatchAllocsPerQuery on a warm
+// in-RAM QueryBatch of 64 queries.
+func TestAllocBudgetBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	net, objs, _, _ := allocFixture(t)
+	eng := allocEngines(t, net)[0].eng
+	rng := rand.New(rand.NewSource(64))
+	queries := make([]VertexID, 64)
+	for i := range queries {
+		queries[i] = VertexID(rng.Intn(net.NumVertices()))
+	}
+	ctx := context.Background()
+	got := measureAllocs(func() {
+		if _, err := eng.QueryBatch(ctx, objs, queries, 10); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(queries))
+	t.Logf("batch of %d: %.2f allocs/query (budget %d)", len(queries), got, budgetBatchAllocsPerQuery)
+	if got > budgetBatchAllocsPerQuery {
+		t.Fatalf("warm QueryBatch allocates %.2f/query, budget %d", got, budgetBatchAllocsPerQuery)
 	}
 }
 

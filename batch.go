@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"silc/internal/core"
 )
 
 // BatchStats aggregates one QueryBatch execution.
@@ -51,7 +49,7 @@ type BatchResult struct {
 // GOMAXPROCS). The pool is bounded regardless of batch size: a batch of a
 // million queries still runs at most workers queries at a time. Every
 // index — including disk-backed ones — supports this: queries share the
-// sharded buffer pool and each carries its own statistics context, so
+// one buffer pool and each carries its own statistics context, so
 // Results[i].Stats reports exactly query i's traffic. Results are in input
 // order. WithMethod, WithEpsilon, WithMaxDistance, and WithExactDistances
 // apply to every query in the batch.
@@ -108,14 +106,10 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 				if i >= int64(len(queries)) {
 					return
 				}
-				// Batch contexts bypass the engine pool (each worker's
-				// queries are independent), so the span is armed and
-				// folded here instead of in acquire/release.
-				qc := core.NewQueryContextFor(ctx)
-				e.beginSpan(qc, opBatch)
+				qc := e.acquireQC(ctx, opBatch)
 				res, err := e.search(qc, objs, queries[i], spec, o)
+				e.releaseQC(qc)
 				if err != nil {
-					e.obs.fold(qc)
 					if ctx.Err() != nil {
 						return // cancelled: leave this and later slots zero
 					}
@@ -132,7 +126,6 @@ func (e *Engine) QueryBatch(ctx context.Context, objs *ObjectSet, queries []Vert
 					mu.Unlock()
 					continue
 				}
-				e.obs.fold(qc)
 				results[i] = res
 				answered.Add(1)
 			}
