@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"silc"
 	"silc/internal/server"
+	"silc/internal/testkit"
 )
 
 // testServer serves a disk-resident index: written under t.TempDir() and
@@ -542,6 +544,58 @@ func TestServerMetrics(t *testing.T) {
 	if knnQueries < 1 {
 		t.Errorf("silc_engine_queries_total{op=\"knn\"} = %v, want >= 1", knnQueries)
 	}
+}
+
+// TestServerMetricNamesPinned checks the series shapes (family names and
+// label keys, not values) of /metrics on a paged server after a little
+// traffic against a list, so every change to the served metric surface is
+// made on purpose and shows in this file.
+func TestServerMetricNamesPinned(t *testing.T) {
+	ts := httptest.NewServer(routes(testServer(t)))
+	defer ts.Close()
+	got := testkit.MetricNames(scrapeMetrics(t, ts))
+	if !slices.Equal(got, serverMetricNames) {
+		var list strings.Builder
+		for _, n := range got {
+			fmt.Fprintf(&list, "\t%q,\n", n)
+		}
+		t.Fatalf("the /metrics series changed; if that is intended, pin the new list:\n%s", list.String())
+	}
+}
+
+var serverMetricNames = []string{
+	"silc_diskio_pool_capacity_pages",
+	"silc_diskio_pool_evictions_total",
+	"silc_diskio_pool_hits_total",
+	"silc_diskio_pool_misses_total",
+	"silc_diskio_pool_resident_pages",
+	"silc_engine_blocks_decoded_total",
+	"silc_engine_inflight_queries",
+	"silc_engine_page_hits_total",
+	"silc_engine_page_misses_total",
+	"silc_engine_page_reads_total",
+	"silc_engine_pool_evictions_total",
+	"silc_engine_queries_total{op}",
+	"silc_engine_query_seconds_bucket{op,le}",
+	"silc_engine_query_seconds_count{op}",
+	"silc_engine_query_seconds_sum{op}",
+	"silc_knn_filter_seconds_total",
+	"silc_knn_heap_pushes_total",
+	"silc_knn_lookups_total",
+	"silc_knn_refine_seconds_total",
+	"silc_knn_refinements_total",
+	"silc_partition_cross_cell_refiners_total",
+	"silc_partition_gateway_routes_total",
+	"silc_store_blocks_decoded_total{store,source}",
+	"silc_store_crc_seconds_total{store,source}",
+	"silc_store_page_reads_total{store,source}",
+	"silc_store_read_bytes_total{store,source}",
+	"silc_store_read_seconds_total{store,source}",
+	"silcserve_inflight_requests",
+	"silcserve_request_seconds_bucket{endpoint,le}",
+	"silcserve_request_seconds_count{endpoint}",
+	"silcserve_request_seconds_sum{endpoint}",
+	"silcserve_requests_total{endpoint}",
 }
 
 // TestServerMetricsPaged checks the per-store silc_store_* families that

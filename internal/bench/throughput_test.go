@@ -14,9 +14,11 @@ import (
 )
 
 // TestThroughputScalesWithGoroutines is the acceptance check that parallel
-// QPS beats single-goroutine QPS on a shared disk-resident index. Margins
-// stay loose: the point is "sharding unlocked parallelism", not a precise
-// speedup figure.
+// QPS beats single-goroutine QPS on a shared disk-resident index, whose
+// buffer pool is one LRU under one lock. Margins stay loose: the point is
+// that the lock does not serialize the queries, not a precise speedup
+// figure; the test logs the speedup it measured, so a run on a machine of
+// 4 or more CPUs records what the lock costs there.
 func TestThroughputScalesWithGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput scaling check skipped in -short mode")
@@ -71,6 +73,7 @@ func TestThroughputScalesWithGoroutines(t *testing.T) {
 		one := qps(1)
 		best = max(best, qps(4)/one)
 	}
+	t.Logf("4-goroutine speedup %.2fx on %d CPUs (best of up to two tries)", best, runtime.GOMAXPROCS(0))
 	if best < 1.15 {
 		t.Fatalf("4-goroutine speedup = %.2fx; parallel querying should beat single-goroutine", best)
 	}

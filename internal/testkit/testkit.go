@@ -1,13 +1,16 @@
 // Package testkit holds the oracles and generators that tests of several
 // packages share: edge lists, Floyd–Warshall all-pairs distances, path
-// weights, first-hop colors and random non-planar networks. Only test files
-// import it; the root test TestInternalExportsHaveCallers enforces that.
+// weights, first-hop colors, random non-planar networks and the series
+// shapes of a metrics exposition. Only test files import it; the root test
+// TestInternalExportsHaveCallers enforces that.
 package testkit
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 
 	"silc/internal/geom"
 	"silc/internal/graph"
@@ -158,4 +161,45 @@ func clamp01(v float64) float64 {
 		return math.Nextafter(1, 0)
 	}
 	return v
+}
+
+// MetricNames returns the distinct series shapes of a Prometheus text
+// exposition, sorted: each sample's metric name followed by its label
+// keys in braces (name{k1,k2}; bare name when it has none). Values and
+// label values are dropped, so a golden list of shapes pins which
+// families exist and how they are labelled, not what they read.
+func MetricNames(exposition string) []string {
+	seen := map[string]bool{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, rest, labelled := strings.Cut(line, "{")
+		if !labelled {
+			name, _, _ = strings.Cut(line, " ")
+			seen[name] = true
+			continue
+		}
+		var keys []string
+		for rest != "" && rest[0] != '}' {
+			key, after, _ := strings.Cut(rest, `="`)
+			keys = append(keys, key)
+			// Skip the quoted value: up to the first unescaped quote.
+			i := 0
+			for i < len(after) && after[i] != '"' {
+				if after[i] == '\\' {
+					i++
+				}
+				i++
+			}
+			rest = strings.TrimPrefix(after[min(i+1, len(after)):], ",")
+		}
+		seen[name+"{"+strings.Join(keys, ",")+"}"] = true
+	}
+	names := make([]string, 0, len(seen))
+	for n := range seen {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
