@@ -156,23 +156,21 @@ func (p *Pool) Read(id PageID, qs *Stats, dst []byte, from int, fill func(frame 
 // evicting the least recently used one when the pool is full; it reports
 // whether it evicted. The caller holds p.mu.
 func (p *Pool) insert(id PageID, frame []byte) (evicted bool) {
-	var i int32
+	i := int32(len(p.entries))
+	var old []byte
 	if len(p.entries) < p.capacity {
-		i = int32(len(p.entries))
 		p.entries = append(p.entries, entry{})
 	} else {
 		i = p.tail
 		p.detach(i)
-		old := &p.entries[i]
-		delete(p.slots, old.id)
+		delete(p.slots, p.entries[i].id)
+		old, evicted = p.entries[i].frame, true
 		p.stats.Evictions++
-		evicted = true
-		p.free = append(p.free, old.frame)
 	}
-	p.entries[i].id, p.entries[i].frame = id, frame
+	p.entries[i] = entry{id: id, frame: frame}
 	p.slots[id] = i
 	p.pushFront(i)
-	p.park(nil)
+	p.park(old)
 	return evicted
 }
 
