@@ -142,7 +142,8 @@ func newEngineObs(e *Engine) *engineObs {
 
 // registerDynamic adds the series that depend on the engine's final
 // topology: the label-table and race-batch counters of a sharded index,
-// and per-store read counters (labelled by page source). Called once, on the first scrape.
+// and per-store read counters (labelled by page source). Called once, on
+// the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
 	if e.sharded != nil {
