@@ -113,7 +113,7 @@ func BenchmarkAblationCacheSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix := core.NewPagedIndex(core.PagedConfig{Graph: g, Source: st, Tracker: st.Tracker()})
+			ix := core.NewPagedIndex(core.PagedConfig{Source: st})
 			rng := rand.New(rand.NewSource(10))
 			n := g.NumVertices()
 			perm := rng.Perm(n)

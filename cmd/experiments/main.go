@@ -135,7 +135,7 @@ func main() {
 	env, err := bench.NewEnv(*rows, *cols, *seed)
 	check(err)
 	defer env.Close()
-	s := env.Ix.Stats()
+	s := env.BuildStats()
 	fmt.Fprintf(out, "index: %d vertices, %d edges, %d Morton blocks (%.1f/vertex), built in %v\n\n",
 		s.Vertices, s.Edges, s.TotalBlocks, s.BlocksPerVertex(), s.BuildTime.Round(time.Millisecond))
 

@@ -172,33 +172,13 @@ func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (
 		if err != nil {
 			return nil, err
 		}
-		eng = newEngine(&Network{g: st.Graph()}, pagedCore(st), st.Pager())
+		eng = newEngine(&Network{g: st.Graph()}, core.NewPagedIndex(core.PagedConfig{Source: st}), st.Pager())
 	}
 	if got := eng.Network(); net != nil && (net.NumVertices() != got.NumVertices() || net.NumEdges() != got.NumEdges()) {
 		return nil, fmt.Errorf("silc: paged index embeds a network of %d vertices and %d edges, supplied network has %d and %d",
 			got.NumVertices(), got.NumEdges(), net.NumVertices(), net.NumEdges())
 	}
 	return eng, nil
-}
-
-// pagedCore wraps an opened paged store as the core index that reads it.
-func pagedCore(st *store.Store) *core.Index {
-	g := st.Graph()
-	total, minBlocks, maxBlocks := st.BlockStats()
-	return core.NewPagedIndex(core.PagedConfig{
-		Graph:   g,
-		Source:  st,
-		Tracker: st.Tracker(),
-		Lenient: st.Lenient(),
-		Stats: core.BuildStats{
-			Vertices:    g.NumVertices(),
-			Edges:       g.NumEdges(),
-			TotalBlocks: total,
-			TotalBytes:  total * 16,
-			MinBlocks:   minBlocks,
-			MaxBlocks:   maxBlocks,
-		},
-	})
 }
 
 // Refiner exposes progressive refinement directly: each Step tightens the

@@ -29,9 +29,9 @@ type Env struct {
 	// Ix is the paged index behind the pool Cold last started.
 	Ix *core.Index
 
-	image string       // paged image path
-	st    *store.Store // open store behind Ix
-	stats core.BuildStats
+	image string          // paged image path
+	st    *store.Store    // open store behind Ix
+	stats core.BuildStats // of the in-RAM build the image was written from
 }
 
 // DefaultRows/DefaultCols size the default experiment lattice (~15k vertices
@@ -100,13 +100,13 @@ func (e *Env) Cold() (core.QueryIndex, error) {
 		return nil, err
 	}
 	e.st = st
-	e.Ix = core.NewPagedIndex(core.PagedConfig{
-		Graph: e.G, Source: st, Tracker: st.Tracker(),
-		Lenient: st.Lenient(),
-		Stats:   e.stats,
-	})
+	e.Ix = core.NewPagedIndex(core.PagedConfig{Source: st})
 	return e.Ix, nil
 }
+
+// BuildStats returns the statistics of the build the paged image was
+// written from; the opened index reports its image's, with no build time.
+func (e *Env) BuildStats() core.BuildStats { return e.stats }
 
 // ReadStats returns the real read counters of the store Cold last opened.
 func (e *Env) ReadStats() store.ReadStats { return e.st.ReadStats() }

@@ -69,10 +69,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		return nil, err
 	}
 	defer st.Close()
-	px := core.NewPagedIndex(core.PagedConfig{
-		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Lenient: st.Lenient(),
-	})
+	px := core.NewPagedIndex(core.PagedConfig{Source: st})
 
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(seed * 7919))

@@ -253,70 +253,60 @@ func (qc *QueryContext) ioCounter() *diskio.Stats {
 	return &qc.IO
 }
 
-// TreeSource supplies per-vertex shortest-path quadtrees to a disk-backed
-// Index, reading them through a buffer pool of real pages and keeping
-// nothing decoded. Tree decodes v's quadtree into a new tree, DecodeTree
-// into the caller's, reusing its storage; Touch touches the pages either
-// would without decoding, for a caller that still holds the tree; Lookup
-// returns the one block of it whose cell contains code (ok false when none
-// does) without building the tree. All charge their page traffic to ioStats
-// (nil = untracked) and return an error for unreadable or corrupt storage.
-// Implementations must be safe for unlimited concurrent callers;
-// internal/store.Store is the canonical one.
-type TreeSource interface {
-	Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error)
-	DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error
-	Touch(ioStats *diskio.Stats, v graph.VertexID) error
-	Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (quadtree.Block, bool, error)
-	BlockCount(v graph.VertexID) int
-}
-
 // Index is a SILC index over one spatial network. The query path never
 // mutates the Index: per-query state lives in a QueryContext and the
-// buffer pool is sharded, so any number of goroutines may query one shared
-// Index concurrently.
+// buffer pool is one locked LRU, so any number of goroutines may query one
+// shared Index concurrently.
 type Index struct {
 	g *graph.Network
 	// Exactly one of trees/src is set: trees holds the memory-resident
-	// quadtrees, src pages them in lazily from a disk store.
+	// quadtrees, src pages them in lazily from a disk store, and g is then
+	// the store's network.
 	trees []quadtree.Tree // indexed by source vertex; by value so the
 	// per-lookup header load walks one contiguous array instead of chasing
 	// a pointer per tree
-	src     TreeSource
-	pool    *diskio.Pool // the paged store's; nil when memory-resident
-	lenient bool         // AllowUnreachable: misses mean unreachable, not corrupt
+	src     *store.Store
+	lenient bool // AllowUnreachable: misses mean unreachable, not corrupt
 	stats   BuildStats
 }
 
 // PagedConfig assembles a disk-backed Index from an opened paged store.
+// Only Source is read: the store is the index's network, buffer pool,
+// leniency and block statistics. The other fields are ignored and stay
+// only because the benchmark module sets them (ROADMAP 1(i)).
 type PagedConfig struct {
-	Graph  *graph.Network
-	Source TreeSource
-	// Tracker is the store's buffer pool, the one Pool returns. It would be
-	// named Pool; it keeps its old name only because the benchmark module
-	// sets it (ROADMAP 1(i)).
-	Tracker *diskio.Pool
-	// Radius is ignored: the proximity-bounded build is gone. The field
-	// stays only because the benchmark module sets it (ROADMAP 1(i)).
-	Radius  float64
-	Lenient bool
-	// Compression is ignored: every image is delta-compressed. The field
-	// stays only because the benchmark module sets it.
+	Source *store.Store
+
+	Graph       *graph.Network
+	Tracker     *diskio.Pool
+	Radius      float64
+	Lenient     bool
 	Compression store.Compression
 	Stats       BuildStats
 }
 
-// NewPagedIndex returns an Index whose quadtrees live on disk behind cfg's
-// TreeSource. It answers exactly the same query surface as a built index;
-// storage failures surface through QueryContext.Err (or panic on
-// context-free calls).
+// NewPagedIndex returns an Index whose quadtrees live on disk behind
+// cfg.Source, over the network embedded in the store's image — the one
+// adjacency list the image's block colors index. It answers exactly the
+// same query surface as a built index; storage failures surface through
+// QueryContext.Err (or panic on context-free calls). Its statistics are the
+// image's block counts, with no build time.
 func NewPagedIndex(cfg PagedConfig) *Index {
+	st := cfg.Source
+	g := st.Graph()
+	total, minBlocks, maxBlocks := st.BlockStats()
 	return &Index{
-		g:       cfg.Graph,
-		src:     cfg.Source,
-		pool:    cfg.Tracker,
-		lenient: cfg.Lenient,
-		stats:   cfg.Stats,
+		g:       g,
+		src:     st,
+		lenient: st.Lenient(),
+		stats: BuildStats{
+			Vertices:    g.NumVertices(),
+			Edges:       g.NumEdges(),
+			TotalBlocks: total,
+			TotalBytes:  total * quadtree.EncodedSizeBytes,
+			MinBlocks:   minBlocks,
+			MaxBlocks:   maxBlocks,
+		},
 	}
 }
 
@@ -342,14 +332,11 @@ func (ix *Index) Network() *graph.Network { return ix.g }
 func (ix *Index) Stats() BuildStats { return ix.stats }
 
 // Pool returns the paged store's buffer pool, or nil for in-memory indexes.
-func (ix *Index) Pool() *diskio.Pool { return ix.pool }
-
-// BlockCount returns the Morton block count of v's shortest-path quadtree.
-func (ix *Index) BlockCount(v graph.VertexID) int {
-	if ix.src != nil {
-		return ix.src.BlockCount(v)
+func (ix *Index) Pool() *diskio.Pool {
+	if ix.src == nil {
+		return nil
 	}
-	return ix.trees[v].NumBlocks()
+	return ix.src.Pager().Pool()
 }
 
 // lookup finds the block of tree[u] containing dst's cell; a paged source

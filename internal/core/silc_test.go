@@ -226,7 +226,7 @@ func TestBuildStats(t *testing.T) {
 	}
 	var total int64
 	for v := 0; v < g.NumVertices(); v++ {
-		b := ix.BlockCount(graph.VertexID(v))
+		b := ix.trees[v].NumBlocks()
 		total += int64(b)
 		if b < s.MinBlocks || b > s.MaxBlocks {
 			t.Fatalf("block count %d outside [%d,%d]", b, s.MinBlocks, s.MaxBlocks)
@@ -410,8 +410,7 @@ func pagedIndex(t *testing.T, ix *Index, fraction float64) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPagedIndex(PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Lenient: st.Lenient()})
+	return NewPagedIndex(PagedConfig{Source: st})
 }
 
 func TestPagedIndexTracksIO(t *testing.T) {
@@ -424,7 +423,7 @@ func TestPagedIndexTracksIO(t *testing.T) {
 	}
 	// The pool is the cache fraction of the pages a query can read: the
 	// image's block pages.
-	blockPages := ix.src.(*store.Store).BlockPages()
+	blockPages := ix.src.BlockPages()
 	if got, want := pool.Capacity(), max(int(float64(blockPages)*0.05), 1); got != want {
 		t.Fatalf("pool capacity %d, want 5%% of %d block pages = %d", got, blockPages, want)
 	}

@@ -460,7 +460,7 @@ func TestIOStatsOnPagedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := core.NewPagedIndex(core.PagedConfig{Graph: g, Source: st, Tracker: st.Tracker()})
+	ix := core.NewPagedIndex(core.PagedConfig{Source: st})
 	h := &harness{g: g, ix: ix}
 	rng := rand.New(rand.NewSource(31))
 	objs := h.randomObjects(30, rng)

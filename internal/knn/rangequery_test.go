@@ -330,7 +330,7 @@ func TestRangeMatchesDeletedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged := core.NewPagedIndex(core.PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
+	paged := core.NewPagedIndex(core.PagedConfig{Source: st})
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

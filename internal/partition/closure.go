@@ -190,7 +190,7 @@ func validateCoverage(g *graph.Network, asn *Assignment, cl *Closure, cells []*c
 		if lo == hi {
 			return fmt.Errorf("partition: cell %d has no boundary vertices; the network is not connected across cells", c)
 		}
-		sub := cells[c].sub
+		sub := cells[c].ix.Network()
 		nc := sub.NumVertices()
 		seeds := make([]graph.VertexID, 0, hi-lo)
 		for r := lo; r < hi; r++ {

@@ -18,10 +18,11 @@ func fuzzNetwork(tb testing.TB) *graph.Network {
 }
 
 // FuzzOpenPagedSharded drives the sharded paged opener with arbitrary
-// bytes; beyond parsing, a successful open is queried once so lazily
-// -detected corruption also surfaces as errors. Its seeds are a valid file,
-// a truncation and a bit flip of it, and the file under the magics of the
-// two removed formats.
+// bytes; beyond parsing, a successful open is queried across cells and
+// within vertex 0's cell, so lazily-detected corruption also surfaces as
+// errors. Its seeds are a valid file,
+// a truncation and a bit flip of it, the file under the magics of the two
+// removed formats, and forgeCell's image, whose checksums all hold.
 func FuzzOpenPagedSharded(f *testing.F) {
 	g := fuzzNetwork(f)
 	sx, err := Build(g, Options{Partitions: 3})
@@ -43,6 +44,8 @@ func FuzzOpenPagedSharded(f *testing.F) {
 		oldMagic[7] = version
 		f.Add(oldMagic)
 	}
+	_, img := buildPagedImage(f)
+	f.Add(forgeCell(f, img, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{poolPages: 4})
 		if err != nil {
@@ -51,5 +54,13 @@ func FuzzOpenPagedSharded(f *testing.F) {
 		qc := core.NewQueryContext()
 		n := px.Network().NumVertices()
 		core.ExactDistance(px, qc, 0, graph.VertexID(n-1))
+		// A cross-cell query searches the network on the source's side; a
+		// query within the source's cell walks that cell's quadtrees.
+		for v := 1; v < n; v++ {
+			if px.CellOf(graph.VertexID(v)) == px.CellOf(0) {
+				core.ExactDistance(px, core.NewQueryContext(), 0, graph.VertexID(v))
+				break
+			}
+		}
 	})
 }

@@ -28,9 +28,11 @@ import (
 //
 // Everything is little-endian; offsets are absolute file offsets. The
 // global network is embedded, so a sharded paged file is self-contained
-// exactly like the monolithic one. Everything else — local-id ordering,
-// subnetworks, boundary rows, bounding boxes — is deterministically derived
-// from the network plus cellOf, so it is reconstructed rather than stored.
+// exactly like the monolithic one. Each cell image embeds its cell's
+// subnetwork, the adjacency its block colors index, and the opened cell
+// index reads that one; the open checks its vertex and arc counts against
+// the cell. Local-id ordering and boundary rows are derived from the
+// global network plus cellOf, so they are reconstructed rather than stored.
 
 const shardedPagedSuperblockSize = 64
 
@@ -249,16 +251,15 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	}
 
 	// First open every cell store (page counts come from the images), then
-	// size the one pool they share over all their block pages.
+	// size the one pool they share over all their block pages. Each cell's
+	// index reads the network embedded in its image, the adjacency its block
+	// colors index; it must have the vertex and arc counts of the cell's
+	// induced subnetwork, which cellOf fixes.
 	pager := store.NewPager(nil) // pool installed below, before any touch
+	arcs := cellArcCounts(g, asn)
 	cells := make([]*cell, p)
-	stores := make([]*store.Store, p)
 	var totalBlockPages int64
 	for c := 0; c < p; c++ {
-		sub, err := subnetwork(g, asn, c)
-		if err != nil {
-			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
-		}
 		var cellRA io.ReaderAt = io.NewSectionReader(ra, offs[c], sizes[c])
 		if m, ok := ra.(store.Mapping); ok { // each cell copies out of its section
 			cellRA = m[offs[c] : offs[c]+sizes[c]]
@@ -271,12 +272,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, bases[c], totalBlockPages)
 		}
 		totalBlockPages += st.BlockPages()
-		if st.Graph().NumVertices() != sub.NumVertices() || st.Graph().NumEdges() != sub.NumEdges() {
-			return nil, fmt.Errorf("partition: cell %d embedded network (%d vertices, %d edges) does not match derived subnetwork (%d, %d)",
-				c, st.Graph().NumVertices(), st.Graph().NumEdges(), sub.NumVertices(), sub.NumEdges())
+		if sg := st.Graph(); sg.NumVertices() != len(asn.Verts[c]) || sg.NumEdges() != arcs[c] {
+			return nil, fmt.Errorf("partition: cell %d embedded network (%d vertices, %d edges) does not match its cell (%d, %d)",
+				c, sg.NumVertices(), sg.NumEdges(), len(asn.Verts[c]), arcs[c])
 		}
-		stores[c] = st
-		cells[c] = &cell{id: int32(c), sub: sub, toGlobal: asn.Verts[c]}
+		cells[c] = &cell{id: int32(c), ix: core.NewPagedIndex(core.PagedConfig{Source: st}), toGlobal: asn.Verts[c]}
 	}
 	capacity := opt.poolPages
 	if capacity <= 0 {
@@ -285,24 +285,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		}
 	}
 	pager.SetPool(diskio.NewPool(capacity, 1))
-	for c := 0; c < p; c++ {
-		st := stores[c]
-		total, minB, maxB := st.BlockStats()
-		cells[c].ix = core.NewPagedIndex(core.PagedConfig{
-			Graph:   cells[c].sub,
-			Source:  st,
-			Tracker: pager.Pool(),
-			Lenient: st.Lenient(),
-			Stats: core.BuildStats{
-				Vertices:    cells[c].sub.NumVertices(),
-				Edges:       cells[c].sub.NumEdges(),
-				TotalBlocks: total,
-				TotalBytes:  total * 16,
-				MinBlocks:   minB,
-				MaxBlocks:   maxB,
-			},
-		})
-	}
 
 	s := meta.sharded()
 	s.cells, s.pager = cells, pager

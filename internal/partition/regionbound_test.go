@@ -264,7 +264,7 @@ func TestCellBoundAnswersUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged := core.NewPagedIndex(core.PagedConfig{Graph: st.Graph(), Source: st, Tracker: st.Tracker()})
+	paged := core.NewPagedIndex(core.PagedConfig{Source: st})
 
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(25))

@@ -58,11 +58,10 @@ type Stats struct {
 	Cells []core.BuildStats
 }
 
-// cell is one shard: the induced subnetwork and its SILC index, plus the
-// local↔global vertex-id mapping.
+// cell is one shard: the SILC index over its induced subnetwork
+// (ix.Network()), plus the local↔global vertex-id mapping.
 type cell struct {
 	id       int32
-	sub      *graph.Network
 	ix       *core.Index
 	toGlobal []graph.VertexID
 	seam     *localCell // ix behind the CellIndex seam (bindCells)
@@ -134,7 +133,7 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d index: %w", c, err)
 		}
-		cells[c] = &cell{id: int32(c), sub: sub, ix: ix, toGlobal: asn.Verts[c]}
+		cells[c] = &cell{id: int32(c), ix: ix, toGlobal: asn.Verts[c]}
 	}
 	cellBuildTime := time.Since(cellStart)
 

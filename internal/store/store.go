@@ -100,6 +100,7 @@ func (pg *Pager) Stores() []*Store { return pg.stores }
 // ReadStats counts the actual disk reads a store performed.
 type ReadStats struct {
 	Reads int64
+	// Bytes is Reads times the page size: every read fills one whole page.
 	Bytes int64
 	// Time is the wall-clock time spent filling missed frames — inside
 	// ReadAt, which over a Mapping is a copy out of the mapping: the
@@ -134,8 +135,7 @@ type Store struct {
 	pageBase diskio.PageID
 	pager    *Pager
 
-	reads     atomic.Int64
-	readBytes atomic.Int64
+	reads     atomic.Int64 // block pages read, each sb.pageSize bytes
 	readNanos atomic.Int64
 	crcNanos  atomic.Int64
 	decoded   atomic.Int64 // quadtree blocks passed through the decoder
@@ -307,13 +307,9 @@ func (s *Store) BlockStats() (total int64, minBlocks, maxBlocks int) {
 	return total, minBlocks, maxBlocks
 }
 
-// BlockCount implements core.TreeSource.
-func (s *Store) BlockCount(v graph.VertexID) int { return int(s.counts[v]) }
-
 // ResetReadStats zeroes the actual read counters (cache contents stay).
 func (s *Store) ResetReadStats() {
 	s.reads.Store(0)
-	s.readBytes.Store(0)
 	s.readNanos.Store(0)
 	s.crcNanos.Store(0)
 	s.decoded.Store(0)
@@ -321,18 +317,19 @@ func (s *Store) ResetReadStats() {
 
 // ReadStats returns the actual read counters.
 func (s *Store) ReadStats() ReadStats {
+	reads := s.reads.Load()
 	return ReadStats{
-		Reads:         s.reads.Load(),
-		Bytes:         s.readBytes.Load(),
+		Reads:         reads,
+		Bytes:         reads * int64(s.sb.pageSize),
 		Time:          time.Duration(s.readNanos.Load()),
 		CRCTime:       time.Duration(s.crcNanos.Load()),
 		BlocksDecoded: s.decoded.Load(),
 	}
 }
 
-// Tree implements core.TreeSource: it decodes v's shortest-path quadtree
-// into a new tree. Nothing is cached: every call reads the run's pages
-// through the pool and decodes it again.
+// Tree decodes v's shortest-path quadtree into a new tree. Nothing is
+// cached: every call reads the run's pages through the pool and decodes it
+// again.
 func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, error) {
 	t := new(quadtree.Tree)
 	if err := s.DecodeTree(ioStats, v, t); err != nil {
@@ -341,11 +338,11 @@ func (s *Store) Tree(ioStats *diskio.Stats, v graph.VertexID) (*quadtree.Tree, e
 	return t, nil
 }
 
-// DecodeTree implements core.TreeSource: it decodes v's whole run into t,
-// checking every block and every restart entry, and reusing t's block
-// storage; on an error t's blocks are unspecified. Page traffic is charged
-// to the shared pool and to ioStats (nil = untracked); misses perform real
-// reads. A failed check is an error wrapping ErrCorrupt.
+// DecodeTree decodes v's whole run into t, checking every block and every
+// restart entry, and reusing t's block storage; on an error t's blocks are
+// unspecified. Page traffic is charged to the shared pool and to ioStats
+// (nil = untracked); misses perform real reads. A failed check is an error
+// wrapping ErrCorrupt.
 func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.Tree) error {
 	r := s.reader(ioStats, v)
 	defer r.release()
@@ -363,10 +360,10 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 	return nil
 }
 
-// Touch implements core.TreeSource: it touches every page of v's run in
-// order, reading missed ones and decoding nothing — what a caller that
-// still holds v's decoded tree does instead of decoding it again, so that
-// pool recency, hits, misses and reads are the same either way.
+// Touch touches every page of v's run in order, reading missed ones and
+// decoding nothing — what a caller that still holds v's decoded tree does
+// instead of decoding it again, so that pool recency, hits, misses and
+// reads are the same either way.
 func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 	first, last, ok := s.runPages(v)
 	for p := first; ok && p <= last; p++ {
@@ -377,12 +374,11 @@ func (s *Store) Touch(ioStats *diskio.Stats, v graph.VertexID) error {
 	return nil
 }
 
-// Lookup implements core.TreeSource: it returns the block of v's quadtree
-// whose cell contains code (ok false when none does), caching nothing. It
-// touches, in order, the pages holding the run's header and those holding
-// the bytes it decodes: from the restart entry in front of the block it
-// needs through that block, at most restartEvery blocks. A failed check is
-// an error wrapping ErrCorrupt.
+// Lookup returns the block of v's quadtree whose cell contains code (ok
+// false when none does), caching nothing. It touches, in order, the pages
+// holding the run's header and those holding the bytes it decodes: from the
+// restart entry in front of the block it needs through that block, at most
+// restartEvery blocks. A failed check is an error wrapping ErrCorrupt.
 func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) (b quadtree.Block, ok bool, err error) {
 	r := s.reader(ioStats, v)
 	var decoded int
@@ -500,7 +496,6 @@ func (s *Store) readPage(p diskio.PageID, ioStats *diskio.Stats, frame []byte) (
 	sum := crc32.ChecksumIEEE(frame)
 	s.crcNanos.Add(time.Since(read).Nanoseconds())
 	s.reads.Add(1)
-	s.readBytes.Add(int64(s.sb.pageSize))
 	if ioStats != nil {
 		ioStats.Reads++
 	}

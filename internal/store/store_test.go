@@ -54,14 +54,11 @@ func TestPagedRoundTrip(t *testing.T) {
 		t.Fatalf("embedded network %d/%d, want %d/%d",
 			st.Graph().NumVertices(), st.Graph().NumEdges(), g.NumVertices(), g.NumEdges())
 	}
-	total, _, _ := st.BlockStats()
-	px := core.NewPagedIndex(core.PagedConfig{
-		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Lenient: st.Lenient(),
-		Stats:   core.BuildStats{TotalBlocks: total},
-	})
-	if px.Stats().TotalBlocks != ix.Stats().TotalBlocks {
-		t.Fatalf("total blocks %d, want %d", px.Stats().TotalBlocks, ix.Stats().TotalBlocks)
+	px := core.NewPagedIndex(core.PagedConfig{Source: st})
+	want := ix.Stats()
+	want.BuildTime = 0 // an opened image reports no build
+	if got := px.Stats(); got != want {
+		t.Fatalf("paged stats %+v, want the build's %+v", got, want)
 	}
 
 	n := g.NumVertices()
@@ -116,10 +113,7 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	if st.BlockPages() <= capacity {
 		t.Fatalf("index has %d pages, need more than pool capacity %d for this test", st.BlockPages(), capacity)
 	}
-	px := core.NewPagedIndex(core.PagedConfig{
-		Graph: st.Graph(), Source: st, Tracker: st.Tracker(),
-		Lenient: st.Lenient(),
-	})
+	px := core.NewPagedIndex(core.PagedConfig{Source: st})
 
 	n := g.NumVertices()
 	qc := core.NewQueryContext()
@@ -168,9 +162,7 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open corrupt (lazy pages must not fail open): %v", err)
 	}
-	px := core.NewPagedIndex(core.PagedConfig{
-		Graph: st2.Graph(), Source: st2, Tracker: st2.Tracker(),
-	})
+	px := core.NewPagedIndex(core.PagedConfig{Source: st2})
 	n := st2.Graph().NumVertices()
 	sawErr := false
 	for u := 0; u < n && !sawErr; u++ {
