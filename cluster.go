@@ -128,7 +128,7 @@ func OpenClusterRouter(indexPath string, m *ClusterManifest, opt ClusterRouterOp
 		return nil, err
 	}
 	return &ClusterRouter{
-		eng:    newEngine(&Network{g: meta.Network()}, sx, nil),
+		eng:    newEngine(&Network{g: meta.Network()}, sx, ""),
 		client: client,
 	}, nil
 }

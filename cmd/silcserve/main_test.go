@@ -598,8 +598,9 @@ var serverMetricNames = []string{
 	"silcserve_requests_total{endpoint}",
 }
 
-// TestServerMetricsPaged checks the per-store silc_store_* families that
-// only a paged (SILCPG) engine registers.
+// TestServerMetricsPaged checks the pool-wide silc_store_* families that
+// only a paged (SILCPG) engine registers: one series each, labelled by
+// page source only.
 func TestServerMetricsPaged(t *testing.T) {
 	dir := t.TempDir()
 	net, err := silc.GenerateGrid(8, 8)
@@ -634,9 +635,9 @@ func TestServerMetricsPaged(t *testing.T) {
 	defer ts.Close()
 	out := scrapeMetrics(t, ts)
 	for _, want := range []string{
-		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
-		`silc_store_blocks_decoded_total{store="0",source="mmapcopy"}`,
-		`silc_store_read_bytes_total{store="0",source="mmapcopy"}`,
+		`silc_store_page_reads_total{source="mmapcopy"}`,
+		`silc_store_blocks_decoded_total{source="mmapcopy"}`,
+		`silc_store_read_seconds_total{source="mmapcopy"}`,
 		"silc_engine_page_reads_total",
 		"silc_engine_blocks_decoded_total",
 	} {

@@ -164,15 +164,12 @@ func TestTruncatedImageFailsCleanly(t *testing.T) {
 }
 
 // flushPool evicts every page of a paged engine by reading as many fresh
-// pages past its stores' as its pool holds, with a fill that reads
+// pages far past its stores' as its pool holds, with a fill that reads
 // nothing: an eviction by touching other pages, which no overwrite of the
 // image can make fail.
 func flushPool(e *Engine) {
-	var beyond diskio.PageID
-	for _, st := range e.pager.Stores() {
-		beyond += diskio.PageID(st.BlockPages())
-	}
-	pool := e.pager.Pool()
+	const beyond = diskio.PageID(1) << 40
+	pool := e.qx.Pool()
 	for i := range pool.Capacity() {
 		pool.TouchEvict(beyond+diskio.PageID(i), nil)
 	}

@@ -53,9 +53,9 @@ type Engine struct {
 	sharded *partition.Sharded
 	// closer releases the file behind an engine OpenEngine opened.
 	closer io.Closer
-	// pager is set when the engine runs over an on-disk store; it reports
-	// the actual read counters.
-	pager *store.Pager
+	// source names what fills a missed page of an opened image — "readat"
+	// or "mmapcopy" — and labels its silc_store_* series; empty in RAM.
+	source string
 
 	// qcPool recycles query contexts — and, through QueryContext.Scratch,
 	// the per-query search arenas that hang off them — so the steady-state
@@ -73,10 +73,10 @@ type Engine struct {
 }
 
 // newEngine is the single Engine constructor behind both index kinds; it
-// wires the metric aggregates before the first query can run. pager is the
-// paged store's (nil in RAM).
-func newEngine(net *Network, qx queryBackend, pager *store.Pager) *Engine {
-	e := &Engine{net: net, qx: qx, pager: pager}
+// wires the metric aggregates before the first query can run. source is
+// the page source of an opened image ("" in RAM).
+func newEngine(net *Network, qx queryBackend, source string) *Engine {
+	e := &Engine{net: net, qx: qx, source: source}
 	e.sharded, _ = qx.(*partition.Sharded)
 	e.obs = newEngineObs(e)
 	return e
@@ -119,20 +119,13 @@ func (e *Engine) Network() *Network { return e.net }
 // IOStats returns cumulative pool-wide buffer-pool statistics (zeros for
 // memory-resident indexes). Per-query traffic is on each Result's Stats;
 // summing the per-query counters over a workload reproduces these
-// pool-wide totals exactly, because the pool charges each touch to both
-// at once. On a sharded paged engine all cell stores
-// share one pool and one pager, so every figure here aggregates across all
-// cells — there is no per-cell breakdown at this level (WriteMetrics
-// exposes per-store series).
+// pool-wide totals exactly, because the pool charges each touch and each
+// read to both at once. On a sharded paged engine all cell stores share
+// one pool, so every figure here aggregates across all cells.
 func (e *Engine) IOStats() IOStats {
-	s := e.qx.Pool().Stats()
-	out := IOStats{PageHits: s.Hits, PageMisses: s.Misses}
-	if e.pager != nil {
-		rs := e.pager.ReadStats()
-		out.PageReads = rs.Reads
-		out.MeasuredIOTime = rs.Time
-	}
-	return out
+	pool := e.qx.Pool()
+	s := pool.Stats()
+	return IOStats{PageHits: s.Hits, PageMisses: s.Misses, PageReads: s.Reads, MeasuredIOTime: pool.ReadTime()}
 }
 
 // Close releases the file behind an engine OpenEngine opened; it is a
@@ -209,18 +202,11 @@ func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 	return &Refiner{r: e.qx.Refine(nil, src, dst), mono: e.sharded == nil}, nil
 }
 
-// ResetIOStats zeroes the buffer-pool counters — and, on a disk-backed
-// engine, the actual read counters of every registered store with them
-// (all cells of a sharded paged engine), so a measurement window's pool
-// and read figures describe the same workload. Cache contents stay warm.
-// The Prometheus counters (WriteMetrics) are monotone and are deliberately
-// NOT reset.
-func (e *Engine) ResetIOStats() {
-	e.qx.Pool().ResetStats()
-	if e.pager != nil {
-		e.pager.ResetReadStats()
-	}
-}
+// ResetIOStats zeroes the buffer pool's counters and read clock, which
+// hold every figure IOStats reports. Cache contents stay warm. The
+// Prometheus counters (WriteMetrics) are monotone and are deliberately NOT
+// reset.
+func (e *Engine) ResetIOStats() { e.qx.Pool().ResetStats() }
 
 // Distance returns the network distance from u to v by progressive
 // refinement: exact by default, and under WithEpsilon(ε) the lower

@@ -140,7 +140,8 @@ func TestOpenValidatesCacheFraction(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "ix.silcpg")
-		if _, err := built.WriteFile(path); err != nil {
+		info, err := built.WriteFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
 		img, err := os.ReadFile(path)
@@ -172,12 +173,9 @@ func TestOpenValidatesCacheFraction(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cache fraction %v: %v", tag, c.fraction, err)
 				}
-				var total int64 // the pages a query can read: every block page
-				for _, st := range eng.pager.Stores() {
-					total += st.BlockPages()
-				}
+				total := info.BlockPages // the pages a query can read: every block page
 				want := max(int(float64(total)*c.share), 1)
-				if got := eng.pager.Pool().Capacity(); got != want {
+				if got := eng.qx.Pool().Capacity(); got != want {
 					t.Errorf("%s: cache fraction %v: pool of %d pages, want %d of %d", tag, c.fraction, got, want, total)
 				}
 				eng.Close()

@@ -75,7 +75,7 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newEngine(net, ix, nil), nil
+		return newEngine(net, ix, ""), nil
 	}
 	sx, err := partition.Build(net.g, partition.Options{
 		Partitions:  opts.Partitions,
@@ -84,7 +84,7 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(net, sx, nil), nil
+	return newEngine(net, sx, ""), nil
 }
 
 // OpenEngine opens a paged index file by path — written by Engine.WriteFile
@@ -160,19 +160,23 @@ func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (
 	if err != nil {
 		return nil, err
 	}
+	source := "readat" // what fills a missed page: a positioned read,
+	if _, copies := ra.(store.Mapping); copies {
+		source = "mmapcopy" // or a copy out of the mapping
+	}
 	var eng *Engine
 	if sharded {
 		sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction})
 		if err != nil {
 			return nil, err
 		}
-		eng = newEngine(&Network{g: sx.Network()}, sx, sx.StorePager())
+		eng = newEngine(&Network{g: sx.Network()}, sx, source)
 	} else {
 		st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction})
 		if err != nil {
 			return nil, err
 		}
-		eng = newEngine(&Network{g: st.Graph()}, core.NewPagedIndex(core.PagedConfig{Source: st}), st.Pager())
+		eng = newEngine(&Network{g: st.Graph()}, core.NewPagedIndex(core.PagedConfig{Source: st}), source)
 	}
 	if got := eng.Network(); net != nil && (net.NumVertices() != got.NumVertices() || net.NumEdges() != got.NumEdges()) {
 		return nil, fmt.Errorf("silc: paged index embeds a network of %d vertices and %d edges, supplied network has %d and %d",

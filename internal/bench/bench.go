@@ -108,9 +108,6 @@ func (e *Env) Cold() (core.QueryIndex, error) {
 // written from; the opened index reports its image's, with no build time.
 func (e *Env) BuildStats() core.BuildStats { return e.stats }
 
-// ReadStats returns the real read counters of the store Cold last opened.
-func (e *Env) ReadStats() store.ReadStats { return e.st.ReadStats() }
-
 // Close releases the paged image.
 func (e *Env) Close() error {
 	err := e.st.Close()
@@ -329,7 +326,7 @@ func (e *Env) Sweep(specs []SweepSpec, queriesPer int, algos []Algorithm, seed i
 				}
 				agg.add(res.Stats)
 			}
-			agg.finish(e.ReadStats().Time)
+			agg.finish(e.st.Pager().Pool().ReadTime())
 		}
 		points = append(points, pt)
 	}

@@ -84,6 +84,7 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		paged.Add(qc.IO)
 	}
 
+	pool := st.Pager().Pool().Stats()
 	return &PagedIOResult{
 		Lattice:       rows,
 		Vertices:      n,
@@ -94,9 +95,9 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		PoolPages:     st.Pager().Pool().Capacity(),
 		PagedHits:     paged.Hits,
 		PagedMisses:   paged.Misses,
-		ActualReads:   st.ReadStats().Reads,
-		ActualBytes:   st.ReadStats().Bytes,
-		MeasuredIO:    st.ReadStats().Time,
+		ActualReads:   pool.Reads,
+		ActualBytes:   pool.Reads * store.PageSize,
+		MeasuredIO:    st.Pager().Pool().ReadTime(),
 		ResidentPages: st.Tracker().Len(),
 	}, nil
 }

@@ -6,28 +6,29 @@
 // missed one by the store's read. Algorithms report the page hits and
 // misses they caused.
 //
-// The pool is one exact LRU under one mutex. Per-query attribution happens
-// through a query-owned *Stats counter passed into every read (nil for
-// untracked access).
+// The pool is one exact LRU under one mutex, and the one aggregate I/O
+// ledger: hits, misses, evictions, page reads and their time, and the
+// blocks the store decoded. Per-query attribution happens through a
+// query-owned *Stats counter passed into every charge (nil for untracked
+// access), so per-query sums reproduce the aggregates by construction.
 package diskio
 
 import (
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // PageID identifies one block page of an index: a cell store's pages sit
 // at its page base in the id space its sharded image's stores share.
 type PageID int64
 
-// Stats counts buffer-pool traffic. Hits/Misses/Evictions are charged
-// by the pool itself; Reads and BlocksDecoded are charged by the paged
-// store (the only layer that knows whether a miss turned into a real
-// page read — a positioned read or a copy out of the image's mapping — and
-// how many quadtree blocks its decoder passed) —
-// they ride here so one counter follows the per-query attribution
-// plumbing through every layer, the cluster's wire included (the binary
-// frames of internal/cluster/wire.go). The JSON tags serve only the
-// benchmark's JSON codec rung, cluster.json_codec_us.
+// Stats counts buffer-pool traffic, all of it charged through the pool:
+// Read charges Hits, Misses, Evictions and Reads, Decoded charges
+// BlocksDecoded for the paged store's decoder. One counter follows the
+// per-query attribution plumbing through every layer, the cluster's wire
+// included (the binary frames of internal/cluster/wire.go). The JSON tags
+// serve only the benchmark's JSON codec rung, cluster.json_codec_us.
 type Stats struct {
 	Hits   int64 `json:"hits,omitempty"`
 	Misses int64 `json:"misses,omitempty"`
@@ -35,12 +36,13 @@ type Stats struct {
 	// pool. Like Hits/Misses it is charged exactly once per displaced
 	// page, so per-query sums reproduce pool aggregates.
 	Evictions int64 `json:"evictions,omitempty"`
-	// Reads counts the pages a paged store actually read: a positioned
-	// read, or a copy out of the image's mapping. Every miss is one read
-	// attempt, so Reads equals Misses unless a read fails.
+	// Reads counts the fills the pool ran: a paged store's positioned read,
+	// or copy out of the image's mapping, and its CRC check. Every miss
+	// runs one fill, a failed one included, so Reads equals Misses.
 	Reads int64 `json:"reads,omitempty"`
 	// BlocksDecoded counts quadtree blocks a paged store's decoder actually
-	// passed, by lookups and tree decodes alike (zero on in-RAM indexes).
+	// passed, by lookups and tree decodes alike (zero on in-RAM indexes),
+	// as the store charges them through Decoded.
 	BlocksDecoded int64 `json:"blocks_decoded,omitempty"`
 }
 
@@ -58,7 +60,9 @@ func (s *Stats) Add(o Stats) {
 
 // Pool is an exact LRU buffer pool whose entries own their page frames,
 // safe for unlimited concurrent users. One mutex guards the recency list,
-// the page map, the free frames and the aggregate counters. A hit copies
+// the page map, the free frames, the aggregate counters and the read
+// clock; the decoded-block aggregate is an atomic, because the store
+// charges it once per lookup, hit or miss. A hit copies
 // the bytes it wants out of the resident frame under the lock; a miss
 // fills a free frame outside it, so no reader ever touches a frame the
 // pool may recycle.
@@ -74,7 +78,11 @@ type Pool struct {
 	// plus free frames never exceed capacity+1, so a full pool keeps one
 	// frame for its next miss and allocates no more.
 	free  [][]byte
-	stats Stats
+	stats Stats // BlocksDecoded stays zero: decoded holds it
+	// readTime is the wall-clock time the pool's fills took: the store's
+	// ReadAt and CRC check of every missed page.
+	readTime time.Duration
+	decoded  atomic.Int64
 }
 
 type entry struct {
@@ -100,15 +108,17 @@ func NewPool(capacity, shards int) *Pool {
 // Read copies the bytes of page id from offset from on into dst (an empty
 // dst wants none) and charges the access to the pool and, when qs is
 // non-nil, to the caller's counter (qs must be owned by the calling
-// goroutine): exactly one hit or one miss, the same outcome the aggregates
-// get, so summing every caller's counters reproduces them.
+// goroutine): exactly one hit, or one miss and one read, the same outcome
+// the aggregates get, so summing every caller's counters reproduces them.
 //
 // On a miss Read calls fill outside the lock with a free frame (nil or of
 // any length when none is free); fill returns the frame holding the page,
 // its own allocation if it had to make one. The filled frame joins the
 // pool as the most recently used page, and the least recently used page's
 // frame, when the pool was full, goes onto the free list. A fill's error
-// is returned and leaves the page absent, so its next read misses again.
+// is returned and leaves the page absent, so its next read misses again;
+// the fill counts as a read all the same. Its time, success or not, goes
+// to the read clock (ReadTime).
 // Concurrent misses of one page each fill a frame; the first to finish
 // joins the pool.
 func (p *Pool) Read(id PageID, qs *Stats, dst []byte, from int, fill func(frame []byte) ([]byte, error)) error {
@@ -134,11 +144,15 @@ func (p *Pool) Read(id PageID, qs *Stats, dst []byte, from int, fill func(frame 
 		qs.Misses++
 	}
 
+	start := time.Now()
 	frame, err := fill(frame)
+	took := time.Since(start)
 	if err == nil {
 		copy(dst, frame[from:]) // the frame is still this reader's alone
 	}
 	p.mu.Lock()
+	p.stats.Reads++
+	p.readTime += took
 	evicted := false
 	if _, ok := p.slots[id]; err != nil || ok {
 		p.park(frame)
@@ -146,10 +160,22 @@ func (p *Pool) Read(id PageID, qs *Stats, dst []byte, from int, fill func(frame 
 		evicted = p.insert(id, frame)
 	}
 	p.mu.Unlock()
-	if evicted && qs != nil {
-		qs.Evictions++
+	if qs != nil {
+		qs.Reads++
+		if evicted {
+			qs.Evictions++
+		}
 	}
 	return err
+}
+
+// Decoded charges n quadtree blocks passed through a paged store's decoder
+// to the pool's aggregate and, when qs is non-nil, to the caller's counter.
+func (p *Pool) Decoded(qs *Stats, n int) {
+	p.decoded.Add(int64(n))
+	if qs != nil {
+		qs.BlocksDecoded += int64(n)
+	}
 }
 
 // insert makes page id, filled into frame, the most recently used page,
@@ -242,17 +268,31 @@ func (p *Pool) Stats() Stats {
 		return Stats{}
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	s := p.stats
+	p.mu.Unlock()
+	s.BlocksDecoded = p.decoded.Load()
+	return s
 }
 
-// ResetStats zeroes the aggregate counters without evicting pages; on a
-// nil *Pool it does nothing.
+// ReadTime returns the wall-clock time the pool's fills took (zero on a
+// nil *Pool). It stays out of Stats, which the cluster's wire carries.
+func (p *Pool) ReadTime() time.Duration {
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.readTime
+}
+
+// ResetStats zeroes the aggregate counters and the read clock without
+// evicting pages; on a nil *Pool it does nothing.
 func (p *Pool) ResetStats() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.stats = Stats{}
+	p.stats, p.readTime = Stats{}, 0
 	p.mu.Unlock()
+	p.decoded.Store(0)
 }

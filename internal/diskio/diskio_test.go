@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fillID is a fill that writes the page id into an 8-byte frame, reusing
@@ -330,10 +331,10 @@ func TestPoolIsExactLRU(t *testing.T) {
 }
 
 // TestPoolConcurrentReadsAttributeExactly runs 8 goroutines over a 2-page
-// pool, nearly every read evicting, with fills that count each read
-// attempt the way the store does: every read returns its own page's bytes,
-// every query's Reads equals its Misses, and the per-query sums equal the
-// pool's aggregates.
+// pool, nearly every read evicting and each followed by a decode charge as
+// a store's lookup makes: every read returns its own page's bytes, every
+// query's Reads equals its Misses, and the per-query sums equal the pool's
+// aggregates, counter for counter.
 func TestPoolConcurrentReadsAttributeExactly(t *testing.T) {
 	p := NewPool(2, 1)
 	const workers, reads = 8, 3000
@@ -350,14 +351,11 @@ func TestPoolConcurrentReadsAttributeExactly(t *testing.T) {
 				id := PageID(rng.Intn(5))
 				fill := fillID(id)
 				var dst [8]byte
-				err := p.Read(id, qs, dst[:], 0, func(frame []byte) ([]byte, error) {
-					qs.Reads++
-					return fill(frame)
-				})
-				if err != nil {
+				if err := p.Read(id, qs, dst[:], 0, fill); err != nil {
 					errs <- err
 					return
 				}
+				p.Decoded(qs, 1+i%3)
 				if got := PageID(binary.LittleEndian.Uint64(dst[:])); got != id {
 					errs <- fmt.Errorf("read of page %d returned page %d's bytes", id, got)
 					return
@@ -381,7 +379,7 @@ func TestPoolConcurrentReadsAttributeExactly(t *testing.T) {
 		sum.Add(qs)
 	}
 	agg := p.Stats()
-	if sum.Hits != agg.Hits || sum.Misses != agg.Misses || sum.Evictions != agg.Evictions {
+	if sum != agg {
 		t.Fatalf("per-query sum %+v != pool aggregates %+v", sum, agg)
 	}
 	if agg.Evictions == 0 || agg.Hits == 0 {
@@ -392,16 +390,22 @@ func TestPoolConcurrentReadsAttributeExactly(t *testing.T) {
 	}
 }
 
-// TestFailedFillLeavesPageAbsent: a fill's error is returned, the page
-// does not join the pool, and its next read misses and fills again.
+// TestFailedFillLeavesPageAbsent: a fill's error is returned, the fill
+// counts as one miss and one read in the caller's counter and in the
+// pool's aggregates alike, the page does not join the pool, and its next
+// read misses and fills again.
 func TestFailedFillLeavesPageAbsent(t *testing.T) {
 	p := NewPool(2, 1)
 	mustRead(t, p, 1, nil)
+	base := p.Stats()
 	bad := errors.New("bad page")
 	var st Stats
 	err := p.Read(2, &st, nil, 0, func(frame []byte) ([]byte, error) { return frame, bad })
-	if !errors.Is(err, bad) || st.Misses != 1 || st.Evictions != 0 {
-		t.Fatalf("failed fill: err %v, stats %+v; want the fill's error and one miss", err, st)
+	if !errors.Is(err, bad) || st != (Stats{Misses: 1, Reads: 1}) {
+		t.Fatalf("failed fill: err %v, stats %+v; want the fill's error, one miss and one read", err, st)
+	}
+	if agg := p.Stats(); agg.Misses-base.Misses != 1 || agg.Reads-base.Reads != 1 || agg.Hits != base.Hits || agg.Evictions != base.Evictions {
+		t.Fatalf("failed fill moved the aggregates %+v -> %+v; want one miss and one read", base, agg)
 	}
 	if p.Len() != 1 || !mustRead(t, p, 1, nil) {
 		t.Fatalf("failed fill changed the resident set: %v", p.recency())
@@ -416,7 +420,31 @@ func TestFailedFillLeavesPageAbsent(t *testing.T) {
 func TestNilPoolCountsNothing(t *testing.T) {
 	var p *Pool
 	p.ResetStats()
-	if s := p.Stats(); s != (Stats{}) {
-		t.Fatalf("nil pool stats = %+v", s)
+	if s := p.Stats(); s != (Stats{}) || p.ReadTime() != 0 {
+		t.Fatalf("nil pool stats = %+v, read time %v", s, p.ReadTime())
+	}
+}
+
+// TestReadClockTimesFills: the read clock adds up the time of every fill,
+// a hit adds nothing, and ResetStats zeroes it with the counters.
+func TestReadClockTimesFills(t *testing.T) {
+	p := NewPool(4, 1)
+	const nap = 2 * time.Millisecond
+	slow := func(frame []byte) ([]byte, error) { time.Sleep(nap); return frame, nil }
+	for range 2 {
+		if err := p.Read(7, nil, nil, 0, slow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.ReadTime(); got < nap {
+		t.Fatalf("one fill of %v left the read clock at %v", nap, got)
+	}
+	p.Decoded(nil, 5)
+	if s := p.Stats(); s != (Stats{Hits: 1, Misses: 1, Reads: 1, BlocksDecoded: 5}) {
+		t.Fatalf("stats %+v; want one hit, one miss, one read and 5 blocks decoded", s)
+	}
+	p.ResetStats()
+	if s := p.Stats(); s != (Stats{}) || p.ReadTime() != 0 {
+		t.Fatalf("after ResetStats: %+v, read time %v", s, p.ReadTime())
 	}
 }

@@ -284,10 +284,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			return nil, err
 		}
 	}
-	pager.SetPool(diskio.NewPool(capacity, 1))
+	pool := diskio.NewPool(capacity, 1)
+	pager.SetPool(pool)
 
 	s := meta.sharded()
-	s.cells, s.pager = cells, pager
+	s.cells, s.pool = cells, pool
 	s.bindCells()
 	s.stats = s.computeStats()
 	return s, nil

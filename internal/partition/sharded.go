@@ -8,7 +8,6 @@ import (
 	"silc/internal/diskio"
 	"silc/internal/graph"
 	"silc/internal/obs"
-	"silc/internal/store"
 )
 
 // Options configures Build.
@@ -85,9 +84,9 @@ type Sharded struct {
 	remote        []RemoteCellIndex
 	cl            *Closure
 	selfContained []bool
-	// pager is set by OpenPaged: the shared real-page pool behind every
-	// cell store, reporting actual read counters.
-	pager *store.Pager
+	// pool is set by OpenPaged: the one buffer pool every cell store
+	// reads through.
+	pool  *diskio.Pool
 	stats Stats
 	// labels holds the destination-label rows (labels.go), one bounded table
 	// per cell, shared by every query over in-process and remote cells alike.
@@ -96,10 +95,6 @@ type Sharded struct {
 	// cells.
 	raceHinted, raceUsed obs.Counter
 }
-
-// StorePager returns the shared on-disk pager of a paged (OpenPaged) index,
-// nil for in-RAM indexes.
-func (s *Sharded) StorePager() *store.Pager { return s.pager }
 
 // Build partitions g into opt.Partitions cells, builds one SILC index per
 // cell (each cell runs one Dijkstra per cell vertex over the cell subgraph
@@ -222,12 +217,7 @@ func (s *Sharded) Network() *graph.Network { return s.g }
 
 // Pool returns the buffer pool every cell store shares, nil when
 // memory-resident.
-func (s *Sharded) Pool() *diskio.Pool {
-	if s.pager == nil {
-		return nil
-	}
-	return s.pager.Pool()
-}
+func (s *Sharded) Pool() *diskio.Pool { return s.pool }
 
 // Stats returns the sharded build statistics.
 func (s *Sharded) Stats() Stats { return s.stats }

@@ -66,11 +66,8 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src := s.Source(); src != "mmapcopy" {
-			t.Fatalf("store over a Mapping of the bytes fills frames by %q, want mmapcopy", src)
-		}
 		check(t, s)
-		if rs := s.ReadStats(); rs.Reads == 0 {
+		if rs := s.Pager().Pool().Stats(); rs.Reads == 0 {
 			t.Error("store over a Mapping recorded no page reads")
 		}
 	})
@@ -82,9 +79,6 @@ func TestPG2StoreRoundTrip(t *testing.T) {
 		s, err := store.OpenMapped(path, store.OpenOptions{CacheFraction: 1})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if src := s.Source(); src != "mmapcopy" {
-			t.Fatalf("OpenMapped fills frames by %q, want mmapcopy", src)
 		}
 		check(t, s)
 		if err := s.Close(); err != nil {

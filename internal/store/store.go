@@ -8,8 +8,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"silc/internal/diskio"
 	"silc/internal/geom"
@@ -52,12 +50,11 @@ func PoolPages(blockPages int64, fraction float64) (int, error) {
 	return int(float64(blockPages) * fraction), nil
 }
 
-// Pager shares one buffer pool among the stores registered with it and
-// sums their read counters. Register every store (Open does it) before
-// queries start; registration is not synchronized with concurrent reads.
+// Pager is the late-bound buffer pool that several stores share: the
+// sharded open gives every cell store the same Pager and installs the pool
+// once their page counts are known.
 type Pager struct {
-	pool   *diskio.Pool
-	stores []*Store
+	pool *diskio.Pool
 }
 
 // NewPager returns a Pager over pool (which may be nil until SetPool).
@@ -68,52 +65,8 @@ func (pg *Pager) Pool() *diskio.Pool { return pg.pool }
 
 // SetPool installs the shared pool. The sharded open sizes the pool only
 // after every cell store is open (capacity depends on their page counts);
-// it must be called before the first query reads any registered store.
+// it must be called before the first query reads any of them.
 func (pg *Pager) SetPool(pool *diskio.Pool) { pg.pool = pool }
-
-// ResetReadStats zeroes the real read counters of every registered store,
-// so a measurement window's actual reads line up with a pool-counter reset.
-func (pg *Pager) ResetReadStats() {
-	for _, s := range pg.stores {
-		s.ResetReadStats()
-	}
-}
-
-// ReadStats sums the real read counters across registered stores.
-func (pg *Pager) ReadStats() ReadStats {
-	var total ReadStats
-	for _, s := range pg.stores {
-		rs := s.ReadStats()
-		total.Reads += rs.Reads
-		total.Bytes += rs.Bytes
-		total.Time += rs.Time
-		total.CRCTime += rs.CRCTime
-		total.BlocksDecoded += rs.BlocksDecoded
-	}
-	return total
-}
-
-// Stores returns the registered stores, in registration order (cell
-// order for sharded images). Callers must treat the slice as read-only.
-func (pg *Pager) Stores() []*Store { return pg.stores }
-
-// ReadStats counts the actual disk reads a store performed.
-type ReadStats struct {
-	Reads int64
-	// Bytes is Reads times the page size: every read fills one whole page.
-	Bytes int64
-	// Time is the wall-clock time spent filling missed frames — inside
-	// ReadAt, which over a Mapping is a copy out of the mapping: the
-	// measured I/O time.
-	Time time.Duration
-	// CRCTime is the wall-clock time spent checksum-verifying missed
-	// pages, after their fill and before anything decodes them.
-	CRCTime time.Duration
-	// BlocksDecoded counts quadtree blocks the decoder actually passed: a
-	// tree decode passes its whole run, a lookup the blocks from its
-	// restart entry to its answer.
-	BlocksDecoded int64
-}
 
 // Store is an open paged index image: the network and extent table resident
 // (O(n+m)), the Morton-block pages demand-paged through the buffer pool,
@@ -134,11 +87,6 @@ type Store struct {
 	pageCRCs []uint32
 	pageBase diskio.PageID
 	pager    *Pager
-
-	reads     atomic.Int64 // block pages read, each sb.pageSize bytes
-	readNanos atomic.Int64
-	crcNanos  atomic.Int64
-	decoded   atomic.Int64 // quadtree blocks passed through the decoder
 }
 
 // loadScratch carries the run-sized buffer one run read (a tree decode or
@@ -222,7 +170,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		}
 		s.pager = NewPager(diskio.NewPool(capacity, 1))
 	}
-	s.pager.stores = append(s.pager.stores, s)
 	return s, nil
 }
 
@@ -270,16 +217,6 @@ func (s *Store) Lenient() bool { return s.sb.lenient }
 // stays only because the benchmark module compiles against it.
 func (s *Store) Compression() Compression { return CompressionDelta }
 
-// Source names what fills a missed page frame: "mmapcopy" for a copy out of
-// a Mapping, "readat" for a positioned read. It is the source label of the
-// silc_store_* metrics.
-func (s *Store) Source() string {
-	if _, copies := s.ra.(Mapping); copies {
-		return "mmapcopy"
-	}
-	return "readat"
-}
-
 // Tracker returns the buffer pool the store charges, its own or its
 // Pager's shared one. It would be named Pool; it keeps its old name only
 // because the benchmark module calls it (ROADMAP 1(i)).
@@ -305,26 +242,6 @@ func (s *Store) BlockStats() (total int64, minBlocks, maxBlocks int) {
 		total += int64(c)
 	}
 	return total, minBlocks, maxBlocks
-}
-
-// ResetReadStats zeroes the actual read counters (cache contents stay).
-func (s *Store) ResetReadStats() {
-	s.reads.Store(0)
-	s.readNanos.Store(0)
-	s.crcNanos.Store(0)
-	s.decoded.Store(0)
-}
-
-// ReadStats returns the actual read counters.
-func (s *Store) ReadStats() ReadStats {
-	reads := s.reads.Load()
-	return ReadStats{
-		Reads:         reads,
-		Bytes:         reads * int64(s.sb.pageSize),
-		Time:          time.Duration(s.readNanos.Load()),
-		CRCTime:       time.Duration(s.crcNanos.Load()),
-		BlocksDecoded: s.decoded.Load(),
-	}
 }
 
 // Tree decodes v's shortest-path quadtree into a new tree. Nothing is
@@ -354,7 +271,7 @@ func (s *Store) DecodeTree(ioStats *diskio.Stats, v graph.VertexID, t *quadtree.
 	if err != nil {
 		return fmt.Errorf("store: vertex %d: %w", v, corrupt(err))
 	}
-	s.chargeDecode(ioStats, len(blocks))
+	s.pager.pool.Decoded(ioStats, len(blocks))
 	t.Blocks, t.MinLambda = blocks, minLambda
 	t.Seal()
 	return nil
@@ -390,16 +307,8 @@ func (s *Store) Lookup(ioStats *diskio.Stats, v graph.VertexID, code geom.Code) 
 		}
 		return quadtree.Block{}, false, fmt.Errorf("store: vertex %d: %w", v, err)
 	}
-	s.chargeDecode(ioStats, decoded)
+	s.pager.pool.Decoded(ioStats, decoded)
 	return b, ok, nil
-}
-
-// chargeDecode counts blocks passed through the decoder.
-func (s *Store) chargeDecode(ioStats *diskio.Stats, blocks int) {
-	s.decoded.Add(int64(blocks))
-	if ioStats != nil {
-		ioStats.BlocksDecoded += int64(blocks)
-	}
 }
 
 // runReader hands the bytes of one run to its decoder as the decoder asks
@@ -471,35 +380,27 @@ func (r *runReader) release() {
 
 // touch reads local page p through the pool, copying its bytes from
 // offset from on into dst; an empty dst (Touch) wants no bytes, so a hit
-// returns at once. A miss reads the page into a free frame of the pool.
+// returns at once. A miss reads the page into a free frame of the pool,
+// which counts and times the read.
 func (s *Store) touch(p diskio.PageID, ioStats *diskio.Stats, dst []byte, from int64) error {
 	return s.pager.pool.Read(s.pageBase+p, ioStats, dst, int(from), func(frame []byte) ([]byte, error) {
-		return s.readPage(p, ioStats, frame)
+		return s.readPage(p, frame)
 	})
 }
 
 // readPage fills frame — reallocated when it is not one page long — with
 // block page p by a ReadAt: a disk read, or a copy out of a Mapping. The
-// page counts as one read in ReadStats and in ioStats, and is
-// checksum-verified before it is returned; a mismatch wraps ErrCorrupt.
-func (s *Store) readPage(p diskio.PageID, ioStats *diskio.Stats, frame []byte) ([]byte, error) {
+// page is checksum-verified before it is returned; a mismatch wraps
+// ErrCorrupt.
+func (s *Store) readPage(p diskio.PageID, frame []byte) ([]byte, error) {
 	if len(frame) != s.sb.pageSize {
 		frame = make([]byte, s.sb.pageSize)
 	}
 	off := s.sb.blockOff + int64(p)*int64(s.sb.pageSize)
-	start := time.Now()
 	if _, err := s.ra.ReadAt(frame, off); err != nil {
 		return frame, fmt.Errorf("store: reading block page %d: %w", p, err)
 	}
-	read := time.Now() // the read's end is the checksum's start
-	s.readNanos.Add(read.Sub(start).Nanoseconds())
-	sum := crc32.ChecksumIEEE(frame)
-	s.crcNanos.Add(time.Since(read).Nanoseconds())
-	s.reads.Add(1)
-	if ioStats != nil {
-		ioStats.Reads++
-	}
-	if sum != s.pageCRCs[p] {
+	if sum := crc32.ChecksumIEEE(frame); sum != s.pageCRCs[p] {
 		return frame, corrupt(fmt.Errorf("store: block page %d checksum mismatch: stored %08x computed %08x", p, s.pageCRCs[p], sum))
 	}
 	return frame, nil

@@ -91,7 +91,7 @@ func TestPagedRoundTrip(t *testing.T) {
 			t.Fatalf("path diverges at %d: %v vs %v", i, gp, wp)
 		}
 	}
-	if st.ReadStats().Reads == 0 {
+	if st.Pager().Pool().Stats().Reads == 0 {
 		t.Fatal("no actual page reads recorded")
 	}
 }
@@ -106,10 +106,12 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	img := writeImage(t, ix)
 
 	const capacity = 8
-	st, err := store.Open(bytes.NewReader(img), int64(len(img)), store.WithPoolPages(store.OpenOptions{}, capacity))
+	rec := &frameRecorder{r: bytes.NewReader(img), frames: map[*byte]bool{}}
+	st, err := store.Open(rec, int64(len(img)), store.WithPoolPages(store.OpenOptions{}, capacity))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	rec.armed = true // count the page reads, not the open's
 	if st.BlockPages() <= capacity {
 		t.Fatalf("index has %d pages, need more than pool capacity %d for this test", st.BlockPages(), capacity)
 	}
@@ -130,8 +132,8 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	}
 	pool := st.Tracker()
 	stats := pool.Stats()
-	if stats.Misses != st.ReadStats().Reads {
-		t.Fatalf("pool misses %d but %d actual reads — misses must be real reads", stats.Misses, st.ReadStats().Reads)
+	if stats.Misses != rec.reads || stats.Reads != rec.reads {
+		t.Fatalf("pool misses %d and reads %d but %d actual reads — misses must be real reads", stats.Misses, stats.Reads, rec.reads)
 	}
 	if qc.IO.Accesses() == 0 {
 		t.Fatal("per-query counter saw no traffic")
@@ -181,16 +183,18 @@ func TestCorruptPageSurfacesError(t *testing.T) {
 }
 
 // frameRecorder is a page source that, once armed, records every distinct
-// frame a store reads a page into.
+// frame a store reads a page into, and counts the reads.
 type frameRecorder struct {
 	r      io.ReaderAt
 	armed  bool
 	frames map[*byte]bool
+	reads  int64 // ReadAt calls while armed
 }
 
 func (f *frameRecorder) ReadAt(p []byte, off int64) (int, error) {
 	if f.armed && len(p) > 0 {
 		f.frames[&p[0]] = true
+		f.reads++
 	}
 	return f.r.ReadAt(p, off)
 }
@@ -262,9 +266,12 @@ func TestSharedPagerEvictionRouting(t *testing.T) {
 				}
 			}
 			held("trees")
-			rs := pager.ReadStats()
-			if rs.Reads == 0 || rs.Bytes == 0 {
-				t.Fatalf("pager read stats empty: %+v", rs)
+			reads := int64(0)
+			for _, rec := range recorders {
+				reads += rec.reads
+			}
+			if rs := pager.Pool().Stats(); rs.Reads == 0 || rs.Reads != reads {
+				t.Fatalf("pool counted %d reads, the stores made %d", rs.Reads, reads)
 			}
 
 			// Churn: interleave the two stores' trees and lookups in random order.

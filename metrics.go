@@ -108,7 +108,7 @@ func newEngineObs(e *Engine) *engineObs {
 	m.gatewayRoutes = r.Counter("silc_partition_gateway_routes_total", "",
 		"Candidate gateway routes raced by cross-cell refiners.")
 
-	// Pool-wide diskio families read the pool/pager aggregates at
+	// Pool-wide diskio families read the pool's aggregates at
 	// scrape time — they cover untracked traffic too, so comparing them
 	// with the query-attributed silc_engine_* counters above exposes
 	// non-query pool pressure.
@@ -142,8 +142,8 @@ func newEngineObs(e *Engine) *engineObs {
 
 // registerDynamic adds the series that depend on the engine's final
 // topology: the label-table and race-batch counters of a sharded index,
-// and per-store read counters (labelled by page source). Called once, on
-// the first scrape.
+// and the pool-wide read counters of an opened image (labelled by page
+// source). Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
 	if e.sharded != nil {
@@ -165,28 +165,19 @@ func (m *engineObs) registerDynamic(e *Engine) {
 			"Batched race results a refinement step went on to use; hinted minus used is wasted speculation.",
 			func() float64 { _, used := races(); return float64(used) })
 	}
-	if e.pager == nil {
+	if e.source == "" {
 		return
 	}
-	for i, st := range e.pager.Stores() {
-		st := st
-		label := `store="` + itoa(i) + `",source="` + st.Source() + `"`
-		r.CounterFunc("silc_store_page_reads_total", label,
-			"Real page reads per store: missed frames filled.",
-			func() float64 { return float64(st.ReadStats().Reads) })
-		r.CounterFunc("silc_store_read_bytes_total", label,
-			"Bytes read per store.",
-			func() float64 { return float64(st.ReadStats().Bytes) })
-		r.CounterFunc("silc_store_read_seconds_total", label,
-			"Wall-clock seconds filling missed page frames per store: positioned reads (readat) or copies out of the mapping (mmapcopy).",
-			func() float64 { return st.ReadStats().Time.Seconds() })
-		r.CounterFunc("silc_store_crc_seconds_total", label,
-			"Wall-clock seconds checksum-verifying cold pages per store.",
-			func() float64 { return st.ReadStats().CRCTime.Seconds() })
-		r.CounterFunc("silc_store_blocks_decoded_total", label,
-			"Quadtree blocks passed through the paged decoder (lookups and tree decodes) per store.",
-			func() float64 { return float64(st.ReadStats().BlocksDecoded) })
-	}
+	pool, label := e.qx.Pool(), `source="`+e.source+`"`
+	r.CounterFunc("silc_store_page_reads_total", label,
+		"Real page reads: missed frames the pool filled, every cell store together.",
+		func() float64 { return float64(pool.Stats().Reads) })
+	r.CounterFunc("silc_store_read_seconds_total", label,
+		"Wall-clock seconds filling missed page frames and checking their CRCs: positioned reads (readat) or copies out of the mapping (mmapcopy).",
+		func() float64 { return pool.ReadTime().Seconds() })
+	r.CounterFunc("silc_store_blocks_decoded_total", label,
+		"Quadtree blocks passed through the paged decoder (lookups and tree decodes).",
+		func() float64 { return float64(pool.Stats().BlocksDecoded) })
 }
 
 // fold adds a finished query's span and I/O counters to the engine

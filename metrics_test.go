@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"silc/internal/diskio"
 )
 
 // pagedTestEngine builds a grid index on disk under t.TempDir() — persisted
@@ -33,14 +36,39 @@ func pagedTestEngine(t *testing.T) (*Engine, *ObjectSet) {
 	return paged, objs
 }
 
+// scrapeSum scrapes eng and returns the sum of family's samples.
+func scrapeSum(t *testing.T, eng *Engine, family string) float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := eng.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	sum, found := 0.0, false
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if name, _, _ = strings.Cut(name, "{"); !ok || name != family {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%s sample %q: %v", family, line, err)
+		}
+		sum, found = sum+v, true
+	}
+	if !found {
+		t.Fatalf("no %s series", family)
+	}
+	return sum
+}
+
 // TestMetricsColdScanCounts runs a deterministic sequential cold scan and
 // checks the triple equality the observability layer promises: per-query
-// stats sum to the pool-wide aggregates, and both match the folded
-// Prometheus counters — with every storage counter (hits, misses, reads,
-// evictions, decodes) nonzero under pressure. A second pass runs the same
-// queries again: its sums must agree just the same, and it must decode
-// exactly as many blocks, because a lookup decodes the same blocks however
-// often its run was read before.
+// stats sum to the pool-wide aggregates, and both match the folded and the
+// scraped Prometheus counters — with every storage counter (hits, misses,
+// reads, evictions, decodes) and the pool's read clock nonzero under
+// pressure. A second pass runs the same queries again: its sums must agree
+// just the same, and it must decode exactly as many blocks, because a
+// lookup decodes the same blocks however often its run was read before.
 func TestMetricsColdScanCounts(t *testing.T) {
 	eng, objs := pagedTestEngine(t)
 	pool := eng.qx.Pool()
@@ -50,8 +78,7 @@ func TestMetricsColdScanCounts(t *testing.T) {
 	var decodedPerPass [2]int64
 	const queries = 40
 	for pass := range decodedPerPass {
-		base := pool.Stats()
-		baseReads := eng.pager.ReadStats()
+		base, baseTime := pool.Stats(), pool.ReadTime()
 		var sum QueryStats
 		for q := 0; q < queries; q++ {
 			res, err := eng.Query(context.Background(), objs, VertexID(q*6), 5)
@@ -84,12 +111,14 @@ func TestMetricsColdScanCounts(t *testing.T) {
 		if got := agg.Evictions - base.Evictions; got != sum.Evictions {
 			t.Errorf("pass %d: pool evictions delta %d != per-query sum %d", pass, got, sum.Evictions)
 		}
-		reads := eng.pager.ReadStats()
-		if got := reads.Reads - baseReads.Reads; got != sum.PageReads {
-			t.Errorf("pass %d: pager reads delta %d != per-query sum %d", pass, got, sum.PageReads)
+		if got := agg.Reads - base.Reads; got != sum.PageReads {
+			t.Errorf("pass %d: pool reads delta %d != per-query sum %d", pass, got, sum.PageReads)
 		}
-		if got := reads.BlocksDecoded - baseReads.BlocksDecoded; got != sum.BlocksDecoded {
-			t.Errorf("pass %d: pager decodes delta %d != per-query sum %d", pass, got, sum.BlocksDecoded)
+		if got := agg.BlocksDecoded - base.BlocksDecoded; got != sum.BlocksDecoded {
+			t.Errorf("pass %d: pool decodes delta %d != per-query sum %d", pass, got, sum.BlocksDecoded)
+		}
+		if pool.ReadTime() <= baseTime {
+			t.Errorf("pass %d: %d reads left the pool's read clock at %v", pass, sum.PageReads, pool.ReadTime())
 		}
 		total.PageHits += sum.PageHits
 		total.PageMisses += sum.PageMisses
@@ -120,6 +149,21 @@ func TestMetricsColdScanCounts(t *testing.T) {
 				t.Errorf("pass %d: folded %s = %d, want %d", pass, c.name, c.got, c.want)
 			}
 		}
+		// The scraped pool-wide series are the pool's aggregates.
+		for _, c := range []struct {
+			family string
+			want   int64
+		}{
+			{"silc_diskio_pool_hits_total", agg.Hits},
+			{"silc_diskio_pool_misses_total", agg.Misses},
+			{"silc_diskio_pool_evictions_total", agg.Evictions},
+			{"silc_store_page_reads_total", agg.Reads},
+			{"silc_store_blocks_decoded_total", agg.BlocksDecoded},
+		} {
+			if got := scrapeSum(t, eng, c.family); got != float64(c.want) {
+				t.Errorf("pass %d: scraped %s = %v, pool %d", pass, c.family, got, c.want)
+			}
+		}
 	}
 	t.Logf("blocks decoded per pass: %v", decodedPerPass)
 	if decodedPerPass[1] != decodedPerPass[0] {
@@ -127,10 +171,10 @@ func TestMetricsColdScanCounts(t *testing.T) {
 	}
 }
 
-// TestShardedPagedIOStatsSum is the regression test for the IOStats doc
-// fix: on a sharded paged engine one pool and one pager serve every cell
-// store, so per-query stats must still sum to the engine-wide aggregates
-// — and ResetIOStats must zero the read counters of ALL cell stores.
+// TestShardedPagedIOStatsSum: on a sharded paged engine one pool serves
+// every cell store, so per-query stats must sum to the engine-wide
+// aggregates — hits, misses, evictions, reads and blocks decoded, with the
+// read clock running — and ResetIOStats must zero all of them.
 func TestShardedPagedIOStatsSum(t *testing.T) {
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 7})
 	if err != nil {
@@ -169,23 +213,29 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 		sum.PageHits += res.Stats.PageHits
 		sum.PageMisses += res.Stats.PageMisses
 		sum.PageReads += res.Stats.PageReads
+		sum.Evictions += res.Stats.Evictions
+		sum.BlocksDecoded += res.Stats.BlocksDecoded
 	}
-	if sum.PageMisses == 0 || sum.PageReads == 0 {
-		t.Fatalf("sharded cold scan recorded no page traffic: %+v", sum)
+	if sum.PageMisses == 0 || sum.PageReads == 0 || sum.Evictions == 0 || sum.BlocksDecoded == 0 {
+		t.Fatalf("sharded cold scan left counters at zero: %+v", sum)
 	}
 	io := eng.IOStats()
-	if io.PageHits != sum.PageHits || io.PageMisses != sum.PageMisses {
-		t.Errorf("IOStats pool {hits %d misses %d} != per-query sums {%d %d}",
-			io.PageHits, io.PageMisses, sum.PageHits, sum.PageMisses)
+	if io.PageHits != sum.PageHits || io.PageMisses != sum.PageMisses || io.PageReads != sum.PageReads {
+		t.Errorf("IOStats {hits %d misses %d reads %d} != per-query sums {%d %d %d}",
+			io.PageHits, io.PageMisses, io.PageReads, sum.PageHits, sum.PageMisses, sum.PageReads)
 	}
-	if io.PageReads != sum.PageReads {
-		t.Errorf("IOStats reads %d (all cell stores) != per-query sum %d", io.PageReads, sum.PageReads)
+	if io.MeasuredIOTime <= 0 {
+		t.Errorf("%d reads left the read clock at %v", io.PageReads, io.MeasuredIOTime)
+	}
+	if agg := eng.qx.Pool().Stats(); agg.Evictions != sum.Evictions || agg.BlocksDecoded != sum.BlocksDecoded {
+		t.Errorf("pool {evictions %d decoded %d} != per-query sums {%d %d}",
+			agg.Evictions, agg.BlocksDecoded, sum.Evictions, sum.BlocksDecoded)
 	}
 
-	// ResetIOStats zeroes the pool and every cell store's read counters.
+	// ResetIOStats zeroes the pool's counters and its read clock.
 	eng.ResetIOStats()
-	if after := eng.IOStats(); after.PageHits != 0 || after.PageMisses != 0 || after.PageReads != 0 {
-		t.Errorf("ResetIOStats left counters: %+v", after)
+	if after := eng.IOStats(); after != (IOStats{}) || eng.qx.Pool().Stats() != (diskio.Stats{}) {
+		t.Errorf("ResetIOStats left counters: %+v, pool %+v", after, eng.qx.Pool().Stats())
 	}
 	// The monotone Prometheus counters survive the reset.
 	if eng.obs.pageMisses.Value() == 0 {
@@ -195,7 +245,7 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 
 // TestIndexResetIOStatsCoversPager is the regression test for the old
 // Index.ResetIOStats inconsistency: it used to reset only the pool counters,
-// leaving the pager's read counters running.
+// leaving the store's read counters running. The pool now holds both.
 func TestIndexResetIOStatsCoversPager(t *testing.T) {
 	net, err := GenerateGrid(8, 8)
 	if err != nil {
@@ -311,7 +361,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 		"silc_knn_filter_seconds_total",
 		"silc_diskio_pool_hits_total",
 		"silc_diskio_pool_resident_pages",
-		`silc_store_page_reads_total{store="0",source="mmapcopy"}`,
+		`silc_store_page_reads_total{source="mmapcopy"}`,
 		"silc_engine_inflight_queries 0",
 	} {
 		if !strings.Contains(out, want) {
@@ -331,7 +381,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	if err := eng.WriteMetrics(&b2); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(b2.String(), `silc_store_page_reads_total{store="0",source="mmapcopy"}`); n != 1 {
+	if n := strings.Count(b2.String(), `silc_store_page_reads_total{source="mmapcopy"}`); n != 1 {
 		t.Errorf("store series appears %d times after second scrape, want 1", n)
 	}
 }
@@ -529,14 +579,17 @@ func TestStoreSourceLabel(t *testing.T) {
 					t.Fatal(err)
 				}
 				out := b.String()
-				for i := range parts {
-					want := `silc_store_page_reads_total{store="` + itoa(i) + `",source="` + o.source + `"}`
-					if !strings.Contains(out, want) {
-						t.Errorf("missing %s", want)
+				for _, family := range []string{"silc_store_page_reads_total", "silc_store_blocks_decoded_total", "silc_store_read_seconds_total"} {
+					want := family + `{source="` + o.source + `"} `
+					if n := strings.Count(out, family+"{"); n != 1 || !strings.Contains(out, want) {
+						t.Errorf("%d series of %s, want one: %s", n, family, want)
 					}
 				}
-				if n := strings.Count(out, `source="`+o.source+`"`); n != strings.Count(out, `source="`) {
-					t.Errorf("%d of %d store series carry source=%q", n, strings.Count(out, `source="`), o.source)
+				if n := strings.Count(out, `source="`+o.source+`"`); n != 3 || strings.Count(out, `source="`) != 3 {
+					t.Errorf("%d of %d series carry source=%q, want 3 of 3", n, strings.Count(out, `source="`), o.source)
+				}
+				if strings.Contains(out, `store="`) {
+					t.Error("a series carries a store label")
 				}
 			})
 		}

@@ -20,6 +20,7 @@ import (
 
 	"silc/internal/geom"
 	"silc/internal/graph"
+	"silc/internal/store"
 )
 
 func TestIndexPersistenceRoundTrip(t *testing.T) {
@@ -291,11 +292,10 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
-	cleanEng, err := OpenEngineAt(bytes.NewReader(clean), int64(len(clean)), nil, BuildOptions{CacheFraction: 1})
+	cleanStore, err := store.Open(bytes.NewReader(clean), int64(len(clean)), store.OpenOptions{CacheFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanStore := cleanEng.pager.Stores()[0]
 	// The image layout (DESIGN.md §11): superblock fields, then the extent
 	// section's per-vertex block counts and run byte lengths; a run starts
 	// with its block count, dictionary and restart table.
@@ -409,7 +409,16 @@ func TestStructuralCorruptionSurfacesOnLookup(t *testing.T) {
 				}
 				bad := openSource(t, path, src, 1) // a run is not checked at open
 				defer bad.Close()
-				badStore := bad.pager.Stores()[0]
+				// The engine's store, opened again over the same page source.
+				openStore := store.OpenFile
+				if mmap {
+					openStore = store.OpenMapped
+				}
+				badStore, err := openStore(path, store.OpenOptions{CacheFraction: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer badStore.Close()
 				named := fmt.Sprintf("vertex %d", victim)
 				check := func(what string, err error) {
 					t.Helper()
