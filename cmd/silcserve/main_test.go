@@ -586,11 +586,9 @@ var serverMetricNames = []string{
 	"silc_knn_refinements_total",
 	"silc_partition_cross_cell_refiners_total",
 	"silc_partition_gateway_routes_total",
-	"silc_store_blocks_decoded_total{store,source}",
-	"silc_store_crc_seconds_total{store,source}",
-	"silc_store_page_reads_total{store,source}",
-	"silc_store_read_bytes_total{store,source}",
-	"silc_store_read_seconds_total{store,source}",
+	"silc_store_blocks_decoded_total{source}",
+	"silc_store_page_reads_total{source}",
+	"silc_store_read_seconds_total{source}",
 	"silcserve_inflight_requests",
 	"silcserve_request_seconds_bucket{endpoint,le}",
 	"silcserve_request_seconds_count{endpoint}",

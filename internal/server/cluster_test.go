@@ -251,11 +251,9 @@ var nodeMetricNames = []string{
 	"silc_partition_label_rows",
 	"silc_partition_race_hinted_total",
 	"silc_partition_race_used_total",
-	"silc_store_blocks_decoded_total{store,source}",
-	"silc_store_crc_seconds_total{store,source}",
-	"silc_store_page_reads_total{store,source}",
-	"silc_store_read_bytes_total{store,source}",
-	"silc_store_read_seconds_total{store,source}",
+	"silc_store_blocks_decoded_total{source}",
+	"silc_store_page_reads_total{source}",
+	"silc_store_read_seconds_total{source}",
 	"silcnode_cell_rpcs_total{cell}",
 	"silcnode_draining{node}",
 	"silcnode_refinements_total",

@@ -103,13 +103,12 @@ var engineMetricNames = []string{
 	"silc_partition_gateway_routes_total",
 }
 
-// storeMetricNames are the per-store series of a paged engine.
+// storeMetricNames are the pool-wide read series of a paged engine,
+// labelled by page source.
 var storeMetricNames = []string{
-	"silc_store_blocks_decoded_total{store,source}",
-	"silc_store_crc_seconds_total{store,source}",
-	"silc_store_page_reads_total{store,source}",
-	"silc_store_read_bytes_total{store,source}",
-	"silc_store_read_seconds_total{store,source}",
+	"silc_store_blocks_decoded_total{source}",
+	"silc_store_page_reads_total{source}",
+	"silc_store_read_seconds_total{source}",
 }
 
 // shardedMetricNames are the label-table and race series of a
