@@ -134,6 +134,9 @@ func main() {
 		fmt.Printf("step %2d: [%.6f, %.6f] width %.6f\n", 0, iv.Lo, iv.Hi, iv.Hi-iv.Lo)
 		for !r.Done() {
 			r.Step()
+			if err := r.Err(); err != nil {
+				fail(err)
+			}
 			iv = r.Interval()
 			fmt.Printf("step %2d: [%.6f, %.6f] width %.6f", r.Steps(), iv.Lo, iv.Hi, iv.Hi-iv.Lo)
 			if via, acc, ok := r.Via(); ok {
@@ -156,10 +159,13 @@ func certify(eng *silc.Engine, src, dst silc.VertexID, eps float64) (silc.Interv
 		fail(err)
 	}
 	iv := r.Interval()
-	for iv.Hi > (1+eps)*iv.Lo && !r.Done() && r.Step() {
+	for iv.Hi > (1+eps)*iv.Lo && r.Step() {
 		iv = r.Interval()
 	}
-	return iv, r.Steps()
+	if err := r.Err(); err != nil {
+		fail(err)
+	}
+	return r.Interval(), r.Steps()
 }
 
 func runKNN(ctx context.Context, net *silc.Network, eng *silc.Engine, q silc.VertexID, k int, frac float64, methodName string, eps, maxDist float64, seed int64, stats bool) {

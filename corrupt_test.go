@@ -272,3 +272,67 @@ func TestOverwrittenPageFailsOnItsNextMiss(t *testing.T) {
 		})
 	}
 }
+
+// TestRefinerFailsCleanly overwrites the whole image file under an engine
+// of the default open, behind a one-page pool, for a monolithic image
+// (File) and a 4-cell one (Sharded). A refiner made before the overwrite
+// then steps into pages that fail their CRC once the pool is flushed: its
+// Step returns false from then on and Err matches ErrCorruptImage, as
+// Distance's error does. A refiner made after the overwrite fails the same
+// way, or already in NewRefiner when its first interval reads a page.
+// Nothing may panic.
+func TestRefinerFailsCleanly(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		name       string
+		partitions int
+	}{{"File", 1}, {"Sharded", 4}} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newCorruptFixture(t, row.partitions)
+			path := f.write(t)
+			eng, err := OpenEngine(path, nil, BuildOptions{CacheFraction: tinyPool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			last := VertexID(f.net.NumVertices() - 1)
+			// refine steps r until it stops and returns its error, which
+			// must match ErrCorruptImage; a nil r failed in NewRefiner.
+			refine := func(what string, r *Refiner, err error) {
+				t.Helper()
+				if err == nil {
+					for r.Step() {
+						if r.Steps() > f.net.NumVertices() {
+							t.Fatalf("%s: stepped %d times over the overwritten image without failing", what, r.Steps())
+						}
+					}
+					if err = r.Err(); err != nil && (r.Step() || r.Err() != err) {
+						t.Fatalf("%s: Step after the failure stepped again", what)
+					}
+				}
+				if !errors.Is(err, ErrCorruptImage) {
+					t.Fatalf("%s: error %v, want ErrCorruptImage", what, err)
+				}
+			}
+			before, err := eng.NewRefiner(0, last)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			junk := make([]byte, len(f.img))
+			for i := range junk {
+				junk[i] = 0xA5
+			}
+			if err := os.WriteFile(path, junk, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flushPool(eng)
+			if _, err := eng.Distance(ctx, 0, last); !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("Distance(0, %d) over the overwritten image: %v, want ErrCorruptImage", last, err)
+			}
+			refine("refiner made before the overwrite", before, nil)
+			after, err := eng.NewRefiner(0, last)
+			refine("refiner made after the overwrite", after, err)
+		})
+	}
+}

@@ -191,7 +191,8 @@ func (e *Engine) WriteFile(path string) (info ImageInfo, err error) {
 	return info, err
 }
 
-// NewRefiner starts progressive refinement for the pair (src, dst).
+// NewRefiner starts progressive refinement for the pair (src, dst). A
+// storage or RPC failure computing the first interval is its error.
 func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 	if err := checkVertex(e.net, "src", src); err != nil {
 		return nil, err
@@ -199,7 +200,12 @@ func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 	if err := checkVertex(e.net, "dst", dst); err != nil {
 		return nil, err
 	}
-	return &Refiner{r: e.qx.Refine(nil, src, dst), mono: e.sharded == nil}, nil
+	qc := core.NewQueryContext()
+	r := &Refiner{r: e.qx.Refine(qc, src, dst), qc: qc, mono: e.sharded == nil}
+	if err := qc.Err(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // ResetIOStats zeroes the buffer pool's counters and read clock, which

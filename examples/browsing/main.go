@@ -88,6 +88,9 @@ func main() {
 	fmt.Printf("  lookup:  [%.4f, %.4f]  width %.4f\n", iv.Lo, iv.Hi, iv.Hi-iv.Lo)
 	for !r.Done() {
 		r.Step()
+		if err := r.Err(); err != nil {
+			log.Fatal(err)
+		}
 		iv = r.Interval()
 		if r.Steps()%5 == 0 || r.Done() {
 			fmt.Printf("  step %2d: [%.4f, %.4f]  width %.4f\n",

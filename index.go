@@ -187,24 +187,32 @@ func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (
 
 // Refiner exposes progressive refinement directly: each Step tightens the
 // distance interval by one hop of the underlying shortest path (on a
-// partitioned engine, one step of the cross-cell route race).
+// partitioned engine, one step of the cross-cell route race). A storage or
+// RPC failure stops it: Step returns false and Err reports the failure.
 type Refiner struct {
 	r     core.DistanceRefiner
-	mono  bool // the refiner walks one quadtree path in global vertex ids
+	qc    *core.QueryContext // the refiner's own; it records a failure
+	mono  bool               // the refiner walks one quadtree path in global vertex ids
 	steps int
 }
 
 // Interval returns the current distance interval.
 func (r *Refiner) Interval() Interval { return r.r.Interval() }
 
-// Step refines once; it returns false when the interval is exact.
+// Step refines once; it returns false when the interval is exact or the
+// refinement failed (Err).
 func (r *Refiner) Step() bool {
-	if r.r.Done() {
+	if r.r.Done() || r.qc.Err() != nil {
 		return false
 	}
 	r.steps++
-	return r.r.Step()
+	return r.r.Step() && r.qc.Err() == nil
 }
+
+// Err returns the storage or RPC failure that stopped the refinement (an
+// error matching ErrCorruptImage when the image is corrupt), nil while it
+// can go on.
+func (r *Refiner) Err() error { return r.qc.Err() }
 
 // Done reports whether the interval is exact.
 func (r *Refiner) Done() bool { return r.r.Done() }
