@@ -253,10 +253,9 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	// First open every cell store (page counts come from the images), then
 	// size the one pool they share over all their block pages. Each cell's
 	// index reads the network embedded in its image, the adjacency its block
-	// colors index; it must have the vertex and arc counts of the cell's
-	// induced subnetwork, which cellOf fixes.
+	// colors index; it must be the cell's induced subnetwork, which cellOf
+	// fixes, arc for arc.
 	pager := store.NewPager(nil) // pool installed below, before any touch
-	arcs := cellArcCounts(g, asn)
 	cells := make([]*cell, p)
 	var totalBlockPages int64
 	for c := 0; c < p; c++ {
@@ -272,9 +271,8 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, bases[c], totalBlockPages)
 		}
 		totalBlockPages += st.BlockPages()
-		if sg := st.Graph(); sg.NumVertices() != len(asn.Verts[c]) || sg.NumEdges() != arcs[c] {
-			return nil, fmt.Errorf("partition: cell %d embedded network (%d vertices, %d edges) does not match its cell (%d, %d)",
-				c, sg.NumVertices(), sg.NumEdges(), len(asn.Verts[c]), arcs[c])
+		if err := checkCellNetwork(g, st.Graph(), asn, c); err != nil {
+			return nil, err
 		}
 		cells[c] = &cell{id: int32(c), ix: core.NewPagedIndex(core.PagedConfig{Source: st}), toGlobal: asn.Verts[c]}
 	}
@@ -292,6 +290,40 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	s.bindCells()
 	s.stats = s.computeStats()
 	return s, nil
+}
+
+// checkCellNetwork checks sg, the network embedded in cell c's image,
+// against the cell's induced subnetwork of g arc for arc, in O(n+m) and
+// without building it: the cell's vertices in local order at their
+// coordinates, each with its intra-cell arcs in order, targets in local
+// ids and weights bit for bit. A mismatch wraps store.ErrCorrupt.
+func checkCellNetwork(g, sg *graph.Network, asn *Assignment, c int) error {
+	verts := asn.Verts[c]
+	if sg.NumVertices() != len(verts) {
+		return fmt.Errorf("partition: cell %d embedded network has %d vertices, the cell %d: %w", c, sg.NumVertices(), len(verts), store.ErrCorrupt)
+	}
+	for l, v := range verts {
+		local := graph.VertexID(l)
+		if sg.Point(local) != g.Point(v) {
+			return fmt.Errorf("partition: cell %d embedded vertex %d at %v, vertex %d at %v: %w", c, l, sg.Point(local), v, g.Point(v), store.ErrCorrupt)
+		}
+		lt, lw := sg.Neighbors(local)
+		targets, weights := g.Neighbors(v)
+		i, same := 0, true
+		for j, t := range targets {
+			if asn.CellOf[t] != int32(c) {
+				continue
+			}
+			if same = i < len(lt) && lt[i] == graph.VertexID(asn.LocalOf[t]) && math.Float64bits(lw[i]) == math.Float64bits(weights[j]); !same {
+				break
+			}
+			i++
+		}
+		if !same || i != len(lt) {
+			return fmt.Errorf("partition: cell %d embedded vertex %d: arc %d is not vertex %d's intra-cell arc %d: %w", c, l, i, v, i, store.ErrCorrupt)
+		}
+	}
+	return nil
 }
 
 // RouterMeta is the metadata half of a sharded paged file — superblock,

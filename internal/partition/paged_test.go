@@ -85,49 +85,64 @@ func forgeCell(tb testing.TB, img []byte, c int) []byte {
 	return forged
 }
 
-// TestForgedCellNetworkNeverPanics queries from the vertex forgeCell
-// forged. Its blocks name a color in range for the adjacency list embedded
-// in the cell image, which the store checks colors against, but not for
-// the true one; a cell index that walked a second copy of the network,
-// derived from the global one, indexed past the end of it and panicked.
-// Every distance and path query from it must return an answer or an error
-// wrapping store.ErrCorrupt.
+// TestForgedCellNetworkNeverPanics opens the image forgeCell forged. Its
+// blocks name a color in range for the adjacency list embedded in the cell
+// image, which the store checks colors against, but not for the true one;
+// a cell index that walked a second copy of the network, derived from the
+// global one, indexed past the end of it and panicked, and one that walked
+// the embedded copy answered wrong distances. The open checks every cell's
+// embedded network arc for arc against the global one, so it refuses the
+// image with an error wrapping store.ErrCorrupt.
 func TestForgedCellNetworkNeverPanics(t *testing.T) {
 	_, img := buildPagedImage(t)
-	const victim = 0
-	forged := forgeCell(t, img, victim)
-	px, err := OpenPaged(bytes.NewReader(forged), int64(len(forged)), Options{})
-	if err != nil {
-		t.Fatalf("open (the forged network keeps its counts and checksum): %v", err)
+	forged := forgeCell(t, img, 0)
+	if _, err := OpenPaged(bytes.NewReader(forged), int64(len(forged)), Options{}); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("open of a forged cell network (counts and checksums hold): %v, want an error wrapping store.ErrCorrupt", err)
 	}
-	src := px.asn.Verts[victim][0] // the cell's local vertex 0
-	var failed, answered int
-	for v := 0; v < px.Network().NumVertices(); v++ {
-		dst := graph.VertexID(v)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("query %d->%d panicked: %v", src, dst, r)
-				}
-			}()
-			for _, query := range []func(*core.QueryContext){
-				func(qc *core.QueryContext) { core.ExactDistance(px, qc, src, dst) },
-				func(qc *core.QueryContext) { px.PathCtx(qc, src, dst) },
-			} {
-				qc := core.NewQueryContext()
-				query(qc)
-				switch err := qc.Err(); {
-				case err == nil:
-					answered++
-				case errors.Is(err, store.ErrCorrupt):
-					failed++
-				default:
-					t.Fatalf("query %d->%d: %v, want an error wrapping store.ErrCorrupt", src, dst, err)
-				}
+}
+
+// TestOpenPagedChecksCellNetworks forges one field of each cell's embedded
+// network behind a valid section checksum — the first arc's weight or
+// target, or the first vertex's x coordinate, each moved by the least
+// step — and checks that the open refuses every forgery with an error
+// wrapping store.ErrCorrupt.
+func TestOpenPagedChecksCellNetworks(t *testing.T) {
+	_, img := buildPagedImage(t)
+	le := binary.LittleEndian
+	nudge := func(b []byte) { // the float64 at b, one step up
+		le.PutUint64(b, math.Float64bits(math.Nextafter(math.Float64frombits(le.Uint64(b)), 2)))
+	}
+	for _, f := range []struct {
+		name  string
+		forge func(sec []byte, n int)
+	}{
+		{"weight", func(sec []byte, n int) { nudge(sec[n*16+(n+1)*4+4:]) }},
+		{"target", func(sec []byte, n int) {
+			at := sec[n*16+(n+1)*4:] // the first arc is vertex 0's
+			to := (le.Uint32(at) + 1) % uint32(n)
+			if to == 0 {
+				to = 1
 			}
-		}()
+			le.PutUint32(at, to)
+		}},
+		{"coordinate", func(sec []byte, n int) { nudge(sec) }},
+	} {
+		for c := range 4 {
+			forged := append([]byte(nil), img...)
+			cellTabOff := int64(le.Uint64(forged[44:52]))
+			image := forged[le.Uint64(forged[cellTabOff+int64(c)*24:]):]
+			n, m := int(le.Uint32(image[16:20])), int(le.Uint32(image[20:24]))
+			sec := image[le.Uint64(image[48:56]):][:store.NetworkSectionSize(n, m)]
+			f.forge(sec, n)
+			le.PutUint32(sec[len(sec)-4:], crc32.ChecksumIEEE(sec[:len(sec)-4]))
+			if bytes.Equal(forged, img) {
+				t.Fatalf("%s of cell %d: the forgery changed nothing", f.name, c)
+			}
+			if _, err := OpenPaged(bytes.NewReader(forged), int64(len(forged)), Options{}); !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("%s of cell %d forged: open returned %v, want an error wrapping store.ErrCorrupt", f.name, c, err)
+			}
+		}
 	}
-	t.Logf("%d queries failed with store.ErrCorrupt, %d answered", failed, answered)
 }
 
 // TestOpenPagedRoundTrip checks the paged sharded open answers exactly

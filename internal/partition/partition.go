@@ -187,18 +187,3 @@ func subnetwork(g *graph.Network, asn *Assignment, c int) (*graph.Network, error
 	}
 	return b.Build()
 }
-
-// cellArcCounts returns the number of intra-cell arcs of each cell: the
-// edge count of its induced subnetwork, without building it.
-func cellArcCounts(g *graph.Network, asn *Assignment) []int {
-	arcs := make([]int, asn.P)
-	for v, c := range asn.CellOf {
-		targets, _ := g.Neighbors(graph.VertexID(v))
-		for _, t := range targets {
-			if asn.CellOf[t] == c {
-				arcs[c]++
-			}
-		}
-	}
-	return arcs
-}
