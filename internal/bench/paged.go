@@ -84,7 +84,8 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		paged.Add(qc.IO)
 	}
 
-	pool := st.Pager().Pool().Stats()
+	pool := st.Pager().Pool()
+	reads := pool.Stats().Reads
 	return &PagedIOResult{
 		Lattice:       rows,
 		Vertices:      n,
@@ -92,13 +93,13 @@ func PagedIO(rows, cols, queries int, seed int64, cacheFraction float64) (*Paged
 		CacheFr:       cacheFraction,
 		FileBytes:     fileBytes,
 		BlockPages:    st.BlockPages(),
-		PoolPages:     st.Pager().Pool().Capacity(),
+		PoolPages:     pool.Capacity(),
 		PagedHits:     paged.Hits,
 		PagedMisses:   paged.Misses,
-		ActualReads:   pool.Reads,
-		ActualBytes:   pool.Reads * store.PageSize,
-		MeasuredIO:    st.Pager().Pool().ReadTime(),
-		ResidentPages: st.Tracker().Len(),
+		ActualReads:   reads,
+		ActualBytes:   reads * store.PageSize,
+		MeasuredIO:    pool.ReadTime(),
+		ResidentPages: pool.Len(),
 	}, nil
 }
 

@@ -87,12 +87,10 @@ func forgeCell(tb testing.TB, img []byte, c int) []byte {
 
 // TestForgedCellNetworkNeverPanics opens the image forgeCell forged. Its
 // blocks name a color in range for the adjacency list embedded in the cell
-// image, which the store checks colors against, but not for the true one;
-// a cell index that walked a second copy of the network, derived from the
-// global one, indexed past the end of it and panicked, and one that walked
-// the embedded copy answered wrong distances. The open checks every cell's
-// embedded network arc for arc against the global one, so it refuses the
-// image with an error wrapping store.ErrCorrupt.
+// image, which the store checks colors against, but not for the true one,
+// and its counts and checksums hold. The open checks every cell's embedded
+// network arc for arc against the global one, so it refuses the image
+// with an error wrapping store.ErrCorrupt, and no query can walk it.
 func TestForgedCellNetworkNeverPanics(t *testing.T) {
 	_, img := buildPagedImage(t)
 	forged := forgeCell(t, img, 0)
