@@ -43,7 +43,7 @@ func (ix *Index) pagedSource(treeErr *error) store.Source {
 // and returns the layout it wrote (Total is the byte count). The network
 // is embedded, so the image is self-contained.
 func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
-	p, err := ix.PlanPaged()
+	p, err := ix.PlanPaged(true)
 	if err != nil {
 		return store.ImageInfo{}, err
 	}
@@ -56,10 +56,14 @@ func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
 // PlanPaged lays out the paged image WritePaged would produce without
 // writing it: the plan reports per-section sizes (ImagePlan.Info) and can
 // then be streamed once with WriteTo. WritePaged and the
-// sharded writer both build on this.
-func (ix *Index) PlanPaged() (*store.ImagePlan, error) {
+// sharded writer both build on this; the sharded writer plans its cells
+// without a network section (withNetwork false), since its file carries
+// the one network every cell's is derived from.
+func (ix *Index) PlanPaged(withNetwork bool) (*store.ImagePlan, error) {
 	var treeErr error
-	p, err := store.PlanImage(ix.pagedSource(&treeErr))
+	src := ix.pagedSource(&treeErr)
+	src.NoNetwork = !withNetwork
+	p, err := store.PlanImage(src)
 	if treeErr != nil {
 		return nil, treeErr
 	}

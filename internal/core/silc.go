@@ -286,8 +286,8 @@ type PagedConfig struct {
 }
 
 // NewPagedIndex returns an Index whose quadtrees live on disk behind
-// cfg.Source, over the network embedded in the store's image — the one
-// adjacency list the image's block colors index. It answers exactly the
+// cfg.Source, over the store's network (Store.Graph) — the one adjacency
+// list the image's block colors index. It answers exactly the
 // same query surface as a built index; storage failures surface through
 // QueryContext.Err (or panic on context-free calls). Its statistics are the
 // image's block counts, with no build time.

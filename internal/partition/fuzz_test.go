@@ -20,9 +20,10 @@ func fuzzNetwork(tb testing.TB) *graph.Network {
 // FuzzOpenPagedSharded drives the sharded paged opener with arbitrary
 // bytes; beyond parsing, a successful open is queried across cells and
 // within vertex 0's cell, so lazily-detected corruption also surfaces as
-// errors. Its seeds are a valid file,
-// a truncation and a bit flip of it, the file under the magics of the two
-// removed formats, and forgeCell's image, whose checksums all hold.
+// errors. Its seeds are a valid file, a truncation and a bit flip of it,
+// the file under the magics of the three removed formats, and the
+// forgeries of its one network section (networkForgeries), whose
+// checksums all hold.
 func FuzzOpenPagedSharded(f *testing.F) {
 	g := fuzzNetwork(f)
 	sx, err := Build(g, Options{Partitions: 3})
@@ -39,13 +40,15 @@ func FuzzOpenPagedSharded(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-100] ^= 0xFF
 	f.Add(flip)
-	for _, version := range []byte{'1', '2'} { // the removed formats' magics
+	for _, version := range []byte{'1', '2', '3'} { // the removed formats' magics
 		oldMagic := append([]byte(nil), valid...)
 		oldMagic[7] = version
 		f.Add(oldMagic)
 	}
-	_, img := buildPagedImage(f)
-	f.Add(forgeCell(f, img, 0))
+	sx, img := buildPagedImage(f)
+	for _, forgery := range networkForgeries(f, sx, img) {
+		f.Add(forgery.forged)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		px, err := OpenPaged(bytes.NewReader(data), int64(len(data)), Options{poolPages: 4})
 		if err != nil {

@@ -28,11 +28,12 @@ import (
 //
 // Everything is little-endian; offsets are absolute file offsets. The
 // global network is embedded, so a sharded paged file is self-contained
-// exactly like the monolithic one. Each cell image embeds its cell's
-// subnetwork, the adjacency its block colors index, and the opened cell
-// index reads that one; the open checks its vertex and arc counts against
-// the cell. Local-id ordering and boundary rows are derived from the
-// global network plus cellOf, so they are reconstructed rather than stored.
+// exactly like the monolithic one, and it is the file's only network: a
+// cell image carries no network section. The open derives each cell's
+// induced subnetwork from it and cellOf, exactly as Build does, and hands
+// it to the cell's store, which checks its vertex and arc counts and every
+// block color against it. Local-id ordering and boundary rows are derived
+// the same way, so they are reconstructed rather than stored.
 
 const shardedPagedSuperblockSize = 64
 
@@ -75,7 +76,7 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 	at := store.Align(l.cellTabOff+l.cellTabSize, store.PageSize)
 	var pages int64
 	for c, cx := range s.cells {
-		pl, err := cx.ix.PlanPaged()
+		pl, err := cx.ix.PlanPaged(false)
 		if err != nil {
 			return nil, fmt.Errorf("partition: planning cell %d image: %w", c, err)
 		}
@@ -92,8 +93,8 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 
 // WritePaged serializes the sharded index in the paged on-disk format in a
 // single streaming pass over the planned layout, and returns that layout:
-// per-cell sections summed, partition metadata counted under Extents, and
-// Total the bytes written.
+// per-cell sections summed, Network the one global network section,
+// partition metadata counted under Extents, and Total the bytes written.
 func (s *Sharded) WritePaged(w io.Writer) (store.ImageInfo, error) {
 	l, err := s.planPagedLayout()
 	if err != nil {
@@ -111,7 +112,6 @@ func (s *Sharded) WritePaged(w io.Writer) (store.ImageInfo, error) {
 	for _, pl := range l.plans {
 		info := pl.Info()
 		out.Superblock += info.Superblock
-		out.Network += info.Network
 		out.Extents += info.Extents
 		out.BlockSection += info.BlockSection
 		out.CRCTable += info.CRCTable
@@ -252,9 +252,8 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 
 	// First open every cell store (page counts come from the images), then
 	// size the one pool they share over all their block pages. Each cell's
-	// index reads the network embedded in its image, the adjacency its block
-	// colors index; it must be the cell's induced subnetwork, which cellOf
-	// fixes, arc for arc.
+	// store takes the cell's induced subnetwork, the adjacency its block
+	// colors index, derived from the global network as Build derives it.
 	pager := store.NewPager(nil) // pool installed below, before any touch
 	cells := make([]*cell, p)
 	var totalBlockPages int64
@@ -263,7 +262,11 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		if m, ok := ra.(store.Mapping); ok { // each cell copies out of its section
 			cellRA = m[offs[c] : offs[c]+sizes[c]]
 		}
-		st, err := store.Open(cellRA, sizes[c], store.OpenOptions{Pager: pager, PageBase: diskio.PageID(bases[c])})
+		sub, err := subnetwork(g, asn, c)
+		if err != nil {
+			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
+		}
+		st, err := store.Open(cellRA, sizes[c], store.OpenOptions{Network: sub, Pager: pager, PageBase: diskio.PageID(bases[c])})
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
 		}
@@ -271,9 +274,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, bases[c], totalBlockPages)
 		}
 		totalBlockPages += st.BlockPages()
-		if err := checkCellNetwork(g, st.Graph(), asn, c); err != nil {
-			return nil, err
-		}
 		cells[c] = &cell{id: int32(c), ix: core.NewPagedIndex(core.PagedConfig{Source: st}), toGlobal: asn.Verts[c]}
 	}
 	capacity := opt.poolPages
@@ -290,40 +290,6 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	s.bindCells()
 	s.stats = s.computeStats()
 	return s, nil
-}
-
-// checkCellNetwork checks sg, the network embedded in cell c's image,
-// against the cell's induced subnetwork of g arc for arc, in O(n+m) and
-// without building it: the cell's vertices in local order at their
-// coordinates, each with its intra-cell arcs in order, targets in local
-// ids and weights bit for bit. A mismatch wraps store.ErrCorrupt.
-func checkCellNetwork(g, sg *graph.Network, asn *Assignment, c int) error {
-	verts := asn.Verts[c]
-	if sg.NumVertices() != len(verts) {
-		return fmt.Errorf("partition: cell %d embedded network has %d vertices, the cell %d: %w", c, sg.NumVertices(), len(verts), store.ErrCorrupt)
-	}
-	for l, v := range verts {
-		local := graph.VertexID(l)
-		if sg.Point(local) != g.Point(v) {
-			return fmt.Errorf("partition: cell %d embedded vertex %d at %v, vertex %d at %v: %w", c, l, sg.Point(local), v, g.Point(v), store.ErrCorrupt)
-		}
-		lt, lw := sg.Neighbors(local)
-		targets, weights := g.Neighbors(v)
-		i, same := 0, true
-		for j, t := range targets {
-			if asn.CellOf[t] != int32(c) {
-				continue
-			}
-			if same = i < len(lt) && lt[i] == graph.VertexID(asn.LocalOf[t]) && math.Float64bits(lw[i]) == math.Float64bits(weights[j]); !same {
-				break
-			}
-			i++
-		}
-		if !same || i != len(lt) {
-			return fmt.Errorf("partition: cell %d embedded vertex %d: arc %d is not vertex %d's intra-cell arc %d: %w", c, l, i, v, i, store.ErrCorrupt)
-		}
-	}
-	return nil
 }
 
 // RouterMeta is the metadata half of a sharded paged file — superblock,

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"silc/internal/core"
 	"silc/internal/graph"
+	"silc/internal/knn"
+	"silc/internal/sssp"
 	"silc/internal/store"
+	"silc/internal/testkit"
 )
 
 // buildPagedImage builds a sharded index over a road network and returns
@@ -32,112 +37,261 @@ func buildPagedImage(tb testing.TB) (*Sharded, []byte) {
 	return sx, buf.Bytes()
 }
 
-// forgeCell returns a copy of the sharded image img forged behind valid
-// checksums, so that it opens. In cell c's embedded network, local vertex 0
-// takes one more arc and vertex 1 gives one up: an arc of vertex 1 that
-// does not lead to vertex 0 moves to the front of its list, then to vertex
-// 0. Vertex and arc counts are unchanged. Vertex 0's run then names, as the
-// first color of its dictionary, the taken arc: a color equal to vertex 0's
-// true out-degree, in range only for the forged list. The network
-// section's CRC, the run's page CRC and the page CRC table's CRC are
-// recomputed.
-func forgeCell(tb testing.TB, img []byte, c int) []byte {
+// forgeNetwork returns a copy of the sharded image img whose one network
+// section — the global one, which every cell's network is derived from —
+// forge edits behind a recomputed section CRC, so that every checksum
+// holds.
+func forgeNetwork(tb testing.TB, img []byte, forge func(sec []byte, n int)) []byte {
 	tb.Helper()
 	le := binary.LittleEndian
-	cellTabOff := int64(le.Uint64(img[44:52]))
-	imageOff := int64(le.Uint64(img[cellTabOff+int64(c)*24:]))
 	forged := append([]byte(nil), img...)
-	image := forged[imageOff:]
-	pageSize := int64(le.Uint32(image[8:12]))
-	n, m := int(le.Uint32(image[16:20])), int(le.Uint32(image[20:24]))
-	netOff, blockOff := le.Uint64(image[48:56]), le.Uint64(image[64:72])
-	blockPages, crcTabOff := int64(le.Uint64(image[72:80])), le.Uint64(image[80:88])
+	n, m := int(le.Uint32(forged[16:20])), int(le.Uint32(forged[20:24]))
+	sec := forged[le.Uint64(forged[28:36]):][:store.NetworkSectionSize(n, m)]
+	forge(sec, n)
+	le.PutUint32(sec[len(sec)-4:], crc32.ChecksumIEEE(sec[:len(sec)-4]))
+	if bytes.Equal(forged, img) {
+		tb.Fatal("the forgery changed nothing")
+	}
+	return forged
+}
 
-	size := store.NetworkSectionSize(n, m)
-	sec := image[netOff:][:size]
-	offsets := sec[n*16:]            // n+1 CSR offsets follow the coordinates,
-	arcs := offsets[(n+1)*4:][:m*12] // then m arcs of (target u32, weight f64)
-	deg0, end := int(le.Uint32(offsets[4:])), int(le.Uint32(offsets[8:]))
-	moved := -1
-	for i := deg0; i < end && moved < 0; i++ {
-		if le.Uint32(arcs[i*12:]) != 0 {
-			moved = i
+// nudge moves the float64 at b one step up.
+func nudge(b []byte) {
+	le := binary.LittleEndian
+	le.PutUint64(b, math.Float64bits(math.Nextafter(math.Float64frombits(le.Uint64(b)), 2)))
+}
+
+// moveArc returns a copy of sx's image img forged behind valid checksums.
+// In the global network vertex 0 takes one more arc and vertex 1 gives one
+// up: vertex 1's first arc that leads neither to vertex 0 nor out of the
+// cell the two share moves to the front of its list, then to the end of
+// vertex 0's. Vertex and arc counts, cell labels and boundary are
+// unchanged, and so is every cell's arc count. Vertex 0's run in its cell
+// image then names, as the first color of its dictionary, the taken arc: a
+// color equal to vertex 0's true intra-cell out-degree, in range only for
+// the forged network. The network section's CRC, the run's page CRC and
+// the cell's page CRC table's CRC are recomputed.
+func moveArc(tb testing.TB, sx *Sharded, img []byte) []byte {
+	tb.Helper()
+	le := binary.LittleEndian
+	asn := sx.asn
+	c := asn.CellOf[0]
+	if asn.CellOf[1] != c {
+		tb.Fatalf("vertices 0 and 1 lie in cells %d and %d", c, asn.CellOf[1])
+	}
+	targets, _ := sx.g.Neighbors(0)
+	localDeg := 0
+	for _, t := range targets {
+		if asn.CellOf[t] == c {
+			localDeg++
 		}
 	}
-	if n < 2 || moved < 0 {
-		tb.Fatalf("cell %d: vertex 1 has no arc that vertex 0 can take", c)
-	}
-	var tmp [12]byte
-	copy(tmp[:], arcs[deg0*12:])
-	copy(arcs[deg0*12:(deg0+1)*12], arcs[moved*12:])
-	copy(arcs[moved*12:], tmp[:])
-	le.PutUint32(offsets[4:], uint32(deg0+1))
-	le.PutUint32(sec[size-4:], crc32.ChecksumIEEE(sec[:size-4]))
+	forged := forgeNetwork(tb, img, func(sec []byte, n int) {
+		offsets := sec[n*16:]     // n+1 CSR offsets follow the coordinates,
+		arcs := offsets[(n+1)*4:] // then the arcs, (target u32, weight f64) each
+		deg0, end := int(le.Uint32(offsets[4:])), int(le.Uint32(offsets[8:]))
+		moved := -1
+		for i := deg0; i < end && moved < 0; i++ {
+			if t := le.Uint32(arcs[i*12:]); t != 0 && asn.CellOf[t] == c {
+				moved = i
+			}
+		}
+		if moved < 0 {
+			tb.Fatal("vertex 1 has no arc within its cell that vertex 0 can take")
+		}
+		var tmp [12]byte
+		copy(tmp[:], arcs[deg0*12:])
+		copy(arcs[deg0*12:(deg0+1)*12], arcs[moved*12:])
+		copy(arcs[moved*12:], tmp[:])
+		le.PutUint32(offsets[4:], uint32(deg0+1))
+	})
 
-	// Vertex 0's run is the block section's first: a uvarint block count,
-	// the dictionary size, then the dictionary.
-	page := image[blockOff:][:pageSize]
-	_, w := binary.Uvarint(page)
-	page[w+1] = byte(deg0)
+	cellTabOff := int64(le.Uint64(forged[44:52]))
+	image := forged[le.Uint64(forged[cellTabOff+int64(c)*24:]):]
+	n := int(le.Uint32(image[16:20]))
+	pageSize := int(le.Uint32(image[8:12]))
+	extentOff, blockOff := le.Uint64(image[56:64]), le.Uint64(image[64:72])
+	blockPages, crcTabOff := int(le.Uint64(image[72:80])), le.Uint64(image[80:88])
+	// Vertex 0's run follows the runs of the local ids before its own: a
+	// uvarint block count, the dictionary size, then the dictionary.
+	local := int(asn.LocalOf[0])
+	at := 0
+	for l := range local {
+		at += int(le.Uint32(image[extentOff+uint64(4*(n+l)):]))
+	}
+	if le.Uint32(image[extentOff+uint64(4*local):]) == 0 {
+		tb.Fatal("vertex 0 has no blocks")
+	}
+	blocks := image[blockOff:][:blockPages*pageSize]
+	_, w := binary.Uvarint(blocks[at:])
+	at += w + 1
+	blocks[at] = byte(localDeg)
+	page := at / pageSize
 	crcs := image[crcTabOff:][:blockPages*4+4]
-	le.PutUint32(crcs, crc32.ChecksumIEEE(page))
+	le.PutUint32(crcs[page*4:], crc32.ChecksumIEEE(blocks[page*pageSize:][:pageSize]))
 	le.PutUint32(crcs[blockPages*4:], crc32.ChecksumIEEE(crcs[:blockPages*4]))
 	return forged
 }
 
-// TestForgedCellNetworkNeverPanics opens the image forgeCell forged. Its
-// blocks name a color in range for the adjacency list embedded in the cell
-// image, which the store checks colors against, but not for the true one,
-// and its counts and checksums hold. The open checks every cell's embedded
-// network arc for arc against the global one, so it refuses the image
-// with an error wrapping store.ErrCorrupt, and no query can walk it.
-func TestForgedCellNetworkNeverPanics(t *testing.T) {
-	_, img := buildPagedImage(t)
-	forged := forgeCell(t, img, 0)
-	if _, err := OpenPaged(bytes.NewReader(forged), int64(len(forged)), Options{}); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("open of a forged cell network (counts and checksums hold): %v, want an error wrapping store.ErrCorrupt", err)
-	}
-}
-
-// TestOpenPagedChecksCellNetworks forges one field of each cell's embedded
-// network behind a valid section checksum — the first arc's weight or
-// target, or the first vertex's x coordinate, each moved by the least
-// step — and checks that the open refuses every forgery with an error
-// wrapping store.ErrCorrupt.
-func TestOpenPagedChecksCellNetworks(t *testing.T) {
-	_, img := buildPagedImage(t)
+// networkForgeries are the forgeries of the one network section of a
+// sharded image: the first arc's weight or target, or the first vertex's
+// x coordinate, each moved by the least step, and moveArc. exact marks
+// those after which every answer must still be Dijkstra's on the forged
+// network.
+func networkForgeries(tb testing.TB, sx *Sharded, img []byte) []struct {
+	name   string
+	forged []byte
+	exact  bool
+} {
+	tb.Helper()
 	le := binary.LittleEndian
-	nudge := func(b []byte) { // the float64 at b, one step up
-		le.PutUint64(b, math.Float64bits(math.Nextafter(math.Float64frombits(le.Uint64(b)), 2)))
-	}
-	for _, f := range []struct {
-		name  string
-		forge func(sec []byte, n int)
+	return []struct {
+		name   string
+		forged []byte
+		exact  bool
 	}{
-		{"weight", func(sec []byte, n int) { nudge(sec[n*16+(n+1)*4+4:]) }},
-		{"target", func(sec []byte, n int) {
+		{"weight", forgeNetwork(tb, img, func(sec []byte, n int) { nudge(sec[n*16+(n+1)*4+4:]) }), true},
+		{"target", forgeNetwork(tb, img, func(sec []byte, n int) {
 			at := sec[n*16+(n+1)*4:] // the first arc is vertex 0's
 			to := (le.Uint32(at) + 1) % uint32(n)
 			if to == 0 {
 				to = 1
 			}
 			le.PutUint32(at, to)
-		}},
-		{"coordinate", func(sec []byte, n int) { nudge(sec) }},
-	} {
-		for c := range 4 {
-			forged := append([]byte(nil), img...)
-			cellTabOff := int64(le.Uint64(forged[44:52]))
-			image := forged[le.Uint64(forged[cellTabOff+int64(c)*24:]):]
-			n, m := int(le.Uint32(image[16:20])), int(le.Uint32(image[20:24]))
-			sec := image[le.Uint64(image[48:56]):][:store.NetworkSectionSize(n, m)]
-			f.forge(sec, n)
-			le.PutUint32(sec[len(sec)-4:], crc32.ChecksumIEEE(sec[:len(sec)-4]))
-			if bytes.Equal(forged, img) {
-				t.Fatalf("%s of cell %d: the forgery changed nothing", f.name, c)
+		}), false},
+		{"coordinate", forgeNetwork(tb, img, func(sec []byte, n int) { nudge(sec) }), true},
+		{"moved arc", moveArc(tb, sx, img), false},
+	}
+}
+
+// TestForgedNetworkNeverPanics forges the one network of a sharded image
+// behind a valid section CRC (networkForgeries). Neither the open nor any
+// query — distance, path, kNN — may panic, and every error wraps
+// store.ErrCorrupt. After a weight or coordinate forgery every answered
+// distance, path weight and neighbor distance is Dijkstra's on the forged
+// network. A target or moved-arc forgery leaves a network the blocks were
+// not built on, whose colors still fit its out-degrees; the answers that
+// differ from Dijkstra's are counted and logged: a sharded file trusts its
+// CRC-valid network section exactly as a monolithic image trusts its own.
+func TestForgedNetworkNeverPanics(t *testing.T) {
+	sx, img := buildPagedImage(t)
+	for _, f := range networkForgeries(t, sx, img) {
+		px, err := OpenPaged(bytes.NewReader(f.forged), int64(len(f.forged)), Options{poolPages: 4})
+		if err != nil {
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("%s: open returned %v, want an error wrapping store.ErrCorrupt", f.name, err)
 			}
-			if _, err := OpenPaged(bytes.NewReader(forged), int64(len(forged)), Options{}); !errors.Is(err, store.ErrCorrupt) {
-				t.Errorf("%s of cell %d forged: open returned %v, want an error wrapping store.ErrCorrupt", f.name, c, err)
+			continue
+		}
+		g := px.Network()
+		n := g.NumVertices()
+		var objVerts []graph.VertexID
+		for v := 0; v < n; v += 5 {
+			objVerts = append(objVerts, graph.VertexID(v))
+		}
+		objs := knn.NewObjects(g, objVerts)
+		const k = 5
+		answered, failed, differ := 0, 0, 0
+		check := func(what string, u graph.VertexID, qc *core.QueryContext, got, want float64) {
+			t.Helper()
+			if err := qc.Err(); err != nil {
+				failed++
+				if !errors.Is(err, store.ErrCorrupt) {
+					t.Errorf("%s: %s from %d: %v, want an error wrapping store.ErrCorrupt", f.name, what, u, err)
+				}
+				return
+			}
+			answered++
+			if math.Abs(want-got) <= 1e-9*(1+want) || math.IsInf(want, 1) && math.IsInf(got, 1) {
+				return
+			}
+			differ++
+			if f.exact {
+				t.Errorf("%s: %s from %d: %v, Dijkstra on the forged network %v", f.name, what, u, got, want)
+			}
+		}
+		for u := 0; u < n; u += 3 {
+			src := graph.VertexID(u)
+			truth := sssp.Dijkstra(g, src).Dist
+			for v := 0; v < n; v += 2 {
+				dst := graph.VertexID(v)
+				qc := core.NewQueryContext()
+				check(fmt.Sprintf("distance to %d", v), src, qc, core.ExactDistance(px, qc, src, dst), truth[v])
+				qc = core.NewQueryContext()
+				path := px.PathCtx(qc, src, dst)
+				check(fmt.Sprintf("path to %d", v), src, qc, testkit.PathWeight(g, path), truth[v])
+			}
+			qc := core.NewQueryContext()
+			res := knn.SearchSpec(px, qc, objs, src, knn.UnboundedSpec(k, knn.VariantKNN))
+			want := make([]float64, len(objVerts))
+			for i, o := range objVerts {
+				want[i] = truth[o]
+			}
+			slices.Sort(want)
+			got := make([]float64, len(res.Neighbors))
+			for i, nb := range res.Neighbors {
+				got[i] = truth[nb.Object.Vertex]
+				if nb.Exact {
+					check(fmt.Sprintf("kNN distance of %d", nb.Object.Vertex), src, qc, nb.Dist, got[i])
+				}
+			}
+			slices.Sort(got)
+			for i := range k {
+				if i >= len(got) {
+					check(fmt.Sprintf("kNN rank %d (missing)", i), src, qc, math.NaN(), want[i])
+					continue
+				}
+				check(fmt.Sprintf("kNN rank %d", i), src, qc, got[i], want[i])
+			}
+		}
+		t.Logf("%s: %d answers (%d queries failed), %d differ from Dijkstra on the forged network", f.name, answered, failed, differ)
+	}
+}
+
+// TestOpenPagedDerivesCellNetworks opens a 4-cell and a 1-cell image and
+// checks that the network each cell's store takes, derived from the file's
+// one network section, is the built cell's network arc for arc: the
+// vertices at their coordinates, each with its arcs in order, targets
+// equal and weights bit for bit. The written ImageInfo counts that one
+// network section and no other.
+func TestOpenPagedDerivesCellNetworks(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{4, 1} {
+		sx, err := Build(g, Options{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		info, err := sx.WritePaged(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := store.NetworkSectionSize(g.NumVertices(), g.NumEdges()); info.Network != want {
+			t.Errorf("P=%d: ImageInfo.Network %d bytes, want the one global section's %d", parts, info.Network, want)
+		}
+		px, err := OpenPaged(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range parts {
+			built, opened := sx.cells[c].ix.Network(), px.cells[c].ix.Network()
+			if built.NumVertices() != opened.NumVertices() || built.NumEdges() != opened.NumEdges() {
+				t.Fatalf("P=%d cell %d: opened %d vertices and %d arcs, built %d and %d",
+					parts, c, opened.NumVertices(), opened.NumEdges(), built.NumVertices(), built.NumEdges())
+			}
+			for v := range built.NumVertices() {
+				l := graph.VertexID(v)
+				if built.Point(l) != opened.Point(l) {
+					t.Fatalf("P=%d cell %d vertex %d: opened at %v, built at %v", parts, c, v, opened.Point(l), built.Point(l))
+				}
+				bt, bw := built.Neighbors(l)
+				ot, ow := opened.Neighbors(l)
+				if !slices.Equal(bt, ot) || !slices.EqualFunc(bw, ow, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Fatalf("P=%d cell %d vertex %d: opened arcs %v %v, built %v %v", parts, c, v, ot, ow, bt, bw)
+				}
 			}
 		}
 	}

@@ -9,7 +9,8 @@
 // query touches repeatedly sits on fixed-size pages:
 //
 //	superblock   magic, page size, flags, counts, reserved, offsets + CRC
-//	network      coords + CSR adjacency + CRC   (loaded eagerly: O(n+m))
+//	network      coords + CSR adjacency + CRC   (loaded eagerly: O(n+m));
+//	             absent from a sharded file's cell images, flagNoNetwork
 //	extents      per-vertex block counts, then run lengths + CRC   (eager: O(n))
 //	  ...zero padding to a page boundary...
 //	block pages  one run per vertex with blocks, byte-packed vertex-major
@@ -19,7 +20,7 @@
 // A run is one vertex's sorted Morton blocks as a delta+varint stream
 // behind a header that holds its restart table (compress.go). The magic is
 // SILCPG3\0; a sharded file of embedded images (internal/partition) opens
-// with SILCSPG3. The superblock is 100 bytes.
+// with SILCSPG4. The superblock is 100 bytes.
 //
 // All integers are little-endian. Offsets are relative to the image start,
 // so a complete image can be embedded inside a larger file (the sharded
@@ -46,12 +47,12 @@ const PageSize = 4096
 // of the formats: every other package asks Sniff or writes ShardedMagic.
 const (
 	magic        = "SILCPG3\x00"
-	ShardedMagic = "SILCSPG3"
+	ShardedMagic = "SILCSPG4"
 )
 
 // ErrBadMagic reports bytes that open no paged image; the root package
 // exports it as silc.ErrBadMagic.
-var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG3 nor SILCSPG3)")
+var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SILCPG3 nor SILCSPG4)")
 
 // ErrCorrupt is the one sentinel of a corrupt index found while serving
 // it: a block page whose CRC does not match, a run header, restart entry or
@@ -85,6 +86,8 @@ func Sniff(m []byte) (sharded bool, err error) {
 		return false, fmt.Errorf("%w: %q is the removed fixed-width format (SILCPG1/SILCSPG1); rebuild the image with silcbuild -o", ErrBadMagic, m)
 	case "SILCPG2\x00", "SILCSPG2": // the removed format without restart tables
 		return false, fmt.Errorf("%w: %q is the removed format without restart tables (SILCPG2/SILCSPG2); rebuild the image with silcbuild -o", ErrBadMagic, m)
+	case "SILCSPG3": // the removed sharded format whose cells copied the network
+		return false, fmt.Errorf("%w: %q is the removed sharded format whose cell images each carried a network copy (SILCSPG3); rebuild the image with silcbuild -o", ErrBadMagic, m)
 	}
 	return false, fmt.Errorf("%w: got %q", ErrBadMagic, m)
 }
@@ -96,12 +99,19 @@ const superblockSize = 100
 // of block counts, a column of run lengths and the trailing CRC.
 func extentSize(n int) int64 { return 8*int64(n) + 4 }
 
-const flagLenient = 1 << 0
+// The superblock's flag bits. flagNoNetwork marks a cell image of a
+// sharded file: it has no network section, and its opener supplies the
+// cell's network (OpenOptions.Network).
+const (
+	flagLenient   = 1 << 0
+	flagNoNetwork = 1 << 1
+)
 
 // superblock is the decoded leading block of a paged image.
 type superblock struct {
 	pageSize    int
 	lenient     bool
+	noNetwork   bool
 	n           int
 	m           int
 	totalBlocks int64
@@ -119,11 +129,20 @@ type superblock struct {
 func (sb *superblock) layOut() {
 	ps := int64(sb.pageSize)
 	sb.netOff = superblockSize
-	sb.extentOff = sb.netOff + NetworkSectionSize(sb.n, sb.m)
+	sb.extentOff = sb.netOff + sb.networkSize()
 	sb.blockOff = Align(sb.extentOff+extentSize(sb.n), ps)
 	sb.blockPages = (sb.blockBytes + ps - 1) / ps
 	sb.crcTabOff = sb.blockOff + sb.blockPages*ps
 	sb.imageSize = sb.crcTabOff + sb.blockPages*4 + 4
+}
+
+// networkSize is the byte size of the image's network section: none in a
+// network-less cell image.
+func (sb *superblock) networkSize() int64 {
+	if sb.noNetwork {
+		return 0
+	}
+	return NetworkSectionSize(sb.n, sb.m)
 }
 
 func (sb *superblock) encode() []byte {
@@ -133,6 +152,9 @@ func (sb *superblock) encode() []byte {
 	var flags uint32
 	if sb.lenient {
 		flags |= flagLenient
+	}
+	if sb.noNetwork {
+		flags |= flagNoNetwork
 	}
 	buf = le.AppendUint32(buf, uint32(sb.pageSize))
 	buf = le.AppendUint32(buf, flags)
@@ -154,9 +176,11 @@ func decodeSuperblock(buf []byte, size int64) (*superblock, error) {
 	if stored, computed := le.Uint32(buf[body:]), crc32.ChecksumIEEE(buf[:body]); stored != computed {
 		return nil, fmt.Errorf("store: superblock checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
+	flags := le.Uint32(buf[12:16])
 	sb := &superblock{
 		pageSize:    int(le.Uint32(buf[8:12])),
-		lenient:     le.Uint32(buf[12:16])&flagLenient != 0,
+		lenient:     flags&flagLenient != 0,
+		noNetwork:   flags&flagNoNetwork != 0,
 		n:           int(le.Uint32(buf[16:20])),
 		m:           int(le.Uint32(buf[20:24])),
 		totalBlocks: int64(le.Uint64(buf[32:40])),

@@ -217,8 +217,11 @@ func FuzzPageDecode(f *testing.F) {
 }
 
 // openPagedSeeds builds seed images for the store opener: a valid image,
-// truncations and bit flips of it, and magics the opener rejects — the two
-// removed formats' and the sharded file's.
+// truncations and bit flips of it, magics the opener rejects — the two
+// removed formats' and the sharded file's — and two images that open only
+// with a network their caller supplies: the valid image with the
+// network-less flag set behind a valid superblock CRC, and a real cell
+// image, planned without its network section.
 func openPagedSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	g, err := graph.GenerateGrid(5, 5)
@@ -248,6 +251,17 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 	bounded := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(bounded[24:], math.Float64bits(0.2))
 	binary.LittleEndian.PutUint32(bounded[96:], crc32.ChecksumIEEE(bounded[:96]))
+	flagged := append([]byte(nil), valid...)
+	flagged[12] |= 1 << 1 // the flag word's network-less bit
+	binary.LittleEndian.PutUint32(flagged[96:], crc32.ChecksumIEEE(flagged[:96]))
+	plan, err := ix.PlanPaged(false)
+	if err != nil {
+		tb.Fatalf("plan: %v", err)
+	}
+	var cell bytes.Buffer
+	if _, err := plan.WriteTo(&cell); err != nil {
+		tb.Fatalf("write: %v", err)
+	}
 	return [][]byte{
 		valid,
 		valid[:40],
@@ -263,6 +277,8 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 		noTables,
 		[]byte("SILCPG3\x00short"),
 		bounded,
+		flagged,
+		cell.Bytes(),
 	}
 }
 
@@ -271,8 +287,9 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 // and looked up at every vertex's code, so lazily-detected page corruption
 // also surfaces as errors, never panics. Its checked-in corpus holds whole
 // images of the two removed formats, which the opener must reject, beside
-// openPagedSeeds, whose last seed is an image of the removed
-// proximity-bounded build, rejected by its radius word.
+// openPagedSeeds, among them an image of the removed proximity-bounded
+// build, rejected by its radius word, and two network-less images, which
+// open with no network here and so are rejected.
 func FuzzOpenPaged(f *testing.F) {
 	for _, seed := range openPagedSeeds(f) {
 		f.Add(seed)

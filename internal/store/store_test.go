@@ -39,6 +39,56 @@ func writeImage(t *testing.T, ix *core.Index) []byte {
 	return buf.Bytes()
 }
 
+// TestOpenCellImage opens a cell image, planned without its network
+// section: it opens over the network its caller supplies and answers like
+// the in-RAM index, and nowhere else. Opened without a network, or with
+// one of other counts, it fails, the latter wrapping store.ErrCorrupt; an
+// image with its own network section refuses a supplied one.
+func TestOpenCellImage(t *testing.T) {
+	g, ix := buildTestIndex(t, 8, 8)
+	plan, err := ix.PlanPaged(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := plan.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cell, full := buf.Bytes(), writeImage(t, ix)
+	if info := plan.Info(); info.Network != 0 || int64(len(full)-len(cell)) > store.NetworkSectionSize(g.NumVertices(), g.NumEdges()) {
+		t.Fatalf("cell image: network section %d bytes, image %d bytes against %d with the section", info.Network, len(cell), len(full))
+	}
+	open := func(img []byte, net *graph.Network) (*store.Store, error) {
+		return store.Open(bytes.NewReader(img), int64(len(img)), store.OpenOptions{Network: net})
+	}
+	st, err := open(cell, g)
+	if err != nil {
+		t.Fatalf("open with its network: %v", err)
+	}
+	if st.Graph() != g {
+		t.Fatal("the store does not read the network it was given")
+	}
+	px := core.NewPagedIndex(core.PagedConfig{Source: st})
+	for u := 0; u < g.NumVertices(); u += 3 {
+		for v := 0; v < g.NumVertices(); v += 5 {
+			src, dst := graph.VertexID(u), graph.VertexID(v)
+			if got, want := core.ExactDistance(px, nil, src, dst), core.ExactDistance(ix, nil, src, dst); got != want {
+				t.Fatalf("distance %d->%d: cell image %v, in-RAM %v", u, v, got, want)
+			}
+		}
+	}
+	if _, err := open(cell, nil); err == nil {
+		t.Fatal("a cell image opened without a network")
+	}
+	other, _ := buildTestIndex(t, 8, 9)
+	if _, err := open(cell, other); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("open with a network of other counts: %v, want an error wrapping store.ErrCorrupt", err)
+	}
+	if _, err := open(full, g); err == nil {
+		t.Fatal("an image with its own network section took a supplied one")
+	}
+}
+
 // TestPagedRoundTrip checks that a paged-backed index answers exactly like
 // the in-RAM index it was serialized from, for distances, intervals, and
 // paths.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"silc/internal/graph"
 	"silc/internal/quadtree"
@@ -18,7 +19,10 @@ import (
 type Source struct {
 	Graph   *graph.Network
 	Lenient bool
-	Tree    func(v graph.VertexID) *quadtree.Tree
+	// NoNetwork plans a cell image of a sharded file: it carries no
+	// network section, and its opener supplies Graph (OpenOptions.Network).
+	NoNetwork bool
+	Tree      func(v graph.VertexID) *quadtree.Tree
 }
 
 // ImagePlan is a fully laid-out paged image ready to stream: every section
@@ -54,7 +58,7 @@ type ImageInfo struct {
 func PlanImage(src Source) (*ImagePlan, error) {
 	g := src.Graph
 	n := g.NumVertices()
-	sb := &superblock{pageSize: PageSize, lenient: src.Lenient, n: n, m: g.NumEdges()}
+	sb := &superblock{pageSize: PageSize, lenient: src.Lenient, noNetwork: src.NoNetwork, n: n, m: g.NumEdges()}
 	p := &ImagePlan{src: src, sb: sb, counts: make([]uint32, n), byteLens: make([]uint32, n)}
 	for v := 0; v < n; v++ {
 		t := src.Tree(graph.VertexID(v))
@@ -93,7 +97,7 @@ func (p *ImagePlan) Info() ImageInfo {
 	sb := p.sb
 	return ImageInfo{
 		Superblock:   superblockSize,
-		Network:      NetworkSectionSize(sb.n, sb.m),
+		Network:      sb.networkSize(),
 		Extents:      extentSize(sb.n),
 		BlockSection: sb.blockPages * int64(sb.pageSize),
 		CRCTable:     sb.blockPages*4 + 4,
@@ -108,7 +112,11 @@ func (p *ImagePlan) Info() ImageInfo {
 func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	sb := p.sb
 	cw := NewCountingWriter(w)
-	for _, section := range [][]byte{sb.encode(), EncodeNetworkSection(p.src.Graph), encodeExtentSection(p.counts, p.byteLens)} {
+	sections := [][]byte{sb.encode(), encodeExtentSection(p.counts, p.byteLens)}
+	if !sb.noNetwork {
+		sections = slices.Insert(sections, 1, EncodeNetworkSection(p.src.Graph))
+	}
+	for _, section := range sections {
 		if _, err := cw.Write(section); err != nil {
 			return cw.N, err
 		}

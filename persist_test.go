@@ -76,9 +76,10 @@ func TestOpenEngineAtRejectsGarbage(t *testing.T) {
 
 // TestOpenRejectsRemovedFormat hands every opener a monolithic and a
 // sharded image whose magic names a removed format — the version digit of
-// SILCPG3 / SILCSPG3 set to 1, the fixed-width format, or to 2, the format
-// without restart tables: each must fail with ErrBadMagic and say to
-// rebuild the image.
+// SILCPG3 / SILCSPG4 set to 1, the fixed-width format, or to 2, the format
+// without restart tables, and the sharded one's set to 3, the format whose
+// cell images each carried a network copy: each must fail with
+// ErrBadMagic and say to rebuild the image.
 func TestOpenRejectsRemovedFormat(t *testing.T) {
 	net := testNetwork(t)
 	mono, err := Build(net, BuildOptions{})
@@ -90,11 +91,12 @@ func TestOpenRejectsRemovedFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		write   func(io.Writer) (ImageInfo, error)
-		version int // offset of the magic's version digit
-	}{{"mono", mono.WritePaged, 6}, {"sharded", sharded.WritePaged, 7}} {
-		for _, version := range []byte{'1', '2'} {
+		name     string
+		write    func(io.Writer) (ImageInfo, error)
+		version  int    // offset of the magic's version digit
+		versions string // the removed versions
+	}{{"mono", mono.WritePaged, 6, "12"}, {"sharded", sharded.WritePaged, 7, "123"}} {
+		for _, version := range []byte(tc.versions) {
 			var buf bytes.Buffer
 			if _, err := tc.write(&buf); err != nil {
 				t.Fatal(err)
