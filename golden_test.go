@@ -148,7 +148,8 @@ func TestGoldenMonolithicPagedCompressed(t *testing.T) {
 }
 
 // TestGoldenShardedPagedCompressed pins the sharded paged format
-// (SILCSPG3): every embedded cell image is a SILCPG3 image.
+// (SILCSPG4): every embedded cell image is a SILCPG3 image without its
+// network section.
 func TestGoldenShardedPagedCompressed(t *testing.T) {
 	net := goldenNetwork(t)
 	sx, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
@@ -159,7 +160,7 @@ func TestGoldenShardedPagedCompressed(t *testing.T) {
 	if _, err := sx.WritePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "grid8x4.silcspg3", buf.Bytes())
+	checkGolden(t, "grid8x4.silcspg4", buf.Bytes())
 
 	opened, err := silc.OpenEngineAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, silc.BuildOptions{})
 	if err != nil {
@@ -201,7 +202,7 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		sharded bool
 	}{
 		{"grid8.silcpg3", false},
-		{"grid8x4.silcspg3", true},
+		{"grid8x4.silcspg4", true},
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", tc.file))
 		if err != nil {

@@ -26,7 +26,7 @@ func TestPagedImageBytesPinned(t *testing.T) {
 		sha256 string
 	}{
 		{"road24/delta", silc.BuildOptions{}, "28c839117f8a1984ff9fb42ae67f25af4d4339547d433fd6489b500205bd20ae"},
-		{"sharded4/delta", silc.BuildOptions{Partitions: 4}, "17020ee03ab9647b671e3b78caa2c1c93b4980b6cb2ee4d9c32084f48f9f513f"},
+		{"sharded4/delta", silc.BuildOptions{Partitions: 4}, "bcd6f218d9a07568c0f331cf8160004291c3b3586335e38eb1dfd1bd92a1c803"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			built, err := silc.Build(net, tc.opts)
