@@ -89,11 +89,11 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 
 // OpenEngine opens a paged index file by path — written by Engine.WriteFile
 // or silcbuild -o — sniffing which of the two image layouts it holds,
-// monolithic (SILCPG3) or sharded (SILCSPG3). The image embeds its network,
-// so net may be nil; a non-nil net is cross-checked against the embedded
-// one. Anything else is rejected with ErrBadMagic; so is an image of a
-// removed format (fixed-width, or without restart tables), with a note to
-// rebuild it.
+// monolithic (SILCPG3) or sharded (SILCSPG4). The image embeds its network
+// once (a sharded open derives every cell's from it), so net may be nil; a
+// non-nil net is cross-checked against it. Anything else is rejected with
+// ErrBadMagic; so is an image of a removed format (fixed-width, without
+// restart tables, or with a network copy per cell), with a rebuild note.
 //
 // The quadtrees stay on disk: queries read them page by page through one
 // LRU buffer pool sized by opts.CacheFraction (default 5% of the database

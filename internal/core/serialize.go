@@ -55,10 +55,8 @@ func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
 
 // PlanPaged lays out the paged image WritePaged would produce without
 // writing it: the plan reports per-section sizes (ImagePlan.Info) and can
-// then be streamed once with WriteTo. WritePaged and the
-// sharded writer both build on this; the sharded writer plans its cells
-// without a network section (withNetwork false), since its file carries
-// the one network every cell's is derived from.
+// then be streamed once with WriteTo. WritePaged and the sharded writer,
+// which plans its cells without a network section, both build on this.
 func (ix *Index) PlanPaged(withNetwork bool) (*store.ImagePlan, error) {
 	var treeErr error
 	src := ix.pagedSource(&treeErr)

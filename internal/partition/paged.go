@@ -28,12 +28,10 @@ import (
 //
 // Everything is little-endian; offsets are absolute file offsets. The
 // global network is embedded, so a sharded paged file is self-contained
-// exactly like the monolithic one, and it is the file's only network: a
-// cell image carries no network section. The open derives each cell's
-// induced subnetwork from it and cellOf, exactly as Build does, and hands
-// it to the cell's store, which checks its vertex and arc counts and every
-// block color against it. Local-id ordering and boundary rows are derived
-// the same way, so they are reconstructed rather than stored.
+// exactly like the monolithic one; it is the only network, as a cell image
+// has no network section. The open derives each cell's subnetwork, the
+// adjacency its block colors index, from it and cellOf, as Build does, and
+// so local-id ordering and boundary rows: they are not stored.
 
 const shardedPagedSuperblockSize = 64
 

@@ -57,8 +57,9 @@ var ErrBadMagic = errors.New("silc: not a paged index image (magic is neither SI
 // ErrCorrupt is the one sentinel of a corrupt index found while serving
 // it: a block page whose CRC does not match, a run header, restart entry or
 // block that fails a decoder check, a copy out of a mapping that faulted
-// (the file shrank under it), and, in internal/core, a lookup miss on a
-// strict index or a refinement walk past n−1 hops. A plain I/O
+// (the file shrank under it), a cell image whose counts its network's
+// contradict, and, in internal/core, a lookup miss on a strict index or a
+// refinement walk past n−1 hops. A plain I/O
 // error of a ReaderAt does not wrap it. The root package exports it as
 // silc.ErrCorruptImage.
 var ErrCorrupt = errors.New("silc: corrupt index")
@@ -99,12 +100,9 @@ const superblockSize = 100
 // of block counts, a column of run lengths and the trailing CRC.
 func extentSize(n int) int64 { return 8*int64(n) + 4 }
 
-// The superblock's flag bits. flagNoNetwork marks a cell image of a
-// sharded file: it has no network section, and its opener supplies the
-// cell's network (OpenOptions.Network).
 const (
 	flagLenient   = 1 << 0
-	flagNoNetwork = 1 << 1
+	flagNoNetwork = 1 << 1 // a sharded file's cell image: no network section
 )
 
 // superblock is the decoded leading block of a paged image.
@@ -129,20 +127,14 @@ type superblock struct {
 func (sb *superblock) layOut() {
 	ps := int64(sb.pageSize)
 	sb.netOff = superblockSize
-	sb.extentOff = sb.netOff + sb.networkSize()
+	sb.extentOff = sb.netOff
+	if !sb.noNetwork {
+		sb.extentOff += NetworkSectionSize(sb.n, sb.m)
+	}
 	sb.blockOff = Align(sb.extentOff+extentSize(sb.n), ps)
 	sb.blockPages = (sb.blockBytes + ps - 1) / ps
 	sb.crcTabOff = sb.blockOff + sb.blockPages*ps
 	sb.imageSize = sb.crcTabOff + sb.blockPages*4 + 4
-}
-
-// networkSize is the byte size of the image's network section: none in a
-// network-less cell image.
-func (sb *superblock) networkSize() int64 {
-	if sb.noNetwork {
-		return 0
-	}
-	return NetworkSectionSize(sb.n, sb.m)
 }
 
 func (sb *superblock) encode() []byte {

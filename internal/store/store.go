@@ -28,12 +28,9 @@ type OpenOptions struct {
 	// private pool is created.
 	Pager    *Pager
 	PageBase diskio.PageID
-	// Network is the network of a cell image, which carries none: the
-	// sharded open derives each cell's induced subnetwork from the file's
-	// one network section and passes it here. The store checks its vertex
-	// and arc counts against the image, and every block color against its
-	// out-degrees as the block is decoded. It must be nil for an image that
-	// carries its own network section.
+	// Network is the network of a sharded file's cell image, which carries
+	// none; images with a network section ignore it. Its counts must be the
+	// image's, and block colors are checked against its out-degrees.
 	Network *graph.Network
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an
@@ -107,9 +104,9 @@ type loadScratch struct {
 var loadPool = sync.Pool{New: func() any { return new(loadScratch) }}
 
 // Open parses a paged store image from ra, whose total size must be given
-// (files: Stat; embedded sections: the section length). The network (or,
-// for a cell image, opts.Network), extent table, and page CRC table load
-// eagerly; block pages are read only on demand.
+// (files: Stat; embedded sections: the section length). The network, extent
+// table, and page CRC table load eagerly; block pages are read only on
+// demand.
 func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	m, err := readSection(ra, 0, 8)
 	if err != nil {
@@ -130,9 +127,18 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := openNetwork(ra, sb, opts.Network)
-	if err != nil {
-		return nil, err
+	g := opts.Network
+	switch {
+	case !sb.noNetwork:
+		netBuf, err := readSection(ra, sb.netOff, NetworkSectionSize(sb.n, sb.m))
+		if err != nil {
+			return nil, fmt.Errorf("store: reading network section: %w", err)
+		}
+		if g, err = DecodeNetworkSection(netBuf, sb.n, sb.m); err != nil {
+			return nil, err
+		}
+	case g == nil || g.NumVertices() != sb.n || g.NumEdges() != sb.m:
+		return nil, corrupt(fmt.Errorf("store: image without a network section indexes %d vertices and %d arcs; its opener must supply a network of those counts", sb.n, sb.m))
 	}
 	extBuf, err := readSection(ra, sb.extentOff, extentSize(sb.n))
 	if err != nil {
@@ -176,28 +182,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	return s, nil
 }
 
-// openNetwork returns the network the image's blocks index: the one its
-// network section holds, or, for a cell image that has none, the one its
-// opener supplies, whose counts must be the image's.
-func openNetwork(ra io.ReaderAt, sb *superblock, supplied *graph.Network) (*graph.Network, error) {
-	switch {
-	case sb.noNetwork && supplied == nil:
-		return nil, fmt.Errorf("store: image has no network section (a cell of a sharded file); open it through its sharded file")
-	case sb.noNetwork:
-		if n, m := supplied.NumVertices(), supplied.NumEdges(); n != sb.n || m != sb.m {
-			return nil, corrupt(fmt.Errorf("store: image indexes %d vertices and %d arcs, its network has %d and %d", sb.n, sb.m, n, m))
-		}
-		return supplied, nil
-	case supplied != nil:
-		return nil, fmt.Errorf("store: image carries its own network section; only a cell image takes its network from its opener")
-	}
-	buf, err := readSection(ra, sb.netOff, NetworkSectionSize(sb.n, sb.m))
-	if err != nil {
-		return nil, fmt.Errorf("store: reading network section: %w", err)
-	}
-	return DecodeNetworkSection(buf, sb.n, sb.m)
-}
-
 // OpenFile opens a paged store file, keeping the file handle for the
 // store's lifetime; Close releases it.
 func OpenFile(path string, opts OpenOptions) (*Store, error) {
@@ -227,8 +211,8 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Graph returns the network the image's blocks index: rebuilt from its
-// network section, or the one its opener supplied for a cell image.
+// Graph returns the network rebuilt from the image's network section, or
+// a cell image's OpenOptions.Network.
 func (s *Store) Graph() *graph.Network { return s.g }
 
 // Radius returns 0: the proximity-bounded build is gone and an image with a

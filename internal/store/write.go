@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"silc/internal/graph"
 	"silc/internal/quadtree"
@@ -19,8 +18,8 @@ import (
 type Source struct {
 	Graph   *graph.Network
 	Lenient bool
-	// NoNetwork plans a cell image of a sharded file: it carries no
-	// network section, and its opener supplies Graph (OpenOptions.Network).
+	// NoNetwork plans a sharded file's cell image, which carries no
+	// network section: its opener supplies Graph (OpenOptions.Network).
 	NoNetwork bool
 	Tree      func(v graph.VertexID) *quadtree.Tree
 }
@@ -97,7 +96,7 @@ func (p *ImagePlan) Info() ImageInfo {
 	sb := p.sb
 	return ImageInfo{
 		Superblock:   superblockSize,
-		Network:      sb.networkSize(),
+		Network:      sb.extentOff - sb.netOff,
 		Extents:      extentSize(sb.n),
 		BlockSection: sb.blockPages * int64(sb.pageSize),
 		CRCTable:     sb.blockPages*4 + 4,
@@ -112,11 +111,11 @@ func (p *ImagePlan) Info() ImageInfo {
 func (p *ImagePlan) WriteTo(w io.Writer) (int64, error) {
 	sb := p.sb
 	cw := NewCountingWriter(w)
-	sections := [][]byte{sb.encode(), encodeExtentSection(p.counts, p.byteLens)}
+	var network []byte
 	if !sb.noNetwork {
-		sections = slices.Insert(sections, 1, EncodeNetworkSection(p.src.Graph))
+		network = EncodeNetworkSection(p.src.Graph)
 	}
-	for _, section := range sections {
+	for _, section := range [][]byte{sb.encode(), network, encodeExtentSection(p.counts, p.byteLens)} {
 		if _, err := cw.Write(section); err != nil {
 			return cw.N, err
 		}
