@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -133,23 +134,21 @@ func moveArc(tb testing.TB, sx *Sharded, img []byte) []byte {
 	return forged
 }
 
-// networkForgeries are the forgeries of the one network section of a
-// sharded image: the first arc's weight or target, or the first vertex's
-// x coordinate, each moved by the least step, and moveArc. exact marks
-// those after which every answer must still be Dijkstra's on the forged
-// network.
-func networkForgeries(tb testing.TB, sx *Sharded, img []byte) []struct {
+// forgery is one forged copy of a sharded image. exact marks a forgery
+// after which every answer must still be Dijkstra's on the forged network.
+type forgery struct {
 	name   string
 	forged []byte
 	exact  bool
-} {
+}
+
+// networkForgeries are the forgeries of the one network section of a
+// sharded image: the first arc's weight or target, or the first vertex's
+// x coordinate, each moved by the least step, and moveArc, last.
+func networkForgeries(tb testing.TB, sx *Sharded, img []byte) []forgery {
 	tb.Helper()
 	le := binary.LittleEndian
-	return []struct {
-		name   string
-		forged []byte
-		exact  bool
-	}{
+	return []forgery{
 		{"weight", forgeNetwork(tb, img, func(sec []byte, n int) { nudge(sec[n*16+(n+1)*4+4:]) }), true},
 		{"target", forgeNetwork(tb, img, func(sec []byte, n int) {
 			at := sec[n*16+(n+1)*4:] // the first arc is vertex 0's
@@ -164,87 +163,163 @@ func networkForgeries(tb testing.TB, sx *Sharded, img []byte) []struct {
 	}
 }
 
-// TestForgedNetworkNeverPanics forges the one network of a sharded image
-// behind a valid section CRC (networkForgeries). Neither the open nor any
-// query — distance, path, kNN — may panic, and every error wraps
-// store.ErrCorrupt. After a weight or coordinate forgery every answered
-// distance, path weight and neighbor distance is Dijkstra's on the forged
-// network. A target or moved-arc forgery leaves a network the blocks were
-// not built on, whose colors still fit its out-degrees; the answers that
-// differ from Dijkstra's are counted and logged: a sharded file trusts its
-// CRC-valid network section exactly as a monolithic image trusts its own.
-func TestForgedNetworkNeverPanics(t *testing.T) {
+// openForged opens f's image with a small pool. An open that fails must
+// fail with an error wrapping store.ErrCorrupt; it returns nil then.
+func openForged(t *testing.T, f forgery) *Sharded {
+	t.Helper()
+	px, err := OpenPaged(bytes.NewReader(f.forged), int64(len(f.forged)), Options{poolPages: 4})
+	if err != nil {
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: open returned %v, want an error wrapping store.ErrCorrupt", f.name, err)
+		}
+		return nil
+	}
+	return px
+}
+
+// queryForged runs ExactDistance, PathCtx and kNN (k = 5) from every third
+// vertex of px, opened from f's image. No query may panic and every error
+// wraps store.ErrCorrupt. If f is exact, every answered distance, path
+// weight and neighbor distance is Dijkstra's on the forged network;
+// otherwise the answers that differ are counted and logged.
+func queryForged(t *testing.T, f forgery, px *Sharded) {
+	t.Helper()
+	g := px.Network()
+	n := g.NumVertices()
+	var objVerts []graph.VertexID
+	for v := 0; v < n; v += 5 {
+		objVerts = append(objVerts, graph.VertexID(v))
+	}
+	objs := knn.NewObjects(g, objVerts)
+	const k = 5
+	answered, failed, differ := 0, 0, 0
+	check := func(what string, u graph.VertexID, qc *core.QueryContext, got, want float64) {
+		t.Helper()
+		if err := qc.Err(); err != nil {
+			failed++
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("%s: %s from %d: %v, want an error wrapping store.ErrCorrupt", f.name, what, u, err)
+			}
+			return
+		}
+		answered++
+		if math.Abs(want-got) <= 1e-9*(1+want) || math.IsInf(want, 1) && math.IsInf(got, 1) {
+			return
+		}
+		differ++
+		if f.exact {
+			t.Errorf("%s: %s from %d: %v, Dijkstra on the forged network %v", f.name, what, u, got, want)
+		}
+	}
+	for u := 0; u < n; u += 3 {
+		src := graph.VertexID(u)
+		truth := sssp.Dijkstra(g, src).Dist
+		for v := 0; v < n; v += 2 {
+			dst := graph.VertexID(v)
+			qc := core.NewQueryContext()
+			check(fmt.Sprintf("distance to %d", v), src, qc, core.ExactDistance(px, qc, src, dst), truth[v])
+			qc = core.NewQueryContext()
+			path := px.PathCtx(qc, src, dst)
+			check(fmt.Sprintf("path to %d", v), src, qc, testkit.PathWeight(g, path), truth[v])
+		}
+		qc := core.NewQueryContext()
+		res := knn.SearchSpec(px, qc, objs, src, knn.UnboundedSpec(k, knn.VariantKNN))
+		want := make([]float64, len(objVerts))
+		for i, o := range objVerts {
+			want[i] = truth[o]
+		}
+		slices.Sort(want)
+		got := make([]float64, len(res.Neighbors))
+		for i, nb := range res.Neighbors {
+			got[i] = truth[nb.Object.Vertex]
+			if nb.Exact {
+				check(fmt.Sprintf("kNN distance of %d", nb.Object.Vertex), src, qc, nb.Dist, got[i])
+			}
+		}
+		slices.Sort(got)
+		for i := range k {
+			if i >= len(got) {
+				check(fmt.Sprintf("kNN rank %d (missing)", i), src, qc, math.NaN(), want[i])
+				continue
+			}
+			check(fmt.Sprintf("kNN rank %d", i), src, qc, got[i], want[i])
+		}
+	}
+	t.Logf("%s: %d answers (%d queries failed), %d differ from Dijkstra on the forged network", f.name, answered, failed, differ)
+}
+
+// TestForgedCellNetworkNeverPanics opens the image moveArc forged: in the
+// one network section, vertex 0 takes one of vertex 1's arcs within their
+// cell, and vertex 0's run names the taken arc's color, in range only for
+// the forged network; counts and checksums hold. Cell 0's network, derived
+// from that section, is the forged one, so neither the open nor any query
+// from every third vertex may panic, and every error wraps
+// store.ErrCorrupt. The network is not the one the blocks were built on:
+// the answers that differ from Dijkstra's on it are counted and logged.
+func TestForgedCellNetworkNeverPanics(t *testing.T) {
+	sx, img := buildPagedImage(t)
+	f := forgery{"moved arc", moveArc(t, sx, img), false}
+	if px := openForged(t, f); px != nil {
+		queryForged(t, f, px)
+	}
+}
+
+// TestOpenPagedChecksCellNetworks forges the one network section of a
+// sharded image behind a valid CRC — the first arc's weight or target, or
+// the first vertex's x coordinate, each moved by the least step. An open
+// that fails must fail with store.ErrCorrupt. After an open, every cell's
+// network is the forged global network restricted to the cell: each local
+// vertex at its global vertex's coordinates, with the global arcs that stay
+// in the cell, targets through LocalOf and weights bit for bit. Then no
+// query may panic; after the weight and coordinate forgeries every answer
+// is Dijkstra's on the forged network (queryForged). A sharded file trusts
+// its CRC-valid network section exactly as a monolithic image trusts its
+// own.
+func TestOpenPagedChecksCellNetworks(t *testing.T) {
 	sx, img := buildPagedImage(t)
 	for _, f := range networkForgeries(t, sx, img) {
-		px, err := OpenPaged(bytes.NewReader(f.forged), int64(len(f.forged)), Options{poolPages: 4})
-		if err != nil {
-			if !errors.Is(err, store.ErrCorrupt) {
-				t.Errorf("%s: open returned %v, want an error wrapping store.ErrCorrupt", f.name, err)
-			}
+		if f.name == "moved arc" { // TestForgedCellNetworkNeverPanics
 			continue
 		}
-		g := px.Network()
-		n := g.NumVertices()
-		var objVerts []graph.VertexID
-		for v := 0; v < n; v += 5 {
-			objVerts = append(objVerts, graph.VertexID(v))
+		px := openForged(t, f)
+		if px == nil {
+			continue
 		}
-		objs := knn.NewObjects(g, objVerts)
-		const k = 5
-		answered, failed, differ := 0, 0, 0
-		check := func(what string, u graph.VertexID, qc *core.QueryContext, got, want float64) {
-			t.Helper()
-			if err := qc.Err(); err != nil {
-				failed++
-				if !errors.Is(err, store.ErrCorrupt) {
-					t.Errorf("%s: %s from %d: %v, want an error wrapping store.ErrCorrupt", f.name, what, u, err)
+		g, asn := px.Network(), px.asn
+		type arc struct {
+			to graph.VertexID
+			w  uint64
+		}
+		for c := range asn.P {
+			sub := px.cells[c].ix.Network()
+			if sub.NumVertices() != len(asn.Verts[c]) {
+				t.Fatalf("%s: cell %d network has %d vertices, the cell %d", f.name, c, sub.NumVertices(), len(asn.Verts[c]))
+			}
+			for l, v := range asn.Verts[c] {
+				local := graph.VertexID(l)
+				if sub.Point(local) != g.Point(v) {
+					t.Fatalf("%s: cell %d vertex %d at %v, global vertex %d at %v", f.name, c, l, sub.Point(local), v, g.Point(v))
 				}
-				return
-			}
-			answered++
-			if math.Abs(want-got) <= 1e-9*(1+want) || math.IsInf(want, 1) && math.IsInf(got, 1) {
-				return
-			}
-			differ++
-			if f.exact {
-				t.Errorf("%s: %s from %d: %v, Dijkstra on the forged network %v", f.name, what, u, got, want)
-			}
-		}
-		for u := 0; u < n; u += 3 {
-			src := graph.VertexID(u)
-			truth := sssp.Dijkstra(g, src).Dist
-			for v := 0; v < n; v += 2 {
-				dst := graph.VertexID(v)
-				qc := core.NewQueryContext()
-				check(fmt.Sprintf("distance to %d", v), src, qc, core.ExactDistance(px, qc, src, dst), truth[v])
-				qc = core.NewQueryContext()
-				path := px.PathCtx(qc, src, dst)
-				check(fmt.Sprintf("path to %d", v), src, qc, testkit.PathWeight(g, path), truth[v])
-			}
-			qc := core.NewQueryContext()
-			res := knn.SearchSpec(px, qc, objs, src, knn.UnboundedSpec(k, knn.VariantKNN))
-			want := make([]float64, len(objVerts))
-			for i, o := range objVerts {
-				want[i] = truth[o]
-			}
-			slices.Sort(want)
-			got := make([]float64, len(res.Neighbors))
-			for i, nb := range res.Neighbors {
-				got[i] = truth[nb.Object.Vertex]
-				if nb.Exact {
-					check(fmt.Sprintf("kNN distance of %d", nb.Object.Vertex), src, qc, nb.Dist, got[i])
+				var want, got []arc
+				targets, weights := g.Neighbors(v)
+				for i, to := range targets {
+					if asn.CellOf[to] == int32(c) {
+						want = append(want, arc{graph.VertexID(asn.LocalOf[to]), math.Float64bits(weights[i])})
+					}
+				}
+				targets, weights = sub.Neighbors(local)
+				for i, to := range targets {
+					got = append(got, arc{to, math.Float64bits(weights[i])})
+				}
+				byArc := func(a, b arc) int { return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.w, b.w)) }
+				slices.SortFunc(want, byArc)
+				slices.SortFunc(got, byArc)
+				if !slices.Equal(want, got) {
+					t.Fatalf("%s: cell %d vertex %d arcs %v, global vertex %d's in the cell %v", f.name, c, l, got, v, want)
 				}
 			}
-			slices.Sort(got)
-			for i := range k {
-				if i >= len(got) {
-					check(fmt.Sprintf("kNN rank %d (missing)", i), src, qc, math.NaN(), want[i])
-					continue
-				}
-				check(fmt.Sprintf("kNN rank %d", i), src, qc, got[i], want[i])
-			}
 		}
-		t.Logf("%s: %d answers (%d queries failed), %d differ from Dijkstra on the forged network", f.name, answered, failed, differ)
+		queryForged(t, f, px)
 	}
 }
 
