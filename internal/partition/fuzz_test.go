@@ -21,8 +21,9 @@ func fuzzNetwork(tb testing.TB) *graph.Network {
 // bytes; beyond parsing, a successful open is queried across cells and
 // within vertex 0's cell, so lazily-detected corruption also surfaces as
 // errors. Its seeds are a valid file, a truncation and a bit flip of it,
-// the file under the magics of the three removed formats, and the
-// forgeries of its one network section (networkForgeries), whose
+// the file under the magics of the three removed formats, the forgeries
+// of its one network section (networkForgeries), and cell 0 replaced by an
+// image with its own network section (networkSectionCells), whose
 // checksums all hold.
 func FuzzOpenPagedSharded(f *testing.F) {
 	g := fuzzNetwork(f)
@@ -47,6 +48,9 @@ func FuzzOpenPagedSharded(f *testing.F) {
 	}
 	sx, img := buildPagedImage(f)
 	for _, forgery := range networkForgeries(f, sx, img) {
+		f.Add(forgery.forged)
+	}
+	for _, forgery := range networkSectionCells(f, sx, img) {
 		f.Add(forgery.forged)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

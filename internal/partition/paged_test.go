@@ -323,6 +323,71 @@ func TestOpenPagedChecksCellNetworks(t *testing.T) {
 	}
 }
 
+// replaceCell returns a copy of the sharded image img whose cell c image
+// is cellImg, appended page-aligned past the file's end: the cell table
+// entry points at it, the page bases of the later cells move by the
+// difference in block pages, the file size grows, and the cell table's and
+// the superblock's CRCs are recomputed, so that every checksum holds.
+func replaceCell(tb testing.TB, img []byte, c int, cellImg []byte) []byte {
+	tb.Helper()
+	le := binary.LittleEndian
+	off := store.Align(int64(len(img)), store.PageSize)
+	forged := append(append([]byte(nil), img...), make([]byte, off-int64(len(img)))...)
+	forged = append(forged, cellImg...)
+	p := int(le.Uint32(forged[12:16]))
+	tab := forged[le.Uint64(forged[44:52]):][:p*24+4]
+	oldPages := le.Uint64(forged[le.Uint64(tab[c*24:])+72:]) // the cell superblock's block-page count
+	le.PutUint64(tab[c*24:], uint64(off))
+	le.PutUint64(tab[c*24+8:], uint64(len(cellImg)))
+	for later := c + 1; later < p; later++ {
+		base := tab[later*24+16:]
+		le.PutUint64(base, le.Uint64(base)+le.Uint64(cellImg[72:])-oldPages)
+	}
+	le.PutUint32(tab[p*24:], crc32.ChecksumIEEE(tab[:p*24]))
+	le.PutUint64(forged[52:60], uint64(len(forged)))
+	le.PutUint32(forged[60:64], crc32.ChecksumIEEE(forged[:60]))
+	return forged
+}
+
+// networkSectionCells are copies of sx's image img whose cell 0 image is
+// a full SILCPG3 image with its own network section, behind valid
+// checksums: cell 0's own index written monolithically (the cell's counts),
+// and the monolithic image of the whole network (other counts).
+func networkSectionCells(tb testing.TB, sx *Sharded, img []byte) []forgery {
+	tb.Helper()
+	whole, err := core.Build(sx.g, core.BuildOptions{})
+	if err != nil {
+		tb.Fatalf("build: %v", err)
+	}
+	var out []forgery
+	for _, c := range []struct {
+		name string
+		ix   *core.Index
+	}{{"cell 0 with its network", sx.cells[0].ix}, {"the whole network's image", whole}} {
+		var buf bytes.Buffer
+		if _, err := c.ix.WritePaged(&buf); err != nil {
+			tb.Fatalf("%s: write paged: %v", c.name, err)
+		}
+		out = append(out, forgery{c.name, replaceCell(tb, img, 0, buf.Bytes()), false})
+	}
+	return out
+}
+
+// TestOpenPagedRefusesCellNetworkSection replaces cell 0's image in a
+// sharded file with a full image that carries its own network section,
+// every checksum intact. The cell's network is the one derived from the
+// file's global section; an image with a second network, of the cell's
+// counts or of others, fails to open with store.ErrCorrupt.
+func TestOpenPagedRefusesCellNetworkSection(t *testing.T) {
+	sx, img := buildPagedImage(t)
+	for _, f := range networkSectionCells(t, sx, img) {
+		_, err := OpenPaged(bytes.NewReader(f.forged), int64(len(f.forged)), Options{poolPages: 4})
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: open returned %v, want an error wrapping store.ErrCorrupt", f.name, err)
+		}
+	}
+}
+
 // TestOpenPagedDerivesCellNetworks opens a 4-cell and a 1-cell image and
 // checks that the network each cell's store takes, derived from the file's
 // one network section, is the built cell's network arc for arc: the

@@ -29,8 +29,8 @@ type OpenOptions struct {
 	Pager    *Pager
 	PageBase diskio.PageID
 	// Network is the network of a sharded file's cell image, which carries
-	// none; images with a network section ignore it. Its counts must be the
-	// image's, and block colors are checked against its out-degrees.
+	// none; any other image opened with one fails with ErrCorrupt. Its counts
+	// must be the image's, and block colors are checked against its out-degrees.
 	Network *graph.Network
 
 	// poolPages, when positive, replaces the CacheFraction sizing with an
@@ -129,6 +129,8 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	}
 	g := opts.Network
 	switch {
+	case sb.noNetwork != (g != nil) || g != nil && (g.NumVertices() != sb.n || g.NumEdges() != sb.m):
+		return nil, corrupt(fmt.Errorf("store: image of %d vertices and %d arcs, network section %t: its opener must supply a network of those counts exactly when the image has no network section", sb.n, sb.m, !sb.noNetwork))
 	case !sb.noNetwork:
 		netBuf, err := readSection(ra, sb.netOff, NetworkSectionSize(sb.n, sb.m))
 		if err != nil {
@@ -137,8 +139,6 @@ func Open(ra io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		if g, err = DecodeNetworkSection(netBuf, sb.n, sb.m); err != nil {
 			return nil, err
 		}
-	case g == nil || g.NumVertices() != sb.n || g.NumEdges() != sb.m:
-		return nil, corrupt(fmt.Errorf("store: image without a network section indexes %d vertices and %d arcs; its opener must supply a network of those counts", sb.n, sb.m))
 	}
 	extBuf, err := readSection(ra, sb.extentOff, extentSize(sb.n))
 	if err != nil {

@@ -42,10 +42,11 @@ func writeImage(t *testing.T, ix *core.Index) []byte {
 // TestOpenCellImage opens a cell image, planned without its network
 // section: it opens over the network its caller supplies and answers like
 // the in-RAM index. Opened without a network, or with one of other counts,
-// it fails with an error wrapping store.ErrCorrupt.
+// it fails with an error wrapping store.ErrCorrupt, and so does an image
+// with its network section opened with a network.
 func TestOpenCellImage(t *testing.T) {
 	g, ix := buildTestIndex(t, 8, 8)
-	plan, err := ix.PlanPaged(false)
+	plan, err := ix.PlanPaged(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +82,9 @@ func TestOpenCellImage(t *testing.T) {
 		if _, err := open(cell, net); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("open with network %p: %v, want an error wrapping store.ErrCorrupt", net, err)
 		}
+	}
+	if _, err := open(full, g); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("image with a network section opened with a network: %v, want an error wrapping store.ErrCorrupt", err)
 	}
 }
 
