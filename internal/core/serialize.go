@@ -43,7 +43,7 @@ func (ix *Index) pagedSource(treeErr *error) store.Source {
 // and returns the layout it wrote (Total is the byte count). The network
 // is embedded, so the image is self-contained.
 func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
-	p, err := ix.PlanPaged(true)
+	p, err := ix.PlanPaged(false)
 	if err != nil {
 		return store.ImageInfo{}, err
 	}
@@ -56,11 +56,11 @@ func (ix *Index) WritePaged(w io.Writer) (store.ImageInfo, error) {
 // PlanPaged lays out the paged image WritePaged would produce without
 // writing it: the plan reports per-section sizes (ImagePlan.Info) and can
 // then be streamed once with WriteTo. WritePaged and the sharded writer,
-// which plans its cells without a network section, both build on this.
-func (ix *Index) PlanPaged(withNetwork bool) (*store.ImagePlan, error) {
+// which plans its cells noNetwork (without a network section), build on it.
+func (ix *Index) PlanPaged(noNetwork bool) (*store.ImagePlan, error) {
 	var treeErr error
 	src := ix.pagedSource(&treeErr)
-	src.NoNetwork = !withNetwork
+	src.NoNetwork = noNetwork
 	p, err := store.PlanImage(src)
 	if treeErr != nil {
 		return nil, treeErr

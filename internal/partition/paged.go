@@ -74,7 +74,7 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 	at := store.Align(l.cellTabOff+l.cellTabSize, store.PageSize)
 	var pages int64
 	for c, cx := range s.cells {
-		pl, err := cx.ix.PlanPaged(false)
+		pl, err := cx.ix.PlanPaged(true)
 		if err != nil {
 			return nil, fmt.Errorf("partition: planning cell %d image: %w", c, err)
 		}

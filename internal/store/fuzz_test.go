@@ -254,7 +254,7 @@ func openPagedSeeds(tb testing.TB) [][]byte {
 	flagged := append([]byte(nil), valid...)
 	flagged[12] |= 1 << 1 // the flag word's network-less bit
 	binary.LittleEndian.PutUint32(flagged[96:], crc32.ChecksumIEEE(flagged[:96]))
-	plan, err := ix.PlanPaged(false)
+	plan, err := ix.PlanPaged(true)
 	if err != nil {
 		tb.Fatalf("plan: %v", err)
 	}
