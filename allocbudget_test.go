@@ -674,6 +674,43 @@ func TestAllocBudgetColdDistance(t *testing.T) {
 	}
 }
 
+// budgetPathAllocs bounds a warm pass of 64 in-RAM Engine.ShortestPath calls
+// (TestAllocBudgetShortestPath), by cell count: what remains is the paths
+// themselves, grown by appending a hop at a time, plus, across cells, the
+// route race's candidate lists and the stitched segments. A cell's path is
+// mapped to global ids in place, so the one-cell engine allocates exactly
+// what the monolithic index's own walk does.
+var budgetPathAllocs = map[int]float64{1: 300, 4: 751}
+
+// TestAllocBudgetShortestPath pins the warm in-RAM ShortestPath allocations
+// of a one-cell and a 4-cell engine at budgetPathAllocs.
+func TestAllocBudgetShortestPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	net, _, vertices, queries := allocFixture(t)
+	ctx := context.Background()
+	for _, parts := range []int{1, 4} {
+		eng, err := Build(net, BuildOptions{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := measureAllocs(func() {
+			for _, q := range queries {
+				for _, v := range vertices[:8] {
+					if _, err := eng.ShortestPath(ctx, q, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		t.Logf("P=%d: %.1f allocs per pass of %d paths (budget %v)", parts, got, 8*len(queries), budgetPathAllocs[parts])
+		if got > budgetPathAllocs[parts] {
+			t.Fatalf("P=%d: a warm pass of paths allocates %.1f, budget %v", parts, got, budgetPathAllocs[parts])
+		}
+	}
+}
+
 // budgetWarmPagedDistanceAllocs bounds the allocations of a warm pass of
 // 32 distances behind an evicting pool (TestAllocBudgetWarmPagedDistance),
 // however many pages the pass reads: two per distance, its QueryStats and
@@ -730,12 +767,20 @@ func TestAllocBudgetWarmPagedDistance(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pass()
 	}
-	reads, evictions = 0, 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	pass()
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
+	// Mallocs counts every goroutine's allocations, the runtime's own
+	// background work included (the scavenger's timer heap, the cleanup a
+	// finished GC cycle wakes). A warm pass of the query path allocates the
+	// same count every time, so the least of three passes is the query
+	// path's alone.
+	allocs := uint64(math.MaxUint64)
+	for range 3 {
+		reads, evictions = 0, 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
 	t.Logf("warm pass of %d distances: %d allocs, %d page reads, %d evictions", len(pairs), allocs, reads, evictions)
 	if evictions == 0 || reads == 0 {
 		t.Fatalf("the pass read %d pages and evicted %d: the pool must evict", reads, evictions)

@@ -22,7 +22,6 @@ import (
 	"silc/internal/core"
 	"silc/internal/graph"
 	"silc/internal/knn"
-	"silc/internal/partition"
 	"silc/internal/store"
 )
 
@@ -274,21 +273,12 @@ func BenchmarkLiveMutation(b *testing.B) {
 
 // pagedBench is the fixture of the paged benchmarks: a 64×64 road map (seed
 // 1), its in-RAM engine and the paged image written from it, and a seeded
-// random generator for the workload drawn over it. oneCell, built on first
-// use, is the same map as a one-cell partition and its sharded image.
+// random generator for the workload drawn over it.
 type pagedBench struct {
-	net     *Network
-	ram     *Engine
-	path    string
-	rng     *rand.Rand
-	oneCell *oneCellBench
-}
-
-// oneCellBench is the map's one-cell partition: partition.Build with one
-// cell behind an Engine, and its sharded image at path.
-type oneCellBench struct {
+	net  *Network
 	ram  *Engine
 	path string
+	rng  *rand.Rand
 }
 
 func newPagedBench(b *testing.B) *pagedBench {
@@ -385,44 +375,11 @@ func (pb *pagedBench) paged(b *testing.B, src string, pool float64) func() *Engi
 	return func() *Engine { return openSource(b, pb.path, src, pool) }
 }
 
-// cell returns the one-cell partition of the map, building it and writing
-// its image on first use so that the other sub-benchmarks do not pay for
-// it.
-func (pb *pagedBench) cell(b *testing.B) *oneCellBench {
-	if pb.oneCell != nil {
-		return pb.oneCell
-	}
-	sx, err := partition.Build(pb.net.g, partition.Options{Partitions: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	oc := &oneCellBench{ram: newEngine(pb.net, sx, ""), path: filepath.Join(filepath.Dir(pb.path), "onecell.silcspg")}
-	if _, err := oc.ram.WriteFile(oc.path); err != nil {
-		b.Fatal(err)
-	}
-	pb.oneCell = oc
-	return oc
-}
-
-// reportImageBytes reports the byte sizes of the monolithic and the
-// one-cell image of the map.
-func (pb *pagedBench) reportImageBytes(b *testing.B) {
-	for name, path := range map[string]string{"mono": pb.path, "onecell": pb.cell(b).path} {
-		info, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(info.Size()), name+"-image-bytes")
-	}
-}
-
 // variants runs one sub-benchmark per page variant: page source
 // (pageSources) × pool (5% and 100% of the image's block pages) × cache
 // state (cold, warm); and RAM, the in-RAM engine the image was written
 // from, so that the warm paged to in-RAM ratio is measured on the same
-// queries. onecell/RAM and onecell/File/pool=1/warm run the same queries
-// on the map's one-cell partition, in RAM and from its sharded image, and
-// report both images' bytes.
+// queries.
 func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStats) {
 	for _, src := range pageSources {
 		for _, pool := range []float64{0.05, 1} {
@@ -435,16 +392,6 @@ func (pb *pagedBench) variants(b *testing.B, op func(e *Engine, i int) QueryStat
 	}
 	b.Run("RAM", func(b *testing.B) {
 		pb.run(b, func() *Engine { return pb.ram }, false, op)
-	})
-	b.Run("onecell/RAM", func(b *testing.B) {
-		oc := pb.cell(b)
-		pb.run(b, func() *Engine { return oc.ram }, false, op)
-		pb.reportImageBytes(b)
-	})
-	b.Run("onecell/File/pool=1/warm", func(b *testing.B) {
-		oc := pb.cell(b)
-		pb.run(b, func() *Engine { return openSource(b, oc.path, "File", 1) }, false, op)
-		pb.reportImageBytes(b)
 	})
 }
 

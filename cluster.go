@@ -2,7 +2,6 @@ package silc
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -38,13 +37,10 @@ type ClusterNode struct {
 }
 
 // NewClusterNode binds the node named name in the manifest to an engine
-// over a partitioned index (typically OpenEngine over the manifest's index
-// file). A monolithic engine has no cells to serve and is refused.
+// over the manifest's index (typically OpenEngine over its file). Any image
+// serves: a monolithic one is one cell, which one node serves.
 func NewClusterNode(eng *Engine, m *ClusterManifest, name string) (*ClusterNode, error) {
-	if eng.sharded == nil {
-		return nil, errors.New("silc: a cluster node serves the cells of a partitioned index, and this engine is monolithic")
-	}
-	n, err := cluster.NewNode(name, m, eng.sharded)
+	n, err := cluster.NewNode(name, m, eng.sx)
 	if err != nil {
 		return nil, err
 	}

@@ -73,21 +73,12 @@ func main() {
 	}
 }
 
-// printStats prints the build's storage statistics: the monolithic
-// index's block accounting, or a partitioned build's cells and closure.
+// printStats prints the build's storage statistics: its cells and closure.
 func printStats(st silc.IndexStats) {
 	n := float64(st.Vertices)
 	fmt.Printf("vertices:        %d\n", st.Vertices)
 	fmt.Printf("directed edges:  %d\n", st.Edges)
 	s := st.Sharded
-	if s == nil {
-		fmt.Printf("morton blocks:   %d\n", st.TotalBlocks)
-		fmt.Printf("blocks/vertex:   %.1f (min %d, max %d)\n", st.BlocksPerVertex(), st.MinBlocks, st.MaxBlocks)
-		fmt.Printf("c in c*n^1.5:    %.2f\n", float64(st.TotalBlocks)/(n*math.Sqrt(n)))
-		fmt.Printf("encoded size:    %.2f MiB\n", float64(st.TotalBytes)/(1<<20))
-		fmt.Printf("build time:      %v\n", st.BuildTime)
-		return
-	}
 	fmt.Printf("partitions:      %d (cells of %d..%d vertices, %d self-contained)\n",
 		s.Partitions, s.MinCellVertices, s.MaxCellVertices, s.SelfContained)
 	fmt.Printf("boundary:        %d vertices, %d cut edges\n", s.BoundaryVertices, s.CutEdges)

@@ -101,9 +101,13 @@ func main() {
 		}
 		fmt.Printf("interval (no refinement): [%.6f, %.6f]\n", iv.Lo, iv.Hi)
 		if *eps > 0 {
-			cert, steps := certify(eng, src, dst, *eps)
+			r := certify(eng, src, dst, *eps)
+			cert := r.Interval()
 			fmt.Printf("ε-approximate distance:   %.6f (ε = %g)\n", d, *eps)
-			fmt.Printf("certifying interval:      [%.6f, %.6f] after %d refinement steps\n", cert.Lo, cert.Hi, steps)
+			fmt.Printf("certifying interval:      [%.6f, %.6f] after %d refinement steps\n", cert.Lo, cert.Hi, r.Steps())
+			if via, acc, ok := r.Via(); ok {
+				fmt.Printf("certified via:            %d at exact %.6f\n", via, acc)
+			}
 		} else {
 			fmt.Printf("exact network distance:   %.6f\n", d)
 		}
@@ -150,10 +154,10 @@ func main() {
 }
 
 // certify steps a refiner for (src, dst) to the interval Distance stops at
-// under eps, the first with hi ≤ (1+eps)·lo, and returns it with the steps
-// it took. Its lo is the ε-approximate distance, and the true distance lies
+// under eps, the first with hi ≤ (1+eps)·lo, and returns the refiner there.
+// Its interval's lo is the ε-approximate distance, and the true distance lies
 // inside it.
-func certify(eng *silc.Engine, src, dst silc.VertexID, eps float64) (silc.Interval, int) {
+func certify(eng *silc.Engine, src, dst silc.VertexID, eps float64) *silc.Refiner {
 	r, err := eng.NewRefiner(src, dst)
 	if err != nil {
 		fail(err)
@@ -165,7 +169,7 @@ func certify(eng *silc.Engine, src, dst silc.VertexID, eps float64) (silc.Interv
 	if err := r.Err(); err != nil {
 		fail(err)
 	}
-	return r.Interval(), r.Steps()
+	return r
 }
 
 func runKNN(ctx context.Context, net *silc.Network, eng *silc.Engine, q silc.VertexID, k int, frac float64, methodName string, eps, maxDist float64, seed int64, stats bool) {

@@ -586,6 +586,11 @@ var serverMetricNames = []string{
 	"silc_knn_refinements_total",
 	"silc_partition_cross_cell_refiners_total",
 	"silc_partition_gateway_routes_total",
+	"silc_partition_label_hits_total",
+	"silc_partition_label_misses_total",
+	"silc_partition_label_rows",
+	"silc_partition_race_hinted_total",
+	"silc_partition_race_used_total",
 	"silc_store_blocks_decoded_total{source}",
 	"silc_store_page_reads_total{source}",
 	"silc_store_read_seconds_total{source}",

@@ -169,7 +169,7 @@ func TestTruncatedImageFailsCleanly(t *testing.T) {
 // image can make fail.
 func flushPool(e *Engine) {
 	const beyond = diskio.PageID(1) << 40
-	pool := e.qx.Pool()
+	pool := e.sx.Pool()
 	for i := range pool.Capacity() {
 		pool.TouchEvict(beyond+diskio.PageID(i), nil)
 	}

@@ -15,23 +15,12 @@ import (
 	"silc/internal/store"
 )
 
-// queryBackend is what the unified Engine needs from an index
-// implementation: the generic query surface the kNN family consumes,
-// context-attributed interval and path retrieval, and the paged-image
-// writer. Both the monolithic core.Index and the sharded partition index
-// satisfy it, which is what lets one generic code path answer every query
-// on both.
-type queryBackend interface {
-	core.QueryIndex
-	DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval
-	PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID
-	WritePaged(w io.Writer) (store.ImageInfo, error)
-}
-
-// Engine is the package's one index handle: a monolithic or a partitioned
-// SILC index, in RAM or paged from disk, behind one request-scoped,
-// context-aware query surface. Obtain one with Build, OpenEngine or
-// OpenEngineAt (or a ClusterRouter's Engine); the zero value is not usable.
+// Engine is the package's one index handle: a partitioned SILC index of one
+// cell or more, in RAM or paged from disk, behind one request-scoped,
+// context-aware query surface. The monolithic index is the partition into
+// one cell in the network's own vertex ids, so one code path answers every
+// query on every index. Obtain one with Build, OpenEngine or OpenEngineAt (or
+// a ClusterRouter's Engine); the zero value is not usable.
 //
 // Every entry point takes a context.Context — cancellation and deadlines
 // are checked inside the best-first search loop and the progressive
@@ -47,10 +36,7 @@ type queryBackend interface {
 // query-owned contexts.
 type Engine struct {
 	net *Network
-	qx  queryBackend
-	// sharded is qx when the index is partitioned (nil otherwise): cluster
-	// nodes serve it, and its label-table and race counters are exported.
-	sharded *partition.Sharded
+	sx  *partition.Sharded
 	// closer releases the file behind an engine OpenEngine opened.
 	closer io.Closer
 	// source names what fills a missed page of an opened image — "readat"
@@ -72,12 +58,11 @@ type Engine struct {
 	obs *engineObs
 }
 
-// newEngine is the single Engine constructor behind both index kinds; it
-// wires the metric aggregates before the first query can run. source is
-// the page source of an opened image ("" in RAM).
-func newEngine(net *Network, qx queryBackend, source string) *Engine {
-	e := &Engine{net: net, qx: qx, source: source}
-	e.sharded, _ = qx.(*partition.Sharded)
+// newEngine is the single Engine constructor; it wires the metric
+// aggregates before the first query can run. source is the page source of
+// an opened image ("" in RAM).
+func newEngine(net *Network, sx *partition.Sharded, source string) *Engine {
+	e := &Engine{net: net, sx: sx, source: source}
 	e.obs = newEngineObs(e)
 	return e
 }
@@ -123,7 +108,7 @@ func (e *Engine) Network() *Network { return e.net }
 // read to both at once. On a sharded paged engine all cell stores share
 // one pool, so every figure here aggregates across all cells.
 func (e *Engine) IOStats() IOStats {
-	pool := e.qx.Pool()
+	pool := e.sx.Pool()
 	s := pool.Stats()
 	return IOStats{PageHits: s.Hits, PageMisses: s.Misses, PageReads: s.Reads, MeasuredIOTime: pool.ReadTime()}
 }
@@ -142,10 +127,7 @@ func (e *Engine) Close() error {
 // opened image reports its block counts; build times are those of the
 // in-process build and zero after an open.
 func (e *Engine) Stats() IndexStats {
-	if e.sharded == nil {
-		return IndexStats{BuildStats: e.qx.(*core.Index).Stats()}
-	}
-	st := e.sharded.Stats()
+	st := e.sx.Stats()
 	return IndexStats{Sharded: &st, BuildStats: BuildStats{
 		Vertices:    st.Vertices,
 		Edges:       st.Edges,
@@ -155,30 +137,20 @@ func (e *Engine) Stats() IndexStats {
 	}}
 }
 
-// NumPartitions returns the cell count P (1 on a monolithic engine).
-func (e *Engine) NumPartitions() int {
-	if e.sharded == nil {
-		return 1
-	}
-	return e.sharded.NumPartitions()
-}
+// NumPartitions returns the cell count P.
+func (e *Engine) NumPartitions() int { return e.sx.NumPartitions() }
 
-// PartitionOf returns the cell holding vertex v (0 on a monolithic engine).
-func (e *Engine) PartitionOf(v VertexID) int {
-	if e.sharded == nil {
-		return 0
-	}
-	return e.sharded.CellOf(v)
-}
+// PartitionOf returns the cell holding vertex v.
+func (e *Engine) PartitionOf(v VertexID) int { return e.sx.CellOf(v) }
 
 // WritePaged serializes the index in the page-aligned on-disk format that
-// OpenEngine reads back on demand, network embedded: one image of
-// checksummed pages holding each vertex's quadtree blocks delta+varint
-// encoded (conventionally *.silcpg), or, for a partitioned index, the
-// partition metadata plus one such image per cell (*.silcspg). It returns
+// OpenEngine reads back on demand, network embedded: for one cell, one image
+// of checksummed pages holding each vertex's quadtree blocks delta+varint
+// encoded (conventionally *.silcpg), and for more, the partition metadata
+// plus one such image per cell (*.silcspg). It returns
 // the layout of the image it wrote; its Total is the byte count. A
 // ClusterRouter's engine holds no cell images and cannot write one.
-func (e *Engine) WritePaged(w io.Writer) (ImageInfo, error) { return e.qx.WritePaged(w) }
+func (e *Engine) WritePaged(w io.Writer) (ImageInfo, error) { return e.sx.WritePaged(w) }
 
 // WriteFile writes the paged image to path atomically: it is fsynced under
 // a temp name and renamed into place, so a crash or a failed write leaves
@@ -201,7 +173,7 @@ func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 		return nil, err
 	}
 	qc := core.NewQueryContext()
-	r := &Refiner{r: e.qx.Refine(qc, src, dst), qc: qc, mono: e.sharded == nil}
+	r := &Refiner{r: e.sx.Refine(qc, src, dst), qc: qc, sx: e.sx, src: src}
 	if err := qc.Err(); err != nil {
 		return nil, err
 	}
@@ -212,7 +184,7 @@ func (e *Engine) NewRefiner(src, dst VertexID) (*Refiner, error) {
 // hold every figure IOStats reports. Cache contents stay warm. The
 // Prometheus counters (WriteMetrics) are monotone and are deliberately NOT
 // reset.
-func (e *Engine) ResetIOStats() { e.qx.Pool().ResetStats() }
+func (e *Engine) ResetIOStats() { e.sx.Pool().ResetStats() }
 
 // Distance returns the network distance from u to v by progressive
 // refinement: exact by default, and under WithEpsilon(ε) the lower
@@ -233,7 +205,7 @@ func (e *Engine) Distance(ctx context.Context, u, v VertexID, opts ...Option) (f
 	}
 	qc := e.acquireQC(ctx, opDistance)
 	defer e.releaseQC(qc)
-	d := core.ApproxDistance(e.qx, qc, u, v, o.epsilon)
+	d := core.ApproxDistance(e.sx, qc, u, v, o.epsilon)
 	if o.statsInto != nil {
 		e.fillStats(qc, "DISTANCE", o.statsInto)
 	}
@@ -260,7 +232,7 @@ func (e *Engine) DistanceInterval(ctx context.Context, u, v VertexID, opts ...Op
 	}
 	qc := e.acquireQC(ctx, opInterval)
 	defer e.releaseQC(qc)
-	iv := e.qx.DistanceIntervalCtx(qc, u, v)
+	iv := e.sx.DistanceIntervalCtx(qc, u, v)
 	if o.statsInto != nil {
 		e.fillStats(qc, "INTERVAL", o.statsInto)
 	}
@@ -287,7 +259,7 @@ func (e *Engine) ShortestPath(ctx context.Context, u, v VertexID, opts ...Option
 	}
 	qc := e.acquireQC(ctx, opPath)
 	defer e.releaseQC(qc)
-	path := e.qx.PathCtx(qc, u, v)
+	path := e.sx.PathCtx(qc, u, v)
 	if o.statsInto != nil {
 		e.fillStats(qc, "PATH", o.statsInto)
 	}
@@ -311,8 +283,8 @@ func (e *Engine) IsCloser(ctx context.Context, u, a, b VertexID) (bool, error) {
 	}
 	qc := e.acquireQC(ctx, opIsCloser)
 	defer e.releaseQC(qc)
-	ra := e.qx.Refine(qc, u, a)
-	rb := e.qx.Refine(qc, u, b)
+	ra := e.sx.Refine(qc, u, a)
+	rb := e.sx.Refine(qc, u, b)
 	for {
 		if err := qc.Err(); err != nil {
 			return false, err
@@ -382,7 +354,7 @@ func (e *Engine) checkQuery(objs *ObjectSet, q VertexID, k int, opts []Option) (
 }
 
 // search answers one query on qc — the single code path behind Query,
-// QueryBatch and WithinDistance, on both engines: the search spec selects,
+// QueryBatch and WithinDistance: the search spec selects,
 // o.method dispatches the INE/IER baselines, and the result is stamped with
 // the snapshot version, refined to exact distances when o asks, and given
 // the context's I/O and span counters, a failed query's too.
@@ -390,11 +362,11 @@ func (e *Engine) search(qc *core.QueryContext, objs *ObjectSet, q VertexID, spec
 	var raw knn.Result
 	switch o.method {
 	case MethodINE:
-		raw = knn.INESpec(e.qx, qc, objs.objs, q, spec)
+		raw = knn.INESpec(e.sx, qc, objs.objs, q, spec)
 	case MethodIER:
-		raw = knn.IERSpec(e.qx, qc, objs.objs, q, spec)
+		raw = knn.IERSpec(e.sx, qc, objs.objs, q, spec)
 	default:
-		raw = knn.SearchSpec(e.qx, qc, objs.objs, q, spec)
+		raw = knn.SearchSpec(e.sx, qc, objs.objs, q, spec)
 	}
 	res := convertResult(raw)
 	res.Stats.SnapshotVersion = objs.version
@@ -409,9 +381,9 @@ func (e *Engine) search(qc *core.QueryContext, objs *ObjectSet, q VertexID, spec
 // exactify refines every reported neighbor's distance to exact, charging
 // the work to the query's own context.
 func (e *Engine) exactify(qc *core.QueryContext, q VertexID, res *Result) error {
-	// A backend on which every refinement is a round trip (a cluster router)
+	// An index on which every refinement is a round trip (a cluster router)
 	// is told of all of them at once and races them in one batch per cell.
-	if h, ok := e.qx.(core.ExpandHinter); ok && h.WantsExpandHints() {
+	if e.sx.WantsExpandHints() {
 		var dsts []graph.VertexID
 		for _, n := range res.Neighbors {
 			if !n.Exact {
@@ -419,7 +391,7 @@ func (e *Engine) exactify(qc *core.QueryContext, q VertexID, res *Result) error 
 			}
 		}
 		if len(dsts) > 0 {
-			h.HintRefine(qc, q, dsts)
+			e.sx.HintRefine(qc, q, dsts)
 		}
 	}
 	for i := range res.Neighbors {
@@ -427,7 +399,7 @@ func (e *Engine) exactify(qc *core.QueryContext, q VertexID, res *Result) error 
 		if n.Exact {
 			continue
 		}
-		d := core.ExactDistance(e.qx, qc, q, n.Vertex)
+		d := core.ExactDistance(e.sx, qc, q, n.Vertex)
 		if err := qc.Err(); err != nil {
 			return err
 		}
@@ -528,7 +500,7 @@ func (e *Engine) Neighbors(ctx context.Context, objs *ObjectSet, q VertexID, opt
 		// stream drains, the consumer breaks, or cancellation cuts it short.
 		qc := e.acquireQC(ctx, opNeighbors)
 		defer e.releaseQC(qc)
-		br := knn.NewBrowserSpec(e.qx, qc, objs.objs, q, knn.Spec{Epsilon: o.epsilon, MaxDist: o.maxDist})
+		br := knn.NewBrowserSpec(e.sx, qc, objs.objs, q, knn.Spec{Epsilon: o.epsilon, MaxDist: o.maxDist})
 		flushStats := func() {
 			if o.statsInto != nil {
 				*o.statsInto = convertStats(br.Stats())
@@ -555,7 +527,7 @@ func (e *Engine) Neighbors(ctx context.Context, objs *ObjectSet, q VertexID, opt
 			if !n.Exact && o.epsilon == 0 {
 				// Exact-mode browsing refines each reported neighbor fully,
 				// charging the cursor's own context.
-				d := core.ExactDistance(e.qx, qc, q, n.Vertex)
+				d := core.ExactDistance(e.sx, qc, q, n.Vertex)
 				if err := qc.Err(); err != nil {
 					yield(Neighbor{}, err)
 					return

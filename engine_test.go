@@ -8,24 +8,28 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"silc/internal/core"
+	"silc/internal/knn"
 )
 
-// TestEngineOneHandle drives the one index handle through its life on both
-// index kinds: Build with Partitions 1 and 4, WriteFile, then open the file
-// through each page source (OpenEngineAt's positioned reads, OpenEngine's
-// copies out of the mapping). Every engine must report its
+// TestEngineOneHandle drives the one index handle through its life on one
+// cell and four: Build with Partitions 1 and 4, WriteFile, then open the
+// file through each page source (OpenEngineAt's positioned reads,
+// OpenEngine's copies out of the mapping). Every engine must report its
 // statistics and partitioning like the built one, and its Refiner must
-// converge to Distance on a cross-cell and a same-cell pair. Only the
-// partitioned engines may back a cluster node.
+// converge to Distance on a cross-cell and a same-cell pair, reporting the
+// destination as its via vertex wherever it walks one cell's path (always
+// on one cell, never across cells). Every engine backs a cluster node.
 func TestEngineOneHandle(t *testing.T) {
 	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := net.NumVertices()
-	manifest := &ClusterManifest{Nodes: []ClusterNodeSpec{{Name: "a", Addr: "http://127.0.0.1:1", Cells: []int{0, 1, 2, 3}}}}
 	ctx := context.Background()
 	var pairs map[string][2]VertexID // chosen on the 4-cell build
 	for _, parts := range []int{4, 1} {
@@ -57,7 +61,7 @@ func TestEngineOneHandle(t *testing.T) {
 			if st.Vertices != n || st.Edges != net.NumEdges() || st.TotalBlocks != want.TotalBlocks || st.TotalBlocks == 0 {
 				t.Fatalf("%s: stats %+v, built %+v", tag, st.BuildStats, want.BuildStats)
 			}
-			if (st.Sharded != nil) != (parts > 1) || st.Sharded != nil && st.Sharded.Partitions != parts {
+			if st.Sharded == nil || st.Sharded.Partitions != parts {
 				t.Fatalf("%s: sharded stats %+v", tag, st.Sharded)
 			}
 			if got := eng.NumPartitions(); got != parts {
@@ -86,15 +90,15 @@ func TestEngineOneHandle(t *testing.T) {
 				if iv := r.Interval(); iv.Lo != want || iv.Hi != want || r.Steps() == 0 {
 					t.Fatalf("%s %s: refined to %+v in %d steps, Distance = %v", tag, kind, iv, r.Steps(), want)
 				}
-				if v, d, ok := r.Via(); ok != (parts == 1) || ok && (v != p[1] || d != want) {
+				if v, d, ok := r.Via(); ok && (v != p[1] || d != want || kind == "cross-cell" && parts > 1) || !ok && parts == 1 {
 					t.Fatalf("%s %s: Via = %d, %v, %v", tag, kind, v, d, ok)
 				}
 			}
 			if _, err := eng.NewRefiner(0, VertexID(n)); !errors.Is(err, ErrVertexRange) {
 				t.Fatalf("%s: NewRefiner out of range: %v", tag, err)
 			}
-			_, err := NewClusterNode(eng, manifest, "a")
-			if (err == nil) != (parts > 1) {
+			manifest := &ClusterManifest{Nodes: []ClusterNodeSpec{{Name: "a", Addr: "http://127.0.0.1:1", Cells: []int{0, 1, 2, 3}[:parts]}}}
+			if _, err := NewClusterNode(eng, manifest, "a"); err != nil {
 				t.Fatalf("%s: NewClusterNode err = %v", tag, err)
 			}
 		}
@@ -175,10 +179,116 @@ func TestOpenValidatesCacheFraction(t *testing.T) {
 				}
 				total := info.BlockPages // the pages a query can read: every block page
 				want := max(int(float64(total)*c.share), 1)
-				if got := eng.qx.Pool().Capacity(); got != want {
+				if got := eng.sx.Pool().Capacity(); got != want {
 					t.Errorf("%s: cache fraction %v: pool of %d pages, want %d of %d", tag, c.fraction, got, want, total)
 				}
 				eng.Close()
+			}
+		}
+	}
+}
+
+// TestOneCellEngineIsTheMonolithicIndex checks that a one-cell engine, built
+// in RAM and opened from its image, answers exactly as a raw core.Index over
+// the same network: kNN and range neighbors with their distances, intervals
+// and counters, Distance, DistanceInterval and ShortestPath, bit for bit, and
+// a Refiner whose every step has the raw refiner's interval and via vertex.
+func TestOneCellEngineIsTheMonolithicIndex(t *testing.T) {
+	net := testNetwork(t)
+	raw, err := core.Build(net.g, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(net, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "one.silcpg")
+	if _, err := built.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opened := openSource(t, path, "ReaderAt", 0.05)
+	t.Cleanup(func() { opened.Close() })
+	n := net.NumVertices()
+	var vs []VertexID // enough objects for an object index three levels deep
+	for v := VertexID(1); int(v) < n; v += 3 {
+		vs = append(vs, v)
+	}
+	objs := mustObjects(t, net, vs)
+	same := func(a, b Interval) bool {
+		return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+	}
+	ctx := context.Background()
+	for name, eng := range map[string]*Engine{"built": built, "opened": opened} {
+		if eng.NumPartitions() != 1 {
+			t.Fatalf("%s: %d partitions", name, eng.NumPartitions())
+		}
+		for q := VertexID(0); int(q) < n; q += 7 {
+			for _, spec := range []knn.Spec{
+				{K: 4, MaxDist: math.Inf(1)},
+				{K: objs.Len(), Variant: knn.VariantRange, MaxDist: 0.3},
+			} {
+				want := knn.SearchSpec(raw, core.NewQueryContext(), objs.objs, q, spec)
+				var got Result
+				if spec.Variant == knn.VariantRange {
+					got, err = eng.WithinDistance(ctx, objs, q, spec.MaxDist)
+				} else {
+					got, err = eng.Query(ctx, objs, q, spec.K)
+				}
+				if err != nil || want.Err != nil {
+					t.Fatal(err, want.Err)
+				}
+				if len(got.Neighbors) != len(want.Neighbors) || got.Stats.Refinements != want.Stats.Refinements || got.Stats.Lookups != want.Stats.Lookups {
+					t.Fatalf("%s q=%d %+v: %d neighbors, %d refinements, %d lookups; raw index %d, %d, %d", name, q, spec,
+						len(got.Neighbors), got.Stats.Refinements, got.Stats.Lookups, len(want.Neighbors), want.Stats.Refinements, want.Stats.Lookups)
+				}
+				for i, w := range want.Neighbors {
+					g := got.Neighbors[i]
+					if g.ID != w.Object.ID || g.Exact != w.Exact || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) || !same(g.Interval, w.Interval) {
+						t.Fatalf("%s q=%d %+v rank %d: %+v, raw index %+v", name, q, spec, i, g, w)
+					}
+				}
+			}
+			for v := VertexID(1); int(v) < n; v += 13 {
+				d, err := eng.Distance(ctx, q, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := core.ExactDistance(raw, nil, q, v); math.Float64bits(d) != math.Float64bits(want) {
+					t.Fatalf("%s: Distance(%d, %d) = %v, raw index %v", name, q, v, d, want)
+				}
+				iv, err := eng.DistanceInterval(ctx, q, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := raw.DistanceIntervalCtx(nil, q, v); !same(iv, want) {
+					t.Fatalf("%s: DistanceInterval(%d, %d) = %+v, raw index %+v", name, q, v, iv, want)
+				}
+				p, err := eng.ShortestPath(ctx, q, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := raw.PathCtx(nil, q, v); !slices.Equal(p, want) {
+					t.Fatalf("%s: ShortestPath(%d, %d) = %v, raw index %v", name, q, v, p, want)
+				}
+				r, err := eng.NewRefiner(q, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wr := raw.NewRefinerCtx(nil, q, v)
+				for step := 0; ; step++ {
+					gv, gd, ok := r.Via()
+					wv, wd := wr.Via()
+					if !ok || gv != wv || math.Float64bits(gd) != math.Float64bits(wd) || !same(r.Interval(), wr.Interval()) || r.Done() != wr.Done() {
+						t.Fatalf("%s (%d, %d) step %d: interval %+v via %d at %v (ok %t), raw refiner %+v via %d at %v",
+							name, q, v, step, r.Interval(), gv, gd, ok, wr.Interval(), wv, wd)
+					}
+					if r.Done() {
+						break
+					}
+					r.Step()
+					wr.Step()
+				}
 			}
 		}
 	}

@@ -212,7 +212,7 @@ func TestGoldenLoadEngineSniffing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: OpenEngineAt: %v", tc.file, err)
 		}
-		if sharded := eng.Stats().Sharded != nil; sharded != tc.sharded {
+		if sharded := eng.NumPartitions() > 1; sharded != tc.sharded {
 			t.Fatalf("%s: sharded=%v, want %v", tc.file, sharded, tc.sharded)
 		}
 		if eng.Network().NumVertices() != net.NumVertices() {

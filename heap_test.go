@@ -96,7 +96,7 @@ func measurePagedHeap(t *testing.T, side int) pagedHeap {
 	}
 	defer e.Close()
 	h.open = settledHeap() - before
-	h.pool = int64(e.qx.Pool().Capacity()) * store.PageSize
+	h.pool = int64(e.sx.Pool().Capacity()) * store.PageSize
 	ctx := context.Background()
 	for v := 0; v < n; v++ {
 		if _, err := e.Distance(ctx, VertexID(v), VertexID((v*7919+1)%n)); err != nil {

@@ -16,12 +16,14 @@ import (
 // and Parallelism shape a build; CacheFraction applies only when an image
 // is opened, and a build ignores it.
 type BuildOptions struct {
-	// Partitions is the spatial cell count P. At 0 or 1 Build makes one
-	// monolithic index. Above 1 each cell builds an independent SILC index
-	// over its induced subnetwork — O(n/P) Dijkstra sources per cell
-	// instead of O(n) overall, and Θ(n^1.5/√P) Morton blocks in total — and
-	// a one-time boundary closure stitches cross-cell queries back to exact
-	// answers.
+	// Partitions is the spatial cell count P. At 0 or 1 Build makes the
+	// monolithic SILC index, which is the partition into one cell in the
+	// network's own vertex ids: no cut, no closure, and its image the
+	// monolithic one (SILCPG3). Above 1 each cell builds an independent
+	// SILC index over its induced subnetwork — O(n/P) Dijkstra sources per
+	// cell instead of O(n) overall, and Θ(n^1.5/√P) Morton blocks in total
+	// — and a one-time boundary closure stitches cross-cell queries back to
+	// exact answers.
 	Partitions int
 	// Parallelism sets the number of build workers (0 = all CPUs). The
 	// build runs one Dijkstra per vertex, parallelized over sources.
@@ -43,10 +45,11 @@ type BuildStats = core.BuildStats
 // plus the partitioner's and closure's own accounting.
 type ShardedStats = partition.Stats
 
-// IndexStats describes the index behind an Engine. BuildStats counts the
-// Morton-block storage; on a partitioned engine it totals every cell, and
-// Sharded carries the rest — per-cell statistics (MinBlocks and MaxBlocks
-// among them), boundary and closure. Sharded is nil on a monolithic engine.
+// IndexStats describes the index behind an Engine. BuildStats totals the
+// Morton-block storage of every cell, and Sharded carries the rest —
+// per-cell statistics (MinBlocks and MaxBlocks among them), boundary and
+// closure. Sharded is never nil: a monolithic engine is one cell with no
+// boundary.
 type IndexStats struct {
 	BuildStats
 	Sharded *ShardedStats
@@ -60,7 +63,7 @@ type ImageInfo = store.ImageInfo
 // exact network distance.
 type Interval = core.Interval
 
-// Build precomputes the SILC index for net and returns its Engine: one
+// Build precomputes the SILC index for net and returns its Engine: the
 // monolithic index when opts.Partitions ≤ 1, else a partitioned one (kd-cut
 // over vertex coordinates, one SILC index per cell, and the boundary
 // closure). The network must be strongly connected — validated during the
@@ -69,13 +72,6 @@ type Interval = core.Interval
 func Build(net *Network, opts BuildOptions) (*Engine, error) {
 	if net == nil {
 		return nil, ErrNilNetwork
-	}
-	if opts.Partitions <= 1 {
-		ix, err := core.Build(net.g, core.BuildOptions{Parallelism: opts.Parallelism})
-		if err != nil {
-			return nil, err
-		}
-		return newEngine(net, ix, ""), nil
 	}
 	sx, err := partition.Build(net.g, partition.Options{
 		Partitions:  opts.Partitions,
@@ -88,9 +84,10 @@ func Build(net *Network, opts BuildOptions) (*Engine, error) {
 }
 
 // OpenEngine opens a paged index file by path — written by Engine.WriteFile
-// or silcbuild -o — sniffing which of the two image layouts it holds,
-// monolithic (SILCPG3) or sharded (SILCSPG4). The image embeds its network
-// once (a sharded open derives every cell's from it), so net may be nil; a
+// or silcbuild -o — sniffing which of the two image layouts it holds: the
+// monolithic image (SILCPG3), which opens as one cell, or the sharded file
+// of two cells or more (SILCSPG4). The image embeds its network once (a
+// sharded open derives every cell's from it), so net may be nil; a
 // non-nil net is cross-checked against it. Anything else is rejected with
 // ErrBadMagic; so is an image of a removed format (fixed-width, without
 // restart tables, or with a network copy per cell), with a rebuild note.
@@ -151,12 +148,7 @@ func openOwned(path string, ra io.ReaderAt, size int64, closer io.Closer, net *N
 // recycled private frame, checked against its CRC before anything decodes
 // it. The caller owns ra's lifetime.
 func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (*Engine, error) {
-	var magic [8]byte
-	n, err := ra.ReadAt(magic[:], 0)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	sharded, err := store.Sniff(magic[:n])
+	sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction})
 	if err != nil {
 		return nil, err
 	}
@@ -164,20 +156,7 @@ func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (
 	if _, copies := ra.(store.Mapping); copies {
 		source = "mmapcopy" // or a copy out of the mapping
 	}
-	var eng *Engine
-	if sharded {
-		sx, err := partition.OpenPaged(ra, size, partition.Options{CacheFraction: opts.CacheFraction})
-		if err != nil {
-			return nil, err
-		}
-		eng = newEngine(&Network{g: sx.Network()}, sx, source)
-	} else {
-		st, err := store.Open(ra, size, store.OpenOptions{CacheFraction: opts.CacheFraction})
-		if err != nil {
-			return nil, err
-		}
-		eng = newEngine(&Network{g: st.Graph()}, core.NewPagedIndex(core.PagedConfig{Source: st}), source)
-	}
+	eng := newEngine(&Network{g: sx.Network()}, sx, source)
 	if got := eng.Network(); net != nil && (net.NumVertices() != got.NumVertices() || net.NumEdges() != got.NumEdges()) {
 		return nil, fmt.Errorf("silc: paged index embeds a network of %d vertices and %d edges, supplied network has %d and %d",
 			got.NumVertices(), got.NumEdges(), net.NumVertices(), net.NumEdges())
@@ -187,12 +166,13 @@ func OpenEngineAt(ra io.ReaderAt, size int64, net *Network, opts BuildOptions) (
 
 // Refiner exposes progressive refinement directly: each Step tightens the
 // distance interval by one hop of the underlying shortest path (on a
-// partitioned engine, one step of the cross-cell route race). A storage or
-// RPC failure stops it: Step returns false and Err reports the failure.
+// cross-cell pair, one step of the route race). A storage or RPC failure
+// stops it: Step returns false and Err reports the failure.
 type Refiner struct {
 	r     core.DistanceRefiner
 	qc    *core.QueryContext // the refiner's own; it records a failure
-	mono  bool               // the refiner walks one quadtree path in global vertex ids
+	sx    *partition.Sharded
+	src   VertexID
 	steps int
 }
 
@@ -221,15 +201,11 @@ func (r *Refiner) Done() bool { return r.r.Done() }
 func (r *Refiner) Steps() int { return r.steps }
 
 // Via returns the last committed intermediate vertex and the exact distance
-// from the source to it. ok is false on a partitioned engine, whose
-// refiners race several routes and commit to no single path vertex.
-func (r *Refiner) Via() (v VertexID, exact float64, ok bool) {
-	if !r.mono {
-		return NoVertex, 0, false
-	}
-	v, exact = r.r.(*core.Refiner).Via()
-	return v, exact, true
-}
+// from the source to it. ok is true wherever the refiner walks one cell's
+// quadtree path: every pair of a one-cell engine, and a pair inside one
+// self-contained cell of an in-process partitioned engine. A refiner that
+// races routes commits to no single path vertex, and ok is false.
+func (r *Refiner) Via() (v VertexID, exact float64, ok bool) { return r.sx.Via(r.src, r.r) }
 
 // IOStats reports the buffer-pool traffic of a disk-backed index (zeros for
 // in-RAM indexes, which have no pool).

@@ -212,20 +212,7 @@ func NewRemote(meta *RouterMeta, cells []RemoteCellIndex) (*Sharded, error) {
 			return nil, fmt.Errorf("partition: cell %d has no backend", c)
 		}
 	}
-	s := meta.sharded()
+	s := meta.assemble(nil, nil)
 	s.remote = cells
-	s.stats = Stats{
-		Partitions:       meta.asn.P,
-		Vertices:         meta.g.NumVertices(),
-		Edges:            meta.g.NumEdges(),
-		BoundaryVertices: meta.cl.NB(),
-		CutEdges:         meta.asn.CutEdges,
-		ClosureBytes:     meta.cl.SizeBytes(),
-	}
-	for _, sc := range meta.selfContained {
-		if sc {
-			s.stats.SelfContained++
-		}
-	}
 	return s, nil
 }

@@ -182,9 +182,6 @@ func buildClosure(g *graph.Network, asn *Assignment, parallelism int) (*Closure,
 // isolated interior pocket would silently answer +Inf instead of failing
 // the build the way the monolithic index does.
 func validateCoverage(g *graph.Network, asn *Assignment, cl *Closure, cells []*cell) error {
-	if asn.P == 1 {
-		return nil // the single cell was built strict (no AllowUnreachable)
-	}
 	for c := 0; c < asn.P; c++ {
 		lo, hi := cl.Rows(int32(c))
 		if lo == hi {
@@ -202,7 +199,7 @@ func validateCoverage(g *graph.Network, asn *Assignment, cl *Closure, cells []*c
 			return t
 		}); miss >= 0 {
 			return fmt.Errorf("partition: vertex %d unreachable from cell %d's boundary; the network must be strongly connected",
-				cells[c].toGlobal[miss], c)
+				asn.Verts[c][miss], c)
 		}
 		// Reverse: every cell vertex reaches a gateway.
 		rev := make([][]graph.VertexID, nc)
@@ -216,7 +213,7 @@ func validateCoverage(g *graph.Network, asn *Assignment, cl *Closure, cells []*c
 			return rev[v]
 		}); miss >= 0 {
 			return fmt.Errorf("partition: vertex %d cannot reach cell %d's boundary; the network must be strongly connected",
-				cells[c].toGlobal[miss], c)
+				asn.Verts[c][miss], c)
 		}
 	}
 	return nil

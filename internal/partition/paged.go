@@ -2,6 +2,7 @@ package partition
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,6 +33,9 @@ import (
 // has no network section. The open derives each cell's subnetwork, the
 // adjacency its block colors index, from it and cellOf, as Build does, and
 // so local-id ordering and boundary rows: they are not stored.
+//
+// A sharded file holds two cells or more: a one-cell index is written, and
+// opened, as its cell's own monolithic image (SILCPG3, network included).
 
 const shardedPagedSuperblockSize = 64
 
@@ -52,9 +56,6 @@ type shardedLayout struct {
 // The per-cell image sizes are only known after encoding, which is why
 // planning precedes any writing.
 func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
-	if s.cells == nil {
-		return nil, fmt.Errorf("partition: a remote (router-side) index holds no cell images to serialize")
-	}
 	g := s.g
 	p := s.asn.P
 	n, m := g.NumVertices(), g.NumEdges()
@@ -93,7 +94,14 @@ func (s *Sharded) planPagedLayout() (*shardedLayout, error) {
 // single streaming pass over the planned layout, and returns that layout:
 // per-cell sections summed, Network the one global network section,
 // partition metadata counted under Extents, and Total the bytes written.
+// A one-cell index writes its cell's monolithic image.
 func (s *Sharded) WritePaged(w io.Writer) (store.ImageInfo, error) {
+	if s.cells == nil {
+		return store.ImageInfo{}, fmt.Errorf("partition: a remote (router-side) index holds no cell images to serialize")
+	}
+	if s.asn.P == 1 {
+		return s.cells[0].ix.WritePaged(w)
+	}
 	l, err := s.planPagedLayout()
 	if err != nil {
 		return store.ImageInfo{}, err
@@ -213,66 +221,28 @@ func (s *Sharded) writeLayout(w io.Writer, l *shardedLayout) (int64, error) {
 	return cw.N, nil
 }
 
-// OpenPaged opens a sharded paged file: partition metadata and the global
-// network load eagerly, then every cell opens its own store over its
+// OpenPaged opens a paged file of either layout: partition metadata and the
+// global network load eagerly, then every cell opens its own store over its
 // embedded image — all cells sharing one buffer pool sized by
 // opt.CacheFraction of the whole database. Over a store.Mapping each cell
-// store copies its missed pages out of its own section of the mapping.
+// store copies its missed pages out of its own section of the mapping. A
+// monolithic image opens as one cell whose store is the whole image.
 func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 	meta, err := OpenPagedMeta(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	le := binary.LittleEndian
-	g, asn := meta.g, meta.asn
-	p := asn.P
-	cellTabOff, fileSize := meta.cellTabOff, meta.fileSize
-
-	tab := make([]byte, int64(p)*24+4)
-	if _, err := ra.ReadAt(tab, cellTabOff); err != nil {
-		return nil, fmt.Errorf("partition: reading cell table: %w", err)
+	stores, err := meta.openCells(ra)
+	if err != nil {
+		return nil, err
 	}
-	if stored, computed := le.Uint32(tab[p*24:]), crc32.ChecksumIEEE(tab[:p*24]); stored != computed {
-		return nil, fmt.Errorf("partition: cell table checksum mismatch: stored %08x computed %08x", stored, computed)
-	}
-
-	offs := make([]int64, p)
-	sizes := make([]int64, p)
-	bases := make([]int64, p)
-	for c := 0; c < p; c++ {
-		offs[c] = int64(le.Uint64(tab[c*24:]))
-		sizes[c] = int64(le.Uint64(tab[c*24+8:]))
-		bases[c] = int64(le.Uint64(tab[c*24+16:]))
-		if offs[c] < cellTabOff || sizes[c] <= 0 || offs[c]+sizes[c] > fileSize {
-			return nil, fmt.Errorf("partition: cell %d image [%d, +%d) out of file bounds", c, offs[c], sizes[c])
-		}
-	}
-
-	// First open every cell store (page counts come from the images), then
-	// size the one pool they share over all their block pages. Each cell's
-	// store takes the cell's induced subnetwork, the adjacency its block
-	// colors index, derived from the global network as Build derives it.
-	pager := store.NewPager(nil) // pool installed below, before any touch
-	cells := make([]*cell, p)
+	// The stores share one pager; its pool is sized over all their block
+	// pages and installed before any query reads them.
+	cells := make([]*cell, len(stores))
 	var totalBlockPages int64
-	for c := 0; c < p; c++ {
-		var cellRA io.ReaderAt = io.NewSectionReader(ra, offs[c], sizes[c])
-		if m, ok := ra.(store.Mapping); ok { // each cell copies out of its section
-			cellRA = m[offs[c] : offs[c]+sizes[c]]
-		}
-		sub, err := subnetwork(g, asn, c)
-		if err != nil {
-			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
-		}
-		st, err := store.Open(cellRA, sizes[c], store.OpenOptions{Network: sub, Pager: pager, PageBase: diskio.PageID(bases[c])})
-		if err != nil {
-			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
-		}
-		if bases[c] != totalBlockPages {
-			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, bases[c], totalBlockPages)
-		}
+	for c, st := range stores {
 		totalBlockPages += st.BlockPages()
-		cells[c] = &cell{id: int32(c), ix: core.NewPagedIndex(core.PagedConfig{Source: st}), toGlobal: asn.Verts[c]}
+		cells[c] = &cell{ix: core.NewPagedIndex(core.PagedConfig{Source: st})}
 	}
 	capacity := opt.poolPages
 	if capacity <= 0 {
@@ -281,19 +251,63 @@ func OpenPaged(ra io.ReaderAt, size int64, opt Options) (*Sharded, error) {
 		}
 	}
 	pool := diskio.NewPool(capacity, 1)
-	pager.SetPool(pool)
-
-	s := meta.sharded()
-	s.cells, s.pool = cells, pool
-	s.bindCells()
-	s.stats = s.computeStats()
-	return s, nil
+	stores[0].Pager().SetPool(pool)
+	return meta.assemble(cells, pool), nil
 }
 
-// RouterMeta is the metadata half of a sharded paged file — superblock,
-// embedded global network, cell labels, boundary closure, self-contained
-// flags: everything except the cell images. OpenPaged continues from it to
-// the cell table; a stateless cluster router needs nothing else (NewRemote),
+// openCells opens every cell's store, all through one pager whose pool the
+// caller installs: a monolithic image's one store, or, from a sharded
+// file's cell table, one per embedded image, which takes the cell's induced
+// subnetwork, the adjacency its block colors index, derived from the global
+// network as Build derives it.
+func (m *RouterMeta) openCells(ra io.ReaderAt) ([]*store.Store, error) {
+	if m.image != nil {
+		return []*store.Store{m.image}, nil
+	}
+	le := binary.LittleEndian
+	p := m.asn.P
+	tab := make([]byte, int64(p)*24+4)
+	if _, err := ra.ReadAt(tab, m.cellTabOff); err != nil {
+		return nil, fmt.Errorf("partition: reading cell table: %w", err)
+	}
+	if stored, computed := le.Uint32(tab[p*24:]), crc32.ChecksumIEEE(tab[:p*24]); stored != computed {
+		return nil, fmt.Errorf("partition: cell table checksum mismatch: stored %08x computed %08x", stored, computed)
+	}
+	pager := store.NewPager(nil)
+	stores := make([]*store.Store, p)
+	var totalBlockPages int64
+	for c := 0; c < p; c++ {
+		off := int64(le.Uint64(tab[c*24:]))
+		size := int64(le.Uint64(tab[c*24+8:]))
+		base := int64(le.Uint64(tab[c*24+16:]))
+		if off < m.cellTabOff || size <= 0 || off+size > m.fileSize {
+			return nil, fmt.Errorf("partition: cell %d image [%d, +%d) out of file bounds", c, off, size)
+		}
+		var cellRA io.ReaderAt = io.NewSectionReader(ra, off, size)
+		if mp, ok := ra.(store.Mapping); ok { // each cell copies out of its section
+			cellRA = mp[off : off+size]
+		}
+		sub, err := subnetwork(m.g, m.asn, c)
+		if err != nil {
+			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
+		}
+		st, err := store.Open(cellRA, size, store.OpenOptions{Network: sub, Pager: pager, PageBase: diskio.PageID(base)})
+		if err != nil {
+			return nil, fmt.Errorf("partition: cell %d store: %w", c, err)
+		}
+		if base != totalBlockPages {
+			return nil, fmt.Errorf("partition: cell %d page base %d, want %d", c, base, totalBlockPages)
+		}
+		totalBlockPages += st.BlockPages()
+		stores[c] = st
+	}
+	return stores, nil
+}
+
+// RouterMeta is the metadata half of a paged file — superblock, embedded
+// global network, cell labels, boundary closure, self-contained flags:
+// everything except the cell images. OpenPaged continues from it to the
+// cell table; a stateless cluster router needs nothing else (NewRemote),
 // and because it is read from the same bytes the cell nodes serve, router and
 // nodes can never disagree about the partitioning.
 type RouterMeta struct {
@@ -303,24 +317,38 @@ type RouterMeta struct {
 	asn           *Assignment
 	cl            *Closure
 	selfContained []bool
+	// image is the store of a monolithic image, the one cell, opened over a
+	// pager without a pool yet; nil for a sharded file.
+	image *store.Store
 }
 
-// OpenPagedMeta reads and validates the metadata sections of a sharded paged
-// file. It never touches the cell images, so it is cheap relative to a full
-// open.
+// OpenPagedMeta reads and validates the metadata sections of a paged file.
+// It never touches a cell's block pages, so it is cheap relative to a full
+// open. A monolithic image is one cell in its own vertex ids: its network,
+// the identity assignment and an empty closure.
 func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 	head := make([]byte, shardedPagedSuperblockSize)
-	if _, err := ra.ReadAt(head, 0); err != nil {
+	k, err := ra.ReadAt(head, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("partition: reading superblock: %w", err)
 	}
-	le := binary.LittleEndian
-	sharded, err := store.Sniff(head[0:8])
+	sharded, err := store.Sniff(head[:min(k, 8)])
 	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
+		return nil, err
 	}
 	if !sharded {
-		return nil, fmt.Errorf("partition: %q opens a monolithic image, not a sharded file", head[0:8])
+		st, err := store.Open(ra, size, store.OpenOptions{Pager: store.NewPager(nil)})
+		if err != nil {
+			return nil, err
+		}
+		m := identityMeta(st.Graph())
+		m.image = st
+		return m, nil
 	}
+	if k < len(head) {
+		return nil, fmt.Errorf("partition: reading superblock: %w", io.ErrUnexpectedEOF)
+	}
+	le := binary.LittleEndian
 	if stored, computed := le.Uint32(head[60:64]), crc32.ChecksumIEEE(head[:60]); stored != computed {
 		return nil, fmt.Errorf("partition: superblock checksum mismatch: stored %08x computed %08x", stored, computed)
 	}
@@ -339,8 +367,8 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 	if n <= 0 || m < 0 {
 		return nil, fmt.Errorf("partition: invalid network dimensions n=%d m=%d", n, m)
 	}
-	if p < 1 || p > n {
-		return nil, fmt.Errorf("partition: invalid partition count %d", p)
+	if p < 2 || p > n {
+		return nil, fmt.Errorf("partition: invalid partition count %d: a sharded file holds 2 to n cells", p)
 	}
 	if nb < 0 || nb > n {
 		return nil, fmt.Errorf("partition: invalid boundary count %d of %d vertices", nb, n)
@@ -422,10 +450,28 @@ func OpenPagedMeta(ra io.ReaderAt, size int64) (*RouterMeta, error) {
 	}, nil
 }
 
-// sharded starts a Sharded from the metadata: everything but its cells.
-func (m *RouterMeta) sharded() *Sharded {
-	return &Sharded{g: m.g, asn: m.asn, cl: m.cl, selfContained: m.selfContained,
-		labels: newLabelTables(m.asn.P, m.cl.NB())}
+// identityMeta is g as one cell in its own vertex ids: every vertex in
+// cell 0 at its own id, no boundary vertex, an empty closure, and the cell
+// self-contained.
+func identityMeta(g *graph.Network) *RouterMeta {
+	n := g.NumVertices()
+	asn := &Assignment{P: 1, CellOf: make([]int32, n), LocalOf: make([]int32, n), Verts: [][]graph.VertexID{make([]graph.VertexID, n)}}
+	for v := range n {
+		asn.LocalOf[v] = int32(v)
+		asn.Verts[0][v] = graph.VertexID(v)
+	}
+	b, rowOf, cellStart := boundaryRows(g, asn)
+	return &RouterMeta{g: g, asn: asn, cl: &Closure{B: b, RowOf: rowOf, CellStart: cellStart}, selfContained: []bool{true}}
+}
+
+// assemble makes the Sharded of the metadata around its cells, which read
+// through pool (nil in RAM); a router's has no cells (NewRemote).
+func (m *RouterMeta) assemble(cells []*cell, pool *diskio.Pool) *Sharded {
+	s := &Sharded{g: m.g, asn: m.asn, cells: cells, cl: m.cl, selfContained: m.selfContained,
+		pool: pool, labels: newLabelTables(m.asn.P, m.cl.NB())}
+	s.bindCells()
+	s.stats = s.computeStats()
+	return s
 }
 
 // Network returns the embedded global network.

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"silc/internal/core"
@@ -389,11 +390,12 @@ func TestOpenPagedRefusesCellNetworkSection(t *testing.T) {
 }
 
 // TestOpenPagedDerivesCellNetworks opens a 4-cell and a 1-cell image and
-// checks that the network each cell's store takes, derived from the file's
-// one network section, is the built cell's network arc for arc: the
-// vertices at their coordinates, each with its arcs in order, targets
-// equal and weights bit for bit. The written ImageInfo counts that one
-// network section and no other.
+// checks that the network each cell's store takes is the built cell's
+// network arc for arc: the vertices at their coordinates, each with its arcs
+// in order, targets equal and weights bit for bit. A 4-cell file derives
+// each from its one network section; the 1-cell image is the monolithic
+// SILCPG3 one, whose store reads its own section. The written ImageInfo
+// counts that one network section and no other.
 func TestOpenPagedDerivesCellNetworks(t *testing.T) {
 	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 23})
 	if err != nil {
@@ -411,6 +413,9 @@ func TestOpenPagedDerivesCellNetworks(t *testing.T) {
 		}
 		if want := store.NetworkSectionSize(g.NumVertices(), g.NumEdges()); info.Network != want {
 			t.Errorf("P=%d: ImageInfo.Network %d bytes, want the one global section's %d", parts, info.Network, want)
+		}
+		if sharded, err := store.Sniff(buf.Bytes()[:8]); err != nil || sharded != (parts > 1) {
+			t.Errorf("P=%d: image magic %q", parts, buf.Bytes()[:8])
 		}
 		px, err := OpenPaged(bytes.NewReader(buf.Bytes()), int64(buf.Len()), Options{})
 		if err != nil {
@@ -434,6 +439,20 @@ func TestOpenPagedDerivesCellNetworks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOpenPagedRefusesOneCellShardedFile checks that a sharded file holds
+// at least two cells: a one-cell index is written as the monolithic image,
+// so a SILCSPG4 superblock claiming one cell, behind a valid checksum, fails
+// to open.
+func TestOpenPagedRefusesOneCellShardedFile(t *testing.T) {
+	_, img := buildPagedImage(t)
+	img = bytes.Clone(img)
+	binary.LittleEndian.PutUint32(img[12:16], 1)
+	binary.LittleEndian.PutUint32(img[60:64], crc32.ChecksumIEEE(img[:60]))
+	if _, err := OpenPaged(bytes.NewReader(img), int64(len(img)), Options{}); err == nil || !strings.Contains(err.Error(), "partition count 1") {
+		t.Fatalf("one-cell sharded file: open returned %v", err)
 	}
 }
 

@@ -23,6 +23,11 @@
 // for every vertex v in cell q. Both are exact, not approximations; the
 // equivalence tests assert sharded results match monolithic SILC and
 // Dijkstra ground truth.
+//
+// The monolithic SILC index is the partition into one cell in the network's
+// own vertex ids (identityMeta): no boundary, so both identities reduce to the
+// cell's own d_p, and every query goes straight to its index. Every public
+// engine holds a Sharded.
 package partition
 
 import (

@@ -155,12 +155,25 @@ func (s *Sharded) closureWalk(qc *core.QueryContext, path []graph.VertexID, from
 	return path
 }
 
-// globalPath maps a cell-local path onto global vertex ids in place of a
-// fresh slice.
-func (s *Sharded) globalPath(c int32, local []graph.VertexID) []graph.VertexID {
-	out := make([]graph.VertexID, len(local))
-	for i, lv := range local {
-		out[i] = s.asn.Verts[c][lv]
+// globalPath maps a cell-local path onto global vertex ids in place: a
+// cell's PathCtx, local or remote, returns a fresh slice its caller owns.
+func (s *Sharded) globalPath(c int32, path []graph.VertexID) []graph.VertexID {
+	for i, lv := range path {
+		path[i] = s.asn.Verts[c][lv]
 	}
-	return out
+	return path
+}
+
+// Via returns, for a refiner Refine handed out for a pair from src, the last
+// vertex it committed to on the shortest path, in global ids, and the exact
+// distance from src to it. ok is false when the refiner races routes (a
+// cross-cell pair, a pair in a cell that is not self-contained, any pair over
+// remote cells): it commits to no single path vertex.
+func (s *Sharded) Via(src graph.VertexID, r core.DistanceRefiner) (v graph.VertexID, exact float64, ok bool) {
+	cr, ok := r.(*core.Refiner)
+	if !ok {
+		return graph.NoVertex, 0, false
+	}
+	v, exact = cr.Via()
+	return s.asn.Verts[s.asn.CellOf[src]][v], exact, true
 }

@@ -334,3 +334,69 @@ func TestCellBoundAnswersUnchanged(t *testing.T) {
 			sumOld.lookups, sumNew.lookups, sumOld.pushes, sumNew.pushes, sumOld.refinements, sumNew.refinements)
 	}
 }
+
+// cellRecorder is the wrapped index with every quadtree cell a search asks a
+// region bound of appended to cells.
+type cellRecorder struct {
+	core.QueryIndex
+	cells *[]geom.Cell
+}
+
+func (r cellRecorder) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64 {
+	*r.cells = append(*r.cells, cell)
+	return r.QueryIndex.RegionLowerBoundCtx(qc, q, cell)
+}
+
+// TestOneCellRegionBoundIsTheMonolithicBound checks that the one-cell
+// partition, in RAM and opened from its image, bounds every object-index
+// cell a kNN asks about exactly as the monolithic index does, bit for bit.
+// Its one cell lists the vertices in the network's own order, not Morton
+// order, so the bound must not filter cells by a Morton search of it.
+func TestOneCellRegionBoundIsTheMonolithicBound(t *testing.T) {
+	g, err := graph.GenerateRoadNetwork(graph.RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := core.Build(g, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Build(g, Options{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := one.WritePaged(&img); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenPaged(bytes.NewReader(img.Bytes()), int64(img.Len()), Options{poolPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough objects for an object index three levels deep.
+	rng := rand.New(rand.NewSource(4))
+	vs := make([]graph.VertexID, 80)
+	for i := range vs {
+		vs[i] = graph.VertexID(rng.Intn(g.NumVertices()))
+	}
+	objs := knn.NewObjects(g, vs)
+	asked := 0
+	for q := graph.VertexID(0); int(q) < g.NumVertices(); q += 5 {
+		var cells []geom.Cell
+		knn.SearchSpec(cellRecorder{mono, &cells}, core.NewQueryContext(), objs, q, knn.Spec{K: 5, MaxDist: math.Inf(1)})
+		asked += len(cells)
+		for _, cell := range cells {
+			want := mono.RegionLowerBoundCtx(nil, q, cell)
+			for name, s := range map[string]*Sharded{"ram": one, "paged": paged} {
+				qc := core.NewQueryContext()
+				if got := s.RegionLowerBoundCtx(qc, q, cell); math.Float64bits(got) != math.Float64bits(want) || qc.Err() != nil {
+					t.Fatalf("%s q=%d cell %+v: bound %v (err %v), monolithic %v", name, q, cell, got, qc.Err(), want)
+				}
+			}
+		}
+	}
+	if asked == 0 {
+		t.Fatal("no kNN asked a region bound")
+	}
+	t.Logf("%d region bounds compared", asked)
+}

@@ -324,7 +324,7 @@ func (rt *router) minInto(c int32) float64 {
 // out is one HintRefine can batch.
 func (s *Sharded) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
 	if p := s.asn.CellOf[src]; s.remote == nil && p == s.asn.CellOf[dst] && s.selfContained[p] {
-		return s.qcell(p).Refine(qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[dst]))
+		return s.cells[p].ix.Refine(qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[dst]))
 	}
 	return s.newRouteRefiner(qc, src, dst)
 }
@@ -667,15 +667,17 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, c
 		}
 		var m float64
 		if c == p {
-			hinted := false
-			if s.remote != nil {
+			ql := graph.VertexID(s.asn.LocalOf[q])
+			if s.remote == nil {
+				m = s.cells[p].ix.RegionLowerBoundCtx(qc, ql, cell)
+			} else {
 				if rt == nil {
 					rt = s.routerFor(qc, q)
 				}
-				m, hinted = rt.hints.lbs[cell]
-			}
-			if !hinted {
-				m = s.qcell(p).RegionLowerBoundCtx(qc, graph.VertexID(s.asn.LocalOf[q]), cell)
+				var hinted bool
+				if m, hinted = rt.hints.lbs[cell]; !hinted {
+					m = s.remote[p].RegionLowerBoundCtx(qc, ql, cell)
+				}
 			}
 			if !s.selfContained[p] {
 				if rt == nil {
@@ -700,8 +702,12 @@ func (s *Sharded) RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, c
 
 // holds reports whether partition c has a vertex whose Morton code lies in
 // cell: c's vertices are in Morton order, so that is one binary search. Only
-// such partitions can hold a vertex a region bound over cell must bound.
+// such partitions can hold a vertex a region bound over cell must bound. The
+// one cell of a one-cell index, in its caller's vertex order, holds them all.
 func (s *Sharded) holds(c int32, cell geom.Cell) bool {
+	if s.asn.P == 1 {
+		return true
+	}
 	vs := s.asn.Verts[c]
 	lo, hi := 0, len(vs)
 	for lo < hi {

@@ -12,8 +12,10 @@ import (
 
 // Options configures Build.
 type Options struct {
-	// Partitions is the cell count P (1 degenerates to a monolithic build
-	// behind the sharded interface).
+	// Partitions is the cell count P. At P ≤ 1 the index is one cell in
+	// the caller's own vertex ids: the monolithic SILC index, with the
+	// identity assignment, an empty closure and its image the monolithic
+	// one (SILCPG3).
 	Partitions int
 	// Parallelism bounds the build workers (0 = all CPUs); it applies to the
 	// per-cell Dijkstra sweeps and the closure computation alike.
@@ -58,12 +60,10 @@ type Stats struct {
 }
 
 // cell is one shard: the SILC index over its induced subnetwork
-// (ix.Network()), plus the local↔global vertex-id mapping.
+// (ix.Network()), in local vertex ids (Assignment.Verts maps them back).
 type cell struct {
-	id       int32
-	ix       *core.Index
-	toGlobal []graph.VertexID
-	seam     *localCell // ix behind the CellIndex seam (bindCells)
+	ix   *core.Index
+	seam *localCell // ix behind the CellIndex seam (bindCells)
 }
 
 // Sharded is a partitioned SILC index over one network: P per-cell indexes
@@ -101,12 +101,21 @@ type Sharded struct {
 // only), computes the boundary closure, and validates that the network is
 // strongly connected. The per-cell builds use AllowUnreachable — a cell's
 // induced subgraph may legitimately be disconnected — and the closure
-// restores global reachability.
+// restores global reachability. At P ≤ 1 it builds the one cell over g
+// itself, strict, in g's own vertex ids (identityMeta), with no cut and no
+// subnetwork copy: the monolithic index, to which every query goes straight.
 func Build(g *graph.Network, opt Options) (*Sharded, error) {
 	start := time.Now()
 	p := opt.Partitions
-	if p == 0 {
-		p = 1
+	if p <= 1 {
+		ix, err := core.Build(g, core.BuildOptions{Parallelism: opt.Parallelism})
+		if err != nil {
+			return nil, err
+		}
+		s := identityMeta(g).assemble([]*cell{{ix: ix}}, nil)
+		s.stats.CellBuildTime = time.Since(start)
+		s.stats.BuildTime = s.stats.CellBuildTime
+		return s, nil
 	}
 	asn, err := KDCut(g, p)
 	if err != nil {
@@ -121,14 +130,11 @@ func Build(g *graph.Network, opt Options) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d subnetwork: %w", c, err)
 		}
-		ix, err := core.Build(sub, core.BuildOptions{
-			Parallelism:      opt.Parallelism,
-			AllowUnreachable: p > 1,
-		})
+		ix, err := core.Build(sub, core.BuildOptions{Parallelism: opt.Parallelism, AllowUnreachable: true})
 		if err != nil {
 			return nil, fmt.Errorf("partition: cell %d index: %w", c, err)
 		}
-		cells[c] = &cell{id: int32(c), ix: ix, toGlobal: asn.Verts[c]}
+		cells[c] = &cell{ix: ix}
 	}
 	cellBuildTime := time.Since(cellStart)
 
@@ -187,7 +193,6 @@ func (s *Sharded) computeStats() Stats {
 		Edges:            s.g.NumEdges(),
 		BoundaryVertices: s.cl.NB(),
 		CutEdges:         s.asn.CutEdges,
-		MinCellVertices:  s.g.NumVertices(),
 		ClosureBytes:     s.cl.SizeBytes(),
 		Cells:            make([]core.BuildStats, len(s.cells)),
 	}
@@ -196,7 +201,7 @@ func (s *Sharded) computeStats() Stats {
 		st.Cells[c] = cs
 		st.CellBlocks += cs.TotalBlocks
 		st.CellBytes += cs.TotalBytes
-		if nv := cs.Vertices; nv < st.MinCellVertices {
+		if nv := cs.Vertices; c == 0 || nv < st.MinCellVertices {
 			st.MinCellVertices = nv
 		}
 		if nv := cs.Vertices; nv > st.MaxCellVertices {

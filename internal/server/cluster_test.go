@@ -26,7 +26,8 @@ import (
 // standalone ones once per-query stats are dropped, ε = 0.1 distances and
 // ranges from both meet their (1+ε) certificates against Dijkstra, a warm
 // k=10 kNN stays within the router's RPC budget, and every process exports
-// the metric families the smoke greps for.
+// the metric families the smoke greps for. A monolithic image, one cell,
+// served through one node, answers byte-identically too.
 func TestRouterServerMatchesStandalone(t *testing.T) {
 	net, err := silc.GenerateRoadNetwork(silc.RoadNetworkOptions{Rows: 40, Cols: 40, Seed: 11})
 	if err != nil {
@@ -36,28 +37,36 @@ func TestRouterServerMatchesStandalone(t *testing.T) {
 	for v := 0; v < net.NumVertices(); v += 20 {
 		objects = append(objects, silc.VertexID(v))
 	}
-	cl := startCluster(t, net, objects)
-	path, nodes, nodeServers := cl.path, cl.nodes, cl.nodeServers
-	routerServer, routerTS := cl.router, cl.routerTS
-	mono, err := silc.OpenEngine(path, nil, silc.BuildOptions{CacheFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mono.Close()
-	monoTS := httptest.NewServer(New(clusterConfig(t, mono, objects)).Handler())
-	defer monoTS.Close()
-
-	for _, q := range []int{0, 97, 555, 1203, net.NumVertices() - 1} {
-		for _, target := range []string{
-			fmt.Sprintf("/knn?q=%d&k=5&exact=1", q),
-			fmt.Sprintf("/range?q=%d&radius=0.25&exact=1", q),
-		} {
-			want, got := canonical(t, getOK(t, monoTS, target)), canonical(t, getOK(t, routerTS, target))
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: router answered\n%s\nstandalone\n%s", target, got, want)
+	var (
+		cl     *clusterFixture
+		monoTS *httptest.Server
+	)
+	for _, parts := range []int{1, 4} {
+		cl = startCluster(t, net, objects, parts)
+		mono, err := silc.OpenEngine(cl.path, nil, silc.BuildOptions{CacheFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mono.Close()
+		monoTS = httptest.NewServer(New(clusterConfig(t, mono, objects)).Handler())
+		defer monoTS.Close()
+		for _, q := range []int{0, 97, 555, 1203, net.NumVertices() - 1} {
+			for _, target := range []string{
+				fmt.Sprintf("/knn?q=%d&k=5&exact=1", q),
+				fmt.Sprintf("/range?q=%d&radius=0.25&exact=1", q),
+				fmt.Sprintf("/distance?src=%d&dst=%d", q, (q+700)%net.NumVertices()),
+				fmt.Sprintf("/path?src=%d&dst=%d", q, (q+700)%net.NumVertices()),
+			} {
+				want, got := canonical(t, getOK(t, monoTS, target)), canonical(t, getOK(t, cl.routerTS, target))
+				if !bytes.Equal(got, want) {
+					t.Errorf("P=%d %s: router answered\n%s\nstandalone\n%s", parts, target, got, want)
+				}
 			}
 		}
 	}
+	// The four-cell fixture, the last started, serves the rest.
+	nodes, nodeServers := cl.nodes, cl.nodeServers
+	routerServer, routerTS := cl.router, cl.routerTS
 
 	// ε = 0.1 through the router and the standalone server alike: every
 	// /distance d satisfies d ≤ Dijkstra ≤ (1+ε)·d, and every /range answer
@@ -191,7 +200,7 @@ func TestClusterMetricNamesPinned(t *testing.T) {
 	for v := 0; v < net.NumVertices(); v += 10 {
 		objects = append(objects, silc.VertexID(v))
 	}
-	cl := startCluster(t, net, objects)
+	cl := startCluster(t, net, objects, 4)
 	last := net.NumVertices() - 1
 	for _, target := range []string{
 		"/knn?q=3&k=4",
@@ -311,22 +320,23 @@ var routerMetricNames = []string{
 }
 
 // clusterFixture is scripts/cluster_smoke.sh's deployment in one process:
-// two node servers splitting a four-cell sharded image and a router server
-// over them, each behind an httptest server.
+// two node servers splitting a four-cell sharded image (or one node serving
+// a one-cell image) and a router server over them, each behind an httptest
+// server.
 type clusterFixture struct {
-	path        string // the sharded image every process opens
+	path        string // the image every process opens
 	nodes       map[string]*httptest.Server
 	nodeServers map[string]*Server
 	router      *Server
 	routerTS    *httptest.Server
 }
 
-// startCluster writes a four-cell image of net and starts the fixture over
-// it; the router and standalone servers serve objects. Everything it starts
-// stops when the test ends.
-func startCluster(t *testing.T, net *silc.Network, objects []silc.VertexID) *clusterFixture {
+// startCluster writes a four-cell or a one-cell image of net and starts the
+// fixture over it; the router and standalone servers serve objects.
+// Everything it starts stops when the test ends.
+func startCluster(t *testing.T, net *silc.Network, objects []silc.VertexID, parts int) *clusterFixture {
 	t.Helper()
-	built, err := silc.Build(net, silc.BuildOptions{Partitions: 4})
+	built, err := silc.Build(net, silc.BuildOptions{Partitions: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +351,11 @@ func startCluster(t *testing.T, net *silc.Network, objects []silc.VertexID) *clu
 	// Node addresses go into the manifest the nodes are built from: start
 	// the listeners first, then hand them their handlers.
 	m := &silc.ClusterManifest{Index: cl.path}
-	for name, cells := range map[string][]int{"node-a": {0, 1}, "node-b": {2, 3}} {
+	split := map[string][]int{"node-a": {0, 1}, "node-b": {2, 3}}
+	if parts == 1 {
+		split = map[string][]int{"node-a": {0}}
+	}
+	for name, cells := range split {
 		cl.nodes[name] = httptest.NewServer(nil)
 		t.Cleanup(cl.nodes[name].Close)
 		m.Nodes = append(m.Nodes, silc.ClusterNodeSpec{Name: name, Addr: cl.nodes[name].URL, Cells: cells})

@@ -153,7 +153,7 @@ var pinnedGrid = []pinnedRequest{
 	{"DELETE", "/objects?id=9999", "", "404 application/json compact {error}"},
 	{"PUT", "/objects", "", "405 application/json compact {error}"},
 
-	{"GET", "/stats", "", "200 application/json indented ba22d1389d659c4d"},
+	{"GET", "/stats", "", "200 application/json indented 27998802dc971c1b"},
 	{"WATCH", "/watch?q=3&k=4", `{"vertex":4}`, "200 application/x-ndjson ndjson×2 960a4e279e54af44 after [200 application/json indented bae6c9178c6601ad]"},
 }
 

@@ -275,11 +275,7 @@ func (s *Server) handleStats(r *http.Request) (answer, error) {
 		queries:  s.queries.Load(),
 		inflight: s.inflight.Value(),
 		tracing:  s.Engine.TracingEnabled(),
-	}
-	if st := s.Engine.Stats(); st.Sharded != nil {
-		body.sharded = st.Sharded
-	} else {
-		body.mono = &st.BuildStats
+		index:    s.Engine.Stats().Sharded,
 	}
 	for name, em := range s.endpoints {
 		body.requests += em.requests.Value()

@@ -314,11 +314,10 @@ func (r *rangeReply) appendJSON(w *jsonWriter) {
 	w.close('}')
 }
 
-// statsReply is GET /stats's body. Its index is the sharded or the
-// monolithic index's build statistics (null when neither is set).
+// statsReply is GET /stats's body. Its index is the index's build
+// statistics, cells and closure (null when unset).
 type statsReply struct {
-	sharded   *silc.ShardedStats
-	mono      *silc.BuildStats
+	index     *silc.ShardedStats
 	objects   int
 	live      *liveStats // nil (null) without a live world
 	pool      silc.IOStats
@@ -342,11 +341,12 @@ type endpointStats struct {
 }
 
 func (r *statsReply) appendJSON(w *jsonWriter) {
-	st, mono := r.sharded, r.mono
+	st := r.index
 	w.open('{')
 	w.key("index")
-	switch {
-	case st != nil:
+	if st == nil {
+		w.null()
+	} else {
 		w.open('{')
 		w.key("boundary_vertices").int(int64(st.BoundaryVertices))
 		w.key("build_time_ms").int(st.BuildTime.Milliseconds())
@@ -360,17 +360,6 @@ func (r *statsReply) appendJSON(w *jsonWriter) {
 		w.key("total_bytes").int(st.TotalBytes)
 		w.key("vertices").int(int64(st.Vertices))
 		w.close('}')
-	case mono != nil:
-		w.open('{')
-		w.key("blocks_per_vertex").float(mono.BlocksPerVertex())
-		w.key("build_time_ms").int(mono.BuildTime.Milliseconds())
-		w.key("edges").int(int64(mono.Edges))
-		w.key("total_blocks").int(mono.TotalBlocks)
-		w.key("total_bytes").int(mono.TotalBytes)
-		w.key("vertices").int(int64(mono.Vertices))
-		w.close('}')
-	default:
-		w.null()
 	}
 	w.key("live")
 	if r.live == nil {

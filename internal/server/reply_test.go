@@ -70,7 +70,7 @@ func oracle(r reply) any {
 		}
 	case *statsReply:
 		var index map[string]any
-		if st := r.sharded; st != nil {
+		if st := r.index; st != nil {
 			index = map[string]any{
 				"vertices":          st.Vertices,
 				"edges":             st.Edges,
@@ -82,15 +82,6 @@ func oracle(r reply) any {
 				"cell_bytes":        st.CellBytes,
 				"closure_bytes":     st.ClosureBytes,
 				"total_bytes":       st.TotalBytes,
-				"build_time_ms":     st.BuildTime.Milliseconds(),
-			}
-		} else if st := r.mono; st != nil {
-			index = map[string]any{
-				"vertices":          st.Vertices,
-				"edges":             st.Edges,
-				"total_blocks":      st.TotalBlocks,
-				"total_bytes":       st.TotalBytes,
-				"blocks_per_vertex": st.BlocksPerVertex(),
 				"build_time_ms":     st.BuildTime.Milliseconds(),
 			}
 		}
@@ -147,7 +138,7 @@ func oracleWrite(w http.ResponseWriter, r reply) error {
 // and f2 are every float, i every signed integer, u every unsigned one, n
 // sizes the lists (0 with bit 0 set: a nil neighbor list), and each other
 // bit of bits picks an optional part — an omitempty stats field, a nil
-// path, the /stats index kind, a live world.
+// path, the /stats index, a live world.
 func fuzzReplies(f1, f2 float64, i int64, u uint64, n uint8, bits uint32, method string) []reply {
 	bit := func(k int) bool { return bits>>k&1 == 1 }
 	unless := func(k int, v int64) int64 {
@@ -211,15 +202,10 @@ func fuzzReplies(f1, f2 float64, i int64, u uint64, n uint8, bits uint32, method
 		inflight: int64(n),
 		tracing:  bit(15),
 	}
-	switch bits >> 16 & 3 {
-	case 1:
-		stats.sharded = &silc.ShardedStats{
+	if bit(16) {
+		stats.index = &silc.ShardedStats{
 			Partitions: int(n), Vertices: int(i), Edges: int(u), BoundaryVertices: int(int32(i)), CutEdges: int(bits),
 			SelfContained: int(n) / 2, CellBlocks: i, CellBytes: int64(u), ClosureBytes: -i, TotalBytes: i, BuildTime: time.Duration(u),
-		}
-	case 2:
-		stats.mono = &silc.BuildStats{
-			Vertices: int(n), Edges: int(i), TotalBlocks: i, TotalBytes: int64(u), BuildTime: time.Duration(i),
 		}
 	}
 	if bit(18) {

@@ -33,7 +33,7 @@ func TestMetricNamesPinned(t *testing.T) {
 	}{
 		{"ram", 1, false, engineMetricNames},
 		{"paged", 1, true, slices.Concat(engineMetricNames, storeMetricNames)},
-		{"paged-4cell", 4, true, slices.Concat(engineMetricNames, storeMetricNames, shardedMetricNames)},
+		{"paged-4cell", 4, true, slices.Concat(engineMetricNames, storeMetricNames)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng, err := silc.Build(net, silc.BuildOptions{Partitions: c.partitions})
@@ -101,6 +101,11 @@ var engineMetricNames = []string{
 	"silc_knn_refinements_total",
 	"silc_partition_cross_cell_refiners_total",
 	"silc_partition_gateway_routes_total",
+	"silc_partition_label_hits_total",
+	"silc_partition_label_misses_total",
+	"silc_partition_label_rows",
+	"silc_partition_race_hinted_total",
+	"silc_partition_race_used_total",
 }
 
 // storeMetricNames are the pool-wide read series of a paged engine,
@@ -109,14 +114,4 @@ var storeMetricNames = []string{
 	"silc_store_blocks_decoded_total{source}",
 	"silc_store_page_reads_total{source}",
 	"silc_store_read_seconds_total{source}",
-}
-
-// shardedMetricNames are the label-table and race series of a
-// partitioned engine.
-var shardedMetricNames = []string{
-	"silc_partition_label_hits_total",
-	"silc_partition_label_misses_total",
-	"silc_partition_label_rows",
-	"silc_partition_race_hinted_total",
-	"silc_partition_race_used_total",
 }

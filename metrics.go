@@ -114,17 +114,17 @@ func newEngineObs(e *Engine) *engineObs {
 	// non-query pool pressure.
 	r.CounterFunc("silc_diskio_pool_hits_total", "",
 		"Pool-wide buffer-pool hits (all traffic, query-attributed or not).",
-		func() float64 { return float64(e.qx.Pool().Stats().Hits) })
+		func() float64 { return float64(e.sx.Pool().Stats().Hits) })
 	r.CounterFunc("silc_diskio_pool_misses_total", "",
 		"Pool-wide buffer-pool misses.",
-		func() float64 { return float64(e.qx.Pool().Stats().Misses) })
+		func() float64 { return float64(e.sx.Pool().Stats().Misses) })
 	r.CounterFunc("silc_diskio_pool_evictions_total", "",
 		"Pool-wide buffer-pool evictions.",
-		func() float64 { return float64(e.qx.Pool().Stats().Evictions) })
+		func() float64 { return float64(e.sx.Pool().Stats().Evictions) })
 	r.GaugeFunc("silc_diskio_pool_resident_pages", "",
 		"Pages currently resident in the buffer pool.",
 		func() float64 {
-			if p := e.qx.Pool(); p != nil {
+			if p := e.sx.Pool(); p != nil {
 				return float64(p.Len())
 			}
 			return 0
@@ -132,7 +132,7 @@ func newEngineObs(e *Engine) *engineObs {
 	r.GaugeFunc("silc_diskio_pool_capacity_pages", "",
 		"Buffer-pool page capacity.",
 		func() float64 {
-			if p := e.qx.Pool(); p != nil {
+			if p := e.sx.Pool(); p != nil {
 				return float64(p.Capacity())
 			}
 			return 0
@@ -141,34 +141,32 @@ func newEngineObs(e *Engine) *engineObs {
 }
 
 // registerDynamic adds the series that depend on the engine's final
-// topology: the label-table and race-batch counters of a sharded index,
-// and the pool-wide read counters of an opened image (labelled by page
-// source). Called once, on the first scrape.
+// topology: the label-table and race-batch counters of its partition, and
+// the pool-wide read counters of an opened image (labelled by page source).
+// Called once, on the first scrape.
 func (m *engineObs) registerDynamic(e *Engine) {
 	r := m.reg
-	if e.sharded != nil {
-		labels := e.sharded.LabelStats
-		r.CounterFunc("silc_partition_label_hits_total", "",
-			"Gateway-interval rows answered from the label table (no cell lookups, no RPC).",
-			func() float64 { return float64(labels().Hits) })
-		r.CounterFunc("silc_partition_label_misses_total", "",
-			"Gateway-interval rows computed by the cell backend because the label table did not hold them.",
-			func() float64 { return float64(labels().Misses) })
-		r.GaugeFunc("silc_partition_label_rows", "",
-			"Gateway-interval rows the label table holds, all cells together.",
-			func() float64 { return float64(labels().Rows) })
-		races := e.sharded.RaceHintStats
-		r.CounterFunc("silc_partition_race_hinted_total", "",
-			"Destinations whose route race a search announced ahead of its refinement step and a remote cell answered in a batch.",
-			func() float64 { hinted, _ := races(); return float64(hinted) })
-		r.CounterFunc("silc_partition_race_used_total", "",
-			"Batched race results a refinement step went on to use; hinted minus used is wasted speculation.",
-			func() float64 { _, used := races(); return float64(used) })
-	}
+	labels := e.sx.LabelStats
+	r.CounterFunc("silc_partition_label_hits_total", "",
+		"Gateway-interval rows answered from the label table (no cell lookups, no RPC).",
+		func() float64 { return float64(labels().Hits) })
+	r.CounterFunc("silc_partition_label_misses_total", "",
+		"Gateway-interval rows computed by the cell backend because the label table did not hold them.",
+		func() float64 { return float64(labels().Misses) })
+	r.GaugeFunc("silc_partition_label_rows", "",
+		"Gateway-interval rows the label table holds, all cells together.",
+		func() float64 { return float64(labels().Rows) })
+	races := e.sx.RaceHintStats
+	r.CounterFunc("silc_partition_race_hinted_total", "",
+		"Destinations whose route race a search announced ahead of its refinement step and a remote cell answered in a batch.",
+		func() float64 { hinted, _ := races(); return float64(hinted) })
+	r.CounterFunc("silc_partition_race_used_total", "",
+		"Batched race results a refinement step went on to use; hinted minus used is wasted speculation.",
+		func() float64 { _, used := races(); return float64(used) })
 	if e.source == "" {
 		return
 	}
-	pool, label := e.qx.Pool(), `source="`+e.source+`"`
+	pool, label := e.sx.Pool(), `source="`+e.source+`"`
 	r.CounterFunc("silc_store_page_reads_total", label,
 		"Real page reads: missed frames the pool filled, every cell store together.",
 		func() float64 { return float64(pool.Stats().Reads) })

@@ -71,7 +71,7 @@ func scrapeSum(t *testing.T, eng *Engine, family string) float64 {
 // lookup decodes the same blocks however often its run was read before.
 func TestMetricsColdScanCounts(t *testing.T) {
 	eng, objs := pagedTestEngine(t)
-	pool := eng.qx.Pool()
+	pool := eng.sx.Pool()
 	m := eng.obs
 
 	var total QueryStats
@@ -227,15 +227,15 @@ func TestShardedPagedIOStatsSum(t *testing.T) {
 	if io.MeasuredIOTime <= 0 {
 		t.Errorf("%d reads left the read clock at %v", io.PageReads, io.MeasuredIOTime)
 	}
-	if agg := eng.qx.Pool().Stats(); agg.Evictions != sum.Evictions || agg.BlocksDecoded != sum.BlocksDecoded {
+	if agg := eng.sx.Pool().Stats(); agg.Evictions != sum.Evictions || agg.BlocksDecoded != sum.BlocksDecoded {
 		t.Errorf("pool {evictions %d decoded %d} != per-query sums {%d %d}",
 			agg.Evictions, agg.BlocksDecoded, sum.Evictions, sum.BlocksDecoded)
 	}
 
 	// ResetIOStats zeroes the pool's counters and its read clock.
 	eng.ResetIOStats()
-	if after := eng.IOStats(); after != (IOStats{}) || eng.qx.Pool().Stats() != (diskio.Stats{}) {
-		t.Errorf("ResetIOStats left counters: %+v, pool %+v", after, eng.qx.Pool().Stats())
+	if after := eng.IOStats(); after != (IOStats{}) || eng.sx.Pool().Stats() != (diskio.Stats{}) {
+		t.Errorf("ResetIOStats left counters: %+v, pool %+v", after, eng.sx.Pool().Stats())
 	}
 	// The monotone Prometheus counters survive the reset.
 	if eng.obs.pageMisses.Value() == 0 {

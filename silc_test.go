@@ -315,6 +315,57 @@ func TestRefinerConverges(t *testing.T) {
 	}
 }
 
+// TestRefinerViaOnOneCellPath steps refiners on a 4-cell engine: a pair
+// inside one self-contained cell walks that cell's quadtree path, so its via
+// vertex is reported in global ids, on a shortest path from the source at
+// its exact distance; a cross-cell pair races routes and reports none.
+func TestRefinerViaOnOneCellPath(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Build(net, BuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stats().Sharded.SelfContained == 0 {
+		t.Fatal("no self-contained cell to walk")
+	}
+	q := on(t, eng)
+	n := VertexID(net.NumVertices())
+	walked := 0
+	for u := VertexID(0); u < n; u += 5 {
+		for v := n - 1; v > u; v -= 7 {
+			r, err := eng.NewRefiner(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := q.dist(u, v)
+			_, _, ok := r.Via()
+			if ok && eng.PartitionOf(u) != eng.PartitionOf(v) {
+				t.Fatalf("cross-cell (%d, %d) reports a via vertex", u, v)
+			}
+			for ok {
+				via, acc, stillOK := r.Via()
+				if !stillOK || eng.PartitionOf(via) != eng.PartitionOf(u) ||
+					math.Abs(acc-q.dist(u, via)) > 1e-9 || math.Abs(acc+q.dist(via, v)-d) > 1e-9 {
+					t.Fatalf("(%d, %d) step %d: via %d at %v (ok %t), d(u,via) %v, d(via,v) %v, d %v",
+						u, v, r.Steps(), via, acc, stillOK, q.dist(u, via), q.dist(via, v), d)
+				}
+				if r.Done() {
+					walked++
+					break
+				}
+				r.Step()
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no pair walked one cell's path")
+	}
+	t.Logf("%d pairs walked one cell's path", walked)
+}
+
 func TestIsCloser(t *testing.T) {
 	net := testNetwork(t)
 	ix := testIndex(t, net)
