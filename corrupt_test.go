@@ -1,8 +1,11 @@
 package silc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"silc/internal/core"
 	"silc/internal/diskio"
 	"silc/internal/sssp"
 	"silc/internal/store"
@@ -334,5 +338,91 @@ func TestRefinerFailsCleanly(t *testing.T) {
 			after, err := eng.NewRefiner(0, last)
 			refine("refiner made after the overwrite", after, err)
 		})
+	}
+}
+
+// TestForgedClosureHopFailsPath: a sharded image whose closure hop matrix is
+// forged behind a recomputed metadata CRC fails a cross-cell path query with
+// ErrCorruptImage instead of panicking or answering a path that is no walk
+// of the network. Two forgeries of the 12×12 four-cell map: every hop names
+// its own row (the chain never terminates), and every hop names the
+// destination row (a cross-cell hop between two gateways no arc joins).
+// PathCtx and Engine.ShortestPath fail on the same pairs.
+func TestForgedClosureHopFailsPath(t *testing.T) {
+	net, err := GenerateRoadNetwork(RoadNetworkOptions{Rows: 12, Cols: 12, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(net, BuildOptions{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := built.WritePaged(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	le := binary.LittleEndian
+	p, n, nb := int(le.Uint32(img[12:16])), int(le.Uint32(img[16:20])), int(le.Uint32(img[24:28]))
+	metaOff := int(le.Uint64(img[36:44]))
+	metaSize := p + n*4 + nb*nb*12 + 4
+	forge := func(hop func(i, j int) int) []byte {
+		forged := append([]byte(nil), img...)
+		meta := forged[metaOff : metaOff+metaSize]
+		hops := meta[p+n*4+nb*nb*8:]
+		for i := range nb {
+			for j := range nb {
+				le.PutUint32(hops[(i*nb+j)*4:], uint32(hop(i, j)))
+			}
+		}
+		le.PutUint32(meta[metaSize-4:], crc32.ChecksumIEEE(meta[:metaSize-4]))
+		return forged
+	}
+	for _, tc := range []struct {
+		name string
+		hop  func(i, j int) int
+		all  bool // every cross-cell pair must fail
+	}{
+		{"loop", func(i, j int) int { return i }, true},
+		{"skip", func(i, j int) int { return j }, false},
+	} {
+		forged := forge(tc.hop)
+		eng, err := OpenEngineAt(bytes.NewReader(forged), int64(len(forged)), nil, BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.name, err)
+		}
+		failed, pairs := 0, 0
+		for u := 0; u < n; u += 5 {
+			for v := 1; v < n; v += 7 {
+				u, v := VertexID(u), VertexID(v)
+				if eng.PartitionOf(u) == eng.PartitionOf(v) {
+					continue
+				}
+				pairs++
+				qc := core.NewQueryContext()
+				path := eng.sx.PathCtx(qc, u, v)
+				perr := qc.Err()
+				_, err := eng.ShortestPath(context.Background(), u, v)
+				switch {
+				case (perr == nil) != (err == nil):
+					t.Fatalf("%s (%d,%d): PathCtx error %v, ShortestPath error %v", tc.name, u, v, perr, err)
+				case err == nil:
+					if tc.all {
+						t.Fatalf("%s (%d,%d): answered %v", tc.name, u, v, path)
+					}
+				case !errors.Is(perr, ErrCorruptImage) || !errors.Is(err, ErrCorruptImage):
+					t.Fatalf("%s (%d,%d): PathCtx %v, ShortestPath %v; want ErrCorruptImage", tc.name, u, v, perr, err)
+				case path != nil:
+					t.Fatalf("%s (%d,%d): a failed PathCtx returned %v", tc.name, u, v, path)
+				default:
+					failed++
+				}
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("%s: none of %d cross-cell pairs failed", tc.name, pairs)
+		}
+		t.Logf("%s: %d of %d cross-cell pairs failed with ErrCorruptImage", tc.name, failed, pairs)
+		eng.Close()
 	}
 }

@@ -392,13 +392,12 @@ func TestClusterDistanceRPCs(t *testing.T) {
 	}
 }
 
-// cellExact refines (u, v) on one cell index until it is exact: over a
-// remote cell, one interval call and one race of one.
+// cellExact asks one cell index for the exact within-cell distance from u to
+// v as a race of one zero-offset candidate, the only form a router sends:
+// over a remote cell, one race RPC.
 func cellExact(cx partition.CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
-	r := cx.Refine(qc, u, v)
-	for r.Step() {
-	}
-	return r.Interval().Lo
+	d, _ := cx.RaceRoutes(qc, v, []float64{0}, []graph.VertexID{u})
+	return d
 }
 
 // TestClusterFoldedRPCs: the two lookups that had endpoints of their own
@@ -432,7 +431,8 @@ func TestClusterFoldedRPCs(t *testing.T) {
 	}
 
 	// A pair's exact within-cell distance, asked of the remote cell the way a
-	// self-contained cell's same-cell query asks it: Refine, then Step.
+	// self-contained cell's same-cell refiner asks it at its Step: a race of
+	// one.
 	before = calls(PathRace)
 	for c := 0; c < f.router.NumPartitions(); c++ {
 		nv := f.router.CellVertexCount(c)
@@ -443,7 +443,8 @@ func TestClusterFoldedRPCs(t *testing.T) {
 			if err := qc.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if want := cellExact(f.local.CellIndexAt(c), core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
+			// In process the cell is its *core.Index, refined to exact.
+			if want := core.ExactDistance(f.local.CellIndexAt(c).(core.QueryIndex), core.NewQueryContext(), u, v); Bits(got) != Bits(want) {
 				t.Fatalf("cell %d exact(%d,%d): remote %v, in process %v", c, u, v, got, want)
 			}
 		}

@@ -80,7 +80,7 @@ func TestNodeOwnershipAndValidation(t *testing.T) {
 		if err := cluster.DecodeFrame(data, &rr); err != nil {
 			t.Fatal(err)
 		}
-		r := cx.Refine(core.NewQueryContext(), 0, b)
+		r := cx.(core.QueryIndex).Refine(core.NewQueryContext(), 0, b) // the in-process cell is its *core.Index
 		for r.Step() {
 		}
 		want := r.Interval().Lo // +Inf where the cell does not reach b

@@ -13,10 +13,12 @@ import (
 )
 
 // RemoteCell is the router-side stand-in for one cell's index: every
-// partition.CellIndex operation becomes one RPC to the cell's replica set,
-// and the batch forms (BoundaryIntervals, RaceRoutes, SourceBatch, RaceBatch)
-// are what keep a cross-cell query's RPC count at a handful rather than one
-// per boundary row or refinement step.
+// partition.RemoteCellIndex operation becomes one RPC to the cell's replica
+// set, and the batch forms (BoundaryIntervals, RaceRoutes, SourceBatch,
+// RaceBatch) are what keep a cross-cell query's RPC count at a handful
+// rather than one per boundary row or refinement step. It has no refiner: a
+// router never steps a remote pair, it sends the pair's route race whole, and
+// a pair's exact within-cell distance is a race of one zero-offset candidate.
 //
 // Failure semantics mirror a local paged index with a broken disk, and there
 // is one rule: an RPC that exhausts its replicas (or whose reply has the
@@ -208,49 +210,6 @@ func (rc *RemoteCell) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []grap
 		out[i] = graph.VertexID(v)
 	}
 	return out
-}
-
-// Refine implements partition.CellIndex: the refiner starts from the
-// node's zero-refinement interval (one RPC) and collapses straight to the
-// exact distance on its first Step (a second RPC) — remote refinement has
-// no useful intermediate granularity. A router's own queries never come
-// here: partition.Sharded races every pair it refines over remote cells in
-// one shot, same-cell pairs included.
-func (rc *RemoteCell) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
-	r := &remoteRefiner{rc: rc, qc: qc, u: src, v: dst}
-	r.settle(rc.DistanceIntervalCtx(qc, src, dst))
-	return r
-}
-
-type remoteRefiner struct {
-	rc   *RemoteCell
-	qc   *core.QueryContext
-	u, v graph.VertexID
-	iv   core.Interval
-	done bool
-}
-
-func (r *remoteRefiner) Interval() core.Interval { return r.iv }
-func (r *remoteRefiner) Done() bool              { return r.done }
-
-// settle adopts iv, done once it has collapsed or says unreachable.
-func (r *remoteRefiner) settle(iv core.Interval) {
-	r.iv = iv
-	r.done = math.IsInf(iv.Lo, 1) || iv.Lo >= iv.Hi
-}
-
-// Step asks for the exact distance as a race with one zero-offset candidate:
-// the node refines a sole candidate to exact, as a local refiner would, and
-// 0 + d == d to the bit.
-func (r *remoteRefiner) Step() bool {
-	if r.done || r.qc.Err() != nil {
-		return false
-	}
-	d, _ := r.rc.RaceRoutes(r.qc, r.v, []float64{0}, []graph.VertexID{r.u})
-	if !r.qc.Failed() {
-		r.settle(core.Interval{Lo: d, Hi: d})
-	}
-	return false
 }
 
 // intervalsFromBits decodes a transported interval column pair; the caller

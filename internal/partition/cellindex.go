@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"math"
 
 	"silc/internal/core"
 	"silc/internal/geom"
@@ -10,20 +9,21 @@ import (
 )
 
 // CellIndex is the whole contract between the cross-cell routing layer and
-// one cell's index, in the cell's LOCAL vertex ids: progressive refinement,
+// one cell's index, in the cell's LOCAL vertex ids, in five methods:
 // zero-refinement intervals, region lower bounds and path retrieval — the
 // per-pair primitives of a SILC index — plus the two per-cell batches the
 // router is built from, the destination-label row and the route race. Two
 // types implement it: localCell, the in-process adapter over *core.Index,
 // and cluster.RemoteCell, which turns every method into one RPC to the cell's
 // owning nodes. The routing code above the seam asks the same questions of
-// both and gets the same bits.
+// both and gets the same bits. Progressive refinement is not on the seam: a
+// router steps an in-process cell's *core.Index itself, and sends a remote
+// cell each race whole.
 //
 // Implementations report failures through qc.Fail and return safe values
 // (+Inf distances, [0,+Inf) intervals, 0 lower bounds, nil paths), exactly
 // like a storage error on a local index.
 type CellIndex interface {
-	Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner
 	DistanceIntervalCtx(qc *core.QueryContext, u, v graph.VertexID) core.Interval
 	RegionLowerBoundCtx(qc *core.QueryContext, q graph.VertexID, cell geom.Cell) float64
 	PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.VertexID
@@ -82,7 +82,7 @@ func (c *localCell) BoundaryIntervals(qc *core.QueryContext, v graph.VertexID, t
 }
 
 func (c *localCell) RaceRoutes(qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
-	return RaceCellRoutes(c, qc, dst, offs, us)
+	return RaceCellRoutes(c.Index, qc, dst, offs, us)
 }
 
 // bindCells puts every in-process cell behind the seam.
@@ -99,74 +99,6 @@ func (s *Sharded) qcell(c int32) CellIndex {
 		return s.remote[c]
 	}
 	return s.cells[c].seam
-}
-
-// RaceCellRoutes resolves min over i of offs[i] + d_cell(us[i], dst) on one
-// cell index, returning the minimum and the index achieving it (+Inf and -1
-// when every candidate is unreachable, or after a failure, which is on qc).
-// It is the paper's search over a handful of intervals: every candidate
-// opens one refiner (one lookup), the undecided candidate with the smallest
-// lower bound offs[i]+lo is refined one step at a time, a candidate whose
-// lower bound passes the smallest upper bound is dropped, and the race ends
-// as soon as the smallest lower bound is exact. Only a candidate that could
-// still be the minimum is ever stepped.
-//
-// The winner's value is offs[i] plus its fully refined within-cell distance,
-// exactly what refining that pair alone to exact gives; a sole zero-offset
-// candidate is therefore the pair's exact distance (0 + d == d in IEEE 754).
-// Among candidates of equal value the winner is the first in (offs[i] plus
-// zero-refinement lower bound, index) order. Candidates at +Inf offset, or
-// unreachable inside the cell (a lower bound of +Inf), never win.
-func RaceCellRoutes(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
-	type cand struct {
-		i      int
-		lo0    float64 // offs[i] + the zero-refinement lower bound: the tie order
-		lo, hi float64 // offs[i] + the refiner's current interval
-		r      core.DistanceRefiner
-	}
-	cands := make([]cand, 0, len(offs))
-	for i, off := range offs {
-		if !(off < math.Inf(1)) {
-			continue // +Inf (or NaN): never strictly shorter
-		}
-		r := cx.Refine(qc, us[i], dst)
-		iv := r.Interval()
-		if math.IsInf(iv.Lo, 1) {
-			continue
-		}
-		cands = append(cands, cand{i: i, lo0: off + iv.Lo, lo: off + iv.Lo, hi: off + iv.Hi, r: r})
-	}
-	for len(cands) > 0 && qc.Err() == nil {
-		hi := math.Inf(1)
-		for _, c := range cands {
-			if c.hi < hi {
-				hi = c.hi
-			}
-		}
-		// Drop what cannot be the minimum and find the candidate holding the
-		// race open; the candidate defining hi always survives.
-		kept, m := cands[:0], 0
-		for _, c := range cands {
-			if c.lo > hi {
-				continue
-			}
-			kept = append(kept, c)
-			if b := &kept[m]; c.lo < b.lo || (c.lo == b.lo && c.lo0 < b.lo0) {
-				m = len(kept) - 1
-			}
-		}
-		cands = kept
-		c := &cands[m]
-		if c.r.Done() {
-			return c.lo, c.i
-		}
-		if !c.r.Step() && !c.r.Done() {
-			break // storage failure, recorded on qc
-		}
-		iv := c.r.Interval()
-		c.lo, c.hi = offs[c.i]+iv.Lo, offs[c.i]+iv.Hi
-	}
-	return math.Inf(1), -1
 }
 
 // The node-facing accessors below expose exactly the per-cell state a

@@ -3,9 +3,11 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"silc/internal/core"
 	"silc/internal/graph"
+	"silc/internal/store"
 )
 
 var _ core.QueryIndex = (*Sharded)(nil)
@@ -122,13 +124,16 @@ func (s *Sharded) PathCtx(qc *core.QueryContext, u, v graph.VertexID) []graph.Ve
 
 // closureWalk appends the boundary-to-boundary portion of a shortest path
 // (rows from → to, exclusive of from's vertex which path already ends with)
-// by following the closure's hop chain.
+// by following the closure's hop chain. A chain that passes nb hops, or a
+// cross-cell hop that is no arc of the network, comes from a forged closure:
+// it fails the query with an error wrapping store.ErrCorrupt.
 func (s *Sharded) closureWalk(qc *core.QueryContext, path []graph.VertexID, from, to int32) []graph.VertexID {
 	nb := s.cl.NB()
 	cur := from
 	for steps := 0; cur != to; steps++ {
 		if steps > nb {
-			panic(fmt.Sprintf("partition: closure hop chain from %d to %d does not terminate", from, to))
+			qc.Fail(fmt.Errorf("partition: closure hop chain from row %d to %d does not terminate: %w", from, to, store.ErrCorrupt))
+			return path
 		}
 		nxt := s.cl.Hop[int(cur)*nb+int(to)]
 		cv, nv := s.cl.B[cur], s.cl.B[nxt]
@@ -148,6 +153,10 @@ func (s *Sharded) closureWalk(qc *core.QueryContext, path []graph.VertexID, from
 		} else {
 			// Different cells: consecutive boundary vertices with no interior
 			// segment are joined by a single cross-cell edge.
+			if targets, _ := s.g.Neighbors(cv); !slices.Contains(targets, nv) {
+				qc.Fail(fmt.Errorf("partition: closure hop %d→%d crosses cells on no arc: %w", cv, nv, store.ErrCorrupt))
+				return path
+			}
 			path = append(path, nv)
 		}
 		cur = nxt

@@ -13,7 +13,7 @@ import (
 
 // cellExact fully refines the within-cell distance from u to v on one cell
 // index (+Inf when unreachable inside the cell).
-func cellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64 {
+func cellExact(cx *core.Index, qc *core.QueryContext, u, v graph.VertexID) float64 {
 	r := cx.Refine(qc, u, v)
 	for !r.Done() && qc.Err() == nil && r.Step() {
 	}
@@ -24,7 +24,7 @@ func cellExact(cx CellIndex, qc *core.QueryContext, u, v graph.VertexID) float64
 // oracle: candidates sort by their zero-refinement lower bound (ties in index
 // order) and are refined to exact one after another, until no remaining
 // candidate can be strictly shorter.
-func raceOracle(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
+func raceOracle(cx *core.Index, qc *core.QueryContext, dst graph.VertexID, offs []float64, us []graph.VertexID) (float64, int) {
 	type cand struct {
 		i  int
 		lo float64
@@ -62,7 +62,7 @@ func raceOracle(cx CellIndex, qc *core.QueryContext, dst graph.VertexID, offs []
 // (the splitcell fixture's a street from its b street).
 func TestRaceOfOneIsCellExact(t *testing.T) {
 	reachable, unreachable := 0, 0
-	check := func(name string, cx CellIndex, nv int) {
+	check := func(name string, cx *core.Index, nv int) {
 		t.Helper()
 		qc := core.NewQueryContext()
 		for u := 0; u < nv; u++ {
@@ -95,7 +95,7 @@ func TestRaceOfOneIsCellExact(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for c := range s.cells {
-			check(name, s.qcell(int32(c)), s.CellVertexCount(c))
+			check(name, s.cells[c].ix, s.CellVertexCount(c))
 		}
 	}
 	if reachable == 0 || unreachable == 0 {
@@ -105,7 +105,7 @@ func TestRaceOfOneIsCellExact(t *testing.T) {
 
 // raceCase is one route race on one cell index.
 type raceCase struct {
-	cx   CellIndex
+	cx   *core.Index
 	dst  graph.VertexID
 	offs []float64
 	us   []graph.VertexID
@@ -115,7 +115,7 @@ type raceCase struct {
 // offsets 0, +Inf or uniform below scale, some repeating an earlier
 // candidate's vertex (now and then at its offset too, an exact tie), some
 // starting at the destination itself.
-func randomRace(rng *rand.Rand, cx CellIndex, nv int, scale float64) raceCase {
+func randomRace(rng *rand.Rand, cx *core.Index, nv int, scale float64) raceCase {
 	rc := raceCase{cx: cx, dst: graph.VertexID(rng.Intn(nv))}
 	for i, n := 0, 1+rng.Intn(40); i < n; i++ {
 		off := rng.Float64() * scale
@@ -148,7 +148,7 @@ func randomRace(rng *rand.Rand, cx CellIndex, nv int, scale float64) raceCase {
 // direct route when both ends share a cell.
 func gatewayRace(s *Sharded, qc *core.QueryContext, src, dst graph.VertexID) raceCase {
 	p, q := s.asn.CellOf[src], s.asn.CellOf[dst]
-	rc := raceCase{cx: s.qcell(q), dst: graph.VertexID(s.asn.LocalOf[dst])}
+	rc := raceCase{cx: s.cells[q].ix, dst: graph.VertexID(s.asn.LocalOf[dst])}
 	if p == q {
 		rc.offs, rc.us = append(rc.offs, 0), append(rc.us, graph.VertexID(s.asn.LocalOf[src]))
 	}
@@ -256,7 +256,7 @@ func TestRaceCellRoutesMatchesOracle(t *testing.T) {
 			var races []raceCase
 			for c := 0; c < p; c++ {
 				for i := 0; i < 60; i++ {
-					races = append(races, randomRace(rng, s.qcell(int32(c)), s.CellVertexCount(c), 0.1))
+					races = append(races, randomRace(rng, s.cells[c].ix, s.CellVertexCount(c), 0.1))
 				}
 			}
 			qc, n := core.NewQueryContext(), g.NumVertices()
@@ -284,7 +284,7 @@ func TestRaceCellRoutesFewerSteps(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		gw = append(gw, gatewayRace(s, qc, graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))))
 		c := rng.Intn(4)
-		random = append(random, randomRace(rng, s.qcell(int32(c)), s.CellVertexCount(c), 0.1))
+		random = append(random, randomRace(rng, s.cells[c].ix, s.CellVertexCount(c), 0.1))
 	}
 	for _, set := range []struct {
 		name  string
@@ -316,7 +316,7 @@ func BenchmarkRaceCellRoutes(b *testing.B) {
 	}
 	for _, impl := range []struct {
 		name string
-		race func(CellIndex, *core.QueryContext, graph.VertexID, []float64, []graph.VertexID) (float64, int)
+		race func(*core.Index, *core.QueryContext, graph.VertexID, []float64, []graph.VertexID) (float64, int)
 	}{{"progressive", RaceCellRoutes}, {"oracle", raceOracle}} {
 		b.Run(impl.name, func(b *testing.B) {
 			qc := core.NewQueryContext()
@@ -331,4 +331,62 @@ func BenchmarkRaceCellRoutes(b *testing.B) {
 			b.ReportMetric(float64(steps)/float64(n), "steps/op")
 		})
 	}
+}
+
+// TestRouteRefinerIsTheCellRace: the refiner Sharded.Refine hands out for a
+// routed pair (cross-cell, or same-cell in a cell that is not
+// self-contained) is the race RaceCellRoutes runs on the same routes. Stepped
+// to Done it holds a point interval with RaceCellRoutes' value, bit for bit,
+// on gatewayRace's candidates, after as many refinement steps. Road, grid
+// (equal weights: many ties) and one-way maps in four cells, in RAM and paged
+// behind a 5% pool.
+func TestRouteRefinerIsTheCellRace(t *testing.T) {
+	nets := testNetworks(t)
+	nets["oneway8x8"] = oneWayNetwork(t)
+	rng := rand.New(rand.NewSource(59))
+	pairs, steps := 0, int64(0)
+	for _, name := range []string{"grid9x11", "road14x14b", "oneway8x8"} {
+		g := nets[name]
+		for _, kind := range []string{"ram", "paged"} {
+			var s *Sharded
+			if kind == "ram" {
+				var err error
+				if s, err = Build(g, Options{Partitions: 4}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s = pagedCells(t, g, 4)
+			}
+			n := g.NumVertices()
+			for i := 0; i < 400; i++ {
+				src, dst := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+				qc := core.NewQueryContext()
+				r := s.Refine(qc, src, dst)
+				if _, routed := r.(*routeRefiner); !routed {
+					continue
+				}
+				for !r.Done() && r.Step() {
+				}
+				iv := r.Interval()
+				rc := gatewayRace(s, core.NewQueryContext(), src, dst)
+				rqc := core.NewQueryContext()
+				want, _ := RaceCellRoutes(rc.cx, rqc, rc.dst, rc.offs, rc.us)
+				if err := qc.Err(); err != nil || rqc.Err() != nil {
+					t.Fatalf("%s/%s (%d,%d): %v / %v", name, kind, src, dst, err, rqc.Err())
+				}
+				if !r.Done() || math.Float64bits(iv.Lo) != math.Float64bits(want) || math.Float64bits(iv.Hi) != math.Float64bits(want) {
+					t.Fatalf("%s/%s (%d,%d): refiner %v (done=%v), race %v", name, kind, src, dst, iv, r.Done(), want)
+				}
+				if qc.Span.Refinements != rqc.Span.Refinements {
+					t.Fatalf("%s/%s (%d,%d): refiner took %d steps, race %d", name, kind, src, dst, qc.Span.Refinements, rqc.Span.Refinements)
+				}
+				pairs++
+				steps += qc.Span.Refinements
+			}
+		}
+	}
+	if pairs < 1000 || steps == 0 {
+		t.Fatalf("%d routed pairs, %d steps: the pairs miss the routed case", pairs, steps)
+	}
+	t.Logf("%d routed pairs, %d refinement steps", pairs, steps)
 }

@@ -49,9 +49,9 @@ type router struct {
 	// refiners HintRefine may race ahead of their Step (remote cells only;
 	// always empty in process).
 	hints expandHints
-	// race is the scratch every route race of this router is assembled in,
-	// the single race of a Step and the batch of a HintRefine alike.
-	race raceBatch
+	// batch is the scratch every remote race of this router is assembled
+	// in, the single race of a Step and the batch of a HintRefine alike.
+	batch raceBatch
 }
 
 // expandHints is what HintExpand has fetched from the source's own cell for
@@ -194,13 +194,13 @@ func (rt *router) rebind(src graph.VertexID) {
 }
 
 // recycleRefiners returns every handed-out routeRefiner to the slab,
-// dropping the cell-refiner references they pinned but keeping their gates
+// dropping the cell-refiner references they pinned but keeping their routes'
 // capacity.
 func (rt *router) recycleRefiners() {
 	for _, r := range rt.rrSlab[:rt.rrUsed] {
-		gates := r.gates[:cap(r.gates)]
-		clear(gates)
-		*r = routeRefiner{gates: gates[:0]}
+		routes := r.routes[:cap(r.routes)]
+		clear(routes)
+		*r = routeRefiner{race: race{routes: routes[:0]}}
 	}
 	rt.rrUsed = 0
 }
@@ -315,13 +315,13 @@ func (rt *router) minInto(c int32) float64 {
 // Refine implements core.QueryIndex: progressive refinement of the global
 // network distance (src, dst). Intra-cell pairs in self-contained in-process
 // cells delegate straight to the cell index — a single quadtree lookup,
-// exactly the monolithic cost. Everything else races candidate routes: the
-// direct within-cell route (same cell only) against one gateway route per
-// boundary vertex of dst's cell, each bounded by the exact gateway closure
-// plus the cell index's interval, refined where the aggregate interval
+// exactly the monolithic cost. Everything else is a route race on dst's
+// cell: the direct within-cell route (same cell only) against one gateway
+// route per boundary vertex of dst's cell, each bounded by the exact gateway
+// closure plus the cell index's interval, refined where the race's interval
 // demands. Over remote cells the self-contained pair is the same race with
-// the direct route as its only candidate, so every refiner a router hands
-// out is one HintRefine can batch.
+// the direct route as its only route, so every refiner a router hands out is
+// one HintRefine can batch.
 func (s *Sharded) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.DistanceRefiner {
 	if p := s.asn.CellOf[src]; s.remote == nil && p == s.asn.CellOf[dst] && s.selfContained[p] {
 		return s.cells[p].ix.Refine(qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[dst]))
@@ -329,43 +329,15 @@ func (s *Sharded) Refine(qc *core.QueryContext, src, dst graph.VertexID) core.Di
 	return s.newRouteRefiner(qc, src, dst)
 }
 
-// gate is one candidate route into the destination cell: the exact distance
-// a to a boundary vertex of that cell plus the cell index's evolving
-// interval for boundary→destination.
-type gate struct {
-	a      float64
-	bLocal graph.VertexID
-	civ    core.Interval
-	r      core.DistanceRefiner // nil until first stepped
-	exact  bool
-}
-
-func (g *gate) lo() float64 { return g.a + g.civ.Lo }
-func (g *gate) hi() float64 { return g.a + g.civ.Hi }
-
-// routeRefiner races the candidate routes for one (src, dst) pair. Its
-// interval is [min over routes of route.lo, min over routes of route.hi] —
-// both valid because the true distance is the min over routes of each
-// route's exact value.
+// routeRefiner is the route race for one (src, dst) pair, held open for a
+// search. Its interval is the race's [min lo, min hi] — valid because the
+// true distance is the min over routes of each route's exact value. In
+// process each Step is one race step; over remote cells the first Step
+// sends the undecided routes to the cell as one race.
 type routeRefiner struct {
-	rt       *router
-	qc       *core.QueryContext
-	q        int32 // destination cell
-	dstLocal graph.VertexID
-
-	// A same-cell pair also races the direct within-cell route. In process
-	// that route has a refiner of its own to step; over remote cells it is
-	// only ever raced, from srcLocal, and its zero-refinement interval is all
-	// the refiner holds.
-	hasDirect   bool
-	srcLocal    graph.VertexID
-	direct      core.DistanceRefiner
-	directIv    core.Interval
-	directExact bool
-
-	gates []gate
-	iv    core.Interval
-	done  bool
+	race
+	rt *router
+	q  int32 // destination cell
 
 	// parked is the exact distance a HintRefine batch raced ahead of this
 	// refiner's Step, which adopts it instead of racing again. Until then it
@@ -382,39 +354,39 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 		r.done = true
 		return r
 	}
-	r.dstLocal = graph.VertexID(s.asn.LocalOf[dst])
-	r.gates = r.gates[:0]
+	r.dst = graph.VertexID(s.asn.LocalOf[dst])
+	r.routes = r.routes[:0]
+	if s.remote == nil {
+		r.ix = s.cells[r.q].ix
+	}
 	if rt.p == r.q {
-		r.hasDirect = true
-		r.srcLocal = graph.VertexID(s.asn.LocalOf[src])
-		if s.remote != nil {
-			r.directIv = rt.ownInterval(qc, r.dstLocal)
-			r.directExact = r.directIv.Lo >= r.directIv.Hi || math.IsInf(r.directIv.Lo, 1)
+		// The direct route, at offset 0. In process it opens its refiner now;
+		// a remote cell's is only ever raced there, and here it holds the
+		// zero-refinement interval.
+		srcLocal := graph.VertexID(s.asn.LocalOf[src])
+		if r.ix != nil {
+			d := r.ix.NewRefinerCtx(qc, srcLocal, r.dst)
+			r.add(0, 0, srcLocal, d.Interval(), d)
 		} else {
-			r.direct = s.qcell(r.q).Refine(qc, r.srcLocal, r.dstLocal)
-			r.directIv = r.direct.Interval()
-			r.directExact = r.direct.Done()
+			r.add(0, 0, srcLocal, rt.ownInterval(qc, r.dst), nil)
 		}
 	}
-	if !(r.hasDirect && s.selfContained[r.q]) {
+	if !(rt.p == r.q && s.selfContained[r.q]) {
 		a, _ := rt.gateways(r.q)
 		lo, _ := s.cl.Rows(r.q)
-		civs := s.labelRow(qc, r.q, r.dstLocal, true) // every gate's gateway→dst interval
+		civs := s.labelRow(qc, r.q, r.dst, true) // every gateway's gateway→dst interval
+		n := len(r.routes)
 		for j, av := range a {
-			if math.IsInf(av, 1) {
-				continue
+			if !math.IsInf(av, 1) {
+				r.add(len(r.routes), av, graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]]), civs[j], nil)
 			}
-			civ := civs[j]
-			g := gate{a: av, bLocal: graph.VertexID(s.asn.LocalOf[s.cl.B[lo+int32(j)]]), civ: civ}
-			g.exact = civ.Lo >= civ.Hi || math.IsInf(civ.Lo, 1)
-			r.gates = append(r.gates, g)
 		}
 		if qc != nil {
 			qc.Span.CrossCell++
-			qc.Span.GatewayRoutes += int64(len(r.gates))
+			qc.Span.GatewayRoutes += int64(len(r.routes) - n)
 		}
 	}
-	r.recompute()
+	r.settle()
 	if s.remote != nil && qc != nil {
 		h := &rt.hints
 		if h.live == nil {
@@ -431,96 +403,22 @@ func (s *Sharded) newRouteRefiner(qc *core.QueryContext, src, dst graph.VertexID
 	return r
 }
 
-// recompute refreshes the aggregate interval, prunes gates that can no
-// longer define the minimum, and decides completion (every surviving route
-// exact ⇒ the aggregate has collapsed to the true distance).
-func (r *routeRefiner) recompute() {
-	lo, hi := math.Inf(1), math.Inf(1)
-	if r.hasDirect {
-		lo, hi = r.directIv.Lo, r.directIv.Hi
-	}
-	for i := range r.gates {
-		g := &r.gates[i]
-		if g.lo() < lo {
-			lo = g.lo()
-		}
-		if g.hi() < hi {
-			hi = g.hi()
-		}
-	}
-	r.iv = core.Interval{Lo: lo, Hi: hi}
-	kept := r.gates[:0]
-	allExact := !r.hasDirect || r.directExact || r.directIv.Lo > hi
-	for i := range r.gates {
-		g := r.gates[i]
-		if g.lo() > hi {
-			continue // cannot be the minimum: its value is at least lo > hi ≥ true distance
-		}
-		if !g.exact {
-			allExact = false
-		}
-		kept = append(kept, g)
-	}
-	r.gates = kept
-	r.done = allExact
-}
-
 func (r *routeRefiner) Interval() core.Interval { return r.iv }
 func (r *routeRefiner) Done() bool              { return r.done }
 
-// Step refines the route currently defining the aggregate lower bound by
-// one hop and returns false once the aggregate is exact.
+// Step refines the race by one step — its top route by one hop — and
+// returns false once the race is decided. Over remote cells a refinement
+// step is a round trip, so the whole race is resolved at once instead.
 func (r *routeRefiner) Step() bool {
 	if r.done {
 		return false
 	}
-	s := r.rt.s
-	// Over remote cells a refinement step is a round trip, so the whole race
-	// collapses now, in one RaceRoutes call; in process it is stepped hop by
-	// hop, and a search stops refining as soon as the interval has separated.
-	if s.remote != nil {
+	if r.rt.s.remote != nil {
 		return r.stepRace()
 	}
-	// Pick the non-exact route with the smallest lower bound — the route
-	// holding the aggregate open.
-	bestLo := math.Inf(1)
-	bestGate := -1
-	stepDirect := false
-	if r.hasDirect && !r.directExact && !(r.directIv.Lo > r.iv.Hi) {
-		bestLo = r.directIv.Lo
-		stepDirect = true
-	}
-	for i := range r.gates {
-		g := &r.gates[i]
-		if g.exact {
-			continue
-		}
-		if g.lo() < bestLo {
-			bestLo = g.lo()
-			bestGate = i
-			stepDirect = false
-		}
-	}
-	switch {
-	case bestGate >= 0:
-		g := &r.gates[bestGate]
-		if g.r == nil {
-			g.r = s.qcell(r.q).Refine(r.qc, g.bLocal, r.dstLocal)
-		}
-		g.r.Step()
-		g.civ = g.r.Interval()
-		g.exact = g.r.Done()
-	case stepDirect:
-		r.direct.Step()
-		r.directIv = r.direct.Interval()
-		r.directExact = r.direct.Done()
-	default:
-		// Nothing steppable: every surviving route is exact.
-		r.done = true
-		return false
-	}
-	r.recompute()
-	return !r.done
+	ok := r.step()
+	r.settle()
+	return ok && !r.done
 }
 
 // raceBatch is a router's reusable scratch for route races on one remote
@@ -544,31 +442,22 @@ func (b *raceBatch) reset() {
 
 // candidates appends the routes of r that are still undecided to b as
 // (offset, vertex) race candidates on the destination cell — the direct
-// route from the source at offset 0, each surviving non-exact gate at its
-// closure distance — and returns the minimum over the routes that are exact
-// already (+Inf when there is none). The race's result, folded into that
-// minimum, equals what progressive stepping converges to: RaceRoutes refines
-// candidates in lower-bound order with the same cutoff.
+// route from the source at offset 0, each gateway route at its closure
+// distance — and returns the minimum over the routes that are exact already
+// (+Inf when there is none). The node races the candidates with the same
+// race, so the result folded into that minimum is the race's own value.
 func (r *routeRefiner) candidates(b *raceBatch) float64 {
 	best := math.Inf(1)
-	if r.hasDirect {
-		if r.directExact {
-			best = r.directIv.Lo // collapsed, or +Inf when unreachable inside the cell
-		} else {
-			b.offs = append(b.offs, 0)
-			b.us = append(b.us, r.srcLocal)
-		}
-	}
-	for i := range r.gates {
-		g := &r.gates[i]
-		if g.exact {
-			if v := g.lo(); v < best {
+	for i := range r.routes {
+		rt := &r.routes[i]
+		if rt.exact() {
+			if v := rt.lo(); v < best {
 				best = v
 			}
 			continue
 		}
-		b.offs = append(b.offs, g.a)
-		b.us = append(b.us, g.bLocal)
+		b.offs = append(b.offs, rt.off)
+		b.us = append(b.us, rt.u)
 	}
 	return best
 }
@@ -586,18 +475,18 @@ func (r *routeRefiner) stepRace() bool {
 		if r.qc.Err() != nil {
 			return false
 		}
-		b := &r.rt.race
+		b := &r.rt.batch
 		b.reset()
 		best = r.candidates(b)
 		if len(b.offs) > 0 {
-			if d, _ := r.rt.s.qcell(r.q).RaceRoutes(r.qc, r.dstLocal, b.offs, b.us); d < best {
+			if d, _ := r.rt.s.remote[r.q].RaceRoutes(r.qc, r.dst, b.offs, b.us); d < best {
 				best = d
 			}
 		}
 	}
 	r.iv = core.Interval{Lo: best, Hi: best}
 	r.done = true
-	r.gates = r.gates[:0]
+	r.routes = r.routes[:0]
 	return false
 }
 
@@ -613,7 +502,7 @@ func (s *Sharded) HintRefine(qc *core.QueryContext, src graph.VertexID, dsts []g
 		return
 	}
 	rt := s.routerFor(qc, src)
-	b := &rt.race
+	b := &rt.batch
 	for c := int32(0); c < int32(s.asn.P) && qc.Err() == nil; c++ {
 		b.reset()
 		for _, d := range dsts {
@@ -628,7 +517,7 @@ func (s *Sharded) HintRefine(qc *core.QueryContext, src graph.VertexID, dsts []g
 			n := len(b.offs)
 			b.base = append(b.base, r.candidates(b))
 			b.rrs = append(b.rrs, r)
-			b.dsts = append(b.dsts, r.dstLocal)
+			b.dsts = append(b.dsts, r.dst)
 			b.ns = append(b.ns, int32(len(b.offs)-n))
 		}
 		if len(b.rrs) == 0 {

@@ -102,7 +102,7 @@ func TestSourceLabelMatchesCellSweep(t *testing.T) {
 				}
 				for r := lo; r < hi; r++ {
 					got := rt.du[r-lo]
-					want := cellExact(s.qcell(c), qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[s.cl.B[r]]))
+					want := cellExact(s.cells[c].ix, qc, graph.VertexID(s.asn.LocalOf[src]), graph.VertexID(s.asn.LocalOf[s.cl.B[r]]))
 					switch {
 					case math.IsInf(want, 1) || math.IsInf(got, 1):
 						if got != want {

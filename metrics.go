@@ -3,7 +3,6 @@ package silc
 import (
 	"io"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,13 +31,9 @@ var opNames = [numOps]string{
 
 // engineObs holds the engine's metric aggregates and their registry.
 // Recording is atomic and allocation-free; everything here is created
-// once per Engine at construction. Series whose cardinality depends on
-// the engine's storage topology (per-store read counters, a partitioned
-// index's label and race counters) are registered lazily, on the first
-// WriteMetrics.
+// once per Engine at construction.
 type engineObs struct {
-	reg     *obs.Registry
-	dynOnce sync.Once
+	reg *obs.Registry
 	// timed gates the phase wall-clocks (filter vs refinement) stamped
 	// onto each span: the extra time.Now pairs in the expansion loop
 	// cost real time against warm in-memory queries, so tracing is an
@@ -64,8 +59,9 @@ type engineObs struct {
 	gatewayRoutes *obs.Counter
 }
 
-// newEngineObs builds the aggregate set for e, registering the static
-// families eagerly. Collector closures dereference engine state at
+// newEngineObs builds the aggregate set for e and registers every family,
+// in the order the exposition lists them. The engine's index and page
+// source are set before it runs; collector closures read their state at
 // scrape time.
 func newEngineObs(e *Engine) *engineObs {
 	m := &engineObs{reg: obs.NewRegistry()}
@@ -137,15 +133,6 @@ func newEngineObs(e *Engine) *engineObs {
 			}
 			return 0
 		})
-	return m
-}
-
-// registerDynamic adds the series that depend on the engine's final
-// topology: the label-table and race-batch counters of its partition, and
-// the pool-wide read counters of an opened image (labelled by page source).
-// Called once, on the first scrape.
-func (m *engineObs) registerDynamic(e *Engine) {
-	r := m.reg
 	labels := e.sx.LabelStats
 	r.CounterFunc("silc_partition_label_hits_total", "",
 		"Gateway-interval rows answered from the label table (no cell lookups, no RPC).",
@@ -164,7 +151,7 @@ func (m *engineObs) registerDynamic(e *Engine) {
 		"Batched race results a refinement step went on to use; hinted minus used is wasted speculation.",
 		func() float64 { _, used := races(); return float64(used) })
 	if e.source == "" {
-		return
+		return m
 	}
 	pool, label := e.sx.Pool(), `source="`+e.source+`"`
 	r.CounterFunc("silc_store_page_reads_total", label,
@@ -176,6 +163,7 @@ func (m *engineObs) registerDynamic(e *Engine) {
 	r.CounterFunc("silc_store_blocks_decoded_total", label,
 		"Quadtree blocks passed through the paged decoder (lookups and tree decodes).",
 		func() float64 { return float64(pool.Stats().BlocksDecoded) })
+	return m
 }
 
 // fold adds a finished query's span and I/O counters to the engine
@@ -231,7 +219,6 @@ func (e *Engine) TracingEnabled() bool { return e.obs.timed.Load() }
 // and label-table traffic (silc_partition_*). Safe for concurrent use with
 // queries; scraping never blocks the query path.
 func (e *Engine) WriteMetrics(w io.Writer) error {
-	e.obs.dynOnce.Do(func() { e.obs.registerDynamic(e) })
 	return e.obs.reg.WritePrometheus(w)
 }
 
